@@ -53,8 +53,7 @@ func (f *irrFlags) String() string     { return strings.Join(*f, ",") }
 func (f *irrFlags) Set(s string) error { *f = append(*f, s); return nil }
 
 func main() {
-	bgpListen := flag.String("bgp-listen", "", "TCP address terminating member BGP sessions")
-	listen := flag.String("listen", "127.0.0.1:1790", "deprecated alias for -bgp-listen")
+	bgpListen := flag.String("bgp-listen", "127.0.0.1:1790", "TCP address terminating member BGP sessions")
 	asn := flag.Uint("asn", 6695, "IXP AS number")
 	bgpID := flag.String("bgp-id", "80.81.192.1", "route server BGP identifier")
 	blackholeNH := flag.String("blackhole-nexthop", "80.81.193.66", "RTBH next hop")
@@ -64,15 +63,11 @@ func main() {
 	flag.Var(&irrEntries, "irr", "IRR entry ASN:prefix (repeatable)")
 	flag.Parse()
 
-	addr := *bgpListen
-	if addr == "" {
-		addr = *listen
-	}
 	d, err := newDaemon(uint32(*asn), *bgpID, *blackholeNH, *openIRR, irrEntries, tick.Seconds())
 	if err != nil {
 		log.Fatal(err)
 	}
-	ln, err := net.Listen("tcp", addr)
+	ln, err := net.Listen("tcp", *bgpListen)
 	if err != nil {
 		log.Fatal(err)
 	}

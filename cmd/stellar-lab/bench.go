@@ -36,7 +36,6 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"stellar/internal/bgp"
@@ -91,18 +90,13 @@ type benchReport struct {
 }
 
 // engineBench is the stage-graph-runtime section of the report: the
-// pipelined engine (internal/engine: pipelined ticks with a parallel
-// per-victim fold side, shared worker pool, streamed monitoring)
-// against the serial driver-pulled ixp.Tick loop on the identical
-// multi-victim workload, both at GOMAXPROCS=4. The two paths must
-// produce byte-identical per-tick delivered/dropped counters (enforced
-// here, not just in tests) so the speedup is measured on provably equal
-// work; the regression bar demands pipeline >= barEngineSpeedupX x
-// serial. DepthRuns is the depth dimension — the same workload at
-// Depth 1/2/4, every run checked against the serial delivered bytes —
-// and depth_scaling_x (Depth 4 over Depth 1 flows/s) carries its own
-// bar on multi-core hosts: Depth must behave as a throughput knob, not
-// just overlap.
+// pipelined engine (internal/engine: double-buffered ticks, shared
+// worker pool, streamed monitoring) against the serial driver-pulled
+// ixp.Tick loop on the identical multi-victim workload, both at
+// GOMAXPROCS=4. The two paths must produce byte-identical per-tick
+// delivered/dropped counters (enforced here, not just in tests) so the
+// speedup is measured on provably equal work; the regression bar
+// demands pipeline >= barEngineSpeedupX x serial.
 type engineBench struct {
 	Victims           int                  `json:"victims"`
 	PeersPerVictim    int                  `json:"peers_per_victim"`
@@ -113,16 +107,7 @@ type engineBench struct {
 	EngineTicksPerSec float64              `json:"engine_ticks_per_sec"`
 	SpeedupX          float64              `json:"speedup_x"`
 	DeliveredBytes    float64              `json:"delivered_bytes"`
-	DepthRuns         []engineDepthRun     `json:"depth_runs,omitempty"`
-	DepthScalingX     float64              `json:"depth_scaling_x,omitempty"`
 	Profile           *engine.StageProfile `json:"stage_profile,omitempty"`
-}
-
-// engineDepthRun is one point of the engine section's depth dimension.
-type engineDepthRun struct {
-	Depth       int     `json:"depth"`
-	TicksPerSec float64 `json:"ticks_per_sec"`
-	FlowsPerSec float64 `json:"flows_per_sec"`
 }
 
 // mitctlBench is the mitigation-control-plane half of the report: the
@@ -447,12 +432,6 @@ const (
 	// GOMAXPROCS=4 (typically ~4x even on one core, from buffer reuse
 	// and streamed monitoring; pipelining adds more on real cores).
 	barEngineSpeedupX = 1.5
-	// barEngineDepthScalingX: Depth 4 must outrun Depth 1 by this
-	// factor on the engine section's depth dimension — the parallel
-	// fold side has to turn extra in-flight batches into throughput.
-	// Only enforced on hosts with >= 2 CPUs; on one core the fold
-	// fan-out cannot beat the serial fold by construction.
-	barEngineDepthScalingX = 1.2
 	// BGP wire-format bars: the codec sustains ~1M parse+marshal
 	// roundtrips/s and MRT replay into the sharded RIB ~15k updates/s
 	// on a dev box; the bars sit far below so only a structural
@@ -493,12 +472,6 @@ func checkBars(r *benchReport) error {
 	if r.Engine != nil && r.Engine.SpeedupX < barEngineSpeedupX {
 		failures = append(failures, fmt.Sprintf(
 			"engine: speedup_x %.2f < %.2f", r.Engine.SpeedupX, barEngineSpeedupX))
-	}
-	if r.Engine != nil && r.Engine.DepthScalingX > 0 && r.CPUs >= 2 &&
-		r.Engine.DepthScalingX < barEngineDepthScalingX {
-		failures = append(failures, fmt.Sprintf(
-			"engine: depth_scaling_x %.2f < %.2f (depth 4 vs depth 1)",
-			r.Engine.DepthScalingX, barEngineDepthScalingX))
 	}
 	if r.BGP != nil && r.BGP.RoundtripMsgsPerSec < barBGPRoundtripMsgsPerSec {
 		failures = append(failures, fmt.Sprintf(
@@ -683,42 +656,16 @@ func benchScenario(victims, peersPer, ticks int) (*scenarioBench, error) {
 	return res, nil
 }
 
-// countingSource wraps a Source with an offer counter, so the depth
-// sweeps report flows/s on exactly the work they timed.
-type countingSource struct {
-	src engine.Source
-	n   *atomic.Int64
-}
-
-func (c *countingSource) Offers(tick int, dt float64) []fabric.Offer {
-	out := c.src.Offers(tick, dt)
-	c.n.Add(int64(len(out)))
-	return out
-}
-
-func (c *countingSource) AppendOffers(dst []fabric.Offer, tick int, dt float64) []fabric.Offer {
-	before := len(dst)
-	if ap, ok := c.src.(engine.OfferAppender); ok {
-		dst = ap.AppendOffers(dst, tick, dt)
-	} else {
-		dst = append(dst, c.src.Offers(tick, dt)...)
-	}
-	c.n.Add(int64(len(dst) - before))
-	return dst
-}
-
 // benchEngine measures the stage-graph runtime end to end: the same
 // multi-victim attack workload as benchScenario, driven once through
 // the serial ixp.Tick loop (fresh offer slices, one synchronous tick
 // call, materialized DeliveredByFlow maps, map-collector records,
-// map-walk peer counts — the pre-engine driver shape) and then through
-// engine.New at Depth 1, 2 and 4 (pipelined ticks on a shared worker
-// pool, per-victim fold units fanned across it). Every engine run's
-// delivered bytes must match the serial run exactly — the engine's
-// determinism contract — before any speedup counts. The Depth 2 run is
-// the headline engine_ticks_per_sec; the sweep fills depth_runs and
-// depth_scaling_x. With profile set, the Depth 2 run also collects the
-// stage-profile counters.
+// map-walk peer counts — the pre-engine driver shape) and once through
+// engine.New (double-buffered ticks on a shared worker pool, monitoring
+// folded while the next tick egresses). The per-run delivered bytes
+// must match exactly — the engine's determinism contract — before the
+// speedup counts. With profile set, the timed engine run also collects
+// the stage-profile counters.
 func benchEngine(victims, peersPer, ticks int, profile bool) (*engineBench, error) {
 	prev := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(prev)
@@ -792,18 +739,14 @@ func benchEngine(victims, peersPer, ticks int, profile bool) (*engineBench, erro
 		return time.Since(start).Seconds(), delivered, nil
 	}
 
-	// Pipelined engine at one depth; returns (seconds, delivered bytes,
-	// stage profile).
-	var flowCount atomic.Int64
-	runEngine := func(x *ixp.IXP, members []*member.Member, sources [][]ixp.Source, nTicks, depth int, prof bool) (float64, float64, *engine.StageProfile, error) {
+	// Pipelined engine; returns (seconds, delivered bytes, stage
+	// profile).
+	runEngine := func(x *ixp.IXP, members []*member.Member, sources [][]ixp.Source, nTicks int, prof bool) (float64, float64, *engine.StageProfile, error) {
 		specs := make([]engine.VictimSpec, victims)
 		srcs := make([][]engine.Source, victims)
 		for v := 0; v < victims; v++ {
 			specs[v] = engine.VictimSpec{Port: members[v].Name}
-			srcs[v] = make([]engine.Source, len(sources[v]))
-			for i, src := range sources[v] {
-				srcs[v][i] = &countingSource{src: src, n: &flowCount}
-			}
+			srcs[v] = sources[v]
 		}
 		eng := engine.New(engine.Config{
 			Driver:       engine.NewSourcesDriver(specs, srcs),
@@ -811,7 +754,7 @@ func benchEngine(victims, peersPer, ticks int, profile bool) (*engineBench, erro
 			DataPlane:    x,
 			Ticks:        nTicks,
 			Dt:           1,
-			Depth:        depth,
+			Depth:        res.Depth,
 			Profile:      prof,
 			MemberFilter: x.MemberFilter(),
 		})
@@ -851,44 +794,30 @@ func benchEngine(victims, peersPer, ticks int, profile bool) (*engineBench, erro
 	}
 	res.SerialTicksPerSec = float64(ticks) / serialSecs
 
-	for _, depth := range []int{1, 2, 4} {
-		xe, membersE, sourcesE, err := build()
-		if err != nil {
-			return nil, err
-		}
-		if _, _, _, err := runEngine(xe, membersE, sourcesE, warmTicks, depth, false); err != nil {
-			return nil, err
-		}
-		flowCount.Store(0)
-		engineSecs, engineDelivered, prof, err := runEngine(xe, membersE, sourcesE, ticks, depth, depth == res.Depth && profile)
-		if err != nil {
-			return nil, err
-		}
-		// Sources are stateful (warmup advanced every pair identically),
-		// so the timed runs replay the same ticks: exact equality, no
-		// tolerance.
-		if engineDelivered != serialDelivered {
-			return nil, fmt.Errorf("bench: engine at depth %d diverged from serial ixp.Tick: delivered %v vs %v bytes",
-				depth, engineDelivered, serialDelivered)
-		}
-		run := engineDepthRun{
-			Depth:       depth,
-			TicksPerSec: float64(ticks) / engineSecs,
-			FlowsPerSec: float64(flowCount.Load()) / engineSecs,
-		}
-		res.DepthRuns = append(res.DepthRuns, run)
-		if depth == res.Depth {
-			res.DeliveredBytes = engineDelivered
-			res.EngineTicksPerSec = run.TicksPerSec
-			if res.SerialTicksPerSec > 0 {
-				res.SpeedupX = res.EngineTicksPerSec / res.SerialTicksPerSec
-			}
-			res.Profile = prof
-		}
+	xe, membersE, sourcesE, err := build()
+	if err != nil {
+		return nil, err
 	}
-	if first := res.DepthRuns[0]; first.FlowsPerSec > 0 {
-		res.DepthScalingX = res.DepthRuns[len(res.DepthRuns)-1].FlowsPerSec / first.FlowsPerSec
+	if _, _, _, err := runEngine(xe, membersE, sourcesE, warmTicks, false); err != nil {
+		return nil, err
 	}
+	engineSecs, engineDelivered, prof, err := runEngine(xe, membersE, sourcesE, ticks, profile)
+	if err != nil {
+		return nil, err
+	}
+	// Sources are stateful (warmup advanced both pairs identically), so
+	// the timed runs replay the same ticks: exact equality, no
+	// tolerance.
+	if engineDelivered != serialDelivered {
+		return nil, fmt.Errorf("bench: engine diverged from serial ixp.Tick: delivered %v vs %v bytes",
+			engineDelivered, serialDelivered)
+	}
+	res.DeliveredBytes = engineDelivered
+	res.EngineTicksPerSec = float64(ticks) / engineSecs
+	if res.SerialTicksPerSec > 0 {
+		res.SpeedupX = res.EngineTicksPerSec / res.SerialTicksPerSec
+	}
+	res.Profile = prof
 	return res, nil
 }
 

@@ -81,46 +81,32 @@ func runFederationCommand(args []string, w io.Writer) error {
 // and that every signal reaches every exchange within the configured
 // gossip delay.
 type federationBench struct {
-	Exchanges             int                  `json:"exchanges"`
-	Victims               int                  `json:"victims"`
-	SharedPeers           int                  `json:"shared_peers"`
-	LocalPeersPerExchange int                  `json:"local_peers_per_exchange"`
-	Ticks                 int                  `json:"ticks"`
-	GOMAXPROCS            int                  `json:"gomaxprocs"`
-	GossipDelayTicks      int                  `json:"gossip_delay_ticks"`
-	Seconds               float64              `json:"seconds"`
-	OfferedFlows          int64                `json:"offered_flows"`
-	FlowsPerSec           float64              `json:"flows_per_sec"`
-	TicksPerSec           float64              `json:"ticks_per_sec"`
-	Signals               int                  `json:"signals"`
-	SignalsComplete       int                  `json:"signals_complete"`
-	MaxPropagationTicks   int                  `json:"max_propagation_ticks"`
-	DepthRuns             []federationDepthRun `json:"depth_runs,omitempty"`
+	Exchanges             int     `json:"exchanges"`
+	Victims               int     `json:"victims"`
+	SharedPeers           int     `json:"shared_peers"`
+	LocalPeersPerExchange int     `json:"local_peers_per_exchange"`
+	Ticks                 int     `json:"ticks"`
+	GOMAXPROCS            int     `json:"gomaxprocs"`
+	GossipDelayTicks      int     `json:"gossip_delay_ticks"`
+	Seconds               float64 `json:"seconds"`
+	OfferedFlows          int64   `json:"offered_flows"`
+	FlowsPerSec           float64 `json:"flows_per_sec"`
+	TicksPerSec           float64 `json:"ticks_per_sec"`
+	Signals               int     `json:"signals"`
+	SignalsComplete       int     `json:"signals_complete"`
+	MaxPropagationTicks   int     `json:"max_propagation_ticks"`
 }
 
-// federationDepthRun is one point of the federation section's depth
-// dimension: the identical topology with every per-exchange engine at
-// the given pipeline depth, all fold work sharing the one pool.
-type federationDepthRun struct {
-	Depth       int     `json:"depth"`
-	FlowsPerSec float64 `json:"flows_per_sec"`
-	TicksPerSec float64 `json:"ticks_per_sec"`
-}
-
-// benchFederation runs the synthetic topology once as a short warmup,
-// then once per pipeline depth (1, 2 and 4) at full length — timing
-// only Run (the synchronized engines), not topology construction.
-// Federations are single-use like the engines they wrap, so each run
-// builds its own. The Depth 2 run (the engine default) is the headline
-// section; the sweep fills depth_runs, every run on the identical
-// topology with all per-exchange fold work sharing the one pool.
+// benchFederation runs the synthetic topology twice — a short warmup
+// federation, then a fresh full-length one — timing only Run (the
+// synchronized engines), not topology construction. Federations are
+// single-use like the engines they wrap, so each run builds its own.
 func benchFederation(exchanges, victims, localPeers, ticks, delay int) (*federationBench, error) {
 	prev := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(prev)
 
 	const sharedPeers = 8
-	const headlineDepth = 2
-	build := func(nTicks, depth int) (*federation.Federation, error) {
+	build := func(nTicks int) (*federation.Federation, error) {
 		return federation.BuildSynthetic(federation.TopologyConfig{
 			Exchanges:        exchanges,
 			Victims:          victims,
@@ -128,7 +114,6 @@ func benchFederation(exchanges, victims, localPeers, ticks, delay int) (*federat
 			LocalPeers:       localPeers,
 			Ticks:            nTicks,
 			GossipDelayTicks: delay,
-			Depth:            depth,
 			Seed:             9,
 		})
 	}
@@ -137,13 +122,24 @@ func benchFederation(exchanges, victims, localPeers, ticks, delay int) (*federat
 	if warmTicks < 20 {
 		warmTicks = 20
 	}
-	warm, err := build(warmTicks, headlineDepth)
+	warm, err := build(warmTicks)
 	if err != nil {
 		return nil, err
 	}
 	if _, err := warm.Run(); err != nil {
 		return nil, err
 	}
+
+	fed, err := build(ticks)
+	if err != nil {
+		return nil, err
+	}
+	start := time.Now()
+	rep, err := fed.Run()
+	if err != nil {
+		return nil, err
+	}
+	secs := time.Since(start).Seconds()
 
 	res := &federationBench{
 		Exchanges:             exchanges,
@@ -153,35 +149,16 @@ func benchFederation(exchanges, victims, localPeers, ticks, delay int) (*federat
 		Ticks:                 ticks,
 		GOMAXPROCS:            runtime.GOMAXPROCS(0),
 		GossipDelayTicks:      delay,
+		Seconds:               secs,
+		OfferedFlows:          rep.OfferedFlows,
+		FlowsPerSec:           float64(rep.OfferedFlows) / secs,
+		TicksPerSec:           float64(ticks) / secs,
+		Signals:               len(rep.Signals),
+		MaxPropagationTicks:   rep.MaxPropagationTicks(),
 	}
-	for _, depth := range []int{1, 2, 4} {
-		fed, err := build(ticks, depth)
-		if err != nil {
-			return nil, err
-		}
-		start := time.Now()
-		rep, err := fed.Run()
-		if err != nil {
-			return nil, err
-		}
-		secs := time.Since(start).Seconds()
-		res.DepthRuns = append(res.DepthRuns, federationDepthRun{
-			Depth:       depth,
-			FlowsPerSec: float64(rep.OfferedFlows) / secs,
-			TicksPerSec: float64(ticks) / secs,
-		})
-		if depth == headlineDepth {
-			res.Seconds = secs
-			res.OfferedFlows = rep.OfferedFlows
-			res.FlowsPerSec = float64(rep.OfferedFlows) / secs
-			res.TicksPerSec = float64(ticks) / secs
-			res.Signals = len(rep.Signals)
-			res.MaxPropagationTicks = rep.MaxPropagationTicks()
-			for _, s := range rep.Signals {
-				if s.Complete {
-					res.SignalsComplete++
-				}
-			}
+	for _, s := range rep.Signals {
+		if s.Complete {
+			res.SignalsComplete++
 		}
 	}
 	return res, nil

@@ -71,10 +71,10 @@ type Config struct {
 	// them.
 	Pool *fabric.Pool
 	// Depth is the number of in-flight ticks (0: 2 — double-buffered;
-	// 1: fully serial, the determinism-debugging fallback). Depth > 1
-	// also bounds the fold side's in-flight batches: per-victim monitor
-	// folds fan across the worker pool and overlap across ticks, so
-	// Depth is a throughput knob, not just spine/fold overlap.
+	// 1: fully serial, the determinism-debugging fallback). At 2 the one
+	// fold goroutine overlaps tick N's monitor + report with tick N+1's
+	// spine; beyond 2 it buys only buffer elasticity — a slow fold tick
+	// stalls the spine later — never more fold parallelism.
 	Depth int
 	// Profile, when set, accumulates a StageProfile over the run —
 	// per-stage cumulative ns plus spine-wait/fold-wait counters — and
@@ -105,8 +105,8 @@ type Engine struct {
 // runFail records the run's first failure and the tick it struck: the
 // fold side never runs or folds a tick at or past it, at any Depth,
 // while backlog ticks below it still fold (the partial-samples
-// contract). "First" means earliest tick — concurrent per-victim folds
-// can race errors out of order.
+// contract). "First" means earliest tick — the spine can fail tick T+1
+// before the fold goroutine fails tick T.
 type runFail struct {
 	tick int
 	err  error
@@ -143,6 +143,9 @@ func (e *Engine) Run() ([]VictimSeries, error) {
 	if cfg.Driver == nil {
 		return nil, fmt.Errorf("engine: no driver configured")
 	}
+	if cfg.Ticks < 0 {
+		return nil, fmt.Errorf("engine: negative Ticks %d", cfg.Ticks)
+	}
 	if cfg.Dt == 0 {
 		cfg.Dt = 1
 	}
@@ -164,9 +167,9 @@ func (e *Engine) Run() ([]VictimSeries, error) {
 		if specs[i].Monitor == nil {
 			specs[i].Monitor = flowmon.NewCollector()
 		} else if seenMon[specs[i].Monitor] {
-			// One collector under two victims would see two merge-horizon
-			// writers once per-victim folds overlap — horizons must stay
-			// monotonic per collector, so sharing is rejected outright.
+			// One collector under two victims would mix both ports'
+			// delivered flows into the same bins, so each victim's
+			// ActivePeers would count the other's peers.
 			return nil, fmt.Errorf("engine: victim port %s shares its monitor with another victim", specs[i].Port)
 		}
 		seenMon[specs[i].Monitor] = true
@@ -260,61 +263,39 @@ func (e *Engine) Run() ([]VictimSeries, error) {
 	}
 	work := make(chan *Batch, depth)
 
-	// Fold side. When the (possibly StageWrap-decorated) monitor stage
-	// still decomposes per victim, Depth > 1 runs the parallel fold: a
-	// dispatcher fans per-victim units across the pool's lanes and a
-	// completer retires ticks in spine order (see foldpar.go). Otherwise
-	// — Depth 1, a single pool worker, a single victim, a decoration
-	// hiding ParallelFold, or an armed stage watchdog (stall detection
-	// needs one fold thread to time) — the serial fold goroutine runs
-	// monitor + report one tick at a time. Both paths produce
-	// byte-identical series.
+	// Fold side: one goroutine runs monitor + report one tick at a time,
+	// in spine order, at every Depth.
 	var foldWG sync.WaitGroup
-	gm := foldStages[0].(*guardStage)
-	pf, pfOK := gm.parallelFold()
-	if depth > 1 && len(specs) > 1 && pool.Workers() > 1 && cfg.StageTimeout == 0 && pfOK {
-		sched := newFoldScheduler(e, pool, gm, pf, foldStages[1], foldStages, prof, len(specs), depth)
-		foldWG.Add(2)
-		go func() {
-			defer foldWG.Done()
-			sched.dispatch(work)
-		}()
-		go func() {
-			defer foldWG.Done()
-			sched.complete(free)
-		}()
-	} else {
-		foldWG.Add(1)
-		go func() {
-			defer foldWG.Done()
-			for {
-				t0 := prof.now()
-				b, ok := <-work
-				if !ok {
-					return
-				}
-				prof.addFoldWait(prof.since(t0))
-				tick := b.ctx.Tick
-				if !e.errBefore(tick) {
-					for si, st := range foldStages {
-						rt := prof.now()
-						err := st.Run(&b.ctx, b, b)
-						prof.addNs(profSlotMonitor+si, prof.since(rt))
-						if err != nil {
-							e.setErr(tick, fmt.Errorf("engine: %s stage at tick %d: %w", st.Name(), tick, err))
-							break
-						}
-					}
-				}
-				if !e.errBefore(tick) {
-					for _, st := range foldStages {
-						st.Fold(tick)
-					}
-				}
-				free <- b
+	foldWG.Add(1)
+	go func() {
+		defer foldWG.Done()
+		for {
+			t0 := prof.now()
+			b, ok := <-work
+			if !ok {
+				return
 			}
-		}()
-	}
+			prof.addFoldWait(prof.since(t0))
+			tick := b.ctx.Tick
+			if !e.errBefore(tick) {
+				for si, st := range foldStages {
+					rt := prof.now()
+					err := st.Run(&b.ctx, b, b)
+					prof.addNs(profSlotMonitor+si, prof.since(rt))
+					if err != nil {
+						e.setErr(tick, fmt.Errorf("engine: %s stage at tick %d: %w", st.Name(), tick, err))
+						break
+					}
+				}
+			}
+			if !e.errBefore(tick) {
+				for _, st := range foldStages {
+					st.Fold(tick)
+				}
+			}
+			free <- b
+		}
+	}()
 
 	// drain stops the fold side and truncates every series to the ticks
 	// that fully folded, preserving the serial loop's partial-samples
@@ -381,8 +362,8 @@ func (e *Engine) Run() ([]VictimSeries, error) {
 }
 
 // setErr records a failure at tick; the earliest tick wins, so the
-// reported error and the fold cutoff agree no matter how concurrent
-// folds race their failures in.
+// reported error and the fold cutoff agree whichever of the spine and
+// the fold goroutine reports first.
 func (e *Engine) setErr(tick int, err error) {
 	e.mu.Lock()
 	if e.fail == nil || tick < e.fail.tick {

@@ -132,24 +132,7 @@ func TestEngineDepthEquivalence(t *testing.T) {
 	}
 	want := run(1)
 	for _, depth := range []int{2, 4} {
-		got := run(depth)
-		for v := range want {
-			if len(got[v].Samples) != len(want[v].Samples) {
-				t.Fatalf("depth %d victim %d: %d samples, want %d",
-					depth, v, len(got[v].Samples), len(want[v].Samples))
-			}
-			for i := range want[v].Samples {
-				if got[v].Samples[i] != want[v].Samples[i] {
-					t.Fatalf("depth %d victim %d tick %d: %+v != %+v",
-						depth, v, i, got[v].Samples[i], want[v].Samples[i])
-				}
-			}
-			gb, gv := got[v].Monitor.Series()
-			wb, wv := want[v].Monitor.Series()
-			if fmt.Sprint(gb, gv) != fmt.Sprint(wb, wv) {
-				t.Fatalf("depth %d victim %d: monitor series diverged", depth, v)
-			}
-		}
+		requireSameSeries(t, fmt.Sprintf("depth %d", depth), run(depth), want)
 	}
 }
 
@@ -248,6 +231,18 @@ func TestEngineValidation(t *testing.T) {
 		[][]Source{{newFlowSource(0)}, {newFlowSource(1)}})
 	if _, err := New(dup).Run(); err == nil {
 		t.Fatal("duplicate victim port accepted")
+	}
+	if _, err := New(testConfig(1, -1, 1)).Run(); err == nil {
+		t.Fatal("negative Ticks accepted")
+	}
+	series, err := New(testConfig(2, 0, 2)).Run()
+	if err != nil {
+		t.Fatalf("Ticks 0: %v", err)
+	}
+	for v := range series {
+		if len(series[v].Samples) != 0 {
+			t.Fatalf("Ticks 0: victim %d has %d samples", v, len(series[v].Samples))
+		}
 	}
 }
 

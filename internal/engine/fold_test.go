@@ -6,15 +6,14 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"stellar/internal/flowmon"
 	"stellar/internal/netpkt"
 )
 
 // foldRecorder decorates a stage to log every Fold(tick) — the probe
-// for the abort contract. As a StageWrap decoration it hides
-// ParallelFold, so runs under it take the serial fold path; the
-// parallel path is pinned by the sample-based tests below.
+// for the abort contract.
 type foldRecorder struct {
 	Stage
 	mu    *sync.Mutex
@@ -125,11 +124,11 @@ func TestEngineNoFoldPastErrorTick(t *testing.T) {
 	}
 }
 
-// TestEngineParallelFoldErrors drives the parallel fold path (multiple
-// workers, several victims, Depth > 1) into each failure mode and pins
-// the same contract through the observable output: the series holds
-// exactly the ticks below the error tick, in order.
-func TestEngineParallelFoldErrors(t *testing.T) {
+// TestEngineMultiWorkerFoldErrors drives a multi-worker, multi-victim,
+// Depth > 1 run into each failure mode and pins the same contract
+// through the observable output: the series holds exactly the ticks
+// below the error tick, in order.
+func TestEngineMultiWorkerFoldErrors(t *testing.T) {
 	for _, depth := range []int{2, 4, 8} {
 		depth := depth
 		checkSeries(t, fmt.Sprintf("spine-stage-error/depth=%d", depth), func(t *testing.T) ([]VictimSeries, error) {
@@ -151,8 +150,8 @@ func TestEngineParallelFoldErrors(t *testing.T) {
 		}, "boom", 4)
 
 		checkSeries(t, fmt.Sprintf("fold-panic/depth=%d", depth), func(t *testing.T) ([]VictimSeries, error) {
-			// MemberFilter runs inside the per-victim fold units on the
-			// pool; a panic there must surface as a monitor-stage tick
+			// MemberFilter runs inside the monitor stage on the fold
+			// goroutine; a panic there must surface as a monitor-stage tick
 			// error, not kill the process. The panicking call count puts
 			// the error around tick 4 (3 victims x 1 peer per tick); the
 			// exact tick is read back from the error message.
@@ -201,8 +200,8 @@ func checkSeries(t *testing.T, name string, run func(*testing.T) ([]VictimSeries
 }
 
 // TestEngineSharedMonitorRejected: one collector under two victims
-// would see two merge-horizon writers once per-victim folds overlap, so
-// the engine rejects the configuration up front.
+// would mix both ports' flows into the same bins, so the engine rejects
+// the configuration up front.
 func TestEngineSharedMonitorRejected(t *testing.T) {
 	cfg := testConfig(2, 4, 2)
 	specs := cfg.Driver.Victims()
@@ -217,8 +216,8 @@ func TestEngineSharedMonitorRejected(t *testing.T) {
 
 // TestEngineStageProfile: Config.Profile attaches one shared profile to
 // every series, with every stage accounted and the tick counter run to
-// completion — on the parallel fold path the monitor stage counts one
-// run per victim per tick.
+// completion — every stage, the monitor included, counts one run per
+// tick.
 func TestEngineStageProfile(t *testing.T) {
 	const victims, ticks = 3, 20
 	cfg := testConfig(victims, ticks, 4)
@@ -252,8 +251,8 @@ func TestEngineStageProfile(t *testing.T) {
 			t.Fatalf("stage %q counted no runs", st.Name)
 		}
 	}
-	if got := prof.Stages[profSlotMonitor].Runs; got != victims*ticks {
-		t.Fatalf("monitor runs = %d, want %d per-victim units", got, victims*ticks)
+	if got := prof.Stages[profSlotMonitor].Runs; got != ticks {
+		t.Fatalf("monitor runs = %d, want %d", got, ticks)
 	}
 	if got := prof.Stages[profSlotControl].Runs; got != ticks {
 		t.Fatalf("control runs = %d, want %d", got, ticks)
@@ -270,9 +269,9 @@ func TestEngineStageProfile(t *testing.T) {
 	}
 }
 
-// TestEngineDeepDepthEquivalence extends the depth sweep through the
-// parallel fold path: with a multi-worker pool, depths 2/4/8 must
-// reproduce the fully serial depth-1 output byte for byte.
+// TestEngineDeepDepthEquivalence extends the depth sweep to a
+// multi-worker pool: depths 2/4/8 must reproduce the fully serial
+// depth-1 output byte for byte.
 func TestEngineDeepDepthEquivalence(t *testing.T) {
 	const victims, ticks = 4, 50
 	run := func(depth, workers int) []VictimSeries {
@@ -287,23 +286,51 @@ func TestEngineDeepDepthEquivalence(t *testing.T) {
 	}
 	want := run(1, 1)
 	for _, depth := range []int{2, 4, 8} {
-		got := run(depth, 4)
-		for v := range want {
-			if len(got[v].Samples) != len(want[v].Samples) {
-				t.Fatalf("depth %d victim %d: %d samples, want %d",
-					depth, v, len(got[v].Samples), len(want[v].Samples))
+		requireSameSeries(t, fmt.Sprintf("depth %d", depth), run(depth, 4), want)
+	}
+}
+
+// TestEngineWatchdogDoesNotChangeSeries: arming StageTimeout wraps every
+// stage Run in a timed goroutine but must not change what runs — at the
+// deep multi-victim, multi-worker shape the series with and without the
+// watchdog are byte-identical.
+func TestEngineWatchdogDoesNotChangeSeries(t *testing.T) {
+	run := func(timeout time.Duration) []VictimSeries {
+		t.Helper()
+		cfg := testConfig(3, 40, 4)
+		cfg.Workers = 4
+		cfg.StageTimeout = timeout
+		series, err := New(cfg).Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return series
+	}
+	requireSameSeries(t, "StageTimeout 5s", run(5*time.Second), run(0))
+}
+
+// requireSameSeries fails unless got and want hold identical samples and
+// identical monitor contents, victim for victim and tick for tick.
+func requireSameSeries(t *testing.T, label string, got, want []VictimSeries) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d victims, want %d", label, len(got), len(want))
+	}
+	for v := range want {
+		if len(got[v].Samples) != len(want[v].Samples) {
+			t.Fatalf("%s victim %d: %d samples, want %d",
+				label, v, len(got[v].Samples), len(want[v].Samples))
+		}
+		for i := range want[v].Samples {
+			if got[v].Samples[i] != want[v].Samples[i] {
+				t.Fatalf("%s victim %d tick %d: %+v != %+v",
+					label, v, i, got[v].Samples[i], want[v].Samples[i])
 			}
-			for i := range want[v].Samples {
-				if got[v].Samples[i] != want[v].Samples[i] {
-					t.Fatalf("depth %d victim %d tick %d: %+v != %+v",
-						depth, v, i, got[v].Samples[i], want[v].Samples[i])
-				}
-			}
-			gb, gv := got[v].Monitor.Series()
-			wb, wv := want[v].Monitor.Series()
-			if fmt.Sprint(gb, gv) != fmt.Sprint(wb, wv) {
-				t.Fatalf("depth %d victim %d: monitor series diverged", depth, v)
-			}
+		}
+		gb, gv := got[v].Monitor.Series()
+		wb, wv := want[v].Monitor.Series()
+		if fmt.Sprint(gb, gv) != fmt.Sprint(wb, wv) {
+			t.Fatalf("%s victim %d: monitor series diverged", label, v)
 		}
 	}
 }

@@ -71,20 +71,6 @@ type Stage interface {
 	Fold(tick int)
 }
 
-// ParallelFold is an optional fold-stage refinement: a stage whose Run
-// decomposes into independent per-victim units the engine may execute
-// concurrently on the worker pool. RunVictim(ctx, b, v) must be
-// equivalent to the victim-v slice of Run(ctx, b, b), touch only
-// victim-v state (its collector, its sample slot), and tolerate
-// concurrent RunVictim calls for other victims of the same or other
-// in-flight ticks. The engine guarantees per-victim tick order: victim
-// v's tick T completes before its tick T+1 starts. monitorStage
-// implements it; a Config.StageWrap decoration that does not forward
-// the interface demotes the fold side to the serial path.
-type ParallelFold interface {
-	RunVictim(ctx *Ctx, b *Batch, victim int) error
-}
-
 // PortReport summarizes one simulation tick at one destination port.
 // (ixp.TickReport aliases this type.)
 type PortReport struct {
@@ -131,17 +117,15 @@ type VictimSeries struct {
 // bottleneck. SpineWaitNs is time the spine spent blocked on the free
 // list — it grows when the fold side cannot keep up, and Depth trades
 // it for memory. FoldWaitNs is time the fold side spent waiting for
-// work or for in-flight per-victim units — it grows when the spine is
-// the slow side. Counters are atomically accumulated; read them after
-// Run returns.
+// work — it grows when the spine is the slow side. Counters are
+// atomically accumulated; read them after Run returns.
 type StageProfile struct {
 	// Stages holds cumulative Run time per stage in pipeline order:
 	// control, traffic, fabric, monitor, report.
 	Stages []StageTiming `json:"stages"`
 	// SpineWaitNs is cumulative spine time blocked on the free list.
 	SpineWaitNs int64 `json:"spine_wait_ns"`
-	// FoldWaitNs is cumulative fold-side time blocked waiting for work
-	// or for per-victim fold units to complete.
+	// FoldWaitNs is cumulative fold-side time blocked waiting for work.
 	FoldWaitNs int64 `json:"fold_wait_ns"`
 	// Ticks is the number of ticks the spine issued.
 	Ticks int `json:"ticks"`
@@ -150,11 +134,9 @@ type StageProfile struct {
 // StageTiming is one stage's cumulative profile entry.
 type StageTiming struct {
 	Name string `json:"name"`
-	// Ns is cumulative wall time inside the stage's Run (for the
-	// monitor stage under the parallel fold, the sum across per-victim
-	// units — it can exceed elapsed time).
+	// Ns is cumulative wall time inside the stage's Run.
 	Ns int64 `json:"ns"`
-	// Runs counts Run invocations (per-victim units each count once).
+	// Runs counts Run invocations.
 	Runs int64 `json:"runs"`
 }
 
@@ -415,34 +397,21 @@ func (s *monitorStage) Name() string     { return "monitor" }
 func (s *monitorStage) Prepare(tick int) {}
 func (s *monitorStage) Fold(tick int)    {}
 func (s *monitorStage) Run(ctx *Ctx, in, out *Batch) error {
-	for i := range s.specs {
-		if err := s.RunVictim(ctx, in, i); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// RunVictim folds one victim's slice of the tick: move its collector's
-// merge horizon to the tick being folded, then derive its sample. Each
-// victim owns its collector and its sample slot, so distinct victims —
-// of this tick or of other in-flight ticks — fold concurrently without
-// synchronization; the engine keeps each victim's ticks in order, which
-// keeps its horizon monotonic.
-func (s *monitorStage) RunVictim(ctx *Ctx, b *Batch, i int) error {
 	dt := ctx.Dt
-	s.monitors[i].SetMergeHorizon(ctx.Tick)
-	rep := b.Reports[s.specs[i].Port]
-	b.samples[i] = Sample{
-		Tick:                 ctx.Tick,
-		Time:                 float64(ctx.Tick) * dt,
-		OfferedBps:           rep.OfferedBytes * 8 / dt,
-		DeliveredBps:         rep.Result.DeliveredBytes * 8 / dt,
-		NulledBps:            rep.NulledBytes * 8 / dt,
-		RuleDroppedBps:       rep.Result.RuleDroppedBytes * 8 / dt,
-		ShaperDroppedBps:     rep.Result.ShaperDroppedBytes * 8 / dt,
-		CongestionDroppedBps: rep.Result.CongestionDroppedBytes * 8 / dt,
-		ActivePeers:          s.monitors[i].PeerCountFunc(ctx.Tick, s.specs[i].PeerMinBps*dt/8, s.keep),
+	for i := range s.specs {
+		s.monitors[i].SetMergeHorizon(ctx.Tick)
+		rep := in.Reports[s.specs[i].Port]
+		out.samples[i] = Sample{
+			Tick:                 ctx.Tick,
+			Time:                 float64(ctx.Tick) * dt,
+			OfferedBps:           rep.OfferedBytes * 8 / dt,
+			DeliveredBps:         rep.Result.DeliveredBytes * 8 / dt,
+			NulledBps:            rep.NulledBytes * 8 / dt,
+			RuleDroppedBps:       rep.Result.RuleDroppedBytes * 8 / dt,
+			ShaperDroppedBps:     rep.Result.ShaperDroppedBytes * 8 / dt,
+			CongestionDroppedBps: rep.Result.CongestionDroppedBytes * 8 / dt,
+			ActivePeers:          s.monitors[i].PeerCountFunc(ctx.Tick, s.specs[i].PeerMinBps*dt/8, s.keep),
+		}
 	}
 	return nil
 }

@@ -82,24 +82,3 @@ func (g *guardStage) run(ctx *Ctx, in, out *Batch) (err error) {
 	}()
 	return g.inner.Run(ctx, in, out)
 }
-
-// parallelFold reports whether the guarded stage (after any StageWrap
-// decoration) still decomposes per victim. A wrapper that hides the
-// interface demotes the engine to the serial fold path — fault
-// injectors see exactly the stage graph they decorated.
-func (g *guardStage) parallelFold() (ParallelFold, bool) {
-	pf, ok := g.inner.(ParallelFold)
-	return pf, ok
-}
-
-// runVictim executes one per-victim fold unit with panic isolation; it
-// runs on a pool worker, so a panicking unit must surface as a tick
-// error instead of killing the process.
-func (g *guardStage) runVictim(pf ParallelFold, ctx *Ctx, b *Batch, victim int) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("%s panicked on victim %d: %v", g.inner.Name(), victim, r)
-		}
-	}()
-	return pf.RunVictim(ctx, b, victim)
-}

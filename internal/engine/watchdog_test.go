@@ -108,35 +108,60 @@ func TestWatchdogIsolatesPreparePanic(t *testing.T) {
 
 // TestWatchdogDetectsStalledStage: a stage that stops making progress
 // past StageTimeout turns into a tick error naming the stage, instead
-// of hanging the run forever.
+// of hanging the run forever, and the samples below the stall tick
+// survive. The watchdog composes with the fold side: the deep
+// multi-victim, multi-worker case stalls the monitor stage on the fold
+// goroutine.
 func TestWatchdogDetectsStalledStage(t *testing.T) {
-	release := make(chan struct{})
-	defer close(release) // let the abandoned goroutine finish
-	cfg := testConfig(1, 10, 2)
-	cfg.StageTimeout = 50 * time.Millisecond
-	cfg.StageWrap = func(s Stage) Stage {
-		if s.Name() != "fabric" {
-			return s
-		}
-		return &wrapStage{Stage: s, onRun: func(_ string, tick int) {
-			if tick == 2 {
-				<-release
+	for _, tc := range []struct {
+		stage                   string
+		victims, depth, workers int
+	}{
+		{stage: "fabric", victims: 1, depth: 2},
+		{stage: "monitor", victims: 3, depth: 4, workers: 4},
+	} {
+		tc := tc
+		t.Run(tc.stage, func(t *testing.T) {
+			const stallTick = 2
+			release := make(chan struct{})
+			defer close(release) // let the abandoned goroutine finish
+			cfg := testConfig(tc.victims, 10, tc.depth)
+			cfg.Workers = tc.workers
+			cfg.StageTimeout = 50 * time.Millisecond
+			cfg.StageWrap = func(s Stage) Stage {
+				if s.Name() != tc.stage {
+					return s
+				}
+				return &wrapStage{Stage: s, onRun: func(_ string, tick int) {
+					if tick == stallTick {
+						<-release
+					}
+				}}
 			}
-		}}
-	}
-	done := make(chan error, 1)
-	go func() {
-		_, err := New(cfg).Run()
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		if err == nil || !strings.Contains(err.Error(), "stalled") ||
-			!strings.Contains(err.Error(), "fabric") {
-			t.Fatalf("err = %v, want fabric stall", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("watchdog never fired; run hung")
+			type result struct {
+				series []VictimSeries
+				err    error
+			}
+			done := make(chan result, 1)
+			go func() {
+				series, err := New(cfg).Run()
+				done <- result{series, err}
+			}()
+			select {
+			case r := <-done:
+				if r.err == nil || !strings.Contains(r.err.Error(), tc.stage+" stalled") {
+					t.Fatalf("err = %v, want %s stall", r.err, tc.stage)
+				}
+				for v := range r.series {
+					if len(r.series[v].Samples) != stallTick {
+						t.Fatalf("victim %d: %d samples, want the %d below the stall tick",
+							v, len(r.series[v].Samples), stallTick)
+					}
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("watchdog never fired; run hung")
+			}
+		})
 	}
 }
 

@@ -155,32 +155,6 @@ func (p *Pool) Run(n int, fn func(worker, i int)) {
 	job.wg.Wait()
 }
 
-// Submit hands one task to the pool without waiting for it: fn(worker)
-// runs on whichever worker picks it up. It is the asynchronous
-// counterpart of Run — the engine's fold scheduler uses it to keep
-// per-victim monitor lanes moving without parking a goroutine per lane.
-// Safe for concurrent use with Run and other Submits; fn must not call
-// Run or Submit on the same pool. After Close (or with a single
-// worker), fn executes inline on the caller as worker 0.
-func (p *Pool) Submit(fn func(worker int)) {
-	if p.workers == 1 || p.closed.Load() {
-		fn(0)
-		return
-	}
-	job := &poolJob{n: 1, fn: func(worker, _ int) { fn(worker) }}
-	job.wg.Add(1)
-	select {
-	case p.jobs <- job:
-	case <-p.done:
-	}
-	// If Close raced the handoff, exiting workers may never pick the job
-	// up; the shared index counter makes running it here a no-op when a
-	// worker already claimed it.
-	if p.closed.Load() {
-		job.run(0)
-	}
-}
-
 // Close releases the workers. Run calls after Close execute inline.
 func (p *Pool) Close() {
 	if p.closed.CompareAndSwap(false, true) {

@@ -65,63 +65,6 @@ func TestPoolRunAfterClose(t *testing.T) {
 	p.Close() // idempotent
 }
 
-// TestPoolSubmit: every submitted task runs exactly once, with a valid
-// worker identity, concurrently with Run submissions — the engine's
-// fold scheduler mixes both on one pool.
-func TestPoolSubmit(t *testing.T) {
-	p := NewPool(3)
-	defer p.Close()
-	const n = 200
-	var done sync.WaitGroup
-	counts := make([]atomic.Int32, n)
-	var runs atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() { // concurrent Run traffic alongside the Submits
-		defer wg.Done()
-		for r := 0; r < 50; r++ {
-			p.Run(9, func(_, _ int) { runs.Add(1) })
-		}
-	}()
-	for i := 0; i < n; i++ {
-		i := i
-		done.Add(1)
-		p.Submit(func(worker int) {
-			defer done.Done()
-			if worker < 0 || worker >= p.Workers() {
-				t.Errorf("worker %d out of [0, %d)", worker, p.Workers())
-			}
-			counts[i].Add(1)
-		})
-	}
-	done.Wait()
-	wg.Wait()
-	for i := range counts {
-		if got := counts[i].Load(); got != 1 {
-			t.Fatalf("task %d ran %d times", i, got)
-		}
-	}
-	if got, want := runs.Load(), int64(50*9); got != want {
-		t.Fatalf("Run executed %d calls, want %d", got, want)
-	}
-}
-
-// TestPoolSubmitAfterClose falls back to inline execution as worker 0.
-func TestPoolSubmitAfterClose(t *testing.T) {
-	p := NewPool(2)
-	p.Close()
-	ran := false
-	p.Submit(func(worker int) {
-		if worker != 0 {
-			t.Errorf("inline fallback used worker %d", worker)
-		}
-		ran = true
-	})
-	if !ran {
-		t.Fatal("task did not run inline after Close")
-	}
-}
-
 // TestPoolSingleWorkerInline: a one-worker pool runs inline and in order.
 func TestPoolSingleWorkerInline(t *testing.T) {
 	p := NewPool(1)

@@ -9,7 +9,7 @@ import (
 )
 
 // TestMergeHorizonUnderConcurrentPoolObservers reproduces the engine's
-// parallel fold interaction on the collector alone: pool workers
+// spine/fold overlap on the collector alone: pool workers
 // ObserveBatch one tick's records concurrently (round-robin over the
 // shards) while a fold goroutine, lagging a couple of ticks behind the
 // writers, advances the merge horizon and reads the accessors — the

@@ -16,11 +16,11 @@ import (
 
 // serialRunAll is the legacy serial tick loop — the pre-engine
 // Scenario.RunAll, preserved verbatim as the determinism oracle: per
-// tick, events fire, every victim's offers generate, then one
-// synchronous x.TickStream call advances the clock, processes the
-// control plane and egresses, with every stage finishing before the
-// next tick starts. The pipelined engine must reproduce its output
-// byte for byte.
+// tick, events fire, every victim's offers generate, then a
+// synchronous ControlTick + EgressTick pair advances the clock,
+// processes the control plane and egresses, with every stage finishing
+// before the next tick starts. The pipelined engine must reproduce its
+// output byte for byte.
 func serialRunAll(x *IXP, ticks int, dt float64, victims []Victim, globalEvents []Event) ([]VictimSeries, error) {
 	type timedEvent struct {
 		Event
@@ -103,7 +103,8 @@ func serialRunAll(x *IXP, ticks int, dt float64, victims []Victim, globalEvents 
 			bufs[i] = buf
 			offers[victims[i].Port] = buf
 		}
-		reports, err := x.TickStream(offers, dt, sink)
+		x.ControlTick(tick, dt)
+		reports, err := x.EgressTick(nil, offers, dt, sink)
 		if err != nil {
 			return series, err
 		}
@@ -181,9 +182,9 @@ func TestEngineMatchesSerialLoop(t *testing.T) {
 	}
 
 	// Depth 1 is the fully serial pipeline; 2 the default double buffer;
-	// 4 and 8 run the parallel fold with multiple in-flight fold ticks.
-	// Workers is pinned above 1 so the per-victim fold fan-out engages
-	// even on a single-CPU host.
+	// 4 and 8 queue several batches for the fold goroutine. Workers is
+	// pinned above 1 so the pool fans traffic and egress out even on a
+	// single-CPU host.
 	for _, depth := range []int{1, 2, 4, 8} {
 		depth := depth
 		t.Run(fmt.Sprintf("depth=%d", depth), func(t *testing.T) {

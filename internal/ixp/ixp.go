@@ -463,16 +463,8 @@ type TickReport = engine.PortReport
 // monitoring with tick N+1's egress on a shared worker pool; both paths
 // produce identical per-port reports.
 func (x *IXP) Tick(offers fabric.TickOffers, dt float64) (map[string]TickReport, error) {
-	return x.TickStream(offers, dt, nil)
-}
-
-// TickStream is Tick with the flow-monitoring pipeline attached: when
-// sink is non-nil, each port's delivered flows stream into the sink's
-// per-worker visitors during the tick (see fabric.TickStream) and the
-// per-port TickResult.DeliveredByFlow maps are not materialized.
-func (x *IXP) TickStream(offers fabric.TickOffers, dt float64, sink fabric.TickSink) (map[string]TickReport, error) {
 	x.ControlTick(0, dt)
-	return x.EgressTick(nil, offers, dt, sink)
+	return x.EgressTick(nil, offers, dt, nil)
 }
 
 // ControlTick implements engine.Control: it advances the simulation
@@ -605,8 +597,8 @@ func anyContains(prefixes []netip.Prefix, dst netip.Addr) bool {
 // ActivePeers counts the distinct source members whose delivered bytes
 // at the port exceeded minBytes in the given tick result. It needs the
 // materialized DeliveredByFlow map, so it only works on Tick results
-// (TickStream leaves the map nil; use the flow monitor's PeerCount, as
-// Scenario.Run does).
+// (EgressTick with a sink leaves the map nil; use the flow monitor's
+// PeerCount, as Scenario.Run does).
 func (x *IXP) ActivePeers(res fabric.TickResult, minBytes float64) int {
 	perMember := make(map[string]float64)
 	for flow, bytes := range res.DeliveredByFlow {

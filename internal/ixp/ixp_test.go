@@ -220,11 +220,10 @@ func TestScenarioRunsEvents(t *testing.T) {
 	attack := traffic.NewAttack(traffic.VectorNTP, target, peers, 1e9, 5, 100, rng)
 
 	sc := &Scenario{
-		IXP:        x,
-		VictimPort: victim.Name,
-		Ticks:      30,
-		Dt:         1,
-		Sources:    []Source{attack},
+		IXP:     x,
+		Ticks:   30,
+		Dt:      1,
+		Victims: []Victim{{Port: victim.Name, Sources: []Source{attack}}},
 		Events: []Event{
 			{Tick: 15, Name: "drop ntp", Do: func(ix *IXP) error {
 				return ix.Announce(victim.Name, host, nil, []core.RuleSpec{core.DropUDPSrcPort(123)})
@@ -257,7 +256,7 @@ func TestScenarioRunsEvents(t *testing.T) {
 
 func TestScenarioUnknownVictim(t *testing.T) {
 	x, _ := buildTestIXP(t, 3, 0, false)
-	sc := &Scenario{IXP: x, VictimPort: "ghost", Ticks: 1}
+	sc := &Scenario{IXP: x, Victims: []Victim{{Port: "ghost"}}, Ticks: 1}
 	if _, err := sc.Run(); err == nil {
 		t.Fatal("unknown victim accepted")
 	}
@@ -266,7 +265,7 @@ func TestScenarioUnknownVictim(t *testing.T) {
 func TestScenarioEventError(t *testing.T) {
 	x, members := buildTestIXP(t, 3, 0, false)
 	sc := &Scenario{
-		IXP: x, VictimPort: members[0].Name, Ticks: 5,
+		IXP: x, Victims: []Victim{{Port: members[0].Name}}, Ticks: 5,
 		Events: []Event{{Tick: 1, Name: "bad", Do: func(ix *IXP) error {
 			return ix.Announce("ghost", members[0].Prefixes[0], nil, nil)
 		}}},
@@ -534,21 +533,22 @@ func TestScenarioMonitorRecordsFlows(t *testing.T) {
 	rng := stats.NewRand(4)
 	attack := traffic.NewAttack(traffic.VectorNTP, target, PeersOf(members[1:]), 5e8, 0, 20, rng)
 	attack.RampTicks = 0
-	sc := &Scenario{IXP: x, VictimPort: victim.Name, Ticks: 10, Sources: []Source{attack}}
-	samples, err := sc.Run()
+	sc := &Scenario{IXP: x, Ticks: 10, Victims: []Victim{{Port: victim.Name, Sources: []Source{attack}}}}
+	series, err := sc.RunAll()
 	if err != nil {
 		t.Fatal(err)
 	}
+	samples, monitor := series[0].Samples, series[0].Monitor
 	// The monitor saw every delivered flow: UDP/123 dominates the
 	// source-port histogram and the per-bin series matches the samples.
-	top := sc.Monitor.TopSrcPorts(1)
+	top := monitor.TopSrcPorts(1)
 	if len(top) == 0 || top[0].Port != 123 {
 		t.Fatalf("top ports: %+v", top)
 	}
-	if got := sc.Monitor.PeerCount(5, 0); got != samples[5].ActivePeers {
+	if got := monitor.PeerCount(5, 0); got != samples[5].ActivePeers {
 		t.Fatalf("monitor peers %d != sample peers %d", got, samples[5].ActivePeers)
 	}
-	bins, bytes := sc.Monitor.Series()
+	bins, bytes := monitor.Series()
 	if len(bins) != 10 {
 		t.Fatalf("bins: %d", len(bins))
 	}

@@ -68,9 +68,6 @@ type VictimSeries = engine.VictimSeries
 // every due event fires, then all victims' offers egress in one
 // parallel fabric pass whose delivered flows stream straight into each
 // victim's monitor shards.
-//
-// Either populate Victims (the multi-victim form) or the legacy
-// single-victim fields (VictimPort/Sources/Events/Monitor) — not both.
 type Scenario struct {
 	IXP   *IXP
 	Ticks int
@@ -79,8 +76,7 @@ type Scenario struct {
 	// active (defaults to 1 kbps).
 	PeerMinBps float64
 	// Depth is the engine's in-flight tick bound (0: engine default).
-	// Runs are byte-identical at every depth; deeper runs overlap more
-	// fold work across ticks.
+	// Runs are byte-identical at every depth.
 	Depth int
 	// Workers sizes the engine's worker pool (0: GOMAXPROCS).
 	Workers int
@@ -90,12 +86,6 @@ type Scenario struct {
 	// the same tick.
 	Victims []Victim
 	Events  []Event
-
-	// Legacy single-victim fields; Run mirrors them onto a one-element
-	// Victims list and exposes the created collector via Monitor.
-	VictimPort string
-	Sources    []Source
-	Monitor    *flowmon.Collector
 }
 
 // Run executes the scenario and returns the first victim's per-tick
@@ -107,7 +97,6 @@ func (s *Scenario) Run() ([]Sample, error) {
 	if len(series) == 0 {
 		return nil, err
 	}
-	s.Monitor = series[0].Monitor
 	return series[0].Samples, err
 }
 
@@ -121,18 +110,9 @@ func (s *Scenario) RunAll() ([]VictimSeries, error) {
 	if s.Dt == 0 {
 		s.Dt = 1
 	}
-	victims := append([]Victim(nil), s.Victims...)
-	var globalEvents []Event
+	victims := s.Victims
 	if len(victims) == 0 {
-		if s.VictimPort == "" {
-			return nil, fmt.Errorf("ixp: scenario has no victim (set Victims or VictimPort)")
-		}
-		victims = []Victim{{Port: s.VictimPort, Sources: s.Sources, Events: s.Events, Monitor: s.Monitor}}
-	} else {
-		if s.VictimPort != "" || len(s.Sources) > 0 || s.Monitor != nil {
-			return nil, fmt.Errorf("ixp: scenario mixes Victims with legacy single-victim fields")
-		}
-		globalEvents = s.Events
+		return nil, fmt.Errorf("ixp: scenario has no victim (set Victims)")
 	}
 
 	seen := make(map[string]bool, len(victims))
@@ -163,7 +143,7 @@ func (s *Scenario) RunAll() ([]VictimSeries, error) {
 			}})
 		}
 	}
-	appendEvents(globalEvents)
+	appendEvents(s.Events)
 	for i := range victims {
 		appendEvents(victims[i].Events)
 	}

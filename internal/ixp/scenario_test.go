@@ -103,10 +103,10 @@ func TestScenarioEventOrderDeterministic(t *testing.T) {
 	}
 }
 
-// TestScenarioLegacyEventDuplicateTicks covers the single-victim form:
-// duplicated same-tick events added out of order still apply in
-// insertion order.
-func TestScenarioLegacyEventDuplicateTicks(t *testing.T) {
+// TestScenarioSingleVictimEventDuplicateTicks covers per-victim events
+// of a single victim: duplicated same-tick events added out of order
+// still apply in insertion order.
+func TestScenarioSingleVictimEventDuplicateTicks(t *testing.T) {
 	x, members := buildTestIXP(t, 3, 0.0, false)
 	var order []string
 	ev := func(tick int, name string) Event {
@@ -116,8 +116,11 @@ func TestScenarioLegacyEventDuplicateTicks(t *testing.T) {
 		}}
 	}
 	sc := &Scenario{
-		IXP: x, VictimPort: members[0].Name, Ticks: 6, Dt: 1,
-		Events: []Event{ev(5, "b"), ev(3, "x"), ev(5, "a"), ev(3, "y")},
+		IXP: x, Ticks: 6, Dt: 1,
+		Victims: []Victim{{
+			Port:   members[0].Name,
+			Events: []Event{ev(5, "b"), ev(3, "x"), ev(5, "a"), ev(3, "y")},
+		}},
 	}
 	if _, err := sc.Run(); err != nil {
 		t.Fatal(err)
@@ -134,7 +137,7 @@ func TestScenarioLegacyEventDuplicateTicks(t *testing.T) {
 func TestScenarioPartialSamplesOnEventError(t *testing.T) {
 	x, members := buildTestIXP(t, 4, 0.0, false)
 	sc := &Scenario{
-		IXP: x, VictimPort: members[0].Name, Ticks: 10, Dt: 1,
+		IXP: x, Victims: []Victim{{Port: members[0].Name}}, Ticks: 10, Dt: 1,
 		Events: []Event{{Tick: 4, Name: "boom", Do: func(ix *IXP) error {
 			return ix.Announce("ghost", members[0].Prefixes[0], nil, nil)
 		}}},
@@ -163,11 +166,6 @@ func TestScenarioValidation(t *testing.T) {
 	ghost := &Scenario{IXP: x, Ticks: 1, Victims: []Victim{{Port: "ghost"}}}
 	if _, err := ghost.RunAll(); err == nil {
 		t.Fatal("unknown victim port accepted")
-	}
-	mixed := &Scenario{IXP: x, Ticks: 1, VictimPort: members[0].Name,
-		Victims: []Victim{{Port: members[1].Name}}}
-	if _, err := mixed.RunAll(); err == nil {
-		t.Fatal("mixed legacy + Victims accepted")
 	}
 }
 
@@ -247,18 +245,21 @@ func TestScenarioActivePeersCountsOnlyMembers(t *testing.T) {
 	victim := members[0]
 	src := PeersOf(members[1:2])[0]
 	sc := &Scenario{
-		IXP: x, VictimPort: victim.Name, Ticks: 3, Dt: 1,
-		Sources: []Source{nonMemberSource{member: src, target: victimAddr(victim)}},
+		IXP: x, Ticks: 3, Dt: 1,
+		Victims: []Victim{{
+			Port:    victim.Name,
+			Sources: []Source{nonMemberSource{member: src, target: victimAddr(victim)}},
+		}},
 	}
-	samples, err := sc.Run()
+	series, err := sc.RunAll()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := samples[1].ActivePeers; got != 1 {
+	if got := series[0].Samples[1].ActivePeers; got != 1 {
 		t.Fatalf("ActivePeers = %d, want 1 (ghost MAC must not count)", got)
 	}
 	// The monitor itself still sees both source MACs.
-	if got := sc.Monitor.PeerCount(1, 0); got != 2 {
+	if got := series[0].Monitor.PeerCount(1, 0); got != 2 {
 		t.Fatalf("monitor PeerCount = %d, want 2", got)
 	}
 }
