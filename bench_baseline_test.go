@@ -96,14 +96,21 @@ func seedBetter(a, b *seedPath) bool {
 	return a.peer < b.peer
 }
 
-func (rs *seedRouteServer) handleUpdate(peer string, u *bgp.Update) ([]routeserver.PeerUpdate, error) {
+// seedPeerUpdate is the seed's export shape: one UPDATE per (peer,
+// prefix) pair.
+type seedPeerUpdate struct {
+	Peer   string
+	Update *bgp.Update
+}
+
+func (rs *seedRouteServer) handleUpdate(peer string, u *bgp.Update) ([]seedPeerUpdate, error) {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
 	peerAS, ok := rs.peers[peer]
 	if !ok {
 		return nil, routeserver.ErrUnknownPeer
 	}
-	var exports []routeserver.PeerUpdate
+	var exports []seedPeerUpdate
 	for _, pp := range u.AllWithdrawn() {
 		key := seedPathKey{prefix: pp.Prefix, peer: peer}
 		m := rs.routes[pp.Prefix]
@@ -142,16 +149,16 @@ func (rs *seedRouteServer) handleUpdate(peer string, u *bgp.Update) ([]routeserv
 	return exports, nil
 }
 
-func (rs *seedRouteServer) exportAfterChange(prefix netip.Prefix, oldBest *seedPath) []routeserver.PeerUpdate {
+func (rs *seedRouteServer) exportAfterChange(prefix netip.Prefix, oldBest *seedPath) []seedPeerUpdate {
 	best := rs.best(prefix)
 	if best == nil {
-		var out []routeserver.PeerUpdate
+		var out []seedPeerUpdate
 		u := &bgp.Update{Withdrawn: []bgp.PathPrefix{{Prefix: prefix}}}
 		for _, name := range rs.order {
 			if oldBest != nil && name == oldBest.peer {
 				continue
 			}
-			out = append(out, routeserver.PeerUpdate{Peer: name, Update: u})
+			out = append(out, seedPeerUpdate{Peer: name, Update: u})
 		}
 		return out
 	}
@@ -172,9 +179,9 @@ func (rs *seedRouteServer) exportAfterChange(prefix netip.Prefix, oldBest *seedP
 		attrs.AddCommunity(bgp.CommunityNoExport)
 	}
 	u := &bgp.Update{Attrs: attrs, NLRI: []bgp.PathPrefix{{Prefix: prefix}}}
-	out := make([]routeserver.PeerUpdate, 0, len(targets))
+	out := make([]seedPeerUpdate, 0, len(targets))
 	for _, name := range targets {
-		out = append(out, routeserver.PeerUpdate{Peer: name, Update: u})
+		out = append(out, seedPeerUpdate{Peer: name, Update: u})
 	}
 	return out
 }

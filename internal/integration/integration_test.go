@@ -117,7 +117,7 @@ func TestWireControllerFeed(t *testing.T) {
 		},
 		NLRI: []bgp.PathPrefix{{Prefix: hostPfx}},
 	}
-	if _, _, err := rs.HandleUpdate("AS64512", u); err != nil {
+	if _, _, err := rs.HandleUpdateBatch("AS64512", u); err != nil {
 		t.Fatal(err)
 	}
 
@@ -142,7 +142,7 @@ func TestWireControllerFeed(t *testing.T) {
 
 	// Withdraw over the same wire: the rule must disappear.
 	w := &bgp.Update{Withdrawn: []bgp.PathPrefix{{Prefix: hostPfx}}}
-	if _, _, err := rs.HandleUpdate("AS64512", w); err != nil {
+	if _, _, err := rs.HandleUpdateBatch("AS64512", w); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -241,13 +241,15 @@ func TestMemberSessionOverTCP(t *testing.T) {
 		mu    sync.Mutex
 		peers = make(map[string]*bgpsession.Session)
 	)
-	distribute := func(exports []routeserver.PeerUpdate) {
+	distribute := func(exports []routeserver.PeerUpdates) {
 		mu.Lock()
 		defer mu.Unlock()
 		for _, e := range exports {
 			if s, ok := peers[e.Peer]; ok {
-				if err := s.SendUpdate(e.Update); err != nil {
-					t.Errorf("export: %v", err)
+				for _, u := range e.Updates {
+					if err := s.SendUpdate(u); err != nil {
+						t.Errorf("export: %v", err)
+					}
 				}
 			}
 		}
@@ -282,7 +284,7 @@ func TestMemberSessionOverTCP(t *testing.T) {
 							mu.Unlock()
 						})
 					case e.Update != nil:
-						exports, _, err := rs.HandleUpdate(name, e.Update)
+						exports, _, err := rs.HandleUpdateBatch(name, e.Update)
 						if err == nil {
 							distribute(exports)
 						}

@@ -118,6 +118,7 @@ func Build(cfg Config) (*IXP, error) {
 	x.Router = hw.NewEdgeRouter(hw.DefaultEdgeRouterLimits(len(cfg.Members), cfg.HWUnitN))
 
 	portIndex := make(map[string]int, len(cfg.Members))
+	peers := make([]routeserver.PeerConfig, len(cfg.Members))
 	for i, m := range cfg.Members {
 		if _, dup := x.members[m.Name]; dup {
 			return nil, fmt.Errorf("ixp: duplicate member %s", m.Name)
@@ -128,13 +129,14 @@ func Build(cfg Config) (*IXP, error) {
 		if err := x.Fabric.AddPort(fabric.NewPort(m.Name, m.MAC, m.PortCapacityBps)); err != nil {
 			return nil, err
 		}
-		if err := x.RS.AddPeer(routeserver.PeerConfig{Name: m.Name, ASN: m.ASN, BGPID: m.BGPID}); err != nil {
-			return nil, err
-		}
+		peers[i] = routeserver.PeerConfig{Name: m.Name, ASN: m.ASN, BGPID: m.BGPID}
 		for _, p := range m.Prefixes {
 			x.Policy.IRR.Register(m.ASN, p)
 		}
 		portIndex[m.Name] = i
+	}
+	if err := x.RS.AddPeers(peers...); err != nil {
+		return nil, err
 	}
 
 	if cfg.EnableStellar {
@@ -395,19 +397,29 @@ func (x *IXP) applyExports(exports []routeserver.PeerUpdates) {
 		if !ok {
 			continue
 		}
+		routes := x.nullRoutes[m.Name]
 		for _, u := range e.Updates {
-			for _, w := range u.AllWithdrawn() {
-				delete(x.nullRoutes[m.Name], w.Prefix)
+			// The UPDATE is shared by all its targets: read it in place.
+			for _, w := range u.Withdrawn {
+				delete(routes, w.Prefix)
 			}
-			for _, a := range u.AllAnnounced() {
-				isBH := u.Attrs.NextHop == x.Cfg.BlackholeNextHop && x.Cfg.BlackholeNextHop.IsValid()
-				if !isBH {
-					continue
+			if u.Attrs.MPUnreach != nil {
+				for _, w := range u.Attrs.MPUnreach.NLRI {
+					delete(routes, w.Prefix)
 				}
-				// Seeing the /32 at all requires accepting more specifics;
-				// acting on it requires blackhole support.
-				if m.HonorsRTBH() {
-					x.nullRoutes[m.Name][a.Prefix] = true
+			}
+			isBH := x.Cfg.BlackholeNextHop.IsValid() && u.Attrs.NextHop == x.Cfg.BlackholeNextHop
+			// Seeing the /32 at all requires accepting more specifics;
+			// acting on it requires blackhole support.
+			if !isBH || !m.HonorsRTBH() {
+				continue
+			}
+			for _, a := range u.NLRI {
+				routes[a.Prefix] = true
+			}
+			if u.Attrs.MPReach != nil {
+				for _, a := range u.Attrs.MPReach.NLRI {
+					routes[a.Prefix] = true
 				}
 			}
 		}

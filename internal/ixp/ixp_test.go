@@ -387,11 +387,40 @@ func TestMemberSessionLossCleansRules(t *testing.T) {
 	if port.RuleCount() != 0 {
 		t.Fatalf("rules after session loss: %d", port.RuleCount())
 	}
-	if x.Community.RIBLen() != 0 {
-		t.Fatal("signaling-channel RIB not cleared")
+	if x.Community.SignalingPaths() != 0 {
+		t.Fatal("signaling paths not cleared")
 	}
 	if got := len(x.Mitigations.Active()); got != 0 {
 		t.Fatalf("live mitigations after session loss: %d", got)
+	}
+}
+
+// TestPlainRoutesLeaveSignalingChannelEmpty pins what the channel's
+// SignalingPaths counts: a full table of plain announcements through
+// the wire entry point is the route server's business only — the
+// mitigation channel tracks none of it.
+func TestPlainRoutesLeaveSignalingChannelEmpty(t *testing.T) {
+	const routes = 20000
+	x, members := buildTestIXP(t, 4, 0.0, true)
+	m := members[1]
+	x.Policy.IRR.Register(m.ASN, netip.MustParsePrefix("20.0.0.0/8"))
+	attrs := bgp.PathAttrs{
+		Origin:  bgp.OriginIGP,
+		ASPath:  []bgp.ASPathSegment{{Type: bgp.ASSequence, ASNs: []uint32{m.ASN}}},
+		NextHop: m.BGPID,
+	}
+	for i := 0; i < routes; i++ {
+		prefix := netip.PrefixFrom(netip.AddrFrom4([4]byte{20, byte(i >> 8), byte(i), 0}), 24)
+		u := &bgp.Update{Attrs: attrs, NLRI: []bgp.PathPrefix{{Prefix: prefix}}}
+		if err := x.HandleWireUpdate(m.Name, u); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := x.RS.Table().Len(); got != routes {
+		t.Fatalf("route server holds %d paths, want %d (rejections: %d)", got, routes, len(x.RS.Rejections()))
+	}
+	if got := x.Community.SignalingPaths(); got != 0 {
+		t.Fatalf("channel tracks %d of %d plain paths", got, routes)
 	}
 }
 

@@ -3,7 +3,8 @@ package mitctl
 import (
 	"fmt"
 	"net/netip"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 
 	"stellar/internal/bgp"
@@ -101,18 +102,19 @@ func SpecFromPortalRule(r core.CustomRule, target netip.Prefix, ttl float64) Spe
 }
 
 // CommunityChannel is the BGP signaling adapter: it consumes the route
-// server's southbound feed, tracks announced paths in a RIB, and on
-// every snapshot diff compiles the paths' Advanced Blackholing signals
-// into mitigation requests and withdrawals. A re-announcement with the
-// same signals refreshes (idempotent); changed signals withdraw the old
-// specs and request the new ones; a withdrawn path (or session loss)
-// withdraws everything it requested.
+// server's southbound feed and compiles the Advanced Blackholing signals
+// of every path an event names into mitigation requests and
+// withdrawals. It keeps no RIB — only, per signaling path, the specs
+// that path currently desires — so an event costs time proportional to
+// its own prefixes, and a path with no signal before and after costs
+// one map miss. A re-announcement with the same signals refreshes
+// (idempotent); changed signals withdraw the old specs and request the
+// new ones; a withdrawn path (or session loss) withdraws everything it
+// requested.
 type CommunityChannel struct {
 	ctl *Controller
 
 	mu      sync.Mutex
-	rib     *rib.Table
-	prev    rib.Snapshot
 	desired map[rib.PathKey][]desiredSpec
 	// refs counts, per mitigation ID, the paths currently desiring it.
 	// Content-derived IDs mean distinct paths (ADD-PATH duplicates of
@@ -126,57 +128,81 @@ type desiredSpec struct {
 	spec Spec
 }
 
+func hasID(ds []desiredSpec, id string) bool {
+	for _, d := range ds {
+		if d.id == id {
+			return true
+		}
+	}
+	return false
+}
+
+// comparePrefix orders prefixes the way package rib sorts paths.
+func comparePrefix(a, b netip.Prefix) int {
+	if c := a.Addr().Compare(b.Addr()); c != 0 {
+		return c
+	}
+	return a.Bits() - b.Bits()
+}
+
+func sortedUnique(ps []netip.Prefix) []netip.Prefix {
+	slices.SortFunc(ps, comparePrefix)
+	return slices.Compact(ps)
+}
+
 // NewCommunityChannel attaches a community adapter to a controller.
 func NewCommunityChannel(ctl *Controller) *CommunityChannel {
 	return &CommunityChannel{
 		ctl:     ctl,
-		rib:     rib.New(),
 		desired: make(map[rib.PathKey][]desiredSpec),
 		refs:    make(map[string]int),
 	}
 }
 
-// RIBLen returns the number of signaling paths the channel tracks.
-func (ch *CommunityChannel) RIBLen() int {
+// SignalingPaths returns the number of paths the channel tracks: those
+// whose latest announcement compiled to at least one mitigation spec.
+func (ch *CommunityChannel) SignalingPaths() int {
 	ch.mu.Lock()
 	defer ch.mu.Unlock()
-	return ch.rib.Len()
+	return len(ch.desired)
 }
 
-// HandleEvent folds one route-server event into the channel.
+// HandleEvent folds one route-server event into the channel: every
+// (prefix, peer, path-id) key the event withdraws or announces is
+// reconciled against the specs that key desired so far.
+//
+// Keys reconcile in a fixed order — withdrawn paths, then paths that
+// start signaling, then paths already signaling, each sorted by prefix —
+// the order of a RIB snapshot diff (removed, added, changed), except
+// that a path announced earlier with nothing to desire counts as
+// starting: the channel does not remember it.
 func (ch *CommunityChannel) HandleEvent(ev routeserver.ControllerEvent, now float64) {
-	ch.HandleEvents([]routeserver.ControllerEvent{ev}, now)
-}
+	signals := core.SignalsFrom(&ev.Attrs)
+	key := rib.PathKey{Peer: ev.Peer, PathID: ev.PathID}
 
-// HandleEvents folds a batch of route-server events into the channel's
-// RIB and compiles the resulting path diff into controller requests and
-// withdrawals. It pairs with the route server's batched feed the same
-// way core.Stellar.HandleEvents did: one snapshot diff per batch.
-func (ch *CommunityChannel) HandleEvents(evs []routeserver.ControllerEvent, now float64) {
-	if len(evs) == 0 {
-		return
-	}
 	ch.mu.Lock()
-	for _, ev := range evs {
-		for _, prefix := range ev.Withdrawn {
-			key := rib.PathKey{Prefix: prefix, Peer: ev.Peer, PathID: ev.PathID}
-			if !ch.rib.Remove(key) && ev.PathID != 0 {
-				// Wire-feed withdrawals carry no attributes, so the peer
-				// label may not match the installed path's; the ADD-PATH
-				// identifier alone names the path.
-				if p := ch.rib.FindByPathID(prefix, ev.PathID); p != nil {
-					ch.rib.Remove(p.Key)
-				}
-			}
-		}
-		for _, prefix := range ev.Announced {
-			ch.rib.Add(rib.PathKey{Prefix: prefix, Peer: ev.Peer, PathID: ev.PathID}, ev.PeerAS, ev.Attrs)
+	var removed, added, changed []netip.Prefix
+	for _, prefix := range ev.Announced {
+		key.Prefix = prefix
+		if _, ok := ch.desired[key]; ok {
+			changed = append(changed, prefix)
+		} else if len(signals) > 0 {
+			added = append(added, prefix)
 		}
 	}
-	next := ch.rib.Snapshot()
-	diff := rib.DiffSnapshots(ch.prev, next)
-	ch.prev = next
-	if diff.Empty() {
+	added, changed = sortedUnique(added), sortedUnique(changed)
+	for _, prefix := range ev.Withdrawn {
+		key.Prefix = prefix
+		if _, ok := ch.desired[key]; !ok {
+			continue
+		}
+		// Withdrawn and re-announced in one event: the announcement wins.
+		if _, again := slices.BinarySearchFunc(changed, prefix, comparePrefix); !again {
+			removed = append(removed, prefix)
+		}
+	}
+	removed = sortedUnique(removed)
+	if len(removed)+len(added)+len(changed) == 0 {
 		ch.mu.Unlock()
 		return
 	}
@@ -185,37 +211,25 @@ func (ch *CommunityChannel) HandleEvents(evs []routeserver.ControllerEvent, now 
 	// controller calls to run outside the channel lock (controller
 	// events fire subscribers synchronously).
 	type action struct {
-		withdraw  bool
-		id        string
-		requester string
-		spec      Spec
+		withdraw bool
+		desiredSpec
 	}
 	var actions []action
-	reconcile := func(key rib.PathKey, want []desiredSpec) {
+	reconcile := func(prefix netip.Prefix, want []desiredSpec) {
+		key.Prefix = prefix
 		have := ch.desired[key]
-		wantByID := make(map[string]bool, len(want))
-		for _, d := range want {
-			wantByID[d.id] = true
-		}
-		haveByID := make(map[string]bool, len(have))
+		// Deterministic order: withdrawals of stale specs first, then
+		// requests, each sorted by ID (desired lists are stored sorted) —
+		// replacements free hardware budget before consuming it. A stale
+		// spec only withdraws when this was the last path desiring its
+		// mitigation.
 		for _, d := range have {
-			haveByID[d.id] = true
-		}
-		// Deterministic order: withdrawals of stale specs first (sorted),
-		// then requests (sorted) — replacements free hardware budget
-		// before consuming it. A stale spec only withdraws when this was
-		// the last path desiring its mitigation.
-		var stale []desiredSpec
-		for _, d := range have {
-			if !wantByID[d.id] {
-				stale = append(stale, d)
+			if hasID(want, d.id) {
+				continue
 			}
-		}
-		sort.Slice(stale, func(i, j int) bool { return stale[i].id < stale[j].id })
-		for _, d := range stale {
 			if ch.refs[d.id]--; ch.refs[d.id] <= 0 {
 				delete(ch.refs, d.id)
-				actions = append(actions, action{withdraw: true, id: d.id, requester: d.spec.Requester})
+				actions = append(actions, action{true, d})
 			}
 		}
 		// Every wanted spec is requested, including ones this path already
@@ -223,13 +237,12 @@ func (ch *CommunityChannel) HandleEvents(evs []routeserver.ControllerEvent, now 
 		// and Request is idempotent — a live identical spec only re-arms
 		// its TTL (no churn), while one that expired meanwhile starts a
 		// fresh lifecycle.
-		fresh := append([]desiredSpec(nil), want...)
-		sort.Slice(fresh, func(i, j int) bool { return fresh[i].id < fresh[j].id })
-		for _, d := range fresh {
-			if !haveByID[d.id] {
+		slices.SortFunc(want, func(a, b desiredSpec) int { return strings.Compare(a.id, b.id) })
+		for _, d := range want {
+			if !hasID(have, d.id) {
 				ch.refs[d.id]++
 			}
-			actions = append(actions, action{id: d.id, requester: d.spec.Requester, spec: d.spec})
+			actions = append(actions, action{false, d})
 		}
 		if len(want) == 0 {
 			delete(ch.desired, key)
@@ -238,56 +251,48 @@ func (ch *CommunityChannel) HandleEvents(evs []routeserver.ControllerEvent, now 
 		}
 	}
 	type compileErr struct {
-		member string
 		target netip.Prefix
 		err    error
 	}
 	var compileErrs []compileErr
-	specsFor := func(p *rib.Path) []desiredSpec {
+	specsFor := func(prefix netip.Prefix) []desiredSpec {
 		var out []desiredSpec
-		seen := make(map[string]bool)
-		for _, rs := range core.SignalsFrom(&p.Attrs) {
-			spec, err := SpecFromSignal(p.Key.Peer, p.Key.Prefix, rs, ch.ctl.Portal())
+		for _, rs := range signals {
+			spec, err := SpecFromSignal(ev.Peer, prefix, rs, ch.ctl.Portal())
 			if err != nil {
-				compileErrs = append(compileErrs, compileErr{p.Key.Peer, p.Key.Prefix, err})
+				compileErrs = append(compileErrs, compileErr{prefix, err})
 				continue
 			}
 			// spec.TTL stays 0: the controller's DefaultTTL is the one
 			// source of truth for community-signaled lifetimes.
 			id := DeriveID(spec)
-			if seen[id] {
+			if hasID(out, id) {
 				continue // duplicate signal in one announcement
 			}
-			seen[id] = true
 			out = append(out, desiredSpec{id: id, spec: spec})
 		}
 		return out
 	}
-	for _, p := range diff.Removed {
-		reconcile(p.Key, nil)
+	for _, prefix := range removed {
+		reconcile(prefix, nil)
 	}
-	for _, p := range diff.Added {
-		reconcile(p.Key, specsFor(p))
-	}
-	for _, p := range diff.Changed {
-		reconcile(p.Key, specsFor(p))
+	for _, prefix := range append(added, changed...) {
+		reconcile(prefix, specsFor(prefix))
 	}
 	ch.mu.Unlock()
 
 	for _, e := range compileErrs {
-		ch.ctl.noteError(e.member, e.target, e.err)
+		ch.ctl.noteError(ev.Peer, e.target, e.err)
 	}
 	for _, a := range actions {
 		if a.withdraw {
 			// Ignore not-owner/unknown errors: the mitigation may have
 			// been withdrawn directly through the API already.
-			_ = ch.ctl.Withdraw(a.id, a.requester, now)
+			_ = ch.ctl.Withdraw(a.id, a.spec.Requester, now)
 			continue
 		}
-		if _, err := ch.ctl.Request(a.spec, now); err != nil {
-			// Validation/admission rejections are recorded in the store
-			// and on the event stream by the controller itself.
-			continue
-		}
+		// Validation/admission rejections are recorded in the store and
+		// on the event stream by the controller itself.
+		_, _ = ch.ctl.Request(a.spec, now)
 	}
 }

@@ -170,8 +170,8 @@ func TestCommunityChannelReplaceAndWithdraw(t *testing.T) {
 	if got := installedState(t, h, memberName(0)); len(got) != 0 {
 		t.Fatalf("after withdraw: %v", got)
 	}
-	if ch.RIBLen() != 0 {
-		t.Fatalf("channel RIB: %d", ch.RIBLen())
+	if ch.SignalingPaths() != 0 {
+		t.Fatalf("signaling paths: %d", ch.SignalingPaths())
 	}
 }
 

@@ -1,9 +1,9 @@
-// Package rib implements the Routing Information Bases used by the route
-// server and Stellar's blackholing controller: per-peer Adj-RIB-In tables
-// keyed by (prefix, peer, path-id) so that ADD-PATH sessions can hold
-// multiple paths per prefix, BGP best-path selection, and snapshot
-// diffing. Snapshot diffs are how the controller turns a BGP message
-// stream into a set of abstract configuration changes (Section 4.4).
+// Package rib implements the route server's Routing Information Base:
+// per-peer Adj-RIB-In tables keyed by (prefix, peer, path-id) so that
+// ADD-PATH sessions can hold multiple paths per prefix, BGP best-path
+// selection, and snapshot diffing — which only the deprecated
+// core.Stellar still uses to turn BGP messages into configuration changes
+// (Section 4.4); mitctl.CommunityChannel reconciles touched keys instead.
 //
 // The table is sharded by prefix hash: every prefix lives in exactly one
 // shard, each shard owns its routes map and cached best paths behind its

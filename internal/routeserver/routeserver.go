@@ -31,7 +31,8 @@ import (
 	"errors"
 	"fmt"
 	"net/netip"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -52,14 +53,6 @@ type Rejection struct {
 	Peer   string
 	Prefix netip.Prefix
 	Reason string
-}
-
-// PeerUpdate is a single UPDATE the route server exports to one member.
-// It is the flattened form of PeerUpdates, kept for callers that forward
-// messages one at a time.
-type PeerUpdate struct {
-	Peer   string
-	Update *bgp.Update
 }
 
 // PeerUpdates is the batched export set for one member: every UPDATE the
@@ -108,11 +101,14 @@ type Config struct {
 }
 
 // registry is the immutable peer/subscriber view the update pipeline
-// reads lock-free. AddPeer and Subscribe publish a fresh copy.
+// reads lock-free. AddPeers and Subscribe publish a fresh copy.
 type registry struct {
 	peers map[string]*peerState
 	order []string // peer names in join order (stable path IDs)
-	subs  []Subscriber
+	// sorted holds the peers by name — the order export batches are
+	// returned in, so the update pipeline never sorts.
+	sorted []*peerState
+	subs   []Subscriber
 }
 
 // RouteServer is the IXP route server.
@@ -167,22 +163,36 @@ func New(cfg Config) *RouteServer {
 
 // AddPeer registers a member session. Path IDs on the controller feed are
 // assigned in join order and never reused.
-func (rs *RouteServer) AddPeer(cfg PeerConfig) error {
+func (rs *RouteServer) AddPeer(cfg PeerConfig) error { return rs.AddPeers(cfg) }
+
+// AddPeers registers member sessions in the given order, exactly like
+// one AddPeer call each, but publishes the registry once: registering n
+// members costs O(n log n) instead of n registry copies. A name that is
+// already registered, or appears twice in cfgs, returns ErrDuplicatePeer
+// and registers nothing.
+func (rs *RouteServer) AddPeers(cfgs ...PeerConfig) error {
 	rs.writeMu.Lock()
 	defer rs.writeMu.Unlock()
 	old := rs.reg.Load()
-	if _, ok := old.peers[cfg.Name]; ok {
-		return ErrDuplicatePeer
-	}
 	next := &registry{
-		peers: make(map[string]*peerState, len(old.peers)+1),
-		order: append(append([]string(nil), old.order...), cfg.Name),
-		subs:  old.subs,
+		peers:  make(map[string]*peerState, len(old.peers)+len(cfgs)),
+		order:  slices.Clone(old.order),
+		sorted: slices.Clone(old.sorted),
+		subs:   old.subs,
 	}
 	for name, ps := range old.peers {
 		next.peers[name] = ps
 	}
-	next.peers[cfg.Name] = &peerState{cfg: cfg, pathID: uint32(len(next.order))}
+	for _, cfg := range cfgs {
+		if _, ok := next.peers[cfg.Name]; ok {
+			return ErrDuplicatePeer
+		}
+		next.order = append(next.order, cfg.Name)
+		ps := &peerState{cfg: cfg, pathID: uint32(len(next.order))}
+		next.peers[cfg.Name] = ps
+		next.sorted = append(next.sorted, ps)
+	}
+	slices.SortFunc(next.sorted, func(a, b *peerState) int { return strings.Compare(a.cfg.Name, b.cfg.Name) })
 	rs.reg.Store(next)
 	return nil
 }
@@ -202,12 +212,9 @@ func (rs *RouteServer) Subscribe(s Subscriber) {
 	rs.writeMu.Lock()
 	defer rs.writeMu.Unlock()
 	old := rs.reg.Load()
-	next := &registry{
-		peers: old.peers,
-		order: old.order,
-		subs:  append(append([]Subscriber(nil), old.subs...), s),
-	}
-	rs.reg.Store(next)
+	next := *old
+	next.subs = append(append([]Subscriber(nil), old.subs...), s)
+	rs.reg.Store(&next)
 }
 
 // Rejections returns the accumulated import-policy rejections.
@@ -224,27 +231,6 @@ func (rs *RouteServer) IsBlackhole(attrs *bgp.PathAttrs) bool {
 		attrs.HasCommunity(bgp.MakeCommunity(uint16(rs.cfg.ASN), 666))
 }
 
-// HandleUpdate processes one UPDATE from a member and flattens the
-// batched exports into one PeerUpdate per (peer, message) pair. New
-// callers should prefer HandleUpdateBatch.
-func (rs *RouteServer) HandleUpdate(peer string, u *bgp.Update) ([]PeerUpdate, []Rejection, error) {
-	batches, rejections, err := rs.HandleUpdateBatch(peer, u)
-	if err != nil {
-		return nil, rejections, err
-	}
-	return flatten(batches), rejections, nil
-}
-
-func flatten(batches []PeerUpdates) []PeerUpdate {
-	var out []PeerUpdate
-	for _, b := range batches {
-		for _, u := range b.Updates {
-			out = append(out, PeerUpdate{Peer: b.Peer, Update: u})
-		}
-	}
-	return out
-}
-
 // HandleUpdateBatch processes one UPDATE from a member: import policy,
 // RIB maintenance, best-path recomputation, export generation and the
 // controller feed. The returned batches — sorted by peer name, one entry
@@ -258,7 +244,7 @@ func (rs *RouteServer) HandleUpdateBatch(peer string, u *bgp.Update) ([]PeerUpda
 		return nil, nil, ErrUnknownPeer
 	}
 
-	eb := newExportBuilder(rs, reg)
+	eb := newExportBuilder(rs, reg, peer)
 	var rejections []Rejection
 	var acceptedAnn, acceptedWdr []netip.Prefix
 
@@ -294,7 +280,7 @@ func (rs *RouteServer) HandleUpdateBatch(peer string, u *bgp.Update) ([]PeerUpda
 		rs.rejMu.Unlock()
 	}
 
-	if len(acceptedAnn) > 0 || len(acceptedWdr) > 0 {
+	if len(reg.subs) > 0 && (len(acceptedAnn) > 0 || len(acceptedWdr) > 0) {
 		ev := ControllerEvent{
 			Peer:      peer,
 			PeerAS:    ps.cfg.ASN,
@@ -319,16 +305,16 @@ func (rs *RouteServer) HandleWithdrawAll(peer string) ([]PeerUpdates, error) {
 		return nil, ErrUnknownPeer
 	}
 	removed, changes := rs.table.RemovePeerWithBest(peer)
-	eb := newExportBuilder(rs, reg)
-	var withdrawn []netip.Prefix
-	for _, p := range removed {
-		withdrawn = append(withdrawn, p.Key.Prefix)
-	}
+	eb := newExportBuilder(rs, reg, peer)
 	for _, tr := range changes {
 		eb.bestChanged(tr, nil)
 	}
 
-	if len(withdrawn) > 0 {
+	if len(reg.subs) > 0 && len(removed) > 0 {
+		withdrawn := make([]netip.Prefix, len(removed))
+		for i, p := range removed {
+			withdrawn[i] = p.Key.Prefix
+		}
 		ev := ControllerEvent{Peer: peer, PeerAS: ps.cfg.ASN, PathID: ps.pathID, Withdrawn: withdrawn}
 		for _, s := range reg.subs {
 			s(ev)
@@ -384,23 +370,22 @@ type exportBuilder struct {
 	rs  *RouteServer
 	reg *registry
 
-	batches map[string]*PeerUpdates
+	from string // the peer whose message is being processed
 
-	// Coalesced withdrawals, keyed by the peer excluded from the fan-out
-	// (the announcer of the vanished best path; "" when unknown).
-	wdr map[string]*bgp.Update
+	// batches[i] is what reg.sorted[i] is owed.
+	batches [][]*bgp.Update
+
+	// Coalesced withdrawals, owed to every peer but from: a prefix only
+	// vanishes with its last path, which was the sender's own.
+	wdr *bgp.Update
 
 	// Coalesced announcements of the just-added path, per family. The
 	// shared update is appended to each target's batch once, on first use.
 	ann4, ann6 *bgp.Update
 }
 
-func newExportBuilder(rs *RouteServer, reg *registry) *exportBuilder {
-	return &exportBuilder{
-		rs: rs, reg: reg,
-		batches: make(map[string]*PeerUpdates),
-		wdr:     make(map[string]*bgp.Update),
-	}
+func newExportBuilder(rs *RouteServer, reg *registry, from string) *exportBuilder {
+	return &exportBuilder{rs: rs, reg: reg, from: from}
 }
 
 // bestChanged folds one best-path transition into the export set. added
@@ -411,90 +396,80 @@ func (eb *exportBuilder) bestChanged(tr rib.BestChange, added *rib.Path) {
 	}
 	switch {
 	case tr.New == nil:
-		eb.coalesceWithdraw(tr)
+		eb.coalesceWithdraw(tr.Prefix)
 	case tr.New == added:
 		eb.coalesceAnnounce(tr.Prefix, added)
 	default:
 		// A pre-existing path was promoted (the old best worsened or went
 		// away): export it on its own.
 		u := eb.rs.buildExportUpdate(tr.Prefix, tr.New)
-		for _, name := range eb.rs.exportTargets(eb.reg, tr.New) {
-			eb.append(name, u)
+		for _, i := range eb.rs.exportTargets(eb.reg, tr.New) {
+			eb.append(i, u)
 		}
 	}
 }
 
 // coalesceWithdraw merges the prefix into the withdraw UPDATE shared by
-// every target except the vanished best path's announcer.
-func (eb *exportBuilder) coalesceWithdraw(tr rib.BestChange) {
-	excluded := ""
-	if tr.Old != nil {
-		excluded = tr.Old.Key.Peer
-	}
-	u, ok := eb.wdr[excluded]
-	if !ok {
-		u = &bgp.Update{}
-		eb.wdr[excluded] = u
-		for _, name := range eb.reg.order {
-			if name == excluded {
-				continue
+// every target except the sender.
+func (eb *exportBuilder) coalesceWithdraw(prefix netip.Prefix) {
+	if eb.wdr == nil {
+		eb.wdr = &bgp.Update{}
+		for i, ps := range eb.reg.sorted {
+			if ps.cfg.Name != eb.from {
+				eb.append(i, eb.wdr)
 			}
-			eb.append(name, u)
 		}
 	}
-	if tr.Prefix.Addr().Is4() {
-		u.Withdrawn = append(u.Withdrawn, bgp.PathPrefix{Prefix: tr.Prefix})
+	u := eb.wdr
+	if prefix.Addr().Is4() {
+		u.Withdrawn = append(u.Withdrawn, bgp.PathPrefix{Prefix: prefix})
 	} else {
 		if u.Attrs.MPUnreach == nil {
 			u.Attrs.MPUnreach = &bgp.MPUnreach{AFI: bgp.AFIIPv6, SAFI: bgp.SAFIUnicast}
 		}
-		u.Attrs.MPUnreach.NLRI = append(u.Attrs.MPUnreach.NLRI, bgp.PathPrefix{Prefix: tr.Prefix})
+		u.Attrs.MPUnreach.NLRI = append(u.Attrs.MPUnreach.NLRI, bgp.PathPrefix{Prefix: prefix})
 	}
 }
 
 // coalesceAnnounce merges the prefix into the shared announce UPDATE for
 // its family, creating it (and fanning it out) on first use.
 func (eb *exportBuilder) coalesceAnnounce(prefix netip.Prefix, best *rib.Path) {
-	if prefix.Addr().Is4() {
-		if eb.ann4 == nil {
-			eb.ann4 = eb.rs.buildExportUpdate(prefix, best)
-			for _, name := range eb.rs.exportTargets(eb.reg, best) {
-				eb.append(name, eb.ann4)
-			}
-			return
-		}
-		eb.ann4.NLRI = append(eb.ann4.NLRI, bgp.PathPrefix{Prefix: prefix})
-		return
+	shared := &eb.ann4
+	if !prefix.Addr().Is4() {
+		shared = &eb.ann6
 	}
-	if eb.ann6 == nil {
-		eb.ann6 = eb.rs.buildExportUpdate(prefix, best)
-		for _, name := range eb.rs.exportTargets(eb.reg, best) {
-			eb.append(name, eb.ann6)
+	switch u := *shared; {
+	case u == nil:
+		*shared = eb.rs.buildExportUpdate(prefix, best)
+		for _, i := range eb.rs.exportTargets(eb.reg, best) {
+			eb.append(i, *shared)
 		}
-		return
+	case prefix.Addr().Is4():
+		u.NLRI = append(u.NLRI, bgp.PathPrefix{Prefix: prefix})
+	default:
+		u.Attrs.MPReach.NLRI = append(u.Attrs.MPReach.NLRI, bgp.PathPrefix{Prefix: prefix})
 	}
-	eb.ann6.Attrs.MPReach.NLRI = append(eb.ann6.Attrs.MPReach.NLRI, bgp.PathPrefix{Prefix: prefix})
 }
 
-func (eb *exportBuilder) append(peer string, u *bgp.Update) {
-	b, ok := eb.batches[peer]
-	if !ok {
-		b = &PeerUpdates{Peer: peer}
-		eb.batches[peer] = b
+// append owes u to the peer at reg.sorted[i].
+func (eb *exportBuilder) append(i int, u *bgp.Update) {
+	if eb.batches == nil {
+		eb.batches = make([][]*bgp.Update, len(eb.reg.sorted))
 	}
-	b.Updates = append(b.Updates, u)
+	eb.batches[i] = append(eb.batches[i], u)
 }
 
 // finish returns the accumulated batches sorted by peer name.
 func (eb *exportBuilder) finish() []PeerUpdates {
-	if len(eb.batches) == 0 {
+	if eb.batches == nil {
 		return nil
 	}
 	out := make([]PeerUpdates, 0, len(eb.batches))
-	for _, b := range eb.batches {
-		out = append(out, *b)
+	for i, us := range eb.batches {
+		if us != nil {
+			out = append(out, PeerUpdates{Peer: eb.reg.sorted[i].cfg.Name, Updates: us})
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Peer < out[j].Peer })
 	return out
 }
 
@@ -508,7 +483,8 @@ func (eb *exportBuilder) finish() []PeerUpdates {
 // deterministic for a given table state.
 func (rs *RouteServer) ExportsTo(peer string) ([]*bgp.Update, error) {
 	reg := rs.reg.Load()
-	if _, ok := reg.peers[peer]; !ok {
+	ps, ok := reg.peers[peer]
+	if !ok {
 		return nil, ErrUnknownPeer
 	}
 	var out []*bgp.Update
@@ -517,8 +493,8 @@ func (rs *RouteServer) ExportsTo(peer string) ([]*bgp.Update, error) {
 		if best == nil {
 			continue
 		}
-		for _, name := range rs.exportTargets(reg, best) {
-			if name == peer {
+		for _, i := range rs.exportTargets(reg, best) {
+			if reg.sorted[i] == ps {
 				out = append(out, rs.buildExportUpdate(prefix, best))
 				break
 			}
@@ -567,8 +543,9 @@ func (rs *RouteServer) buildExportUpdate(prefix netip.Prefix, best *rib.Path) *b
 //	(IXP_ASN, peer_ASN) announce to peer (whitelist mode once present)
 //
 // Without policy communities the path is exported to every peer except
-// its announcer — Figure 3(b)'s dominant "All" case.
-func (rs *RouteServer) exportTargets(reg *registry, best *rib.Path) []string {
+// its announcer — Figure 3(b)'s dominant "All" case. Targets are indexes
+// into reg.sorted.
+func (rs *RouteServer) exportTargets(reg *registry, best *rib.Path) []int {
 	ixp := uint16(rs.cfg.ASN)
 	blockAll := false
 	var blocked, allowed map[uint16]bool
@@ -590,24 +567,23 @@ func (rs *RouteServer) exportTargets(reg *registry, best *rib.Path) []string {
 			whitelist = true
 		}
 	}
-	var out []string
-	for _, name := range reg.order {
-		ps := reg.peers[name]
-		if name == best.Key.Peer {
+	var out []int
+	for i, ps := range reg.sorted {
+		if ps.cfg.Name == best.Key.Peer {
 			continue
 		}
 		asn16 := uint16(ps.cfg.ASN)
 		switch {
 		case whitelist:
 			if allowed[asn16] {
-				out = append(out, name)
+				out = append(out, i)
 			}
 		case blockAll:
 			// no export
 		case blocked[asn16]:
 			// explicitly excluded ("All-k" policies)
 		default:
-			out = append(out, name)
+			out = append(out, i)
 		}
 	}
 	return out

@@ -53,6 +53,24 @@ func announce(asn uint32, prefix netip.Prefix, communities ...bgp.Community) *bg
 	}
 }
 
+// peerUpdate is one UPDATE owed to one member: the export batches
+// flattened, the shape most assertions here read.
+type peerUpdate struct {
+	Peer   string
+	Update *bgp.Update
+}
+
+func handleUpdate(rs *RouteServer, peer string, u *bgp.Update) ([]peerUpdate, []Rejection, error) {
+	batches, rejections, err := rs.HandleUpdateBatch(peer, u)
+	var out []peerUpdate
+	for _, b := range batches {
+		for _, u := range b.Updates {
+			out = append(out, peerUpdate{Peer: b.Peer, Update: u})
+		}
+	}
+	return out, rejections, err
+}
+
 func TestAddPeerDuplicate(t *testing.T) {
 	rs := newRS(t, peerCfg(0))
 	if err := rs.AddPeer(peerCfg(0)); err != ErrDuplicatePeer {
@@ -65,7 +83,7 @@ func TestAddPeerDuplicate(t *testing.T) {
 
 func TestUnknownPeer(t *testing.T) {
 	rs := newRS(t, peerCfg(0))
-	if _, _, err := rs.HandleUpdate("Z", &bgp.Update{}); err != ErrUnknownPeer {
+	if _, _, err := handleUpdate(rs, "Z", &bgp.Update{}); err != ErrUnknownPeer {
 		t.Fatalf("err = %v", err)
 	}
 	if _, err := rs.HandleWithdrawAll("Z"); err != ErrUnknownPeer {
@@ -76,7 +94,7 @@ func TestUnknownPeer(t *testing.T) {
 func TestAnnouncePropagation(t *testing.T) {
 	rs := newRS(t, peerCfg(0), peerCfg(1), peerCfg(2))
 	prefix := netip.PrefixFrom(netip.AddrFrom4([4]byte{100, 10, byte(64512 % 256), 0}), 24)
-	exports, rejs, err := rs.HandleUpdate("A", announce(64512, prefix))
+	exports, rejs, err := handleUpdate(rs, "A", announce(64512, prefix))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +126,7 @@ func TestAnnouncePropagation(t *testing.T) {
 
 func TestImportRejectsUnregistered(t *testing.T) {
 	rs := newRS(t, peerCfg(0), peerCfg(1))
-	_, rejs, err := rs.HandleUpdate("A", announce(64512, pfx("8.8.8.0/24")))
+	_, rejs, err := handleUpdate(rs, "A", announce(64512, pfx("8.8.8.0/24")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +145,7 @@ func TestImportRejectsHijack(t *testing.T) {
 	// Peer B announces A's registered prefix: IRR check must reject.
 	rs := newRS(t, peerCfg(0), peerCfg(1))
 	prefixA := netip.PrefixFrom(netip.AddrFrom4([4]byte{100, 10, byte(64512 % 256), 0}), 24)
-	_, rejs, err := rs.HandleUpdate("B", announce(64513, prefixA))
+	_, rejs, err := handleUpdate(rs, "B", announce(64513, prefixA))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +159,7 @@ func TestImportRejectsWrongFirstAS(t *testing.T) {
 	prefix := netip.PrefixFrom(netip.AddrFrom4([4]byte{100, 10, byte(64512 % 256), 0}), 24)
 	u := announce(64512, prefix)
 	// Peer B sends an update whose AS path starts with A's ASN.
-	_, rejs, err := rs.HandleUpdate("B", u)
+	_, rejs, err := handleUpdate(rs, "B", u)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +173,7 @@ func TestMoreSpecificRequiresBlackholeCommunity(t *testing.T) {
 	host := netip.PrefixFrom(netip.AddrFrom4([4]byte{100, 10, byte(64512 % 256), 10}), 32)
 
 	// Without the community: rejected.
-	_, rejs, err := rs.HandleUpdate("A", announce(64512, host))
+	_, rejs, err := handleUpdate(rs, "A", announce(64512, host))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +182,7 @@ func TestMoreSpecificRequiresBlackholeCommunity(t *testing.T) {
 	}
 
 	// With BLACKHOLE: accepted, next hop rewritten on export.
-	exports, rejs, err := rs.HandleUpdate("A", announce(64512, host, bgp.CommunityBlackhole))
+	exports, rejs, err := handleUpdate(rs, "A", announce(64512, host, bgp.CommunityBlackhole))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +205,7 @@ func TestIXPSpecificBlackholeCommunity(t *testing.T) {
 	rs := newRS(t, peerCfg(0), peerCfg(1))
 	host := netip.PrefixFrom(netip.AddrFrom4([4]byte{100, 10, byte(64512 % 256), 10}), 32)
 	// IXP_ASN:666 variant.
-	_, rejs, err := rs.HandleUpdate("A", announce(64512, host, bgp.MakeCommunity(ixpASN, 666)))
+	_, rejs, err := handleUpdate(rs, "A", announce(64512, host, bgp.MakeCommunity(ixpASN, 666)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +218,7 @@ func TestExportPolicyBlockAll(t *testing.T) {
 	rs := newRS(t, peerCfg(0), peerCfg(1), peerCfg(2))
 	prefix := netip.PrefixFrom(netip.AddrFrom4([4]byte{100, 10, byte(64512 % 256), 0}), 24)
 	// (0, IXP_ASN): announce to no one.
-	exports, _, err := rs.HandleUpdate("A", announce(64512, prefix, bgp.MakeCommunity(0, ixpASN)))
+	exports, _, err := handleUpdate(rs, "A", announce(64512, prefix, bgp.MakeCommunity(0, ixpASN)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +231,7 @@ func TestExportPolicyAllMinusOne(t *testing.T) {
 	rs := newRS(t, peerCfg(0), peerCfg(1), peerCfg(2))
 	prefix := netip.PrefixFrom(netip.AddrFrom4([4]byte{100, 10, byte(64512 % 256), 0}), 24)
 	// (0, 64513): exclude peer B — the "All-1" policy of Figure 3(b).
-	exports, _, err := rs.HandleUpdate("A", announce(64512, prefix, bgp.MakeCommunity(0, 64513)))
+	exports, _, err := handleUpdate(rs, "A", announce(64512, prefix, bgp.MakeCommunity(0, 64513)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +244,7 @@ func TestExportPolicyWhitelist(t *testing.T) {
 	rs := newRS(t, peerCfg(0), peerCfg(1), peerCfg(2))
 	prefix := netip.PrefixFrom(netip.AddrFrom4([4]byte{100, 10, byte(64512 % 256), 0}), 24)
 	// (IXP, 64514): announce only to peer C.
-	exports, _, err := rs.HandleUpdate("A", announce(64512, prefix, bgp.MakeCommunity(ixpASN, 64514)))
+	exports, _, err := handleUpdate(rs, "A", announce(64512, prefix, bgp.MakeCommunity(ixpASN, 64514)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,10 +256,10 @@ func TestExportPolicyWhitelist(t *testing.T) {
 func TestWithdrawPropagation(t *testing.T) {
 	rs := newRS(t, peerCfg(0), peerCfg(1))
 	prefix := netip.PrefixFrom(netip.AddrFrom4([4]byte{100, 10, byte(64512 % 256), 0}), 24)
-	if _, _, err := rs.HandleUpdate("A", announce(64512, prefix)); err != nil {
+	if _, _, err := handleUpdate(rs, "A", announce(64512, prefix)); err != nil {
 		t.Fatal(err)
 	}
-	exports, _, err := rs.HandleUpdate("A", &bgp.Update{
+	exports, _, err := handleUpdate(rs, "A", &bgp.Update{
 		Withdrawn: []bgp.PathPrefix{{Prefix: prefix}},
 	})
 	if err != nil {
@@ -254,7 +272,7 @@ func TestWithdrawPropagation(t *testing.T) {
 		t.Fatal("withdrawn route still in table")
 	}
 	// Withdrawing an unknown prefix is a no-op.
-	exports, _, err = rs.HandleUpdate("A", &bgp.Update{
+	exports, _, err = handleUpdate(rs, "A", &bgp.Update{
 		Withdrawn: []bgp.PathPrefix{{Prefix: pfx("9.9.9.0/24")}},
 	})
 	if err != nil || len(exports) != 0 {
@@ -265,7 +283,7 @@ func TestWithdrawPropagation(t *testing.T) {
 func TestHandleWithdrawAll(t *testing.T) {
 	rs := newRS(t, peerCfg(0), peerCfg(1))
 	prefix := netip.PrefixFrom(netip.AddrFrom4([4]byte{100, 10, byte(64512 % 256), 0}), 24)
-	if _, _, err := rs.HandleUpdate("A", announce(64512, prefix)); err != nil {
+	if _, _, err := handleUpdate(rs, "A", announce(64512, prefix)); err != nil {
 		t.Fatal(err)
 	}
 	exports, err := rs.HandleWithdrawAll("A")
@@ -294,10 +312,10 @@ func TestControllerFeedBypassesBestPath(t *testing.T) {
 	var events []ControllerEvent
 	rs.Subscribe(func(ev ControllerEvent) { events = append(events, ev) })
 
-	if _, _, err := rs.HandleUpdate("A", announce(64512, host, bgp.CommunityBlackhole)); err != nil {
+	if _, _, err := handleUpdate(rs, "A", announce(64512, host, bgp.CommunityBlackhole)); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := rs.HandleUpdate("B", announce(64513, host, bgp.CommunityBlackhole)); err != nil {
+	if _, _, err := handleUpdate(rs, "B", announce(64513, host, bgp.CommunityBlackhole)); err != nil {
 		t.Fatal(err)
 	}
 	if len(events) != 2 {
@@ -320,10 +338,10 @@ func TestControllerFeedWithdraw(t *testing.T) {
 	prefix := netip.PrefixFrom(netip.AddrFrom4([4]byte{100, 10, byte(64512 % 256), 0}), 24)
 	var events []ControllerEvent
 	rs.Subscribe(func(ev ControllerEvent) { events = append(events, ev) })
-	if _, _, err := rs.HandleUpdate("A", announce(64512, prefix)); err != nil {
+	if _, _, err := handleUpdate(rs, "A", announce(64512, prefix)); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := rs.HandleUpdate("A", &bgp.Update{Withdrawn: []bgp.PathPrefix{{Prefix: prefix}}}); err != nil {
+	if _, _, err := handleUpdate(rs, "A", &bgp.Update{Withdrawn: []bgp.PathPrefix{{Prefix: prefix}}}); err != nil {
 		t.Fatal(err)
 	}
 	if len(events) != 2 || len(events[1].Withdrawn) != 1 {
@@ -335,7 +353,7 @@ func TestRejectedAnnouncementNotFedToController(t *testing.T) {
 	rs := newRS(t, peerCfg(0), peerCfg(1))
 	var events int
 	rs.Subscribe(func(ControllerEvent) { events++ })
-	if _, _, err := rs.HandleUpdate("A", announce(64512, pfx("8.8.8.0/24"))); err != nil {
+	if _, _, err := handleUpdate(rs, "A", announce(64512, pfx("8.8.8.0/24"))); err != nil {
 		t.Fatal(err)
 	}
 	if events != 0 {
@@ -352,10 +370,10 @@ func TestBestPathChangeReexports(t *testing.T) {
 	// A announces with a long path; B then announces shorter.
 	uA := announce(64512, shared)
 	uA.Attrs.ASPath = []bgp.ASPathSegment{{Type: bgp.ASSequence, ASNs: []uint32{64512, 65000, 65001}}}
-	if _, _, err := rs.HandleUpdate("A", uA); err != nil {
+	if _, _, err := handleUpdate(rs, "A", uA); err != nil {
 		t.Fatal(err)
 	}
-	exports, _, err := rs.HandleUpdate("B", announce(64513, shared))
+	exports, _, err := handleUpdate(rs, "B", announce(64513, shared))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,7 +382,7 @@ func TestBestPathChangeReexports(t *testing.T) {
 		t.Fatalf("re-export count: %d", len(exports))
 	}
 	// A re-announcing the same (non-best) path triggers no export churn.
-	exports, _, err = rs.HandleUpdate("A", uA)
+	exports, _, err = handleUpdate(rs, "A", uA)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,12 +428,12 @@ func TestLookingGlass(t *testing.T) {
 	rs.cfg.Policy.IRR.Register(64512, shared)
 	rs.cfg.Policy.IRR.Register(64513, shared)
 	host := pfx("100.99.0.7/32")
-	if _, _, err := rs.HandleUpdate("A", announce(64512, host, bgp.CommunityBlackhole)); err != nil {
+	if _, _, err := handleUpdate(rs, "A", announce(64512, host, bgp.CommunityBlackhole)); err != nil {
 		t.Fatal(err)
 	}
 	uB := announce(64513, host, bgp.CommunityBlackhole)
 	uB.Attrs.ASPath = []bgp.ASPathSegment{{Type: bgp.ASSequence, ASNs: []uint32{64513, 64513}}} // prepended: longer path, registered origin
-	if _, _, err := rs.HandleUpdate("B", uB); err != nil {
+	if _, _, err := handleUpdate(rs, "B", uB); err != nil {
 		t.Fatal(err)
 	}
 
@@ -539,7 +557,7 @@ func TestBatchedWithdrawalsPrecedeAnnouncements(t *testing.T) {
 	rs := newRS(t, peerCfg(0), peerCfg(1))
 	p24 := netip.PrefixFrom(netip.AddrFrom4([4]byte{100, 10, byte(64512 % 256), 0}), 24)
 	host := netip.PrefixFrom(netip.AddrFrom4([4]byte{100, 10, byte(64512 % 256), 9}), 32)
-	if _, _, err := rs.HandleUpdate("A", announce(64512, p24)); err != nil {
+	if _, _, err := handleUpdate(rs, "A", announce(64512, p24)); err != nil {
 		t.Fatal(err)
 	}
 	// One message: withdraw the /24, announce a blackhole /32.
