@@ -2,8 +2,7 @@ package fabric
 
 import (
 	"net/netip"
-	"sync"
-	"sync/atomic"
+	"slices"
 
 	"stellar/internal/netpkt"
 )
@@ -34,11 +33,21 @@ import (
 // soon as its next priority cannot beat the best match found so far.
 //
 // On top of the compiled form, each classifier generation carries a
-// flow-result memo keyed by netpkt.FlowKey.Hash: flow-level simulations
-// re-offer the same flows tick after tick, so after the first tick a
-// classification is one cache hit. The memo belongs to the generation,
-// so a rule change can never serve a stale verdict — the new classifier
-// starts with an empty memo.
+// flow-result memo (memo.go): flow-level simulations re-offer the same
+// flows tick after tick, so after the first tick a classification is one
+// probe of a flat open-addressed table keyed by netpkt.FlowKey.Hash. The
+// table belongs to the generation, so a rule change can never serve a
+// stale verdict — but it does not cold-start the port either: the new
+// generation keeps the nearest ancestor's populated table plus the short
+// list of single-rule changes made since, and on a miss derives the
+// verdict from the ancestor's. An installed rule is appended (lowest
+// priority), so an inherited non-nil verdict stands and a nil one needs
+// one Match.Matches against the added rule; a removed rule invalidates
+// only the flows whose verdict it was, which take the full lookup.
+//
+// Flows are passed by pointer through every lookup: a FlowKey is 64
+// bytes, and the egress loop classifies each offer in place in the
+// caller's slice.
 
 // candidate is one indexed rule plus its install order (lower wins).
 type candidate struct {
@@ -92,18 +101,6 @@ type trieKey struct {
 
 const noMatch = int(^uint(0) >> 1) // max int: "no rule yet"
 
-// maxMemoEntries bounds the per-generation flow memo so adversarial
-// flow cardinality cannot grow memory without bound.
-const maxMemoEntries = 1 << 16
-
-// memoEntry records one memoized classification. The full key is kept
-// so a 64-bit hash collision degrades to a recomputation, never a wrong
-// verdict.
-type memoEntry struct {
-	key  netpkt.FlowKey
-	rule *Rule // nil: default forwarding queue
-}
-
 // classifier is an immutable compiled view of a port's rule set.
 type classifier struct {
 	rules      []*Rule // install order (the authoritative priority)
@@ -116,9 +113,26 @@ type classifier struct {
 	bySrcMAC       map[netpkt.MAC][]candidate
 	residual       []candidate
 
-	memo    sync.Map // uint64 -> *memoEntry
-	memoLen atomic.Int64
+	memo flowMemo
+
+	// inherit is the populated memo table of the nearest ancestor
+	// generation (the table only, never the ancestor classifier, so at
+	// most two tables per port are live) and changes the single-rule
+	// changes that lead from that ancestor's rule set to this one, oldest
+	// first. inherit == nil: this generation starts cold.
+	inherit *memoTable
+	changes []ruleChange
 }
+
+// ruleChange is one InstallRule (added) or RemoveRule (removed).
+type ruleChange struct {
+	rule  *Rule
+	added bool
+}
+
+// maxInheritedChanges bounds classifier.changes: a generation further
+// than this from a populated table starts cold.
+const maxInheritedChanges = 8
 
 // compile builds the immutable classifier for rules (in install order).
 func compile(rules []*Rule) *classifier {
@@ -173,12 +187,12 @@ func trieAddr(a netip.Addr) trieKey {
 // with the first full match that beats the current best. Because the
 // list is priority-sorted it stops at the first candidate that cannot
 // win.
-func considerList(cands []candidate, f netpkt.FlowKey, best *Rule, bestPri int) (*Rule, int) {
+func considerList(cands []candidate, f *netpkt.FlowKey, best *Rule, bestPri int) (*Rule, int) {
 	for _, cd := range cands {
 		if cd.pri >= bestPri {
 			return best, bestPri
 		}
-		if cd.rule.Match.Matches(f) {
+		if cd.rule.Match.Matches(*f) {
 			return cd.rule, cd.pri
 		}
 	}
@@ -187,7 +201,7 @@ func considerList(cands []candidate, f netpkt.FlowKey, best *Rule, bestPri int) 
 
 // walkTrie descends the trie along addr's bits, feeding every node's
 // candidates (covering prefixes, shortest first) to considerList.
-func walkTrie(t *prefixTrie, f netpkt.FlowKey, addr netip.Addr, best *Rule, bestPri int) (*Rule, int) {
+func walkTrie(t *prefixTrie, f *netpkt.FlowKey, addr netip.Addr, best *Rule, bestPri int) (*Rule, int) {
 	if !addr.IsValid() {
 		return best, bestPri
 	}
@@ -216,7 +230,7 @@ func walkTrie(t *prefixTrie, f netpkt.FlowKey, addr netip.Addr, best *Rule, best
 // classify runs the compiled lookup: every index the flow can reach,
 // first-match (lowest install order) wins. It is read-only and safe for
 // unlimited concurrency.
-func (c *classifier) classify(f netpkt.FlowKey) *Rule {
+func (c *classifier) classify(f *netpkt.FlowKey) *Rule {
 	var best *Rule
 	bestPri := noMatch
 	if len(c.byProtoDstPort) > 0 {
@@ -240,9 +254,45 @@ func (c *classifier) classify(f netpkt.FlowKey) *Rule {
 	return best
 }
 
-// classifyHashed is classify with the per-generation flow memo in
-// front. hash is the flow's netpkt.FlowKey.Hash (0: compute here).
-func (c *classifier) classifyHashed(f netpkt.FlowKey, hash uint64) *Rule {
+// succeed links next, the generation that follows c by one rule change,
+// to the memo it can inherit from: c's own table when c classified
+// anything, otherwise the table c itself inherited, one change further
+// away.
+func (c *classifier) succeed(next *classifier, ch ruleChange) {
+	if len(next.rules) == 0 {
+		return // a rule-free port skips the memo
+	}
+	if t := c.memo.tab.Load(); t != nil {
+		next.inherit, next.changes = t, []ruleChange{ch}
+		next.memo.hint = c.memo.len()
+	} else if c.inherit != nil && len(c.changes) < maxInheritedChanges {
+		next.inherit = c.inherit
+		next.changes = append(slices.Clip(c.changes), ch)
+		next.memo.hint = c.memo.hint
+	}
+}
+
+// derive turns a verdict memoized by the inherited table into this
+// generation's by replaying the changes since; ok is false when the
+// verdict was a rule removed on the way, which only the full lookup can
+// replace.
+func (c *classifier) derive(r *Rule, f *netpkt.FlowKey) (_ *Rule, ok bool) {
+	for _, ch := range c.changes {
+		switch {
+		case !ch.added:
+			if r == ch.rule {
+				return nil, false
+			}
+		case r == nil && ch.rule.Match.Matches(*f):
+			r = ch.rule
+		}
+	}
+	return r, true
+}
+
+// classifyHashed is classify with the flow memo in front. hash is the
+// flow's netpkt.FlowKey.Hash (0: compute here).
+func (c *classifier) classifyHashed(f *netpkt.FlowKey, hash uint64) *Rule {
 	if len(c.rules) == 0 {
 		// Rule-free port (the common case across a large member
 		// population): nothing can match, skip the memo entirely.
@@ -251,20 +301,28 @@ func (c *classifier) classifyHashed(f netpkt.FlowKey, hash uint64) *Rule {
 	if hash == 0 {
 		hash = f.Hash()
 	}
-	if v, ok := c.memo.Load(hash); ok {
-		e := v.(*memoEntry)
-		if e.key == f {
-			return e.rule
-		}
-		// 64-bit collision between distinct live flows: fall through and
-		// recompute without caching.
+	e, collided := c.memo.tab.Load().lookup(f, hash)
+	if e != nil {
+		return e.rule
+	}
+	if collided {
+		// 64-bit collision between distinct live flows: recompute
+		// without caching.
 		return c.classify(f)
 	}
-	r := c.classify(f)
-	if c.memoLen.Load() < maxMemoEntries {
-		if _, loaded := c.memo.LoadOrStore(hash, &memoEntry{key: f, rule: r}); !loaded {
-			c.memoLen.Add(1)
+	var (
+		r       *Rule
+		derived bool
+		reuse   *memoEntry
+	)
+	if a, _ := c.inherit.lookup(f, hash); a != nil {
+		if r, derived = c.derive(a.rule, f); derived && r == a.rule {
+			reuse = a
 		}
 	}
+	if !derived {
+		r = c.classify(f)
+	}
+	c.memo.insert(reuse, f, hash, r)
 	return r
 }

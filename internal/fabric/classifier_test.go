@@ -221,7 +221,7 @@ func TestClassifierV4TrieDiscriminates(t *testing.T) {
 	// And the walk still finds the right rule.
 	f := netpkt.FlowKey{Src: srcIPA, Dst: netip.AddrFrom4([4]byte{100, 10, 0, 77}),
 		Proto: netpkt.ProtoUDP, SrcPort: 123, DstPort: 443}
-	if got := c.classify(f); got == nil || got.ID != "d077" {
+	if got := c.classify(&f); got == nil || got.ID != "d077" {
 		t.Fatalf("classify: %v", got)
 	}
 }
@@ -251,8 +251,8 @@ func TestRulesDefensiveCopy(t *testing.T) {
 }
 
 // TestConcurrentRuleChurnAndClassify is the -race stress test: rule
-// management, classification, flow-level egress and per-packet egress
-// all run concurrently against one port.
+// management, classification of a growing flow population, flow-level
+// egress and per-packet egress all run concurrently against one port.
 func TestConcurrentRuleChurnAndClassify(t *testing.T) {
 	p := newVictimPort()
 	m := MatchAll()
@@ -296,11 +296,26 @@ func TestConcurrentRuleChurnAndClassify(t *testing.T) {
 	pkt := netpkt.NewBuilder(macPeerA, macVictim).IPv4(srcIPA, victimIP).UDP(123, 443).PayloadLen(400).Build()
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
-		go func() {
+		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
 				p.Egress(offers, 0.01)
 				p.Classify(offers[i%len(offers)].Flow)
+				// Fresh flows every iteration, so every reader inserts
+				// into and doubles the memo tables the others are probing;
+				// the churned rules cannot match them, so the verdicts are
+				// known whatever generation serves them.
+				for j := 0; j < 16; j++ {
+					src := netip.AddrFrom4([4]byte{198, 51, byte(w*64 + i>>4), byte(i<<4 + j)})
+					if r := p.Classify(udpFlow(macPeerA, src, 123)); r == nil || r.ID != "pinned-shape" {
+						t.Errorf("ntp flow from %v classified %v", src, r)
+						return
+					}
+					if r := p.Classify(tcpFlow(macPeerB, src, 443)); r != nil {
+						t.Errorf("tcp flow from %v classified %v", src, r)
+						return
+					}
+				}
 				p.EgressPacket(pkt)
 				if rs := p.Rules(); len(rs) == 0 {
 					t.Error("pinned rule disappeared")
@@ -309,7 +324,7 @@ func TestConcurrentRuleChurnAndClassify(t *testing.T) {
 				p.RefillShapers(0.01)
 				p.RuleCount()
 			}
-		}()
+		}(w)
 	}
 	wg.Wait()
 	if _, err := p.Rule("pinned-shape"); err != nil {
@@ -363,4 +378,246 @@ func TestConcurrentFabricTicks(t *testing.T) {
 		}
 	}()
 	wg.Wait()
+}
+
+// churnTrial is one port under random rule churn with the linear scan's
+// view of it kept beside: rules is the install order the port must
+// agree with, removed the rules taken out so far (re-install fodder).
+type churnTrial struct {
+	t       *testing.T
+	rng     *rand.Rand
+	macs    []netpkt.MAC
+	p       *Port
+	rules   []*Rule
+	removed []*Rule
+	offers  []Offer
+	nextID  int
+	// cases counts the rule changes the issue names, so the test can
+	// assert the generator really produced each of them.
+	cases map[string]int
+}
+
+func (c *churnTrial) install(r *Rule) {
+	c.t.Helper()
+	if err := c.p.InstallRule(r); err != nil {
+		c.t.Fatal(err)
+	}
+	c.rules = append(c.rules, r)
+}
+
+func (c *churnTrial) remove(i int) {
+	c.t.Helper()
+	r := c.rules[i]
+	if err := c.p.RemoveRule(r.ID); err != nil {
+		c.t.Fatal(err)
+	}
+	c.rules = append(c.rules[:i:i], c.rules[i+1:]...)
+	c.removed = append(c.removed, r)
+}
+
+func (c *churnTrial) newRule(m Match) *Rule {
+	c.nextID++
+	return &Rule{ID: fmt.Sprintf("r%d", c.nextID), Match: m,
+		Action: []ActionKind{ActionDrop, ActionForward}[c.rng.Intn(2)]}
+}
+
+// matchers returns the indexes of the rules matching f, in priority
+// order; the first is the verdict.
+func (c *churnTrial) matchers(f netpkt.FlowKey) []int {
+	var out []int
+	for i, r := range c.rules {
+		if r.Match.Matches(f) {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
+// change applies one random rule change.
+func (c *churnTrial) change() {
+	c.t.Helper()
+	f := c.offers[c.rng.Intn(len(c.offers))].Flow
+	switch k := c.rng.Intn(7); {
+	case k == 0 && len(c.rules) > 0:
+		// A lower-priority twin of an installed rule: whatever that rule
+		// catches now has a second matcher waiting behind it.
+		c.install(c.newRule(c.rules[c.rng.Intn(len(c.rules))].Match))
+	case k == 1 && len(c.rules) > 0:
+		c.remove(c.rng.Intn(len(c.rules)))
+	case k == 2:
+		// Remove the verdict of a flow that a lower-priority rule also
+		// matches: the verdict must fall through to that rule.
+		if ms := c.matchers(f); len(ms) > 1 {
+			c.remove(ms[0])
+			c.cases["remove verdict above another matcher"]++
+		}
+	case k == 3:
+		// Remove a rule an earlier one shadows: the verdict must stand.
+		if ms := c.matchers(f); len(ms) > 1 {
+			c.remove(ms[1+c.rng.Intn(len(ms)-1)])
+			c.cases["remove shadowed rule"]++
+		}
+	case k == 4 && len(c.removed) > 0:
+		// Re-install a removed ID, as the same *Rule or as a new rule
+		// that only shares the ID.
+		i := c.rng.Intn(len(c.removed))
+		r := c.removed[i]
+		c.removed = append(c.removed[:i:i], c.removed[i+1:]...)
+		if c.rng.Intn(2) == 0 {
+			r = &Rule{ID: r.ID, Match: randomMatch(c.rng, c.macs), Action: r.Action}
+		}
+		c.install(r)
+		c.cases["re-install removed ID"]++
+	default:
+		c.install(c.newRule(randomMatch(c.rng, c.macs)))
+	}
+}
+
+// pass classifies the whole flow set every way the port offers and
+// compares each verdict, and the egress byte totals, with the linear
+// scan.
+func (c *churnTrial) pass() {
+	c.t.Helper()
+	var wantDropped, wantDelivered float64
+	for i := range c.offers {
+		o := &c.offers[i]
+		want := linearClassify(c.rules, o.Flow)
+		if got := c.p.Classify(o.Flow); got != want {
+			c.t.Fatalf("Classify(%v) = %v, want %v (rules %v)", o.Flow, got, want, c.rules)
+		}
+		if got := c.p.ClassifyHashed(o.Flow, o.FlowHash); got != want {
+			c.t.Fatalf("ClassifyHashed(%v) = %v, want %v (rules %v)", o.Flow, got, want, c.rules)
+		}
+		if want != nil && want.Action == ActionDrop {
+			wantDropped += o.Bytes
+		} else {
+			wantDelivered += o.Bytes
+		}
+	}
+	res := c.p.EgressStream(c.offers, 1, nil)
+	if res.RuleDroppedBytes != wantDropped || res.DeliveredBytes != wantDelivered {
+		c.t.Fatalf("EgressStream dropped %v delivered %v, linear scan %v / %v (rules %v)",
+			res.RuleDroppedBytes, res.DeliveredBytes, wantDropped, wantDelivered, c.rules)
+	}
+}
+
+// TestClassifierMatchesLinearScanUnderChurn is the differential test of
+// memo inheritance: random InstallRule/RemoveRule sequences interleaved
+// with classification passes over a fixed flow set, so the memo is warm
+// before every change, and every verdict compared with the linear scan.
+func TestClassifierMatchesLinearScanUnderChurn(t *testing.T) {
+	macs := make([]netpkt.MAC, 6)
+	for i := range macs {
+		macs[i] = netpkt.MustParseMAC(fmt.Sprintf("02:00:00:00:00:%02x", i+1))
+	}
+	cases := map[string]int{}
+	for trial := 0; trial < 250; trial++ {
+		rng := rand.New(rand.NewSource(int64(1000 + trial)))
+		c := &churnTrial{t: t, rng: rng, macs: macs, cases: cases,
+			p: NewPort("victim", macs[0], 1e15)}
+		seen := map[netpkt.FlowKey]bool{}
+		for len(c.offers) < 96 {
+			f := randomFlow(rng, macs)
+			if seen[f] {
+				continue
+			}
+			seen[f] = true
+			o := Offer{Flow: f, Bytes: float64(1 + rng.Intn(1e6)), Packets: 1}
+			if rng.Intn(2) == 0 {
+				o.FlowHash = f.Hash() // the rest are hashed on demand
+			}
+			c.offers = append(c.offers, o)
+		}
+		for i := rng.Intn(4); i > 0; i-- {
+			c.install(c.newRule(randomMatch(rng, macs)))
+		}
+		c.pass()
+		for step := 0; step < 24; step++ {
+			// Zero, one and several changes between passes, and now and
+			// then more than a generation inherits across.
+			n := []int{0, 1, 1, 1, 2, 3, 5, maxInheritedChanges + 3}[rng.Intn(8)]
+			if n > maxInheritedChanges {
+				cases["past the inheritance bound"]++
+			}
+			for ; n > 0; n-- {
+				c.change()
+			}
+			c.pass()
+		}
+	}
+	for _, name := range []string{"remove verdict above another matcher", "remove shadowed rule",
+		"re-install removed ID", "past the inheritance bound"} {
+		if cases[name] < 50 {
+			t.Errorf("generator produced %q only %d times", name, cases[name])
+		}
+	}
+}
+
+// TestClassifyHashCollision: two distinct flows presented under one
+// 64-bit hash each get their own linear-scan verdict, before and after a
+// rule change — the memo compares full keys.
+func TestClassifyHashCollision(t *testing.T) {
+	p := newVictimPort()
+	m := MatchAll()
+	m.Proto = netpkt.ProtoUDP
+	m.SrcPort = 123
+	if err := p.InstallRule(&Rule{ID: "drop-ntp", Match: m, Action: ActionDrop}); err != nil {
+		t.Fatal(err)
+	}
+	f1 := udpFlow(macPeerA, srcIPA, 123) // dropped
+	f2 := udpFlow(macPeerA, srcIPA, 124) // forwarded, until "drop-124" lands
+	h := f1.Hash()
+	check := func(when string) {
+		t.Helper()
+		rules := p.Rules()
+		for i := 0; i < 3; i++ { // cold, then memoized
+			if got, want := p.ClassifyHashed(f1, h), linearClassify(rules, f1); got != want {
+				t.Fatalf("%s: f1 = %v, want %v", when, got, want)
+			}
+			if got, want := p.ClassifyHashed(f2, h), linearClassify(rules, f2); got != want {
+				t.Fatalf("%s: f2 under f1's hash = %v, want %v", when, got, want)
+			}
+		}
+	}
+	check("before")
+	m.SrcPort = 124
+	if err := p.InstallRule(&Rule{ID: "drop-124", Match: m, Action: ActionDrop}); err != nil {
+		t.Fatal(err)
+	}
+	check("after install")
+	if err := p.RemoveRule("drop-ntp"); err != nil {
+		t.Fatal(err)
+	}
+	check("after remove")
+}
+
+// TestMemoBound: past maxMemoEntries distinct flows the memo stops
+// growing and classification stays correct.
+func TestMemoBound(t *testing.T) {
+	p := newVictimPort()
+	m := MatchAll()
+	m.Proto = netpkt.ProtoUDP
+	m.SrcPort = 123
+	r := &Rule{ID: "drop-ntp", Match: m, Action: ActionDrop}
+	if err := p.InstallRule(r); err != nil {
+		t.Fatal(err)
+	}
+	const flows = maxMemoEntries + 5000
+	for pass := 0; pass < 2; pass++ {
+		for i := 0; i < flows; i++ {
+			f := udpFlow(macPeerA, netip.AddrFrom4([4]byte{198, 51, byte(i >> 8), byte(i)}), uint16(123+i>>16))
+			want := (*Rule)(nil)
+			if f.SrcPort == 123 {
+				want = r
+			}
+			if got := p.Classify(f); got != want {
+				t.Fatalf("pass %d flow %d: %v, want %v", pass, i, got, want)
+			}
+		}
+		memo := &p.cls.Load().memo
+		if n, slots := memo.len(), len(memo.tab.Load().slots); n != maxMemoEntries || slots != 2*maxMemoEntries {
+			t.Fatalf("pass %d: memo holds %d entries in %d slots, want %d in %d",
+				pass, n, slots, maxMemoEntries, 2*maxMemoEntries)
+		}
+	}
 }

@@ -164,25 +164,6 @@ func (f *Fabric) TickStreamOn(r Runner, offers TickOffers, dtSeconds float64, si
 	}
 	stats := TickStats{PerPort: make(map[string]TickResult, len(offers))}
 
-	var offered float64
-	for _, os := range offers {
-		for _, o := range os {
-			offered += o.Bytes
-		}
-	}
-	stats.PlatformOfferedBytes = offered
-
-	// Platform core admission: proportional shed when the core is the
-	// bottleneck (ingress-filtering ablation / small-IXP scenario).
-	scale := 1.0
-	if f.PlatformCapacityBps > 0 {
-		capBytes := f.PlatformCapacityBps * dtSeconds / 8
-		if offered > capBytes && offered > 0 {
-			scale = capBytes / offered
-			stats.PlatformDroppedBytes = offered - capBytes
-		}
-	}
-
 	names := make([]string, 0, len(offers))
 	for name := range offers {
 		names = append(names, name)
@@ -197,25 +178,38 @@ func (f *Fabric) TickStreamOn(r Runner, offers TickOffers, dtSeconds float64, si
 		ports[i] = port
 	}
 
-	results := make([]TickResult, len(names))
-	r.Run(len(names), func(worker, i int) {
-		os := offers[names[i]]
-		if scale != 1.0 {
-			scaled := make([]Offer, len(os))
-			for j, o := range os {
-				scaled[j] = Offer{Flow: o.Flow, Bytes: o.Bytes * scale,
-					Packets: o.Packets * scale, FlowHash: o.FlowHash}
+	// Platform core admission: proportional shed when the core is the
+	// bottleneck (ingress-filtering ablation / small-IXP scenario). Only
+	// a capped core needs the platform total before the fan-out; without
+	// one, each port's egress loop sums its own offers as it reads them.
+	scale := 1.0
+	if f.PlatformCapacityBps > 0 {
+		var offered float64
+		for _, name := range names {
+			os := offers[name]
+			for i := range os {
+				offered += os[i].Bytes
 			}
-			os = scaled
 		}
+		capBytes := f.PlatformCapacityBps * dtSeconds / 8
+		if offered > capBytes && offered > 0 {
+			scale = capBytes / offered
+			stats.PlatformDroppedBytes = offered - capBytes
+		}
+	}
+
+	results := make([]TickResult, len(names))
+	portOffered := make([]float64, len(names))
+	r.Run(len(names), func(worker, i int) {
+		var visit FlowVisitor
 		if sink != nil {
-			results[i] = ports[i].EgressStream(os, dtSeconds, sink(worker, names[i]))
-		} else {
-			results[i] = ports[i].Egress(os, dtSeconds)
+			visit = sink(worker, names[i])
 		}
+		results[i], portOffered[i] = ports[i].egress(offers[names[i]], scale, dtSeconds, visit, sink == nil)
 	})
 	for i, name := range names {
 		stats.PerPort[name] = results[i]
+		stats.PlatformOfferedBytes += portOffered[i]
 	}
 	return stats, nil
 }

@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"fmt"
 	"math"
 	"net/netip"
 	"testing"
@@ -449,5 +450,91 @@ func BenchmarkClassify(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p.Classify(f)
+	}
+}
+
+// benchShapes are one port of the repository benchmark's workloads:
+// a victim port of attack_mitigated (13 500 flows under one drop rule, a
+// tenth of them benign) and a member port of wire_signal (256 flows
+// under 16 standing rules).
+var benchShapes = []struct {
+	name         string
+	flows, rules int
+}{
+	{"flows=13500/rules=1", 13500, 1},
+	{"flows=256/rules=16", 256, 16},
+}
+
+// benchPort builds a port with n drop rules on UDP source ports and
+// offers of which nine in ten hit the first rule.
+func benchPort(b *testing.B, flows, rules int) (*Port, []Offer) {
+	p := newVictimPort()
+	for i := 0; i < rules; i++ {
+		m := MatchAll()
+		m.Proto = netpkt.ProtoUDP
+		m.SrcPort = int32(123 + i)
+		if err := p.InstallRule(&Rule{ID: fmt.Sprintf("drop-%d", i), Match: m, Action: ActionDrop}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	offers := make([]Offer, flows)
+	for i := range offers {
+		f := udpFlow(macPeerA, netip.AddrFrom4([4]byte{198, 51, byte(i >> 8), byte(i)}), 123)
+		if i%10 == 0 {
+			f = tcpFlow(macPeerB, f.Src, 443)
+		}
+		offers[i] = Offer{Flow: f, FlowHash: f.Hash(), Bytes: 1e4, Packets: 10}
+	}
+	return p, offers
+}
+
+var benchTick TickResult
+
+// BenchmarkEgressStreamWarm is the steady-state tick: every flow's
+// verdict is in the port's memo.
+func BenchmarkEgressStreamWarm(b *testing.B) {
+	for _, s := range benchShapes {
+		b.Run(s.name, func(b *testing.B) {
+			p, offers := benchPort(b, s.flows, s.rules)
+			p.EgressStream(offers, 1, nil)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				benchTick = p.EgressStream(offers, 1, nil)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(s.flows), "ns/flow")
+		})
+	}
+}
+
+// BenchmarkEgressStreamAfterRuleChange is the tick a mitigation lands
+// on: the first pass over a warm port after one InstallRule or
+// RemoveRule (alternately; the rule change itself is not timed).
+func BenchmarkEgressStreamAfterRuleChange(b *testing.B) {
+	for _, s := range benchShapes {
+		b.Run(s.name, func(b *testing.B) {
+			p, offers := benchPort(b, s.flows, s.rules)
+			p.EgressStream(offers, 1, nil)
+			m := MatchAll()
+			m.Proto = netpkt.ProtoTCP
+			m.DstPort = 443
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				var err error
+				if i%2 == 0 {
+					err = p.InstallRule(&Rule{ID: "churn", Match: m, Action: ActionDrop})
+				} else {
+					err = p.RemoveRule("churn")
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				benchTick = p.EgressStream(offers, 1, nil)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(s.flows), "ns/flow")
+		})
 	}
 }

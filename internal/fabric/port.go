@@ -133,8 +133,7 @@ func (p *Port) InstallRule(r *Rule) error {
 	rules := make([]*Rule, 0, len(p.rules)+1)
 	rules = append(rules, p.rules...)
 	rules = append(rules, r)
-	p.rules = rules
-	p.cls.Store(compile(rules))
+	p.publish(rules, ruleChange{rule: r, added: true})
 	return nil
 }
 
@@ -148,12 +147,20 @@ func (p *Port) RemoveRule(id string) error {
 			rules := make([]*Rule, 0, len(p.rules)-1)
 			rules = append(rules, p.rules[:i]...)
 			rules = append(rules, p.rules[i+1:]...)
-			p.rules = rules
-			p.cls.Store(compile(rules))
+			p.publish(rules, ruleChange{rule: r})
 			return nil
 		}
 	}
 	return ErrNoSuchRule
+}
+
+// publish compiles rules, which differ from the current set by ch, and
+// makes the result the port's classifier. Callers hold p.mu.
+func (p *Port) publish(rules []*Rule, ch ruleChange) {
+	next := compile(rules)
+	p.cls.Load().succeed(next, ch)
+	p.rules = rules
+	p.cls.Store(next)
 }
 
 // Rule returns the installed rule with the given ID.
@@ -182,13 +189,13 @@ func (p *Port) RuleCount() int {
 // default forwarding queue. It is lock-free and safe to call
 // concurrently with rule management and egress ticks.
 func (p *Port) Classify(f netpkt.FlowKey) *Rule {
-	return p.cls.Load().classifyHashed(f, 0)
+	return p.cls.Load().classifyHashed(&f, 0)
 }
 
 // ClassifyHashed is Classify with the flow's precomputed
 // netpkt.FlowKey.Hash (0: computed on demand).
 func (p *Port) ClassifyHashed(f netpkt.FlowKey, hash uint64) *Rule {
-	return p.cls.Load().classifyHashed(f, hash)
+	return p.cls.Load().classifyHashed(&f, hash)
 }
 
 // EgressPacket runs one packet through classification and the queues,
@@ -197,7 +204,7 @@ func (p *Port) ClassifyHashed(f netpkt.FlowKey, hash uint64) *Rule {
 func (p *Port) EgressPacket(pkt *netpkt.Packet) Disposition {
 	f := pkt.Flow()
 	bits := float64(pkt.WireLen) * 8
-	r := p.cls.Load().classifyHashed(f, 0)
+	r := p.cls.Load().classifyHashed(&f, 0)
 	if r == nil {
 		return Delivered
 	}
@@ -246,7 +253,8 @@ func (p *Port) RefillShapers(dtSeconds float64) {
 // snapshot: rules installed concurrently take effect the next tick, and
 // no lock is held while offers are processed.
 func (p *Port) Egress(offers []Offer, dtSeconds float64) TickResult {
-	return p.egress(offers, dtSeconds, nil, true)
+	res, _ := p.egress(offers, 1, dtSeconds, nil, true)
+	return res
 }
 
 // EgressStream is Egress with the per-flow deliveries streamed into
@@ -255,12 +263,14 @@ func (p *Port) Egress(offers []Offer, dtSeconds float64) TickResult {
 // of the scenario pipeline. The byte totals in the returned TickResult
 // are identical to Egress's.
 func (p *Port) EgressStream(offers []Offer, dtSeconds float64, visit FlowVisitor) TickResult {
-	return p.egress(offers, dtSeconds, visit, false)
+	res, _ := p.egress(offers, 1, dtSeconds, visit, false)
+	return res
 }
 
+// fwd is one entry of a forward or shaping queue: the offer, in the
+// caller's slice, and how many of its bytes got this far.
 type fwd struct {
-	flow  netpkt.FlowKey
-	hash  uint64
+	o     *Offer
 	bytes float64
 }
 
@@ -268,10 +278,38 @@ type fwd struct {
 // calls, so a steady-state tick allocates no per-port buffers.
 var fwdPool = sync.Pool{New: func() any { return new([]fwd) }}
 
-func (p *Port) egress(offers []Offer, dtSeconds float64, visit FlowVisitor, collect bool) TickResult {
+// matchRun accumulates the counters of consecutive offers that hit the
+// same rule, so a run costs one set of atomic adds instead of one per
+// offer. Each offer still contributes int64(bytes), exactly as a
+// per-offer add would.
+type matchRun struct {
+	rule                               *Rule
+	packets, bytes, dropped, forwarded int64
+}
+
+func (m *matchRun) flush() {
+	if m.rule == nil {
+		return
+	}
+	c := &m.rule.counters
+	c.MatchedPackets.Add(m.packets)
+	c.MatchedBytes.Add(m.bytes)
+	if m.dropped != 0 {
+		c.DroppedBytes.Add(m.dropped)
+	}
+	if m.forwarded != 0 {
+		c.ForwardedBytes.Add(m.forwarded)
+	}
+	*m = matchRun{}
+}
+
+// egress is one tick of the port. Every offer's bytes and packets are
+// multiplied by scale (the platform core's admission share; 1 when the
+// core is not the bottleneck) as they are read, so the caller's slice is
+// never copied. offered is the unscaled byte sum of offers.
+func (p *Port) egress(offers []Offer, scale, dtSeconds float64, visit FlowVisitor, collect bool) (res TickResult, offered float64) {
 	cls := p.cls.Load()
 
-	res := TickResult{}
 	if collect {
 		res.DeliveredByFlow = make(map[netpkt.FlowKey]float64, len(offers))
 	}
@@ -295,19 +333,27 @@ func (p *Port) egress(offers []Offer, dtSeconds float64, visit FlowVisitor, coll
 	}
 	var shapeGroups map[string]*shapeGroup
 
-	for _, o := range offers {
-		r := cls.classifyHashed(o.Flow, o.FlowHash)
+	var run matchRun
+	for i := range offers {
+		o := &offers[i]
+		offered += o.Bytes
+		bytes := o.Bytes * scale
+		r := cls.classifyHashed(&o.Flow, o.FlowHash)
 		if r == nil {
-			forward = append(forward, fwd{o.Flow, o.FlowHash, o.Bytes})
-			forwardBytes += o.Bytes
+			forward = append(forward, fwd{o, bytes})
+			forwardBytes += bytes
 			continue
 		}
-		r.counters.MatchedPackets.Add(int64(o.Packets))
-		r.counters.MatchedBytes.Add(int64(o.Bytes))
+		if r != run.rule {
+			run.flush()
+			run.rule = r
+		}
+		run.packets += int64(o.Packets * scale)
+		run.bytes += int64(bytes)
 		switch r.Action {
 		case ActionDrop:
-			r.counters.DroppedBytes.Add(int64(o.Bytes))
-			res.RuleDroppedBytes += o.Bytes
+			run.dropped += int64(bytes)
+			res.RuleDroppedBytes += bytes
 		case ActionShape:
 			if shapeGroups == nil {
 				shapeGroups = make(map[string]*shapeGroup)
@@ -317,14 +363,15 @@ func (p *Port) egress(offers []Offer, dtSeconds float64, visit FlowVisitor, coll
 				g = &shapeGroup{rule: r}
 				shapeGroups[r.ID] = g
 			}
-			g.offers = append(g.offers, fwd{o.Flow, o.FlowHash, o.Bytes})
-			g.total += o.Bytes
+			g.offers = append(g.offers, fwd{o, bytes})
+			g.total += bytes
 		default: // explicit forward rule
-			r.counters.ForwardedBytes.Add(int64(o.Bytes))
-			forward = append(forward, fwd{o.Flow, o.FlowHash, o.Bytes})
-			forwardBytes += o.Bytes
+			run.forwarded += int64(bytes)
+			forward = append(forward, fwd{o, bytes})
+			forwardBytes += bytes
 		}
 	}
+	run.flush()
 
 	// Shaping queues: pass up to the available tokens, proportionally
 	// across the flows sharing the queue; the residue joins the forward
@@ -342,18 +389,21 @@ func (p *Port) egress(offers []Offer, dtSeconds float64, visit FlowVisitor, coll
 		if bits > 0 {
 			passFrac = passBits / bits
 		}
-		for _, o := range g.offers {
-			passed := o.bytes * passFrac
-			droppedHere := o.bytes - passed
-			g.rule.counters.ForwardedBytes.Add(int64(passed))
-			g.rule.counters.ShapedResidue.Add(int64(passed))
-			g.rule.counters.DroppedBytes.Add(int64(droppedHere))
+		var passedSum, droppedSum int64
+		for _, f := range g.offers {
+			passed := f.bytes * passFrac
+			droppedHere := f.bytes - passed
+			passedSum += int64(passed)
+			droppedSum += int64(droppedHere)
 			res.ShaperDroppedBytes += droppedHere
 			if passed > 0 {
-				forward = append(forward, fwd{o.flow, o.hash, passed})
+				forward = append(forward, fwd{f.o, passed})
 				forwardBytes += passed
 			}
 		}
+		g.rule.counters.ForwardedBytes.Add(passedSum)
+		g.rule.counters.ShapedResidue.Add(passedSum)
+		g.rule.counters.DroppedBytes.Add(droppedSum)
 	}
 
 	// Forward queue: bounded by port capacity for the tick; when
@@ -369,13 +419,16 @@ func (p *Port) egress(offers []Offer, dtSeconds float64, visit FlowVisitor, coll
 		res.DeliveredBytes += delivered
 		res.CongestionDroppedBytes += f.bytes - delivered
 		if collect {
-			res.DeliveredByFlow[f.flow] += delivered
+			res.DeliveredByFlow[f.o.Flow] += delivered
 		}
 		if visit != nil {
-			visit(f.flow, f.hash, delivered)
+			visit(f.o.Flow, f.o.FlowHash, delivered)
 		}
 	}
+	// The scratch outlives this call in the pool; it must not keep the
+	// caller's offers reachable.
+	clear(forward)
 	*scratch = forward
 	fwdPool.Put(scratch)
-	return res
+	return res, offered
 }

@@ -172,3 +172,76 @@ func TestTickStreamNilSinkKeepsMaps(t *testing.T) {
 		t.Fatal("Tick dropped DeliveredByFlow")
 	}
 }
+
+// mallocs counts the heap allocations f makes, on one P so a parked
+// worker's garbage does not count.
+func mallocs(f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
+// TestEgressStreamAllocations pins, as counts, what the flow memo costs
+// around a rule change: nothing once warm, one table — not one entry per
+// flow — after a rule that leaves every verdict alone, and one entry per
+// flow whose verdict was the rule removed.
+func TestEgressStreamAllocations(t *testing.T) {
+	const flows, ntp = 4096, 100
+	p := newVictimPort()
+	drop := MatchAll()
+	drop.Proto = netpkt.ProtoUDP
+	drop.SrcPort = 123
+	for _, r := range []*Rule{
+		{ID: "drop-ntp", Match: drop, Action: ActionDrop},
+		{ID: "drop-udp", Match: Match{Proto: netpkt.ProtoUDP, SrcPort: AnyPort, DstPort: AnyPort}, Action: ActionDrop},
+	} {
+		if err := p.InstallRule(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	offers := make([]Offer, flows)
+	for i := range offers {
+		f := tcpFlow(macPeerA, srcIPA, uint16(i))
+		if i < ntp {
+			f = udpFlow(macPeerA, srcIPA, 123)
+			f.DstPort = uint16(i)
+		}
+		offers[i] = Offer{Flow: f, FlowHash: f.Hash(), Bytes: 1000, Packets: 1}
+	}
+	pass := func() { p.EgressStream(offers, 1, nil) }
+	// The egress scratch comes from a sync.Pool, which the race detector
+	// makes drop entries at random: allow the scratch's regrowth there.
+	slack := uint64(0)
+	if raceEnabled {
+		slack = 32
+	}
+	pass()
+	if got := uint64(testing.AllocsPerRun(20, pass)); got > slack {
+		t.Errorf("warm pass: %d allocations, want 0", got)
+	}
+
+	miss := MatchAll()
+	miss.Proto = netpkt.ProtoICMP
+	if err := p.InstallRule(&Rule{ID: "drop-icmp", Match: miss, Action: ActionDrop}); err != nil {
+		t.Fatal(err)
+	}
+	// The table and its slot array.
+	if got := mallocs(pass); got > 2+slack {
+		t.Errorf("first pass after an install that matches no flow: %d allocations for %d flows, want 2", got, flows)
+	}
+
+	if err := p.RemoveRule("drop-ntp"); err != nil {
+		t.Fatal(err)
+	}
+	// The ntp flows fall through to drop-udp and need new entries; every
+	// other verdict is inherited with its entry.
+	if got := mallocs(pass); got < ntp || got > ntp+2+slack {
+		t.Errorf("first pass after removing the verdict of %d flows: %d allocations, want %d", ntp, got, ntp+2)
+	}
+	if got := p.Classify(offers[0].Flow); got == nil || got.ID != "drop-udp" {
+		t.Fatalf("ntp flow after removal: %v", got)
+	}
+}

@@ -543,7 +543,8 @@ func (x *IXP) EgressTick(r fabric.Runner, offers fabric.TickOffers, dt float64, 
 		// actually dies here, so the steady state (no RTBH hit on this
 		// port) does zero per-tick slice allocation.
 		nulled := false
-		for _, o := range os {
+		for j := range os {
+			o := &os[j]
 			rep.OfferedBytes += o.Bytes
 			if len(nulls) == 0 {
 				continue
@@ -559,11 +560,12 @@ func (x *IXP) EgressTick(r fabric.Runner, offers fabric.TickOffers, dt float64, 
 			return
 		}
 		keep := make([]fabric.Offer, 0, len(os))
-		for _, o := range os {
+		for j := range os {
+			o := &os[j]
 			if src, ok := x.byMAC[o.Flow.SrcMAC]; ok && anyContains(nulls[src.Name], o.Flow.Dst) {
 				continue
 			}
-			keep = append(keep, o)
+			keep = append(keep, *o)
 		}
 		reps[i] = rep
 		kept[i] = keep
