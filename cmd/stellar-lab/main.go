@@ -10,7 +10,8 @@
 // fig10b, fig10c, sec52, all. The conformance subcommand runs the
 // declarative scenario matrix instead of a single experiment; the
 // federation subcommand runs a synthetic multi-IXP deployment with
-// cross-IXP mitigation gossip.
+// cross-IXP mitigation gossip. Timing the system is not this command's
+// job: the repo's one benchmark is `bash benchmark/run.sh`.
 package main
 
 import (
@@ -34,12 +35,11 @@ func main() {
 
 func run(args []string) error {
 	if len(args) < 1 {
-		return fmt.Errorf("usage: stellar-lab <table1|fig2c|fig3a|fig3b|fig3c|fig9|fig10a|fig10b|fig10c|sec52|compare|combined-tss|bench|conformance|federation|all> [flags]")
+		return fmt.Errorf("usage: stellar-lab <table1|fig2c|fig3a|fig3b|fig3c|fig9|fig10a|fig10b|fig10c|sec52|compare|combined-tss|conformance|federation|all> [flags]")
 	}
 	name := args[0]
 	if name == "bench" {
-		// Route-server throughput probe with JSON output (its own flags).
-		return runBenchCommand(args[1:], os.Stdout)
+		return fmt.Errorf("the bench subcommand is gone; the repo's benchmark is `bash benchmark/run.sh --workload W` (see benchmark/README.md)")
 	}
 	if name == "conformance" {
 		// Declarative scenario matrix with JSON report (its own flags).
@@ -55,6 +55,9 @@ func run(args []string) error {
 	if err := fs.Parse(args[1:]); err != nil {
 		return err
 	}
+	if *scale != "small" && *scale != "full" {
+		return fmt.Errorf("usage: -scale must be small or full, got %q", *scale)
+	}
 	small := *scale == "small"
 
 	experimentsToRun := []string{name}
@@ -64,7 +67,7 @@ func run(args []string) error {
 	}
 	for i, exp := range experimentsToRun {
 		if i > 0 {
-			fmt.Println("\n" + string(make([]byte, 0)) + "================================================================")
+			fmt.Println("\n================================================================")
 		}
 		if err := runOne(exp, *seed, small); err != nil {
 			return fmt.Errorf("%s: %w", exp, err)

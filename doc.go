@@ -11,10 +11,10 @@
 //
 // See README.md for the build/test instructions and ARCHITECTURE.md for
 // the layer map, the discrete-time simulation model and the data flow of
-// an attack tick. The benchmarks in bench_test.go regenerate every table
-// and figure of the evaluation and measure both scaling tentpoles
-// against their retained baselines: the route server's sharded update
-// pipeline vs the single-lock design, and the fabric's compiled
-// lock-free classifier vs the linear rule scan; cmd/stellar-lab prints
-// the experiments and emits both sets of numbers as JSON.
+// an attack tick. cmd/stellar-lab regenerates every table and figure of
+// the evaluation. How fast the system is has one definition:
+// BENCHMARK.json and the nested module benchmark/ (signal-to-drop over
+// the wire, route churn, engine flows/s, and a named metric per layer).
+// The benchmarks in ablation_test.go are not timings but ablations of
+// the paper's design choices.
 package stellar

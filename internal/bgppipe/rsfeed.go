@@ -159,29 +159,3 @@ func (f *RSFeed) Run() error { return nil }
 
 // Stop implements Stage.
 func (f *RSFeed) Stop() error { return nil }
-
-// FeedRouteServer binds replayed records directly to a route server —
-// the pipeless apply function engine replay drivers schedule on the
-// control spine. Unknown peers auto-register from the record's
-// attribution; onExports (optional) receives each applied record's
-// coalesced export batches.
-func FeedRouteServer(rs *routeserver.RouteServer, onExports func([]routeserver.PeerUpdates)) func(Record) error {
-	return func(rec Record) error {
-		u, ok := rec.Msg.(*bgp.Update)
-		if !ok {
-			return nil // OPENs, keepalives, notifications carry no routes
-		}
-		err := rs.AddPeer(routeserver.PeerConfig{Name: rec.Peer, ASN: rec.PeerAS})
-		if err != nil && !errors.Is(err, routeserver.ErrDuplicatePeer) {
-			return err
-		}
-		exports, _, err := rs.HandleUpdateBatch(rec.Peer, u)
-		if err != nil {
-			return err
-		}
-		if onExports != nil {
-			onExports(exports)
-		}
-		return nil
-	}
-}

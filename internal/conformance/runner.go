@@ -730,15 +730,6 @@ func (r *runner) applyReplay(rec bgppipe.Record) error {
 	return r.x.HandleWireUpdate(rec.Peer, u)
 }
 
-// RunAll executes every embedded profile and aggregates the reports.
-func RunAll() (Report, error) {
-	profiles, err := Profiles()
-	if err != nil {
-		return Report{}, err
-	}
-	return RunProfiles(profiles)
-}
-
 // RunProfiles executes the given profiles in order.
 func RunProfiles(profiles []*Profile) (Report, error) {
 	var rep Report

@@ -6,10 +6,10 @@ import (
 )
 
 // SourcesDriver is the synthetic-attack driver: per-victim Source lists,
-// the workload shape of ixp.Scenario and the figure experiments. When
-// one Source instance feeds several victims the driver generates
-// serially (sources keep per-instance caches), otherwise victims fan
-// across the worker pool.
+// the workload shape of the figure experiments. When one Source
+// instance feeds several victims the driver generates serially (sources
+// keep per-instance caches), otherwise victims fan across the worker
+// pool.
 type SourcesDriver struct {
 	specs   []VictimSpec
 	sources [][]Source

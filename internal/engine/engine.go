@@ -1,6 +1,6 @@
 // Package engine is the simulation's stage-graph runtime: the one tick
 // loop every driver — synthetic attacks, trace replay, pulsing and
-// carpet-bombing workloads, the figure experiments, the benches —
+// carpet-bombing workloads, the figure experiments, the benchmark —
 // executes through. Each simulation layer implements the Stage
 // interface (Prepare / Run / Fold) and the engine wires five of them
 // into a pipeline:

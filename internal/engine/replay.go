@@ -29,7 +29,7 @@ type ReplayConfig struct {
 	// full. 0 leaves the schedule unclamped.
 	MaxTick int
 	// Apply consumes one record on the control spine at its scheduled
-	// tick (typically bgppipe.FeedRouteServer). Required.
+	// tick (typically a closure over ixp.IXP.HandleWireUpdate). Required.
 	Apply func(rec bgppipe.Record) error
 }
 

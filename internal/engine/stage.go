@@ -245,8 +245,8 @@ type VictimSpec struct {
 // for distinct victims (the traffic stage fans victims across the
 // worker pool) unless the driver also implements SerialGenerator.
 //
-// Shipped drivers: SourcesDriver (synthetic attack, the ixp.Scenario
-// workload), NewTraceDriver (pcap-less trace replay over
+// Shipped drivers: SourcesDriver (synthetic attack, per-victim Source
+// lists), NewTraceDriver (pcap-less trace replay over
 // traffic.Trace), NewPulseDriver (on/off pulsing attack), and
 // CarpetDriver (carpet bombing across rotating victim prefixes).
 type Driver interface {

@@ -5,20 +5,15 @@
 // (Figure 3a), protocol mixes (Section 2.3) and peer counts (Figures 3c
 // and 10c).
 //
-// Two implementations share one accessor surface:
-//
-//   - Collector is the production pipeline: per-worker Shard
-//     accumulators built on compact open-addressed counter tables and a
-//     bounded ring of in-flight time bins, merged into the long-term
-//     per-bin store when a bin rotates out or an accessor reads. The
-//     steady-state observe path performs no allocation per record and
-//     takes no lock per record (one lock per batch), so the fabric's
-//     parallel egress workers stream delivered flows straight into
-//     their own shards.
-//   - MapCollector is the retained map-per-record baseline (the
-//     pre-sharding design); a randomized equivalence test pins the two
-//     to identical accessor results, and the benchmarks measure the
-//     production pipeline against it.
+// Collector is built from per-worker Shard accumulators on compact
+// open-addressed counter tables and a bounded ring of in-flight time
+// bins, merged into the long-term per-bin store when a bin rotates out
+// or an accessor reads. The steady-state observe path performs no
+// allocation per record and takes no lock per record (one lock per
+// batch), so the fabric's parallel egress workers stream delivered
+// flows straight into their own shards. The package's tests keep the
+// map-per-record design it replaced as a reference and pin the two to
+// identical accessor results on randomized streams.
 package flowmon
 
 import (
@@ -245,9 +240,9 @@ func (st *store) series() (bins []int, bytes []float64) {
 type Collector struct {
 	// SampleEvery subsamples records (IPFIX samples 1-in-N packets in
 	// production); 1 observes everything. Each shard keeps its own
-	// 1-in-N counter, so with a single observation stream the sampled
-	// subsequence matches MapCollector exactly. Set it before the first
-	// observation; it must not be changed while observers run.
+	// 1-in-N counter, so a single observation stream keeps exactly every
+	// Nth record. Set it before the first observation; it must not be
+	// changed while observers run.
 	SampleEvery int
 
 	shards []*Shard
@@ -292,8 +287,8 @@ func (c *Collector) Shard(i int) *Shard {
 	return c.shards[i%len(c.shards)]
 }
 
-// Observe adds one record. Serial callers get MapCollector-identical
-// sampling semantics (all records flow through shard 0's counter).
+// Observe adds one record. Serial callers get exact 1-in-SampleEvery
+// sampling (all records flow through shard 0's counter).
 func (c *Collector) Observe(r Record) { c.shards[0].Observe(r) }
 
 // ObserveBatch adds a batch of records on one shard (chosen round-robin

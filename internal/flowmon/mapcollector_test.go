@@ -2,12 +2,10 @@ package flowmon
 
 import "stellar/internal/netpkt"
 
-// MapCollector is the retained baseline implementation: four map
-// operations per record into the per-bin store, no sharding, not safe
-// for concurrent use. It is kept (rather than deleted) so the
-// randomized equivalence test can pin the sharded Collector to its
-// exact accessor semantics and so the benchmarks measure the pipeline
-// against the design it replaced.
+// MapCollector is the reference implementation the equivalence tests
+// pin Collector to: four map operations per record into the per-bin
+// store, no sharding, not safe for concurrent use — the design the
+// sharded pipeline replaced.
 type MapCollector struct {
 	st store
 	// SampleEvery subsamples records (IPFIX samples 1-in-N packets in
@@ -16,7 +14,7 @@ type MapCollector struct {
 	counter     int
 }
 
-// NewMapCollector returns an empty baseline collector observing every
+// NewMapCollector returns an empty reference collector observing every
 // record.
 func NewMapCollector() *MapCollector {
 	return &MapCollector{st: newStore(), SampleEvery: 1}

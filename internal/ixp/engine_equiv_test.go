@@ -7,6 +7,7 @@ import (
 
 	"stellar/internal/bgp"
 	"stellar/internal/core"
+	"stellar/internal/engine"
 	"stellar/internal/fabric"
 	"stellar/internal/flowmon"
 	"stellar/internal/netpkt"
@@ -14,26 +15,22 @@ import (
 	"stellar/internal/traffic"
 )
 
-// serialRunAll is the legacy serial tick loop — the pre-engine
-// Scenario.RunAll, preserved verbatim as the determinism oracle: per
-// tick, events fire, every victim's offers generate, then a
-// synchronous ControlTick + EgressTick pair advances the clock,
-// processes the control plane and egresses, with every stage finishing
-// before the next tick starts. The pipelined engine must reproduce its
-// output byte for byte.
-func serialRunAll(x *IXP, ticks int, dt float64, victims []Victim, globalEvents []Event) ([]VictimSeries, error) {
+// serialRunAll is the legacy serial tick loop, preserved as the
+// determinism oracle: per tick, events fire, every victim's offers
+// generate, then a synchronous ControlTick + EgressTick pair advances
+// the clock, processes the control plane and egresses, with every stage
+// finishing before the next tick starts. The pipelined engine must
+// reproduce its output byte for byte. It takes the engine's own input
+// shapes (sources[i] feeds specs[i]; same-tick events apply in list
+// order).
+func serialRunAll(x *IXP, ticks int, dt float64, specs []engine.VictimSpec, sources [][]Source, evs []engine.Event) ([]VictimSeries, error) {
 	type timedEvent struct {
-		Event
+		engine.Event
 		seq int
 	}
 	var events []timedEvent
-	for _, e := range globalEvents {
+	for _, e := range evs {
 		events = append(events, timedEvent{Event: e, seq: len(events)})
-	}
-	for i := range victims {
-		for _, e := range victims[i].Events {
-			events = append(events, timedEvent{Event: e, seq: len(events)})
-		}
 	}
 	for i := 1; i < len(events); i++ {
 		for j := i; j > 0 && (events[j-1].Tick > events[j].Tick ||
@@ -42,6 +39,7 @@ func serialRunAll(x *IXP, ticks int, dt float64, victims []Victim, globalEvents 
 		}
 	}
 
+	victims := append([]engine.VictimSpec(nil), specs...)
 	series := make([]VictimSeries, len(victims))
 	for i := range victims {
 		if victims[i].Monitor == nil {
@@ -86,14 +84,14 @@ func serialRunAll(x *IXP, ticks int, dt float64, victims []Victim, globalEvents 
 	for tick := 0; tick < ticks; tick++ {
 		*curTick = tick
 		for ei < len(events) && events[ei].Tick == tick {
-			if err := events[ei].Do(x); err != nil {
+			if err := events[ei].Do(); err != nil {
 				return series, fmt.Errorf("ixp: event %q at tick %d: %w", events[ei].Name, tick, err)
 			}
 			ei++
 		}
 		for i := range victims {
 			buf := bufs[i][:0]
-			for _, src := range victims[i].Sources {
+			for _, src := range sources[i] {
 				if ap, ok := src.(OfferAppender); ok {
 					buf = ap.AppendOffers(buf, tick, dt)
 				} else {
@@ -126,17 +124,18 @@ func serialRunAll(x *IXP, ticks int, dt float64, victims []Victim, globalEvents 
 	return series, nil
 }
 
-// TestEngineMatchesSerialLoop pins the pipelined engine (the live
-// Scenario.RunAll) to the legacy serial loop, byte for byte: every
+// TestEngineMatchesSerialLoop pins the pipelined engine to the legacy
+// serial loop, byte for byte: every
 // sample field — delivered, nulled, rule-dropped, shaper-dropped,
 // congestion-dropped rates and the active-peer count — and the
 // monitors' full per-bin series must be identical. Run with -race this
 // also exercises the overlap of tick N's fold with tick N+1's egress.
 func TestEngineMatchesSerialLoop(t *testing.T) {
 	const nVictims, ticks = 3, 60
-	build := func() (*IXP, []Victim) {
+	build := func() (*IXP, []engine.VictimSpec, [][]Source, []engine.Event) {
 		x, members := buildTestIXP(t, 24, 1.0, true)
-		victims := make([]Victim, nVictims)
+		specs := make([]engine.VictimSpec, nVictims)
+		sources := make([][]Source, nVictims)
 		for v := 0; v < nVictims; v++ {
 			rng := stats.NewRand(uint64(200 + v))
 			target := victimAddr(members[v])
@@ -144,39 +143,40 @@ func TestEngineMatchesSerialLoop(t *testing.T) {
 			attack := traffic.NewAttack(traffic.VectorNTP, target, peers,
 				float64(v+1)*5e8, 2, ticks-5, rng)
 			web := traffic.NewWebService(target, peers[:5], 1e8, rng)
-			victims[v] = Victim{Port: members[v].Name, Sources: []Source{attack, web}}
+			specs[v] = engine.VictimSpec{Port: members[v].Name}
+			sources[v] = []Source{attack, web}
 		}
 		// Victim 0: classic RTBH on the /32 at tick 20.
 		host0 := netip.PrefixFrom(victimAddr(members[0]), 32)
 		name0 := members[0].Name
-		victims[0].Events = []Event{
-			{Tick: 5, Name: "announce covering prefix", Do: func(ix *IXP) error {
-				return ix.Announce(name0, members[0].Prefixes[0], nil, nil)
+		events := []engine.Event{
+			{Tick: 5, Name: "announce covering prefix", Do: func() error {
+				return x.Announce(name0, members[0].Prefixes[0], nil, nil)
 			}},
-			{Tick: 20, Name: "RTBH /32", Do: func(ix *IXP) error {
-				return ix.Announce(name0, host0, []bgp.Community{bgp.CommunityBlackhole}, nil)
+			{Tick: 20, Name: "RTBH /32", Do: func() error {
+				return x.Announce(name0, host0, []bgp.Community{bgp.CommunityBlackhole}, nil)
 			}},
 		}
 		// Victim 1: Stellar shape then escalate to drop — exercises the
 		// mitigation queue, whose pacing depends on the control clock.
 		host1 := netip.PrefixFrom(victimAddr(members[1]), 32)
 		name1 := members[1].Name
-		victims[1].Events = []Event{
-			{Tick: 8, Name: "announce covering prefix", Do: func(ix *IXP) error {
-				return ix.Announce(name1, members[1].Prefixes[0], nil, nil)
+		events = append(events,
+			engine.Event{Tick: 8, Name: "announce covering prefix", Do: func() error {
+				return x.Announce(name1, members[1].Prefixes[0], nil, nil)
 			}},
-			{Tick: 25, Name: "shape NTP", Do: func(ix *IXP) error {
-				return ix.Announce(name1, host1, nil, []core.RuleSpec{core.ShapeUDPSrcPort(123, 1e8)})
+			engine.Event{Tick: 25, Name: "shape NTP", Do: func() error {
+				return x.Announce(name1, host1, nil, []core.RuleSpec{core.ShapeUDPSrcPort(123, 1e8)})
 			}},
-			{Tick: 40, Name: "drop UDP", Do: func(ix *IXP) error {
-				return ix.Announce(name1, host1, nil, []core.RuleSpec{core.DropProto(netpkt.ProtoUDP)})
+			engine.Event{Tick: 40, Name: "drop UDP", Do: func() error {
+				return x.Announce(name1, host1, nil, []core.RuleSpec{core.DropProto(netpkt.ProtoUDP)})
 			}},
-		}
-		return x, victims
+		)
+		return x, specs, sources, events
 	}
 
-	xs, victimsS := build()
-	serialSeries, err := serialRunAll(xs, ticks, 1, victimsS, nil)
+	xs, specsS, sourcesS, eventsS := build()
+	serialSeries, err := serialRunAll(xs, ticks, 1, specsS, sourcesS, eventsS)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,8 +188,10 @@ func TestEngineMatchesSerialLoop(t *testing.T) {
 	for _, depth := range []int{1, 2, 4, 8} {
 		depth := depth
 		t.Run(fmt.Sprintf("depth=%d", depth), func(t *testing.T) {
-			xe, victimsE := build()
-			engineSeries, err := (&Scenario{IXP: xe, Ticks: ticks, Dt: 1, Victims: victimsE, Depth: depth, Workers: 4}).RunAll()
+			xe, specsE, sourcesE, eventsE := build()
+			cfg := engineConfig(xe, ticks, specsE, sourcesE, eventsE...)
+			cfg.Depth, cfg.Workers = depth, 4
+			engineSeries, err := engine.New(cfg).Run()
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -471,9 +471,9 @@ type TickReport = engine.PortReport
 // ControlTick (clock advance + control-plane processing) followed by
 // one EgressTick (null-route filter + fabric egress), with every stage
 // finishing before the call returns. Pipelined multi-tick runs go
-// through engine.New / Scenario.RunAll instead, which overlap tick N's
-// monitoring with tick N+1's egress on a shared worker pool; both paths
-// produce identical per-port reports.
+// through engine.New with the IXP as Control and DataPlane, which
+// overlaps tick N's monitoring with tick N+1's egress on a shared
+// worker pool; both paths produce identical per-port reports.
 func (x *IXP) Tick(offers fabric.TickOffers, dt float64) (map[string]TickReport, error) {
 	x.ControlTick(0, dt)
 	return x.EgressTick(nil, offers, dt, nil)
@@ -606,25 +606,4 @@ func anyContains(prefixes []netip.Prefix, dst netip.Addr) bool {
 		}
 	}
 	return false
-}
-
-// ActivePeers counts the distinct source members whose delivered bytes
-// at the port exceeded minBytes in the given tick result. It needs the
-// materialized DeliveredByFlow map, so it only works on Tick results
-// (EgressTick with a sink leaves the map nil; use the flow monitor's
-// PeerCount, as Scenario.Run does).
-func (x *IXP) ActivePeers(res fabric.TickResult, minBytes float64) int {
-	perMember := make(map[string]float64)
-	for flow, bytes := range res.DeliveredByFlow {
-		if m, ok := x.byMAC[flow.SrcMAC]; ok {
-			perMember[m.Name] += bytes
-		}
-	}
-	n := 0
-	for _, b := range perMember {
-		if b > minBytes {
-			n++
-		}
-	}
-	return n
 }

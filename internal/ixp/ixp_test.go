@@ -1,6 +1,7 @@
 package ixp
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"net/netip"
@@ -9,6 +10,7 @@ import (
 
 	"stellar/internal/bgp"
 	"stellar/internal/core"
+	"stellar/internal/engine"
 	"stellar/internal/fabric"
 	"stellar/internal/member"
 	"stellar/internal/mitctl"
@@ -45,6 +47,20 @@ func buildTestIXP(t *testing.T, n int, honorFrac float64, stellarOn bool) (*IXP,
 
 func victimAddr(m *member.Member) netip.Addr {
 	return m.Prefixes[0].Addr().Next() // .1 in the member's /24
+}
+
+// engineConfig wires a pipelined run on x the way every engine-on-IXP
+// caller does: the IXP is both planes and its member filter restricts
+// the active-peer count. sources[i] feeds specs[i].
+func engineConfig(x *IXP, ticks int, specs []engine.VictimSpec, sources [][]Source, events ...engine.Event) engine.Config {
+	return engine.Config{
+		Driver:       engine.NewSourcesDriver(specs, sources),
+		Control:      x,
+		DataPlane:    x,
+		MemberFilter: x.MemberFilter(),
+		Events:       events,
+		Ticks:        ticks,
+	}
 }
 
 func TestBuildWiring(t *testing.T) {
@@ -219,21 +235,15 @@ func TestScenarioRunsEvents(t *testing.T) {
 	peers := PeersOf(members[1:])
 	attack := traffic.NewAttack(traffic.VectorNTP, target, peers, 1e9, 5, 100, rng)
 
-	sc := &Scenario{
-		IXP:     x,
-		Ticks:   30,
-		Dt:      1,
-		Victims: []Victim{{Port: victim.Name, Sources: []Source{attack}}},
-		Events: []Event{
-			{Tick: 15, Name: "drop ntp", Do: func(ix *IXP) error {
-				return ix.Announce(victim.Name, host, nil, []core.RuleSpec{core.DropUDPSrcPort(123)})
-			}},
-		},
-	}
-	samples, err := sc.Run()
+	series, err := engine.New(engineConfig(x, 30,
+		[]engine.VictimSpec{{Port: victim.Name}}, [][]Source{{attack}},
+		engine.Event{Tick: 15, Name: "drop ntp", Do: func() error {
+			return x.Announce(victim.Name, host, nil, []core.RuleSpec{core.DropUDPSrcPort(123)})
+		}})).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
+	samples := series[0].Samples
 	if len(samples) != 30 {
 		t.Fatalf("samples: %d", len(samples))
 	}
@@ -254,23 +264,26 @@ func TestScenarioRunsEvents(t *testing.T) {
 	}
 }
 
+// TestScenarioUnknownVictim: a victim port the fabric does not have
+// fails the run at its first egress instead of yielding an empty series.
 func TestScenarioUnknownVictim(t *testing.T) {
 	x, _ := buildTestIXP(t, 3, 0, false)
-	sc := &Scenario{IXP: x, Victims: []Victim{{Port: "ghost"}}, Ticks: 1}
-	if _, err := sc.Run(); err == nil {
-		t.Fatal("unknown victim accepted")
+	series, err := engine.New(engineConfig(x, 3, []engine.VictimSpec{{Port: "ghost"}}, nil)).Run()
+	if !errors.Is(err, fabric.ErrNoSuchPort) {
+		t.Fatalf("unknown victim port: err %v, want fabric.ErrNoSuchPort", err)
+	}
+	if len(series[0].Samples) != 0 {
+		t.Fatalf("unknown victim port produced %d samples", len(series[0].Samples))
 	}
 }
 
 func TestScenarioEventError(t *testing.T) {
 	x, members := buildTestIXP(t, 3, 0, false)
-	sc := &Scenario{
-		IXP: x, Victims: []Victim{{Port: members[0].Name}}, Ticks: 5,
-		Events: []Event{{Tick: 1, Name: "bad", Do: func(ix *IXP) error {
-			return ix.Announce("ghost", members[0].Prefixes[0], nil, nil)
-		}}},
-	}
-	if _, err := sc.Run(); err == nil {
+	_, err := engine.New(engineConfig(x, 5, []engine.VictimSpec{{Port: members[0].Name}}, nil,
+		engine.Event{Tick: 1, Name: "bad", Do: func() error {
+			return x.Announce("ghost", members[0].Prefixes[0], nil, nil)
+		}})).Run()
+	if err == nil {
 		t.Fatal("event error swallowed")
 	}
 }
@@ -562,8 +575,7 @@ func TestScenarioMonitorRecordsFlows(t *testing.T) {
 	rng := stats.NewRand(4)
 	attack := traffic.NewAttack(traffic.VectorNTP, target, PeersOf(members[1:]), 5e8, 0, 20, rng)
 	attack.RampTicks = 0
-	sc := &Scenario{IXP: x, Ticks: 10, Victims: []Victim{{Port: victim.Name, Sources: []Source{attack}}}}
-	series, err := sc.RunAll()
+	series, err := engine.New(engineConfig(x, 10, []engine.VictimSpec{{Port: victim.Name}}, [][]Source{{attack}})).Run()
 	if err != nil {
 		t.Fatal(err)
 	}

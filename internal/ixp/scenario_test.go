@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"stellar/internal/bgp"
+	"stellar/internal/engine"
 	"stellar/internal/fabric"
 	"stellar/internal/netpkt"
 	"stellar/internal/stats"
@@ -18,9 +19,10 @@ import (
 // identical either way.
 func TestScenarioMultiVictimMatchesSingleRuns(t *testing.T) {
 	const nVictims = 3
-	build := func() (*IXP, []Victim) {
+	build := func() (*IXP, []engine.VictimSpec, [][]Source) {
 		x, members := buildTestIXP(t, 24, 0.0, false)
-		victims := make([]Victim, nVictims)
+		specs := make([]engine.VictimSpec, nVictims)
+		sources := make([][]Source, nVictims)
 		for v := 0; v < nVictims; v++ {
 			rng := stats.NewRand(uint64(100 + v))
 			target := victimAddr(members[v])
@@ -28,14 +30,14 @@ func TestScenarioMultiVictimMatchesSingleRuns(t *testing.T) {
 			attack := traffic.NewAttack(traffic.VectorNTP, target, peers,
 				float64(v+1)*4e8, 2+v, 25, rng)
 			web := traffic.NewWebService(target, peers[:4], 1e8, rng)
-			victims[v] = Victim{Port: members[v].Name, Sources: []Source{attack, web}}
+			specs[v] = engine.VictimSpec{Port: members[v].Name}
+			sources[v] = []Source{attack, web}
 		}
-		return x, victims
+		return x, specs, sources
 	}
 
-	x, victims := build()
-	multi := &Scenario{IXP: x, Ticks: 30, Dt: 1, Victims: victims}
-	multiSeries, err := multi.RunAll()
+	x, specs, sources := build()
+	multiSeries, err := engine.New(engineConfig(x, 30, specs, sources)).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,9 +46,8 @@ func TestScenarioMultiVictimMatchesSingleRuns(t *testing.T) {
 	}
 
 	for v := 0; v < nVictims; v++ {
-		x2, victims2 := build()
-		single := &Scenario{IXP: x2, Ticks: 30, Dt: 1, Victims: victims2[v : v+1]}
-		singleSeries, err := single.RunAll()
+		x2, specs2, sources2 := build()
+		singleSeries, err := engine.New(engineConfig(x2, 30, specs2[v:v+1], sources2[v:v+1])).Run()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -69,60 +70,47 @@ func TestScenarioMultiVictimMatchesSingleRuns(t *testing.T) {
 	}
 }
 
-// TestScenarioEventOrderDeterministic pins the satellite fix: events of
-// the same tick apply in insertion order — scenario-level events first,
-// then per-victim events in victim order — even when the tick values
-// are added out of order and duplicated across lists.
+// TestScenarioEventOrderDeterministic: events of the same tick apply in
+// insertion order — the configured list first, then the driver's own —
+// even when the tick values are added out of order and duplicated
+// across the two lists.
 func TestScenarioEventOrderDeterministic(t *testing.T) {
 	x, members := buildTestIXP(t, 4, 0.0, false)
 	var order []string
-	mark := func(name string) Event {
-		return Event{Tick: 2, Name: name, Do: func(*IXP) error {
+	ev := func(tick int, name string) engine.Event {
+		return engine.Event{Tick: tick, Name: name, Do: func() error {
 			order = append(order, name)
 			return nil
 		}}
 	}
-	early := Event{Tick: 1, Name: "early", Do: func(*IXP) error {
-		order = append(order, "early")
-		return nil
-	}}
-	sc := &Scenario{
-		IXP: x, Ticks: 4, Dt: 1,
-		Events: []Event{mark("global-b"), early, mark("global-a")},
-		Victims: []Victim{
-			{Port: members[0].Name, Events: []Event{mark("v0-b"), mark("v0-a")}},
-			{Port: members[1].Name, Events: []Event{mark("v1")}},
-		},
-	}
-	if _, err := sc.RunAll(); err != nil {
+	cfg := engineConfig(x, 4,
+		[]engine.VictimSpec{{Port: members[0].Name}, {Port: members[1].Name}}, nil,
+		ev(2, "config-b"), ev(1, "early"), ev(2, "config-a"))
+	cfg.Driver.(*engine.SourcesDriver).AddEvents(ev(2, "driver-b"), ev(2, "driver-a"), ev(1, "driver-early"))
+	if _, err := engine.New(cfg).Run(); err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"early", "global-b", "global-a", "v0-b", "v0-a", "v1"}
+	want := []string{"early", "driver-early", "config-b", "config-a", "driver-b", "driver-a"}
 	if fmt.Sprint(order) != fmt.Sprint(want) {
 		t.Fatalf("event order: %v, want %v", order, want)
 	}
 }
 
-// TestScenarioSingleVictimEventDuplicateTicks covers per-victim events
-// of a single victim: duplicated same-tick events added out of order
-// still apply in insertion order.
+// TestScenarioSingleVictimEventDuplicateTicks covers one event list:
+// duplicated same-tick events added out of order still apply in
+// insertion order.
 func TestScenarioSingleVictimEventDuplicateTicks(t *testing.T) {
 	x, members := buildTestIXP(t, 3, 0.0, false)
 	var order []string
-	ev := func(tick int, name string) Event {
-		return Event{Tick: tick, Name: name, Do: func(*IXP) error {
+	ev := func(tick int, name string) engine.Event {
+		return engine.Event{Tick: tick, Name: name, Do: func() error {
 			order = append(order, name)
 			return nil
 		}}
 	}
-	sc := &Scenario{
-		IXP: x, Ticks: 6, Dt: 1,
-		Victims: []Victim{{
-			Port:   members[0].Name,
-			Events: []Event{ev(5, "b"), ev(3, "x"), ev(5, "a"), ev(3, "y")},
-		}},
-	}
-	if _, err := sc.Run(); err != nil {
+	cfg := engineConfig(x, 6, []engine.VictimSpec{{Port: members[0].Name}}, nil,
+		ev(5, "b"), ev(3, "x"), ev(5, "a"), ev(3, "y"))
+	if _, err := engine.New(cfg).Run(); err != nil {
 		t.Fatal(err)
 	}
 	want := []string{"x", "y", "b", "a"}
@@ -136,36 +124,32 @@ func TestScenarioSingleVictimEventDuplicateTicks(t *testing.T) {
 // before the failing event.
 func TestScenarioPartialSamplesOnEventError(t *testing.T) {
 	x, members := buildTestIXP(t, 4, 0.0, false)
-	sc := &Scenario{
-		IXP: x, Victims: []Victim{{Port: members[0].Name}}, Ticks: 10, Dt: 1,
-		Events: []Event{{Tick: 4, Name: "boom", Do: func(ix *IXP) error {
-			return ix.Announce("ghost", members[0].Prefixes[0], nil, nil)
-		}}},
-	}
-	samples, err := sc.Run()
+	series, err := engine.New(engineConfig(x, 10, []engine.VictimSpec{{Port: members[0].Name}}, nil,
+		engine.Event{Tick: 4, Name: "boom", Do: func() error {
+			return x.Announce("ghost", members[0].Prefixes[0], nil, nil)
+		}})).Run()
 	if err == nil {
 		t.Fatal("event error swallowed")
 	}
-	if len(samples) != 4 {
-		t.Fatalf("partial samples: %d, want 4 (ticks before the failing event)", len(samples))
+	if n := len(series[0].Samples); n != 4 {
+		t.Fatalf("partial samples: %d, want 4 (ticks before the failing event)", n)
 	}
 }
 
-// TestScenarioValidation covers the victim-list error paths.
+// TestScenarioValidation covers the victim-list error paths of a run on
+// an IXP: the engine rejects an empty or duplicated victim list before
+// the first tick, and the fabric rejects a port it does not have at the
+// first egress.
 func TestScenarioValidation(t *testing.T) {
 	x, members := buildTestIXP(t, 3, 0.0, false)
-	if _, err := (&Scenario{IXP: x, Ticks: 1}).RunAll(); err == nil {
-		t.Fatal("no-victim scenario accepted")
-	}
-	dup := &Scenario{IXP: x, Ticks: 1, Victims: []Victim{
-		{Port: members[0].Name}, {Port: members[0].Name},
-	}}
-	if _, err := dup.RunAll(); err == nil {
-		t.Fatal("duplicate victim port accepted")
-	}
-	ghost := &Scenario{IXP: x, Ticks: 1, Victims: []Victim{{Port: "ghost"}}}
-	if _, err := ghost.RunAll(); err == nil {
-		t.Fatal("unknown victim port accepted")
+	for name, specs := range map[string][]engine.VictimSpec{
+		"no victims":            nil,
+		"duplicate victim port": {{Port: members[0].Name}, {Port: members[0].Name}},
+		"unknown victim port":   {{Port: members[0].Name}, {Port: "ghost"}},
+	} {
+		if _, err := engine.New(engineConfig(x, 1, specs, nil)).Run(); err == nil {
+			t.Fatalf("%s accepted", name)
+		}
 	}
 }
 
@@ -187,19 +171,12 @@ func TestScenarioMultiVictimMitigation(t *testing.T) {
 		t.Fatal(err)
 	}
 	host := netip.PrefixFrom(targetA, 32)
-	sc := &Scenario{
-		IXP: x, Ticks: 20, Dt: 1,
-		Victims: []Victim{
-			{Port: va.Name, Sources: []Source{attackA}, Events: []Event{{
-				Tick: 10, Name: "blackhole A",
-				Do: func(ix *IXP) error {
-					return ix.Announce(va.Name, host, []bgp.Community{bgp.CommunityBlackhole}, nil)
-				},
-			}}},
-			{Port: vb.Name, Sources: []Source{attackB}},
-		},
-	}
-	series, err := sc.RunAll()
+	series, err := engine.New(engineConfig(x, 20,
+		[]engine.VictimSpec{{Port: va.Name}, {Port: vb.Name}},
+		[][]Source{{attackA}, {attackB}},
+		engine.Event{Tick: 10, Name: "blackhole A", Do: func() error {
+			return x.Announce(va.Name, host, []bgp.Community{bgp.CommunityBlackhole}, nil)
+		}})).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,14 +221,9 @@ func TestScenarioActivePeersCountsOnlyMembers(t *testing.T) {
 	x, members := buildTestIXP(t, 4, 0.0, false)
 	victim := members[0]
 	src := PeersOf(members[1:2])[0]
-	sc := &Scenario{
-		IXP: x, Ticks: 3, Dt: 1,
-		Victims: []Victim{{
-			Port:    victim.Name,
-			Sources: []Source{nonMemberSource{member: src, target: victimAddr(victim)}},
-		}},
-	}
-	series, err := sc.RunAll()
+	series, err := engine.New(engineConfig(x, 3,
+		[]engine.VictimSpec{{Port: victim.Name}},
+		[][]Source{{nonMemberSource{member: src, target: victimAddr(victim)}}})).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
