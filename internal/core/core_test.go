@@ -11,7 +11,6 @@ import (
 	"stellar/internal/fabric"
 	"stellar/internal/hw"
 	"stellar/internal/netpkt"
-	"stellar/internal/routeserver"
 )
 
 var (
@@ -250,257 +249,40 @@ func TestChangeQueueFIFO(t *testing.T) {
 	}
 }
 
-// testHarness wires a fabric + router + manager + Stellar for controller
-// tests.
-type testHarness struct {
-	fab    *fabric.Fabric
-	router *hw.EdgeRouter
-	mgr    *QoSManager
-	st     *Stellar
-}
-
-func newHarness(t *testing.T, queue *ChangeQueue) *testHarness {
+// newQoSManager wires a QoS manager over a one-port fabric and a
+// four-port router.
+func newQoSManager(t *testing.T) *QoSManager {
 	t.Helper()
 	fab := fabric.New()
 	if err := fab.AddPort(fabric.NewPort("AS64512", victimMAC, 1e9)); err != nil {
 		t.Fatal(err)
 	}
 	router := hw.NewEdgeRouter(hw.DefaultEdgeRouterLimits(4, hw.RTBHUnitN))
-	mgr := NewQoSManager(fab, router, map[string]int{"AS64512": 0})
-	st := New(Config{Manager: mgr, Queue: queue})
-	return &testHarness{fab: fab, router: router, mgr: mgr, st: st}
-}
-
-func advEvent(peer string, prefix netip.Prefix, pathID uint32, specs ...RuleSpec) routeserver.ControllerEvent {
-	attrs := bgp.PathAttrs{
-		Origin:  bgp.OriginIGP,
-		ASPath:  []bgp.ASPathSegment{{Type: bgp.ASSequence, ASNs: []uint32{64512}}},
-		NextHop: netip.MustParseAddr("80.81.192.10"),
-	}
-	for _, s := range specs {
-		ec, err := s.Encode()
-		if err != nil {
-			panic(err)
-		}
-		attrs.ExtCommunities = append(attrs.ExtCommunities, ec)
-	}
-	return routeserver.ControllerEvent{
-		Peer: peer, PeerAS: 64512, PathID: pathID,
-		Announced: []netip.Prefix{prefix},
-		Attrs:     attrs,
-	}
-}
-
-func TestStellarInstallsRuleFromSignal(t *testing.T) {
-	h := newHarness(t, NewChangeQueue(1000, 1000))
-	h.st.HandleEvent(advEvent("AS64512", victimPrefix, 1, DropUDPSrcPort(123)), 0)
-	if h.st.PendingChanges() != 1 {
-		t.Fatalf("pending: %d", h.st.PendingChanges())
-	}
-	if n := h.st.Process(0.1); n != 1 {
-		t.Fatalf("applied: %d (%+v)", n, h.st.Errors())
-	}
-	port, _ := h.fab.PortByName("AS64512")
-	if port.RuleCount() != 1 {
-		t.Fatalf("rules on port: %d", port.RuleCount())
-	}
-	// The installed rule classifies NTP-to-victim as drop.
-	flow := netpkt.FlowKey{Src: netip.MustParseAddr("198.51.100.1"), Dst: victimPrefix.Addr(),
-		Proto: netpkt.ProtoUDP, SrcPort: 123, DstPort: 443}
-	r := port.Classify(flow)
-	if r == nil || r.Action != fabric.ActionDrop {
-		t.Fatalf("classify: %+v", r)
-	}
-	// Benign web traffic is not matched.
-	web := netpkt.FlowKey{Src: netip.MustParseAddr("198.51.100.1"), Dst: victimPrefix.Addr(),
-		Proto: netpkt.ProtoTCP, SrcPort: 50000, DstPort: 443}
-	if port.Classify(web) != nil {
-		t.Fatal("benign traffic matched")
-	}
-	// TCAM accounted.
-	mac, l34 := h.router.Totals()
-	if mac != 0 || l34 != 3 { // proto + dst /32 + src port
-		t.Fatalf("tcam: mac=%d l34=%d", mac, l34)
-	}
-}
-
-func TestStellarWithdrawRemovesRule(t *testing.T) {
-	h := newHarness(t, NewChangeQueue(1000, 1000))
-	h.st.HandleEvent(advEvent("AS64512", victimPrefix, 1, DropUDPSrcPort(123)), 0)
-	h.st.Process(0)
-	h.st.HandleEvent(routeserver.ControllerEvent{
-		Peer: "AS64512", PeerAS: 64512, PathID: 1,
-		Withdrawn: []netip.Prefix{victimPrefix},
-	}, 1)
-	h.st.Process(1)
-	port, _ := h.fab.PortByName("AS64512")
-	if port.RuleCount() != 0 {
-		t.Fatalf("rules after withdraw: %d", port.RuleCount())
-	}
-	mac, l34 := h.router.Totals()
-	if mac != 0 || l34 != 0 {
-		t.Fatalf("tcam leak: mac=%d l34=%d", mac, l34)
-	}
-	if h.st.RIBLen() != 0 {
-		t.Fatal("rib not empty")
-	}
-}
-
-func TestStellarEscalationShapeToDrop(t *testing.T) {
-	// The Section 5.3 sequence: shape at 200 Mbps, later escalate to a
-	// drop of all UDP. The re-announcement changes the desired set.
-	h := newHarness(t, NewChangeQueue(1000, 1000))
-	h.st.HandleEvent(advEvent("AS64512", victimPrefix, 1, ShapeUDPSrcPort(123, 200e6)), 0)
-	h.st.Process(0)
-	port, _ := h.fab.PortByName("AS64512")
-	rules := port.Rules()
-	if len(rules) != 1 || rules[0].Action != fabric.ActionShape {
-		t.Fatalf("after shape: %+v", rules)
-	}
-	// Re-announce with drop-UDP instead.
-	h.st.HandleEvent(advEvent("AS64512", victimPrefix, 1, DropProto(netpkt.ProtoUDP)), 200)
-	h.st.Process(200)
-	rules = port.Rules()
-	if len(rules) != 1 || rules[0].Action != fabric.ActionDrop {
-		t.Fatalf("after escalation: %+v", rules)
-	}
-	if rules[0].Match.SrcPort != fabric.AnyPort {
-		t.Fatal("escalated rule should match all UDP")
-	}
-}
-
-func TestStellarMultipleSignalsOneRoute(t *testing.T) {
-	h := newHarness(t, NewChangeQueue(1000, 1000))
-	h.st.HandleEvent(advEvent("AS64512", victimPrefix, 1,
-		DropUDPSrcPort(123), DropUDPSrcPort(53), ShapeUDPSrcPort(11211, 50e6)), 0)
-	h.st.Process(0)
-	port, _ := h.fab.PortByName("AS64512")
-	if port.RuleCount() != 3 {
-		t.Fatalf("rules: %d, want 3", port.RuleCount())
-	}
-}
-
-func TestStellarIdempotentReannounce(t *testing.T) {
-	h := newHarness(t, NewChangeQueue(1000, 1000))
-	ev := advEvent("AS64512", victimPrefix, 1, DropUDPSrcPort(123))
-	h.st.HandleEvent(ev, 0)
-	h.st.Process(0)
-	applied := h.st.AppliedChanges()
-	// Same announcement again: no new config changes.
-	h.st.HandleEvent(ev, 1)
-	h.st.Process(1)
-	if h.st.AppliedChanges() != applied {
-		t.Fatalf("re-announce churned config: %d -> %d", applied, h.st.AppliedChanges())
-	}
-	port, _ := h.fab.PortByName("AS64512")
-	if port.RuleCount() != 1 {
-		t.Fatalf("rules: %d", port.RuleCount())
-	}
-}
-
-func TestStellarCustomPortalRule(t *testing.T) {
-	h := newHarness(t, NewChangeQueue(1000, 1000))
-	tmpl := fabric.MatchAll()
-	tmpl.Proto = netpkt.ProtoUDP
-	tmpl.SrcPort = 389 // LDAP
-	id := h.st.Portal().Define("AS64512", tmpl, fabric.ActionDrop, 0)
-
-	h.st.HandleEvent(advEvent("AS64512", victimPrefix, 1, Custom(id)), 0)
-	h.st.Process(0)
-	port, _ := h.fab.PortByName("AS64512")
-	rules := port.Rules()
-	if len(rules) != 1 {
-		t.Fatalf("rules: %d (%+v)", len(rules), h.st.Errors())
-	}
-	if rules[0].Match.SrcPort != 389 || rules[0].Match.DstIP != victimPrefix {
-		t.Fatalf("custom rule match: %+v", rules[0].Match)
-	}
-}
-
-func TestStellarCustomRuleUnknownID(t *testing.T) {
-	h := newHarness(t, NewChangeQueue(1000, 1000))
-	h.st.HandleEvent(advEvent("AS64512", victimPrefix, 1, Custom(9999)), 0)
-	h.st.Process(0)
-	if len(h.st.Errors()) != 1 || !errors.Is(h.st.Errors()[0].Err, ErrNoSuchRule) {
-		t.Fatalf("errors: %+v", h.st.Errors())
-	}
-	port, _ := h.fab.PortByName("AS64512")
-	if port.RuleCount() != 0 {
-		t.Fatal("rule installed despite unknown ID")
-	}
-}
-
-func TestStellarAdmissionControl(t *testing.T) {
-	// A router with almost no TCAM: the second rule must be rejected
-	// with a hardware error, and the data plane stays consistent.
-	fab := fabric.New()
-	if err := fab.AddPort(fabric.NewPort("AS64512", victimMAC, 1e9)); err != nil {
-		t.Fatal(err)
-	}
-	router := hw.NewEdgeRouter(hw.Limits{Ports: 1, L34CriteriaTotal: 3, MACFiltersTotal: 10, QoSPoliciesPerPort: 10})
-	mgr := NewQoSManager(fab, router, map[string]int{"AS64512": 0})
-	st := New(Config{Manager: mgr, Queue: NewChangeQueue(1000, 1000)})
-
-	st.HandleEvent(advEvent("AS64512", victimPrefix, 1, DropUDPSrcPort(123), DropUDPSrcPort(53)), 0)
-	st.Process(0)
-	port, _ := fab.PortByName("AS64512")
-	if port.RuleCount() != 1 {
-		t.Fatalf("rules: %d, want 1 (second rejected)", port.RuleCount())
-	}
-	errs := st.Errors()
-	if len(errs) != 1 || !errors.Is(errs[0].Err, hw.ErrL34Exhausted) {
-		t.Fatalf("errors: %+v", errs)
-	}
-}
-
-func TestStellarRateLimitedInstallLatency(t *testing.T) {
-	// With a 4.33/s queue and a burst of bursty signals, later changes
-	// wait — the Figure 10(b) mechanism.
-	h := newHarness(t, NewChangeQueue(4.33, 1))
-	var specs []RuleSpec
-	for port := 0; port < 10; port++ {
-		specs = append(specs, DropUDPSrcPort(uint16(1000+port)))
-	}
-	h.st.HandleEvent(advEvent("AS64512", victimPrefix, 1, specs...), 0)
-	for now := 0.0; now <= 3.0; now += 0.1 {
-		h.st.Process(now)
-	}
-	lats := h.st.Latencies()
-	if len(lats) < 5 {
-		t.Fatalf("applied: %d", len(lats))
-	}
-	// First change nearly immediate, later ones progressively delayed.
-	if lats[0] > 0.2 {
-		t.Fatalf("first latency: %v", lats[0])
-	}
-	last := lats[len(lats)-1]
-	if last < 0.5 {
-		t.Fatalf("last latency: %v, want rate-limited delay", last)
-	}
+	return NewQoSManager(fab, router, map[string]int{"AS64512": 0})
 }
 
 func TestQoSManagerUnknownMember(t *testing.T) {
-	h := newHarness(t, nil)
-	err := h.mgr.Apply(ConfigChange{Op: OpInstall, Member: "ghost", RuleID: "x", Match: fabric.MatchAll()})
+	mgr := newQoSManager(t)
+	err := mgr.Apply(ConfigChange{Op: OpInstall, Member: "ghost", RuleID: "x", Match: fabric.MatchAll()})
 	if err == nil {
 		t.Fatal("unknown member accepted")
 	}
-	if err := h.mgr.Apply(ConfigChange{Op: OpRemove, RuleID: "nope"}); !errors.Is(err, fabric.ErrNoSuchRule) {
+	if err := mgr.Apply(ConfigChange{Op: OpRemove, RuleID: "nope"}); !errors.Is(err, fabric.ErrNoSuchRule) {
 		t.Fatalf("remove unknown: %v", err)
 	}
 }
 
 func TestQoSManagerDuplicateInstall(t *testing.T) {
-	h := newHarness(t, nil)
+	mgr := newQoSManager(t)
 	c := ConfigChange{Op: OpInstall, Member: "AS64512", RuleID: "r1",
 		Match: fabric.MatchAll(), Action: fabric.ActionDrop}
-	if err := h.mgr.Apply(c); err != nil {
+	if err := mgr.Apply(c); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.mgr.Apply(c); !errors.Is(err, ErrRuleExists) {
+	if err := mgr.Apply(c); !errors.Is(err, ErrRuleExists) {
 		t.Fatalf("duplicate: %v", err)
 	}
-	if h.mgr.InstalledCount() != 1 {
+	if mgr.InstalledCount() != 1 {
 		t.Fatal("count")
 	}
 }
@@ -542,38 +324,6 @@ func TestSDNManager(t *testing.T) {
 	}
 }
 
-func TestRuleIDDeterministic(t *testing.T) {
-	a := RuleID("AS1", victimPrefix, DropUDPSrcPort(123))
-	b := RuleID("AS1", victimPrefix, DropUDPSrcPort(123))
-	c := RuleID("AS1", victimPrefix, DropUDPSrcPort(53))
-	if a != b {
-		t.Fatal("not deterministic")
-	}
-	if a == c {
-		t.Fatal("collision")
-	}
-}
-
-func BenchmarkStellarSignalToInstall(b *testing.B) {
-	fab := fabric.New()
-	_ = fab.AddPort(fabric.NewPort("AS64512", victimMAC, 1e9))
-	router := hw.NewEdgeRouter(hw.DefaultEdgeRouterLimits(4, 1024))
-	mgr := NewQoSManager(fab, router, map[string]int{"AS64512": 0})
-	st := New(Config{Manager: mgr, Queue: NewChangeQueue(1e9, 1<<20)})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		now := float64(i)
-		st.HandleEvent(advEvent("AS64512", victimPrefix, 1, DropUDPSrcPort(uint16(i%60000))), now)
-		st.Process(now)
-		st.HandleEvent(routeserver.ControllerEvent{
-			Peer: "AS64512", PeerAS: 64512, PathID: 1,
-			Withdrawn: []netip.Prefix{victimPrefix},
-		}, now+0.5)
-		st.Process(now + 0.5)
-	}
-}
-
 func TestQoSManagerSetPortIndex(t *testing.T) {
 	fab := fabric.New()
 	if err := fab.AddPort(fabric.NewPort("late", victimMAC, 1e9)); err != nil {
@@ -595,84 +345,22 @@ func TestQoSManagerSetPortIndex(t *testing.T) {
 	}
 }
 
-func TestStellarTelemetry(t *testing.T) {
-	h := newHarness(t, NewChangeQueue(1000, 1000))
-	spec := ShapeUDPSrcPort(123, 200e6)
-	h.st.HandleEvent(advEvent("AS64512", victimPrefix, 1, spec), 0)
-	h.st.Process(0)
-
-	// Push matching traffic through the port.
-	port, _ := h.fab.PortByName("AS64512")
-	flow := netpkt.FlowKey{Src: netip.MustParseAddr("198.51.100.1"), Dst: victimPrefix.Addr(),
-		Proto: netpkt.ProtoUDP, SrcPort: 123, DstPort: 443}
-	port.Egress([]fabric.Offer{{Flow: flow, Bytes: 125e6, Packets: 1e5}}, 1)
-
-	cs, err := h.st.Telemetry("AS64512", victimPrefix, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cs.MatchedBytes != 125e6 {
-		t.Fatalf("matched: %v", cs.MatchedBytes)
-	}
-	if cs.ShapedResidue <= 0 || cs.DroppedBytes <= 0 {
-		t.Fatalf("shape telemetry: %+v", cs)
-	}
-	// Unknown rule: error, not zeros.
-	if _, err := h.st.Telemetry("AS64512", victimPrefix, DropUDPSrcPort(9999)); err == nil {
-		t.Fatal("telemetry for uninstalled rule")
-	}
-}
-
 func TestSDNManagerCounters(t *testing.T) {
 	fab := fabric.New()
 	if err := fab.AddPort(fabric.NewPort("AS64512", victimMAC, 1e9)); err != nil {
 		t.Fatal(err)
 	}
 	mgr := NewSDNManager(fab, 16)
-	st := New(Config{Manager: mgr, Queue: NewChangeQueue(1000, 1000)})
-	spec := DropUDPSrcPort(123)
-	st.HandleEvent(advEvent("AS64512", victimPrefix, 1, spec), 0)
-	st.Process(0)
-	if _, err := st.Telemetry("AS64512", victimPrefix, spec); err != nil {
+	m := fabric.MatchAll()
+	m.DstIP = victimPrefix
+	if err := mgr.Apply(ConfigChange{Op: OpInstall, Member: "AS64512", RuleID: "r",
+		Match: DropUDPSrcPort(123).Match(m), Action: fabric.ActionDrop}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := mgr.Counters("r"); err != nil {
 		t.Fatalf("SDN telemetry: %v", err)
 	}
 	if _, err := mgr.Counters("ghost"); err == nil {
 		t.Fatal("ghost rule counters")
-	}
-}
-
-func TestHandleEventsBatch(t *testing.T) {
-	// A batch of events (the decode of one ADD-PATH iBGP UPDATE) folds
-	// into a single diff: two ADD-PATH paths' rules for the same prefix
-	// install, and a withdraw in a later batch removes only its own rule.
-	h := newHarness(t, NewChangeQueue(1000, 1000))
-	h.st.HandleEvents([]routeserver.ControllerEvent{
-		advEvent("AS64512", victimPrefix, 1, DropUDPSrcPort(123)),
-		advEvent("AS64512", victimPrefix, 2, DropUDPSrcPort(53)),
-	}, 0)
-	if h.st.PendingChanges() != 2 {
-		t.Fatalf("pending: %d", h.st.PendingChanges())
-	}
-	if n := h.st.Process(0.1); n != 2 {
-		t.Fatalf("applied: %d", n)
-	}
-	if h.st.RIBLen() != 2 {
-		t.Fatalf("rib len: %d", h.st.RIBLen())
-	}
-	wdr := routeserver.ControllerEvent{
-		Peer: "AS64512", PeerAS: 64512, PathID: 1,
-		Withdrawn: []netip.Prefix{victimPrefix},
-	}
-	h.st.HandleEvents([]routeserver.ControllerEvent{wdr}, 0.2)
-	if n := h.st.Process(0.3); n != 1 {
-		t.Fatalf("withdraw applied: %d", n)
-	}
-	if h.st.RIBLen() != 1 {
-		t.Fatalf("rib len after withdraw: %d", h.st.RIBLen())
-	}
-	// Empty batch is a no-op.
-	h.st.HandleEvents(nil, 0.4)
-	if h.st.PendingChanges() != 0 {
-		t.Fatal("empty batch enqueued changes")
 	}
 }

@@ -61,8 +61,8 @@ func NewQoSManager(f *fabric.Fabric, router *hw.EdgeRouter, portIndex map[string
 func (m *QoSManager) Name() string { return "qos" }
 
 // SetPortIndex registers (or re-homes) a member's hardware port index.
-// Deployments that learn members at runtime (cmd/ixpd) call this as
-// sessions establish.
+// ixp.Join calls it for a member that arrives after Build, with the
+// index hw.EdgeRouter.AddPort returned.
 func (m *QoSManager) SetPortIndex(member string, idx int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -42,6 +42,12 @@ func (c ConfigChange) String() string {
 	return fmt.Sprintf("%s %s on %s", c.Op, c.RuleID, c.Member)
 }
 
+// ApplyError records one failed configuration change.
+type ApplyError struct {
+	Change ConfigChange
+	Err    error
+}
+
 // DequeuedChange pairs a change with the time it spent in the queue —
 // the "time from blackholing signal to configuration" of Figure 10(b).
 type DequeuedChange struct {

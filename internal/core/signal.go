@@ -1,10 +1,10 @@
-// Package core implements Stellar, the Advanced Blackholing system of
-// Sections 3 and 4: the BGP extended-community signaling codec, the
-// customer portal for custom blackholing rules, the blackholing
-// controller (RIB, snapshot diffing, abstract configuration changes),
-// the token-bucket change queue, and the network managers that compile
-// abstract changes into QoS or SDN data-plane state under hardware
-// admission control.
+// Package core holds the building blocks of Stellar, the Advanced
+// Blackholing system of Sections 3 and 4: the BGP extended-community
+// signaling codec, the customer portal for custom blackholing rules,
+// the abstract configuration change with its token-bucket change queue,
+// and the network managers that compile abstract changes into QoS or
+// SDN data-plane state under hardware admission control. The
+// blackholing controller that drives them is internal/mitctl.
 package core
 
 import (

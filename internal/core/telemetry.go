@@ -1,11 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"net/netip"
-
-	"stellar/internal/fabric"
-)
+import "stellar/internal/fabric"
 
 // Telemetry is the member-facing feedback channel Section 3.1 demands:
 // victims query the counters of their installed blackholing rules to see
@@ -56,20 +51,4 @@ func (m *SDNManager) Counters(ruleID string) (*fabric.RuleCounters, error) {
 		return nil, err
 	}
 	return rule.Counters(), nil
-}
-
-// Telemetry returns a snapshot of the counters for the rule a member's
-// signal installed on (member, prefix, spec). It fails when the rule is
-// not (or not yet — the change queue may still hold it) installed, or
-// when the manager backend exposes no counters.
-func (s *Stellar) Telemetry(member string, prefix netip.Prefix, spec RuleSpec) (fabric.CounterSnapshot, error) {
-	src, ok := s.mgr.(CounterSource)
-	if !ok {
-		return fabric.CounterSnapshot{}, fmt.Errorf("core: manager %q exposes no telemetry", s.mgr.Name())
-	}
-	counters, err := src.Counters(RuleID(member, prefix, spec))
-	if err != nil {
-		return fabric.CounterSnapshot{}, err
-	}
-	return counters.Snapshot(), nil
 }

@@ -323,22 +323,3 @@ func TestEngineMonitorsReadableAfterRun(t *testing.T) {
 		}
 	}
 }
-
-// TestTicker drives the real-time control façade.
-func TestTicker(t *testing.T) {
-	ctl := &fakeControl{}
-	tk := &Ticker{Control: ctl}
-	if now := tk.Tick(); now != 1 {
-		t.Fatalf("first tick advanced to %v, want 1", now)
-	}
-	tk.Dt = 0.5
-	if now := tk.Tick(); now != 1.0 { // tick index 1, dt 0.5 => (1+1)*0.5
-		t.Fatalf("second tick advanced to %v, want 1.0", now)
-	}
-	if tk.Ticks() != 2 {
-		t.Fatalf("Ticks() = %d", tk.Ticks())
-	}
-	if got := ctl.seen(); fmt.Sprint(got) != "[0 1]" {
-		t.Fatalf("control saw %v", got)
-	}
-}

@@ -72,7 +72,6 @@ type Stage interface {
 }
 
 // PortReport summarizes one simulation tick at one destination port.
-// (ixp.TickReport aliases this type.)
 type PortReport struct {
 	// OfferedBytes is the pre-mitigation attack+benign volume.
 	OfferedBytes float64
@@ -86,7 +85,7 @@ type PortReport struct {
 func (r PortReport) DeliveredBps(dt float64) float64 { return r.Result.DeliveredBytes * 8 / dt }
 
 // Sample is one tick of a victim port's time series — the measurements
-// plotted in Figures 3(c) and 10(c). (ixp.Sample aliases this type.)
+// plotted in Figures 3(c) and 10(c).
 type Sample struct {
 	Tick                 int
 	Time                 float64
@@ -100,8 +99,7 @@ type Sample struct {
 }
 
 // VictimSeries is one victim's result: its per-tick samples and the
-// monitor that collected its delivered flows. (ixp.VictimSeries aliases
-// this type.)
+// monitor that collected its delivered flows.
 type VictimSeries struct {
 	Port    string
 	Samples []Sample
@@ -201,7 +199,7 @@ type DataPlane interface {
 
 // Source produces flow-level offers per tick (attacks, benign services,
 // trace replay). traffic.Attack, traffic.WebService and traffic.Trace
-// implement it. (ixp.Source aliases this interface.)
+// implement it.
 type Source interface {
 	Offers(tick int, dtSeconds float64) []fabric.Offer
 }
@@ -209,8 +207,7 @@ type Source interface {
 // OfferAppender is an optional Source refinement: sources that can
 // append their per-tick offers into a caller-owned buffer. The traffic
 // stage reuses one buffer per victim across ticks, so appending sources
-// cost no per-tick slice allocation in steady state. (ixp.OfferAppender
-// aliases this interface.)
+// cost no per-tick slice allocation in steady state.
 type OfferAppender interface {
 	AppendOffers(dst []fabric.Offer, tick int, dtSeconds float64) []fabric.Offer
 }

@@ -27,7 +27,7 @@ func DefaultFig10cConfig() AttackRunConfig {
 // Fig10cResult is the Stellar attack time series plus headline metrics.
 type Fig10cResult struct {
 	Cfg     AttackRunConfig
-	Samples []ixp.Sample
+	Samples []engine.Sample
 	// ShapeTick is when the victim signaled IXP:2:123 with a 200 Mbps
 	// shape; DropTick is when it escalated to dropping all UDP.
 	ShapeTick, DropTick int

@@ -46,7 +46,7 @@ func DefaultFig3cConfig() AttackRunConfig {
 // Fig3cResult is the RTBH attack time series plus its headline metrics.
 type Fig3cResult struct {
 	Cfg     AttackRunConfig
-	Samples []ixp.Sample
+	Samples []engine.Sample
 	// RTBHTick is when the /32 blackhole was signaled (280 s after the
 	// attack started, as in the paper).
 	RTBHTick int
@@ -174,7 +174,7 @@ func formatTopPorts(tops []flowmon.PortRank) string {
 	return b.String()
 }
 
-func formatAttackSeries(samples []ixp.Sample, every int) string {
+func formatAttackSeries(samples []engine.Sample, every int) string {
 	header := []string{"t[s]", "offered[Mbps]", "delivered[Mbps]", "nulled[Mbps]",
 		"rule-drop[Mbps]", "shaped-drop[Mbps]", "#peers"}
 	var rows [][]string

@@ -78,9 +78,8 @@ type PortAlloc struct {
 // EdgeRouter tracks TCAM allocations against Limits. All methods are
 // safe for concurrent use.
 type EdgeRouter struct {
-	limits Limits
-
 	mu          sync.Mutex
+	limits      Limits // Ports tracks len(ports)
 	ports       []PortAlloc
 	totalMAC    int
 	totalL34    int
@@ -94,7 +93,23 @@ func NewEdgeRouter(limits Limits) *EdgeRouter {
 }
 
 // Limits returns the router's budgets.
-func (r *EdgeRouter) Limits() Limits { return r.limits }
+func (r *EdgeRouter) Limits() Limits {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.limits
+}
+
+// AddPort grows the router by one member port and returns its index. A
+// member that joins a running exchange gets its slot here; the
+// system-wide L3-L4 and MAC budgets do not depend on the port count, so
+// admission control is unchanged.
+func (r *EdgeRouter) AddPort() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.ports = append(r.ports, PortAlloc{})
+	r.limits.Ports = len(r.ports)
+	return len(r.ports) - 1
+}
 
 // Allocate reserves TCAM resources for one blackholing rule on port:
 // macFilters MAC criteria and l34 L3-L4 criteria, consuming one QoS

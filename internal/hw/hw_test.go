@@ -31,6 +31,30 @@ func TestAllocateRelease(t *testing.T) {
 	}
 }
 
+// TestAddPort grows the port table: the new index allocates where it
+// was out of range before, and the system-wide budgets are unchanged.
+func TestAddPort(t *testing.T) {
+	r := NewEdgeRouter(Limits{Ports: 1, L34CriteriaTotal: 4, MACFiltersTotal: 4, QoSPoliciesPerPort: 4})
+	if err := r.Allocate(1, 1, 1); err != ErrUnknownPort {
+		t.Fatalf("port 1 before AddPort: %v", err)
+	}
+	if idx := r.AddPort(); idx != 1 {
+		t.Fatalf("AddPort: %d", idx)
+	}
+	if err := r.Allocate(1, 1, 1); err != nil {
+		t.Fatal(err)
+	}
+	if l := r.Limits(); l.Ports != 2 || l.L34CriteriaTotal != 4 || l.MACFiltersTotal != 4 {
+		t.Fatalf("limits: %+v", l)
+	}
+	if err := r.Allocate(0, 1, 4); err != ErrL34Exhausted {
+		t.Fatalf("budget after AddPort: %v, want F1", err)
+	}
+	if s := r.Snapshot(); len(s.Ports) != 2 || s.Ports[1].QoSPolicies != 1 {
+		t.Fatalf("snapshot: %+v", s)
+	}
+}
+
 func TestAllocateF1Precedence(t *testing.T) {
 	// When both budgets would be exceeded, F1 (L3-L4) is reported, as in
 	// Figure 9's grid rendering.

@@ -23,7 +23,7 @@ import (
 // reproduce its output byte for byte. It takes the engine's own input
 // shapes (sources[i] feeds specs[i]; same-tick events apply in list
 // order).
-func serialRunAll(x *IXP, ticks int, dt float64, specs []engine.VictimSpec, sources [][]Source, evs []engine.Event) ([]VictimSeries, error) {
+func serialRunAll(x *IXP, ticks int, dt float64, specs []engine.VictimSpec, sources [][]engine.Source, evs []engine.Event) ([]engine.VictimSeries, error) {
 	type timedEvent struct {
 		engine.Event
 		seq int
@@ -40,7 +40,7 @@ func serialRunAll(x *IXP, ticks int, dt float64, specs []engine.VictimSpec, sour
 	}
 
 	victims := append([]engine.VictimSpec(nil), specs...)
-	series := make([]VictimSeries, len(victims))
+	series := make([]engine.VictimSeries, len(victims))
 	for i := range victims {
 		if victims[i].Monitor == nil {
 			victims[i].Monitor = flowmon.NewCollector()
@@ -48,7 +48,7 @@ func serialRunAll(x *IXP, ticks int, dt float64, specs []engine.VictimSpec, sour
 		if victims[i].PeerMinBps == 0 {
 			victims[i].PeerMinBps = 1e3
 		}
-		series[i] = VictimSeries{Port: victims[i].Port, Monitor: victims[i].Monitor}
+		series[i] = engine.VictimSeries{Port: victims[i].Port, Monitor: victims[i].Monitor}
 	}
 
 	bufs := make([][]fabric.Offer, len(victims))
@@ -76,7 +76,7 @@ func serialRunAll(x *IXP, ticks int, dt float64, specs []engine.VictimSpec, sour
 		return row[slot]
 	}
 	isMember := func(mac netpkt.MAC) bool {
-		_, ok := x.byMAC[mac]
+		_, ok := x.MemberByMAC(mac)
 		return ok
 	}
 
@@ -92,7 +92,7 @@ func serialRunAll(x *IXP, ticks int, dt float64, specs []engine.VictimSpec, sour
 		for i := range victims {
 			buf := bufs[i][:0]
 			for _, src := range sources[i] {
-				if ap, ok := src.(OfferAppender); ok {
+				if ap, ok := src.(engine.OfferAppender); ok {
 					buf = ap.AppendOffers(buf, tick, dt)
 				} else {
 					buf = append(buf, src.Offers(tick, dt)...)
@@ -108,7 +108,7 @@ func serialRunAll(x *IXP, ticks int, dt float64, specs []engine.VictimSpec, sour
 		}
 		for i := range victims {
 			rep := reports[victims[i].Port]
-			series[i].Samples = append(series[i].Samples, Sample{
+			series[i].Samples = append(series[i].Samples, engine.Sample{
 				Tick:                 tick,
 				Time:                 float64(tick) * dt,
 				OfferedBps:           rep.OfferedBytes * 8 / dt,
@@ -132,10 +132,10 @@ func serialRunAll(x *IXP, ticks int, dt float64, specs []engine.VictimSpec, sour
 // also exercises the overlap of tick N's fold with tick N+1's egress.
 func TestEngineMatchesSerialLoop(t *testing.T) {
 	const nVictims, ticks = 3, 60
-	build := func() (*IXP, []engine.VictimSpec, [][]Source, []engine.Event) {
+	build := func() (*IXP, []engine.VictimSpec, [][]engine.Source, []engine.Event) {
 		x, members := buildTestIXP(t, 24, 1.0, true)
 		specs := make([]engine.VictimSpec, nVictims)
-		sources := make([][]Source, nVictims)
+		sources := make([][]engine.Source, nVictims)
 		for v := 0; v < nVictims; v++ {
 			rng := stats.NewRand(uint64(200 + v))
 			target := victimAddr(members[v])
@@ -144,7 +144,7 @@ func TestEngineMatchesSerialLoop(t *testing.T) {
 				float64(v+1)*5e8, 2, ticks-5, rng)
 			web := traffic.NewWebService(target, peers[:5], 1e8, rng)
 			specs[v] = engine.VictimSpec{Port: members[v].Name}
-			sources[v] = []Source{attack, web}
+			sources[v] = []engine.Source{attack, web}
 		}
 		// Victim 0: classic RTBH on the /32 at tick 20.
 		host0 := netip.PrefixFrom(victimAddr(members[0]), 32)

@@ -8,10 +8,13 @@
 package ixp
 
 import (
+	"errors"
 	"fmt"
+	"maps"
 	"net/netip"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"stellar/internal/bgp"
 	"stellar/internal/core"
@@ -81,13 +84,36 @@ type IXP struct {
 	// Mitigations from the route server's southbound feed.
 	Community *mitctl.CommunityChannel
 
-	mu      sync.Mutex
-	clock   float64
-	members map[string]*member.Member
-	byMAC   map[netpkt.MAC]*member.Member
+	// qos is the network manager behind Mitigations; Join registers a
+	// new member's hardware port index on it.
+	qos *core.QoSManager
+	// reg is the member registry. A published registry is never
+	// written: Build fills one in place and stores it once, Join
+	// publishes a clone. Readers load it once (per tick, per call) and
+	// take no lock, so the per-offer egress filter and the controller's
+	// ASNOf/MemberMAC lookups are race-free against a runtime Join.
+	reg    atomic.Pointer[registry]
+	joinMu sync.Mutex // serializes Join
+
+	mu    sync.Mutex
+	clock float64
 	// nullRoutes[memberName] is the set of prefixes the member has
 	// null-routed in response to accepted RTBH announcements.
 	nullRoutes map[string]map[netip.Prefix]bool
+}
+
+// registry is the member population by name and by fabric MAC.
+type registry struct {
+	members map[string]*member.Member
+	byMAC   map[netpkt.MAC]*member.Member
+}
+
+// with returns a copy of the registry extended by m.
+func (r *registry) with(m *member.Member) *registry {
+	next := &registry{members: maps.Clone(r.members), byMAC: maps.Clone(r.byMAC)}
+	next.members[m.Name] = m
+	next.byMAC[m.MAC] = m
+	return next
 }
 
 // Build constructs and wires the IXP.
@@ -105,9 +131,11 @@ func Build(cfg Config) (*IXP, error) {
 		Cfg:        cfg,
 		Fabric:     fabric.New(),
 		Policy:     irr.NewPolicy(),
-		members:    make(map[string]*member.Member),
-		byMAC:      make(map[netpkt.MAC]*member.Member),
 		nullRoutes: make(map[string]map[netip.Prefix]bool),
+	}
+	reg := &registry{
+		members: make(map[string]*member.Member, len(cfg.Members)),
+		byMAC:   make(map[netpkt.MAC]*member.Member, len(cfg.Members)),
 	}
 	x.Fabric.PlatformCapacityBps = cfg.PlatformCapacityBps
 	x.RS = routeserver.New(routeserver.Config{
@@ -120,11 +148,11 @@ func Build(cfg Config) (*IXP, error) {
 	portIndex := make(map[string]int, len(cfg.Members))
 	peers := make([]routeserver.PeerConfig, len(cfg.Members))
 	for i, m := range cfg.Members {
-		if _, dup := x.members[m.Name]; dup {
+		if _, dup := reg.members[m.Name]; dup {
 			return nil, fmt.Errorf("ixp: duplicate member %s", m.Name)
 		}
-		x.members[m.Name] = m
-		x.byMAC[m.MAC] = m
+		reg.members[m.Name] = m
+		reg.byMAC[m.MAC] = m
 		x.nullRoutes[m.Name] = make(map[netip.Prefix]bool)
 		if err := x.Fabric.AddPort(fabric.NewPort(m.Name, m.MAC, m.PortCapacityBps)); err != nil {
 			return nil, err
@@ -138,17 +166,18 @@ func Build(cfg Config) (*IXP, error) {
 	if err := x.RS.AddPeers(peers...); err != nil {
 		return nil, err
 	}
+	x.reg.Store(reg)
 
 	if cfg.EnableStellar {
-		mgr := core.NewQoSManager(x.Fabric, x.Router, portIndex)
+		x.qos = core.NewQoSManager(x.Fabric, x.Router, portIndex)
 		mcfg := mitctl.Config{
-			Manager:    mgr,
+			Manager:    x.qos,
 			QueueRate:  cfg.QueueRate,
 			QueueBurst: cfg.QueueBurst,
 			Validator: &mitctl.IRRValidator{
 				Registry: x.Policy.IRR,
 				ASNOf: func(name string) (uint32, bool) {
-					m, ok := x.members[name]
+					m, ok := x.reg.Load().members[name]
 					if !ok {
 						return 0, false
 					}
@@ -156,7 +185,7 @@ func Build(cfg Config) (*IXP, error) {
 				},
 			},
 			MemberMAC: func(name string) (netpkt.MAC, bool) {
-				m, ok := x.members[name]
+				m, ok := x.reg.Load().members[name]
 				if !ok {
 					return netpkt.MAC{}, false
 				}
@@ -180,6 +209,45 @@ func Build(cfg Config) (*IXP, error) {
 		x.RS.SetErrorSource(x.errorSummary)
 	}
 	return x, nil
+}
+
+// Join attaches one more member to the running exchange — what Build
+// does for each of Config.Members, for a member that arrives later
+// (cmd/ixpd joins one per established BGP session): fabric port, route
+// server peer, IRR prefixes, a fresh hardware port with its index at
+// the network manager, a null-route slot, and the member registry. A
+// peer the route server already knows under the member's name is not an
+// error (the rsfeed stage registers the peer before it reports the
+// session up); a member name or MAC already on the exchange is.
+func (x *IXP) Join(m *member.Member) error {
+	x.joinMu.Lock()
+	defer x.joinMu.Unlock()
+	reg := x.reg.Load()
+	if _, dup := reg.members[m.Name]; dup {
+		return fmt.Errorf("ixp: duplicate member %s", m.Name)
+	}
+	if other, dup := reg.byMAC[m.MAC]; dup {
+		return fmt.Errorf("ixp: member %s: MAC %s belongs to %s", m.Name, m.MAC, other.Name)
+	}
+	if err := x.Fabric.AddPort(fabric.NewPort(m.Name, m.MAC, m.PortCapacityBps)); err != nil {
+		return err
+	}
+	err := x.RS.AddPeer(routeserver.PeerConfig{Name: m.Name, ASN: m.ASN, BGPID: m.BGPID})
+	if err != nil && !errors.Is(err, routeserver.ErrDuplicatePeer) {
+		return err
+	}
+	for _, p := range m.Prefixes {
+		x.Policy.IRR.Register(m.ASN, p)
+	}
+	idx := x.Router.AddPort()
+	if x.qos != nil {
+		x.qos.SetPortIndex(m.Name, idx)
+	}
+	x.mu.Lock()
+	x.nullRoutes[m.Name] = make(map[netip.Prefix]bool)
+	x.mu.Unlock()
+	x.reg.Store(reg.with(m))
+	return nil
 }
 
 // errorSummary feeds the route server's looking glass with the
@@ -258,7 +326,7 @@ func (x *IXP) Clock() float64 {
 
 // Member returns a member by name.
 func (x *IXP) Member(name string) (*member.Member, error) {
-	if m, ok := x.members[name]; ok {
+	if m, ok := x.reg.Load().members[name]; ok {
 		return m, nil
 	}
 	return nil, fmt.Errorf("ixp: unknown member %s", name)
@@ -266,7 +334,7 @@ func (x *IXP) Member(name string) (*member.Member, error) {
 
 // MemberByMAC resolves a fabric source MAC to its member.
 func (x *IXP) MemberByMAC(mac netpkt.MAC) (*member.Member, bool) {
-	m, ok := x.byMAC[mac]
+	m, ok := x.reg.Load().byMAC[mac]
 	return m, ok
 }
 
@@ -276,7 +344,7 @@ func (x *IXP) MemberByMAC(mac netpkt.MAC) (*member.Member, bool) {
 // stray source MAC.
 func (x *IXP) MemberFilter() func(netpkt.MAC) bool {
 	return func(mac netpkt.MAC) bool {
-		_, ok := x.byMAC[mac]
+		_, ok := x.reg.Load().byMAC[mac]
 		return ok
 	}
 }
@@ -390,10 +458,11 @@ func (x *IXP) HandleWireUpdate(memberName string, u *bgp.Update) error {
 // blackholed prefixes. Members that do not honor them ignore the signal
 // — the ~70% of Section 2.4.
 func (x *IXP) applyExports(exports []routeserver.PeerUpdates) {
+	members := x.reg.Load().members
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	for _, e := range exports {
-		m, ok := x.members[e.Peer]
+		m, ok := members[e.Peer]
 		if !ok {
 			continue
 		}
@@ -456,11 +525,6 @@ func (x *IXP) NullRouteCount(dst netip.Addr) int {
 	return n
 }
 
-// TickReport summarizes one simulation tick at one destination port.
-// It is the engine's per-port report type under its historical ixp
-// name.
-type TickReport = engine.PortReport
-
 // Tick advances the simulation by dt seconds, delivering offers grouped
 // by destination port. Stellar's pending configuration changes are
 // processed first (they take effect this tick), then RTBH null routes
@@ -474,7 +538,7 @@ type TickReport = engine.PortReport
 // through engine.New with the IXP as Control and DataPlane, which
 // overlaps tick N's monitoring with tick N+1's egress on a shared
 // worker pool; both paths produce identical per-port reports.
-func (x *IXP) Tick(offers fabric.TickOffers, dt float64) (map[string]TickReport, error) {
+func (x *IXP) Tick(offers fabric.TickOffers, dt float64) (map[string]engine.PortReport, error) {
 	x.ControlTick(0, dt)
 	return x.EgressTick(nil, offers, dt, nil)
 }
@@ -506,14 +570,16 @@ func (x *IXP) ControlTick(_ int, dt float64) float64 {
 // The per-port work — null-route filtering here, then each port's
 // egress tick inside fabric.TickStreamOn — fans across member ports on
 // the supplied runner (nil: a per-call GOMAXPROCS fan-out; the engine
-// passes its shared worker pool). The null-route table is snapshotted
-// once per tick so the filter does per-offer checks without touching
-// the IXP lock, and per-port results are merged by name, so the outcome
-// is deterministic.
-func (x *IXP) EgressTick(r fabric.Runner, offers fabric.TickOffers, dt float64, sink fabric.TickSink) (map[string]TickReport, error) {
+// passes its shared worker pool). The member registry is loaded and
+// the null-route table snapshotted once per tick, so the filter does
+// per-offer checks without touching the IXP lock (a member that joins
+// mid-tick counts from the next one), and per-port results are merged
+// by name, so the outcome is deterministic.
+func (x *IXP) EgressTick(r fabric.Runner, offers fabric.TickOffers, dt float64, sink fabric.TickSink) (map[string]engine.PortReport, error) {
 	if r == nil {
 		r = fabric.DefaultRunner()
 	}
+	byMAC := x.reg.Load().byMAC
 	x.mu.Lock()
 	nulls := make(map[string][]netip.Prefix, len(x.nullRoutes))
 	for name, routes := range x.nullRoutes {
@@ -533,10 +599,10 @@ func (x *IXP) EgressTick(r fabric.Runner, offers fabric.TickOffers, dt float64, 
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	reps := make([]TickReport, len(names))
+	reps := make([]engine.PortReport, len(names))
 	kept := make([][]fabric.Offer, len(names))
 	filterPort := func(i int) {
-		rep := TickReport{}
+		rep := engine.PortReport{}
 		os := offers[names[i]]
 		// First pass: account the offered load and detect null-routed
 		// offers. The port's offer slice is only copied when something
@@ -549,7 +615,7 @@ func (x *IXP) EgressTick(r fabric.Runner, offers fabric.TickOffers, dt float64, 
 			if len(nulls) == 0 {
 				continue
 			}
-			if src, ok := x.byMAC[o.Flow.SrcMAC]; ok && anyContains(nulls[src.Name], o.Flow.Dst) {
+			if src, ok := byMAC[o.Flow.SrcMAC]; ok && anyContains(nulls[src.Name], o.Flow.Dst) {
 				rep.NulledBytes += o.Bytes
 				nulled = true
 			}
@@ -562,7 +628,7 @@ func (x *IXP) EgressTick(r fabric.Runner, offers fabric.TickOffers, dt float64, 
 		keep := make([]fabric.Offer, 0, len(os))
 		for j := range os {
 			o := &os[j]
-			if src, ok := x.byMAC[o.Flow.SrcMAC]; ok && anyContains(nulls[src.Name], o.Flow.Dst) {
+			if src, ok := byMAC[o.Flow.SrcMAC]; ok && anyContains(nulls[src.Name], o.Flow.Dst) {
 				continue
 			}
 			keep = append(keep, *o)
@@ -580,7 +646,7 @@ func (x *IXP) EgressTick(r fabric.Runner, offers fabric.TickOffers, dt float64, 
 		r.Run(len(names), func(_, i int) { filterPort(i) })
 	}
 
-	reports := make(map[string]TickReport, len(names))
+	reports := make(map[string]engine.PortReport, len(names))
 	filtered := make(fabric.TickOffers, len(names))
 	for i, name := range names {
 		filtered[name] = kept[i]

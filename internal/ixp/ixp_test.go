@@ -52,7 +52,7 @@ func victimAddr(m *member.Member) netip.Addr {
 // engineConfig wires a pipelined run on x the way every engine-on-IXP
 // caller does: the IXP is both planes and its member filter restricts
 // the active-peer count. sources[i] feeds specs[i].
-func engineConfig(x *IXP, ticks int, specs []engine.VictimSpec, sources [][]Source, events ...engine.Event) engine.Config {
+func engineConfig(x *IXP, ticks int, specs []engine.VictimSpec, sources [][]engine.Source, events ...engine.Event) engine.Config {
 	return engine.Config{
 		Driver:       engine.NewSourcesDriver(specs, sources),
 		Control:      x,
@@ -236,7 +236,7 @@ func TestScenarioRunsEvents(t *testing.T) {
 	attack := traffic.NewAttack(traffic.VectorNTP, target, peers, 1e9, 5, 100, rng)
 
 	series, err := engine.New(engineConfig(x, 30,
-		[]engine.VictimSpec{{Port: victim.Name}}, [][]Source{{attack}},
+		[]engine.VictimSpec{{Port: victim.Name}}, [][]engine.Source{{attack}},
 		engine.Event{Tick: 15, Name: "drop ntp", Do: func() error {
 			return x.Announce(victim.Name, host, nil, []core.RuleSpec{core.DropUDPSrcPort(123)})
 		}})).Run()
@@ -575,7 +575,7 @@ func TestScenarioMonitorRecordsFlows(t *testing.T) {
 	rng := stats.NewRand(4)
 	attack := traffic.NewAttack(traffic.VectorNTP, target, PeersOf(members[1:]), 5e8, 0, 20, rng)
 	attack.RampTicks = 0
-	series, err := engine.New(engineConfig(x, 10, []engine.VictimSpec{{Port: victim.Name}}, [][]Source{{attack}})).Run()
+	series, err := engine.New(engineConfig(x, 10, []engine.VictimSpec{{Port: victim.Name}}, [][]engine.Source{{attack}})).Run()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,10 +19,10 @@ import (
 // identical either way.
 func TestScenarioMultiVictimMatchesSingleRuns(t *testing.T) {
 	const nVictims = 3
-	build := func() (*IXP, []engine.VictimSpec, [][]Source) {
+	build := func() (*IXP, []engine.VictimSpec, [][]engine.Source) {
 		x, members := buildTestIXP(t, 24, 0.0, false)
 		specs := make([]engine.VictimSpec, nVictims)
-		sources := make([][]Source, nVictims)
+		sources := make([][]engine.Source, nVictims)
 		for v := 0; v < nVictims; v++ {
 			rng := stats.NewRand(uint64(100 + v))
 			target := victimAddr(members[v])
@@ -31,7 +31,7 @@ func TestScenarioMultiVictimMatchesSingleRuns(t *testing.T) {
 				float64(v+1)*4e8, 2+v, 25, rng)
 			web := traffic.NewWebService(target, peers[:4], 1e8, rng)
 			specs[v] = engine.VictimSpec{Port: members[v].Name}
-			sources[v] = []Source{attack, web}
+			sources[v] = []engine.Source{attack, web}
 		}
 		return x, specs, sources
 	}
@@ -173,7 +173,7 @@ func TestScenarioMultiVictimMitigation(t *testing.T) {
 	host := netip.PrefixFrom(targetA, 32)
 	series, err := engine.New(engineConfig(x, 20,
 		[]engine.VictimSpec{{Port: va.Name}, {Port: vb.Name}},
-		[][]Source{{attackA}, {attackB}},
+		[][]engine.Source{{attackA}, {attackB}},
 		engine.Event{Tick: 10, Name: "blackhole A", Do: func() error {
 			return x.Announce(va.Name, host, []bgp.Community{bgp.CommunityBlackhole}, nil)
 		}})).Run()
@@ -223,7 +223,7 @@ func TestScenarioActivePeersCountsOnlyMembers(t *testing.T) {
 	src := PeersOf(members[1:2])[0]
 	series, err := engine.New(engineConfig(x, 3,
 		[]engine.VictimSpec{{Port: victim.Name}},
-		[][]Source{{nonMemberSource{member: src, target: victimAddr(victim)}}})).Run()
+		[][]engine.Source{{nonMemberSource{member: src, target: victimAddr(victim)}}})).Run()
 	if err != nil {
 		t.Fatal(err)
 	}

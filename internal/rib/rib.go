@@ -1,9 +1,11 @@
 // Package rib implements the route server's Routing Information Base:
 // per-peer Adj-RIB-In tables keyed by (prefix, peer, path-id) so that
 // ADD-PATH sessions can hold multiple paths per prefix, BGP best-path
-// selection, and snapshot diffing — which only the deprecated
-// core.Stellar still uses to turn BGP messages into configuration changes
-// (Section 4.4); mitctl.CommunityChannel reconciles touched keys instead.
+// selection, and snapshot diffing — the paper's way of turning BGP
+// messages into configuration changes (Section 4.4), kept as the
+// differential oracle mitctl.CommunityChannel is tested against (the
+// channel itself reconciles only the keys an event touches) and for the
+// benchmark's rib.snapshot_us probe.
 //
 // The table is sharded by prefix hash: every prefix lives in exactly one
 // shard, each shard owns its routes map and cached best paths behind its

@@ -165,7 +165,7 @@ func (a *Attack) Offers(tick int, dtSeconds float64) []fabric.Offer {
 }
 
 // AppendOffers appends the tick's offers to dst and returns it —
-// the buffer-reusing form the scenario engine drives (ixp.OfferAppender).
+// the buffer-reusing form the scenario engine drives (engine.OfferAppender).
 func (a *Attack) AppendOffers(dst []fabric.Offer, tick int, dtSeconds float64) []fabric.Offer {
 	rate := a.rateAt(tick)
 	if rate == 0 {
@@ -275,7 +275,7 @@ func (w *WebService) Offers(tick int, dtSeconds float64) []fabric.Offer {
 }
 
 // AppendOffers appends the tick's offers to dst and returns it —
-// the buffer-reusing form the scenario engine drives (ixp.OfferAppender).
+// the buffer-reusing form the scenario engine drives (engine.OfferAppender).
 func (w *WebService) AppendOffers(dst []fabric.Offer, tick int, dtSeconds float64) []fabric.Offer {
 	totalBytes := w.RateBps * dtSeconds / 8
 	if n := len(w.Peers) * len(w.Mix); len(w.flows) != n {
