@@ -58,7 +58,7 @@ func BenchmarkAblationEgressVsIngress(b *testing.B) {
 			}
 			offers = kept
 		}
-		st, err := fab.Tick(fabric.TickOffers{"victim": offers}, 1)
+		st, err := fab.Tick(nil, fabric.TickOffers{"victim": offers}, 1, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -65,19 +65,21 @@ func main() {
 
 	report := func(tick int, label string) {
 		offers := append(attack.Offers(tick, 1), web.Offers(tick, 1)...)
-		reports, err := x.Tick(fabric.TickOffers{victim.Name: offers}, 1)
-		if err != nil {
-			log.Fatal(err)
-		}
-		r := reports[victim.Name]
 		var memc, webB float64
-		for flow, bytes := range r.Result.DeliveredByFlow {
+		perClass := func(flow netpkt.FlowKey, _ uint64, bytes float64) {
 			if flow.Proto == netpkt.ProtoUDP && flow.SrcPort == 11211 {
 				memc += bytes
 			} else {
 				webB += bytes
 			}
 		}
+		x.ControlTick(tick, 1)
+		reports, err := x.EgressTick(nil, fabric.TickOffers{victim.Name: offers}, 1,
+			func(int, string) fabric.FlowVisitor { return perClass })
+		if err != nil {
+			log.Fatal(err)
+		}
+		r := reports[victim.Name]
 		fmt.Printf("%-22s delivered: memcached %8.0f Mbps | web %6.0f Mbps | port congestion loss %6.0f Mbps\n",
 			label, memc*8/1e6, webB*8/1e6, r.Result.CongestionDroppedBytes*8/1e6)
 	}

@@ -73,7 +73,8 @@ func main() {
 	withdrawn := false
 	for tick := 0; tick < 60; tick++ {
 		offers := append(attack.Offers(tick, 1), web.Offers(tick, 1)...)
-		if _, err := x.Tick(fabric.TickOffers{victim.Name: offers}, 1); err != nil {
+		x.ControlTick(tick, 1)
+		if _, err := x.EgressTick(nil, fabric.TickOffers{victim.Name: offers}, 1, nil); err != nil {
 			log.Fatal(err)
 		}
 

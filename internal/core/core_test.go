@@ -287,43 +287,6 @@ func TestQoSManagerDuplicateInstall(t *testing.T) {
 	}
 }
 
-func TestSDNManager(t *testing.T) {
-	fab := fabric.New()
-	if err := fab.AddPort(fabric.NewPort("AS64512", victimMAC, 1e9)); err != nil {
-		t.Fatal(err)
-	}
-	mgr := NewSDNManager(fab, 2)
-	if mgr.Name() != "sdn" {
-		t.Fatal("name")
-	}
-	mk := func(id string) ConfigChange {
-		m := fabric.MatchAll()
-		m.DstIP = victimPrefix
-		return ConfigChange{Op: OpInstall, Member: "AS64512", RuleID: id, Match: m, Action: fabric.ActionDrop}
-	}
-	if err := mgr.Apply(mk("a")); err != nil {
-		t.Fatal(err)
-	}
-	if err := mgr.Apply(mk("b")); err != nil {
-		t.Fatal(err)
-	}
-	if err := mgr.Apply(mk("c")); !errors.Is(err, ErrFlowTableFull) {
-		t.Fatalf("overflow: %v", err)
-	}
-	if err := mgr.Apply(ConfigChange{Op: OpRemove, RuleID: "a"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := mgr.Apply(mk("c")); err != nil {
-		t.Fatalf("after free: %v", err)
-	}
-	if mgr.InstalledCount() != 2 {
-		t.Fatal("count")
-	}
-	if err := mgr.Apply(ConfigChange{Op: OpRemove, RuleID: "zz"}); !errors.Is(err, fabric.ErrNoSuchRule) {
-		t.Fatalf("remove unknown: %v", err)
-	}
-}
-
 func TestQoSManagerSetPortIndex(t *testing.T) {
 	fab := fabric.New()
 	if err := fab.AddPort(fabric.NewPort("late", victimMAC, 1e9)); err != nil {
@@ -345,22 +308,23 @@ func TestQoSManagerSetPortIndex(t *testing.T) {
 	}
 }
 
-func TestSDNManagerCounters(t *testing.T) {
+func TestQoSManagerCounters(t *testing.T) {
 	fab := fabric.New()
 	if err := fab.AddPort(fabric.NewPort("AS64512", victimMAC, 1e9)); err != nil {
 		t.Fatal(err)
 	}
-	mgr := NewSDNManager(fab, 16)
+	mgr := NewQoSManager(fab, hw.NewEdgeRouter(hw.DefaultEdgeRouterLimits(2, 8)), map[string]int{"AS64512": 0})
+	var src CounterSource = mgr
 	m := fabric.MatchAll()
 	m.DstIP = victimPrefix
 	if err := mgr.Apply(ConfigChange{Op: OpInstall, Member: "AS64512", RuleID: "r",
 		Match: DropUDPSrcPort(123).Match(m), Action: fabric.ActionDrop}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := mgr.Counters("r"); err != nil {
-		t.Fatalf("SDN telemetry: %v", err)
+	if _, err := src.Counters("r"); err != nil {
+		t.Fatalf("telemetry: %v", err)
 	}
-	if _, err := mgr.Counters("ghost"); err == nil {
+	if _, err := src.Counters("ghost"); err == nil {
 		t.Fatal("ghost rule counters")
 	}
 }

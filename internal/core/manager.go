@@ -10,9 +10,9 @@ import (
 )
 
 // NetworkManager compiles abstract configuration changes into data-plane
-// state (Section 4.4). Two implementations exist, matching the paper's
-// realized options: vendor QoS policies (QoSManager) and an SDN
-// flow-table backend (SDNManager).
+// state (Section 4.4). QoSManager — vendor QoS policies, the option the
+// paper deployed — is the implementation; the interface is the seam the
+// mitigation controller's tests substitute fakes through.
 type NetworkManager interface {
 	// Apply performs one configuration change, respecting the hardware
 	// information base; it returns an error when admission control
@@ -126,86 +126,6 @@ func (m *QoSManager) Apply(c ConfigChange) error {
 
 // InstalledCount returns the number of rules currently installed.
 func (m *QoSManager) InstalledCount() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.installed)
-}
-
-// SDNManager realizes blackholing rules as flow-table entries on an
-// OpenFlow-style switch (the SDX option of Section 4.2.2, demonstrated
-// on the ENDEAVOUR platform in the paper's companion demo). The fabric
-// data path is shared; the difference from QoSManager is the resource
-// model: a single flow-table size budget instead of TCAM criteria
-// accounting.
-type SDNManager struct {
-	fabric *fabric.Fabric
-	// FlowTableSize bounds the number of flow entries (typical hardware
-	// OpenFlow tables hold a few thousand TCAM entries).
-	FlowTableSize int
-
-	mu        sync.Mutex
-	installed map[string]string // ruleID -> member
-}
-
-// ErrFlowTableFull is SDN admission-control rejection.
-var ErrFlowTableFull = errors.New("core: flow table full")
-
-// NewSDNManager builds an SDN backend with the given table size.
-func NewSDNManager(f *fabric.Fabric, tableSize int) *SDNManager {
-	return &SDNManager{fabric: f, FlowTableSize: tableSize, installed: make(map[string]string)}
-}
-
-// Name implements NetworkManager.
-func (m *SDNManager) Name() string { return "sdn" }
-
-// Apply implements NetworkManager.
-func (m *SDNManager) Apply(c ConfigChange) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	switch c.Op {
-	case OpInstall:
-		if _, ok := m.installed[c.RuleID]; ok {
-			return ErrRuleExists
-		}
-		if len(m.installed) >= m.FlowTableSize {
-			return ErrFlowTableFull
-		}
-		port, err := m.fabric.PortByName(c.Member)
-		if err != nil {
-			return err
-		}
-		rule := &fabric.Rule{
-			ID:           c.RuleID,
-			Match:        c.Match,
-			Action:       c.Action,
-			ShapeRateBps: c.ShapeRateBps,
-		}
-		if err := port.InstallRule(rule); err != nil {
-			return err
-		}
-		m.installed[c.RuleID] = c.Member
-		return nil
-	case OpRemove:
-		memberName, ok := m.installed[c.RuleID]
-		if !ok {
-			return fabric.ErrNoSuchRule
-		}
-		port, err := m.fabric.PortByName(memberName)
-		if err != nil {
-			return err
-		}
-		if err := port.RemoveRule(c.RuleID); err != nil {
-			return err
-		}
-		delete(m.installed, c.RuleID)
-		return nil
-	default:
-		return fmt.Errorf("core: unknown op %v", c.Op)
-	}
-}
-
-// InstalledCount returns the number of installed flow entries.
-func (m *SDNManager) InstalledCount() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return len(m.installed)

@@ -2,9 +2,9 @@
 // Blackholing system of Sections 3 and 4: the BGP extended-community
 // signaling codec, the customer portal for custom blackholing rules,
 // the abstract configuration change with its token-bucket change queue,
-// and the network managers that compile abstract changes into QoS or
-// SDN data-plane state under hardware admission control. The
-// blackholing controller that drives them is internal/mitctl.
+// and the network manager that compiles abstract changes into QoS
+// data-plane state under hardware admission control. The blackholing
+// controller that drives them is internal/mitctl.
 package core
 
 import (

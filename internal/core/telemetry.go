@@ -15,7 +15,7 @@ type CounterSource interface {
 	Counters(ruleID string) (*fabric.RuleCounters, error)
 }
 
-// Counters implements CounterSource for the QoS backend.
+// Counters implements CounterSource.
 func (m *QoSManager) Counters(ruleID string) (*fabric.RuleCounters, error) {
 	m.mu.Lock()
 	fp, ok := m.installed[ruleID]
@@ -24,25 +24,6 @@ func (m *QoSManager) Counters(ruleID string) (*fabric.RuleCounters, error) {
 		return nil, fabric.ErrNoSuchRule
 	}
 	port, err := m.fabric.PortByName(fp.member)
-	if err != nil {
-		return nil, err
-	}
-	rule, err := port.Rule(ruleID)
-	if err != nil {
-		return nil, err
-	}
-	return rule.Counters(), nil
-}
-
-// Counters implements CounterSource for the SDN backend.
-func (m *SDNManager) Counters(ruleID string) (*fabric.RuleCounters, error) {
-	m.mu.Lock()
-	memberName, ok := m.installed[ruleID]
-	m.mu.Unlock()
-	if !ok {
-		return nil, fabric.ErrNoSuchRule
-	}
-	port, err := m.fabric.PortByName(memberName)
 	if err != nil {
 		return nil, err
 	}

@@ -24,7 +24,8 @@
 // tick T's egress at the earliest, queue pacing permitting). The fold
 // side only reads monitor bins the spine has finished writing, so its
 // overlap with the next tick changes no observable number: engine runs
-// are byte-identical to the serial ixp.Tick loop (pinned by tests).
+// are byte-identical to a serial ControlTick + EgressTick loop (pinned
+// by tests).
 package engine
 
 import (

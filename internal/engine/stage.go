@@ -190,9 +190,9 @@ type Control interface {
 }
 
 // DataPlane egresses one tick of offers: null-route filtering plus the
-// fabric's per-port egress pass (fabric.TickStreamOn), fanning ports
-// across the supplied runner and streaming delivered flows into the
-// sink. ixp.IXP implements it.
+// fabric's per-port egress pass (fabric.Tick), fanning ports across the
+// supplied runner and streaming delivered flows into the sink. ixp.IXP
+// implements it.
 type DataPlane interface {
 	EgressTick(r fabric.Runner, offers fabric.TickOffers, dt float64, sink fabric.TickSink) (map[string]PortReport, error)
 }
@@ -313,7 +313,7 @@ func (s *controlStage) Run(ctx *Ctx, in, out *Batch) error {
 	return nil
 }
 
-// fabricStage egresses the tick's offers (fabric.TickStreamOn via the
+// fabricStage egresses the tick's offers (fabric.Tick via the
 // DataPlane), streaming delivered flows into the victims' monitor
 // shards.
 type fabricStage struct {

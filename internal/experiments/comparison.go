@@ -120,8 +120,7 @@ func CompareMitigations(cfg CompareConfig) CompareResult {
 	// pre-filter models peer-edge behaviour (RTBH null routes, Flowspec
 	// rules), so it applies before the fabric: the post-filter loads are
 	// precomputed and replayed into the engine, and the victim's flow
-	// monitor provides the per-class delivery accounting the hand-rolled
-	// loop used to pull out of DeliveredByFlow.
+	// monitor provides the per-class delivery accounting.
 	runPort := func(rules []*fabric.Rule, preFilter func(fabric.Offer) bool, dropBenignAtSource bool) (benign, attackRes float64, congested bool) {
 		loads := makeLoads()
 		perTick := &replaySource{ticks: make([][]fabric.Offer, len(loads))}
@@ -354,7 +353,7 @@ func CombinedTSS(cfg CompareConfig) CombinedTSSResult {
 	// attack; benign traffic flows directly, only the sample is
 	// scrubbed (for telemetry/signatures). The port run goes through
 	// the scenario engine; the victim monitor's per-bin accounting
-	// replaces the hand-rolled DeliveredByFlow walk.
+	// separates the sample from the benign traffic.
 	fab := fabric.New()
 	if err := fab.AddPort(port); err != nil {
 		panic(err)

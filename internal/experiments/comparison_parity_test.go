@@ -12,6 +12,15 @@ import (
 	"stellar/internal/traffic"
 )
 
+// egressByFlow is one egress tick with the per-flow deliveries summed
+// into a map — the shape the frozen replicas below were written against.
+// The visitor runs in the forward-queue order the map used to be filled in.
+func egressByFlow(port *fabric.Port, offers []fabric.Offer, dt float64) (fabric.TickResult, map[netpkt.FlowKey]float64) {
+	byFlow := make(map[netpkt.FlowKey]float64, len(offers))
+	res := port.Egress(offers, dt, func(f netpkt.FlowKey, _ uint64, bytes float64) { byFlow[f] += bytes })
+	return res, byFlow
+}
+
 // legacyCompareMitigations is a frozen replica of the bespoke serial
 // port loops the comparison matrix ran on before it moved to the
 // scenario engine. It exists only as the parity oracle below; the
@@ -68,11 +77,11 @@ func legacyCompareMitigations(cfg CompareConfig) CompareResult {
 				}
 				offers = append(offers, o)
 			}
-			out := port.Egress(offers, 1)
+			out, byFlow := egressByFlow(port, offers, 1)
 			if out.CongestionDroppedBytes > 0 {
 				congested = true
 			}
-			for flow, bytes := range out.DeliveredByFlow {
+			for flow, bytes := range byFlow {
 				if flow.Proto == netpkt.ProtoUDP && flow.SrcPort == 123 {
 					attackDel += bytes
 				} else {
@@ -176,9 +185,9 @@ func legacyCombinedTSS(cfg CompareConfig) CombinedTSSResult {
 		aloneBenign += r.CleanBenignBytes
 		aloneBenignOff += webBytes
 
-		out := port.Egress(append(attack.Offers(t, 1), webOffers...), 1)
+		_, byFlow := egressByFlow(port, append(attack.Offers(t, 1), webOffers...), 1)
 		var sampled float64
-		for flow, bytes := range out.DeliveredByFlow {
+		for flow, bytes := range byFlow {
 			if flow.Proto == netpkt.ProtoUDP && flow.SrcPort == 123 {
 				sampled += bytes
 			} else {

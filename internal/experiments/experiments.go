@@ -9,9 +9,9 @@
 // feasibility boundaries fall — are asserted in experiments_test.go.
 //
 // The drivers are single-threaded but the substrate underneath is not:
-// ixp.Tick and fabric.Tick fan member ports out over a worker pool, and
-// ports classify offers through the compiled lock-free classifier with
-// the traffic generators' pre-hashed flow keys. Results stay
+// ixp.EgressTick and fabric.Tick fan member ports out over the engine's
+// worker pool, and ports classify offers through the compiled lock-free
+// classifier with the traffic generators' pre-hashed flow keys. Results stay
 // bit-identical across GOMAXPROCS settings — per-port computation is
 // sequential and merges are keyed by port name — so every figure here is
 // reproducible at any parallelism.

@@ -33,7 +33,7 @@ type portPlane struct {
 }
 
 func (p portPlane) EgressTick(r fabric.Runner, offers fabric.TickOffers, dt float64, sink fabric.TickSink) (map[string]engine.PortReport, error) {
-	st, err := p.fab.TickStreamOn(r, offers, dt, sink)
+	st, err := p.fab.Tick(r, offers, dt, sink)
 	if err != nil {
 		return nil, err
 	}

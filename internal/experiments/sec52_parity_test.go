@@ -48,8 +48,8 @@ func legacySec52(seed uint64) (Sec52Result, error) {
 	for tick := 0; tick < ticks; tick++ {
 		offers := append(ntp.Offers(tick, 1), dns.Offers(tick, 1)...)
 		offers = append(offers, web.Offers(tick, 1)...)
-		out := port.Egress(offers, 1)
-		for flow, bytes := range out.DeliveredByFlow {
+		_, byFlow := egressByFlow(port, offers, 1)
+		for flow, bytes := range byFlow {
 			switch {
 			case flow.Proto == netpkt.ProtoUDP && flow.SrcPort == 123:
 				res.NTPDeliveredBps += bytes * 8 / ticks

@@ -12,8 +12,8 @@ import (
 // for every offered flow — the per-packet slow path Section 4.2.1 holds
 // against software Flowspec processing. Instead, InstallRule/RemoveRule
 // now compile the rule set into an immutable classifier published via
-// atomic.Pointer, so Classify/Egress/EgressPacket run lock-free while
-// rule management stays serialized on the port mutex (copy-on-write).
+// atomic.Pointer, so Classify and Egress run lock-free while rule
+// management stays serialized on the port mutex (copy-on-write).
 //
 // The compiled form indexes every rule under its most selective
 // criterion, exactly once:

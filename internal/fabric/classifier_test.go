@@ -251,8 +251,8 @@ func TestRulesDefensiveCopy(t *testing.T) {
 }
 
 // TestConcurrentRuleChurnAndClassify is the -race stress test: rule
-// management, classification of a growing flow population, flow-level
-// egress and per-packet egress all run concurrently against one port.
+// management, classification of a growing flow population and egress
+// ticks all run concurrently against one port.
 func TestConcurrentRuleChurnAndClassify(t *testing.T) {
 	p := newVictimPort()
 	m := MatchAll()
@@ -287,19 +287,19 @@ func TestConcurrentRuleChurnAndClassify(t *testing.T) {
 			}
 		}(w)
 	}
-	// Readers: classify, flow egress, packet egress, rule listing.
+	// Readers: classify, egress ticks (which also refill and drain the
+	// pinned shaper), rule listing.
 	offers := []Offer{
 		{Flow: udpFlow(macPeerA, srcIPA, 123), Bytes: 1e6, Packets: 1000},
 		{Flow: udpFlow(macPeerA, srcIPA, 1001), Bytes: 1e5, Packets: 100},
 		{Flow: tcpFlow(macPeerB, srcIPB, 443), Bytes: 5e5, Packets: 500},
 	}
-	pkt := netpkt.NewBuilder(macPeerA, macVictim).IPv4(srcIPA, victimIP).UDP(123, 443).PayloadLen(400).Build()
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				p.Egress(offers, 0.01)
+				p.Egress(offers, 0.01, nil)
 				p.Classify(offers[i%len(offers)].Flow)
 				// Fresh flows every iteration, so every reader inserts
 				// into and doubles the memo tables the others are probing;
@@ -316,12 +316,10 @@ func TestConcurrentRuleChurnAndClassify(t *testing.T) {
 						return
 					}
 				}
-				p.EgressPacket(pkt)
 				if rs := p.Rules(); len(rs) == 0 {
 					t.Error("pinned rule disappeared")
 					return
 				}
-				p.RefillShapers(0.01)
 				p.RuleCount()
 			}
 		}(w)
@@ -350,12 +348,14 @@ func TestConcurrentFabricTicks(t *testing.T) {
 			{Flow: tcpFlow(macs[i], srcIPB, 443), Bytes: 1e5, Packets: 100},
 		}
 	}
+	pool := NewPool(4)
+	defer pool.Close()
 	var wg sync.WaitGroup
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 100; i++ {
-			if _, err := f.Tick(offers, 0.01); err != nil {
+			if _, err := f.Tick(pool, offers, 0.01, nil); err != nil {
 				t.Error(err)
 				return
 			}
@@ -494,9 +494,9 @@ func (c *churnTrial) pass() {
 			wantDelivered += o.Bytes
 		}
 	}
-	res := c.p.EgressStream(c.offers, 1, nil)
+	res := c.p.Egress(c.offers, 1, nil)
 	if res.RuleDroppedBytes != wantDropped || res.DeliveredBytes != wantDelivered {
-		c.t.Fatalf("EgressStream dropped %v delivered %v, linear scan %v / %v (rules %v)",
+		c.t.Fatalf("Egress dropped %v delivered %v, linear scan %v / %v (rules %v)",
 			res.RuleDroppedBytes, res.DeliveredBytes, wantDropped, wantDelivered, c.rules)
 	}
 }

@@ -68,6 +68,7 @@ func ExamplePort_Classify() {
 // ExamplePort_Egress runs one flow-level egress tick: a 2 Gbps NTP
 // flood and a 400 Mbps web service offered to a 1 Gbps member port
 // with the attack signature dropped — benign traffic survives intact.
+// Each delivered flow streams into the tick's visitor.
 func ExamplePort_Egress() {
 	port := fabric.NewPort("AS64512", netpkt.MustParseMAC("02:00:00:00:00:01"), 1e9)
 	m := fabric.MatchAll()
@@ -88,12 +89,15 @@ func ExamplePort_Egress() {
 	res := port.Egress([]fabric.Offer{
 		{Flow: attack, FlowHash: attack.Hash(), Bytes: 250e6, Packets: 5e5}, // 2 Gbit in 1 s
 		{Flow: web, FlowHash: web.Hash(), Bytes: 50e6, Packets: 5e4},        // 400 Mbit in 1 s
-	}, 1.0)
+	}, 1.0, func(flow netpkt.FlowKey, _ uint64, bytes float64) {
+		fmt.Printf("%s: %.0f Mbit\n", flow, bytes*8/1e6)
+	})
 
 	fmt.Printf("delivered:    %.0f Mbit\n", res.DeliveredBytes*8/1e6)
 	fmt.Printf("rule-dropped: %.0f Mbit\n", res.RuleDroppedBytes*8/1e6)
 	fmt.Printf("congestion:   %.0f Mbit\n", res.CongestionDroppedBytes*8/1e6)
 	// Output:
+	// TCP 198.51.100.2:50443 -> 100.10.10.10:443: 400 Mbit
 	// delivered:    400 Mbit
 	// rule-dropped: 2000 Mbit
 	// congestion:   0 Mbit

@@ -2,11 +2,8 @@ package fabric
 
 import (
 	"errors"
-	"fmt"
-	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"stellar/internal/netpkt"
 )
@@ -89,20 +86,6 @@ func (f *Fabric) Ports() []*Port {
 	return out
 }
 
-// SwitchPacket forwards one frame: it resolves the egress port from the
-// destination MAC and runs the egress QoS engine. Broadcast frames (ARP)
-// are delivered to every port except the sender without QoS processing.
-func (f *Fabric) SwitchPacket(pkt *netpkt.Packet) (Disposition, error) {
-	if pkt.Eth.Dst.IsBroadcast() {
-		return Delivered, nil
-	}
-	egress, err := f.PortByMAC(pkt.Eth.Dst)
-	if err != nil {
-		return DroppedByRule, fmt.Errorf("fabric: unknown destination %s", pkt.Eth.Dst)
-	}
-	return egress.EgressPacket(pkt), nil
-}
-
 // TickOffers is the flow-level input to one simulation tick: offers
 // grouped by destination port name.
 type TickOffers map[string][]Offer
@@ -126,42 +109,24 @@ func (t TickStats) TotalDeliveredBytes() float64 {
 	return s
 }
 
-// TickSink supplies the per-(worker, port) FlowVisitor of a streaming
-// tick: TickStream calls it once per port from the worker that egresses
-// the port, and streams that port's delivered flows into the returned
-// visitor (nil skips the port). Implementations must be safe to call
-// from concurrent workers; worker is in [0, GOMAXPROCS), so per-worker
-// state (e.g. a flowmon shard per worker) is contention-free.
+// TickSink supplies the per-(worker, port) FlowVisitor of a tick: Tick
+// calls it once per port from the worker that egresses the port, and
+// streams that port's delivered flows into the returned visitor (nil
+// skips the port). Implementations must be safe to call from concurrent
+// workers; worker is below the runner's Workers(), so per-worker state
+// (e.g. a flowmon shard per worker) is contention-free.
 type TickSink func(worker int, port string) FlowVisitor
 
 // Tick advances the platform by dtSeconds, delivering all offers.
 //
-// Member ports are independent egress engines, so their ticks run
-// concurrently on a worker pool sized to GOMAXPROCS and the per-port
-// results are merged afterwards. The computation per port is sequential
-// and the merge is keyed by port name, so results are deterministic.
-func (f *Fabric) Tick(offers TickOffers, dtSeconds float64) (TickStats, error) {
-	return f.TickStream(offers, dtSeconds, nil)
-}
-
-// TickStream is Tick with the monitoring pipeline attached: when sink
-// is non-nil, every port's delivered flows stream into the sink's
-// per-worker visitors during the tick and the per-tick
-// TickResult.DeliveredByFlow maps are NOT materialized (nil in the
-// results). All records of one port flow through exactly one worker in
-// offer order, so downstream accumulation stays deterministic.
-func (f *Fabric) TickStream(offers TickOffers, dtSeconds float64, sink TickSink) (TickStats, error) {
-	return f.TickStreamOn(nil, offers, dtSeconds, sink)
-}
-
-// TickStreamOn is TickStream with the per-port fan-out submitted to the
-// given runner — the engine passes its shared worker pool here so egress
-// reuses the same persistent workers as the other pipeline stages. A nil
-// runner falls back to the per-call goroutine fan-out.
-func (f *Fabric) TickStreamOn(r Runner, offers TickOffers, dtSeconds float64, sink TickSink) (TickStats, error) {
-	if r == nil {
-		r = goRunner{}
-	}
+// Member ports are independent egress engines, so their ticks fan across
+// the runner's workers (the engine passes its shared Pool; nil runs them
+// inline, see run) and the per-port results are merged afterwards. All
+// records of one port flow through exactly one worker in forward-queue
+// order into the sink's visitor for that port (a nil sink skips
+// monitoring), and the merge is keyed by port name, so results and
+// downstream accumulation are deterministic.
+func (f *Fabric) Tick(r Runner, offers TickOffers, dtSeconds float64, sink TickSink) (TickStats, error) {
 	stats := TickStats{PerPort: make(map[string]TickResult, len(offers))}
 
 	names := make([]string, 0, len(offers))
@@ -200,58 +165,16 @@ func (f *Fabric) TickStreamOn(r Runner, offers TickOffers, dtSeconds float64, si
 
 	results := make([]TickResult, len(names))
 	portOffered := make([]float64, len(names))
-	r.Run(len(names), func(worker, i int) {
+	run(r, len(names), func(worker, i int) {
 		var visit FlowVisitor
 		if sink != nil {
 			visit = sink(worker, names[i])
 		}
-		results[i], portOffered[i] = ports[i].egress(offers[names[i]], scale, dtSeconds, visit, sink == nil)
+		results[i], portOffered[i] = ports[i].egress(offers[names[i]], scale, dtSeconds, visit)
 	})
 	for i, name := range names {
 		stats.PerPort[name] = results[i]
 		stats.PlatformOfferedBytes += portOffered[i]
 	}
 	return stats, nil
-}
-
-// ParallelFor runs fn(0..n-1) across a worker pool bounded by
-// GOMAXPROCS; small inputs run inline to avoid goroutine overhead. It
-// is the per-port fan-out of the tick pipeline, shared with ixp, and
-// returns only after every call completes. fn must not panic.
-func ParallelFor(n int, fn func(i int)) {
-	ParallelForWorkers(n, func(_, i int) { fn(i) })
-}
-
-// ParallelForWorkers is ParallelFor with the worker index exposed:
-// fn(worker, i) runs with worker in [0, GOMAXPROCS), and each i is
-// handled by exactly one worker. Callers use the worker index to bind
-// per-worker state — e.g. one flow-monitor shard per worker — without
-// any cross-worker synchronization.
-func ParallelForWorkers(n int, fn func(worker, i int)) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(0, i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(worker int) {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(worker, i)
-			}
-		}(w)
-	}
-	wg.Wait()
 }

@@ -103,6 +103,12 @@ func newVictimPort() *Port {
 	return NewPort("victim", macVictim, 1e9) // 1 Gbps member port
 }
 
+// sumByFlow returns a visitor that adds each delivery to m: the per-flow
+// view of a tick, for tests that ask what one flow got.
+func sumByFlow(m map[netpkt.FlowKey]float64) FlowVisitor {
+	return func(f netpkt.FlowKey, _ uint64, bytes float64) { m[f] += bytes }
+}
+
 func dropNTPRule() *Rule {
 	m := MatchAll()
 	m.Proto = netpkt.ProtoUDP
@@ -146,7 +152,7 @@ func TestEgressDropQueue(t *testing.T) {
 		{Flow: udpFlow(macPeerA, srcIPA, 123), Bytes: 1e6, Packets: 1000}, // NTP attack
 		{Flow: tcpFlow(macPeerB, srcIPB, 443), Bytes: 5e5, Packets: 500},  // benign web
 	}
-	res := p.Egress(offers, 1.0)
+	res := p.Egress(offers, 1.0, nil)
 	if res.RuleDroppedBytes != 1e6 {
 		t.Fatalf("rule-dropped: %v", res.RuleDroppedBytes)
 	}
@@ -174,12 +180,12 @@ func TestEgressShapeQueue(t *testing.T) {
 	// the bucket holds at most a 1 s burst, and the refill is clamped to
 	// that burst before consumption.
 	attack := Offer{Flow: udpFlow(macPeerA, srcIPA, 123), Bytes: 125e6, Packets: 1e5} // 1 Gbit
-	res1 := p.Egress([]Offer{attack}, 1.0)
+	res1 := p.Egress([]Offer{attack}, 1.0, nil)
 	want1 := 25e6 // 200 Mbit = 25 MB
 	if math.Abs(res1.DeliveredBytes-want1) > 1 {
 		t.Fatalf("tick1 delivered %v, want %v (clamped burst)", res1.DeliveredBytes, want1)
 	}
-	res2 := p.Egress([]Offer{attack}, 1.0)
+	res2 := p.Egress([]Offer{attack}, 1.0, nil)
 	want2 := 25e6 // 200 Mbit steady state
 	if math.Abs(res2.DeliveredBytes-want2) > 1 {
 		t.Fatalf("tick2 delivered %v, want %v (steady state)", res2.DeliveredBytes, want2)
@@ -200,13 +206,14 @@ func TestEgressCongestionSharedFate(t *testing.T) {
 	p := newVictimPort()
 	attack := Offer{Flow: udpFlow(macPeerA, srcIPA, 11211), Bytes: 187.5e6, Packets: 1e5} // 1.5 Gbit
 	web := Offer{Flow: tcpFlow(macPeerB, srcIPB, 443), Bytes: 62.5e6, Packets: 5e4}       // 0.5 Gbit
-	res := p.Egress([]Offer{attack, web}, 1.0)
+	byFlow := make(map[netpkt.FlowKey]float64)
+	res := p.Egress([]Offer{attack, web}, 1.0, sumByFlow(byFlow))
 	capBytes := 1e9 / 8.0
 	if math.Abs(res.DeliveredBytes-capBytes) > 1 {
 		t.Fatalf("delivered %v, want capacity %v", res.DeliveredBytes, capBytes)
 	}
 	frac := capBytes / (187.5e6 + 62.5e6)
-	if got := res.DeliveredByFlow[web.Flow]; math.Abs(got-web.Bytes*frac) > 1 {
+	if got := byFlow[web.Flow]; math.Abs(got-web.Bytes*frac) > 1 {
 		t.Fatalf("web delivered %v, want %v (proportional)", got, web.Bytes*frac)
 	}
 	if res.CongestionDroppedBytes <= 0 {
@@ -224,8 +231,9 @@ func TestEgressDropRestoresBenign(t *testing.T) {
 	}
 	attack := Offer{Flow: udpFlow(macPeerA, srcIPA, 123), Bytes: 1.25e9, Packets: 1e6} // 10 Gbit
 	web := Offer{Flow: tcpFlow(macPeerB, srcIPB, 443), Bytes: 62.5e6, Packets: 5e4}
-	res := p.Egress([]Offer{attack, web}, 1.0)
-	if got := res.DeliveredByFlow[web.Flow]; math.Abs(got-web.Bytes) > 1 {
+	byFlow := make(map[netpkt.FlowKey]float64)
+	res := p.Egress([]Offer{attack, web}, 1.0, sumByFlow(byFlow))
+	if got := byFlow[web.Flow]; math.Abs(got-web.Bytes) > 1 {
 		t.Fatalf("benign delivered %v, want full %v", got, web.Bytes)
 	}
 	if res.CongestionDroppedBytes != 0 {
@@ -248,56 +256,13 @@ func TestEgressFirstMatchWins(t *testing.T) {
 	}
 	ntp := Offer{Flow: udpFlow(macPeerA, srcIPA, 123), Bytes: 100, Packets: 1}
 	dns := Offer{Flow: udpFlow(macPeerA, srcIPA, 53), Bytes: 100, Packets: 1}
-	res := p.Egress([]Offer{ntp, dns}, 1.0)
+	res := p.Egress([]Offer{ntp, dns}, 1.0, nil)
 	if res.DeliveredBytes != 100 || res.RuleDroppedBytes != 100 {
 		t.Fatalf("first-match: delivered=%v dropped=%v", res.DeliveredBytes, res.RuleDroppedBytes)
 	}
 }
 
-func TestEgressPacketPath(t *testing.T) {
-	p := newVictimPort()
-	if err := p.InstallRule(dropNTPRule()); err != nil {
-		t.Fatal(err)
-	}
-	ntp := netpkt.NewBuilder(macPeerA, macVictim).
-		IPv4(srcIPA, victimIP).UDP(123, 443).PayloadLen(400).Build()
-	if d := p.EgressPacket(ntp); d != DroppedByRule {
-		t.Fatalf("ntp: %v", d)
-	}
-	web := netpkt.NewBuilder(macPeerB, macVictim).
-		IPv4(srcIPB, victimIP).TCP(443, 50000, netpkt.FlagACK).PayloadLen(1000).Build()
-	if d := p.EgressPacket(web); d != Delivered {
-		t.Fatalf("web: %v", d)
-	}
-}
-
-func TestEgressPacketShaper(t *testing.T) {
-	p := NewPort("v", macVictim, 1e9)
-	m := MatchAll()
-	m.Proto = netpkt.ProtoUDP
-	// 8000 bps: one 500-byte packet (4000 bits) per half second.
-	if err := p.InstallRule(&Rule{ID: "s", Match: m, Action: ActionShape, ShapeRateBps: 8000}); err != nil {
-		t.Fatal(err)
-	}
-	pkt := netpkt.NewBuilder(macPeerA, macVictim).IPv4(srcIPA, victimIP).UDP(123, 443).Build()
-	pkt.WireLen = 500
-	// Bucket starts with 1 s burst = 8000 bits = 2 packets.
-	if d := p.EgressPacket(pkt); d != Delivered {
-		t.Fatalf("pkt1: %v", d)
-	}
-	if d := p.EgressPacket(pkt); d != Delivered {
-		t.Fatalf("pkt2: %v", d)
-	}
-	if d := p.EgressPacket(pkt); d != DroppedByShaper {
-		t.Fatalf("pkt3: %v", d)
-	}
-	p.RefillShapers(0.5) // +4000 bits
-	if d := p.EgressPacket(pkt); d != Delivered {
-		t.Fatalf("pkt4 after refill: %v", d)
-	}
-}
-
-func TestFabricSwitching(t *testing.T) {
+func TestFabricPortTable(t *testing.T) {
 	f := New()
 	victim := newVictimPort()
 	if err := f.AddPort(victim); err != nil {
@@ -321,20 +286,6 @@ func TestFabricSwitching(t *testing.T) {
 	if got := f.Ports(); len(got) != 2 || got[0].Name != "peerA" {
 		t.Fatalf("Ports: %v", got)
 	}
-
-	pkt := netpkt.NewBuilder(macPeerA, macVictim).IPv4(srcIPA, victimIP).UDP(123, 443).Build()
-	if d, err := f.SwitchPacket(pkt); err != nil || d != Delivered {
-		t.Fatalf("switch: %v %v", d, err)
-	}
-	unknown := netpkt.NewBuilder(macPeerA, netpkt.MustParseMAC("02:ff:ff:ff:ff:ff")).
-		IPv4(srcIPA, victimIP).UDP(1, 2).Build()
-	if _, err := f.SwitchPacket(unknown); err == nil {
-		t.Fatal("unknown dst accepted")
-	}
-	bcast := &netpkt.Packet{Eth: netpkt.Ethernet{Src: macPeerA, Dst: netpkt.Broadcast, Type: netpkt.EtherTypeARP}}
-	if d, err := f.SwitchPacket(bcast); err != nil || d != Delivered {
-		t.Fatalf("broadcast: %v %v", d, err)
-	}
 }
 
 func TestFabricTick(t *testing.T) {
@@ -347,14 +298,14 @@ func TestFabricTick(t *testing.T) {
 			{Flow: udpFlow(macPeerA, srcIPA, 123), Bytes: 1000, Packets: 2},
 		},
 	}
-	stats, err := f.Tick(offers, 1.0)
+	stats, err := f.Tick(nil, offers, 1.0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stats.TotalDeliveredBytes() != 1000 || stats.PlatformOfferedBytes != 1000 {
 		t.Fatalf("stats: %+v", stats)
 	}
-	if _, err := f.Tick(TickOffers{"ghost": {{Bytes: 1}}}, 1.0); err == nil {
+	if _, err := f.Tick(nil, TickOffers{"ghost": {{Bytes: 1}}}, 1.0, nil); err == nil {
 		t.Fatal("tick to unknown port accepted")
 	}
 }
@@ -366,7 +317,7 @@ func TestFabricPlatformCapacity(t *testing.T) {
 		t.Fatal(err)
 	}
 	offers := TickOffers{"v": {{Flow: udpFlow(macPeerA, srcIPA, 1), Bytes: 400, Packets: 1}}}
-	stats, err := f.Tick(offers, 1.0)
+	stats, err := f.Tick(nil, offers, 1.0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,7 +353,7 @@ func TestEgressConservationProperty(t *testing.T) {
 			offers = append(offers, Offer{Flow: udpFlow(macPeerA, srcIPA, port), Bytes: b, Packets: 1})
 			total += b
 		}
-		res := p.Egress(offers, 1.0)
+		res := p.Egress(offers, 1.0, nil)
 		return math.Abs(res.OfferedBytes()-total) < 1e-6*math.Max(total, 1)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
@@ -410,30 +361,13 @@ func TestEgressConservationProperty(t *testing.T) {
 	}
 }
 
-func TestDispositionActionStrings(t *testing.T) {
-	if Delivered.String() == "" || DroppedByRule.String() == "" ||
-		DroppedByShaper.String() == "" || DroppedByCongestion.String() == "" {
-		t.Fatal("disposition strings")
-	}
+func TestActionStrings(t *testing.T) {
 	if ActionForward.String() != "forward" || ActionShape.String() != "shape" || ActionDrop.String() != "drop" {
 		t.Fatal("action strings")
 	}
 	r := dropNTPRule()
 	if r.String() == "" {
 		t.Fatal("rule string")
-	}
-}
-
-func BenchmarkEgressTick(b *testing.B) {
-	p := newVictimPort()
-	_ = p.InstallRule(dropNTPRule())
-	offers := make([]Offer, 100)
-	for i := range offers {
-		offers[i] = Offer{Flow: udpFlow(macPeerA, srcIPA, uint16(i)), Bytes: 1e4, Packets: 10}
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		p.Egress(offers, 1.0)
 	}
 }
 
@@ -490,31 +424,31 @@ func benchPort(b *testing.B, flows, rules int) (*Port, []Offer) {
 
 var benchTick TickResult
 
-// BenchmarkEgressStreamWarm is the steady-state tick: every flow's
-// verdict is in the port's memo.
-func BenchmarkEgressStreamWarm(b *testing.B) {
+// BenchmarkEgressTick is the steady-state tick: every flow's verdict is
+// in the port's memo.
+func BenchmarkEgressTick(b *testing.B) {
 	for _, s := range benchShapes {
 		b.Run(s.name, func(b *testing.B) {
 			p, offers := benchPort(b, s.flows, s.rules)
-			p.EgressStream(offers, 1, nil)
+			p.Egress(offers, 1, nil)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				benchTick = p.EgressStream(offers, 1, nil)
+				benchTick = p.Egress(offers, 1, nil)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(s.flows), "ns/flow")
 		})
 	}
 }
 
-// BenchmarkEgressStreamAfterRuleChange is the tick a mitigation lands
+// BenchmarkEgressTickAfterRuleChange is the tick a mitigation lands
 // on: the first pass over a warm port after one InstallRule or
 // RemoveRule (alternately; the rule change itself is not timed).
-func BenchmarkEgressStreamAfterRuleChange(b *testing.B) {
+func BenchmarkEgressTickAfterRuleChange(b *testing.B) {
 	for _, s := range benchShapes {
 		b.Run(s.name, func(b *testing.B) {
 			p, offers := benchPort(b, s.flows, s.rules)
-			p.EgressStream(offers, 1, nil)
+			p.Egress(offers, 1, nil)
 			m := MatchAll()
 			m.Proto = netpkt.ProtoTCP
 			m.DstPort = 443
@@ -532,7 +466,7 @@ func BenchmarkEgressStreamAfterRuleChange(b *testing.B) {
 					b.Fatal(err)
 				}
 				b.StartTimer()
-				benchTick = p.EgressStream(offers, 1, nil)
+				benchTick = p.Egress(offers, 1, nil)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(s.flows), "ns/flow")
 		})

@@ -7,17 +7,19 @@
 // The simulator is flow-level and discrete-time: traffic is offered to
 // ports as (flow header, bytes, packets) aggregates per tick, which is
 // what lets experiments replay multi-gigabit attacks faithfully without
-// materializing packets. A per-packet path (Classify + EgressPacket) is
-// provided for functional tests.
+// materializing packets. There is one way through a port: Port.Egress,
+// one tick of classify, then the forward, shape or drop queue, with each
+// delivered flow streamed into the caller's FlowVisitor.
 //
 // Classification is line-rate in spirit: rule installs compile the
 // port's rule set into an immutable lookup structure (exact-match port
 // tables, per-field prefix tries, a source-MAC index and a short
 // residual list — see classifier.go) published through an atomic
 // pointer, so the data path runs lock-free with first-match-priority
-// semantics while rule management stays serialized. Fabric.Tick runs
-// all member ports' egress engines concurrently on a worker pool;
-// results are merged per port and remain deterministic.
+// semantics while rule management stays serialized. Fabric.Tick fans
+// the member ports' egress engines across the caller's Runner (a shared
+// Pool; nil runs them inline); results are merged per port and remain
+// deterministic.
 package fabric
 
 import (

@@ -11,7 +11,8 @@ import (
 // executing worker in [0, Workers()), and returns only after every call
 // completed. Implementations must allow concurrent Run calls — the
 // engine's pipeline submits traffic generation and fabric egress from
-// different stages at the same time.
+// different stages at the same time. Pool is the implementation; where a
+// Runner is a parameter, nil means no fan-out (see run).
 type Runner interface {
 	// Run executes fn(worker, i) for every i in [0, n).
 	Run(n int, fn func(worker, i int))
@@ -20,16 +21,18 @@ type Runner interface {
 	Workers() int
 }
 
-// goRunner is the pool-less default: it spawns the per-call goroutines
-// ParallelForWorkers always used.
-type goRunner struct{}
-
-func (goRunner) Run(n int, fn func(worker, i int)) { ParallelForWorkers(n, fn) }
-func (goRunner) Workers() int                      { return runtime.GOMAXPROCS(0) }
-
-// DefaultRunner returns the per-call goroutine fan-out used when no
-// shared pool is supplied.
-func DefaultRunner() Runner { return goRunner{} }
+// run fans fn over r. A nil Runner means no fan-out: every call runs
+// inline on the caller's goroutine as worker 0. This is the one place
+// that decides it.
+func run(r Runner, n int, fn func(worker, i int)) {
+	if r == nil {
+		for i := 0; i < n; i++ {
+			fn(0, i)
+		}
+		return
+	}
+	r.Run(n, fn)
+}
 
 // poolJob is one Run submission: workers pull indices from next until n
 // is exhausted.

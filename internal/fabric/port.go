@@ -2,7 +2,6 @@ package fabric
 
 import (
 	"errors"
-	"fmt"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -23,33 +22,9 @@ type Offer struct {
 	FlowHash uint64
 }
 
-// Disposition is the fate of one offer (or packet) at the egress engine.
-type Disposition int
-
-// Dispositions.
-const (
-	Delivered Disposition = iota
-	DroppedByRule
-	DroppedByShaper
-	DroppedByCongestion
-)
-
-func (d Disposition) String() string {
-	switch d {
-	case Delivered:
-		return "delivered"
-	case DroppedByRule:
-		return "dropped-by-rule"
-	case DroppedByShaper:
-		return "dropped-by-shaper"
-	case DroppedByCongestion:
-		return "dropped-by-congestion"
-	default:
-		return fmt.Sprintf("Disposition(%d)", int(d))
-	}
-}
-
-// TickResult summarizes one egress tick on a port.
+// TickResult summarizes one egress tick on a port as byte totals per
+// queue outcome. Per-flow deliveries are not part of it: they stream into
+// the tick's FlowVisitor.
 type TickResult struct {
 	// DeliveredBytes went out the member port.
 	DeliveredBytes float64
@@ -60,18 +35,15 @@ type TickResult struct {
 	// CongestionDroppedBytes exceeded the port capacity in the forward
 	// queue (tail drop).
 	CongestionDroppedBytes float64
-	// DeliveredByFlow maps each offered flow to its delivered bytes,
-	// letting callers observe per-peer and per-port traffic shares.
-	// Egress always materializes it; EgressStream leaves it nil and
-	// streams the per-flow deliveries into a FlowVisitor instead.
-	DeliveredByFlow map[netpkt.FlowKey]float64
 }
 
 // FlowVisitor receives one delivered flow during an egress tick:
 // the flow key, its precomputed FlowKey.Hash (0 when the offer carried
-// none) and the bytes that made it out the port. It is the streaming
-// alternative to materializing TickResult.DeliveredByFlow; the flow
-// monitor's shards sit behind it.
+// none) and the bytes that made it out the port. It is called once per
+// forward-queue entry, in queue order (unmatched and forward-rule offers
+// in offer order, then each shaping queue's residue), so a flow offered
+// twice is visited twice. The flow monitor's shards sit behind it; a
+// caller that wants a per-flow map sums into one here.
 type FlowVisitor func(flow netpkt.FlowKey, flowHash uint64, deliveredBytes float64)
 
 // OfferedBytes returns the total bytes presented this tick.
@@ -84,9 +56,8 @@ func (t TickResult) OfferedBytes() float64 {
 // Rule management (InstallRule/RemoveRule) is serialized on an internal
 // mutex and recompiles the rule set into an immutable classifier
 // published through an atomic pointer (see classifier.go). The data
-// path — Classify, Egress, EgressPacket — reads the current classifier
-// lock-free, so any number of goroutines can classify traffic while
-// rules churn.
+// path — Classify and Egress — reads the current classifier lock-free,
+// so any number of goroutines can classify traffic while rules churn.
 type Port struct {
 	// Name identifies the port ("AS64512" in the harness).
 	Name string
@@ -198,51 +169,6 @@ func (p *Port) ClassifyHashed(f netpkt.FlowKey, hash uint64) *Rule {
 	return p.cls.Load().classifyHashed(&f, hash)
 }
 
-// EgressPacket runs one packet through classification and the queues,
-// with shaping evaluated against the packet's own wire time. It is the
-// per-packet functional-test path; flow-level simulations use Egress.
-func (p *Port) EgressPacket(pkt *netpkt.Packet) Disposition {
-	f := pkt.Flow()
-	bits := float64(pkt.WireLen) * 8
-	r := p.cls.Load().classifyHashed(&f, 0)
-	if r == nil {
-		return Delivered
-	}
-	r.counters.MatchedPackets.Add(1)
-	r.counters.MatchedBytes.Add(int64(pkt.WireLen))
-	switch r.Action {
-	case ActionDrop:
-		r.counters.DroppedBytes.Add(int64(pkt.WireLen))
-		return DroppedByRule
-	case ActionShape:
-		r.tok.Lock()
-		ok := r.tokens >= bits
-		if ok {
-			r.tokens -= bits
-		}
-		r.tok.Unlock()
-		if ok {
-			r.counters.ForwardedBytes.Add(int64(pkt.WireLen))
-			r.counters.ShapedResidue.Add(int64(pkt.WireLen))
-			return Delivered
-		}
-		r.counters.DroppedBytes.Add(int64(pkt.WireLen))
-		return DroppedByShaper
-	default:
-		r.counters.ForwardedBytes.Add(int64(pkt.WireLen))
-		return Delivered
-	}
-}
-
-// RefillShapers advances shaping token buckets by dt seconds; the
-// per-packet path uses it between bursts. The flow-level Egress refills
-// implicitly.
-func (p *Port) RefillShapers(dtSeconds float64) {
-	for _, r := range p.cls.Load().shapeRules {
-		r.refill(dtSeconds)
-	}
-}
-
 // Egress processes one tick of dtSeconds on the port: classifies every
 // offer, applies drop and shaping queues, then subjects the forward
 // queue to the port capacity with proportional (fair) tail drop under
@@ -251,19 +177,11 @@ func (p *Port) RefillShapers(dtSeconds float64) {
 //
 // The classification loop runs against one immutable classifier
 // snapshot: rules installed concurrently take effect the next tick, and
-// no lock is held while offers are processed.
-func (p *Port) Egress(offers []Offer, dtSeconds float64) TickResult {
-	res, _ := p.egress(offers, 1, dtSeconds, nil, true)
-	return res
-}
-
-// EgressStream is Egress with the per-flow deliveries streamed into
-// visit (which may be nil) instead of materialized as the
-// TickResult.DeliveredByFlow map — the zero-allocation monitoring path
-// of the scenario pipeline. The byte totals in the returned TickResult
-// are identical to Egress's.
-func (p *Port) EgressStream(offers []Offer, dtSeconds float64, visit FlowVisitor) TickResult {
-	res, _ := p.egress(offers, 1, dtSeconds, visit, false)
+// no lock is held while offers are processed. Every delivered flow
+// streams into visit; a nil visit skips monitoring and leaves the byte
+// totals.
+func (p *Port) Egress(offers []Offer, dtSeconds float64, visit FlowVisitor) TickResult {
+	res, _ := p.egress(offers, 1, dtSeconds, visit)
 	return res
 }
 
@@ -307,12 +225,8 @@ func (m *matchRun) flush() {
 // multiplied by scale (the platform core's admission share; 1 when the
 // core is not the bottleneck) as they are read, so the caller's slice is
 // never copied. offered is the unscaled byte sum of offers.
-func (p *Port) egress(offers []Offer, scale, dtSeconds float64, visit FlowVisitor, collect bool) (res TickResult, offered float64) {
+func (p *Port) egress(offers []Offer, scale, dtSeconds float64, visit FlowVisitor) (res TickResult, offered float64) {
 	cls := p.cls.Load()
-
-	if collect {
-		res.DeliveredByFlow = make(map[netpkt.FlowKey]float64, len(offers))
-	}
 
 	scratch := fwdPool.Get().(*[]fwd)
 	forward := (*scratch)[:0]
@@ -418,9 +332,6 @@ func (p *Port) egress(offers []Offer, scale, dtSeconds float64, visit FlowVisito
 		delivered := f.bytes * deliverFrac
 		res.DeliveredBytes += delivered
 		res.CongestionDroppedBytes += f.bytes - delivered
-		if collect {
-			res.DeliveredByFlow[f.o.Flow] += delivered
-		}
 		if visit != nil {
 			visit(f.o.Flow, f.o.FlowHash, delivered)
 		}

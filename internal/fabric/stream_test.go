@@ -3,6 +3,7 @@ package fabric
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"runtime"
 	"sync"
 	"testing"
@@ -51,54 +52,12 @@ func streamRules(t *testing.T, p *Port) {
 	}
 }
 
-// TestEgressStreamMatchesEgress: the streamed per-flow deliveries must
-// aggregate to exactly the DeliveredByFlow map of the materializing
-// path, and the byte totals must agree.
-func TestEgressStreamMatchesEgress(t *testing.T) {
-	mapPort := newVictimPort()
-	streamRules(t, mapPort)
-	streamPort := newVictimPort()
-	streamRules(t, streamPort)
-
-	offers := streamOffers(90)
-	want := mapPort.Egress(offers, 1)
-
-	streamed := make(map[netpkt.FlowKey]float64)
-	got := streamPort.EgressStream(offers, 1, func(f netpkt.FlowKey, hash uint64, bytes float64) {
-		if hash != f.Hash() {
-			t.Fatalf("visitor hash %d != FlowKey.Hash %d", hash, f.Hash())
-		}
-		streamed[f] += bytes
-	})
-
-	if got.DeliveredByFlow != nil {
-		t.Fatal("EgressStream materialized DeliveredByFlow")
-	}
-	if got.DeliveredBytes != want.DeliveredBytes ||
-		got.RuleDroppedBytes != want.RuleDroppedBytes ||
-		got.ShaperDroppedBytes != want.ShaperDroppedBytes ||
-		got.CongestionDroppedBytes != want.CongestionDroppedBytes {
-		t.Fatalf("totals diverge: stream %+v, map %+v", got, want)
-	}
-	if len(streamed) != len(want.DeliveredByFlow) {
-		t.Fatalf("streamed %d flows, map has %d", len(streamed), len(want.DeliveredByFlow))
-	}
-	for f, b := range want.DeliveredByFlow {
-		if g := streamed[f]; math.Abs(g-b) > 1e-9 {
-			t.Fatalf("flow %v: streamed %v, map %v", f, g, b)
-		}
-	}
-}
-
 // TestEgressStreamNilVisitor: a nil visitor just skips monitoring; the
-// totals still come out and no map is built.
+// totals still come out.
 func TestEgressStreamNilVisitor(t *testing.T) {
 	p := newVictimPort()
 	offers := streamOffers(30)
-	res := p.EgressStream(offers, 1, nil)
-	if res.DeliveredByFlow != nil {
-		t.Fatal("nil-visitor stream materialized DeliveredByFlow")
-	}
+	res := p.Egress(offers, 1, nil)
 	if res.DeliveredBytes <= 0 {
 		t.Fatalf("no delivery: %+v", res)
 	}
@@ -126,7 +85,9 @@ func TestTickStreamPerPortVisitors(t *testing.T) {
 		offers[name] = os
 	}
 
-	maxWorkers := runtime.GOMAXPROCS(0)
+	pool := NewPool(0)
+	defer pool.Close()
+	maxWorkers := pool.Workers()
 	var mu sync.Mutex
 	perPort := make(map[string]float64)
 	sink := func(worker int, port string) FlowVisitor {
@@ -139,7 +100,7 @@ func TestTickStreamPerPortVisitors(t *testing.T) {
 			mu.Unlock()
 		}
 	}
-	stats, err := f.TickStream(offers, 1, sink)
+	stats, err := f.Tick(pool, offers, 1, sink)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,29 +108,89 @@ func TestTickStreamPerPortVisitors(t *testing.T) {
 		t.Fatalf("visitors saw %d ports, want %d", len(perPort), ports)
 	}
 	for name, res := range stats.PerPort {
-		if res.DeliveredByFlow != nil {
-			t.Fatalf("port %s: TickStream materialized DeliveredByFlow", name)
-		}
 		if math.Abs(perPort[name]-res.DeliveredBytes) > 1e-9 {
 			t.Fatalf("port %s: streamed %v, delivered %v", name, perPort[name], res.DeliveredBytes)
 		}
 	}
 }
 
-// TestTickStreamNilSinkKeepsMaps: Tick (nil sink) must keep the legacy
-// materialized maps for existing consumers.
-func TestTickStreamNilSinkKeepsMaps(t *testing.T) {
-	f := New()
-	p := newVictimPort()
-	if err := f.AddPort(p); err != nil {
-		t.Fatal(err)
+// visit is one FlowVisitor call as a port's visitor saw it.
+type visit struct {
+	flow  netpkt.FlowKey
+	hash  uint64
+	bytes float64
+}
+
+// TestTickNilRunnerMatchesPool: the runner decides only where a port's
+// egress runs. A nil Runner (inline, worker 0) and a 4-worker Pool produce
+// identical TickStats and, port by port, the identical visitor stream —
+// every queue contributing, each call carrying the offer's FlowHash, and
+// the stream summing to the port's DeliveredBytes.
+func TestTickNilRunnerMatchesPool(t *testing.T) {
+	const ports = 12
+	offers := make(TickOffers, ports)
+	for p := 0; p < ports; p++ {
+		offers[fmt.Sprintf("AS%d", 64512+p)] = streamOffers(30 + 3*p)
 	}
-	stats, err := f.Tick(TickOffers{"victim": streamOffers(6)}, 1)
-	if err != nil {
-		t.Fatal(err)
+	// A fresh fabric per run: shaping buckets carry state across ticks.
+	build := func() *Fabric {
+		f := New()
+		for p := 0; p < ports; p++ {
+			port := NewPort(fmt.Sprintf("AS%d", 64512+p), netpkt.MAC{0x02, 0x20, 0, 0, 0, byte(p)}, 1e8) // congested
+			streamRules(t, port)
+			if err := f.AddPort(port); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return f
 	}
-	if stats.PerPort["victim"].DeliveredByFlow == nil {
-		t.Fatal("Tick dropped DeliveredByFlow")
+	tick := func(r Runner, workers int) (TickStats, map[string]*[]visit) {
+		var mu sync.Mutex
+		streams := make(map[string]*[]visit)
+		sink := func(worker int, port string) FlowVisitor {
+			if worker < 0 || worker >= workers {
+				t.Errorf("worker %d out of range [0,%d)", worker, workers)
+			}
+			seen := new([]visit) // one worker egresses the port: no lock per visit
+			mu.Lock()
+			streams[port] = seen
+			mu.Unlock()
+			return func(flow netpkt.FlowKey, hash uint64, bytes float64) {
+				*seen = append(*seen, visit{flow, hash, bytes})
+			}
+		}
+		stats, err := build().Tick(r, offers, 1, sink)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return stats, streams
+	}
+
+	pool := NewPool(4)
+	defer pool.Close()
+	inlineStats, inlineStreams := tick(nil, 1)
+	poolStats, poolStreams := tick(pool, pool.Workers())
+
+	if !reflect.DeepEqual(inlineStats, poolStats) {
+		t.Fatalf("TickStats diverge:\n nil runner %+v\n pool       %+v", inlineStats, poolStats)
+	}
+	if !reflect.DeepEqual(inlineStreams, poolStreams) {
+		t.Fatal("per-port visitor streams diverge between a nil runner and a pool")
+	}
+	for name, res := range inlineStats.PerPort {
+		var sum float64
+		for _, v := range *inlineStreams[name] {
+			if v.hash != v.flow.Hash() {
+				t.Fatalf("port %s: visitor hash %d != FlowKey.Hash %d", name, v.hash, v.flow.Hash())
+			}
+			sum += v.bytes
+		}
+		if sum != res.DeliveredBytes {
+			t.Fatalf("port %s: streamed %v, delivered %v", name, sum, res.DeliveredBytes)
+		}
+		if res.RuleDroppedBytes == 0 || res.ShaperDroppedBytes == 0 || res.CongestionDroppedBytes == 0 {
+			t.Fatalf("port %s: a queue saw no traffic: %+v", name, res)
+		}
 	}
 }
 
@@ -211,7 +232,7 @@ func TestEgressStreamAllocations(t *testing.T) {
 		}
 		offers[i] = Offer{Flow: f, FlowHash: f.Hash(), Bytes: 1000, Packets: 1}
 	}
-	pass := func() { p.EgressStream(offers, 1, nil) }
+	pass := func() { p.Egress(offers, 1, nil) }
 	// The egress scratch comes from a sync.Pool, which the race detector
 	// makes drop entries at random: allow the scratch's regrowth there.
 	slack := uint64(0)

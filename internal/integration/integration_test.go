@@ -1,9 +1,7 @@
-// Package integration checks the substrates across their wire formats:
-// Ethernet frames serialized, decoded and classified by the fabric's
-// packet path, and an RFC 5575 rule exchanged over a real BGP session
-// and compiled into a data-plane match. The member-to-data-plane
-// mitigation path over TCP is checked on the shipped assembly, in
-// cmd/ixpd.
+// Package integration checks the substrates across a wire format: an
+// RFC 5575 rule exchanged over a real BGP session and compiled into a
+// data-plane match. The member-to-data-plane mitigation path over TCP is
+// checked on the shipped assembly, in cmd/ixpd.
 package integration
 
 import (
@@ -19,63 +17,9 @@ import (
 )
 
 var (
-	victimIP  = netip.MustParseAddr("100.10.10.10")
-	hostPfx   = netip.MustParsePrefix("100.10.10.10/32")
-	victimMAC = netpkt.MustParseMAC("02:00:00:00:00:01")
+	victimIP = netip.MustParseAddr("100.10.10.10")
+	hostPfx  = netip.MustParsePrefix("100.10.10.10/32")
 )
-
-// TestPacketLevelWireToFabric drives real wire bytes through the whole
-// data path: packets are serialized to Ethernet frames, decoded by the
-// fabric's packet path, switched by destination MAC, and classified by
-// an installed blackholing rule.
-func TestPacketLevelWireToFabric(t *testing.T) {
-	fab := fabric.New()
-	port := fabric.NewPort("AS64512", victimMAC, 1e9)
-	m := fabric.MatchAll()
-	m.Proto = netpkt.ProtoUDP
-	m.SrcPort = 123
-	m.DstIP = hostPfx
-	if err := port.InstallRule(&fabric.Rule{ID: "drop-ntp", Match: m, Action: fabric.ActionDrop}); err != nil {
-		t.Fatal(err)
-	}
-	if err := fab.AddPort(port); err != nil {
-		t.Fatal(err)
-	}
-
-	srcMAC := netpkt.MustParseMAC("02:00:00:00:00:02")
-	mk := func(build func(*netpkt.Builder) *netpkt.Builder) *netpkt.Packet {
-		wire, err := build(netpkt.NewBuilder(srcMAC, victimMAC)).Build().Serialize()
-		if err != nil {
-			t.Fatal(err)
-		}
-		pkt, err := netpkt.Decode(wire)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return pkt
-	}
-
-	ntp := mk(func(b *netpkt.Builder) *netpkt.Builder {
-		return b.IPv4(netip.MustParseAddr("198.51.100.1"), victimIP).
-			UDP(123, 443).Payload(make([]byte, 468))
-	})
-	if d, err := fab.SwitchPacket(ntp); err != nil || d != fabric.DroppedByRule {
-		t.Fatalf("ntp: %v %v", d, err)
-	}
-	web := mk(func(b *netpkt.Builder) *netpkt.Builder {
-		return b.IPv4(netip.MustParseAddr("203.0.113.9"), victimIP).
-			TCP(50123, 443, netpkt.FlagACK).Payload(make([]byte, 900))
-	})
-	if d, err := fab.SwitchPacket(web); err != nil || d != fabric.Delivered {
-		t.Fatalf("web: %v %v", d, err)
-	}
-	// Telemetry counted the dropped frame with its true wire length.
-	r, _ := port.Rule("drop-ntp")
-	cs := r.Counters().Snapshot()
-	if cs.MatchedPackets != 1 || cs.DroppedBytes != int64(ntp.WireLen) {
-		t.Fatalf("counters: %+v (wire len %d)", cs, ntp.WireLen)
-	}
-}
 
 // TestFlowspecBilateralSession exchanges an RFC 5575 rule between two
 // members over a real BGP session (the bilateral-peering use the paper

@@ -54,9 +54,7 @@ func TestGlassErrorsWiredToController(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Drain the change queue: the install attempt hits the hook and fails.
-	if _, err := x.Tick(nil, 1); err != nil {
-		t.Fatal(err)
-	}
+	x.ControlTick(0, 1)
 
 	got := x.RS.GlassErrors()
 	if !strings.Contains(got, "f1 1 ") {

@@ -525,24 +525,6 @@ func (x *IXP) NullRouteCount(dst netip.Addr) int {
 	return n
 }
 
-// Tick advances the simulation by dt seconds, delivering offers grouped
-// by destination port. Stellar's pending configuration changes are
-// processed first (they take effect this tick), then RTBH null routes
-// filter traffic from honoring members, then the fabric switches the
-// rest.
-//
-// Tick is the serial façade over the engine's two primitives: one
-// ControlTick (clock advance + control-plane processing) followed by
-// one EgressTick (null-route filter + fabric egress), with every stage
-// finishing before the call returns. Pipelined multi-tick runs go
-// through engine.New with the IXP as Control and DataPlane, which
-// overlaps tick N's monitoring with tick N+1's egress on a shared
-// worker pool; both paths produce identical per-port reports.
-func (x *IXP) Tick(offers fabric.TickOffers, dt float64) (map[string]engine.PortReport, error) {
-	x.ControlTick(0, dt)
-	return x.EgressTick(nil, offers, dt, nil)
-}
-
 // ControlTick implements engine.Control: it advances the simulation
 // clock by dt and applies everything that became due — the mitigation
 // controller's paced change queue drains and TTLs expire. The engine's
@@ -568,17 +550,14 @@ func (x *IXP) ControlTick(_ int, dt float64) float64 {
 // control plane.
 //
 // The per-port work — null-route filtering here, then each port's
-// egress tick inside fabric.TickStreamOn — fans across member ports on
-// the supplied runner (nil: a per-call GOMAXPROCS fan-out; the engine
-// passes its shared worker pool). The member registry is loaded and
-// the null-route table snapshotted once per tick, so the filter does
-// per-offer checks without touching the IXP lock (a member that joins
-// mid-tick counts from the next one), and per-port results are merged
-// by name, so the outcome is deterministic.
+// egress tick inside fabric.Tick — fans across member ports on the
+// supplied runner (the engine passes its shared worker pool; nil runs
+// everything on the caller's goroutine). The member registry is loaded
+// and the null-route table snapshotted once per tick, so the filter
+// does per-offer checks without touching the IXP lock (a member that
+// joins mid-tick counts from the next one), and per-port results are
+// merged by name, so the outcome is deterministic.
 func (x *IXP) EgressTick(r fabric.Runner, offers fabric.TickOffers, dt float64, sink fabric.TickSink) (map[string]engine.PortReport, error) {
-	if r == nil {
-		r = fabric.DefaultRunner()
-	}
 	byMAC := x.reg.Load().byMAC
 	x.mu.Lock()
 	nulls := make(map[string][]netip.Prefix, len(x.nullRoutes))
@@ -636,9 +615,9 @@ func (x *IXP) EgressTick(r fabric.Runner, offers fabric.TickOffers, dt float64, 
 		reps[i] = rep
 		kept[i] = keep
 	}
-	if len(nulls) == 0 {
-		// No null routes installed: the filter degenerates to a byte sum,
-		// not worth a worker-pool fan-out.
+	if len(nulls) == 0 || r == nil {
+		// No null routes installed — the filter degenerates to a byte sum,
+		// not worth a worker-pool fan-out — or no pool to fan across.
 		for i := range names {
 			filterPort(i)
 		}
@@ -652,7 +631,7 @@ func (x *IXP) EgressTick(r fabric.Runner, offers fabric.TickOffers, dt float64, 
 		filtered[name] = kept[i]
 		reports[name] = reps[i]
 	}
-	stats, err := x.Fabric.TickStreamOn(r, filtered, dt, sink)
+	stats, err := x.Fabric.Tick(r, filtered, dt, sink)
 	if err != nil {
 		return nil, err
 	}

@@ -157,7 +157,8 @@ func TestTickNullRoutingDropsHonoringTraffic(t *testing.T) {
 	attack := traffic.NewAttack(traffic.VectorNTP, target, PeersOf(members[1:]), 1e9, 0, 100, rng)
 	attack.RampTicks = 0
 	offers := attack.Offers(10, 1)
-	reports, err := x.Tick(fabric.TickOffers{victim.Name: offers}, 1)
+	x.ControlTick(0, 1)
+	reports, err := x.EgressTick(nil, fabric.TickOffers{victim.Name: offers}, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +193,8 @@ func TestStellarEndToEndMitigation(t *testing.T) {
 	}
 
 	// Before mitigation: congestion, web suffers.
-	reports, err := x.Tick(fabric.TickOffers{victim.Name: mkOffers(0)}, 1)
+	x.ControlTick(0, 1)
+	reports, err := x.EgressTick(nil, fabric.TickOffers{victim.Name: mkOffers(0)}, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +208,8 @@ func TestStellarEndToEndMitigation(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Next tick applies the queued change, then filters.
-	reports, err = x.Tick(fabric.TickOffers{victim.Name: mkOffers(1)}, 1)
+	x.ControlTick(0, 1)
+	reports, err = x.EgressTick(nil, fabric.TickOffers{victim.Name: mkOffers(1)}, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,7 +350,8 @@ func TestIPv6BlackholingEndToEnd(t *testing.T) {
 		},
 		Bytes: 5e5, Packets: 500,
 	}
-	reports, err := x.Tick(fabric.TickOffers{victim.Name: {offer, web}}, 1)
+	x.ControlTick(0, 1)
+	reports, err := x.EgressTick(nil, fabric.TickOffers{victim.Name: {offer, web}}, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,9 +367,7 @@ func TestIPv6BlackholingEndToEnd(t *testing.T) {
 	if err := x.Withdraw(victim.Name, host6); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := x.Tick(fabric.TickOffers{}, 1); err != nil {
-		t.Fatal(err)
-	}
+	x.ControlTick(0, 1)
 	port, _ := x.Fabric.PortByName(victim.Name)
 	if port.RuleCount() != 0 {
 		t.Fatalf("v6 rule not removed: %d", port.RuleCount())
@@ -383,9 +385,7 @@ func TestMemberSessionLossCleansRules(t *testing.T) {
 	if err := x.Announce(victim.Name, host, nil, []core.RuleSpec{core.DropUDPSrcPort(123)}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := x.Tick(fabric.TickOffers{}, 1); err != nil {
-		t.Fatal(err)
-	}
+	x.ControlTick(0, 1)
 	port, _ := x.Fabric.PortByName(victim.Name)
 	if port.RuleCount() != 1 {
 		t.Fatalf("precondition: %d rules", port.RuleCount())
@@ -394,9 +394,7 @@ func TestMemberSessionLossCleansRules(t *testing.T) {
 	if _, err := x.RS.HandleWithdrawAll(victim.Name); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := x.Tick(fabric.TickOffers{}, 1); err != nil {
-		t.Fatal(err)
-	}
+	x.ControlTick(0, 1)
 	if port.RuleCount() != 0 {
 		t.Fatalf("rules after session loss: %d", port.RuleCount())
 	}
@@ -464,7 +462,8 @@ func TestAnnounceFacadeEquivalence(t *testing.T) {
 		attack := traffic.NewAttack(traffic.VectorNTP, victimAddr(victim), PeersOf([]*member.Member{victim}), 1e9, 0, 100, rng)
 		attack.RampTicks = 0
 		offers := attack.Offers(1, 1)
-		reports, err := x.Tick(fabric.TickOffers{victim.Name: offers}, 1)
+		x.ControlTick(0, 1)
+		reports, err := x.EgressTick(nil, fabric.TickOffers{victim.Name: offers}, 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -515,9 +514,7 @@ func TestAnnounceFacadeEquivalence(t *testing.T) {
 	if err := xa.WithdrawMitigation(idsA[0].ID, victimA.Name); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := xa.Tick(fabric.TickOffers{}, 1); err != nil {
-		t.Fatal(err)
-	}
+	xa.ControlTick(0, 1)
 	if got := portState(t, xa, victimA.Name); got != "" {
 		t.Fatalf("rules after cross-path withdraw:\n%s", got)
 	}
@@ -540,11 +537,7 @@ func TestMitigationTTLFromTickLoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tick := func() {
-		if _, err := x.Tick(fabric.TickOffers{}, 1); err != nil {
-			t.Fatal(err)
-		}
-	}
+	tick := func() { x.ControlTick(0, 1) }
 	tick() // t=1: installed
 	port, _ := x.Fabric.PortByName(victim.Name)
 	if port.RuleCount() != 1 {

@@ -65,7 +65,8 @@ func TestJoinAfterBuild(t *testing.T) {
 	}
 	ntp := netpkt.FlowKey{SrcMAC: members[1].MAC, Src: victimAddr(members[1]), Dst: victimAddr(late),
 		Proto: netpkt.ProtoUDP, SrcPort: 123, DstPort: 443}
-	reports, err := x.Tick(fabric.TickOffers{late.Name: {{Flow: ntp, Bytes: 1e6, Packets: 1e3}}}, 1)
+	x.ControlTick(0, 1)
+	reports, err := x.EgressTick(nil, fabric.TickOffers{late.Name: {{Flow: ntp, Bytes: 1e6, Packets: 1e3}}}, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -189,7 +189,7 @@ var (
 // Config assembles a Controller.
 type Config struct {
 	// Manager applies compiled configuration changes to the data plane
-	// under hardware admission control (core.QoSManager, core.SDNManager).
+	// under hardware admission control (core.QoSManager).
 	Manager core.NetworkManager
 	// QueueRate / QueueBurst parameterize the token-bucket change queue
 	// between the controller and the manager (defaults: the production

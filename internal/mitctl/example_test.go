@@ -71,7 +71,7 @@ func ExampleController() {
 			Proto:  netpkt.ProtoUDP, SrcPort: 123, DstPort: 443,
 		},
 		Bytes: 5e6, Packets: 5000,
-	}}, 1)
+	}}, 1, nil)
 	usage, _ := ctl.Usage(m.ID)
 	fmt.Printf("dropped %.0f MB\n", float64(usage.DroppedBytes)/1e6)
 

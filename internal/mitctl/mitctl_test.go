@@ -453,7 +453,7 @@ func TestUsageSurvivesRemoval(t *testing.T) {
 		},
 		Bytes: 1e6, Packets: 1000,
 	}
-	port.Egress([]fabric.Offer{attack}, 1)
+	port.Egress([]fabric.Offer{attack}, 1, nil)
 
 	u, err := ctl.Usage(m.ID)
 	if err != nil {

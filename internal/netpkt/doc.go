@@ -1,15 +1,12 @@
-// Package netpkt implements the packet model used by the emulated IXP
-// switching fabric: a small, allocation-conscious layered decoder and
-// serializer for Ethernet, ARP, IPv4, IPv6, UDP and TCP, in the spirit of
-// gopacket's DecodingLayerParser but restricted to the protocols the
-// Stellar evaluation needs.
+// Package netpkt holds the flow-level vocabulary shared by the emulated
+// IXP's data plane: MAC (a member router's address on the peering LAN),
+// IPProto, and FlowKey.
 //
 // The fabric classifies traffic on L2-L4 header fields only (Section 4.5
-// of the paper), so packets decode headers eagerly and treat everything
-// past the transport header as opaque payload.
-//
-// FlowKey is the aggregation key shared by the fabric's compiled
-// classifier, the traffic generators and the flow monitor; FlowKey.Hash
-// is the stable 64-bit digest traffic generators precompute so per-tick
-// hot loops never re-hash a flow.
+// of the paper) and the simulation is flow-level throughout — traffic
+// generators emit per-flow byte aggregates, never frames — so there is
+// no packet codec here. FlowKey is the aggregation key shared by the
+// fabric's compiled classifier, the traffic generators and the flow
+// monitor; FlowKey.Hash is the stable 64-bit digest traffic generators
+// precompute so per-tick hot loops never re-hash a flow.
 package netpkt

@@ -2,33 +2,9 @@ package netpkt
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"net/netip"
 )
-
-// EtherType identifies the payload protocol of an Ethernet frame.
-type EtherType uint16
-
-// Ethernet payload types used by the simulator.
-const (
-	EtherTypeIPv4 EtherType = 0x0800
-	EtherTypeARP  EtherType = 0x0806
-	EtherTypeIPv6 EtherType = 0x86DD
-)
-
-func (t EtherType) String() string {
-	switch t {
-	case EtherTypeIPv4:
-		return "IPv4"
-	case EtherTypeARP:
-		return "ARP"
-	case EtherTypeIPv6:
-		return "IPv6"
-	default:
-		return fmt.Sprintf("EtherType(0x%04x)", uint16(t))
-	}
-}
 
 // IPProto identifies the transport protocol of an IP packet.
 type IPProto uint8
@@ -110,180 +86,6 @@ func (m MAC) String() string {
 	return string(buf)
 }
 
-// IsBroadcast reports whether m is the Ethernet broadcast address.
-func (m MAC) IsBroadcast() bool {
-	return m == MAC{0xff, 0xff, 0xff, 0xff, 0xff, 0xff}
-}
-
-// Broadcast is the all-ones Ethernet address.
-var Broadcast = MAC{0xff, 0xff, 0xff, 0xff, 0xff, 0xff}
-
-// Decode errors.
-var (
-	ErrTruncated   = errors.New("netpkt: truncated packet")
-	ErrBadVersion  = errors.New("netpkt: bad IP version")
-	ErrBadChecksum = errors.New("netpkt: bad IPv4 header checksum")
-	ErrBadHeader   = errors.New("netpkt: malformed header")
-)
-
-// Ethernet is a decoded Ethernet II header.
-type Ethernet struct {
-	Dst  MAC
-	Src  MAC
-	Type EtherType
-}
-
-const ethernetHeaderLen = 14
-
-// IPv4 is a decoded IPv4 header. Options are preserved verbatim.
-type IPv4 struct {
-	TOS      uint8
-	ID       uint16
-	Flags    uint8 // 3 bits
-	FragOff  uint16
-	TTL      uint8
-	Protocol IPProto
-	Src      netip.Addr
-	Dst      netip.Addr
-	Options  []byte
-	// TotalLen is the total length field (header + payload) observed on
-	// decode or computed on serialize.
-	TotalLen uint16
-}
-
-// IPv6 is a decoded IPv6 fixed header. Extension headers are not modeled;
-// NextHeader is matched directly as the transport protocol, which matches
-// the capability of the TCAM filters the paper uses.
-type IPv6 struct {
-	TrafficClass uint8
-	FlowLabel    uint32 // 20 bits
-	NextHeader   IPProto
-	HopLimit     uint8
-	Src          netip.Addr
-	Dst          netip.Addr
-	PayloadLen   uint16
-}
-
-// UDP is a decoded UDP header.
-type UDP struct {
-	SrcPort  uint16
-	DstPort  uint16
-	Length   uint16
-	Checksum uint16
-}
-
-// TCPFlags is the 8-bit TCP flag field.
-type TCPFlags uint8
-
-// TCP flag bits.
-const (
-	FlagFIN TCPFlags = 1 << iota
-	FlagSYN
-	FlagRST
-	FlagPSH
-	FlagACK
-	FlagURG
-	FlagECE
-	FlagCWR
-)
-
-// TCP is a decoded TCP header (options preserved verbatim).
-type TCP struct {
-	SrcPort uint16
-	DstPort uint16
-	Seq     uint32
-	Ack     uint32
-	Flags   TCPFlags
-	Window  uint16
-	Options []byte
-}
-
-// ARP is a (narrow) decoded ARP packet for IPv4 over Ethernet.
-type ARP struct {
-	Op       uint16 // 1 request, 2 reply
-	SenderHW MAC
-	SenderIP netip.Addr
-	TargetHW MAC
-	TargetIP netip.Addr
-}
-
-// Packet is a fully decoded L2-L4 packet. Exactly one of IPv4/IPv6/ARP is
-// non-nil for valid traffic; for IP packets at most one of UDP/TCP is
-// non-nil. Payload covers everything after the last decoded header.
-type Packet struct {
-	Eth     Ethernet
-	ARP     *ARP
-	IPv4    *IPv4
-	IPv6    *IPv6
-	UDP     *UDP
-	TCP     *TCP
-	Payload []byte
-
-	// WireLen is the total frame length in bytes. On decode it is the
-	// input length; synthetic flow-level packets may set it directly
-	// without materializing Payload.
-	WireLen int
-}
-
-// SrcIP returns the network-layer source address, or the zero Addr for
-// non-IP packets.
-func (p *Packet) SrcIP() netip.Addr {
-	switch {
-	case p.IPv4 != nil:
-		return p.IPv4.Src
-	case p.IPv6 != nil:
-		return p.IPv6.Src
-	}
-	return netip.Addr{}
-}
-
-// DstIP returns the network-layer destination address, or the zero Addr
-// for non-IP packets.
-func (p *Packet) DstIP() netip.Addr {
-	switch {
-	case p.IPv4 != nil:
-		return p.IPv4.Dst
-	case p.IPv6 != nil:
-		return p.IPv6.Dst
-	}
-	return netip.Addr{}
-}
-
-// Proto returns the transport protocol, or 0 for non-IP packets.
-func (p *Packet) Proto() IPProto {
-	switch {
-	case p.IPv4 != nil:
-		return p.IPv4.Protocol
-	case p.IPv6 != nil:
-		return p.IPv6.NextHeader
-	}
-	return 0
-}
-
-// SrcPort returns the transport source port, or 0 when no transport
-// header was decoded.
-func (p *Packet) SrcPort() uint16 {
-	switch {
-	case p.UDP != nil:
-		return p.UDP.SrcPort
-	case p.TCP != nil:
-		return p.TCP.SrcPort
-	}
-	return 0
-}
-
-// DstPort returns the transport destination port, or 0 when no transport
-// header was decoded.
-func (p *Packet) DstPort() uint16 {
-	switch {
-	case p.UDP != nil:
-		return p.UDP.DstPort
-	case p.TCP != nil:
-		return p.TCP.DstPort
-	}
-	return 0
-}
-
 // FlowKey is a hashable 5-tuple plus the source MAC; the fabric and the
 // flow monitor aggregate on it.
 type FlowKey struct {
@@ -293,18 +95,6 @@ type FlowKey struct {
 	Proto   IPProto
 	SrcPort uint16
 	DstPort uint16
-}
-
-// Flow returns the packet's FlowKey.
-func (p *Packet) Flow() FlowKey {
-	return FlowKey{
-		SrcMAC:  p.Eth.Src,
-		Src:     p.SrcIP(),
-		Dst:     p.DstIP(),
-		Proto:   p.Proto(),
-		SrcPort: p.SrcPort(),
-		DstPort: p.DstPort(),
-	}
 }
 
 func (k FlowKey) String() string {
@@ -348,256 +138,4 @@ func hashAddr(h uint64, a netip.Addr) uint64 {
 		h = (h ^ 4) * prime
 	}
 	return h
-}
-
-// Decode parses an Ethernet frame into a Packet. The returned packet's
-// Payload aliases data; callers that retain the packet must not mutate
-// the input buffer.
-func Decode(data []byte) (*Packet, error) {
-	if len(data) < ethernetHeaderLen {
-		return nil, ErrTruncated
-	}
-	p := &Packet{WireLen: len(data)}
-	copy(p.Eth.Dst[:], data[0:6])
-	copy(p.Eth.Src[:], data[6:12])
-	p.Eth.Type = EtherType(binary.BigEndian.Uint16(data[12:14]))
-	rest := data[ethernetHeaderLen:]
-	switch p.Eth.Type {
-	case EtherTypeIPv4:
-		return p, p.decodeIPv4(rest)
-	case EtherTypeIPv6:
-		return p, p.decodeIPv6(rest)
-	case EtherTypeARP:
-		return p, p.decodeARP(rest)
-	default:
-		p.Payload = rest
-		return p, nil
-	}
-}
-
-func (p *Packet) decodeIPv4(data []byte) error {
-	if len(data) < 20 {
-		return ErrTruncated
-	}
-	if data[0]>>4 != 4 {
-		return ErrBadVersion
-	}
-	ihl := int(data[0]&0x0f) * 4
-	if ihl < 20 || len(data) < ihl {
-		return ErrBadHeader
-	}
-	if ipChecksum(data[:ihl]) != 0 {
-		return ErrBadChecksum
-	}
-	ip := &IPv4{
-		TOS:      data[1],
-		TotalLen: binary.BigEndian.Uint16(data[2:4]),
-		ID:       binary.BigEndian.Uint16(data[4:6]),
-		Flags:    data[6] >> 5,
-		FragOff:  binary.BigEndian.Uint16(data[6:8]) & 0x1fff,
-		TTL:      data[8],
-		Protocol: IPProto(data[9]),
-	}
-	ip.Src = netip.AddrFrom4([4]byte(data[12:16]))
-	ip.Dst = netip.AddrFrom4([4]byte(data[16:20]))
-	if ihl > 20 {
-		ip.Options = data[20:ihl]
-	}
-	p.IPv4 = ip
-	return p.decodeTransport(ip.Protocol, data[ihl:])
-}
-
-func (p *Packet) decodeIPv6(data []byte) error {
-	if len(data) < 40 {
-		return ErrTruncated
-	}
-	if data[0]>>4 != 6 {
-		return ErrBadVersion
-	}
-	ip := &IPv6{
-		TrafficClass: data[0]<<4 | data[1]>>4,
-		FlowLabel:    binary.BigEndian.Uint32(data[0:4]) & 0xfffff,
-		PayloadLen:   binary.BigEndian.Uint16(data[4:6]),
-		NextHeader:   IPProto(data[6]),
-		HopLimit:     data[7],
-	}
-	ip.Src = netip.AddrFrom16([16]byte(data[8:24]))
-	ip.Dst = netip.AddrFrom16([16]byte(data[24:40]))
-	p.IPv6 = ip
-	return p.decodeTransport(ip.NextHeader, data[40:])
-}
-
-func (p *Packet) decodeTransport(proto IPProto, data []byte) error {
-	switch proto {
-	case ProtoUDP:
-		if len(data) < 8 {
-			return ErrTruncated
-		}
-		p.UDP = &UDP{
-			SrcPort:  binary.BigEndian.Uint16(data[0:2]),
-			DstPort:  binary.BigEndian.Uint16(data[2:4]),
-			Length:   binary.BigEndian.Uint16(data[4:6]),
-			Checksum: binary.BigEndian.Uint16(data[6:8]),
-		}
-		p.Payload = data[8:]
-	case ProtoTCP:
-		if len(data) < 20 {
-			return ErrTruncated
-		}
-		off := int(data[12]>>4) * 4
-		if off < 20 || len(data) < off {
-			return ErrBadHeader
-		}
-		p.TCP = &TCP{
-			SrcPort: binary.BigEndian.Uint16(data[0:2]),
-			DstPort: binary.BigEndian.Uint16(data[2:4]),
-			Seq:     binary.BigEndian.Uint32(data[4:8]),
-			Ack:     binary.BigEndian.Uint32(data[8:12]),
-			Flags:   TCPFlags(data[13]),
-			Window:  binary.BigEndian.Uint16(data[14:16]),
-		}
-		if off > 20 {
-			p.TCP.Options = data[20:off]
-		}
-		p.Payload = data[off:]
-	default:
-		p.Payload = data
-	}
-	return nil
-}
-
-func (p *Packet) decodeARP(data []byte) error {
-	if len(data) < 28 {
-		return ErrTruncated
-	}
-	if binary.BigEndian.Uint16(data[0:2]) != 1 || // Ethernet
-		binary.BigEndian.Uint16(data[2:4]) != uint16(EtherTypeIPv4) ||
-		data[4] != 6 || data[5] != 4 {
-		return ErrBadHeader
-	}
-	a := &ARP{Op: binary.BigEndian.Uint16(data[6:8])}
-	copy(a.SenderHW[:], data[8:14])
-	a.SenderIP = netip.AddrFrom4([4]byte(data[14:18]))
-	copy(a.TargetHW[:], data[18:24])
-	a.TargetIP = netip.AddrFrom4([4]byte(data[24:28]))
-	p.ARP = a
-	p.Payload = data[28:]
-	return nil
-}
-
-// Serialize produces the wire representation of the packet, computing
-// IPv4 checksums and length fields. Packets constructed for flow-level
-// simulation (with only WireLen set) cannot be serialized faithfully;
-// Serialize emits the declared headers plus Payload.
-func (p *Packet) Serialize() ([]byte, error) {
-	var transport []byte
-	switch {
-	case p.UDP != nil:
-		transport = make([]byte, 8+len(p.Payload))
-		binary.BigEndian.PutUint16(transport[0:2], p.UDP.SrcPort)
-		binary.BigEndian.PutUint16(transport[2:4], p.UDP.DstPort)
-		ulen := p.UDP.Length
-		if ulen == 0 {
-			ulen = uint16(8 + len(p.Payload))
-		}
-		binary.BigEndian.PutUint16(transport[4:6], ulen)
-		binary.BigEndian.PutUint16(transport[6:8], p.UDP.Checksum)
-		copy(transport[8:], p.Payload)
-	case p.TCP != nil:
-		optLen := len(p.TCP.Options)
-		if optLen%4 != 0 {
-			return nil, fmt.Errorf("netpkt: TCP options length %d not a multiple of 4", optLen)
-		}
-		hl := 20 + optLen
-		transport = make([]byte, hl+len(p.Payload))
-		binary.BigEndian.PutUint16(transport[0:2], p.TCP.SrcPort)
-		binary.BigEndian.PutUint16(transport[2:4], p.TCP.DstPort)
-		binary.BigEndian.PutUint32(transport[4:8], p.TCP.Seq)
-		binary.BigEndian.PutUint32(transport[8:12], p.TCP.Ack)
-		transport[12] = byte(hl/4) << 4
-		transport[13] = byte(p.TCP.Flags)
-		binary.BigEndian.PutUint16(transport[14:16], p.TCP.Window)
-		copy(transport[20:], p.TCP.Options)
-		copy(transport[hl:], p.Payload)
-	default:
-		transport = p.Payload
-	}
-
-	var network []byte
-	switch {
-	case p.IPv4 != nil:
-		ip := p.IPv4
-		if len(ip.Options)%4 != 0 {
-			return nil, fmt.Errorf("netpkt: IPv4 options length %d not a multiple of 4", len(ip.Options))
-		}
-		ihl := 20 + len(ip.Options)
-		network = make([]byte, ihl+len(transport))
-		network[0] = 4<<4 | byte(ihl/4)
-		network[1] = ip.TOS
-		binary.BigEndian.PutUint16(network[2:4], uint16(ihl+len(transport)))
-		binary.BigEndian.PutUint16(network[4:6], ip.ID)
-		binary.BigEndian.PutUint16(network[6:8], uint16(ip.Flags)<<13|ip.FragOff)
-		network[8] = ip.TTL
-		network[9] = byte(ip.Protocol)
-		src := ip.Src.As4()
-		dst := ip.Dst.As4()
-		copy(network[12:16], src[:])
-		copy(network[16:20], dst[:])
-		copy(network[20:ihl], ip.Options)
-		csum := ipChecksum(network[:ihl])
-		binary.BigEndian.PutUint16(network[10:12], csum)
-		copy(network[ihl:], transport)
-	case p.IPv6 != nil:
-		ip := p.IPv6
-		network = make([]byte, 40+len(transport))
-		binary.BigEndian.PutUint32(network[0:4],
-			6<<28|uint32(ip.TrafficClass)<<20|ip.FlowLabel&0xfffff)
-		binary.BigEndian.PutUint16(network[4:6], uint16(len(transport)))
-		network[6] = byte(ip.NextHeader)
-		network[7] = ip.HopLimit
-		src := ip.Src.As16()
-		dst := ip.Dst.As16()
-		copy(network[8:24], src[:])
-		copy(network[24:40], dst[:])
-		copy(network[40:], transport)
-	case p.ARP != nil:
-		a := p.ARP
-		network = make([]byte, 28)
-		binary.BigEndian.PutUint16(network[0:2], 1)
-		binary.BigEndian.PutUint16(network[2:4], uint16(EtherTypeIPv4))
-		network[4], network[5] = 6, 4
-		binary.BigEndian.PutUint16(network[6:8], a.Op)
-		copy(network[8:14], a.SenderHW[:])
-		sip := a.SenderIP.As4()
-		copy(network[14:18], sip[:])
-		copy(network[18:24], a.TargetHW[:])
-		tip := a.TargetIP.As4()
-		copy(network[24:28], tip[:])
-	default:
-		network = transport
-	}
-
-	frame := make([]byte, ethernetHeaderLen+len(network))
-	copy(frame[0:6], p.Eth.Dst[:])
-	copy(frame[6:12], p.Eth.Src[:])
-	binary.BigEndian.PutUint16(frame[12:14], uint16(p.Eth.Type))
-	copy(frame[ethernetHeaderLen:], network)
-	return frame, nil
-}
-
-// ipChecksum computes the Internet checksum over b. For a header with the
-// checksum field already filled, the result is 0 when the checksum is
-// valid; for a header with the field zeroed, it is the value to store.
-func ipChecksum(b []byte) uint16 {
-	var sum uint32
-	for i := 0; i+1 < len(b); i += 2 {
-		sum += uint32(binary.BigEndian.Uint16(b[i : i+2]))
-	}
-	if len(b)%2 == 1 {
-		sum += uint32(b[len(b)-1]) << 8
-	}
-	for sum>>16 != 0 {
-		sum = sum&0xffff + sum>>16
-	}
-	return ^uint16(sum)
 }

@@ -48,10 +48,10 @@ type Path struct {
 	Seq uint64
 }
 
-// DefaultShards is the shard count used by New. It trades map sizing
-// against lock contention for a route server with hundreds of concurrent
-// peer sessions.
-const DefaultShards = 32
+// shardCount trades map sizing against lock contention for a route
+// server with hundreds of concurrent peer sessions. It is a power of two:
+// shardFor masks the prefix hash with shardCount-1.
+const shardCount = 32
 
 // prefixEntry holds every path for one prefix plus the cached best path,
 // maintained incrementally so Best is O(1) and a mutation recomputes at
@@ -68,31 +68,18 @@ type shard struct {
 
 // Table is a concurrency-safe, prefix-sharded RIB.
 type Table struct {
-	shards []shard
-	mask   uint32
+	shards [shardCount]shard
 	seq    atomic.Uint64
 }
 
-// New returns an empty table with DefaultShards shards.
-func New() *Table { return NewSharded(DefaultShards) }
-
-// NewSharded returns an empty table with n shards (rounded up to a power
-// of two; n <= 1 yields the single-lock layout, the pre-sharding
-// baseline).
-func NewSharded(n int) *Table {
-	size := 1
-	for size < n {
-		size <<= 1
-	}
-	t := &Table{shards: make([]shard, size), mask: uint32(size - 1)}
+// New returns an empty table.
+func New() *Table {
+	t := new(Table)
 	for i := range t.shards {
 		t.shards[i].routes = make(map[netip.Prefix]*prefixEntry)
 	}
 	return t
 }
-
-// ShardCount returns the number of shards.
-func (t *Table) ShardCount() int { return len(t.shards) }
 
 func (t *Table) shardFor(p netip.Prefix) *shard {
 	a := p.Addr().As16()
@@ -101,7 +88,7 @@ func (t *Table) shardFor(p netip.Prefix) *shard {
 		h = (h ^ uint32(b)) * 16777619
 	}
 	h = (h ^ uint32(p.Bits())) * 16777619
-	return &t.shards[h&t.mask]
+	return &t.shards[h&(shardCount-1)]
 }
 
 // BestChange describes how one mutation moved a prefix's best path. Old

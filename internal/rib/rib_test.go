@@ -336,16 +336,11 @@ func TestFindByPathID(t *testing.T) {
 	}
 }
 
-func TestNewShardedRounding(t *testing.T) {
-	for _, c := range []struct{ in, want int }{
-		{0, 1}, {1, 1}, {2, 2}, {3, 4}, {5, 8}, {32, 32}, {33, 64},
-	} {
-		if got := NewSharded(c.in).ShardCount(); got != c.want {
-			t.Fatalf("NewSharded(%d).ShardCount() = %d, want %d", c.in, got, c.want)
-		}
-	}
-	if New().ShardCount() != DefaultShards {
-		t.Fatalf("New().ShardCount() = %d", New().ShardCount())
+// TestShardCountPowerOfTwo: shardFor masks the prefix hash, so a shard
+// count that is not a power of two would leave shards unreachable.
+func TestShardCountPowerOfTwo(t *testing.T) {
+	if shardCount < 1 || shardCount&(shardCount-1) != 0 {
+		t.Fatalf("shardCount = %d is not a power of two", shardCount)
 	}
 }
 

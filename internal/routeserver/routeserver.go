@@ -94,10 +94,6 @@ type Config struct {
 	MaxPlainPrefixLen int
 	// MaxPlainPrefixLen6 is the IPv6 equivalent (/48, blackholing /128).
 	MaxPlainPrefixLen6 int
-	// RIBShards is the number of prefix-hash shards in the RIB. 0 uses
-	// rib.DefaultShards; 1 degenerates to the single-lock layout (the
-	// pre-sharding baseline, kept for benchmarking).
-	RIBShards int
 }
 
 // registry is the immutable peer/subscriber view the update pipeline
@@ -127,8 +123,14 @@ type RouteServer struct {
 	errSrc atomic.Pointer[ErrorSource]
 
 	rejMu    sync.Mutex
-	rejected []Rejection
+	rejected []Rejection // the most recent maxRetainedRejections, oldest first
+	rejTotal int
 }
+
+// maxRetainedRejections bounds the rejection log, so a peer that keeps
+// announcing filtered routes cannot grow a long-running route server's
+// heap: on overflow the older half is dropped.
+const maxRetainedRejections = 4096
 
 type peerState struct {
 	cfg    PeerConfig
@@ -149,14 +151,7 @@ func New(cfg Config) *RouteServer {
 	if cfg.MaxPlainPrefixLen6 == 0 {
 		cfg.MaxPlainPrefixLen6 = 48
 	}
-	shards := cfg.RIBShards
-	if shards == 0 {
-		shards = rib.DefaultShards
-	}
-	rs := &RouteServer{
-		cfg:   cfg,
-		table: rib.NewSharded(shards),
-	}
+	rs := &RouteServer{cfg: cfg, table: rib.New()}
 	rs.reg.Store(&registry{peers: make(map[string]*peerState)})
 	return rs
 }
@@ -217,11 +212,21 @@ func (rs *RouteServer) Subscribe(s Subscriber) {
 	rs.reg.Store(&next)
 }
 
-// Rejections returns the accumulated import-policy rejections.
+// Rejections returns the import-policy rejections, oldest first (the
+// most recent maxRetainedRejections of them; RejectionCount reports the
+// lifetime total).
 func (rs *RouteServer) Rejections() []Rejection {
 	rs.rejMu.Lock()
 	defer rs.rejMu.Unlock()
 	return append([]Rejection(nil), rs.rejected...)
+}
+
+// RejectionCount returns the lifetime count of refused prefixes,
+// unaffected by the Rejections retention window.
+func (rs *RouteServer) RejectionCount() int {
+	rs.rejMu.Lock()
+	defer rs.rejMu.Unlock()
+	return rs.rejTotal
 }
 
 // IsBlackhole reports whether attrs request blackholing: the RFC 7999
@@ -276,7 +281,11 @@ func (rs *RouteServer) HandleUpdateBatch(peer string, u *bgp.Update) ([]PeerUpda
 
 	if len(rejections) > 0 {
 		rs.rejMu.Lock()
+		rs.rejTotal += len(rejections)
 		rs.rejected = append(rs.rejected, rejections...)
+		if n := len(rs.rejected); n > maxRetainedRejections {
+			rs.rejected = append(rs.rejected[:0:0], rs.rejected[n-maxRetainedRejections/2:]...)
+		}
 		rs.rejMu.Unlock()
 	}
 

@@ -9,7 +9,6 @@ import (
 
 	"stellar/internal/bgp"
 	"stellar/internal/irr"
-	"stellar/internal/rib"
 )
 
 const ixpASN = 6695 // DE-CIX-like IXP ASN
@@ -138,6 +137,44 @@ func TestImportRejectsUnregistered(t *testing.T) {
 	}
 	if len(rs.Rejections()) != 1 {
 		t.Fatal("rejection log")
+	}
+}
+
+// TestRejectionLogBounded: a peer that keeps announcing filtered routes
+// must not grow the route server's heap. The log keeps a recent window,
+// the newest entry always in it, and the lifetime counter stays exact.
+func TestRejectionLogBounded(t *testing.T) {
+	rs := newRS(t, peerCfg(0), peerCfg(1))
+	const perUpdate, updates = 100, 3*maxRetainedRejections/100 + 1
+	var last netip.Prefix
+	for u := 0; u < updates; u++ {
+		up := announce(64512, netip.Prefix{})
+		up.NLRI = make([]bgp.PathPrefix, perUpdate)
+		for i := range up.NLRI {
+			// Unregistered space: every prefix is refused.
+			last = netip.PrefixFrom(netip.AddrFrom4([4]byte{8, byte(u >> 8), byte(u), byte(i)}), 32)
+			up.NLRI[i].Prefix = last
+		}
+		_, rejs, err := handleUpdate(rs, "A", up)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rejs) != perUpdate {
+			t.Fatalf("update %d: %d rejections, want %d", u, len(rejs), perUpdate)
+		}
+		if n := len(rs.Rejections()); n > maxRetainedRejections {
+			t.Fatalf("update %d: log holds %d entries, bound %d", u, n, maxRetainedRejections)
+		}
+	}
+	log := rs.Rejections()
+	if len(log) < maxRetainedRejections/2 {
+		t.Fatalf("log holds %d entries, want at least the recent half-window %d", len(log), maxRetainedRejections/2)
+	}
+	if got := log[len(log)-1].Prefix; got != last {
+		t.Fatalf("newest rejection is %v, want %v", got, last)
+	}
+	if got, want := rs.RejectionCount(), perUpdate*updates; got != want {
+		t.Fatalf("RejectionCount = %d, want %d", got, want)
 	}
 }
 
@@ -575,17 +612,6 @@ func TestBatchedWithdrawalsPrecedeAnnouncements(t *testing.T) {
 	}
 	if len(batches[0].Updates[1].NLRI) != 1 {
 		t.Fatal("announcement must follow the withdrawal")
-	}
-}
-
-func TestRIBShardsConfig(t *testing.T) {
-	rs := New(Config{ASN: ixpASN, RIBShards: 1})
-	if rs.Table().ShardCount() != 1 {
-		t.Fatalf("RIBShards=1: got %d shards", rs.Table().ShardCount())
-	}
-	rs = New(Config{ASN: ixpASN})
-	if rs.Table().ShardCount() != rib.DefaultShards {
-		t.Fatalf("default shards: got %d", rs.Table().ShardCount())
 	}
 }
 
