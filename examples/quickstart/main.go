@@ -1,7 +1,7 @@
 // Quickstart: build an in-memory IXP, congest a member's port with an
 // NTP amplification attack, and mitigate it with one declarative
 // mitigation request — the end-to-end flow of Sections 3 and 5.3,
-// executed by the stage-graph engine (attack and mitigation on one
+// executed by the engine's tick loop (attack and mitigation on one
 // pipelined timeline).
 //
 // Run with: go run ./examples/quickstart
@@ -61,27 +61,27 @@ func main() {
 	match := fabric.MatchAll()
 	match.Proto = netpkt.ProtoUDP
 	match.SrcPort = 123
-	driver := engine.NewSourcesDriver(
-		[]engine.VictimSpec{{Port: victim.Name}},
-		[][]engine.Source{{attack, web}},
-	).AddEvents(engine.Event{
-		Tick: 3, Name: "signal drop UDP/123",
-		Do: func() error {
-			_, err := x.RequestMitigation(mitctl.Spec{
-				Requester: victim.Name,
-				Target:    netip.PrefixFrom(target, 32),
-				Match:     match,
-				Action:    fabric.ActionDrop,
-			})
-			return err
-		},
-	})
 	series, err := engine.New(engine.Config{
-		Driver:    driver,
+		Driver: engine.NewSourcesDriver(
+			[]engine.VictimSpec{{Port: victim.Name}},
+			[][]engine.Source{{attack, web}},
+		),
 		Control:   x,
 		DataPlane: x,
-		Ticks:     7,
-		Dt:        1,
+		Events: []engine.Event{{
+			Tick: 3, Name: "signal drop UDP/123",
+			Do: func() error {
+				_, err := x.RequestMitigation(mitctl.Spec{
+					Requester: victim.Name,
+					Target:    netip.PrefixFrom(target, 32),
+					Match:     match,
+					Action:    fabric.ActionDrop,
+				})
+				return err
+			},
+		}},
+		Ticks: 7,
+		Dt:    1,
 	}).Run()
 	if err != nil {
 		log.Fatal(err)

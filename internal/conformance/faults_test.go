@@ -2,7 +2,11 @@ package conformance
 
 import (
 	"encoding/json"
+	"fmt"
+	"strings"
 	"testing"
+
+	"stellar/internal/engine"
 )
 
 // TestFaultProfilesDeterministic pins the acceptance contract of the fault
@@ -112,5 +116,82 @@ func TestValidateCatchesBadFaults(t *testing.T) {
 				t.Fatalf("validator accepted %s", tc.name)
 			}
 		})
+	}
+}
+
+// logControl records each control tick into the shared timeline log.
+type logControl struct {
+	engine.Control
+	log *[]string
+}
+
+func (c logControl) ControlTick(tick int, dt float64) float64 {
+	*c.log = append(*c.log, fmt.Sprintf("%d:control", tick))
+	return c.Control.ControlTick(tick, dt)
+}
+
+// TestInjectorEventsFireLastBeforeControl pins where the injector's tick
+// windows land on the engine timeline: within a tick, after the
+// profile's events and the replayed capture, and before the control
+// plane processes the tick — so every window edge sees the tick's
+// signals and precedes their processing.
+func TestInjectorEventsFireLastBeforeControl(t *testing.T) {
+	p, err := Load("replay-with-loss")
+	if err != nil {
+		t.Fatalf("load: %v", err)
+	}
+	// A profile event on tick 2, where the capture's blackhole record
+	// also lands.
+	p.Events = append(p.Events, EventSpec{Tick: 2, Action: "announce_prefix", Member: 3})
+	_, cfg, err := compile(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var log []string // spine-only
+	for i := range cfg.Events {
+		ev := cfg.Events[i]
+		cfg.Events[i].Do = func() error {
+			log = append(log, fmt.Sprintf("%d:%s", ev.Tick, ev.Name))
+			return ev.Do()
+		}
+	}
+	cfg.Control = logControl{Control: cfg.Control, log: &log}
+	if _, err := engine.New(cfg).Run(); err != nil {
+		t.Fatal(err)
+	}
+
+	rank := func(entry string) int {
+		name := entry[strings.IndexByte(entry, ':')+1:]
+		switch {
+		case strings.HasPrefix(name, "replay["):
+			return 1
+		case name == "faults":
+			return 2
+		case name == "control":
+			return 3
+		}
+		return 0 // the profile's own events
+	}
+	for i := 1; i < len(log); i++ {
+		prevTick, _, _ := strings.Cut(log[i-1], ":")
+		tick, _, _ := strings.Cut(log[i], ":")
+		if tick == prevTick && rank(log[i]) < rank(log[i-1]) {
+			t.Fatalf("%q fired after %q\ntimeline: %v", log[i], log[i-1], log)
+		}
+	}
+	var tick2 []string
+	for _, entry := range log {
+		if strings.HasPrefix(entry, "2:") {
+			tick2 = append(tick2, entry)
+		}
+	}
+	want := []string{"2:announce ", "2:replay[", "2:faults", "2:control"}
+	if len(tick2) != len(want) {
+		t.Fatalf("tick 2 timeline %v, want %v", tick2, want)
+	}
+	for i := range want {
+		if !strings.HasPrefix(tick2[i], want[i]) {
+			t.Fatalf("tick 2 timeline %v, want %v", tick2, want)
+		}
 	}
 }

@@ -231,7 +231,7 @@ type CarpetSpec struct {
 }
 
 // ReplaySpec synthesizes an MRT capture from declarative records and
-// replays it onto the control spine through engine.NewMRTDriver.
+// replays it onto the control spine through engine.ReplayEvents.
 type ReplaySpec struct {
 	StartTick int `json:"start_tick,omitempty"`
 	// Speed compresses capture time (capture seconds per simulated

@@ -84,8 +84,22 @@ type runner struct {
 // Run compiles the profile into an engine run over a fully wired IXP,
 // executes it, and evaluates the expectations.
 func Run(p *Profile) (*Result, error) {
-	if err := p.Validate(); err != nil {
+	r, cfg, err := compile(p)
+	if err != nil {
 		return nil, err
+	}
+	series, err := engine.New(cfg).Run()
+	if err != nil {
+		return nil, fmt.Errorf("conformance: %s: %w", p.Name, err)
+	}
+	return &Result{Report: evaluate(p, series, r), Series: series, IXP: r.x}, nil
+}
+
+// compile wires the profile's IXP, workload, timeline and faults into
+// an engine configuration.
+func compile(p *Profile) (*runner, engine.Config, error) {
+	if err := p.Validate(); err != nil {
+		return nil, engine.Config{}, err
 	}
 	capacity := p.Topology.PortCapacityBps
 	if capacity == 0 {
@@ -113,7 +127,7 @@ func Run(p *Profile) (*Result, error) {
 		TuneController:   r.tuneController,
 	})
 	if err != nil {
-		return nil, err
+		return nil, engine.Config{}, err
 	}
 	r.x = x
 	dt := p.Run.DtSec
@@ -133,7 +147,7 @@ func Run(p *Profile) (*Result, error) {
 	}
 	if p.Faults != nil {
 		if err := r.buildInjector(); err != nil {
-			return nil, fmt.Errorf("conformance: %s: %w", p.Name, err)
+			return nil, engine.Config{}, fmt.Errorf("conformance: %s: %w", p.Name, err)
 		}
 	}
 	for _, v := range p.Victims {
@@ -144,20 +158,31 @@ func Run(p *Profile) (*Result, error) {
 		// The victim announces its covering prefix up front — the IRR
 		// registration every later mitigation validates against.
 		if err := r.announce(m.Name, m.Prefixes[0], nil, nil); err != nil {
-			return nil, fmt.Errorf("conformance: %s: announce %s: %w", p.Name, m.Prefixes[0], err)
+			return nil, engine.Config{}, fmt.Errorf("conformance: %s: announce %s: %w", p.Name, m.Prefixes[0], err)
 		}
 	}
 
 	driver, err := r.buildDriver()
 	if err != nil {
-		return nil, err
+		return nil, engine.Config{}, err
+	}
+	replay, err := r.replayEvents()
+	if err != nil {
+		return nil, engine.Config{}, err
 	}
 	events, err := r.compileEvents()
 	if err != nil {
-		return nil, err
+		return nil, engine.Config{}, err
+	}
+	// Same-tick events apply in list order: the profile's timeline, then
+	// the replayed capture, then the injector's tick windows, which thus
+	// fire last before each control tick.
+	events = append(events, replay...)
+	if r.inj != nil {
+		events = append(events, r.inj.Events(p.Run.Ticks)...)
 	}
 
-	ecfg := engine.Config{
+	return r, engine.Config{
 		Driver:       driver,
 		Control:      x,
 		DataPlane:    x,
@@ -166,15 +191,7 @@ func Run(p *Profile) (*Result, error) {
 		Dt:           dt,
 		PeerMinBps:   p.Run.PeerMinBps,
 		MemberFilter: x.MemberFilter(),
-	}
-	if r.inj != nil {
-		ecfg.StageWrap = r.inj.WrapControl()
-	}
-	series, err := engine.New(ecfg).Run()
-	if err != nil {
-		return nil, fmt.Errorf("conformance: %s: %w", p.Name, err)
-	}
-	return &Result{Report: evaluate(p, series, r), Series: series, IXP: x}, nil
+	}, nil
 }
 
 // tuneController compiles the profile's robustness knobs into the
@@ -306,11 +323,9 @@ func (r *runner) restorePeer(peer string) error {
 
 // buildDriver compiles the victims' source compositions into an engine
 // driver: a SourcesDriver for plain schedules, a CarpetDriver when the
-// profile rotates a carpet attack, and a replay wrapper when an MRT
-// schedule drives the control plane.
+// profile rotates a carpet attack.
 func (r *runner) buildDriver() (engine.Driver, error) {
 	p := r.p
-	var base engine.Driver
 	if p.Carpet != nil {
 		specs := make([]engine.VictimSpec, len(p.Victims))
 		attacks := make([]engine.Source, len(p.Victims))
@@ -337,25 +352,30 @@ func (r *runner) buildDriver() (engine.Driver, error) {
 		d.Background = background
 		d.StartTick = p.Carpet.StartTick
 		d.EndTick = p.Carpet.EndTick
-		base = d
-	} else {
-		specs := make([]engine.VictimSpec, len(p.Victims))
-		sources := make([][]engine.Source, len(p.Victims))
-		for i, v := range p.Victims {
-			specs[i] = engine.VictimSpec{Port: r.members[v.Member].Name, PeerMinBps: v.PeerMinBps}
-			for _, s := range v.Sources {
-				s := s
-				src, err := r.buildSource(i, &s)
-				if err != nil {
-					return nil, err
-				}
-				sources[i] = append(sources[i], src)
-			}
-		}
-		base = engine.NewSourcesDriver(specs, sources)
+		return d, nil
 	}
+	specs := make([]engine.VictimSpec, len(p.Victims))
+	sources := make([][]engine.Source, len(p.Victims))
+	for i, v := range p.Victims {
+		specs[i] = engine.VictimSpec{Port: r.members[v.Member].Name, PeerMinBps: v.PeerMinBps}
+		for _, s := range v.Sources {
+			s := s
+			src, err := r.buildSource(i, &s)
+			if err != nil {
+				return nil, err
+			}
+			sources[i] = append(sources[i], src)
+		}
+	}
+	return engine.NewSourcesDriver(specs, sources), nil
+}
+
+// replayEvents compiles the profile's MRT schedule, if any, into engine
+// events that apply the capture's records on the control spine.
+func (r *runner) replayEvents() ([]engine.Event, error) {
+	p := r.p
 	if p.Replay == nil {
-		return base, nil
+		return nil, nil
 	}
 	dump, err := r.buildMRT()
 	if err != nil {
@@ -371,7 +391,7 @@ func (r *runner) buildDriver() (engine.Driver, error) {
 		// drop/duplicate/delay records by index before scheduling.
 		src = r.inj.FilterSource(src)
 	}
-	return engine.NewReplayDriver(base, src, engine.ReplayConfig{
+	return engine.ReplayEvents(src, engine.ReplayConfig{
 		StartTick:   p.Replay.StartTick,
 		TickSeconds: dt,
 		Speed:       p.Replay.Speed,
@@ -677,7 +697,7 @@ func (r *runner) withdrawFunc(idx int, ev EventSpec) (func() error, error) {
 }
 
 // buildMRT synthesizes the profile's replay schedule as a wire-format
-// MRT dump (BGP4MP message records), which NewMRTDriver then resamples
+// MRT dump (BGP4MP message records), which ReplayEvents then resamples
 // onto the tick clock — the control plane driven from capture bytes,
 // not from in-process calls.
 func (r *runner) buildMRT() ([]byte, error) {

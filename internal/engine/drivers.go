@@ -13,7 +13,6 @@ import (
 type SourcesDriver struct {
 	specs   []VictimSpec
 	sources [][]Source
-	events  []Event
 	shared  bool
 }
 
@@ -34,18 +33,8 @@ func NewSourcesDriver(specs []VictimSpec, sources [][]Source) *SourcesDriver {
 	return d
 }
 
-// AddEvents appends timed control-plane actions to the driver's
-// timeline and returns the driver.
-func (d *SourcesDriver) AddEvents(evs ...Event) *SourcesDriver {
-	d.events = append(d.events, evs...)
-	return d
-}
-
 // Victims implements Driver.
 func (d *SourcesDriver) Victims() []VictimSpec { return d.specs }
-
-// Events implements Eventful.
-func (d *SourcesDriver) Events() []Event { return d.events }
 
 // SerialGen implements SerialGenerator: true when a Source instance is
 // shared across victims.

@@ -2,7 +2,9 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"net/netip"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -100,6 +102,14 @@ func (s *flowSource) AppendOffers(dst []fabric.Offer, tick int, dt float64) []fa
 	})
 }
 
+// testPool returns an n-worker pool closed when the test ends — how a
+// test pins the fan-out above 1 even on a single-CPU host.
+func testPool(t testing.TB, n int) *fabric.Pool {
+	p := fabric.NewPool(n)
+	t.Cleanup(p.Close)
+	return p
+}
+
 func testConfig(victims, ticks, depth int) Config {
 	specs := make([]VictimSpec, victims)
 	sources := make([][]Source, victims)
@@ -138,7 +148,8 @@ func TestEngineDepthEquivalence(t *testing.T) {
 
 // TestEngineSpineOrder pins the spine's serialization contract: events
 // of tick T run after tick T-1's control advance and before tick T's,
-// in merged (Config.Events, driver events) insertion order per tick.
+// same-tick events in Config.Events list order however the ticks are
+// interleaved in the list.
 func TestEngineSpineOrder(t *testing.T) {
 	var log []string // spine-only, no lock needed
 	ctl := &spyControl{hook: func(tick int) { log = append(log, fmt.Sprintf("control%d", tick)) }}
@@ -150,12 +161,11 @@ func TestEngineSpineOrder(t *testing.T) {
 	}
 	cfg := testConfig(1, 4, 2)
 	cfg.Control = ctl
-	cfg.Events = []Event{mark(2, "cfg-b"), mark(1, "cfg-a")}
-	cfg.Driver.(*SourcesDriver).AddEvents(mark(2, "drv"))
+	cfg.Events = []Event{mark(2, "b"), mark(1, "a"), mark(2, "c"), mark(3, "d"), mark(2, "e")}
 	if _, err := New(cfg).Run(); err != nil {
 		t.Fatal(err)
 	}
-	want := "control0 cfg-a control1 cfg-b drv control2 control3"
+	want := "control0 a control1 b c e control2 d control3"
 	if got := strings.Join(log, " "); got != want {
 		t.Fatalf("spine order:\n got %s\nwant %s", got, want)
 	}
@@ -234,6 +244,19 @@ func TestEngineValidation(t *testing.T) {
 	}
 	if _, err := New(testConfig(1, -1, 1)).Run(); err == nil {
 		t.Fatal("negative Ticks accepted")
+	}
+	// A negative Dt would run the control plane's clock backwards.
+	for _, dt := range []float64{-1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		cfg := testConfig(1, 2, 1)
+		cfg.Dt = dt
+		if _, err := New(cfg).Run(); err == nil {
+			t.Fatalf("Dt %v accepted", dt)
+		}
+	}
+	zero := testConfig(1, 2, 1)
+	zero.Dt = 0
+	if series, err := New(zero).Run(); err != nil || series[0].Samples[1].Time != 1 {
+		t.Fatalf("Dt 0 must default to 1s: err %v", err)
 	}
 	series, err := New(testConfig(2, 0, 2)).Run()
 	if err != nil {
@@ -320,6 +343,86 @@ func TestEngineMonitorsReadableAfterRun(t *testing.T) {
 		}
 		if tops := series[v].Monitor.TopSrcPorts(1); len(tops) == 0 || tops[0].Port != 123 {
 			t.Fatalf("victim %d: top ports %+v", v, tops)
+		}
+	}
+}
+
+// panicDriver panics while generating tick at.
+type panicDriver struct {
+	Driver
+	at int
+}
+
+func (d panicDriver) AppendOffers(v int, dst []fabric.Offer, tick int, dt float64) []fabric.Offer {
+	if tick == d.at {
+		panic("deliberate driver panic")
+	}
+	return d.Driver.AppendOffers(v, dst, tick, dt)
+}
+
+// TestWatchdogIsolatesRunPanic: an event, the control plane or the
+// driver panicking on the spine surfaces as that tick's error naming
+// the step, with the series truncated to exactly the ticks below it, at
+// every depth — the run dies loudly but the process does not.
+func TestWatchdogIsolatesRunPanic(t *testing.T) {
+	cases := []struct {
+		name, where string
+		at          int
+		arm         func(cfg *Config, at int)
+	}{
+		{"event", `event "boom"`, 4, func(cfg *Config, at int) {
+			cfg.Events = []Event{{Tick: at, Name: "boom", Do: func() error { panic("deliberate event panic") }}}
+		}},
+		{"control", "control stage", 5, func(cfg *Config, at int) {
+			cfg.Control = &spyControl{hook: func(tick int) {
+				if tick == at {
+					panic("deliberate control panic")
+				}
+			}}
+		}},
+		{"driver", "traffic stage", 3, func(cfg *Config, at int) {
+			// One victim: the pool runs a single-victim fan-out inline
+			// on the spine.
+			cfg.Driver = panicDriver{Driver: cfg.Driver, at: at}
+		}},
+	}
+	for _, tc := range cases {
+		for _, depth := range []int{1, 2, 4} {
+			t.Run(fmt.Sprintf("%s/depth=%d", tc.name, depth), func(t *testing.T) {
+				cfg := testConfig(1, 10, depth)
+				tc.arm(&cfg, tc.at)
+				series, err := New(cfg).Run()
+				want := fmt.Sprintf("%s at tick %d panicked: deliberate %s panic", tc.where, tc.at, tc.name)
+				if err == nil || !strings.Contains(err.Error(), want) {
+					t.Fatalf("err = %v, want %q", err, want)
+				}
+				if len(series[0].Samples) != tc.at {
+					t.Fatalf("%d samples, want the %d below the panic tick", len(series[0].Samples), tc.at)
+				}
+			})
+		}
+	}
+}
+
+// TestWatchdogNoTimeoutNoGoroutines: a run leaves no goroutine behind —
+// the fold goroutine and the engine-owned pool's workers are gone once
+// Run returns, after a clean run and after an aborted one alike.
+func TestWatchdogNoTimeoutNoGoroutines(t *testing.T) {
+	for _, fail := range []bool{false, true} {
+		before := runtime.NumGoroutine()
+		cfg := testConfig(2, 20, 2)
+		if fail {
+			cfg.Events = []Event{{Tick: 7, Name: "boom", Do: func() error { return fmt.Errorf("deliberate") }}}
+		}
+		if _, err := New(cfg).Run(); (err != nil) != fail {
+			t.Fatalf("fail=%v: err = %v", fail, err)
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+			time.Sleep(10 * time.Millisecond)
+		}
+		if after := runtime.NumGoroutine(); after > before {
+			t.Fatalf("fail=%v: %d goroutines before run, %d after", fail, before, after)
 		}
 	}
 }

@@ -6,62 +6,72 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
+	"stellar/internal/fabric"
 	"stellar/internal/flowmon"
 	"stellar/internal/netpkt"
 )
 
-// foldRecorder decorates a stage to log every Fold(tick) — the probe
-// for the abort contract.
-type foldRecorder struct {
-	Stage
-	mu    *sync.Mutex
-	folds *[]string
-	fail  func(tick int) error // optional Run failure injection
-}
+// tickSource emits one flow per tick from a source MAC that encodes
+// the tick, so a MemberFilter — which the monitor step calls for every
+// peer of the tick it folds — sees which ticks the fold side runs.
+type tickSource struct{ seed int }
 
-func (r *foldRecorder) Fold(tick int) {
-	r.mu.Lock()
-	*r.folds = append(*r.folds, fmt.Sprintf("%s:%d", r.Stage.Name(), tick))
-	r.mu.Unlock()
-	r.Stage.Fold(tick)
-}
-
-func (r *foldRecorder) Run(ctx *Ctx, in, out *Batch) error {
-	if r.fail != nil {
-		if err := r.fail(ctx.Tick); err != nil {
-			return err
-		}
-	}
-	return r.Stage.Run(ctx, in, out)
+func (s tickSource) Offers(tick int, dt float64) []fabric.Offer {
+	o := newFlowSource(s.seed).AppendOffers(nil, tick, dt)
+	o[0].Flow.SrcMAC[4] = byte(tick)
+	o[0].FlowHash = o[0].Flow.Hash()
+	return o
 }
 
 // TestEngineNoFoldPastErrorTick is the regression for the abort
 // contract at every depth: once a run fails at tick E — on the spine or
-// on the fold side — no stage Fold ever runs for a tick >= E, while
-// backlog ticks below E still fold (the partial-samples contract).
+// on the fold side — the fold side never monitors a tick past E (nor E
+// itself unless the failure struck there), while backlog ticks below E
+// still fold (the partial-samples contract).
 func TestEngineNoFoldPastErrorTick(t *testing.T) {
 	for _, depth := range []int{1, 2, 4, 8} {
 		depth := depth
-		check := func(t *testing.T, folds []string, errTick int) {
-			t.Helper()
-			for _, f := range folds {
-				var tick int
-				name := f[:strings.IndexByte(f, ':')]
-				fmt.Sscanf(f[strings.IndexByte(f, ':')+1:], "%d", &tick)
-				if (name == "monitor" || name == "report") && tick >= errTick {
-					t.Fatalf("depth %d: fold-side Fold(%d) ran at or past error tick %d\nfolds: %v", depth, tick, errTick, folds)
+		// probe arms cfg with tick-encoding sources and a MemberFilter
+		// that records every tick the monitor step reads, failing with
+		// a panic at panicTick (-1: never).
+		probe := func(cfg *Config, panicTick int) func() []int {
+			specs := cfg.Driver.Victims()
+			sources := make([][]Source, len(specs))
+			for v := range specs {
+				sources[v] = []Source{tickSource{seed: v}}
+			}
+			cfg.Driver = NewSourcesDriver(specs, sources)
+			var mu sync.Mutex
+			var seen []int
+			cfg.MemberFilter = func(mac netpkt.MAC) bool {
+				tick := int(mac[4])
+				mu.Lock()
+				seen = append(seen, tick)
+				mu.Unlock()
+				if tick == panicTick {
+					panic("deliberate fold failure")
 				}
+				return true
+			}
+			return func() []int {
+				mu.Lock()
+				defer mu.Unlock()
+				return append([]int(nil), seen...)
 			}
 		}
-		wrap := func(cfg *Config) (*sync.Mutex, *[]string) {
-			mu := &sync.Mutex{}
-			folds := &[]string{}
-			cfg.StageWrap = func(s Stage) Stage {
-				return &foldRecorder{Stage: s, mu: mu, folds: folds}
+		check := func(t *testing.T, series []VictimSeries, seen []int, errTick, lastMonitored int) {
+			t.Helper()
+			for _, tick := range seen {
+				if tick > lastMonitored {
+					t.Fatalf("depth %d: monitor step ran tick %d past error tick %d\nseen: %v", depth, tick, errTick, seen)
+				}
 			}
-			return mu, folds
+			for v := range series {
+				if len(series[v].Samples) != errTick {
+					t.Fatalf("depth %d victim %d: %d samples, want %d", depth, v, len(series[v].Samples), errTick)
+				}
+			}
 		}
 
 		t.Run(fmt.Sprintf("spine-stage-error/depth=%d", depth), func(t *testing.T) {
@@ -69,15 +79,12 @@ func TestEngineNoFoldPastErrorTick(t *testing.T) {
 			plane := newFakePlane()
 			plane.failAtTick = 6
 			cfg.DataPlane = plane
-			_, folds := wrap(&cfg)
+			seen := probe(&cfg, -1)
 			series, err := New(cfg).Run()
 			if err == nil || !strings.Contains(err.Error(), "fabric stage at tick 6") {
 				t.Fatalf("err = %v", err)
 			}
-			check(t, *folds, 6)
-			if len(series[0].Samples) != 6 {
-				t.Fatalf("%d samples, want 6", len(series[0].Samples))
-			}
+			check(t, series, seen(), 6, 5)
 		})
 
 		t.Run(fmt.Sprintf("event-error/depth=%d", depth), func(t *testing.T) {
@@ -85,41 +92,22 @@ func TestEngineNoFoldPastErrorTick(t *testing.T) {
 			cfg.Events = []Event{{Tick: 4, Name: "boom", Do: func() error {
 				return fmt.Errorf("deliberate")
 			}}}
-			_, folds := wrap(&cfg)
+			seen := probe(&cfg, -1)
 			series, err := New(cfg).Run()
 			if err == nil || !strings.Contains(err.Error(), "boom") {
 				t.Fatalf("err = %v", err)
 			}
-			check(t, *folds, 4)
-			if len(series[0].Samples) != 4 {
-				t.Fatalf("%d samples, want 4", len(series[0].Samples))
-			}
+			check(t, series, seen(), 4, 3)
 		})
 
 		t.Run(fmt.Sprintf("fold-stage-error/depth=%d", depth), func(t *testing.T) {
 			cfg := testConfig(2, 12, depth)
-			mu := &sync.Mutex{}
-			folds := &[]string{}
-			cfg.StageWrap = func(s Stage) Stage {
-				r := &foldRecorder{Stage: s, mu: mu, folds: folds}
-				if s.Name() == "monitor" {
-					r.fail = func(tick int) error {
-						if tick == 5 {
-							return fmt.Errorf("deliberate fold failure")
-						}
-						return nil
-					}
-				}
-				return r
-			}
+			seen := probe(&cfg, 5)
 			series, err := New(cfg).Run()
 			if err == nil || !strings.Contains(err.Error(), "monitor stage at tick 5") {
 				t.Fatalf("err = %v", err)
 			}
-			check(t, *folds, 5)
-			if len(series[0].Samples) != 5 {
-				t.Fatalf("%d samples, want 5", len(series[0].Samples))
-			}
+			check(t, series, seen(), 5, 5)
 		})
 	}
 }
@@ -133,7 +121,7 @@ func TestEngineMultiWorkerFoldErrors(t *testing.T) {
 		depth := depth
 		checkSeries(t, fmt.Sprintf("spine-stage-error/depth=%d", depth), func(t *testing.T) ([]VictimSeries, error) {
 			cfg := testConfig(3, 12, depth)
-			cfg.Workers = 4
+			cfg.Pool = testPool(t, 4)
 			plane := newFakePlane()
 			plane.failAtTick = 6
 			cfg.DataPlane = plane
@@ -142,7 +130,7 @@ func TestEngineMultiWorkerFoldErrors(t *testing.T) {
 
 		checkSeries(t, fmt.Sprintf("event-error/depth=%d", depth), func(t *testing.T) ([]VictimSeries, error) {
 			cfg := testConfig(3, 12, depth)
-			cfg.Workers = 4
+			cfg.Pool = testPool(t, 4)
 			cfg.Events = []Event{{Tick: 4, Name: "boom", Do: func() error {
 				return fmt.Errorf("deliberate")
 			}}}
@@ -156,7 +144,7 @@ func TestEngineMultiWorkerFoldErrors(t *testing.T) {
 			// the error around tick 4 (3 victims x 1 peer per tick); the
 			// exact tick is read back from the error message.
 			cfg := testConfig(3, 12, depth)
-			cfg.Workers = 4
+			cfg.Pool = testPool(t, 4)
 			var calls atomic.Int64
 			cfg.MemberFilter = func(netpkt.MAC) bool {
 				if calls.Add(1) > 3*4 {
@@ -221,7 +209,7 @@ func TestEngineSharedMonitorRejected(t *testing.T) {
 func TestEngineStageProfile(t *testing.T) {
 	const victims, ticks = 3, 20
 	cfg := testConfig(victims, ticks, 4)
-	cfg.Workers = 4
+	cfg.Pool = testPool(t, 4)
 	cfg.Profile = true
 	series, err := New(cfg).Run()
 	if err != nil {
@@ -277,7 +265,7 @@ func TestEngineDeepDepthEquivalence(t *testing.T) {
 	run := func(depth, workers int) []VictimSeries {
 		t.Helper()
 		cfg := testConfig(victims, ticks, depth)
-		cfg.Workers = workers
+		cfg.Pool = testPool(t, workers)
 		series, err := New(cfg).Run()
 		if err != nil {
 			t.Fatal(err)
@@ -288,25 +276,6 @@ func TestEngineDeepDepthEquivalence(t *testing.T) {
 	for _, depth := range []int{2, 4, 8} {
 		requireSameSeries(t, fmt.Sprintf("depth %d", depth), run(depth, 4), want)
 	}
-}
-
-// TestEngineWatchdogDoesNotChangeSeries: arming StageTimeout wraps every
-// stage Run in a timed goroutine but must not change what runs — at the
-// deep multi-victim, multi-worker shape the series with and without the
-// watchdog are byte-identical.
-func TestEngineWatchdogDoesNotChangeSeries(t *testing.T) {
-	run := func(timeout time.Duration) []VictimSeries {
-		t.Helper()
-		cfg := testConfig(3, 40, 4)
-		cfg.Workers = 4
-		cfg.StageTimeout = timeout
-		series, err := New(cfg).Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return series
-	}
-	requireSameSeries(t, "StageTimeout 5s", run(5*time.Second), run(0))
 }
 
 // requireSameSeries fails unless got and want hold identical samples and

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"fmt"
 	"net/netip"
 	"strings"
 	"testing"
@@ -38,13 +39,38 @@ func replayDump(t testing.TB) []byte {
 	return dump
 }
 
+// replay schedules src with ReplayEvents and runs every event in order,
+// returning the events and the tick each record was applied on, in
+// apply order.
+func replay(t testing.TB, src bgppipe.RecordSource, cfg ReplayConfig) ([]Event, []int) {
+	t.Helper()
+	var cur int
+	var ticks []int
+	apply := cfg.Apply
+	cfg.Apply = func(rec bgppipe.Record) error {
+		ticks = append(ticks, cur)
+		return apply(rec)
+	}
+	evs, err := ReplayEvents(src, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, ev := range evs {
+		cur = ev.Tick
+		if err := ev.Do(); err != nil {
+			t.Fatalf("event %d: %v", i, err)
+		}
+	}
+	return evs, ticks
+}
+
 // TestReplayDriverSchedule pins the capture-time-to-tick mapping: with
 // Speed 2 and 1s ticks, capture seconds 0,1,2,10 land on ticks
 // Start+0, Start+0, Start+1, Start+5 — the last clamped to MaxTick —
 // grouped into one event per distinct tick, applied in stream order.
 func TestReplayDriverSchedule(t *testing.T) {
 	var applied []string
-	d, err := NewMRTDriver(nil, bytes.NewReader(replayDump(t)), ReplayConfig{
+	evs, ticks := replay(t, bgppipe.NewMRTScanner(bytes.NewReader(replayDump(t))), ReplayConfig{
 		StartTick:   5,
 		TickSeconds: 1,
 		Speed:       2,
@@ -54,17 +80,6 @@ func TestReplayDriverSchedule(t *testing.T) {
 			return nil
 		},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Records() != 4 {
-		t.Fatalf("Records() = %d, want 4", d.Records())
-	}
-	if first, last := d.TickSpan(); first != 5 || last != 8 {
-		t.Fatalf("TickSpan() = (%d, %d), want (5, 8)", first, last)
-	}
-
-	evs := d.Events()
 	wantTicks := []int{5, 6, 8}
 	wantNames := []string{"replay[2]", "replay[1]", "replay[1]"}
 	if len(evs) != len(wantTicks) {
@@ -75,55 +90,28 @@ func TestReplayDriverSchedule(t *testing.T) {
 			t.Fatalf("event %d = {Tick: %d, Name: %q}, want {%d, %q}",
 				i, ev.Tick, ev.Name, wantTicks[i], wantNames[i])
 		}
-		if err := ev.Do(); err != nil {
-			t.Fatalf("event %d: %v", i, err)
-		}
+	}
+	if want := fmt.Sprint([]int{5, 5, 6, 8}); fmt.Sprint(ticks) != want {
+		t.Fatalf("records applied on ticks %v, want %s", ticks, want)
 	}
 	want := []string{"203.0.113.0/24", "198.51.100.0/24", "192.0.2.0/24", "100.64.0.0/24"}
-	if len(applied) != len(want) {
-		t.Fatalf("applied %d records, want %d", len(applied), len(want))
-	}
-	for i := range want {
-		if applied[i] != want[i] {
-			t.Fatalf("apply order diverged at %d: %q, want %q", i, applied[i], want[i])
-		}
-	}
-
-	// A baseless replay driver has no data-plane workload of its own.
-	if v := d.Victims(); v != nil {
-		t.Fatalf("Victims() = %v, want nil", v)
-	}
-	if out := d.AppendOffers(0, nil, 0, 1); out != nil {
-		t.Fatalf("AppendOffers grew: %v", out)
-	}
-	if d.SerialGen() {
-		t.Fatal("SerialGen() = true with nil base")
+	if fmt.Sprint(applied) != fmt.Sprint(want) {
+		t.Fatalf("apply order %v, want %v", applied, want)
 	}
 }
 
 // TestReplayDriverEmpty pins the degenerate cases: an empty capture
-// schedules nothing, and a missing Apply is a construction error.
+// schedules nothing, and a missing Apply or tick length is an error.
 func TestReplayDriverEmpty(t *testing.T) {
-	d, err := NewMRTDriver(nil, bytes.NewReader(nil), ReplayConfig{
-		TickSeconds: 1,
-		Apply:       func(bgppipe.Record) error { return nil },
-	})
-	if err != nil {
-		t.Fatal(err)
+	noop := func(bgppipe.Record) error { return nil }
+	evs, err := ReplayEvents(bgppipe.NewMRTScanner(bytes.NewReader(nil)), ReplayConfig{TickSeconds: 1, Apply: noop})
+	if err != nil || len(evs) != 0 {
+		t.Fatalf("empty capture scheduled %d events (err %v)", len(evs), err)
 	}
-	if d.Records() != 0 || len(d.Events()) != 0 {
-		t.Fatalf("empty capture scheduled %d records, %d events", d.Records(), len(d.Events()))
-	}
-	if first, last := d.TickSpan(); first != -1 || last != -1 {
-		t.Fatalf("TickSpan() = (%d, %d), want (-1, -1)", first, last)
-	}
-
-	if _, err := NewMRTDriver(nil, bytes.NewReader(nil), ReplayConfig{TickSeconds: 1}); err == nil {
+	if _, err := ReplayEvents(bgppipe.NewMRTScanner(bytes.NewReader(nil)), ReplayConfig{TickSeconds: 1}); err == nil {
 		t.Fatal("nil Apply accepted")
 	}
-	if _, err := NewMRTDriver(nil, bytes.NewReader(nil), ReplayConfig{
-		Apply: func(bgppipe.Record) error { return nil },
-	}); err == nil {
+	if _, err := ReplayEvents(bgppipe.NewMRTScanner(bytes.NewReader(nil)), ReplayConfig{Apply: noop}); err == nil {
 		t.Fatal("zero TickSeconds accepted")
 	}
 }
@@ -132,23 +120,11 @@ func TestReplayDriverEmpty(t *testing.T) {
 // scheduled and applied.
 func TestRISDriver(t *testing.T) {
 	const line = `{"type":"ris_message","data":{"timestamp":1700000000,"peer":"80.81.192.10","peer_asn":"65001","type":"UPDATE","path":[65001],"origin":"igp","announcements":[{"next_hop":"80.81.192.10","prefixes":["203.0.113.0/24"]}]}}`
-	var applied int
-	d, err := NewRISDriver(nil, strings.NewReader(line), ReplayConfig{
+	_, ticks := replay(t, bgppipe.NewRISScanner(strings.NewReader(line)), ReplayConfig{
 		TickSeconds: 1,
-		Apply:       func(bgppipe.Record) error { applied++; return nil },
+		Apply:       func(bgppipe.Record) error { return nil },
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Records() != 1 {
-		t.Fatalf("Records() = %d, want 1", d.Records())
-	}
-	for _, ev := range d.Events() {
-		if err := ev.Do(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if applied != 1 {
-		t.Fatalf("applied = %d, want 1", applied)
+	if len(ticks) != 1 {
+		t.Fatalf("applied %d records, want 1", len(ticks))
 	}
 }

@@ -170,35 +170,14 @@ func TestReplayDriverClampAndSpeedEdges(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			cfg := c.cfg
 			cfg.Apply = func(bgppipe.Record) error { return nil }
-			d, err := NewMRTDriver(nil, bytes.NewReader(replayTimes(t, c.offsets)), cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if d.Records() != len(c.offsets) {
-				t.Fatalf("Records() = %d, want %d (clamping must not drop)", d.Records(), len(c.offsets))
-			}
-			var got []int
-			for _, ev := range d.Events() {
-				n := 0
-				for i := len("replay["); i < len(ev.Name)-1; i++ {
-					n = n*10 + int(ev.Name[i]-'0')
-				}
-				for j := 0; j < n; j++ {
-					got = append(got, ev.Tick)
-				}
-			}
+			_, got := replay(t, bgppipe.NewMRTScanner(bytes.NewReader(replayTimes(t, c.offsets))), cfg)
 			if len(got) != len(c.wantTicks) {
-				t.Fatalf("scheduled %v, want %v", got, c.wantTicks)
+				t.Fatalf("scheduled %v, want %v (clamping must not drop)", got, c.wantTicks)
 			}
 			for i := range got {
 				if got[i] != c.wantTicks[i] {
 					t.Fatalf("record %d scheduled on tick %d, want %d (all: %v)", i, got[i], c.wantTicks[i], got)
 				}
-			}
-			first, last := d.TickSpan()
-			if first != c.wantTicks[0] || last != c.wantTicks[len(c.wantTicks)-1] {
-				t.Fatalf("TickSpan() = (%d, %d), want (%d, %d)",
-					first, last, c.wantTicks[0], c.wantTicks[len(c.wantTicks)-1])
 			}
 		})
 	}

@@ -192,12 +192,10 @@ func CompareMitigations(cfg CompareConfig) CompareResult {
 
 	// --- ACL at the victim's own border: perfect filtering, but behind
 	// the member port — the port still carries and congests on the full
-	// attack (Section 1.1's structural weakness).
+	// attack (Section 1.1's structural weakness). The border then
+	// discards every attack byte the port delivered, while benign traffic
+	// that survived congestion passes untouched.
 	aclPortBenign, _, aclCongested := runPort(nil, nil, false)
-	acl := &mitigation.ACLFilter{Rules: []fabric.Match{ntpMatch}}
-	// What the port delivered is then filtered downstream; benign that
-	// survived congestion passes the ACL untouched.
-	_ = acl
 	res.Rows = append(res.Rows, CompareRow{
 		Technique:           mitigation.ACL,
 		BenignDeliveredFrac: aclPortBenign, // congestion already took its toll

@@ -67,29 +67,29 @@ func Fig10c(cfg AttackRunConfig) (Fig10cResult, error) {
 	attack := traffic.NewAttack(traffic.VectorNTP, target, attackPeers,
 		cfg.AttackRateBps, cfg.AttackStart, cfg.AttackEnd, rng)
 
-	// Drive the stage-graph engine directly: one victim, the escalating
-	// mitigation events riding on the driver's timeline.
+	// Drive the engine directly: one victim, the escalating mitigation
+	// signals as timed events.
 	shapeTick := cfg.AttackStart + 200
 	dropTick := shapeTick + 200
-	driver := engine.NewSourcesDriver(
-		[]engine.VictimSpec{{Port: victim.Name}},
-		[][]engine.Source{{attack}},
-	).AddEvents(
-		engine.Event{Tick: shapeTick, Name: "shape UDP/123 to 200 Mbps (IXP:2:123)",
-			Do: func() error {
-				return x.Announce(victim.Name, host, nil,
-					[]core.RuleSpec{core.ShapeUDPSrcPort(123, 200e6)})
-			}},
-		engine.Event{Tick: dropTick, Name: "drop all UDP",
-			Do: func() error {
-				return x.Announce(victim.Name, host, nil,
-					[]core.RuleSpec{core.DropProto(netpkt.ProtoUDP)})
-			}},
-	)
 	series, err := engine.New(engine.Config{
-		Driver:       driver,
-		Control:      x,
-		DataPlane:    x,
+		Driver: engine.NewSourcesDriver(
+			[]engine.VictimSpec{{Port: victim.Name}},
+			[][]engine.Source{{attack}},
+		),
+		Control:   x,
+		DataPlane: x,
+		Events: []engine.Event{
+			{Tick: shapeTick, Name: "shape UDP/123 to 200 Mbps (IXP:2:123)",
+				Do: func() error {
+					return x.Announce(victim.Name, host, nil,
+						[]core.RuleSpec{core.ShapeUDPSrcPort(123, 200e6)})
+				}},
+			{Tick: dropTick, Name: "drop all UDP",
+				Do: func() error {
+					return x.Announce(victim.Name, host, nil,
+						[]core.RuleSpec{core.DropProto(netpkt.ProtoUDP)})
+				}},
+		},
 		Ticks:        cfg.Ticks,
 		Dt:           1,
 		MemberFilter: x.MemberFilter(),

@@ -103,24 +103,24 @@ func Fig3c(cfg AttackRunConfig) (Fig3cResult, error) {
 	attack := traffic.NewAttack(traffic.VectorNTP, target, attackPeers,
 		cfg.AttackRateBps, cfg.AttackStart, cfg.AttackEnd, rng)
 
-	// Drive the stage-graph engine directly: the attack source becomes a
-	// one-victim driver carrying its own RTBH event, and the IXP
-	// supplies the control and data planes.
+	// Drive the engine directly: the attack source becomes a one-victim
+	// driver, the RTBH signal a timed event, and the IXP supplies the
+	// control and data planes.
 	rtbhTick := cfg.AttackStart + 280
-	driver := engine.NewSourcesDriver(
-		[]engine.VictimSpec{{Port: victim.Name}},
-		[][]engine.Source{{attack}},
-	).AddEvents(engine.Event{
-		Tick: rtbhTick, Name: "signal RTBH /32",
-		Do: func() error {
-			return x.Announce(victim.Name, host,
-				[]bgp.Community{bgp.CommunityBlackhole}, nil)
-		},
-	})
 	series, err := engine.New(engine.Config{
-		Driver:       driver,
-		Control:      x,
-		DataPlane:    x,
+		Driver: engine.NewSourcesDriver(
+			[]engine.VictimSpec{{Port: victim.Name}},
+			[][]engine.Source{{attack}},
+		),
+		Control:   x,
+		DataPlane: x,
+		Events: []engine.Event{{
+			Tick: rtbhTick, Name: "signal RTBH /32",
+			Do: func() error {
+				return x.Announce(victim.Name, host,
+					[]bgp.Community{bgp.CommunityBlackhole}, nil)
+			},
+		}},
 		Ticks:        cfg.Ticks,
 		Dt:           1,
 		MemberFilter: x.MemberFilter(),

@@ -10,8 +10,8 @@
 //     mitctl.Controller.SetQueueStalled (queue stall) via tick windows,
 //   - a bgppipe.Stage wrapping a live wire line, and a
 //     bgppipe.RecordSource filter for capture replay (wire faults),
-//   - an engine stage decorator (WrapControl) firing the tick windows
-//     on the spine before each control tick.
+//   - one engine event per tick (Events) firing the tick windows on
+//     the spine before each control tick.
 //
 // Every injected fault is recorded in an ordered log, so a run's report
 // can say exactly what was done to it — and two runs with the same plan
@@ -172,8 +172,8 @@ func (p *Plan) Validate() error {
 }
 
 // Hooks are the control-plane levers the injector pulls for tick-window
-// faults. Unset hooks make the corresponding fault kinds no-ops (still
-// logged as skipped via OnTick's error).
+// faults. An unset hook makes its fault kind a no-op on the control
+// plane; OnTick still records the edge in the injection log.
 type Hooks struct {
 	// SetReserved applies the accumulated TCAM reservation
 	// (hw.EdgeRouter.SetReserved).
@@ -198,7 +198,7 @@ type Injection struct {
 }
 
 // Injector executes a plan. Build with NewInjector; wire its hooks into
-// the run (InstallHook, WrapControl, WireStage, FilterSource) and read
+// the run (InstallHook, Events, WireStage, FilterSource) and read
 // the injection log afterwards.
 type Injector struct {
 	plan  Plan
@@ -245,7 +245,7 @@ func (inj *Injector) Injections() []Injection {
 
 // OnTick fires the tick-windowed faults' edges: squeezes and stalls
 // engage at From and release at To, flaps go down at From and up at To.
-// Drive it once per tick on the control spine (WrapControl does).
+// Drive it once per tick on the control spine (Events does).
 func (inj *Injector) OnTick(tick int) error {
 	inj.mu.Lock()
 	defer inj.mu.Unlock()
@@ -316,7 +316,7 @@ func errorFor(class string) error {
 
 // InstallHook is the mitctl.Config.InstallHook implementation: it fails
 // install attempts per the plan's active install_fail windows,
-// evaluated against the tick the spine last announced (WrapControl — or
+// evaluated against the tick the spine last announced (Events — or
 // SetTick when driven manually).
 func (inj *Injector) InstallHook(change core.ConfigChange, attempt int, now float64) error {
 	if change.Op != core.OpInstall {
@@ -345,8 +345,8 @@ func (inj *Injector) InstallHook(change core.ConfigChange, attempt int, now floa
 }
 
 // SetTick announces the current engine tick to the injector — the clock
-// install_fail windows are evaluated against. WrapControl calls it on
-// the spine; manual harnesses (unit tests, serial loops) call it
+// install_fail windows are evaluated against. Events calls it on the
+// spine; manual harnesses (unit tests, serial loops) call it
 // directly before Process.
 func (inj *Injector) SetTick(tick int) {
 	inj.mu.Lock()
@@ -354,31 +354,21 @@ func (inj *Injector) SetTick(tick int) {
 	inj.mu.Unlock()
 }
 
-// WrapControl returns an engine.Config.StageWrap decorator that drives
-// the injector from the run's spine: before each control tick it
-// announces the tick (SetTick) and fires the tick windows (OnTick), so
-// every window edge lands strictly before the control plane processes
-// the tick — deterministically ordered with the run's events.
-func (inj *Injector) WrapControl() func(engine.Stage) engine.Stage {
-	return func(s engine.Stage) engine.Stage {
-		if s.Name() != "control" {
-			return s
-		}
-		return &controlWrap{Stage: s, inj: inj}
+// Events returns one engine event per tick of a ticks-long run that
+// announces the tick (SetTick) and fires the tick windows (OnTick).
+// Append them after the run's other events: the engine applies
+// same-tick events in list order, so every window edge lands after the
+// tick's other events and strictly before the control plane processes
+// the tick.
+func (inj *Injector) Events(ticks int) []engine.Event {
+	evs := make([]engine.Event, ticks)
+	for tick := range evs {
+		evs[tick] = engine.Event{Tick: tick, Name: "faults", Do: func() error {
+			inj.SetTick(tick)
+			return inj.OnTick(tick)
+		}}
 	}
-}
-
-type controlWrap struct {
-	engine.Stage
-	inj *Injector
-}
-
-func (w *controlWrap) Run(ctx *engine.Ctx, in, out *engine.Batch) error {
-	w.inj.SetTick(ctx.Tick)
-	if err := w.inj.OnTick(ctx.Tick); err != nil {
-		return err
-	}
-	return w.Stage.Run(ctx, in, out)
+	return evs
 }
 
 // WireStage returns a bgppipe stage injecting the plan's wire faults on

@@ -102,6 +102,39 @@ func TestOnTickFlapHookError(t *testing.T) {
 	}
 }
 
+// TestEventsDriveTheTickClock: Events yields one event per tick, in tick
+// order, each announcing its tick to the install hook and firing that
+// tick's window edges.
+func TestEventsDriveTheTickClock(t *testing.T) {
+	var stalled []bool
+	inj, err := NewInjector(Plan{Faults: []Fault{
+		{Kind: KindQueueStall, From: 1, To: 3},
+		{Kind: KindInstallFail, From: 2, To: 3},
+	}}, Hooks{SetStalled: func(s bool) { stalled = append(stalled, s) }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	evs := inj.Events(4)
+	if len(evs) != 4 {
+		t.Fatalf("%d events for 4 ticks", len(evs))
+	}
+	var failed []int
+	for i, ev := range evs {
+		if ev.Tick != i {
+			t.Fatalf("event %d is for tick %d", i, ev.Tick)
+		}
+		if err := ev.Do(); err != nil {
+			t.Fatalf("tick %d: %v", i, err)
+		}
+		if inj.InstallHook(installChange("r"), 1, 0) != nil {
+			failed = append(failed, i)
+		}
+	}
+	if !reflect.DeepEqual(stalled, []bool{true, false}) || !reflect.DeepEqual(failed, []int{2}) {
+		t.Fatalf("stall edges %v, failed installs on ticks %v; want [true false], [2]", stalled, failed)
+	}
+}
+
 func installChange(id string) core.ConfigChange {
 	return core.ConfigChange{Op: core.OpInstall, RuleID: id}
 }

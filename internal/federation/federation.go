@@ -291,9 +291,9 @@ func (c *syncedControl) ControlTick(tick int, dt float64) float64 {
 }
 
 // countingDriver wraps an exchange's driver to count offered flows —
-// the federation-wide workload metric the bench reports. It forwards
-// the optional Eventful/SerialGenerator facets so wrapping never
-// changes engine behaviour.
+// the per-exchange and federation-wide OfferedFlows of the Report. It
+// forwards the optional SerialGenerator facet so wrapping never changes
+// engine behaviour.
 type countingDriver struct {
 	inner engine.Driver
 	flows *int64
@@ -306,13 +306,6 @@ func (d *countingDriver) AppendOffers(v int, dst []fabric.Offer, tick int, dt fl
 	out := d.inner.AppendOffers(v, dst, tick, dt)
 	atomic.AddInt64(d.flows, int64(len(out)-base))
 	return out
-}
-
-func (d *countingDriver) Events() []engine.Event {
-	if ev, ok := d.inner.(engine.Eventful); ok {
-		return ev.Events()
-	}
-	return nil
 }
 
 func (d *countingDriver) SerialGen() bool {

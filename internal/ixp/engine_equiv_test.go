@@ -18,7 +18,7 @@ import (
 // serialRunAll is the legacy serial tick loop, preserved as the
 // determinism oracle: per tick, events fire, every victim's offers
 // generate, then a synchronous ControlTick + EgressTick pair advances
-// the clock, processes the control plane and egresses, with every stage
+// the clock, processes the control plane and egresses, with every step
 // finishing before the next tick starts. The pipelined engine must
 // reproduce its output byte for byte. It takes the engine's own input
 // shapes (sources[i] feeds specs[i]; same-tick events apply in list
@@ -182,15 +182,17 @@ func TestEngineMatchesSerialLoop(t *testing.T) {
 	}
 
 	// Depth 1 is the fully serial pipeline; 2 the default double buffer;
-	// 4 and 8 queue several batches for the fold goroutine. Workers is
-	// pinned above 1 so the pool fans traffic and egress out even on a
+	// 4 and 8 queue several batches for the fold goroutine. The pool is
+	// pinned above 1 worker so traffic and egress fan out even on a
 	// single-CPU host.
 	for _, depth := range []int{1, 2, 4, 8} {
 		depth := depth
 		t.Run(fmt.Sprintf("depth=%d", depth), func(t *testing.T) {
 			xe, specsE, sourcesE, eventsE := build()
 			cfg := engineConfig(xe, ticks, specsE, sourcesE, eventsE...)
-			cfg.Depth, cfg.Workers = depth, 4
+			pool := fabric.NewPool(4)
+			defer pool.Close()
+			cfg.Depth, cfg.Pool = depth, pool
 			engineSeries, err := engine.New(cfg).Run()
 			if err != nil {
 				t.Fatal(err)

@@ -528,7 +528,7 @@ func (x *IXP) NullRouteCount(dst netip.Addr) int {
 // ControlTick implements engine.Control: it advances the simulation
 // clock by dt and applies everything that became due — the mitigation
 // controller's paced change queue drains and TTLs expire. The engine's
-// control stage drives it once per tick on the pipeline spine, strictly
+// control step drives it once per tick on the pipeline spine, strictly
 // ordered between the previous tick's egress and this tick's; the tick
 // argument is informational (the IXP's clock is the authority).
 func (x *IXP) ControlTick(_ int, dt float64) float64 {

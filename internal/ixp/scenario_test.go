@@ -71,9 +71,8 @@ func TestScenarioMultiVictimMatchesSingleRuns(t *testing.T) {
 }
 
 // TestScenarioEventOrderDeterministic: events of the same tick apply in
-// insertion order — the configured list first, then the driver's own —
-// even when the tick values are added out of order and duplicated
-// across the two lists.
+// list order even when the tick values are added out of order and
+// duplicated — lists merged by appending keep their relative order.
 func TestScenarioEventOrderDeterministic(t *testing.T) {
 	x, members := buildTestIXP(t, 4, 0.0, false)
 	var order []string
@@ -86,11 +85,11 @@ func TestScenarioEventOrderDeterministic(t *testing.T) {
 	cfg := engineConfig(x, 4,
 		[]engine.VictimSpec{{Port: members[0].Name}, {Port: members[1].Name}}, nil,
 		ev(2, "config-b"), ev(1, "early"), ev(2, "config-a"))
-	cfg.Driver.(*engine.SourcesDriver).AddEvents(ev(2, "driver-b"), ev(2, "driver-a"), ev(1, "driver-early"))
+	cfg.Events = append(cfg.Events, ev(2, "appended-b"), ev(2, "appended-a"), ev(1, "appended-early"))
 	if _, err := engine.New(cfg).Run(); err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"early", "driver-early", "config-b", "config-a", "driver-b", "driver-a"}
+	want := []string{"early", "appended-early", "config-b", "config-a", "appended-b", "appended-a"}
 	if fmt.Sprint(order) != fmt.Sprint(want) {
 		t.Fatalf("event order: %v, want %v", order, want)
 	}

@@ -1,10 +1,10 @@
 // Package mitigation models the DDoS-mitigation techniques the paper
 // compares Advanced Blackholing against (Table 1 and Section 1.1):
 // traffic scrubbing services (TSS), router ACL filters, remotely
-// triggered blackholing (RTBH) and BGP Flowspec. Each baseline has both
-// a qualitative property profile (regenerating Table 1) and a
-// behavioural model the IXP harness uses for head-to-head experiments
-// (Figure 3c vs Figure 10c).
+// triggered blackholing (RTBH) and BGP Flowspec. Each baseline has a
+// qualitative property profile (regenerating Table 1); TSS and Flowspec
+// also have behavioural models the head-to-head experiments use
+// (experiments.CompareMitigations).
 package mitigation
 
 import (
@@ -130,37 +130,6 @@ func AdvantageCount() map[Technique]int {
 
 // ---------------------------------------------------------------------
 // Behavioural models.
-
-// ACLFilter models policy-based filtering at the victim's own border
-// router (Section 1.1): it matches the same L2-L4 patterns as Advanced
-// Blackholing but acts *behind* the member's IXP port, so the port (and
-// its capacity) still carries the attack — the key structural weakness
-// the paper identifies ("the bandwidth to a neighbor AS can still be
-// exhausted").
-type ACLFilter struct {
-	Rules []fabric.Match
-}
-
-// FilterAfterPort splits delivered traffic into kept and discarded
-// according to the ACL. Input is the per-flow delivered bytes at the
-// member port (post congestion); the discard happens downstream.
-func (a *ACLFilter) FilterAfterPort(delivered map[netpkt.FlowKey]float64) (kept, discarded float64) {
-	for flow, bytes := range delivered {
-		matched := false
-		for _, m := range a.Rules {
-			if m.Matches(flow) {
-				matched = true
-				break
-			}
-		}
-		if matched {
-			discarded += bytes
-		} else {
-			kept += bytes
-		}
-	}
-	return kept, discarded
-}
 
 // Scrubber models a traffic scrubbing service (TSS): traffic is
 // redirected to the scrubbing center (adding path stretch), cleaned with

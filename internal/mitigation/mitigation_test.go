@@ -92,18 +92,6 @@ func ntpMatch() fabric.Match {
 	return m
 }
 
-func TestACLFiltersAfterPort(t *testing.T) {
-	acl := &ACLFilter{Rules: []fabric.Match{ntpMatch()}}
-	delivered := map[netpkt.FlowKey]float64{
-		ntpFlow(): 1000,
-		webFlow(): 500,
-	}
-	kept, discarded := acl.FilterAfterPort(delivered)
-	if kept != 500 || discarded != 1000 {
-		t.Fatalf("kept=%v discarded=%v", kept, discarded)
-	}
-}
-
 func TestScrubberCleansTraffic(t *testing.T) {
 	s := &Scrubber{CapacityBps: 1e12, DetectionRate: 0.99, FalsePositiveRate: 0.01, CostPerGB: 2}
 	r := s.Scrub(1e9, 1e8, 1)
