@@ -18,13 +18,14 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"stellar/internal/experiments"
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return
 		}
@@ -33,7 +34,7 @@ func main() {
 	}
 }
 
-func run(args []string) error {
+func run(args []string, w io.Writer) error {
 	if len(args) < 1 {
 		return fmt.Errorf("usage: stellar-lab <table1|fig2c|fig3a|fig3b|fig3c|fig9|fig10a|fig10b|fig10c|sec52|compare|combined-tss|conformance|federation|all> [flags]")
 	}
@@ -43,11 +44,11 @@ func run(args []string) error {
 	}
 	if name == "conformance" {
 		// Declarative scenario matrix with JSON report (its own flags).
-		return runConformanceCommand(args[1:], os.Stdout)
+		return runConformanceCommand(args[1:], w)
 	}
 	if name == "federation" {
 		// Synthetic multi-IXP run with gossip signaling (its own flags).
-		return runFederationCommand(args[1:], os.Stdout)
+		return runFederationCommand(args[1:], w)
 	}
 	fs := flag.NewFlagSet(name, flag.ContinueOnError)
 	seed := fs.Uint64("seed", 0, "override the experiment's default seed (0 keeps it)")
@@ -67,25 +68,25 @@ func run(args []string) error {
 	}
 	for i, exp := range experimentsToRun {
 		if i > 0 {
-			fmt.Println("\n================================================================")
+			fmt.Fprintln(w, "\n================================================================")
 		}
-		if err := runOne(exp, *seed, small); err != nil {
+		if err := runOne(w, exp, *seed, small); err != nil {
 			return fmt.Errorf("%s: %w", exp, err)
 		}
 	}
 	return nil
 }
 
-func runOne(name string, seed uint64, small bool) error {
+func runOne(w io.Writer, name string, seed uint64, small bool) error {
 	switch name {
 	case "table1":
-		fmt.Print(experiments.Table1().Format())
+		fmt.Fprint(w, experiments.Table1().Format())
 	case "fig2c":
 		cfg := experiments.DefaultFig2cConfig()
 		if seed != 0 {
 			cfg.Seed = seed
 		}
-		fmt.Print(experiments.Fig2c(cfg).Format())
+		fmt.Fprint(w, experiments.Fig2c(cfg).Format())
 	case "fig3a":
 		cfg := experiments.DefaultFig3aConfig()
 		if seed != 0 {
@@ -98,7 +99,7 @@ func runOne(name string, seed uint64, small bool) error {
 		if err != nil {
 			return err
 		}
-		fmt.Print(r.Format())
+		fmt.Fprint(w, r.Format())
 	case "fig3b":
 		cfg := experiments.DefaultFig3bConfig()
 		if seed != 0 {
@@ -107,7 +108,7 @@ func runOne(name string, seed uint64, small bool) error {
 		if small {
 			cfg.Announcements = 20000
 		}
-		fmt.Print(experiments.Fig3b(cfg).Format())
+		fmt.Fprint(w, experiments.Fig3b(cfg).Format())
 	case "fig3c":
 		cfg := experiments.DefaultFig3cConfig()
 		if seed != 0 {
@@ -120,13 +121,13 @@ func runOne(name string, seed uint64, small bool) error {
 		if err != nil {
 			return err
 		}
-		fmt.Print(r.Format())
+		fmt.Fprint(w, r.Format())
 	case "fig9":
 		cfg := experiments.DefaultFig9Config()
 		if small {
 			cfg.N = 2
 		}
-		fmt.Print(experiments.Fig9(cfg).Format())
+		fmt.Fprint(w, experiments.Fig9(cfg).Format())
 	case "fig10a":
 		cfg := experiments.DefaultFig10aConfig()
 		if seed != 0 {
@@ -136,7 +137,7 @@ func runOne(name string, seed uint64, small bool) error {
 		if err != nil {
 			return err
 		}
-		fmt.Print(r.Format())
+		fmt.Fprint(w, r.Format())
 	case "fig10b":
 		cfg := experiments.DefaultFig10bConfig()
 		if seed != 0 {
@@ -145,7 +146,7 @@ func runOne(name string, seed uint64, small bool) error {
 		if small {
 			cfg.DurationSec = 3600
 		}
-		fmt.Print(experiments.Fig10b(cfg).Format())
+		fmt.Fprint(w, experiments.Fig10b(cfg).Format())
 	case "fig10c":
 		cfg := experiments.DefaultFig10cConfig()
 		if seed != 0 {
@@ -158,7 +159,7 @@ func runOne(name string, seed uint64, small bool) error {
 		if err != nil {
 			return err
 		}
-		fmt.Print(r.Format())
+		fmt.Fprint(w, r.Format())
 	case "sec52":
 		if seed == 0 {
 			seed = 9
@@ -167,19 +168,19 @@ func runOne(name string, seed uint64, small bool) error {
 		if err != nil {
 			return err
 		}
-		fmt.Print(r.Format())
+		fmt.Fprint(w, r.Format())
 	case "compare":
 		cfg := experiments.DefaultCompareConfig()
 		if seed != 0 {
 			cfg.Seed = seed
 		}
-		fmt.Print(experiments.CompareMitigations(cfg).Format())
+		fmt.Fprint(w, experiments.CompareMitigations(cfg).Format())
 	case "combined-tss":
 		cfg := experiments.DefaultCompareConfig()
 		if seed != 0 {
 			cfg.Seed = seed
 		}
-		fmt.Print(experiments.CombinedTSS(cfg).Format())
+		fmt.Fprint(w, experiments.CombinedTSS(cfg).Format())
 	default:
 		return fmt.Errorf("unknown experiment %q", name)
 	}

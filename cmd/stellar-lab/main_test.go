@@ -1,6 +1,7 @@
 package main
 
 import (
+	"io"
 	"strings"
 	"testing"
 )
@@ -14,7 +15,7 @@ func TestRunAllExperimentsSmallScale(t *testing.T) {
 	} {
 		exp := exp
 		t.Run(exp, func(t *testing.T) {
-			if err := run([]string{exp, "-scale", "small"}); err != nil {
+			if err := run([]string{exp, "-scale", "small"}, io.Discard); err != nil {
 				t.Fatalf("%s: %v", exp, err)
 			}
 		})
@@ -22,26 +23,26 @@ func TestRunAllExperimentsSmallScale(t *testing.T) {
 }
 
 func TestRunErrors(t *testing.T) {
-	if err := run(nil); err == nil {
+	if err := run(nil, io.Discard); err == nil {
 		t.Fatal("no args accepted")
 	}
-	if err := run([]string{"not-an-experiment"}); err == nil {
+	if err := run([]string{"not-an-experiment"}, io.Discard); err == nil {
 		t.Fatal("unknown experiment accepted")
 	}
-	if err := run([]string{"fig3a", "-bogus"}); err == nil {
+	if err := run([]string{"fig3a", "-bogus"}, io.Discard); err == nil {
 		t.Fatal("bad flag accepted")
 	}
 	// A misspelt scale must not silently run the paper-sized experiment.
-	if err := run([]string{"table1", "-scale", "smal"}); err == nil || !strings.Contains(err.Error(), "-scale") {
+	if err := run([]string{"table1", "-scale", "smal"}, io.Discard); err == nil || !strings.Contains(err.Error(), "-scale") {
 		t.Fatalf("-scale smal: %v", err)
 	}
-	if err := run([]string{"bench"}); err == nil || !strings.Contains(err.Error(), "benchmark/run.sh") {
+	if err := run([]string{"bench"}, io.Discard); err == nil || !strings.Contains(err.Error(), "benchmark/run.sh") {
 		t.Fatalf("bench: %v, want a pointer to benchmark/run.sh", err)
 	}
 }
 
 func TestSeedOverride(t *testing.T) {
-	if err := run([]string{"fig3b", "-scale", "small", "-seed", "99"}); err != nil {
+	if err := run([]string{"fig3b", "-scale", "small", "-seed", "99"}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 }

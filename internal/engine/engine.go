@@ -183,6 +183,13 @@ func (e *Engine) Run() ([]VictimSeries, error) {
 		}
 	}
 	work := make(chan *batch, depth)
+	// Nothing is folded yet. The fold side advances each monitor's merge
+	// horizon tick by tick from here, and a horizon below the spine
+	// keeps the bins written ahead of it in the monitor's peer window at
+	// any Depth.
+	for _, spec := range r.specs {
+		spec.Monitor.SetMergeHorizon(-1)
+	}
 
 	var foldWG sync.WaitGroup
 	foldWG.Add(1)
@@ -194,7 +201,9 @@ func (e *Engine) Run() ([]VictimSeries, error) {
 
 	// Stop the fold side. With the pipeline quiesced, lift the monitors'
 	// merge horizons so post-run accessor reads (TopSrcPorts over the
-	// whole series, partial reads after an abort) see every bin.
+	// whole series, partial reads after an abort) see every bin's
+	// roll-up; per-peer counts stay readable for the monitor's window of
+	// newest bins only.
 	close(work)
 	foldWG.Wait()
 	for _, spec := range r.specs {

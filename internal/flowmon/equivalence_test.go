@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"net/netip"
+	"sort"
 	"testing"
 
 	"stellar/internal/netpkt"
@@ -88,9 +89,22 @@ func compareCollectors(t *testing.T, want *MapCollector, got *Collector, tol flo
 				t.Fatalf("ProtoShares(%d)[%v]: got %v, want %v", bin, k, gotP[k], v)
 			}
 		}
+		for _, port := range []uint16{0, 53, 123, 65535} {
+			if w, g := want.SrcPortBytes(bin, port), got.SrcPortBytes(bin, port); !near(w, g) {
+				t.Fatalf("SrcPortBytes(%d, %d): got %v, want %v", bin, port, g, w)
+			}
+		}
+		// Peers are kept for the newest peerWindow bins only; older bins
+		// count 0, as documented.
+		inWindow := len(wantBins) > 0 && bin > wantBins[len(wantBins)-1]-peerWindow
 		for _, min := range []float64{0, 100, 1e5} {
-			if w, g := want.PeerCount(bin, min), got.PeerCount(bin, min); w != g {
-				t.Fatalf("PeerCount(%d, %v): got %d, want %d", bin, min, g, w)
+			w, g := want.PeerCount(bin, min), got.PeerCount(bin, min)
+			wf, gf := want.PeerCountFunc(bin, min, evenMAC), got.PeerCountFunc(bin, min, evenMAC)
+			if !inWindow {
+				w, wf = 0, 0
+			}
+			if w != g || wf != gf {
+				t.Fatalf("PeerCount(%d, %v): got %d/%d, want %d/%d (in window: %v)", bin, min, g, gf, w, wf, inWindow)
 			}
 		}
 	}
@@ -107,6 +121,8 @@ func compareCollectors(t *testing.T, want *MapCollector, got *Collector, tol flo
 		}
 	}
 }
+
+func evenMAC(m netpkt.MAC) bool { return m[5]%2 == 0 }
 
 func comparePortMap(t *testing.T, what string, want, got map[uint16]float64, near func(a, b float64) bool) {
 	t.Helper()
@@ -177,6 +193,49 @@ func TestCollectorEquivalenceBatchedShards(t *testing.T) {
 		newC.ObserveBatch(recs[i:end])
 	}
 	compareCollectors(t, oldC, newC, 1e-9)
+}
+
+// TestCollectorEquivalenceOutOfOrderBeyondWindow streams bins mostly in
+// order, as the engine does, but sends a tenth of the records late by up
+// to three peer windows: they land in bins already compacted out of the
+// hot tier, whose roll-ups must still come out equal to the baseline's
+// at every bin (with new keys as well as known ones), while peers are
+// compared only within the window.
+func TestCollectorEquivalenceOutOfOrderBeyondWindow(t *testing.T) {
+	const bins = 4 * peerWindow
+	for trial := 0; trial < 4; trial++ {
+		rng := rand.New(rand.NewSource(int64(500 + trial)))
+		recs := randRecords(rng, 6000, bins)
+		sort.SliceStable(recs, func(i, j int) bool { return recs[i].Bin < recs[j].Bin })
+		for i := range recs {
+			if rng.Intn(10) == 0 {
+				j := min(len(recs)-1, i+rng.Intn(len(recs)*3/4))
+				recs[i], recs[j] = recs[j], recs[i]
+			}
+		}
+		if spread := lateSpread(recs); spread <= peerWindow {
+			t.Fatalf("trial %d: late records reach back only %d bins, want > %d", trial, spread, peerWindow)
+		}
+		want := NewMapCollector()
+		got := NewCollectorShards(1 + trial)
+		for i := 0; i < len(recs); i += 50 {
+			batch := recs[i:min(i+50, len(recs))]
+			want.ObserveBatch(batch)
+			got.ObserveBatch(batch)
+		}
+		compareCollectors(t, want, got, 1e-9)
+	}
+}
+
+// lateSpread is how far behind the newest bin seen so far the latest
+// record of a stream arrives.
+func lateSpread(recs []Record) int {
+	newest, spread := recs[0].Bin, 0
+	for _, r := range recs {
+		newest = max(newest, r.Bin)
+		spread = max(spread, newest-r.Bin)
+	}
+	return spread
 }
 
 // TestShardObserveFlowMatchesObserve pins the fabric-facing ObserveFlow

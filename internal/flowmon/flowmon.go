@@ -7,13 +7,21 @@
 //
 // Collector is built from per-worker Shard accumulators on compact
 // open-addressed counter tables and a bounded ring of in-flight time
-// bins, merged into the long-term per-bin store when a bin rotates out
-// or an accessor reads. The steady-state observe path performs no
-// allocation per record and takes no lock per record (one lock per
-// batch), so the fabric's parallel egress workers stream delivered
-// flows straight into their own shards. The package's tests keep the
-// map-per-record design it replaced as a reference and pin the two to
-// identical accessor results on randomized streams.
+// bins, merged into the long-term store when a bin rotates out or an
+// accessor reads. The steady-state observe path performs no allocation
+// per record and takes no lock per record (one lock per batch), so the
+// fabric's parallel egress workers stream delivered flows straight into
+// their own shards.
+//
+// The long-term store runs in flat memory. Per-peer byte counters — the
+// one per-bin state that grows with the number of senders — are kept
+// for a window of the 16 newest merged bins only, in a ring of reused
+// tables; there PeerCount answers "who is sending now". Every bin keeps
+// a compact roll-up of its total, UDP source-port, destination-port and
+// protocol bytes, from which every other accessor answers exactly, at
+// any bin, for as long as the collector runs. The package's tests keep
+// the map-per-record design it replaced as a reference and pin the two
+// to identical accessor results on randomized streams.
 package flowmon
 
 import (
@@ -34,142 +42,6 @@ type Record struct {
 	Packets float64
 }
 
-// binAgg accumulates per-bin counters.
-type binAgg struct {
-	bySrcPort map[uint16]float64 // UDP source port -> bytes
-	byDstPort map[uint16]float64 // any-proto destination port -> bytes
-	byProto   map[netpkt.IPProto]float64
-	peers     map[netpkt.MAC]float64 // source member -> bytes
-	total     float64
-}
-
-func newBinAgg() *binAgg {
-	return &binAgg{
-		bySrcPort: make(map[uint16]float64),
-		byDstPort: make(map[uint16]float64),
-		byProto:   make(map[netpkt.IPProto]float64),
-		peers:     make(map[netpkt.MAC]float64),
-	}
-}
-
-// store is the merged per-bin aggregate state; both collector
-// implementations compute every accessor from it, so their results are
-// identical by construction.
-type store struct {
-	bins map[int]*binAgg
-}
-
-func newStore() store { return store{bins: make(map[int]*binAgg)} }
-
-func (st *store) agg(bin int) *binAgg {
-	b := st.bins[bin]
-	if b == nil {
-		b = newBinAgg()
-		st.bins[bin] = b
-	}
-	return b
-}
-
-// observe folds one record into the store — the map-per-record baseline
-// path, and the per-record shape the sharded pipeline must reproduce.
-func (st *store) observe(r *Record) {
-	b := st.agg(r.Bin)
-	b.total += r.Bytes
-	b.byProto[r.Key.Proto] += r.Bytes
-	b.byDstPort[r.Key.DstPort] += r.Bytes
-	if r.Key.Proto == netpkt.ProtoUDP {
-		b.bySrcPort[r.Key.SrcPort] += r.Bytes
-	}
-	b.peers[r.Key.SrcMAC] += r.Bytes
-}
-
-func (st *store) binsSorted() []int {
-	out := make([]int, 0, len(st.bins))
-	for b := range st.bins {
-		out = append(out, b)
-	}
-	sort.Ints(out)
-	return out
-}
-
-func (st *store) totalBytes(bin int) float64 {
-	if b := st.bins[bin]; b != nil {
-		return b.total
-	}
-	return 0
-}
-
-func (st *store) dstPortShares(bin int) map[uint16]float64 {
-	b := st.bins[bin]
-	out := make(map[uint16]float64)
-	if b == nil || b.total == 0 {
-		return out
-	}
-	for port, bytes := range b.byDstPort {
-		out[port] = bytes / b.total
-	}
-	return out
-}
-
-func (st *store) srcPortShares(bin int) map[uint16]float64 {
-	b := st.bins[bin]
-	out := make(map[uint16]float64)
-	if b == nil || b.total == 0 {
-		return out
-	}
-	for port, bytes := range b.bySrcPort {
-		out[port] = bytes / b.total
-	}
-	return out
-}
-
-func (st *store) srcPortBytes(bin int, port uint16) float64 {
-	if b := st.bins[bin]; b != nil {
-		return b.bySrcPort[port]
-	}
-	return 0
-}
-
-func (st *store) protoShares(bin int) map[netpkt.IPProto]float64 {
-	b := st.bins[bin]
-	out := make(map[netpkt.IPProto]float64)
-	if b == nil || b.total == 0 {
-		return out
-	}
-	for proto, bytes := range b.byProto {
-		out[proto] = bytes / b.total
-	}
-	return out
-}
-
-func (st *store) peerCount(bin int, minBytes float64) int {
-	b := st.bins[bin]
-	if b == nil {
-		return 0
-	}
-	n := 0
-	for _, bytes := range b.peers {
-		if bytes > minBytes {
-			n++
-		}
-	}
-	return n
-}
-
-func (st *store) peerCountFunc(bin int, minBytes float64, keep func(netpkt.MAC) bool) int {
-	b := st.bins[bin]
-	if b == nil {
-		return 0
-	}
-	n := 0
-	for mac, bytes := range b.peers {
-		if bytes > minBytes && keep(mac) {
-			n++
-		}
-	}
-	return n
-}
-
 // PortRank is one entry of a top-ports report.
 type PortRank struct {
 	Port  uint16
@@ -177,19 +49,10 @@ type PortRank struct {
 	Share float64
 }
 
-func (st *store) topSrcPorts(k int) []PortRank {
-	agg := make(map[uint16]float64)
-	var total float64
-	// Sum bins in ascending order: float accumulation order is part of
-	// the determinism contract (two identically fed collectors must
-	// rank identically down to the last ulp).
-	for _, bin := range st.binsSorted() {
-		b := st.bins[bin]
-		for port, bytes := range b.bySrcPort {
-			agg[port] += bytes
-		}
-		total += b.total
-	}
+// rankPorts ranks per-port bytes for TopSrcPorts: the k largest, plus
+// the residual of total under the sentinel port 65535 when it is not
+// zero.
+func rankPorts(agg map[uint16]float64, total float64, k int) []PortRank {
 	ranks := make([]PortRank, 0, len(agg))
 	for port, bytes := range agg {
 		ranks = append(ranks, PortRank{Port: port, Bytes: bytes})
@@ -223,18 +86,10 @@ func (st *store) topSrcPorts(k int) []PortRank {
 	return ranks
 }
 
-func (st *store) series() (bins []int, bytes []float64) {
-	bins = st.binsSorted()
-	bytes = make([]float64, len(bins))
-	for i, b := range bins {
-		bytes[i] = st.bins[b].total
-	}
-	return bins, bytes
-}
-
 // Collector aggregates records on per-worker shards and merges them
-// into a long-term per-bin store when bins rotate out of the shard
-// rings or when an accessor reads. It is safe for concurrent use:
+// into a long-term per-bin store — peers for the newest bins, a roll-up
+// for every bin — when bins rotate out of the shard rings or when an
+// accessor reads. It is safe for concurrent use:
 // any number of goroutines may call Observe/ObserveBatch (or write to
 // distinct Shards) while others read the accessors.
 type Collector struct {
@@ -266,7 +121,7 @@ func NewCollectorShards(n int) *Collector {
 	if n < 1 {
 		n = 1
 	}
-	c := &Collector{SampleEvery: 1, st: newStore()}
+	c := &Collector{SampleEvery: 1}
 	c.horizon.Store(int64(^uint64(0) >> 1)) // unbounded
 	c.shards = make([]*Shard, n)
 	for i := range c.shards {
@@ -278,13 +133,10 @@ func NewCollectorShards(n int) *Collector {
 // Shards returns the number of shards.
 func (c *Collector) Shards() int { return len(c.shards) }
 
-// Shard returns worker i's accumulator; i wraps modulo the shard count,
-// so any worker index is valid.
+// Shard returns worker i's accumulator; i wraps modulo the shard count
+// (as an unsigned value), so any worker index is valid.
 func (c *Collector) Shard(i int) *Shard {
-	if i < 0 {
-		i = -i
-	}
-	return c.shards[i%len(c.shards)]
+	return c.shards[uint(i)%uint(len(c.shards))]
 }
 
 // Observe adds one record. Serial callers get exact 1-in-SampleEvery
@@ -307,9 +159,11 @@ func (c *Collector) ObserveBatch(recs []Record) {
 // accumulation (bit-identical to a serial run) instead of a sum of
 // partial flushes, whose float addition order would differ. Ring
 // rotation on the observe path is unaffected: it only flushes bins the
-// writer has moved past. The horizon may only move forward while
-// observers run; reset it to a large value (or leave it unset) for the
-// read-after-write usage every other caller has.
+// writer has moved past, and a bin it flushes above the horizon keeps
+// its peers until the horizon has passed it (see PeerCount). The
+// horizon may only move forward while observers run; reset it to a
+// large value (or leave it unset) for the read-after-write usage every
+// other caller has.
 func (c *Collector) SetMergeHorizon(bin int) { c.horizon.Store(int64(bin)) }
 
 // merge drains every shard's in-flight bins at or below the merge
@@ -333,7 +187,7 @@ func (c *Collector) merge() {
 // Callers hold the owning shard's lock.
 func (c *Collector) flushSlot(b *shardBin) {
 	c.mu.Lock()
-	c.st.addFrom(b)
+	c.st.addFrom(b, c.horizon.Load())
 	c.mu.Unlock()
 	b.reset()
 }
@@ -360,7 +214,7 @@ func (c *Collector) DstPortShares(bin int) map[uint16]float64 {
 	c.merge()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.st.dstPortShares(bin)
+	return c.st.shares(bin, kindDst)
 }
 
 // SrcPortShares returns each UDP source port's share of the bin's bytes
@@ -369,7 +223,7 @@ func (c *Collector) SrcPortShares(bin int) map[uint16]float64 {
 	c.merge()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.st.srcPortShares(bin)
+	return c.st.shares(bin, kindSrc)
 }
 
 // SrcPortBytes returns the bin's UDP bytes from one source port — the
@@ -392,22 +246,28 @@ func (c *Collector) ProtoShares(bin int) map[netpkt.IPProto]float64 {
 
 // PeerCount returns the number of distinct source members whose bytes in
 // the bin exceed minBytes — the "#peers" series of Figures 3(c)/10(c).
+// Peers are kept for a window of the 16 newest merged bins — counted
+// back from the merge horizon instead while it lags the newest bin, so
+// a bin written ahead of a lagging reader keeps its peers until read.
+// For a bin outside the window PeerCount returns 0, the same as for an
+// unobserved bin; the bin's other accessors still answer.
 func (c *Collector) PeerCount(bin int, minBytes float64) int {
 	c.merge()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.st.peerCount(bin, minBytes)
+	return c.st.peerCount(bin, minBytes, nil, c.horizon.Load())
 }
 
 // PeerCountFunc is PeerCount restricted to the source MACs keep accepts
 // — e.g. the scenario engine counts only MACs registered to IXP members,
-// matching the pre-streaming ActivePeers semantics. keep must not call
-// back into the collector.
+// matching the pre-streaming ActivePeers semantics. It reads the same
+// window as PeerCount and returns 0 outside it. keep must not call back
+// into the collector.
 func (c *Collector) PeerCountFunc(bin int, minBytes float64, keep func(netpkt.MAC) bool) int {
 	c.merge()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.st.peerCountFunc(bin, minBytes, keep)
+	return c.st.peerCount(bin, minBytes, keep, c.horizon.Load())
 }
 
 // TopSrcPorts returns the k highest-volume UDP source ports across all

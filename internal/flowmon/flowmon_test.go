@@ -150,6 +150,22 @@ func TestTopSrcPortsManyWayTieIsDeterministic(t *testing.T) {
 	}
 }
 
+// TestShardAnyIndex: every worker index maps to a shard, including the
+// extremes whose negation overflows.
+func TestShardAnyIndex(t *testing.T) {
+	for _, shards := range []int{1, 2, 3} {
+		c := NewCollectorShards(shards)
+		for _, i := range []int{math.MinInt, -1, 0, math.MaxInt} {
+			if c.Shard(i) == nil {
+				t.Fatalf("%d shards: Shard(%d) is nil", shards, i)
+			}
+		}
+		if c.Shard(shards) != c.Shard(0) || c.Shard(shards+1) != c.Shard(1%shards) {
+			t.Fatalf("%d shards: Shard does not wrap modulo the shard count", shards)
+		}
+	}
+}
+
 func TestSampling(t *testing.T) {
 	c := NewCollector()
 	c.SampleEvery = 10

@@ -71,7 +71,7 @@ func TestMergeHorizonRingRotationUnaffected(t *testing.T) {
 		sh.ObserveFlow(bin, horizonKey(bin), 100)
 	}
 	c.mu.Lock()
-	flushedBin0 := c.st.bins[0] != nil && c.st.bins[0].total == 100
+	flushedBin0 := c.st.totalBytes(0) == 100
 	c.mu.Unlock()
 	if !flushedBin0 {
 		t.Fatal("ring rotation no longer flushes past-horizon bins")

@@ -1,23 +1,36 @@
 package flowmon
 
-import "stellar/internal/netpkt"
+import (
+	"sort"
+
+	"stellar/internal/netpkt"
+)
 
 // MapCollector is the reference implementation the equivalence tests
-// pin Collector to: four map operations per record into the per-bin
-// store, no sharding, not safe for concurrent use — the design the
-// sharded pipeline replaced.
+// pin Collector to: four map operations per record into a map per bin
+// that keeps every bin's peers forever, no sharding, not safe for
+// concurrent use — the design the sharded, two-tier pipeline replaced.
 type MapCollector struct {
-	st store
+	bins map[int]*binAgg
 	// SampleEvery subsamples records (IPFIX samples 1-in-N packets in
 	// production); 1 observes everything.
 	SampleEvery int
 	counter     int
 }
 
+// binAgg accumulates one bin's counters.
+type binAgg struct {
+	bySrcPort map[uint16]float64 // UDP source port -> bytes
+	byDstPort map[uint16]float64 // any-proto destination port -> bytes
+	byProto   map[netpkt.IPProto]float64
+	peers     map[netpkt.MAC]float64 // source member -> bytes
+	total     float64
+}
+
 // NewMapCollector returns an empty reference collector observing every
 // record.
 func NewMapCollector() *MapCollector {
-	return &MapCollector{st: newStore(), SampleEvery: 1}
+	return &MapCollector{bins: make(map[int]*binAgg), SampleEvery: 1}
 }
 
 // Observe adds one record.
@@ -26,7 +39,23 @@ func (c *MapCollector) Observe(r Record) {
 	if c.SampleEvery > 1 && c.counter%c.SampleEvery != 0 {
 		return
 	}
-	c.st.observe(&r)
+	b := c.bins[r.Bin]
+	if b == nil {
+		b = &binAgg{
+			bySrcPort: make(map[uint16]float64),
+			byDstPort: make(map[uint16]float64),
+			byProto:   make(map[netpkt.IPProto]float64),
+			peers:     make(map[netpkt.MAC]float64),
+		}
+		c.bins[r.Bin] = b
+	}
+	b.total += r.Bytes
+	b.byProto[r.Key.Proto] += r.Bytes
+	b.byDstPort[r.Key.DstPort] += r.Bytes
+	if r.Key.Proto == netpkt.ProtoUDP {
+		b.bySrcPort[r.Key.SrcPort] += r.Bytes
+	}
+	b.peers[r.Key.SrcMAC] += r.Bytes
 }
 
 // ObserveBatch adds a batch of records.
@@ -37,37 +66,108 @@ func (c *MapCollector) ObserveBatch(recs []Record) {
 }
 
 // Bins returns the observed bin indices, sorted.
-func (c *MapCollector) Bins() []int { return c.st.binsSorted() }
+func (c *MapCollector) Bins() []int {
+	out := make([]int, 0, len(c.bins))
+	for b := range c.bins {
+		out = append(out, b)
+	}
+	sort.Ints(out)
+	return out
+}
 
 // TotalBytes returns the bytes observed in bin.
-func (c *MapCollector) TotalBytes(bin int) float64 { return c.st.totalBytes(bin) }
+func (c *MapCollector) TotalBytes(bin int) float64 {
+	if b := c.bins[bin]; b != nil {
+		return b.total
+	}
+	return 0
+}
+
+func (c *MapCollector) shares(bin int, bytesBy func(*binAgg) map[uint16]float64) map[uint16]float64 {
+	b := c.bins[bin]
+	out := make(map[uint16]float64)
+	if b == nil || b.total == 0 {
+		return out
+	}
+	for port, bytes := range bytesBy(b) {
+		out[port] = bytes / b.total
+	}
+	return out
+}
 
 // DstPortShares returns each destination port's share of the bin's bytes.
-func (c *MapCollector) DstPortShares(bin int) map[uint16]float64 { return c.st.dstPortShares(bin) }
+func (c *MapCollector) DstPortShares(bin int) map[uint16]float64 {
+	return c.shares(bin, func(b *binAgg) map[uint16]float64 { return b.byDstPort })
+}
 
 // SrcPortShares returns each UDP source port's share of the bin's bytes.
-func (c *MapCollector) SrcPortShares(bin int) map[uint16]float64 { return c.st.srcPortShares(bin) }
+func (c *MapCollector) SrcPortShares(bin int) map[uint16]float64 {
+	return c.shares(bin, func(b *binAgg) map[uint16]float64 { return b.bySrcPort })
+}
 
 // SrcPortBytes returns the bin's UDP bytes from one source port.
 func (c *MapCollector) SrcPortBytes(bin int, port uint16) float64 {
-	return c.st.srcPortBytes(bin, port)
+	if b := c.bins[bin]; b != nil {
+		return b.bySrcPort[port]
+	}
+	return 0
 }
 
 // ProtoShares returns the protocol byte shares of the bin.
-func (c *MapCollector) ProtoShares(bin int) map[netpkt.IPProto]float64 { return c.st.protoShares(bin) }
+func (c *MapCollector) ProtoShares(bin int) map[netpkt.IPProto]float64 {
+	b := c.bins[bin]
+	out := make(map[netpkt.IPProto]float64)
+	if b == nil || b.total == 0 {
+		return out
+	}
+	for proto, bytes := range b.byProto {
+		out[proto] = bytes / b.total
+	}
+	return out
+}
 
 // PeerCount returns the number of distinct source members whose bytes
-// in the bin exceed minBytes.
-func (c *MapCollector) PeerCount(bin int, minBytes float64) int { return c.st.peerCount(bin, minBytes) }
+// in the bin exceed minBytes — at every bin, unlike Collector.
+func (c *MapCollector) PeerCount(bin int, minBytes float64) int {
+	return c.PeerCountFunc(bin, minBytes, func(netpkt.MAC) bool { return true })
+}
 
 // PeerCountFunc is PeerCount restricted to the source MACs keep accepts.
 func (c *MapCollector) PeerCountFunc(bin int, minBytes float64, keep func(netpkt.MAC) bool) int {
-	return c.st.peerCountFunc(bin, minBytes, keep)
+	b := c.bins[bin]
+	if b == nil {
+		return 0
+	}
+	n := 0
+	for mac, bytes := range b.peers {
+		if bytes > minBytes && keep(mac) {
+			n++
+		}
+	}
+	return n
 }
 
 // TopSrcPorts returns the k highest-volume UDP source ports across all
 // bins plus the 65535 "others" sentinel.
-func (c *MapCollector) TopSrcPorts(k int) []PortRank { return c.st.topSrcPorts(k) }
+func (c *MapCollector) TopSrcPorts(k int) []PortRank {
+	agg := make(map[uint16]float64)
+	var total float64
+	for _, bin := range c.Bins() {
+		b := c.bins[bin]
+		for port, bytes := range b.bySrcPort {
+			agg[port] += bytes
+		}
+		total += b.total
+	}
+	return rankPorts(agg, total, k)
+}
 
 // Series returns the per-bin total bytes as (bins, values) slices.
-func (c *MapCollector) Series() (bins []int, bytes []float64) { return c.st.series() }
+func (c *MapCollector) Series() (bins []int, bytes []float64) {
+	bins = c.Bins()
+	bytes = make([]float64, len(bins))
+	for i, b := range bins {
+		bytes[i] = c.bins[b].total
+	}
+	return bins, bytes
+}

@@ -109,56 +109,25 @@ func (b *shardBin) reset() {
 	b.protoTouched = b.protoTouched[:0]
 }
 
-// addFrom folds a shard bin into the long-term store. Map work happens
-// here — once per distinct key per flush, not once per record. A bin's
-// first flush sizes the aggregate maps to the shard's key counts, so
-// the common one-flush-per-bin case builds each map exactly once.
-func (st *store) addFrom(b *shardBin) {
-	agg := st.bins[b.bin]
-	if agg == nil {
-		agg = &binAgg{
-			bySrcPort: make(map[uint16]float64, b.srcPort.n),
-			byDstPort: make(map[uint16]float64, b.dstPort.n),
-			byProto:   make(map[netpkt.IPProto]float64, len(b.protoTouched)),
-			peers:     make(map[netpkt.MAC]float64, b.peers.n),
-		}
-		st.bins[b.bin] = agg
-	}
-	agg.total += b.total
-	for _, p := range b.protoTouched {
-		agg.byProto[p] += b.proto[p]
-	}
-	for i := range b.dstPort.entries {
-		if e := &b.dstPort.entries[i]; e.used {
-			agg.byDstPort[uint16(e.key)] += e.val
-		}
-	}
-	for i := range b.srcPort.entries {
-		if e := &b.srcPort.entries[i]; e.used {
-			agg.bySrcPort[uint16(e.key)] += e.val
-		}
-	}
-	for i := range b.peers.entries {
-		if e := &b.peers.entries[i]; e.used {
-			agg.peers[unpackMAC(e.key)] += e.val
-		}
-	}
-}
-
 // counterTable is a compact open-addressed uint64 -> float64
 // accumulator with linear probing. It grows geometrically (an
 // allocation only when the load factor crosses 3/4) and is cleared in
-// place on reset, so steady-state adds never allocate.
+// place on reset, so steady-state adds never allocate. Keys must fit in
+// 63 bits: the top bit marks an occupied entry.
 type counterTable struct {
 	entries []counterEntry
 	n       int
 }
 
 type counterEntry struct {
-	used bool
-	key  uint64
-	val  float64
+	tag uint64 // key | usedBit while occupied, 0 while empty
+	val float64
 }
+
+const usedBit = 1 << 63
+
+func (e *counterEntry) used() bool  { return e.tag != 0 }
+func (e *counterEntry) key() uint64 { return e.tag &^ usedBit }
 
 const minTableCap = 16
 
@@ -167,21 +136,38 @@ func (t *counterTable) add(key uint64, delta float64) {
 		t.grow()
 	}
 	mask := uint64(len(t.entries) - 1)
+	tag := key | usedBit
 	i := mixU64(key) & mask
 	for {
 		e := &t.entries[i]
-		if !e.used {
-			e.used = true
-			e.key = key
+		if e.tag == 0 {
+			e.tag = tag
 			e.val = delta
 			t.n++
 			return
 		}
-		if e.key == key {
+		if e.tag == tag {
 			e.val += delta
 			return
 		}
 		i = (i + 1) & mask
+	}
+}
+
+// get returns key's accumulated value, 0 when absent.
+func (t *counterTable) get(key uint64) float64 {
+	if t.n == 0 {
+		return 0
+	}
+	mask := uint64(len(t.entries) - 1)
+	tag := key | usedBit
+	for i := mixU64(key) & mask; ; i = (i + 1) & mask {
+		switch t.entries[i].tag {
+		case tag:
+			return t.entries[i].val
+		case 0:
+			return 0
+		}
 	}
 }
 
@@ -194,8 +180,8 @@ func (t *counterTable) grow() {
 	t.entries = make([]counterEntry, newCap)
 	t.n = 0
 	for i := range old {
-		if old[i].used {
-			t.add(old[i].key, old[i].val)
+		if old[i].used() {
+			t.add(old[i].key(), old[i].val)
 		}
 	}
 }
