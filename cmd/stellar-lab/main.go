@@ -21,6 +21,7 @@ import (
 	"io"
 	"os"
 
+	"stellar/internal/conformance"
 	"stellar/internal/experiments"
 )
 
@@ -110,14 +111,11 @@ func runOne(w io.Writer, name string, seed uint64, small bool) error {
 		}
 		fmt.Fprint(w, experiments.Fig3b(cfg).Format())
 	case "fig3c":
-		cfg := experiments.DefaultFig3cConfig()
-		if seed != 0 {
-			cfg.Seed = seed
+		p, err := paperProfile(name, seed, small)
+		if err != nil {
+			return err
 		}
-		if small {
-			cfg.Members = 120
-		}
-		r, err := experiments.Fig3c(cfg)
+		r, err := experiments.Fig3c(p)
 		if err != nil {
 			return err
 		}
@@ -148,14 +146,11 @@ func runOne(w io.Writer, name string, seed uint64, small bool) error {
 		}
 		fmt.Fprint(w, experiments.Fig10b(cfg).Format())
 	case "fig10c":
-		cfg := experiments.DefaultFig10cConfig()
-		if seed != 0 {
-			cfg.Seed = seed
+		p, err := paperProfile(name, seed, small)
+		if err != nil {
+			return err
 		}
-		if small {
-			cfg.Members = 120
-		}
-		r, err := experiments.Fig10c(cfg)
+		r, err := experiments.Fig10c(p)
 		if err != nil {
 			return err
 		}
@@ -185,4 +180,21 @@ func runOne(w io.Writer, name string, seed uint64, small bool) error {
 		return fmt.Errorf("unknown experiment %q", name)
 	}
 	return nil
+}
+
+// paperProfile loads the conformance profile a paper figure runs from
+// ("paper-fig3c" for fig3c), with the seed override and the small
+// scale's 120-member population applied to its topology.
+func paperProfile(fig string, seed uint64, small bool) (*conformance.Profile, error) {
+	p, err := conformance.Load("paper-" + fig)
+	if err != nil {
+		return nil, err
+	}
+	if seed != 0 {
+		p.Topology.Seed = seed
+	}
+	if small {
+		p.Topology.Members = 120
+	}
+	return p, nil
 }

@@ -2,6 +2,8 @@
 // head to head on identical infrastructure: Figure 3(c) (classic RTBH —
 // most of the attack survives because ~70% of peers ignore the signal)
 // and Figure 10(c) (Stellar — shape for telemetry, then drop to zero).
+// Both scenarios are the "paper-fig3c" and "paper-fig10c" conformance
+// profiles, resized to a laptop-sized population.
 //
 // Run with: go run ./examples/rtbh-vs-stellar
 package main
@@ -10,20 +12,26 @@ import (
 	"fmt"
 	"log"
 
+	"stellar/internal/conformance"
 	"stellar/internal/experiments"
 )
 
-func main() {
-	rtbhCfg := experiments.DefaultFig3cConfig()
-	rtbhCfg.Members = 200 // laptop-sized population, same honoring ratio
-	rtbh, err := experiments.Fig3c(rtbhCfg)
+// load returns a paper profile with 200 members, same honoring ratio.
+func load(name string) *conformance.Profile {
+	p, err := conformance.Load(name)
 	if err != nil {
 		log.Fatal(err)
 	}
+	p.Topology.Members = 200
+	return p
+}
 
-	stellarCfg := experiments.DefaultFig10cConfig()
-	stellarCfg.Members = 200
-	stl, err := experiments.Fig10c(stellarCfg)
+func main() {
+	rtbh, err := experiments.Fig3c(load("paper-fig3c"))
+	if err != nil {
+		log.Fatal(err)
+	}
+	stl, err := experiments.Fig10c(load("paper-fig10c"))
 	if err != nil {
 		log.Fatal(err)
 	}

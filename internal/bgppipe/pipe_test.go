@@ -190,6 +190,14 @@ func TestListenSpeakerEndToEnd(t *testing.T) {
 	defer observer.close(t)
 	announcer := dialClient(t, addr, 64512, "10.0.0.12")
 	defer announcer.close(t)
+	// A client sees its session up before the server's feed registers
+	// the peer; an announcement applied before the observer is
+	// registered has no one to export to.
+	for deadline := time.Now().Add(3 * time.Second); len(rs.Peers()) < 2; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("route server registered %v, want both members", rs.Peers())
+		}
+	}
 
 	prefix := netip.MustParsePrefix("203.0.113.0/24")
 	announcer.pipe.Send(DirTX, &Msg{BGP: &bgp.Update{

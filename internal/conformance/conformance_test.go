@@ -109,6 +109,13 @@ func TestValidateCatchesBadProfiles(t *testing.T) {
 			p.Expect[0] = Expectation{Name: "w", Kind: "offered_bps", From: 10, To: 10, Min: f(0)}
 		}},
 		{"rtbh with mitigate event", func(p *Profile) { p.Channel = ChannelRTBH }},
+		{"peer range end overflows", func(p *Profile) {
+			p.Victims[0].Sources[0].Peers = PeerRange{From: math.MaxInt, Count: 1}
+		}},
+		{"trace segment longer than run", func(p *Profile) {
+			p.Victims[0].Sources[0] = SourceSpec{Kind: "trace", RatesBps: []float64{1e9},
+				SegmentTicks: p.Run.Ticks + 1, Peers: PeerRange{From: 1, Count: 1}}
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

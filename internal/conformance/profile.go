@@ -643,14 +643,20 @@ func (p *Profile) validateSource(s *SourceSpec) error {
 		if len(s.RatesBps) == 0 {
 			return fmt.Errorf("trace has no rates_bps series")
 		}
+		// The runner expands every segment rate across its ticks, so a
+		// segment longer than the run only inflates that series.
+		if s.SegmentTicks > p.Run.Ticks {
+			return fmt.Errorf("trace segment_ticks %d exceeds the run's %d ticks", s.SegmentTicks, p.Run.Ticks)
+		}
 		return p.validatePeers(s.Peers)
 	}
 	return nil
 }
 
 func (p *Profile) validatePeers(r PeerRange) error {
-	if r.From < 0 || r.Count <= 0 || r.From+r.Count > p.Topology.Members {
-		return fmt.Errorf("peer range [%d,%d) outside population [0,%d)", r.From, r.From+r.Count, p.Topology.Members)
+	// Compare against the room left above From: From+Count can overflow.
+	if r.From < 0 || r.Count <= 0 || r.Count > p.Topology.Members-r.From {
+		return fmt.Errorf("peer range of %d from %d outside population [0,%d)", r.Count, r.From, p.Topology.Members)
 	}
 	return nil
 }

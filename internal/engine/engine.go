@@ -223,6 +223,13 @@ func wire(cfg Config) (*run, error) {
 	if cfg.Ticks < 0 {
 		return nil, fmt.Errorf("engine: negative Ticks %d", cfg.Ticks)
 	}
+	// A negative tick never comes up on the spine, and it would sort
+	// ahead of every other event and block the timeline behind it.
+	for _, ev := range cfg.Events {
+		if ev.Tick < 0 {
+			return nil, fmt.Errorf("engine: event %q at negative tick %d", ev.Name, ev.Tick)
+		}
+	}
 	if cfg.Dt < 0 || math.IsNaN(cfg.Dt) || math.IsInf(cfg.Dt, 0) {
 		return nil, fmt.Errorf("engine: Dt %v is not a non-negative finite tick length", cfg.Dt)
 	}

@@ -245,6 +245,17 @@ func TestEngineValidation(t *testing.T) {
 	if _, err := New(testConfig(1, -1, 1)).Run(); err == nil {
 		t.Fatal("negative Ticks accepted")
 	}
+	// A negative event tick would sort first and stall every later
+	// event: reject it rather than silently fire nothing.
+	fired := 0
+	neg := testConfig(1, 5, 1)
+	neg.Events = []Event{
+		{Tick: -1, Name: "before the run", Do: func() error { fired++; return nil }},
+		{Tick: 2, Name: "in the run", Do: func() error { fired++; return nil }},
+	}
+	if _, err := New(neg).Run(); err == nil || fired != 0 {
+		t.Fatalf("negative event tick: err %v, %d events fired", err, fired)
+	}
 	// A negative Dt would run the control plane's clock backwards.
 	for _, dt := range []float64{-1, math.NaN(), math.Inf(1), math.Inf(-1)} {
 		cfg := testConfig(1, 2, 1)

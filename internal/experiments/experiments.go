@@ -4,6 +4,13 @@
 // same rows/series the paper reports and (b) exposes the numbers the
 // shape assertions in the test suites check.
 //
+// The two controlled booter experiments, Figures 3(c) and 10(c), are not
+// wired here: their scenarios are the "paper-fig3c" and "paper-fig10c"
+// conformance profiles, and Fig3c/Fig10c project a conformance.Run of
+// the profile they are given. Sec52, Fig9, CompareMitigations and
+// CombinedTSS stay model studies on a bare single port (portPlane),
+// which the profile schema does not express.
+//
 // Absolute numbers differ from the paper (our substrate is a simulator,
 // not DE-CIX hardware); the shapes — who wins, by what factor, where the
 // feasibility boundaries fall — are asserted in experiments_test.go.

@@ -1,9 +1,11 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
+	"stellar/internal/conformance"
 	"stellar/internal/mitigation"
 )
 
@@ -129,41 +131,55 @@ func TestFig3bShape(t *testing.T) {
 // ---------------------------------------------------------------------
 // Figure 3(c) — RTBH leaves most of the attack standing.
 
-func fastFig3cConfig() AttackRunConfig {
-	cfg := DefaultFig3cConfig()
-	cfg.Members = 120 // smaller population, same honoring fraction
-	return cfg
-}
+// paperScales are the member populations the attack figures are
+// asserted at: the lab's small scale and the paper's 650.
+var paperScales = []int{120, 650}
 
-func TestFig3cShape(t *testing.T) {
-	r, err := Fig3c(fastFig3cConfig())
+// paperProfile loads a paper figure's conformance profile resized to
+// the given population (same honoring fraction, seed and attack).
+func paperProfile(t *testing.T, name string, members int) *conformance.Profile {
+	t.Helper()
+	p, err := conformance.Load(name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Peak near the booter's 1 Gbps.
-	if r.PeakBps < 0.9e9 || r.PeakBps > 1.1e9 {
-		t.Fatalf("peak: %v", r.PeakBps)
-	}
-	// Traffic arrives via ~40 peers.
-	if r.PeersBefore < 30 || r.PeersBefore > 41 {
-		t.Fatalf("peers before: %v", r.PeersBefore)
-	}
-	// RTBH removes only the honoring peers' share: 600-800 Mbps remains
-	// (the paper's headline RTBH failure).
-	if r.ResidualBps < 0.5e9 || r.ResidualBps > 0.85e9 {
-		t.Fatalf("residual: %v Mbps", r.ResidualBps/1e6)
-	}
-	// Peer count falls by roughly 25% (paper), i.e. far from zero.
-	reduction := 1 - r.PeersAfter/r.PeersBefore
-	if reduction < 0.10 || reduction > 0.45 {
-		t.Fatalf("peer reduction: %v", reduction)
-	}
-	// Before the attack there is no traffic.
-	if r.Samples[10].DeliveredBps != 0 {
-		t.Fatalf("pre-attack traffic: %v", r.Samples[10].DeliveredBps)
-	}
-	if r.Format() == "" {
-		t.Fatal("empty format")
+	p.Topology.Members = members
+	return p
+}
+
+func TestFig3cShape(t *testing.T) {
+	for _, members := range paperScales {
+		t.Run(fmt.Sprintf("members=%d", members), func(t *testing.T) {
+			r, err := Fig3c(paperProfile(t, "paper-fig3c", members))
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Peak near the booter's 1 Gbps.
+			if r.PeakBps < 0.9e9 || r.PeakBps > 1.1e9 {
+				t.Fatalf("peak: %v", r.PeakBps)
+			}
+			// Traffic arrives via ~40 peers.
+			if r.PeersBefore < 30 || r.PeersBefore > 41 {
+				t.Fatalf("peers before: %v", r.PeersBefore)
+			}
+			// RTBH removes only the honoring peers' share: 600-800 Mbps
+			// remains (the paper's headline RTBH failure).
+			if r.ResidualBps < 0.5e9 || r.ResidualBps > 0.85e9 {
+				t.Fatalf("residual: %v Mbps", r.ResidualBps/1e6)
+			}
+			// Peer count falls by roughly 25% (paper), i.e. far from zero.
+			reduction := 1 - r.PeersAfter/r.PeersBefore
+			if reduction < 0.10 || reduction > 0.45 {
+				t.Fatalf("peer reduction: %v", reduction)
+			}
+			// Before the attack there is no traffic.
+			if r.Samples[10].DeliveredBps != 0 {
+				t.Fatalf("pre-attack traffic: %v", r.Samples[10].DeliveredBps)
+			}
+			if r.Format() == "" {
+				t.Fatal("empty format")
+			}
+		})
 	}
 }
 
@@ -288,61 +304,63 @@ func TestFig10bShape(t *testing.T) {
 // ---------------------------------------------------------------------
 // Figure 10(c) — Stellar mitigates the same attack RTBH could not.
 
-func fastFig10cConfig() AttackRunConfig {
-	cfg := DefaultFig10cConfig()
-	cfg.Members = 120
-	cfg.AttackPeers = 60
-	return cfg
-}
-
 func TestFig10cShape(t *testing.T) {
-	r, err := Fig10c(fastFig10cConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Peak ~1 Gbps from ~60 peers.
-	if r.PeakBps < 0.9e9 || r.PeakBps > 1.1e9 {
-		t.Fatalf("peak: %v", r.PeakBps)
-	}
-	if r.PeersPeak < 50 || r.PeersPeak > 61 {
-		t.Fatalf("peers at peak: %v", r.PeersPeak)
-	}
-	// Shaped phase: traffic drops to the 200 Mbps telemetry rate...
-	if r.ShapedBps < 0.18e9 || r.ShapedBps > 0.23e9 {
-		t.Fatalf("shaped: %v Mbps, want ~200", r.ShapedBps/1e6)
-	}
-	// ...while the peer count stays (nearly) constant — the shaping
-	// queue passes a proportional sample of every peer.
-	if r.PeersShaped < r.PeersPeak*0.9 {
-		t.Fatalf("peers under shaping: %v (peak %v)", r.PeersShaped, r.PeersPeak)
-	}
-	// Drop phase: close to zero.
-	if r.FinalBps > 0.02e9 {
-		t.Fatalf("final: %v Mbps, want ~0", r.FinalBps/1e6)
-	}
-	if r.PeersFinal > r.PeersPeak*0.1 {
-		t.Fatalf("peers after drop: %v", r.PeersFinal)
-	}
-	if r.Format() == "" {
-		t.Fatal("empty format")
+	for _, members := range paperScales {
+		t.Run(fmt.Sprintf("members=%d", members), func(t *testing.T) {
+			r, err := Fig10c(paperProfile(t, "paper-fig10c", members))
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Peak ~1 Gbps from ~60 peers.
+			if r.PeakBps < 0.9e9 || r.PeakBps > 1.1e9 {
+				t.Fatalf("peak: %v", r.PeakBps)
+			}
+			if r.PeersPeak < 50 || r.PeersPeak > 61 {
+				t.Fatalf("peers at peak: %v", r.PeersPeak)
+			}
+			// Shaped phase: traffic drops to the 200 Mbps telemetry rate...
+			if r.ShapedBps < 0.18e9 || r.ShapedBps > 0.23e9 {
+				t.Fatalf("shaped: %v Mbps, want ~200", r.ShapedBps/1e6)
+			}
+			// ...while the peer count stays (nearly) constant — the
+			// shaping queue passes a proportional sample of every peer.
+			if r.PeersShaped < r.PeersPeak*0.9 {
+				t.Fatalf("peers under shaping: %v (peak %v)", r.PeersShaped, r.PeersPeak)
+			}
+			// Drop phase: close to zero.
+			if r.FinalBps > 0.02e9 {
+				t.Fatalf("final: %v Mbps, want ~0", r.FinalBps/1e6)
+			}
+			if r.PeersFinal > r.PeersPeak*0.1 {
+				t.Fatalf("peers after drop: %v", r.PeersFinal)
+			}
+			if r.Format() == "" {
+				t.Fatal("empty format")
+			}
+		})
 	}
 }
 
 // TestStellarBeatsRTBHHeadToHead is the paper's central comparison:
 // on the same attack shape, Stellar removes what RTBH leaves standing.
 func TestStellarBeatsRTBHHeadToHead(t *testing.T) {
-	rtbh, err := Fig3c(fastFig3cConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	stellar, err := Fig10c(fastFig10cConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// RTBH leaves >half the attack; Stellar's drop phase leaves ~none.
-	if rtbh.ResidualBps < 10*stellar.FinalBps {
-		t.Fatalf("RTBH residual %v vs Stellar final %v: expected >10x gap",
-			rtbh.ResidualBps, stellar.FinalBps)
+	for _, members := range paperScales {
+		t.Run(fmt.Sprintf("members=%d", members), func(t *testing.T) {
+			rtbh, err := Fig3c(paperProfile(t, "paper-fig3c", members))
+			if err != nil {
+				t.Fatal(err)
+			}
+			stellar, err := Fig10c(paperProfile(t, "paper-fig10c", members))
+			if err != nil {
+				t.Fatal(err)
+			}
+			// RTBH leaves >half the attack; Stellar's drop phase leaves
+			// ~none.
+			if rtbh.ResidualBps < 10*stellar.FinalBps {
+				t.Fatalf("RTBH residual %v vs Stellar final %v: expected >10x gap",
+					rtbh.ResidualBps, stellar.FinalBps)
+			}
+		})
 	}
 }
 

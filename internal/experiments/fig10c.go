@@ -2,31 +2,15 @@ package experiments
 
 import (
 	"fmt"
-	"net/netip"
 	"strings"
 
-	"stellar/internal/core"
+	"stellar/internal/conformance"
 	"stellar/internal/engine"
 	"stellar/internal/flowmon"
-	"stellar/internal/ixp"
-	"stellar/internal/netpkt"
-	"stellar/internal/stats"
-	"stellar/internal/traffic"
 )
-
-// DefaultFig10cConfig mirrors the Section 5.3 experiment: the same
-// booter attack as Figure 3(c) but ~60 peers, mitigated with Stellar.
-func DefaultFig10cConfig() AttackRunConfig {
-	return AttackRunConfig{
-		Seed: 5, Members: 650, HonoringFraction: 0.30,
-		AttackPeers: 60, AttackRateBps: 1e9,
-		Ticks: 900, AttackStart: 100, AttackEnd: 800,
-	}
-}
 
 // Fig10cResult is the Stellar attack time series plus headline metrics.
 type Fig10cResult struct {
-	Cfg     AttackRunConfig
 	Samples []engine.Sample
 	// ShapeTick is when the victim signaled IXP:2:123 with a 200 Mbps
 	// shape; DropTick is when it escalated to dropping all UDP.
@@ -50,68 +34,35 @@ type Fig10cResult struct {
 // 200 Mbps shape on UDP source port 123 (telemetry mode); the traffic
 // drops to the shaping rate while the peer count stays constant. 200 s
 // later it escalates to dropping all UDP, driving the attack to ~zero.
-func Fig10c(cfg AttackRunConfig) (Fig10cResult, error) {
-	x, members, err := buildAttackIXP(cfg, true)
+//
+// The scenario is the "paper-fig10c" conformance profile (callers may
+// resize its topology); the figure's phase means are the measured values
+// of the profile's own expectations.
+func Fig10c(p *conformance.Profile) (Fig10cResult, error) {
+	res, err := conformance.Run(p)
 	if err != nil {
 		return Fig10cResult{}, err
 	}
-	victim := members[0]
-	target := victim.Prefixes[0].Addr().Next()
-	host := netip.PrefixFrom(target, 32)
-	if err := x.Announce(victim.Name, victim.Prefixes[0], nil, nil); err != nil {
-		return Fig10cResult{}, err
-	}
-
-	rng := stats.NewRand(cfg.Seed + 1)
-	attackPeers := ixp.PeersOf(members[1 : 1+cfg.AttackPeers])
-	attack := traffic.NewAttack(traffic.VectorNTP, target, attackPeers,
-		cfg.AttackRateBps, cfg.AttackStart, cfg.AttackEnd, rng)
-
-	// Drive the engine directly: one victim, the escalating mitigation
-	// signals as timed events.
-	shapeTick := cfg.AttackStart + 200
-	dropTick := shapeTick + 200
-	series, err := engine.New(engine.Config{
-		Driver: engine.NewSourcesDriver(
-			[]engine.VictimSpec{{Port: victim.Name}},
-			[][]engine.Source{{attack}},
-		),
-		Control:   x,
-		DataPlane: x,
-		Events: []engine.Event{
-			{Tick: shapeTick, Name: "shape UDP/123 to 200 Mbps (IXP:2:123)",
-				Do: func() error {
-					return x.Announce(victim.Name, host, nil,
-						[]core.RuleSpec{core.ShapeUDPSrcPort(123, 200e6)})
-				}},
-			{Tick: dropTick, Name: "drop all UDP",
-				Do: func() error {
-					return x.Announce(victim.Name, host, nil,
-						[]core.RuleSpec{core.DropProto(netpkt.ProtoUDP)})
-				}},
-		},
-		Ticks:        cfg.Ticks,
-		Dt:           1,
-		MemberFilter: x.MemberFilter(),
-	}).Run()
+	m, err := measured(res, "attack steady state", "shaped to 200 Mbps", "attack dropped",
+		"peers at steady state", "peers under shaping", "peers after drop")
 	if err != nil {
 		return Fig10cResult{}, err
 	}
-	samples := series[0].Samples
-	res := Fig10cResult{
-		Cfg: cfg, Samples: samples, ShapeTick: shapeTick, DropTick: dropTick,
-		PeakBps:     ixp.MeanDeliveredBps(samples, cfg.AttackStart+30, shapeTick),
-		ShapedBps:   ixp.MeanDeliveredBps(samples, shapeTick+20, dropTick),
-		FinalBps:    ixp.MeanDeliveredBps(samples, dropTick+20, cfg.AttackEnd),
-		PeersPeak:   ixp.MeanActivePeers(samples, cfg.AttackStart+30, shapeTick),
-		PeersShaped: ixp.MeanActivePeers(samples, shapeTick+20, dropTick),
-		PeersFinal:  ixp.MeanActivePeers(samples, dropTick+20, cfg.AttackEnd),
-		TopPorts:    series[0].Monitor.TopSrcPorts(3),
+	ticks := eventTicks(p, "mitigate")
+	if len(ticks) != 2 {
+		return Fig10cResult{}, fmt.Errorf("experiments: profile %s signals %d mitigations, want shape then drop", p.Name, len(ticks))
 	}
-	if lats := x.Mitigations.Latencies(); len(lats) > 0 {
-		res.ShapeLatency = lats[0]
+	r := Fig10cResult{
+		Samples:   res.Series[0].Samples,
+		ShapeTick: ticks[0], DropTick: ticks[1],
+		PeakBps: m[0], ShapedBps: m[1], FinalBps: m[2],
+		PeersPeak: m[3], PeersShaped: m[4], PeersFinal: m[5],
+		TopPorts: res.Series[0].Monitor.TopSrcPorts(3),
 	}
-	return res, nil
+	if lats := res.IXP.Mitigations.Latencies(); len(lats) > 0 {
+		r.ShapeLatency = lats[0]
+	}
+	return r, nil
 }
 
 // Format renders the time series and phase metrics.

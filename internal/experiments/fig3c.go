@@ -2,50 +2,15 @@ package experiments
 
 import (
 	"fmt"
-	"net/netip"
 	"strings"
 
-	"stellar/internal/bgp"
+	"stellar/internal/conformance"
 	"stellar/internal/engine"
 	"stellar/internal/flowmon"
-	"stellar/internal/ixp"
-	"stellar/internal/member"
-	"stellar/internal/stats"
-	"stellar/internal/traffic"
 )
-
-// AttackRunConfig parameterizes the controlled booter experiments of
-// Sections 2.4 (RTBH, Figure 3c) and 5.3 (Stellar, Figure 10c).
-type AttackRunConfig struct {
-	Seed uint64
-	// Members is the route server population (>650 in the paper).
-	Members int
-	// HonoringFraction of members acting on RTBH (~0.3: almost 70%
-	// do not, Section 2.4).
-	HonoringFraction float64
-	// AttackPeers is the number of members the booter's reflectors sit
-	// behind (~40 in Fig 3c, ~60 in Fig 10c).
-	AttackPeers int
-	// AttackRateBps is the booter's peak (about 1 Gbps).
-	AttackRateBps float64
-	// Ticks is the experiment duration in seconds.
-	Ticks int
-	// AttackStart / AttackEnd bound the booter run.
-	AttackStart, AttackEnd int
-}
-
-// DefaultFig3cConfig mirrors the Section 2.4 experiment.
-func DefaultFig3cConfig() AttackRunConfig {
-	return AttackRunConfig{
-		Seed: 3, Members: 650, HonoringFraction: 0.30,
-		AttackPeers: 40, AttackRateBps: 1e9,
-		Ticks: 900, AttackStart: 100, AttackEnd: 700,
-	}
-}
 
 // Fig3cResult is the RTBH attack time series plus its headline metrics.
 type Fig3cResult struct {
-	Cfg     AttackRunConfig
 	Samples []engine.Sample
 	// RTBHTick is when the /32 blackhole was signaled (280 s after the
 	// attack started, as in the paper).
@@ -63,81 +28,64 @@ type Fig3cResult struct {
 	TopPorts []flowmon.PortRank
 }
 
-// buildAttackIXP builds the experimental AS setting: a member
-// population, the victim with a 10 Gbps port, and the IXP.
-func buildAttackIXP(cfg AttackRunConfig, stellarOn bool) (*ixp.IXP, []*member.Member, error) {
-	members := member.MakePopulation(member.PopulationConfig{
-		N: cfg.Members, HonoringFraction: cfg.HonoringFraction,
-		PortCapacityBps: 1e10, Seed: cfg.Seed,
-	})
-	x, err := ixp.Build(ixp.Config{
-		ASN:              6695,
-		BlackholeNextHop: netip.MustParseAddr("80.81.193.66"),
-		Members:          members,
-		EnableStellar:    stellarOn,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return x, members, nil
-}
-
 // Fig3c reproduces Figure 3(c): a booter attack on a /32 the
 // experimental AS operates, mitigated with classic RTBH. Because ~70% of
 // the peers do not honor the blackhole, the attack traffic only drops to
 // 600-800 Mbps and the peer count falls by only ~25%.
-func Fig3c(cfg AttackRunConfig) (Fig3cResult, error) {
-	x, members, err := buildAttackIXP(cfg, false)
+//
+// The scenario is the "paper-fig3c" conformance profile (callers may
+// resize its topology); the figure's phase means are the measured values
+// of the profile's own expectations.
+func Fig3c(p *conformance.Profile) (Fig3cResult, error) {
+	res, err := conformance.Run(p)
 	if err != nil {
 		return Fig3cResult{}, err
 	}
-	victim := members[0]
-	target := victim.Prefixes[0].Addr().Next()
-	host := netip.PrefixFrom(target, 32)
-	if err := x.Announce(victim.Name, victim.Prefixes[0], nil, nil); err != nil {
-		return Fig3cResult{}, err
-	}
-
-	rng := stats.NewRand(cfg.Seed + 1)
-	attackPeers := ixp.PeersOf(members[1 : 1+cfg.AttackPeers])
-	attack := traffic.NewAttack(traffic.VectorNTP, target, attackPeers,
-		cfg.AttackRateBps, cfg.AttackStart, cfg.AttackEnd, rng)
-
-	// Drive the engine directly: the attack source becomes a one-victim
-	// driver, the RTBH signal a timed event, and the IXP supplies the
-	// control and data planes.
-	rtbhTick := cfg.AttackStart + 280
-	series, err := engine.New(engine.Config{
-		Driver: engine.NewSourcesDriver(
-			[]engine.VictimSpec{{Port: victim.Name}},
-			[][]engine.Source{{attack}},
-		),
-		Control:   x,
-		DataPlane: x,
-		Events: []engine.Event{{
-			Tick: rtbhTick, Name: "signal RTBH /32",
-			Do: func() error {
-				return x.Announce(victim.Name, host,
-					[]bgp.Community{bgp.CommunityBlackhole}, nil)
-			},
-		}},
-		Ticks:        cfg.Ticks,
-		Dt:           1,
-		MemberFilter: x.MemberFilter(),
-	}).Run()
+	m, err := measured(res, "attack steady state", "residual after RTBH",
+		"peers at steady state", "peers after RTBH")
 	if err != nil {
 		return Fig3cResult{}, err
 	}
-	samples := series[0].Samples
-	res := Fig3cResult{
-		Cfg: cfg, Samples: samples, RTBHTick: rtbhTick,
-		PeakBps:     ixp.MeanDeliveredBps(samples, cfg.AttackStart+30, rtbhTick),
-		ResidualBps: ixp.MeanDeliveredBps(samples, rtbhTick+20, cfg.AttackEnd),
-		PeersBefore: ixp.MeanActivePeers(samples, cfg.AttackStart+30, rtbhTick),
-		PeersAfter:  ixp.MeanActivePeers(samples, rtbhTick+20, cfg.AttackEnd),
-		TopPorts:    series[0].Monitor.TopSrcPorts(3),
+	ticks := eventTicks(p, "rtbh")
+	if len(ticks) != 1 {
+		return Fig3cResult{}, fmt.Errorf("experiments: profile %s signals RTBH %d times, want 1", p.Name, len(ticks))
 	}
-	return res, nil
+	return Fig3cResult{
+		Samples:  res.Series[0].Samples,
+		RTBHTick: ticks[0],
+		PeakBps:  m[0], ResidualBps: m[1],
+		PeersBefore: m[2], PeersAfter: m[3],
+		TopPorts: res.Series[0].Monitor.TopSrcPorts(3),
+	}, nil
+}
+
+// measured returns the Measured value of each named check of the run,
+// in argument order.
+func measured(res *conformance.Result, names ...string) ([]float64, error) {
+	byName := make(map[string]float64, len(res.Report.Checks))
+	for _, c := range res.Report.Checks {
+		byName[c.Name] = c.Measured
+	}
+	out := make([]float64, len(names))
+	for i, name := range names {
+		v, ok := byName[name]
+		if !ok {
+			return nil, fmt.Errorf("experiments: profile %s has no %q expectation", res.Report.Profile, name)
+		}
+		out[i] = v
+	}
+	return out, nil
+}
+
+// eventTicks lists the ticks of the profile's events with the action.
+func eventTicks(p *conformance.Profile, action string) []int {
+	var ticks []int
+	for _, ev := range p.Events {
+		if ev.Action == action {
+			ticks = append(ticks, ev.Tick)
+		}
+	}
+	return ticks
 }
 
 // Format renders the time series and headline metrics.

@@ -183,9 +183,9 @@ func (f *Federation) Run() (*Report, error) {
 			ex := f.cfg.Exchanges[i]
 			eng := engine.New(engine.Config{
 				Driver:       &countingDriver{inner: ex.Driver, flows: &flows[i]},
-				Control:      &syncedControl{fed: f, ex: i, inner: ex.IXP},
+				Control:      ex.IXP,
 				DataPlane:    ex.IXP,
-				Events:       ex.Events,
+				Events:       f.withBarrier(i, ex.Events),
 				Ticks:        f.cfg.Ticks,
 				Dt:           f.cfg.Dt,
 				PeerMinBps:   f.cfg.PeerMinBps,
@@ -206,6 +206,23 @@ func (f *Federation) Run() (*Report, error) {
 		}
 	}
 	return f.buildReport(series, flows), err
+}
+
+// withBarrier appends exchange ex's per-tick federation hook to its own
+// events, so the hook runs last before each ControlTick: it records the
+// tick and waits at the barrier. No exchange advances its clock past
+// tick T until every exchange has finished T's events, which is also
+// when due gossip is injected.
+func (f *Federation) withBarrier(ex int, events []engine.Event) []engine.Event {
+	out := append(make([]engine.Event, 0, len(events)+f.cfg.Ticks), events...)
+	for tick := 0; tick < f.cfg.Ticks; tick++ {
+		out = append(out, engine.Event{Tick: tick, Name: "federation barrier", Do: func() error {
+			f.noteControl(ex, tick)
+			f.barrier.await(tick)
+			return nil
+		}})
+	}
+	return out
 }
 
 // noteControl records that exchange ex entered ControlTick(tick) — the
@@ -274,24 +291,9 @@ func (f *Federation) deliverDue(tick int) {
 	}
 }
 
-// syncedControl wraps an exchange's control plane with the federation
-// barrier: no exchange advances its clock past tick T until every
-// exchange has finished T's events, which is also when due gossip is
-// injected.
-type syncedControl struct {
-	fed   *Federation
-	ex    int
-	inner engine.Control
-}
-
-func (c *syncedControl) ControlTick(tick int, dt float64) float64 {
-	c.fed.noteControl(c.ex, tick)
-	c.fed.barrier.await(tick)
-	return c.inner.ControlTick(tick, dt)
-}
-
 // countingDriver wraps an exchange's driver to count offered flows —
 // the per-exchange and federation-wide OfferedFlows of the Report. It
+// stays because the engine returns rates, never flow counts. It
 // forwards the optional SerialGenerator facet so wrapping never changes
 // engine behaviour.
 type countingDriver struct {

@@ -118,7 +118,7 @@ func TestDeterminism(t *testing.T) {
 }
 
 // TestSingleExchangeParity pins a one-exchange federation to a bare
-// engine run over the identical exchange: the barrier, the counting
+// engine run over the identical exchange: the barrier events, the counting
 // driver wrapper, the shared pool and the (targetless) gossip link must
 // not perturb a single sample byte.
 func TestSingleExchangeParity(t *testing.T) {
