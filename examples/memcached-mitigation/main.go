@@ -66,11 +66,13 @@ func main() {
 	report := func(tick int, label string) {
 		offers := append(attack.Offers(tick, 1), web.Offers(tick, 1)...)
 		var memc, webB float64
-		perClass := func(flow netpkt.FlowKey, _ uint64, bytes float64) {
-			if flow.Proto == netpkt.ProtoUDP && flow.SrcPort == 11211 {
-				memc += bytes
-			} else {
-				webB += bytes
+		perClass := func(delivered []fabric.Delivery) {
+			for _, d := range delivered {
+				if f := d.Offer.Flow; f.Proto == netpkt.ProtoUDP && f.SrcPort == 11211 {
+					memc += d.Bytes
+				} else {
+					webB += d.Bytes
+				}
 			}
 		}
 		x.ControlTick(tick, 1)

@@ -417,8 +417,8 @@ func (r *run) traffic(b *batch) {
 	}
 }
 
-// egress runs the tick's offers through the data plane, streaming
-// delivered flows into the victims' monitor shards.
+// egress runs the tick's offers through the data plane, handing each
+// victim port's delivered flows to its monitor shard as one batch.
 func (r *run) egress(b *batch) error {
 	r.curTick = b.tick
 	reports, err := r.cfg.DataPlane.EgressTick(r.pool, b.offers, r.cfg.Dt, r.sink)
@@ -426,8 +426,9 @@ func (r *run) egress(b *batch) error {
 	return err
 }
 
-// sink supplies the per-(worker, port) visitors of the streaming tick;
-// a (victim, worker) visitor is built once and reused every tick.
+// sink supplies the per-(worker, port) visitors of the tick; a (victim,
+// worker) visitor is built once and reused every tick, and observes a
+// port's batch into the worker's shard under one lock.
 func (r *run) sink(worker int, port string) fabric.FlowVisitor {
 	vi, ok := r.victimIndex[port]
 	if !ok {
@@ -437,8 +438,8 @@ func (r *run) sink(worker int, port string) fabric.FlowVisitor {
 	slot := worker % len(row) // Shard wraps the same way
 	if row[slot] == nil {
 		sh := r.specs[vi].Monitor.Shard(worker)
-		row[slot] = func(flow netpkt.FlowKey, _ uint64, bytes float64) {
-			sh.ObserveFlow(r.curTick, flow, bytes)
+		row[slot] = func(delivered []fabric.Delivery) {
+			sh.ObserveDelivered(r.curTick, delivered)
 		}
 	}
 	return row[slot]

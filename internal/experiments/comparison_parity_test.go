@@ -17,7 +17,11 @@ import (
 // The visitor runs in the forward-queue order the map used to be filled in.
 func egressByFlow(port *fabric.Port, offers []fabric.Offer, dt float64) (fabric.TickResult, map[netpkt.FlowKey]float64) {
 	byFlow := make(map[netpkt.FlowKey]float64, len(offers))
-	res := port.Egress(offers, dt, func(f netpkt.FlowKey, _ uint64, bytes float64) { byFlow[f] += bytes })
+	res := port.Egress(offers, dt, func(ds []fabric.Delivery) {
+		for _, d := range ds {
+			byFlow[d.Offer.Flow] += d.Bytes
+		}
+	})
 	return res, byFlow
 }
 

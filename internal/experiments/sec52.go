@@ -39,11 +39,7 @@ func (p portPlane) EgressTick(r fabric.Runner, offers fabric.TickOffers, dt floa
 	}
 	out := make(map[string]engine.PortReport, len(st.PerPort))
 	for name, res := range st.PerPort {
-		var offered float64
-		for _, o := range offers[name] {
-			offered += o.Bytes
-		}
-		out[name] = engine.PortReport{OfferedBytes: offered, Result: res}
+		out[name] = engine.PortReport{OfferedBytes: res.PresentedBytes, Result: res}
 	}
 	return out, nil
 }

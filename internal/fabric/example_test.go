@@ -68,7 +68,7 @@ func ExamplePort_Classify() {
 // ExamplePort_Egress runs one flow-level egress tick: a 2 Gbps NTP
 // flood and a 400 Mbps web service offered to a 1 Gbps member port
 // with the attack signature dropped — benign traffic survives intact.
-// Each delivered flow streams into the tick's visitor.
+// The tick's visitor receives the port's delivered flows as one batch.
 func ExamplePort_Egress() {
 	port := fabric.NewPort("AS64512", netpkt.MustParseMAC("02:00:00:00:00:01"), 1e9)
 	m := fabric.MatchAll()
@@ -89,8 +89,10 @@ func ExamplePort_Egress() {
 	res := port.Egress([]fabric.Offer{
 		{Flow: attack, FlowHash: attack.Hash(), Bytes: 250e6, Packets: 5e5}, // 2 Gbit in 1 s
 		{Flow: web, FlowHash: web.Hash(), Bytes: 50e6, Packets: 5e4},        // 400 Mbit in 1 s
-	}, 1.0, func(flow netpkt.FlowKey, _ uint64, bytes float64) {
-		fmt.Printf("%s: %.0f Mbit\n", flow, bytes*8/1e6)
+	}, 1.0, func(delivered []fabric.Delivery) {
+		for _, d := range delivered {
+			fmt.Printf("%s: %.0f Mbit\n", d.Offer.Flow, d.Bytes*8/1e6)
+		}
 	})
 
 	fmt.Printf("delivered:    %.0f Mbit\n", res.DeliveredBytes*8/1e6)

@@ -111,10 +111,10 @@ func (t TickStats) TotalDeliveredBytes() float64 {
 
 // TickSink supplies the per-(worker, port) FlowVisitor of a tick: Tick
 // calls it once per port from the worker that egresses the port, and
-// streams that port's delivered flows into the returned visitor (nil
-// skips the port). Implementations must be safe to call from concurrent
-// workers; worker is below the runner's Workers(), so per-worker state
-// (e.g. a flowmon shard per worker) is contention-free.
+// hands that port's delivered flows to the returned visitor as one batch
+// (nil skips the port). Implementations must be safe to call from
+// concurrent workers; worker is below the runner's Workers(), so
+// per-worker state (e.g. a flowmon shard per worker) is contention-free.
 type TickSink func(worker int, port string) FlowVisitor
 
 // Tick advances the platform by dtSeconds, delivering all offers.
@@ -125,7 +125,8 @@ type TickSink func(worker int, port string) FlowVisitor
 // records of one port flow through exactly one worker in forward-queue
 // order into the sink's visitor for that port (a nil sink skips
 // monitoring), and the merge is keyed by port name, so results and
-// downstream accumulation are deterministic.
+// downstream accumulation are deterministic. Each port's result carries
+// its PresentedBytes, so no caller sums the offers again.
 func (f *Fabric) Tick(r Runner, offers TickOffers, dtSeconds float64, sink TickSink) (TickStats, error) {
 	stats := TickStats{PerPort: make(map[string]TickResult, len(offers))}
 
@@ -164,17 +165,16 @@ func (f *Fabric) Tick(r Runner, offers TickOffers, dtSeconds float64, sink TickS
 	}
 
 	results := make([]TickResult, len(names))
-	portOffered := make([]float64, len(names))
 	run(r, len(names), func(worker, i int) {
 		var visit FlowVisitor
 		if sink != nil {
 			visit = sink(worker, names[i])
 		}
-		results[i], portOffered[i] = ports[i].egress(offers[names[i]], scale, dtSeconds, visit)
+		results[i] = ports[i].egress(offers[names[i]], scale, dtSeconds, visit)
 	})
 	for i, name := range names {
 		stats.PerPort[name] = results[i]
-		stats.PlatformOfferedBytes += portOffered[i]
+		stats.PlatformOfferedBytes += results[i].PresentedBytes
 	}
 	return stats, nil
 }

@@ -106,7 +106,11 @@ func newVictimPort() *Port {
 // sumByFlow returns a visitor that adds each delivery to m: the per-flow
 // view of a tick, for tests that ask what one flow got.
 func sumByFlow(m map[netpkt.FlowKey]float64) FlowVisitor {
-	return func(f netpkt.FlowKey, _ uint64, bytes float64) { m[f] += bytes }
+	return func(ds []Delivery) {
+		for _, d := range ds {
+			m[d.Offer.Flow] += d.Bytes
+		}
+	}
 }
 
 func dropNTPRule() *Rule {

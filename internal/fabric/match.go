@@ -8,8 +8,8 @@
 // ports as (flow header, bytes, packets) aggregates per tick, which is
 // what lets experiments replay multi-gigabit attacks faithfully without
 // materializing packets. There is one way through a port: Port.Egress,
-// one tick of classify, then the forward, shape or drop queue, with each
-// delivered flow streamed into the caller's FlowVisitor.
+// one tick of classify, then the forward, shape or drop queue, with the
+// port's delivered flows handed to the caller's FlowVisitor as one batch.
 //
 // Classification is line-rate in spirit: rule installs compile the
 // port's rule set into an immutable lookup structure (exact-match port

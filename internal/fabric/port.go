@@ -26,6 +26,9 @@ type Offer struct {
 // queue outcome. Per-flow deliveries are not part of it: they stream into
 // the tick's FlowVisitor.
 type TickResult struct {
+	// PresentedBytes is the sum of the offers' bytes, added in offer
+	// order before any platform-core admission share is applied.
+	PresentedBytes float64
 	// DeliveredBytes went out the member port.
 	DeliveredBytes float64
 	// RuleDroppedBytes were steered to the zero-length dropping queue.
@@ -37,16 +40,26 @@ type TickResult struct {
 	CongestionDroppedBytes float64
 }
 
-// FlowVisitor receives one delivered flow during an egress tick:
-// the flow key, its precomputed FlowKey.Hash (0 when the offer carried
-// none) and the bytes that made it out the port. It is called once per
-// forward-queue entry, in queue order (unmatched and forward-rule offers
-// in offer order, then each shaping queue's residue), so a flow offered
-// twice is visited twice. The flow monitor's shards sit behind it; a
-// caller that wants a per-flow map sums into one here.
-type FlowVisitor func(flow netpkt.FlowKey, flowHash uint64, deliveredBytes float64)
+// Delivery is one forward-queue entry of an egress tick: the offer, in
+// the caller's slice, and how many of its bytes got this far — by the
+// time a FlowVisitor sees it, the bytes that went out the port.
+type Delivery struct {
+	Offer *Offer
+	Bytes float64
+}
 
-// OfferedBytes returns the total bytes presented this tick.
+// FlowVisitor receives a port's delivered flows once per egress tick, as
+// one batch in forward-queue order (unmatched and forward-rule offers in
+// offer order, then each shaping queue's residue), so a flow offered
+// twice appears twice. The batch refers to the caller's offers instead
+// of copying them; it is only valid during the call, and the visitor
+// must not keep it. The flow monitor's shards sit behind it; a caller
+// that wants a per-flow map sums into one here.
+type FlowVisitor func(delivered []Delivery)
+
+// OfferedBytes returns the bytes the port's queues accounted for this
+// tick: delivered plus every drop. Without a capped platform core that
+// is PresentedBytes up to float rounding; with one, the admitted share.
 func (t TickResult) OfferedBytes() float64 {
 	return t.DeliveredBytes + t.RuleDroppedBytes + t.ShaperDroppedBytes + t.CongestionDroppedBytes
 }
@@ -177,24 +190,16 @@ func (p *Port) ClassifyHashed(f netpkt.FlowKey, hash uint64) *Rule {
 //
 // The classification loop runs against one immutable classifier
 // snapshot: rules installed concurrently take effect the next tick, and
-// no lock is held while offers are processed. Every delivered flow
-// streams into visit; a nil visit skips monitoring and leaves the byte
-// totals.
+// no lock is held while offers are processed. The delivered flows
+// stream into visit as one batch; a nil visit skips monitoring and
+// leaves the byte totals.
 func (p *Port) Egress(offers []Offer, dtSeconds float64, visit FlowVisitor) TickResult {
-	res, _ := p.egress(offers, 1, dtSeconds, visit)
-	return res
-}
-
-// fwd is one entry of a forward or shaping queue: the offer, in the
-// caller's slice, and how many of its bytes got this far.
-type fwd struct {
-	o     *Offer
-	bytes float64
+	return p.egress(offers, 1, dtSeconds, visit)
 }
 
 // fwdPool recycles the per-tick forward-queue scratch across egress
 // calls, so a steady-state tick allocates no per-port buffers.
-var fwdPool = sync.Pool{New: func() any { return new([]fwd) }}
+var fwdPool = sync.Pool{New: func() any { return new([]Delivery) }}
 
 // matchRun accumulates the counters of consecutive offers that hit the
 // same rule, so a run costs one set of atomic adds instead of one per
@@ -224,11 +229,11 @@ func (m *matchRun) flush() {
 // egress is one tick of the port. Every offer's bytes and packets are
 // multiplied by scale (the platform core's admission share; 1 when the
 // core is not the bottleneck) as they are read, so the caller's slice is
-// never copied. offered is the unscaled byte sum of offers.
-func (p *Port) egress(offers []Offer, scale, dtSeconds float64, visit FlowVisitor) (res TickResult, offered float64) {
+// never copied.
+func (p *Port) egress(offers []Offer, scale, dtSeconds float64, visit FlowVisitor) (res TickResult) {
 	cls := p.cls.Load()
 
-	scratch := fwdPool.Get().(*[]fwd)
+	scratch := fwdPool.Get().(*[]Delivery)
 	forward := (*scratch)[:0]
 	var forwardBytes float64
 
@@ -242,7 +247,7 @@ func (p *Port) egress(offers []Offer, scale, dtSeconds float64, visit FlowVisito
 	// is created lazily: ports without shape matches skip it entirely.
 	type shapeGroup struct {
 		rule   *Rule
-		offers []fwd
+		offers []Delivery
 		total  float64
 	}
 	var shapeGroups map[string]*shapeGroup
@@ -250,11 +255,11 @@ func (p *Port) egress(offers []Offer, scale, dtSeconds float64, visit FlowVisito
 	var run matchRun
 	for i := range offers {
 		o := &offers[i]
-		offered += o.Bytes
+		res.PresentedBytes += o.Bytes
 		bytes := o.Bytes * scale
 		r := cls.classifyHashed(&o.Flow, o.FlowHash)
 		if r == nil {
-			forward = append(forward, fwd{o, bytes})
+			forward = append(forward, Delivery{o, bytes})
 			forwardBytes += bytes
 			continue
 		}
@@ -277,11 +282,11 @@ func (p *Port) egress(offers []Offer, scale, dtSeconds float64, visit FlowVisito
 				g = &shapeGroup{rule: r}
 				shapeGroups[r.ID] = g
 			}
-			g.offers = append(g.offers, fwd{o, bytes})
+			g.offers = append(g.offers, Delivery{o, bytes})
 			g.total += bytes
 		default: // explicit forward rule
 			run.forwarded += int64(bytes)
-			forward = append(forward, fwd{o, bytes})
+			forward = append(forward, Delivery{o, bytes})
 			forwardBytes += bytes
 		}
 	}
@@ -305,13 +310,13 @@ func (p *Port) egress(offers []Offer, scale, dtSeconds float64, visit FlowVisito
 		}
 		var passedSum, droppedSum int64
 		for _, f := range g.offers {
-			passed := f.bytes * passFrac
-			droppedHere := f.bytes - passed
+			passed := f.Bytes * passFrac
+			droppedHere := f.Bytes - passed
 			passedSum += int64(passed)
 			droppedSum += int64(droppedHere)
 			res.ShaperDroppedBytes += droppedHere
 			if passed > 0 {
-				forward = append(forward, fwd{f.o, passed})
+				forward = append(forward, Delivery{f.Offer, passed})
 				forwardBytes += passed
 			}
 		}
@@ -328,18 +333,20 @@ func (p *Port) egress(offers []Offer, scale, dtSeconds float64, visit FlowVisito
 	if forwardBytes > capBytes && forwardBytes > 0 {
 		deliverFrac = capBytes / forwardBytes
 	}
-	for _, f := range forward {
-		delivered := f.bytes * deliverFrac
+	for i := range forward {
+		f := &forward[i]
+		delivered := f.Bytes * deliverFrac
 		res.DeliveredBytes += delivered
-		res.CongestionDroppedBytes += f.bytes - delivered
-		if visit != nil {
-			visit(f.o.Flow, f.o.FlowHash, delivered)
-		}
+		res.CongestionDroppedBytes += f.Bytes - delivered
+		f.Bytes = delivered
+	}
+	if visit != nil {
+		visit(forward)
 	}
 	// The scratch outlives this call in the pool; it must not keep the
 	// caller's offers reachable.
 	clear(forward)
 	*scratch = forward
 	fwdPool.Put(scratch)
-	return res, offered
+	return res
 }

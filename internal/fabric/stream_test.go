@@ -64,8 +64,8 @@ func TestEgressStreamNilVisitor(t *testing.T) {
 }
 
 // TestTickStreamPerPortVisitors: each port's flows reach exactly its
-// own visitor, worker ids stay in range, and per-port streamed bytes
-// equal the port's DeliveredBytes.
+// own visitor, in one batch, worker ids stay in range, and per-port
+// streamed bytes equal the port's DeliveredBytes.
 func TestTickStreamPerPortVisitors(t *testing.T) {
 	const ports = 16
 	f := New()
@@ -90,13 +90,17 @@ func TestTickStreamPerPortVisitors(t *testing.T) {
 	maxWorkers := pool.Workers()
 	var mu sync.Mutex
 	perPort := make(map[string]float64)
+	batches := make(map[string]int)
 	sink := func(worker int, port string) FlowVisitor {
 		if worker < 0 || worker >= maxWorkers {
 			t.Errorf("worker %d out of range [0,%d)", worker, maxWorkers)
 		}
-		return func(flow netpkt.FlowKey, _ uint64, bytes float64) {
+		return func(ds []Delivery) {
 			mu.Lock()
-			perPort[port] += bytes
+			batches[port]++
+			for _, d := range ds {
+				perPort[port] += d.Bytes
+			}
 			mu.Unlock()
 		}
 	}
@@ -111,10 +115,13 @@ func TestTickStreamPerPortVisitors(t *testing.T) {
 		if math.Abs(perPort[name]-res.DeliveredBytes) > 1e-9 {
 			t.Fatalf("port %s: streamed %v, delivered %v", name, perPort[name], res.DeliveredBytes)
 		}
+		if batches[name] != 1 {
+			t.Fatalf("port %s: %d visitor calls, want one batch", name, batches[name])
+		}
 	}
 }
 
-// visit is one FlowVisitor call as a port's visitor saw it.
+// visit is one delivery as a port's visitor saw it.
 type visit struct {
 	flow  netpkt.FlowKey
 	hash  uint64
@@ -124,8 +131,8 @@ type visit struct {
 // TestTickNilRunnerMatchesPool: the runner decides only where a port's
 // egress runs. A nil Runner (inline, worker 0) and a 4-worker Pool produce
 // identical TickStats and, port by port, the identical visitor stream —
-// every queue contributing, each call carrying the offer's FlowHash, and
-// the stream summing to the port's DeliveredBytes.
+// every queue contributing, each delivery pointing at an offer with its
+// FlowHash, and the stream summing to the port's DeliveredBytes.
 func TestTickNilRunnerMatchesPool(t *testing.T) {
 	const ports = 12
 	offers := make(TickOffers, ports)
@@ -155,8 +162,10 @@ func TestTickNilRunnerMatchesPool(t *testing.T) {
 			mu.Lock()
 			streams[port] = seen
 			mu.Unlock()
-			return func(flow netpkt.FlowKey, hash uint64, bytes float64) {
-				*seen = append(*seen, visit{flow, hash, bytes})
+			return func(ds []Delivery) {
+				for _, d := range ds {
+					*seen = append(*seen, visit{d.Offer.Flow, d.Offer.FlowHash, d.Bytes})
+				}
 			}
 		}
 		stats, err := build().Tick(r, offers, 1, sink)

@@ -8,6 +8,7 @@ import (
 	"sort"
 	"testing"
 
+	"stellar/internal/fabric"
 	"stellar/internal/netpkt"
 )
 
@@ -253,6 +254,42 @@ func TestShardObserveFlowMatchesObserve(t *testing.T) {
 	bb, bv := b.Series()
 	if fmt.Sprint(ab) != fmt.Sprint(bb) || fmt.Sprint(av) != fmt.Sprint(bv) {
 		t.Fatalf("ObserveFlow diverged: %v/%v vs %v/%v", ab, av, bb, bv)
+	}
+}
+
+// TestShardObserveDeliveredMatchesObserveFlow pins the engine's batch
+// entry point to one ObserveFlow per delivery: a port's delivered flows
+// observed as one batch per bin, under one lock, fold into the same
+// counters, bit for bit, including under 1-in-N sampling.
+func TestShardObserveDeliveredMatchesObserveFlow(t *testing.T) {
+	for _, every := range []int{1, 3} {
+		rng := rand.New(rand.NewSource(17))
+		recs := randRecords(rng, 2000, 2*ringBins)
+		sort.SliceStable(recs, func(i, j int) bool { return recs[i].Bin < recs[j].Bin })
+		perFlow, batched := NewCollectorShards(2), NewCollectorShards(2)
+		perFlow.SampleEvery, batched.SampleEvery = every, every
+		var batch []fabric.Delivery
+		offers := make([]fabric.Offer, len(recs))
+		for i, r := range recs {
+			perFlow.Shard(1).ObserveFlow(r.Bin, r.Key, r.Bytes)
+			offers[i] = fabric.Offer{Flow: r.Key}
+			batch = append(batch, fabric.Delivery{Offer: &offers[i], Bytes: r.Bytes})
+			if i+1 == len(recs) || recs[i+1].Bin != r.Bin {
+				batched.Shard(1).ObserveDelivered(r.Bin, batch)
+				batch = batch[:0]
+			}
+		}
+		view := func(c *Collector) string {
+			bins, totals := c.Series()
+			out := fmt.Sprint(bins, totals, c.TopSrcPorts(5))
+			for _, b := range bins {
+				out += fmt.Sprint(c.PeerCount(b, 0), c.DstPortShares(b), c.ProtoShares(b))
+			}
+			return out
+		}
+		if got, want := view(batched), view(perFlow); got != want {
+			t.Fatalf("SampleEvery %d: batched observation diverged:\n%s\nper flow:\n%s", every, got, want)
+		}
 	}
 }
 

@@ -11,20 +11,21 @@ import (
 	"stellar/internal/netpkt"
 )
 
-// deliverAll is a data plane that delivers every offer, streaming each
-// flow into the run's monitors from worker 0.
+// deliverAll is a data plane that delivers every offer, handing each
+// port's flows to the run's monitors as one batch from worker 0.
 type deliverAll struct{}
 
 func (deliverAll) EgressTick(_ fabric.Runner, offers fabric.TickOffers, _ float64, sink fabric.TickSink) (map[string]engine.PortReport, error) {
 	reports := make(map[string]engine.PortReport, len(offers))
 	for port, os := range offers {
-		visit := sink(0, port)
 		var sum float64
-		for _, o := range os {
-			sum += o.Bytes
-			if visit != nil {
-				visit(o.Flow, o.FlowHash, o.Bytes)
-			}
+		delivered := make([]fabric.Delivery, len(os))
+		for i := range os {
+			sum += os[i].Bytes
+			delivered[i] = fabric.Delivery{Offer: &os[i], Bytes: os[i].Bytes}
+		}
+		if visit := sink(0, port); visit != nil {
+			visit(delivered)
 		}
 		reports[port] = engine.PortReport{OfferedBytes: sum, Result: fabric.TickResult{DeliveredBytes: sum}}
 	}

@@ -3,6 +3,7 @@ package flowmon
 import (
 	"sync"
 
+	"stellar/internal/fabric"
 	"stellar/internal/netpkt"
 )
 
@@ -59,10 +60,22 @@ func (s *Shard) ObserveBatch(recs []Record) {
 }
 
 // ObserveFlow adds one delivered-flow observation without building a
-// Record — the signature the fabric's egress stream drives.
+// Record.
 func (s *Shard) ObserveFlow(bin int, key netpkt.FlowKey, bytes float64) {
 	s.mu.Lock()
 	s.observe(bin, &key, bytes)
+	s.mu.Unlock()
+}
+
+// ObserveDelivered adds one port's delivered flows of an egress tick —
+// the batch a fabric.FlowVisitor receives — under one lock acquisition,
+// in batch order. It reads each flow key in place and keeps nothing of
+// the batch.
+func (s *Shard) ObserveDelivered(bin int, delivered []fabric.Delivery) {
+	s.mu.Lock()
+	for i := range delivered {
+		s.observe(bin, &delivered[i].Offer.Flow, delivered[i].Bytes)
+	}
 	s.mu.Unlock()
 }
 

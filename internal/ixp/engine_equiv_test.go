@@ -68,9 +68,13 @@ func serialRunAll(x *IXP, ticks int, dt float64, specs []engine.VictimSpec, sour
 		row := visitorCache[vi]
 		slot := worker % len(row)
 		if row[slot] == nil {
+			// One observation per delivery, where the engine observes a
+			// port's batch at once: the two must fold identically.
 			sh := victims[vi].Monitor.Shard(worker)
-			row[slot] = func(flow netpkt.FlowKey, _ uint64, bytes float64) {
-				sh.ObserveFlow(*curTick, flow, bytes)
+			row[slot] = func(delivered []fabric.Delivery) {
+				for _, d := range delivered {
+					sh.ObserveFlow(*curTick, d.Offer.Flow, d.Bytes)
+				}
 			}
 		}
 		return row[slot]

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"maps"
 	"net/netip"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -95,12 +96,21 @@ type IXP struct {
 	reg    atomic.Pointer[registry]
 	joinMu sync.Mutex // serializes Join
 
-	mu    sync.Mutex
+	mu    sync.Mutex // guards clock
 	clock float64
-	// nullRoutes[memberName] is the set of prefixes the member has
-	// null-routed in response to accepted RTBH announcements.
-	nullRoutes map[string]map[netip.Prefix]bool
+	// nulls is the published null-route table, loaded like reg: readers
+	// take no lock, and a published table is never written. applyExports
+	// publishes a changed copy, under nullMu, only when an export
+	// actually adds or removes a null route.
+	nulls  atomic.Pointer[nullTable]
+	nullMu sync.Mutex
 }
+
+// nullTable maps a member name to the prefixes the member null-routes in
+// response to accepted RTBH announcements. Only members with at least
+// one null route have an entry, so an empty table means no null route is
+// live anywhere on the exchange.
+type nullTable map[string][]netip.Prefix
 
 // registry is the member population by name and by fabric MAC.
 type registry struct {
@@ -128,11 +138,11 @@ func Build(cfg Config) (*IXP, error) {
 		cfg.HWUnitN = hw.RTBHUnitN
 	}
 	x := &IXP{
-		Cfg:        cfg,
-		Fabric:     fabric.New(),
-		Policy:     irr.NewPolicy(),
-		nullRoutes: make(map[string]map[netip.Prefix]bool),
+		Cfg:    cfg,
+		Fabric: fabric.New(),
+		Policy: irr.NewPolicy(),
 	}
+	x.nulls.Store(&nullTable{})
 	reg := &registry{
 		members: make(map[string]*member.Member, len(cfg.Members)),
 		byMAC:   make(map[netpkt.MAC]*member.Member, len(cfg.Members)),
@@ -153,7 +163,6 @@ func Build(cfg Config) (*IXP, error) {
 		}
 		reg.members[m.Name] = m
 		reg.byMAC[m.MAC] = m
-		x.nullRoutes[m.Name] = make(map[netip.Prefix]bool)
 		if err := x.Fabric.AddPort(fabric.NewPort(m.Name, m.MAC, m.PortCapacityBps)); err != nil {
 			return nil, err
 		}
@@ -215,7 +224,7 @@ func Build(cfg Config) (*IXP, error) {
 // does for each of Config.Members, for a member that arrives later
 // (cmd/ixpd joins one per established BGP session): fabric port, route
 // server peer, IRR prefixes, a fresh hardware port with its index at
-// the network manager, a null-route slot, and the member registry. A
+// the network manager, and the member registry. A
 // peer the route server already knows under the member's name is not an
 // error (the rsfeed stage registers the peer before it reports the
 // session up); a member name or MAC already on the exchange is.
@@ -243,9 +252,8 @@ func (x *IXP) Join(m *member.Member) error {
 	if x.qos != nil {
 		x.qos.SetPortIndex(m.Name, idx)
 	}
-	x.mu.Lock()
-	x.nullRoutes[m.Name] = make(map[netip.Prefix]bool)
-	x.mu.Unlock()
+	// A new member has no null route yet, so the null-route table stays
+	// as it is: it changes only when an export reaches the member.
 	x.reg.Store(reg.with(m))
 	return nil
 }
@@ -457,24 +465,49 @@ func (x *IXP) HandleWireUpdate(memberName string, u *bgp.Update) error {
 // members that honor RTBH install (or remove) null routes for
 // blackholed prefixes. Members that do not honor them ignore the signal
 // — the ~70% of Section 2.4.
+//
+// The published null-route table is copied on the first change only,
+// and a member's prefix list on its own first change, so exports that
+// change no null route — every export of a non-blackhole path to a
+// member without null routes — publish nothing.
 func (x *IXP) applyExports(exports []routeserver.PeerUpdates) {
 	members := x.reg.Load().members
-	x.mu.Lock()
-	defer x.mu.Unlock()
+	x.nullMu.Lock()
+	defer x.nullMu.Unlock()
+	table := *x.nulls.Load()
+	var next nullTable // the copy being built; nil until a route changes
 	for _, e := range exports {
 		m, ok := members[e.Peer]
 		if !ok {
 			continue
 		}
-		routes := x.nullRoutes[m.Name]
+		routes := table[m.Name]
+		owned := false // routes is this call's own copy
+		edit := func() {
+			if !owned {
+				routes, owned = slices.Clone(routes), true
+			}
+		}
+		withdraw := func(p netip.Prefix) {
+			if i := slices.Index(routes, p); i >= 0 {
+				edit()
+				routes = slices.Delete(routes, i, i+1)
+			}
+		}
+		install := func(p netip.Prefix) {
+			if !slices.Contains(routes, p) {
+				edit()
+				routes = append(routes, p)
+			}
+		}
 		for _, u := range e.Updates {
 			// The UPDATE is shared by all its targets: read it in place.
 			for _, w := range u.Withdrawn {
-				delete(routes, w.Prefix)
+				withdraw(w.Prefix)
 			}
 			if u.Attrs.MPUnreach != nil {
 				for _, w := range u.Attrs.MPUnreach.NLRI {
-					delete(routes, w.Prefix)
+					withdraw(w.Prefix)
 				}
 			}
 			isBH := x.Cfg.BlackholeNextHop.IsValid() && u.Attrs.NextHop == x.Cfg.BlackholeNextHop
@@ -484,42 +517,46 @@ func (x *IXP) applyExports(exports []routeserver.PeerUpdates) {
 				continue
 			}
 			for _, a := range u.NLRI {
-				routes[a.Prefix] = true
+				install(a.Prefix)
 			}
 			if u.Attrs.MPReach != nil {
 				for _, a := range u.Attrs.MPReach.NLRI {
-					routes[a.Prefix] = true
+					install(a.Prefix)
 				}
 			}
 		}
+		if !owned {
+			continue
+		}
+		if next == nil {
+			next = maps.Clone(table)
+			table = next
+		}
+		if len(routes) == 0 {
+			delete(next, m.Name)
+		} else {
+			next[m.Name] = routes
+		}
+	}
+	if next != nil {
+		published := next // only a change puts a table on the heap
+		x.nulls.Store(&published)
 	}
 }
 
 // NullRouted reports whether source member name currently null-routes
 // dst (i.e. its traffic to dst dies at the IXP's null interface).
 func (x *IXP) NullRouted(name string, dst netip.Addr) bool {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	for p := range x.nullRoutes[name] {
-		if p.Contains(dst) {
-			return true
-		}
-	}
-	return false
+	return anyContains((*x.nulls.Load())[name], dst)
 }
 
 // NullRouteCount returns how many members installed a null route
 // covering dst.
 func (x *IXP) NullRouteCount(dst netip.Addr) int {
-	x.mu.Lock()
-	defer x.mu.Unlock()
 	n := 0
-	for _, routes := range x.nullRoutes {
-		for p := range routes {
-			if p.Contains(dst) {
-				n++
-				break
-			}
+	for _, routes := range *x.nulls.Load() {
+		if anyContains(routes, dst) {
+			n++
 		}
 	}
 	return n
@@ -549,30 +586,49 @@ func (x *IXP) ControlTick(_ int, dt float64) float64 {
 // the fabric switches the rest — without touching the clock or the
 // control plane.
 //
-// The per-port work — null-route filtering here, then each port's
-// egress tick inside fabric.Tick — fans across member ports on the
-// supplied runner (the engine passes its shared worker pool; nil runs
-// everything on the caller's goroutine). The member registry is loaded
-// and the null-route table snapshotted once per tick, so the filter
-// does per-offer checks without touching the IXP lock (a member that
-// joins mid-tick counts from the next one), and per-port results are
+// The null-route table is loaded once per tick, with no lock and no
+// copy; a route that changes mid-tick counts from the next one. While
+// no null route is live anywhere the offers go to the fabric as they
+// are, and each port's OfferedBytes is the PresentedBytes its egress
+// summed in offer order. Otherwise the filter runs first (see
+// filterNullRoutes). Each port's egress inside fabric.Tick fans across
+// the supplied runner (the engine passes its shared worker pool; nil
+// runs everything on the caller's goroutine), and per-port results are
 // merged by name, so the outcome is deterministic.
 func (x *IXP) EgressTick(r fabric.Runner, offers fabric.TickOffers, dt float64, sink fabric.TickSink) (map[string]engine.PortReport, error) {
-	byMAC := x.reg.Load().byMAC
-	x.mu.Lock()
-	nulls := make(map[string][]netip.Prefix, len(x.nullRoutes))
-	for name, routes := range x.nullRoutes {
-		if len(routes) == 0 {
-			continue
+	nulls := *x.nulls.Load()
+	if len(nulls) == 0 {
+		stats, err := x.Fabric.Tick(r, offers, dt, sink)
+		if err != nil {
+			return nil, err
 		}
-		ps := make([]netip.Prefix, 0, len(routes))
-		for p := range routes {
-			ps = append(ps, p)
+		reports := make(map[string]engine.PortReport, len(stats.PerPort))
+		for name, res := range stats.PerPort {
+			reports[name] = engine.PortReport{OfferedBytes: res.PresentedBytes, Result: res}
 		}
-		nulls[name] = ps
+		return reports, nil
 	}
-	x.mu.Unlock()
+	filtered, reports := x.filterNullRoutes(r, nulls, offers)
+	stats, err := x.Fabric.Tick(r, filtered, dt, sink)
+	if err != nil {
+		return nil, err
+	}
+	for portName, res := range stats.PerPort {
+		rep := reports[portName]
+		rep.Result = res
+		reports[portName] = rep
+	}
+	return reports, nil
+}
 
+// filterNullRoutes drops the offers whose source member null-routes
+// their destination, port by port across the runner, and reports each
+// port's offered and nulled bytes. The member registry is loaded once,
+// so the per-offer check takes no lock (a member that joins mid-tick
+// counts from the next one), and a port's offer slice is copied only
+// when something dies there.
+func (x *IXP) filterNullRoutes(r fabric.Runner, nulls nullTable, offers fabric.TickOffers) (fabric.TickOffers, map[string]engine.PortReport) {
+	byMAC := x.reg.Load().byMAC
 	names := make([]string, 0, len(offers))
 	for name := range offers {
 		names = append(names, name)
@@ -580,44 +636,38 @@ func (x *IXP) EgressTick(r fabric.Runner, offers fabric.TickOffers, dt float64, 
 	sort.Strings(names)
 	reps := make([]engine.PortReport, len(names))
 	kept := make([][]fabric.Offer, len(names))
+	nulled := func(o *fabric.Offer) bool {
+		src, ok := byMAC[o.Flow.SrcMAC]
+		return ok && anyContains(nulls[src.Name], o.Flow.Dst)
+	}
 	filterPort := func(i int) {
 		rep := engine.PortReport{}
 		os := offers[names[i]]
 		// First pass: account the offered load and detect null-routed
-		// offers. The port's offer slice is only copied when something
-		// actually dies here, so the steady state (no RTBH hit on this
-		// port) does zero per-tick slice allocation.
-		nulled := false
+		// offers; the second, copying pass runs only when one was found.
+		hit := false
 		for j := range os {
 			o := &os[j]
 			rep.OfferedBytes += o.Bytes
-			if len(nulls) == 0 {
-				continue
-			}
-			if src, ok := byMAC[o.Flow.SrcMAC]; ok && anyContains(nulls[src.Name], o.Flow.Dst) {
+			if nulled(o) {
 				rep.NulledBytes += o.Bytes
-				nulled = true
+				hit = true
 			}
 		}
-		if !nulled {
-			reps[i] = rep
-			kept[i] = os
+		reps[i] = rep
+		kept[i] = os
+		if !hit {
 			return
 		}
 		keep := make([]fabric.Offer, 0, len(os))
 		for j := range os {
-			o := &os[j]
-			if src, ok := byMAC[o.Flow.SrcMAC]; ok && anyContains(nulls[src.Name], o.Flow.Dst) {
-				continue
+			if o := &os[j]; !nulled(o) {
+				keep = append(keep, *o)
 			}
-			keep = append(keep, *o)
 		}
-		reps[i] = rep
 		kept[i] = keep
 	}
-	if len(nulls) == 0 || r == nil {
-		// No null routes installed — the filter degenerates to a byte sum,
-		// not worth a worker-pool fan-out — or no pool to fan across.
+	if r == nil {
 		for i := range names {
 			filterPort(i)
 		}
@@ -631,16 +681,7 @@ func (x *IXP) EgressTick(r fabric.Runner, offers fabric.TickOffers, dt float64, 
 		filtered[name] = kept[i]
 		reports[name] = reps[i]
 	}
-	stats, err := x.Fabric.Tick(r, filtered, dt, sink)
-	if err != nil {
-		return nil, err
-	}
-	for portName, res := range stats.PerPort {
-		rep := reports[portName]
-		rep.Result = res
-		reports[portName] = rep
-	}
-	return reports, nil
+	return filtered, reports
 }
 
 // anyContains reports whether any prefix covers dst.

@@ -1,0 +1,5 @@
+//go:build race
+
+package traffic
+
+const raceEnabled = true

@@ -307,12 +307,14 @@ func (t *Trace) Offers(tick int, dtSeconds float64) []fabric.Offer {
 }
 
 // AppendOffers appends the tick's offers to dst and returns it — the
-// buffer-reusing form the engine's traffic stage drives.
+// buffer-reusing form the engine's traffic stage drives. dst grows at
+// most once, to room for one offer per (peer, port) flow.
 func (t *Trace) AppendOffers(dst []fabric.Offer, tick int, dtSeconds float64) []fabric.Offer {
 	rate := t.rateAt(tick)
 	if rate <= 0 || len(t.segments) == 0 || len(t.weights) != len(t.Peers) {
 		return dst // zero rate, or a Trace not built by NewTrace
 	}
+	dst = slices.Grow(dst, len(t.flows))
 	seg := t.segmentAt(tick)
 	totalBytes := rate * dtSeconds / 8
 	for i := range t.Peers {

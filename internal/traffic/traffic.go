@@ -9,6 +9,7 @@ package traffic
 import (
 	"fmt"
 	"net/netip"
+	"slices"
 
 	"stellar/internal/fabric"
 	"stellar/internal/netpkt"
@@ -80,7 +81,9 @@ type Attack struct {
 	Target netip.Addr
 	// Peers carries the attack; traffic is split across them with a
 	// heavy-tailed (Pareto) weight so a few peers dominate, as observed
-	// in the paper's booter experiments.
+	// in the paper's booter experiments. The weights are drawn at
+	// construction, so the length of Peers is fixed then: a peer may be
+	// edited in place, but AppendOffers panics once the length differs.
 	Peers []Peer
 	// RateBps is the aggregate attack rate at peak.
 	RateBps float64
@@ -96,8 +99,9 @@ type Attack struct {
 	// netpkt.FlowKey.Hash values so each tick's Offers emits pre-hashed
 	// offers with zero per-tick re-hashing (the fabric's egress hot loop
 	// classifies them from its flow memo). Offers revalidates each
-	// cached key against the current Target/Vector/Peers fields with a
-	// cheap struct compare, so post-construction mutation stays correct.
+	// cached key against the current Target, Vector and peer fields with
+	// a cheap struct compare, so editing them after construction stays
+	// correct.
 	flows  []netpkt.FlowKey
 	hashes []uint64
 }
@@ -117,17 +121,20 @@ func NewAttack(v Vector, target netip.Addr, peers []Peer, rateBps float64, start
 	for i := range a.weights {
 		a.weights[i] /= sum
 	}
-	a.precomputeFlows()
+	a.flows = make([]netpkt.FlowKey, len(peers))
+	a.hashes = make([]uint64, len(peers))
+	for i := range peers {
+		a.flows[i] = a.flowKey(i)
+		a.hashes[i] = a.flows[i].Hash()
+	}
 	return a
 }
 
-// precomputeFlows fills the per-peer flow keys and hashes.
-func (a *Attack) precomputeFlows() {
-	a.flows = make([]netpkt.FlowKey, len(a.Peers))
-	a.hashes = make([]uint64, len(a.Peers))
-	for i := range a.Peers {
-		a.flows[i] = a.flowKey(i)
-		a.hashes[i] = a.flows[i].Hash()
+// checkPeers panics unless a source still has the number of peers it
+// drew its weights for.
+func checkPeers(source string, peers, built int) {
+	if peers != built {
+		panic(fmt.Sprintf("traffic: %s has %d peers but was built with %d: the length of Peers is fixed at construction", source, peers, built))
 	}
 }
 
@@ -166,17 +173,16 @@ func (a *Attack) Offers(tick int, dtSeconds float64) []fabric.Offer {
 
 // AppendOffers appends the tick's offers to dst and returns it —
 // the buffer-reusing form the scenario engine drives (engine.OfferAppender).
+// dst grows at most once, to room for one offer per peer.
 func (a *Attack) AppendOffers(dst []fabric.Offer, tick int, dtSeconds float64) []fabric.Offer {
+	checkPeers("Attack", len(a.Peers), len(a.weights))
 	rate := a.rateAt(tick)
 	if rate == 0 {
 		return dst
 	}
 	totalBytes := rate * dtSeconds / 8
 	pktSize := float64(a.Vector.ResponseSize)
-	if len(a.flows) != len(a.Peers) {
-		a.precomputeFlows() // peers changed after construction
-	}
-	offers := dst
+	offers := slices.Grow(dst, len(a.Peers))
 	for i := range a.Peers {
 		b := totalBytes * a.weights[i]
 		if b <= 0 {
@@ -212,9 +218,13 @@ type PortMix struct {
 // Figure 2(c): HTTPS-dominated TCP traffic across a handful of ports.
 // Flow keys and their hashes are cached so the per-tick path emits
 // pre-hashed offers; cached keys are revalidated against the current
-// fields each tick, so Target/Peers/Mix may be customized at any time.
+// fields each tick, so Target, Mix and the peers may be edited at any
+// time.
 type WebService struct {
-	Target  netip.Addr
+	Target netip.Addr
+	// Peers carry the service's clients. Their weights are drawn at
+	// construction, so the length of Peers is fixed then: a peer may be
+	// edited in place, but AppendOffers panics once the length differs.
 	Peers   []Peer
 	RateBps float64
 	// Mix is the destination-port mix; defaults to Figure 2(c)'s
@@ -276,13 +286,16 @@ func (w *WebService) Offers(tick int, dtSeconds float64) []fabric.Offer {
 
 // AppendOffers appends the tick's offers to dst and returns it —
 // the buffer-reusing form the scenario engine drives (engine.OfferAppender).
+// dst grows at most once, to room for one offer per (peer, mix) flow.
 func (w *WebService) AppendOffers(dst []fabric.Offer, tick int, dtSeconds float64) []fabric.Offer {
+	checkPeers("WebService", len(w.Peers), len(w.weights))
 	totalBytes := w.RateBps * dtSeconds / 8
-	if n := len(w.Peers) * len(w.Mix); len(w.flows) != n {
+	n := len(w.Peers) * len(w.Mix)
+	if len(w.flows) != n { // first call, or Mix changed length
 		w.flows = make([]netpkt.FlowKey, n)
 		w.hashes = make([]uint64, n)
 	}
-	offers := dst
+	offers := slices.Grow(dst, n)
 	for i := range w.Peers {
 		peerBytes := totalBytes * w.weights[i]
 		for j, m := range w.Mix {

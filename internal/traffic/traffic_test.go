@@ -1,10 +1,12 @@
 package traffic
 
 import (
+	"fmt"
 	"math"
 	"net/netip"
 	"testing"
 
+	"stellar/internal/fabric"
 	"stellar/internal/netpkt"
 	"stellar/internal/stats"
 )
@@ -325,6 +327,13 @@ func TestOffersPreHashedAndMutationSafe(t *testing.T) {
 		}
 	}
 
+	// So must an in-place edit of one peer.
+	moved := MakePeers(5)[4]
+	a.Peers[2] = moved
+	if o := a.Offers(12, 1)[2]; o.Flow.SrcMAC != moved.MAC || o.Flow.Src != moved.SrcIP || o.FlowHash != o.Flow.Hash() {
+		t.Fatalf("edited peer still emits stale flow: %v", o.Flow)
+	}
+
 	w := NewWebService(victim, peers, 4e8, rng)
 	for _, o := range w.Offers(0, 1) {
 		if o.FlowHash != o.Flow.Hash() {
@@ -333,12 +342,70 @@ func TestOffersPreHashedAndMutationSafe(t *testing.T) {
 	}
 	w.Target = other
 	w.Mix = []PortMix{{Port: 8443, Share: 1}}
-	for _, o := range w.Offers(1, 1) {
+	w.Peers[0] = moved
+	for i, o := range w.Offers(1, 1) {
 		if o.Flow.Dst != other || o.Flow.DstPort != 8443 {
 			t.Fatalf("mutated web service still emits stale flow: %v", o.Flow)
 		}
+		if i == 0 && o.Flow.SrcMAC != moved.MAC {
+			t.Fatalf("edited web peer still emits stale flow: %v", o.Flow)
+		}
 		if o.FlowHash != o.Flow.Hash() {
 			t.Fatalf("mutated web hash mismatch for %v", o.Flow)
+		}
+	}
+}
+
+// TestPeersLengthFixedAtConstruction: a source's per-peer weights are
+// drawn when it is built, so growing or shrinking Peers afterwards is a
+// programming error. AppendOffers reports it by name, with both lengths,
+// instead of indexing past the weights.
+func TestPeersLengthFixedAtConstruction(t *testing.T) {
+	rng := stats.NewRand(5)
+	peers := MakePeers(4)
+	attack := NewAttack(VectorNTP, victim, peers, 1e9, 0, 100, rng)
+	web := NewWebService(victim, peers, 4e8, rng)
+	attack.Peers = append(attack.Peers, MakePeers(5)[4])
+	web.Peers = web.Peers[:3]
+	for _, tc := range []struct {
+		name string
+		src  interface {
+			AppendOffers([]fabric.Offer, int, float64) []fabric.Offer
+		}
+		want string
+	}{
+		{"Attack", attack, "traffic: Attack has 5 peers but was built with 4: the length of Peers is fixed at construction"},
+		{"WebService", web, "traffic: WebService has 3 peers but was built with 4: the length of Peers is fixed at construction"},
+	} {
+		func() {
+			defer func() {
+				if got := fmt.Sprint(recover()); got != tc.want {
+					t.Errorf("%s: panic %q, want %q", tc.name, got, tc.want)
+				}
+			}()
+			tc.src.AppendOffers(nil, 10, 1)
+		}()
+	}
+}
+
+// TestAppendOffersIntoNilAllocatesOnce pins the sized-once buffer: into
+// a nil dst, one tick of an attack or a web service is one allocation
+// (the offer slice at its flow count), not a run of doublings.
+func TestAppendOffersIntoNilAllocatesOnce(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation keeps slices.Grow's zero-filled temporary")
+	}
+	rng := stats.NewRand(5)
+	peers := MakePeers(600)
+	attack := NewAttack(VectorNTP, victim, peers, 1e9, 0, 100, rng)
+	web := NewWebService(victim, peers, 4e8, rng)
+	web.AppendOffers(nil, 10, 1) // builds the web service's key cache
+	for name, appendTick := range map[string]func(){
+		"Attack":     func() { attack.AppendOffers(nil, 10, 1) },
+		"WebService": func() { web.AppendOffers(nil, 10, 1) },
+	} {
+		if got := testing.AllocsPerRun(20, appendTick); got != 1 {
+			t.Errorf("%s.AppendOffers(nil): %v allocations, want 1", name, got)
 		}
 	}
 }
