@@ -14,6 +14,7 @@ import (
 	"stellar/internal/bgpsession"
 	"stellar/internal/core"
 	"stellar/internal/fabric"
+	"stellar/internal/member"
 	"stellar/internal/mitctl"
 	"stellar/internal/netpkt"
 )
@@ -217,6 +218,86 @@ func TestDaemonEndToEnd(t *testing.T) {
 	if res := egress(); res.RuleDroppedBytes != 0 || res.DeliveredBytes != ntpBytes+webBytes {
 		t.Fatalf("egress after teardown: dropped %v delivered %v", res.RuleDroppedBytes, res.DeliveredBytes)
 	}
+}
+
+// TestRTBHOverTCPReachesDataPlane pins the paper's baseline on the
+// shipped binary's wiring: a blackholed /32 announced over a member's
+// TCP session null-routes exactly the honoring members' traffic to it in
+// the exchange's egress tick, and a withdrawal over TCP lifts the null
+// route, as does session teardown after a re-announcement.
+func TestRTBHOverTCPReachesDataPlane(t *testing.T) {
+	d, addr, stop := startDaemon(t, "-open-irr")
+	defer stop()
+
+	// The honoring member joins before its session comes up; peerUp
+	// keeps a member the exchange already knows. The other members
+	// join on their sessions and do not honor RTBH.
+	honoring := &member.Member{
+		Name: "AS64514", ASN: 64514, MAC: netpkt.MAC{0x02, 0x30, 0, 0, 0xfc, 0x02},
+		BGPID: netip.MustParseAddr("10.0.0.14"), PortCapacityBps: 10e9,
+		AcceptsMoreSpecifics: true, ActsOnBlackhole: true,
+	}
+	if err := d.x.Join(honoring); err != nil {
+		t.Fatal(err)
+	}
+	honorer := dial(t, d, addr, 64514, "10.0.0.14", nil)
+	defer honorer.Close()
+	bystander := dial(t, d, addr, 64513, "10.0.0.13", nil)
+	defer bystander.Close()
+	victim := dial(t, d, addr, 64512, "10.0.0.12", nil)
+	defer victim.Close()
+	nonHonoring, err := d.x.Member("AS64513")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	host := netip.MustParsePrefix("100.10.10.10/32")
+	flow := func(src netpkt.MAC) netpkt.FlowKey {
+		return netpkt.FlowKey{SrcMAC: src, Src: netip.MustParseAddr("198.51.100.1"),
+			Dst: host.Addr(), Proto: netpkt.ProtoUDP, SrcPort: 123, DstPort: 443}
+	}
+	const honoringBytes, nonHonoringBytes = 3e6, 2e6
+	offers := fabric.TickOffers{"AS64512": {
+		{Flow: flow(honoring.MAC), Bytes: honoringBytes, Packets: 1e3},
+		{Flow: flow(nonHonoring.MAC), Bytes: nonHonoringBytes, Packets: 1e3},
+	}}
+	egress := func(phase string, nulled, delivered float64) {
+		t.Helper()
+		reps, err := d.x.EgressTick(nil, offers, 1, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep := reps["AS64512"]; rep.NulledBytes != nulled || rep.Result.DeliveredBytes != delivered {
+			t.Fatalf("%s: nulled %v delivered %v, want %v / %v",
+				phase, rep.NulledBytes, rep.Result.DeliveredBytes, nulled, delivered)
+		}
+	}
+	nullRoutes := func() int { return d.x.NullRouteCount(host.Addr()) }
+	rtbh := announce(64512, host, []bgp.Community{bgp.CommunityBlackhole})
+
+	egress("before the signal", 0, honoringBytes+nonHonoringBytes)
+	if err := victim.SendUpdate(rtbh); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the null route", func() bool { return nullRoutes() == 1 })
+	if !d.x.NullRouted("AS64514", host.Addr()) || d.x.NullRouted("AS64513", host.Addr()) {
+		t.Fatal("the null route is not the honoring member's alone")
+	}
+	egress("RTBH live", honoringBytes, nonHonoringBytes)
+
+	if err := victim.SendUpdate(&bgp.Update{Withdrawn: []bgp.PathPrefix{{Prefix: host}}}); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "withdrawal to lift the null route", func() bool { return nullRoutes() == 0 })
+	egress("after withdrawal", 0, honoringBytes+nonHonoringBytes)
+
+	if err := victim.SendUpdate(rtbh); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the null route again", func() bool { return nullRoutes() == 1 })
+	victim.Close()
+	waitFor(t, "teardown to lift the null route", func() bool { return nullRoutes() == 0 })
+	egress("after teardown", 0, honoringBytes+nonHonoringBytes)
 }
 
 // TestTickCadences pins the daemon's two clocks: per-event ticks apply

@@ -208,6 +208,47 @@ func TestUpdateIPv6Withdraw(t *testing.T) {
 	}
 }
 
+// TestAllPrefixesShareSingleFamily pins that AllAnnounced and
+// AllWithdrawn hand back a single-family UPDATE's own prefixes without
+// allocating, that a caller appending to the result cannot write into
+// the UPDATE, and that an UPDATE carrying both families still gets both.
+func TestAllPrefixesShareSingleFamily(t *testing.T) {
+	v4 := make([]PathPrefix, 1, 4) // spare capacity an append could reach
+	v4[0] = PathPrefix{Prefix: pfx24}
+	u := &Update{Withdrawn: v4, NLRI: v4}
+	if n := testing.AllocsPerRun(100, func() {
+		_ = u.AllAnnounced()
+		_ = u.AllWithdrawn()
+	}); n != 0 {
+		t.Fatalf("single-family AllAnnounced+AllWithdrawn: %v allocs, want 0", n)
+	}
+	for name, all := range map[string]func() []PathPrefix{"AllAnnounced": u.AllAnnounced, "AllWithdrawn": u.AllWithdrawn} {
+		got := all()
+		if len(got) != 1 || got[0].Prefix != pfx24 {
+			t.Fatalf("%s: %v", name, got)
+		}
+		_ = append(got, PathPrefix{Prefix: pfx6})
+		if spare := v4[:2][1]; spare != (PathPrefix{}) {
+			t.Fatalf("%s: appending to the result wrote %v into the UPDATE", name, spare)
+		}
+	}
+
+	u6 := &Update{Attrs: PathAttrs{MPReach: &MPReach{NLRI: []PathPrefix{{Prefix: pfx6}}}}}
+	if got := u6.AllAnnounced(); len(got) != 1 || got[0].Prefix != pfx6 {
+		t.Fatalf("IPv6-only AllAnnounced: %v", got)
+	}
+	u6.NLRI = v4
+	if got := u6.AllAnnounced(); len(got) != 2 || got[0].Prefix != pfx24 || got[1].Prefix != pfx6 {
+		t.Fatalf("dual-family AllAnnounced: %v", got)
+	}
+	if spare := v4[:2][1]; spare != (PathPrefix{}) {
+		t.Fatalf("dual-family AllAnnounced wrote %v into the UPDATE", spare)
+	}
+	if got := (&Update{}).AllWithdrawn(); got != nil {
+		t.Fatalf("empty AllWithdrawn: %v, want nil", got)
+	}
+}
+
 func TestWithdrawOnlyUpdateHasNoAttrs(t *testing.T) {
 	u := &Update{Withdrawn: []PathPrefix{{Prefix: pfx24}}}
 	wire, err := Marshal(u, nil)

@@ -88,22 +88,38 @@ func unmarshalUpdate(body []byte, opts *Options) (*Update, error) {
 }
 
 // AllAnnounced returns every announced prefix regardless of family: the
-// IPv4 NLRI plus any MP_REACH NLRI.
+// IPv4 NLRI plus any MP_REACH NLRI. The result may share the UPDATE's
+// memory (see bothFamilies): read it, do not write its elements.
 func (u *Update) AllAnnounced() []PathPrefix {
-	out := append([]PathPrefix(nil), u.NLRI...)
+	var v6 []PathPrefix
 	if u.Attrs.MPReach != nil {
-		out = append(out, u.Attrs.MPReach.NLRI...)
+		v6 = u.Attrs.MPReach.NLRI
 	}
-	return out
+	return bothFamilies(u.NLRI, v6)
 }
 
-// AllWithdrawn returns every withdrawn prefix regardless of family.
+// AllWithdrawn returns every withdrawn prefix regardless of family,
+// sharing the UPDATE's memory like AllAnnounced.
 func (u *Update) AllWithdrawn() []PathPrefix {
-	out := append([]PathPrefix(nil), u.Withdrawn...)
+	var v6 []PathPrefix
 	if u.Attrs.MPUnreach != nil {
-		out = append(out, u.Attrs.MPUnreach.NLRI...)
+		v6 = u.Attrs.MPUnreach.NLRI
 	}
-	return out
+	return bothFamilies(u.Withdrawn, v6)
+}
+
+// bothFamilies joins an UPDATE's IPv4 and IPv6 prefixes. With one family
+// present it returns that field itself, its capacity clipped to its
+// length so that a caller's append copies instead of writing into the
+// UPDATE; only with both present does it build a new slice.
+func bothFamilies(v4, v6 []PathPrefix) []PathPrefix {
+	switch {
+	case len(v6) == 0:
+		return v4[:len(v4):len(v4)]
+	case len(v4) == 0:
+		return v6[:len(v6):len(v6)]
+	}
+	return append(v4[:len(v4):len(v4)], v6...)
 }
 
 func (u *Update) String() string {

@@ -6,24 +6,25 @@ import (
 	"net"
 	"sync"
 
-	"stellar/internal/bgp"
 	"stellar/internal/bgpsession"
 )
 
-// Listen is the server-side speaker stage: it accepts TCP connections,
-// runs one BGP session per member, injects everything the members send
-// as RX messages, and routes TX messages back to the addressed peer
-// (or every established peer when the address is empty). It is the
-// stage behind ixpd's -bgp-listen flag.
+// Listen is the pipe's wire end, the route server's side of every member
+// session: it accepts TCP connections, runs one BGP session per member
+// (bgpsession keeps the handshake, keepalives and hold timer), injects
+// what the members send as RX messages — EventPeerUp carrying the OPEN,
+// each UPDATE, EventPeerDown with the terminal error — and routes TX
+// messages back to the addressed peer (or every established peer when
+// the address is empty). It is the stage behind ixpd's -bgp-listen flag,
+// attached ahead of an RSFeed.
+//
+// A peer is named "AS<asn>" from its OPEN. A second live session with
+// the same name is refused with a Cease NOTIFICATION, because the route
+// server keys RIB state by peer name.
 type Listen struct {
 	// Session configures every accepted session (LocalAS, BGPID,
 	// HoldTime...).
 	Session bgpsession.Config
-	// PeerName names an accepted peer from its OPEN; nil defaults to
-	// "AS<asn>". Two live sessions resolving to the same name reject the
-	// newcomer with a Cease NOTIFICATION (the route server keys RIB
-	// state by peer name).
-	PeerName func(open *bgp.Open, conn net.Conn) string
 
 	ln   net.Listener
 	pipe *Pipe
@@ -101,7 +102,7 @@ func (l *Listen) Run() error {
 }
 
 // serve runs one accepted session to completion, bridging it to the
-// pipe exactly like a Speaker does.
+// pipe.
 func (l *Listen) serve(conn net.Conn) {
 	var (
 		sessMu sync.Mutex
@@ -122,13 +123,7 @@ func (l *Listen) serve(conn net.Conn) {
 			l.pipe.Send(DirRX, &Msg{Peer: n, PeerAS: as, BGP: e.Update})
 		case e.State == bgpsession.StateEstablished:
 			open := sess.PeerOpen()
-			n := ""
-			if l.PeerName != nil {
-				n = l.PeerName(open, conn)
-			}
-			if n == "" {
-				n = fmt.Sprintf("AS%d", open.AS)
-			}
+			n := fmt.Sprintf("AS%d", open.AS)
 			l.mu.Lock()
 			_, dup := l.sessions[n]
 			if !dup {
@@ -160,21 +155,6 @@ func (l *Listen) serve(conn net.Conn) {
 		l.mu.Unlock()
 		l.pipe.Send(DirRX, &Msg{Peer: n, PeerAS: as, Event: EventPeerDown, Err: err})
 	}
-}
-
-// Kick administratively closes the named peer's live session, if any —
-// the server-side session-flap primitive (fault injection, operator
-// tooling). The peer's PeerDown flows on RX as usual; a remote speaker
-// with Reconnect enabled re-establishes and re-announces itself.
-func (l *Listen) Kick(peer string) bool {
-	l.mu.Lock()
-	s := l.sessions[peer]
-	l.mu.Unlock()
-	if s == nil {
-		return false
-	}
-	_ = s.Close()
-	return true
 }
 
 // Stop implements Stage: closes the listener and every live session.

@@ -13,13 +13,19 @@ import (
 
 // Record is one replayed routing event: a BGP message attributed to a
 // peer at a capture timestamp. MRT and RIS-live scanners both produce
-// Records, so one replay stage (and one engine driver) serves both.
+// Records, so one replay path (engine.ReplayEvents) serves both.
 type Record struct {
 	Time   time.Time
 	Peer   string // "AS<asn>" when the source names peers only by ASN
 	PeerAS uint32
 	PeerIP netip.Addr
 	Msg    bgp.Message
+}
+
+// RecordSource yields replay records in stream order; io.EOF ends the
+// stream. MRTScanner and RISScanner implement it.
+type RecordSource interface {
+	Next() (Record, error)
 }
 
 // MRT record types and subtypes (RFC 6396 §4).

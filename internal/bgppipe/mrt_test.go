@@ -144,12 +144,45 @@ func ribDump(t testing.TB, rs *routeserver.RouteServer) string {
 	return b.String()
 }
 
-// TestMRTReplayEquivalence pins the deprecation contract for the old
-// Handler wiring: feeding a capture through the wire pipeline (MRT
-// replay stage -> pipe -> RSFeed) produces a byte-identical RIB —
-// same paths, same best-path selection, same marshaled attributes — as
-// handing the route server the same updates directly through
-// HandleUpdateBatch.
+// recordStage is a test-local RX producer: it announces each record's
+// peer on first sight, then sends the record's message, as a member's
+// session on a listen stage would.
+type recordStage struct {
+	src  RecordSource
+	pipe *Pipe
+}
+
+func (r *recordStage) Name() string         { return "records" }
+func (r *recordStage) Attach(p *Pipe) error { r.pipe = p; return nil }
+func (r *recordStage) Stop() error          { return nil }
+func (r *recordStage) Run() error {
+	seen := make(map[string]bool)
+	for {
+		rec, err := r.src.Next()
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+		if !seen[rec.Peer] {
+			seen[rec.Peer] = true
+			if err := r.pipe.Send(DirRX, &Msg{Peer: rec.Peer, PeerAS: rec.PeerAS, PeerIP: rec.PeerIP, Event: EventPeerUp}); err != nil {
+				return err
+			}
+		}
+		if err := r.pipe.Send(DirRX, &Msg{Peer: rec.Peer, PeerAS: rec.PeerAS, PeerIP: rec.PeerIP, Time: rec.Time, BGP: rec.Msg}); err != nil {
+			return err
+		}
+	}
+}
+
+// TestMRTReplayEquivalence pins that the wire pipeline applies a stream
+// of UPDATEs exactly as the route server's direct API does: a capture
+// fed through the pipe (MRTScanner -> RX line -> RSFeed) produces a
+// byte-identical RIB — same paths, same best-path selection, same
+// marshaled attributes — as handing the route server the same updates
+// directly through HandleUpdateBatch.
 func TestMRTReplayEquivalence(t *testing.T) {
 	newRS := func() *routeserver.RouteServer {
 		return routeserver.New(routeserver.Config{
@@ -158,14 +191,14 @@ func TestMRTReplayEquivalence(t *testing.T) {
 		})
 	}
 
-	// Wire path: replay the dump through the pipe.
+	// Wire path: the dump's records ride the pipe.
 	rsWire := newRS()
 	pipe := New(Options{})
-	pipe.Attach(NewMRTReplay(bytes.NewReader(mrtFixtureDump(t))))
+	pipe.Attach(&recordStage{src: NewMRTScanner(bytes.NewReader(mrtFixtureDump(t)))})
 	pipe.Attach(&RSFeed{RS: rsWire})
 	pipe.Start()
 	if err := pipe.Wait(); err != nil {
-		t.Fatalf("replay pipe: %v", err)
+		t.Fatalf("record pipe: %v", err)
 	}
 
 	// Direct path: same updates straight into HandleUpdateBatch.
@@ -187,32 +220,10 @@ func TestMRTReplayEquivalence(t *testing.T) {
 
 	wire, direct := ribDump(t, rsWire), ribDump(t, rsDirect)
 	if wire != direct {
-		t.Fatalf("wire replay diverged from direct feed:\n--- wire ---\n%s--- direct ---\n%s", wire, direct)
+		t.Fatalf("wire path diverged from direct feed:\n--- wire ---\n%s--- direct ---\n%s", wire, direct)
 	}
 	if wire == "" {
 		t.Fatal("empty RIB: the fixture applied nothing")
-	}
-}
-
-// TestMRTReplayRetirePeers pins the opt-in teardown: with RetirePeers
-// the stage sends PeerDown for every replayed peer at EOF and the
-// RSFeed withdraws everything the capture installed.
-func TestMRTReplayRetirePeers(t *testing.T) {
-	rs := routeserver.New(routeserver.Config{
-		ASN:              6695,
-		BlackholeNextHop: netip.MustParseAddr("80.81.193.66"),
-	})
-	rep := NewMRTReplay(bytes.NewReader(mrtFixtureDump(t)))
-	rep.RetirePeers = true
-	pipe := New(Options{})
-	pipe.Attach(rep)
-	pipe.Attach(&RSFeed{RS: rs})
-	pipe.Start()
-	if err := pipe.Wait(); err != nil {
-		t.Fatalf("replay pipe: %v", err)
-	}
-	if n := rs.Table().Len(); n != 0 {
-		t.Fatalf("RIB holds %d paths after peer retirement, want 0", n)
 	}
 }
 

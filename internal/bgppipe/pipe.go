@@ -1,22 +1,23 @@
 // Package bgppipe is the wire-format BGP message pipeline: one typed
 // stream of *bgp.Message values with direction and per-message metadata,
-// processed by composable stages in the style of bgpfix/bgpipe. It
-// unifies what were three disjoint wiring surfaces — bgpsession's
-// callback Handler, routeserver's HandleUpdateBatch slices, and engine
-// Drivers — behind a single Stage interface:
+// processed by composable stages in the style of bgpfix/bgpipe. The
+// exchange runs two stages, and filters (fault injection) may sit
+// between them:
 //
 //	      RX (toward the route server)
-//	speaker ──► mrt ──► ris-live ──► ... ──► rsfeed ──► RouteServer
-//	   ▲                                        │
-//	   └────────────── TX (exports) ◄───────────┘
+//	listen ──► [filters] ──► rsfeed ──► RouteServer
+//	   ▲                        │
+//	   └──── TX (exports) ◄─────┘
 //
-// Producers (a Speaker terminating a TCP session, an MRT or RIS-live
-// replay) inject RX messages; the RSFeed stage applies them to the
-// route server and emits the coalesced export batches back as TX
-// messages; TX consumers (the same Speaker, or a Listen stage routing
-// by peer) put them back on the wire. Each direction is an ordered
+// Listen terminates the members' TCP sessions and injects what they
+// send as RX messages; RSFeed applies them to the route server and
+// emits the coalesced export batches back as TX messages, which Listen
+// routes to the addressed session. Each direction is an ordered
 // callback line driven by one goroutine, so stage processing within a
 // direction is serialized and deterministic.
+//
+// Captures do not ride the pipe: MRTScanner and RISScanner are
+// RecordSources that engine.ReplayEvents schedules onto the tick clock.
 package bgppipe
 
 import (
@@ -34,8 +35,7 @@ import (
 type Dir uint8
 
 // Directions. RX flows toward the local route server (messages received
-// from peers or replayed from captures); TX flows away from it (exports
-// owed to peers).
+// from peers); TX flows away from it (exports owed to peers).
 const (
 	DirRX Dir = iota
 	DirTX
@@ -62,11 +62,10 @@ type Event uint8
 const (
 	EventNone Event = iota
 	// EventPeerUp announces a peer: a session reached Established (the
-	// message carries the peer's OPEN) or a replay emitted the peer's
-	// first record.
+	// message carries the peer's OPEN).
 	EventPeerUp
-	// EventPeerDown retires a peer: session closed or replay ended. Err
-	// carries the terminal session error, if any.
+	// EventPeerDown retires a peer: its session closed. Err carries the
+	// terminal session error, if any.
 	EventPeerDown
 )
 
@@ -91,16 +90,15 @@ type Msg struct {
 	Dir Dir
 	// Seq is the per-direction sequence number (set by Pipe.Send).
 	Seq uint64
-	// Peer names the session or replay source the message belongs to.
-	// On TX it addresses the target peer; empty broadcasts to every
-	// attached session.
+	// Peer names the session the message belongs to. On TX it addresses
+	// the target peer; empty broadcasts to every attached session.
 	Peer string
-	// PeerAS and PeerIP identify the peer when known (replay records and
-	// established sessions carry them; pure exports may not).
+	// PeerAS and PeerIP identify the peer when known (established
+	// sessions carry them; pure exports may not).
 	PeerAS uint32
 	PeerIP netip.Addr
-	// Time is the message timestamp: the capture time for replayed
-	// records, the receive time for live sessions.
+	// Time is the message timestamp: the receive time unless the
+	// producer set one (Send stamps the current time on a zero Time).
 	Time time.Time
 	// BGP is the message itself; nil for pure lifecycle events.
 	BGP bgp.Message
@@ -144,9 +142,9 @@ type Handler func(*Msg) bool
 
 // Stage is one processing element attached to a pipe. Attach registers
 // the stage's handlers and validates its configuration; Run produces
-// messages (blocking until the stage is done producing — a session
-// closing, a replay reaching EOF, a listener shut down; stages that
-// only consume return immediately); Stop asks a blocked Run to return.
+// messages (blocking until the stage is done producing — a listener
+// shut down and its sessions closed; stages that only consume return
+// immediately); Stop asks a blocked Run to return.
 //
 // Stages must finish every Send before Run returns: once all stage Runs
 // have returned the pipe closes its lines.
@@ -160,8 +158,7 @@ type Stage interface {
 // Options parameterizes a pipe.
 type Options struct {
 	// Buffer is the per-direction channel depth (default 64). A full
-	// line blocks Send — backpressure to the producing session or
-	// replay.
+	// line blocks Send — backpressure to the producing session.
 	Buffer int
 }
 

@@ -134,117 +134,9 @@ func (s *namedSrc) Run() error {
 	return nil
 }
 
-// TestSpeakerReconnectWithResync flaps a live session server-side
-// (Listen.Kick) and verifies the reconnect-enabled speaker comes back
-// and receives the full-table resync through RSFeed.
-func TestSpeakerReconnectWithResync(t *testing.T) {
-	rs := routeserver.New(routeserver.Config{
-		ASN:              6695,
-		BlackholeNextHop: netip.MustParseAddr("80.81.193.66"),
-	})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	server := New(Options{})
-	lst := NewListen(ln, bgpsession.Config{
-		LocalAS: 6695, BGPID: netip.MustParseAddr("80.81.192.1"),
-	})
-	server.Attach(lst)
-	server.Attach(&RSFeed{RS: rs, Resync: true})
-	server.Start()
-	defer func() {
-		server.Stop()
-		if err := server.Wait(); err != nil {
-			t.Errorf("server pipe: %v", err)
-		}
-	}()
-
-	addr := ln.Addr().String()
-	announcer := dialClient(t, addr, 64512, "10.0.0.12")
-	defer announcer.close(t)
-
-	prefix := netip.MustParsePrefix("203.0.113.0/24")
-	announcer.pipe.Send(DirTX, &Msg{BGP: &bgp.Update{
-		Attrs: bgp.PathAttrs{
-			Origin:  bgp.OriginIGP,
-			ASPath:  []bgp.ASPathSegment{{Type: bgp.ASSequence, ASNs: []uint32{64512}}},
-			NextHop: netip.MustParseAddr("80.81.192.12"),
-		},
-		NLRI: []bgp.PathPrefix{{Prefix: prefix}},
-	}})
-
-	// The observer joins AFTER the announcement: its very first table
-	// view arrives via resync, pinning ExportsTo end to end.
-	sp, err := Dial(addr, bgpsession.Config{
-		LocalAS: 64513, BGPID: netip.MustParseAddr("10.0.0.13"),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sp.Reconnect = Reconnect{Enabled: true, BaseDelay: 50 * time.Millisecond}
-	observer := &clientPipe{
-		pipe:    New(Options{}),
-		speaker: sp,
-		up:      make(chan *Msg, 4),
-		updates: make(chan *bgp.Update, 16),
-	}
-	observer.pipe.OnMsg(DirRX, func(m *Msg) bool {
-		switch {
-		case m.Event == EventPeerUp:
-			select {
-			case observer.up <- m:
-			default:
-			}
-		case m.Update() != nil:
-			observer.updates <- m.Update()
-		}
-		return true
-	})
-	observer.pipe.Attach(sp)
-	observer.pipe.Start()
-	defer observer.close(t)
-
-	waitExport := func(phase string) {
-		t.Helper()
-		deadline := time.After(5 * time.Second)
-		for {
-			select {
-			case u := <-observer.updates:
-				if len(u.NLRI) == 1 && u.NLRI[0].Prefix == prefix {
-					return
-				}
-			case <-deadline:
-				t.Fatalf("%s: no resync export within deadline", phase)
-			}
-		}
-	}
-	select {
-	case <-observer.up:
-	case <-time.After(3 * time.Second):
-		t.Fatal("no initial PeerUp")
-	}
-	waitExport("initial join")
-
-	// Flap: the server kicks the session; the speaker must redial,
-	// re-establish, and receive the table again.
-	for i := 0; i < 50; i++ {
-		if lst.Kick("AS64513") {
-			break
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	select {
-	case <-observer.up:
-	case <-time.After(5 * time.Second):
-		t.Fatal("no PeerUp after flap (reconnect failed)")
-	}
-	waitExport("after flap")
-}
-
 // TestShutdownGoroutineLeaks runs full pipe lifecycles (including a live
-// TCP listen/speaker pair) and checks the goroutine count returns to its
-// baseline — the shutdown paths leak nothing.
+// TCP session on a listen stage) and checks the goroutine count returns
+// to its baseline — the shutdown paths leak nothing.
 func TestShutdownGoroutineLeaks(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for round := 0; round < 3; round++ {
@@ -257,10 +149,10 @@ func TestShutdownGoroutineLeaks(t *testing.T) {
 		server.Attach(NewListen(ln, bgpsession.Config{
 			LocalAS: 6695, BGPID: netip.MustParseAddr("80.81.192.1"),
 		}))
-		server.Attach(&RSFeed{RS: rs, Resync: true})
+		server.Attach(&RSFeed{RS: rs})
 		server.Start()
-		client := dialClient(t, ln.Addr().String(), 64512, "10.0.0.12")
-		client.close(t)
+		client := dialMember(t, ln.Addr().String(), 64512, "10.0.0.12")
+		client.sess.Close()
 		server.Stop()
 		if err := server.Wait(); err != nil {
 			t.Fatal(err)

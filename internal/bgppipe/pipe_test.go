@@ -104,64 +104,39 @@ func TestPipeOnMsgAfterStartPanics(t *testing.T) {
 	p.OnMsg(DirRX, func(*Msg) bool { return true })
 }
 
-// clientPipe wires a Dial speaker plus recording handlers into a pipe,
-// the member's side of the e2e test below.
-type clientPipe struct {
-	pipe    *Pipe
-	speaker *Speaker
-	up      chan *Msg
+// memberSession is a member's side of the end-to-end tests: a bare BGP
+// session over TCP, recording the UPDATEs the route server exports to
+// it.
+type memberSession struct {
+	sess    *bgpsession.Session
 	updates chan *bgp.Update
 }
 
-func dialClient(t *testing.T, addr string, asn uint32, id string) *clientPipe {
+func dialMember(t *testing.T, addr string, asn uint32, id string) *memberSession {
 	t.Helper()
-	sp, err := Dial(addr, bgpsession.Config{
-		LocalAS: asn, BGPID: netip.MustParseAddr(id),
-	})
+	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := &clientPipe{
-		pipe:    New(Options{}),
-		speaker: sp,
-		up:      make(chan *Msg, 1),
-		updates: make(chan *bgp.Update, 16),
-	}
-	c.pipe.OnMsg(DirRX, func(m *Msg) bool {
-		switch {
-		case m.Event == EventPeerUp:
-			select {
-			case c.up <- m:
-			default:
-			}
-		case m.Update() != nil:
-			c.updates <- m.Update()
+	m := &memberSession{updates: make(chan *bgp.Update, 16)}
+	m.sess = bgpsession.New(conn, bgpsession.Config{LocalAS: asn, BGPID: netip.MustParseAddr(id)}, func(e bgpsession.Event) {
+		if e.Update != nil {
+			m.updates <- e.Update
 		}
-		return true
 	})
-	c.pipe.Attach(sp)
-	c.pipe.Start()
-	select {
-	case <-c.up:
-	case <-time.After(3 * time.Second):
-		t.Fatalf("AS%d: no PeerUp within deadline", asn)
+	go m.sess.Run()
+	for deadline := time.Now().Add(3 * time.Second); m.sess.State() != bgpsession.StateEstablished; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("AS%d: session not established within deadline", asn)
+		}
 	}
-	return c
-}
-
-func (c *clientPipe) close(t *testing.T) {
-	t.Helper()
-	c.pipe.Stop()
-	if err := c.pipe.Wait(); err != nil {
-		t.Errorf("client pipe: %v", err)
-	}
+	return m
 }
 
 // TestListenSpeakerEndToEnd runs the full wire pipeline over real TCP:
-// a Listen+RSFeed server pipe and two Dial-speaker member pipes. One
-// member announces a prefix; the route server applies it and the other
-// member receives the export — all through pipe stages, no Handler
-// callbacks.
+// a Listen+RSFeed server pipe and two members speaking bare BGP
+// sessions. One member announces a prefix; the route server applies it
+// and the other member receives the export.
 func TestListenSpeakerEndToEnd(t *testing.T) {
 	rs := routeserver.New(routeserver.Config{
 		ASN:              6695,
@@ -186,11 +161,11 @@ func TestListenSpeakerEndToEnd(t *testing.T) {
 	}()
 
 	addr := ln.Addr().String()
-	observer := dialClient(t, addr, 64513, "10.0.0.13")
-	defer observer.close(t)
-	announcer := dialClient(t, addr, 64512, "10.0.0.12")
-	defer announcer.close(t)
-	// A client sees its session up before the server's feed registers
+	observer := dialMember(t, addr, 64513, "10.0.0.13")
+	defer observer.sess.Close()
+	announcer := dialMember(t, addr, 64512, "10.0.0.12")
+	defer announcer.sess.Close()
+	// A member sees its session up before the server's feed registers
 	// the peer; an announcement applied before the observer is
 	// registered has no one to export to.
 	for deadline := time.Now().Add(3 * time.Second); len(rs.Peers()) < 2; time.Sleep(time.Millisecond) {
@@ -200,14 +175,17 @@ func TestListenSpeakerEndToEnd(t *testing.T) {
 	}
 
 	prefix := netip.MustParsePrefix("203.0.113.0/24")
-	announcer.pipe.Send(DirTX, &Msg{BGP: &bgp.Update{
+	err = announcer.sess.SendUpdate(&bgp.Update{
 		Attrs: bgp.PathAttrs{
 			Origin:  bgp.OriginIGP,
 			ASPath:  []bgp.ASPathSegment{{Type: bgp.ASSequence, ASNs: []uint32{64512}}},
 			NextHop: netip.MustParseAddr("80.81.192.12"),
 		},
 		NLRI: []bgp.PathPrefix{{Prefix: prefix}},
-	}})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	select {
 	case u := <-observer.updates:

@@ -14,19 +14,16 @@ import (
 // peer. Peer lifecycle events auto-register members (AddPeer) and flush
 // their routes on PeerDown (HandleWithdrawAll).
 //
+// RSFeed calls the route server directly, like every other door into
+// it, so whatever subscribes to the route server — an ixp.Build
+// exchange's RTBH null routes and mitigation controller — sees the
+// wire's changes and exports exactly as it sees in-process ones.
+//
 // RSFeed runs on the RX line's goroutine, so the route server sees the
-// pipe's messages in stream order — a replayed MRT file produces the
-// same RIB transitions on every run.
+// pipe's messages in stream order.
 type RSFeed struct {
 	// RS is the route server to feed. Required.
 	RS *routeserver.RouteServer
-
-	// Resync replays the full-table export owed to a peer whenever it
-	// comes up (routeserver.ExportsTo), so a session reconnecting after
-	// a flap converges without waiting for incremental churn. The burst
-	// rides the TX line in sorted-prefix order, before any export the
-	// peer's own first UPDATE triggers.
-	Resync bool
 
 	// OnPeerUp is called after a peer auto-registers (fabric ports, MAC
 	// assignment, logging — whatever the embedder attaches to member
@@ -59,7 +56,7 @@ func (f *RSFeed) Attach(p *Pipe) error {
 	p.OnMsg(DirRX, func(m *Msg) bool {
 		switch m.Event {
 		case EventPeerUp:
-			f.peerUp(p, m)
+			f.peerUp(m)
 			return true
 		case EventPeerDown:
 			f.peerDown(p, m)
@@ -93,7 +90,7 @@ func (f *RSFeed) Attach(p *Pipe) error {
 	return nil
 }
 
-func (f *RSFeed) peerUp(p *Pipe, m *Msg) {
+func (f *RSFeed) peerUp(m *Msg) {
 	cfg := routeserver.PeerConfig{Name: m.Peer, ASN: m.PeerAS}
 	if open, ok := m.BGP.(*bgp.Open); ok {
 		cfg.BGPID = open.BGPID
@@ -110,20 +107,6 @@ func (f *RSFeed) peerUp(p *Pipe, m *Msg) {
 	}
 	if f.OnPeerUp != nil {
 		f.OnPeerUp(cfg.Name, cfg.ASN, cfg.BGPID)
-	}
-	if f.Resync {
-		ups, err := f.RS.ExportsTo(m.Peer)
-		if err != nil {
-			if f.OnError != nil {
-				f.OnError(m.Peer, err)
-			}
-			return
-		}
-		for _, u := range ups {
-			if p.Send(DirTX, &Msg{Peer: m.Peer, BGP: u}) != nil {
-				return // pipe shutting down
-			}
-		}
 	}
 }
 

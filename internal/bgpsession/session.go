@@ -83,12 +83,10 @@ type Event struct {
 	Err error
 }
 
-// Handler receives session events. Calls are serialized.
-//
-// Deprecated: callback wiring is a façade kept for existing callers;
-// new integrations should attach sessions to a bgppipe.Pipe (Speaker /
-// Listen stages), where lifecycle and routing events travel one ordered
-// message stream shared with replay sources and the route-server feed.
+// Handler receives session events. Calls are serialized. It is the
+// member side's API: a member drives a bare Session and reads what the
+// route server exports through its handler, while the route server's
+// side puts its sessions on a bgppipe.Pipe (the Listen stage).
 type Handler func(Event)
 
 // Session is one BGP session over a net.Conn.
@@ -367,31 +365,4 @@ func (s *Session) writeOpts(m bgp.Message, opts *bgp.Options) error {
 	s.writeMu.Lock()
 	defer s.writeMu.Unlock()
 	return bgp.WriteMessage(s.conn, m, opts)
-}
-
-// Pair wires two sessions over an in-memory pipe and runs both, returning
-// once both reach Established. It is the building block for tests and the
-// in-process IXP harness.
-func Pair(a, b Config, ha, hb Handler) (*Session, *Session, error) {
-	ca, cb := net.Pipe()
-	sa := New(ca, a, ha)
-	sb := New(cb, b, hb)
-	errCh := make(chan error, 2)
-	go func() { errCh <- sa.Run() }()
-	go func() { errCh <- sb.Run() }()
-	deadline := time.After(5 * time.Second)
-	for {
-		if sa.State() == StateEstablished && sb.State() == StateEstablished {
-			return sa, sb, nil
-		}
-		select {
-		case err := <-errCh:
-			if err != nil {
-				return nil, nil, err
-			}
-		case <-deadline:
-			return nil, nil, errors.New("bgpsession: Pair timed out")
-		case <-time.After(time.Millisecond):
-		}
-	}
 }

@@ -1,6 +1,7 @@
 package bgpsession
 
 import (
+	"errors"
 	"net"
 	"net/netip"
 	"sync"
@@ -15,8 +16,34 @@ var (
 	idB = netip.MustParseAddr("10.0.0.2")
 )
 
+// pair wires two sessions over an in-memory pipe and runs both, returning
+// once both reach Established.
+func pair(a, b Config, ha, hb Handler) (*Session, *Session, error) {
+	ca, cb := net.Pipe()
+	sa := New(ca, a, ha)
+	sb := New(cb, b, hb)
+	errCh := make(chan error, 2)
+	go func() { errCh <- sa.Run() }()
+	go func() { errCh <- sb.Run() }()
+	deadline := time.After(5 * time.Second)
+	for {
+		if sa.State() == StateEstablished && sb.State() == StateEstablished {
+			return sa, sb, nil
+		}
+		select {
+		case err := <-errCh:
+			if err != nil {
+				return nil, nil, err
+			}
+		case <-deadline:
+			return nil, nil, errors.New("bgpsession: pair timed out")
+		case <-time.After(time.Millisecond):
+		}
+	}
+}
+
 func TestHandshakeEstablished(t *testing.T) {
-	sa, sb, err := Pair(
+	sa, sb, err := pair(
 		Config{LocalAS: 64512, BGPID: idA},
 		Config{LocalAS: 64513, BGPID: idB},
 		nil, nil)
@@ -45,7 +72,7 @@ func TestUpdateDelivery(t *testing.T) {
 			recvd <- struct{}{}
 		}
 	}
-	sa, sb, err := Pair(
+	sa, sb, err := pair(
 		Config{LocalAS: 64512, BGPID: idA},
 		Config{LocalAS: 64513, BGPID: idB},
 		nil, handler)
@@ -82,7 +109,7 @@ func TestUpdateDelivery(t *testing.T) {
 }
 
 func TestAddPathNegotiation(t *testing.T) {
-	sa, sb, err := Pair(
+	sa, sb, err := pair(
 		Config{LocalAS: 64512, BGPID: idA, AddPath: true},
 		Config{LocalAS: 64512, BGPID: idB, AddPath: true}, // iBGP
 		nil, nil)
@@ -98,7 +125,7 @@ func TestAddPathNegotiation(t *testing.T) {
 
 func TestAddPathAsymmetric(t *testing.T) {
 	// Only one side offers ADD-PATH: neither may use it.
-	sa, sb, err := Pair(
+	sa, sb, err := pair(
 		Config{LocalAS: 64512, BGPID: idA, AddPath: true},
 		Config{LocalAS: 64513, BGPID: idB, AddPath: false},
 		nil, nil)
@@ -122,7 +149,7 @@ func TestAddPathUpdateRoundtrip(t *testing.T) {
 			}
 		}
 	}
-	sa, sb, err := Pair(
+	sa, sb, err := pair(
 		Config{LocalAS: 64512, BGPID: idA, AddPath: true},
 		Config{LocalAS: 64512, BGPID: idB, AddPath: true},
 		nil, handler)
@@ -176,7 +203,7 @@ func TestExpectASMismatch(t *testing.T) {
 }
 
 func TestPassiveCannotAnnounce(t *testing.T) {
-	sa, sb, err := Pair(
+	sa, sb, err := pair(
 		Config{LocalAS: 64512, BGPID: idA, Passive: true},
 		Config{LocalAS: 64512, BGPID: idB},
 		nil, nil)
@@ -209,7 +236,7 @@ func TestCloseDeliversClosedEvent(t *testing.T) {
 			}
 		}
 	}
-	sa, sb, err := Pair(
+	sa, sb, err := pair(
 		Config{LocalAS: 64512, BGPID: idA},
 		Config{LocalAS: 64513, BGPID: idB},
 		handler, nil)
@@ -230,7 +257,7 @@ func TestCloseDeliversClosedEvent(t *testing.T) {
 }
 
 func TestNotificationClosesPeer(t *testing.T) {
-	sa, sb, err := Pair(
+	sa, sb, err := pair(
 		Config{LocalAS: 64512, BGPID: idA},
 		Config{LocalAS: 64513, BGPID: idB},
 		nil, nil)
@@ -249,7 +276,7 @@ func TestKeepalivesMaintainSession(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing test")
 	}
-	sa, sb, err := Pair(
+	sa, sb, err := pair(
 		Config{LocalAS: 64512, BGPID: idA, HoldTime: 300 * time.Millisecond},
 		Config{LocalAS: 64513, BGPID: idB, HoldTime: 300 * time.Millisecond},
 		nil, nil)
@@ -324,7 +351,7 @@ func TestHoldTimerExpiryNotifies(t *testing.T) {
 // "use of closed connection" — because close() marks the state before
 // closing the conn and SendUpdates maps write failures back through it.
 func TestSendUpdatesAfterClose(t *testing.T) {
-	sa, sb, err := Pair(
+	sa, sb, err := pair(
 		Config{LocalAS: 64512, BGPID: idA},
 		Config{LocalAS: 64513, BGPID: idB},
 		nil, nil)

@@ -5,6 +5,7 @@
 package integration
 
 import (
+	"net"
 	"net/netip"
 	"testing"
 	"time"
@@ -40,22 +41,25 @@ func TestFlowspecBilateralSession(t *testing.T) {
 	// are carried over the established session via a dedicated message
 	// exchange modeled as an UPDATE with the traffic-rate community.
 	got := make(chan *bgp.Update, 1)
-	a, b, err := bgpsession.Pair(
-		bgpsession.Config{LocalAS: 64512, BGPID: netip.MustParseAddr("10.0.0.1")},
-		bgpsession.Config{LocalAS: 64513, BGPID: netip.MustParseAddr("10.0.0.2")},
-		nil, func(e bgpsession.Event) {
-			if e.Update != nil {
-				select {
-				case got <- e.Update:
-				default:
-				}
+	ca, cb := net.Pipe()
+	a := bgpsession.New(ca, bgpsession.Config{LocalAS: 64512, BGPID: netip.MustParseAddr("10.0.0.1")}, nil)
+	b := bgpsession.New(cb, bgpsession.Config{LocalAS: 64513, BGPID: netip.MustParseAddr("10.0.0.2")}, func(e bgpsession.Event) {
+		if e.Update != nil {
+			select {
+			case got <- e.Update:
+			default:
 			}
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
+		}
+	})
+	go a.Run()
+	go b.Run()
 	defer a.Close()
 	defer b.Close()
+	for deadline := time.Now().Add(3 * time.Second); a.State() != bgpsession.StateEstablished || b.State() != bgpsession.StateEstablished; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("sessions not established: %v / %v", a.State(), b.State())
+		}
+	}
 
 	u := &bgp.Update{
 		Attrs: bgp.PathAttrs{
@@ -73,10 +77,11 @@ func TestFlowspecBilateralSession(t *testing.T) {
 	case ru := <-got:
 		// Receiver compiles the (out-of-band delivered) spec plus the
 		// in-band action into a data-plane rule.
-		match, ok := mitigation.FlowSpecToMatch(fs)
-		if !ok {
-			t.Fatal("spec not compilable")
+		matches, err := mitigation.FlowSpecToMatches(fs)
+		if err != nil || len(matches) != 1 {
+			t.Fatalf("spec compiles to %d matches (%v), want 1", len(matches), err)
 		}
+		match := matches[0]
 		action, rate, ok := mitigation.FlowSpecAction(&ru.Attrs)
 		if !ok || action != fabric.ActionDrop || rate != 0 {
 			t.Fatalf("action: %v %v %v", action, rate, ok)

@@ -98,19 +98,14 @@ type IXP struct {
 
 	mu    sync.Mutex // guards clock
 	clock float64
-	// nulls is the published null-route table, loaded like reg: readers
-	// take no lock, and a published table is never written. applyExports
-	// publishes a changed copy, under nullMu, only when an export
-	// actually adds or removes a null route.
-	nulls  atomic.Pointer[nullTable]
-	nullMu sync.Mutex
+	// nulls maps a member name to the prefixes the member null-routes in
+	// response to accepted RTBH announcements. Only members with at least
+	// one null route have an entry, so an empty table means no null route
+	// is live anywhere on the exchange. applyExports edits it in place
+	// under nullMu's write lock; readers take the read lock.
+	nullMu sync.RWMutex
+	nulls  map[string][]netip.Prefix
 }
-
-// nullTable maps a member name to the prefixes the member null-routes in
-// response to accepted RTBH announcements. Only members with at least
-// one null route have an entry, so an empty table means no null route is
-// live anywhere on the exchange.
-type nullTable map[string][]netip.Prefix
 
 // registry is the member population by name and by fabric MAC.
 type registry struct {
@@ -141,8 +136,8 @@ func Build(cfg Config) (*IXP, error) {
 		Cfg:    cfg,
 		Fabric: fabric.New(),
 		Policy: irr.NewPolicy(),
+		nulls:  make(map[string][]netip.Prefix),
 	}
-	x.nulls.Store(&nullTable{})
 	reg := &registry{
 		members: make(map[string]*member.Member, len(cfg.Members)),
 		byMAC:   make(map[netpkt.MAC]*member.Member, len(cfg.Members)),
@@ -153,6 +148,10 @@ func Build(cfg Config) (*IXP, error) {
 		BlackholeNextHop: cfg.BlackholeNextHop,
 		Policy:           x.Policy,
 	})
+	// Members react to every export batch the route server produces,
+	// whichever door the UPDATE used: this exchange's methods, or a wire
+	// feed (bgppipe.RSFeed) calling the route server directly.
+	x.RS.Subscribe(func(ev routeserver.ControllerEvent) { x.applyExports(ev.Exports) })
 	x.Router = hw.NewEdgeRouter(hw.DefaultEdgeRouterLimits(len(cfg.Members), cfg.HWUnitN))
 
 	portIndex := make(map[string]int, len(cfg.Members))
@@ -284,12 +283,8 @@ func (x *IXP) PeerDown(memberName string) error {
 	if _, err := x.Member(memberName); err != nil {
 		return err
 	}
-	exports, err := x.RS.HandleWithdrawAll(memberName)
-	if err != nil {
-		return err
-	}
-	x.applyExports(exports)
-	return nil
+	_, err := x.RS.HandleWithdrawAll(memberName)
+	return err
 }
 
 // mitigationRows feeds the route server's looking glass with the
@@ -372,8 +367,9 @@ func PeersOf(members []*member.Member) []traffic.Peer {
 }
 
 // Announce sends a BGP announcement from a member to the route server:
-// prefix, communities, and Advanced Blackholing rule signals. It applies
-// the resulting exports to the member population (RTBH honoring).
+// prefix, communities, and Advanced Blackholing rule signals. Its exports
+// reach the member population (RTBH honoring) through the route-server
+// subscription Build made.
 //
 // The specs parameter is the legacy rule-signaling façade: each spec is
 // encoded as an Advanced Blackholing extended community and compiled
@@ -412,14 +408,13 @@ func (x *IXP) Announce(memberName string, prefix netip.Prefix, communities []bgp
 			NLRI:    []bgp.PathPrefix{{Prefix: prefix}},
 		}
 	}
-	exports, rejections, err := x.RS.HandleUpdateBatch(memberName, u)
+	_, rejections, err := x.RS.HandleUpdateBatch(memberName, u)
 	if err != nil {
 		return err
 	}
 	if len(rejections) > 0 {
 		return fmt.Errorf("ixp: announcement rejected: %s", rejections[0].Reason)
 	}
-	x.applyExports(exports)
 	return nil
 }
 
@@ -434,70 +429,51 @@ func (x *IXP) Withdraw(memberName string, prefix netip.Prefix) error {
 			NLRI: []bgp.PathPrefix{{Prefix: prefix}},
 		}
 	}
-	exports, _, err := x.RS.HandleUpdateBatch(memberName, u)
-	if err != nil {
-		return err
-	}
-	x.applyExports(exports)
-	return nil
+	_, _, err := x.RS.HandleUpdateBatch(memberName, u)
+	return err
 }
 
 // HandleWireUpdate feeds one parsed wire-format BGP update from a
-// member into the route server and applies the resulting exports to the
-// member population, exactly like Announce/Withdraw do for built
-// updates. Policy rejections are not errors: a replayed capture keeps
-// playing past routes the hygiene policy filters, matching how a real
-// route server treats a misbehaving peer. This is the control-plane
+// member into the route server, exactly like Announce/Withdraw do for
+// built updates. Policy rejections are not errors: a replayed capture
+// keeps playing past routes the hygiene policy filters, matching how a
+// real route server treats a misbehaving peer. This is the control-plane
 // entry point for capture replay (engine.ReplayConfig.Apply).
 func (x *IXP) HandleWireUpdate(memberName string, u *bgp.Update) error {
 	if _, err := x.Member(memberName); err != nil {
 		return err
 	}
-	exports, _, err := x.RS.HandleUpdateBatch(memberName, u)
-	if err != nil {
-		return err
-	}
-	x.applyExports(exports)
-	return nil
+	_, _, err := x.RS.HandleUpdateBatch(memberName, u)
+	return err
 }
 
 // applyExports models each member's reaction to route server exports:
 // members that honor RTBH install (or remove) null routes for
 // blackholed prefixes. Members that do not honor them ignore the signal
-// — the ~70% of Section 2.4.
+// — the ~70% of Section 2.4. Build subscribes it to the route server, so
+// it sees every export batch whichever door the UPDATE used.
 //
-// The published null-route table is copied on the first change only,
-// and a member's prefix list on its own first change, so exports that
-// change no null route — every export of a non-blackhole path to a
-// member without null routes — publish nothing.
+// It edits the table in place under the write lock, and writes a
+// member's entry back only when one of its routes changed.
 func (x *IXP) applyExports(exports []routeserver.PeerUpdates) {
 	members := x.reg.Load().members
 	x.nullMu.Lock()
 	defer x.nullMu.Unlock()
-	table := *x.nulls.Load()
-	var next nullTable // the copy being built; nil until a route changes
 	for _, e := range exports {
 		m, ok := members[e.Peer]
 		if !ok {
 			continue
 		}
-		routes := table[m.Name]
-		owned := false // routes is this call's own copy
-		edit := func() {
-			if !owned {
-				routes, owned = slices.Clone(routes), true
-			}
-		}
+		routes := x.nulls[m.Name]
+		changed := false
 		withdraw := func(p netip.Prefix) {
 			if i := slices.Index(routes, p); i >= 0 {
-				edit()
-				routes = slices.Delete(routes, i, i+1)
+				routes, changed = slices.Delete(routes, i, i+1), true
 			}
 		}
 		install := func(p netip.Prefix) {
 			if !slices.Contains(routes, p) {
-				edit()
-				routes = append(routes, p)
+				routes, changed = append(routes, p), true
 			}
 		}
 		for _, u := range e.Updates {
@@ -525,36 +501,32 @@ func (x *IXP) applyExports(exports []routeserver.PeerUpdates) {
 				}
 			}
 		}
-		if !owned {
+		if !changed {
 			continue
 		}
-		if next == nil {
-			next = maps.Clone(table)
-			table = next
-		}
 		if len(routes) == 0 {
-			delete(next, m.Name)
+			delete(x.nulls, m.Name)
 		} else {
-			next[m.Name] = routes
+			x.nulls[m.Name] = routes
 		}
-	}
-	if next != nil {
-		published := next // only a change puts a table on the heap
-		x.nulls.Store(&published)
 	}
 }
 
 // NullRouted reports whether source member name currently null-routes
 // dst (i.e. its traffic to dst dies at the IXP's null interface).
 func (x *IXP) NullRouted(name string, dst netip.Addr) bool {
-	return anyContains((*x.nulls.Load())[name], dst)
+	x.nullMu.RLock()
+	defer x.nullMu.RUnlock()
+	return anyContains(x.nulls[name], dst)
 }
 
 // NullRouteCount returns how many members installed a null route
 // covering dst.
 func (x *IXP) NullRouteCount(dst netip.Addr) int {
+	x.nullMu.RLock()
+	defer x.nullMu.RUnlock()
 	n := 0
-	for _, routes := range *x.nulls.Load() {
+	for _, routes := range x.nulls {
 		if anyContains(routes, dst) {
 			n++
 		}
@@ -586,18 +558,20 @@ func (x *IXP) ControlTick(_ int, dt float64) float64 {
 // the fabric switches the rest — without touching the clock or the
 // control plane.
 //
-// The null-route table is loaded once per tick, with no lock and no
-// copy; a route that changes mid-tick counts from the next one. While
-// no null route is live anywhere the offers go to the fabric as they
-// are, and each port's OfferedBytes is the PresentedBytes its egress
-// summed in offer order. Otherwise the filter runs first (see
+// The null-route table is read in place, with no copy, under its read
+// lock, held across the filter only and not across the fabric tick; an
+// export that lands mid-tick waits for the filter to finish. While no
+// null route is live anywhere the offers go to the fabric as they are,
+// and each port's OfferedBytes is the PresentedBytes its egress summed
+// in offer order. Otherwise the filter runs first (see
 // filterNullRoutes). Each port's egress inside fabric.Tick fans across
 // the supplied runner (the engine passes its shared worker pool; nil
 // runs everything on the caller's goroutine), and per-port results are
 // merged by name, so the outcome is deterministic.
 func (x *IXP) EgressTick(r fabric.Runner, offers fabric.TickOffers, dt float64, sink fabric.TickSink) (map[string]engine.PortReport, error) {
-	nulls := *x.nulls.Load()
-	if len(nulls) == 0 {
+	x.nullMu.RLock()
+	if len(x.nulls) == 0 {
+		x.nullMu.RUnlock()
 		stats, err := x.Fabric.Tick(r, offers, dt, sink)
 		if err != nil {
 			return nil, err
@@ -608,7 +582,8 @@ func (x *IXP) EgressTick(r fabric.Runner, offers fabric.TickOffers, dt float64, 
 		}
 		return reports, nil
 	}
-	filtered, reports := x.filterNullRoutes(r, nulls, offers)
+	filtered, reports := x.filterNullRoutes(r, offers)
+	x.nullMu.RUnlock()
 	stats, err := x.Fabric.Tick(r, filtered, dt, sink)
 	if err != nil {
 		return nil, err
@@ -623,12 +598,13 @@ func (x *IXP) EgressTick(r fabric.Runner, offers fabric.TickOffers, dt float64, 
 
 // filterNullRoutes drops the offers whose source member null-routes
 // their destination, port by port across the runner, and reports each
-// port's offered and nulled bytes. The member registry is loaded once,
-// so the per-offer check takes no lock (a member that joins mid-tick
-// counts from the next one), and a port's offer slice is copied only
-// when something dies there.
-func (x *IXP) filterNullRoutes(r fabric.Runner, nulls nullTable, offers fabric.TickOffers) (fabric.TickOffers, map[string]engine.PortReport) {
-	byMAC := x.reg.Load().byMAC
+// port's offered and nulled bytes. The caller holds the null-route
+// table's read lock. The member registry is loaded once, so the
+// per-offer check takes no lock (a member that joins mid-tick counts
+// from the next one), and a port's offer slice is copied only when
+// something dies there.
+func (x *IXP) filterNullRoutes(r fabric.Runner, offers fabric.TickOffers) (fabric.TickOffers, map[string]engine.PortReport) {
+	byMAC, nulls := x.reg.Load().byMAC, x.nulls
 	names := make([]string, 0, len(offers))
 	for name := range offers {
 		names = append(names, name)

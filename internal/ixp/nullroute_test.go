@@ -14,18 +14,16 @@ import (
 	"stellar/internal/stats"
 )
 
-// nullModel is the null-route state as a plain set per member — the
-// shape the exchange kept before it published its table on change —
+// nullModel is the null-route state as a plain set per member,
 // maintained here from the RTBH semantics alone: an announced
 // blackhole reaches every other member registered at the time, and the
 // honoring ones null-route it; a withdrawal reaches everyone.
 type nullModel map[string]map[netip.Prefix]bool
 
-// snapshotFilterTick is the null-route filter as it ran before the
-// table was published on change: every tick it snapshots model into a
-// fresh map, then sums each port's offers in offer order while looking
-// for null-routed ones, copying a port's slice only when one dies, and
-// hands the rest to the fabric.
+// snapshotFilterTick is the null-route filter as a per-tick snapshot:
+// every tick it copies model into a fresh map, then sums each port's
+// offers in offer order while looking for null-routed ones, copying a
+// port's slice only when one dies, and hands the rest to the fabric.
 func snapshotFilterTick(x *IXP, model nullModel, offers fabric.TickOffers, dt float64) (map[string]engine.PortReport, error) {
 	nulls := make(map[string][]netip.Prefix, len(model))
 	for name, routes := range model {
@@ -238,7 +236,10 @@ func TestEgressTickMatchesSnapshotFilterUnderRTBHChurn(t *testing.T) {
 		if !anyLive() {
 			fastTicks++
 		}
-		if tableLive := len(*x.nulls.Load()) > 0; tableLive != anyLive() {
+		x.nullMu.RLock()
+		tableLive := len(x.nulls) > 0
+		x.nullMu.RUnlock()
+		if tableLive != anyLive() {
 			t.Fatalf("step %d: null-route table live=%v, model live=%v", step, tableLive, anyLive())
 		}
 		if len(got) != len(want) {
@@ -314,7 +315,8 @@ func TestEgressTickAllocsIndependentOfMembers(t *testing.T) {
 
 // TestNullRouteTableConcurrentChurn announces and withdraws blackholes
 // while egress ticks and null-route queries read the table; meaningful
-// under -race, where an edit to a published table shows up as a race.
+// under -race, where an edit the table's lock does not cover shows up
+// as a race.
 func TestNullRouteTableConcurrentChurn(t *testing.T) {
 	x, members := buildTestIXP(t, 8, 1, false)
 	victims := members[:3]

@@ -44,7 +44,8 @@ const MaxFlowSpecMatches = 64
 // Ranges (<, >), unsupported component types and out-of-range values
 // return one of the documented Err* errors — the caller decides whether
 // that means slow-path processing (the comparison experiments) or a
-// rejected mitigation request (mitctl's FlowSpec channel).
+// rejected mitigation request (mitctl's FlowSpec channel). A caller
+// with room for a single pattern per spec also requires len == 1.
 //
 // Each returned Match is exactly what fabric.Port.InstallRule feeds the
 // port's compiled classifier: a pinned port lands the rule in an
@@ -127,21 +128,6 @@ func equalityValues(c bgp.FlowSpecComponent, max uint64) ([]uint64, error) {
 		return nil, fmt.Errorf("%w: %s has no operands", ErrFlowSpecValue, c.Type)
 	}
 	return vals, nil
-}
-
-// FlowSpecToMatch compiles a flow specification into a single fabric
-// match. It is the single-pattern restriction of FlowSpecToMatches:
-// ok is false when the spec does not compile (see the documented Err*
-// reasons) or when value sets expand to more than one pattern — the
-// cases a single-pattern TCAM slot cannot hold, which the comparison
-// experiments treat as "needs slow-path processing". Callers that can
-// install several rules per spec should use FlowSpecToMatches.
-func FlowSpecToMatch(fs *bgp.FlowSpec) (fabric.Match, bool) {
-	ms, err := FlowSpecToMatches(fs)
-	if err != nil || len(ms) != 1 {
-		return fabric.Match{}, false
-	}
-	return ms[0], true
 }
 
 // FlowSpecAction derives the filtering action from a route's extended

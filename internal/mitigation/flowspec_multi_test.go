@@ -117,18 +117,18 @@ func TestFlowSpecToMatchesErrors(t *testing.T) {
 }
 
 func TestFlowSpecToMatchSinglePatternOnly(t *testing.T) {
-	// The single-pattern wrapper keeps its historical contract: ok only
-	// when the spec compiles to exactly one pattern.
+	// A caller with room for one pattern per spec requires len == 1: a
+	// value set expands past it, a single value does not.
 	multi := &bgp.FlowSpec{Components: []bgp.FlowSpecComponent{
 		bgp.Numeric(bgp.FSSrcPort, bgp.Eq(123), bgp.Eq(11211)),
 	}}
-	if _, ok := FlowSpecToMatch(multi); ok {
-		t.Fatal("multi-value accepted by single-pattern compiler")
+	if ms := mustFlowSpecMatches(t, multi); len(ms) != 2 {
+		t.Fatalf("multi-value: %d patterns, want 2", len(ms))
 	}
 	single := &bgp.FlowSpec{Components: []bgp.FlowSpecComponent{
 		bgp.Numeric(bgp.FSSrcPort, bgp.Eq(123)),
 	}}
-	if m, ok := FlowSpecToMatch(single); !ok || m.SrcPort != 123 {
-		t.Fatalf("single: %v %v", m, ok)
+	if ms := mustFlowSpecMatches(t, single); len(ms) != 1 || ms[0].SrcPort != 123 {
+		t.Fatalf("single: %v", ms)
 	}
 }

@@ -154,10 +154,11 @@ func TestFlowSpecToMatch(t *testing.T) {
 		bgp.Numeric(bgp.FSIPProto, bgp.Eq(17)),
 		bgp.Numeric(bgp.FSSrcPort, bgp.Eq(123)),
 	}}
-	m, ok := FlowSpecToMatch(fs)
-	if !ok {
-		t.Fatal("simple flowspec not compilable")
+	ms := mustFlowSpecMatches(t, fs)
+	if len(ms) != 1 {
+		t.Fatalf("simple flowspec compiled to %d matches, want 1", len(ms))
 	}
+	m := ms[0]
 	if m.Proto != netpkt.ProtoUDP || m.SrcPort != 123 || m.DstPort != fabric.AnyPort {
 		t.Fatalf("match: %+v", m)
 	}
@@ -170,26 +171,26 @@ func TestFlowSpecToMatch(t *testing.T) {
 }
 
 func TestFlowSpecToMatchRejectsComplex(t *testing.T) {
-	// Port ranges need slow-path processing: not expressible as one
-	// TCAM pattern.
+	// Port ranges need slow-path processing: not expressible as exact
+	// TCAM patterns.
 	rangeSpec := &bgp.FlowSpec{Components: []bgp.FlowSpecComponent{
 		bgp.Numeric(bgp.FSDstPort,
 			bgp.FlowSpecMatch{GT: true, EQ: true, Value: 1000},
 			bgp.FlowSpecMatch{AND: true, LT: true, EQ: true, Value: 2000}),
 	}}
-	if _, ok := FlowSpecToMatch(rangeSpec); ok {
-		t.Fatal("range compiled to a single match")
+	if _, err := FlowSpecToMatches(rangeSpec); err == nil {
+		t.Fatal("range compiled")
 	}
 	fragSpec := &bgp.FlowSpec{Components: []bgp.FlowSpecComponent{
 		bgp.Numeric(bgp.FSFragment, bgp.Eq(1)),
 	}}
-	if _, ok := FlowSpecToMatch(fragSpec); ok {
+	if _, err := FlowSpecToMatches(fragSpec); err == nil {
 		t.Fatal("fragment component compiled")
 	}
 	ltSpec := &bgp.FlowSpec{Components: []bgp.FlowSpecComponent{
 		bgp.Numeric(bgp.FSSrcPort, bgp.FlowSpecMatch{LT: true, Value: 1024}),
 	}}
-	if _, ok := FlowSpecToMatch(ltSpec); ok {
+	if _, err := FlowSpecToMatches(ltSpec); err == nil {
 		t.Fatal("less-than compiled")
 	}
 }

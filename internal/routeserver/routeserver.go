@@ -8,7 +8,8 @@
 //
 // The package exposes an in-process message-level API (HandleUpdateBatch
 // / HandleWithdrawAll); cmd/ixpd wires it to real TCP BGP sessions via
-// package bgpsession.
+// bgppipe's Listen and RSFeed stages. Whoever calls it, subscribers see
+// every accepted change with its exports.
 //
 // The update path is a parallel pipeline: HandleUpdateBatch may be called
 // concurrently from any number of peer sessions. Import-policy checks run
@@ -74,6 +75,12 @@ type ControllerEvent struct {
 	Announced []netip.Prefix
 	Withdrawn []netip.Prefix
 	Attrs     bgp.PathAttrs
+	// Exports is the export batch the change produced — the slice
+	// HandleUpdateBatch or HandleWithdrawAll returns, shared with every
+	// subscriber and the caller: read it, do not modify it. Members'
+	// reactions to exports (RTBH null routes) hang off it, so they follow
+	// the route server whichever way the UPDATE arrived.
+	Exports []PeerUpdates
 }
 
 // Subscriber consumes controller events.
@@ -202,7 +209,10 @@ func (rs *RouteServer) Peers() []string {
 func (rs *RouteServer) Table() *rib.Table { return rs.table }
 
 // Subscribe attaches a controller feed subscriber; every accepted path
-// change is delivered, bypassing best-path selection.
+// change is delivered, bypassing best-path selection, together with the
+// exports it produced. Subscribers run on the caller's goroutine, in
+// subscription order, before HandleUpdateBatch or HandleWithdrawAll
+// returns.
 func (rs *RouteServer) Subscribe(s Subscriber) {
 	rs.writeMu.Lock()
 	defer rs.writeMu.Unlock()
@@ -289,6 +299,7 @@ func (rs *RouteServer) HandleUpdateBatch(peer string, u *bgp.Update) ([]PeerUpda
 		rs.rejMu.Unlock()
 	}
 
+	exports := eb.finish()
 	if len(reg.subs) > 0 && (len(acceptedAnn) > 0 || len(acceptedWdr) > 0) {
 		ev := ControllerEvent{
 			Peer:      peer,
@@ -297,12 +308,13 @@ func (rs *RouteServer) HandleUpdateBatch(peer string, u *bgp.Update) ([]PeerUpda
 			Announced: acceptedAnn,
 			Withdrawn: acceptedWdr,
 			Attrs:     u.Attrs.Clone(),
+			Exports:   exports,
 		}
 		for _, s := range reg.subs {
 			s(ev)
 		}
 	}
-	return eb.finish(), rejections, nil
+	return exports, rejections, nil
 }
 
 // HandleWithdrawAll processes a session teardown: every path from the
@@ -319,17 +331,18 @@ func (rs *RouteServer) HandleWithdrawAll(peer string) ([]PeerUpdates, error) {
 		eb.bestChanged(tr, nil)
 	}
 
+	exports := eb.finish()
 	if len(reg.subs) > 0 && len(removed) > 0 {
 		withdrawn := make([]netip.Prefix, len(removed))
 		for i, p := range removed {
 			withdrawn[i] = p.Key.Prefix
 		}
-		ev := ControllerEvent{Peer: peer, PeerAS: ps.cfg.ASN, PathID: ps.pathID, Withdrawn: withdrawn}
+		ev := ControllerEvent{Peer: peer, PeerAS: ps.cfg.ASN, PathID: ps.pathID, Withdrawn: withdrawn, Exports: exports}
 		for _, s := range reg.subs {
 			s(ev)
 		}
 	}
-	return eb.finish(), nil
+	return exports, nil
 }
 
 // importCheck applies the import policy of Figure 6. It reads only the
@@ -480,36 +493,6 @@ func (eb *exportBuilder) finish() []PeerUpdates {
 		}
 	}
 	return out
-}
-
-// ExportsTo renders the full-table announcement owed to one peer: for
-// every prefix whose best path exports to that peer under the IXP policy
-// communities, one UPDATE identical to what the incremental pipeline
-// would have sent. It is the resynchronization primitive a reconnecting
-// session replays after PeerUp (bgppipe's RSFeed.Resync): the peer's RIB
-// converges to the route server's view without replaying history.
-// Prefixes are emitted in sorted order, so the resync stream is
-// deterministic for a given table state.
-func (rs *RouteServer) ExportsTo(peer string) ([]*bgp.Update, error) {
-	reg := rs.reg.Load()
-	ps, ok := reg.peers[peer]
-	if !ok {
-		return nil, ErrUnknownPeer
-	}
-	var out []*bgp.Update
-	for _, prefix := range rs.table.Prefixes() {
-		best := rs.table.Best(prefix)
-		if best == nil {
-			continue
-		}
-		for _, i := range rs.exportTargets(reg, best) {
-			if reg.sorted[i] == ps {
-				out = append(out, rs.buildExportUpdate(prefix, best))
-				break
-			}
-		}
-	}
-	return out, nil
 }
 
 // buildExportUpdate renders the UPDATE announcing best for prefix.
