@@ -11,10 +11,10 @@
 //
 // Listen terminates the members' TCP sessions and injects what they
 // send as RX messages; RSFeed applies them to the route server and
-// emits the coalesced export batches back as TX messages, which Listen
-// routes to the addressed session. Each direction is an ordered
-// callback line driven by one goroutine, so stage processing within a
-// direction is serialized and deterministic.
+// emits the coalesced export batches owed to peers up on the pipe back
+// as TX messages, which Listen routes to the addressed session. Each
+// direction is an ordered callback line driven by one goroutine, so
+// stage processing within a direction is serialized and deterministic.
 //
 // Captures do not ride the pipe: MRTScanner and RISScanner are
 // RecordSources that engine.ReplayEvents schedules onto the tick clock.

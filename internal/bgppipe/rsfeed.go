@@ -11,8 +11,15 @@ import (
 // RSFeed bridges the pipe to a routeserver.RouteServer: every RX UPDATE
 // is applied with HandleUpdateBatch, and the batched exports the route
 // server owes other members come back out as TX messages addressed per
-// peer. Peer lifecycle events auto-register members (AddPeer) and flush
-// their routes on PeerDown (HandleWithdrawAll).
+// peer — to peers up on this pipe only. Peer lifecycle events
+// auto-register members (AddPeer) and flush their routes on PeerDown
+// (HandleWithdrawAll).
+//
+// The route server owes exports to every registered member, sessions or
+// not (ixp.Join and in-process doors register members too); a member
+// with no session on this pipe has nowhere to receive them, so RSFeed
+// does not build TX messages for it. A peer is up from its EventPeerUp
+// to its EventPeerDown.
 //
 // RSFeed calls the route server directly, like every other door into
 // it, so whatever subscribes to the route server — an ixp.Build
@@ -43,6 +50,11 @@ type RSFeed struct {
 	// OnError receives per-message apply errors (unknown peer, decode
 	// trouble). Optional.
 	OnError func(peer string, err error)
+
+	// up counts each peer's sessions that are up on the pipe: normally
+	// one, but a reconnecting session's EventPeerUp may overtake its
+	// predecessor's EventPeerDown. Touched only on the RX line.
+	up map[string]int
 }
 
 // Name implements Stage.
@@ -53,6 +65,7 @@ func (f *RSFeed) Attach(p *Pipe) error {
 	if f.RS == nil {
 		return errors.New("RSFeed.RS is nil")
 	}
+	f.up = make(map[string]int)
 	p.OnMsg(DirRX, func(m *Msg) bool {
 		switch m.Event {
 		case EventPeerUp:
@@ -105,12 +118,18 @@ func (f *RSFeed) peerUp(m *Msg) {
 		}
 		return
 	}
+	f.up[cfg.Name]++
 	if f.OnPeerUp != nil {
 		f.OnPeerUp(cfg.Name, cfg.ASN, cfg.BGPID)
 	}
 }
 
 func (f *RSFeed) peerDown(p *Pipe, m *Msg) {
+	if f.up[m.Peer] > 1 {
+		f.up[m.Peer]--
+	} else {
+		delete(f.up, m.Peer)
+	}
 	exports, err := f.RS.HandleWithdrawAll(m.Peer)
 	if err == nil {
 		f.emit(p, exports)
@@ -124,10 +143,14 @@ func (f *RSFeed) peerDown(p *Pipe, m *Msg) {
 }
 
 // emit turns the route server's coalesced export batches into TX
-// messages, one per (peer, UPDATE), preserving each peer's
-// withdrawals-first batch order.
+// messages, one per (peer up on this pipe, UPDATE), preserving each
+// peer's withdrawals-first batch order. Batches owed to peers without a
+// session here are skipped: there is no one to send them to.
 func (f *RSFeed) emit(p *Pipe, exports []routeserver.PeerUpdates) {
 	for _, e := range exports {
+		if f.up[e.Peer] == 0 {
+			continue
+		}
 		for _, u := range e.Updates {
 			if p.Send(DirTX, &Msg{Peer: e.Peer, BGP: u}) != nil {
 				return // pipe shutting down; remaining exports are moot

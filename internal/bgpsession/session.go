@@ -16,6 +16,7 @@ import (
 	"net"
 	"net/netip"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"stellar/internal/bgp"
@@ -104,6 +105,11 @@ type Session struct {
 	closeErr  error
 	writeMu   sync.Mutex
 	done      chan struct{}
+
+	// closing is set by Close before its NOTIFICATION goes out: the peer
+	// may answer it by closing the transport before close() marks the
+	// state, and a sender's write failing then still means ErrClosed.
+	closing atomic.Bool
 }
 
 // Errors returned by session operations.
@@ -325,9 +331,11 @@ func (s *Session) SendUpdates(us []*bgp.Update) error {
 		if err := bgp.WriteMessage(s.conn, u, &opts); err != nil {
 			// The session may have closed between the state check above
 			// and the write: close() marks the state before closing the
-			// transport, so a sender racing Close always maps the
-			// transport's error back to the deterministic ErrClosed.
-			if s.State() == StateClosed {
+			// transport, and Close sets closing before the peer can see
+			// its NOTIFICATION and hang up, so a sender racing Close
+			// always maps the transport's error back to the
+			// deterministic ErrClosed.
+			if s.closing.Load() || s.State() == StateClosed {
 				return ErrClosed
 			}
 			return err
@@ -340,6 +348,7 @@ func (s *Session) SendUpdates(us []*bgp.Update) error {
 // NOTIFICATION. The write is bounded by a short deadline so Close never
 // blocks on a peer that has stopped reading.
 func (s *Session) Close() error {
+	s.closing.Store(true)
 	_ = s.conn.SetWriteDeadline(time.Now().Add(time.Second))
 	_ = s.write(&bgp.Notification{Code: bgp.NotifCease, Subcode: bgp.CeaseAdminShutdown})
 	s.close(nil)

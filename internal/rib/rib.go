@@ -14,11 +14,17 @@
 // mutations on the same prefix serialize on its shard, which is what lets
 // AddWithBest / RemoveWithBest report an atomically consistent best-path
 // transition to the route server's export pipeline.
+//
+// A prefix keeps its paths in an unordered slice, found by linear scan:
+// almost every prefix holds one or two paths, and a slice of one costs a
+// pointer where a per-prefix map cost a hash table. The best path is
+// cached, and Lookup sorts what it returns.
 package rib
 
 import (
 	"fmt"
 	"net/netip"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -57,8 +63,18 @@ const shardCount = 32
 // maintained incrementally so Best is O(1) and a mutation recomputes at
 // most one prefix's ordering.
 type prefixEntry struct {
-	paths map[PathKey]*Path
+	paths []*Path // unordered; a removal clears the vacated slot
 	best  *Path
+}
+
+// find returns the index of key's path in e.paths, or -1.
+func (e *prefixEntry) find(key PathKey) int {
+	for i, p := range e.paths {
+		if p.Key == key {
+			return i
+		}
+	}
+	return -1
 }
 
 type shard struct {
@@ -120,11 +136,15 @@ func (t *Table) AddWithBest(key PathKey, peerAS uint32, attrs bgp.PathAttrs) (*P
 	p := &Path{Key: key, PeerAS: peerAS, Attrs: attrs.Clone(), Seq: t.seq.Add(1)}
 	e := sh.routes[key.Prefix]
 	if e == nil {
-		e = &prefixEntry{paths: make(map[PathKey]*Path)}
+		e = &prefixEntry{paths: make([]*Path, 0, 1)}
 		sh.routes[key.Prefix] = e
 	}
 	old := e.best
-	e.paths[key] = p
+	if i := e.find(key); i >= 0 {
+		e.paths[i] = p
+	} else {
+		e.paths = append(e.paths, p)
+	}
 	switch {
 	case old == nil:
 		e.best = p
@@ -154,11 +174,12 @@ func (t *Table) RemoveWithBest(key PathKey) (bool, BestChange) {
 	if e == nil {
 		return false, BestChange{Prefix: key.Prefix}
 	}
-	if _, ok := e.paths[key]; !ok {
+	i := e.find(key)
+	if i < 0 {
 		return false, BestChange{Prefix: key.Prefix, Old: e.best, New: e.best}
 	}
 	old := e.best
-	delete(e.paths, key)
+	e.paths = slices.Delete(e.paths, i, i+1) // clears the vacated slot
 	if len(e.paths) == 0 {
 		delete(sh.routes, key.Prefix)
 		return true, BestChange{Prefix: key.Prefix, Old: old}
@@ -198,17 +219,19 @@ func (t *Table) RemovePeerWithBest(peer string) ([]*Path, []BestChange) {
 		sh.mu.Lock()
 		for prefix, e := range sh.routes {
 			old := e.best
-			touched := false
-			for key, p := range e.paths {
-				if key.Peer == peer {
+			kept := e.paths[:0]
+			for _, p := range e.paths {
+				if p.Key.Peer == peer {
 					removed = append(removed, p)
-					delete(e.paths, key)
-					touched = true
+				} else {
+					kept = append(kept, p)
 				}
 			}
-			if !touched {
+			if len(kept) == len(e.paths) {
 				continue
 			}
+			clear(e.paths[len(kept):]) // no removed path stays reachable
+			e.paths = kept
 			if len(e.paths) == 0 {
 				delete(sh.routes, prefix)
 				changes = append(changes, BestChange{Prefix: prefix, Old: old})
@@ -238,8 +261,8 @@ func (t *Table) FindByPathID(prefix netip.Prefix, pathID uint32) *Path {
 	if e == nil {
 		return nil
 	}
-	for key, p := range e.paths {
-		if key.PathID == pathID {
+	for _, p := range e.paths {
+		if p.Key.PathID == pathID {
 			return p
 		}
 	}
@@ -251,11 +274,9 @@ func (t *Table) Lookup(prefix netip.Prefix) []*Path {
 	sh := t.shardFor(prefix)
 	sh.mu.RLock()
 	e := sh.routes[prefix]
-	out := make([]*Path, 0, 4)
+	var out []*Path
 	if e != nil {
-		for _, p := range e.paths {
-			out = append(out, p)
-		}
+		out = slices.Clone(e.paths)
 	}
 	sh.mu.RUnlock()
 	sort.Slice(out, func(i, j int) bool { return better(out[i], out[j]) })
@@ -303,28 +324,6 @@ func (t *Table) Len() int {
 	return n
 }
 
-// MoreSpecifics returns all paths whose prefix is covered by (and at
-// least as specific as) covering, best-first within each prefix. The
-// blackholing controller uses it to find /32 blackholing routes inside a
-// member's registered aggregate.
-func (t *Table) MoreSpecifics(covering netip.Prefix) []*Path {
-	var out []*Path
-	for i := range t.shards {
-		sh := &t.shards[i]
-		sh.mu.RLock()
-		for prefix, e := range sh.routes {
-			if covering.Bits() <= prefix.Bits() && covering.Contains(prefix.Addr()) {
-				for _, p := range e.paths {
-					out = append(out, p)
-				}
-			}
-		}
-		sh.mu.RUnlock()
-	}
-	sortPaths(out)
-	return out
-}
-
 // Snapshot returns a point-in-time copy of the table keyed by PathKey.
 type Snapshot map[PathKey]*Path
 
@@ -338,8 +337,8 @@ func (t *Table) Snapshot() Snapshot {
 		sh := &t.shards[i]
 		sh.mu.RLock()
 		for _, e := range sh.routes {
-			for key, p := range e.paths {
-				s[key] = p
+			for _, p := range e.paths {
+				s[p.Key] = p
 			}
 		}
 		sh.mu.RUnlock()

@@ -156,27 +156,6 @@ func TestRemovePeer(t *testing.T) {
 	}
 }
 
-func TestMoreSpecifics(t *testing.T) {
-	tbl := New()
-	tbl.Add(PathKey{Prefix: pfx("100.10.10.0/24"), Peer: "a"}, 1, attrs(1))
-	tbl.Add(PathKey{Prefix: pfx("100.10.10.10/32"), Peer: "a"}, 1, attrs(1))
-	tbl.Add(PathKey{Prefix: pfx("100.10.11.0/24"), Peer: "a"}, 1, attrs(1))
-	tbl.Add(PathKey{Prefix: pfx("203.0.113.0/24"), Peer: "a"}, 1, attrs(1))
-
-	got := tbl.MoreSpecifics(pfx("100.10.10.0/24"))
-	if len(got) != 2 {
-		t.Fatalf("MoreSpecifics: %d, want 2", len(got))
-	}
-	got = tbl.MoreSpecifics(pfx("100.10.0.0/16"))
-	if len(got) != 3 {
-		t.Fatalf("MoreSpecifics /16: %d, want 3", len(got))
-	}
-	got = tbl.MoreSpecifics(pfx("0.0.0.0/0"))
-	if len(got) != 4 {
-		t.Fatalf("MoreSpecifics default: %d, want 4", len(got))
-	}
-}
-
 func TestPrefixesSorted(t *testing.T) {
 	tbl := New()
 	tbl.Add(PathKey{Prefix: pfx("9.0.0.0/8"), Peer: "a"}, 1, attrs(1))

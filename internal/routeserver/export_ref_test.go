@@ -2,6 +2,7 @@ package routeserver
 
 import (
 	"fmt"
+	"math"
 	"net/netip"
 	"reflect"
 	"sort"
@@ -26,8 +27,10 @@ type refExports struct {
 
 func (rb *refExports) targets(best *rib.Path) []string {
 	var names []string
-	for _, i := range rb.rs.exportTargets(rb.reg, best) {
-		names = append(names, rb.reg.sorted[i].cfg.Name)
+	for _, ps := range rb.reg.sorted {
+		if rb.rs.exportsTo(best, ps) {
+			names = append(names, ps.cfg.Name)
+		}
 	}
 	return names
 }
@@ -240,7 +243,16 @@ func TestExportsMatchReference(t *testing.T) {
 				}
 				return u
 			}
-			asn16 := func(peer int) uint16 { return uint16(refPeer(peer % n).ASN) }
+			// asn16 is the community value naming a peer's ASN. A standard
+			// community names only a 2-byte ASN (exportsTo never matches a
+			// larger one), so the steps below must not try to name one.
+			asn16 := func(peer int) uint16 {
+				asn := refPeer(peer % n).ASN
+				if asn > math.MaxUint16 {
+					t.Fatalf("AS%d has no 2-byte community value", asn)
+				}
+				return uint16(asn)
+			}
 
 			update("coalesced v4+v6 announce", 0, from(0, false, nil,
 				[]string{"100.10.0.0/24", "100.10.1.0/24", "100.10.2.0/24"},

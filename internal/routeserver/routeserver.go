@@ -31,6 +31,7 @@ package routeserver
 import (
 	"errors"
 	"fmt"
+	"math"
 	"net/netip"
 	"slices"
 	"strings"
@@ -388,22 +389,34 @@ func (rs *RouteServer) importCheck(ps *peerState, prefix netip.Prefix, originAS 
 // shared UPDATE per address family (they all carry the inbound message's
 // attributes, so their targets are identical too). Best-path changes that
 // promote a different pre-existing path get individual UPDATEs.
+//
+// The builder records each UPDATE once, with the path whose policy picks
+// its targets, and lays every peer's batch out in finish: a message costs
+// a fixed number of allocations however many members the exchange has.
 type exportBuilder struct {
 	rs  *RouteServer
 	reg *registry
 
 	from string // the peer whose message is being processed
 
-	// batches[i] is what reg.sorted[i] is owed.
-	batches [][]*bgp.Update
+	// exports holds every UPDATE owed so far, in the order each peer
+	// receives the ones it is owed.
+	exports []export
 
 	// Coalesced withdrawals, owed to every peer but from: a prefix only
 	// vanishes with its last path, which was the sender's own.
 	wdr *bgp.Update
 
-	// Coalesced announcements of the just-added path, per family. The
-	// shared update is appended to each target's batch once, on first use.
+	// Coalesced announcements of the just-added path, per family.
 	ann4, ann6 *bgp.Update
+}
+
+// export is one UPDATE and whom it is owed to: the peers best's policy
+// communities export to, or, for the coalesced withdraw (best nil), every
+// peer but the sender.
+type export struct {
+	u    *bgp.Update
+	best *rib.Path
 }
 
 func newExportBuilder(rs *RouteServer, reg *registry, from string) *exportBuilder {
@@ -424,10 +437,7 @@ func (eb *exportBuilder) bestChanged(tr rib.BestChange, added *rib.Path) {
 	default:
 		// A pre-existing path was promoted (the old best worsened or went
 		// away): export it on its own.
-		u := eb.rs.buildExportUpdate(tr.Prefix, tr.New)
-		for _, i := range eb.rs.exportTargets(eb.reg, tr.New) {
-			eb.append(i, u)
-		}
+		eb.exports = append(eb.exports, export{u: eb.rs.buildExportUpdate(tr.Prefix, tr.New), best: tr.New})
 	}
 }
 
@@ -436,11 +446,7 @@ func (eb *exportBuilder) bestChanged(tr rib.BestChange, added *rib.Path) {
 func (eb *exportBuilder) coalesceWithdraw(prefix netip.Prefix) {
 	if eb.wdr == nil {
 		eb.wdr = &bgp.Update{}
-		for i, ps := range eb.reg.sorted {
-			if ps.cfg.Name != eb.from {
-				eb.append(i, eb.wdr)
-			}
-		}
+		eb.exports = append(eb.exports, export{u: eb.wdr})
 	}
 	u := eb.wdr
 	if prefix.Addr().Is4() {
@@ -454,7 +460,7 @@ func (eb *exportBuilder) coalesceWithdraw(prefix netip.Prefix) {
 }
 
 // coalesceAnnounce merges the prefix into the shared announce UPDATE for
-// its family, creating it (and fanning it out) on first use.
+// its family, creating it on first use.
 func (eb *exportBuilder) coalesceAnnounce(prefix netip.Prefix, best *rib.Path) {
 	shared := &eb.ann4
 	if !prefix.Addr().Is4() {
@@ -463,9 +469,7 @@ func (eb *exportBuilder) coalesceAnnounce(prefix netip.Prefix, best *rib.Path) {
 	switch u := *shared; {
 	case u == nil:
 		*shared = eb.rs.buildExportUpdate(prefix, best)
-		for _, i := range eb.rs.exportTargets(eb.reg, best) {
-			eb.append(i, *shared)
-		}
+		eb.exports = append(eb.exports, export{u: *shared, best: best})
 	case prefix.Addr().Is4():
 		u.NLRI = append(u.NLRI, bgp.PathPrefix{Prefix: prefix})
 	default:
@@ -473,23 +477,49 @@ func (eb *exportBuilder) coalesceAnnounce(prefix netip.Prefix, best *rib.Path) {
 	}
 }
 
-// append owes u to the peer at reg.sorted[i].
-func (eb *exportBuilder) append(i int, u *bgp.Update) {
-	if eb.batches == nil {
-		eb.batches = make([][]*bgp.Update, len(eb.reg.sorted))
+// owes reports whether e is owed to ps.
+func (eb *exportBuilder) owes(ps *peerState, e export) bool {
+	if e.best == nil {
+		return ps.cfg.Name != eb.from
 	}
-	eb.batches[i] = append(eb.batches[i], u)
+	return eb.rs.exportsTo(e.best, ps)
 }
 
-// finish returns the accumulated batches sorted by peer name.
+// finish returns the accumulated batches sorted by peer name. A first
+// pass counts what each peer is owed, so the result and the one backing
+// array every peer's Updates are carved from are allocated once, at
+// their final size.
 func (eb *exportBuilder) finish() []PeerUpdates {
-	if eb.batches == nil {
+	if len(eb.exports) == 0 {
 		return nil
 	}
-	out := make([]PeerUpdates, 0, len(eb.batches))
-	for i, us := range eb.batches {
-		if us != nil {
-			out = append(out, PeerUpdates{Peer: eb.reg.sorted[i].cfg.Name, Updates: us})
+	peers, owed := 0, 0
+	for _, ps := range eb.reg.sorted {
+		n := 0
+		for _, e := range eb.exports {
+			if eb.owes(ps, e) {
+				n++
+			}
+		}
+		if n > 0 {
+			peers++
+			owed += n
+		}
+	}
+	if peers == 0 {
+		return nil
+	}
+	out := make([]PeerUpdates, 0, peers)
+	flat := make([]*bgp.Update, 0, owed)
+	for _, ps := range eb.reg.sorted {
+		start := len(flat)
+		for _, e := range eb.exports {
+			if eb.owes(ps, e) {
+				flat = append(flat, e.u)
+			}
+		}
+		if end := len(flat); end > start {
+			out = append(out, PeerUpdates{Peer: ps.cfg.Name, Updates: flat[start:end:end]})
 		}
 	}
 	return out
@@ -528,57 +558,40 @@ func (rs *RouteServer) buildExportUpdate(prefix netip.Prefix, best *rib.Path) *b
 	return u
 }
 
-// exportTargets evaluates the IXP policy communities on the path:
+// exportsTo evaluates the IXP policy communities on best for one peer:
 //
 //	(0, IXP_ASN)     announce to no one
 //	(0, peer_ASN)    do not announce to peer
 //	(IXP_ASN, peer_ASN) announce to peer (whitelist mode once present)
 //
 // Without policy communities the path is exported to every peer except
-// its announcer — Figure 3(b)'s dominant "All" case. Targets are indexes
-// into reg.sorted.
-func (rs *RouteServer) exportTargets(reg *registry, best *rib.Path) []int {
+// its announcer — Figure 3(b)'s dominant "All" case. A standard
+// community's value has 16 bits, so it can name only a 2-byte ASN: a
+// peer whose ASN exceeds 65535 is never singled out by (0, peer) or
+// (IXP, peer), whatever its ASN's low 16 bits.
+func (rs *RouteServer) exportsTo(best *rib.Path, ps *peerState) bool {
+	if ps.cfg.Name == best.Key.Peer {
+		return false
+	}
 	ixp := uint16(rs.cfg.ASN)
-	blockAll := false
-	var blocked, allowed map[uint16]bool
-	whitelist := false
+	named := ps.cfg.ASN <= math.MaxUint16
+	asn16 := uint16(ps.cfg.ASN)
+	blockAll, blocked, whitelist, allowed := false, false, false, false
 	for _, c := range best.Attrs.Communities {
 		switch {
 		case c.ASN() == 0 && c.Value() == ixp:
 			blockAll = true
 		case c.ASN() == 0:
-			if blocked == nil {
-				blocked = make(map[uint16]bool)
-			}
-			blocked[c.Value()] = true
+			blocked = blocked || named && c.Value() == asn16
 		case c.ASN() == ixp && c.Value() != 666:
-			if allowed == nil {
-				allowed = make(map[uint16]bool)
-			}
-			allowed[c.Value()] = true
 			whitelist = true
+			allowed = allowed || named && c.Value() == asn16
 		}
 	}
-	var out []int
-	for i, ps := range reg.sorted {
-		if ps.cfg.Name == best.Key.Peer {
-			continue
-		}
-		asn16 := uint16(ps.cfg.ASN)
-		switch {
-		case whitelist:
-			if allowed[asn16] {
-				out = append(out, i)
-			}
-		case blockAll:
-			// no export
-		case blocked[asn16]:
-			// explicitly excluded ("All-k" policies)
-		default:
-			out = append(out, i)
-		}
+	if whitelist {
+		return allowed
 	}
-	return out
+	return !blockAll && !blocked // blocked: an "All-k" exclusion
 }
 
 // HasAdvancedBlackholeSignal reports whether attrs carry Stellar's

@@ -1,7 +1,9 @@
 package routeserver
 
 import (
+	"fmt"
 	"net/netip"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -287,6 +289,82 @@ func TestExportPolicyWhitelist(t *testing.T) {
 	}
 	if len(exports) != 1 || exports[0].Peer != "C" {
 		t.Fatalf("whitelist exports: %+v", exports)
+	}
+}
+
+// TestExportPolicyNamesOnly2ByteASNs pins that a policy community names
+// a peer only when the peer's ASN fits its 16-bit value: AS65541's low 16
+// bits are 5, yet (0, 5) must not block it and (IXP, 5) must not
+// whitelist it.
+func TestExportPolicyNamesOnly2ByteASNs(t *testing.T) {
+	peers := []PeerConfig{
+		{Name: "announcer", ASN: 64512},
+		{Name: "as5", ASN: 5},
+		{Name: "as65541", ASN: 65536 + 5},
+		{Name: "as70000", ASN: 70000},
+	}
+	for _, tc := range []struct {
+		name  string
+		comms []bgp.Community
+		want  []string
+	}{
+		{"no policy", nil, []string{"as5", "as65541", "as70000"}},
+		{"block AS5", []bgp.Community{bgp.MakeCommunity(0, 5)}, []string{"as65541", "as70000"}},
+		{"block AS4464 (70000's low 16 bits)", []bgp.Community{bgp.MakeCommunity(0, 70000-65536)}, []string{"as5", "as65541", "as70000"}},
+		{"whitelist AS5", []bgp.Community{bgp.MakeCommunity(ixpASN, 5)}, []string{"as5"}},
+		{"whitelist beats block-all", []bgp.Community{bgp.MakeCommunity(0, ixpASN), bgp.MakeCommunity(ixpASN, 5)}, []string{"as5"}},
+		{"block all", []bgp.Community{bgp.MakeCommunity(0, ixpASN)}, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rs := New(Config{ASN: ixpASN, BlackholeNextHop: blackholeNH})
+			if err := rs.AddPeers(peers...); err != nil {
+				t.Fatal(err)
+			}
+			batches, _, err := rs.HandleUpdateBatch("announcer", announce(64512, pfx("100.10.0.0/24"), tc.comms...))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got []string
+			for _, b := range batches {
+				got = append(got, b.Peer)
+			}
+			if !slices.Equal(got, tc.want) {
+				t.Fatalf("exported to %v, want %v", got, tc.want)
+			}
+		})
+	}
+}
+
+// TestHandleUpdateAllocsIndependentOfPeers pins the export builder's cost
+// per inbound message: announcing one prefix and withdrawing it take the
+// same number of allocations with 1 024 registered peers as with 16,
+// although each export is owed to every one of them.
+func TestHandleUpdateAllocsIndependentOfPeers(t *testing.T) {
+	prefix := pfx("100.10.0.0/24")
+	ann := announce(64512, prefix)
+	wdr := &bgp.Update{Withdrawn: []bgp.PathPrefix{{Prefix: prefix}}}
+	allocs := func(n int) float64 {
+		rs := New(Config{ASN: ixpASN, BlackholeNextHop: blackholeNH})
+		cfgs := make([]PeerConfig, n)
+		for i := range cfgs {
+			cfgs[i] = peerCfg(i)
+			cfgs[i].Name = fmt.Sprintf("m%d", i)
+		}
+		if err := rs.AddPeers(cfgs...); err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(100, func() {
+			for _, u := range []*bgp.Update{ann, wdr} {
+				batches, _, err := rs.HandleUpdateBatch("m0", u)
+				if err != nil || len(batches) != n-1 {
+					t.Fatalf("%d peers: %d batches, err %v", n, len(batches), err)
+				}
+			}
+		})
+	}
+	small, large := allocs(16), allocs(1024)
+	if large != small {
+		t.Fatalf("announce+withdraw: %.0f allocs at 1024 peers, %.0f at 16", large, small)
 	}
 }
 
