@@ -12,7 +12,8 @@
 // member to the exchange (ixp.Join). The control plane ticks on two
 // cadences: 1 ms after every applied UPDATE, so a signal takes effect
 // promptly, and a full -tick interval on the wall clock, which owns TTL
-// expiry and change-queue pacing. SIGINT or SIGTERM stops the daemon.
+// expiry, change-queue pacing and pruning final mitigations from the
+// store. SIGINT or SIGTERM stops the daemon.
 //
 //	ixpd -bgp-listen 127.0.0.1:1790 -asn 6695 -open-irr
 package main
@@ -30,6 +31,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -123,6 +125,12 @@ type daemon struct {
 	tick   time.Duration // the wall-clock cadence
 	pipe   *bgppipe.Pipe
 	tickMu sync.Mutex // serializes the two tick cadences
+
+	// seen is the highest store version the event stream has delivered;
+	// every transition up to it has happened. pruneUpTo is seen as read
+	// at the previous wall-clock tick (run's goroutine only).
+	seen      atomic.Uint64
+	pruneUpTo uint64
 }
 
 // newDaemon builds the exchange and attaches the wire front on ln.
@@ -134,11 +142,18 @@ func newDaemon(o options, ln net.Listener) (*daemon, error) {
 	for _, e := range o.irr {
 		x.Policy.IRR.Register(e.asn, e.prefix)
 	}
+	d := &daemon{x: x, tick: o.tick, pipe: bgppipe.New(bgppipe.Options{})}
 	x.Mitigations.Subscribe(func(ev mitctl.Event) { // every lifecycle transition
 		m := ev.Mitigation
 		log.Printf("ixpd: mitigation %s %s (owner %s, %v toward %s) %s", m.ID, ev.Type, m.Requester, m.Action, m.Target, m.LastError)
+		// Events from concurrent ticks may arrive out of version order.
+		for {
+			v := d.seen.Load()
+			if v >= m.Version || d.seen.CompareAndSwap(v, m.Version) {
+				break
+			}
+		}
 	})
-	d := &daemon{x: x, tick: o.tick, pipe: bgppipe.New(bgppipe.Options{})}
 	feed := &bgppipe.RSFeed{
 		RS:         x.RS,
 		OnPeerUp:   d.peerUp,
@@ -178,8 +193,18 @@ func (d *daemon) run(ctx context.Context) error {
 			return err
 		case <-t.C:
 			d.controlTick(d.tick.Seconds())
+			d.prune()
 		}
 	}
+}
+
+// prune drops the final mitigations whose last transition the previous
+// wall-clock tick had already seen. The store then holds the live
+// mitigations plus about one tick's worth of final ones, and every final
+// mitigation stays readable for at least one tick.
+func (d *daemon) prune() {
+	d.x.Mitigations.Prune(d.pruneUpTo + 1)
+	d.pruneUpTo = d.seen.Load()
 }
 
 // controlTick advances the control plane by dt simulated seconds.

@@ -352,6 +352,62 @@ func TestTickCadences(t *testing.T) {
 	})
 }
 
+// TestDaemonPrunesFinalMitigations pins the daemon's store bound: a
+// withdrawn mitigation stays readable for a wall-clock tick, then the
+// wall-clock loop prunes it, so a long-running daemon does not keep one
+// record per mitigation ever signalled.
+func TestDaemonPrunesFinalMitigations(t *testing.T) {
+	const signalled = 200
+	signal := func(t *testing.T, d *daemon) []string {
+		t.Helper()
+		ids := make([]string, signalled)
+		for i := range ids {
+			m, err := d.x.RequestMitigation(mitctl.Spec{
+				Requester: "AS64512", Target: netip.PrefixFrom(netip.AddrFrom4([4]byte{100, 10, 30, byte(i)}), 32),
+				Match: core.DropUDPSrcPort(123).Match(fabric.MatchAll()), Action: fabric.ActionDrop,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := d.x.WithdrawMitigation(m.ID, "AS64512"); err != nil {
+				t.Fatal(err)
+			}
+			ids[i] = m.ID
+		}
+		return ids
+	}
+
+	t.Run("one tick of grace", func(t *testing.T) {
+		// A -tick this long never fires: the test plays the wall clock.
+		d, addr, stop := startDaemon(t, "-irr 64512:100.10.0.0/16 -tick 1h")
+		defer stop()
+		victim := dial(t, d, addr, 64512, "10.0.0.12", nil)
+		defer victim.Close()
+		ids := signal(t, d)
+		d.prune()
+		for _, id := range ids {
+			if m, ok := d.x.Mitigations.Get(id); !ok || m.State != mitctl.StateWithdrawn {
+				t.Fatalf("%s unreadable one tick after its withdrawal: %+v", id, m)
+			}
+		}
+		d.prune()
+		if n := len(d.x.Mitigations.Snapshot().Mitigations); n != 0 {
+			t.Fatalf("%d final mitigations left after two ticks", n)
+		}
+	})
+
+	t.Run("wall clock", func(t *testing.T) {
+		d, addr, stop := startDaemon(t, "-irr 64512:100.10.0.0/16 -tick 1ms")
+		defer stop()
+		victim := dial(t, d, addr, 64512, "10.0.0.12", nil)
+		defer victim.Close()
+		signal(t, d)
+		waitFor(t, "final mitigations pruned", func() bool {
+			return len(d.x.Mitigations.Snapshot().Mitigations) < signalled/10
+		})
+	})
+}
+
 // TestDaemonStopsCleanly starts and stops the whole daemon with a live
 // session and checks that nothing is left running.
 func TestDaemonStopsCleanly(t *testing.T) {

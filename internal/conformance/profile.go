@@ -94,13 +94,6 @@ type Topology struct {
 	// Stellar enables the mitigation control plane (default true;
 	// forced off for channel "rtbh").
 	Stellar *bool `json:"stellar,omitempty"`
-	// MitigationTTLSec is the controller's default TTL for requests
-	// that carry none (0: never expire).
-	MitigationTTLSec float64 `json:"mitigation_ttl_sec,omitempty"`
-	// QueueRate / QueueBurst configure the change-queue pacing
-	// (defaults: 4.33/s, burst 20).
-	QueueRate  float64 `json:"queue_rate,omitempty"`
-	QueueBurst int     `json:"queue_burst,omitempty"`
 	// Retry enables change-queue retry with backoff (nil: failures are
 	// terminal on the first attempt).
 	Retry *RetrySpec `json:"retry,omitempty"`

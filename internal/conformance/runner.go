@@ -121,9 +121,6 @@ func compile(p *Profile) (*runner, engine.Config, error) {
 		BlackholeNextHop: blackholeNextHop,
 		Members:          members,
 		EnableStellar:    p.stellarOn(),
-		QueueRate:        p.Topology.QueueRate,
-		QueueBurst:       p.Topology.QueueBurst,
-		MitigationTTL:    p.Topology.MitigationTTLSec,
 		TuneController:   r.tuneController,
 	})
 	if err != nil {

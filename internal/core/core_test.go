@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"math"
 	"net/netip"
 	"testing"
 	"testing/quick"
@@ -186,66 +185,6 @@ func TestPortal(t *testing.T) {
 	}
 	if err := p.Delete("AS64512", id); err != ErrNoSuchRule {
 		t.Fatalf("double delete: %v", err)
-	}
-}
-
-func TestChangeQueueRateLimit(t *testing.T) {
-	q := NewChangeQueue(2, 1) // 2/s, burst 1
-	for i := 0; i < 5; i++ {
-		q.Enqueue(ConfigChange{RuleID: string(rune('a' + i))}, 0)
-	}
-	if q.Len() != 5 || q.MaxDepth() != 5 {
-		t.Fatalf("len=%d depth=%d", q.Len(), q.MaxDepth())
-	}
-	// t=0: initial burst of 1.
-	out := q.Drain(0)
-	if len(out) != 1 {
-		t.Fatalf("t=0: %d", len(out))
-	}
-	// Draining every 0.5 s at rate 2/s releases exactly one per call
-	// (burst 1 caps the bucket between drains).
-	total := 1
-	var lastWait float64
-	for _, now := range []float64{0.5, 1.0, 1.5, 2.0} {
-		out = q.Drain(now)
-		if len(out) != 1 {
-			t.Fatalf("t=%v: %d", now, len(out))
-		}
-		total += len(out)
-		lastWait = out[0].Waited
-	}
-	if total != 5 || q.Len() != 0 {
-		t.Fatalf("total=%d left=%d", total, q.Len())
-	}
-	// The last change waited the full 2 seconds.
-	if math.Abs(lastWait-2.0) > 1e-9 {
-		t.Fatalf("last wait: %v", lastWait)
-	}
-}
-
-func TestChangeQueueBurstClamp(t *testing.T) {
-	q := NewChangeQueue(100, 5)
-	// Long idle must not accumulate more than the burst.
-	q.Drain(1000)
-	for i := 0; i < 10; i++ {
-		q.Enqueue(ConfigChange{}, 1000)
-	}
-	out := q.Drain(1000)
-	if len(out) != 5 {
-		t.Fatalf("burst: %d, want 5", len(out))
-	}
-}
-
-func TestChangeQueueFIFO(t *testing.T) {
-	q := NewChangeQueue(1000, 1000)
-	for i := 0; i < 10; i++ {
-		q.Enqueue(ConfigChange{RuleID: string(rune('0' + i))}, float64(i))
-	}
-	out := q.Drain(100)
-	for i := 1; i < len(out); i++ {
-		if out[i].Change.RuleID < out[i-1].Change.RuleID {
-			t.Fatal("not FIFO")
-		}
 	}
 }
 

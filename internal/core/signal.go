@@ -1,10 +1,11 @@
 // Package core holds the building blocks of Stellar, the Advanced
 // Blackholing system of Sections 3 and 4: the BGP extended-community
 // signaling codec, the customer portal for custom blackholing rules,
-// the abstract configuration change with its token-bucket change queue,
-// and the network manager that compiles abstract changes into QoS
-// data-plane state under hardware admission control. The blackholing
-// controller that drives them is internal/mitctl.
+// the abstract configuration change, and the network manager that
+// compiles abstract changes into QoS data-plane state under hardware
+// admission control. The blackholing controller that drives them, and
+// paces the changes through its token-bucket change queue, is
+// internal/mitctl.
 package core
 
 import (

@@ -1,12 +1,15 @@
 package experiments
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"strings"
 
 	"stellar/internal/conformance"
 	"stellar/internal/engine"
 	"stellar/internal/flowmon"
+	"stellar/internal/mitctl"
 )
 
 // Fig10cResult is the Stellar attack time series plus headline metrics.
@@ -16,13 +19,15 @@ type Fig10cResult struct {
 	// shape; DropTick is when it escalated to dropping all UDP.
 	ShapeTick, DropTick int
 	// Phase means.
-	PeakBps      float64
-	ShapedBps    float64
-	FinalBps     float64
-	PeersPeak    float64
-	PeersShaped  float64
-	PeersFinal   float64
-	ShapeLatency float64 // signal-to-config delay of the first change
+	PeakBps     float64
+	ShapedBps   float64
+	FinalBps    float64
+	PeersPeak   float64
+	PeersShaped float64
+	PeersFinal  float64
+	// ShapeLatency is the signal-to-configuration delay of the first
+	// requested mitigation: its InstalledAt − RequestedAt.
+	ShapeLatency float64
 	// TopPorts is the victim monitor's UDP source-port ranking across
 	// the run; during the telemetry (shaping) phase the NTP signature
 	// stays visible, which is Advanced Blackholing's point.
@@ -59,8 +64,9 @@ func Fig10c(p *conformance.Profile) (Fig10cResult, error) {
 		PeersPeak: m[3], PeersShaped: m[4], PeersFinal: m[5],
 		TopPorts: res.Series[0].Monitor.TopSrcPorts(3),
 	}
-	if lats := res.IXP.Mitigations.Latencies(); len(lats) > 0 {
-		r.ShapeLatency = lats[0]
+	if ms := res.IXP.Mitigations.List(); len(ms) > 0 {
+		first := slices.MinFunc(ms, func(a, b mitctl.Mitigation) int { return cmp.Compare(a.RequestedAt, b.RequestedAt) })
+		r.ShapeLatency = first.InstalledAt - first.RequestedAt
 	}
 	return r, nil
 }

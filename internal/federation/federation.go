@@ -57,23 +57,18 @@ type Exchange struct {
 // Config assembles a Federation.
 type Config struct {
 	Exchanges []Exchange
-	// Ticks and Dt define the shared clock (Dt defaults to 1s).
+	// Ticks is the length of the shared clock in one-second ticks.
 	Ticks int
-	Dt    float64
 	// GossipDelayTicks is the inter-IXP propagation delay: a spec
 	// admitted at tick T is re-requested at every other exchange at
 	// tick T+delay. 0 relays within the same tick.
 	GossipDelayTicks int
-	// Workers sizes the shared fabric pool all exchange pipelines draw
-	// from (0: GOMAXPROCS).
-	Workers int
-	// Depth is each engine's spine/fold mailbox depth (0: engine
-	// default).
-	Depth int
-	// PeerMinBps is the run-wide active-peer threshold (0: engine
-	// default).
-	PeerMinBps float64
 }
+
+// tickSec is the shared clock's tick length in seconds. Every
+// exchange's engine runs with the engine's default mailbox depth and
+// active-peer threshold, on one fabric pool of GOMAXPROCS workers.
+const tickSec = 1.0
 
 // installKey identifies one (mitigation, exchange) install.
 type installKey struct {
@@ -105,9 +100,6 @@ func New(cfg Config) (*Federation, error) {
 	}
 	if cfg.Ticks <= 0 {
 		return nil, fmt.Errorf("federation: ticks must be positive")
-	}
-	if cfg.Dt == 0 {
-		cfg.Dt = 1
 	}
 	if cfg.GossipDelayTicks < 0 {
 		return nil, fmt.Errorf("federation: negative gossip delay")
@@ -151,9 +143,6 @@ func New(cfg Config) (*Federation, error) {
 	return f, nil
 }
 
-// Names returns the exchange names in composition order.
-func (f *Federation) Names() []string { return append([]string(nil), f.names...) }
-
 // Run drives every exchange's engine for the configured ticks and
 // returns the consolidated report. It is single-use, like the engines
 // it builds. On an exchange error the surviving exchanges finish their
@@ -162,7 +151,7 @@ func (f *Federation) Run() (*Report, error) {
 	if !f.ran.CompareAndSwap(false, true) {
 		return nil, fmt.Errorf("federation: Run is single-use; build a new Federation")
 	}
-	pool := fabric.NewPool(f.cfg.Workers)
+	pool := fabric.NewPool(0)
 	defer pool.Close()
 	n := len(f.cfg.Exchanges)
 	for i := range f.cfg.Exchanges {
@@ -187,10 +176,8 @@ func (f *Federation) Run() (*Report, error) {
 				DataPlane:    ex.IXP,
 				Events:       f.withBarrier(i, ex.Events),
 				Ticks:        f.cfg.Ticks,
-				Dt:           f.cfg.Dt,
-				PeerMinBps:   f.cfg.PeerMinBps,
+				Dt:           tickSec,
 				MemberFilter: ex.IXP.MemberFilter(),
-				Depth:        f.cfg.Depth,
 				Pool:         pool,
 			})
 			series[i], errs[i] = eng.Run()

@@ -150,7 +150,7 @@ func TestSingleExchangeParity(t *testing.T) {
 		DataPlane:    ex.IXP,
 		Events:       ex.Events,
 		Ticks:        tc.Ticks,
-		Dt:           tc.Dt,
+		Dt:           tickSec,
 		MemberFilter: ex.IXP.MemberFilter(),
 	}).Run()
 	if err != nil {

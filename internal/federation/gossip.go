@@ -57,13 +57,6 @@ func newSpecGossip(exchanges, delayTicks int) *SpecGossip {
 // DelayTicks returns the configured propagation delay.
 func (g *SpecGossip) DelayTicks() int { return g.delay }
 
-// PendingCount returns how many relays are still in flight.
-func (g *SpecGossip) PendingCount() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return len(g.pending)
-}
-
 // enqueue captures a spec admitted at origin during tick originTick.
 func (g *SpecGossip) enqueue(origin, originTick int, spec mitctl.Spec) {
 	g.mu.Lock()

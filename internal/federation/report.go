@@ -91,7 +91,7 @@ func (f *Federation) buildReport(series [][]engine.VictimSeries, flows []int64) 
 	n := len(f.cfg.Exchanges)
 	rep := &Report{
 		Ticks:            f.cfg.Ticks,
-		Dt:               f.cfg.Dt,
+		Dt:               tickSec,
 		GossipDelayTicks: f.gossip.DelayTicks(),
 	}
 	maxLen := 0
@@ -107,7 +107,7 @@ func (f *Federation) buildReport(series [][]engine.VictimSeries, flows []int64) 
 		rep.Exchanges = append(rep.Exchanges, er)
 	}
 	for t := 0; t < maxLen; t++ {
-		agg := AggregateSample{Tick: t, Time: float64(t) * f.cfg.Dt}
+		agg := AggregateSample{Tick: t, Time: float64(t) * tickSec}
 		for i := range rep.Exchanges {
 			for _, v := range rep.Exchanges[i].Victims {
 				if t >= len(v.Samples) {

@@ -31,46 +31,37 @@ type TopologyConfig struct {
 	// LocalPeers is the number of peers private to each exchange
 	// (default 24).
 	LocalPeers int
-	// HonoringFraction is the fraction of members honoring RTBH
-	// (default 0.3, the paper's observation).
-	HonoringFraction float64
-	// PortCapacityBps is the peer port capacity (default 10 Gbps);
-	// VictimPortBps is the victims' (default 1 Gbps — the paper's
-	// monitored member port).
-	PortCapacityBps float64
-	VictimPortBps   float64
 	// Seed drives every deterministic choice (default 7).
 	Seed uint64
-	// Ticks and Dt define the shared clock (defaults 120 ticks of 1s).
+	// Ticks is the length of the shared clock in one-second ticks
+	// (default 120).
 	Ticks int
-	Dt    float64
-	// AttackRateBps is the NTP attack load per victim per exchange
-	// (default 1 Gbps); WebRateBps the benign baseline (default 200
-	// Mbps).
-	AttackRateBps float64
-	WebRateBps    float64
-	// AttackStartTick is when the attack ramps up (default 10).
-	AttackStartTick int
 	// MitigateTick is when each victim requests a drop of the attack
 	// vector at exchange 0 — the signal the gossip link then carries to
 	// every other exchange. Negative disables mitigation; 0 selects the
 	// default (30).
 	MitigateTick int
-	// MitigationTTL is the requested lifetime in seconds (0: no
-	// expiry).
-	MitigationTTL float64
 	// GossipDelayTicks is the propagation delay (0 selects the default
 	// of 1 tick).
 	GossipDelayTicks int
-	// Workers and Depth tune the shared pool and the per-exchange
-	// mailboxes (0: defaults).
-	Workers int
-	Depth   int
-	// QueueRate and QueueBurst configure each exchange's change queue
-	// (0: the ixp defaults).
-	QueueRate  float64
-	QueueBurst int
 }
+
+// The synthetic topology's fixed parameters.
+const (
+	// honoringFraction is the fraction of members honoring RTBH, the
+	// paper's observation.
+	honoringFraction = 0.3
+	// peerPortBps is a peer's port capacity; victimPortBps a victim's,
+	// the paper's monitored member port.
+	peerPortBps   = 1e10
+	victimPortBps = 1e9
+	// attackRateBps is the NTP attack load per victim per exchange;
+	// webRateBps the benign baseline.
+	attackRateBps = 1e9
+	webRateBps    = 2e8
+	// attackStartTick is when the attack ramps up.
+	attackStartTick = 10
+)
 
 func (tc TopologyConfig) withDefaults() TopologyConfig {
 	if tc.Exchanges <= 0 {
@@ -85,32 +76,11 @@ func (tc TopologyConfig) withDefaults() TopologyConfig {
 	if tc.LocalPeers == 0 {
 		tc.LocalPeers = 24
 	}
-	if tc.HonoringFraction == 0 {
-		tc.HonoringFraction = 0.3
-	}
-	if tc.PortCapacityBps == 0 {
-		tc.PortCapacityBps = 1e10
-	}
-	if tc.VictimPortBps == 0 {
-		tc.VictimPortBps = 1e9
-	}
 	if tc.Seed == 0 {
 		tc.Seed = 7
 	}
 	if tc.Ticks == 0 {
 		tc.Ticks = 120
-	}
-	if tc.Dt == 0 {
-		tc.Dt = 1
-	}
-	if tc.AttackRateBps == 0 {
-		tc.AttackRateBps = 1e9
-	}
-	if tc.WebRateBps == 0 {
-		tc.WebRateBps = 2e8
-	}
-	if tc.AttackStartTick == 0 {
-		tc.AttackStartTick = 10
 	}
 	if tc.MitigateTick == 0 {
 		tc.MitigateTick = 30
@@ -144,14 +114,7 @@ func BuildSynthetic(tc TopologyConfig) (*Federation, error) {
 		}
 		exchanges[e] = ex
 	}
-	return New(Config{
-		Exchanges:        exchanges,
-		Ticks:            tc.Ticks,
-		Dt:               tc.Dt,
-		GossipDelayTicks: tc.GossipDelayTicks,
-		Workers:          tc.Workers,
-		Depth:            tc.Depth,
-	})
+	return New(Config{Exchanges: exchanges, Ticks: tc.Ticks, GossipDelayTicks: tc.GossipDelayTicks})
 }
 
 // makePopulation fabricates the global member population: victims
@@ -159,12 +122,12 @@ func BuildSynthetic(tc TopologyConfig) (*Federation, error) {
 func makePopulation(tc TopologyConfig) []*member.Member {
 	pop := member.MakePopulation(member.PopulationConfig{
 		N:                tc.Victims + tc.SharedPeers + tc.Exchanges*tc.LocalPeers,
-		HonoringFraction: tc.HonoringFraction,
-		PortCapacityBps:  tc.PortCapacityBps,
+		HonoringFraction: honoringFraction,
+		PortCapacityBps:  peerPortBps,
 		Seed:             tc.Seed,
 	})
 	for v := 0; v < tc.Victims; v++ {
-		pop[v].PortCapacityBps = tc.VictimPortBps
+		pop[v].PortCapacityBps = victimPortBps
 	}
 	return pop
 }
@@ -189,8 +152,6 @@ func buildExchange(tc TopologyConfig, e int, pop []*member.Member) (Exchange, er
 		BlackholeNextHop: blackholeNextHop,
 		Members:          members,
 		EnableStellar:    true,
-		QueueRate:        tc.QueueRate,
-		QueueBurst:       tc.QueueBurst,
 	})
 	if err != nil {
 		return Exchange{}, fmt.Errorf("federation: build exchange %d: %w", e, err)
@@ -211,12 +172,12 @@ func buildExchange(tc TopologyConfig, e int, pop []*member.Member) (Exchange, er
 		rng := stats.NewRand(tc.Seed + uint64(e)*100003 + uint64(v)*101 + 1)
 		target := vm.Prefixes[0].Addr().Next()
 		attack := traffic.NewAttack(traffic.VectorNTP, target, peers,
-			tc.AttackRateBps, tc.AttackStartTick, tc.Ticks, rng)
-		web := traffic.NewWebService(target, peers[:(len(peers)+3)/4], tc.WebRateBps, rng)
+			attackRateBps, attackStartTick, tc.Ticks, rng)
+		web := traffic.NewWebService(target, peers[:(len(peers)+3)/4], webRateBps, rng)
 		specs[v] = engine.VictimSpec{Port: vm.Name}
 		srcs[v] = []engine.Source{attack, web}
 		if e == 0 && tc.MitigateTick >= 0 {
-			spec := dropSpec(vm, target, tc.MitigationTTL)
+			spec := dropSpec(vm, target)
 			events = append(events, engine.Event{
 				Tick: tc.MitigateTick,
 				Name: "mitigate " + vm.Name,
@@ -236,8 +197,9 @@ func buildExchange(tc TopologyConfig, e int, pop []*member.Member) (Exchange, er
 }
 
 // dropSpec is the victim's mitigation request: drop the NTP attack
-// vector (UDP source port 123) toward its attacked /32.
-func dropSpec(vm *member.Member, target netip.Addr, ttl float64) mitctl.Spec {
+// vector (UDP source port 123) toward its attacked /32. It never
+// expires.
+func dropSpec(vm *member.Member, target netip.Addr) mitctl.Spec {
 	m := fabric.MatchAll()
 	m.Proto = netpkt.ProtoUDP
 	m.SrcPort = int32(traffic.VectorNTP.SrcPort)
@@ -246,6 +208,5 @@ func dropSpec(vm *member.Member, target netip.Addr, ttl float64) mitctl.Spec {
 		Target:    netip.PrefixFrom(target, 32),
 		Match:     m,
 		Action:    fabric.ActionDrop,
-		TTL:       ttl,
 	}
 }

@@ -46,23 +46,13 @@ type Config struct {
 	// controller over a QoS manager, fed by the route server).
 	EnableStellar bool
 	// QueueRate and QueueBurst configure the controller's change queue
-	// (defaults: 4.33/s, burst 20).
+	// (0: mitctl.New's defaults, 4.33/s and burst 20).
 	QueueRate  float64
 	QueueBurst int
-	// MitigationTTL is the default lifetime applied to community- and
-	// API-signaled mitigations that carry none (0: never expire —
-	// withdrawal stays explicit, matching plain BGP semantics).
-	MitigationTTL float64
-	// MaxMitigationsPerMember bounds a member's live mitigations at the
-	// controller (0: only the hardware budget applies).
-	MaxMitigationsPerMember int
-	// HWUnitN is the hardware budget unit (defaults hw.RTBHUnitN).
-	HWUnitN int
-	// PlatformCapacityBps optionally constrains the switching core.
-	PlatformCapacityBps float64
 	// TuneController adjusts the mitigation controller's configuration
 	// — retry/backoff policy, install deadlines, the degradation
-	// ladder, fault-injection hooks — after the standard wiring and
+	// ladder, fault-injection hooks, a default TTL or a per-member bound
+	// on live mitigations — after the standard wiring and
 	// before the controller is built. When the hook enables the
 	// degradation ladder without a headroom source, Build wires the
 	// edge router's.
@@ -123,15 +113,6 @@ func (r *registry) with(m *member.Member) *registry {
 
 // Build constructs and wires the IXP.
 func Build(cfg Config) (*IXP, error) {
-	if cfg.QueueRate == 0 {
-		cfg.QueueRate = 4.33
-	}
-	if cfg.QueueBurst == 0 {
-		cfg.QueueBurst = 20
-	}
-	if cfg.HWUnitN == 0 {
-		cfg.HWUnitN = hw.RTBHUnitN
-	}
 	x := &IXP{
 		Cfg:    cfg,
 		Fabric: fabric.New(),
@@ -142,7 +123,6 @@ func Build(cfg Config) (*IXP, error) {
 		members: make(map[string]*member.Member, len(cfg.Members)),
 		byMAC:   make(map[netpkt.MAC]*member.Member, len(cfg.Members)),
 	}
-	x.Fabric.PlatformCapacityBps = cfg.PlatformCapacityBps
 	x.RS = routeserver.New(routeserver.Config{
 		ASN:              cfg.ASN,
 		BlackholeNextHop: cfg.BlackholeNextHop,
@@ -152,7 +132,7 @@ func Build(cfg Config) (*IXP, error) {
 	// whichever door the UPDATE used: this exchange's methods, or a wire
 	// feed (bgppipe.RSFeed) calling the route server directly.
 	x.RS.Subscribe(func(ev routeserver.ControllerEvent) { x.applyExports(ev.Exports) })
-	x.Router = hw.NewEdgeRouter(hw.DefaultEdgeRouterLimits(len(cfg.Members), cfg.HWUnitN))
+	x.Router = hw.NewEdgeRouter(hw.DefaultEdgeRouterLimits(len(cfg.Members), hw.RTBHUnitN))
 
 	portIndex := make(map[string]int, len(cfg.Members))
 	peers := make([]routeserver.PeerConfig, len(cfg.Members))
@@ -199,8 +179,6 @@ func Build(cfg Config) (*IXP, error) {
 				}
 				return m.MAC, true
 			},
-			MaxActivePerMember: cfg.MaxMitigationsPerMember,
-			DefaultTTL:         cfg.MitigationTTL,
 		}
 		if cfg.TuneController != nil {
 			cfg.TuneController(&mcfg)

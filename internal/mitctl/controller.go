@@ -3,6 +3,7 @@ package mitctl
 import (
 	"errors"
 	"fmt"
+	"math"
 	"net/netip"
 	"sort"
 	"sync"
@@ -57,7 +58,9 @@ func (s State) Final() bool { return s != StatePending && s != StateActive }
 type Mitigation struct {
 	Spec
 	State State
-	// RequestedAt / InstalledAt are simulation timestamps (seconds).
+	// RequestedAt / InstalledAt are simulation timestamps (seconds);
+	// InstalledAt − RequestedAt is the mitigation's wait in the change
+	// queue, its signal-to-configuration delay (Figure 10b).
 	RequestedAt float64
 	InstalledAt float64
 	// ExpiresAt is the TTL deadline; 0 means the mitigation never
@@ -278,9 +281,8 @@ type mit struct {
 // generation, so a re-requested ID never confuses an older generation's
 // in-flight changes with the new one's.
 type queuedOp struct {
-	change     core.ConfigChange
-	m          *mit
-	enqueuedAt float64
+	change core.ConfigChange
+	m      *mit
 	// firstAt is the first enqueue time, surviving retries — the
 	// InstallDeadline clock. attempts counts apply attempts so far;
 	// notBefore delays a retried op until its backoff elapses.
@@ -313,11 +315,13 @@ type Controller struct {
 	queue   []queuedOp
 	tokens  float64
 	lastRef float64
-	maxDep  int
+	// nextDue is no later than the earliest ExpiresAt among live
+	// mitigations (+Inf when none can expire): Process walks the store
+	// for due TTLs only once the clock reaches it.
+	nextDue float64
 	version uint64
 	subs    []func(Event)
 
-	latencies []float64
 	applied   int
 	applyErrs []core.ApplyError
 	errTotal  int
@@ -328,21 +332,11 @@ type Controller struct {
 	rng        *stats.Rand
 }
 
-// Retention bounds for long-running deployments: telemetry slices keep
-// a recent window (oldest half dropped on overflow) instead of growing
-// for the controller's lifetime; rule-status entries are deleted once
-// their removal resolves.
-const (
-	maxRetainedLatencies = 1 << 16
-	maxRetainedErrors    = 4096
-)
-
-func (c *Controller) noteLatencyLocked(l float64) {
-	c.latencies = append(c.latencies, l)
-	if len(c.latencies) > maxRetainedLatencies {
-		c.latencies = append(c.latencies[:0:0], c.latencies[len(c.latencies)-maxRetainedLatencies/2:]...)
-	}
-}
+// maxRetainedErrors bounds the error log for long-running deployments:
+// it keeps a recent window (oldest half dropped on overflow) instead of
+// growing for the controller's lifetime; rule-status entries are deleted
+// once their removal resolves.
+const maxRetainedErrors = 4096
 
 func (c *Controller) noteApplyErrLocked(e core.ApplyError) {
 	c.errTotal++
@@ -381,11 +375,12 @@ func New(cfg Config) *Controller {
 		seed = 1
 	}
 	return &Controller{
-		cfg:    cfg,
-		mits:   make(map[string]*mit),
-		rules:  make(map[string]ruleEntry),
-		tokens: float64(cfg.QueueBurst),
-		rng:    stats.NewRand(seed),
+		cfg:     cfg,
+		mits:    make(map[string]*mit),
+		rules:   make(map[string]ruleEntry),
+		tokens:  float64(cfg.QueueBurst),
+		nextDue: math.Inf(1),
+		rng:     stats.NewRand(seed),
 	}
 }
 
@@ -461,6 +456,7 @@ func (c *Controller) Request(spec Spec, now float64) (Mitigation, error) {
 		if spec.TTL > 0 {
 			existing.ExpiresAt = now + spec.TTL
 			existing.TTL = spec.TTL
+			c.nextDue = math.Min(c.nextDue, existing.ExpiresAt)
 		} else {
 			existing.ExpiresAt = 0
 			existing.TTL = 0
@@ -517,6 +513,7 @@ func (c *Controller) Request(spec Spec, now float64) (Mitigation, error) {
 	}, key: key}
 	if spec.TTL > 0 {
 		m.ExpiresAt = now + spec.TTL
+		c.nextDue = math.Min(c.nextDue, m.ExpiresAt)
 	}
 	m.pendingInstalls = len(m.RuleIDs)
 	for i, rid := range m.RuleIDs {
@@ -539,7 +536,7 @@ func (c *Controller) Request(spec Spec, now float64) (Mitigation, error) {
 		cm, cl := match.CriteriaCount()
 		m.fineMAC += cm
 		m.fineL34 += cl
-		c.enqueueLocked(queuedOp{change: change, m: m, enqueuedAt: now, firstAt: now})
+		c.enqueueLocked(queuedOp{change: change, m: m, firstAt: now})
 	}
 	c.version++
 	m.Version = c.version
@@ -590,15 +587,12 @@ func (c *Controller) finalizeLocked(m *mit, s State, now float64) {
 	for _, rid := range m.RuleIDs {
 		c.enqueueLocked(queuedOp{change: core.ConfigChange{
 			Op: core.OpRemove, Member: m.Requester, RuleID: rid,
-		}, m: m, enqueuedAt: now, firstAt: now})
+		}, m: m, firstAt: now})
 	}
 }
 
 func (c *Controller) enqueueLocked(op queuedOp) {
 	c.queue = append(c.queue, op)
-	if len(c.queue) > c.maxDep {
-		c.maxDep = len(c.queue)
-	}
 }
 
 func (c *Controller) subsLocked() []func(Event) {
@@ -625,17 +619,26 @@ func (c *Controller) Process(now float64) int {
 	// expiring this tick can ride this tick's tokens. Due mitigations
 	// finalize in ID order — map iteration order must not decide which
 	// one's removals win the tick's remaining tokens (determinism is a
-	// repo-wide invariant).
-	var due []*mit
-	for _, m := range c.mits {
-		if !m.State.Final() && m.ExpiresAt > 0 && m.ExpiresAt <= now {
-			due = append(due, m)
+	// repo-wide invariant). Until the clock reaches nextDue nothing can be
+	// due, so an idle tick does not walk the store.
+	if now >= c.nextDue {
+		var due []*mit
+		c.nextDue = math.Inf(1)
+		for _, m := range c.mits {
+			if m.State.Final() || m.ExpiresAt <= 0 {
+				continue
+			}
+			if m.ExpiresAt <= now {
+				due = append(due, m)
+			} else {
+				c.nextDue = math.Min(c.nextDue, m.ExpiresAt)
+			}
 		}
-	}
-	sort.Slice(due, func(i, j int) bool { return due[i].ID < due[j].ID })
-	for _, m := range due {
-		c.finalizeLocked(m, StateExpired, now)
-		pending = append(pending, Event{Type: EventExpired, Time: now, Mitigation: m.Mitigation})
+		sort.Slice(due, func(i, j int) bool { return due[i].ID < due[j].ID })
+		for _, m := range due {
+			c.finalizeLocked(m, StateExpired, now)
+			pending = append(pending, Event{Type: EventExpired, Time: now, Mitigation: m.Mitigation})
+		}
 	}
 	// Degradation-ladder upgrades: degraded mitigations whose fine spec
 	// now fits the returned headroom re-enqueue their failed fine rules
@@ -761,7 +764,6 @@ func (c *Controller) applyOne(op queuedOp, now float64) ([]Event, bool) {
 		if haveFinal {
 			op.m.accrued.add(final)
 		}
-		c.noteLatencyLocked(now - op.enqueuedAt)
 		c.applied++
 		return nil, true
 	}
@@ -790,7 +792,6 @@ func (c *Controller) applyOne(op queuedOp, now float64) ([]Event, bool) {
 	c.rules[op.change.RuleID] = ruleEntry{status: ruleInstalled, owner: m}
 	m.okInstalls++
 	m.pendingInstalls--
-	c.noteLatencyLocked(now - op.enqueuedAt)
 	c.applied++
 	if m.State.Final() {
 		// The mitigation finalized while this install was backing off;
@@ -798,7 +799,7 @@ func (c *Controller) applyOne(op queuedOp, now float64) ([]Event, bool) {
 		// rule), so pair the late install with a fresh removal.
 		c.enqueueLocked(queuedOp{change: core.ConfigChange{
 			Op: core.OpRemove, Member: m.Requester, RuleID: op.change.RuleID,
-		}, m: m, enqueuedAt: now, firstAt: now})
+		}, m: m, firstAt: now})
 		return nil, true
 	}
 	var evs []Event
@@ -829,7 +830,7 @@ func (c *Controller) applyOne(op queuedOp, now float64) ([]Event, bool) {
 			}
 			c.enqueueLocked(queuedOp{change: core.ConfigChange{
 				Op: core.OpRemove, Member: m.Requester, RuleID: coarseID,
-			}, m: m, enqueuedAt: now, firstAt: now})
+			}, m: m, firstAt: now})
 			c.version++
 			m.Version = c.version
 			evs = append(evs, Event{Type: EventUpgraded, Time: now, Mitigation: m.Mitigation})
@@ -899,8 +900,7 @@ func (c *Controller) degradeLocked(m *mit, err error, now float64) bool {
 	m.RuleIDs = append(m.RuleIDs, coarseID)
 	c.rules[coarseID] = ruleEntry{status: ruleQueued, owner: m}
 	c.enqueueLocked(queuedOp{
-		change: coarseChange(m.Spec), m: m,
-		enqueuedAt: now, firstAt: now, coarse: true,
+		change: coarseChange(m.Spec), m: m, firstAt: now, coarse: true,
 	})
 	return true
 }
@@ -950,7 +950,7 @@ func (c *Controller) scanUpgradesLocked(now float64) {
 		m.pendingInstalls += len(ops)
 		for _, ch := range ops {
 			c.rules[ch.RuleID] = ruleEntry{status: ruleQueued, owner: m}
-			c.enqueueLocked(queuedOp{change: ch, m: m, enqueuedAt: now, firstAt: now, upgrade: true})
+			c.enqueueLocked(queuedOp{change: ch, m: m, firstAt: now, upgrade: true})
 		}
 	}
 }
@@ -1043,11 +1043,6 @@ func (c *Controller) Usage(id string) (Usage, error) {
 	return u, nil
 }
 
-// UsageOf is Usage addressed by content: it derives the spec's ID.
-func (c *Controller) UsageOf(spec Spec) (Usage, error) {
-	return c.Usage(DeriveID(spec))
-}
-
 // PendingChanges returns the change-queue depth.
 func (c *Controller) PendingChanges() int {
 	c.mu.Lock()
@@ -1055,27 +1050,11 @@ func (c *Controller) PendingChanges() int {
 	return len(c.queue)
 }
 
-// MaxQueueDepth returns the queue's high-water mark.
-func (c *Controller) MaxQueueDepth() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.maxDep
-}
-
 // AppliedChanges returns the count of successfully applied changes.
 func (c *Controller) AppliedChanges() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.applied
-}
-
-// Latencies returns the queueing delay of applied changes in seconds —
-// the signal-to-configuration series of Figure 10(b). Long-running
-// deployments retain the most recent window (maxRetainedLatencies).
-func (c *Controller) Latencies() []float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]float64(nil), c.latencies...)
 }
 
 // Errors returns the accumulated apply and channel-compilation errors

@@ -132,8 +132,8 @@ func TestLifecycleRequestInstallWithdraw(t *testing.T) {
 	if _, err := port.Rule(m.ID); err != nil {
 		t.Fatalf("rule not tagged with mitigation ID: %v", err)
 	}
-	if lats := ctl.Latencies(); len(lats) != 1 || lats[0] != 1 {
-		t.Fatalf("latencies: %v", lats)
+	if wait := got.InstalledAt - got.RequestedAt; wait != 1 {
+		t.Fatalf("signal-to-configuration wait: %v", wait)
 	}
 
 	if err := ctl.Withdraw(m.ID, memberName(0), 2); err != nil {
@@ -572,8 +572,10 @@ func TestQueuePacingLatency(t *testing.T) {
 			t.Fatalf("installed after t=%d: %d", tick, got)
 		}
 	}
-	lats := ctl.Latencies()
-	if len(lats) != 3 || lats[0] != 1 || lats[1] != 2 || lats[2] != 3 {
-		t.Fatalf("latencies: %v", lats)
+	for i, id := range ids {
+		m, _ := ctl.Get(id)
+		if wait := m.InstalledAt - m.RequestedAt; wait != float64(i+1) {
+			t.Fatalf("change %d waited %v, want %d", i, wait, i+1)
+		}
 	}
 }

@@ -1,27 +1,55 @@
 package mitctl
 
 import (
+	"math"
 	"testing"
 
 	"stellar/internal/core"
 	"stellar/internal/stats"
 )
 
-// nopManager accepts every change: the pacing test below is about when
-// the controller releases a change, not what the hardware does with it.
+// nopManager accepts every change: the pacing tests are about when the
+// controller releases a change, not what the hardware does with it.
 type nopManager struct{}
 
 func (nopManager) Apply(core.ConfigChange) error { return nil }
 func (nopManager) Name() string                  { return "nop" }
 
-// TestPacingMatchesChangeQueue is the differential oracle for the pacing
-// contract. experiments.Fig10b measures core.ChangeQueue, but the bucket
-// that actually paces installs is inlined in Controller.Process. Until
-// the two are one, this pins them as the same policy: one seeded arrival
-// trace — singletons plus a burst larger than the bucket — through both,
-// stepped on the same 100 ms clock, must yield the identical per-change
-// wait sequence.
-func TestPacingMatchesChangeQueue(t *testing.T) {
+// refBucket is the pacing contract written out on its own: refill
+// rate·dt, clamp to the burst, start full, one token per change, FIFO.
+type refBucket struct {
+	rate, burst, tokens, last float64
+	arrivals                  []float64 // queued changes' arrival times, FIFO
+}
+
+func newRefBucket(rate float64, burst int) *refBucket {
+	return &refBucket{rate: rate, burst: float64(burst), tokens: float64(burst)}
+}
+
+// drain refills the bucket up to now and returns the waits of the
+// changes it releases, in release order.
+func (b *refBucket) drain(now float64) []float64 {
+	if now > b.last {
+		b.tokens = math.Min(b.tokens+(now-b.last)*b.rate, b.burst)
+		b.last = now
+	}
+	var waits []float64
+	for len(b.arrivals) > 0 && b.tokens >= 1 {
+		waits = append(waits, now-b.arrivals[0])
+		b.arrivals = b.arrivals[1:]
+		b.tokens--
+	}
+	return waits
+}
+
+// TestPacingMatchesReferenceBucket is the differential oracle for the
+// pacing contract Figure 10(b) measures on the controller: one seeded
+// arrival trace — singletons plus a burst larger than the bucket —
+// through the controller and through refBucket, stepped on the same
+// 100 ms clock, must yield the identical per-change wait sequence. The
+// controller's waits are read off its event stream, as Fig10b reads
+// them. The trace checks the rate, the burst clamp and FIFO order.
+func TestPacingMatchesReferenceBucket(t *testing.T) {
 	const (
 		rate  = 4.33 // production change rate, Figure 10a
 		burst = 20
@@ -33,7 +61,13 @@ func TestPacingMatchesChangeQueue(t *testing.T) {
 	cfg.Manager = nopManager{}
 	cfg.QueueRate, cfg.QueueBurst = rate, burst
 	ctl := New(cfg)
-	queue := core.NewChangeQueue(rate, burst)
+	var got []float64
+	ctl.Subscribe(func(ev Event) {
+		if ev.Type == EventInstalled {
+			got = append(got, ev.Time-ev.Mitigation.RequestedAt)
+		}
+	})
+	ref := newRefBucket(rate, burst)
 
 	rng := stats.NewRand(24)
 	changes := 0
@@ -44,7 +78,7 @@ func TestPacingMatchesChangeQueue(t *testing.T) {
 		if _, err := ctl.Request(s, now); err != nil {
 			t.Fatal(err)
 		}
-		queue.Enqueue(core.ConfigChange{Op: core.OpInstall}, now)
+		ref.arrivals = append(ref.arrivals, now)
 		changes++
 	}
 	var want []float64
@@ -58,23 +92,20 @@ func TestPacingMatchesChangeQueue(t *testing.T) {
 		case rng.Float64() < 0.25:
 			arrive(now)
 		}
-		for _, d := range queue.Drain(now) {
-			want = append(want, d.Waited)
-		}
+		want = append(want, ref.drain(now)...)
 		ctl.Process(now)
 	}
 
-	got := ctl.Latencies()
 	if changes < 200 || len(want) != changes {
-		t.Fatalf("trace: %d changes, %d drained by the reference queue", changes, len(want))
+		t.Fatalf("trace: %d changes, %d drained by the reference bucket", changes, len(want))
 	}
 	if len(got) != len(want) {
-		t.Fatalf("controller applied %d changes, reference queue %d", len(got), len(want))
+		t.Fatalf("controller installed %d changes, reference bucket %d", len(got), len(want))
 	}
 	queued := 0
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("change %d: controller waited %v, ChangeQueue %v", i, got[i], want[i])
+			t.Fatalf("change %d: controller waited %v, reference bucket %v", i, got[i], want[i])
 		}
 		if want[i] > 0 {
 			queued++

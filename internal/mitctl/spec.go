@@ -17,6 +17,12 @@
 // every installed mitigation carries its ID in its fabric rule tags, so
 // per-mitigation dropped/shaped byte counters are one Usage call away.
 //
+// The change queue's token bucket is the exchange's only pacer, and a
+// mitigation's own record is the only account of its wait: InstalledAt −
+// RequestedAt, also readable off the EventInstalled event. Figure 10(b)
+// (experiments.Fig10b) replays its change trace through a Controller and
+// reads the waits from that event stream.
+//
 // The three signaling channels are thin adapters that compile into
 // Spec: BGP extended-community signals (CommunityChannel, the paper's
 // "IXP:2:123" scheme), RFC 5575 FlowSpec NLRI (SpecsFromFlowSpec), and
@@ -124,10 +130,6 @@ type Spec struct {
 	// refreshes the local mitigation instead of forking a remote twin.
 	Origin string
 }
-
-// Local reports whether the spec was signaled at this exchange (no
-// gossip provenance).
-func (s Spec) Local() bool { return s.Origin == "" }
 
 // normalized stamps the target prefix into the match and validates the
 // spec's shape.

@@ -376,9 +376,6 @@ func LinearFit(xs, ys []float64) (Linear, error) {
 	return Linear{Slope: slope, Intercept: intercept, R2: r2, SlopeSE: slopeSE, N: len(xs)}, nil
 }
 
-// At evaluates the fitted line at x.
-func (l Linear) At(x float64) float64 { return l.Slope*x + l.Intercept }
-
 // SolveFor returns the x at which the fitted line reaches y. It returns
 // NaN when the slope is zero.
 func (l Linear) SolveFor(y float64) float64 {
