@@ -362,16 +362,9 @@ func (a *PathAttrs) marshalAttrs(opts *Options) ([]byte, error) {
 	return dst, nil
 }
 
-// ParseAttrs decodes a standalone path attribute block — the encoding
-// between the attribute-length field and the NLRI of an UPDATE. MRT
-// TABLE_DUMP_V2 RIB entries store their attributes in exactly this
-// framing, which is what the bgppipe MRT reader feeds here.
-func ParseAttrs(data []byte, opts *Options) (PathAttrs, error) {
-	return parseAttrs(data, opts)
-}
-
-// MarshalAttrs encodes the attribute set in the standalone framing
-// ParseAttrs decodes (canonical ascending type-code order).
+// MarshalAttrs encodes the attribute set as a standalone path
+// attribute block — the encoding between an UPDATE's attribute-length
+// field and its NLRI (canonical ascending type-code order).
 func (a *PathAttrs) MarshalAttrs(opts *Options) ([]byte, error) {
 	return a.marshalAttrs(opts)
 }

@@ -2,6 +2,7 @@ package bgppipe
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"net/netip"
@@ -116,6 +117,73 @@ func TestMRTScannerRoundtrip(t *testing.T) {
 	}
 	if _, err := sc.Next(); err != io.EOF {
 		t.Fatalf("trailing Next: %v, want io.EOF", err)
+	}
+}
+
+// TestMRTScannerSkipsRIBSnapshots pins the scanner's contract that
+// BGP4MP is the one format replay reads: a TABLE_DUMP_V2 peer index
+// table and RIB record between two BGP4MP records are skipped like any
+// other record type, so the scanner yields exactly the two messages.
+func TestMRTScannerSkipsRIBSnapshots(t *testing.T) {
+	const (
+		tableDump2     = 13 // MRT type TABLE_DUMP_V2 (RFC 6396 §4.3)
+		peerIndexTable = 1
+		ribIPv4Unicast = 2
+	)
+	record := func(dst []byte, typ, sub uint16, body []byte) []byte {
+		dst = binary.BigEndian.AppendUint32(dst, 1700000000)
+		dst = binary.BigEndian.AppendUint16(dst, typ)
+		dst = binary.BigEndian.AppendUint16(dst, sub)
+		dst = binary.BigEndian.AppendUint32(dst, uint32(len(body)))
+		return append(dst, body...)
+	}
+	// PEER_INDEX_TABLE: collector ID, empty view name, one peer
+	// (4-octet AS, IPv4).
+	peers := []byte{80, 81, 192, 1, 0, 0, 0, 1, 0x02, 80, 81, 192, 30, 80, 81, 192, 30}
+	peers = binary.BigEndian.AppendUint32(peers, 65003)
+	attrs := bgp.PathAttrs{
+		Origin:  bgp.OriginIGP,
+		ASPath:  []bgp.ASPathSegment{{Type: bgp.ASSequence, ASNs: []uint32{65003}}},
+		NextHop: netip.MustParseAddr("80.81.192.30"),
+	}
+	attrWire, err := attrs.MarshalAttrs(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// RIB_IPV4_UNICAST: sequence, 192.0.2.0/24, one entry from peer 0.
+	rib := []byte{0, 0, 0, 0, 24, 192, 0, 2, 0, 1, 0, 0}
+	rib = binary.BigEndian.AppendUint32(rib, 1700000000)
+	rib = binary.BigEndian.AppendUint16(rib, uint16(len(attrWire)))
+	rib = append(rib, attrWire...)
+
+	fx := mrtFixture()
+	bgp4mp := func(dst []byte, r mrtFixtureRec) []byte {
+		out, err := AppendMRTMessage(dst, time.Unix(1700000000, 0), r.peerAS, 6695,
+			r.peerIP, netip.MustParseAddr("80.81.192.1"), r.msg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	dump := bgp4mp(nil, fx[0])
+	dump = record(dump, tableDump2, peerIndexTable, peers)
+	dump = record(dump, tableDump2, ribIPv4Unicast, rib)
+	dump = bgp4mp(dump, fx[1])
+
+	sc := NewMRTScanner(bytes.NewReader(dump))
+	var got []uint32
+	for {
+		rec, err := sc.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatalf("Next: %v", err)
+		}
+		got = append(got, rec.PeerAS)
+	}
+	if want := []uint32{65001, 65002}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("scanner yielded records from peers %v, want the two BGP4MP records %v", got, want)
 	}
 }
 

@@ -1,13 +1,12 @@
 // Package bgppipe is the wire-format BGP message pipeline: one typed
 // stream of *bgp.Message values with direction and per-message metadata,
 // processed by composable stages in the style of bgpfix/bgpipe. The
-// exchange runs two stages, and filters (fault injection) may sit
-// between them:
+// exchange runs two stages:
 //
 //	      RX (toward the route server)
-//	listen ──► [filters] ──► rsfeed ──► RouteServer
-//	   ▲                        │
-//	   └──── TX (exports) ◄─────┘
+//	listen ──────────► rsfeed ──► RouteServer
+//	   ▲                  │
+//	   └── TX (exports) ◄─┘
 //
 // Listen terminates the members' TCP sessions and injects what they
 // send as RX messages; RSFeed applies them to the route server and
@@ -16,8 +15,9 @@
 // direction is an ordered callback line driven by one goroutine, so
 // stage processing within a direction is serialized and deterministic.
 //
-// Captures do not ride the pipe: MRTScanner and RISScanner are
-// RecordSources that engine.ReplayEvents schedules onto the tick clock.
+// Captures do not ride the pipe: MRTScanner is the RecordSource that
+// engine.ReplayEvents schedules onto the tick clock, and wire faults
+// filter that source (faults.(*Injector).FilterSource), not the pipe.
 package bgppipe
 
 import (
@@ -107,10 +107,6 @@ type Msg struct {
 	Event Event
 	// Err carries the terminal session error on EventPeerDown.
 	Err error
-	// Reinjected marks a message re-queued by Pipe.Reinject (a fault
-	// filter duplicating or delaying it); filters skip such messages so
-	// a duplicate is never re-duplicated.
-	Reinjected bool
 }
 
 // Update returns the message as an *bgp.Update, or nil.
@@ -175,9 +171,6 @@ type line struct {
 	handlers []Handler
 	seq      uint64
 	mu       sync.Mutex // guards seq against concurrent Send
-	// inject holds messages re-queued by Reinject; touched only on the
-	// drain goroutine (handlers run there), so it needs no lock.
-	inject []*Msg
 }
 
 // Pipe carries the two directed message streams and the attached
@@ -258,26 +251,6 @@ func (p *Pipe) Send(dir Dir, m *Msg) error {
 	}
 }
 
-// Reinject re-queues a message onto dir's line, to be processed by the
-// full handler chain after the message currently in flight (and any
-// previously reinjected ones). It must only be called from a handler on
-// that same line — fault filters use it to duplicate or delay messages
-// without deadlocking on the bounded channel they are drained from. The
-// message is marked Reinjected.
-func (p *Pipe) Reinject(dir Dir, m *Msg) {
-	l := p.lines[dir]
-	m.Dir = dir
-	m.Reinjected = true
-	l.mu.Lock()
-	l.seq++
-	m.Seq = l.seq
-	l.mu.Unlock()
-	if m.Time.IsZero() {
-		m.Time = time.Now()
-	}
-	l.inject = append(l.inject, m)
-}
-
 // Start launches the line goroutines and every stage's Run. The RX line
 // closes once all stage Runs returned; the TX line closes after the RX
 // line drained (RX handlers — the rsfeed — are TX producers).
@@ -345,21 +318,11 @@ func (l *line) drain() {
 	}
 }
 
-// handle runs one message — and everything it reinjects — through the
-// handler chain.
+// handle runs one message through the handler chain.
 func (l *line) handle(m *Msg) {
 	for _, h := range l.handlers {
 		if !h(m) {
 			break
-		}
-	}
-	for len(l.inject) > 0 {
-		q := l.inject[0]
-		l.inject = l.inject[1:]
-		for _, h := range l.handlers {
-			if !h(q) {
-				break
-			}
 		}
 	}
 }

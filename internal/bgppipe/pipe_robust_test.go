@@ -74,66 +74,6 @@ func TestSendDuringShutdownNeverPanics(t *testing.T) {
 	}
 }
 
-// TestReinjectOrdering pins Reinject semantics: a reinjected message is
-// processed by the full handler chain after the in-flight message, is
-// marked Reinjected, and filters skipping Reinjected messages never
-// re-duplicate a duplicate.
-func TestReinjectOrdering(t *testing.T) {
-	p := New(Options{Buffer: 8})
-	var mu sync.Mutex
-	var seen []string
-	// Handler 1: duplicate every original keepalive once.
-	p.OnMsg(DirRX, func(m *Msg) bool {
-		if !m.Reinjected {
-			p.Reinject(DirRX, &Msg{Peer: m.Peer, BGP: m.BGP})
-		}
-		return true
-	})
-	// Handler 2: record arrival order.
-	p.OnMsg(DirRX, func(m *Msg) bool {
-		mu.Lock()
-		tag := m.Peer
-		if m.Reinjected {
-			tag += "+dup"
-		}
-		seen = append(seen, tag)
-		mu.Unlock()
-		return true
-	})
-	p.Attach(&namedSrc{peers: []string{"a", "b"}})
-	p.Start()
-	p.Wait()
-	mu.Lock()
-	defer mu.Unlock()
-	want := []string{"a", "a+dup", "b", "b+dup"}
-	if len(seen) != len(want) {
-		t.Fatalf("seen %v, want %v", seen, want)
-	}
-	for i := range want {
-		if seen[i] != want[i] {
-			t.Fatalf("order %v, want %v", seen, want)
-		}
-	}
-}
-
-// namedSrc pushes one keepalive per listed peer.
-type namedSrc struct {
-	peers []string
-	pipe  *Pipe
-}
-
-func (s *namedSrc) Name() string         { return "named-src" }
-func (s *namedSrc) Attach(p *Pipe) error { s.pipe = p; return nil }
-func (s *namedSrc) Stop() error          { return nil }
-func (s *namedSrc) Run() error {
-	for _, peer := range s.peers {
-		if err := s.pipe.Send(DirRX, &Msg{Peer: peer, BGP: &bgp.Keepalive{}}); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // TestShutdownGoroutineLeaks runs full pipe lifecycles (including a live
 // TCP session on a listen stage) and checks the goroutine count returns
 // to its baseline — the shutdown paths leak nothing.

@@ -116,6 +116,12 @@ func TestValidateCatchesBadProfiles(t *testing.T) {
 			p.Victims[0].Sources[0] = SourceSpec{Kind: "trace", RatesBps: []float64{1e9},
 				SegmentTicks: p.Run.Ticks + 1, Peers: PeerRange{From: 1, Count: 1}}
 		}},
+		{"replay start before run", func(p *Profile) {
+			p.Replay = &ReplaySpec{StartTick: -5, Records: []ReplayRecord{{Member: 1}}}
+		}},
+		{"replay start past end", func(p *Profile) {
+			p.Replay = &ReplaySpec{StartTick: p.Run.Ticks, Records: []ReplayRecord{{Member: 1}}}
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -225,14 +225,13 @@ type CarpetSpec struct {
 
 // ReplaySpec synthesizes an MRT capture from declarative records and
 // replays it onto the control spine through engine.ReplayEvents.
+// Capture time plays at simulated speed, unclamped: a record whose
+// at_sec lands past the run's last tick never fires.
 type ReplaySpec struct {
-	StartTick int `json:"start_tick,omitempty"`
-	// Speed compresses capture time (capture seconds per simulated
-	// second, default 1).
-	Speed float64 `json:"speed,omitempty"`
-	// MaxTick clamps records mapping past it (0: unclamped).
-	MaxTick int            `json:"max_tick,omitempty"`
-	Records []ReplayRecord `json:"records"`
+	// StartTick is the tick the capture's first record lands on; it
+	// must lie inside the run.
+	StartTick int            `json:"start_tick,omitempty"`
+	Records   []ReplayRecord `json:"records"`
 }
 
 // ReplayRecord is one captured BGP event: a member announcing (or
@@ -455,6 +454,9 @@ func (p *Profile) Validate() error {
 	if p.Replay != nil {
 		if len(p.Replay.Records) == 0 {
 			return fail("replay has no records")
+		}
+		if st := p.Replay.StartTick; st < 0 || st >= p.Run.Ticks {
+			return fail("replay start_tick %d outside run [0,%d)", st, p.Run.Ticks)
 		}
 		for i, r := range p.Replay.Records {
 			if r.Member < 0 || r.Member >= p.Topology.Members {

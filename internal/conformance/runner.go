@@ -391,8 +391,6 @@ func (r *runner) replayEvents() ([]engine.Event, error) {
 	return engine.ReplayEvents(src, engine.ReplayConfig{
 		StartTick:   p.Replay.StartTick,
 		TickSeconds: dt,
-		Speed:       p.Replay.Speed,
-		MaxTick:     p.Replay.MaxTick,
 		Apply:       r.applyReplay,
 	})
 }

@@ -123,11 +123,11 @@ func replayTimes(t testing.TB, offsets []time.Duration) []byte {
 	return dump
 }
 
-// TestReplayDriverClampAndSpeedEdges pins the capture-time resampling
-// at its boundaries: MaxTick clamps without dropping records, Speed
-// scales the elapsed-time divisor exactly at tick boundaries, and
-// non-positive Speed falls back to 1.
-func TestReplayDriverClampAndSpeedEdges(t *testing.T) {
+// TestReplayDriverTickEdges pins the capture-time-to-tick mapping at
+// its boundaries: elapsed time divides by the tick length exactly at
+// tick boundaries, StartTick offsets every record, and a capture
+// longer than the run is scheduled in full, never clamped.
+func TestReplayDriverTickEdges(t *testing.T) {
 	sec := func(ds ...float64) []time.Duration {
 		out := make([]time.Duration, len(ds))
 		for i, d := range ds {
@@ -141,30 +141,21 @@ func TestReplayDriverClampAndSpeedEdges(t *testing.T) {
 		cfg       ReplayConfig
 		wantTicks []int // scheduled tick per record, in stream order
 	}{
-		{"max tick clamps tail records", sec(0, 5, 50, 500),
-			ReplayConfig{TickSeconds: 1, MaxTick: 10},
-			[]int{0, 5, 10, 10}},
-		{"zero max tick leaves schedule unclamped", sec(0, 500),
+		{"long capture is not clamped", sec(0, 5, 500),
 			ReplayConfig{TickSeconds: 1},
-			[]int{0, 500}},
-		{"clamp composes with start tick", sec(0, 100),
-			ReplayConfig{TickSeconds: 1, StartTick: 4, MaxTick: 7},
-			[]int{4, 7}},
-		{"speed 2 halves the tick span", sec(0, 1, 2, 10),
-			ReplayConfig{TickSeconds: 1, Speed: 2},
-			[]int{0, 0, 1, 5}},
-		{"exact boundary lands on the later tick", sec(0, 4),
-			ReplayConfig{TickSeconds: 2, Speed: 2},
+			[]int{0, 5, 500}},
+		{"start tick offsets every record", sec(0, 100),
+			ReplayConfig{TickSeconds: 1, StartTick: 4},
+			[]int{4, 104}},
+		{"exact boundary lands on the later tick", sec(0, 2),
+			ReplayConfig{TickSeconds: 2},
 			[]int{0, 1}},
-		{"just under the boundary stays on the earlier tick", sec(0, 3.999),
-			ReplayConfig{TickSeconds: 2, Speed: 2},
+		{"just under the boundary stays on the earlier tick", sec(0, 1.999),
+			ReplayConfig{TickSeconds: 2},
 			[]int{0, 0}},
-		{"slow-motion speed stretches the capture", sec(0, 1, 2),
-			ReplayConfig{TickSeconds: 1, Speed: 0.5},
+		{"sub-second ticks stretch the capture", sec(0, 1, 2),
+			ReplayConfig{TickSeconds: 0.5},
 			[]int{0, 2, 4}},
-		{"non-positive speed falls back to real time", sec(0, 3),
-			ReplayConfig{TickSeconds: 1, Speed: -1},
-			[]int{0, 3}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -172,7 +163,7 @@ func TestReplayDriverClampAndSpeedEdges(t *testing.T) {
 			cfg.Apply = func(bgppipe.Record) error { return nil }
 			_, got := replay(t, bgppipe.NewMRTScanner(bytes.NewReader(replayTimes(t, c.offsets))), cfg)
 			if len(got) != len(c.wantTicks) {
-				t.Fatalf("scheduled %v, want %v (clamping must not drop)", got, c.wantTicks)
+				t.Fatalf("scheduled %v, want %v", got, c.wantTicks)
 			}
 			for i := range got {
 				if got[i] != c.wantTicks[i] {

@@ -8,8 +8,8 @@
 //   - mitctl.Config.InstallHook (per-attempt install failures),
 //   - hw.EdgeRouter.SetReserved (TCAM squeeze) and
 //     mitctl.Controller.SetQueueStalled (queue stall) via tick windows,
-//   - a bgppipe.Stage wrapping a live wire line, and a
-//     bgppipe.RecordSource filter for capture replay (wire faults),
+//   - a bgppipe.RecordSource filter for capture replay (wire faults:
+//     FilterSource, the one place they happen),
 //   - one engine event per tick (Events) firing the tick windows on
 //     the spine before each control tick.
 //
@@ -55,15 +55,15 @@ const (
 	// start and back up at the end (Hooks.PeerDown / Hooks.PeerUp).
 	// Window bounds are engine ticks.
 	KindSessionFlap = "session_flap"
-	// KindWireDrop drops wire messages with probability Prob. Window
-	// bounds are per-direction message indices, not ticks.
+	// KindWireDrop drops replayed records with probability Prob. Window
+	// bounds are record indices, not ticks.
 	KindWireDrop = "wire_drop"
-	// KindWireDuplicate re-delivers wire messages with probability Prob
-	// (the duplicate runs the full handler chain after the original,
-	// marked Reinjected). Window bounds are message indices.
+	// KindWireDuplicate re-delivers replayed records with probability
+	// Prob (the duplicate follows the original and is not re-faulted).
+	// Window bounds are record indices.
 	KindWireDuplicate = "wire_duplicate"
-	// KindWireDelay holds messages back and releases them DelayMsgs
-	// messages later — bounded reordering. Window bounds are message
+	// KindWireDelay holds records back and releases them DelayMsgs
+	// records later — bounded reordering. Window bounds are record
 	// indices.
 	KindWireDelay = "wire_delay"
 )
@@ -82,7 +82,7 @@ var ErrInjected = errors.New("faults: injected transient install failure")
 
 // Fault is one scheduled fault. From/To bound its active window
 // half-open [From, To) — in engine ticks for control-plane faults, in
-// per-direction message indices for wire faults.
+// replayed record indices for wire faults.
 type Fault struct {
 	Kind string `json:"kind"`
 	From int    `json:"from"`
@@ -190,7 +190,7 @@ type Hooks struct {
 // Injection is one recorded fault activation.
 type Injection struct {
 	Seq int `json:"seq"`
-	// At is the engine tick (control-plane faults) or the message index
+	// At is the engine tick (control-plane faults) or the record index
 	// (wire faults) the injection fired at.
 	At     int    `json:"at"`
 	Kind   string `json:"kind"`
@@ -198,8 +198,8 @@ type Injection struct {
 }
 
 // Injector executes a plan. Build with NewInjector; wire its hooks into
-// the run (InstallHook, Events, WireStage, FilterSource) and read
-// the injection log afterwards.
+// the run (InstallHook, Events, FilterSource) and read the injection
+// log afterwards.
 type Injector struct {
 	plan  Plan
 	hooks Hooks
@@ -369,88 +369,6 @@ func (inj *Injector) Events(ticks int) []engine.Event {
 		}}
 	}
 	return evs
-}
-
-// WireStage returns a bgppipe stage injecting the plan's wire faults on
-// one direction's line. Attach it before the consumers whose view
-// should see the faulty wire (handlers run in attach order). Reinjected
-// messages — including this stage's own duplicates and delayed
-// releases — pass through unfaulted.
-func (inj *Injector) WireStage(dir bgppipe.Dir) bgppipe.Stage {
-	return &wireStage{inj: inj, dir: dir}
-}
-
-type wireStage struct {
-	inj  *Injector
-	dir  bgppipe.Dir
-	pipe *bgppipe.Pipe
-	// count and held are touched only on the line's drain goroutine.
-	count int
-	held  []*bgppipe.Msg
-}
-
-func (w *wireStage) Name() string {
-	if w.dir == bgppipe.DirTX {
-		return "faults:wire:tx"
-	}
-	return "faults:wire:rx"
-}
-
-func (w *wireStage) Attach(p *bgppipe.Pipe) error {
-	w.pipe = p
-	p.OnMsg(w.dir, w.handle)
-	return nil
-}
-
-func (w *wireStage) Run() error  { return nil }
-func (w *wireStage) Stop() error { return nil }
-
-// handle applies drop/duplicate/delay to one message. Returning false
-// stops the chain — the message vanishes from every later handler, i.e.
-// it was lost on the wire.
-func (w *wireStage) handle(m *bgppipe.Msg) bool {
-	if m.Reinjected {
-		return true
-	}
-	idx := w.count
-	w.count++
-	inj := w.inj
-	inj.mu.Lock()
-	for i := range inj.plan.Faults {
-		f := &inj.plan.Faults[i]
-		if idx < f.From || idx >= f.To {
-			continue
-		}
-		switch f.Kind {
-		case KindWireDrop:
-			if p := f.Prob; p > 0 && p < 1 && inj.rngs[i].Float64() >= p {
-				continue
-			}
-			inj.record(idx, f.Kind, fmt.Sprintf("drop %s msg %d", m.Peer, idx))
-			inj.mu.Unlock()
-			return false
-		case KindWireDuplicate:
-			if p := f.Prob; p > 0 && p < 1 && inj.rngs[i].Float64() >= p {
-				continue
-			}
-			inj.record(idx, f.Kind, fmt.Sprintf("dup %s msg %d", m.Peer, idx))
-			dup := *m
-			w.pipe.Reinject(w.dir, &dup)
-		case KindWireDelay:
-			inj.record(idx, f.Kind, fmt.Sprintf("hold %s msg %d", m.Peer, idx))
-			held := *m
-			w.held = append(w.held, &held)
-			if len(w.held) > f.DelayMsgs {
-				release := w.held[0]
-				w.held = w.held[1:]
-				w.pipe.Reinject(w.dir, release)
-			}
-			inj.mu.Unlock()
-			return false
-		}
-	}
-	inj.mu.Unlock()
-	return true
 }
 
 // FilterSource wraps a replay record source with the plan's wire

@@ -139,26 +139,21 @@ func comparePortMap(t *testing.T, what string, want, got map[uint16]float64, nea
 }
 
 // TestCollectorEquivalenceSerial pins the sharded collector to the map
-// baseline over a single observation stream — including SampleEvery > 1,
-// where the 1-in-N counter subsequence must match record for record.
+// baseline over a single observation stream.
 func TestCollectorEquivalenceSerial(t *testing.T) {
-	for _, se := range []int{1, 3, 7} {
-		for trial := 0; trial < 5; trial++ {
-			rng := rand.New(rand.NewSource(int64(100*se + trial)))
-			recs := randRecords(rng, 3000, 24) // 24 bins >> ring size: rotation exercised
-			oldC := NewMapCollector()
-			oldC.SampleEvery = se
-			newC := NewCollectorShards(4)
-			newC.SampleEvery = se
-			for _, r := range recs {
-				oldC.Observe(r)
-				newC.Observe(r)
-			}
-			// Serial streams share association order except across ring
-			// flushes; a tiny relative tolerance absorbs the float
-			// re-association.
-			compareCollectors(t, oldC, newC, 1e-12)
+	for trial := 0; trial < 5; trial++ {
+		rng := rand.New(rand.NewSource(int64(100 + trial)))
+		recs := randRecords(rng, 3000, 24) // 24 bins >> ring size: rotation exercised
+		oldC := NewMapCollector()
+		newC := NewCollectorShards(4)
+		for _, r := range recs {
+			oldC.Observe(r)
+			newC.Observe(r)
 		}
+		// Serial streams share association order except across ring
+		// flushes; a tiny relative tolerance absorbs the float
+		// re-association.
+		compareCollectors(t, oldC, newC, 1e-12)
 	}
 }
 
@@ -260,36 +255,33 @@ func TestShardObserveFlowMatchesObserve(t *testing.T) {
 // TestShardObserveDeliveredMatchesObserveFlow pins the engine's batch
 // entry point to one ObserveFlow per delivery: a port's delivered flows
 // observed as one batch per bin, under one lock, fold into the same
-// counters, bit for bit, including under 1-in-N sampling.
+// counters, bit for bit.
 func TestShardObserveDeliveredMatchesObserveFlow(t *testing.T) {
-	for _, every := range []int{1, 3} {
-		rng := rand.New(rand.NewSource(17))
-		recs := randRecords(rng, 2000, 2*ringBins)
-		sort.SliceStable(recs, func(i, j int) bool { return recs[i].Bin < recs[j].Bin })
-		perFlow, batched := NewCollectorShards(2), NewCollectorShards(2)
-		perFlow.SampleEvery, batched.SampleEvery = every, every
-		var batch []fabric.Delivery
-		offers := make([]fabric.Offer, len(recs))
-		for i, r := range recs {
-			perFlow.Shard(1).ObserveFlow(r.Bin, r.Key, r.Bytes)
-			offers[i] = fabric.Offer{Flow: r.Key}
-			batch = append(batch, fabric.Delivery{Offer: &offers[i], Bytes: r.Bytes})
-			if i+1 == len(recs) || recs[i+1].Bin != r.Bin {
-				batched.Shard(1).ObserveDelivered(r.Bin, batch)
-				batch = batch[:0]
-			}
+	rng := rand.New(rand.NewSource(17))
+	recs := randRecords(rng, 2000, 2*ringBins)
+	sort.SliceStable(recs, func(i, j int) bool { return recs[i].Bin < recs[j].Bin })
+	perFlow, batched := NewCollectorShards(2), NewCollectorShards(2)
+	var batch []fabric.Delivery
+	offers := make([]fabric.Offer, len(recs))
+	for i, r := range recs {
+		perFlow.Shard(1).ObserveFlow(r.Bin, r.Key, r.Bytes)
+		offers[i] = fabric.Offer{Flow: r.Key}
+		batch = append(batch, fabric.Delivery{Offer: &offers[i], Bytes: r.Bytes})
+		if i+1 == len(recs) || recs[i+1].Bin != r.Bin {
+			batched.Shard(1).ObserveDelivered(r.Bin, batch)
+			batch = batch[:0]
 		}
-		view := func(c *Collector) string {
-			bins, totals := c.Series()
-			out := fmt.Sprint(bins, totals, c.TopSrcPorts(5))
-			for _, b := range bins {
-				out += fmt.Sprint(c.PeerCount(b, 0), c.DstPortShares(b), c.ProtoShares(b))
-			}
-			return out
+	}
+	view := func(c *Collector) string {
+		bins, totals := c.Series()
+		out := fmt.Sprint(bins, totals, c.TopSrcPorts(5))
+		for _, b := range bins {
+			out += fmt.Sprint(c.PeerCount(b, 0), c.DstPortShares(b), c.ProtoShares(b))
 		}
-		if got, want := view(batched), view(perFlow); got != want {
-			t.Fatalf("SampleEvery %d: batched observation diverged:\n%s\nper flow:\n%s", every, got, want)
-		}
+		return out
+	}
+	if got, want := view(batched), view(perFlow); got != want {
+		t.Fatalf("batched observation diverged:\n%s\nper flow:\n%s", got, want)
 	}
 }
 

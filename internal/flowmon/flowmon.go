@@ -93,13 +93,6 @@ func rankPorts(agg map[uint16]float64, total float64, k int) []PortRank {
 // any number of goroutines may call Observe/ObserveBatch (or write to
 // distinct Shards) while others read the accessors.
 type Collector struct {
-	// SampleEvery subsamples records (IPFIX samples 1-in-N packets in
-	// production); 1 observes everything. Each shard keeps its own
-	// 1-in-N counter, so a single observation stream keeps exactly every
-	// Nth record. Set it before the first observation; it must not be
-	// changed while observers run.
-	SampleEvery int
-
 	shards []*Shard
 	rr     atomic.Uint32 // round-robin batch placement
 
@@ -111,8 +104,8 @@ type Collector struct {
 	st store
 }
 
-// NewCollector returns an empty collector observing every record, with
-// one shard per GOMAXPROCS worker.
+// NewCollector returns an empty collector with one shard per
+// GOMAXPROCS worker.
 func NewCollector() *Collector { return NewCollectorShards(runtime.GOMAXPROCS(0)) }
 
 // NewCollectorShards returns an empty collector with n shards (n < 1 is
@@ -121,7 +114,7 @@ func NewCollectorShards(n int) *Collector {
 	if n < 1 {
 		n = 1
 	}
-	c := &Collector{SampleEvery: 1}
+	c := &Collector{}
 	c.horizon.Store(int64(^uint64(0) >> 1)) // unbounded
 	c.shards = make([]*Shard, n)
 	for i := range c.shards {
@@ -139,8 +132,7 @@ func (c *Collector) Shard(i int) *Shard {
 	return c.shards[uint(i)%uint(len(c.shards))]
 }
 
-// Observe adds one record. Serial callers get exact 1-in-SampleEvery
-// sampling (all records flow through shard 0's counter).
+// Observe adds one record on shard 0.
 func (c *Collector) Observe(r Record) { c.shards[0].Observe(r) }
 
 // ObserveBatch adds a batch of records on one shard (chosen round-robin

@@ -166,18 +166,6 @@ func TestShardAnyIndex(t *testing.T) {
 	}
 }
 
-func TestSampling(t *testing.T) {
-	c := NewCollector()
-	c.SampleEvery = 10
-	for i := 0; i < 100; i++ {
-		c.Observe(rec(0, macA, netpkt.ProtoUDP, 123, 443, 10))
-	}
-	// Exactly 1 in 10 observed.
-	if got := c.TotalBytes(0); got != 100 {
-		t.Fatalf("sampled bytes: %v", got)
-	}
-}
-
 func TestAccumulationAcrossObserve(t *testing.T) {
 	c := NewCollector()
 	for i := 0; i < 5; i++ {

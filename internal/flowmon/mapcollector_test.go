@@ -12,10 +12,6 @@ import (
 // concurrent use — the design the sharded, two-tier pipeline replaced.
 type MapCollector struct {
 	bins map[int]*binAgg
-	// SampleEvery subsamples records (IPFIX samples 1-in-N packets in
-	// production); 1 observes everything.
-	SampleEvery int
-	counter     int
 }
 
 // binAgg accumulates one bin's counters.
@@ -30,15 +26,11 @@ type binAgg struct {
 // NewMapCollector returns an empty reference collector observing every
 // record.
 func NewMapCollector() *MapCollector {
-	return &MapCollector{bins: make(map[int]*binAgg), SampleEvery: 1}
+	return &MapCollector{bins: make(map[int]*binAgg)}
 }
 
 // Observe adds one record.
 func (c *MapCollector) Observe(r Record) {
-	c.counter++
-	if c.SampleEvery > 1 && c.counter%c.SampleEvery != 0 {
-		return
-	}
 	b := c.bins[r.Bin]
 	if b == nil {
 		b = &binAgg{

@@ -19,10 +19,9 @@ const ringBins = 4
 // geometrically and are reused after every flush); a batch takes the
 // shard lock once.
 type Shard struct {
-	c       *Collector
-	mu      sync.Mutex
-	counter int
-	slots   [ringBins]shardBin
+	c     *Collector
+	mu    sync.Mutex
+	slots [ringBins]shardBin
 }
 
 // shardBin accumulates one time bin inside a shard.
@@ -81,10 +80,6 @@ func (s *Shard) ObserveDelivered(bin int, delivered []fabric.Delivery) {
 
 // observe is the hot path; callers hold s.mu.
 func (s *Shard) observe(bin int, key *netpkt.FlowKey, bytes float64) {
-	s.counter++
-	if se := s.c.SampleEvery; se > 1 && s.counter%se != 0 {
-		return
-	}
 	b := &s.slots[uint(bin)%ringBins]
 	if !b.used {
 		b.used = true
