@@ -183,7 +183,7 @@ func TestDaemonEndToEnd(t *testing.T) {
 	}
 	waitFor(t, "rule install", func() bool { return port.RuleCount() == 1 })
 	if got := len(d.x.Mitigations.Active()); got != 1 {
-		t.Fatalf("live mitigations: %d (controller errors: %v)", got, d.x.Mitigations.Errors())
+		t.Fatalf("live mitigations: %d (controller errors: %v)", got, d.x.Mitigations.GlassErrors())
 	}
 
 	// Signal-to-drop: an NTP reflection flow and a web flow from the

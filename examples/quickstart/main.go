@@ -98,5 +98,5 @@ func main() {
 
 	// The mitigation is a first-class lifecycle object: the looking
 	// glass lists it with its owner and cumulative effect.
-	fmt.Print(x.RS.GlassMitigations())
+	fmt.Print(x.Mitigations.GlassMitigations("", x.Clock()))
 }

@@ -75,10 +75,14 @@ func TestSignalPropagation(t *testing.T) {
 	}
 	// Looking-glass provenance: a remote exchange shows the federated
 	// install as relayed, the origin as local.
-	if g := fed.cfg.Exchanges[9].IXP.RS.GlassMitigations(); !strings.Contains(g, "origin via ixp0") {
+	glass := func(i int) string {
+		x := fed.cfg.Exchanges[i].IXP
+		return x.Mitigations.GlassMitigations("", x.Clock())
+	}
+	if g := glass(9); !strings.Contains(g, "origin via ixp0") {
 		t.Fatalf("exchange 9 looking glass lacks gossip provenance:\n%s", g)
 	}
-	if g := fed.cfg.Exchanges[0].IXP.RS.GlassMitigations(); !strings.Contains(g, "origin local") {
+	if g := glass(0); !strings.Contains(g, "origin local") {
 		t.Fatalf("exchange 0 looking glass lacks local provenance:\n%s", g)
 	}
 }

@@ -41,7 +41,7 @@ func TestGlassErrorsWiredToController(t *testing.T) {
 	}
 
 	// Before any failure the glass shows clean counters.
-	if got := x.RS.GlassErrors(); !strings.Contains(got, "install errors: f1 0 f2 0") {
+	if got := x.Mitigations.GlassErrors(); !strings.Contains(got, "install errors: f1 0 f2 0") {
 		t.Fatalf("pre-failure glass:\n%s", got)
 	}
 
@@ -56,7 +56,7 @@ func TestGlassErrorsWiredToController(t *testing.T) {
 	// Drain the change queue: the install attempt hits the hook and fails.
 	x.ControlTick(0, 1)
 
-	got := x.RS.GlassErrors()
+	got := x.Mitigations.GlassErrors()
 	if !strings.Contains(got, "f1 1 ") {
 		t.Fatalf("F1 counter not surfaced:\n%s", got)
 	}

@@ -191,8 +191,6 @@ func Build(cfg Config) (*IXP, error) {
 		x.RS.Subscribe(func(ev routeserver.ControllerEvent) {
 			x.Community.HandleEvent(ev, x.Clock())
 		})
-		x.RS.SetMitigationSource(x.mitigationRows)
-		x.RS.SetErrorSource(x.errorSummary)
 	}
 	return x, nil
 }
@@ -235,23 +233,6 @@ func (x *IXP) Join(m *member.Member) error {
 	return nil
 }
 
-// errorSummary feeds the route server's looking glass with the
-// controller's install-failure telemetry.
-func (x *IXP) errorSummary() routeserver.ErrorSummary {
-	if x.Mitigations == nil {
-		return routeserver.ErrorSummary{}
-	}
-	ec := x.Mitigations.ErrorClasses()
-	s := routeserver.ErrorSummary{
-		F1: ec.F1, F2: ec.F2, QoS: ec.QoS,
-		QueueDeadline: ec.QueueDeadline, Other: ec.Other,
-	}
-	if ae, ok := x.Mitigations.LastError(); ok {
-		s.LastError = fmt.Sprintf("%s: %v", ae.Change, ae.Err)
-	}
-	return s
-}
-
 // PeerDown models a member's BGP session loss: the route server flushes
 // everything the member announced and the withdrawals propagate to the
 // population (RTBH null routes lift). The member stays registered — a
@@ -263,16 +244,6 @@ func (x *IXP) PeerDown(memberName string) error {
 	}
 	_, err := x.RS.HandleWithdrawAll(memberName)
 	return err
-}
-
-// mitigationRows feeds the route server's looking glass with the
-// controller's live mitigations, their remaining TTL and cumulative
-// data-plane effect.
-func (x *IXP) mitigationRows() []routeserver.MitigationRow {
-	if x.Mitigations == nil {
-		return nil
-	}
-	return mitctl.MitigationRows(x.Mitigations, x.Clock())
 }
 
 // RequestMitigation is the direct (API/portal) signaling channel: the
@@ -464,17 +435,21 @@ func (x *IXP) applyExports(exports []routeserver.PeerUpdates) {
 					withdraw(w.Prefix)
 				}
 			}
-			isBH := x.Cfg.BlackholeNextHop.IsValid() && u.Attrs.NextHop == x.Cfg.BlackholeNextHop
-			// Seeing the /32 at all requires accepting more specifics;
-			// acting on it requires blackhole support.
-			if !isBH || !m.HonorsRTBH() {
+			// Seeing the /32 or /128 at all requires accepting more
+			// specifics; acting on it requires blackhole support.
+			if !m.HonorsRTBH() {
 				continue
 			}
-			for _, a := range u.NLRI {
-				install(a.Prefix)
+			// Each family's NLRI rides with its own next hop: NEXT_HOP for
+			// IPv4, MP_REACH's (the blackholing IP's IPv4-mapped form) for
+			// IPv6.
+			if x.blackholes(u.Attrs.NextHop) {
+				for _, a := range u.NLRI {
+					install(a.Prefix)
+				}
 			}
-			if u.Attrs.MPReach != nil {
-				for _, a := range u.Attrs.MPReach.NLRI {
+			if mp := u.Attrs.MPReach; mp != nil && x.blackholes(mp.NextHop) {
+				for _, a := range mp.NLRI {
 					install(a.Prefix)
 				}
 			}
@@ -488,6 +463,12 @@ func (x *IXP) applyExports(exports []routeserver.PeerUpdates) {
 			x.nulls[m.Name] = routes
 		}
 	}
+}
+
+// blackholes reports whether next hop nh is the exchange's blackholing
+// IP, in either family's form.
+func (x *IXP) blackholes(nh netip.Addr) bool {
+	return x.Cfg.BlackholeNextHop.IsValid() && nh.Unmap() == x.Cfg.BlackholeNextHop
 }
 
 // NullRouted reports whether source member name currently null-routes

@@ -15,6 +15,7 @@ import (
 	"stellar/internal/member"
 	"stellar/internal/mitctl"
 	"stellar/internal/netpkt"
+	"stellar/internal/routeserver"
 	"stellar/internal/stats"
 	"stellar/internal/traffic"
 )
@@ -100,44 +101,91 @@ func TestBuildDuplicateMember(t *testing.T) {
 	}
 }
 
+// TestRTBHHonoringOnlyHonoringMembersNullRoute runs RTBH in both
+// families: the victim blackholes a host inside its announced covering
+// prefix, the route server exports it with the blackholing next hop in
+// the family's own form (IPv4 NEXT_HOP; for IPv6 a 16-byte MP_REACH
+// next hop, the blackholing IP's IPv4-mapped form), exactly the
+// honoring members null-route it, and the withdrawal lifts it.
 func TestRTBHHonoringOnlyHonoringMembersNullRoute(t *testing.T) {
-	x, members := buildTestIXP(t, 50, 0.3, false)
-	victim := members[0]
-	target := victimAddr(victim)
-	host := netip.PrefixFrom(target, 32)
-
-	// Victim announces its /24, then blackholes the /32.
-	if err := x.Announce(victim.Name, victim.Prefixes[0], nil, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := x.Announce(victim.Name, host, []bgp.Community{bgp.CommunityBlackhole}, nil); err != nil {
-		t.Fatal(err)
-	}
-
-	honoring := 0
-	for _, m := range members[1:] {
-		if m.HonorsRTBH() {
-			honoring++
-			if !x.NullRouted(m.Name, target) {
-				t.Fatalf("honoring member %s did not null-route", m.Name)
+	for _, tc := range []struct {
+		name   string
+		cover  netip.Prefix // zero: the victim's first IPv4 /24
+		target netip.Addr   // zero: .1 in that /24
+	}{
+		{name: "IPv4 /32"},
+		{name: "IPv6 /128", cover: netip.MustParsePrefix("2001:db8:100::/48"), target: netip.MustParseAddr("2001:db8:100::10")},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			x, members := buildTestIXP(t, 50, 0.3, false)
+			victim := members[0]
+			cover, target := victim.Prefixes[0], victimAddr(victim)
+			if tc.cover.IsValid() {
+				cover, target = tc.cover, tc.target
+				x.Policy.IRR.Register(victim.ASN, cover)
 			}
-		} else if x.NullRouted(m.Name, target) {
-			t.Fatalf("non-honoring member %s null-routed", m.Name)
-		}
-	}
-	if honoring == 0 {
-		t.Fatal("test needs at least one honoring member")
-	}
-	if got := x.NullRouteCount(target); got != honoring {
-		t.Fatalf("NullRouteCount: %d, want %d", got, honoring)
-	}
+			host := netip.PrefixFrom(target, target.BitLen())
+			var exported []*bgp.Update
+			x.RS.Subscribe(func(ev routeserver.ControllerEvent) {
+				for _, e := range ev.Exports {
+					exported = append(exported, e.Updates...)
+				}
+			})
 
-	// Withdrawal clears the null routes.
-	if err := x.Withdraw(victim.Name, host); err != nil {
-		t.Fatal(err)
-	}
-	if got := x.NullRouteCount(target); got != 0 {
-		t.Fatalf("null routes after withdraw: %d", got)
+			// Victim announces its covering prefix, then blackholes the host.
+			if err := x.Announce(victim.Name, cover, nil, nil); err != nil {
+				t.Fatal(err)
+			}
+			exported = nil
+			if err := x.Announce(victim.Name, host, []bgp.Community{bgp.CommunityBlackhole}, nil); err != nil {
+				t.Fatal(err)
+			}
+			if len(exported) == 0 {
+				t.Fatal("blackhole not exported")
+			}
+			for _, u := range exported {
+				wire, err := bgp.Marshal(u, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				msg, _, err := bgp.Unmarshal(wire, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				attrs := msg.(*bgp.Update).Attrs
+				if nh := attrs.NextHop; target.Is4() && nh != blackholeNH {
+					t.Fatalf("exported NEXT_HOP %v, want %v", nh, blackholeNH)
+				}
+				// A 4-byte MP_REACH next hop decodes as IPv4, a 16-byte one as IPv6.
+				if mp := attrs.MPReach; target.Is6() && (mp == nil || !mp.NextHop.Is6() || mp.NextHop.Unmap() != blackholeNH) {
+					t.Fatalf("exported MP_REACH %+v, want the 16-byte next hop %v", mp, netip.AddrFrom16(blackholeNH.As16()))
+				}
+			}
+
+			honoring := 0
+			for _, m := range members[1:] {
+				if got := x.NullRouted(m.Name, target); got != m.HonorsRTBH() {
+					t.Fatalf("member %s null-routes %v: %v, honors RTBH: %v", m.Name, host, got, m.HonorsRTBH())
+				}
+				if m.HonorsRTBH() {
+					honoring++
+				}
+			}
+			if honoring == 0 {
+				t.Fatal("test needs at least one honoring member")
+			}
+			if got := x.NullRouteCount(target); got != honoring {
+				t.Fatalf("NullRouteCount: %d, want %d", got, honoring)
+			}
+
+			// Withdrawal clears the null routes.
+			if err := x.Withdraw(victim.Name, host); err != nil {
+				t.Fatal(err)
+			}
+			if got := x.NullRouteCount(target); got != 0 {
+				t.Fatalf("null routes after withdraw: %d", got)
+			}
+		})
 	}
 }
 
@@ -215,7 +263,7 @@ func TestStellarEndToEndMitigation(t *testing.T) {
 	}
 	post := reports[victim.Name]
 	if post.Result.RuleDroppedBytes <= 0 {
-		t.Fatalf("rule did not drop: %+v (controller errs %v)", post.Result, x.Mitigations.Errors())
+		t.Fatalf("rule did not drop: %+v (controller errs %v)", post.Result, x.Mitigations.GlassErrors())
 	}
 	// Web traffic delivered in full: 4e8 bps = 5e7 bytes.
 	if post.Result.DeliveredBytes < 4.9e7 || post.Result.DeliveredBytes > 5.1e7 {
@@ -366,7 +414,7 @@ func TestIPv6BlackholingEndToEnd(t *testing.T) {
 	}
 	rep := reports[victim.Name]
 	if rep.Result.RuleDroppedBytes != 1e6 {
-		t.Fatalf("v6 rule drop: %v (controller errs: %v)", rep.Result.RuleDroppedBytes, x.Mitigations.Errors())
+		t.Fatalf("v6 rule drop: %v (controller errs: %v)", rep.Result.RuleDroppedBytes, x.Mitigations.GlassErrors())
 	}
 	if rep.Result.DeliveredBytes != 5e5 {
 		t.Fatalf("v6 benign delivered: %v", rep.Result.DeliveredBytes)
@@ -553,7 +601,7 @@ func TestMitigationTTLFromTickLoop(t *testing.T) {
 		t.Fatalf("rules at t=1: %d", port.RuleCount())
 	}
 	// The looking glass lists it with its remaining TTL.
-	glass := x.RS.GlassMitigations()
+	glass := x.Mitigations.GlassMitigations("", x.Clock())
 	if !strings.Contains(glass, m.ID) || !strings.Contains(glass, "owner "+victim.Name) {
 		t.Fatalf("looking glass:\n%s", glass)
 	}

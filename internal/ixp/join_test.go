@@ -71,7 +71,7 @@ func TestJoinAfterBuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := reports[late.Name].Result.RuleDroppedBytes; got != 1e6 {
-		t.Fatalf("rule dropped %v of 1e6 bytes (controller errors: %v)", got, x.Mitigations.Errors())
+		t.Fatalf("rule dropped %v of 1e6 bytes (controller errors: %v)", got, x.Mitigations.GlassErrors())
 	}
 	alloc, err := x.Router.Port(len(members))
 	if err != nil || alloc.QoSPolicies != 1 {
@@ -117,7 +117,7 @@ func TestJoinOnEmptyExchange(t *testing.T) {
 	x.ControlTick(0, 1)
 	port, _ := x.Fabric.PortByName(m.Name)
 	if port.RuleCount() != 1 || x.Mitigations.ErrorCount() != 0 {
-		t.Fatalf("rules %d, controller errors %v", port.RuleCount(), x.Mitigations.Errors())
+		t.Fatalf("rules %d, controller errors %v", port.RuleCount(), x.Mitigations.GlassErrors())
 	}
 	// A honoring member that joins later still reacts to RTBH exports.
 	honoring := lateMember(1)
@@ -177,7 +177,7 @@ func TestJoinConcurrent(t *testing.T) {
 			t.Error(err)
 		}
 	})
-	loop(func() { x.RS.Glass(host); x.RS.GlassMitigations() })
+	loop(func() { x.RS.Glass(host); x.Mitigations.GlassMitigations("", x.Clock()) })
 
 	var joiners sync.WaitGroup
 	for w := 0; w < 4; w++ {
@@ -202,7 +202,7 @@ func TestJoinConcurrent(t *testing.T) {
 
 	x.ControlTick(0, 1)
 	if n := x.Mitigations.ErrorCount(); n != 0 {
-		t.Fatalf("controller errors: %v", x.Mitigations.Errors())
+		t.Fatalf("controller errors: %v", x.Mitigations.GlassErrors())
 	}
 	for i := 0; i < joins; i++ {
 		m := lateMember(i)

@@ -299,7 +299,7 @@ func TestCommunityChannelPortalLookupFailure(t *testing.T) {
 	if len(ctl.Active()) != 0 {
 		t.Fatal("undefined portal rule installed something")
 	}
-	if len(ctl.Errors()) == 0 {
+	if ctl.ErrorCount() == 0 {
 		t.Fatal("portal lookup failure not recorded")
 	}
 }

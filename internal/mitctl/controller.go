@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"math"
 	"net/netip"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 
 	"stellar/internal/core"
@@ -322,9 +324,8 @@ type Controller struct {
 	version uint64
 	subs    []func(Event)
 
-	applied   int
-	applyErrs []core.ApplyError
-	errTotal  int
+	applied  int
+	errTotal int
 
 	errClasses ErrorClassCounts
 	lastErr    core.ApplyError
@@ -332,20 +333,13 @@ type Controller struct {
 	rng        *stats.Rand
 }
 
-// maxRetainedErrors bounds the error log for long-running deployments:
-// it keeps a recent window (oldest half dropped on overflow) instead of
-// growing for the controller's lifetime; rule-status entries are deleted
-// once their removal resolves.
-const maxRetainedErrors = 4096
-
+// noteApplyErrLocked counts a failed change: the controller keeps the
+// lifetime total, the per-class counters and the most recent error, not
+// a log, so a long-running deployment's error state stays a fixed size.
 func (c *Controller) noteApplyErrLocked(e core.ApplyError) {
 	c.errTotal++
 	c.lastErr = e
 	c.errClasses.classify(e.Err)
-	c.applyErrs = append(c.applyErrs, e)
-	if len(c.applyErrs) > maxRetainedErrors {
-		c.applyErrs = append(c.applyErrs[:0:0], c.applyErrs[len(c.applyErrs)-maxRetainedErrors/2:]...)
-	}
 }
 
 // New creates a Controller.
@@ -965,9 +959,6 @@ func (c *Controller) Get(id string) (Mitigation, bool) {
 	return Mitigation{}, false
 }
 
-// List returns every mitigation, sorted by ID.
-func (c *Controller) List() []Mitigation { return c.Snapshot().Mitigations }
-
 // Snapshot returns the versioned store view.
 func (c *Controller) Snapshot() Snapshot {
 	c.mu.Lock()
@@ -1043,6 +1034,50 @@ func (c *Controller) Usage(id string) (Usage, error) {
 	return u, nil
 }
 
+// GlassMitigations renders the looking glass's mitigation listing at
+// simulation time now — the view a member debugging its own blackholing
+// requests asks for (Section 4.3): every live mitigation of owner ("" lists
+// every owner), sorted by ID, with its state, provenance, remaining TTL
+// and the cumulative bytes its rules dropped and shaped.
+func (c *Controller) GlassMitigations(owner string, now float64) string {
+	rows := slices.DeleteFunc(c.Active(), func(m Mitigation) bool {
+		return owner != "" && m.Requester != owner
+	})
+	var b strings.Builder
+	fmt.Fprintf(&b, "mitigations: %d active\n", len(rows))
+	for _, m := range rows {
+		ttl := "-"
+		if r := m.TTLRemaining(now); r >= 0 {
+			ttl = fmt.Sprintf("%.0fs", r)
+		}
+		origin := "local"
+		if m.Origin != "" {
+			origin = "via " + m.Origin
+		}
+		u, _ := c.Usage(m.ID) // a manager without counters shows zero bytes
+		fmt.Fprintf(&b, "  %s owner %s state %s origin %s ttl %s dropped %d B shaped %d B\n",
+			m.ID, m.Requester, m.State, origin, ttl, u.DroppedBytes, u.ShapedResidue)
+	}
+	return b.String()
+}
+
+// GlassErrors renders the looking glass's install-failure summary — the
+// first stop when a member asks why its blackholing request is not
+// taking effect: the per-class counters and the most recent failed
+// change.
+func (c *Controller) GlassErrors() string {
+	c.mu.Lock()
+	ec, last, failed := c.errClasses, c.lastErr, c.errTotal > 0
+	c.mu.Unlock()
+	var b strings.Builder
+	fmt.Fprintf(&b, "install errors: f1 %d f2 %d qos %d queue-deadline %d other %d\n",
+		ec.F1, ec.F2, ec.QoS, ec.QueueDeadline, ec.Other)
+	if failed {
+		fmt.Fprintf(&b, "  last: %s: %v\n", last.Change, last.Err)
+	}
+	return b.String()
+}
+
 // PendingChanges returns the change-queue depth.
 func (c *Controller) PendingChanges() int {
 	c.mu.Lock()
@@ -1057,18 +1092,9 @@ func (c *Controller) AppliedChanges() int {
 	return c.applied
 }
 
-// Errors returns the accumulated apply and channel-compilation errors
-// (the most recent maxRetainedErrors of them; ErrorCount reports the
-// lifetime total).
-func (c *Controller) Errors() []core.ApplyError {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]core.ApplyError(nil), c.applyErrs...)
-}
-
 // ErrorCount returns the lifetime count of apply and compilation
-// errors, unaffected by the Errors retention window. Pollers use the
-// delta to log only errors they have not seen yet.
+// errors. Pollers use the delta to log only errors they have not seen
+// yet.
 func (c *Controller) ErrorCount() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -1076,8 +1102,8 @@ func (c *Controller) ErrorCount() int {
 }
 
 // noteError records a channel-compilation failure (e.g. a SelCustom
-// signal referencing a portal rule the member never defined) on the
-// error log without creating a mitigation.
+// signal referencing a portal rule the member never defined) in the
+// error counters without creating a mitigation.
 func (c *Controller) noteError(member string, target netip.Prefix, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -249,8 +249,8 @@ func TestExpiryRacingWithdraw(t *testing.T) {
 	if got.State != StateExpired {
 		t.Fatalf("state: %v", got.State)
 	}
-	if errs := ctl.Errors(); len(errs) != 0 {
-		t.Fatalf("double-removal errors: %v", errs)
+	if ctl.ErrorCount() != 0 {
+		t.Fatalf("double-removal errors:\n%s", ctl.GlassErrors())
 	}
 	if rc := ruleCount(t, h, memberName(0)); rc != 0 {
 		t.Fatalf("rules: %d", rc)
@@ -271,8 +271,8 @@ func TestExpiryRacingWithdraw(t *testing.T) {
 	if got2.State != StateWithdrawn {
 		t.Fatalf("state: %v", got2.State)
 	}
-	if errs := ctl.Errors(); len(errs) != 0 {
-		t.Fatalf("double-removal errors: %v", errs)
+	if ctl.ErrorCount() != 0 {
+		t.Fatalf("double-removal errors:\n%s", ctl.GlassErrors())
 	}
 }
 
@@ -419,7 +419,7 @@ func TestHardwareAdmissionRejection(t *testing.T) {
 	if got.State != StateRejected {
 		t.Fatalf("state: %v", got.State)
 	}
-	if got.LastError == "" || len(ctl.Errors()) == 0 {
+	if got.LastError == "" || ctl.ErrorCount() == 0 {
 		t.Fatal("hardware rejection lost its reason")
 	}
 	if rc := ruleCount(t, h, memberName(0)); rc != 0 {
@@ -430,10 +430,10 @@ func TestHardwareAdmissionRejection(t *testing.T) {
 	if err := ctl.Withdraw(m.ID, memberName(0), 2); err != nil {
 		t.Fatal(err)
 	}
-	before := len(ctl.Errors())
+	before := ctl.ErrorCount()
 	ctl.Process(3)
-	if len(ctl.Errors()) != before {
-		t.Fatalf("withdraw of rejected mitigation produced errors: %v", ctl.Errors())
+	if ctl.ErrorCount() != before {
+		t.Fatalf("withdraw of rejected mitigation produced errors:\n%s", ctl.GlassErrors())
 	}
 }
 
@@ -502,8 +502,8 @@ func TestRerequestOverlappingGenerations(t *testing.T) {
 	if got.State != StateActive {
 		t.Fatalf("state: %v", got.State)
 	}
-	if errs := ctl.Errors(); len(errs) != 0 {
-		t.Fatalf("errors: %v", errs)
+	if ctl.ErrorCount() != 0 {
+		t.Fatalf("errors:\n%s", ctl.GlassErrors())
 	}
 }
 

@@ -151,10 +151,3 @@ func (c *Controller) SetQueueStalled(stalled bool) {
 	c.stalled = stalled
 	c.mu.Unlock()
 }
-
-// QueueStalled reports whether the change queue is gated.
-func (c *Controller) QueueStalled() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.stalled
-}

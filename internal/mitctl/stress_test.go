@@ -98,8 +98,8 @@ func TestStressConcurrentLifecycle(t *testing.T) {
 			t.Fatalf("member %d holds %d rules after convergence", i, rc)
 		}
 	}
-	if errs := ctl.Errors(); len(errs) != 0 {
-		t.Fatalf("apply errors under stress: %v", errs[:min(3, len(errs))])
+	if n := ctl.ErrorCount(); n != 0 {
+		t.Fatalf("%d apply errors under stress:\n%s", n, ctl.GlassErrors())
 	}
 }
 

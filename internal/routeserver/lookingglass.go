@@ -10,7 +10,9 @@ import (
 // LookingGlass is the member-facing debugging interface the paper notes
 // route-server users rely on (Section 4.3): textual queries over the
 // route server's RIB, showing every path for a prefix with its
-// attributes and blackholing status.
+// attributes and blackholing status. The mitigations and install errors
+// a member's requests produced are the controller's to render
+// (mitctl.Controller.GlassMitigations and GlassErrors).
 
 // GlassEntry is one looking-glass result row.
 type GlassEntry struct {
@@ -53,118 +55,6 @@ func (rs *RouteServer) Glass(prefix netip.Prefix) []GlassEntry {
 		out = append(out, e)
 	}
 	return out
-}
-
-// MitigationRow is one active mitigation in the looking-glass view:
-// the lifecycle facts a member debugging its own blackholing request
-// wants to see. Rows come from the mitigation controller's snapshot via
-// the source installed with SetMitigationSource — the route server only
-// renders them, keeping the dependency pointing control-plane-down.
-type MitigationRow struct {
-	ID    string
-	Owner string
-	State string
-	// Origin is the exchange the request was relayed from ("" for a
-	// locally signaled mitigation) — federation provenance, so a member
-	// can tell its own requests from federated installs.
-	Origin string
-	// TTLRemaining is seconds until expiry; negative means no TTL.
-	TTLRemaining float64
-	// DroppedBytes / ShapedBytes are the mitigation's cumulative
-	// data-plane effect (its rules' telemetry counters).
-	DroppedBytes float64
-	ShapedBytes  float64
-}
-
-// MitigationSource supplies the current mitigation rows.
-type MitigationSource func() []MitigationRow
-
-// SetMitigationSource installs the mitigation-controller snapshot the
-// looking glass lists. Safe to call concurrently with queries.
-func (rs *RouteServer) SetMitigationSource(src MitigationSource) {
-	rs.mitSrc.Store(&src)
-}
-
-// GlassMitigations renders the active-mitigation listing: ID, owner,
-// TTL remaining and bytes dropped/shaped, sorted by ID.
-func (rs *RouteServer) GlassMitigations() string { return rs.GlassMitigationsFor("") }
-
-// GlassMitigationsFor is GlassMitigations restricted to one owner — the
-// view a member debugging its own blackholing requests asks the looking
-// glass for. An empty owner lists everything.
-func (rs *RouteServer) GlassMitigationsFor(owner string) string {
-	var b strings.Builder
-	srcp := rs.mitSrc.Load()
-	if srcp == nil {
-		b.WriteString("mitigations: no controller attached\n")
-		return b.String()
-	}
-	// Filter into a copy: the source may hand out a retained slice.
-	all := (*srcp)()
-	rows := make([]MitigationRow, 0, len(all))
-	for _, r := range all {
-		if owner == "" || r.Owner == owner {
-			rows = append(rows, r)
-		}
-	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].ID < rows[j].ID })
-	fmt.Fprintf(&b, "mitigations: %d active\n", len(rows))
-	for _, r := range rows {
-		ttl := "-"
-		if r.TTLRemaining >= 0 {
-			ttl = fmt.Sprintf("%.0fs", r.TTLRemaining)
-		}
-		origin := "local"
-		if r.Origin != "" {
-			origin = "via " + r.Origin
-		}
-		fmt.Fprintf(&b, "  %s owner %s state %s origin %s ttl %s dropped %.0f B shaped %.0f B\n",
-			r.ID, r.Owner, r.State, origin, ttl, r.DroppedBytes, r.ShapedBytes)
-	}
-	return b.String()
-}
-
-// ErrorSummary is the mitigation controller's failure telemetry as the
-// looking glass shows it: per-class install failure counters (the
-// paper's F1/F2 hardware exhaustion classes, QoS policy exhaustion,
-// change-queue deadline expiries) and the most recent apply error.
-type ErrorSummary struct {
-	F1            int
-	F2            int
-	QoS           int
-	QueueDeadline int
-	Other         int
-	// LastError describes the most recent failed change ("" if none).
-	LastError string
-}
-
-// ErrorSource supplies the current error summary.
-type ErrorSource func() ErrorSummary
-
-// SetErrorSource installs the controller error telemetry the looking
-// glass renders alongside the mitigation listing. Safe to call
-// concurrently with queries.
-func (rs *RouteServer) SetErrorSource(src ErrorSource) {
-	rs.errSrc.Store(&src)
-}
-
-// GlassErrors renders the controller's install-failure summary — the
-// first stop when a member asks why its blackholing request is not
-// taking effect.
-func (rs *RouteServer) GlassErrors() string {
-	var b strings.Builder
-	srcp := rs.errSrc.Load()
-	if srcp == nil {
-		b.WriteString("errors: no controller attached\n")
-		return b.String()
-	}
-	s := (*srcp)()
-	fmt.Fprintf(&b, "install errors: f1 %d f2 %d qos %d queue-deadline %d other %d\n",
-		s.F1, s.F2, s.QoS, s.QueueDeadline, s.Other)
-	if s.LastError != "" {
-		fmt.Fprintf(&b, "  last: %s\n", s.LastError)
-	}
-	return b.String()
 }
 
 // GlassDump renders the looking-glass view of a prefix (or, for an

@@ -124,12 +124,6 @@ type RouteServer struct {
 
 	table *rib.Table
 
-	// mitSrc feeds the looking glass's mitigation listing (set by the
-	// deployment wiring, e.g. ixp.Build).
-	mitSrc atomic.Pointer[MitigationSource]
-	// errSrc feeds the looking glass's controller error summary.
-	errSrc atomic.Pointer[ErrorSource]
-
 	rejMu    sync.Mutex
 	rejected []Rejection // the most recent maxRetainedRejections, oldest first
 	rejTotal int
@@ -535,7 +529,9 @@ func (rs *RouteServer) buildExportUpdate(prefix netip.Prefix, best *rib.Path) *b
 		if prefix.Addr().Is4() {
 			attrs.NextHop = rs.cfg.BlackholeNextHop
 		} else if attrs.MPReach != nil {
-			attrs.MPReach.NextHop = rs.cfg.BlackholeNextHop
+			// An IPv6 MP_REACH carries a 16-byte next hop: the
+			// blackholing IP's IPv4-mapped form.
+			attrs.MPReach.NextHop = netip.AddrFrom16(rs.cfg.BlackholeNextHop.As16())
 		}
 		attrs.AddCommunity(bgp.CommunityNoExport)
 	}

@@ -580,34 +580,6 @@ func TestLookingGlass(t *testing.T) {
 	}
 }
 
-func TestLookingGlassMitigations(t *testing.T) {
-	rs := newRS(t, peerCfg(0))
-	// No controller wired yet.
-	if got := rs.GlassMitigations(); !strings.Contains(got, "no controller") {
-		t.Fatalf("unwired glass: %s", got)
-	}
-	rows := []MitigationRow{
-		{ID: "mit:B:2", Owner: "B", State: "active", TTLRemaining: -1, DroppedBytes: 5e6},
-		{ID: "mit:A:1", Owner: "A", State: "active", TTLRemaining: 42, DroppedBytes: 1e9, ShapedBytes: 2e6},
-	}
-	rs.SetMitigationSource(func() []MitigationRow { return rows })
-	got := rs.GlassMitigations()
-	if !strings.Contains(got, "mitigations: 2 active") {
-		t.Fatalf("header: %s", got)
-	}
-	// Sorted by ID; TTL and byte columns rendered.
-	iA, iB := strings.Index(got, "mit:A:1"), strings.Index(got, "mit:B:2")
-	if iA < 0 || iB < 0 || iA > iB {
-		t.Fatalf("ordering: %s", got)
-	}
-	if !strings.Contains(got, "ttl 42s") || !strings.Contains(got, "ttl -") {
-		t.Fatalf("ttl rendering: %s", got)
-	}
-	if !strings.Contains(got, "dropped 1000000000 B") || !strings.Contains(got, "shaped 2000000 B") {
-		t.Fatalf("bytes rendering: %s", got)
-	}
-}
-
 func TestBatchedExportCoalescing(t *testing.T) {
 	// One inbound UPDATE announcing three blackhole /32s must reach each
 	// target as ONE batched UPDATE carrying all three NLRI, not three
