@@ -10,10 +10,13 @@
 // to the exchange's route server, and the coalesced exports ride the TX
 // line back to the owed members. Each established session joins its
 // member to the exchange (ixp.Join). The control plane ticks on two
-// cadences: 1 ms after every applied UPDATE, so a signal takes effect
-// promptly, and a full -tick interval on the wall clock, which owns TTL
-// expiry, change-queue pacing and pruning final mitigations from the
-// store. SIGINT or SIGTERM stops the daemon.
+// cadences: after every applied UPDATE, so a signal takes effect
+// promptly, and every -tick interval on the wall clock, so TTL expiry,
+// change-queue pacing and pruning final mitigations from the store run
+// on an idle exchange too. Either tick advances the exchange clock by
+// the wall time elapsed since the previous one, so simulated time is
+// the daemon's uptime however many UPDATEs arrive. SIGINT or SIGTERM
+// stops the daemon.
 //
 //	ixpd -bgp-listen 127.0.0.1:1790 -asn 6695 -open-irr
 package main
@@ -125,6 +128,10 @@ type daemon struct {
 	tick   time.Duration // the wall-clock cadence
 	pipe   *bgppipe.Pipe
 	tickMu sync.Mutex // serializes the two tick cadences
+	// lastTick is when the previous control tick ran (the daemon's start
+	// before the first); guarded by tickMu. time.Now carries a
+	// monotonic reading, so wall-clock steps do not move the exchange.
+	lastTick time.Time
 
 	// seen is the highest store version the event stream has delivered;
 	// every transition up to it has happened. pruneUpTo is seen as read
@@ -142,7 +149,7 @@ func newDaemon(o options, ln net.Listener) (*daemon, error) {
 	for _, e := range o.irr {
 		x.Policy.IRR.Register(e.asn, e.prefix)
 	}
-	d := &daemon{x: x, tick: o.tick, pipe: bgppipe.New(bgppipe.Options{})}
+	d := &daemon{x: x, tick: o.tick, pipe: bgppipe.New(bgppipe.Options{}), lastTick: time.Now()}
 	x.Mitigations.Subscribe(func(ev mitctl.Event) { // every lifecycle transition
 		m := ev.Mitigation
 		log.Printf("ixpd: mitigation %s %s (owner %s, %v toward %s) %s", m.ID, ev.Type, m.Requester, m.Action, m.Target, m.LastError)
@@ -159,9 +166,10 @@ func newDaemon(o options, ln net.Listener) (*daemon, error) {
 		OnPeerUp:   d.peerUp,
 		OnPeerDown: func(peer string, err error) { log.Printf("ixpd: session with %s closed: %v", peer, err) },
 		// ixp.Build's southbound subscription entered the signal at the
-		// current simulation time; this tick applies it. 1 ms is too
-		// little for a burst to fast-forward the wall-clock budgets.
-		AfterApply: func() { d.controlTick(0.001) },
+		// current simulation time; this tick applies it. It advances the
+		// clock only by the wall time since the previous tick, so a burst
+		// cannot fast-forward TTLs or the change-queue budget.
+		AfterApply: d.controlTick,
 		OnReject:   func(r routeserver.Rejection) { log.Printf("ixpd: rejected %s from %s: %s", r.Prefix, r.Peer, r.Reason) },
 		OnError:    func(peer string, err error) { log.Printf("ixpd: update from %s: %v", peer, err) },
 	}
@@ -192,7 +200,7 @@ func (d *daemon) run(ctx context.Context) error {
 		case err := <-done:
 			return err
 		case <-t.C:
-			d.controlTick(d.tick.Seconds())
+			d.controlTick()
 			d.prune()
 		}
 	}
@@ -207,10 +215,13 @@ func (d *daemon) prune() {
 	d.pruneUpTo = d.seen.Load()
 }
 
-// controlTick advances the control plane by dt simulated seconds.
-func (d *daemon) controlTick(dt float64) {
+// controlTick advances the control plane by the wall time elapsed since
+// the previous control tick, whichever cadence ran it.
+func (d *daemon) controlTick() {
 	d.tickMu.Lock()
-	d.x.ControlTick(0, dt)
+	now := time.Now()
+	d.x.ControlTick(0, now.Sub(d.lastTick).Seconds())
+	d.lastTick = now
 	d.tickMu.Unlock()
 }
 

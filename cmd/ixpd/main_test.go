@@ -87,7 +87,12 @@ func startDaemon(t *testing.T, args string) (d *daemon, addr string, stop func()
 
 func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
-	for deadline := time.Now().Add(3 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+	waitWithin(t, 3*time.Second, what, cond)
+}
+
+func waitWithin(t *testing.T, limit time.Duration, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(limit); !cond(); time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
 			t.Fatalf("timed out waiting for %s", what)
 		}
@@ -190,8 +195,8 @@ func TestDaemonEndToEnd(t *testing.T) {
 	// observer toward the victim; the data plane drops exactly the NTP
 	// bytes.
 	src, _ := d.x.Member("AS64513")
-	flow := func(proto netpkt.IPProto, srcPort uint16) netpkt.FlowKey {
-		return netpkt.FlowKey{SrcMAC: src.MAC, Src: netip.MustParseAddr("198.51.100.1"),
+	flow := func(proto netpkt.IPProto, srcPort uint16) *netpkt.FlowKey {
+		return &netpkt.FlowKey{SrcMAC: src.MAC, Src: netip.MustParseAddr("198.51.100.1"),
 			Dst: host.Addr(), Proto: proto, SrcPort: srcPort, DstPort: 443}
 	}
 	const ntpBytes, webBytes = 4e6, 1e6
@@ -252,8 +257,8 @@ func TestRTBHOverTCPReachesDataPlane(t *testing.T) {
 	}
 
 	host := netip.MustParsePrefix("100.10.10.10/32")
-	flow := func(src netpkt.MAC) netpkt.FlowKey {
-		return netpkt.FlowKey{SrcMAC: src, Src: netip.MustParseAddr("198.51.100.1"),
+	flow := func(src netpkt.MAC) *netpkt.FlowKey {
+		return &netpkt.FlowKey{SrcMAC: src, Src: netip.MustParseAddr("198.51.100.1"),
 			Dst: host.Addr(), Proto: netpkt.ProtoUDP, SrcPort: 123, DstPort: 443}
 	}
 	const honoringBytes, nonHonoringBytes = 3e6, 2e6
@@ -300,9 +305,10 @@ func TestRTBHOverTCPReachesDataPlane(t *testing.T) {
 	egress("after teardown", 0, honoringBytes+nonHonoringBytes)
 }
 
-// TestTickCadences pins the daemon's two clocks: per-event ticks apply
-// signals but advance 1 ms each, so a burst cannot fast-forward a TTL;
-// the wall-clock loop alone expires it on an idle exchange.
+// TestTickCadences pins the daemon's two cadences: per-event ticks
+// apply signals without a wall-clock tick, and advance the clock only to
+// the wall time elapsed, so a burst cannot fast-forward it; the
+// wall-clock loop alone expires a TTL on an idle exchange.
 func TestTickCadences(t *testing.T) {
 	request := func(d *daemon, ttl float64) {
 		t.Helper()
@@ -316,6 +322,7 @@ func TestTickCadences(t *testing.T) {
 
 	t.Run("event burst", func(t *testing.T) {
 		// A -tick this long never fires: only per-event ticks run.
+		start := time.Now()
 		d, addr, stop := startDaemon(t, "-irr 64512:100.10.0.0/16 -tick 1h")
 		defer stop()
 		victim := dial(t, d, addr, 64512, "10.0.0.12", nil)
@@ -330,8 +337,8 @@ func TestTickCadences(t *testing.T) {
 		}
 		waitFor(t, "burst applied", func() bool { return d.x.RS.Table().Len() == burst })
 		waitFor(t, "install", func() bool { return len(d.x.Mitigations.Active()) == 1 })
-		if now := d.x.Clock(); now < 0.09 || now > 0.2 {
-			t.Fatalf("clock after %d events: %v s, want ~%v", burst, now, burst*0.001)
+		if now, uptime := d.x.Clock(), time.Since(start).Seconds(); now <= 0 || now > uptime {
+			t.Fatalf("clock after %d events: %v s, want in (0, %v], the wall time since start", burst, now, uptime)
 		}
 	})
 
@@ -350,6 +357,47 @@ func TestTickCadences(t *testing.T) {
 			t.Fatalf("expired at %v s, before its 0.05 s TTL", now)
 		}
 	})
+}
+
+// TestBurstKeepsWallClock sends one member's burst of 65 000 RTBH
+// UPDATEs, each followed by its per-event control tick, and checks that
+// the exchange clock follows the wall clock, not the message count: a
+// 60 s TTL survives a burst that takes seconds, and the clock reads
+// between the last UPDATE's send time and the time of the check, both
+// measured from the daemon's start. A -tick this long never fires, so
+// the per-event ticks alone move the clock.
+func TestBurstKeepsWallClock(t *testing.T) {
+	const burst = 65_000 // at 1 ms per UPDATE, past the TTL
+	beforeStart := time.Now()
+	d, addr, stop := startDaemon(t, "-irr 64512:100.10.0.0/15 -tick 1h")
+	afterStart := time.Now()
+	defer stop()
+	victim := dial(t, d, addr, 64512, "10.0.0.12", nil)
+	defer victim.Close()
+	m, err := d.x.RequestMitigation(mitctl.Spec{
+		Requester: "AS64512", Target: netip.MustParsePrefix("100.10.10.10/32"),
+		Match: core.DropUDPSrcPort(123).Match(fabric.MatchAll()), Action: fabric.ActionDrop, TTL: 60,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < burst; i++ {
+		p := netip.PrefixFrom(netip.AddrFrom4([4]byte{100, 11, byte(i >> 8), byte(i)}), 32)
+		if err := victim.SendUpdate(announce(64512, p, []bgp.Community{bgp.CommunityBlackhole})); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lastSent := time.Since(afterStart).Seconds()
+	waitWithin(t, time.Minute, "burst applied", func() bool { return d.x.RS.Table().Len() == burst })
+	// The last UPDATE's tick ran after it was sent.
+	waitFor(t, "the clock to reach the last UPDATE", func() bool { return d.x.Clock() >= lastSent })
+	now, uptime := d.x.Clock(), time.Since(beforeStart).Seconds()
+	if now > uptime {
+		t.Fatalf("clock %.3f s after %d UPDATEs, ahead of the %.3f s wall time since start", now, burst, uptime)
+	}
+	if got, ok := d.x.Mitigations.Get(m.ID); !ok || got.State != mitctl.StateActive {
+		t.Fatalf("60 s-TTL mitigation after %.3f s of wall time: %+v, want active", uptime, got)
+	}
 }
 
 // TestDaemonPrunesFinalMitigations pins the daemon's store bound: a

@@ -4,7 +4,12 @@ import (
 	"testing"
 
 	"stellar/internal/fabric"
+	"stellar/internal/netpkt"
 )
+
+// anonFlow is the flow of the tests' sources that only count bytes:
+// the zero key, shared read-only by every offer that points at it.
+var anonFlow netpkt.FlowKey
 
 // byteSource emits one offer of a fixed size per tick.
 type byteSource struct {
@@ -12,7 +17,7 @@ type byteSource struct {
 }
 
 func (s *byteSource) Offers(tick int, dt float64) []fabric.Offer {
-	return []fabric.Offer{{Bytes: s.bytes * dt}}
+	return []fabric.Offer{{Flow: &anonFlow, Bytes: s.bytes * dt}}
 }
 
 // countSource emits n offers per tick, tagged with its id.
@@ -23,7 +28,7 @@ type countSource struct {
 func (s *countSource) Offers(tick int, dt float64) []fabric.Offer {
 	out := make([]fabric.Offer, s.n)
 	for i := range out {
-		out[i] = fabric.Offer{Bytes: float64(s.id*1000 + tick)}
+		out[i] = fabric.Offer{Flow: &anonFlow, Bytes: float64(s.id*1000 + tick)}
 	}
 	return out
 }

@@ -95,7 +95,7 @@ func (s *flowSource) AppendOffers(dst []fabric.Offer, tick int, dt float64) []fa
 		DstPort: 443,
 	}
 	return append(dst, fabric.Offer{
-		Flow:     flow,
+		Flow:     &flow,
 		FlowHash: flow.Hash(),
 		Bytes:    float64(1e6 + s.seed*1000 + tick),
 		Packets:  10,
@@ -459,7 +459,7 @@ func TestWarmPortTickThroughBatchVisitorAllocs(t *testing.T) {
 			SrcPort: uint16(1000 + i%7),
 			DstPort: 443,
 		}
-		offers[i] = fabric.Offer{Flow: flow, FlowHash: flow.Hash(), Bytes: 1e4, Packets: 10}
+		offers[i] = fabric.Offer{Flow: &flow, FlowHash: flow.Hash(), Bytes: 1e4, Packets: 10}
 	}
 	portTick := func() { port.Egress(offers, 1, r.sink(0, "port0")) }
 	portTick() // grow the shard's tables and the egress scratch

@@ -19,7 +19,7 @@ func egressByFlow(port *fabric.Port, offers []fabric.Offer, dt float64) (fabric.
 	byFlow := make(map[netpkt.FlowKey]float64, len(offers))
 	res := port.Egress(offers, dt, func(ds []fabric.Delivery) {
 		for _, d := range ds {
-			byFlow[d.Offer.Flow] += d.Bytes
+			byFlow[*d.Offer.Flow] += d.Bytes
 		}
 	})
 	return res, byFlow

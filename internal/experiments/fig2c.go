@@ -71,7 +71,7 @@ func Fig2c(cfg Fig2cConfig) Fig2cResult {
 		offers = attack.AppendOffers(offers, bin, 300)
 		recs = recs[:0]
 		for _, o := range offers {
-			recs = append(recs, flowmon.Record{Bin: bin, Key: o.Flow, Bytes: o.Bytes, Packets: o.Packets})
+			recs = append(recs, flowmon.Record{Bin: bin, Key: *o.Flow, Bytes: o.Bytes, Packets: o.Packets})
 		}
 		mon.ObserveBatch(recs)
 	}

@@ -12,7 +12,7 @@ import (
 // for every offered flow — the per-packet slow path Section 4.2.1 holds
 // against software Flowspec processing. Instead, InstallRule/RemoveRule
 // now compile the rule set into an immutable classifier published via
-// atomic.Pointer, so Classify and Egress run lock-free while rule
+// atomic.Pointer, so ClassifyHashed and Egress run lock-free while rule
 // management stays serialized on the port mutex (copy-on-write).
 //
 // The compiled form indexes every rule under its most selective
@@ -45,9 +45,10 @@ import (
 // one Match.Matches against the added rule; a removed rule invalidates
 // only the flows whose verdict it was, which take the full lookup.
 //
-// Flows are passed by pointer through every lookup: a FlowKey is 64
-// bytes, and the egress loop classifies each offer in place in the
-// caller's slice.
+// Flows are passed by pointer from the traffic generator to the flow
+// monitor: a FlowKey is 64 bytes, an Offer points into its producer's
+// flow table, and every lookup reads the key there. Only the memo keeps
+// a key past the call, and it keeps a copy (memo.go).
 
 // candidate is one indexed rule plus its install order (lower wins).
 type candidate struct {
@@ -192,7 +193,7 @@ func considerList(cands []candidate, f *netpkt.FlowKey, best *Rule, bestPri int)
 		if cd.pri >= bestPri {
 			return best, bestPri
 		}
-		if cd.rule.Match.Matches(*f) {
+		if cd.rule.Match.Matches(f) {
 			return cd.rule, cd.pri
 		}
 	}
@@ -283,7 +284,7 @@ func (c *classifier) derive(r *Rule, f *netpkt.FlowKey) (_ *Rule, ok bool) {
 			if r == ch.rule {
 				return nil, false
 			}
-		case r == nil && ch.rule.Match.Matches(*f):
+		case r == nil && ch.rule.Match.Matches(f):
 			r = ch.rule
 		}
 	}

@@ -12,7 +12,7 @@ import (
 
 // linearClassify is the reference implementation: the seed's first-match
 // linear scan over the install order.
-func linearClassify(rules []*Rule, f netpkt.FlowKey) *Rule {
+func linearClassify(rules []*Rule, f *netpkt.FlowKey) *Rule {
 	for _, r := range rules {
 		if r.Match.Matches(f) {
 			return r
@@ -84,16 +84,16 @@ func TestClassifierMatchesLinearScan(t *testing.T) {
 		rules := p.Rules()
 		for q := 0; q < 200; q++ {
 			f := randomFlow(rng, macs)
-			want := linearClassify(rules, f)
-			if got := p.Classify(f); got != want {
-				t.Fatalf("trial %d: Classify(%v) = %v, want %v (rules: %v)", trial, f, got, want, rules)
+			want := linearClassify(rules, &f)
+			if got := p.ClassifyHashed(&f, 0); got != want {
+				t.Fatalf("trial %d: ClassifyHashed(%v, 0) = %v, want %v (rules: %v)", trial, f, got, want, rules)
 			}
-			if got := p.ClassifyHashed(f, f.Hash()); got != want {
+			if got := p.ClassifyHashed(&f, f.Hash()); got != want {
 				t.Fatalf("trial %d: ClassifyHashed(%v) = %v, want %v", trial, f, got, want)
 			}
 			// Memoized second lookup must agree.
-			if got := p.Classify(f); got != want {
-				t.Fatalf("trial %d: memoized Classify(%v) = %v, want %v", trial, f, got, want)
+			if got := p.ClassifyHashed(&f, 0); got != want {
+				t.Fatalf("trial %d: memoized ClassifyHashed(%v, 0) = %v, want %v", trial, f, got, want)
 			}
 		}
 	}
@@ -132,7 +132,7 @@ func TestClassifierFirstMatchAcrossIndexes(t *testing.T) {
 	}
 	f := udpFlow(macPeerA, srcIPA, 123) // matches every rule above
 	for _, want := range order {
-		got := p.Classify(f)
+		got := p.ClassifyHashed(f, 0)
 		if got == nil || got.ID != want.id {
 			t.Fatalf("want %s, got %v", want.id, got)
 		}
@@ -140,7 +140,7 @@ func TestClassifierFirstMatchAcrossIndexes(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := p.Classify(f); got != nil {
+	if got := p.ClassifyHashed(f, 0); got != nil {
 		t.Fatalf("empty port classified %v", got)
 	}
 }
@@ -153,13 +153,13 @@ func TestClassifierAnyProtoPortRule(t *testing.T) {
 	if err := p.InstallRule(&Rule{ID: "dst443", Match: m, Action: ActionDrop}); err != nil {
 		t.Fatal(err)
 	}
-	if r := p.Classify(udpFlow(macPeerA, srcIPA, 123)); r == nil {
+	if r := p.ClassifyHashed(udpFlow(macPeerA, srcIPA, 123), 0); r == nil {
 		t.Fatal("udp dst 443 missed")
 	}
-	if r := p.Classify(tcpFlow(macPeerB, srcIPB, 443)); r == nil {
+	if r := p.ClassifyHashed(tcpFlow(macPeerB, srcIPB, 443), 0); r == nil {
 		t.Fatal("tcp dst 443 missed")
 	}
-	if r := p.Classify(tcpFlow(macPeerB, srcIPB, 80)); r != nil {
+	if r := p.ClassifyHashed(tcpFlow(macPeerB, srcIPB, 80), 0); r != nil {
 		t.Fatalf("dst 80 matched %v", r)
 	}
 }
@@ -176,14 +176,14 @@ func TestClassifierIPv6Prefixes(t *testing.T) {
 		Dst: netip.MustParseAddr("2001:db8::10"), Proto: netpkt.ProtoUDP, SrcPort: 123, DstPort: 443}
 	out := in
 	out.Dst = netip.MustParseAddr("2001:db9::10")
-	if r := p.Classify(in); r == nil {
+	if r := p.ClassifyHashed(&in, 0); r == nil {
 		t.Fatal("v6 dst inside prefix missed")
 	}
-	if r := p.Classify(out); r != nil {
+	if r := p.ClassifyHashed(&out, 0); r != nil {
 		t.Fatalf("v6 dst outside prefix matched %v", r)
 	}
 	// A v4 flow must not be swallowed by the v6 trie.
-	if r := p.Classify(udpFlow(macPeerA, srcIPA, 123)); r != nil {
+	if r := p.ClassifyHashed(udpFlow(macPeerA, srcIPA, 123), 0); r != nil {
 		t.Fatalf("v4 flow matched v6 rule: %v", r)
 	}
 }
@@ -245,7 +245,7 @@ func TestRulesDefensiveCopy(t *testing.T) {
 	if len(again) != 2 || again[0].ID != "drop-ntp" || again[1].ID != "drop-udp" {
 		t.Fatalf("port rules corrupted by caller mutation: %v", again)
 	}
-	if p.Classify(udpFlow(macPeerA, srcIPA, 123)).ID != "drop-ntp" {
+	if p.ClassifyHashed(udpFlow(macPeerA, srcIPA, 123), 0).ID != "drop-ntp" {
 		t.Fatal("classification order changed")
 	}
 }
@@ -300,18 +300,18 @@ func TestConcurrentRuleChurnAndClassify(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
 				p.Egress(offers, 0.01, nil)
-				p.Classify(offers[i%len(offers)].Flow)
+				p.ClassifyHashed(offers[i%len(offers)].Flow, 0)
 				// Fresh flows every iteration, so every reader inserts
 				// into and doubles the memo tables the others are probing;
 				// the churned rules cannot match them, so the verdicts are
 				// known whatever generation serves them.
 				for j := 0; j < 16; j++ {
 					src := netip.AddrFrom4([4]byte{198, 51, byte(w*64 + i>>4), byte(i<<4 + j)})
-					if r := p.Classify(udpFlow(macPeerA, src, 123)); r == nil || r.ID != "pinned-shape" {
+					if r := p.ClassifyHashed(udpFlow(macPeerA, src, 123), 0); r == nil || r.ID != "pinned-shape" {
 						t.Errorf("ntp flow from %v classified %v", src, r)
 						return
 					}
-					if r := p.Classify(tcpFlow(macPeerB, src, 443)); r != nil {
+					if r := p.ClassifyHashed(tcpFlow(macPeerB, src, 443), 0); r != nil {
 						t.Errorf("tcp flow from %v classified %v", src, r)
 						return
 					}
@@ -423,7 +423,7 @@ func (c *churnTrial) newRule(m Match) *Rule {
 
 // matchers returns the indexes of the rules matching f, in priority
 // order; the first is the verdict.
-func (c *churnTrial) matchers(f netpkt.FlowKey) []int {
+func (c *churnTrial) matchers(f *netpkt.FlowKey) []int {
 	var out []int
 	for i, r := range c.rules {
 		if r.Match.Matches(f) {
@@ -482,11 +482,11 @@ func (c *churnTrial) pass() {
 	for i := range c.offers {
 		o := &c.offers[i]
 		want := linearClassify(c.rules, o.Flow)
-		if got := c.p.Classify(o.Flow); got != want {
-			c.t.Fatalf("Classify(%v) = %v, want %v (rules %v)", o.Flow, got, want, c.rules)
+		if got := c.p.ClassifyHashed(o.Flow, 0); got != want {
+			c.t.Fatalf("ClassifyHashed(%v, 0) = %v, want %v (rules %v)", *o.Flow, got, want, c.rules)
 		}
 		if got := c.p.ClassifyHashed(o.Flow, o.FlowHash); got != want {
-			c.t.Fatalf("ClassifyHashed(%v) = %v, want %v (rules %v)", o.Flow, got, want, c.rules)
+			c.t.Fatalf("ClassifyHashed(%v) = %v, want %v (rules %v)", *o.Flow, got, want, c.rules)
 		}
 		if want != nil && want.Action == ActionDrop {
 			wantDropped += o.Bytes
@@ -522,7 +522,7 @@ func TestClassifierMatchesLinearScanUnderChurn(t *testing.T) {
 				continue
 			}
 			seen[f] = true
-			o := Offer{Flow: f, Bytes: float64(1 + rng.Intn(1e6)), Packets: 1}
+			o := Offer{Flow: &f, Bytes: float64(1 + rng.Intn(1e6)), Packets: 1}
 			if rng.Intn(2) == 0 {
 				o.FlowHash = f.Hash() // the rest are hashed on demand
 			}
@@ -610,7 +610,7 @@ func TestMemoBound(t *testing.T) {
 			if f.SrcPort == 123 {
 				want = r
 			}
-			if got := p.Classify(f); got != want {
+			if got := p.ClassifyHashed(f, 0); got != want {
 				t.Fatalf("pass %d flow %d: %v, want %v", pass, i, got, want)
 			}
 		}
@@ -619,5 +619,74 @@ func TestMemoBound(t *testing.T) {
 			t.Fatalf("pass %d: memo holds %d entries in %d slots, want %d in %d",
 				pass, n, slots, maxMemoEntries, 2*maxMemoEntries)
 		}
+	}
+}
+
+// TestMemoOwnsItsKeys pins the memo's side of Offer's pointer-lifetime
+// rule. Offers point into a producer's key table, and the producer may
+// rewrite that table in place between ticks, the way an Attack does
+// after a Target edit. The memo keeps its own copy of every key, so on
+// the same classifier generation each verdict follows the key the offer
+// points at now. The rewrite swaps each flow between the drop rule's
+// NTP source port and DNS; the rehashed case then carries each new
+// key's hash, as a producer does, and the stale-hash case keeps the old
+// one, so the old and the new key collide on it.
+func TestMemoOwnsItsKeys(t *testing.T) {
+	for _, rehash := range []bool{true, false} {
+		t.Run(fmt.Sprintf("rehash=%v", rehash), func(t *testing.T) {
+			p := newVictimPort()
+			if err := p.InstallRule(dropNTPRule()); err != nil {
+				t.Fatal(err)
+			}
+			gen := p.cls.Load()
+			const n = 64
+			keys := make([]netpkt.FlowKey, n)
+			offers := make([]Offer, n)
+			for i := range keys {
+				keys[i] = *udpFlow(macPeerA, netip.AddrFrom4([4]byte{198, 51, 100, byte(i)}), []uint16{123, 53}[i%2])
+				offers[i] = Offer{Flow: &keys[i], FlowHash: keys[i].Hash(), Bytes: 1000, Packets: 1}
+			}
+			egress := func(when string) {
+				t.Helper()
+				delivered := map[*Offer]bool{}
+				res := p.Egress(offers, 1, func(ds []Delivery) {
+					for _, d := range ds {
+						delivered[d.Offer] = true
+					}
+				})
+				var wantDropped float64
+				for i := range offers {
+					drop := keys[i].SrcPort == 123
+					if drop {
+						wantDropped += offers[i].Bytes
+					}
+					if delivered[&offers[i]] == drop {
+						t.Fatalf("%s: flow %v delivered=%v, want %v", when, keys[i], delivered[&offers[i]], !drop)
+					}
+				}
+				if res.RuleDroppedBytes != wantDropped {
+					t.Fatalf("%s: dropped %v bytes, want %v", when, res.RuleDroppedBytes, wantDropped)
+				}
+			}
+			egress("first egress")
+			if got := gen.memo.len(); got != n {
+				t.Fatalf("memo holds %d flows after the first egress, want %d", got, n)
+			}
+			for i := range keys {
+				if keys[i].SrcPort == 123 {
+					keys[i].SrcPort = 53
+				} else {
+					keys[i].SrcPort = 123
+				}
+				if rehash {
+					offers[i].FlowHash = keys[i].Hash()
+				}
+			}
+			egress("after the rewrite")
+			egress("memoized after the rewrite")
+			if p.cls.Load() != gen {
+				t.Fatal("the classifier generation changed without a rule change")
+			}
+		})
 	}
 }

@@ -31,10 +31,11 @@ func ExamplePort_InstallRule() {
 	// installed rules: 1
 }
 
-// ExamplePort_Classify classifies two flows against an installed rule
-// set: the attack flow hits the drop rule, benign web traffic falls
-// through to the default forwarding queue (nil).
-func ExamplePort_Classify() {
+// ExamplePort_ClassifyHashed classifies two flows against an installed
+// rule set: the attack flow hits the drop rule, benign web traffic falls
+// through to the default forwarding queue (nil). A zero hash has the
+// port compute the flow's hash itself.
+func ExamplePort_ClassifyHashed() {
 	port := fabric.NewPort("AS64512", netpkt.MustParseMAC("02:00:00:00:00:01"), 1e9)
 	m := fabric.MatchAll()
 	m.Proto = netpkt.ProtoUDP
@@ -54,10 +55,10 @@ func ExamplePort_Classify() {
 	web.Proto = netpkt.ProtoTCP
 	web.SrcPort = 50000
 
-	if r := port.Classify(attack); r != nil {
+	if r := port.ClassifyHashed(&attack, 0); r != nil {
 		fmt.Println("attack flow ->", r.ID)
 	}
-	if r := port.Classify(web); r == nil {
+	if r := port.ClassifyHashed(&web, 0); r == nil {
 		fmt.Println("web flow -> default forwarding queue")
 	}
 	// Output:
@@ -87,8 +88,8 @@ func ExamplePort_Egress() {
 		Dst: victim, Proto: netpkt.ProtoTCP, SrcPort: 50443, DstPort: 443}
 
 	res := port.Egress([]fabric.Offer{
-		{Flow: attack, FlowHash: attack.Hash(), Bytes: 250e6, Packets: 5e5}, // 2 Gbit in 1 s
-		{Flow: web, FlowHash: web.Hash(), Bytes: 50e6, Packets: 5e4},        // 400 Mbit in 1 s
+		{Flow: &attack, FlowHash: attack.Hash(), Bytes: 250e6, Packets: 5e5}, // 2 Gbit in 1 s
+		{Flow: &web, FlowHash: web.Hash(), Bytes: 50e6, Packets: 5e4},        // 400 Mbit in 1 s
 	}, 1.0, func(delivered []fabric.Delivery) {
 		for _, d := range delivered {
 			fmt.Printf("%s: %.0f Mbit\n", d.Offer.Flow, d.Bytes*8/1e6)

@@ -6,6 +6,7 @@ import (
 	"net/netip"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"stellar/internal/netpkt"
 )
@@ -19,14 +20,26 @@ var (
 	srcIPB    = netip.MustParseAddr("198.51.100.2")
 )
 
-func udpFlow(srcMAC netpkt.MAC, src netip.Addr, srcPort uint16) netpkt.FlowKey {
-	return netpkt.FlowKey{SrcMAC: srcMAC, Src: src, Dst: victimIP,
+func udpFlow(srcMAC netpkt.MAC, src netip.Addr, srcPort uint16) *netpkt.FlowKey {
+	return &netpkt.FlowKey{SrcMAC: srcMAC, Src: src, Dst: victimIP,
 		Proto: netpkt.ProtoUDP, SrcPort: srcPort, DstPort: 443}
 }
 
-func tcpFlow(srcMAC netpkt.MAC, src netip.Addr, dstPort uint16) netpkt.FlowKey {
-	return netpkt.FlowKey{SrcMAC: srcMAC, Src: src, Dst: victimIP,
+func tcpFlow(srcMAC netpkt.MAC, src netip.Addr, dstPort uint16) *netpkt.FlowKey {
+	return &netpkt.FlowKey{SrcMAC: srcMAC, Src: src, Dst: victimIP,
 		Proto: netpkt.ProtoTCP, SrcPort: 50000, DstPort: dstPort}
+}
+
+// TestOfferSize pins an Offer at 32 bytes on 64-bit platforms: the key
+// stays in its producer's flow table and the offer only points at it,
+// so generating a tick's offers copies no 64-byte netpkt.FlowKey.
+func TestOfferSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("the pin is for 64-bit platforms")
+	}
+	if got := unsafe.Sizeof(Offer{}); got != 32 {
+		t.Fatalf("unsafe.Sizeof(Offer{}) = %d, want 32", got)
+	}
 }
 
 func TestMatchWildcards(t *testing.T) {
@@ -108,7 +121,7 @@ func newVictimPort() *Port {
 func sumByFlow(m map[netpkt.FlowKey]float64) FlowVisitor {
 	return func(ds []Delivery) {
 		for _, d := range ds {
-			m[d.Offer.Flow] += d.Bytes
+			m[*d.Offer.Flow] += d.Bytes
 		}
 	}
 }
@@ -217,7 +230,7 @@ func TestEgressCongestionSharedFate(t *testing.T) {
 		t.Fatalf("delivered %v, want capacity %v", res.DeliveredBytes, capBytes)
 	}
 	frac := capBytes / (187.5e6 + 62.5e6)
-	if got := byFlow[web.Flow]; math.Abs(got-web.Bytes*frac) > 1 {
+	if got := byFlow[*web.Flow]; math.Abs(got-web.Bytes*frac) > 1 {
 		t.Fatalf("web delivered %v, want %v (proportional)", got, web.Bytes*frac)
 	}
 	if res.CongestionDroppedBytes <= 0 {
@@ -237,7 +250,7 @@ func TestEgressDropRestoresBenign(t *testing.T) {
 	web := Offer{Flow: tcpFlow(macPeerB, srcIPB, 443), Bytes: 62.5e6, Packets: 5e4}
 	byFlow := make(map[netpkt.FlowKey]float64)
 	res := p.Egress([]Offer{attack, web}, 1.0, sumByFlow(byFlow))
-	if got := byFlow[web.Flow]; math.Abs(got-web.Bytes) > 1 {
+	if got := byFlow[*web.Flow]; math.Abs(got-web.Bytes) > 1 {
 		t.Fatalf("benign delivered %v, want full %v", got, web.Bytes)
 	}
 	if res.CongestionDroppedBytes != 0 {
@@ -387,7 +400,7 @@ func BenchmarkClassify(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.Classify(f)
+		p.ClassifyHashed(f, 0)
 	}
 }
 

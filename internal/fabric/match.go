@@ -57,7 +57,7 @@ type Match struct {
 func MatchAll() Match { return Match{SrcPort: AnyPort, DstPort: AnyPort} }
 
 // Matches reports whether the flow header satisfies the pattern.
-func (m Match) Matches(f netpkt.FlowKey) bool {
+func (m Match) Matches(f *netpkt.FlowKey) bool {
 	if m.SrcMAC != nil && f.SrcMAC != *m.SrcMAC {
 		return false
 	}

@@ -27,8 +27,11 @@ const minMemoSlots = 8
 
 // memoEntry records one memoized classification; it is never modified
 // once published, so generations share entries whose verdict a rule
-// change left alone. The full key is kept so a 64-bit hash collision
-// degrades to a recomputation, never a wrong verdict.
+// change left alone. The full key is copied in, not pointed at: an
+// offer's key belongs to its producer, which may rewrite it in place
+// between ticks, so the copy is the authority both when a 64-bit hash
+// collides (a recomputation, never a wrong verdict) and when the key an
+// entry was made from has since changed.
 type memoEntry struct {
 	hash uint64
 	key  netpkt.FlowKey

@@ -11,8 +11,16 @@ import (
 
 // Offer is a flow-level traffic aggregate presented to a port's egress
 // engine for one simulation tick.
+//
+// Flow, never nil, points into the producer's flow table instead of
+// carrying the 64-byte key, so an offer is 32 bytes. The producer owns
+// the key: it stays valid and unchanged until the egress of the tick it
+// was offered in returns, and the producer's next AppendOffers may
+// rewrite it in place (a traffic source revalidating its keys after a
+// field edit). Nothing on the data path keeps the pointer past the
+// tick; the flow memo stores its own copy of each key.
 type Offer struct {
-	Flow    netpkt.FlowKey
+	Flow    *netpkt.FlowKey
 	Bytes   float64
 	Packets float64
 	// FlowHash optionally carries Flow.Hash() computed once by the
@@ -69,8 +77,9 @@ func (t TickResult) OfferedBytes() float64 {
 // Rule management (InstallRule/RemoveRule) is serialized on an internal
 // mutex and recompiles the rule set into an immutable classifier
 // published through an atomic pointer (see classifier.go). The data
-// path — Classify and Egress — reads the current classifier lock-free,
-// so any number of goroutines can classify traffic while rules churn.
+// path — ClassifyHashed and Egress — reads the current classifier
+// lock-free, so any number of goroutines can classify traffic while
+// rules churn.
 type Port struct {
 	// Name identifies the port ("AS64512" in the harness).
 	Name string
@@ -169,17 +178,13 @@ func (p *Port) RuleCount() int {
 	return len(p.cls.Load().rules)
 }
 
-// Classify returns the first matching rule for the flow, or nil for the
-// default forwarding queue. It is lock-free and safe to call
-// concurrently with rule management and egress ticks.
-func (p *Port) Classify(f netpkt.FlowKey) *Rule {
-	return p.cls.Load().classifyHashed(&f, 0)
-}
-
-// ClassifyHashed is Classify with the flow's precomputed
-// netpkt.FlowKey.Hash (0: computed on demand).
-func (p *Port) ClassifyHashed(f netpkt.FlowKey, hash uint64) *Rule {
-	return p.cls.Load().classifyHashed(&f, hash)
+// ClassifyHashed returns the first matching rule for the flow, or nil
+// for the default forwarding queue; hash is the flow's precomputed
+// netpkt.FlowKey.Hash (0: computed on demand). It is lock-free and safe
+// to call concurrently with rule management and egress ticks, and reads
+// f only during the call.
+func (p *Port) ClassifyHashed(f *netpkt.FlowKey, hash uint64) *Rule {
+	return p.cls.Load().classifyHashed(f, hash)
 }
 
 // Egress processes one tick of dtSeconds on the port: classifies every
@@ -257,7 +262,7 @@ func (p *Port) egress(offers []Offer, scale, dtSeconds float64, visit FlowVisito
 		o := &offers[i]
 		res.PresentedBytes += o.Bytes
 		bytes := o.Bytes * scale
-		r := cls.classifyHashed(&o.Flow, o.FlowHash)
+		r := cls.classifyHashed(o.Flow, o.FlowHash)
 		if r == nil {
 			forward = append(forward, Delivery{o, bytes})
 			forwardBytes += bytes

@@ -16,19 +16,20 @@ import (
 // volume to congest the port — every egress queue contributes.
 func streamOffers(n int) []Offer {
 	offers := make([]Offer, n)
+	keys := make([]netpkt.FlowKey, n) // the offers point into it
 	for i := range offers {
-		var f netpkt.FlowKey
+		f := &keys[i]
 		switch i % 3 {
 		case 0:
-			f = tcpFlow(macPeerA, srcIPA, 443)
+			*f = *tcpFlow(macPeerA, srcIPA, 443)
 			f.SrcPort = uint16(50000 + i)
 		case 1:
-			f = udpFlow(macPeerA, srcIPA, 123) // drop rule target
+			*f = *udpFlow(macPeerA, srcIPA, 123) // drop rule target
 			f.Src = srcIPB
 			f.SrcPort = 123
 			f.DstPort = uint16(1000 + i)
 		default:
-			f = udpFlow(macPeerB, srcIPB, 53) // shape rule target
+			*f = *udpFlow(macPeerB, srcIPB, 53) // shape rule target
 			f.DstPort = uint16(2000 + i)
 		}
 		offers[i] = Offer{Flow: f, FlowHash: f.Hash(), Bytes: 2e6, Packets: 2000}
@@ -164,7 +165,7 @@ func TestTickNilRunnerMatchesPool(t *testing.T) {
 			mu.Unlock()
 			return func(ds []Delivery) {
 				for _, d := range ds {
-					*seen = append(*seen, visit{d.Offer.Flow, d.Offer.FlowHash, d.Bytes})
+					*seen = append(*seen, visit{*d.Offer.Flow, d.Offer.FlowHash, d.Bytes})
 				}
 			}
 		}
@@ -271,7 +272,7 @@ func TestEgressStreamAllocations(t *testing.T) {
 	if got := mallocs(pass); got < ntp || got > ntp+2+slack {
 		t.Errorf("first pass after removing the verdict of %d flows: %d allocations, want %d", ntp, got, ntp+2)
 	}
-	if got := p.Classify(offers[0].Flow); got == nil || got.ID != "drop-udp" {
+	if got := p.ClassifyHashed(offers[0].Flow, 0); got == nil || got.ID != "drop-udp" {
 		t.Fatalf("ntp flow after removal: %v", got)
 	}
 }

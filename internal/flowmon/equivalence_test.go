@@ -243,7 +243,7 @@ func TestShardObserveFlowMatchesObserve(t *testing.T) {
 	b := NewCollectorShards(2)
 	for _, r := range recs {
 		a.Shard(1).Observe(r)
-		b.Shard(1).ObserveFlow(r.Bin, r.Key, r.Bytes)
+		b.Shard(1).ObserveFlow(r.Bin, &r.Key, r.Bytes)
 	}
 	ab, av := a.Series()
 	bb, bv := b.Series()
@@ -264,8 +264,8 @@ func TestShardObserveDeliveredMatchesObserveFlow(t *testing.T) {
 	var batch []fabric.Delivery
 	offers := make([]fabric.Offer, len(recs))
 	for i, r := range recs {
-		perFlow.Shard(1).ObserveFlow(r.Bin, r.Key, r.Bytes)
-		offers[i] = fabric.Offer{Flow: r.Key}
+		perFlow.Shard(1).ObserveFlow(r.Bin, &recs[i].Key, r.Bytes)
+		offers[i] = fabric.Offer{Flow: &recs[i].Key}
 		batch = append(batch, fabric.Delivery{Offer: &offers[i], Bytes: r.Bytes})
 		if i+1 == len(recs) || recs[i+1].Bin != r.Bin {
 			batched.Shard(1).ObserveDelivered(r.Bin, batch)
@@ -296,7 +296,7 @@ func TestObserveSteadyStateZeroAllocs(t *testing.T) {
 	i := 0
 	if allocs := testing.AllocsPerRun(5000, func() {
 		r := &warm[i%len(warm)]
-		sh.ObserveFlow(r.Bin, r.Key, r.Bytes)
+		sh.ObserveFlow(r.Bin, &r.Key, r.Bytes)
 		i++
 	}); allocs != 0 {
 		t.Fatalf("steady-state ObserveFlow allocates %v per record", allocs)

@@ -189,7 +189,7 @@ func BenchmarkObserve(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sh.ObserveFlow(i/1000, r.Key, r.Bytes)
+		sh.ObserveFlow(i/1000, &r.Key, r.Bytes)
 	}
 }
 

@@ -7,8 +7,8 @@ import (
 	"stellar/internal/netpkt"
 )
 
-func horizonKey(i int) netpkt.FlowKey {
-	return netpkt.FlowKey{
+func horizonKey(i int) *netpkt.FlowKey {
+	return &netpkt.FlowKey{
 		SrcMAC:  netpkt.MAC{0x02, 0, 0, 0, 0, byte(i)},
 		Src:     netip.AddrFrom4([4]byte{198, 51, 100, byte(i)}),
 		Dst:     netip.AddrFrom4([4]byte{100, 64, 0, 1}),

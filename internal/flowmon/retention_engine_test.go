@@ -43,8 +43,10 @@ func (s peerSource) activePeers(tick int) int { return tick%s.peers + 1 }
 
 func (s peerSource) Offers(tick int, _ float64) []fabric.Offer {
 	out := make([]fabric.Offer, s.activePeers(tick))
+	flows := make([]netpkt.FlowKey, len(out)) // the offers point into it
 	for p := range out {
-		flow := netpkt.FlowKey{
+		flow := &flows[p]
+		*flow = netpkt.FlowKey{
 			SrcMAC:  netpkt.MAC{0x02, 0x30, 0, 0, s.victim, byte(p)},
 			Src:     netip.AddrFrom4([4]byte{198, 51, s.victim, byte(p)}),
 			Dst:     netip.AddrFrom4([4]byte{100, 64, 0, s.victim}),

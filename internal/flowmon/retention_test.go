@@ -24,7 +24,8 @@ func retentionKey(p int) netpkt.FlowKey {
 // 1000 + bin bytes each.
 func observeBin(sh *Shard, bin, peers int) {
 	for p := 0; p < peers; p++ {
-		sh.ObserveFlow(bin, retentionKey(p), float64(1000+bin))
+		key := retentionKey(p)
+		sh.ObserveFlow(bin, &key, float64(1000+bin))
 	}
 }
 
@@ -77,9 +78,9 @@ func TestCollectorRetention(t *testing.T) {
 		t.Fatalf("cold bin TotalBytes %v, want %v", got, total)
 	}
 	late := retentionKey(0)
-	sh.ObserveFlow(bin, late, 777)
+	sh.ObserveFlow(bin, &late, 777)
 	late.SrcPort = 19
-	sh.ObserveFlow(bin, late, 55)
+	sh.ObserveFlow(bin, &late, 55)
 	total += 777 + 55 // the two late records reach the store as one flush
 	from123 += 777
 	if got := c.TotalBytes(bin); got != total {

@@ -59,10 +59,10 @@ func (s *Shard) ObserveBatch(recs []Record) {
 }
 
 // ObserveFlow adds one delivered-flow observation without building a
-// Record.
-func (s *Shard) ObserveFlow(bin int, key netpkt.FlowKey, bytes float64) {
+// Record. It reads key only during the call.
+func (s *Shard) ObserveFlow(bin int, key *netpkt.FlowKey, bytes float64) {
 	s.mu.Lock()
-	s.observe(bin, &key, bytes)
+	s.observe(bin, key, bytes)
 	s.mu.Unlock()
 }
 
@@ -73,7 +73,7 @@ func (s *Shard) ObserveFlow(bin int, key netpkt.FlowKey, bytes float64) {
 func (s *Shard) ObserveDelivered(bin int, delivered []fabric.Delivery) {
 	s.mu.Lock()
 	for i := range delivered {
-		s.observe(bin, &delivered[i].Offer.Flow, delivered[i].Bytes)
+		s.observe(bin, delivered[i].Offer.Flow, delivered[i].Bytes)
 	}
 	s.mu.Unlock()
 }

@@ -103,7 +103,7 @@ func TestConcurrentShardWriters(t *testing.T) {
 			var sum float64
 			sh := c.Shard(w)
 			for i := range recs {
-				sh.ObserveFlow(recs[i].Bin, recs[i].Key, recs[i].Bytes)
+				sh.ObserveFlow(recs[i].Bin, &recs[i].Key, recs[i].Bytes)
 				sum += recs[i].Bytes
 			}
 			mu.Lock()

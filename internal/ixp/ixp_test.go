@@ -390,7 +390,7 @@ func TestIPv6BlackholingEndToEnd(t *testing.T) {
 	// Attack traffic over IPv6 toward the /128.
 	attacker := members[1]
 	offer := fabric.Offer{
-		Flow: netpkt.FlowKey{
+		Flow: &netpkt.FlowKey{
 			SrcMAC: attacker.MAC,
 			Src:    netip.MustParseAddr("2001:db8:bad::1"),
 			Dst:    target6,
@@ -399,7 +399,7 @@ func TestIPv6BlackholingEndToEnd(t *testing.T) {
 		Bytes: 1e6, Packets: 1000,
 	}
 	web := fabric.Offer{
-		Flow: netpkt.FlowKey{
+		Flow: &netpkt.FlowKey{
 			SrcMAC: attacker.MAC,
 			Src:    netip.MustParseAddr("2001:db8:bad::1"),
 			Dst:    target6,

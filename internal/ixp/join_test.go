@@ -66,7 +66,7 @@ func TestJoinAfterBuild(t *testing.T) {
 	ntp := netpkt.FlowKey{SrcMAC: members[1].MAC, Src: victimAddr(members[1]), Dst: victimAddr(late),
 		Proto: netpkt.ProtoUDP, SrcPort: 123, DstPort: 443}
 	x.ControlTick(0, 1)
-	reports, err := x.EgressTick(nil, fabric.TickOffers{late.Name: {{Flow: ntp, Bytes: 1e6, Packets: 1e3}}}, 1, nil)
+	reports, err := x.EgressTick(nil, fabric.TickOffers{late.Name: {{Flow: &ntp, Bytes: 1e6, Packets: 1e3}}}, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestJoinConcurrent(t *testing.T) {
 	}
 	offers := fabric.TickOffers{victim.Name: nil}
 	for _, m := range members[1:] {
-		offers[victim.Name] = append(offers[victim.Name], fabric.Offer{Flow: netpkt.FlowKey{
+		offers[victim.Name] = append(offers[victim.Name], fabric.Offer{Flow: &netpkt.FlowKey{
 			SrcMAC: m.MAC, Src: victimAddr(m), Dst: host.Addr(), Proto: netpkt.ProtoUDP, SrcPort: 123, DstPort: 443,
 		}, Bytes: 1e4, Packets: 10})
 	}

@@ -64,7 +64,7 @@ func ExampleController() {
 	// counters aggregate its effect.
 	port, _ := fab.PortByName("AS64512")
 	port.Egress([]fabric.Offer{{
-		Flow: netpkt.FlowKey{
+		Flow: &netpkt.FlowKey{
 			SrcMAC: netpkt.MAC{0x02, 0xff, 0, 0, 0, 9},
 			Src:    netip.MustParseAddr("198.51.100.9"),
 			Dst:    netip.MustParseAddr("100.10.10.10"),

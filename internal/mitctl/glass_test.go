@@ -30,7 +30,7 @@ func offerFrom(t *testing.T, h *harness, i int, p uint16, bytes float64) {
 		t.Fatal(err)
 	}
 	port.Egress([]fabric.Offer{{
-		Flow: netpkt.FlowKey{
+		Flow: &netpkt.FlowKey{
 			SrcMAC: netpkt.MAC{0x02, 0xff, 0, 0, 0, 9},
 			Src:    netip.MustParseAddr("198.51.100.9"),
 			Dst:    h.target(i).Addr(),

@@ -445,7 +445,7 @@ func TestUsageSurvivesRemoval(t *testing.T) {
 
 	port, _ := h.fab.PortByName(memberName(0))
 	attack := fabric.Offer{
-		Flow: netpkt.FlowKey{
+		Flow: &netpkt.FlowKey{
 			SrcMAC: netpkt.MAC{0x02, 0xff, 0, 0, 0, 9},
 			Src:    netip.MustParseAddr("198.51.100.9"),
 			Dst:    netip.MustParseAddr("100.0.0.10"),

@@ -56,7 +56,7 @@ func TestFlowSpecToMatchesValueSets(t *testing.T) {
 	}
 	matched := false
 	for _, m := range mustFlowSpecMatches(t, fs) {
-		if m.Matches(flow) {
+		if m.Matches(&flow) {
 			matched = true
 		}
 	}

@@ -194,7 +194,7 @@ type FlowspecPeer struct {
 
 // FiltersFlow reports whether the peer's installed Flowspec rules drop
 // the flow at its edge (before the traffic enters the IXP).
-func (p *FlowspecPeer) FiltersFlow(f netpkt.FlowKey) bool {
+func (p *FlowspecPeer) FiltersFlow(f *netpkt.FlowKey) bool {
 	if !p.Accepts {
 		return false
 	}

@@ -71,15 +71,15 @@ func TestStrings(t *testing.T) {
 	}
 }
 
-func ntpFlow() netpkt.FlowKey {
-	return netpkt.FlowKey{
+func ntpFlow() *netpkt.FlowKey {
+	return &netpkt.FlowKey{
 		Src: netip.MustParseAddr("198.51.100.1"), Dst: netip.MustParseAddr("100.10.10.10"),
 		Proto: netpkt.ProtoUDP, SrcPort: 123, DstPort: 443,
 	}
 }
 
-func webFlow() netpkt.FlowKey {
-	return netpkt.FlowKey{
+func webFlow() *netpkt.FlowKey {
+	return &netpkt.FlowKey{
 		Src: netip.MustParseAddr("203.0.113.9"), Dst: netip.MustParseAddr("100.10.10.10"),
 		Proto: netpkt.ProtoTCP, SrcPort: 50000, DstPort: 443,
 	}

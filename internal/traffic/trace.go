@@ -189,8 +189,9 @@ func SamplePolicies(n int, rng *stats.Rand) []AnnouncementPolicy {
 // a drop-in replacement for a synthetic Attack in any driver.
 //
 // Construct with NewTrace: the sampled segments and the per-(peer,port)
-// flow table are precomputed there. A Trace assembled by struct literal
-// has no segments and emits nothing.
+// flow table are precomputed there, and the Trace's offers point into
+// that table, which it owns (fabric.Offer's pointer-lifetime rule). A
+// Trace assembled by struct literal has no segments and emits nothing.
 type Trace struct {
 	// Target is the replayed victim address.
 	Target netip.Addr
@@ -309,6 +310,9 @@ func (t *Trace) Offers(tick int, dtSeconds float64) []fabric.Offer {
 // AppendOffers appends the tick's offers to dst and returns it — the
 // buffer-reusing form the engine's traffic stage drives. dst grows at
 // most once, to room for one offer per (peer, port) flow.
+// Each offer's Flow points at the trace's key for its (peer, port)
+// flow. The table is built once and never rewritten, so the key outlives
+// the tick's egress.
 func (t *Trace) AppendOffers(dst []fabric.Offer, tick int, dtSeconds float64) []fabric.Offer {
 	rate := t.rateAt(tick)
 	if rate <= 0 || len(t.segments) == 0 || len(t.weights) != len(t.Peers) {
@@ -329,7 +333,7 @@ func (t *Trace) AppendOffers(dst []fabric.Offer, tick int, dtSeconds float64) []
 			}
 			k := i*len(t.ports) + j
 			dst = append(dst, fabric.Offer{
-				Flow:     t.flows[k],
+				Flow:     &t.flows[k],
 				FlowHash: t.hashes[k],
 				Bytes:    b,
 				Packets:  b / 1200,

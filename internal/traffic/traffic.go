@@ -74,7 +74,8 @@ type Peer struct {
 
 // Attack is a reflection/amplification attack against one target IP,
 // arriving via a set of IXP peers — the shape of the booter-service
-// attacks in Sections 2.4 and 5.3.
+// attacks in Sections 2.4 and 5.3. Its offers point into a flow table
+// the Attack owns (fabric.Offer's pointer-lifetime rule).
 type Attack struct {
 	Vector Vector
 	// Target is the victim service address (the /32 under attack).
@@ -174,6 +175,10 @@ func (a *Attack) Offers(tick int, dtSeconds float64) []fabric.Offer {
 // AppendOffers appends the tick's offers to dst and returns it —
 // the buffer-reusing form the scenario engine drives (engine.OfferAppender).
 // dst grows at most once, to room for one offer per peer.
+// Each offer's Flow points at the attack's cached key for its peer: it
+// stays valid and unchanged until the egress of this tick returns, and
+// the next AppendOffers rewrites it in place if Target, Vector or the
+// peer was edited meanwhile.
 func (a *Attack) AppendOffers(dst []fabric.Offer, tick int, dtSeconds float64) []fabric.Offer {
 	checkPeers("Attack", len(a.Peers), len(a.weights))
 	rate := a.rateAt(tick)
@@ -199,7 +204,7 @@ func (a *Attack) AppendOffers(dst []fabric.Offer, tick int, dtSeconds float64) [
 			a.hashes[i] = f.Hash()
 		}
 		offers = append(offers, fabric.Offer{
-			Flow:     a.flows[i],
+			Flow:     &a.flows[i],
 			FlowHash: a.hashes[i],
 			Bytes:    b,
 			Packets:  b / pktSize,
@@ -219,7 +224,8 @@ type PortMix struct {
 // Flow keys and their hashes are cached so the per-tick path emits
 // pre-hashed offers; cached keys are revalidated against the current
 // fields each tick, so Target, Mix and the peers may be edited at any
-// time.
+// time. Its offers point into that cache, which the WebService owns
+// (fabric.Offer's pointer-lifetime rule).
 type WebService struct {
 	Target netip.Addr
 	// Peers carry the service's clients. Their weights are drawn at
@@ -287,6 +293,11 @@ func (w *WebService) Offers(tick int, dtSeconds float64) []fabric.Offer {
 // AppendOffers appends the tick's offers to dst and returns it —
 // the buffer-reusing form the scenario engine drives (engine.OfferAppender).
 // dst grows at most once, to room for one offer per (peer, mix) flow.
+// Each offer's Flow points at the service's cached key for its (peer,
+// mix) flow: it stays valid and unchanged until the egress of this tick
+// returns, and the next AppendOffers rewrites it in place if Target,
+// Mix or the peer was edited meanwhile (a Mix of another length gets a
+// new table).
 func (w *WebService) AppendOffers(dst []fabric.Offer, tick int, dtSeconds float64) []fabric.Offer {
 	checkPeers("WebService", len(w.Peers), len(w.weights))
 	totalBytes := w.RateBps * dtSeconds / 8
@@ -312,7 +323,7 @@ func (w *WebService) AppendOffers(dst []fabric.Offer, tick int, dtSeconds float6
 				w.hashes[k] = f.Hash()
 			}
 			offers = append(offers, fabric.Offer{
-				Flow:     w.flows[k],
+				Flow:     &w.flows[k],
 				FlowHash: w.hashes[k],
 				Bytes:    b,
 				Packets:  b / 900,

@@ -169,7 +169,8 @@ func TestAttackDeterminism(t *testing.T) {
 		t.Fatal("length mismatch")
 	}
 	for i := range o1 {
-		if o1[i] != o2[i] {
+		a, b := o1[i], o2[i]
+		if *a.Flow != *b.Flow || a.FlowHash != b.FlowHash || a.Bytes != b.Bytes || a.Packets != b.Packets {
 			t.Fatalf("offer %d differs", i)
 		}
 	}
