@@ -62,7 +62,7 @@ func BenchmarkAblationEgressVsIngress(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		return st.TotalDeliveredBytes() * 8
+		return st.PerPort["victim"].DeliveredBytes * 8
 	}
 
 	var egress, ingress float64

@@ -186,9 +186,13 @@ func TestDaemonEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "rule install", func() bool { return port.RuleCount() == 1 })
-	if got := len(d.x.Mitigations.Active()); got != 1 {
+	waitFor(t, "rule install", func() bool { return installedRules(d) == 1 })
+	active := d.x.Mitigations.Active()
+	if got := len(active); got != 1 {
 		t.Fatalf("live mitigations: %d (controller errors: %v)", got, d.x.Mitigations.GlassErrors())
+	}
+	if _, err := port.Rule(active[0].RuleIDs[0]); err != nil {
+		t.Fatalf("victim's port lacks the mitigation's rule: %v", err)
 	}
 
 	// Signal-to-drop: an NTP reflection flow and a web flow from the
@@ -219,7 +223,7 @@ func TestDaemonEndToEnd(t *testing.T) {
 	// Session teardown withdraws the member's routes and rules, and the
 	// NTP bytes are forwarded again.
 	victim.Close()
-	waitFor(t, "rule removal", func() bool { return port.RuleCount() == 0 })
+	waitFor(t, "rule removal", func() bool { return installedRules(d) == 0 })
 	if res := egress(); res.RuleDroppedBytes != 0 || res.DeliveredBytes != ntpBytes+webBytes {
 		t.Fatalf("egress after teardown: dropped %v delivered %v", res.RuleDroppedBytes, res.DeliveredBytes)
 	}
@@ -347,12 +351,11 @@ func TestTickCadences(t *testing.T) {
 		defer stop()
 		victim := dial(t, d, addr, 64512, "10.0.0.12", nil)
 		defer victim.Close()
-		port, _ := d.x.Fabric.PortByName("AS64512")
 		request(d, 0.05)
 		// No BGP activity from here on: install and expiry both come
 		// from the wall-clock loop.
-		waitFor(t, "install", func() bool { return port.RuleCount() == 1 })
-		waitFor(t, "expiry", func() bool { return port.RuleCount() == 0 && len(d.x.Mitigations.Active()) == 0 })
+		waitFor(t, "install", func() bool { return installedRules(d) == 1 })
+		waitFor(t, "expiry", func() bool { return installedRules(d) == 0 && len(d.x.Mitigations.Active()) == 0 })
 		if now := d.x.Clock(); now < 0.05 {
 			t.Fatalf("expired at %v s, before its 0.05 s TTL", now)
 		}
@@ -397,6 +400,59 @@ func TestBurstKeepsWallClock(t *testing.T) {
 	}
 	if got, ok := d.x.Mitigations.Get(m.ID); !ok || got.State != mitctl.StateActive {
 		t.Fatalf("60 s-TTL mitigation after %.3f s of wall time: %+v, want active", uptime, got)
+	}
+}
+
+// TestBurstOfSignalsIsPaced pins the change-queue budget to the wall
+// clock: one member's burst of 100 distinct Advanced Blackholing signals
+// never has more than burst + rate × elapsed wall seconds of rules
+// installed, under the controller's default pacer (4.33 changes/s with
+// a burst of 20, Figure 10(a)'s router CPU limit), and every signal
+// installs in the end.
+func TestBurstOfSignalsIsPaced(t *testing.T) {
+	if testing.Short() {
+		t.Skip("drains (100-20)/4.33 ≈ 19 s of pacing")
+	}
+	const (
+		signals = 100
+		rate    = 4.33 // mitctl.New's default QueueRate
+		burst   = 20   // mitctl.New's default QueueBurst
+	)
+	d, addr, stop := startDaemon(t, "-irr 64512:100.10.0.0/16 -tick 10ms")
+	defer stop()
+	victim := dial(t, d, addr, 64512, "10.0.0.12", nil)
+	defer victim.Close()
+	ec, err := core.DropUDPSrcPort(123).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	for i := 0; i < signals; i++ {
+		p := netip.PrefixFrom(netip.AddrFrom4([4]byte{100, 10, 30, byte(i)}), 32)
+		if err := victim.SendUpdate(announce(64512, p, []bgp.Community{bgp.CommunityBlackhole}, ec)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deadline := start.Add(time.Minute)
+	for {
+		// Count first, then read the clock: the bound the count is held
+		// to is never earlier than the installs it counts.
+		n := installedRules(d)
+		elapsed := time.Since(start).Seconds()
+		if limit := burst + rate*elapsed; float64(n) > limit {
+			t.Fatalf("%d rules installed %.2f s into the burst, above the pacer's %.1f", n, elapsed, limit)
+		}
+		if n == signals {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d signals installed after %.0f s (controller errors: %v)",
+				n, signals, elapsed, d.x.Mitigations.GlassErrors())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if got := len(d.x.Mitigations.Active()); got != signals {
+		t.Fatalf("live mitigations: %d, want %d", got, signals)
 	}
 }
 
@@ -476,4 +532,14 @@ func TestDaemonStopsCleanly(t *testing.T) {
 		}
 		time.Sleep(50 * time.Millisecond)
 	}
+}
+
+// installedRules counts the rules installed across the daemon's
+// exchange: each holds one QoS policy slot on the edge router.
+func installedRules(d *daemon) int {
+	n := 0
+	for _, p := range d.x.Router.Snapshot().Ports {
+		n += p.QoSPolicies
+	}
+	return n
 }

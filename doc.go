@@ -3,7 +3,7 @@
 // Smaragdakis, Feldmann — CoNEXT 2018): the Advanced Blackholing system
 // together with every substrate it runs on — a BGP-4 wire-format stack
 // with communities/extended-communities/ADD-PATH, an IXP route server
-// with IRR/RPKI/bogon import hygiene, an emulated switching fabric with
+// with IRR/bogon import hygiene, an emulated switching fabric with
 // TCAM-budgeted QoS filtering, traffic generators for amplification
 // attacks and benign services, a flow monitor, and the baseline
 // mitigation techniques (RTBH, ACL, Flowspec, TSS) the paper compares

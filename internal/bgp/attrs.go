@@ -140,17 +140,6 @@ func (a *PathAttrs) PathLen() int {
 	return n
 }
 
-// PrependAS prepends asn to the AS_PATH, creating or extending the
-// leading AS_SEQUENCE segment.
-func (a *PathAttrs) PrependAS(asn uint32) {
-	if len(a.ASPath) > 0 && a.ASPath[0].Type == ASSequence {
-		seg := a.ASPath[0]
-		a.ASPath[0] = ASPathSegment{Type: ASSequence, ASNs: append([]uint32{asn}, seg.ASNs...)}
-		return
-	}
-	a.ASPath = append([]ASPathSegment{{Type: ASSequence, ASNs: []uint32{asn}}}, a.ASPath...)
-}
-
 // Clone returns a deep copy of the attributes; route servers mutate
 // copies so peers never share attribute storage.
 func (a *PathAttrs) Clone() PathAttrs {
@@ -360,13 +349,6 @@ func (a *PathAttrs) marshalAttrs(opts *Options) ([]byte, error) {
 		}
 	}
 	return dst, nil
-}
-
-// MarshalAttrs encodes the attribute set as a standalone path
-// attribute block — the encoding between an UPDATE's attribute-length
-// field and its NLRI (canonical ascending type-code order).
-func (a *PathAttrs) MarshalAttrs(opts *Options) ([]byte, error) {
-	return a.marshalAttrs(opts)
 }
 
 // parseAttrs decodes the path attribute block of an UPDATE.

@@ -1,10 +1,6 @@
 package bgp
 
-import (
-	"fmt"
-	"strconv"
-	"strings"
-)
+import "fmt"
 
 // Community is an RFC 1997 BGP community: a 32-bit tag conventionally
 // written "asn:value" with the high 16 bits the AS and the low 16 bits an
@@ -43,32 +39,6 @@ func (c Community) String() string {
 		return "no-advertise"
 	}
 	return fmt.Sprintf("%d:%d", c.ASN(), c.Value())
-}
-
-// ParseCommunity parses "asn:value" or the well-known names "blackhole",
-// "no-export" and "no-advertise".
-func ParseCommunity(s string) (Community, error) {
-	switch s {
-	case "blackhole":
-		return CommunityBlackhole, nil
-	case "no-export":
-		return CommunityNoExport, nil
-	case "no-advertise":
-		return CommunityNoAdvertise, nil
-	}
-	parts := strings.Split(s, ":")
-	if len(parts) != 2 {
-		return 0, fmt.Errorf("bgp: invalid community %q", s)
-	}
-	asn, err := strconv.ParseUint(parts[0], 10, 16)
-	if err != nil {
-		return 0, fmt.Errorf("bgp: invalid community %q: %v", s, err)
-	}
-	val, err := strconv.ParseUint(parts[1], 10, 16)
-	if err != nil {
-		return 0, fmt.Errorf("bgp: invalid community %q: %v", s, err)
-	}
-	return MakeCommunity(uint16(asn), uint16(val)), nil
 }
 
 // Extended community types (RFC 4360). Stellar allocates its Advanced
@@ -114,10 +84,6 @@ func (e ExtCommunity) Value() [6]byte {
 	copy(v[:], e[2:])
 	return v
 }
-
-// IsTransitive reports whether the community is transitive across ASes
-// (bit 0x40 of the type byte clear).
-func (e ExtCommunity) IsTransitive() bool { return e[0]&0x40 == 0 }
 
 func (e ExtCommunity) String() string {
 	return fmt.Sprintf("ext:0x%02x:0x%02x:%02x%02x%02x%02x%02x%02x",

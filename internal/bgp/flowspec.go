@@ -116,11 +116,6 @@ func DstPrefix(p netip.Prefix) FlowSpecComponent {
 	return FlowSpecComponent{Type: FSDstPrefix, Prefix: p.Masked()}
 }
 
-// SrcPrefix returns a source-prefix component.
-func SrcPrefix(p netip.Prefix) FlowSpecComponent {
-	return FlowSpecComponent{Type: FSSrcPrefix, Prefix: p.Masked()}
-}
-
 // Numeric returns a numeric component of the given type.
 func Numeric(t FlowSpecType, matches ...FlowSpecMatch) FlowSpecComponent {
 	return FlowSpecComponent{Type: t, Matches: matches}

@@ -41,9 +41,6 @@ func NewListen(ln net.Listener, cfg bgpsession.Config) *Listen {
 	return &Listen{Session: cfg, ln: ln, sessions: make(map[string]*bgpsession.Session)}
 }
 
-// Addr returns the listener's address.
-func (l *Listen) Addr() net.Addr { return l.ln.Addr() }
-
 // Name implements Stage.
 func (l *Listen) Name() string { return "listen:" + l.ln.Addr().String() }
 

@@ -146,10 +146,7 @@ func TestMRTScannerSkipsRIBSnapshots(t *testing.T) {
 		ASPath:  []bgp.ASPathSegment{{Type: bgp.ASSequence, ASNs: []uint32{65003}}},
 		NextHop: netip.MustParseAddr("80.81.192.30"),
 	}
-	attrWire, err := attrs.MarshalAttrs(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	attrWire := attrBlock(t, attrs)
 	// RIB_IPV4_UNICAST: sequence, 192.0.2.0/24, one entry from peer 0.
 	rib := []byte{0, 0, 0, 0, 24, 192, 0, 2, 0, 1, 0, 0}
 	rib = binary.BigEndian.AppendUint32(rib, 1700000000)
@@ -201,15 +198,25 @@ func ribDump(t testing.TB, rs *routeserver.RouteServer) string {
 	var b strings.Builder
 	for _, k := range keys {
 		p := snap[k]
-		best := rs.Table().Best(k.Prefix)
-		wire, err := p.Attrs.MarshalAttrs(nil)
-		if err != nil {
-			t.Fatalf("marshal attrs for %v: %v", k, err)
-		}
+		best := rs.Table().Lookup(k.Prefix)[0]
 		fmt.Fprintf(&b, "%v as%d best=%v attrs=%x\n",
-			k, p.PeerAS, best != nil && best.Key == k, wire)
+			k, p.PeerAS, best.Key == k, attrBlock(t, p.Attrs))
 	}
 	return b.String()
+}
+
+// attrBlock encodes attrs as an UPDATE's path attribute block: the bytes
+// between its attribute-length field and its NLRI.
+func attrBlock(t testing.TB, attrs bgp.PathAttrs) []byte {
+	t.Helper()
+	wire, err := bgp.Marshal(&bgp.Update{Attrs: attrs}, nil)
+	if err != nil {
+		t.Fatalf("marshal attrs: %v", err)
+	}
+	// A 19-byte header, an empty withdrawn-routes field, then the
+	// attribute block's 2-byte length.
+	n := int(binary.BigEndian.Uint16(wire[21:23]))
+	return wire[23 : 23+n]
 }
 
 // recordStage is a test-local RX producer: it announces each record's

@@ -102,9 +102,7 @@ type Session struct {
 	opts      bgp.Options
 	holdTime  time.Duration
 	closeOnce sync.Once
-	closeErr  error
 	writeMu   sync.Mutex
-	done      chan struct{}
 
 	// closing is set by Close before its NOTIFICATION goes out: the peer
 	// may answer it by closing the transport before close() marks the
@@ -126,7 +124,7 @@ func New(conn net.Conn, cfg Config, handler Handler) *Session {
 	if handler == nil {
 		handler = func(Event) {}
 	}
-	return &Session{cfg: cfg, conn: conn, handler: handler, state: StateIdle, done: make(chan struct{})}
+	return &Session{cfg: cfg, conn: conn, handler: handler, state: StateIdle}
 }
 
 // State returns the current FSM state.
@@ -142,24 +140,6 @@ func (s *Session) PeerOpen() *bgp.Open {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.peerOpen
-}
-
-// Options returns the negotiated encode/decode options (ADD-PATH flags).
-// Valid once Established.
-func (s *Session) Options() bgp.Options {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.opts
-}
-
-// Done is closed when the session terminates.
-func (s *Session) Done() <-chan struct{} { return s.done }
-
-// Err returns the terminal error after Done is closed.
-func (s *Session) Err() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.closeErr
 }
 
 func (s *Session) setState(st State) {
@@ -359,11 +339,9 @@ func (s *Session) close(err error) error {
 	s.closeOnce.Do(func() {
 		s.mu.Lock()
 		s.state = StateClosed
-		s.closeErr = err
 		s.mu.Unlock()
 		_ = s.conn.Close()
 		s.handler(Event{State: StateClosed, Err: err})
-		close(s.done)
 	})
 	return err
 }

@@ -118,8 +118,8 @@ func TestAddPathNegotiation(t *testing.T) {
 	}
 	defer sa.Close()
 	defer sb.Close()
-	if !sa.Options().AddPathIPv4 || !sb.Options().AddPathIPv4 {
-		t.Fatalf("ADD-PATH not negotiated: %+v %+v", sa.Options(), sb.Options())
+	if !optionsOf(sa).AddPathIPv4 || !optionsOf(sb).AddPathIPv4 {
+		t.Fatalf("ADD-PATH not negotiated: %+v %+v", optionsOf(sa), optionsOf(sb))
 	}
 }
 
@@ -134,7 +134,7 @@ func TestAddPathAsymmetric(t *testing.T) {
 	}
 	defer sa.Close()
 	defer sb.Close()
-	if sa.Options().AddPathIPv4 {
+	if optionsOf(sa).AddPathIPv4 {
 		t.Fatal("ADD-PATH negotiated against a non-supporting peer")
 	}
 }
@@ -183,7 +183,8 @@ func TestAddPathUpdateRoundtrip(t *testing.T) {
 
 func TestExpectASMismatch(t *testing.T) {
 	ca, cb := net.Pipe()
-	sa := New(ca, Config{LocalAS: 64512, BGPID: idA, ExpectAS: 65000}, nil)
+	closed, onClose := closedEvents()
+	sa := New(ca, Config{LocalAS: 64512, BGPID: idA, ExpectAS: 65000}, onClose)
 	sb := New(cb, Config{LocalAS: 64513, BGPID: idB}, nil)
 	done := make(chan error, 2)
 	go func() { done <- sa.Run() }()
@@ -196,9 +197,8 @@ func TestExpectASMismatch(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("timeout")
 	}
-	<-sa.Done()
-	if sa.Err() != ErrBadPeerAS {
-		t.Fatalf("err = %v, want ErrBadPeerAS", sa.Err())
+	if e := <-closed; e.Err != ErrBadPeerAS {
+		t.Fatalf("err = %v, want ErrBadPeerAS", e.Err)
 	}
 }
 
@@ -227,15 +227,7 @@ func TestSendBeforeEstablished(t *testing.T) {
 }
 
 func TestCloseDeliversClosedEvent(t *testing.T) {
-	closed := make(chan Event, 8)
-	handler := func(e Event) {
-		if e.Update == nil && e.State == StateClosed {
-			select {
-			case closed <- e:
-			default:
-			}
-		}
-	}
+	closed, handler := closedEvents()
 	sa, sb, err := pair(
 		Config{LocalAS: 64512, BGPID: idA},
 		Config{LocalAS: 64513, BGPID: idB},
@@ -249,7 +241,6 @@ func TestCloseDeliversClosedEvent(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("no Closed event")
 	}
-	<-sa.Done()
 	if sa.State() != StateClosed {
 		t.Fatalf("state = %v", sa.State())
 	}
@@ -257,16 +248,17 @@ func TestCloseDeliversClosedEvent(t *testing.T) {
 }
 
 func TestNotificationClosesPeer(t *testing.T) {
-	sa, sb, err := pair(
+	closed, onClose := closedEvents()
+	sa, _, err := pair(
 		Config{LocalAS: 64512, BGPID: idA},
 		Config{LocalAS: 64513, BGPID: idB},
-		nil, nil)
+		nil, onClose)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sa.Close() // sends CEASE
 	select {
-	case <-sb.Done():
+	case <-closed:
 	case <-time.After(2 * time.Second):
 		t.Fatal("peer did not close on NOTIFICATION")
 	}
@@ -289,7 +281,7 @@ func TestKeepalivesMaintainSession(t *testing.T) {
 	// die within ~300ms. Survive 4x that.
 	time.Sleep(1200 * time.Millisecond)
 	if sa.State() != StateEstablished || sb.State() != StateEstablished {
-		t.Fatalf("session died: %v %v (%v %v)", sa.State(), sb.State(), sa.Err(), sb.Err())
+		t.Fatalf("session died: %v %v", sa.State(), sb.State())
 	}
 }
 
@@ -442,7 +434,7 @@ func TestOverTCP(t *testing.T) {
 	deadline := time.Now().Add(3 * time.Second)
 	for client.State() != StateEstablished {
 		if time.Now().After(deadline) {
-			t.Fatalf("not established: %v (%v)", client.State(), client.Err())
+			t.Fatalf("not established: %v", client.State())
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -464,5 +456,23 @@ func TestOverTCP(t *testing.T) {
 		}
 	case <-time.After(3 * time.Second):
 		t.Fatal("no update over TCP")
+	}
+}
+
+// optionsOf reads the session's negotiated encode/decode options.
+func optionsOf(s *Session) bgp.Options {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.opts
+}
+
+// closedEvents returns a handler that passes the session's Closed event
+// (sent once, with its terminal error) to the returned channel.
+func closedEvents() (<-chan Event, Handler) {
+	closed := make(chan Event, 1)
+	return closed, func(e Event) {
+		if e.Update == nil && e.State == StateClosed {
+			closed <- e
+		}
 	}
 }

@@ -1,6 +1,9 @@
 package conformance
 
-import "testing"
+import (
+	"io/fs"
+	"testing"
+)
 
 // FuzzProfileDecode hammers the profile decoder with mutated JSON. The
 // shipped profiles seed the corpus so mutations start from realistic
@@ -10,11 +13,15 @@ import "testing"
 // consistent when validated again), and an accepted profile small enough
 // to run cheaply must run without panicking.
 func FuzzProfileDecode(f *testing.F) {
-	raw, err := RawProfiles()
-	if err != nil {
-		f.Fatalf("seed corpus: %v", err)
+	names, err := fs.Glob(profilesFS, "profiles/*.json")
+	if err != nil || len(names) == 0 {
+		f.Fatalf("seed corpus: %v, %d profiles", err, len(names))
 	}
-	for _, data := range raw {
+	for _, name := range names {
+		data, err := fs.ReadFile(profilesFS, name)
+		if err != nil {
+			f.Fatalf("seed corpus: %v", err)
+		}
 		f.Add(data)
 	}
 	f.Add([]byte(`{}`))

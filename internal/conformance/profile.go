@@ -506,8 +506,8 @@ func (p *Profile) Validate() error {
 				return fail("event %d: effect %q is not drop/shape", i, ev.Effect)
 			}
 			switch ev.Scope {
-			case "", "all-peers":
-			case "per-peer":
+			case "", ScopeAllPeers:
+			case ScopePerPeer:
 				if ev.Peers.Count <= 0 {
 					return fail("event %d: per-peer scope lists no peers", i)
 				}
@@ -665,7 +665,7 @@ func (p *Profile) validateChannelMatch(ev EventSpec) error {
 		// The extended-community encoding (core.RuleSpec) expresses
 		// proto-wide and single-port selectors; richer matches need
 		// the portal (SelCustom) or another channel.
-		if ev.Scope == "per-peer" {
+		if ev.Scope == ScopePerPeer {
 			return fmt.Errorf("community channel cannot scope per-peer")
 		}
 		if ev.Match.Proto == "" {
@@ -684,7 +684,7 @@ func (p *Profile) validateChannelMatch(ev EventSpec) error {
 			}
 		}
 	case "flowspec":
-		if ev.Scope == "per-peer" {
+		if ev.Scope == ScopePerPeer {
 			return fmt.Errorf("flowspec channel cannot scope per-peer")
 		}
 	case "rtbh":
@@ -730,25 +730,4 @@ func Load(name string) (*Profile, error) {
 		}
 	}
 	return nil, fmt.Errorf("conformance: no profile %q", name)
-}
-
-// RawProfiles returns the embedded profile files (name -> bytes) — the
-// fuzz seed corpus and the CLI's -list source.
-func RawProfiles() (map[string][]byte, error) {
-	entries, err := fs.ReadDir(profilesFS, "profiles")
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[string][]byte, len(entries))
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".json") {
-			continue
-		}
-		data, err := fs.ReadFile(profilesFS, "profiles/"+e.Name())
-		if err != nil {
-			return nil, err
-		}
-		out[e.Name()] = data
-	}
-	return out, nil
 }

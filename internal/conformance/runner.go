@@ -520,7 +520,7 @@ func (r *runner) specFor(ev EventSpec) mitctl.Spec {
 	} else {
 		spec.Action = fabric.ActionDrop
 	}
-	if ev.Scope == "per-peer" {
+	if ev.Scope == ScopePerPeer {
 		spec.Scope = mitctl.ScopePerPeer
 		for _, pm := range r.members[ev.Peers.From : ev.Peers.From+ev.Peers.Count] {
 			spec.Peers = append(spec.Peers, pm.Name)

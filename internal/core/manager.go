@@ -123,10 +123,3 @@ func (m *QoSManager) Apply(c ConfigChange) error {
 		return fmt.Errorf("core: unknown op %v", c.Op)
 	}
 }
-
-// InstalledCount returns the number of rules currently installed.
-func (m *QoSManager) InstalledCount() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.installed)
-}

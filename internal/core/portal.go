@@ -71,25 +71,3 @@ func (p *Portal) Lookup(member string, id uint32) (CustomRule, error) {
 	}
 	return CustomRule{}, ErrNoSuchRule
 }
-
-// Delete removes a rule.
-func (p *Portal) Delete(member string, id uint32) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if _, ok := p.rules[member][id]; !ok {
-		return ErrNoSuchRule
-	}
-	delete(p.rules[member], id)
-	return nil
-}
-
-// RulesOf lists a member's rules.
-func (p *Portal) RulesOf(member string) []CustomRule {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	out := make([]CustomRule, 0, len(p.rules[member]))
-	for _, r := range p.rules[member] {
-		out = append(out, r)
-	}
-	return out
-}

@@ -64,23 +64,6 @@ func DropUDPSrcPort(port uint16) RuleSpec {
 	return RuleSpec{Selector: SelUDPSrcPort, Proto: netpkt.ProtoUDP, Port: port, Action: fabric.ActionDrop}
 }
 
-// ShapeUDPSrcPort returns the spec shaping UDP traffic from the given
-// source port to rateBps — the telemetry mode of Section 5.3.
-func ShapeUDPSrcPort(port uint16, rateBps float64) RuleSpec {
-	return RuleSpec{Selector: SelUDPSrcPort, Proto: netpkt.ProtoUDP, Port: port,
-		Action: fabric.ActionShape, ShapeRateBps: rateBps}
-}
-
-// DropProto returns the spec dropping an entire transport protocol.
-func DropProto(proto netpkt.IPProto) RuleSpec {
-	return RuleSpec{Selector: SelProto, Proto: proto, Action: fabric.ActionDrop}
-}
-
-// Custom returns a spec referencing a portal-defined rule.
-func Custom(id uint32) RuleSpec {
-	return RuleSpec{Selector: SelCustom, CustomID: id}
-}
-
 // Encode packs the spec into Stellar's Advanced Blackholing extended
 // community (experimental type 0x80, sub-type 0x66). Layout of the
 // 6-byte value:

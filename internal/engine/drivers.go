@@ -1,9 +1,6 @@
 package engine
 
-import (
-	"stellar/internal/fabric"
-	"stellar/internal/traffic"
-)
+import "stellar/internal/fabric"
 
 // SourcesDriver is the synthetic-attack driver: per-victim Source lists,
 // the workload shape of the figure experiments. When one Source
@@ -55,13 +52,6 @@ func (d *SourcesDriver) AppendOffers(v int, dst []fabric.Offer, tick int, dt flo
 	return dst
 }
 
-// NewTraceDriver is the pcap-less trace-replay driver: it replays a
-// traffic.Trace (per-tick rates with sampled blackholing-event port
-// compositions) against one victim port.
-func NewTraceDriver(port string, tr *traffic.Trace) *SourcesDriver {
-	return NewSourcesDriver([]VictimSpec{{Port: port}}, [][]Source{{tr}})
-}
-
 // Pulsed gates a source into an on/off pulse train — the burst-pause
 // pattern of modern booter attacks that defeats reactive thresholds.
 // The source emits during the first OnTicks of every (OnTicks+OffTicks)
@@ -99,14 +89,6 @@ func (p *Pulsed) AppendOffers(dst []fabric.Offer, tick int, dtSeconds float64) [
 		return ap.AppendOffers(dst, tick, dtSeconds)
 	}
 	return append(dst, p.Src.Offers(tick, dtSeconds)...)
-}
-
-// NewPulseDriver builds the pulsing-attack driver: src gated into an
-// on/off train against one victim port, plus optional always-on
-// background sources (benign traffic).
-func NewPulseDriver(port string, src Source, onTicks, offTicks, startTick int, background ...Source) *SourcesDriver {
-	sources := append([]Source{&Pulsed{Src: src, OnTicks: onTicks, OffTicks: offTicks, StartTick: startTick}}, background...)
-	return NewSourcesDriver([]VictimSpec{{Port: port}}, [][]Source{sources})
 }
 
 // CarpetDriver is the carpet-bombing driver: the attack rotates across

@@ -99,7 +99,8 @@ func TestPulsedWindows(t *testing.T) {
 
 // TestPulseDriver: the gated attack plus always-on background.
 func TestPulseDriver(t *testing.T) {
-	d := NewPulseDriver("v", &countSource{id: 7, n: 4}, 2, 2, 4, &countSource{id: 1, n: 1})
+	pulse := &Pulsed{Src: &countSource{id: 7, n: 4}, OnTicks: 2, OffTicks: 2, StartTick: 4}
+	d := NewSourcesDriver([]VictimSpec{{Port: "v"}}, [][]Source{{pulse, &countSource{id: 1, n: 1}}})
 	if got := d.Victims(); len(got) != 1 || got[0].Port != "v" {
 		t.Fatalf("victims: %+v", got)
 	}

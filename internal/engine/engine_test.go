@@ -441,15 +441,16 @@ func TestWatchdogNoTimeoutNoGoroutines(t *testing.T) {
 // TestWarmPortTickThroughBatchVisitorAllocs pins the monitor side of a
 // port's egress: once the worker's shard has grown its tables, one port
 // tick — the run's sink looked up, the delivered flows handed over as
-// one batch and observed under one lock — allocates nothing.
+// one batch and observed under one lock — allocates nothing. The
+// egress side's own pin is the fabric package's.
 func TestWarmPortTickThroughBatchVisitorAllocs(t *testing.T) {
 	const senders = 256
 	r, err := wire(testConfig(1, 1, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	port := fabric.NewPort("port0", netpkt.MAC{0x02, 0x98}, 1e9)
 	offers := make([]fabric.Offer, 2*senders)
+	delivered := make([]fabric.Delivery, len(offers))
 	for i := range offers {
 		flow := netpkt.FlowKey{
 			SrcMAC:  netpkt.MAC{0x02, 0x99, 0, 0, byte(i / 2 >> 8), byte(i / 2)},
@@ -460,19 +461,15 @@ func TestWarmPortTickThroughBatchVisitorAllocs(t *testing.T) {
 			DstPort: 443,
 		}
 		offers[i] = fabric.Offer{Flow: &flow, FlowHash: flow.Hash(), Bytes: 1e4, Packets: 10}
+		delivered[i] = fabric.Delivery{Offer: &offers[i], Bytes: offers[i].Bytes}
 	}
-	portTick := func() { port.Egress(offers, 1, r.sink(0, "port0")) }
-	portTick() // grow the shard's tables and the egress scratch
-	// The race detector drops sync.Pool entries at random: allow the
-	// egress scratch's regrowth there.
-	slack := 0.0
-	if raceEnabled {
-		slack = 16
-	}
-	if got := testing.AllocsPerRun(50, portTick); got > slack {
+	portTick := func() { r.sink(0, "port0")(delivered) }
+	portTick() // grow the shard's tables
+	if got := testing.AllocsPerRun(50, portTick); got != 0 {
 		t.Fatalf("warm port tick: %v allocations, want 0", got)
 	}
-	if got := r.specs[0].Monitor.PeerCount(0, 0); got != senders {
+	anyMAC := func(netpkt.MAC) bool { return true }
+	if got := r.specs[0].Monitor.PeerCountFunc(0, 0, anyMAC); got != senders {
 		t.Fatalf("monitor saw %d senders, want %d", got, senders)
 	}
 }

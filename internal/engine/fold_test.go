@@ -296,10 +296,18 @@ func requireSameSeries(t *testing.T, label string, got, want []VictimSeries) {
 					label, v, i, got[v].Samples[i], want[v].Samples[i])
 			}
 		}
-		gb, gv := got[v].Monitor.Series()
-		wb, wv := want[v].Monitor.Series()
-		if fmt.Sprint(gb, gv) != fmt.Sprint(wb, wv) {
+		if monitorSeries(got[v].Monitor) != monitorSeries(want[v].Monitor) {
 			t.Fatalf("%s victim %d: monitor series diverged", label, v)
 		}
 	}
+}
+
+// monitorSeries renders a flow monitor's per-bin total bytes.
+func monitorSeries(c *flowmon.Collector) string {
+	bins := c.Bins()
+	totals := make([]float64, len(bins))
+	for i, b := range bins {
+		totals[i] = c.TotalBytes(b)
+	}
+	return fmt.Sprint(bins, totals)
 }

@@ -36,7 +36,8 @@ func TestPulseDriverPeriodEdges(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			d := NewPulseDriver("v", &countSource{id: 1, n: 1}, c.on, c.off, c.start)
+			pulse := &Pulsed{Src: &countSource{id: 1, n: 1}, OnTicks: c.on, OffTicks: c.off, StartTick: c.start}
+			d := NewSourcesDriver([]VictimSpec{{Port: "v"}}, [][]Source{{pulse}})
 			for _, tick := range c.active {
 				if got := len(d.AppendOffers(0, nil, tick, 1)); got != 1 {
 					t.Errorf("tick %d: %d offers, want 1 (active)", tick, got)

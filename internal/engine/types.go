@@ -18,9 +18,6 @@ type PortReport struct {
 	Result fabric.TickResult
 }
 
-// DeliveredBps converts the report to a rate.
-func (r PortReport) DeliveredBps(dt float64) float64 { return r.Result.DeliveredBytes * 8 / dt }
-
 // Sample is one tick of a victim port's time series — the measurements
 // plotted in Figures 3(c) and 10(c).
 type Sample struct {
@@ -182,10 +179,9 @@ type VictimSpec struct {
 // for distinct victims (the traffic step fans victims across the
 // worker pool) unless the driver also implements SerialGenerator.
 //
-// Shipped drivers: SourcesDriver (synthetic attack, per-victim Source
-// lists), NewTraceDriver (pcap-less trace replay over
-// traffic.Trace), NewPulseDriver (on/off pulsing attack), and
-// CarpetDriver (carpet bombing across rotating victim prefixes).
+// Shipped drivers: SourcesDriver (per-victim Source lists: synthetic
+// attacks, a traffic.Trace replay, or a Pulsed on/off pulsing attack)
+// and CarpetDriver (carpet bombing across rotating victim prefixes).
 type Driver interface {
 	Victims() []VictimSpec
 	// AppendOffers appends victim v's offers for the tick to dst and

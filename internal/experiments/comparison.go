@@ -249,16 +249,6 @@ func CompareMitigations(cfg CompareConfig) CompareResult {
 	return res
 }
 
-// Row returns the row for a technique.
-func (r CompareResult) Row(t mitigation.Technique) CompareRow {
-	for _, row := range r.Rows {
-		if row.Technique == t {
-			return row
-		}
-	}
-	return CompareRow{}
-}
-
 // Format renders the comparison.
 func (r CompareResult) Format() string {
 	var b strings.Builder

@@ -12,17 +12,27 @@ import (
 	"stellar/internal/traffic"
 )
 
-// egressByFlow is one egress tick with the per-flow deliveries summed
-// into a map — the shape the frozen replicas below were written against.
-// The visitor runs in the forward-queue order the map used to be filled in.
+// egressByFlow is one egress tick of port, through a fabric holding only
+// it, with the per-flow deliveries summed into a map — the shape the
+// frozen replicas below were written against. The visitor runs in the
+// forward-queue order the map used to be filled in.
 func egressByFlow(port *fabric.Port, offers []fabric.Offer, dt float64) (fabric.TickResult, map[netpkt.FlowKey]float64) {
+	fab := fabric.New()
+	if err := fab.AddPort(port); err != nil {
+		panic(err)
+	}
 	byFlow := make(map[netpkt.FlowKey]float64, len(offers))
-	res := port.Egress(offers, dt, func(ds []fabric.Delivery) {
-		for _, d := range ds {
-			byFlow[*d.Offer.Flow] += d.Bytes
+	st, err := fab.Tick(nil, fabric.TickOffers{port.Name: offers}, dt, func(int, string) fabric.FlowVisitor {
+		return func(ds []fabric.Delivery) {
+			for _, d := range ds {
+				byFlow[*d.Offer.Flow] += d.Bytes
+			}
 		}
 	})
-	return res, byFlow
+	if err != nil {
+		panic(err)
+	}
+	return st.PerPort[port.Name], byFlow
 }
 
 // legacyCompareMitigations is a frozen replica of the bespoke serial

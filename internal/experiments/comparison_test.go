@@ -11,11 +11,11 @@ func TestCompareMitigationsShape(t *testing.T) {
 	if len(r.Rows) != 5 {
 		t.Fatalf("rows: %d", len(r.Rows))
 	}
-	advbh := r.Row(mitigation.AdvancedBlackholing)
-	rtbh := r.Row(mitigation.RTBH)
-	acl := r.Row(mitigation.ACL)
-	fs := r.Row(mitigation.Flowspec)
-	tss := r.Row(mitigation.TSS)
+	advbh := rowOf(r, mitigation.AdvancedBlackholing)
+	rtbh := rowOf(r, mitigation.RTBH)
+	acl := rowOf(r, mitigation.ACL)
+	fs := rowOf(r, mitigation.Flowspec)
+	tss := rowOf(r, mitigation.TSS)
 
 	// Advanced Blackholing: full benign delivery, no residual attack,
 	// no congestion, no recurring cost.
@@ -114,4 +114,14 @@ func TestCompareDeterministic(t *testing.T) {
 			t.Fatalf("row %d residual differs: %v vs %v", i, ra.AttackResidualFrac, rb.AttackResidualFrac)
 		}
 	}
+}
+
+// rowOf returns the row for a technique.
+func rowOf(r CompareResult, t mitigation.Technique) CompareRow {
+	for _, row := range r.Rows {
+		if row.Technique == t {
+			return row
+		}
+	}
+	return CompareRow{}
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -19,8 +20,13 @@ func TestTable1Shape(t *testing.T) {
 		t.Fatalf("format:\n%s", out)
 	}
 	// Advanced Blackholing must dominate every column.
-	counts := mitigation.AdvantageCount()
-	if counts[mitigation.AdvancedBlackholing] != 10 {
+	sweeps := 0
+	for _, row := range mitigation.Table1() {
+		if row[mitigation.AdvancedBlackholing] == mitigation.Advantage {
+			sweeps++
+		}
+	}
+	if sweeps != 10 {
 		t.Fatal("AdvBH does not sweep")
 	}
 }
@@ -288,8 +294,8 @@ func TestFig10bShape(t *testing.T) {
 			t.Fatalf("rate %v: P(<=1s) = %v, want >= 0.70", c.Rate, p1)
 		}
 		// Paper: p95 below 100 seconds.
-		if p95 := c.ECDF.Quantile(0.95); p95 >= 100 {
-			t.Fatalf("rate %v: p95 = %v, want < 100", c.Rate, p95)
+		if p := c.ECDF.P(math.Nextafter(100, 0)); p < 0.95 {
+			t.Fatalf("rate %v: P(<100s) = %v, want >= 0.95", c.Rate, p)
 		}
 	}
 	// The faster dequeue rate dominates (stochastically) at 10 s.

@@ -81,7 +81,7 @@ func TestClassifierMatchesLinearScan(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		rules := p.Rules()
+		rules := p.cls.Load().rules
 		for q := 0; q < 200; q++ {
 			f := randomFlow(rng, macs)
 			want := linearClassify(rules, &f)
@@ -226,30 +226,6 @@ func TestClassifierV4TrieDiscriminates(t *testing.T) {
 	}
 }
 
-// TestRulesDefensiveCopy pins the contract that mutating the slice
-// returned by Rules cannot corrupt the port's rule order.
-func TestRulesDefensiveCopy(t *testing.T) {
-	p := newVictimPort()
-	if err := p.InstallRule(dropNTPRule()); err != nil {
-		t.Fatal(err)
-	}
-	m := MatchAll()
-	m.Proto = netpkt.ProtoUDP
-	if err := p.InstallRule(&Rule{ID: "drop-udp", Match: m, Action: ActionDrop}); err != nil {
-		t.Fatal(err)
-	}
-	got := p.Rules()
-	got[0], got[1] = got[1], got[0]
-	got[0] = nil
-	again := p.Rules()
-	if len(again) != 2 || again[0].ID != "drop-ntp" || again[1].ID != "drop-udp" {
-		t.Fatalf("port rules corrupted by caller mutation: %v", again)
-	}
-	if p.ClassifyHashed(udpFlow(macPeerA, srcIPA, 123), 0).ID != "drop-ntp" {
-		t.Fatal("classification order changed")
-	}
-}
-
 // TestConcurrentRuleChurnAndClassify is the -race stress test: rule
 // management, classification of a growing flow population and egress
 // ticks all run concurrently against one port.
@@ -299,7 +275,7 @@ func TestConcurrentRuleChurnAndClassify(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				p.Egress(offers, 0.01, nil)
+				p.egress(offers, 1, 0.01, nil)
 				p.ClassifyHashed(offers[i%len(offers)].Flow, 0)
 				// Fresh flows every iteration, so every reader inserts
 				// into and doubles the memo tables the others are probing;
@@ -316,11 +292,10 @@ func TestConcurrentRuleChurnAndClassify(t *testing.T) {
 						return
 					}
 				}
-				if rs := p.Rules(); len(rs) == 0 {
+				if rs := p.cls.Load().rules; len(rs) == 0 {
 					t.Error("pinned rule disappeared")
 					return
 				}
-				p.RuleCount()
 			}
 		}(w)
 	}
@@ -494,7 +469,7 @@ func (c *churnTrial) pass() {
 			wantDelivered += o.Bytes
 		}
 	}
-	res := c.p.Egress(c.offers, 1, nil)
+	res := c.p.egress(c.offers, 1, 1, nil)
 	if res.RuleDroppedBytes != wantDropped || res.DeliveredBytes != wantDelivered {
 		c.t.Fatalf("Egress dropped %v delivered %v, linear scan %v / %v (rules %v)",
 			res.RuleDroppedBytes, res.DeliveredBytes, wantDropped, wantDelivered, c.rules)
@@ -569,7 +544,7 @@ func TestClassifyHashCollision(t *testing.T) {
 	h := f1.Hash()
 	check := func(when string) {
 		t.Helper()
-		rules := p.Rules()
+		rules := p.cls.Load().rules
 		for i := 0; i < 3; i++ { // cold, then memoized
 			if got, want := p.ClassifyHashed(f1, h), linearClassify(rules, f1); got != want {
 				t.Fatalf("%s: f1 = %v, want %v", when, got, want)
@@ -649,7 +624,7 @@ func TestMemoOwnsItsKeys(t *testing.T) {
 			egress := func(when string) {
 				t.Helper()
 				delivered := map[*Offer]bool{}
-				res := p.Egress(offers, 1, func(ds []Delivery) {
+				res := p.egress(offers, 1, 1, func(ds []Delivery) {
 					for _, d := range ds {
 						delivered[d.Offer] = true
 					}

@@ -24,11 +24,14 @@ func ExamplePort_InstallRule() {
 		fmt.Println("install failed:", err)
 		return
 	}
-	fmt.Println(rule)
-	fmt.Println("installed rules:", port.RuleCount())
+	installed, err := port.Rule("drop-ntp")
+	if err != nil {
+		fmt.Println("lookup failed:", err)
+		return
+	}
+	fmt.Println(installed)
 	// Output:
 	// rule drop-ntp: match(proto=UDP,dst=100.10.10.10/32,src-port=123) -> drop
-	// installed rules: 1
 }
 
 // ExamplePort_ClassifyHashed classifies two flows against an installed
@@ -66,17 +69,22 @@ func ExamplePort_ClassifyHashed() {
 	// web flow -> default forwarding queue
 }
 
-// ExamplePort_Egress runs one flow-level egress tick: a 2 Gbps NTP
+// ExampleFabric_Tick runs one flow-level egress tick: a 2 Gbps NTP
 // flood and a 400 Mbps web service offered to a 1 Gbps member port
 // with the attack signature dropped — benign traffic survives intact.
-// The tick's visitor receives the port's delivered flows as one batch.
-func ExamplePort_Egress() {
+// The sink's visitor receives the port's delivered flows as one batch.
+func ExampleFabric_Tick() {
 	port := fabric.NewPort("AS64512", netpkt.MustParseMAC("02:00:00:00:00:01"), 1e9)
 	m := fabric.MatchAll()
 	m.Proto = netpkt.ProtoUDP
 	m.SrcPort = 123
 	if err := port.InstallRule(&fabric.Rule{ID: "drop-ntp", Match: m, Action: fabric.ActionDrop}); err != nil {
 		fmt.Println("install failed:", err)
+		return
+	}
+	fab := fabric.New()
+	if err := fab.AddPort(port); err != nil {
+		fmt.Println("add port failed:", err)
 		return
 	}
 
@@ -87,15 +95,22 @@ func ExamplePort_Egress() {
 	web := netpkt.FlowKey{SrcMAC: peer, Src: netip.MustParseAddr("198.51.100.2"),
 		Dst: victim, Proto: netpkt.ProtoTCP, SrcPort: 50443, DstPort: 443}
 
-	res := port.Egress([]fabric.Offer{
+	offers := fabric.TickOffers{"AS64512": {
 		{Flow: &attack, FlowHash: attack.Hash(), Bytes: 250e6, Packets: 5e5}, // 2 Gbit in 1 s
 		{Flow: &web, FlowHash: web.Hash(), Bytes: 50e6, Packets: 5e4},        // 400 Mbit in 1 s
-	}, 1.0, func(delivered []fabric.Delivery) {
-		for _, d := range delivered {
-			fmt.Printf("%s: %.0f Mbit\n", d.Offer.Flow, d.Bytes*8/1e6)
+	}}
+	stats, err := fab.Tick(nil, offers, 1.0, func(worker int, port string) fabric.FlowVisitor {
+		return func(delivered []fabric.Delivery) {
+			for _, d := range delivered {
+				fmt.Printf("%s: %.0f Mbit\n", d.Offer.Flow, d.Bytes*8/1e6)
+			}
 		}
 	})
-
+	if err != nil {
+		fmt.Println("tick failed:", err)
+		return
+	}
+	res := stats.PerPort["AS64512"]
 	fmt.Printf("delivered:    %.0f Mbit\n", res.DeliveredBytes*8/1e6)
 	fmt.Printf("rule-dropped: %.0f Mbit\n", res.RuleDroppedBytes*8/1e6)
 	fmt.Printf("congestion:   %.0f Mbit\n", res.CongestionDroppedBytes*8/1e6)

@@ -52,17 +52,6 @@ func (f *Fabric) AddPort(p *Port) error {
 	return nil
 }
 
-// PortByMAC looks a port up by MAC address.
-func (f *Fabric) PortByMAC(mac netpkt.MAC) (*Port, error) {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	p, ok := f.ports[mac]
-	if !ok {
-		return nil, ErrNoSuchPort
-	}
-	return p, nil
-}
-
 // PortByName looks a port up by name.
 func (f *Fabric) PortByName(name string) (*Port, error) {
 	f.mu.RLock()
@@ -72,18 +61,6 @@ func (f *Fabric) PortByName(name string) (*Port, error) {
 		return nil, ErrNoSuchPort
 	}
 	return p, nil
-}
-
-// Ports returns all ports sorted by name.
-func (f *Fabric) Ports() []*Port {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	out := make([]*Port, 0, len(f.byNam))
-	for _, p := range f.byNam {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
 }
 
 // TickOffers is the flow-level input to one simulation tick: offers
@@ -98,15 +75,6 @@ type TickStats struct {
 	// PlatformDroppedBytes counts bytes the core itself had to shed
 	// (only when PlatformCapacityBps is set and exceeded).
 	PlatformDroppedBytes float64
-}
-
-// TotalDeliveredBytes sums delivered bytes across ports.
-func (t TickStats) TotalDeliveredBytes() float64 {
-	var s float64
-	for _, r := range t.PerPort {
-		s += r.DeliveredBytes
-	}
-	return s
 }
 
 // TickSink supplies the per-(worker, port) FlowVisitor of a tick: Tick

@@ -166,18 +166,6 @@ func (p *Port) Rule(id string) (*Rule, error) {
 	return nil, ErrNoSuchRule
 }
 
-// Rules returns a defensive copy of the installed rules in evaluation
-// order. Mutating the returned slice never affects the port; the *Rule
-// pointers are shared so telemetry counters stay live.
-func (p *Port) Rules() []*Rule {
-	return append([]*Rule(nil), p.cls.Load().rules...)
-}
-
-// RuleCount returns the number of installed rules.
-func (p *Port) RuleCount() int {
-	return len(p.cls.Load().rules)
-}
-
 // ClassifyHashed returns the first matching rule for the flow, or nil
 // for the default forwarding queue; hash is the flow's precomputed
 // netpkt.FlowKey.Hash (0: computed on demand). It is lock-free and safe
@@ -185,21 +173,6 @@ func (p *Port) RuleCount() int {
 // f only during the call.
 func (p *Port) ClassifyHashed(f *netpkt.FlowKey, hash uint64) *Rule {
 	return p.cls.Load().classifyHashed(f, hash)
-}
-
-// Egress processes one tick of dtSeconds on the port: classifies every
-// offer, applies drop and shaping queues, then subjects the forward
-// queue to the port capacity with proportional (fair) tail drop under
-// congestion — the behaviour a congested member port exhibits in
-// Section 2.2's attack scenario.
-//
-// The classification loop runs against one immutable classifier
-// snapshot: rules installed concurrently take effect the next tick, and
-// no lock is held while offers are processed. The delivered flows
-// stream into visit as one batch; a nil visit skips monitoring and
-// leaves the byte totals.
-func (p *Port) Egress(offers []Offer, dtSeconds float64, visit FlowVisitor) TickResult {
-	return p.egress(offers, 1, dtSeconds, visit)
 }
 
 // fwdPool recycles the per-tick forward-queue scratch across egress
@@ -231,7 +204,17 @@ func (m *matchRun) flush() {
 	*m = matchRun{}
 }
 
-// egress is one tick of the port. Every offer's bytes and packets are
+// egress processes one tick of dtSeconds on the port: classifies every
+// offer, applies drop and shaping queues, then subjects the forward
+// queue to the port capacity with proportional (fair) tail drop under
+// congestion — the behaviour a congested member port exhibits in
+// Section 2.2's attack scenario.
+//
+// The classification loop runs against one immutable classifier
+// snapshot: rules installed concurrently take effect the next tick, and
+// no lock is held while offers are processed. The delivered flows
+// stream into visit as one batch; a nil visit skips monitoring and
+// leaves the byte totals. Every offer's bytes and packets are
 // multiplied by scale (the platform core's admission share; 1 when the
 // core is not the bottleneck) as they are read, so the caller's slice is
 // never copied.

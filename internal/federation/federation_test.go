@@ -63,8 +63,10 @@ func TestSignalPropagation(t *testing.T) {
 			}
 		}
 	}
-	if got := rep.MaxPropagationTicks(); got != delay {
-		t.Fatalf("MaxPropagationTicks = %d, want %d", got, delay)
+	for _, s := range rep.Signals {
+		if s.MaxPropagationTicks != delay {
+			t.Fatalf("signal %s: MaxPropagationTicks = %d, want %d", s.ID, s.MaxPropagationTicks, delay)
+		}
 	}
 	// The drop takes effect at every exchange, not just the origin.
 	for _, ex := range rep.Exchanges {

@@ -157,18 +157,6 @@ func (f *Federation) buildReport(series [][]engine.VictimSeries, flows []int64) 
 	return rep
 }
 
-// MaxPropagationTicks returns the slowest install lag across every
-// complete signal (-1 when nothing propagated).
-func (r *Report) MaxPropagationTicks() int {
-	max := -1
-	for _, s := range r.Signals {
-		if s.MaxPropagationTicks > max {
-			max = s.MaxPropagationTicks
-		}
-	}
-	return max
-}
-
 // Format renders the human-readable run summary.
 func (r *Report) Format() string {
 	var b strings.Builder

@@ -68,8 +68,8 @@ func compareCollectors(t *testing.T, want *MapCollector, got *Collector, tol flo
 	if fmt.Sprint(wantBins) != fmt.Sprint(gotBins) {
 		t.Fatalf("Bins: got %v, want %v", gotBins, wantBins)
 	}
-	_, wantSeries := want.Series()
-	_, gotSeries := got.Series()
+	_, wantSeries := series(want)
+	_, gotSeries := series(got)
 	for i := range wantSeries {
 		if !near(wantSeries[i], gotSeries[i]) {
 			t.Fatalf("Series[%d]: got %v, want %v", i, gotSeries[i], wantSeries[i])
@@ -81,15 +81,6 @@ func compareCollectors(t *testing.T, want *MapCollector, got *Collector, tol flo
 		}
 		comparePortMap(t, fmt.Sprintf("DstPortShares(%d)", bin), want.DstPortShares(bin), got.DstPortShares(bin), near)
 		comparePortMap(t, fmt.Sprintf("SrcPortShares(%d)", bin), want.SrcPortShares(bin), got.SrcPortShares(bin), near)
-		wantP, gotP := want.ProtoShares(bin), got.ProtoShares(bin)
-		if len(wantP) != len(gotP) {
-			t.Fatalf("ProtoShares(%d): got %v, want %v", bin, gotP, wantP)
-		}
-		for k, v := range wantP {
-			if !near(v, gotP[k]) {
-				t.Fatalf("ProtoShares(%d)[%v]: got %v, want %v", bin, k, gotP[k], v)
-			}
-		}
 		for _, port := range []uint16{0, 53, 123, 65535} {
 			if w, g := want.SrcPortBytes(bin, port), got.SrcPortBytes(bin, port); !near(w, g) {
 				t.Fatalf("SrcPortBytes(%d, %d): got %v, want %v", bin, port, g, w)
@@ -99,7 +90,7 @@ func compareCollectors(t *testing.T, want *MapCollector, got *Collector, tol flo
 		// count 0, as documented.
 		inWindow := len(wantBins) > 0 && bin > wantBins[len(wantBins)-1]-peerWindow
 		for _, min := range []float64{0, 100, 1e5} {
-			w, g := want.PeerCount(bin, min), got.PeerCount(bin, min)
+			w, g := want.PeerCountFunc(bin, min, anyMAC), got.PeerCountFunc(bin, min, anyMAC)
 			wf, gf := want.PeerCountFunc(bin, min, evenMAC), got.PeerCountFunc(bin, min, evenMAC)
 			if !inWindow {
 				w, wf = 0, 0
@@ -148,7 +139,7 @@ func TestCollectorEquivalenceSerial(t *testing.T) {
 		newC := NewCollectorShards(4)
 		for _, r := range recs {
 			oldC.Observe(r)
-			newC.Observe(r)
+			observe(newC, r)
 		}
 		// Serial streams share association order except across ring
 		// flushes; a tiny relative tolerance absorbs the float
@@ -167,7 +158,7 @@ func TestCollectorEquivalenceSingleBinExact(t *testing.T) {
 	newC := NewCollector()
 	for _, r := range recs {
 		oldC.Observe(r)
-		newC.Observe(r)
+		observe(newC, r)
 	}
 	compareCollectors(t, oldC, newC, 0)
 }
@@ -242,11 +233,11 @@ func TestShardObserveFlowMatchesObserve(t *testing.T) {
 	a := NewCollectorShards(2)
 	b := NewCollectorShards(2)
 	for _, r := range recs {
-		a.Shard(1).Observe(r)
+		a.Shard(1).ObserveBatch([]Record{r})
 		b.Shard(1).ObserveFlow(r.Bin, &r.Key, r.Bytes)
 	}
-	ab, av := a.Series()
-	bb, bv := b.Series()
+	ab, av := series(a)
+	bb, bv := series(b)
 	if fmt.Sprint(ab) != fmt.Sprint(bb) || fmt.Sprint(av) != fmt.Sprint(bv) {
 		t.Fatalf("ObserveFlow diverged: %v/%v vs %v/%v", ab, av, bb, bv)
 	}
@@ -273,10 +264,10 @@ func TestShardObserveDeliveredMatchesObserveFlow(t *testing.T) {
 		}
 	}
 	view := func(c *Collector) string {
-		bins, totals := c.Series()
+		bins, totals := series(c)
 		out := fmt.Sprint(bins, totals, c.TopSrcPorts(5))
 		for _, b := range bins {
-			out += fmt.Sprint(c.PeerCount(b, 0), c.DstPortShares(b), c.ProtoShares(b))
+			out += fmt.Sprint(c.PeerCountFunc(b, 0, anyMAC), c.DstPortShares(b))
 		}
 		return out
 	}

@@ -2,8 +2,7 @@
 // collector that aggregates per-tick flow observations into time-binned
 // counters, from which the evaluation derives per-port traffic shares
 // (Figure 2c), UDP source-port histograms across blackholing events
-// (Figure 3a), protocol mixes (Section 2.3) and peer counts (Figures 3c
-// and 10c).
+// (Figure 3a) and peer counts (Figures 3c and 10c).
 //
 // Collector is built from per-worker Shard accumulators on compact
 // open-addressed counter tables and a bounded ring of in-flight time
@@ -16,12 +15,12 @@
 // The long-term store runs in flat memory. Per-peer byte counters — the
 // one per-bin state that grows with the number of senders — are kept
 // for a window of the 16 newest merged bins only, in a ring of reused
-// tables; there PeerCount answers "who is sending now". Every bin keeps
-// a compact roll-up of its total, UDP source-port, destination-port and
-// protocol bytes, from which every other accessor answers exactly, at
-// any bin, for as long as the collector runs. The package's tests keep
-// the map-per-record design it replaced as a reference and pin the two
-// to identical accessor results on randomized streams.
+// tables; there PeerCountFunc answers "who is sending now". Every bin
+// keeps a compact roll-up of its total, UDP source-port and
+// destination-port bytes, from which every other accessor answers
+// exactly, at any bin, for as long as the collector runs. The package's
+// tests keep the map-per-record design it replaced as a reference and
+// pin the two to identical accessor results on randomized streams.
 package flowmon
 
 import (
@@ -90,8 +89,8 @@ func rankPorts(agg map[uint16]float64, total float64, k int) []PortRank {
 // into a long-term per-bin store — peers for the newest bins, a roll-up
 // for every bin — when bins rotate out of the shard rings or when an
 // accessor reads. It is safe for concurrent use:
-// any number of goroutines may call Observe/ObserveBatch (or write to
-// distinct Shards) while others read the accessors.
+// any number of goroutines may call ObserveBatch (or write to distinct
+// Shards) while others read the accessors.
 type Collector struct {
 	shards []*Shard
 	rr     atomic.Uint32 // round-robin batch placement
@@ -132,9 +131,6 @@ func (c *Collector) Shard(i int) *Shard {
 	return c.shards[uint(i)%uint(len(c.shards))]
 }
 
-// Observe adds one record on shard 0.
-func (c *Collector) Observe(r Record) { c.shards[0].Observe(r) }
-
 // ObserveBatch adds a batch of records on one shard (chosen round-robin
 // across calls), taking one lock per batch rather than per record. It
 // is safe to call from any number of goroutines.
@@ -152,7 +148,7 @@ func (c *Collector) ObserveBatch(recs []Record) {
 // partial flushes, whose float addition order would differ. Ring
 // rotation on the observe path is unaffected: it only flushes bins the
 // writer has moved past, and a bin it flushes above the horizon keeps
-// its peers until the horizon has passed it (see PeerCount). The
+// its peers until the horizon has passed it (see PeerCountFunc). The
 // horizon may only move forward while observers run; reset it to a
 // large value (or leave it unset) for the read-after-write usage every
 // other caller has.
@@ -228,33 +224,16 @@ func (c *Collector) SrcPortBytes(bin int, port uint16) float64 {
 	return c.st.srcPortBytes(bin, port)
 }
 
-// ProtoShares returns the protocol byte shares of the bin.
-func (c *Collector) ProtoShares(bin int) map[netpkt.IPProto]float64 {
-	c.merge()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.st.protoShares(bin)
-}
-
-// PeerCount returns the number of distinct source members whose bytes in
-// the bin exceed minBytes — the "#peers" series of Figures 3(c)/10(c).
-// Peers are kept for a window of the 16 newest merged bins — counted
-// back from the merge horizon instead while it lags the newest bin, so
-// a bin written ahead of a lagging reader keeps its peers until read.
-// For a bin outside the window PeerCount returns 0, the same as for an
-// unobserved bin; the bin's other accessors still answer.
-func (c *Collector) PeerCount(bin int, minBytes float64) int {
-	c.merge()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.st.peerCount(bin, minBytes, nil, c.horizon.Load())
-}
-
-// PeerCountFunc is PeerCount restricted to the source MACs keep accepts
-// — e.g. the scenario engine counts only MACs registered to IXP members,
-// matching the pre-streaming ActivePeers semantics. It reads the same
-// window as PeerCount and returns 0 outside it. keep must not call back
-// into the collector.
+// PeerCountFunc returns the number of distinct source MACs keep accepts
+// whose bytes in the bin exceed minBytes — the "#peers" series of
+// Figures 3(c)/10(c), where the scenario engine keeps only MACs
+// registered to IXP members. Peers are kept for a window of the 16
+// newest merged bins — counted back from the merge horizon instead
+// while it lags the newest bin, so a bin written ahead of a lagging
+// reader keeps its peers until read. For a bin outside the window
+// PeerCountFunc returns 0, the same as for an unobserved bin; the bin's
+// other accessors still answer. keep must not call back into the
+// collector.
 func (c *Collector) PeerCountFunc(bin int, minBytes float64, keep func(netpkt.MAC) bool) int {
 	c.merge()
 	c.mu.Lock()
@@ -271,13 +250,4 @@ func (c *Collector) TopSrcPorts(k int) []PortRank {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.st.topSrcPorts(k)
-}
-
-// Series returns the per-bin total bytes as (bins, values) aligned
-// slices — the traffic time series of Figures 3(c) and 10(c).
-func (c *Collector) Series() (bins []int, bytes []float64) {
-	c.merge()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.st.series()
 }

@@ -25,10 +25,30 @@ func rec(bin int, mac netpkt.MAC, proto netpkt.IPProto, srcPort, dstPort uint16,
 	}
 }
 
+// observe adds one record on shard 0.
+func observe(c *Collector, r Record) { c.Shard(0).ObserveFlow(r.Bin, &r.Key, r.Bytes) }
+
+// anyMAC keeps every source MAC in a peer count.
+func anyMAC(netpkt.MAC) bool { return true }
+
+// series returns the per-bin total bytes as (bins, values) aligned
+// slices.
+func series(c interface {
+	Bins() []int
+	TotalBytes(bin int) float64
+}) (bins []int, bytes []float64) {
+	bins = c.Bins()
+	bytes = make([]float64, len(bins))
+	for i, b := range bins {
+		bytes[i] = c.TotalBytes(b)
+	}
+	return bins, bytes
+}
+
 func TestSharesAndTotals(t *testing.T) {
 	c := NewCollector()
-	c.Observe(rec(0, macA, netpkt.ProtoUDP, 123, 443, 600))
-	c.Observe(rec(0, macB, netpkt.ProtoTCP, 50000, 443, 400))
+	observe(c, rec(0, macA, netpkt.ProtoUDP, 123, 443, 600))
+	observe(c, rec(0, macB, netpkt.ProtoTCP, 50000, 443, 400))
 
 	if got := c.TotalBytes(0); got != 1000 {
 		t.Fatalf("TotalBytes: %v", got)
@@ -44,43 +64,39 @@ func TestSharesAndTotals(t *testing.T) {
 	if math.Abs(dp[443]-1.0) > 1e-12 {
 		t.Fatalf("dst 443 share: %v", dp[443])
 	}
-	pr := c.ProtoShares(0)
-	if math.Abs(pr[netpkt.ProtoUDP]-0.6) > 1e-12 || math.Abs(pr[netpkt.ProtoTCP]-0.4) > 1e-12 {
-		t.Fatalf("proto shares: %v", pr)
-	}
 }
 
 func TestEmptyBin(t *testing.T) {
 	c := NewCollector()
 	if c.TotalBytes(9) != 0 || len(c.SrcPortShares(9)) != 0 ||
-		len(c.DstPortShares(9)) != 0 || len(c.ProtoShares(9)) != 0 || c.PeerCount(9, 0) != 0 {
+		len(c.DstPortShares(9)) != 0 || c.PeerCountFunc(9, 0, anyMAC) != 0 {
 		t.Fatal("empty bin not empty")
 	}
 }
 
 func TestPeerCount(t *testing.T) {
 	c := NewCollector()
-	c.Observe(rec(0, macA, netpkt.ProtoUDP, 123, 443, 1000))
-	c.Observe(rec(0, macB, netpkt.ProtoUDP, 123, 443, 5))
-	if got := c.PeerCount(0, 0); got != 2 {
+	observe(c, rec(0, macA, netpkt.ProtoUDP, 123, 443, 1000))
+	observe(c, rec(0, macB, netpkt.ProtoUDP, 123, 443, 5))
+	if got := c.PeerCountFunc(0, 0, anyMAC); got != 2 {
 		t.Fatalf("PeerCount(0): %d", got)
 	}
 	// Threshold excludes the 5-byte peer.
-	if got := c.PeerCount(0, 10); got != 1 {
+	if got := c.PeerCountFunc(0, 10, anyMAC); got != 1 {
 		t.Fatalf("PeerCount(10): %d", got)
 	}
 }
 
 func TestBinsAndSeries(t *testing.T) {
 	c := NewCollector()
-	c.Observe(rec(3, macA, netpkt.ProtoUDP, 1, 1, 30))
-	c.Observe(rec(1, macA, netpkt.ProtoUDP, 1, 1, 10))
-	c.Observe(rec(1, macB, netpkt.ProtoUDP, 1, 1, 5))
+	observe(c, rec(3, macA, netpkt.ProtoUDP, 1, 1, 30))
+	observe(c, rec(1, macA, netpkt.ProtoUDP, 1, 1, 10))
+	observe(c, rec(1, macB, netpkt.ProtoUDP, 1, 1, 5))
 	bins := c.Bins()
 	if len(bins) != 2 || bins[0] != 1 || bins[1] != 3 {
 		t.Fatalf("Bins: %v", bins)
 	}
-	b, v := c.Series()
+	b, v := series(c)
 	if len(b) != 2 || v[0] != 15 || v[1] != 30 {
 		t.Fatalf("Series: %v %v", b, v)
 	}
@@ -88,10 +104,10 @@ func TestBinsAndSeries(t *testing.T) {
 
 func TestTopSrcPorts(t *testing.T) {
 	c := NewCollector()
-	c.Observe(rec(0, macA, netpkt.ProtoUDP, 0, 1, 500))
-	c.Observe(rec(0, macA, netpkt.ProtoUDP, 123, 1, 300))
-	c.Observe(rec(0, macA, netpkt.ProtoUDP, 53, 1, 100))
-	c.Observe(rec(1, macA, netpkt.ProtoTCP, 443, 1, 100)) // TCP: not a UDP src port
+	observe(c, rec(0, macA, netpkt.ProtoUDP, 0, 1, 500))
+	observe(c, rec(0, macA, netpkt.ProtoUDP, 123, 1, 300))
+	observe(c, rec(0, macA, netpkt.ProtoUDP, 53, 1, 100))
+	observe(c, rec(1, macA, netpkt.ProtoTCP, 443, 1, 100)) // TCP: not a UDP src port
 
 	top := c.TopSrcPorts(2)
 	// 2 ports + "others" sentinel (port 53 UDP bytes + implicit gap from
@@ -119,8 +135,8 @@ func TestTopSrcPorts(t *testing.T) {
 
 func TestTopSrcPortsTieBreak(t *testing.T) {
 	c := NewCollector()
-	c.Observe(rec(0, macA, netpkt.ProtoUDP, 200, 1, 100))
-	c.Observe(rec(0, macA, netpkt.ProtoUDP, 100, 1, 100))
+	observe(c, rec(0, macA, netpkt.ProtoUDP, 200, 1, 100))
+	observe(c, rec(0, macA, netpkt.ProtoUDP, 100, 1, 100))
 	top := c.TopSrcPorts(2)
 	if top[0].Port != 100 || top[1].Port != 200 {
 		t.Fatalf("tie break: %+v", top)
@@ -134,7 +150,7 @@ func TestTopSrcPortsManyWayTieIsDeterministic(t *testing.T) {
 	c := NewCollector()
 	ports := []uint16{11211, 19, 389, 0, 123, 53, 7, 161}
 	for _, p := range ports {
-		c.Observe(rec(0, macA, netpkt.ProtoUDP, p, 1, 100))
+		observe(c, rec(0, macA, netpkt.ProtoUDP, p, 1, 100))
 	}
 	want := []uint16{0, 7, 19, 53, 123, 161, 389, 11211}
 	for trial := 0; trial < 20; trial++ {
@@ -169,7 +185,7 @@ func TestShardAnyIndex(t *testing.T) {
 func TestAccumulationAcrossObserve(t *testing.T) {
 	c := NewCollector()
 	for i := 0; i < 5; i++ {
-		c.Observe(rec(0, macA, netpkt.ProtoUDP, 123, 443, 100))
+		observe(c, rec(0, macA, netpkt.ProtoUDP, 123, 443, 100))
 	}
 	if got := c.TotalBytes(0); got != 500 {
 		t.Fatalf("accumulated: %v", got)

@@ -42,7 +42,7 @@ func TestMergeHorizonBoundsAccessorMerges(t *testing.T) {
 	if got := c.TotalBytes(2); got != 350 {
 		t.Fatalf("bin 2 after horizon advance: %v bytes, want 350", got)
 	}
-	if got := c.PeerCount(2, 0); got != 2 {
+	if got := c.PeerCountFunc(2, 0, anyMAC); got != 2 {
 		t.Fatalf("bin 2 peers: %d, want 2", got)
 	}
 }

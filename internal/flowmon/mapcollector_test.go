@@ -16,9 +16,8 @@ type MapCollector struct {
 
 // binAgg accumulates one bin's counters.
 type binAgg struct {
-	bySrcPort map[uint16]float64 // UDP source port -> bytes
-	byDstPort map[uint16]float64 // any-proto destination port -> bytes
-	byProto   map[netpkt.IPProto]float64
+	bySrcPort map[uint16]float64     // UDP source port -> bytes
+	byDstPort map[uint16]float64     // any-proto destination port -> bytes
 	peers     map[netpkt.MAC]float64 // source member -> bytes
 	total     float64
 }
@@ -36,13 +35,11 @@ func (c *MapCollector) Observe(r Record) {
 		b = &binAgg{
 			bySrcPort: make(map[uint16]float64),
 			byDstPort: make(map[uint16]float64),
-			byProto:   make(map[netpkt.IPProto]float64),
 			peers:     make(map[netpkt.MAC]float64),
 		}
 		c.bins[r.Bin] = b
 	}
 	b.total += r.Bytes
-	b.byProto[r.Key.Proto] += r.Bytes
 	b.byDstPort[r.Key.DstPort] += r.Bytes
 	if r.Key.Proto == netpkt.ProtoUDP {
 		b.bySrcPort[r.Key.SrcPort] += r.Bytes
@@ -105,26 +102,9 @@ func (c *MapCollector) SrcPortBytes(bin int, port uint16) float64 {
 	return 0
 }
 
-// ProtoShares returns the protocol byte shares of the bin.
-func (c *MapCollector) ProtoShares(bin int) map[netpkt.IPProto]float64 {
-	b := c.bins[bin]
-	out := make(map[netpkt.IPProto]float64)
-	if b == nil || b.total == 0 {
-		return out
-	}
-	for proto, bytes := range b.byProto {
-		out[proto] = bytes / b.total
-	}
-	return out
-}
-
-// PeerCount returns the number of distinct source members whose bytes
-// in the bin exceed minBytes — at every bin, unlike Collector.
-func (c *MapCollector) PeerCount(bin int, minBytes float64) int {
-	return c.PeerCountFunc(bin, minBytes, func(netpkt.MAC) bool { return true })
-}
-
-// PeerCountFunc is PeerCount restricted to the source MACs keep accepts.
+// PeerCountFunc returns the number of distinct source MACs keep accepts
+// whose bytes in the bin exceed minBytes — at every bin, unlike
+// Collector.
 func (c *MapCollector) PeerCountFunc(bin int, minBytes float64, keep func(netpkt.MAC) bool) int {
 	b := c.bins[bin]
 	if b == nil {
@@ -152,14 +132,4 @@ func (c *MapCollector) TopSrcPorts(k int) []PortRank {
 		total += b.total
 	}
 	return rankPorts(agg, total, k)
-}
-
-// Series returns the per-bin total bytes as (bins, values) slices.
-func (c *MapCollector) Series() (bins []int, bytes []float64) {
-	bins = c.Bins()
-	bytes = make([]float64, len(bins))
-	for i, b := range bins {
-		bytes[i] = c.bins[b].total
-	}
-	return bins, bytes
 }

@@ -42,7 +42,7 @@ func TestCollectorRetention(t *testing.T) {
 	for bin := 0; bin < bins; bin++ {
 		observeBin(sh, bin, peers)
 		c.SetMergeHorizon(bin)
-		if got := c.PeerCount(bin, 0); got != peers {
+		if got := c.PeerCountFunc(bin, 0, anyMAC); got != peers {
 			t.Fatalf("bin %d: %d peers at its fold, want %d", bin, got, peers)
 		}
 		if held := PeerDetailBins(c); held > peerWindow {
@@ -55,11 +55,11 @@ func TestCollectorRetention(t *testing.T) {
 		t.Fatalf("Bins: %d, want %d", got, bins)
 	}
 	for _, bin := range []int{0, 5, bins - peerWindow - 1} {
-		if got := c.PeerCount(bin, 0); got != 0 {
+		if got := c.PeerCountFunc(bin, 0, anyMAC); got != 0 {
 			t.Fatalf("cold bin %d: PeerCount %d, want 0 (outside the window)", bin, got)
 		}
 	}
-	if got := c.PeerCount(bins-peerWindow, 0); got != peers {
+	if got := c.PeerCountFunc(bins-peerWindow, 0, anyMAC); got != peers {
 		t.Fatalf("oldest bin of the window: PeerCount %d, want %d", got, peers)
 	}
 
@@ -92,7 +92,7 @@ func TestCollectorRetention(t *testing.T) {
 	if got := c.SrcPortBytes(bin, 19); got != 55 {
 		t.Fatalf("late record: SrcPortBytes(19) %v, want 55", got)
 	}
-	if got := c.PeerCount(bin, 0); got != 0 {
+	if got := c.PeerCountFunc(bin, 0, anyMAC); got != 0 {
 		t.Fatalf("late record: cold bin PeerCount %d, want 0", got)
 	}
 	if held := PeerDetailBins(c); held > peerWindow {

@@ -33,20 +33,6 @@ type shardBin struct {
 	srcPort counterTable // UDP source port -> bytes
 	dstPort counterTable // any-proto destination port -> bytes
 	peers   counterTable // packed source MAC -> bytes
-
-	// Protocols are a dense 256-entry array plus a touched-list, so a
-	// zero-byte observation still materializes its entry (matching the
-	// baseline's map semantics) without scanning all 256 slots on flush.
-	proto        [256]float64
-	protoSeen    [256]bool
-	protoTouched []netpkt.IPProto
-}
-
-// Observe adds one record.
-func (s *Shard) Observe(r Record) {
-	s.mu.Lock()
-	s.observe(r.Bin, &r.Key, r.Bytes)
-	s.mu.Unlock()
 }
 
 // ObserveBatch adds a batch of records under one lock acquisition.
@@ -90,11 +76,6 @@ func (s *Shard) observe(bin int, key *netpkt.FlowKey, bytes float64) {
 		b.bin = bin
 	}
 	b.total += bytes
-	if !b.protoSeen[key.Proto] {
-		b.protoSeen[key.Proto] = true
-		b.protoTouched = append(b.protoTouched, key.Proto)
-	}
-	b.proto[key.Proto] += bytes
 	b.dstPort.add(uint64(key.DstPort), bytes)
 	if key.Proto == netpkt.ProtoUDP {
 		b.srcPort.add(uint64(key.SrcPort), bytes)
@@ -110,11 +91,6 @@ func (b *shardBin) reset() {
 	b.srcPort.reset()
 	b.dstPort.reset()
 	b.peers.reset()
-	for _, p := range b.protoTouched {
-		b.proto[p] = 0
-		b.protoSeen[p] = false
-	}
-	b.protoTouched = b.protoTouched[:0]
 }
 
 // counterTable is a compact open-addressed uint64 -> float64

@@ -19,14 +19,13 @@ import (
 // it runs. It must be a power of two (the hot ring masks by it).
 const peerWindow = 16
 
-// Roll-up keys: a roll-up counter's kind sits above its 16-bit port (or
-// protocol number), so sorted by key a bin's UDP source ports come
-// first, then its destination ports, then its protocols.
+// Roll-up keys: a roll-up counter's kind sits above its 16-bit port, so
+// sorted by key a bin's UDP source ports come first, then its
+// destination ports.
 const (
-	kindSrc   = 0 << 16 // UDP source port -> bytes
-	kindDst   = 1 << 16 // any-proto destination port -> bytes
-	kindProto = 2 << 16 // IP protocol -> bytes
-	kindMask  = 3 << 16
+	kindSrc  = 0 << 16 // UDP source port -> bytes
+	kindDst  = 1 << 16 // any-proto destination port -> bytes
+	kindMask = 1 << 16
 )
 
 // store is the collector's long-term per-bin state, in two tiers behind
@@ -171,9 +170,6 @@ func (h *hotBin) add(b *shardBin) {
 // eachRollup calls fn for each of the shard bin's roll-up counters,
 // keyed as in the store.
 func (b *shardBin) eachRollup(fn func(key uint64, bytes float64)) {
-	for _, p := range b.protoTouched {
-		fn(kindProto|uint64(p), b.proto[p])
-	}
 	for i := range b.dstPort.entries {
 		if e := &b.dstPort.entries[i]; e.used() {
 			fn(kindDst|e.key(), e.val)
@@ -327,16 +323,8 @@ func (st *store) srcPortBytes(bin int, port uint16) float64 {
 	return v.get(kindSrc | uint32(port))
 }
 
-func (st *store) protoShares(bin int) map[netpkt.IPProto]float64 {
-	out := make(map[netpkt.IPProto]float64)
-	for p, share := range st.shares(bin, kindProto) {
-		out[netpkt.IPProto(p)] = share
-	}
-	return out
-}
-
-// peerCount counts the bin's source MACs keep accepts (nil: all) whose
-// bytes exceed minBytes; a bin below the peer floor counts 0.
+// peerCount counts the bin's source MACs keep accepts whose bytes
+// exceed minBytes; a bin below the peer floor counts 0.
 func (st *store) peerCount(bin int, minBytes float64, keep func(netpkt.MAC) bool, horizon int64) int {
 	h := st.hotBin(bin)
 	if h == nil || bin < st.peerFloor(horizon) {
@@ -344,7 +332,7 @@ func (st *store) peerCount(bin int, minBytes float64, keep func(netpkt.MAC) bool
 	}
 	n := 0
 	for i := range h.peers.entries {
-		if e := &h.peers.entries[i]; e.used() && e.val > minBytes && (keep == nil || keep(unpackMAC(e.key()))) {
+		if e := &h.peers.entries[i]; e.used() && e.val > minBytes && keep(unpackMAC(e.key())) {
 			n++
 		}
 	}
@@ -363,13 +351,4 @@ func (st *store) topSrcPorts(k int) []PortRank {
 		total += v.total
 	}
 	return rankPorts(agg, total, k)
-}
-
-func (st *store) series() (bins []int, bytes []float64) {
-	bins = st.binsSorted()
-	bytes = make([]float64, len(bins))
-	for i, b := range bins {
-		bytes[i] = st.totalBytes(b)
-	}
-	return bins, bytes
 }

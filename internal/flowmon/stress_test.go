@@ -63,11 +63,10 @@ func TestConcurrentObserveAndRead(t *testing.T) {
 					c.TotalBytes(bin)
 					c.DstPortShares(bin)
 					c.SrcPortShares(bin)
-					c.ProtoShares(bin)
-					c.PeerCount(bin, 100)
+					c.PeerCountFunc(bin, 100, anyMAC)
 				}
 				c.Bins()
-				c.Series()
+				series(c)
 				c.TopSrcPorts(5)
 			}
 		}()
@@ -77,8 +76,8 @@ func TestConcurrentObserveAndRead(t *testing.T) {
 	readers.Wait()
 
 	var got float64
-	_, series := c.Series()
-	for _, v := range series {
+	_, totals := series(c)
+	for _, v := range totals {
 		got += v
 	}
 	if diff := wantTotal - got; diff > wantTotal*1e-9 || diff < -wantTotal*1e-9 {
@@ -119,7 +118,7 @@ func TestConcurrentShardWriters(t *testing.T) {
 				return
 			default:
 				c.TopSrcPorts(3)
-				c.PeerCount(0, 0)
+				c.PeerCountFunc(0, 0, anyMAC)
 			}
 		}
 	}()
@@ -127,8 +126,8 @@ func TestConcurrentShardWriters(t *testing.T) {
 	close(done)
 
 	var got float64
-	_, series := c.Series()
-	for _, v := range series {
+	_, totals := series(c)
+	for _, v := range totals {
 		got += v
 	}
 	if diff := wantTotal - got; diff > wantTotal*1e-9 || diff < -wantTotal*1e-9 {

@@ -92,13 +92,6 @@ func NewEdgeRouter(limits Limits) *EdgeRouter {
 	return &EdgeRouter{limits: limits, ports: make([]PortAlloc, limits.Ports)}
 }
 
-// Limits returns the router's budgets.
-func (r *EdgeRouter) Limits() Limits {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.limits
-}
-
 // AddPort grows the router by one member port and returns its index. A
 // member that joins a running exchange gets its slot here; the
 // system-wide L3-L4 and MAC budgets do not depend on the port count, so
@@ -160,23 +153,6 @@ func (r *EdgeRouter) Release(port, macFilters, l34 int) error {
 	return nil
 }
 
-// Port returns the allocation state of one port.
-func (r *EdgeRouter) Port(port int) (PortAlloc, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if port < 0 || port >= len(r.ports) {
-		return PortAlloc{}, ErrUnknownPort
-	}
-	return r.ports[port], nil
-}
-
-// Totals returns the system-wide MAC and L3-L4 criteria in use.
-func (r *EdgeRouter) Totals() (mac, l34 int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.totalMAC, r.totalL34
-}
-
 // Headroom returns the remaining system-wide budgets, net of any
 // reservation set with SetReserved.
 func (r *EdgeRouter) Headroom() (mac, l34 int) {
@@ -203,13 +179,6 @@ func (r *EdgeRouter) SetReserved(mac, l34 int) {
 	r.mu.Lock()
 	r.reservedMAC, r.reservedL34 = mac, l34
 	r.mu.Unlock()
-}
-
-// Reserved returns the budget reservation set with SetReserved.
-func (r *EdgeRouter) Reserved() (mac, l34 int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.reservedMAC, r.reservedL34
 }
 
 // Snapshot is a consistent point-in-time view of the router's allocation

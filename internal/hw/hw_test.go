@@ -14,18 +14,17 @@ func TestAllocateRelease(t *testing.T) {
 	if err := r.Allocate(0, 3, 2); err != nil {
 		t.Fatal(err)
 	}
-	mac, l34 := r.Totals()
+	mac, l34 := totals(r)
 	if mac != 3 || l34 != 2 {
 		t.Fatalf("totals: %d %d", mac, l34)
 	}
-	p, err := r.Port(0)
-	if err != nil || p.MACFilters != 3 || p.L34Criteria != 2 || p.QoSPolicies != 1 {
-		t.Fatalf("port: %+v %v", p, err)
+	if p := r.Snapshot().Ports[0]; p.MACFilters != 3 || p.L34Criteria != 2 || p.QoSPolicies != 1 {
+		t.Fatalf("port: %+v", p)
 	}
 	if err := r.Release(0, 3, 2); err != nil {
 		t.Fatal(err)
 	}
-	mac, l34 = r.Totals()
+	mac, l34 = totals(r)
 	if mac != 0 || l34 != 0 {
 		t.Fatalf("totals after release: %d %d", mac, l34)
 	}
@@ -44,7 +43,7 @@ func TestAddPort(t *testing.T) {
 	if err := r.Allocate(1, 1, 1); err != nil {
 		t.Fatal(err)
 	}
-	if l := r.Limits(); l.Ports != 2 || l.L34CriteriaTotal != 4 || l.MACFiltersTotal != 4 {
+	if l := r.Snapshot().Limits; l.Ports != 2 || l.L34CriteriaTotal != 4 || l.MACFiltersTotal != 4 {
 		t.Fatalf("limits: %+v", l)
 	}
 	if err := r.Allocate(0, 1, 4); err != ErrL34Exhausted {
@@ -90,7 +89,7 @@ func TestAllocateAtomicOnFailure(t *testing.T) {
 	if err := r.Allocate(0, 1, 1); err != ErrMACExhausted {
 		t.Fatalf("err = %v", err)
 	}
-	mac, l34 := r.Totals()
+	mac, l34 := totals(r)
 	if mac != 5 || l34 != 5 {
 		t.Fatalf("failed allocation mutated state: %d %d", mac, l34)
 	}
@@ -109,9 +108,6 @@ func TestAllocateErrors(t *testing.T) {
 	}
 	if err := r.Release(9, 0, 0); err != ErrUnknownPort {
 		t.Fatalf("release port: %v", err)
-	}
-	if _, err := r.Port(9); err != ErrUnknownPort {
-		t.Fatalf("Port: %v", err)
 	}
 }
 
@@ -147,12 +143,11 @@ func TestConservationProperty(t *testing.T) {
 			}
 		}
 		var sumMAC, sumL34 int
-		for p := 0; p < 4; p++ {
-			pa, _ := r.Port(p)
+		for _, pa := range r.Snapshot().Ports {
 			sumMAC += pa.MACFilters
 			sumL34 += pa.L34Criteria
 		}
-		mac, l34 := r.Totals()
+		mac, l34 := totals(r)
 		return mac == sumMAC && l34 == sumL34 &&
 			mac <= lim.MACFiltersTotal && l34 <= lim.L34CriteriaTotal
 	}
@@ -359,7 +354,7 @@ func TestSnapshotIsCopy(t *testing.T) {
 	r := NewEdgeRouter(Limits{Ports: 2, L34CriteriaTotal: 10, MACFiltersTotal: 10, QoSPoliciesPerPort: 4})
 	s := r.Snapshot()
 	s.Ports[0].MACFilters = 99
-	if p, _ := r.Port(0); p.MACFilters != 0 {
+	if r.Snapshot().Ports[0].MACFilters != 0 {
 		t.Fatal("Snapshot shares port slice with router")
 	}
 }
@@ -389,11 +384,14 @@ func TestSetReservedSqueeze(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.SetReserved(-5, -5) // clamps to zero
-	if mac, l34 := r.Reserved(); mac != 0 || l34 != 0 {
-		t.Fatalf("reserved after clamp: %d/%d", mac, l34)
-	}
 	s := r.Snapshot()
-	if s.ReservedL34 != 0 || s.HeadroomL34 != 9 {
+	if s.ReservedMAC != 0 || s.ReservedL34 != 0 || s.HeadroomL34 != 9 {
 		t.Fatalf("snapshot after release: %+v", s)
 	}
+}
+
+// totals reads the system-wide MAC and L3-L4 criteria in use.
+func totals(r *EdgeRouter) (mac, l34 int) {
+	s := r.Snapshot()
+	return s.TotalMAC, s.TotalL34
 }

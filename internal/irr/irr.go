@@ -42,91 +42,10 @@ func (r *Registry) Authorized(asn uint32, prefix netip.Prefix) bool {
 	return false
 }
 
-// Prefixes returns the prefixes registered for asn (a copy).
-func (r *Registry) Prefixes(asn uint32) []netip.Prefix {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return append([]netip.Prefix(nil), r.routes[asn]...)
-}
-
-// ROA is an RPKI Route Origin Authorization: asn may originate prefix up
-// to MaxLength specificity.
-type ROA struct {
-	Prefix    netip.Prefix
-	ASN       uint32
-	MaxLength int
-}
-
-// Validity is the RPKI origin-validation outcome (RFC 6811).
-type Validity int
-
-// Validation states.
-const (
-	// NotFound: no ROA covers the prefix.
-	NotFound Validity = iota
-	// Valid: a covering ROA authorizes the origin at this length.
-	Valid
-	// Invalid: a covering ROA exists but the origin or length mismatches.
-	Invalid
-)
-
-func (v Validity) String() string {
-	switch v {
-	case NotFound:
-		return "not-found"
-	case Valid:
-		return "valid"
-	case Invalid:
-		return "invalid"
-	default:
-		return fmt.Sprintf("Validity(%d)", int(v))
-	}
-}
-
-// RPKI is a set of ROAs with RFC 6811 origin validation.
-type RPKI struct {
-	mu   sync.RWMutex
-	roas []ROA
-}
-
-// NewRPKI returns an empty ROA set.
-func NewRPKI() *RPKI { return &RPKI{} }
-
-// AddROA installs a ROA. A MaxLength of 0 defaults to the prefix length
-// (exact-length authorization).
-func (r *RPKI) AddROA(roa ROA) {
-	if roa.MaxLength == 0 {
-		roa.MaxLength = roa.Prefix.Bits()
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.roas = append(r.roas, roa)
-}
-
-// Validate returns the RFC 6811 validity of (prefix, originAS).
-func (r *RPKI) Validate(prefix netip.Prefix, originAS uint32) Validity {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	covered := false
-	for _, roa := range r.roas {
-		if roa.Prefix.Bits() <= prefix.Bits() && roa.Prefix.Contains(prefix.Addr()) {
-			covered = true
-			if roa.ASN == originAS && prefix.Bits() <= roa.MaxLength {
-				return Valid
-			}
-		}
-	}
-	if covered {
-		return Invalid
-	}
-	return NotFound
-}
-
 // Bogons is a list of prefixes that must never appear in the DFZ
 // (RFC 1918, documentation ranges, etc.). An announcement inside a bogon
 // range is rejected.
 type Bogons struct {
-	mu       sync.RWMutex
 	prefixes []netip.Prefix
 }
 
@@ -146,17 +65,8 @@ func DefaultBogons() *Bogons {
 	return b
 }
 
-// Add appends a bogon prefix.
-func (b *Bogons) Add(p netip.Prefix) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.prefixes = append(b.prefixes, p.Masked())
-}
-
 // Contains reports whether p falls inside any bogon range.
 func (b *Bogons) Contains(p netip.Prefix) bool {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
 	for _, bogon := range b.prefixes {
 		if bogon.Bits() <= p.Bits() && bogon.Contains(p.Addr()) {
 			return true
@@ -165,17 +75,16 @@ func (b *Bogons) Contains(p netip.Prefix) bool {
 	return false
 }
 
-// Policy bundles the three hygiene databases into the single import check
+// Policy bundles the two hygiene databases into the single import check
 // the route server applies (Figure 6: "IXP Policy / Route Filtering").
 type Policy struct {
 	IRR    *Registry
-	RPKI   *RPKI
 	Bogons *Bogons
 }
 
-// NewPolicy returns a policy with empty IRR/RPKI and default bogons.
+// NewPolicy returns a policy with an empty IRR and default bogons.
 func NewPolicy() *Policy {
-	return &Policy{IRR: NewRegistry(), RPKI: NewRPKI(), Bogons: DefaultBogons()}
+	return &Policy{IRR: NewRegistry(), Bogons: DefaultBogons()}
 }
 
 // Verdict describes an import-policy decision.
@@ -185,17 +94,14 @@ type Verdict struct {
 }
 
 // Check evaluates an announcement of prefix with the given origin AS.
-// The rules mirror Section 4.3: reject bogons, reject IRR-unauthorized
-// prefixes, reject RPKI-invalid announcements (not-found passes).
+// The rules mirror Section 4.3: reject bogons and IRR-unauthorized
+// prefixes.
 func (p *Policy) Check(prefix netip.Prefix, originAS uint32) Verdict {
 	if p.Bogons != nil && p.Bogons.Contains(prefix) {
 		return Verdict{Accept: false, Reason: "bogon prefix"}
 	}
 	if p.IRR != nil && !p.IRR.Authorized(originAS, prefix) {
 		return Verdict{Accept: false, Reason: fmt.Sprintf("prefix not registered in IRR for AS%d", originAS)}
-	}
-	if p.RPKI != nil && p.RPKI.Validate(prefix, originAS) == Invalid {
-		return Verdict{Accept: false, Reason: "RPKI invalid"}
 	}
 	return Verdict{Accept: true, Reason: "ok"}
 }

@@ -30,65 +30,6 @@ func TestRegistryAuthorization(t *testing.T) {
 	}
 }
 
-func TestRegistryPrefixesCopy(t *testing.T) {
-	r := NewRegistry()
-	r.Register(1, pfx("10.0.0.0/8"))
-	ps := r.Prefixes(1)
-	if len(ps) != 1 {
-		t.Fatalf("Prefixes: %v", ps)
-	}
-	ps[0] = pfx("0.0.0.0/0")
-	if !r.Authorized(1, pfx("10.1.0.0/16")) {
-		t.Fatal("mutating returned slice affected registry")
-	}
-	if got := r.Prefixes(99); len(got) != 0 {
-		t.Fatalf("unknown ASN prefixes: %v", got)
-	}
-}
-
-func TestRPKIValidation(t *testing.T) {
-	r := NewRPKI()
-	r.AddROA(ROA{Prefix: pfx("100.10.0.0/16"), ASN: 64512, MaxLength: 24})
-
-	cases := []struct {
-		p    string
-		asn  uint32
-		want Validity
-	}{
-		{"100.10.10.0/24", 64512, Valid},
-		{"100.10.0.0/16", 64512, Valid},
-		{"100.10.10.10/32", 64512, Invalid}, // beyond max length
-		{"100.10.10.0/24", 64513, Invalid},  // wrong origin
-		{"203.0.113.0/24", 64512, NotFound},
-	}
-	for _, c := range cases {
-		if got := r.Validate(pfx(c.p), c.asn); got != c.want {
-			t.Errorf("Validate(%s, %d) = %v, want %v", c.p, c.asn, got, c.want)
-		}
-	}
-}
-
-func TestRPKIMaxLengthDefault(t *testing.T) {
-	r := NewRPKI()
-	r.AddROA(ROA{Prefix: pfx("198.51.100.0/24"), ASN: 1})
-	if got := r.Validate(pfx("198.51.100.0/24"), 1); got != Valid {
-		t.Fatalf("exact length: %v", got)
-	}
-	if got := r.Validate(pfx("198.51.100.128/25"), 1); got != Invalid {
-		t.Fatalf("more specific without maxlen: %v", got)
-	}
-}
-
-func TestRPKITwoROAs(t *testing.T) {
-	// A Valid from any ROA wins even if another covering ROA mismatches.
-	r := NewRPKI()
-	r.AddROA(ROA{Prefix: pfx("100.0.0.0/8"), ASN: 1, MaxLength: 8})
-	r.AddROA(ROA{Prefix: pfx("100.10.0.0/16"), ASN: 2, MaxLength: 24})
-	if got := r.Validate(pfx("100.10.10.0/24"), 2); got != Valid {
-		t.Fatalf("want Valid, got %v", got)
-	}
-}
-
 func TestBogons(t *testing.T) {
 	b := DefaultBogons()
 	for _, s := range []string{"10.1.2.0/24", "192.168.1.0/24", "127.0.0.1/32", "fe80::/64"} {
@@ -101,16 +42,14 @@ func TestBogons(t *testing.T) {
 			t.Errorf("%s should not be bogon", s)
 		}
 	}
-	b.Add(pfx("203.0.113.0/24"))
-	if !b.Contains(pfx("203.0.113.5/32")) {
-		t.Fatal("added bogon not matched for more specific")
+	if !b.Contains(pfx("10.1.2.3/32")) {
+		t.Fatal("bogon not matched for a more specific")
 	}
 }
 
 func TestPolicyCheck(t *testing.T) {
 	p := NewPolicy()
 	p.IRR.Register(64512, pfx("100.10.10.0/24"))
-	p.RPKI.AddROA(ROA{Prefix: pfx("100.10.10.0/24"), ASN: 64512, MaxLength: 32})
 
 	if v := p.Check(pfx("100.10.10.10/32"), 64512); !v.Accept {
 		t.Fatalf("legit /32 rejected: %s", v.Reason)
@@ -124,25 +63,6 @@ func TestPolicyCheck(t *testing.T) {
 	// Hijack: 64513 announces 64512's prefix. IRR rejects first.
 	if v := p.Check(pfx("100.10.10.0/24"), 64513); v.Accept {
 		t.Fatal("hijack accepted")
-	}
-}
-
-func TestPolicyRPKIInvalidRejected(t *testing.T) {
-	p := NewPolicy()
-	// Registered in IRR but RPKI says a different origin.
-	p.IRR.Register(64513, pfx("100.10.10.0/24"))
-	p.RPKI.AddROA(ROA{Prefix: pfx("100.10.10.0/24"), ASN: 64512, MaxLength: 24})
-	if v := p.Check(pfx("100.10.10.0/24"), 64513); v.Accept {
-		t.Fatal("RPKI-invalid accepted")
-	}
-}
-
-func TestPolicyNotFoundPasses(t *testing.T) {
-	p := NewPolicy()
-	p.IRR.Register(64512, pfx("100.10.10.0/24"))
-	// No ROA at all: not-found must pass (RFC 7115 operational practice).
-	if v := p.Check(pfx("100.10.10.0/24"), 64512); !v.Accept {
-		t.Fatalf("not-found rejected: %s", v.Reason)
 	}
 }
 
@@ -162,11 +82,5 @@ func TestAuthorizedMoreSpecificProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestValidityString(t *testing.T) {
-	if NotFound.String() != "not-found" || Valid.String() != "valid" || Invalid.String() != "invalid" {
-		t.Fatal("validity strings")
 	}
 }

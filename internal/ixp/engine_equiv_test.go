@@ -80,7 +80,7 @@ func serialRunAll(x *IXP, ticks int, dt float64, specs []engine.VictimSpec, sour
 		return row[slot]
 	}
 	isMember := func(mac netpkt.MAC) bool {
-		_, ok := x.MemberByMAC(mac)
+		_, ok := memberByMAC(x, mac)
 		return ok
 	}
 
@@ -170,10 +170,10 @@ func TestEngineMatchesSerialLoop(t *testing.T) {
 				return x.Announce(name1, members[1].Prefixes[0], nil, nil)
 			}},
 			engine.Event{Tick: 25, Name: "shape NTP", Do: func() error {
-				return x.Announce(name1, host1, nil, []core.RuleSpec{core.ShapeUDPSrcPort(123, 1e8)})
+				return x.Announce(name1, host1, nil, []core.RuleSpec{{Selector: core.SelUDPSrcPort, Proto: netpkt.ProtoUDP, Port: 123, Action: fabric.ActionShape, ShapeRateBps: 1e8}})
 			}},
 			engine.Event{Tick: 40, Name: "drop UDP", Do: func() error {
-				return x.Announce(name1, host1, nil, []core.RuleSpec{core.DropProto(netpkt.ProtoUDP)})
+				return x.Announce(name1, host1, nil, []core.RuleSpec{{Selector: core.SelProto, Proto: netpkt.ProtoUDP, Action: fabric.ActionDrop}})
 			}},
 		)
 		return x, specs, sources, events
@@ -215,8 +215,8 @@ func TestEngineMatchesSerialLoop(t *testing.T) {
 						t.Fatalf("victim %d tick %d:\nengine %+v\nserial %+v", v, i, got[i], want[i])
 					}
 				}
-				gb, gv := engineSeries[v].Monitor.Series()
-				wb, wv := serialSeries[v].Monitor.Series()
+				gb, gv := monitorSeries(engineSeries[v].Monitor)
+				wb, wv := monitorSeries(serialSeries[v].Monitor)
 				if fmt.Sprint(gb) != fmt.Sprint(wb) || fmt.Sprint(gv) != fmt.Sprint(wv) {
 					t.Fatalf("victim %d: monitor series diverged\nengine %v %v\nserial %v %v", v, gb, gv, wb, wv)
 				}

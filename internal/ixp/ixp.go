@@ -284,12 +284,6 @@ func (x *IXP) Member(name string) (*member.Member, error) {
 	return nil, fmt.Errorf("ixp: unknown member %s", name)
 }
 
-// MemberByMAC resolves a fabric source MAC to its member.
-func (x *IXP) MemberByMAC(mac netpkt.MAC) (*member.Member, bool) {
-	m, ok := x.reg.Load().byMAC[mac]
-	return m, ok
-}
-
 // MemberFilter returns the engine.Config.MemberFilter that counts only
 // registered member MACs toward ActivePeers — the filter every
 // engine-on-IXP run wants; leaving Config.MemberFilter nil counts every

@@ -12,6 +12,7 @@ import (
 	"stellar/internal/core"
 	"stellar/internal/engine"
 	"stellar/internal/fabric"
+	"stellar/internal/flowmon"
 	"stellar/internal/member"
 	"stellar/internal/mitctl"
 	"stellar/internal/netpkt"
@@ -69,8 +70,10 @@ func TestBuildWiring(t *testing.T) {
 	if len(x.RS.Peers()) != 20 {
 		t.Fatalf("peers: %d", len(x.RS.Peers()))
 	}
-	if got := len(x.Fabric.Ports()); got != 20 {
-		t.Fatalf("ports: %d", got)
+	for _, m := range members {
+		if _, err := x.Fabric.PortByName(m.Name); err != nil {
+			t.Fatalf("%s: %v", m.Name, err)
+		}
 	}
 	if x.Mitigations == nil || x.Community == nil {
 		t.Fatal("mitigation control plane not wired")
@@ -81,16 +84,15 @@ func TestBuildWiring(t *testing.T) {
 	if _, err := x.Member("ghost"); err == nil {
 		t.Fatal("ghost member found")
 	}
-	if _, ok := x.MemberByMAC(members[3].MAC); !ok {
-		t.Fatal("MemberByMAC")
+	if _, ok := memberByMAC(x, members[3].MAC); !ok {
+		t.Fatal("member's MAC not registered")
 	}
-	owner, err := x.VictimOwner(victimAddr(members[0]))
-	if err != nil || owner != members[0].Name {
-		t.Fatalf("VictimOwner: %v %v", owner, err)
-	}
-	if _, err := x.VictimOwner(netip.MustParseAddr("9.9.9.9")); err == nil {
-		t.Fatal("unowned address resolved")
-	}
+}
+
+// memberByMAC resolves a fabric source MAC to its member.
+func memberByMAC(x *IXP, mac netpkt.MAC) (*member.Member, bool) {
+	m, ok := x.reg.Load().byMAC[mac]
+	return m, ok
 }
 
 func TestBuildDuplicateMember(t *testing.T) {
@@ -425,9 +427,8 @@ func TestIPv6BlackholingEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	x.ControlTick(0, 1)
-	port, _ := x.Fabric.PortByName(victim.Name)
-	if port.RuleCount() != 0 {
-		t.Fatalf("v6 rule not removed: %d", port.RuleCount())
+	if installedRules(x) != 0 {
+		t.Fatalf("v6 rule not removed: %d", installedRules(x))
 	}
 }
 
@@ -443,17 +444,16 @@ func TestMemberSessionLossCleansRules(t *testing.T) {
 		t.Fatal(err)
 	}
 	x.ControlTick(0, 1)
-	port, _ := x.Fabric.PortByName(victim.Name)
-	if port.RuleCount() != 1 {
-		t.Fatalf("precondition: %d rules", port.RuleCount())
+	if installedRules(x) != 1 {
+		t.Fatalf("precondition: %d rules", installedRules(x))
 	}
 	// Session loss.
 	if _, err := x.RS.HandleWithdrawAll(victim.Name); err != nil {
 		t.Fatal(err)
 	}
 	x.ControlTick(0, 1)
-	if port.RuleCount() != 0 {
-		t.Fatalf("rules after session loss: %d", port.RuleCount())
+	if installedRules(x) != 0 {
+		t.Fatalf("rules after session loss: %d", installedRules(x))
 	}
 	if x.Community.SignalingPaths() != 0 {
 		t.Fatal("signaling paths not cleared")
@@ -492,19 +492,31 @@ func TestPlainRoutesLeaveSignalingChannelEmpty(t *testing.T) {
 	}
 }
 
-// portState renders a port's installed rules content-wise (IDs
+// portState renders the rules a port holds under ids content-wise (IDs
 // excluded), for cross-path equivalence comparisons.
-func portState(t *testing.T, x *IXP, member string) string {
+func portState(t *testing.T, x *IXP, member string, ids []string) string {
 	t.Helper()
 	port, err := x.Fabric.PortByName(member)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var rows []string
-	for _, r := range port.Rules() {
-		rows = append(rows, fmt.Sprintf("%s -> %v@%g", r.Match, r.Action, r.ShapeRateBps))
+	for _, id := range ids {
+		if r, err := port.Rule(id); err == nil {
+			rows = append(rows, fmt.Sprintf("%s -> %v@%g", r.Match, r.Action, r.ShapeRateBps))
+		}
 	}
 	return strings.Join(rows, "\n")
+}
+
+// installedRules counts the rules installed across the exchange: each
+// holds one QoS policy slot on the edge router.
+func installedRules(x *IXP) int {
+	n := 0
+	for _, p := range x.Router.Snapshot().Ports {
+		n += p.QoSPolicies
+	}
+	return n
 }
 
 // TestAnnounceFacadeEquivalence pins the deprecated Announce(specs)
@@ -550,12 +562,13 @@ func TestAnnounceFacadeEquivalence(t *testing.T) {
 	}
 	resB := runTicks(xb, victimB)
 
-	if sa, sb := portState(t, xa, victimA.Name), portState(t, xb, victimB.Name); sa != sb || sa == "" {
-		t.Fatalf("installed state diverges:\nfacade:\n%s\napi:\n%s", sa, sb)
-	}
 	idsA, idsB := xa.Mitigations.Active(), xb.Mitigations.Active()
 	if len(idsA) != 1 || len(idsB) != 1 || idsA[0].ID != idsB[0].ID {
 		t.Fatalf("mitigation IDs diverge: %+v vs %+v", idsA, idsB)
+	}
+	sa, sb := portState(t, xa, victimA.Name, idsA[0].RuleIDs), portState(t, xb, victimB.Name, idsB[0].RuleIDs)
+	if sa != sb || sa == "" || installedRules(xa) != 1 || installedRules(xb) != 1 {
+		t.Fatalf("installed state diverges:\nfacade:\n%s\napi:\n%s", sa, sb)
 	}
 	if idsA[0].Channel == idsB[0].Channel {
 		t.Fatalf("channels should differ (provenance): %v vs %v", idsA[0].Channel, idsB[0].Channel)
@@ -572,7 +585,7 @@ func TestAnnounceFacadeEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	xa.ControlTick(0, 1)
-	if got := portState(t, xa, victimA.Name); got != "" {
+	if got := portState(t, xa, victimA.Name, idsA[0].RuleIDs); got != "" || installedRules(xa) != 0 {
 		t.Fatalf("rules after cross-path withdraw:\n%s", got)
 	}
 }
@@ -596,9 +609,8 @@ func TestMitigationTTLFromTickLoop(t *testing.T) {
 	}
 	tick := func() { x.ControlTick(0, 1) }
 	tick() // t=1: installed
-	port, _ := x.Fabric.PortByName(victim.Name)
-	if port.RuleCount() != 1 {
-		t.Fatalf("rules at t=1: %d", port.RuleCount())
+	if installedRules(x) != 1 {
+		t.Fatalf("rules at t=1: %d", installedRules(x))
 	}
 	// The looking glass lists it with its remaining TTL.
 	glass := x.Mitigations.GlassMitigations("", x.Clock())
@@ -613,8 +625,8 @@ func TestMitigationTTLFromTickLoop(t *testing.T) {
 	if got, _ := x.Mitigations.Get(m.ID); got.State != mitctl.StateExpired {
 		t.Fatalf("state at t=3: %v", got.State)
 	}
-	if port.RuleCount() != 0 {
-		t.Fatalf("rules at t=3: %d", port.RuleCount())
+	if installedRules(x) != 0 {
+		t.Fatalf("rules at t=3: %d", installedRules(x))
 	}
 }
 
@@ -636,10 +648,10 @@ func TestScenarioMonitorRecordsFlows(t *testing.T) {
 	if len(top) == 0 || top[0].Port != 123 {
 		t.Fatalf("top ports: %+v", top)
 	}
-	if got := monitor.PeerCount(5, 0); got != samples[5].ActivePeers {
+	if got := monitor.PeerCountFunc(5, 0, anyMAC); got != samples[5].ActivePeers {
 		t.Fatalf("monitor peers %d != sample peers %d", got, samples[5].ActivePeers)
 	}
-	bins, bytes := monitor.Series()
+	bins, bytes := monitorSeries(monitor)
 	if len(bins) != 10 {
 		t.Fatalf("bins: %d", len(bins))
 	}
@@ -648,3 +660,17 @@ func TestScenarioMonitorRecordsFlows(t *testing.T) {
 		t.Fatalf("series[3] = %v, want %v", bytes[3], wantBytes)
 	}
 }
+
+// monitorSeries returns a flow monitor's per-bin total bytes as (bins,
+// values) aligned slices.
+func monitorSeries(c *flowmon.Collector) (bins []int, bytes []float64) {
+	bins = c.Bins()
+	bytes = make([]float64, len(bins))
+	for i, b := range bins {
+		bytes[i] = c.TotalBytes(b)
+	}
+	return bins, bytes
+}
+
+// anyMAC keeps every source MAC in a peer count.
+func anyMAC(netpkt.MAC) bool { return true }

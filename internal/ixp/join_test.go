@@ -50,13 +50,10 @@ func TestJoinAfterBuild(t *testing.T) {
 	if m, err := x.Member(late.Name); err != nil || m != late {
 		t.Fatalf("Member: %v, %v", m, err)
 	}
-	if m, ok := x.MemberByMAC(late.MAC); !ok || m != late || !x.MemberFilter()(late.MAC) {
-		t.Fatalf("MemberByMAC: %v, %v", m, ok)
+	if m, ok := memberByMAC(x, late.MAC); !ok || m != late || !x.MemberFilter()(late.MAC) {
+		t.Fatalf("memberByMAC: %v, %v", m, ok)
 	}
-	if owner, err := x.VictimOwner(victimAddr(late)); err != nil || owner != late.Name {
-		t.Fatalf("VictimOwner: %q, %v", owner, err)
-	}
-	if got := x.Router.Limits().Ports; got != len(members)+1 {
+	if got := x.Router.Snapshot().Limits.Ports; got != len(members)+1 {
 		t.Fatalf("router ports: %d", got)
 	}
 
@@ -73,9 +70,8 @@ func TestJoinAfterBuild(t *testing.T) {
 	if got := reports[late.Name].Result.RuleDroppedBytes; got != 1e6 {
 		t.Fatalf("rule dropped %v of 1e6 bytes (controller errors: %v)", got, x.Mitigations.GlassErrors())
 	}
-	alloc, err := x.Router.Port(len(members))
-	if err != nil || alloc.QoSPolicies != 1 {
-		t.Fatalf("hardware port %d: %+v, %v", len(members), alloc, err)
+	if alloc := x.Router.Snapshot().Ports[len(members)]; alloc.QoSPolicies != 1 {
+		t.Fatalf("hardware port %d: %+v", len(members), alloc)
 	}
 
 	// A taken name or MAC is rejected and leaves the exchange as it was.
@@ -88,8 +84,11 @@ func TestJoinAfterBuild(t *testing.T) {
 			t.Fatalf("Join(%s, %s) accepted a duplicate", m.Name, m.MAC)
 		}
 	}
-	if ports, hwPorts := len(x.Fabric.Ports()), x.Router.Limits().Ports; ports != 4 || hwPorts != 4 {
-		t.Fatalf("after rejected joins: %d fabric ports, %d hardware ports", ports, hwPorts)
+	if _, err := x.Fabric.PortByName(sameMAC.Name); err == nil {
+		t.Fatal("rejected member has a fabric port")
+	}
+	if hwPorts := len(x.Router.Snapshot().Ports); hwPorts != 4 {
+		t.Fatalf("after rejected joins: %d hardware ports", hwPorts)
 	}
 	if _, err := x.Member(sameMAC.Name); err == nil {
 		t.Fatal("rejected member is registered")
@@ -115,9 +114,8 @@ func TestJoinOnEmptyExchange(t *testing.T) {
 		t.Fatal(err)
 	}
 	x.ControlTick(0, 1)
-	port, _ := x.Fabric.PortByName(m.Name)
-	if port.RuleCount() != 1 || x.Mitigations.ErrorCount() != 0 {
-		t.Fatalf("rules %d, controller errors %v", port.RuleCount(), x.Mitigations.GlassErrors())
+	if installedRules(x) != 1 || x.Mitigations.ErrorCount() != 0 {
+		t.Fatalf("rules %d, controller errors %v", installedRules(x), x.Mitigations.GlassErrors())
 	}
 	// A honoring member that joins later still reacts to RTBH exports.
 	honoring := lateMember(1)
@@ -206,19 +204,19 @@ func TestJoinConcurrent(t *testing.T) {
 	}
 	for i := 0; i < joins; i++ {
 		m := lateMember(i)
-		port, err := x.Fabric.PortByName(m.Name)
-		if err != nil || port.RuleCount() != 1 {
-			t.Fatalf("%s: port %v, %v", m.Name, port, err)
+		if _, err := x.Fabric.PortByName(m.Name); err != nil {
+			t.Fatalf("%s: %v", m.Name, err)
 		}
-		if _, ok := x.MemberByMAC(m.MAC); !ok {
+		if _, ok := memberByMAC(x, m.MAC); !ok {
 			t.Fatalf("%s not in the MAC registry", m.Name)
 		}
 	}
-	// Every joined member got a hardware port of its own.
+	// Every joined member got a hardware port of its own, holding its
+	// one rule.
+	ports := x.Router.Snapshot().Ports
 	for idx := len(members); idx < len(members)+joins; idx++ {
-		alloc, err := x.Router.Port(idx)
-		if err != nil || alloc.QoSPolicies != 1 {
-			t.Fatalf("hardware port %d: %+v, %v", idx, alloc, err)
+		if ports[idx].QoSPolicies != 1 {
+			t.Fatalf("hardware port %d: %+v", idx, ports[idx])
 		}
 	}
 }

@@ -37,7 +37,7 @@ func snapshotFilterTick(x *IXP, model nullModel, offers fabric.TickOffers, dt fl
 		nulls[name] = ps
 	}
 	dies := func(o *fabric.Offer) bool {
-		src, ok := x.MemberByMAC(o.Flow.SrcMAC)
+		src, ok := memberByMAC(x, o.Flow.SrcMAC)
 		if !ok {
 			return false
 		}

@@ -62,8 +62,8 @@ func TestScenarioMultiVictimMatchesSingleRuns(t *testing.T) {
 		}
 		// The monitors agree too.
 		gm, wm := multiSeries[v].Monitor, singleSeries[0].Monitor
-		_, gBytes := gm.Series()
-		_, wBytes := wm.Series()
+		_, gBytes := monitorSeries(gm)
+		_, wBytes := monitorSeries(wm)
 		if fmt.Sprint(gBytes) != fmt.Sprint(wBytes) {
 			t.Fatalf("victim %d: monitor series diverged", v)
 		}
@@ -187,7 +187,7 @@ func TestScenarioMultiVictimMitigation(t *testing.T) {
 	if b[15].DeliveredBps == 0 {
 		t.Fatal("victim B's traffic must be unaffected by A's blackhole")
 	}
-	if series[0].Monitor.PeerCount(15, 0) != 0 {
+	if series[0].Monitor.PeerCountFunc(15, 0, anyMAC) != 0 {
 		t.Fatal("victim A's monitor saw flows after the blackhole")
 	}
 	if tops := series[1].Monitor.TopSrcPorts(1); len(tops) == 0 || tops[0].Port != 123 {
@@ -230,7 +230,7 @@ func TestScenarioActivePeersCountsOnlyMembers(t *testing.T) {
 		t.Fatalf("ActivePeers = %d, want 1 (ghost MAC must not count)", got)
 	}
 	// The monitor itself still sees both source MACs.
-	if got := series[0].Monitor.PeerCount(1, 0); got != 2 {
+	if got := series[0].Monitor.PeerCountFunc(1, 0, anyMAC); got != 2 {
 		t.Fatalf("monitor PeerCount = %d, want 2", got)
 	}
 }

@@ -34,9 +34,6 @@ func (m *Member) HonorsRTBH() bool {
 	return m.AcceptsMoreSpecifics && m.ActsOnBlackhole
 }
 
-// Peer returns the member's traffic-source identity.
-func (m *Member) Peer() (name string, mac netpkt.MAC) { return m.Name, m.MAC }
-
 // PopulationConfig parameterizes a synthetic member population.
 type PopulationConfig struct {
 	// N is the number of members (the paper's L-IXP has >800; the
@@ -87,15 +84,4 @@ func MakePopulation(cfg PopulationConfig) []*Member {
 		}
 	}
 	return members
-}
-
-// HonoringCount returns how many members honor RTBH.
-func HonoringCount(members []*Member) int {
-	n := 0
-	for _, m := range members {
-		if m.HonorsRTBH() {
-			n++
-		}
-	}
-	return n
 }

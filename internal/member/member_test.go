@@ -55,7 +55,13 @@ func TestMakePopulationIdentities(t *testing.T) {
 func TestMakePopulationHonoringFraction(t *testing.T) {
 	for _, frac := range []float64{0.0, 0.3, 0.7, 1.0} {
 		members := MakePopulation(PopulationConfig{N: 400, HonoringFraction: frac, Seed: 7})
-		got := float64(HonoringCount(members)) / 400
+		honoring := 0
+		for _, m := range members {
+			if m.HonorsRTBH() {
+				honoring++
+			}
+		}
+		got := float64(honoring) / 400
 		if math.Abs(got-frac) > 0.01 {
 			t.Errorf("fraction %v: got %v", frac, got)
 		}
@@ -79,14 +85,6 @@ func TestMakePopulationDeterministic(t *testing.T) {
 	}
 	if diff == 0 {
 		t.Fatal("different seeds produced identical honoring assignment")
-	}
-}
-
-func TestPeer(t *testing.T) {
-	m := MakePopulation(PopulationConfig{N: 1, Seed: 1})[0]
-	name, mac := m.Peer()
-	if name != m.Name || mac != m.MAC {
-		t.Fatal("Peer accessor")
 	}
 }
 

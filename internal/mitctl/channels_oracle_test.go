@@ -246,18 +246,18 @@ func TestCommunityChannelMatchesSnapshotDiff(t *testing.T) {
 		}
 		return ps
 	}
-	ntp, udp := core.DropUDPSrcPort(123), core.DropProto(netpkt.ProtoUDP)
+	ntp, udp := core.DropUDPSrcPort(123), dropUDP
 	signalSets := [][]core.RuleSpec{
 		nil, // plain announcement
 		{ntp},
-		{core.ShapeUDPSrcPort(123, 200e6)},
+		{shapeNTP},
 		{udp},
 		{ntp, udp},
-		{ntp, ntp},                     // duplicate signal
-		{core.Custom(diffCustomID)},    // resolves for member 0 only
-		{core.Custom(42)},              // never defined
-		{core.Custom(42), ntp},         // one fails, one compiles
-		{core.DropUDPSrcPort(53), ntp}, // unsorted IDs
+		{ntp, ntp}, // duplicate signal
+		{core.RuleSpec{Selector: core.SelCustom, CustomID: diffCustomID}}, // resolves for member 0 only
+		{core.RuleSpec{Selector: core.SelCustom, CustomID: 42}},           // never defined
+		{core.RuleSpec{Selector: core.SelCustom, CustomID: 42}, ntp},      // one fails, one compiles
+		{core.DropUDPSrcPort(53), ntp},                                    // unsorted IDs
 	}
 
 	for seed := int64(1); seed <= streams; seed++ {

@@ -26,16 +26,19 @@ func signalAttrs(t *testing.T, specs ...core.RuleSpec) bgp.PathAttrs {
 	return attrs
 }
 
+// Signals the tests send besides core.DropUDPSrcPort: NTP shaped to the
+// paper's 200 Mbps telemetry rate, and all of UDP dropped.
+var (
+	shapeNTP = core.RuleSpec{Selector: core.SelUDPSrcPort, Proto: netpkt.ProtoUDP, Port: 123, Action: fabric.ActionShape, ShapeRateBps: 200e6}
+	dropUDP  = core.RuleSpec{Selector: core.SelProto, Proto: netpkt.ProtoUDP, Action: fabric.ActionDrop}
+)
+
 // installedState renders a port's rules channel-independently: sorted
 // "match -> action@rate" lines.
 func installedState(t *testing.T, h *harness, member string) []string {
 	t.Helper()
-	port, err := h.fab.PortByName(member)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var out []string
-	for _, r := range port.Rules() {
+	for _, r := range installedRules(t, h, member) {
 		out = append(out, fmt.Sprintf("%s|%s -> %v@%g", r.ID, r.Match, r.Action, r.ShapeRateBps))
 	}
 	return out
@@ -121,7 +124,7 @@ func TestCommunityChannelReplaceAndWithdraw(t *testing.T) {
 	ch.HandleEvent(routeserver.ControllerEvent{
 		Peer: memberName(0), PeerAS: 64512, PathID: 1,
 		Announced: []netip.Prefix{target},
-		Attrs:     signalAttrs(t, core.ShapeUDPSrcPort(123, 200e6)),
+		Attrs:     signalAttrs(t, shapeNTP),
 	}, 0)
 	ctl.Process(1)
 	if got := installedState(t, h, memberName(0)); len(got) != 1 {
@@ -134,7 +137,7 @@ func TestCommunityChannelReplaceAndWithdraw(t *testing.T) {
 	ch.HandleEvent(routeserver.ControllerEvent{
 		Peer: memberName(0), PeerAS: 64512, PathID: 1,
 		Announced: []netip.Prefix{target},
-		Attrs:     signalAttrs(t, core.DropProto(netpkt.ProtoUDP)),
+		Attrs:     signalAttrs(t, dropUDP),
 	}, 2)
 	ctl.Process(3)
 	live := ctl.Active()
@@ -154,7 +157,7 @@ func TestCommunityChannelReplaceAndWithdraw(t *testing.T) {
 	ch.HandleEvent(routeserver.ControllerEvent{
 		Peer: memberName(0), PeerAS: 64512, PathID: 1,
 		Announced: []netip.Prefix{target},
-		Attrs:     signalAttrs(t, core.DropProto(netpkt.ProtoUDP)),
+		Attrs:     signalAttrs(t, dropUDP),
 	}, 4)
 	ctl.Process(5)
 	if ctl.AppliedChanges() != applied {
@@ -293,7 +296,7 @@ func TestCommunityChannelPortalLookupFailure(t *testing.T) {
 	ch.HandleEvent(routeserver.ControllerEvent{
 		Peer: memberName(0), PeerAS: 64512, PathID: 1,
 		Announced: []netip.Prefix{netip.MustParsePrefix("100.0.0.10/32")},
-		Attrs:     signalAttrs(t, core.Custom(42)), // never defined
+		Attrs:     signalAttrs(t, core.RuleSpec{Selector: core.SelCustom, CustomID: 42}), // never defined
 	}, 0)
 	ctl.Process(1)
 	if len(ctl.Active()) != 0 {
@@ -357,7 +360,7 @@ func TestSpecsFromFlowSpecMultiValue(t *testing.T) {
 
 func TestSpecFromSignalShapeRate(t *testing.T) {
 	spec, err := SpecFromSignal(memberName(0), netip.MustParsePrefix("100.0.0.10/32"),
-		core.ShapeUDPSrcPort(123, 200e6), nil)
+		shapeNTP, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -62,8 +62,7 @@ func ExampleController() {
 
 	// Attack traffic hits the installed rule; the mitigation's tagged
 	// counters aggregate its effect.
-	port, _ := fab.PortByName("AS64512")
-	port.Egress([]fabric.Offer{{
+	fab.Tick(nil, fabric.TickOffers{"AS64512": {{
 		Flow: &netpkt.FlowKey{
 			SrcMAC: netpkt.MAC{0x02, 0xff, 0, 0, 0, 9},
 			Src:    netip.MustParseAddr("198.51.100.9"),
@@ -71,14 +70,15 @@ func ExampleController() {
 			Proto:  netpkt.ProtoUDP, SrcPort: 123, DstPort: 443,
 		},
 		Bytes: 5e6, Packets: 5000,
-	}}, 1, nil)
+	}}}, 1, nil)
 	usage, _ := ctl.Usage(m.ID)
 	fmt.Printf("dropped %.0f MB\n", float64(usage.DroppedBytes)/1e6)
 
-	// The TTL clock expires the mitigation; the rule is removed.
+	// The TTL clock expires the mitigation; the rule is removed and its
+	// router policy slot freed.
 	ctl.Process(61)
 	final, _ := ctl.Get(m.ID)
-	fmt.Printf("rules left: %d, state %s\n", port.RuleCount(), final.State)
+	fmt.Printf("rules left: %d, state %s\n", router.Snapshot().Ports[0].QoSPolicies, final.State)
 	// Output:
 	// t=0 mit:AS64512:100.10.10.10/32:7e959b48 requested
 	// t=0 mit:AS64512:100.10.10.10/32:7e959b48 validated

@@ -25,11 +25,7 @@ func portSpec(i int, p uint16) Spec {
 // p toward member i's target on i's port.
 func offerFrom(t *testing.T, h *harness, i int, p uint16, bytes float64) {
 	t.Helper()
-	port, err := h.fab.PortByName(memberName(i))
-	if err != nil {
-		t.Fatal(err)
-	}
-	port.Egress([]fabric.Offer{{
+	offers := fabric.TickOffers{memberName(i): {{
 		Flow: &netpkt.FlowKey{
 			SrcMAC: netpkt.MAC{0x02, 0xff, 0, 0, 0, 9},
 			Src:    netip.MustParseAddr("198.51.100.9"),
@@ -37,7 +33,10 @@ func offerFrom(t *testing.T, h *harness, i int, p uint16, bytes float64) {
 			Proto:  netpkt.ProtoUDP, SrcPort: p, DstPort: 443,
 		},
 		Bytes: bytes, Packets: 1,
-	}}, 1, nil)
+	}}}
+	if _, err := h.fab.Tick(nil, offers, 1, nil); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // glassRows builds a controller holding, at t = 7.6:

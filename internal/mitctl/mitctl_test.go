@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"net/netip"
+	"sort"
+	"sync"
 	"testing"
 
 	"stellar/internal/core"
@@ -17,7 +19,7 @@ import (
 // with a generous hardware budget, each member owning 100.<i>.0.0/24.
 type harness struct {
 	fab    *fabric.Fabric
-	mgr    *core.QoSManager
+	mgr    *recorder
 	router *hw.EdgeRouter
 	reg    *irr.Registry
 	macs   map[string]netpkt.MAC
@@ -51,8 +53,46 @@ func newHarness(t *testing.T, n int, limits *hw.Limits) *harness {
 		lim = *limits
 	}
 	h.router = hw.NewEdgeRouter(lim)
-	h.mgr = core.NewQoSManager(h.fab, h.router, portIndex)
+	h.mgr = &recorder{QoSManager: core.NewQoSManager(h.fab, h.router, portIndex), member: map[string]string{}}
 	return h
+}
+
+// recorder is the harness's QoS manager: it remembers the member of
+// every rule ID it was asked to install, so a test can look each one up
+// on the member's port.
+type recorder struct {
+	*core.QoSManager
+	mu     sync.Mutex
+	member map[string]string // rule ID -> member
+}
+
+func (r *recorder) Apply(c core.ConfigChange) error {
+	if c.Op == core.OpInstall {
+		r.mu.Lock()
+		r.member[c.RuleID] = c.Member
+		r.mu.Unlock()
+	}
+	return r.QoSManager.Apply(c)
+}
+
+// installedRules returns the rules installed on member's port, sorted by
+// ID.
+func installedRules(t *testing.T, h *harness, member string) []*fabric.Rule {
+	t.Helper()
+	port, err := h.fab.PortByName(member)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.mgr.mu.Lock()
+	defer h.mgr.mu.Unlock()
+	var out []*fabric.Rule
+	for id, m := range h.mgr.member {
+		if r, err := port.Rule(id); m == member && err == nil {
+			out = append(out, r)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	return out
 }
 
 func (h *harness) config() Config {
@@ -90,11 +130,7 @@ func dropSpec(i int) Spec {
 
 func ruleCount(t *testing.T, h *harness, member string) int {
 	t.Helper()
-	port, err := h.fab.PortByName(member)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return port.RuleCount()
+	return len(installedRules(t, h, member))
 }
 
 func TestLifecycleRequestInstallWithdraw(t *testing.T) {
@@ -352,10 +388,10 @@ func TestPerPeerScope(t *testing.T) {
 		t.Fatalf("rule IDs: %v", m.RuleIDs)
 	}
 	ctl.Process(1)
-	port, _ := h.fab.PortByName(memberName(0))
-	if port.RuleCount() != 2 {
-		t.Fatalf("rules: %d", port.RuleCount())
+	if n := ruleCount(t, h, memberName(0)); n != 2 {
+		t.Fatalf("rules: %d", n)
 	}
+	port, _ := h.fab.PortByName(memberName(0))
 	// Each rule pins one peer's MAC: only their traffic dies.
 	for i, peer := range spec.Peers {
 		r, err := port.Rule(m.RuleIDs[i])
@@ -443,7 +479,6 @@ func TestUsageSurvivesRemoval(t *testing.T) {
 	m, _ := ctl.Request(dropSpec(0), 0)
 	ctl.Process(1)
 
-	port, _ := h.fab.PortByName(memberName(0))
 	attack := fabric.Offer{
 		Flow: &netpkt.FlowKey{
 			SrcMAC: netpkt.MAC{0x02, 0xff, 0, 0, 0, 9},
@@ -453,7 +488,9 @@ func TestUsageSurvivesRemoval(t *testing.T) {
 		},
 		Bytes: 1e6, Packets: 1000,
 	}
-	port.Egress([]fabric.Offer{attack}, 1, nil)
+	if _, err := h.fab.Tick(nil, fabric.TickOffers{memberName(0): {attack}}, 1, nil); err != nil {
+		t.Fatal(err)
+	}
 
 	u, err := ctl.Usage(m.ID)
 	if err != nil {

@@ -98,10 +98,6 @@ type ErrorClassCounts struct {
 	Other int `json:"other"`
 }
 
-// Total returns the sum over all classes except QueueDeadline (which
-// annotates, rather than replaces, the underlying failure class).
-func (e ErrorClassCounts) Total() int { return e.F1 + e.F2 + e.QoS + e.Other }
-
 // classify buckets an apply error into its counter field.
 func (e *ErrorClassCounts) classify(err error) {
 	switch {
@@ -130,16 +126,6 @@ func (c *Controller) ErrorClasses() ErrorClassCounts {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.errClasses
-}
-
-// LastError returns the most recent apply or compilation error, if any.
-func (c *Controller) LastError() (core.ApplyError, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.errTotal == 0 {
-		return core.ApplyError{}, false
-	}
-	return c.lastErr, true
 }
 
 // SetQueueStalled gates the change queue: while stalled, Process keeps

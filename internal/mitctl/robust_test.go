@@ -107,8 +107,8 @@ func TestRetryExhaustionRejects(t *testing.T) {
 	if ec := c.ErrorClasses(); ec.Other != 3 {
 		t.Fatalf("error classes %+v, want 3 attempts in Other", ec)
 	}
-	if _, ok := c.LastError(); !ok {
-		t.Fatal("LastError empty after failures")
+	if _, ok := lastError(c); !ok {
+		t.Fatal("no last error after failures")
 	}
 }
 
@@ -228,8 +228,8 @@ func TestDegradationLadder(t *testing.T) {
 	if n := ruleCount(t, h, memberName(0)); n != 0 {
 		t.Fatalf("%d rules after withdraw, want 0", n)
 	}
-	if mac, l34 := h.router.Totals(); mac != 0 || l34 != 0 {
-		t.Fatalf("TCAM leak after withdraw: %d MAC, %d L3-L4", mac, l34)
+	if s := h.router.Snapshot(); s.TotalMAC != 0 || s.TotalL34 != 0 {
+		t.Fatalf("TCAM leak after withdraw: %d MAC, %d L3-L4", s.TotalMAC, s.TotalL34)
 	}
 }
 
@@ -255,8 +255,8 @@ func TestDegradedExpiryRemovesCoarseRule(t *testing.T) {
 	if got, _ := c.Get(m.ID); got.State != StateExpired {
 		t.Fatalf("state %v, want expired", got.State)
 	}
-	if mac, l34 := h.router.Totals(); mac != 0 || l34 != 0 {
-		t.Fatalf("TCAM leak after degraded expiry: %d/%d", mac, l34)
+	if s := h.router.Snapshot(); s.TotalMAC != 0 || s.TotalL34 != 0 {
+		t.Fatalf("TCAM leak after degraded expiry: %d/%d", s.TotalMAC, s.TotalL34)
 	}
 }
 
@@ -309,10 +309,10 @@ func TestErrorClassCounters(t *testing.T) {
 			}
 			c.Process(1)
 			ec := c.ErrorClasses()
-			if tc.get(ec) != 1 || ec.Total() != 1 {
+			if tc.get(ec) != 1 || ec.F1+ec.F2+ec.QoS+ec.Other != 1 {
 				t.Fatalf("classes %+v, want exactly one %s", ec, tc.name)
 			}
-			last, ok := c.LastError()
+			last, ok := lastError(c)
 			if !ok || !errors.Is(last.Err, tc.err) && last.Err.Error() != tc.err.Error() {
 				t.Fatalf("last error %v, want %v", last.Err, tc.err)
 			}
@@ -431,10 +431,20 @@ func TestStressConcurrentFaultsWithRetries(t *testing.T) {
 	if n := c.PendingChanges(); n != 0 {
 		t.Fatalf("queue not drained: %d pending", n)
 	}
-	if n := h.mgr.InstalledCount(); n != 0 {
-		t.Fatalf("%d rules leaked after withdraw-all", n)
+	for i := 0; i < members; i++ {
+		if n := ruleCount(t, h, memberName(i)); n != 0 {
+			t.Fatalf("%d rules leaked on %s after withdraw-all", n, memberName(i))
+		}
 	}
-	if mac, l34 := h.router.Totals(); mac != 0 || l34 != 0 {
-		t.Fatalf("TCAM leak: %d MAC, %d L3-L4", mac, l34)
+	if s := h.router.Snapshot(); s.TotalMAC != 0 || s.TotalL34 != 0 {
+		t.Fatalf("TCAM leak: %d MAC, %d L3-L4", s.TotalMAC, s.TotalL34)
 	}
+}
+
+// lastError reads the controller's most recent apply or compilation
+// error, if any.
+func lastError(c *Controller) (core.ApplyError, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.lastErr, c.errTotal > 0
 }

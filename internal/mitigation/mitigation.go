@@ -114,26 +114,12 @@ func Table1() map[Property]map[Technique]Rating {
 	}
 }
 
-// AdvantageCount returns the number of Advantage cells per technique —
-// Advanced Blackholing sweeps all ten rows in the paper.
-func AdvantageCount() map[Technique]int {
-	counts := make(map[Technique]int)
-	for _, row := range Table1() {
-		for tech, r := range row {
-			if r == Advantage {
-				counts[tech]++
-			}
-		}
-	}
-	return counts
-}
-
 // ---------------------------------------------------------------------
 // Behavioural models.
 
 // Scrubber models a traffic scrubbing service (TSS): traffic is
-// redirected to the scrubbing center (adding path stretch), cleaned with
-// an imperfect true/false-positive profile, and billed per byte.
+// redirected to the scrubbing center, cleaned with an imperfect
+// true/false-positive profile, and billed per byte.
 type Scrubber struct {
 	// CapacityBps is the scrubbing center's ingest capacity; traffic
 	// beyond it is dropped indiscriminately (the Tbps-attack failure
@@ -145,8 +131,6 @@ type Scrubber struct {
 	FalsePositiveRate float64
 	// CostPerGB is the per-gigabyte scrubbing fee.
 	CostPerGB float64
-	// AddedLatencyMs is the path-stretch penalty for redirected traffic.
-	AddedLatencyMs float64
 
 	// TotalCost accumulates fees across Scrub calls.
 	TotalCost float64

@@ -46,7 +46,15 @@ func TestTable1MatchesPaper(t *testing.T) {
 }
 
 func TestAdvancedBlackholingSweepsTable1(t *testing.T) {
-	counts := AdvantageCount()
+	// Advanced Blackholing sweeps all ten rows in the paper.
+	counts := make(map[Technique]int)
+	for _, row := range Table1() {
+		for tech, r := range row {
+			if r == Advantage {
+				counts[tech]++
+			}
+		}
+	}
 	if counts[AdvancedBlackholing] != 10 {
 		t.Fatalf("AdvBH advantages: %d, want 10", counts[AdvancedBlackholing])
 	}

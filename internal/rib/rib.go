@@ -200,17 +200,10 @@ func (e *prefixEntry) recomputeBest() {
 	e.best = best
 }
 
-// RemovePeer withdraws every path learned from peer (session teardown,
-// RFC 4271 §8: implicit withdraw of the whole Adj-RIB-In). It returns the
-// removed paths.
-func (t *Table) RemovePeer(peer string) []*Path {
-	removed, _ := t.RemovePeerWithBest(peer)
-	return removed
-}
-
-// RemovePeerWithBest withdraws every path learned from peer and
-// additionally returns the best-path transition of every affected prefix,
-// sorted for determinism.
+// RemovePeerWithBest withdraws every path learned from peer (session
+// teardown, RFC 4271 §8: implicit withdraw of the whole Adj-RIB-In). It
+// returns the removed paths and the best-path transition of every
+// affected prefix, sorted for determinism.
 func (t *Table) RemovePeerWithBest(peer string) ([]*Path, []BestChange) {
 	var removed []*Path
 	var changes []BestChange
@@ -281,18 +274,6 @@ func (t *Table) Lookup(prefix netip.Prefix) []*Path {
 	sh.mu.RUnlock()
 	sort.Slice(out, func(i, j int) bool { return better(out[i], out[j]) })
 	return out
-}
-
-// Best returns the best path for prefix, or nil if none exists. It is an
-// O(1) read of the shard's incrementally maintained cache.
-func (t *Table) Best(prefix netip.Prefix) *Path {
-	sh := t.shardFor(prefix)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	if e := sh.routes[prefix]; e != nil {
-		return e.best
-	}
-	return nil
 }
 
 // Prefixes returns every prefix with at least one path, sorted.

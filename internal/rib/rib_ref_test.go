@@ -218,7 +218,7 @@ func TestTableMatchesMapReference(t *testing.T) {
 			}
 			wantLen += len(refPaths)
 			sort.Slice(refPaths, func(i, j int) bool { return better(refPaths[i], refPaths[j]) })
-			if g, w := pathID(tbl.Best(p)), pathID(refBest); g != w {
+			if g, w := pathID(bestOf(tbl, p)), pathID(refBest); g != w {
 				t.Fatalf("step %d %s: Best(%s) = %s, reference %s", step, op, p, g, w)
 			}
 			if g, w := pathIDs(tbl.Lookup(p)), pathIDs(refPaths); !reflect.DeepEqual(g, w) {

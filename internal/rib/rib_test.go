@@ -19,6 +19,23 @@ func attrs(asns ...uint32) bgp.PathAttrs {
 	}
 }
 
+// bestOf reads prefix's cached best path, nil when it has none.
+func bestOf(t *Table, prefix netip.Prefix) *Path {
+	sh := t.shardFor(prefix)
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	if e := sh.routes[prefix]; e != nil {
+		return e.best
+	}
+	return nil
+}
+
+// removePeer withdraws every path learned from peer and returns them.
+func removePeer(t *Table, peer string) []*Path {
+	removed, _ := t.RemovePeerWithBest(peer)
+	return removed
+}
+
 func TestAddLookupRemove(t *testing.T) {
 	tbl := New()
 	k := PathKey{Prefix: pfx("100.10.10.0/24"), Peer: "as64512"}
@@ -52,7 +69,7 @@ func TestAddReplacesSamePath(t *testing.T) {
 	if p2.Seq <= p1.Seq {
 		t.Fatal("Seq did not advance")
 	}
-	if tbl.Best(k.Prefix).Attrs.PathLen() != 2 {
+	if bestOf(tbl, k.Prefix).Attrs.PathLen() != 2 {
 		t.Fatal("replacement not visible")
 	}
 }
@@ -77,7 +94,7 @@ func TestBestPathLocalPref(t *testing.T) {
 	aHigh.LocalPref = &high
 	tbl.Add(PathKey{Prefix: prefix, Peer: "a"}, 1, aLow)
 	tbl.Add(PathKey{Prefix: prefix, Peer: "b"}, 2, aHigh)
-	if best := tbl.Best(prefix); best.Key.Peer != "b" {
+	if best := bestOf(tbl, prefix); best.Key.Peer != "b" {
 		t.Fatalf("best = %s, want b (higher local pref)", best.Key.Peer)
 	}
 }
@@ -87,7 +104,7 @@ func TestBestPathShorterASPath(t *testing.T) {
 	prefix := pfx("100.10.10.0/24")
 	tbl.Add(PathKey{Prefix: prefix, Peer: "long"}, 1, attrs(1, 2, 3))
 	tbl.Add(PathKey{Prefix: prefix, Peer: "short"}, 2, attrs(9))
-	if best := tbl.Best(prefix); best.Key.Peer != "short" {
+	if best := bestOf(tbl, prefix); best.Key.Peer != "short" {
 		t.Fatalf("best = %s, want short", best.Key.Peer)
 	}
 }
@@ -101,7 +118,7 @@ func TestBestPathOrigin(t *testing.T) {
 	aIGP.Origin = bgp.OriginIGP
 	tbl.Add(PathKey{Prefix: prefix, Peer: "egp"}, 1, aEGP)
 	tbl.Add(PathKey{Prefix: prefix, Peer: "igp"}, 2, aIGP)
-	if best := tbl.Best(prefix); best.Key.Peer != "igp" {
+	if best := bestOf(tbl, prefix); best.Key.Peer != "igp" {
 		t.Fatalf("best = %s, want igp", best.Key.Peer)
 	}
 }
@@ -116,7 +133,7 @@ func TestBestPathMEDSameNeighbor(t *testing.T) {
 	a2.MED = &med5
 	tbl.Add(PathKey{Prefix: prefix, Peer: "x"}, 7, a1)
 	tbl.Add(PathKey{Prefix: prefix, Peer: "y"}, 7, a2)
-	if best := tbl.Best(prefix); best.Key.Peer != "y" {
+	if best := bestOf(tbl, prefix); best.Key.Peer != "y" {
 		t.Fatalf("best = %s, want y (lower MED)", best.Key.Peer)
 	}
 }
@@ -131,13 +148,13 @@ func TestBestPathMEDIgnoredAcrossNeighbors(t *testing.T) {
 	tbl.Add(PathKey{Prefix: prefix, Peer: "x"}, 7, a1) // earlier
 	tbl.Add(PathKey{Prefix: prefix, Peer: "y"}, 8, a2)
 	// Different neighbor AS: MED not compared; oldest (x) wins.
-	if best := tbl.Best(prefix); best.Key.Peer != "x" {
+	if best := bestOf(tbl, prefix); best.Key.Peer != "x" {
 		t.Fatalf("best = %s, want x (oldest)", best.Key.Peer)
 	}
 }
 
 func TestBestNil(t *testing.T) {
-	if New().Best(pfx("1.0.0.0/8")) != nil {
+	if bestOf(New(), pfx("1.0.0.0/8")) != nil {
 		t.Fatal("Best on empty table")
 	}
 }
@@ -147,11 +164,11 @@ func TestRemovePeer(t *testing.T) {
 	tbl.Add(PathKey{Prefix: pfx("1.0.0.0/8"), Peer: "a"}, 1, attrs(1))
 	tbl.Add(PathKey{Prefix: pfx("2.0.0.0/8"), Peer: "a"}, 1, attrs(1))
 	tbl.Add(PathKey{Prefix: pfx("2.0.0.0/8"), Peer: "b"}, 2, attrs(2))
-	removed := tbl.RemovePeer("a")
+	removed := removePeer(tbl, "a")
 	if len(removed) != 2 {
 		t.Fatalf("removed %d, want 2", len(removed))
 	}
-	if tbl.Len() != 1 || tbl.Best(pfx("2.0.0.0/8")).Key.Peer != "b" {
+	if tbl.Len() != 1 || bestOf(tbl, pfx("2.0.0.0/8")).Key.Peer != "b" {
 		t.Fatalf("table after RemovePeer: len=%d", tbl.Len())
 	}
 }
@@ -217,7 +234,7 @@ func TestAttrsIsolation(t *testing.T) {
 	a := attrs(1, 2)
 	tbl.Add(k, 1, a)
 	a.ASPath[0].ASNs[0] = 999 // mutate caller's copy
-	if tbl.Best(k.Prefix).Attrs.ASPath[0].ASNs[0] == 999 {
+	if bestOf(tbl, k.Prefix).Attrs.ASPath[0].ASNs[0] == 999 {
 		t.Fatal("table shares attr storage with caller")
 	}
 }
@@ -435,7 +452,7 @@ func TestConcurrentStress(t *testing.T) {
 				case 2:
 					tbl.RemoveWithBest(key)
 				case 3:
-					tbl.Best(p)
+					bestOf(tbl, p)
 					tbl.Lookup(p)
 				case 4:
 					if i%50 == 0 {
@@ -453,7 +470,7 @@ func TestConcurrentStress(t *testing.T) {
 	// recomputation over its surviving paths.
 	for _, p := range prefixes {
 		paths := tbl.Lookup(p)
-		best := tbl.Best(p)
+		best := bestOf(tbl, p)
 		if len(paths) == 0 {
 			if best != nil {
 				t.Fatalf("%s: stale best %v", p, best.Key)
@@ -491,7 +508,7 @@ func TestConcurrentRemovePeer(t *testing.T) {
 	wg.Wait()
 	for _, p := range prefixes {
 		paths := tbl.Lookup(p)
-		best := tbl.Best(p)
+		best := bestOf(tbl, p)
 		if len(paths) == 0 && best != nil {
 			t.Fatalf("%s: stale best after RemovePeer", p)
 		}

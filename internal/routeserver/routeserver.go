@@ -1,6 +1,6 @@
 // Package routeserver implements the IXP's multilateral-peering route
 // server (Section 4.3, Figure 6): eBGP sessions with every member,
-// routing-hygiene import filtering against IRR/RPKI/bogon databases, the
+// routing-hygiene import filtering against IRR and bogon databases, the
 // RTBH next-hop rewrite for announcements carrying the BLACKHOLE
 // community, export control via IXP policy communities, and the
 // southbound feed to Stellar's blackholing controller, which sees every

@@ -701,7 +701,7 @@ func TestHandleUpdateConcurrent(t *testing.T) {
 						return
 					}
 				}
-				rs.Table().Best(p)
+				rs.Table().Lookup(p)
 			}
 		}(i)
 	}
@@ -730,7 +730,10 @@ func TestHandleUpdateConcurrent(t *testing.T) {
 }
 
 // TestConcurrentSharedPrefix has every peer fight over the same prefixes:
-// per-shard serialization must keep the cached best path coherent.
+// per-shard serialization must leave the RIB as the last operations left
+// it — every peer ends each round withdrawing, so nothing survives. The
+// rib package's TestConcurrentStress pins the cached best path itself
+// under the same kind of contention.
 func TestConcurrentSharedPrefix(t *testing.T) {
 	const peers = 6
 	rs := New(Config{ASN: ixpASN, BlackholeNextHop: blackholeNH})
@@ -770,13 +773,8 @@ func TestConcurrentSharedPrefix(t *testing.T) {
 	}
 	wg.Wait()
 	for _, p := range shared {
-		paths := rs.Table().Lookup(p)
-		best := rs.Table().Best(p)
-		if len(paths) == 0 && best != nil {
-			t.Fatalf("%s: stale cached best", p)
-		}
-		if len(paths) > 0 && (best == nil || best.Key != paths[0].Key) {
-			t.Fatalf("%s: cached best %v != %v", p, best, paths[0].Key)
+		if paths := rs.Table().Lookup(p); len(paths) != 0 {
+			t.Fatalf("%s: %d paths survive every peer's withdrawal", p, len(paths))
 		}
 	}
 }

@@ -41,47 +41,6 @@ func Variance(xs []float64) float64 {
 // StdDev returns the unbiased sample standard deviation of xs.
 func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
-// Sum returns the sum of xs.
-func Sum(xs []float64) float64 {
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s
-}
-
-// Min returns the smallest element of xs, or 0 for an empty slice.
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Max returns the largest element of xs, or 0 for an empty slice.
-func Max(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Median returns the median of xs using linear interpolation between
-// midpoints for even-length inputs.
-func Median(xs []float64) float64 { return Percentile(xs, 50) }
-
 // Percentile returns the p-th percentile (0 <= p <= 100) of xs using
 // linear interpolation between closest ranks. It returns 0 for an empty
 // slice. p is clamped to [0, 100].
@@ -134,25 +93,6 @@ func (e *ECDF) P(x float64) float64 {
 	// First index with sorted[i] > x.
 	i := sort.SearchFloat64s(e.sorted, math.Nextafter(x, math.Inf(1)))
 	return float64(i) / float64(len(e.sorted))
-}
-
-// Quantile returns the smallest sample value v such that P(X <= v) >= q,
-// for q in (0, 1].
-func (e *ECDF) Quantile(q float64) float64 {
-	if len(e.sorted) == 0 {
-		return 0
-	}
-	if q <= 0 {
-		return e.sorted[0]
-	}
-	if q >= 1 {
-		return e.sorted[len(e.sorted)-1]
-	}
-	idx := int(math.Ceil(q*float64(len(e.sorted)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	return e.sorted[idx]
 }
 
 // Len returns the number of samples in the ECDF.
