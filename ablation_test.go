@@ -36,9 +36,11 @@ func BenchmarkAblationEgressVsIngress(b *testing.B) {
 	attack.RampTicks = 0
 	web := traffic.NewWebService(target, peers[:4], 4e8, rng)
 
+	// A small IXP's core carries 2 Gbps, shedding proportionally what
+	// it cannot carry: the bottleneck before the member port.
+	const coreBps = 2e9
 	run := func(ingress bool) float64 {
 		fab := fabric.New()
-		fab.PlatformCapacityBps = 2e9 // small IXP: core is the bottleneck
 		mac := netpkt.MustParseMAC("02:00:00:00:00:99")
 		port := fabric.NewPort("victim", mac, 1e9)
 		m := fabric.MatchAll()
@@ -57,6 +59,17 @@ func BenchmarkAblationEgressVsIngress(b *testing.B) {
 				}
 			}
 			offers = kept
+		}
+		var offered float64
+		for _, o := range offers {
+			offered += o.Bytes
+		}
+		if capBytes := coreBps / 8; offered > capBytes {
+			scale := capBytes / offered
+			for i := range offers {
+				offers[i].Bytes *= scale
+				offers[i].Packets *= scale
+			}
 		}
 		st, err := fab.Tick(nil, fabric.TickOffers{"victim": offers}, 1, nil)
 		if err != nil {

@@ -15,8 +15,11 @@
 // change-queue pacing and pruning final mitigations from the store run
 // on an idle exchange too. Either tick advances the exchange clock by
 // the wall time elapsed since the previous one, so simulated time is
-// the daemon's uptime however many UPDATEs arrive. SIGINT or SIGTERM
-// stops the daemon.
+// the daemon's uptime however many UPDATEs arrive. The daemon proposes
+// RFC 4271's suggested 90 s hold time, so a member that proposes one
+// too and then falls silent without closing TCP loses its session, and
+// with it its routes and mitigations, once the hold timer expires.
+// SIGINT or SIGTERM stops the daemon.
 //
 //	ixpd -bgp-listen 127.0.0.1:1790 -asn 6695 -open-irr
 package main
@@ -47,6 +50,11 @@ import (
 	"stellar/internal/netpkt"
 	"stellar/internal/routeserver"
 )
+
+// holdTime is the hold time the daemon proposes (RFC 4271 §10's
+// suggested value). A session runs on the smaller of the two proposals;
+// a member proposing 0 runs without keepalives.
+const holdTime = 90 * time.Second
 
 type irrEntry struct {
 	asn    uint32
@@ -176,7 +184,7 @@ func newDaemon(o options, ln net.Listener) (*daemon, error) {
 	if o.openIRR {
 		feed.PreUpdate = d.openIRR
 	}
-	for _, st := range []bgppipe.Stage{bgppipe.NewListen(ln, bgpsession.Config{LocalAS: o.asn, BGPID: o.bgpID}), feed} {
+	for _, st := range []bgppipe.Stage{bgppipe.NewListen(ln, bgpsession.Config{LocalAS: o.asn, BGPID: o.bgpID, HoldTime: holdTime}), feed} {
 		if err := d.pipe.Attach(st); err != nil {
 			return nil, err
 		}

@@ -456,6 +456,62 @@ func TestBurstOfSignalsIsPaced(t *testing.T) {
 	}
 }
 
+// TestSilentPeerLosesItsMitigations pins the daemon's hold timer: a
+// member that proposes a 3 s hold time, signals an Advanced Blackholing
+// /32 and then falls silent without closing TCP (its router died) loses
+// the session once the hold timer expires, and the session's end
+// withdraws its mitigation.
+func TestSilentPeerLosesItsMitigations(t *testing.T) {
+	const hold = 3 * time.Second
+	d, addr, stop := startDaemon(t, "-open-irr -tick 1h")
+	defer stop()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	// The member speaks raw BGP, so nothing answers the daemon's
+	// keepalives once it falls silent.
+	if err := bgp.WriteMessage(conn, bgp.NewOpen(64512, uint16(hold/time.Second), netip.MustParseAddr("10.0.0.12")), nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []bgp.MessageType{bgp.MsgOpen, bgp.MsgKeepalive} {
+		m, err := bgp.ReadMessage(conn, nil)
+		if err != nil || m.Type() != want {
+			t.Fatalf("handshake: got %v (%v), want %v", m, err, want)
+		}
+		if want == bgp.MsgOpen {
+			if err := bgp.WriteMessage(conn, &bgp.Keepalive{}, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	waitFor(t, "AS64512 to join", func() bool { _, err := d.x.Member("AS64512"); return err == nil })
+	ec, err := core.DropUDPSrcPort(123).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := bgp.WriteMessage(conn, announce(64512, netip.MustParsePrefix("100.10.10.10/32"), nil, ec), nil); err != nil {
+		t.Fatal(err)
+	}
+	var id string
+	waitFor(t, "the mitigation", func() bool {
+		active := d.x.Mitigations.Active()
+		if len(active) == 1 {
+			id = active[0].ID
+		}
+		return id != ""
+	})
+	silentAt := time.Now()
+	waitWithin(t, hold+2*time.Second, "the silent member's mitigation to be withdrawn", func() bool {
+		m, _ := d.x.Mitigations.Get(id)
+		return m.State == mitctl.StateWithdrawn
+	})
+	if waited := time.Since(silentAt); waited < hold-time.Second {
+		t.Fatalf("withdrawn %v after the member fell silent, before the %v hold timer could expire", waited, hold)
+	}
+}
+
 // TestDaemonPrunesFinalMitigations pins the daemon's store bound: a
 // withdrawn mitigation stays readable for a wall-clock tick, then the
 // wall-clock loop prunes it, so a long-running daemon does not keep one

@@ -4,7 +4,8 @@ package stellar_test
 // package-level name, method and struct field must be used by some
 // non-test file of the module or of the nested benchmark module. A name
 // only tests reach is surface nobody runs; delete it, or give it a
-// one-line reason here.
+// one-line reason here. A field must also be both set and read: a knob
+// nobody sets is a constant, and an output nobody reads is dead code.
 
 import (
 	"bytes"
@@ -25,8 +26,9 @@ import (
 	"testing"
 )
 
-// deadExportAllow maps each exported name kept with no non-test use to
-// the reason it stays.
+// deadExportAllow maps each exported name kept with no non-test use, or
+// each field kept though no non-test file sets it or reads it, to the
+// reason it stays.
 var deadExportAllow = map[string]string{
 	"internal/mitctl.Controller.GlassErrors":          "looking-glass reader the ixpd -http endpoint will serve (ROADMAP 2a)",
 	"internal/mitctl.Controller.ErrorClasses":         "error roll-up the ixpd -http endpoint will serve (ROADMAP 2a)",
@@ -49,6 +51,11 @@ var deadExportAllow = map[string]string{
 	"internal/bgp.CapCodeRouteRefresh":                "capability code (RFC 2918), kept for codec completeness",
 	"internal/bgp.ExtTypeTwoOctetAS":                  "extended-community type (RFC 4360), kept for codec completeness",
 	"internal/bgp.ExtSubTypeRouteTarget":              "extended-community sub-type (RFC 4360), kept for codec completeness",
+	"internal/bgpsession.Config.AddPath":              "the only writer of bgp.Options, whose type is in the signatures of bgp.Marshal/Unmarshal that benchmark/ calls",
+	"internal/bgpsession.Config.ExpectAS":             "checks input from outside; the hostile-member work (ROADMAP 10) may enable it",
+	"internal/bgppipe.Options.Buffer":                 "benchmark/wire.go builds Options{}, so the field stays settable",
+	"internal/routeserver.ControllerEvent.PeerAS":     "benchmark/layers.go sets it",
+	"internal/hw.Snapshot.Ports":                      "the cross-package tests' hardware-side oracle, which the invariant checker (ROADMAP 5a) will read",
 }
 
 func TestNoDeadExports(t *testing.T) {
@@ -58,7 +65,7 @@ func TestNoDeadExports(t *testing.T) {
 	}
 	unlisted, stale := checkDeadExports(dead, deadExportAllow)
 	for _, name := range unlisted {
-		t.Errorf("%s: exported but no non-test file uses it; delete it (or allowlist it with a reason)", name)
+		t.Errorf("%s: %s; delete it (or allowlist it with a reason)", name, dead[name])
 	}
 	for _, name := range stale {
 		t.Errorf("%s: allowlisted but no longer dead; drop its deadExportAllow entry", name)
@@ -66,23 +73,33 @@ func TestNoDeadExports(t *testing.T) {
 }
 
 // TestDeadExportScanner runs the scanner on a planted module: a dead
-// func, method and field are reported; a method satisfying a called
-// interface method and a json-tagged field are spared; a stale
-// allowlist entry is caught.
+// func, method and field, a field nobody sets, a Config field only its
+// own package's default sets and a field nobody reads are reported; a
+// method satisfying a called interface method, a json-tagged field, a
+// struct JSON reaches, a field read only by op= and an atomic set only
+// by a method call are spared; a stale allowlist entry is caught.
 func TestDeadExportScanner(t *testing.T) {
 	dead, err := deadExports(filepath.Join("testdata", "deadexports"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"lib.Dead", "lib.Square.Perimeter", "lib.Square.Unused"}
+	want := map[string]string{
+		"lib.Dead":             whyUnused,
+		"lib.Square.Perimeter": whyUnused,
+		"lib.Square.Unused":    whyUnused,
+		"lib.Dial.Scale":       whyNeverSet,
+		"lib.Config.Limit":     whySetInside,
+		"lib.Dial.Label":       whyNeverRead,
+	}
 	if !reflect.DeepEqual(dead, want) {
 		t.Fatalf("dead = %q, want %q", dead, want)
 	}
 	unlisted, stale := checkDeadExports(dead, map[string]string{
-		"lib.Dead": "planted",
-		"lib.Used": "stale: lib.Used has a caller",
+		"lib.Dead":          "planted",
+		"lib.Square.Unused": "planted",
+		"lib.Used":          "stale: lib.Used has a caller",
 	})
-	if want := []string{"lib.Square.Perimeter", "lib.Square.Unused"}; !reflect.DeepEqual(unlisted, want) {
+	if want := []string{"lib.Config.Limit", "lib.Dial.Label", "lib.Dial.Scale", "lib.Square.Perimeter"}; !reflect.DeepEqual(unlisted, want) {
 		t.Errorf("unlisted = %q, want %q", unlisted, want)
 	}
 	if want := []string{"lib.Used"}; !reflect.DeepEqual(stale, want) {
@@ -90,21 +107,20 @@ func TestDeadExportScanner(t *testing.T) {
 	}
 }
 
-// checkDeadExports splits dead against allow: dead names allow does not
-// list, and allow entries that are not dead.
-func checkDeadExports(dead []string, allow map[string]string) (unlisted, stale []string) {
-	isDead := make(map[string]bool, len(dead))
-	for _, name := range dead {
-		isDead[name] = true
+// checkDeadExports splits dead against allow, each sorted: dead names
+// allow does not list, and allow entries that are not dead.
+func checkDeadExports(dead, allow map[string]string) (unlisted, stale []string) {
+	for name := range dead {
 		if allow[name] == "" {
 			unlisted = append(unlisted, name)
 		}
 	}
 	for name := range allow {
-		if !isDead[name] {
+		if dead[name] == "" {
 			stale = append(stale, name)
 		}
 	}
+	sort.Strings(unlisted)
 	sort.Strings(stale)
 	return unlisted, stale
 }
@@ -119,17 +135,39 @@ type listedPackage struct {
 	Error      *struct{ Err string }
 }
 
+// Why a name is reported.
+const (
+	whyUnused    = "exported but no non-test file uses it"
+	whyNeverSet  = "read but no non-test file sets it: a knob nobody sets is a constant"
+	whySetInside = "a Config/Options field no non-test file outside its package sets: a default nobody overrides is a constant"
+	whyNeverRead = "set but no non-test file reads it: an output nobody reads"
+)
+
+// fieldUse is how the non-test files use one field.
+type fieldUse struct {
+	set, read, setOutside bool // setOutside: set by a file of another package
+}
+
 // deadExports type-checks the non-test packages of the modules rooted at
 // dirs, in order (a later module may import an earlier one's packages),
-// and returns, sorted, every exported package-level name, method of a
-// package-level type, and field of a package-level struct that no
-// non-test file of those modules uses. A name is printed relative to its
-// module's path: "internal/mitctl.Controller.GlassErrors". Spared:
-// methods satisfying an interface method that is called (or that
-// belongs to an interface from outside the scanned modules), methods the
-// standard library finds by name (String, Error, sort, heap, JSON and
-// text marshalling), embedded fields, and fields with a struct tag.
-func deadExports(dirs ...string) ([]string, error) {
+// and returns, keyed by name, why each exported package-level name,
+// method of a package-level type, or field of a package-level struct is
+// dead. A name is printed relative to its module's path:
+// "internal/mitctl.Controller.GlassErrors". A name is dead when no
+// non-test file of those modules uses it. A field is dead too when
+// nothing sets it, when nothing reads it, or, in a struct named Config
+// or Options, when only its own package sets it. A composite literal,
+// the target of =, op= or ++, &x.F and a pointer-receiver method call
+// on x.F set a field; every other use reads it, and so do op=, ++, &x.F
+// and a pointer-receiver call.
+// Spared: methods satisfying an interface method that is called (or
+// that belongs to an interface from outside the scanned modules),
+// methods the standard library finds by name (String, Error, sort,
+// heap, JSON and text marshalling), embedded fields, and fields with a
+// struct tag; from the set and read rules, every field of a struct with
+// a tagged field or reachable from one, which encoding/json reads and
+// sets.
+func deadExports(dirs ...string) (map[string]string, error) {
 	fset := token.NewFileSet()
 	exports := map[string]string{}
 	gc := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
@@ -144,6 +182,7 @@ func deadExports(dirs ...string) ([]string, error) {
 		return gc.Import(path)
 	})
 	used := map[types.Object]bool{}
+	fields := map[*types.Var]*fieldUse{}
 	for _, dir := range dirs {
 		pkgs, err := goList(dir)
 		if err != nil {
@@ -162,7 +201,11 @@ func deadExports(dirs ...string) ([]string, error) {
 				}
 				files = append(files, f)
 			}
-			info := &types.Info{Uses: map[*ast.Ident]types.Object{}}
+			info := &types.Info{
+				Uses:       map[*ast.Ident]types.Object{},
+				Types:      map[ast.Expr]types.TypeAndValue{},
+				Selections: map[*ast.SelectorExpr]*types.Selection{},
+			}
 			pkg, err := (&types.Config{Importer: imp}).Check(lp.ImportPath, fset, files, info)
 			if err != nil {
 				return nil, fmt.Errorf("type-check %s: %w", lp.ImportPath, err)
@@ -172,6 +215,7 @@ func deadExports(dirs ...string) ([]string, error) {
 			for _, obj := range info.Uses {
 				used[origin(obj)] = true
 			}
+			recordFieldUses(pkg, info, files, fields)
 		}
 	}
 	// ifaces maps a method name to the interfaces whose method of that
@@ -206,21 +250,22 @@ func deadExports(dirs ...string) ([]string, error) {
 		}
 		return false
 	}
+	jsonStructs := jsonReachable(checked)
 
-	var dead []string
-	report := func(pkg *types.Package, name string) {
+	dead := map[string]string{}
+	report := func(pkg *types.Package, name, why string) {
 		rel := strings.TrimPrefix(strings.TrimPrefix(pkg.Path(), modOf[pkg]), "/")
 		if rel == "" {
 			rel = pkg.Name()
 		}
-		dead = append(dead, rel+"."+name)
+		dead[rel+"."+name] = why
 	}
 	for _, pkg := range checked {
 		scope := pkg.Scope()
 		for _, name := range scope.Names() {
 			obj := scope.Lookup(name)
 			if obj.Exported() && !used[obj] {
-				report(pkg, name)
+				report(pkg, name, whyUnused)
 			}
 			tn, ok := obj.(*types.TypeName)
 			if !ok || tn.IsAlias() {
@@ -233,7 +278,7 @@ func deadExports(dirs ...string) ([]string, error) {
 			for i := 0; i < named.NumMethods(); i++ {
 				m := named.Method(i)
 				if m.Exported() && !used[m] && !stdlibByName[m.Name()] && !satisfies(m, named) {
-					report(pkg, name+"."+m.Name())
+					report(pkg, name+"."+m.Name(), whyUnused)
 				}
 			}
 			st, ok := named.Underlying().(*types.Struct)
@@ -242,14 +287,165 @@ func deadExports(dirs ...string) ([]string, error) {
 			}
 			for i := 0; i < st.NumFields(); i++ {
 				f := st.Field(i)
-				if f.Exported() && !used[f] && !f.Embedded() && st.Tag(i) == "" {
-					report(pkg, name+"."+f.Name())
+				if !f.Exported() || f.Embedded() || st.Tag(i) != "" {
+					continue
+				}
+				u := fields[f]
+				switch {
+				case u == nil:
+					report(pkg, name+"."+f.Name(), whyUnused)
+				case jsonStructs[st]:
+				case !u.set:
+					report(pkg, name+"."+f.Name(), whyNeverSet)
+				case !u.read:
+					report(pkg, name+"."+f.Name(), whyNeverRead)
+				case !u.setOutside && (name == "Config" || name == "Options"):
+					report(pkg, name+"."+f.Name(), whySetInside)
 				}
 			}
 		}
 	}
-	sort.Strings(dead)
 	return dead, nil
+}
+
+// recordFieldUses adds to fields how the files of pkg set and read
+// struct fields.
+func recordFieldUses(pkg *types.Package, info *types.Info, files []*ast.File, fields map[*types.Var]*fieldUse) {
+	use := func(f *types.Var, set, read bool) {
+		f = f.Origin()
+		u := fields[f]
+		if u == nil {
+			u = new(fieldUse)
+			fields[f] = u
+		}
+		u.set = u.set || set
+		u.read = u.read || read
+		u.setOutside = u.setOutside || set && f.Pkg() != pkg
+	}
+	fieldOf := func(id *ast.Ident) *types.Var {
+		if v, ok := info.Uses[id].(*types.Var); ok && v.IsField() {
+			return v
+		}
+		return nil
+	}
+	// sets holds the selectors the first pass saw set; readToo those of
+	// them that are read as well.
+	sets, readToo := map[*ast.Ident]bool{}, map[*ast.Ident]bool{}
+	var setExpr func(e ast.Expr, read bool)
+	setExpr = func(e ast.Expr, read bool) {
+		switch e := ast.Unparen(e).(type) {
+		case *ast.SelectorExpr:
+			if fieldOf(e.Sel) == nil {
+				return
+			}
+			sets[e.Sel], readToo[e.Sel] = true, read
+			// x.A.B = v sets A too when A holds its struct by value.
+			if _, ptr := info.Types[e.X].Type.Underlying().(*types.Pointer); !ptr {
+				setExpr(e.X, read)
+			}
+		case *ast.IndexExpr:
+			// x.A[i] = v sets an array A; a slice or map A is only read.
+			if _, arr := info.Types[e.X].Type.Underlying().(*types.Array); arr {
+				setExpr(e.X, read)
+			}
+		}
+	}
+	for _, file := range files {
+		ast.Inspect(file, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.CompositeLit:
+				st, ok := info.Types[n].Type.Underlying().(*types.Struct)
+				if !ok {
+					break
+				}
+				for i, elt := range n.Elts {
+					if kv, ok := elt.(*ast.KeyValueExpr); ok {
+						sets[kv.Key.(*ast.Ident)] = true
+					} else {
+						use(st.Field(i), true, false)
+					}
+				}
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					setExpr(lhs, n.Tok != token.ASSIGN && n.Tok != token.DEFINE)
+				}
+			case *ast.IncDecStmt:
+				setExpr(n.X, true)
+			case *ast.RangeStmt:
+				if n.Tok == token.ASSIGN {
+					for _, e := range []ast.Expr{n.Key, n.Value} {
+						if e != nil {
+							setExpr(e, false)
+						}
+					}
+				}
+			case *ast.UnaryExpr:
+				if n.Op == token.AND {
+					setExpr(n.X, true)
+				}
+			case *ast.CallExpr:
+				sel, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr)
+				if !ok {
+					break
+				}
+				if s := info.Selections[sel]; s != nil && s.Kind() == types.MethodVal {
+					if _, ptr := s.Obj().Type().(*types.Signature).Recv().Type().(*types.Pointer); ptr {
+						setExpr(sel.X, true)
+					}
+				}
+			}
+			return true
+		})
+	}
+	for id, obj := range info.Uses {
+		if f, ok := obj.(*types.Var); ok && f.IsField() {
+			use(f, sets[id], !sets[id] || readToo[id])
+		}
+	}
+}
+
+// jsonReachable returns the struct types encoding/json walks: every
+// struct with a tagged field, and every struct reachable from one
+// through its fields.
+func jsonReachable(pkgs map[string]*types.Package) map[*types.Struct]bool {
+	seen := map[*types.Struct]bool{}
+	var walk func(t types.Type)
+	walk = func(t types.Type) {
+		switch t := t.Underlying().(type) {
+		case *types.Pointer:
+			walk(t.Elem())
+		case *types.Slice:
+			walk(t.Elem())
+		case *types.Array:
+			walk(t.Elem())
+		case *types.Map:
+			walk(t.Key())
+			walk(t.Elem())
+		case *types.Struct:
+			if seen[t] {
+				return
+			}
+			seen[t] = true
+			for i := 0; i < t.NumFields(); i++ {
+				walk(t.Field(i).Type())
+			}
+		}
+	}
+	for _, pkg := range pkgs {
+		for _, name := range pkg.Scope().Names() {
+			st, ok := pkg.Scope().Lookup(name).Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				if st.Tag(i) != "" {
+					walk(st)
+					break
+				}
+			}
+		}
+	}
+	return seen
 }
 
 // stdlibByName lists the methods the standard library calls by name

@@ -137,7 +137,7 @@ func (l *Listen) serve(conn net.Conn) {
 			sessMu.Lock()
 			name, peerAS = n, open.AS
 			sessMu.Unlock()
-			l.pipe.Send(DirRX, &Msg{Peer: n, PeerAS: open.AS, PeerIP: open.BGPID, BGP: open, Event: EventPeerUp})
+			l.pipe.Send(DirRX, &Msg{Peer: n, PeerAS: open.AS, BGP: open, Event: EventPeerUp})
 		}
 	})
 	err := sess.Run()

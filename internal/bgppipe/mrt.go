@@ -15,11 +15,9 @@ import (
 // peer at a capture timestamp, as MRTScanner yields it to the one
 // replay path (engine.ReplayEvents).
 type Record struct {
-	Time   time.Time
-	Peer   string // "AS<asn>" when the source names peers only by ASN
-	PeerAS uint32
-	PeerIP netip.Addr
-	Msg    bgp.Message
+	Time time.Time
+	Peer string // "AS<asn>": the capture names peers by ASN
+	Msg  bgp.Message
 }
 
 // RecordSource yields replay records in stream order; io.EOF ends the
@@ -104,8 +102,8 @@ func (s *MRTScanner) Next() (Record, error) {
 }
 
 // parseBGP4MPMessageAS4 decodes a BGP4MP MESSAGE_AS4 body: peer AS,
-// local AS, interface index, AFI, both addresses, then the embedded
-// BGP message.
+// local AS, interface index, AFI, both addresses (skipped), then the
+// embedded BGP message.
 func parseBGP4MPMessageAS4(t time.Time, body []byte) (Record, error) {
 	if len(body) < 12 {
 		return Record{}, ErrMRTTruncated
@@ -120,24 +118,12 @@ func parseBGP4MPMessageAS4(t time.Time, body []byte) (Record, error) {
 	if len(body) < 2*addrLen {
 		return Record{}, ErrMRTTruncated
 	}
-	var peerIP netip.Addr
-	if addrLen == 4 {
-		peerIP = netip.AddrFrom4([4]byte(body[0:4]))
-	} else {
-		peerIP = netip.AddrFrom16([16]byte(body[0:16]))
-	}
 	body = body[2*addrLen:]
 	msg, _, err := bgp.Unmarshal(body, nil)
 	if err != nil {
 		return Record{}, fmt.Errorf("bgppipe: embedded BGP message: %w", err)
 	}
-	return Record{
-		Time:   t,
-		Peer:   fmt.Sprintf("AS%d", peerAS),
-		PeerAS: peerAS,
-		PeerIP: peerIP,
-		Msg:    msg,
-	}, nil
+	return Record{Time: t, Peer: fmt.Sprintf("AS%d", peerAS), Msg: msg}, nil
 }
 
 // AppendMRTMessage appends one BGP4MP MESSAGE_AS4 record carrying msg

@@ -94,9 +94,6 @@ func TestMRTScannerRoundtrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Next[%d]: %v", i, err)
 		}
-		if got.PeerAS != want.peerAS || got.PeerIP != want.peerIP {
-			t.Fatalf("record %d attribution: %+v", i, got)
-		}
 		if got.Peer != fmt.Sprintf("AS%d", want.peerAS) {
 			t.Fatalf("record %d peer name: %q", i, got.Peer)
 		}
@@ -168,7 +165,7 @@ func TestMRTScannerSkipsRIBSnapshots(t *testing.T) {
 	dump = bgp4mp(dump, fx[1])
 
 	sc := NewMRTScanner(bytes.NewReader(dump))
-	var got []uint32
+	var got []string
 	for {
 		rec, err := sc.Next()
 		if err == io.EOF {
@@ -177,9 +174,9 @@ func TestMRTScannerSkipsRIBSnapshots(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Next: %v", err)
 		}
-		got = append(got, rec.PeerAS)
+		got = append(got, rec.Peer)
 	}
-	if want := []uint32{65001, 65002}; fmt.Sprint(got) != fmt.Sprint(want) {
+	if want := []string{"AS65001", "AS65002"}; fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("scanner yielded records from peers %v, want the two BGP4MP records %v", got, want)
 	}
 }
@@ -240,13 +237,17 @@ func (r *recordStage) Run() error {
 		if err != nil {
 			return err
 		}
+		var as uint32
+		if _, err := fmt.Sscanf(rec.Peer, "AS%d", &as); err != nil {
+			return err
+		}
 		if !seen[rec.Peer] {
 			seen[rec.Peer] = true
-			if err := r.pipe.Send(DirRX, &Msg{Peer: rec.Peer, PeerAS: rec.PeerAS, PeerIP: rec.PeerIP, Event: EventPeerUp}); err != nil {
+			if err := r.pipe.Send(DirRX, &Msg{Peer: rec.Peer, PeerAS: as, Event: EventPeerUp}); err != nil {
 				return err
 			}
 		}
-		if err := r.pipe.Send(DirRX, &Msg{Peer: rec.Peer, PeerAS: rec.PeerAS, PeerIP: rec.PeerIP, Time: rec.Time, BGP: rec.Msg}); err != nil {
+		if err := r.pipe.Send(DirRX, &Msg{Peer: rec.Peer, PeerAS: as, Time: rec.Time, BGP: rec.Msg}); err != nil {
 			return err
 		}
 	}

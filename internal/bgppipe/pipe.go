@@ -23,7 +23,6 @@ package bgppipe
 import (
 	"errors"
 	"fmt"
-	"net/netip"
 	"strings"
 	"sync"
 	"time"
@@ -93,10 +92,9 @@ type Msg struct {
 	// Peer names the session the message belongs to. On TX it addresses
 	// the target peer; empty broadcasts to every attached session.
 	Peer string
-	// PeerAS and PeerIP identify the peer when known (established
-	// sessions carry them; pure exports may not).
+	// PeerAS identifies the peer when known (established sessions
+	// carry it; pure exports may not).
 	PeerAS uint32
-	PeerIP netip.Addr
 	// Time is the message timestamp: the receive time unless the
 	// producer set one (Send stamps the current time on a zero Time).
 	Time time.Time

@@ -66,9 +66,6 @@ type Config struct {
 	HoldTime time.Duration
 	// AddPath requests ADD-PATH send+receive for IPv4 and IPv6 unicast.
 	AddPath bool
-	// Passive suppresses route announcements; the blackholing controller
-	// is passive (it only collects).
-	Passive bool
 	// ExpectAS, when non-zero, closes the session if the peer's OPEN
 	// carries a different AS.
 	ExpectAS uint32
@@ -78,10 +75,9 @@ type Config struct {
 type Event struct {
 	// Update is non-nil for received UPDATE messages.
 	Update *bgp.Update
-	// State is set (with Update == nil) on state transitions.
+	// State is set (with Update == nil) on state transitions; Run
+	// returns the error that closed the session.
 	State State
-	// Err carries the terminal error on transition to StateClosed.
-	Err error
 }
 
 // Handler receives session events. Calls are serialized. It is the
@@ -282,8 +278,7 @@ func (s *Session) receiveLoop(hold time.Duration, opts *bgp.Options) error {
 	}
 }
 
-// SendUpdate sends an UPDATE; the session must be Established and not
-// configured Passive.
+// SendUpdate sends an UPDATE; the session must be Established.
 func (s *Session) SendUpdate(u *bgp.Update) error {
 	return s.SendUpdates([]*bgp.Update{u})
 }
@@ -293,9 +288,6 @@ func (s *Session) SendUpdate(u *bgp.Update) error {
 // server's batched export path uses it to flush a peer's whole update set
 // without interleaving messages from other pipelines.
 func (s *Session) SendUpdates(us []*bgp.Update) error {
-	if s.cfg.Passive {
-		return errors.New("bgpsession: passive session cannot announce")
-	}
 	s.mu.Lock()
 	st, opts := s.state, s.opts
 	s.mu.Unlock()
@@ -341,7 +333,7 @@ func (s *Session) close(err error) error {
 		s.state = StateClosed
 		s.mu.Unlock()
 		_ = s.conn.Close()
-		s.handler(Event{State: StateClosed, Err: err})
+		s.handler(Event{State: StateClosed})
 	})
 	return err
 }

@@ -156,10 +156,6 @@ type FaultSpec struct {
 // RunSpec is the engine run shape.
 type RunSpec struct {
 	Ticks int `json:"ticks"`
-	// DtSec is the tick length (default 1).
-	DtSec float64 `json:"dt_sec,omitempty"`
-	// PeerMinBps is the active-peer threshold (default 1 kbps).
-	PeerMinBps float64 `json:"peer_min_bps,omitempty"`
 }
 
 // PeerRange selects the member slice [From, From+Count) as traffic
@@ -211,8 +207,6 @@ type VictimProfile struct {
 	// Carpet profile; Background stays on every tick.
 	CarpetAttack *SourceSpec  `json:"carpet_attack,omitempty"`
 	Background   []SourceSpec `json:"background,omitempty"`
-	// PeerMinBps overrides the run-wide active-peer threshold.
-	PeerMinBps float64 `json:"peer_min_bps,omitempty"`
 }
 
 // CarpetSpec rotates the victims' carpet attacks.
@@ -414,9 +408,6 @@ func (p *Profile) Validate() error {
 	}
 	if p.Run.Ticks <= 0 {
 		return fail("run.ticks must be positive")
-	}
-	if p.Run.DtSec < 0 || p.Run.PeerMinBps < 0 {
-		return fail("run has negative dt/peer_min_bps")
 	}
 	if len(p.Victims) == 0 {
 		return fail("no victims")

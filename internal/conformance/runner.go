@@ -27,6 +27,9 @@ const (
 	defaultPortCapacityBps = 1e10
 )
 
+// tickSec is every profile's tick length in seconds.
+const tickSec = 1.0
+
 var blackholeNextHop = netip.MustParseAddr("80.81.193.66")
 
 // Result is one executed profile: the evaluated report plus the raw
@@ -127,18 +130,14 @@ func compile(p *Profile) (*runner, engine.Config, error) {
 		return nil, engine.Config{}, err
 	}
 	r.x = x
-	dt := p.Run.DtSec
-	if dt == 0 {
-		dt = 1
-	}
 	if x.Mitigations != nil {
 		x.Mitigations.Subscribe(func(ev mitctl.Event) {
 			if ev.Type != mitctl.EventDegraded && ev.Type != mitctl.EventUpgraded {
 				return
 			}
-			// The controller processes tick T at clock (T+1)*dt, so the
-			// transition's tick is one before the clock reading.
-			tick := int(ev.Time/dt+0.5) - 1
+			// The controller processes tick T at clock (T+1)*tickSec, so
+			// the transition's tick is one before the clock reading.
+			tick := int(ev.Time/tickSec+0.5) - 1
 			r.mitEvents = append(r.mitEvents, mitEvent{tick: tick, typ: ev.Type, target: ev.Mitigation.Target})
 		})
 	}
@@ -185,8 +184,7 @@ func compile(p *Profile) (*runner, engine.Config, error) {
 		DataPlane:    x,
 		Events:       events,
 		Ticks:        p.Run.Ticks,
-		Dt:           dt,
-		PeerMinBps:   p.Run.PeerMinBps,
+		Dt:           tickSec,
 		MemberFilter: x.MemberFilter(),
 	}, nil
 }
@@ -328,7 +326,7 @@ func (r *runner) buildDriver() (engine.Driver, error) {
 		attacks := make([]engine.Source, len(p.Victims))
 		background := make([][]engine.Source, len(p.Victims))
 		for i, v := range p.Victims {
-			specs[i] = engine.VictimSpec{Port: r.members[v.Member].Name, PeerMinBps: v.PeerMinBps}
+			specs[i] = engine.VictimSpec{Port: r.members[v.Member].Name}
 			if v.CarpetAttack != nil {
 				src, err := r.buildSource(i, v.CarpetAttack)
 				if err != nil {
@@ -354,7 +352,7 @@ func (r *runner) buildDriver() (engine.Driver, error) {
 	specs := make([]engine.VictimSpec, len(p.Victims))
 	sources := make([][]engine.Source, len(p.Victims))
 	for i, v := range p.Victims {
-		specs[i] = engine.VictimSpec{Port: r.members[v.Member].Name, PeerMinBps: v.PeerMinBps}
+		specs[i] = engine.VictimSpec{Port: r.members[v.Member].Name}
 		for _, s := range v.Sources {
 			s := s
 			src, err := r.buildSource(i, &s)
@@ -378,10 +376,6 @@ func (r *runner) replayEvents() ([]engine.Event, error) {
 	if err != nil {
 		return nil, err
 	}
-	dt := p.Run.DtSec
-	if dt == 0 {
-		dt = 1
-	}
 	var src bgppipe.RecordSource = bgppipe.NewMRTScanner(bytes.NewReader(dump))
 	if r.inj != nil {
 		// Replay with deterministic loss: the injector's wire faults
@@ -390,7 +384,7 @@ func (r *runner) replayEvents() ([]engine.Event, error) {
 	}
 	return engine.ReplayEvents(src, engine.ReplayConfig{
 		StartTick:   p.Replay.StartTick,
-		TickSeconds: dt,
+		TickSeconds: tickSec,
 		Apply:       r.applyReplay,
 	})
 }

@@ -45,6 +45,9 @@ import (
 	"stellar/internal/netpkt"
 )
 
+// peerMinBps is the delivered rate at which a peer counts as active.
+const peerMinBps = 1e3
+
 // Config assembles a run.
 type Config struct {
 	// Driver supplies the victims and their per-tick offers.
@@ -61,9 +64,6 @@ type Config struct {
 	// Dt is the tick length in seconds (0: 1; negative or non-finite is
 	// an error).
 	Dt float64
-	// PeerMinBps is the delivered-rate threshold for counting a peer as
-	// active (default 1 kbps).
-	PeerMinBps float64
 	// MemberFilter restricts active-peer counting to accepted source
 	// MACs (nil: count every source).
 	MemberFilter func(netpkt.MAC) bool
@@ -236,9 +236,6 @@ func wire(cfg Config) (*run, error) {
 	if cfg.Dt == 0 {
 		cfg.Dt = 1
 	}
-	if cfg.PeerMinBps == 0 {
-		cfg.PeerMinBps = 1e3
-	}
 	specs := append([]VictimSpec(nil), cfg.Driver.Victims()...)
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("engine: driver has no victims")
@@ -267,9 +264,6 @@ func wire(cfg Config) (*run, error) {
 			return nil, fmt.Errorf("engine: victim port %s shares its monitor with another victim", specs[i].Port)
 		}
 		seenMon[specs[i].Monitor] = true
-		if specs[i].PeerMinBps == 0 {
-			specs[i].PeerMinBps = cfg.PeerMinBps
-		}
 		r.visitors[i] = make([]fabric.FlowVisitor, specs[i].Monitor.Shards())
 	}
 	if r.keep == nil {
@@ -466,7 +460,7 @@ func (r *run) monitor(b *batch) {
 			RuleDroppedBps:       rep.Result.RuleDroppedBytes * 8 / dt,
 			ShaperDroppedBps:     rep.Result.ShaperDroppedBytes * 8 / dt,
 			CongestionDroppedBps: rep.Result.CongestionDroppedBytes * 8 / dt,
-			ActivePeers:          spec.Monitor.PeerCountFunc(b.tick, spec.PeerMinBps*dt/8, r.keep),
+			ActivePeers:          spec.Monitor.PeerCountFunc(b.tick, peerMinBps*dt/8, r.keep),
 		}
 	}
 }

@@ -169,9 +169,6 @@ type VictimSpec struct {
 	// the egress workers into per-worker shards (bin = tick). The
 	// engine creates one when nil.
 	Monitor *flowmon.Collector
-	// PeerMinBps overrides the run-wide active-peer threshold for this
-	// victim (0 inherits Config.PeerMinBps).
-	PeerMinBps float64
 }
 
 // Driver is a pluggable workload: it names the victim ports it targets

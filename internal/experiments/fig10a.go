@@ -37,8 +37,6 @@ type Fig10aResult struct {
 	// MaxRateAtCap is the update rate at the 15% CPU cap per the fitted
 	// model — the paper's median of 4.33 updates/s.
 	MaxRateAtCap float64
-	// ModelTrueRate is the underlying model's exact rate at the cap.
-	ModelTrueRate float64
 }
 
 // Fig10a reproduces Figure 10(a): sampled control-plane CPU usage as a
@@ -50,7 +48,7 @@ func Fig10a(cfg Fig10aConfig) (Fig10aResult, error) {
 	model := hw.NewCPUModel(limits, cfg.NoiseStd)
 	rng := stats.NewRand(cfg.Seed)
 
-	res := Fig10aResult{Cfg: cfg, ModelTrueRate: model.MaxUpdateRate()}
+	res := Fig10aResult{Cfg: cfg}
 	for _, rate := range cfg.Rates {
 		for i := 0; i < cfg.SamplesPerRate; i++ {
 			res.RateSamples = append(res.RateSamples, rate)

@@ -39,7 +39,6 @@ type Fig10bCurve struct {
 
 // Fig10bResult is Figure 10(b)'s CDF pair.
 type Fig10bResult struct {
-	Cfg    Fig10bConfig
 	Curves []Fig10bCurve
 }
 
@@ -83,7 +82,7 @@ func generateChangeTrace(cfg Fig10bConfig, rng *stats.Rand) []float64 {
 // ~70% of changes wait under a second and the 95th percentile stays
 // below 100 seconds.
 func Fig10b(cfg Fig10bConfig) Fig10bResult {
-	res := Fig10bResult{Cfg: cfg}
+	var res Fig10bResult
 	for _, rate := range cfg.Rates {
 		rng := stats.NewRand(cfg.Seed) // same trace for both rates
 		arrivals := generateChangeTrace(cfg, rng)

@@ -39,7 +39,6 @@ type Fig3aPort struct {
 // Fig3aResult is the full Figure 3(a) dataset plus the Section 2.3
 // protocol aggregates.
 type Fig3aResult struct {
-	Cfg   Fig3aConfig
 	Ports []Fig3aPort
 	// Protocol mix aggregates (Section 2.3).
 	RTBHUDPShare  float64
@@ -60,7 +59,7 @@ func Fig3a(cfg Fig3aConfig) (Fig3aResult, error) {
 	rtbhEvents := traffic.SampleEvents(traffic.RTBHPortProfile(), cfg.Events, rng)
 	otherEvents := traffic.SampleEvents(traffic.OtherPortProfile(), cfg.Events, rng)
 
-	res := Fig3aResult{Cfg: cfg}
+	var res Fig3aResult
 	for _, port := range []uint16{0, 123, 389, 11211, 53, 19} {
 		rtbhShares := make([]float64, len(rtbhEvents))
 		for i, ev := range rtbhEvents {
@@ -72,7 +71,7 @@ func Fig3a(cfg Fig3aConfig) (Fig3aResult, error) {
 		}
 		rtbhMean, rtbhCI := stats.MeanCI(rtbhShares, 0.95)
 		otherMean, otherCI := stats.MeanCI(otherShares, 0.95)
-		welch, err := stats.WelchTTest(rtbhShares, otherShares)
+		p, err := stats.WelchTTest(rtbhShares, otherShares)
 		if err != nil {
 			return res, err
 		}
@@ -80,7 +79,7 @@ func Fig3a(cfg Fig3aConfig) (Fig3aResult, error) {
 			Port: port, App: fig3aApps[port],
 			RTBHMean: rtbhMean, RTBHCI: rtbhCI,
 			OtherMean: otherMean, OtherCI: otherCI,
-			WelchP: welch.P, Significant: welch.P < cfg.Alpha,
+			WelchP: p, Significant: p < cfg.Alpha,
 		})
 	}
 	rtbhMix := traffic.RTBHProtoMix()

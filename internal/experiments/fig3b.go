@@ -21,7 +21,6 @@ func DefaultFig3bConfig() Fig3bConfig { return Fig3bConfig{Seed: 13, Announcemen
 // Fig3bResult is the categorical distribution of export policies on
 // blackholing announcements at L-IXP.
 type Fig3bResult struct {
-	Cfg Fig3bConfig
 	// Order lists the categories in the figure's x-axis order.
 	Order []string
 	// Share maps category to its observed fraction.
@@ -42,7 +41,6 @@ func Fig3b(cfg Fig3bConfig) Fig3bResult {
 		counts[s.Label]++
 	}
 	res := Fig3bResult{
-		Cfg:        cfg,
 		Share:      make(map[string]float64),
 		PaperShare: make(map[string]float64),
 	}

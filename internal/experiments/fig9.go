@@ -45,7 +45,6 @@ type Fig9Grid struct {
 
 // Fig9Result is the full figure.
 type Fig9Result struct {
-	Cfg   Fig9Config
 	Grids []Fig9Grid
 }
 
@@ -62,7 +61,7 @@ type Fig9Result struct {
 // its event ordering and abort semantics) with the traffic
 // experiments.
 func Fig9(cfg Fig9Config) Fig9Result {
-	res := Fig9Result{Cfg: cfg}
+	var res Fig9Result
 	macSteps := []int{10, 8, 6, 4, 2, 0}
 	l34Steps := []int{0, 1, 2, 3, 4}
 	var events []engine.Event

@@ -8,7 +8,7 @@ import (
 // plain nested loops over the grid, no event train. It exists only as
 // the parity oracle below; the production path is Fig9.
 func legacyFig9(cfg Fig9Config) Fig9Result {
-	res := Fig9Result{Cfg: cfg}
+	var res Fig9Result
 	macSteps := []int{10, 8, 6, 4, 2, 0}
 	l34Steps := []int{0, 1, 2, 3, 4}
 	for _, adoption := range cfg.Adoptions {

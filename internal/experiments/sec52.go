@@ -21,7 +21,6 @@ type Sec52Result struct {
 	NTPDeliveredBps    float64
 	DNSDeliveredBps    float64
 	BenignDeliveredBps float64
-	BenignOfferedBps   float64
 	DNSShapeRateBps    float64
 }
 
@@ -108,7 +107,6 @@ func Sec52(seed uint64) (Sec52Result, error) {
 		res.DNSDeliveredBps += dnsBytes * 8 / ticks
 		res.BenignDeliveredBps += (mon.TotalBytes(bin) - ntpBytes - dnsBytes) * 8 / ticks
 	}
-	res.BenignOfferedBps = 5e8
 	return res, nil
 }
 

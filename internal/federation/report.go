@@ -88,9 +88,9 @@ type SignalRejection struct {
 // gossip signal log and the install ticks. Called after every engine
 // goroutine has finished — no locks needed.
 func (f *Federation) buildReport(series [][]engine.VictimSeries, flows []int64) *Report {
-	n := len(f.cfg.Exchanges)
+	n := len(f.cfg.exchanges)
 	rep := &Report{
-		Ticks:            f.cfg.Ticks,
+		Ticks:            f.cfg.ticks,
 		Dt:               tickSec,
 		GossipDelayTicks: f.gossip.DelayTicks(),
 	}

@@ -106,7 +106,7 @@ var blackholeNextHop = netip.MustParseAddr("80.81.193.66")
 func BuildSynthetic(tc TopologyConfig) (*Federation, error) {
 	tc = tc.withDefaults()
 	pop := makePopulation(tc)
-	exchanges := make([]Exchange, tc.Exchanges)
+	exchanges := make([]exchange, tc.Exchanges)
 	for e := range exchanges {
 		ex, err := buildExchange(tc, e, pop)
 		if err != nil {
@@ -114,7 +114,7 @@ func BuildSynthetic(tc TopologyConfig) (*Federation, error) {
 		}
 		exchanges[e] = ex
 	}
-	return New(Config{Exchanges: exchanges, Ticks: tc.Ticks, GossipDelayTicks: tc.GossipDelayTicks})
+	return newFederation(config{exchanges: exchanges, ticks: tc.Ticks, gossipDelayTicks: tc.GossipDelayTicks})
 }
 
 // makePopulation fabricates the global member population: victims
@@ -135,7 +135,7 @@ func makePopulation(tc TopologyConfig) []*member.Member {
 // buildExchange wires exchange e of the synthetic topology. Factored
 // out of BuildSynthetic so the single-exchange parity test can build
 // the identical exchange for a bare engine run.
-func buildExchange(tc TopologyConfig, e int, pop []*member.Member) (Exchange, error) {
+func buildExchange(tc TopologyConfig, e int, pop []*member.Member) (exchange, error) {
 	victims := pop[:tc.Victims]
 	shared := pop[tc.Victims : tc.Victims+tc.SharedPeers]
 	lo := tc.Victims + tc.SharedPeers + e*tc.LocalPeers
@@ -154,13 +154,13 @@ func buildExchange(tc TopologyConfig, e int, pop []*member.Member) (Exchange, er
 		EnableStellar:    true,
 	})
 	if err != nil {
-		return Exchange{}, fmt.Errorf("federation: build exchange %d: %w", e, err)
+		return exchange{}, fmt.Errorf("federation: build exchange %d: %w", e, err)
 	}
 	// Cross-IXP announcements: victims and shared peers announce their
 	// prefix at every exchange they are present at.
 	for _, m := range members[:tc.Victims+tc.SharedPeers] {
 		if err := x.Announce(m.Name, m.Prefixes[0], nil, nil); err != nil {
-			return Exchange{}, fmt.Errorf("federation: exchange %d announce %s: %w", e, m.Name, err)
+			return exchange{}, fmt.Errorf("federation: exchange %d announce %s: %w", e, m.Name, err)
 		}
 	}
 
@@ -188,7 +188,7 @@ func buildExchange(tc TopologyConfig, e int, pop []*member.Member) (Exchange, er
 			})
 		}
 	}
-	return Exchange{
+	return exchange{
 		Name:   x.Name(),
 		IXP:    x,
 		Driver: engine.NewSourcesDriver(specs, srcs),

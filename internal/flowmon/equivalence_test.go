@@ -44,8 +44,7 @@ func randRecords(rng *rand.Rand, n, bins int) []Record {
 				SrcPort: ports[rng.Intn(len(ports))],
 				DstPort: ports[rng.Intn(len(ports))],
 			},
-			Bytes:   bytes,
-			Packets: bytes / 500,
+			Bytes: bytes,
 		}
 	}
 	return recs

@@ -32,13 +32,11 @@ import (
 	"stellar/internal/netpkt"
 )
 
-// Record is one flow observation: key, byte and packet counts within a
-// time bin.
+// Record is one flow observation: key and byte count within a time bin.
 type Record struct {
-	Bin     int
-	Key     netpkt.FlowKey
-	Bytes   float64
-	Packets float64
+	Bin   int
+	Key   netpkt.FlowKey
+	Bytes float64
 }
 
 // PortRank is one entry of a top-ports report.

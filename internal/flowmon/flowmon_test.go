@@ -20,8 +20,7 @@ func rec(bin int, mac netpkt.MAC, proto netpkt.IPProto, srcPort, dstPort uint16,
 		Bin: bin,
 		Key: netpkt.FlowKey{SrcMAC: mac, Src: ip1, Dst: dst, Proto: proto,
 			SrcPort: srcPort, DstPort: dstPort},
-		Bytes:   bytes,
-		Packets: bytes / 500,
+		Bytes: bytes,
 	}
 }
 

@@ -182,18 +182,12 @@ func (r *EdgeRouter) SetReserved(mac, l34 int) {
 }
 
 // Snapshot is a consistent point-in-time view of the router's allocation
-// state: per-port allocations plus system-wide totals and headroom, all
-// read under one lock acquisition so the degradation ladder and the
-// looking glass never see torn state.
+// state: per-port allocations and the limits, read under one lock
+// acquisition. The system-wide totals are the ports' sums; Headroom
+// gives what remains of the budgets.
 type Snapshot struct {
-	Ports       []PortAlloc
-	TotalMAC    int
-	TotalL34    int
-	HeadroomMAC int
-	HeadroomL34 int
-	ReservedMAC int
-	ReservedL34 int
-	Limits      Limits
+	Ports  []PortAlloc
+	Limits Limits
 }
 
 // Snapshot returns the full allocation state in one call.
@@ -202,16 +196,7 @@ func (r *EdgeRouter) Snapshot() Snapshot {
 	defer r.mu.Unlock()
 	ports := make([]PortAlloc, len(r.ports))
 	copy(ports, r.ports)
-	return Snapshot{
-		Ports:       ports,
-		TotalMAC:    r.totalMAC,
-		TotalL34:    r.totalL34,
-		HeadroomMAC: r.limits.MACFiltersTotal - r.reservedMAC - r.totalMAC,
-		HeadroomL34: r.limits.L34CriteriaTotal - r.reservedL34 - r.totalL34,
-		ReservedMAC: r.reservedMAC,
-		ReservedL34: r.reservedL34,
-		Limits:      r.limits,
-	}
+	return Snapshot{Ports: ports, Limits: r.limits}
 }
 
 // CPUModel is the control-plane CPU cost model of Figure 10(a): linear
@@ -219,7 +204,6 @@ func (r *EdgeRouter) Snapshot() Snapshot {
 type CPUModel struct {
 	BaselinePct  float64
 	PerUpdatePct float64
-	LimitPct     float64
 	// NoiseStd is the standard deviation of additive measurement noise
 	// in CPU percentage points; zero for a deterministic model.
 	NoiseStd float64
@@ -230,7 +214,6 @@ func NewCPUModel(l Limits, noiseStd float64) CPUModel {
 	return CPUModel{
 		BaselinePct:  l.CPUBaselinePct,
 		PerUpdatePct: l.CPUPerUpdatePct,
-		LimitPct:     l.CPULimitPct,
 		NoiseStd:     noiseStd,
 	}
 }
@@ -255,17 +238,4 @@ func (m CPUModel) Sample(ratePerSec float64, rng *stats.Rand) float64 {
 		u = 100
 	}
 	return u
-}
-
-// MaxUpdateRate returns the largest sustainable update rate under the
-// CPU cap — the paper's 4.33 updates/s for the production profile.
-func (m CPUModel) MaxUpdateRate() float64 {
-	if m.PerUpdatePct <= 0 {
-		return 0
-	}
-	r := (m.LimitPct - m.BaselinePct) / m.PerUpdatePct
-	if r < 0 {
-		return 0
-	}
-	return r
 }

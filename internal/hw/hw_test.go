@@ -216,13 +216,11 @@ func TestDefaultLimitsFeasibilityGrid(t *testing.T) {
 }
 
 func TestCPUModelMaxRate(t *testing.T) {
-	m := NewCPUModel(DefaultEdgeRouterLimits(350, RTBHUnitN), 0)
-	got := m.MaxUpdateRate()
-	if math.Abs(got-4.333) > 0.01 {
-		t.Fatalf("MaxUpdateRate = %v, want ~4.33 (paper median)", got)
-	}
-	if u := m.Usage(got); math.Abs(u-15.0) > 1e-9 {
-		t.Fatalf("Usage at max rate = %v, want 15%%", u)
+	lim := DefaultEdgeRouterLimits(350, RTBHUnitN)
+	m := NewCPUModel(lim, 0)
+	// The paper's median of 4.33 updates/s reaches the 15 % cap.
+	if u := m.Usage(4.333); math.Abs(u-lim.CPULimitPct) > 0.01 || lim.CPULimitPct != 15 {
+		t.Fatalf("Usage at 4.333 updates/s = %v, want the %v %% cap = 15 %%", u, lim.CPULimitPct)
 	}
 }
 
@@ -244,12 +242,29 @@ func TestCPUModelSampleClamped(t *testing.T) {
 	}
 }
 
+// TestCPUModelDegenerate pins the two models under which no update rate
+// is sustainable below the cap, as Figure 10(a) finds it: fitting the
+// model's samples and solving for the cap. A zero slope never reaches
+// the cap, and a baseline above the cap needs a negative rate.
 func TestCPUModelDegenerate(t *testing.T) {
-	if (CPUModel{PerUpdatePct: 0}).MaxUpdateRate() != 0 {
-		t.Fatal("zero slope")
+	const limitPct = 15
+	rateAtCap := func(m CPUModel) float64 {
+		var xs, ys []float64
+		for rate := 1; rate <= 5; rate++ {
+			xs = append(xs, float64(rate))
+			ys = append(ys, m.Sample(float64(rate), nil))
+		}
+		fit, err := statsLinearFit(xs, ys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fit.SolveFor(limitPct)
 	}
-	if (CPUModel{BaselinePct: 20, PerUpdatePct: 1, LimitPct: 15}).MaxUpdateRate() != 0 {
-		t.Fatal("baseline above limit")
+	if r := rateAtCap(CPUModel{BaselinePct: 10}); !math.IsNaN(r) {
+		t.Fatalf("zero slope: rate at cap %v, want none", r)
+	}
+	if r := rateAtCap(CPUModel{BaselinePct: 20, PerUpdatePct: 1}); r >= 0 {
+		t.Fatalf("baseline above limit: rate at cap %v, want negative", r)
 	}
 }
 
@@ -327,16 +342,16 @@ func TestSnapshotInvariant(t *testing.T) {
 		wantMAC += h.mac
 		wantL34 += h.l34
 	}
-	if mid.TotalMAC != wantMAC || mid.TotalL34 != wantL34 {
-		t.Fatalf("mid totals %d/%d, want %d/%d", mid.TotalMAC, mid.TotalL34, wantMAC, wantL34)
+	if mac, l34 := totals(r); mac != wantMAC || l34 != wantL34 {
+		t.Fatalf("mid totals %d/%d, want %d/%d", mac, l34, wantMAC, wantL34)
 	}
 	for p := range perPort {
 		if mid.Ports[p] != perPort[p] {
 			t.Fatalf("mid port %d = %+v, want %+v", p, mid.Ports[p], perPort[p])
 		}
 	}
-	if mid.HeadroomMAC != 100-wantMAC || mid.HeadroomL34 != 100-wantL34 {
-		t.Fatalf("mid headroom %d/%d", mid.HeadroomMAC, mid.HeadroomL34)
+	if mac, l34 := r.Headroom(); mac != 100-wantMAC || l34 != 100-wantL34 {
+		t.Fatalf("mid headroom %d/%d", mac, l34)
 	}
 
 	for _, h := range held {
@@ -384,14 +399,17 @@ func TestSetReservedSqueeze(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.SetReserved(-5, -5) // clamps to zero
-	s := r.Snapshot()
-	if s.ReservedMAC != 0 || s.ReservedL34 != 0 || s.HeadroomL34 != 9 {
-		t.Fatalf("snapshot after release: %+v", s)
+	if mac, l34 := r.Headroom(); mac != 10 || l34 != 9 {
+		t.Fatalf("headroom after release: %d/%d, want 10/9", mac, l34)
 	}
 }
 
-// totals reads the system-wide MAC and L3-L4 criteria in use.
+// totals reads the system-wide MAC and L3-L4 criteria in use: the
+// ports' sums.
 func totals(r *EdgeRouter) (mac, l34 int) {
-	s := r.Snapshot()
-	return s.TotalMAC, s.TotalL34
+	for _, p := range r.Snapshot().Ports {
+		mac += p.MACFilters
+		l34 += p.L34Criteria
+	}
+	return mac, l34
 }

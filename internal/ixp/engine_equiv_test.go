@@ -15,6 +15,9 @@ import (
 	"stellar/internal/traffic"
 )
 
+// peerMinBps is the engine's active-peer threshold.
+const peerMinBps = 1e3
+
 // serialRunAll is the legacy serial tick loop, preserved as the
 // determinism oracle: per tick, events fire, every victim's offers
 // generate, then a synchronous ControlTick + EgressTick pair advances
@@ -44,9 +47,6 @@ func serialRunAll(x *IXP, ticks int, dt float64, specs []engine.VictimSpec, sour
 	for i := range victims {
 		if victims[i].Monitor == nil {
 			victims[i].Monitor = flowmon.NewCollector()
-		}
-		if victims[i].PeerMinBps == 0 {
-			victims[i].PeerMinBps = 1e3
 		}
 		series[i] = engine.VictimSeries{Port: victims[i].Port, Monitor: victims[i].Monitor}
 	}
@@ -121,7 +121,7 @@ func serialRunAll(x *IXP, ticks int, dt float64, specs []engine.VictimSpec, sour
 				RuleDroppedBps:       rep.Result.RuleDroppedBytes * 8 / dt,
 				ShaperDroppedBps:     rep.Result.ShaperDroppedBytes * 8 / dt,
 				CongestionDroppedBps: rep.Result.CongestionDroppedBytes * 8 / dt,
-				ActivePeers:          victims[i].Monitor.PeerCountFunc(tick, victims[i].PeerMinBps*dt/8, isMember),
+				ActivePeers:          victims[i].Monitor.PeerCountFunc(tick, peerMinBps*dt/8, isMember),
 			})
 		}
 	}

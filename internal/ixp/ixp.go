@@ -304,7 +304,7 @@ func PeersOf(members []*member.Member) []traffic.Peer {
 		if len(m.Prefixes) > 0 {
 			src = m.Prefixes[0].Addr().Next()
 		}
-		peers = append(peers, traffic.Peer{Name: m.Name, MAC: m.MAC, SrcIP: src})
+		peers = append(peers, traffic.Peer{MAC: m.MAC, SrcIP: src})
 	}
 	return peers
 }

@@ -556,7 +556,6 @@ func TestAnnounceFacadeEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec.Channel = mitctl.ChannelAPI // provenance differs; identity must not
 	if _, err := xb.RequestMitigation(spec); err != nil {
 		t.Fatal(err)
 	}
@@ -569,9 +568,6 @@ func TestAnnounceFacadeEquivalence(t *testing.T) {
 	sa, sb := portState(t, xa, victimA.Name, idsA[0].RuleIDs), portState(t, xb, victimB.Name, idsB[0].RuleIDs)
 	if sa != sb || sa == "" || installedRules(xa) != 1 || installedRules(xb) != 1 {
 		t.Fatalf("installed state diverges:\nfacade:\n%s\napi:\n%s", sa, sb)
-	}
-	if idsA[0].Channel == idsB[0].Channel {
-		t.Fatalf("channels should differ (provenance): %v vs %v", idsA[0].Channel, idsB[0].Channel)
 	}
 	if resA.RuleDroppedBytes != resB.RuleDroppedBytes || resA.DeliveredBytes != resB.DeliveredBytes {
 		t.Fatalf("tick results diverge: %+v vs %+v", resA, resB)

@@ -29,7 +29,6 @@ func SpecFromSignal(requester string, target netip.Prefix, rs core.RuleSpec, por
 	spec := Spec{
 		Requester: requester,
 		Target:    target,
-		Channel:   ChannelCommunity,
 	}
 	if rs.Selector == core.SelCustom {
 		if portal == nil {
@@ -79,7 +78,6 @@ func SpecsFromFlowSpec(requester string, fs *bgp.FlowSpec, attrs *bgp.PathAttrs,
 			Action:       action,
 			ShapeRateBps: rateBps,
 			TTL:          ttl,
-			Channel:      ChannelFlowSpec,
 		}
 	}
 	return specs, nil
@@ -97,7 +95,6 @@ func SpecFromPortalRule(r core.CustomRule, target netip.Prefix, ttl float64) Spe
 		Action:       r.Action,
 		ShapeRateBps: r.ShapeRateBps,
 		TTL:          ttl,
-		Channel:      ChannelPortal,
 	}
 }
 
@@ -263,8 +260,10 @@ func (ch *CommunityChannel) HandleEvent(ev routeserver.ControllerEvent, now floa
 				compileErrs = append(compileErrs, compileErr{prefix, err})
 				continue
 			}
-			// spec.TTL stays 0: the controller's DefaultTTL is the one
-			// source of truth for community-signaled lifetimes.
+			// spec.TTL stays 0: BGP never re-announces an unchanged
+			// route, so a TTL would expire a mitigation whose route is
+			// still in the RIB. The route's withdrawal, or its session's
+			// end, lifts it.
 			id := DeriveID(spec)
 			if hasID(out, id) {
 				continue // duplicate signal in one announcement
@@ -291,7 +290,7 @@ func (ch *CommunityChannel) HandleEvent(ev routeserver.ControllerEvent, now floa
 			_ = ch.ctl.Withdraw(a.id, a.spec.Requester, now)
 			continue
 		}
-		// Validation/admission rejections are recorded in the store and
+		// Validation rejections are recorded in the store and
 		// on the event stream by the controller itself.
 		_, _ = ch.ctl.Request(a.spec, now)
 	}

@@ -6,6 +6,7 @@ import (
 	"net/netip"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"stellar/internal/bgp"
@@ -193,15 +194,15 @@ type diffSide struct {
 const diffCustomID = 1
 
 func newDiffSide(t *testing.T) *diffSide {
-	s := &diffSide{h: newHarness(t, 3, nil)}
+	// A paced queue, and five QoS-policy slots per port, so the order of
+	// requests inside one event decides what installs first and what the
+	// hardware refuses.
+	limits := hw.DefaultEdgeRouterLimits(3, hw.RTBHUnitN)
+	limits.QoSPoliciesPerPort = 5
+	s := &diffSide{h: newHarness(t, 3, &limits)}
 	cfg := s.h.config()
-	// A short TTL so expiry interleaves with signaling, and a paced
-	// queue plus a per-member cap so the order of requests inside one
-	// event decides what installs first and what is refused.
-	cfg.DefaultTTL = 6
 	cfg.QueueRate = 3
 	cfg.QueueBurst = 4
-	cfg.MaxActivePerMember = 5
 	s.ctl = New(cfg)
 	tmpl := fabric.MatchAll()
 	tmpl.Proto = netpkt.ProtoTCP
@@ -225,9 +226,11 @@ func (s *diffSide) rules(t *testing.T) []string {
 // channel and the snapshot-diff oracle with the same seeded random
 // event streams and requires identical controller behaviour: the full
 // lifecycle event stream, the final store snapshot, the error count and
-// every port's installed rules.
+// every port's installed rules. The hardware must refuse some installs
+// along the way.
 func TestCommunityChannelMatchesSnapshotDiff(t *testing.T) {
 	const streams, eventsPerStream = 200, 200
+	refused := 0 // mitigations the hardware rejected, across all streams
 
 	type session struct {
 		member int
@@ -290,7 +293,7 @@ func TestCommunityChannelMatchesSnapshotDiff(t *testing.T) {
 			case op < 4: // announce, sometimes several prefixes or one twice
 				ev.Announced = pick(ps, 1+rng.Intn(3))
 				ev.Attrs = signalAttrs(t, signalSets[rng.Intn(len(signalSets))]...)
-			case op < 6: // unchanged re-announce (the TTL keepalive)
+			case op < 6: // unchanged re-announce (a refresh)
 				prev, ok := last[s]
 				if !ok {
 					continue
@@ -328,9 +331,14 @@ func TestCommunityChannelMatchesSnapshotDiff(t *testing.T) {
 					seed, i, ev, len(newSide.events), len(oldSide.events))
 			}
 		}
-		now += 100 // everything left expires
+		now += 100 // the change queue drains
 		oldSide.ctl.Process(now)
 		newSide.ctl.Process(now)
+		for _, ev := range oldSide.events {
+			if ev.Type == EventRejected && !strings.Contains(ev.Mitigation.LastError, ErrValidation.Error()) {
+				refused++
+			}
+		}
 
 		for i := range oldSide.events {
 			if !reflect.DeepEqual(oldSide.events[i], newSide.events[i]) {
@@ -353,6 +361,9 @@ func TestCommunityChannelMatchesSnapshotDiff(t *testing.T) {
 		if want, got := len(oracle.desired), ch.SignalingPaths(); want != got {
 			t.Fatalf("seed %d: %d signaling paths, oracle %d", seed, got, want)
 		}
+	}
+	if refused == 0 {
+		t.Fatal("the hardware refused no mitigation: the streams no longer exercise refusals")
 	}
 }
 

@@ -231,15 +231,13 @@ func TestCommunityChannelMultiPathRefCount(t *testing.T) {
 }
 
 // TestCommunityChannelTTLRefresh pins the keepalive semantics of BGP
-// signaling under a controller DefaultTTL: a re-announcement of the
-// same path re-arms the TTL clock (no churn), silence lets it expire,
-// and an announcement arriving after expiry starts a fresh lifecycle
-// even though the channel still tracks the path's desired specs.
+// signaling: a community-signaled mitigation carries no TTL, because
+// BGP never re-announces an unchanged route. A re-announcement is a
+// pure refresh, silence does not expire the mitigation, and only the
+// route's withdrawal ends it.
 func TestCommunityChannelTTLRefresh(t *testing.T) {
 	h := newHarness(t, 1, nil)
-	cfg := h.config()
-	cfg.DefaultTTL = 10
-	ctl := New(cfg)
+	ctl := New(h.config())
 	ch := NewCommunityChannel(ctl)
 	target := netip.MustParsePrefix("100.0.0.10/32")
 	announce := func(now float64) {
@@ -253,39 +251,42 @@ func TestCommunityChannelTTLRefresh(t *testing.T) {
 	announce(0)
 	ctl.Process(1)
 	live := ctl.Active()
-	if len(live) != 1 || live[0].ExpiresAt != 10 {
+	if len(live) != 1 || live[0].ExpiresAt != 0 || live[0].TTL != 0 {
 		t.Fatalf("after announce: %+v", live)
 	}
 	id := live[0].ID
 
-	// Re-announcement at t=5 re-arms the clock to 15, applying nothing.
+	// Re-announcement at t=5 arms no clock and applies nothing.
 	applied := ctl.AppliedChanges()
 	announce(5)
 	ctl.Process(6)
-	if m, _ := ctl.Get(id); m.ExpiresAt != 15 || m.State != StateActive {
+	if m, _ := ctl.Get(id); m.ExpiresAt != 0 || m.State != StateActive {
 		t.Fatalf("after refresh: %+v", m)
 	}
 	if ctl.AppliedChanges() != applied {
 		t.Fatal("refresh caused churn")
 	}
 
-	// Silence past the deadline: the mitigation expires off the port.
-	ctl.Process(16)
-	if m, _ := ctl.Get(id); m.State != StateExpired {
+	// Long silence: the route is still in the RIB, so the rule stays.
+	ctl.Process(1e6)
+	if m, _ := ctl.Get(id); m.State != StateActive {
 		t.Fatalf("after silence: %v", m.State)
 	}
-	if got := ruleCount(t, h, memberName(0)); got != 0 {
-		t.Fatalf("rules after expiry: %d", got)
+	if got := ruleCount(t, h, memberName(0)); got != 1 {
+		t.Fatalf("rules after silence: %d", got)
 	}
 
-	// The member signals again: a fresh lifecycle reinstalls the rule.
-	announce(20)
-	ctl.Process(21)
-	if m, _ := ctl.Get(id); m.State != StateActive || m.ExpiresAt != 30 {
-		t.Fatalf("after re-announce: %+v", m)
+	// The route's withdrawal ends the mitigation.
+	ch.HandleEvent(routeserver.ControllerEvent{
+		Peer: memberName(0), PeerAS: 64512, PathID: 1,
+		Withdrawn: []netip.Prefix{target},
+	}, 1e6+1)
+	ctl.Process(1e6 + 2)
+	if m, _ := ctl.Get(id); m.State != StateWithdrawn {
+		t.Fatalf("after withdraw: %v", m.State)
 	}
-	if got := ruleCount(t, h, memberName(0)); got != 1 {
-		t.Fatalf("rules after re-announce: %d", got)
+	if got := ruleCount(t, h, memberName(0)); got != 0 {
+		t.Fatalf("rules after withdraw: %d", got)
 	}
 }
 
@@ -324,7 +325,7 @@ func TestSpecsFromFlowSpecMultiValue(t *testing.T) {
 	}
 	ports := map[int32]bool{}
 	for _, s := range specs {
-		if s.Channel != ChannelFlowSpec || s.TTL != 30 || s.Target != target {
+		if s.TTL != 30 || s.Target != target {
 			t.Fatalf("spec: %+v", s)
 		}
 		ports[s.Match.SrcPort] = true
@@ -366,8 +367,5 @@ func TestSpecFromSignalShapeRate(t *testing.T) {
 	}
 	if spec.Action != fabric.ActionShape || spec.ShapeRateBps != 200e6 {
 		t.Fatalf("spec: %+v", spec)
-	}
-	if spec.Channel != ChannelCommunity {
-		t.Fatalf("channel: %v", spec.Channel)
 	}
 }

@@ -30,8 +30,8 @@ const (
 	StateExpired
 	// StateWithdrawn: the requester withdrew it.
 	StateWithdrawn
-	// StateRejected: validation, admission control or every rule install
-	// failed; nothing remains installed.
+	// StateRejected: validation or every rule install failed; nothing
+	// remains installed.
 	StateRejected
 )
 
@@ -168,11 +168,9 @@ func (u *Usage) add(c fabric.CounterSnapshot) {
 	u.ShapedResidue += c.ShapedResidue
 }
 
-// Snapshot is a consistent view of the store: every mitigation (sorted
-// by ID) plus the version counter that produced it. The version bumps
-// on every transition, so pollers can cheaply detect change.
+// Snapshot is a consistent view of the store: every mitigation, sorted
+// by ID.
 type Snapshot struct {
-	Version     uint64
 	Mitigations []Mitigation
 }
 
@@ -180,8 +178,6 @@ type Snapshot struct {
 var (
 	// ErrValidation wraps IRR/ownership validation failures.
 	ErrValidation = errors.New("mitctl: validation failed")
-	// ErrAdmission: the requester exceeded its live-mitigation budget.
-	ErrAdmission = errors.New("mitctl: admission control rejected request")
 	// ErrSpecMismatch: the ID is live with a different spec; withdraw
 	// it first (mitigation specs are immutable while live).
 	ErrSpecMismatch = errors.New("mitctl: mitigation exists with a different spec")
@@ -203,17 +199,9 @@ type Config struct {
 	QueueBurst int
 	// Validator checks prefix ownership on Request; nil accepts all.
 	Validator Validator
-	// Portal resolves customer-defined rule templates (SelCustom
-	// signals, the portal channel); nil creates an empty portal.
-	Portal *core.Portal
 	// MemberMAC resolves a peer name to its fabric MAC for per-peer
 	// scope; nil rejects ScopePerPeer requests.
 	MemberMAC func(string) (netpkt.MAC, bool)
-	// MaxActivePerMember bounds a member's live mitigations (0: no
-	// controller-level bound; the hardware budget still applies).
-	MaxActivePerMember int
-	// DefaultTTL is applied to specs with TTL 0 (0: never expire).
-	DefaultTTL float64
 
 	// Retry re-queues failed changes with exponential backoff + jitter.
 	// Zero value: one attempt, the historical behavior.
@@ -304,7 +292,8 @@ type queuedOp struct {
 // All methods are safe for concurrent use. Process must be called with
 // a monotonically non-decreasing clock (the simulation tick loop).
 type Controller struct {
-	cfg Config
+	cfg    Config
+	portal *core.Portal
 
 	// processMu serializes Process end to end (drain + apply), so
 	// concurrent Process calls cannot reorder an install after its
@@ -350,9 +339,6 @@ func New(cfg Config) *Controller {
 	if cfg.QueueBurst < 1 {
 		cfg.QueueBurst = 20
 	}
-	if cfg.Portal == nil {
-		cfg.Portal = core.NewPortal()
-	}
 	if cfg.Retry.MaxAttempts > 1 {
 		if cfg.Retry.BaseDelay <= 0 {
 			cfg.Retry.BaseDelay = 1
@@ -370,6 +356,7 @@ func New(cfg Config) *Controller {
 	}
 	return &Controller{
 		cfg:     cfg,
+		portal:  core.NewPortal(),
 		mits:    make(map[string]*mit),
 		rules:   make(map[string]ruleEntry),
 		tokens:  float64(cfg.QueueBurst),
@@ -379,7 +366,7 @@ func New(cfg Config) *Controller {
 }
 
 // Portal returns the customer rule portal.
-func (c *Controller) Portal() *core.Portal { return c.cfg.Portal }
+func (c *Controller) Portal() *core.Portal { return c.portal }
 
 // Subscribe attaches a lifecycle event subscriber. Events are delivered
 // synchronously, outside the controller's locks, in transition order.
@@ -399,7 +386,7 @@ func (c *Controller) emit(subs []func(Event), evs []Event) {
 }
 
 // Request asks for a mitigation at time now. The spec is validated
-// (shape, IRR ownership, admission control) and its installs enter the
+// (shape, IRR ownership, peer MACs) and its installs enter the
 // change queue; they take effect when Process next releases them.
 //
 // Requests are idempotent: re-requesting a live mitigation with an
@@ -412,9 +399,6 @@ func (c *Controller) Request(spec Spec, now float64) (Mitigation, error) {
 	spec, err := spec.normalized()
 	if err != nil {
 		return Mitigation{}, err
-	}
-	if spec.TTL == 0 {
-		spec.TTL = c.cfg.DefaultTTL
 	}
 	if spec.ID == "" {
 		spec.ID = DeriveID(spec)
@@ -487,18 +471,6 @@ func (c *Controller) Request(spec Spec, now float64) (Mitigation, error) {
 	if c.cfg.Validator != nil {
 		if err := c.cfg.Validator.Validate(spec.Requester, spec.Target); err != nil {
 			return reject(fmt.Errorf("%w: %v", ErrValidation, err))
-		}
-	}
-	if max := c.cfg.MaxActivePerMember; max > 0 {
-		live := 0
-		for _, m := range c.mits {
-			if m.Requester == spec.Requester && !m.State.Final() {
-				live++
-			}
-		}
-		if live >= max {
-			return reject(fmt.Errorf("%w: member %s has %d live mitigations (max %d)",
-				ErrAdmission, spec.Requester, live, max))
 		}
 	}
 
@@ -669,10 +641,13 @@ func (c *Controller) Process(now float64) int {
 
 	applied := 0
 	for _, op := range released {
-		if evs, ok := c.applyOne(op, now); ok {
+		evs, ok := c.applyOne(op, now)
+		if ok {
 			applied++
-			pending = append(pending, evs...)
 		}
+		// A refused install applies nothing but may still settle its
+		// mitigation (EventRejected).
+		pending = append(pending, evs...)
 	}
 	c.emit(subs, pending)
 	return applied
@@ -959,11 +934,11 @@ func (c *Controller) Get(id string) (Mitigation, bool) {
 	return Mitigation{}, false
 }
 
-// Snapshot returns the versioned store view.
+// Snapshot returns the store view.
 func (c *Controller) Snapshot() Snapshot {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	s := Snapshot{Version: c.version, Mitigations: make([]Mitigation, 0, len(c.mits))}
+	s := Snapshot{Mitigations: make([]Mitigation, 0, len(c.mits))}
 	for _, m := range c.mits {
 		s.Mitigations = append(s.Mitigations, m.Mitigation)
 	}
@@ -1118,7 +1093,7 @@ func (c *Controller) noteError(member string, target netip.Prefix, err error) {
 // the member's stored match template with the target prefix stamped in
 // (the SelCustom flow of Section 4.3, minus the BGP leg).
 func (c *Controller) RequestFromPortal(member string, customID uint32, target netip.Prefix, ttl, now float64) (Mitigation, error) {
-	rule, err := c.cfg.Portal.Lookup(member, customID)
+	rule, err := c.portal.Lookup(member, customID)
 	if err != nil {
 		return Mitigation{}, err
 	}

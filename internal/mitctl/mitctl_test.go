@@ -412,40 +412,64 @@ func TestPerPeerScope(t *testing.T) {
 	}
 }
 
+// TestAdmissionMaxPerMember pins the per-member bound on live rules:
+// the member's port has a fixed number of QoS-policy slots (Section
+// 4.1.2), so with two slots a third mitigation is refused by the
+// hardware and ends Rejected, and withdrawing one frees a slot.
 func TestAdmissionMaxPerMember(t *testing.T) {
-	h := newHarness(t, 1, nil)
-	cfg := h.config()
-	cfg.MaxActivePerMember = 2
-	ctl := New(cfg)
-	for port := 0; port < 2; port++ {
+	lim := hw.DefaultEdgeRouterLimits(1, hw.RTBHUnitN)
+	lim.QoSPoliciesPerPort = 2
+	h := newHarness(t, 1, &lim)
+	ctl := New(h.config())
+	specFor := func(port int32) Spec {
 		s := dropSpec(0)
-		s.Match.SrcPort = int32(123 + port)
-		if _, err := ctl.Request(s, 0); err != nil {
+		s.Match.SrcPort = port
+		return s
+	}
+	for port := int32(123); port < 125; port++ {
+		if _, err := ctl.Request(specFor(port), 0); err != nil {
 			t.Fatal(err)
 		}
 	}
-	over := dropSpec(0)
-	over.Match.SrcPort = 999
-	if _, err := ctl.Request(over, 0); !errors.Is(err, ErrAdmission) {
-		t.Fatalf("admission: %v", err)
-	}
-	// Withdrawing one frees budget.
-	if err := ctl.Withdraw(DeriveID(func() Spec { s := dropSpec(0); s.Match.SrcPort = 123; return s }()), memberName(0), 1); err != nil {
+	ctl.Process(1)
+	over, err := ctl.Request(specFor(999), 2)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ctl.Request(over, 2); err != nil {
+	ctl.Process(3)
+	if m, _ := ctl.Get(over.ID); m.State != StateRejected {
+		t.Fatalf("third mitigation: %v, want rejected", m.State)
+	}
+	if got := ruleCount(t, h, memberName(0)); got != 2 {
+		t.Fatalf("rules at the slot bound: %d, want 2", got)
+	}
+	// Withdrawing one frees a slot.
+	if err := ctl.Withdraw(DeriveID(specFor(123)), memberName(0), 4); err != nil {
+		t.Fatal(err)
+	}
+	ctl.Process(5)
+	if _, err := ctl.Request(specFor(999), 6); err != nil {
 		t.Fatalf("after free: %v", err)
+	}
+	ctl.Process(7)
+	if m, _ := ctl.Get(over.ID); m.State != StateActive {
+		t.Fatalf("after free: %v, want active", m.State)
+	}
+	if got := ruleCount(t, h, memberName(0)); got != 2 {
+		t.Fatalf("rules after free: %d, want 2", got)
 	}
 }
 
 func TestHardwareAdmissionRejection(t *testing.T) {
 	// A router with a 2-criteria TCAM budget: the drop spec needs 3
 	// (proto, dst prefix, src port), so the install is refused and the
-	// mitigation ends Rejected.
+	// mitigation ends Rejected, and subscribers hear it.
 	lim := hw.DefaultEdgeRouterLimits(1, hw.RTBHUnitN)
 	lim.L34CriteriaTotal = 2
 	h := newHarness(t, 1, &lim)
 	ctl := New(h.config())
+	var last Event
+	ctl.Subscribe(func(ev Event) { last = ev })
 	m, err := ctl.Request(dropSpec(0), 0)
 	if err != nil {
 		t.Fatal(err)
@@ -454,6 +478,9 @@ func TestHardwareAdmissionRejection(t *testing.T) {
 	got, _ := ctl.Get(m.ID)
 	if got.State != StateRejected {
 		t.Fatalf("state: %v", got.State)
+	}
+	if last.Type != EventRejected || last.Mitigation.ID != m.ID || last.Time != 1 {
+		t.Fatalf("last event %v %s at %v, want the refused install's EventRejected at 1", last.Type, last.Mitigation.ID, last.Time)
 	}
 	if got.LastError == "" || ctl.ErrorCount() == 0 {
 		t.Fatal("hardware rejection lost its reason")
@@ -547,28 +574,28 @@ func TestRerequestOverlappingGenerations(t *testing.T) {
 func TestSnapshotVersioning(t *testing.T) {
 	h := newHarness(t, 1, nil)
 	ctl := New(h.config())
-	v0 := ctl.Snapshot().Version
 	m, _ := ctl.Request(dropSpec(0), 0)
-	v1 := ctl.Snapshot().Version
-	if v1 <= v0 {
-		t.Fatalf("version did not advance: %d -> %d", v0, v1)
+	if m.Version == 0 {
+		t.Fatal("request did not stamp a version")
 	}
 	ctl.Process(1)
-	v2 := ctl.Snapshot().Version
-	if v2 <= v1 {
-		t.Fatalf("install did not advance version: %d -> %d", v1, v2)
+	installed, _ := ctl.Get(m.ID)
+	if installed.Version <= m.Version {
+		t.Fatalf("install did not advance version: %d -> %d", m.Version, installed.Version)
 	}
 	// No transitions, no version change.
-	if v3 := ctl.Snapshot().Version; v3 != v2 {
-		t.Fatalf("idle version churn: %d -> %d", v2, v3)
+	ctl.Process(2)
+	if idle, _ := ctl.Get(m.ID); idle.Version != installed.Version {
+		t.Fatalf("idle version churn: %d -> %d", installed.Version, idle.Version)
 	}
 	snap := ctl.Snapshot()
 	if len(snap.Mitigations) != 1 || snap.Mitigations[0].ID != m.ID {
 		t.Fatalf("snapshot: %+v", snap)
 	}
 	// Prune drops finals only.
-	ctl.Withdraw(m.ID, memberName(0), 2)
-	if n := ctl.Prune(ctl.Snapshot().Version + 1); n != 1 {
+	ctl.Withdraw(m.ID, memberName(0), 3)
+	withdrawn, _ := ctl.Get(m.ID)
+	if n := ctl.Prune(withdrawn.Version + 1); n != 1 {
 		t.Fatalf("pruned: %d", n)
 	}
 	if len(ctl.Snapshot().Mitigations) != 0 {

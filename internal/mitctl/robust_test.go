@@ -228,8 +228,8 @@ func TestDegradationLadder(t *testing.T) {
 	if n := ruleCount(t, h, memberName(0)); n != 0 {
 		t.Fatalf("%d rules after withdraw, want 0", n)
 	}
-	if s := h.router.Snapshot(); s.TotalMAC != 0 || s.TotalL34 != 0 {
-		t.Fatalf("TCAM leak after withdraw: %d MAC, %d L3-L4", s.TotalMAC, s.TotalL34)
+	if mac, l34 := tcamInUse(h.router); mac != 0 || l34 != 0 {
+		t.Fatalf("TCAM leak after withdraw: %d MAC, %d L3-L4", mac, l34)
 	}
 }
 
@@ -255,8 +255,8 @@ func TestDegradedExpiryRemovesCoarseRule(t *testing.T) {
 	if got, _ := c.Get(m.ID); got.State != StateExpired {
 		t.Fatalf("state %v, want expired", got.State)
 	}
-	if s := h.router.Snapshot(); s.TotalMAC != 0 || s.TotalL34 != 0 {
-		t.Fatalf("TCAM leak after degraded expiry: %d/%d", s.TotalMAC, s.TotalL34)
+	if mac, l34 := tcamInUse(h.router); mac != 0 || l34 != 0 {
+		t.Fatalf("TCAM leak after degraded expiry: %d/%d", mac, l34)
 	}
 }
 
@@ -436,8 +436,8 @@ func TestStressConcurrentFaultsWithRetries(t *testing.T) {
 			t.Fatalf("%d rules leaked on %s after withdraw-all", n, memberName(i))
 		}
 	}
-	if s := h.router.Snapshot(); s.TotalMAC != 0 || s.TotalL34 != 0 {
-		t.Fatalf("TCAM leak: %d MAC, %d L3-L4", s.TotalMAC, s.TotalL34)
+	if mac, l34 := tcamInUse(h.router); mac != 0 || l34 != 0 {
+		t.Fatalf("TCAM leak: %d MAC, %d L3-L4", mac, l34)
 	}
 }
 
@@ -447,4 +447,14 @@ func lastError(c *Controller) (core.ApplyError, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.lastErr, c.errTotal > 0
+}
+
+// tcamInUse sums the MAC and L3-L4 criteria installed across the
+// router's ports.
+func tcamInUse(r *hw.EdgeRouter) (mac, l34 int) {
+	for _, p := range r.Snapshot().Ports {
+		mac += p.MACFilters
+		l34 += p.L34Criteria
+	}
+	return mac, l34
 }

@@ -8,11 +8,12 @@
 //
 //	Request → Validate → Install → Refresh/Expire → Withdraw
 //
-// Validation checks IRR prefix ownership and admission limits; install
-// compiles the spec into tagged fabric rules paced through the change
-// queue and applied by a network manager under hardware admission
-// control; the TTL clock is driven from the simulation tick loop; and a
-// versioned state store (List/Get/Snapshot) plus an event stream
+// Validation checks IRR prefix ownership; install compiles the spec
+// into tagged fabric rules paced through the change queue and applied
+// by a network manager under hardware admission control (the per-port
+// QoS-policy slots bound each member's rules); the TTL clock is driven
+// from the simulation tick loop; and a versioned state store
+// (Get/Snapshot/Active) plus an event stream
 // (Subscribe) close the request→install→measure loop the paper demands:
 // every installed mitigation carries its ID in its fabric rule tags, so
 // per-mitigation dropped/shaped byte counters are one Usage call away.
@@ -39,39 +40,6 @@ import (
 
 	"stellar/internal/fabric"
 )
-
-// Channel identifies the signaling path a mitigation request arrived on.
-// It is provenance metadata only: it never influences the mitigation's
-// identity or installed state.
-type Channel uint8
-
-// Signaling channels.
-const (
-	// ChannelAPI is a direct controller request (portal UI, automation).
-	ChannelAPI Channel = iota
-	// ChannelCommunity is a BGP announcement carrying Advanced
-	// Blackholing extended communities (Section 4.2.3).
-	ChannelCommunity
-	// ChannelFlowSpec is an RFC 5575 flow-specification NLRI.
-	ChannelFlowSpec
-	// ChannelPortal is a customer-portal rule referenced by ID.
-	ChannelPortal
-)
-
-func (c Channel) String() string {
-	switch c {
-	case ChannelAPI:
-		return "api"
-	case ChannelCommunity:
-		return "community"
-	case ChannelFlowSpec:
-		return "flowspec"
-	case ChannelPortal:
-		return "portal"
-	default:
-		return fmt.Sprintf("Channel(%d)", uint8(c))
-	}
-}
 
 // Scope selects which traffic sources a mitigation covers.
 type Scope uint8
@@ -120,12 +88,10 @@ type Spec struct {
 	// TTL is the mitigation lifetime in seconds; 0 never expires.
 	// Re-requesting an identical spec re-arms the clock.
 	TTL float64
-	// Channel records the signaling path (provenance only).
-	Channel Channel
 	// Origin records where the request originated: "" for a request
 	// signaled at this exchange, or the name of the exchange a
-	// federation gossip link relayed it from. Like Channel it is
-	// provenance metadata only — it never influences the mitigation's
+	// federation gossip link relayed it from. It is provenance
+	// metadata only — it never influences the mitigation's
 	// identity, so a gossiped re-request of a locally live spec
 	// refreshes the local mitigation instead of forking a remote twin.
 	Origin string
@@ -166,9 +132,9 @@ func (s Spec) normalized() (Spec, error) {
 // key is the canonical content string the mitigation identity derives
 // from. It covers everything that shapes installed state — requester,
 // target, match, action, rate, scope — and deliberately excludes TTL
-// (a refresh parameter) and the provenance fields Channel and Origin,
-// so the same request re-signaled on any channel, or relayed from any
-// exchange, lands on the same mitigation.
+// (a refresh parameter) and the provenance field Origin, so the same
+// request re-signaled on any channel, or relayed from any exchange,
+// lands on the same mitigation.
 func (s Spec) key() string {
 	k := fmt.Sprintf("%s|%s|%s|%v|%g|%v", s.Requester, s.Target, s.Match, s.Action, s.ShapeRateBps, s.Scope)
 	if s.Scope == ScopePerPeer {

@@ -96,13 +96,15 @@ type Config struct {
 	BlackholeNextHop netip.Addr
 	// Policy is the routing-hygiene import policy.
 	Policy *irr.Policy
-	// MaxPlainPrefixLen is the longest IPv4 prefix accepted without a
-	// blackholing community (/24 per common IXP practice); blackholing
-	// announcements may be as specific as /32.
-	MaxPlainPrefixLen int
-	// MaxPlainPrefixLen6 is the IPv6 equivalent (/48, blackholing /128).
-	MaxPlainPrefixLen6 int
 }
+
+// The longest prefixes accepted without a blackholing signal, per common
+// IXP practice: /24 for IPv4 and /48 for IPv6. A blackholing
+// announcement may be as specific as a host route.
+const (
+	maxPlainPrefixLen  = 24
+	maxPlainPrefixLen6 = 48
+)
 
 // registry is the immutable peer/subscriber view the update pipeline
 // reads lock-free. AddPeers and Subscribe publish a fresh copy.
@@ -147,12 +149,6 @@ var (
 
 // New creates a route server.
 func New(cfg Config) *RouteServer {
-	if cfg.MaxPlainPrefixLen == 0 {
-		cfg.MaxPlainPrefixLen = 24
-	}
-	if cfg.MaxPlainPrefixLen6 == 0 {
-		cfg.MaxPlainPrefixLen6 = 48
-	}
 	rs := &RouteServer{cfg: cfg, table: rib.New()}
 	rs.reg.Store(&registry{peers: make(map[string]*peerState)})
 	return rs
@@ -344,10 +340,10 @@ func (rs *RouteServer) HandleWithdrawAll(peer string) ([]PeerUpdates, error) {
 // immutable peer state and the (internally synchronized) hygiene
 // databases, so it runs without any route-server lock.
 func (rs *RouteServer) importCheck(ps *peerState, prefix netip.Prefix, originAS uint32, attrs *bgp.PathAttrs) (string, bool) {
-	maxPlain := rs.cfg.MaxPlainPrefixLen
+	maxPlain := maxPlainPrefixLen
 	maxHost := 32
 	if prefix.Addr().Is6() {
-		maxPlain = rs.cfg.MaxPlainPrefixLen6
+		maxPlain = maxPlainPrefixLen6
 		maxHost = 128
 	}
 	if prefix.Bits() > maxPlain {

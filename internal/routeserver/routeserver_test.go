@@ -240,6 +240,53 @@ func TestMoreSpecificRequiresBlackholeCommunity(t *testing.T) {
 	}
 }
 
+// TestPlainPrefixLengthLimits pins the import policy's prefix-length
+// limits from one peer: a plain route may be as specific as /24 (IPv4)
+// or /48 (IPv6); only a blackholing announcement — BLACKHOLE or an
+// Advanced Blackholing signal — may go further, down to a host route.
+func TestPlainPrefixLengthLimits(t *testing.T) {
+	rs := newRS(t, peerCfg(0))
+	rs.cfg.Policy.IRR.Register(64512, pfx("2001:db8:10::/32"))
+	signal := bgp.MakeExtCommunity(bgp.ExtTypeExperimental, bgp.ExtSubTypeAdvBlackhole, [6]byte{})
+	cases := []struct {
+		prefix         string
+		blackhole, abh bool
+		accept         bool
+	}{
+		{prefix: "100.10.0.0/24", accept: true},
+		{prefix: "2001:db8:10::/48", accept: true},
+		{prefix: "100.10.0.128/25"},
+		{prefix: "2001:db8:10::/49"},
+		{prefix: "100.10.0.10/32", blackhole: true, accept: true},
+		{prefix: "2001:db8:10::10/128", blackhole: true, accept: true},
+		{prefix: "100.10.0.11/32", abh: true, accept: true},
+		{prefix: "2001:db8:10::11/128", abh: true, accept: true},
+	}
+	for _, c := range cases {
+		p := pfx(c.prefix)
+		u := announce(64512, p)
+		if c.blackhole {
+			u.Attrs.Communities = []bgp.Community{bgp.CommunityBlackhole}
+		}
+		if c.abh {
+			u.Attrs.ExtCommunities = []bgp.ExtCommunity{signal}
+		}
+		if p.Addr().Is6() {
+			u.NLRI = nil
+			u.Attrs.MPReach = &bgp.MPReach{AFI: bgp.AFIIPv6, SAFI: bgp.SAFIUnicast,
+				NextHop: netip.MustParseAddr("2001:db8:ff::1"), NLRI: []bgp.PathPrefix{{Prefix: p}}}
+		}
+		_, rejs, err := handleUpdate(rs, "A", u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if accepted := len(rejs) == 0; accepted != c.accept {
+			t.Errorf("%s (blackhole %v, signal %v): accepted %v, want %v (rejections %+v)",
+				c.prefix, c.blackhole, c.abh, accepted, c.accept, rejs)
+		}
+	}
+}
+
 func TestIXPSpecificBlackholeCommunity(t *testing.T) {
 	rs := newRS(t, peerCfg(0), peerCfg(1))
 	host := netip.PrefixFrom(netip.AddrFrom4([4]byte{100, 10, byte(64512 % 256), 10}), 32)

@@ -98,20 +98,14 @@ func (e *ECDF) P(x float64) float64 {
 // Len returns the number of samples in the ECDF.
 func (e *ECDF) Len() int { return len(e.sorted) }
 
-// WelchResult holds the outcome of Welch's unequal variances t-test.
-type WelchResult struct {
-	T  float64 // t statistic
-	DF float64 // Welch–Satterthwaite degrees of freedom
-	P  float64 // one-tailed p-value for H1: mean(a) > mean(b)
-}
-
 // WelchTTest performs Welch's unequal variances t-test comparing the means
-// of a and b. The returned p-value is one-tailed, testing the alternative
-// hypothesis mean(a) > mean(b) — the form used in Section 2.3 of the paper
+// of a and b, with the Welch–Satterthwaite degrees of freedom. The
+// returned p-value is one-tailed, testing the alternative hypothesis
+// mean(a) > mean(b) — the form used in Section 2.3 of the paper
 // (significance level 0.02). Both samples need at least two observations.
-func WelchTTest(a, b []float64) (WelchResult, error) {
+func WelchTTest(a, b []float64) (p float64, err error) {
 	if len(a) < 2 || len(b) < 2 {
-		return WelchResult{}, ErrInsufficientData
+		return 0, ErrInsufficientData
 	}
 	ma, mb := Mean(a), Mean(b)
 	va, vb := Variance(a), Variance(b)
@@ -120,25 +114,18 @@ func WelchTTest(a, b []float64) (WelchResult, error) {
 	se := math.Sqrt(sa + sb)
 	if se == 0 {
 		// Identical constant samples: no evidence of difference.
-		if ma == mb {
-			return WelchResult{T: 0, DF: na + nb - 2, P: 0.5}, nil
+		switch {
+		case ma == mb:
+			return 0.5, nil
+		case ma < mb:
+			return 1, nil
 		}
-		t := math.Inf(1)
-		if ma < mb {
-			t = math.Inf(-1)
-		}
-		p := 0.0
-		if ma < mb {
-			p = 1.0
-		}
-		return WelchResult{T: t, DF: na + nb - 2, P: p}, nil
+		return 0, nil
 	}
 	t := (ma - mb) / se
 	num := (sa + sb) * (sa + sb)
 	den := sa*sa/(na-1) + sb*sb/(nb-1)
-	df := num / den
-	p := 1 - StudentTCDF(t, df)
-	return WelchResult{T: t, DF: df, P: p}, nil
+	return 1 - StudentTCDF(t, num/den), nil
 }
 
 // StudentTCDF returns the CDF of Student's t-distribution with df degrees

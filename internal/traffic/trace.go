@@ -59,16 +59,18 @@ func OtherPortProfile() PortShareProfile {
 	}
 }
 
-// ProtoMix is the (UDP, TCP, other) byte-share mix of a traffic class.
+// ProtoMix is the UDP and TCP byte-share mix of a traffic class; other
+// protocols carry the rest.
 type ProtoMix struct {
-	UDP, TCP, Other float64
+	UDP, TCP float64
 }
 
-// RTBHProtoMix returns Section 2.3's blackholed-traffic protocol mix.
-func RTBHProtoMix() ProtoMix { return ProtoMix{UDP: 0.9994, TCP: 0.0003, Other: 0.0003} }
+// RTBHProtoMix returns Section 2.3's blackholed-traffic protocol mix
+// (0.03 % other).
+func RTBHProtoMix() ProtoMix { return ProtoMix{UDP: 0.9994, TCP: 0.0003} }
 
-// OtherProtoMix returns the non-blackholed mix.
-func OtherProtoMix() ProtoMix { return ProtoMix{UDP: 0.1289, TCP: 0.8681, Other: 0.0030} }
+// OtherProtoMix returns the non-blackholed mix (0.30 % other).
+func OtherProtoMix() ProtoMix { return ProtoMix{UDP: 0.1289, TCP: 0.8681} }
 
 // EventSample is the port decomposition of one blackholing event (or one
 // equal-duration sample of background traffic).
@@ -193,8 +195,6 @@ func SamplePolicies(n int, rng *stats.Rand) []AnnouncementPolicy {
 // that table, which it owns (fabric.Offer's pointer-lifetime rule). A
 // Trace assembled by struct literal has no segments and emits nothing.
 type Trace struct {
-	// Target is the replayed victim address.
-	Target netip.Addr
 	// Peers carries the replayed traffic, weighted heavy-tailed like an
 	// Attack's reflector population.
 	Peers []Peer
@@ -220,7 +220,7 @@ const otherSrcPort = 40123
 // NewTrace builds a replay of len(ratesBps) ticks from the profile,
 // sampling one event composition per segment with rng.
 func NewTrace(p PortShareProfile, target netip.Addr, peers []Peer, ratesBps []float64, segmentTicks int, rng *stats.Rand) *Trace {
-	t := &Trace{Target: target, Peers: peers, RatesBps: ratesBps, SegmentTicks: segmentTicks}
+	t := &Trace{Peers: peers, RatesBps: ratesBps, SegmentTicks: segmentTicks}
 	if t.SegmentTicks < 1 {
 		t.SegmentTicks = len(ratesBps)
 		if t.SegmentTicks < 1 {

@@ -14,7 +14,6 @@ func testTracePeers(n int) []Peer {
 	peers := make([]Peer, n)
 	for i := range peers {
 		peers[i] = Peer{
-			Name:  fmt.Sprintf("AS%d", 64512+i),
 			MAC:   mustMAC(i),
 			SrcIP: netip.AddrFrom4([4]byte{198, 51, 100, byte(i + 1)}),
 		}

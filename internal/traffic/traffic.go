@@ -17,26 +17,25 @@ import (
 )
 
 // Vector describes one amplification-attack vector: the abused protocol,
-// its UDP source port signature, and typical characteristics from the
-// amplification literature the paper cites (Rossow, NDSS 2014; US-CERT
-// TA14-017A).
+// its UDP source port signature, and its typical reflected datagram size
+// from the amplification literature the paper cites (Rossow, NDSS 2014;
+// US-CERT TA14-017A).
 type Vector struct {
 	Name         string
 	SrcPort      uint16
-	AmpFactor    float64 // bandwidth amplification factor
-	ResponseSize int     // typical reflected datagram size in bytes
+	ResponseSize int // typical reflected datagram size in bytes
 }
 
 // The amplification vectors observed dominating blackholed traffic in
 // Figure 3(a): ports 0 (fragments/spoofed), 123 (NTP), 389 (CLDAP),
 // 11211 (memcached), 53 (DNS), 19 (chargen).
 var (
-	VectorPortZero  = Vector{Name: "port-0", SrcPort: 0, AmpFactor: 1, ResponseSize: 1480}
-	VectorNTP       = Vector{Name: "ntp", SrcPort: 123, AmpFactor: 556.9, ResponseSize: 468}
-	VectorLDAP      = Vector{Name: "ldap", SrcPort: 389, AmpFactor: 56, ResponseSize: 1400}
-	VectorMemcached = Vector{Name: "memcached", SrcPort: 11211, AmpFactor: 51000, ResponseSize: 1400}
-	VectorDNS       = Vector{Name: "dns", SrcPort: 53, AmpFactor: 28.7, ResponseSize: 1378}
-	VectorChargen   = Vector{Name: "chargen", SrcPort: 19, AmpFactor: 358.8, ResponseSize: 1020}
+	VectorPortZero  = Vector{Name: "port-0", SrcPort: 0, ResponseSize: 1480}
+	VectorNTP       = Vector{Name: "ntp", SrcPort: 123, ResponseSize: 468}
+	VectorLDAP      = Vector{Name: "ldap", SrcPort: 389, ResponseSize: 1400}
+	VectorMemcached = Vector{Name: "memcached", SrcPort: 11211, ResponseSize: 1400}
+	VectorDNS       = Vector{Name: "dns", SrcPort: 53, ResponseSize: 1378}
+	VectorChargen   = Vector{Name: "chargen", SrcPort: 19, ResponseSize: 1020}
 )
 
 // Vectors lists the known amplification vectors in Figure 3(a)'s order.
@@ -65,8 +64,7 @@ func VectorByName(name string) (Vector, error) {
 // Peer identifies one traffic source on the peering LAN: an IXP member
 // forwarding traffic toward the victim.
 type Peer struct {
-	Name string
-	MAC  netpkt.MAC
+	MAC netpkt.MAC
 	// SrcIP is a representative source address behind the peer (the
 	// reflector pool address for attack traffic).
 	SrcIP netip.Addr
@@ -346,7 +344,6 @@ func MakePeers(n int) []Peer {
 		mac[4] = byte(i >> 8)
 		mac[5] = byte(i)
 		peers[i] = Peer{
-			Name:  fmt.Sprintf("peer%03d", i),
 			MAC:   mac,
 			SrcIP: netip.AddrFrom4([4]byte{198, 51, byte(100 + i/256), byte(i % 256)}),
 		}

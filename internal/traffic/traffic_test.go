@@ -253,15 +253,15 @@ func TestProfilesMatchPaperAggregates(t *testing.T) {
 
 func TestProtoMixes(t *testing.T) {
 	r := RTBHProtoMix()
-	if math.Abs(r.UDP+r.TCP+r.Other-1) > 1e-9 {
-		t.Fatal("RTBH mix does not sum to 1")
+	if other := 1 - r.UDP - r.TCP; math.Abs(other-0.0003) > 1e-9 {
+		t.Fatalf("RTBH mix leaves %v to other protocols, want 0.03 %%", other)
 	}
 	if r.UDP < 0.99 {
 		t.Fatalf("RTBH UDP share: %v", r.UDP)
 	}
 	o := OtherProtoMix()
-	if math.Abs(o.UDP+o.TCP+o.Other-1) > 1e-9 {
-		t.Fatal("other mix does not sum to 1")
+	if other := 1 - o.UDP - o.TCP; math.Abs(other-0.0030) > 1e-9 {
+		t.Fatalf("other mix leaves %v to other protocols, want 0.30 %%", other)
 	}
 	if o.TCP < 0.8 {
 		t.Fatalf("other TCP share: %v", o.TCP)
