@@ -32,18 +32,20 @@ import (
 // Candidate lists are sorted by install order so each list can stop as
 // soon as its next priority cannot beat the best match found so far.
 //
-// On top of the compiled form, each classifier generation carries a
-// flow-result memo (memo.go): flow-level simulations re-offer the same
-// flows tick after tick, so after the first tick a classification is one
-// probe of a flat open-addressed table keyed by netpkt.FlowKey.Hash. The
-// table belongs to the generation, so a rule change can never serve a
-// stale verdict — but it does not cold-start the port either: the new
-// generation keeps the nearest ancestor's populated table plus the short
-// list of single-rule changes made since, and on a miss derives the
-// verdict from the ancestor's. An installed rule is appended (lowest
-// priority), so an inherited non-nil verdict stands and a nil one needs
-// one Match.Matches against the added rule; a removed rule invalidates
-// only the flows whose verdict it was, which take the full lookup.
+// In front of the compiled form sits the port's flow memo (memo.go):
+// flow-level simulations re-offer the same flows tick after tick, so
+// after the first tick a classification is one probe of a flat
+// open-addressed table keyed by netpkt.FlowKey.Hash. The memo belongs to
+// the port and outlives its generations; each entry carries the verdict
+// of the generation that last classified the flow, stamped with that
+// generation's sequence number, so a rule change can never serve a
+// stale verdict as current. Nor does it rebuild anything: a generation
+// that meets an older stamp derives its own verdict through the last few
+// single-rule changes and re-stamps the entry in place, with no
+// allocation. An installed rule is appended (lowest priority), so an
+// older non-nil verdict stands and a nil one needs one Match.Matches
+// against the added rule; a removed rule sends only the flows whose
+// verdict it was through the full lookup.
 //
 // Flows are passed by pointer from the traffic generator to the flow
 // monitor: a FlowKey is 64 bytes, an Offer points into its producer's
@@ -70,17 +72,21 @@ type trieNode struct {
 	cands []candidate
 }
 
-// prefixTrie holds one address family pair of tries for one match field.
+// prefixTrie holds one address family pair of tries for one match field;
+// a family's root is nil until a rule needs it.
 type prefixTrie struct {
 	v4, v6 *trieNode
 }
 
 func (t *prefixTrie) insert(p trieKey, bits int, c candidate) {
-	root := t.v6
+	root := &t.v6
 	if p.is4 {
-		root = t.v4
+		root = &t.v4
 	}
-	n := root
+	if *root == nil {
+		*root = &trieNode{}
+	}
+	n := *root
 	for i := 0; i < bits; i++ {
 		b := (p.addr[i/8] >> (7 - i%8)) & 1
 		if n.child[b] == nil {
@@ -114,14 +120,17 @@ type classifier struct {
 	bySrcMAC       map[netpkt.MAC][]candidate
 	residual       []candidate
 
-	memo flowMemo
-
-	// inherit is the populated memo table of the nearest ancestor
-	// generation (the table only, never the ancestor classifier, so at
-	// most two tables per port are live) and changes the single-rule
-	// changes that lead from that ancestor's rule set to this one, oldest
-	// first. inherit == nil: this generation starts cold.
-	inherit *memoTable
+	// seq numbers the generation; the port assigns it, counting up from
+	// one, and a verdict stamped with it is current. verdicts holds this
+	// generation's verdict for each rule, in install order, then the nil
+	// one.
+	seq      uint64
+	verdicts []verdict
+	// memo is the port's flow memo, and changes the single-rule changes
+	// that led to this generation, oldest first, the last one its own:
+	// up to maxInheritedChanges of them, and none while the memo held no
+	// entry to derive from.
+	memo    *flowMemo
 	changes []ruleChange
 }
 
@@ -131,21 +140,22 @@ type ruleChange struct {
 	added bool
 }
 
-// maxInheritedChanges bounds classifier.changes: a generation further
-// than this from a populated table starts cold.
+// ruleFree is the classifier of a port without rules: it classifies
+// every flow to the default queue without touching the memo, and no
+// generation derives from it, so every rule-free port shares it.
+var ruleFree = new(classifier)
+
+// maxInheritedChanges bounds classifier.changes: a verdict stamped
+// further back than this goes through the full lookup.
 const maxInheritedChanges = 8
 
-// compile builds the immutable classifier for rules (in install order).
-func compile(rules []*Rule) *classifier {
-	c := &classifier{
-		rules:          rules,
-		byProtoDstPort: make(map[protoPortKey][]candidate),
-		byProtoSrcPort: make(map[protoPortKey][]candidate),
-		dstTrie:        prefixTrie{v4: &trieNode{}, v6: &trieNode{}},
-		srcTrie:        prefixTrie{v4: &trieNode{}, v6: &trieNode{}},
-		bySrcMAC:       make(map[netpkt.MAC][]candidate),
-	}
+// compile builds the immutable classifier generation seq for rules (in
+// install order). Only the indexes some rule uses are built.
+func compile(rules []*Rule, seq uint64) *classifier {
+	c := &classifier{rules: rules, seq: seq, verdicts: make([]verdict, len(rules)+1)}
+	c.verdicts[len(rules)] = verdict{seq: seq} // no rule matches
 	for pri, r := range rules {
+		c.verdicts[pri] = verdict{seq: seq, rule: r}
 		if r.Action == ActionShape {
 			c.shapeRules = append(c.shapeRules, r)
 		}
@@ -153,17 +163,15 @@ func compile(rules []*Rule) *classifier {
 		m := r.Match
 		switch {
 		case m.DstPort != AnyPort:
-			k := protoPortKey{proto: m.Proto, port: uint16(m.DstPort)}
-			c.byProtoDstPort[k] = append(c.byProtoDstPort[k], cand)
+			index(&c.byProtoDstPort, protoPortKey{proto: m.Proto, port: uint16(m.DstPort)}, cand)
 		case m.SrcPort != AnyPort:
-			k := protoPortKey{proto: m.Proto, port: uint16(m.SrcPort)}
-			c.byProtoSrcPort[k] = append(c.byProtoSrcPort[k], cand)
+			index(&c.byProtoSrcPort, protoPortKey{proto: m.Proto, port: uint16(m.SrcPort)}, cand)
 		case m.DstIP.IsValid():
 			c.dstTrie.insert(trieAddr(m.DstIP.Addr()), m.DstIP.Bits(), cand)
 		case m.SrcIP.IsValid():
 			c.srcTrie.insert(trieAddr(m.SrcIP.Addr()), m.SrcIP.Bits(), cand)
 		case m.SrcMAC != nil:
-			c.bySrcMAC[*m.SrcMAC] = append(c.bySrcMAC[*m.SrcMAC], cand)
+			index(&c.bySrcMAC, *m.SrcMAC, cand)
 		default:
 			c.residual = append(c.residual, cand)
 		}
@@ -171,6 +179,14 @@ func compile(rules []*Rule) *classifier {
 	// Candidate lists are appended in install order, so they are already
 	// sorted by priority; the early-exit in considerList relies on it.
 	return c
+}
+
+// index appends cand to the list under k, making the map on first use.
+func index[K comparable](m *map[K][]candidate, k K, cand candidate) {
+	if *m == nil {
+		*m = make(map[K][]candidate)
+	}
+	(*m)[k] = append((*m)[k], cand)
 }
 
 func trieAddr(a netip.Addr) trieKey {
@@ -213,6 +229,9 @@ func walkTrie(t *prefixTrie, f *netpkt.FlowKey, addr netip.Addr, best *Rule, bes
 		n = t.v4
 		maxBits = 32
 	}
+	if n == nil {
+		return best, bestPri
+	}
 	for i := 0; ; i++ {
 		if len(n.cands) > 0 {
 			best, bestPri = considerList(n.cands, f, best, bestPri)
@@ -229,9 +248,10 @@ func walkTrie(t *prefixTrie, f *netpkt.FlowKey, addr netip.Addr, best *Rule, bes
 }
 
 // classify runs the compiled lookup: every index the flow can reach,
-// first-match (lowest install order) wins. It is read-only and safe for
-// unlimited concurrency.
-func (c *classifier) classify(f *netpkt.FlowKey) *Rule {
+// first-match (lowest install order) wins. It returns that rule's
+// verdict, or the nil one when no rule matches, and is read-only and
+// safe for unlimited concurrency.
+func (c *classifier) classify(f *netpkt.FlowKey) *verdict {
 	var best *Rule
 	bestPri := noMatch
 	if len(c.byProtoDstPort) > 0 {
@@ -251,34 +271,21 @@ func (c *classifier) classify(f *netpkt.FlowKey) *Rule {
 	if len(c.bySrcMAC) > 0 {
 		best, bestPri = considerList(c.bySrcMAC[f.SrcMAC], f, best, bestPri)
 	}
-	best, _ = considerList(c.residual, f, best, bestPri)
-	return best
+	_, bestPri = considerList(c.residual, f, best, bestPri)
+	return &c.verdicts[min(bestPri, len(c.rules))]
 }
 
-// succeed links next, the generation that follows c by one rule change,
-// to the memo it can inherit from: c's own table when c classified
-// anything, otherwise the table c itself inherited, one change further
-// away.
-func (c *classifier) succeed(next *classifier, ch ruleChange) {
-	if len(next.rules) == 0 {
-		return // a rule-free port skips the memo
+// derive turns v, the verdict of an older generation, into this one's by
+// replaying the changes since; ok is false when the changes do not reach
+// back to v's generation or v's rule was removed on the way, which only
+// the full lookup can replace.
+func (c *classifier) derive(v *verdict, f *netpkt.FlowKey) (_ *verdict, ok bool) {
+	back := c.seq - v.seq
+	if back > uint64(len(c.changes)) {
+		return nil, false
 	}
-	if t := c.memo.tab.Load(); t != nil {
-		next.inherit, next.changes = t, []ruleChange{ch}
-		next.memo.hint = c.memo.len()
-	} else if c.inherit != nil && len(c.changes) < maxInheritedChanges {
-		next.inherit = c.inherit
-		next.changes = append(slices.Clip(c.changes), ch)
-		next.memo.hint = c.memo.hint
-	}
-}
-
-// derive turns a verdict memoized by the inherited table into this
-// generation's by replaying the changes since; ok is false when the
-// verdict was a rule removed on the way, which only the full lookup can
-// replace.
-func (c *classifier) derive(r *Rule, f *netpkt.FlowKey) (_ *Rule, ok bool) {
-	for _, ch := range c.changes {
+	r := v.rule
+	for _, ch := range c.changes[len(c.changes)-int(back):] {
 		switch {
 		case !ch.added:
 			if r == ch.rule {
@@ -288,11 +295,15 @@ func (c *classifier) derive(r *Rule, f *netpkt.FlowKey) (_ *Rule, ok bool) {
 			r = ch.rule
 		}
 	}
-	return r, true
+	i := slices.Index(c.rules, r)
+	if r == nil {
+		i = len(c.rules)
+	}
+	return &c.verdicts[i], true
 }
 
-// classifyHashed is classify with the flow memo in front. hash is the
-// flow's netpkt.FlowKey.Hash (0: compute here).
+// classifyHashed is classify with the port's flow memo in front. hash is
+// the flow's netpkt.FlowKey.Hash (0: compute here).
 func (c *classifier) classifyHashed(f *netpkt.FlowKey, hash uint64) *Rule {
 	if len(c.rules) == 0 {
 		// Rule-free port (the common case across a large member
@@ -303,27 +314,30 @@ func (c *classifier) classifyHashed(f *netpkt.FlowKey, hash uint64) *Rule {
 		hash = f.Hash()
 	}
 	e, collided := c.memo.tab.Load().lookup(f, hash)
-	if e != nil {
-		return e.rule
-	}
 	if collided {
 		// 64-bit collision between distinct live flows: recompute
 		// without caching.
-		return c.classify(f)
+		return c.classify(f).rule
 	}
-	var (
-		r       *Rule
-		derived bool
-		reuse   *memoEntry
-	)
-	if a, _ := c.inherit.lookup(f, hash); a != nil {
-		if r, derived = c.derive(a.rule, f); derived && r == a.rule {
-			reuse = a
-		}
+	if e == nil {
+		v := c.classify(f)
+		c.memo.insert(f, hash, v)
+		return v.rule
 	}
-	if !derived {
-		r = c.classify(f)
+	old := e.v.Load()
+	if old.seq == c.seq {
+		return old.rule
 	}
-	c.memo.insert(reuse, f, hash, r)
-	return r
+	if old.seq > c.seq {
+		// A newer generation got here first (this is a tick that started
+		// before the rule change): its verdict is not this generation's,
+		// and a newer stamp is never derived backwards or overwritten.
+		return c.classify(f).rule
+	}
+	v, ok := c.derive(old, f)
+	if !ok {
+		v = c.classify(f)
+	}
+	e.v.CompareAndSwap(old, v)
+	return v.rule
 }

@@ -201,7 +201,7 @@ func TestClassifierV4TrieDiscriminates(t *testing.T) {
 		m.DstIP = netip.PrefixFrom(netip.AddrFrom4([4]byte{100, 10, byte(i / 256), byte(i)}), 32)
 		rules[i] = &Rule{ID: fmt.Sprintf("d%03d", i), Match: m, Action: ActionDrop}
 	}
-	c := compile(rules)
+	c := compile(rules, 1)
 	var maxLoad int
 	var walk func(nd *trieNode)
 	walk = func(nd *trieNode) {
@@ -221,7 +221,7 @@ func TestClassifierV4TrieDiscriminates(t *testing.T) {
 	// And the walk still finds the right rule.
 	f := netpkt.FlowKey{Src: srcIPA, Dst: netip.AddrFrom4([4]byte{100, 10, 0, 77}),
 		Proto: netpkt.ProtoUDP, SrcPort: 123, DstPort: 443}
-	if got := c.classify(&f); got == nil || got.ID != "d077" {
+	if got := c.classify(&f).rule; got == nil || got.ID != "d077" {
 		t.Fatalf("classify: %v", got)
 	}
 }
@@ -355,6 +355,98 @@ func TestConcurrentFabricTicks(t *testing.T) {
 	wg.Wait()
 }
 
+// TestOldGenerationRacesNewer is the -race test of one memo shared by
+// generations. An egress that loaded the classifier before a rule change
+// runs on the old generation while ClassifyHashed runs on the new one,
+// over the same flows, so each meets verdicts the other stamped; then
+// the old generation runs once more, over verdicts the new one has all
+// re-stamped. Every verdict must be its own generation's linear-scan
+// answer: a tick never takes a newer generation's verdict for its own.
+func TestOldGenerationRacesNewer(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	macs := make([]netpkt.MAC, 6)
+	for i := range macs {
+		macs[i] = netpkt.MustParseMAC(fmt.Sprintf("02:00:00:00:00:%02x", i+1))
+	}
+	p := NewPort("victim", macs[0], 1e15)
+	keys := make([]netpkt.FlowKey, 256)
+	offers := make([]Offer, len(keys))
+	for i := range keys {
+		keys[i] = randomFlow(rng, macs)
+		offers[i] = Offer{Flow: &keys[i], FlowHash: keys[i].Hash(), Bytes: 1000, Packets: 1}
+	}
+	newRule := func(i int) *Rule {
+		return &Rule{ID: fmt.Sprintf("r%d", i), Match: randomMatch(rng, macs),
+			Action: []ActionKind{ActionDrop, ActionForward}[rng.Intn(2)]}
+	}
+	for i := 0; i < 3; i++ {
+		if err := p.InstallRule(newRule(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// egress runs one tick on gen, the way a port whose classifier load
+	// preceded the rule change does, and checks each offer's fate.
+	egress := func(gen *classifier) error {
+		q := &Port{Name: "old", CapacityBps: p.CapacityBps}
+		q.cls.Store(gen)
+		delivered := make(map[*Offer]bool, len(offers))
+		q.egress(offers, 1, func(ds []Delivery) {
+			for _, d := range ds {
+				delivered[d.Offer] = true
+			}
+		})
+		for i := range offers {
+			want := linearClassify(gen.rules, &keys[i])
+			if drop := want != nil && want.Action == ActionDrop; delivered[&offers[i]] == drop {
+				return fmt.Errorf("generation %d: flow %v delivered=%v, linear scan says %v", gen.seq, keys[i], !drop, want)
+			}
+		}
+		return nil
+	}
+	classify := func(gen *classifier) error {
+		for i := range offers {
+			want := linearClassify(gen.rules, &keys[i])
+			if got := p.ClassifyHashed(&keys[i], offers[i].FlowHash); got != want {
+				return fmt.Errorf("generation %d: flow %v classified %v, want %v", gen.seq, keys[i], got, want)
+			}
+		}
+		return nil
+	}
+	for round := 0; round < 60; round++ {
+		if err := egress(p.cls.Load()); err != nil {
+			t.Fatal(err)
+		}
+		old := p.cls.Load()
+		var err error
+		if rs := old.rules; len(rs) > 0 && rng.Intn(2) == 0 {
+			err = p.RemoveRule(rs[rng.Intn(len(rs))].ID)
+		} else {
+			err = p.InstallRule(newRule(3 + round))
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		cur := p.cls.Load()
+		if len(cur.rules) == 0 {
+			continue // a rule-free generation has no memo to race on
+		}
+		var wg sync.WaitGroup
+		errs := make([]error, 2)
+		wg.Add(2)
+		go func() { defer wg.Done(); errs[0] = egress(old) }()
+		go func() { defer wg.Done(); errs[1] = classify(cur) }()
+		wg.Wait()
+		for _, err := range errs {
+			if err != nil {
+				t.Fatalf("round %d: %v", round, err)
+			}
+		}
+		if err := egress(old); err != nil {
+			t.Fatalf("round %d, after the new generation: %v", round, err)
+		}
+	}
+}
+
 // churnTrial is one port under random rule churn with the linear scan's
 // view of it kept beside: rules is the install order the port must
 // agree with, removed the rules taken out so far (re-install fodder).
@@ -448,6 +540,62 @@ func (c *churnTrial) change() {
 	}
 }
 
+// wipe removes every rule, in random order, then installs the same
+// rules again in a shuffled order, with a pass at zero rules now and
+// then: a signal's withdraw and the next announce on a victim port, and
+// a rule-free generation between two generations that have rules.
+func (c *churnTrial) wipe() {
+	c.t.Helper()
+	if len(c.rules) == 0 {
+		return
+	}
+	rules := append([]*Rule(nil), c.rules...)
+	for len(c.rules) > 0 {
+		c.remove(c.rng.Intn(len(c.rules)))
+	}
+	if c.rng.Intn(2) == 0 {
+		c.pass()
+	}
+	c.removed = c.removed[:len(c.removed)-len(rules)]
+	c.rng.Shuffle(len(rules), func(i, j int) { rules[i], rules[j] = rules[j], rules[i] })
+	for _, r := range rules {
+		c.install(r)
+	}
+	c.cases["remove every rule and re-add them"]++
+}
+
+// fill classifies distinct flows from outside the trial's flow set until
+// the port's memo holds maxMemoEntries entries, so the trial's own flows
+// that come next go uncached, and a later rule change must start a
+// fresh memo.
+func (c *churnTrial) fill() {
+	c.t.Helper()
+	if len(c.rules) == 0 {
+		return
+	}
+	for i := range memoFiller {
+		c.p.ClassifyHashed(&memoFiller[i], 0)
+	}
+	if n := c.p.memo.len(); n != maxMemoEntries {
+		c.t.Fatalf("memo holds %d entries after the fill, want %d", n, maxMemoEntries)
+	}
+	c.cases["fill the memo past maxMemoEntries"]++
+}
+
+// memoFiller is enough flows to fill any memo; no trial flow is among
+// them (their destinations lie outside randomFlow's 100.10.0.0/22).
+var memoFiller = func() []netpkt.FlowKey {
+	fs := make([]netpkt.FlowKey, maxMemoEntries)
+	for i := range fs {
+		fs[i] = netpkt.FlowKey{
+			Src:   netip.AddrFrom4([4]byte{198, 51, 100, byte(i)}),
+			Dst:   netip.AddrFrom4([4]byte{100, 11, byte(i >> 8), 0}),
+			Proto: netpkt.ProtoUDP, SrcPort: 123, DstPort: 80,
+		}
+	}
+	return fs
+}()
+
 // pass classifies the whole flow set every way the port offers and
 // compares each verdict, and the egress byte totals, with the linear
 // scan.
@@ -477,9 +625,11 @@ func (c *churnTrial) pass() {
 }
 
 // TestClassifierMatchesLinearScanUnderChurn is the differential test of
-// memo inheritance: random InstallRule/RemoveRule sequences interleaved
-// with classification passes over a fixed flow set, so the memo is warm
-// before every change, and every verdict compared with the linear scan.
+// the port's memo across rule changes: random InstallRule/RemoveRule
+// sequences interleaved with classification passes over a fixed flow
+// set, so the memo is warm before every change, and every verdict
+// compared with the linear scan. Now and then a step removes every rule
+// and re-adds them, and now and then a trial fills the memo.
 func TestClassifierMatchesLinearScanUnderChurn(t *testing.T) {
 	macs := make([]netpkt.MAC, 6)
 	for i := range macs {
@@ -507,9 +657,21 @@ func TestClassifierMatchesLinearScanUnderChurn(t *testing.T) {
 			c.install(c.newRule(randomMatch(rng, macs)))
 		}
 		c.pass()
+		fillAt := -1
+		if trial%4 == 0 {
+			fillAt = rng.Intn(24)
+		}
 		for step := 0; step < 24; step++ {
+			if step == fillAt {
+				c.fill()
+			}
+			if rng.Intn(16) == 0 {
+				c.wipe()
+				c.pass()
+				continue
+			}
 			// Zero, one and several changes between passes, and now and
-			// then more than a generation inherits across.
+			// then more than a generation derives across.
 			n := []int{0, 1, 1, 1, 2, 3, 5, maxInheritedChanges + 3}[rng.Intn(8)]
 			if n > maxInheritedChanges {
 				cases["past the inheritance bound"]++
@@ -521,7 +683,8 @@ func TestClassifierMatchesLinearScanUnderChurn(t *testing.T) {
 		}
 	}
 	for _, name := range []string{"remove verdict above another matcher", "remove shadowed rule",
-		"re-install removed ID", "past the inheritance bound"} {
+		"re-install removed ID", "past the inheritance bound",
+		"remove every rule and re-add them", "fill the memo past maxMemoEntries"} {
 		if cases[name] < 50 {
 			t.Errorf("generator produced %q only %d times", name, cases[name])
 		}
@@ -589,7 +752,7 @@ func TestMemoBound(t *testing.T) {
 				t.Fatalf("pass %d flow %d: %v, want %v", pass, i, got, want)
 			}
 		}
-		memo := &p.cls.Load().memo
+		memo := p.cls.Load().memo
 		if n, slots := memo.len(), len(memo.tab.Load().slots); n != maxMemoEntries || slots != 2*maxMemoEntries {
 			t.Fatalf("pass %d: memo holds %d entries in %d slots, want %d in %d",
 				pass, n, slots, maxMemoEntries, 2*maxMemoEntries)

@@ -160,6 +160,17 @@ func TestRuleManagement(t *testing.T) {
 	}
 }
 
+var portSink *Port
+
+// TestNewPortAllocations: a rule-free port compiles no indexes and has
+// no memo (every rule-free port shares one classifier), so a member
+// population of thousands costs one allocation per port.
+func TestNewPortAllocations(t *testing.T) {
+	if got := testing.AllocsPerRun(100, func() { portSink = NewPort("AS64512", macVictim, 1e9) }); got > 1 {
+		t.Fatalf("NewPort: %v allocations, want 1", got)
+	}
+}
+
 func TestEgressDropQueue(t *testing.T) {
 	p := newVictimPort()
 	if err := p.InstallRule(dropNTPRule()); err != nil {

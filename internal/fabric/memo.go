@@ -8,34 +8,44 @@ import (
 	"stellar/internal/netpkt"
 )
 
-// This file is the flow-result memo of one classifier generation: an
-// insert-only open-addressed table of immutable entries. Lookups are
-// lock-free — one atomic load per probe — so any number of egress
-// workers can read while one inserts; inserts and doubling serialize on
-// a small mutex. A reader that raced a doubling holds the old table,
-// which stays valid (nothing is ever removed or overwritten): it just
+// This file is the flow memo of one port: an insert-only open-addressed
+// table of entries that outlives the port's classifier generations.
+// Lookups are lock-free — one atomic load per probe — so any number of
+// egress workers can read while one inserts; inserts and doubling
+// serialize on a small mutex. A reader that raced a doubling holds the
+// old table, which stays valid (no entry is ever removed): it just
 // misses what was inserted since and recomputes.
 
-// maxMemoEntries bounds the per-generation flow memo so adversarial
-// flow cardinality cannot grow memory without bound.
+// maxMemoEntries bounds a port's flow memo so adversarial flow
+// cardinality cannot grow memory without bound; the first rule change
+// on a full memo starts a fresh one.
 const maxMemoEntries = 1 << 16
 
-// minMemoSlots is the size of a generation's first table when it has no
-// predecessor to size it from; ports that see a handful of flows keep a
-// handful of slots.
+// minMemoSlots is the size of a memo's first table; ports that see a
+// handful of flows keep a handful of slots.
 const minMemoSlots = 8
 
-// memoEntry records one memoized classification; it is never modified
-// once published, so generations share entries whose verdict a rule
-// change left alone. The full key is copied in, not pointed at: an
-// offer's key belongs to its producer, which may rewrite it in place
-// between ticks, so the copy is the authority both when a 64-bit hash
-// collides (a recomputation, never a wrong verdict) and when the key an
-// entry was made from has since changed.
+// verdict is one classifier generation's answer: generation seq sends
+// the flow to rule (nil: default forwarding queue). A generation
+// compiles one verdict per rule plus the nil one, so stamping a memo
+// entry with its answer allocates nothing.
+type verdict struct {
+	seq  uint64
+	rule *Rule
+}
+
+// memoEntry memoizes the classification of one flow. hash and key are
+// immutable; v is the verdict of the generation that last classified
+// the flow, and a newer generation re-stamps it in place. The full key
+// is copied in, not pointed at: an offer's key belongs to its producer,
+// which may rewrite it in place between ticks, so the copy is the
+// authority both when a 64-bit hash collides (a recomputation, never a
+// wrong verdict) and when the key an entry was made from has since
+// changed.
 type memoEntry struct {
 	hash uint64
 	key  netpkt.FlowKey
-	rule *Rule // nil: default forwarding queue
+	v    atomic.Pointer[verdict]
 }
 
 // memoTable is one power-of-two array of entry slots, linearly probed
@@ -95,26 +105,20 @@ func (t *memoTable) place(e *memoEntry) {
 	}
 }
 
-// flowMemo is the growable memo of one classifier generation.
+// flowMemo is the growable memo of one port.
 type flowMemo struct {
 	tab atomic.Pointer[memoTable] // nil until the first insert
 
 	mu sync.Mutex
 	n  atomic.Int64 // entries in tab; written under mu
-	// hint is the entry count of the generation this one follows; the
-	// first table is sized to hold it so the cold pass after a rule
-	// change does not regrow.
-	hint int
 }
 
 func (m *flowMemo) len() int { return int(m.n.Load()) }
 
-// insert memoizes rule as the verdict of f. reuse, when non-nil, is an
-// inherited entry that already says exactly that and is stored as is;
-// otherwise a new entry is allocated. A full memo, a flow another
+// insert memoizes v as the verdict of f. A full memo, a flow another
 // goroutine inserted first and a hash collision all leave the memo
 // unchanged.
-func (m *flowMemo) insert(reuse *memoEntry, f *netpkt.FlowKey, hash uint64, rule *Rule) {
+func (m *flowMemo) insert(f *netpkt.FlowKey, hash uint64, v *verdict) {
 	if m.n.Load() >= maxMemoEntries {
 		return
 	}
@@ -130,11 +134,7 @@ func (m *flowMemo) insert(reuse *memoEntry, f *netpkt.FlowKey, hash uint64, rule
 	}
 	switch {
 	case t == nil:
-		slots := minMemoSlots
-		for slots < 2*m.hint {
-			slots *= 2
-		}
-		t = newMemoTable(slots)
+		t = newMemoTable(minMemoSlots)
 		m.tab.Store(t)
 	case 2*(n+1) > len(t.slots):
 		grown := newMemoTable(2 * len(t.slots))
@@ -146,9 +146,8 @@ func (m *flowMemo) insert(reuse *memoEntry, f *netpkt.FlowKey, hash uint64, rule
 		t = grown
 		m.tab.Store(t)
 	}
-	if reuse == nil {
-		reuse = &memoEntry{hash: hash, key: *f, rule: rule}
-	}
-	t.place(reuse)
+	e := &memoEntry{hash: hash, key: *f}
+	e.v.Store(v)
+	t.place(e)
 	m.n.Store(int64(n + 1))
 }

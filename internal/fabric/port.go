@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"errors"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -91,6 +92,15 @@ type Port struct {
 	mu    sync.Mutex // serializes rule mutations only
 	rules []*Rule    // authoritative install order; copied on write
 	cls   atomic.Pointer[classifier]
+	// seq is the last generation published; it only ever grows, so a
+	// verdict stamped by an earlier rule set, with or without rule-free
+	// generations in between, is never taken for the current one. memo
+	// (nil until the port first has rules) and changes are the flow memo
+	// and change log the next generation inherits. All three are guarded
+	// by mu.
+	seq     uint64
+	memo    *flowMemo
+	changes []ruleChange
 }
 
 // Errors from rule management.
@@ -102,7 +112,7 @@ var (
 // NewPort creates a port.
 func NewPort(name string, mac netpkt.MAC, capacityBps float64) *Port {
 	p := &Port{Name: name, MAC: mac, CapacityBps: capacityBps}
-	p.cls.Store(compile(nil))
+	p.cls.Store(ruleFree)
 	return p
 }
 
@@ -148,11 +158,31 @@ func (p *Port) RemoveRule(id string) error {
 }
 
 // publish compiles rules, which differ from the current set by ch, and
-// makes the result the port's classifier. Callers hold p.mu.
+// makes the result the port's classifier. The memo carries over, and ch
+// joins the change log while the memo has verdicts to derive from; a
+// full memo is dropped instead, so the next flows start a fresh one.
+// Callers hold p.mu.
 func (p *Port) publish(rules []*Rule, ch ruleChange) {
-	next := compile(rules)
-	p.cls.Load().succeed(next, ch)
+	p.seq++
 	p.rules = rules
+	if p.memo != nil && p.memo.len() >= maxMemoEntries {
+		p.memo = nil
+	}
+	if p.memo != nil && p.memo.len() > 0 {
+		keep := p.changes[max(0, len(p.changes)-(maxInheritedChanges-1)):]
+		p.changes = append(slices.Clip(keep), ch)
+	} else {
+		p.changes = nil
+	}
+	if len(rules) == 0 {
+		p.cls.Store(ruleFree)
+		return
+	}
+	if p.memo == nil {
+		p.memo = new(flowMemo)
+	}
+	next := compile(rules, p.seq)
+	next.memo, next.changes = p.memo, p.changes
 	p.cls.Store(next)
 }
 

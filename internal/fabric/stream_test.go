@@ -216,18 +216,22 @@ func mallocs(f func()) uint64 {
 }
 
 // TestEgressStreamAllocations pins, as counts, what the flow memo costs
-// around a rule change: nothing once warm, one table — not one entry per
-// flow — after a rule that leaves every verdict alone, and one entry per
-// flow whose verdict was the rule removed.
+// around a rule change: nothing. The memo and its entries outlive the
+// port's classifier generations and a rule change only re-stamps
+// verdicts, so the first pass after any change allocates no table and no
+// entry: after an install that matches no flow, after removing the
+// verdict of some flows, and after withdrawing every rule and installing
+// one again, a signal's withdraw followed by the next announce.
 func TestEgressStreamAllocations(t *testing.T) {
 	const flows, ntp = 4096, 100
 	p := newVictimPort()
 	drop := MatchAll()
 	drop.Proto = netpkt.ProtoUDP
 	drop.SrcPort = 123
+	dropUDP := Match{Proto: netpkt.ProtoUDP, SrcPort: AnyPort, DstPort: AnyPort}
 	for _, r := range []*Rule{
 		{ID: "drop-ntp", Match: drop, Action: ActionDrop},
-		{ID: "drop-udp", Match: Match{Proto: netpkt.ProtoUDP, SrcPort: AnyPort, DstPort: AnyPort}, Action: ActionDrop},
+		{ID: "drop-udp", Match: dropUDP, Action: ActionDrop},
 	} {
 		if err := p.InstallRule(r); err != nil {
 			t.Fatal(err)
@@ -253,26 +257,37 @@ func TestEgressStreamAllocations(t *testing.T) {
 	if got := uint64(testing.AllocsPerRun(20, pass)); got > slack {
 		t.Errorf("warm pass: %d allocations, want 0", got)
 	}
+	after := func(change string, verdict string) {
+		t.Helper()
+		if got := mallocs(pass); got > slack {
+			t.Errorf("first pass after %s: %d allocations for %d flows, want 0", change, got, flows)
+		}
+		if got := p.ClassifyHashed(offers[0].Flow, 0); (got == nil) != (verdict == "") || got != nil && got.ID != verdict {
+			t.Fatalf("after %s: ntp flow classified %v, want %q", change, got, verdict)
+		}
+	}
 
 	miss := MatchAll()
 	miss.Proto = netpkt.ProtoICMP
 	if err := p.InstallRule(&Rule{ID: "drop-icmp", Match: miss, Action: ActionDrop}); err != nil {
 		t.Fatal(err)
 	}
-	// The table and its slot array.
-	if got := mallocs(pass); got > 2+slack {
-		t.Errorf("first pass after an install that matches no flow: %d allocations for %d flows, want 2", got, flows)
-	}
+	after("an install that matches no flow", "drop-ntp")
 
+	// The ntp flows fall through to drop-udp.
 	if err := p.RemoveRule("drop-ntp"); err != nil {
 		t.Fatal(err)
 	}
-	// The ntp flows fall through to drop-udp and need new entries; every
-	// other verdict is inherited with its entry.
-	if got := mallocs(pass); got < ntp || got > ntp+2+slack {
-		t.Errorf("first pass after removing the verdict of %d flows: %d allocations, want %d", ntp, got, ntp+2)
+	after(fmt.Sprintf("removing the verdict of %d flows", ntp), "drop-udp")
+
+	for _, id := range []string{"drop-udp", "drop-icmp"} {
+		if err := p.RemoveRule(id); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if got := p.ClassifyHashed(offers[0].Flow, 0); got == nil || got.ID != "drop-udp" {
-		t.Fatalf("ntp flow after removal: %v", got)
+	after("removing every rule", "")
+	if err := p.InstallRule(&Rule{ID: "drop-ntp", Match: drop, Action: ActionDrop}); err != nil {
+		t.Fatal(err)
 	}
+	after("installing a rule on the rule-free port", "drop-ntp")
 }

@@ -557,6 +557,10 @@ func (c *Controller) finalizeLocked(m *mit, s State, now float64) {
 	}
 }
 
+// maxIdleQueueCap is the largest queue array an empty queue keeps for
+// reuse.
+const maxIdleQueueCap = 64
+
 func (c *Controller) enqueueLocked(op queuedOp) {
 	c.queue = append(c.queue, op)
 }
@@ -633,6 +637,12 @@ func (c *Controller) Process(now float64) int {
 			} else {
 				rest = append(rest, op)
 			}
+		}
+		// The slots past rest still point at released ops, and a burst's
+		// array outlives it: drop both so a drained queue keeps nothing.
+		clear(c.queue[len(rest):])
+		if len(rest) == 0 && cap(rest) > maxIdleQueueCap {
+			rest = nil
 		}
 		c.queue = rest
 	}

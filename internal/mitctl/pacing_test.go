@@ -115,3 +115,48 @@ func TestPacingMatchesReferenceBucket(t *testing.T) {
 		t.Fatalf("only %d changes waited: the trace never emptied the bucket", queued)
 	}
 }
+
+// TestQueueRetentionAfterBurst: Process compacts the queue in place, so
+// the slots past the ops still queued must be cleared, or they keep
+// released changes and their mitigations reachable; and once a burst
+// has drained, its backing array goes too, down to a small one kept for
+// reuse.
+func TestQueueRetentionAfterBurst(t *testing.T) {
+	const burst = 1024
+	h := newHarness(t, 1, nil)
+	cfg := h.config()
+	cfg.Manager = nopManager{}
+	cfg.QueueRate, cfg.QueueBurst = 100, 100
+	ctl := New(cfg)
+	for i := 0; i < burst; i++ {
+		s := dropSpec(0)
+		s.Match.SrcPort = int32(i)
+		if _, err := ctl.Request(s, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	queue := func() []queuedOp {
+		ctl.mu.Lock()
+		defer ctl.mu.Unlock()
+		return ctl.queue
+	}
+	if n := len(queue()); n != burst {
+		t.Fatalf("%d ops queued, want %d", n, burst)
+	}
+	installed := 0
+	for now := 1.0; len(queue()) > 0; now++ {
+		installed += ctl.Process(now)
+		q := queue()
+		for i, op := range q[len(q):cap(q)] {
+			if op.m != nil || op.change != (core.ConfigChange{}) {
+				t.Fatalf("t=%v: slot %d past the %d queued ops still holds %s", now, len(q)+i, len(q), op.change)
+			}
+		}
+	}
+	if installed != burst {
+		t.Fatalf("installed %d changes, want %d", installed, burst)
+	}
+	if c := cap(queue()); c > maxIdleQueueCap {
+		t.Fatalf("the drained queue keeps an array of %d ops, want at most %d", c, maxIdleQueueCap)
+	}
+}
