@@ -156,10 +156,12 @@ func runOne(w io.Writer, name string, seed uint64, small bool) error {
 		}
 		fmt.Fprint(w, r.Format())
 	case "sec52":
-		if seed == 0 {
-			seed = 9
+		// The lab bench keeps its 12 members at every scale.
+		p, err := seededProfile("sec52-lab", seed)
+		if err != nil {
+			return err
 		}
-		r, err := experiments.Sec52(seed)
+		r, err := experiments.Sec52(p)
 		if err != nil {
 			return err
 		}
@@ -186,15 +188,25 @@ func runOne(w io.Writer, name string, seed uint64, small bool) error {
 // ("paper-fig3c" for fig3c), with the seed override and the small
 // scale's 120-member population applied to its topology.
 func paperProfile(fig string, seed uint64, small bool) (*conformance.Profile, error) {
-	p, err := conformance.Load("paper-" + fig)
+	p, err := seededProfile("paper-"+fig, seed)
+	if err != nil {
+		return nil, err
+	}
+	if small {
+		p.Topology.Members = 120
+	}
+	return p, nil
+}
+
+// seededProfile loads the named conformance profile with the seed
+// override (0 keeps the profile's seed) applied to its topology.
+func seededProfile(name string, seed uint64) (*conformance.Profile, error) {
+	p, err := conformance.Load(name)
 	if err != nil {
 		return nil, err
 	}
 	if seed != 0 {
 		p.Topology.Seed = seed
-	}
-	if small {
-		p.Topology.Members = 120
 	}
 	return p, nil
 }

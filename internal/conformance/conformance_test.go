@@ -93,6 +93,18 @@ func TestValidateCatchesBadProfiles(t *testing.T) {
 		}
 		return p
 	}
+	// carpet swaps in the carpet-bombing profile (a 160-tick run) with
+	// the given rotation window.
+	carpet := func(start, end int) func(*Profile) {
+		return func(p *Profile) {
+			cp, err := Load("carpet-bombing")
+			if err != nil {
+				t.Fatalf("load carpet-bombing: %v", err)
+			}
+			cp.Carpet.StartTick, cp.Carpet.EndTick = start, end
+			*p = *cp
+		}
+	}
 	cases := []struct {
 		name   string
 		mutate func(*Profile)
@@ -122,6 +134,9 @@ func TestValidateCatchesBadProfiles(t *testing.T) {
 		{"replay start past end", func(p *Profile) {
 			p.Replay = &ReplaySpec{StartTick: p.Run.Ticks, Records: []ReplayRecord{{Member: 1}}}
 		}},
+		{"carpet window inverted", carpet(90, 50)},
+		{"carpet start before run", carpet(-40, 150)},
+		{"carpet start past end", carpet(500, 0)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

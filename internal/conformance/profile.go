@@ -55,9 +55,9 @@ type Profile struct {
 	// population with its own traffic source composition.
 	Victims []VictimProfile `json:"victims"`
 
-	// Carpet switches the driver to carpet bombing: each victim's
-	// "carpet_attack" source rotates across the victims while
-	// "background" sources stay on.
+	// Carpet turns the victims' "carpet_attack" sources into carpet
+	// bombing: the attack rotates across the victims while "background"
+	// sources stay on.
 	Carpet *CarpetSpec `json:"carpet,omitempty"`
 
 	// Replay schedules a synthesized MRT capture onto the control
@@ -439,8 +439,16 @@ func (p *Profile) Validate() error {
 			}
 		}
 	}
-	if p.Carpet != nil && p.Carpet.RotateTicks < 0 {
-		return fail("carpet.rotate_ticks negative")
+	if c := p.Carpet; c != nil {
+		if c.RotateTicks < 0 {
+			return fail("carpet.rotate_ticks negative")
+		}
+		if c.StartTick < 0 || c.StartTick >= p.Run.Ticks {
+			return fail("carpet start_tick %d outside run [0,%d)", c.StartTick, p.Run.Ticks)
+		}
+		if c.EndTick != 0 && c.EndTick <= c.StartTick {
+			return fail("carpet window [%d,%d) is empty", c.StartTick, c.EndTick)
+		}
 	}
 	if p.Replay != nil {
 		if len(p.Replay.Records) == 0 {
@@ -666,7 +674,7 @@ func (p *Profile) validateChannelMatch(ev EventSpec) error {
 			return fmt.Errorf("community channel matches one port, not both")
 		}
 		if ev.TTLSec != 0 {
-			return fmt.Errorf("community channel carries no TTL (the controller default governs)")
+			return fmt.Errorf("community channel carries no TTL (a signal lives until its route is withdrawn)")
 		}
 		if ev.Effect == "shape" {
 			code := int(ev.RateBps/core.ShapeRateUnitBps + 0.5)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"net/netip"
+	"slices"
 	"time"
 
 	"stellar/internal/bgp"
@@ -316,50 +317,38 @@ func (r *runner) restorePeer(peer string) error {
 	return nil
 }
 
-// buildDriver compiles the victims' source compositions into an engine
-// driver: a SourcesDriver for plain schedules, a CarpetDriver when the
-// profile rotates a carpet attack.
+// buildDriver compiles the victims' source compositions into the
+// engine's SourcesDriver. A carpet is one phase-shifted pulse train per
+// victim: victim v of n carries its carpet attack during ticks
+// [start+v·rot, start+(v+1)·rot) of every n·rot period, after its
+// background sources.
 func (r *runner) buildDriver() (engine.Driver, error) {
 	p := r.p
-	if p.Carpet != nil {
-		specs := make([]engine.VictimSpec, len(p.Victims))
-		attacks := make([]engine.Source, len(p.Victims))
-		background := make([][]engine.Source, len(p.Victims))
-		for i, v := range p.Victims {
-			specs[i] = engine.VictimSpec{Port: r.members[v.Member].Name}
-			if v.CarpetAttack != nil {
-				src, err := r.buildSource(i, v.CarpetAttack)
-				if err != nil {
-					return nil, err
-				}
-				attacks[i] = src
-			}
-			for _, s := range v.Background {
-				s := s
-				src, err := r.buildSource(i, &s)
-				if err != nil {
-					return nil, err
-				}
-				background[i] = append(background[i], src)
-			}
-		}
-		d := engine.NewCarpetDriver(specs, attacks, p.Carpet.RotateTicks)
-		d.Background = background
-		d.StartTick = p.Carpet.StartTick
-		d.EndTick = p.Carpet.EndTick
-		return d, nil
-	}
 	specs := make([]engine.VictimSpec, len(p.Victims))
 	sources := make([][]engine.Source, len(p.Victims))
 	for i, v := range p.Victims {
 		specs[i] = engine.VictimSpec{Port: r.members[v.Member].Name}
-		for _, s := range v.Sources {
+		var carpet engine.Source
+		if p.Carpet != nil && v.CarpetAttack != nil {
+			// The attack draws from the rng before the background.
+			src, err := r.buildSource(i, v.CarpetAttack)
+			if err != nil {
+				return nil, err
+			}
+			rot := max(p.Carpet.RotateTicks, 1)
+			carpet = &engine.Pulsed{Src: src, OnTicks: rot, OffTicks: (len(p.Victims) - 1) * rot,
+				StartTick: p.Carpet.StartTick + i*rot, EndTick: p.Carpet.EndTick}
+		}
+		for _, s := range slices.Concat(v.Sources, v.Background) {
 			s := s
 			src, err := r.buildSource(i, &s)
 			if err != nil {
 				return nil, err
 			}
 			sources[i] = append(sources[i], src)
+		}
+		if carpet != nil {
+			sources[i] = append(sources[i], carpet)
 		}
 	}
 	return engine.NewSourcesDriver(specs, sources), nil

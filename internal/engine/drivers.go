@@ -55,17 +55,18 @@ func (d *SourcesDriver) AppendOffers(v int, dst []fabric.Offer, tick int, dt flo
 // Pulsed gates a source into an on/off pulse train — the burst-pause
 // pattern of modern booter attacks that defeats reactive thresholds.
 // The source emits during the first OnTicks of every (OnTicks+OffTicks)
-// period, counted from StartTick.
+// period, counted from StartTick, until EndTick (0: never).
 type Pulsed struct {
 	Src       Source
 	OnTicks   int
 	OffTicks  int
 	StartTick int
+	EndTick   int
 }
 
 // ActiveAt reports whether the pulse train is in an on-window at tick.
 func (p *Pulsed) ActiveAt(tick int) bool {
-	if tick < p.StartTick || p.OnTicks <= 0 {
+	if tick < p.StartTick || (p.EndTick > 0 && tick >= p.EndTick) || p.OnTicks <= 0 {
 		return false
 	}
 	period := p.OnTicks + p.OffTicks
@@ -89,64 +90,4 @@ func (p *Pulsed) AppendOffers(dst []fabric.Offer, tick int, dtSeconds float64) [
 		return ap.AppendOffers(dst, tick, dtSeconds)
 	}
 	return append(dst, p.Src.Offers(tick, dtSeconds)...)
-}
-
-// CarpetDriver is the carpet-bombing driver: the attack rotates across
-// the victims' prefixes every RotateTicks while per-victim background
-// sources stay on — the evasion pattern that defeats single-/32 RTBH
-// because no one destination ever carries the full volume long enough.
-type CarpetDriver struct {
-	specs []VictimSpec
-	// Attacks[v] is victim v's attack workload, emitted only while the
-	// rotation points at v.
-	Attacks []Source
-	// Background[v] (optional) stays on every tick.
-	Background [][]Source
-	// RotateTicks is the dwell time per victim (<=0: 1).
-	RotateTicks int
-	// StartTick/EndTick bound the whole carpet (end 0: never).
-	StartTick, EndTick int
-}
-
-// NewCarpetDriver builds a carpet-bombing run over the victims;
-// attacks[v] targets specs[v].
-func NewCarpetDriver(specs []VictimSpec, attacks []Source, rotateTicks int) *CarpetDriver {
-	return &CarpetDriver{specs: specs, Attacks: attacks, RotateTicks: rotateTicks}
-}
-
-// Victims implements Driver.
-func (d *CarpetDriver) Victims() []VictimSpec { return d.specs }
-
-// CurrentVictim returns the rotation's victim index at tick, or -1
-// outside the attack window.
-func (d *CarpetDriver) CurrentVictim(tick int) int {
-	if tick < d.StartTick || (d.EndTick > 0 && tick >= d.EndTick) || len(d.specs) == 0 {
-		return -1
-	}
-	rot := d.RotateTicks
-	if rot <= 0 {
-		rot = 1
-	}
-	return ((tick - d.StartTick) / rot) % len(d.specs)
-}
-
-// AppendOffers implements Driver.
-func (d *CarpetDriver) AppendOffers(v int, dst []fabric.Offer, tick int, dt float64) []fabric.Offer {
-	if v < len(d.Background) {
-		for _, src := range d.Background[v] {
-			if ap, ok := src.(OfferAppender); ok {
-				dst = ap.AppendOffers(dst, tick, dt)
-			} else {
-				dst = append(dst, src.Offers(tick, dt)...)
-			}
-		}
-	}
-	if d.CurrentVictim(tick) == v && v < len(d.Attacks) && d.Attacks[v] != nil {
-		if ap, ok := d.Attacks[v].(OfferAppender); ok {
-			dst = ap.AppendOffers(dst, tick, dt)
-		} else {
-			dst = append(dst, d.Attacks[v].Offers(tick, dt)...)
-		}
-	}
-	return dst
 }

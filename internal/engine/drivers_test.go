@@ -113,75 +113,3 @@ func TestPulseDriver(t *testing.T) {
 		t.Fatalf("on-window offers: %d, want 5", got)
 	}
 }
-
-// TestCarpetDriverRotation pins the rotating-victim arithmetic and the
-// per-victim background behavior.
-func TestCarpetDriverRotation(t *testing.T) {
-	specs := []VictimSpec{{Port: "a"}, {Port: "b"}, {Port: "c"}}
-	attacks := []Source{&countSource{id: 1, n: 2}, &countSource{id: 2, n: 2}, &countSource{id: 3, n: 2}}
-	d := NewCarpetDriver(specs, attacks, 2)
-	d.StartTick = 4
-	d.EndTick = 16
-	d.Background = [][]Source{{&countSource{id: 9, n: 1}}}
-
-	cases := []struct {
-		tick, victim int
-	}{
-		{0, -1}, {3, -1}, // before the carpet
-		{4, 0}, {5, 0}, {6, 1}, {7, 1}, {8, 2}, {9, 2},
-		{10, 0},                     // wrapped around
-		{15, 2}, {16, -1}, {99, -1}, // after the carpet
-	}
-	for _, c := range cases {
-		if got := d.CurrentVictim(c.tick); got != c.victim {
-			t.Fatalf("tick %d: victim %d, want %d", c.tick, got, c.victim)
-		}
-	}
-	// Victim 0: background every tick, attack only while pointed at.
-	if got := len(d.AppendOffers(0, nil, 6, 1)); got != 1 {
-		t.Fatalf("victim 0 off-rotation: %d offers, want 1 (background)", got)
-	}
-	if got := len(d.AppendOffers(0, nil, 4, 1)); got != 3 {
-		t.Fatalf("victim 0 on-rotation: %d offers, want 3", got)
-	}
-	// Victim 1 has no background list.
-	if got := len(d.AppendOffers(1, nil, 4, 1)); got != 0 {
-		t.Fatalf("victim 1 off-rotation: %d offers, want 0", got)
-	}
-	if got := len(d.AppendOffers(1, nil, 6, 1)); got != 2 {
-		t.Fatalf("victim 1 on-rotation: %d offers, want 2", got)
-	}
-	// RotateTicks <= 0 clamps to 1.
-	fast := NewCarpetDriver(specs, attacks, 0)
-	if got := fast.CurrentVictim(1); got != 1 {
-		t.Fatalf("rotate-0 tick 1: victim %d, want 1", got)
-	}
-}
-
-// TestCarpetDriverThroughEngine runs a carpet over three victims and
-// checks the delivered series shows the rotation: each victim's peak
-// ticks are exactly its rotation dwells.
-func TestCarpetDriverThroughEngine(t *testing.T) {
-	specs := []VictimSpec{{Port: "a"}, {Port: "b"}, {Port: "c"}}
-	attacks := []Source{newFlowSource(0), newFlowSource(1), newFlowSource(2)}
-	d := NewCarpetDriver(specs, attacks, 3)
-	cfg := Config{
-		Driver:    d,
-		DataPlane: newFakePlane(),
-		Ticks:     9,
-		Dt:        1,
-	}
-	series, err := New(cfg).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := range series {
-		for i, s := range series[v].Samples {
-			want := d.CurrentVictim(i) == v
-			got := s.DeliveredBps > 0
-			if got != want {
-				t.Fatalf("victim %d tick %d: delivered=%v, want %v", v, i, got, want)
-			}
-		}
-	}
-}

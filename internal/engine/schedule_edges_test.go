@@ -15,28 +15,36 @@ import (
 // arithmetic would silently turn a pulse train solid or dark.
 func TestPulseDriverPeriodEdges(t *testing.T) {
 	cases := []struct {
-		name     string
-		on, off  int
-		start    int
-		active   []int
-		inactive []int
+		name       string
+		on, off    int
+		start, end int
+		active     []int
+		inactive   []int
 	}{
-		{"one-on one-off alternates every tick", 1, 1, 0,
+		{"one-on one-off alternates every tick", 1, 1, 0, 0,
 			[]int{0, 2, 4, 100}, []int{1, 3, 5, 101}},
-		{"one-tick period with offset start", 1, 1, 7,
+		{"one-tick period with offset start", 1, 1, 7, 0,
 			[]int{7, 9, 11}, []int{0, 6, 8, 10}},
-		{"zero on-window never fires", 0, 5, 0,
+		{"zero on-window never fires", 0, 5, 0, 0,
 			nil, []int{0, 1, 4, 5, 99}},
-		{"zero off-window is solid once started", 3, 0, 2,
+		{"zero off-window is solid once started", 3, 0, 2, 0,
 			[]int{2, 3, 4, 5, 999}, []int{0, 1}},
-		{"zero period never fires", 0, 0, 0,
+		{"zero period never fires", 0, 0, 0, 0,
 			nil, []int{0, 1, 2}},
-		{"one-on large-off single-tick spikes", 1, 9, 10,
+		{"one-on large-off single-tick spikes", 1, 9, 10, 0,
 			[]int{10, 20, 30}, []int{9, 11, 19, 29}},
+		{"end tick is exclusive", 1, 1, 0, 6,
+			[]int{0, 2, 4}, []int{6, 7, 8, 100}},
+		{"end tick cuts an on-window short", 3, 0, 2, 4,
+			[]int{2, 3}, []int{0, 1, 4, 5}},
+		{"end tick at start never fires", 2, 2, 5, 5,
+			nil, []int{4, 5, 6}},
+		{"end tick before start never fires", 2, 2, 5, 3,
+			nil, []int{2, 5, 6, 9}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			pulse := &Pulsed{Src: &countSource{id: 1, n: 1}, OnTicks: c.on, OffTicks: c.off, StartTick: c.start}
+			pulse := &Pulsed{Src: &countSource{id: 1, n: 1}, OnTicks: c.on, OffTicks: c.off, StartTick: c.start, EndTick: c.end}
 			d := NewSourcesDriver([]VictimSpec{{Port: "v"}}, [][]Source{{pulse}})
 			for _, tick := range c.active {
 				if got := len(d.AppendOffers(0, nil, tick, 1)); got != 1 {
@@ -46,52 +54,6 @@ func TestPulseDriverPeriodEdges(t *testing.T) {
 			for _, tick := range c.inactive {
 				if got := len(d.AppendOffers(0, nil, tick, 1)); got != 0 {
 					t.Errorf("tick %d: %d offers, want 0 (inactive)", tick, got)
-				}
-			}
-		})
-	}
-}
-
-// TestCarpetDriverRotationWrap pins the prefix-rotation wrap: after the
-// last victim the carpet must return to victim 0 on the exact tick, for
-// one-tick and multi-tick dwells, arbitrarily deep into the window.
-func TestCarpetDriverRotationWrap(t *testing.T) {
-	specs := []VictimSpec{{Port: "a"}, {Port: "b"}, {Port: "c"}}
-	attacks := []Source{&countSource{id: 1, n: 1}, &countSource{id: 2, n: 1}, &countSource{id: 3, n: 1}}
-	cases := []struct {
-		name       string
-		rotate     int
-		start, end int
-		tick, want int
-	}{
-		{"first wrap tick", 2, 0, 0, 6, 0},
-		{"last tick before wrap", 2, 0, 0, 5, 2},
-		{"one-tick dwell wraps every len ticks", 1, 0, 0, 3, 0},
-		{"one-tick dwell mid-cycle", 1, 0, 0, 5, 2},
-		{"deep into the window", 3, 0, 0, 904, 1},
-		{"wrap with offset start", 2, 10, 0, 16, 0},
-		{"offset start, pre-window", 2, 10, 0, 9, -1},
-		{"end tick is exclusive", 1, 0, 12, 12, -1},
-		{"last in-window tick", 1, 0, 12, 11, 2},
-		{"rotate clamps to one", 0, 0, 0, 4, 1},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			d := NewCarpetDriver(specs, attacks, c.rotate)
-			d.StartTick = c.start
-			d.EndTick = c.end
-			if got := d.CurrentVictim(c.tick); got != c.want {
-				t.Fatalf("CurrentVictim(%d) = %d, want %d", c.tick, got, c.want)
-			}
-			// The offer path must agree with the arithmetic: exactly the
-			// current victim receives its attack source's offer.
-			for v := range specs {
-				want := 0
-				if v == c.want {
-					want = 1
-				}
-				if got := len(d.AppendOffers(v, nil, c.tick, 1)); got != want {
-					t.Errorf("victim %d tick %d: %d offers, want %d", v, c.tick, got, want)
 				}
 			}
 		})

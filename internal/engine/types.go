@@ -176,9 +176,10 @@ type VictimSpec struct {
 // for distinct victims (the traffic step fans victims across the
 // worker pool) unless the driver also implements SerialGenerator.
 //
-// Shipped drivers: SourcesDriver (per-victim Source lists: synthetic
-// attacks, a traffic.Trace replay, or a Pulsed on/off pulsing attack)
-// and CarpetDriver (carpet bombing across rotating victim prefixes).
+// SourcesDriver is the one shipped driver: per-victim Source lists of
+// synthetic attacks, traffic.Trace replays and Pulsed on/off trains. A
+// carpet attack rotating across victim prefixes is one phase-shifted
+// Pulsed train per victim.
 type Driver interface {
 	Victims() []VictimSpec
 	// AppendOffers appends victim v's offers for the tick to dst and

@@ -14,6 +14,26 @@ import (
 	"stellar/internal/traffic"
 )
 
+// portPlane adapts a bare single-port fabric to engine.DataPlane: no
+// IXP, no null routes — just the port's egress pass. The comparison's
+// peer-edge FlowSpec filter and TSS scrubber act on offers before this
+// port, which a conformance profile cannot express.
+type portPlane struct {
+	fab *fabric.Fabric
+}
+
+func (p portPlane) EgressTick(r fabric.Runner, offers fabric.TickOffers, dt float64, sink fabric.TickSink) (map[string]engine.PortReport, error) {
+	st, err := p.fab.Tick(r, offers, dt, sink)
+	if err != nil {
+		return nil, err
+	}
+	out := make(map[string]engine.PortReport, len(st.PerPort))
+	for name, res := range st.PerPort {
+		out[name] = engine.PortReport{OfferedBytes: res.PresentedBytes, Result: res}
+	}
+	return out, nil
+}
+
 // replaySource feeds precomputed per-tick offers into the engine — the
 // bridge for experiments whose workload (and its RNG draw order) was
 // fixed up front, before the run.

@@ -374,23 +374,36 @@ func TestStellarBeatsRTBHHeadToHead(t *testing.T) {
 // Section 5.2
 
 func TestSec52Shape(t *testing.T) {
-	r, err := Sec52(9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.NTPDeliveredBps != 0 {
-		t.Fatalf("NTP delivered: %v", r.NTPDeliveredBps)
-	}
-	// DNS shaped to ~100 Mbps.
-	if r.DNSDeliveredBps < 0.9e8 || r.DNSDeliveredBps > 1.1e8 {
-		t.Fatalf("DNS delivered: %v", r.DNSDeliveredBps)
-	}
-	// Benign passes untouched.
-	const benignOfferedBps = 5e8
-	if r.BenignDeliveredBps < benignOfferedBps*0.99 {
-		t.Fatalf("benign delivered: %v of %v", r.BenignDeliveredBps, benignOfferedBps)
-	}
-	if r.Format() == "" {
-		t.Fatal("empty format")
+	for _, seed := range []uint64{9, 1, 42} {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			p, err := conformance.Load("sec52-lab")
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.Topology.Seed = seed
+			r, err := Sec52(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The drop rule is in place before the first tick's egress.
+			if r.NTPDeliveredBps != 0 {
+				t.Fatalf("NTP delivered: %v", r.NTPDeliveredBps)
+			}
+			// DNS shaped to ~100 Mbps.
+			if r.DNSShapeRateBps != 100e6 {
+				t.Fatalf("DNS shape rate: %v", r.DNSShapeRateBps)
+			}
+			if r.DNSDeliveredBps < 0.9e8 || r.DNSDeliveredBps > 1.1e8 {
+				t.Fatalf("DNS delivered: %v", r.DNSDeliveredBps)
+			}
+			// Benign passes untouched.
+			const benignOfferedBps = 5e8
+			if r.BenignDeliveredBps < benignOfferedBps*0.99 {
+				t.Fatalf("benign delivered: %v of %v", r.BenignDeliveredBps, benignOfferedBps)
+			}
+			if r.Format() == "" {
+				t.Fatal("empty format")
+			}
+		})
 	}
 }

@@ -63,17 +63,15 @@ func Fig2c(cfg Fig2cConfig) Fig2cResult {
 		cfg.AttackStartBin, cfg.Bins, rng)
 	attack.RampTicks = 2
 
-	mon := flowmon.NewCollector()
+	mon := flowmon.NewCollectorShards(1)
+	sh := mon.Shard(0)
 	var offers []fabric.Offer
-	var recs []flowmon.Record
 	for bin := 0; bin < cfg.Bins; bin++ {
 		offers = web.AppendOffers(offers[:0], bin, 300) // 5-minute bins
 		offers = attack.AppendOffers(offers, bin, 300)
-		recs = recs[:0]
 		for _, o := range offers {
-			recs = append(recs, flowmon.Record{Bin: bin, Key: *o.Flow, Bytes: o.Bytes})
+			sh.ObserveFlow(bin, o.Flow, o.Bytes)
 		}
-		mon.ObserveBatch(recs)
 	}
 
 	res := Fig2cResult{Cfg: cfg, Labels: []string{"11211", "others", "8080", "1935", "443", "80"}}

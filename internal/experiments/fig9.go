@@ -5,11 +5,7 @@ import (
 	"fmt"
 	"strings"
 
-	"stellar/internal/engine"
-	"stellar/internal/fabric"
-	"stellar/internal/flowmon"
 	"stellar/internal/hw"
-	"stellar/internal/netpkt"
 )
 
 // Fig9Config parameterizes the TCAM feasibility grids.
@@ -53,18 +49,11 @@ type Fig9Result struct {
 // allocates the implied rule set on a fresh edge router and records
 // which budget, if any, is exhausted first. L3-L4 criteria are allocated
 // before MAC filters, matching the paper's F1-before-F2 reporting
-// precedence.
-//
-// The sweep runs as a timed event train on the scenario engine — one
-// control-plane event per grid cell over a quiet single-port fabric —
-// so even the hardware-only experiments share the one pipeline (and
-// its event ordering and abort semantics) with the traffic
-// experiments.
+// precedence. The grid has no traffic, so it is a plain loop.
 func Fig9(cfg Fig9Config) Fig9Result {
 	var res Fig9Result
 	macSteps := []int{10, 8, 6, 4, 2, 0}
 	l34Steps := []int{0, 1, 2, 3, 4}
-	var events []engine.Event
 	for _, adoption := range cfg.Adoptions {
 		grid := Fig9Grid{
 			Adoption: adoption,
@@ -75,35 +64,10 @@ func Fig9(cfg Fig9Config) Fig9Result {
 		active := int(adoption * float64(cfg.Ports))
 		for _, macN := range macSteps {
 			for _, l34N := range l34Steps {
-				macN, l34N := macN, l34N
-				cells := grid.Cells
-				events = append(events, engine.Event{
-					Tick: len(events),
-					Name: fmt.Sprintf("fig9 cell adoption=%.0f%% mac=%dN l34=%dN", adoption*100, macN, l34N),
-					Do: func() error {
-						cells[[2]int{macN, l34N}] = fig9Cell(cfg, active, macN*cfg.N, l34N*cfg.N)
-						return nil
-					},
-				})
+				grid.Cells[[2]int{macN, l34N}] = fig9Cell(cfg, active, macN*cfg.N, l34N*cfg.N)
 			}
 		}
 		res.Grids = append(res.Grids, grid)
-	}
-
-	port := fabric.NewPort("grid", netpkt.MustParseMAC("02:00:00:00:00:f9"), 1e9)
-	fab := fabric.New()
-	if err := fab.AddPort(port); err != nil {
-		panic(err)
-	}
-	if _, err := engine.New(engine.Config{
-		Driver: engine.NewSourcesDriver(
-			[]engine.VictimSpec{{Port: "grid", Monitor: flowmon.NewCollector()}}, nil),
-		DataPlane: portPlane{fab},
-		Events:    events,
-		Ticks:     len(events),
-		Dt:        1,
-	}).Run(); err != nil {
-		panic(err)
 	}
 	return res
 }

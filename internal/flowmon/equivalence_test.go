@@ -17,10 +17,10 @@ import (
 // source MACs, bins in a window wider than the shard ring (forcing
 // ring rotation), and occasional zero-byte records (which must still
 // materialize their counter entries, as the map baseline does).
-func randRecords(rng *rand.Rand, n, bins int) []Record {
+func randRecords(rng *rand.Rand, n, bins int) []record {
 	protos := []netpkt.IPProto{netpkt.ProtoUDP, netpkt.ProtoTCP, netpkt.ProtoICMP}
 	ports := []uint16{0, 19, 53, 80, 123, 389, 443, 11211, 40000, 65535}
-	recs := make([]Record, n)
+	recs := make([]record, n)
 	for i := range recs {
 		var src, dst netip.Addr
 		if rng.Intn(2) == 0 {
@@ -34,7 +34,7 @@ func randRecords(rng *rand.Rand, n, bins int) []Record {
 		if rng.Intn(20) == 0 {
 			bytes = 0
 		}
-		recs[i] = Record{
+		recs[i] = record{
 			Bin: rng.Intn(bins),
 			Key: netpkt.FlowKey{
 				SrcMAC:  netpkt.MAC{0x02, 0x10, 0, 0, 0, byte(rng.Intn(16))},
@@ -169,14 +169,14 @@ func TestCollectorEquivalenceBatchedShards(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	recs := randRecords(rng, 4000, 16)
 	oldC := NewMapCollector()
-	oldC.ObserveBatch(recs)
+	oldC.ObserveAll(recs)
 	newC := NewCollectorShards(4)
 	for i := 0; i < len(recs); i += 97 {
 		end := i + 97
 		if end > len(recs) {
 			end = len(recs)
 		}
-		newC.ObserveBatch(recs[i:end])
+		observeFlows(newC.Shard(i/97), recs[i:end])
 	}
 	compareCollectors(t, oldC, newC, 1e-9)
 }
@@ -206,8 +206,8 @@ func TestCollectorEquivalenceOutOfOrderBeyondWindow(t *testing.T) {
 		got := NewCollectorShards(1 + trial)
 		for i := 0; i < len(recs); i += 50 {
 			batch := recs[i:min(i+50, len(recs))]
-			want.ObserveBatch(batch)
-			got.ObserveBatch(batch)
+			want.ObserveAll(batch)
+			observeFlows(got.Shard(i/50), batch)
 		}
 		compareCollectors(t, want, got, 1e-9)
 	}
@@ -215,7 +215,7 @@ func TestCollectorEquivalenceOutOfOrderBeyondWindow(t *testing.T) {
 
 // lateSpread is how far behind the newest bin seen so far the latest
 // record of a stream arrives.
-func lateSpread(recs []Record) int {
+func lateSpread(recs []record) int {
 	newest, spread := recs[0].Bin, 0
 	for _, r := range recs {
 		newest = max(newest, r.Bin)
@@ -225,21 +225,18 @@ func lateSpread(recs []Record) int {
 }
 
 // TestShardObserveFlowMatchesObserve pins the fabric-facing ObserveFlow
-// entry point to Record-based observation.
+// entry point to the reference collector's per-record Observe, with
+// bins interleaved so the shard ring rotates.
 func TestShardObserveFlowMatchesObserve(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	recs := randRecords(rng, 500, 4)
-	a := NewCollectorShards(2)
-	b := NewCollectorShards(2)
-	for _, r := range recs {
-		a.Shard(1).ObserveBatch([]Record{r})
-		b.Shard(1).ObserveFlow(r.Bin, &r.Key, r.Bytes)
+	recs := randRecords(rng, 500, 2*ringBins)
+	ref := NewMapCollector()
+	c := NewCollectorShards(2)
+	for i, r := range recs {
+		ref.Observe(r)
+		c.Shard(1).ObserveFlow(r.Bin, &recs[i].Key, r.Bytes)
 	}
-	ab, av := series(a)
-	bb, bv := series(b)
-	if fmt.Sprint(ab) != fmt.Sprint(bb) || fmt.Sprint(av) != fmt.Sprint(bv) {
-		t.Fatalf("ObserveFlow diverged: %v/%v vs %v/%v", ab, av, bb, bv)
-	}
+	compareCollectors(t, ref, c, 1e-9)
 }
 
 // TestShardObserveDeliveredMatchesObserveFlow pins the engine's batch
@@ -282,7 +279,7 @@ func TestObserveSteadyStateZeroAllocs(t *testing.T) {
 	sh := c.Shard(0)
 	rng := rand.New(rand.NewSource(3))
 	warm := randRecords(rng, 4096, 2)
-	sh.ObserveBatch(warm) // grow tables and touched-lists once
+	observeFlows(sh, warm) // grow tables and touched-lists once
 	i := 0
 	if allocs := testing.AllocsPerRun(5000, func() {
 		r := &warm[i%len(warm)]

@@ -32,13 +32,6 @@ import (
 	"stellar/internal/netpkt"
 )
 
-// Record is one flow observation: key and byte count within a time bin.
-type Record struct {
-	Bin   int
-	Key   netpkt.FlowKey
-	Bytes float64
-}
-
 // PortRank is one entry of a top-ports report.
 type PortRank struct {
 	Port  uint16
@@ -87,11 +80,10 @@ func rankPorts(agg map[uint16]float64, total float64, k int) []PortRank {
 // into a long-term per-bin store — peers for the newest bins, a roll-up
 // for every bin — when bins rotate out of the shard rings or when an
 // accessor reads. It is safe for concurrent use:
-// any number of goroutines may call ObserveBatch (or write to distinct
-// Shards) while others read the accessors.
+// any number of goroutines may observe on its Shards while others read
+// the accessors.
 type Collector struct {
 	shards []*Shard
-	rr     atomic.Uint32 // round-robin batch placement
 
 	// horizon bounds accessor-triggered merges: shard bins above it stay
 	// in flight (see SetMergeHorizon). Defaults to unbounded.
@@ -127,13 +119,6 @@ func (c *Collector) Shards() int { return len(c.shards) }
 // (as an unsigned value), so any worker index is valid.
 func (c *Collector) Shard(i int) *Shard {
 	return c.shards[uint(i)%uint(len(c.shards))]
-}
-
-// ObserveBatch adds a batch of records on one shard (chosen round-robin
-// across calls), taking one lock per batch rather than per record. It
-// is safe to call from any number of goroutines.
-func (c *Collector) ObserveBatch(recs []Record) {
-	c.shards[int(c.rr.Add(1)-1)%len(c.shards)].ObserveBatch(recs)
 }
 
 // SetMergeHorizon bounds accessor-triggered merges to bins <= bin:

@@ -9,9 +9,8 @@ import (
 )
 
 // TestMergeHorizonUnderConcurrentPoolObservers reproduces the engine's
-// spine/fold overlap on the collector alone: pool workers
-// ObserveBatch one tick's records concurrently (round-robin over the
-// shards) while a fold goroutine, lagging a couple of ticks behind the
+// spine/fold overlap on the collector alone: pool workers observe
+// one tick's records concurrently, each on its own shard, while a fold goroutine, lagging a couple of ticks behind the
 // writers, advances the merge horizon and reads the accessors — the
 // merge path and the observe path overlap the whole run. Under -race
 // this pins the locking; the final comparison against the MapCollector
@@ -27,7 +26,7 @@ func TestMergeHorizonUnderConcurrentPoolObservers(t *testing.T) {
 	)
 	for trial := 0; trial < 3; trial++ {
 		rng := rand.New(rand.NewSource(int64(40 + trial)))
-		byTick := make([][]Record, ticks)
+		byTick := make([][]record, ticks)
 		base := NewMapCollector()
 		for tk := range byTick {
 			recs := randRecords(rng, perTick, 1)
@@ -35,7 +34,7 @@ func TestMergeHorizonUnderConcurrentPoolObservers(t *testing.T) {
 				recs[i].Bin = tk
 			}
 			byTick[tk] = recs
-			base.ObserveBatch(recs)
+			base.ObserveAll(recs)
 		}
 
 		c := NewCollectorShards(4)
@@ -56,12 +55,12 @@ func TestMergeHorizonUnderConcurrentPoolObservers(t *testing.T) {
 		for tk := 0; tk < ticks; tk++ {
 			recs := byTick[tk]
 			n := (len(recs) + chunk - 1) / chunk
-			pool.Run(n, func(_, i int) {
+			pool.Run(n, func(w, i int) {
 				lo, hi := i*chunk, (i+1)*chunk
 				if hi > len(recs) {
 					hi = len(recs)
 				}
-				c.ObserveBatch(recs[lo:hi])
+				observeFlows(c.Shard(w), recs[lo:hi])
 			})
 			// The tick's writers are done; hand the lagged tick to the
 			// fold goroutine, which merges it while the next tick's

@@ -6,6 +6,22 @@ import (
 	"stellar/internal/netpkt"
 )
 
+// record is one flow observation of the tests' workloads: key and
+// byte count within a time bin.
+type record struct {
+	Bin   int
+	Key   netpkt.FlowKey
+	Bytes float64
+}
+
+// observeFlows streams recs into shard sh one flow at a time, as the
+// engine's flow visitors do.
+func observeFlows(sh *Shard, recs []record) {
+	for i := range recs {
+		sh.ObserveFlow(recs[i].Bin, &recs[i].Key, recs[i].Bytes)
+	}
+}
+
 // MapCollector is the reference implementation the equivalence tests
 // pin Collector to: four map operations per record into a map per bin
 // that keeps every bin's peers forever, no sharding, not safe for
@@ -29,7 +45,7 @@ func NewMapCollector() *MapCollector {
 }
 
 // Observe adds one record.
-func (c *MapCollector) Observe(r Record) {
+func (c *MapCollector) Observe(r record) {
 	b := c.bins[r.Bin]
 	if b == nil {
 		b = &binAgg{
@@ -47,8 +63,8 @@ func (c *MapCollector) Observe(r Record) {
 	b.peers[r.Key.SrcMAC] += r.Bytes
 }
 
-// ObserveBatch adds a batch of records.
-func (c *MapCollector) ObserveBatch(recs []Record) {
+// ObserveAll adds records in order.
+func (c *MapCollector) ObserveAll(recs []record) {
 	for i := range recs {
 		c.Observe(recs[i])
 	}

@@ -35,17 +35,8 @@ type shardBin struct {
 	peers   counterTable // packed source MAC -> bytes
 }
 
-// ObserveBatch adds a batch of records under one lock acquisition.
-func (s *Shard) ObserveBatch(recs []Record) {
-	s.mu.Lock()
-	for i := range recs {
-		s.observe(recs[i].Bin, &recs[i].Key, recs[i].Bytes)
-	}
-	s.mu.Unlock()
-}
-
-// ObserveFlow adds one delivered-flow observation without building a
-// Record. It reads key only during the call.
+// ObserveFlow adds one flow observation. It reads key only during the
+// call.
 func (s *Shard) ObserveFlow(bin int, key *netpkt.FlowKey, bytes float64) {
 	s.mu.Lock()
 	s.observe(bin, key, bytes)

@@ -8,7 +8,7 @@ import (
 )
 
 // TestConcurrentObserveAndRead hammers the collector from GOMAXPROCS
-// writer goroutines (ObserveBatch round-robins them over the shards)
+// writer goroutines (writer w observes on shard w)
 // while readers sweep every accessor, then checks the totals balance.
 // CI runs it under -race.
 func TestConcurrentObserveAndRead(t *testing.T) {
@@ -25,7 +25,7 @@ func TestConcurrentObserveAndRead(t *testing.T) {
 	c := NewCollector()
 
 	var wantTotal float64
-	batchesByWriter := make([][][]Record, writers)
+	batchesByWriter := make([][][]record, writers)
 	for w := 0; w < writers; w++ {
 		rng := rand.New(rand.NewSource(int64(w)))
 		for b := 0; b < batches; b++ {
@@ -43,7 +43,7 @@ func TestConcurrentObserveAndRead(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for _, recs := range batchesByWriter[w] {
-				c.ObserveBatch(recs)
+				observeFlows(c.Shard(w), recs)
 			}
 		}(w)
 	}
