@@ -167,17 +167,26 @@ func runOne(w io.Writer, name string, seed uint64, small bool) error {
 		}
 		fmt.Fprint(w, r.Format())
 	case "compare":
-		cfg := experiments.DefaultCompareConfig()
-		if seed != 0 {
-			cfg.Seed = seed
+		// The comparison keeps its 41 members at every scale.
+		p, err := seededProfile("paper-table1", seed)
+		if err != nil {
+			return err
 		}
-		fmt.Fprint(w, experiments.CompareMitigations(cfg).Format())
+		r, err := experiments.CompareMitigations(p)
+		if err != nil {
+			return err
+		}
+		fmt.Fprint(w, r.Format())
 	case "combined-tss":
-		cfg := experiments.DefaultCompareConfig()
-		if seed != 0 {
-			cfg.Seed = seed
+		p, err := seededProfile("paper-table1", seed)
+		if err != nil {
+			return err
 		}
-		fmt.Fprint(w, experiments.CombinedTSS(cfg).Format())
+		r, err := experiments.CombinedTSS(p)
+		if err != nil {
+			return err
+		}
+		fmt.Fprint(w, r.Format())
 	default:
 		return fmt.Errorf("unknown experiment %q", name)
 	}

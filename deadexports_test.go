@@ -55,6 +55,7 @@ var deadExportAllow = map[string]string{
 	"internal/bgpsession.Config.ExpectAS":             "checks input from outside; the hostile-member work (ROADMAP 10) may enable it",
 	"internal/bgppipe.Options.Buffer":                 "benchmark/wire.go builds Options{}, so the field stays settable",
 	"internal/routeserver.ControllerEvent.PeerAS":     "benchmark/layers.go sets it",
+	"internal/netpkt.MustParseMAC":                    "for constants in tests and examples; the fabric godoc example uses it",
 	"internal/hw.Snapshot.Ports":                      "the cross-package tests' hardware-side oracle, which the invariant checker (ROADMAP 5a) will read",
 }
 

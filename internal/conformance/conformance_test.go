@@ -114,6 +114,10 @@ func TestValidateCatchesBadProfiles(t *testing.T) {
 		{"zero ticks", func(p *Profile) { p.Run.Ticks = 0 }},
 		{"event past end", func(p *Profile) { p.Events[0].Tick = p.Run.Ticks }},
 		{"bad proto", func(p *Profile) { p.Events[0].Match.Proto = "icmp" }},
+		// -1 is fabric.AnyPort: it would compile to a UDP-wide drop.
+		{"src port below range", func(p *Profile) { p.Events[0].Match.SrcPort = ptr(-1) }},
+		// 65536 never matches on api but wraps to port 0 on community.
+		{"dst port above range", func(p *Profile) { p.Events[0].Match.DstPort = ptr(65536) }},
 		{"shape without rate", func(p *Profile) { p.Events[0].Effect = "shape"; p.Events[0].RateBps = 0 }},
 		{"per-peer without peers", func(p *Profile) { p.Events[0].Scope = ScopePerPeer; p.Events[0].Peers = PeerRange{} }},
 		{"expectation bad kind", func(p *Profile) { p.Expect[0].Kind = "vibes" }},
@@ -150,6 +154,8 @@ func TestValidateCatchesBadProfiles(t *testing.T) {
 }
 
 func f(v float64) *float64 { return &v }
+
+func ptr(v int) *int { return &v }
 
 // TestReportJSONRoundTrip keeps the CLI artifact stable: a report must encode
 // to JSON and decode back without losing pass/fail state or measured values.

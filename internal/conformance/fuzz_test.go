@@ -35,6 +35,8 @@ func FuzzProfileDecode(f *testing.F) {
 	f.Add([]byte(`{"name":"f","faults":{"injections":[{"kind":"session_flap","from":0,"to":1,"member":99,"prob":1.5}]}}`))
 	// A peer range whose end overflows int: From+Count wraps negative.
 	f.Add([]byte(`{"name":"p","topology":{"members":4},"run":{"ticks":1},"victims":[{"member":0,"sources":[{"kind":"web","rate_bps":1,"peers":{"from":9223372036854775807,"count":1}}]}],"expect":[{"kind":"offered_bps","from":0,"to":1,"min":0}]}`))
+	// A match port outside uint16: -1 is fabric.AnyPort.
+	f.Add([]byte(`{"name":"m","topology":{"members":2},"run":{"ticks":1},"victims":[{"member":0}],"events":[{"tick":0,"action":"mitigate","match":{"proto":"udp","src_port":-1},"effect":"drop"}],"expect":[{"kind":"offered_bps","from":0,"to":1,"min":0}]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, err := Decode(data)
 		if err != nil {

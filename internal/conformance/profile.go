@@ -495,6 +495,11 @@ func (p *Profile) Validate() error {
 			default:
 				return fail("event %d: unknown proto %q", i, ev.Match.Proto)
 			}
+			for _, port := range []*int{ev.Match.SrcPort, ev.Match.DstPort} {
+				if port != nil && (*port < 0 || *port > 65535) {
+					return fail("event %d: port %d outside [0,65535]", i, *port)
+				}
+			}
 			switch ev.Effect {
 			case "drop":
 			case "shape":

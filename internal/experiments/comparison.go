@@ -2,85 +2,16 @@ package experiments
 
 import (
 	"fmt"
-	"net/netip"
 	"strings"
 
-	"stellar/internal/engine"
-	"stellar/internal/fabric"
-	"stellar/internal/flowmon"
+	"stellar/internal/conformance"
+	"stellar/internal/member"
 	"stellar/internal/mitigation"
-	"stellar/internal/netpkt"
-	"stellar/internal/stats"
-	"stellar/internal/traffic"
 )
 
-// portPlane adapts a bare single-port fabric to engine.DataPlane: no
-// IXP, no null routes — just the port's egress pass. The comparison's
-// peer-edge FlowSpec filter and TSS scrubber act on offers before this
-// port, which a conformance profile cannot express.
-type portPlane struct {
-	fab *fabric.Fabric
-}
-
-func (p portPlane) EgressTick(r fabric.Runner, offers fabric.TickOffers, dt float64, sink fabric.TickSink) (map[string]engine.PortReport, error) {
-	st, err := p.fab.Tick(r, offers, dt, sink)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[string]engine.PortReport, len(st.PerPort))
-	for name, res := range st.PerPort {
-		out[name] = engine.PortReport{OfferedBytes: res.PresentedBytes, Result: res}
-	}
-	return out, nil
-}
-
-// replaySource feeds precomputed per-tick offers into the engine — the
-// bridge for experiments whose workload (and its RNG draw order) was
-// fixed up front, before the run.
-type replaySource struct {
-	ticks [][]fabric.Offer
-}
-
-// Offers implements engine.Source.
-func (r *replaySource) Offers(tick int, _ float64) []fabric.Offer {
-	if tick < 0 || tick >= len(r.ticks) {
-		return nil
-	}
-	return r.ticks[tick]
-}
-
-// AppendOffers implements engine.OfferAppender.
-func (r *replaySource) AppendOffers(dst []fabric.Offer, tick int, _ float64) []fabric.Offer {
-	if tick < 0 || tick >= len(r.ticks) {
-		return dst
-	}
-	return append(dst, r.ticks[tick]...)
-}
-
-// CompareConfig parameterizes the quantitative five-way comparison that
-// backs Table 1's qualitative claims: the same amplification attack and
-// benign workload under each mitigation technique's behavioural model.
-type CompareConfig struct {
-	Seed uint64
-	// AttackRateBps and WebRateBps set the workload (default: 3 Gbps NTP
-	// reflection vs 400 Mbps web into a 1 Gbps port).
-	AttackRateBps float64
-	WebRateBps    float64
-	PortBps       float64
-	// HonoringFraction applies to RTBH peers and Flowspec acceptance
-	// alike (the shared cooperation bottleneck).
-	HonoringFraction float64
-	Peers            int
-	Ticks            int
-}
-
-// DefaultCompareConfig mirrors the paper's operating point.
-func DefaultCompareConfig() CompareConfig {
-	return CompareConfig{
-		Seed: 23, AttackRateBps: 3e9, WebRateBps: 4e8, PortBps: 1e9,
-		HonoringFraction: 0.30, Peers: 40, Ticks: 30,
-	}
-}
+// ntpPort is the UDP source port that tells the attack class (NTP
+// reflection) from the benign traffic at the victim's flow monitor.
+const ntpPort = 123
 
 // CompareRow is one technique's measured outcome.
 type CompareRow struct {
@@ -96,184 +27,161 @@ type CompareRow struct {
 	CostPerHour float64
 }
 
-// CompareResult is the full comparison.
+// CompareResult is the full comparison: the shared workload and one row
+// per technique.
 type CompareResult struct {
-	Cfg  CompareConfig
-	Rows []CompareRow
+	AttackBps, WebBps, PortBps float64
+	HonoringFraction           float64
+	Rows                       []CompareRow
 }
 
-// CompareMitigations runs the same workload under no mitigation, RTBH,
-// ACL filters, Flowspec, TSS and Advanced Blackholing, quantifying
-// Table 1's qualitative matrix on one concrete attack.
-func CompareMitigations(cfg CompareConfig) CompareResult {
-	target := netip.MustParseAddr("100.10.10.10")
-	res := CompareResult{Cfg: cfg}
-
-	ntpMatch := fabric.MatchAll()
-	ntpMatch.Proto = netpkt.ProtoUDP
-	ntpMatch.SrcPort = 123
-
-	type tickLoads struct{ attack, web []fabric.Offer }
-	makeLoads := func() []tickLoads {
-		rng := stats.NewRand(cfg.Seed)
-		peers := traffic.MakePeers(cfg.Peers)
-		attack := traffic.NewAttack(traffic.VectorNTP, target, peers, cfg.AttackRateBps, 0, cfg.Ticks, rng)
-		attack.RampTicks = 0
-		web := traffic.NewWebService(target, peers[:5], cfg.WebRateBps, rng)
-		loads := make([]tickLoads, cfg.Ticks)
-		for t := 0; t < cfg.Ticks; t++ {
-			loads[t] = tickLoads{attack: attack.Offers(t, 1), web: web.Offers(t, 1)}
-		}
-		return loads
+// CompareMitigations quantifies Table 1 on one concrete attack: the
+// profile's workload ("paper-table1") under each technique, every one a
+// signal the exchange already understands, sent at tick 0. Attack
+// (UDP/123) and benign bytes are read off the victim's flow monitor.
+// RTBH null-routes the /32 at the honoring members through the route
+// server's export. ACL is the unmitigated run: the border filter acts
+// after the port, so the residual is zero but the port congests. TSS is
+// the scrubber model on the offered load; a detour never reaches the
+// port. Advanced Blackholing is one UDP/123 drop on the victim's port.
+//
+// Flowspec is one per-peer UDP/123 drop at the exchange for each
+// honoring member, the set RTBH null-routes. A peer that accepts the
+// FlowSpec rule removes its own NTP before the victim port, and a
+// per-peer drop removes exactly those bytes there; only whose filter
+// capacity is spent differs, which the table does not report. The row
+// moves onto the FlowSpec export role (ROADMAP item 3) once it exists.
+func CompareMitigations(p *conformance.Profile) (CompareResult, error) {
+	attackOff, webOff := offeredBytes(p)
+	ticks := float64(p.Run.Ticks)
+	res := CompareResult{
+		AttackBps: attackOff * 8 / ticks, WebBps: webOff * 8 / ticks,
+		PortBps: p.Topology.PortCapacityBps, HonoringFraction: p.Topology.HonoringFraction,
 	}
-
-	// honoring marks which peers cooperate (RTBH honoring / Flowspec
-	// acceptance) — the same set for a fair comparison.
-	honoringRng := stats.NewRand(cfg.Seed + 99)
-	honors := make(map[netpkt.MAC]bool)
-	for _, p := range traffic.MakePeers(cfg.Peers) {
-		honors[p.MAC] = honoringRng.Float64() < cfg.HonoringFraction
-	}
-
-	// runPort pushes the per-tick offers through a fresh victim port on
-	// the scenario engine and accumulates benign/attack delivery. The
-	// pre-filter models peer-edge behaviour (RTBH null routes, Flowspec
-	// rules), so it applies before the fabric: the post-filter loads are
-	// precomputed and replayed into the engine, and the victim's flow
-	// monitor provides the per-class delivery accounting.
-	runPort := func(rules []*fabric.Rule, preFilter func(fabric.Offer) bool, dropBenignAtSource bool) (benign, attackRes float64, congested bool) {
-		loads := makeLoads()
-		perTick := &replaySource{ticks: make([][]fabric.Offer, len(loads))}
-		var benignOff, attackOff float64
-		for t, l := range loads {
-			var offers []fabric.Offer
-			for _, o := range l.attack {
-				attackOff += o.Bytes
-				if preFilter != nil && preFilter(o) {
-					continue
-				}
-				offers = append(offers, o)
-			}
-			for _, o := range l.web {
-				benignOff += o.Bytes
-				if dropBenignAtSource && preFilter != nil && preFilter(o) {
-					continue
-				}
-				offers = append(offers, o)
-			}
-			perTick.ticks[t] = offers
-		}
-
-		port := fabric.NewPort("victim", netpkt.MustParseMAC("02:00:00:00:00:01"), cfg.PortBps)
-		for _, r := range rules {
-			if err := port.InstallRule(r); err != nil {
-				panic(err)
-			}
-		}
-		fab := fabric.New()
-		if err := fab.AddPort(port); err != nil {
-			panic(err)
-		}
-		mon := flowmon.NewCollector()
-		series, err := engine.New(engine.Config{
-			Driver: engine.NewSourcesDriver(
-				[]engine.VictimSpec{{Port: "victim", Monitor: mon}},
-				[][]engine.Source{{perTick}}),
-			DataPlane: portPlane{fab},
-			Ticks:     len(loads),
-			Dt:        1,
-		}).Run()
+	row := func(t mitigation.Technique, channel string, events []conformance.EventSpec) (CompareRow, error) {
+		d, err := deliver(p, channel, events)
 		if err != nil {
-			panic(err)
+			return CompareRow{}, err
 		}
-		for _, s := range series[0].Samples {
-			if s.CongestionDroppedBps > 0 {
-				congested = true
-			}
-		}
-		var benignDel, attackDel float64
-		for _, bin := range mon.Bins() {
-			atk := mon.SrcPortBytes(bin, 123)
-			attackDel += atk
-			benignDel += mon.TotalBytes(bin) - atk
-		}
-		return benignDel / benignOff, attackDel / attackOff, congested
+		return CompareRow{Technique: t, BenignDeliveredFrac: d.benign / webOff,
+			AttackResidualFrac: d.attack / attackOff, PortCongested: d.congested}, nil
 	}
 
-	// --- No mitigation baseline (implicit row, used for sanity only).
-
-	// --- RTBH: honoring peers null-route the whole /32 — their benign
-	// traffic dies too (collateral damage); non-honoring attack remains.
-	rtbhFilter := func(o fabric.Offer) bool { return honors[o.Flow.SrcMAC] && o.Flow.Dst == target }
-	b, a, c := runPort(nil, rtbhFilter, true)
-	res.Rows = append(res.Rows, CompareRow{
-		Technique: mitigation.RTBH, BenignDeliveredFrac: b, AttackResidualFrac: a, PortCongested: c,
-	})
-
-	// --- ACL at the victim's own border: perfect filtering, but behind
-	// the member port — the port still carries and congests on the full
-	// attack (Section 1.1's structural weakness). The border then
-	// discards every attack byte the port delivered, while benign traffic
-	// that survived congestion passes untouched.
-	aclPortBenign, _, aclCongested := runPort(nil, nil, false)
-	res.Rows = append(res.Rows, CompareRow{
-		Technique:           mitigation.ACL,
-		BenignDeliveredFrac: aclPortBenign, // congestion already took its toll
-		AttackResidualFrac:  0,             // ACL removes what the port let through
-		PortCongested:       aclCongested,
-	})
-
-	// --- Flowspec: accepting peers filter NTP at their edge; benign
-	// traffic untouched. Refusing peers send everything.
-	fsFilter := func(o fabric.Offer) bool {
-		peer := &mitigation.FlowspecPeer{Accepts: honors[o.Flow.SrcMAC], Rules: []fabric.Match{ntpMatch}}
-		return peer.FiltersFlow(o.Flow)
+	rtbh, err := row(mitigation.RTBH, conformance.ChannelRTBH, []conformance.EventSpec{{Action: "rtbh"}})
+	if err != nil {
+		return CompareResult{}, err
 	}
-	b, a, c = runPort(nil, fsFilter, false)
-	res.Rows = append(res.Rows, CompareRow{
-		Technique: mitigation.Flowspec, BenignDeliveredFrac: b, AttackResidualFrac: a, PortCongested: c,
-	})
-
-	// --- TSS: everything detours through the scrubbing center.
-	scrubber := &mitigation.Scrubber{
-		CapacityBps: 10e9, DetectionRate: 0.995, FalsePositiveRate: 0.005, CostPerGB: 1.5,
+	acl, err := row(mitigation.ACL, p.Channel, nil)
+	if err != nil {
+		return CompareResult{}, err
 	}
-	var tssBenign, tssAttack, tssBenignOff, tssAttackOff float64
-	for _, l := range makeLoads() {
-		var atk, web float64
-		for _, o := range l.attack {
-			atk += o.Bytes
-		}
-		for _, o := range l.web {
-			web += o.Bytes
-		}
-		r := scrubber.Scrub(atk, web, 1)
-		tssBenign += r.CleanBenignBytes
-		tssAttack += r.LeakedAttackBytes
-		tssBenignOff += web
-		tssAttackOff += atk
+	acl.AttackResidualFrac = 0 // the border filter removes what the port let through
+	fs, err := row(mitigation.Flowspec, conformance.ChannelAPI, flowspecEvents(p))
+	if err != nil {
+		return CompareResult{}, err
 	}
-	res.Rows = append(res.Rows, CompareRow{
+	scrubber := newScrubber()
+	scrub := scrubber.Scrub(attackOff, webOff, ticks)
+	tss := CompareRow{
 		Technique:           mitigation.TSS,
-		BenignDeliveredFrac: tssBenign / tssBenignOff,
-		AttackResidualFrac:  tssAttack / tssAttackOff,
-		CostPerHour:         scrubber.TotalCost * 3600 / float64(cfg.Ticks),
-	})
+		BenignDeliveredFrac: scrub.CleanBenignBytes / webOff,
+		AttackResidualFrac:  scrub.LeakedAttackBytes / attackOff,
+		CostPerHour:         scrubber.TotalCost * 3600 / ticks,
+	}
+	advbh, err := row(mitigation.AdvancedBlackholing, conformance.ChannelAPI,
+		[]conformance.EventSpec{ntpSignal("drop", 0)})
+	if err != nil {
+		return CompareResult{}, err
+	}
+	res.Rows = []CompareRow{rtbh, acl, fs, tss, advbh}
+	return res, nil
+}
 
-	// --- Advanced Blackholing: the drop rule on the victim's egress
-	// port, no cooperation needed.
-	b, a, c = runPort([]*fabric.Rule{{ID: "advbh", Match: ntpMatch, Action: fabric.ActionDrop}}, nil, false)
-	res.Rows = append(res.Rows, CompareRow{
-		Technique: mitigation.AdvancedBlackholing, BenignDeliveredFrac: b, AttackResidualFrac: a, PortCongested: c,
+// offeredBytes sums the victim's declared source rates over the run by
+// class: attack sources are the attack, every other source benign.
+// The profile's offered_bps expectation pins that the sources deliver
+// their declared rates (no ramp, on for the whole run).
+func offeredBytes(p *conformance.Profile) (attack, web float64) {
+	for _, s := range p.Victims[0].Sources {
+		b := s.RateBps * float64(p.Run.Ticks) / 8
+		if s.Kind == "attack" {
+			attack += b
+		} else {
+			web += b
+		}
+	}
+	return attack, web
+}
+
+// ntpSignal is a mitigation of the victim's UDP/123 traffic with the
+// given effect.
+func ntpSignal(effect string, rateBps float64) conformance.EventSpec {
+	port := ntpPort
+	return conformance.EventSpec{Action: "mitigate",
+		Match: conformance.MatchSpec{Proto: "udp", SrcPort: &port}, Effect: effect, RateBps: rateBps}
+}
+
+// flowspecEvents is one per-peer UDP/123 drop for each member of the
+// profile's population that honors RTBH, the victim excepted.
+func flowspecEvents(p *conformance.Profile) []conformance.EventSpec {
+	members := member.MakePopulation(member.PopulationConfig{
+		N:                p.Topology.Members,
+		HonoringFraction: p.Topology.HonoringFraction,
+		PortCapacityBps:  p.Topology.PortCapacityBps,
+		Seed:             p.Topology.Seed,
 	})
-	return res
+	var out []conformance.EventSpec
+	for i, m := range members {
+		if i == p.Victims[0].Member || !m.HonorsRTBH() {
+			continue
+		}
+		ev := ntpSignal("drop", 0)
+		ev.Scope, ev.Peers = conformance.ScopePerPeer, conformance.PeerRange{From: i, Count: 1}
+		out = append(out, ev)
+	}
+	return out
+}
+
+// delivery is one run's traffic at the victim port, by class.
+type delivery struct {
+	attack, benign float64
+	congested      bool
+}
+
+// deliver runs a copy of the profile on the given channel with the given
+// events and reads the victim's delivered bytes per class.
+func deliver(p *conformance.Profile, channel string, events []conformance.EventSpec) (delivery, error) {
+	q := *p
+	q.Channel, q.Events = channel, events
+	run, err := conformance.Run(&q)
+	if err != nil {
+		return delivery{}, err
+	}
+	var d delivery
+	series := run.Series[0]
+	for _, bin := range series.Monitor.Bins() {
+		atk := series.Monitor.SrcPortBytes(bin, ntpPort)
+		d.attack += atk
+		d.benign += series.Monitor.TotalBytes(bin) - atk
+	}
+	for _, s := range series.Samples {
+		if s.CongestionDroppedBps > 0 {
+			d.congested = true
+		}
+	}
+	return d, nil
+}
+
+// newScrubber is the scrubbing service both TSS deployments use.
+func newScrubber() *mitigation.Scrubber {
+	return &mitigation.Scrubber{CapacityBps: 10e9, DetectionRate: 0.995, FalsePositiveRate: 0.005, CostPerGB: 1.5}
 }
 
 // Format renders the comparison.
 func (r CompareResult) Format() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Quantitative Table-1 check: %.0f Mbps NTP attack + %.0f Mbps web into a %.0f Mbps port (honoring %.0f%%)\n",
-		r.Cfg.AttackRateBps/1e6, r.Cfg.WebRateBps/1e6, r.Cfg.PortBps/1e6, r.Cfg.HonoringFraction*100)
+		r.AttackBps/1e6, r.WebBps/1e6, r.PortBps/1e6, r.HonoringFraction*100)
 	header := []string{"technique", "benign delivered", "attack residual", "port congested", "cost/h"}
 	var rows [][]string
 	for _, row := range r.Rows {
@@ -305,98 +213,38 @@ type CombinedTSSResult struct {
 	SampleToScrubberMbps float64 // shaped telemetry feed to the scrubber
 }
 
-// CombinedTSS runs the same attack through (a) a scrubbing service alone
-// and (b) Stellar dropping the known pattern with a 50 Mbps shaped
-// sample forwarded to the scrubber for signature extraction.
-func CombinedTSS(cfg CompareConfig) CombinedTSSResult {
-	target := netip.MustParseAddr("100.10.10.10")
-	rng := stats.NewRand(cfg.Seed)
-	peers := traffic.MakePeers(cfg.Peers)
-	attack := traffic.NewAttack(traffic.VectorNTP, target, peers, cfg.AttackRateBps, 0, cfg.Ticks, rng)
-	attack.RampTicks = 0
-	web := traffic.NewWebService(target, peers[:5], cfg.WebRateBps, rng)
-
-	scrubAll := &mitigation.Scrubber{CapacityBps: 10e9, DetectionRate: 0.995, FalsePositiveRate: 0.005, CostPerGB: 1.5}
-	scrubSample := &mitigation.Scrubber{CapacityBps: 10e9, DetectionRate: 0.995, FalsePositiveRate: 0.005, CostPerGB: 1.5}
-
+// CombinedTSS runs the profile's attack through (a) a scrubbing service
+// alone, the same scrubber arithmetic as CompareMitigations' TSS row,
+// and (b) Stellar shaping UDP/123 to a 50 Mbps sample on the victim's
+// port: benign traffic flows directly, and only the sample, read off the
+// victim's flow monitor, is scrubbed for signature extraction.
+func CombinedTSS(p *conformance.Profile) (CombinedTSSResult, error) {
 	const sampleRateBps = 50e6
-	ntpMatch := fabric.MatchAll()
-	ntpMatch.Proto = netpkt.ProtoUDP
-	ntpMatch.SrcPort = 123
-	port := fabric.NewPort("victim", netpkt.MustParseMAC("02:00:00:00:00:01"), cfg.PortBps)
-	// Stellar shapes the known pattern to a small sample; the sample is
-	// what reaches the scrubber.
-	if err := port.InstallRule(&fabric.Rule{ID: "sample", Match: ntpMatch,
-		Action: fabric.ActionShape, ShapeRateBps: sampleRateBps}); err != nil {
-		panic(err)
-	}
+	attackOff, webOff := offeredBytes(p)
+	ticks := float64(p.Run.Ticks)
 
-	// The original loop drew from the stateful attack source twice per
-	// tick — once to size the full-detour scrub, once for the port load.
-	// Precompute both draws in that exact order so the engine run
-	// replays the identical workload.
-	atkSized := make([]float64, cfg.Ticks)
-	webSized := make([]float64, cfg.Ticks)
-	portLoads := &replaySource{ticks: make([][]fabric.Offer, cfg.Ticks)}
-	for t := 0; t < cfg.Ticks; t++ {
-		for _, o := range attack.Offers(t, 1) {
-			atkSized[t] += o.Bytes
-		}
-		webOffers := web.Offers(t, 1)
-		for _, o := range webOffers {
-			webSized[t] += o.Bytes
-		}
-		portLoads.ticks[t] = append(attack.Offers(t, 1), webOffers...)
-	}
+	scrubAll := newScrubber()
+	alone := scrubAll.Scrub(attackOff, webOff, ticks)
 
-	// (a) TSS alone: the whole load detours to the scrubber.
-	var aloneBenign, aloneBenignOff float64
-	for t := 0; t < cfg.Ticks; t++ {
-		r := scrubAll.Scrub(atkSized[t], webSized[t], 1)
-		aloneBenign += r.CleanBenignBytes
-		aloneBenignOff += webSized[t]
+	d, err := deliver(p, conformance.ChannelAPI, []conformance.EventSpec{ntpSignal("shape", sampleRateBps)})
+	if err != nil {
+		return CombinedTSSResult{}, err
 	}
+	scrubSample := newScrubber()
+	scrubSample.Scrub(d.attack, 0, ticks)
 
-	// (b) Combined: Stellar's shaping leaves only the sample of the
-	// attack; benign traffic flows directly, only the sample is
-	// scrubbed (for telemetry/signatures). The port run goes through
-	// the scenario engine; the victim monitor's per-bin accounting
-	// separates the sample from the benign traffic.
-	fab := fabric.New()
-	if err := fab.AddPort(port); err != nil {
-		panic(err)
-	}
-	mon := flowmon.NewCollector()
-	if _, err := engine.New(engine.Config{
-		Driver: engine.NewSourcesDriver(
-			[]engine.VictimSpec{{Port: "victim", Monitor: mon}},
-			[][]engine.Source{{portLoads}}),
-		DataPlane: portPlane{fab},
-		Ticks:     cfg.Ticks,
-		Dt:        1,
-	}).Run(); err != nil {
-		panic(err)
-	}
-	var combBenign, combBenignOff, sampleBytes float64
-	for t := 0; t < cfg.Ticks; t++ {
-		sampled := mon.SrcPortBytes(t, 123)
-		combBenign += mon.TotalBytes(t) - sampled
-		sampleBytes += sampled
-		scrubSample.Scrub(sampled, 0, 1)
-		combBenignOff += webSized[t]
-	}
-	hours := float64(cfg.Ticks) / 3600
+	hours := ticks / 3600
 	res := CombinedTSSResult{
 		TSSAloneCostPerHour:  scrubAll.TotalCost / hours,
 		CombinedCostPerHour:  scrubSample.TotalCost / hours,
-		TSSAloneBenignFrac:   aloneBenign / aloneBenignOff,
-		CombinedBenignFrac:   combBenign / combBenignOff,
-		SampleToScrubberMbps: sampleBytes * 8 / float64(cfg.Ticks) / 1e6,
+		TSSAloneBenignFrac:   alone.CleanBenignBytes / webOff,
+		CombinedBenignFrac:   d.benign / webOff,
+		SampleToScrubberMbps: d.attack * 8 / ticks / 1e6,
 	}
 	if res.TSSAloneCostPerHour > 0 {
 		res.SavingsFrac = 1 - res.CombinedCostPerHour/res.TSSAloneCostPerHour
 	}
-	return res
+	return res, nil
 }
 
 // Format renders the combined-deployment economics.

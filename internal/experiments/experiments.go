@@ -4,15 +4,14 @@
 // same rows/series the paper reports and (b) exposes the numbers the
 // shape assertions in the test suites check.
 //
-// The traffic experiments of the lab validation and the two controlled
-// booter attacks are not wired here: their scenarios are the
-// "sec52-lab", "paper-fig3c" and "paper-fig10c" conformance profiles,
-// and Sec52/Fig3c/Fig10c project a conformance.Run of the profile they
-// are given. Fig9's TCAM grid has no traffic and is a plain loop over
-// the hardware model. CompareMitigations and CombinedTSS stay model
-// studies on a bare single port (portPlane): a peer-edge FlowSpec
-// filter and a scrubbing detour act on the offers before the port,
-// which the profile schema does not express.
+// The traffic experiments are not wired here: their scenarios are the
+// "sec52-lab", "paper-fig3c", "paper-fig10c" and "paper-table1"
+// conformance profiles, and Sec52/Fig3c/Fig10c project a conformance.Run
+// of the profile they are given. CompareMitigations and CombinedTSS
+// rerun "paper-table1" with one mitigation signal per technique and add
+// the scrubbing model's arithmetic for TSS, whose detour never reaches
+// the port. Fig9's TCAM grid has no traffic and is a plain loop over
+// the hardware model.
 //
 // Absolute numbers differ from the paper (our substrate is a simulator,
 // not DE-CIX hardware); the shapes — who wins, by what factor, where the

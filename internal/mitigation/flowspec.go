@@ -42,9 +42,8 @@ const MaxFlowSpecMatches = 64
 // TCAM filter holds: dst/src prefix, IP protocol, src/dst port.
 //
 // Ranges (<, >), unsupported component types and out-of-range values
-// return one of the documented Err* errors — the caller decides whether
-// that means slow-path processing (the comparison experiments) or a
-// rejected mitigation request (mitctl's FlowSpec channel). A caller
+// return one of the documented Err* errors, which mitctl's FlowSpec
+// channel turns into a rejected mitigation request. A caller
 // with room for a single pattern per spec also requires len == 1.
 //
 // Each returned Match is exactly what fabric.Port.InstallRule feeds the

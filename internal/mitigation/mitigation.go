@@ -2,17 +2,15 @@
 // compares Advanced Blackholing against (Table 1 and Section 1.1):
 // traffic scrubbing services (TSS), router ACL filters, remotely
 // triggered blackholing (RTBH) and BGP Flowspec. Each baseline has a
-// qualitative property profile (regenerating Table 1); TSS and Flowspec
-// also have behavioural models the head-to-head experiments use
-// (experiments.CompareMitigations).
+// qualitative property profile (regenerating Table 1). TSS also has a
+// behavioural model, the Scrubber, which the head-to-head experiments
+// bill (experiments.CompareMitigations, CombinedTSS); the other
+// techniques run there as signals on the exchange itself.
+// FlowSpecToMatches compiles RFC 5575 rules for the controller's
+// FlowSpec channel.
 package mitigation
 
-import (
-	"fmt"
-
-	"stellar/internal/fabric"
-	"stellar/internal/netpkt"
-)
+import "fmt"
 
 // Technique identifies a mitigation approach.
 type Technique int
@@ -115,7 +113,7 @@ func Table1() map[Property]map[Technique]Rating {
 }
 
 // ---------------------------------------------------------------------
-// Behavioural models.
+// Behavioural model.
 
 // Scrubber models a traffic scrubbing service (TSS): traffic is
 // redirected to the scrubbing center, cleaned with an imperfect
@@ -165,27 +163,4 @@ func (s *Scrubber) Scrub(attackBytes, benignBytes, dtSeconds float64) ScrubResul
 	r.Cost = total / 1e9 * s.CostPerGB
 	s.TotalCost += r.Cost
 	return r
-}
-
-// FlowspecPeer models inter-domain Flowspec (Section 1.1): the victim
-// propagates fine-grained filter rules to its peers, but each peer
-// chooses whether to accept them (trust, resource sharing). An accepting
-// peer filters at its own edge; a refusing peer changes nothing.
-type FlowspecPeer struct {
-	Accepts bool
-	Rules   []fabric.Match
-}
-
-// FiltersFlow reports whether the peer's installed Flowspec rules drop
-// the flow at its edge (before the traffic enters the IXP).
-func (p *FlowspecPeer) FiltersFlow(f *netpkt.FlowKey) bool {
-	if !p.Accepts {
-		return false
-	}
-	for _, m := range p.Rules {
-		if m.Matches(f) {
-			return true
-		}
-	}
-	return false
 }

@@ -93,13 +93,6 @@ func webFlow() *netpkt.FlowKey {
 	}
 }
 
-func ntpMatch() fabric.Match {
-	m := fabric.MatchAll()
-	m.Proto = netpkt.ProtoUDP
-	m.SrcPort = 123
-	return m
-}
-
 func TestScrubberCleansTraffic(t *testing.T) {
 	s := &Scrubber{CapacityBps: 1e12, DetectionRate: 0.99, FalsePositiveRate: 0.01, CostPerGB: 2}
 	r := s.Scrub(1e9, 1e8, 1)
@@ -139,20 +132,6 @@ func TestScrubberConservation(t *testing.T) {
 	total := r.CleanBenignBytes + r.LeakedAttackBytes + r.DroppedBytes
 	if math.Abs(total-(attack+benign)) > 1 {
 		t.Fatalf("conservation: %v vs %v", total, attack+benign)
-	}
-}
-
-func TestFlowspecPeer(t *testing.T) {
-	accepting := &FlowspecPeer{Accepts: true, Rules: []fabric.Match{ntpMatch()}}
-	refusing := &FlowspecPeer{Accepts: false, Rules: []fabric.Match{ntpMatch()}}
-	if !accepting.FiltersFlow(ntpFlow()) {
-		t.Fatal("accepting peer did not filter")
-	}
-	if accepting.FiltersFlow(webFlow()) {
-		t.Fatal("accepting peer filtered benign flow")
-	}
-	if refusing.FiltersFlow(ntpFlow()) {
-		t.Fatal("refusing peer filtered")
 	}
 }
 
