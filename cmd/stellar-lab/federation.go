@@ -1,8 +1,8 @@
 package main
 
-// The federation subcommand runs a synthetic multi-IXP deployment — N
-// exchanges with shared victims and cross-IXP peers, mitigation gossip
-// between them — and prints the consolidated report.
+// The federation subcommand runs the federation-gossip conformance
+// profile at N exchanges — the victims' drops signaled at exchange 0,
+// gossiped to the others — and prints the consolidated report.
 
 import (
 	"encoding/json"
@@ -17,32 +17,22 @@ import (
 func runFederationCommand(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("federation", flag.ContinueOnError)
 	exchanges := fs.Int("exchanges", 4, "number of exchanges")
-	victims := fs.Int("victims", 2, "shared victims present at every exchange")
-	sharedPeers := fs.Int("shared-peers", 8, "cross-IXP peers announcing at every exchange")
-	localPeers := fs.Int("local-peers", 24, "peers private to each exchange")
-	ticks := fs.Int("ticks", 120, "simulated ticks")
-	delay := fs.Int("gossip-delay", 1, "gossip propagation delay in ticks")
-	mitigate := fs.Int("mitigate-tick", 30, "tick the victims request mitigation at exchange 0 (negative: never)")
-	seed := fs.Uint64("seed", 7, "population and traffic seed")
+	delay := fs.Int("gossip-delay", 1, "gossip propagation delay in ticks (0: same-tick relay)")
+	seed := fs.Uint64("seed", 0, "topology seed of exchange 0; exchange e uses seed+e (0 keeps the profile's)")
 	jsonPath := fs.String("json", "", "also write the consolidated report as JSON to this path ('-' for stdout)")
 	fs.Usage = func() {
-		fmt.Fprintln(fs.Output(), "usage: stellar-lab federation [-exchanges N] [-victims N] [-ticks N] [-gossip-delay N] [-json PATH]")
+		fmt.Fprintln(fs.Output(), "usage: stellar-lab federation [-exchanges N] [-gossip-delay N] [-seed N] [-json PATH]")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
-	fed, err := federation.BuildSynthetic(federation.TopologyConfig{
-		Exchanges:        *exchanges,
-		Victims:          *victims,
-		SharedPeers:      *sharedPeers,
-		LocalPeers:       *localPeers,
-		Ticks:            *ticks,
-		GossipDelayTicks: *delay,
-		MitigateTick:     *mitigate,
-		Seed:             *seed,
-	})
+	p, err := seededProfile("federation-gossip", *seed)
+	if err != nil {
+		return err
+	}
+	fed, err := federation.Build(p, *exchanges, *delay)
 	if err != nil {
 		return err
 	}

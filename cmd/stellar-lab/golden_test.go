@@ -27,8 +27,7 @@ func TestGoldenOutputs(t *testing.T) {
 		{"all-small.txt", []string{"all", "-scale", "small"}},
 		{"conformance.txt", []string{"conformance", "-json", "-"}},
 		{"conformance-faults.txt", []string{"conformance", "-faults-only", "-json", "-"}},
-		{"federation.txt", []string{"federation", "-exchanges", "4", "-ticks", "60",
-			"-gossip-delay", "2", "-mitigate-tick", "20", "-json", "-"}},
+		{"federation.txt", []string{"federation", "-exchanges", "4", "-gossip-delay", "2", "-json", "-"}},
 	} {
 		t.Run(tc.file, func(t *testing.T) {
 			var got bytes.Buffer

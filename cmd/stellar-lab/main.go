@@ -9,9 +9,10 @@
 // Experiments: table1, fig2c, fig3a, fig3b, fig3c, fig9, fig10a,
 // fig10b, fig10c, sec52, all. The conformance subcommand runs the
 // declarative scenario matrix instead of a single experiment; the
-// federation subcommand runs a synthetic multi-IXP deployment with
-// cross-IXP mitigation gossip. Timing the system is not this command's
-// job: the repo's one benchmark is `bash benchmark/run.sh`.
+// federation subcommand runs the federation-gossip profile at several
+// exchanges with cross-IXP mitigation gossip. Timing the system is not
+// this command's job: the repo's one benchmark is
+// `bash benchmark/run.sh`.
 package main
 
 import (

@@ -46,3 +46,17 @@ func TestSeedOverride(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestFederationZeroGossipDelay pins that -gossip-delay 0 means a
+// same-tick relay rather than a default.
+func TestFederationZeroGossipDelay(t *testing.T) {
+	var out strings.Builder
+	if err := run([]string{"federation", "-exchanges", "2", "-gossip-delay", "0"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"gossip delay 0 ticks", "max propagation 0 ticks"} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("output lacks %q:\n%s", want, out.String())
+		}
+	}
+}

@@ -99,8 +99,19 @@ func Run(p *Profile) (*Result, error) {
 	return &Result{Report: evaluate(p, series, r), Series: series, IXP: r.x}, nil
 }
 
-// compile wires the profile's IXP, workload, timeline and faults into
-// an engine configuration.
+// Compile wires the profile's IXP, workload, timeline and faults into
+// the engine configuration Run executes, without running it or
+// evaluating any expectation.
+func Compile(p *Profile) (*ixp.IXP, engine.Config, error) {
+	r, cfg, err := compile(p)
+	if err != nil {
+		return nil, engine.Config{}, err
+	}
+	return r.x, cfg, nil
+}
+
+// compile is Compile keeping the runner, whose fault log and ladder
+// transitions the evaluation reads.
 func compile(p *Profile) (*runner, engine.Config, error) {
 	if err := p.Validate(); err != nil {
 		return nil, engine.Config{}, err

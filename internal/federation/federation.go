@@ -4,25 +4,29 @@
 // mitigation is coordinated across the exchanges an attack enters
 // through.
 //
-// A Federation instantiates N exchanges — shared victims, per-exchange
-// member topology, cross-IXP peers whose announcements appear at
-// several exchanges — and drives them on one synchronized tick clock.
-// Each exchange keeps its own engine pipeline: traffic generation and
-// control on a spine goroutine, monitoring and reporting folded behind
-// the engine's bounded free/work mailbox, so the fold side of any
-// exchange can later move behind a socket without touching the
-// composition. All pipelines draw from one shared fabric.Pool, so
-// aggregate parallelism stays bounded by a single worker budget rather
-// than N of them.
+// Build runs one conformance profile at N exchanges on one
+// synchronized tick clock. Every exchange compiles the profile with its
+// own topology seed, so each member has the same name, ASN, prefix and
+// IRR entry everywhere while each exchange draws its own RTBH-honoring
+// set and its own traffic. Each exchange keeps its own engine pipeline:
+// traffic generation and control on a spine goroutine, monitoring and
+// reporting folded behind the engine's bounded free/work mailbox, so
+// the fold side of any exchange can later move behind a socket without
+// touching the composition. All pipelines draw from one shared
+// fabric.Pool, so aggregate parallelism stays bounded by a single
+// worker budget rather than N of them.
 //
-// The inter-IXP signaling plane is a SpecGossip link: mitctl.Spec
-// requests admitted at one exchange are relayed to every other exchange
-// after a configurable propagation delay in ticks. Content-derived
-// mitigation IDs make remote re-requests idempotent, and each exchange
-// still applies its own admission and IRR validation to relayed
-// requests. Run returns a consolidated Report: per-exchange and
-// aggregate offered/delivered/nulled series plus, for every gossiped
-// spec, where and how fast it was installed.
+// The inter-IXP signaling plane is a SpecGossip link: only exchange 0
+// runs the profile's mitigate events, and the mitctl.Spec requests
+// admitted there are relayed to every other exchange after a
+// configurable propagation delay in ticks. The link relays no
+// withdrawal, so a profile with withdraw events federates only at one
+// exchange. Content-derived mitigation
+// IDs make remote re-requests idempotent, and each exchange still
+// applies its own admission and IRR validation to relayed requests.
+// Run returns a consolidated Report: per-exchange and aggregate
+// offered/delivered/nulled series plus, for every gossiped spec, where
+// and how fast it was installed.
 package federation
 
 import (
@@ -30,45 +34,23 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"stellar/internal/conformance"
 	"stellar/internal/engine"
 	"stellar/internal/fabric"
 	"stellar/internal/ixp"
 	"stellar/internal/mitctl"
 )
 
-// exchange is one member exchange of a federation: a fully wired IXP,
-// the traffic driver that loads it, and any timed control-plane events
-// local to it.
+// exchange is one member exchange of a federation: a fully wired IXP
+// with the mitigation control plane, and the engine run the
+// conformance runner compiled for it.
 type exchange struct {
-	// Name identifies the exchange in gossip provenance and the
-	// consolidated report. Empty falls back to the IXP's configured
-	// name, then to "ixp<index>".
-	Name string
-	// IXP is the exchange itself. It must have the mitigation control
-	// plane enabled (ixp.Config.EnableStellar) — the gossip link
-	// subscribes to its controller.
 	IXP *ixp.IXP
-	// Driver generates the exchange's per-victim traffic.
-	Driver engine.Driver
-	// Events are timed control-plane actions on this exchange's spine.
-	Events []engine.Event
+	Cfg engine.Config
 }
 
-// config assembles a Federation.
-type config struct {
-	exchanges []exchange
-	// ticks is the length of the shared clock in one-second ticks.
-	ticks int
-	// gossipDelayTicks is the inter-IXP propagation delay: a spec
-	// admitted at tick T is re-requested at every other exchange at
-	// tick T+delay. 0 relays within the same tick.
-	gossipDelayTicks int
-}
-
-// tickSec is the shared clock's tick length in seconds. Every
-// exchange's engine runs with the engine's default mailbox depth and
-// active-peer threshold, on one fabric pool of GOMAXPROCS workers.
-const tickSec = 1.0
+// exchangeName names exchange i in gossip provenance and the report.
+func exchangeName(i int) string { return fmt.Sprintf("ixp%d", i) }
 
 // installKey identifies one (mitigation, exchange) install.
 type installKey struct {
@@ -77,12 +59,11 @@ type installKey struct {
 }
 
 // Federation is a set of exchanges wired to one clock and one gossip
-// link. Build one with BuildSynthetic, run it once with Run.
+// link. Build one with Build, run it once with Run.
 type Federation struct {
-	cfg     config
-	names   []string
-	gossip  *SpecGossip
-	barrier *tickBarrier
+	exchanges []exchange
+	gossip    *SpecGossip
+	barrier   *tickBarrier
 
 	mu          sync.Mutex
 	lastControl []int              // per exchange: latest control tick entered
@@ -92,53 +73,56 @@ type Federation struct {
 	ran atomic.Bool
 }
 
-// newFederation validates the composition and wires the federation. The
-// exchanges' controllers are not subscribed until Run.
-func newFederation(cfg config) (*Federation, error) {
-	if len(cfg.exchanges) == 0 {
-		return nil, fmt.Errorf("federation: no exchanges")
+// Build compiles profile p at n exchanges linked by a gossip link with
+// the given propagation delay: a spec admitted at tick T is
+// re-requested at every other exchange at tick T+delay, and 0 relays
+// within the same tick. Exchange e runs a copy of p with topology seed
+// Seed+e; exchanges other than 0 drop p's mitigate events, the signals
+// the gossip link carries. The link carries no withdrawal, so for
+// n > 1 a profile with a withdraw event is rejected: the other
+// exchanges would keep dropping until the TTL ran out. p itself is
+// left unchanged. The exchanges' controllers are not subscribed until
+// Run.
+func Build(p *conformance.Profile, n, gossipDelayTicks int) (*Federation, error) {
+	if n < 1 {
+		return nil, fmt.Errorf("federation: need at least one exchange, got %d", n)
 	}
-	if cfg.ticks <= 0 {
-		return nil, fmt.Errorf("federation: ticks must be positive")
-	}
-	if cfg.gossipDelayTicks < 0 {
+	if gossipDelayTicks < 0 {
 		return nil, fmt.Errorf("federation: negative gossip delay")
 	}
-	names := make([]string, len(cfg.exchanges))
-	seen := make(map[string]bool, len(cfg.exchanges))
-	for i, ex := range cfg.exchanges {
-		if ex.IXP == nil {
-			return nil, fmt.Errorf("federation: exchange %d has no IXP", i)
-		}
-		if ex.IXP.Mitigations == nil {
-			return nil, fmt.Errorf("federation: exchange %d has no mitigation controller (EnableStellar)", i)
-		}
-		if ex.Driver == nil {
-			return nil, fmt.Errorf("federation: exchange %d has no driver", i)
-		}
-		name := ex.Name
-		if name == "" {
-			name = ex.IXP.Name()
-		}
-		if name == "" {
-			name = fmt.Sprintf("ixp%d", i)
-		}
-		if seen[name] {
-			return nil, fmt.Errorf("federation: duplicate exchange name %q", name)
-		}
-		seen[name] = true
-		names[i] = name
-	}
 	f := &Federation{
-		cfg:         cfg,
-		names:       names,
-		gossip:      newSpecGossip(len(cfg.exchanges), cfg.gossipDelayTicks),
-		lastControl: make([]int, len(cfg.exchanges)),
-		suppress:    make([]int, len(cfg.exchanges)),
+		exchanges:   make([]exchange, n),
+		gossip:      newSpecGossip(n, gossipDelayTicks),
+		lastControl: make([]int, n),
+		suppress:    make([]int, n),
 		installs:    make(map[installKey]int),
 	}
-	for i := range f.lastControl {
-		f.lastControl[i] = -1
+	// A fresh slice: filtering a shallow copy in place would rewrite
+	// p.Events.
+	var remote []conformance.EventSpec
+	for _, ev := range p.Events {
+		if ev.Action == "withdraw" && n > 1 {
+			return nil, fmt.Errorf("federation: profile %s withdraws a mitigation at tick %d, which the gossip link does not relay", p.Name, ev.Tick)
+		}
+		if ev.Action != "mitigate" {
+			remote = append(remote, ev)
+		}
+	}
+	for e := range f.exchanges {
+		q := *p
+		q.Topology.Seed += uint64(e)
+		if e > 0 {
+			q.Events = remote
+		}
+		x, cfg, err := conformance.Compile(&q)
+		if err != nil {
+			return nil, fmt.Errorf("federation: exchange %d: %w", e, err)
+		}
+		if x.Mitigations == nil {
+			return nil, fmt.Errorf("federation: profile %s runs no mitigation controller to gossip from", p.Name)
+		}
+		f.exchanges[e] = exchange{IXP: x, Cfg: cfg}
+		f.lastControl[e] = -1
 	}
 	return f, nil
 }
@@ -153,10 +137,10 @@ func (f *Federation) Run() (*Report, error) {
 	}
 	pool := fabric.NewPool(0)
 	defer pool.Close()
-	n := len(f.cfg.exchanges)
-	for i := range f.cfg.exchanges {
+	n := len(f.exchanges)
+	for i := range f.exchanges {
 		i := i
-		f.cfg.exchanges[i].IXP.Mitigations.Subscribe(func(ev mitctl.Event) { f.onEvent(i, ev) })
+		f.exchanges[i].IXP.Mitigations.Subscribe(func(ev mitctl.Event) { f.onEvent(i, ev) })
 	}
 	f.barrier = newTickBarrier(n, f.deliverDue)
 
@@ -169,18 +153,11 @@ func (f *Federation) Run() (*Report, error) {
 		go func(i int) {
 			defer wg.Done()
 			defer f.barrier.leave()
-			ex := f.cfg.exchanges[i]
-			eng := engine.New(engine.Config{
-				Driver:       &countingDriver{inner: ex.Driver, flows: &flows[i]},
-				Control:      ex.IXP,
-				DataPlane:    ex.IXP,
-				Events:       f.withBarrier(i, ex.Events),
-				Ticks:        f.cfg.ticks,
-				Dt:           tickSec,
-				MemberFilter: ex.IXP.MemberFilter(),
-				Pool:         pool,
-			})
-			series[i], errs[i] = eng.Run()
+			cfg := f.exchanges[i].Cfg
+			cfg.Driver = &countingDriver{inner: cfg.Driver, flows: &flows[i]}
+			cfg.Events = f.withBarrier(i, cfg.Events)
+			cfg.Pool = pool
+			series[i], errs[i] = engine.New(cfg).Run()
 		}(i)
 	}
 	wg.Wait()
@@ -188,7 +165,7 @@ func (f *Federation) Run() (*Report, error) {
 	var err error
 	for i, e := range errs {
 		if e != nil {
-			err = fmt.Errorf("federation: exchange %s: %w", f.names[i], e)
+			err = fmt.Errorf("federation: exchange %s: %w", exchangeName(i), e)
 			break
 		}
 	}
@@ -201,8 +178,9 @@ func (f *Federation) Run() (*Report, error) {
 // tick T until every exchange has finished T's events, which is also
 // when due gossip is injected.
 func (f *Federation) withBarrier(ex int, events []engine.Event) []engine.Event {
-	out := append(make([]engine.Event, 0, len(events)+f.cfg.ticks), events...)
-	for tick := 0; tick < f.cfg.ticks; tick++ {
+	ticks := f.exchanges[ex].Cfg.Ticks
+	out := append(make([]engine.Event, 0, len(events)+ticks), events...)
+	for tick := 0; tick < ticks; tick++ {
 		out = append(out, engine.Event{Tick: tick, Name: "federation barrier", Do: func() error {
 			f.noteControl(ex, tick)
 			f.barrier.await(tick)
@@ -260,16 +238,16 @@ func (f *Federation) onEvent(ex int, ev mitctl.Event) {
 // the signal's report entry.
 func (f *Federation) deliverDue(tick int) {
 	for _, g := range f.gossip.due(tick) {
-		for j := range f.cfg.exchanges {
+		for j := range f.exchanges {
 			if j == g.origin {
 				continue
 			}
 			spec := g.spec
-			spec.Origin = f.names[g.origin]
+			spec.Origin = exchangeName(g.origin)
 			f.mu.Lock()
 			f.suppress[j]++
 			f.mu.Unlock()
-			_, err := f.cfg.exchanges[j].IXP.RequestMitigation(spec)
+			_, err := f.exchanges[j].IXP.RequestMitigation(spec)
 			f.mu.Lock()
 			f.suppress[j]--
 			f.mu.Unlock()

@@ -3,11 +3,24 @@ package federation
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
+	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 
-	"stellar/internal/engine"
+	"stellar/internal/conformance"
 )
+
+// loadGossip returns the federation's default workload profile.
+func loadGossip(t *testing.T) *conformance.Profile {
+	t.Helper()
+	p, err := conformance.Load("federation-gossip")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
 
 // TestSignalPropagation is the acceptance bar of the subsystem: a
 // 10-exchange federation with shared victims completes with a single
@@ -17,21 +30,18 @@ func TestSignalPropagation(t *testing.T) {
 	const (
 		exchanges = 10
 		victims   = 2
-		mitigate  = 12
+		mitigate  = 20 // the profile's mitigate tick
 		delay     = 3
 	)
-	fed, err := BuildSynthetic(TopologyConfig{
-		Exchanges:        exchanges,
-		Victims:          victims,
-		SharedPeers:      4,
-		LocalPeers:       8,
-		Ticks:            40,
-		MitigateTick:     mitigate,
-		GossipDelayTicks: delay,
-		Seed:             21,
-	})
+	p := loadGossip(t)
+	seed, events := p.Topology.Seed, slices.Clone(p.Events)
+	fed, err := Build(p, exchanges, delay)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The per-exchange seed offsets and the event filter work on copies.
+	if p.Topology.Seed != seed || !reflect.DeepEqual(p.Events, events) {
+		t.Fatalf("Build changed the profile: seed %d → %d, events %+v → %+v", seed, p.Topology.Seed, events, p.Events)
 	}
 	rep, err := fed.Run()
 	if err != nil {
@@ -78,7 +88,7 @@ func TestSignalPropagation(t *testing.T) {
 	// Looking-glass provenance: a remote exchange shows the federated
 	// install as relayed, the origin as local.
 	glass := func(i int) string {
-		x := fed.cfg.exchanges[i].IXP
+		x := fed.exchanges[i].IXP
 		return x.Mitigations.GlassMitigations("", x.Clock())
 	}
 	if g := glass(9); !strings.Contains(g, "origin via ixp0") {
@@ -89,21 +99,13 @@ func TestSignalPropagation(t *testing.T) {
 	}
 }
 
-// TestDeterminism runs the same seeded federation twice and requires
+// TestDeterminism runs the same federation twice and requires
 // byte-identical consolidated reports — the property the chaos CI job
 // leans on, and the reason gossip delivery is ordered by
 // (deliverTick, origin, sequence) instead of mutex arrival order.
 func TestDeterminism(t *testing.T) {
 	run := func() []byte {
-		fed, err := BuildSynthetic(TopologyConfig{
-			Exchanges:        4,
-			Victims:          2,
-			SharedPeers:      4,
-			LocalPeers:       10,
-			Ticks:            50,
-			GossipDelayTicks: 2,
-			Seed:             33,
-		})
+		fed, err := Build(loadGossip(t), 4, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,83 +125,79 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
-// TestSingleExchangeParity pins a one-exchange federation to a bare
-// engine run over the identical exchange: the barrier events, the counting
+// TestSingleExchangeParity is the bare-engine differential over the
+// whole matrix: for every profile whose exchange runs the Stellar
+// control plane, a one-exchange federation's series equal
+// conformance.Run's byte for byte. The barrier events, the counting
 // driver wrapper, the shared pool and the (targetless) gossip link must
-// not perturb a single sample byte.
+// not perturb a single sample.
 func TestSingleExchangeParity(t *testing.T) {
-	tc := TopologyConfig{
-		Exchanges:   1,
-		Victims:     2,
-		SharedPeers: 4,
-		LocalPeers:  12,
-		Ticks:       60,
-		Seed:        9,
-	}.withDefaults()
-
-	fed, err := BuildSynthetic(tc)
+	profiles, err := conformance.Profiles()
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := fed.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	ex, err := buildExchange(tc, 0, makePopulation(tc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	series, err := engine.New(engine.Config{
-		Driver:       ex.Driver,
-		Control:      ex.IXP,
-		DataPlane:    ex.IXP,
-		Events:       ex.Events,
-		Ticks:        tc.Ticks,
-		Dt:           tickSec,
-		MemberFilter: ex.IXP.MemberFilter(),
-	}).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	got := rep.Exchanges[0]
-	if len(got.Victims) != len(series) {
-		t.Fatalf("federation has %d victims, bare engine %d", len(got.Victims), len(series))
-	}
-	for i, vs := range series {
-		if got.Victims[i].Port != vs.Port {
-			t.Fatalf("victim %d: port %q vs %q", i, got.Victims[i].Port, vs.Port)
-		}
-		a, err := json.Marshal(got.Victims[i].Samples)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := json.Marshal(vs.Samples)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(a, b) {
-			t.Fatalf("victim %s series diverged:\nfederation: %s\nbare:       %s", vs.Port, a, b)
-		}
-	}
-	// The local mitigation still installed and was reported, with no
-	// gossip targets to relay to.
-	if len(rep.Signals) != tc.Victims {
-		t.Fatalf("got %d signals, want %d", len(rep.Signals), tc.Victims)
-	}
-	for _, s := range rep.Signals {
-		if !s.Complete || len(s.Installs) != 1 || len(s.Rejections) != 0 {
-			t.Fatalf("signal %s: %+v", s.ID, s)
-		}
+	var stellar atomic.Int32
+	t.Cleanup(func() { t.Logf("%d of %d profiles run Stellar", stellar.Load(), len(profiles)) })
+	for _, p := range profiles {
+		p := p
+		t.Run(p.Name, func(t *testing.T) {
+			t.Parallel()
+			bare, err := conformance.Run(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if bare.IXP.Mitigations == nil {
+				t.Skip("no Stellar control plane to federate")
+			}
+			stellar.Add(1)
+			fed, err := Build(p, 1, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := fed.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := rep.Exchanges[0]
+			if len(got.Victims) != len(bare.Series) {
+				t.Fatalf("federation has %d victims, bare engine %d", len(got.Victims), len(bare.Series))
+			}
+			for i, vs := range bare.Series {
+				if got.Victims[i].Port != vs.Port {
+					t.Fatalf("victim %d: port %q vs %q", i, got.Victims[i].Port, vs.Port)
+				}
+				a, err := json.Marshal(got.Victims[i].Samples)
+				if err != nil {
+					t.Fatal(err)
+				}
+				b, err := json.Marshal(vs.Samples)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(a, b) {
+					t.Fatalf("victim %s series diverged:\nfederation: %s\nbare:       %s", vs.Port, a, b)
+				}
+			}
+			if p.Name != "federation-gossip" {
+				return
+			}
+			// The local mitigations still install and are reported,
+			// with no gossip targets to relay to.
+			if len(rep.Signals) != len(p.Victims) {
+				t.Fatalf("got %d signals, want %d", len(rep.Signals), len(p.Victims))
+			}
+			for _, s := range rep.Signals {
+				if !s.Complete || len(s.Installs) != 1 || len(s.Rejections) != 0 {
+					t.Fatalf("signal %s: %+v", s.ID, s)
+				}
+			}
+		})
 	}
 }
 
 // TestRunSingleUse pins the engine-style single-use contract.
 func TestRunSingleUse(t *testing.T) {
-	fed, err := BuildSynthetic(TopologyConfig{
-		Exchanges: 2, Victims: 1, SharedPeers: 2, LocalPeers: 4, Ticks: 5, MitigateTick: -1, Seed: 3,
-	})
+	fed, err := Build(loadGossip(t), 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,28 +209,33 @@ func TestRunSingleUse(t *testing.T) {
 	}
 }
 
-// TestConfigValidation covers New's rejection paths.
+// TestConfigValidation covers Build's rejection paths.
 func TestConfigValidation(t *testing.T) {
-	if _, err := newFederation(config{ticks: 10}); err == nil {
-		t.Fatal("empty federation accepted")
-	}
-	fed, err := BuildSynthetic(TopologyConfig{
-		Exchanges: 1, Victims: 1, SharedPeers: 2, LocalPeers: 4, Ticks: 5, MitigateTick: -1, Seed: 3,
-	})
+	rtbh, err := conformance.Load("baseline-rtbh")
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex := fed.cfg.exchanges[0]
-	if _, err := newFederation(config{exchanges: []exchange{ex}}); err == nil {
-		t.Fatal("zero ticks accepted")
+	// The gossip link relays no withdrawal, so a withdraw would retract
+	// the mitigation at exchange 0 alone.
+	withdrawn := loadGossip(t)
+	retract := withdrawn.Events[0]
+	retract.Tick, retract.Action = 40, "withdraw"
+	withdrawn.Events = append(withdrawn.Events, retract)
+	if _, err := Build(withdrawn, 1, 0); err != nil {
+		t.Fatalf("one exchange with a withdraw: %v", err)
 	}
-	if _, err := newFederation(config{exchanges: []exchange{ex, ex}, ticks: 5}); err == nil {
-		t.Fatal("duplicate exchange names accepted")
-	}
-	if _, err := newFederation(config{exchanges: []exchange{ex}, ticks: 5, gossipDelayTicks: -1}); err == nil {
-		t.Fatal("negative gossip delay accepted")
-	}
-	if _, err := newFederation(config{exchanges: []exchange{{Name: "a", IXP: ex.IXP}}, ticks: 5}); err == nil {
-		t.Fatal("driverless exchange accepted")
+	for _, tc := range []struct {
+		name     string
+		p        *conformance.Profile
+		n, delay int
+	}{
+		{"no exchanges", loadGossip(t), 0, 1},
+		{"negative gossip delay", loadGossip(t), 2, -1},
+		{"no mitigation controller", rtbh, 2, 1},
+		{"withdraw at two exchanges", withdrawn, 2, 1},
+	} {
+		if _, err := Build(tc.p, tc.n, tc.delay); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
 	}
 }

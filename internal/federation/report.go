@@ -88,15 +88,16 @@ type SignalRejection struct {
 // gossip signal log and the install ticks. Called after every engine
 // goroutine has finished — no locks needed.
 func (f *Federation) buildReport(series [][]engine.VictimSeries, flows []int64) *Report {
-	n := len(f.cfg.exchanges)
+	n := len(f.exchanges)
+	cfg := f.exchanges[0].Cfg
 	rep := &Report{
-		Ticks:            f.cfg.ticks,
-		Dt:               tickSec,
+		Ticks:            cfg.Ticks,
+		Dt:               cfg.Dt,
 		GossipDelayTicks: f.gossip.DelayTicks(),
 	}
 	maxLen := 0
 	for i := 0; i < n; i++ {
-		er := ExchangeReport{Name: f.names[i], OfferedFlows: flows[i]}
+		er := ExchangeReport{Name: exchangeName(i), OfferedFlows: flows[i]}
 		for _, vs := range series[i] {
 			er.Victims = append(er.Victims, VictimReport{Port: vs.Port, Samples: vs.Samples})
 			if len(vs.Samples) > maxLen {
@@ -107,7 +108,7 @@ func (f *Federation) buildReport(series [][]engine.VictimSeries, flows []int64) 
 		rep.Exchanges = append(rep.Exchanges, er)
 	}
 	for t := 0; t < maxLen; t++ {
-		agg := AggregateSample{Tick: t, Time: float64(t) * tickSec}
+		agg := AggregateSample{Tick: t, Time: float64(t) * cfg.Dt}
 		for i := range rep.Exchanges {
 			for _, v := range rep.Exchanges[i].Victims {
 				if t >= len(v.Samples) {
@@ -126,7 +127,7 @@ func (f *Federation) buildReport(series [][]engine.VictimSeries, flows []int64) 
 	for _, s := range f.gossip.snapshot() {
 		sr := SignalReport{
 			ID:                  s.id,
-			Origin:              f.names[s.origin],
+			Origin:              exchangeName(s.origin),
 			OriginTick:          s.originTick,
 			MaxPropagationTicks: -1,
 		}
@@ -134,7 +135,7 @@ func (f *Federation) buildReport(series [][]engine.VictimSeries, flows []int64) 
 			if tick, ok := f.installs[installKey{s.id, ex}]; ok {
 				p := tick - s.originTick
 				sr.Installs = append(sr.Installs, SignalInstall{
-					Exchange: f.names[ex], Tick: tick, PropagationTicks: p,
+					Exchange: exchangeName(ex), Tick: tick, PropagationTicks: p,
 				})
 				if p > sr.MaxPropagationTicks {
 					sr.MaxPropagationTicks = p
@@ -145,7 +146,7 @@ func (f *Federation) buildReport(series [][]engine.VictimSeries, flows []int64) 
 		for _, d := range s.deliveries {
 			if d.err != nil {
 				sr.Rejections = append(sr.Rejections, SignalRejection{
-					Exchange: f.names[d.ex], Error: d.err.Error(),
+					Exchange: exchangeName(d.ex), Error: d.err.Error(),
 				})
 				continue
 			}

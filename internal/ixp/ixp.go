@@ -32,10 +32,6 @@ import (
 
 // Config assembles an IXP.
 type Config struct {
-	// Name identifies the exchange in multi-IXP compositions
-	// (federation gossip provenance, consolidated reports). A
-	// single-exchange deployment can leave it empty.
-	Name string
 	// ASN is the IXP's AS number.
 	ASN uint32
 	// BlackholeNextHop is the RTBH null-route next hop.
@@ -264,10 +260,6 @@ func (x *IXP) WithdrawMitigation(id, requester string) error {
 	}
 	return x.Mitigations.Withdraw(id, requester, x.Clock())
 }
-
-// Name returns the exchange's configured name ("" for a standalone
-// deployment that never set one).
-func (x *IXP) Name() string { return x.Cfg.Name }
 
 // Clock returns the current simulation time in seconds.
 func (x *IXP) Clock() float64 {
