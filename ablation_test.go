@@ -49,7 +49,7 @@ func BenchmarkAblationEgressVsIngress(b *testing.B) {
 		_ = port.InstallRule(&fabric.Rule{ID: "drop", Match: m, Action: fabric.ActionDrop})
 		_ = fab.AddPort(port)
 
-		offers := append(attack.Offers(10, 1), web.Offers(10, 1)...)
+		offers := web.AppendOffers(attack.AppendOffers(nil, 10, 1), 10, 1)
 		if ingress {
 			// Ingress placement: matching traffic never reaches the core.
 			var kept []fabric.Offer

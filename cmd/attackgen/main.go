@@ -19,6 +19,7 @@ import (
 	"net/netip"
 	"os"
 
+	"stellar/internal/engine"
 	"stellar/internal/fabric"
 	"stellar/internal/stats"
 	"stellar/internal/traffic"
@@ -53,23 +54,23 @@ func run(args []string, w io.Writer) error {
 	rng := stats.NewRand(*seed)
 	peers := traffic.MakePeers(*peerCount)
 
-	var offersAt func(tick int) []fabric.Offer
+	var src engine.Source
 	if *vector == "web" {
-		web := traffic.NewWebService(dst, peers, *rate, rng)
-		offersAt = func(tick int) []fabric.Offer { return web.Offers(tick, 1) }
+		src = traffic.NewWebService(dst, peers, *rate, rng)
 	} else {
 		v, err := traffic.VectorByName(*vector)
 		if err != nil {
 			return err
 		}
-		atk := traffic.NewAttack(v, dst, peers, *rate, *start, *ticks, rng)
-		offersAt = func(tick int) []fabric.Offer { return atk.Offers(tick, 1) }
+		src = traffic.NewAttack(v, dst, peers, *rate, *start, *ticks, rng)
 	}
 
 	bw := bufio.NewWriter(w)
 	fmt.Fprintln(bw, "tick,src_member,src_ip,proto,src_port,dst_port,bytes,packets")
+	var offers []fabric.Offer
 	for tick := 0; tick < *ticks; tick++ {
-		for _, o := range offersAt(tick) {
+		offers = src.AppendOffers(offers[:0], tick, 1)
+		for _, o := range offers {
 			fmt.Fprintf(bw, "%d,%s,%s,%s,%d,%d,%.0f,%.0f\n",
 				tick, o.Flow.SrcMAC, o.Flow.Src, o.Flow.Proto,
 				o.Flow.SrcPort, o.Flow.DstPort, o.Bytes, o.Packets)

@@ -64,7 +64,7 @@ func main() {
 	attack.RampTicks = 2
 
 	report := func(tick int, label string) {
-		offers := append(attack.Offers(tick, 1), web.Offers(tick, 1)...)
+		offers := web.AppendOffers(attack.AppendOffers(nil, tick, 1), tick, 1)
 		var memc, webB float64
 		perClass := func(delivered []fabric.Delivery) {
 			for _, d := range delivered {

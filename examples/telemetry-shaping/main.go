@@ -72,7 +72,7 @@ func main() {
 	quietTicks := 0
 	withdrawn := false
 	for tick := 0; tick < 60; tick++ {
-		offers := append(attack.Offers(tick, 1), web.Offers(tick, 1)...)
+		offers := web.AppendOffers(attack.AppendOffers(nil, tick, 1), tick, 1)
 		x.ControlTick(tick, 1)
 		if _, err := x.EgressTick(nil, fabric.TickOffers{victim.Name: offers}, 1, nil); err != nil {
 			log.Fatal(err)

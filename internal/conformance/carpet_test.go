@@ -30,7 +30,7 @@ func carpetProfile(rotate, start, end, ticks int) *Profile {
 	return p
 }
 
-// carpetDriver compiles the profile and returns its engine driver.
+// carpetDriver compiles a profile and returns its engine driver.
 func carpetDriver(t *testing.T, p *Profile) engine.Driver {
 	t.Helper()
 	_, cfg, err := compile(p)
@@ -149,6 +149,28 @@ func TestCarpetThroughEngine(t *testing.T) {
 			if got := s.OfferedBps > 0; got != want {
 				t.Fatalf("victim %d tick %d: offered %v, want attacked=%v", v, tick, s.OfferedBps, want)
 			}
+		}
+	}
+}
+
+// TestPulseEndTickStopsTrain: a pulse source's end_tick ends its train.
+// pulse-attack's train starts at tick 40 with 10-tick on and off
+// windows; ended at 60, it leaves only the web background in the second
+// on-window.
+func TestPulseEndTickStopsTrain(t *testing.T) {
+	p, err := Load("pulse-attack")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Victims[0].Sources[0].EndTick = 60
+	if err := p.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	d := carpetDriver(t, p)
+	for tick := 30; tick < 80; tick++ {
+		attack, other := countOffers(d.AppendOffers(0, nil, tick, 1))
+		if want := tick >= 40 && tick < 50; (attack > 0) != want || other == 0 {
+			t.Fatalf("tick %d: %d attack and %d web offers, want attacked=%v over web", tick, attack, other, want)
 		}
 	}
 }

@@ -141,6 +141,20 @@ func TestValidateCatchesBadProfiles(t *testing.T) {
 		{"carpet window inverted", carpet(90, 50)},
 		{"carpet start before run", carpet(-40, 150)},
 		{"carpet start past end", carpet(500, 0)},
+		// Only attacks and pulse trains have a window; web and trace
+		// would silently ignore one.
+		{"web with a window", func(p *Profile) {
+			p.Victims[0].Sources[0] = SourceSpec{Kind: "web", RateBps: 1e8, StartTick: 5, EndTick: 10,
+				Peers: PeerRange{From: 1, Count: 1}}
+		}},
+		{"trace with a window", func(p *Profile) {
+			p.Victims[0].Sources[0] = SourceSpec{Kind: "trace", RatesBps: []float64{1e9}, EndTick: 10,
+				Peers: PeerRange{From: 1, Count: 1}}
+		}},
+		{"pulse window inverted", func(p *Profile) {
+			inner := p.Victims[0].Sources[0]
+			p.Victims[0].Sources[0] = SourceSpec{Kind: "pulse", OnTicks: 2, StartTick: 10, EndTick: 10, Src: &inner}
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -176,8 +176,9 @@ type SourceSpec struct {
 	Vector string `json:"vector,omitempty"`
 	// RateBps is the aggregate rate ("attack" peak / "web" constant).
 	RateBps float64 `json:"rate_bps,omitempty"`
-	// StartTick / EndTick bound an attack; for "pulse" StartTick is
-	// the train origin.
+	// StartTick / EndTick bound an attack; for "pulse" they are the
+	// train's origin and end (0: never). "web" and "trace" take
+	// neither.
 	StartTick int `json:"start_tick,omitempty"`
 	EndTick   int `json:"end_tick,omitempty"`
 	// RampTicks overrides the attack ramp (nil: the generator's
@@ -626,6 +627,9 @@ func (p *Profile) validateSource(s *SourceSpec) error {
 		if s.RateBps <= 0 {
 			return fmt.Errorf("web needs a positive rate_bps")
 		}
+		if s.StartTick != 0 || s.EndTick != 0 {
+			return fmt.Errorf("web takes no start_tick/end_tick window")
+		}
 		return p.validatePeers(s.Peers)
 	case "pulse":
 		if s.Src == nil {
@@ -637,10 +641,16 @@ func (p *Profile) validateSource(s *SourceSpec) error {
 		if s.OffTicks < 0 {
 			return fmt.Errorf("pulse off_ticks negative")
 		}
+		if s.EndTick != 0 && s.EndTick <= s.StartTick {
+			return fmt.Errorf("pulse window [%d,%d) is empty", s.StartTick, s.EndTick)
+		}
 		return p.validateSource(s.Src)
 	case "trace":
 		if len(s.RatesBps) == 0 {
 			return fmt.Errorf("trace has no rates_bps series")
+		}
+		if s.StartTick != 0 || s.EndTick != 0 {
+			return fmt.Errorf("trace takes no start_tick/end_tick window")
 		}
 		// The runner expands every segment rate across its ticks, so a
 		// segment longer than the run only inflates that series.

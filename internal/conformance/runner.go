@@ -412,7 +412,8 @@ func (r *runner) buildSource(v int, s *SourceSpec) (engine.Source, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &engine.Pulsed{Src: inner, OnTicks: s.OnTicks, OffTicks: s.OffTicks, StartTick: s.StartTick}, nil
+		return &engine.Pulsed{Src: inner, OnTicks: s.OnTicks, OffTicks: s.OffTicks,
+			StartTick: s.StartTick, EndTick: s.EndTick}, nil
 	case "trace":
 		// The profile lists one rate per segment; traffic.NewTrace wants a
 		// per-tick series, so expand each segment rate across its ticks.

@@ -3,39 +3,22 @@ package engine
 import "stellar/internal/fabric"
 
 // SourcesDriver is the synthetic-attack driver: per-victim Source lists,
-// the workload shape of the figure experiments. When one Source
-// instance feeds several victims the driver generates serially (sources
-// keep per-instance caches), otherwise victims fan across the worker
-// pool.
+// the workload shape of the figure experiments. Victims fan across the
+// worker pool, and one Source instance may feed several of them.
 type SourcesDriver struct {
 	specs   []VictimSpec
 	sources [][]Source
-	shared  bool
 }
 
 // NewSourcesDriver builds the driver; sources[i] feeds specs[i].
 // Missing trailing source lists are treated as empty (a victim that
 // only receives cross-traffic).
 func NewSourcesDriver(specs []VictimSpec, sources [][]Source) *SourcesDriver {
-	d := &SourcesDriver{specs: specs, sources: sources}
-	seen := make(map[Source]bool)
-	for _, list := range sources {
-		for _, src := range list {
-			if seen[src] {
-				d.shared = true
-			}
-			seen[src] = true
-		}
-	}
-	return d
+	return &SourcesDriver{specs: specs, sources: sources}
 }
 
 // Victims implements Driver.
 func (d *SourcesDriver) Victims() []VictimSpec { return d.specs }
-
-// SerialGen implements SerialGenerator: true when a Source instance is
-// shared across victims.
-func (d *SourcesDriver) SerialGen() bool { return d.shared }
 
 // AppendOffers implements Driver.
 func (d *SourcesDriver) AppendOffers(v int, dst []fabric.Offer, tick int, dt float64) []fabric.Offer {
@@ -43,11 +26,7 @@ func (d *SourcesDriver) AppendOffers(v int, dst []fabric.Offer, tick int, dt flo
 		return dst
 	}
 	for _, src := range d.sources[v] {
-		if ap, ok := src.(OfferAppender); ok {
-			dst = ap.AppendOffers(dst, tick, dt)
-		} else {
-			dst = append(dst, src.Offers(tick, dt)...)
-		}
+		dst = src.AppendOffers(dst, tick, dt)
 	}
 	return dst
 }
@@ -76,18 +55,10 @@ func (p *Pulsed) ActiveAt(tick int) bool {
 	return (tick-p.StartTick)%period < p.OnTicks
 }
 
-// Offers implements Source.
-func (p *Pulsed) Offers(tick int, dtSeconds float64) []fabric.Offer {
-	return p.AppendOffers(nil, tick, dtSeconds)
-}
-
-// AppendOffers implements OfferAppender.
+// AppendOffers implements Source.
 func (p *Pulsed) AppendOffers(dst []fabric.Offer, tick int, dtSeconds float64) []fabric.Offer {
 	if !p.ActiveAt(tick) {
 		return dst
 	}
-	if ap, ok := p.Src.(OfferAppender); ok {
-		return ap.AppendOffers(dst, tick, dtSeconds)
-	}
-	return append(dst, p.Src.Offers(tick, dtSeconds)...)
+	return p.Src.AppendOffers(dst, tick, dtSeconds)
 }

@@ -1,10 +1,14 @@
 package engine
 
 import (
+	"fmt"
+	"net/netip"
 	"testing"
 
 	"stellar/internal/fabric"
 	"stellar/internal/netpkt"
+	"stellar/internal/stats"
+	"stellar/internal/traffic"
 )
 
 // anonFlow is the flow of the tests' sources that only count bytes:
@@ -16,8 +20,8 @@ type byteSource struct {
 	bytes float64
 }
 
-func (s *byteSource) Offers(tick int, dt float64) []fabric.Offer {
-	return []fabric.Offer{{Flow: &anonFlow, Bytes: s.bytes * dt}}
+func (s *byteSource) AppendOffers(dst []fabric.Offer, tick int, dt float64) []fabric.Offer {
+	return append(dst, fabric.Offer{Flow: &anonFlow, Bytes: s.bytes * dt})
 }
 
 // countSource emits n offers per tick, tagged with its id.
@@ -25,39 +29,64 @@ type countSource struct {
 	id, n int
 }
 
-func (s *countSource) Offers(tick int, dt float64) []fabric.Offer {
-	out := make([]fabric.Offer, s.n)
-	for i := range out {
-		out[i] = fabric.Offer{Flow: &anonFlow, Bytes: float64(s.id*1000 + tick)}
+func (s *countSource) AppendOffers(dst []fabric.Offer, tick int, dt float64) []fabric.Offer {
+	for range s.n {
+		dst = append(dst, fabric.Offer{Flow: &anonFlow, Bytes: float64(s.id*1000 + tick)})
 	}
-	return out
+	return dst
 }
 
-// TestSourcesDriverSharedDetection: one Source instance feeding two
-// victims forces serial generation; disjoint sources do not.
-func TestSourcesDriverSharedDetection(t *testing.T) {
-	shared := &countSource{id: 1, n: 1}
-	d := NewSourcesDriver(
-		[]VictimSpec{{Port: "a"}, {Port: "b"}},
-		[][]Source{{shared}, {shared}})
-	if !d.SerialGen() {
-		t.Fatal("shared source not detected")
-	}
-	d2 := NewSourcesDriver(
-		[]VictimSpec{{Port: "a"}, {Port: "b"}},
-		[][]Source{{&countSource{id: 1, n: 1}}, {&countSource{id: 2, n: 1}}})
-	if d2.SerialGen() {
-		t.Fatal("disjoint sources flagged as shared")
-	}
-	// A victim past the source lists simply receives nothing.
-	d3 := NewSourcesDriver([]VictimSpec{{Port: "a"}, {Port: "b"}},
+// TestSourcesDriverVictimWithoutSources: a victim past the source lists
+// simply receives nothing.
+func TestSourcesDriverVictimWithoutSources(t *testing.T) {
+	d := NewSourcesDriver([]VictimSpec{{Port: "a"}, {Port: "b"}},
 		[][]Source{{&countSource{id: 1, n: 3}}})
-	if got := d3.AppendOffers(1, nil, 0, 1); len(got) != 0 {
+	if got := d.AppendOffers(1, nil, 0, 1); len(got) != 0 {
 		t.Fatalf("victim without sources got %d offers", len(got))
 	}
-	if got := d3.AppendOffers(0, nil, 0, 1); len(got) != 3 {
+	if got := d.AppendOffers(0, nil, 0, 1); len(got) != 3 {
 		t.Fatalf("victim 0 got %d offers, want 3", len(got))
 	}
+}
+
+// TestEngineSharedSourceMatchesOwnInstances: four victims fed by one
+// instance of each traffic source, generating concurrently on the pool,
+// get the series of four victims with their own same-seed instances.
+// Under -race it also checks that generation only reads a source.
+func TestEngineSharedSourceMatchesOwnInstances(t *testing.T) {
+	const victims, ticks = 4, 12
+	target := netip.MustParseAddr("100.64.0.1")
+	peers := traffic.MakePeers(8)
+	build := func() []Source {
+		rng := stats.NewRand(3)
+		attack := traffic.NewAttack(traffic.VectorNTP, target, peers, 1e9, 2, ticks, rng)
+		web := traffic.NewWebService(target, peers[:4], 2e8, rng)
+		trace := traffic.NewTrace(traffic.RTBHPortProfile(), target, peers, []float64{3e8, 5e8, 4e8}, 4, rng)
+		return []Source{attack, web, &Pulsed{Src: trace, OnTicks: 2, OffTicks: 1}}
+	}
+	run := func(sources [][]Source) []VictimSeries {
+		t.Helper()
+		specs := make([]VictimSpec, victims)
+		for v := range specs {
+			specs[v] = VictimSpec{Port: fmt.Sprintf("port%d", v)}
+		}
+		series, err := New(Config{
+			Driver:    NewSourcesDriver(specs, sources),
+			DataPlane: newFakePlane(),
+			Pool:      testPool(t, victims),
+			Ticks:     ticks,
+		}).Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return series
+	}
+	shared := build()
+	sharedLists, own := make([][]Source, victims), make([][]Source, victims)
+	for v := range own {
+		sharedLists[v], own[v] = shared, build()
+	}
+	requireSameSeries(t, "shared sources", run(sharedLists), run(own))
 }
 
 // TestPulsedWindows pins the on/off train arithmetic.
@@ -80,7 +109,7 @@ func TestPulsedWindows(t *testing.T) {
 		if c.on {
 			want = 2
 		}
-		if got := len(p.Offers(c.tick, 1)); got != want {
+		if got := len(p.AppendOffers(nil, c.tick, 1)); got != want {
 			t.Fatalf("tick %d: %d offers, want %d", c.tick, got, want)
 		}
 	}

@@ -136,14 +136,14 @@ type batch struct {
 
 // run is one Run's wiring: what the five steps read and write.
 type run struct {
-	cfg    Config // defaults applied
-	pool   *fabric.Pool
-	specs  []VictimSpec // defaults applied, a monitor each
-	keep   func(netpkt.MAC) bool
-	serial bool // the driver must generate victims one at a time
-	events []Event
-	prof   *StageProfile
-	series []VictimSeries
+	cfg      Config // defaults applied
+	pool     *fabric.Pool
+	specs    []VictimSpec
+	monitors []*flowmon.Collector // one per victim, specs order
+	keep     func(netpkt.MAC) bool
+	events   []Event
+	prof     *StageProfile
+	series   []VictimSeries
 
 	// curTick backs the per-worker monitoring visitors: workers read it
 	// only while the spine is blocked inside EgressTick, and only the
@@ -187,8 +187,8 @@ func (e *Engine) Run() ([]VictimSeries, error) {
 	// horizon tick by tick from here, and a horizon below the spine
 	// keeps the bins written ahead of it in the monitor's peer window at
 	// any Depth.
-	for _, spec := range r.specs {
-		spec.Monitor.SetMergeHorizon(-1)
+	for _, m := range r.monitors {
+		m.SetMergeHorizon(-1)
 	}
 
 	var foldWG sync.WaitGroup
@@ -206,8 +206,8 @@ func (e *Engine) Run() ([]VictimSeries, error) {
 	// newest bins only.
 	close(work)
 	foldWG.Wait()
-	for _, spec := range r.specs {
-		spec.Monitor.SetMergeHorizon(int(^uint(0) >> 1))
+	for _, m := range r.monitors {
+		m.SetMergeHorizon(int(^uint(0) >> 1))
 	}
 	return r.series, r.firstErr()
 }
@@ -247,30 +247,19 @@ func wire(cfg Config) (*run, error) {
 		keep:        cfg.MemberFilter,
 		series:      make([]VictimSeries, len(specs)),
 		victimIndex: make(map[string]int, len(specs)),
+		monitors:    make([]*flowmon.Collector, len(specs)),
 		visitors:    make([][]fabric.FlowVisitor, len(specs)),
 	}
-	seenMon := make(map[*flowmon.Collector]bool, len(specs))
 	for i := range specs {
 		if _, dup := r.victimIndex[specs[i].Port]; dup {
 			return nil, fmt.Errorf("engine: duplicate victim port %s", specs[i].Port)
 		}
 		r.victimIndex[specs[i].Port] = i
-		if specs[i].Monitor == nil {
-			specs[i].Monitor = flowmon.NewCollector()
-		} else if seenMon[specs[i].Monitor] {
-			// One collector under two victims would mix both ports'
-			// delivered flows into the same bins, so each victim's
-			// ActivePeers would count the other's peers.
-			return nil, fmt.Errorf("engine: victim port %s shares its monitor with another victim", specs[i].Port)
-		}
-		seenMon[specs[i].Monitor] = true
-		r.visitors[i] = make([]fabric.FlowVisitor, specs[i].Monitor.Shards())
+		r.monitors[i] = flowmon.NewCollector()
+		r.visitors[i] = make([]fabric.FlowVisitor, r.monitors[i].Shards())
 	}
 	if r.keep == nil {
 		r.keep = func(netpkt.MAC) bool { return true }
-	}
-	if sg, ok := cfg.Driver.(SerialGenerator); ok {
-		r.serial = sg.SerialGen()
 	}
 	// One deterministically ordered timeline: by tick, same-tick events
 	// in list order.
@@ -287,7 +276,7 @@ func wire(cfg Config) (*run, error) {
 		r.series[i] = VictimSeries{
 			Port:    specs[i].Port,
 			Samples: make([]Sample, 0, cfg.Ticks),
-			Monitor: specs[i].Monitor,
+			Monitor: r.monitors[i],
 			Profile: r.prof,
 		}
 	}
@@ -394,18 +383,11 @@ func (r *run) fold(free, work chan *batch) {
 }
 
 // traffic generates each victim's offers, fanning victims across the
-// worker pool unless the driver must generate serially.
+// worker pool.
 func (r *run) traffic(b *batch) {
-	gen := func(_, i int) {
+	r.pool.Run(len(r.specs), func(_, i int) {
 		b.bufs[i] = r.cfg.Driver.AppendOffers(i, b.bufs[i][:0], b.tick, r.cfg.Dt)
-	}
-	if r.serial {
-		for i := range r.specs {
-			gen(0, i)
-		}
-	} else {
-		r.pool.Run(len(r.specs), gen)
-	}
+	})
 	for i := range r.specs {
 		b.offers[r.specs[i].Port] = b.bufs[i]
 	}
@@ -431,7 +413,7 @@ func (r *run) sink(worker int, port string) fabric.FlowVisitor {
 	row := r.visitors[vi]
 	slot := worker % len(row) // Shard wraps the same way
 	if row[slot] == nil {
-		sh := r.specs[vi].Monitor.Shard(worker)
+		sh := r.monitors[vi].Shard(worker)
 		row[slot] = func(delivered []fabric.Delivery) {
 			sh.ObserveDelivered(r.curTick, delivered)
 		}
@@ -449,7 +431,8 @@ func (r *run) sink(worker int, port string) fabric.FlowVisitor {
 func (r *run) monitor(b *batch) {
 	dt := r.cfg.Dt
 	for i, spec := range r.specs {
-		spec.Monitor.SetMergeHorizon(b.tick)
+		mon := r.monitors[i]
+		mon.SetMergeHorizon(b.tick)
 		rep := b.reports[spec.Port]
 		b.samples[i] = Sample{
 			Tick:                 b.tick,
@@ -460,7 +443,7 @@ func (r *run) monitor(b *batch) {
 			RuleDroppedBps:       rep.Result.RuleDroppedBytes * 8 / dt,
 			ShaperDroppedBps:     rep.Result.ShaperDroppedBytes * 8 / dt,
 			CongestionDroppedBps: rep.Result.CongestionDroppedBytes * 8 / dt,
-			ActivePeers:          spec.Monitor.PeerCountFunc(b.tick, peerMinBps*dt/8, r.keep),
+			ActivePeers:          mon.PeerCountFunc(b.tick, peerMinBps*dt/8, r.keep),
 		}
 	}
 }

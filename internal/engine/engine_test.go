@@ -81,10 +81,6 @@ func newFlowSource(seed int) *flowSource {
 	return &flowSource{seed: seed, mac: netpkt.MAC{0x02, 0x99, 0, 0, 0, byte(seed)}}
 }
 
-func (s *flowSource) Offers(tick int, dt float64) []fabric.Offer {
-	return s.AppendOffers(nil, tick, dt)
-}
-
 func (s *flowSource) AppendOffers(dst []fabric.Offer, tick int, dt float64) []fabric.Offer {
 	flow := netpkt.FlowKey{
 		SrcMAC:  s.mac,
@@ -339,8 +335,7 @@ func TestEnginePipelinesAndBackpressures(t *testing.T) {
 }
 
 // TestEngineMonitorsReadableAfterRun: the merge horizon is lifted when
-// the run ends, so accessors see every bin, including on the monitor a
-// caller supplied.
+// the run ends, so accessors see every bin.
 func TestEngineMonitorsReadableAfterRun(t *testing.T) {
 	cfg := testConfig(2, 8, 2)
 	series, err := New(cfg).Run()
@@ -469,7 +464,7 @@ func TestWarmPortTickThroughBatchVisitorAllocs(t *testing.T) {
 		t.Fatalf("warm port tick: %v allocations, want 0", got)
 	}
 	anyMAC := func(netpkt.MAC) bool { return true }
-	if got := r.specs[0].Monitor.PeerCountFunc(0, 0, anyMAC); got != senders {
+	if got := r.monitors[0].PeerCountFunc(0, 0, anyMAC); got != senders {
 		t.Fatalf("monitor saw %d senders, want %d", got, senders)
 	}
 }

@@ -17,11 +17,12 @@ import (
 // peer of the tick it folds — sees which ticks the fold side runs.
 type tickSource struct{ seed int }
 
-func (s tickSource) Offers(tick int, dt float64) []fabric.Offer {
-	o := newFlowSource(s.seed).AppendOffers(nil, tick, dt)
-	o[0].Flow.SrcMAC[4] = byte(tick)
-	o[0].FlowHash = o[0].Flow.Hash()
-	return o
+func (s tickSource) AppendOffers(dst []fabric.Offer, tick int, dt float64) []fabric.Offer {
+	dst = newFlowSource(s.seed).AppendOffers(dst, tick, dt)
+	o := &dst[len(dst)-1]
+	o.Flow.SrcMAC[4] = byte(tick)
+	o.FlowHash = o.Flow.Hash()
+	return dst
 }
 
 // TestEngineNoFoldPastErrorTick is the regression for the abort
@@ -185,21 +186,6 @@ func checkSeries(t *testing.T, name string, run func(*testing.T) ([]VictimSeries
 			}
 		}
 	})
-}
-
-// TestEngineSharedMonitorRejected: one collector under two victims
-// would mix both ports' flows into the same bins, so the engine rejects
-// the configuration up front.
-func TestEngineSharedMonitorRejected(t *testing.T) {
-	cfg := testConfig(2, 4, 2)
-	specs := cfg.Driver.Victims()
-	shared := flowmon.NewCollector()
-	specs[0].Monitor = shared
-	specs[1].Monitor = shared
-	cfg.Driver = NewSourcesDriver(specs, [][]Source{{newFlowSource(0)}, {newFlowSource(1)}})
-	if _, err := New(cfg).Run(); err == nil || !strings.Contains(err.Error(), "shares its monitor") {
-		t.Fatalf("shared monitor accepted: %v", err)
-	}
 }
 
 // TestEngineStageProfile: Config.Profile attaches one shared profile to

@@ -135,19 +135,21 @@ type DataPlane interface {
 }
 
 // Source produces flow-level offers per tick (attacks, benign services,
-// trace replay). traffic.Attack, traffic.WebService and traffic.Trace
-// implement it.
+// trace replay, pulse trains): AppendOffers appends the tick's offers to
+// dst and returns the grown slice. The traffic step reuses one buffer per
+// victim across ticks, so a source costs no per-tick slice allocation in
+// steady state. traffic.Attack, traffic.WebService, traffic.Trace and
+// Pulsed implement it.
+//
+// Victims generate concurrently and one Source may feed several
+// victims, so AppendOffers must only read the source (a table built on
+// first use goes under a sync.Once, as traffic.WebService's does).
 type Source interface {
-	Offers(tick int, dtSeconds float64) []fabric.Offer
-}
-
-// OfferAppender is an optional Source refinement: sources that can
-// append their per-tick offers into a caller-owned buffer. The traffic
-// step reuses one buffer per victim across ticks, so appending sources
-// cost no per-tick slice allocation in steady state.
-type OfferAppender interface {
 	AppendOffers(dst []fabric.Offer, tick int, dtSeconds float64) []fabric.Offer
 }
+
+// OfferAppender is Source under the name benchmark/attack.go asserts to.
+type OfferAppender = Source
 
 // Event runs a control-plane action at the beginning of a tick —
 // announcing a blackhole, escalating a rule, withdrawing a route. Do
@@ -161,20 +163,18 @@ type Event struct {
 	Do   func() error
 }
 
-// VictimSpec names one monitored victim port of a run.
+// VictimSpec names one monitored victim port of a run. The engine
+// streams every flow delivered at the port into a fresh monitor
+// (VictimSeries.Monitor), per-worker shards binned by tick.
 type VictimSpec struct {
 	// Port names the victim's fabric port.
 	Port string
-	// Monitor receives every flow delivered at the port, streamed from
-	// the egress workers into per-worker shards (bin = tick). The
-	// engine creates one when nil.
-	Monitor *flowmon.Collector
 }
 
 // Driver is a pluggable workload: it names the victim ports it targets
-// and fills each tick's offers. AppendOffers may be called concurrently
-// for distinct victims (the traffic step fans victims across the
-// worker pool) unless the driver also implements SerialGenerator.
+// and fills each tick's offers. AppendOffers is called concurrently for
+// distinct victims (the traffic step fans victims across the worker
+// pool).
 //
 // SourcesDriver is the one shipped driver: per-victim Source lists of
 // synthetic attacks, traffic.Trace replays and Pulsed on/off trains. A
@@ -185,11 +185,4 @@ type Driver interface {
 	// AppendOffers appends victim v's offers for the tick to dst and
 	// returns the grown slice.
 	AppendOffers(v int, dst []fabric.Offer, tick int, dt float64) []fabric.Offer
-}
-
-// SerialGenerator marks drivers whose AppendOffers must not run
-// concurrently across victims — e.g. SourcesDriver when one Source
-// instance feeds several victims.
-type SerialGenerator interface {
-	SerialGen() bool
 }

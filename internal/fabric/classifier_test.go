@@ -762,8 +762,9 @@ func TestMemoBound(t *testing.T) {
 
 // TestMemoOwnsItsKeys pins the memo's side of Offer's pointer-lifetime
 // rule. Offers point into a producer's key table, and the producer may
-// rewrite that table in place between ticks, the way an Attack does
-// after a Target edit. The memo keeps its own copy of every key, so on
+// rewrite that table in place between ticks (the shipped traffic
+// sources never do, but the contract allows it). The memo keeps its own
+// copy of every key, so on
 // the same classifier generation each verdict follows the key the offer
 // points at now. The rewrite swaps each flow between the drop rule's
 // NTP source port and DNS; the rehashed case then carries each new

@@ -17,9 +17,8 @@ import (
 // carrying the 64-byte key, so an offer is 32 bytes. The producer owns
 // the key: it stays valid and unchanged until the egress of the tick it
 // was offered in returns, and the producer's next AppendOffers may
-// rewrite it in place (a traffic source revalidating its keys after a
-// field edit). Nothing on the data path keeps the pointer past the
-// tick; the flow memo stores its own copy of each key.
+// rewrite it in place. Nothing on the data path keeps the pointer past
+// the tick; the flow memo stores its own copy of each key.
 type Offer struct {
 	Flow    *netpkt.FlowKey
 	Bytes   float64

@@ -258,9 +258,7 @@ func (f *Federation) deliverDue(tick int) {
 
 // countingDriver wraps an exchange's driver to count offered flows —
 // the per-exchange and federation-wide OfferedFlows of the Report. It
-// stays because the engine returns rates, never flow counts. It
-// forwards the optional SerialGenerator facet so wrapping never changes
-// engine behaviour.
+// stays because the engine returns rates, never flow counts.
 type countingDriver struct {
 	inner engine.Driver
 	flows *int64
@@ -273,11 +271,4 @@ func (d *countingDriver) AppendOffers(v int, dst []fabric.Offer, tick int, dt fl
 	out := d.inner.AppendOffers(v, dst, tick, dt)
 	atomic.AddInt64(d.flows, int64(len(out)-base))
 	return out
-}
-
-func (d *countingDriver) SerialGen() bool {
-	if sg, ok := d.inner.(engine.SerialGenerator); ok {
-		return sg.SerialGen()
-	}
-	return false
 }

@@ -41,10 +41,9 @@ type peerSource struct {
 
 func (s peerSource) activePeers(tick int) int { return tick%s.peers + 1 }
 
-func (s peerSource) Offers(tick int, _ float64) []fabric.Offer {
-	out := make([]fabric.Offer, s.activePeers(tick))
-	flows := make([]netpkt.FlowKey, len(out)) // the offers point into it
-	for p := range out {
+func (s peerSource) AppendOffers(dst []fabric.Offer, tick int, _ float64) []fabric.Offer {
+	flows := make([]netpkt.FlowKey, s.activePeers(tick)) // the offers point into it
+	for p := range flows {
 		flow := &flows[p]
 		*flow = netpkt.FlowKey{
 			SrcMAC:  netpkt.MAC{0x02, 0x30, 0, 0, s.victim, byte(p)},
@@ -54,9 +53,9 @@ func (s peerSource) Offers(tick int, _ float64) []fabric.Offer {
 			SrcPort: 123,
 			DstPort: 443,
 		}
-		out[p] = fabric.Offer{Flow: flow, FlowHash: flow.Hash(), Bytes: 1e5, Packets: 100}
+		dst = append(dst, fabric.Offer{Flow: flow, FlowHash: flow.Hash(), Bytes: 1e5, Packets: 100})
 	}
-	return out
+	return dst
 }
 
 // TestEngineRetention runs the engine over 2 victims × 2000 ticks: the

@@ -24,9 +24,9 @@ const peerMinBps = 1e3
 // the clock, processes the control plane and egresses, with every step
 // finishing before the next tick starts. The pipelined engine must
 // reproduce its output byte for byte. It takes the engine's own input
-// shapes (sources[i] feeds specs[i]; same-tick events apply in list
+// shapes (sources[i] feeds victims[i]; same-tick events apply in list
 // order).
-func serialRunAll(x *IXP, ticks int, dt float64, specs []engine.VictimSpec, sources [][]engine.Source, evs []engine.Event) ([]engine.VictimSeries, error) {
+func serialRunAll(x *IXP, ticks int, dt float64, victims []engine.VictimSpec, sources [][]engine.Source, evs []engine.Event) ([]engine.VictimSeries, error) {
 	type timedEvent struct {
 		engine.Event
 		seq int
@@ -42,13 +42,11 @@ func serialRunAll(x *IXP, ticks int, dt float64, specs []engine.VictimSpec, sour
 		}
 	}
 
-	victims := append([]engine.VictimSpec(nil), specs...)
 	series := make([]engine.VictimSeries, len(victims))
+	monitors := make([]*flowmon.Collector, len(victims))
 	for i := range victims {
-		if victims[i].Monitor == nil {
-			victims[i].Monitor = flowmon.NewCollector()
-		}
-		series[i] = engine.VictimSeries{Port: victims[i].Port, Monitor: victims[i].Monitor}
+		monitors[i] = flowmon.NewCollector()
+		series[i] = engine.VictimSeries{Port: victims[i].Port, Monitor: monitors[i]}
 	}
 
 	bufs := make([][]fabric.Offer, len(victims))
@@ -57,7 +55,7 @@ func serialRunAll(x *IXP, ticks int, dt float64, specs []engine.VictimSpec, sour
 	visitorCache := make([][]fabric.FlowVisitor, len(victims))
 	victimIndex := make(map[string]int, len(victims))
 	for i := range victims {
-		visitorCache[i] = make([]fabric.FlowVisitor, victims[i].Monitor.Shards())
+		visitorCache[i] = make([]fabric.FlowVisitor, monitors[i].Shards())
 		victimIndex[victims[i].Port] = i
 	}
 	sink := func(worker int, port string) fabric.FlowVisitor {
@@ -70,7 +68,7 @@ func serialRunAll(x *IXP, ticks int, dt float64, specs []engine.VictimSpec, sour
 		if row[slot] == nil {
 			// One observation per delivery, where the engine observes a
 			// port's batch at once: the two must fold identically.
-			sh := victims[vi].Monitor.Shard(worker)
+			sh := monitors[vi].Shard(worker)
 			row[slot] = func(delivered []fabric.Delivery) {
 				for _, d := range delivered {
 					sh.ObserveFlow(*curTick, d.Offer.Flow, d.Bytes)
@@ -96,11 +94,7 @@ func serialRunAll(x *IXP, ticks int, dt float64, specs []engine.VictimSpec, sour
 		for i := range victims {
 			buf := bufs[i][:0]
 			for _, src := range sources[i] {
-				if ap, ok := src.(engine.OfferAppender); ok {
-					buf = ap.AppendOffers(buf, tick, dt)
-				} else {
-					buf = append(buf, src.Offers(tick, dt)...)
-				}
+				buf = src.AppendOffers(buf, tick, dt)
 			}
 			bufs[i] = buf
 			offers[victims[i].Port] = buf
@@ -121,7 +115,7 @@ func serialRunAll(x *IXP, ticks int, dt float64, specs []engine.VictimSpec, sour
 				RuleDroppedBps:       rep.Result.RuleDroppedBytes * 8 / dt,
 				ShaperDroppedBps:     rep.Result.ShaperDroppedBytes * 8 / dt,
 				CongestionDroppedBps: rep.Result.CongestionDroppedBytes * 8 / dt,
-				ActivePeers:          victims[i].Monitor.PeerCountFunc(tick, peerMinBps*dt/8, isMember),
+				ActivePeers:          monitors[i].PeerCountFunc(tick, peerMinBps*dt/8, isMember),
 			})
 		}
 	}

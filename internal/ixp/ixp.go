@@ -47,8 +47,7 @@ type Config struct {
 	QueueBurst int
 	// TuneController adjusts the mitigation controller's configuration
 	// — retry/backoff policy, install deadlines, the degradation
-	// ladder, fault-injection hooks, a default TTL or a per-member bound
-	// on live mitigations — after the standard wiring and
+	// ladder, fault-injection hooks — after the standard wiring and
 	// before the controller is built. When the hook enables the
 	// degradation ladder without a headroom source, Build wires the
 	// edge router's.

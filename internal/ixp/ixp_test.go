@@ -206,7 +206,7 @@ func TestTickNullRoutingDropsHonoringTraffic(t *testing.T) {
 	rng := stats.NewRand(1)
 	attack := traffic.NewAttack(traffic.VectorNTP, target, PeersOf(members[1:]), 1e9, 0, 100, rng)
 	attack.RampTicks = 0
-	offers := attack.Offers(10, 1)
+	offers := attack.AppendOffers(nil, 10, 1)
 	x.ControlTick(0, 1)
 	reports, err := x.EgressTick(nil, fabric.TickOffers{victim.Name: offers}, 1, nil)
 	if err != nil {
@@ -239,7 +239,7 @@ func TestStellarEndToEndMitigation(t *testing.T) {
 	web := traffic.NewWebService(target, peers[:3], 4e8, rng)
 
 	mkOffers := func(tick int) []fabric.Offer {
-		return append(attack.Offers(tick, 1), web.Offers(tick, 1)...)
+		return web.AppendOffers(attack.AppendOffers(nil, tick, 1), tick, 1)
 	}
 
 	// Before mitigation: congestion, web suffers.
@@ -530,7 +530,7 @@ func TestAnnounceFacadeEquivalence(t *testing.T) {
 		rng := stats.NewRand(7)
 		attack := traffic.NewAttack(traffic.VectorNTP, victimAddr(victim), PeersOf([]*member.Member{victim}), 1e9, 0, 100, rng)
 		attack.RampTicks = 0
-		offers := attack.Offers(1, 1)
+		offers := attack.AppendOffers(nil, 1, 1)
 		x.ControlTick(0, 1)
 		reports, err := x.EgressTick(nil, fabric.TickOffers{victim.Name: offers}, 1, nil)
 		if err != nil {

@@ -202,14 +202,13 @@ type nonMemberSource struct {
 	target netip.Addr
 }
 
-func (s nonMemberSource) Offers(tick int, dt float64) []fabric.Offer {
+func (s nonMemberSource) AppendOffers(dst []fabric.Offer, tick int, dt float64) []fabric.Offer {
 	ghostMAC := netpkt.MustParseMAC("02:ee:ee:ee:ee:01")
-	return []fabric.Offer{
-		{Flow: &netpkt.FlowKey{SrcMAC: s.member.MAC, Src: s.member.SrcIP, Dst: s.target,
+	return append(dst,
+		fabric.Offer{Flow: &netpkt.FlowKey{SrcMAC: s.member.MAC, Src: s.member.SrcIP, Dst: s.target,
 			Proto: netpkt.ProtoUDP, SrcPort: 123, DstPort: 443}, Bytes: 1e6, Packets: 1000},
-		{Flow: &netpkt.FlowKey{SrcMAC: ghostMAC, Src: netip.MustParseAddr("203.0.113.9"), Dst: s.target,
-			Proto: netpkt.ProtoUDP, SrcPort: 123, DstPort: 443}, Bytes: 1e6, Packets: 1000},
-	}
+		fabric.Offer{Flow: &netpkt.FlowKey{SrcMAC: ghostMAC, Src: netip.MustParseAddr("203.0.113.9"), Dst: s.target,
+			Proto: netpkt.ProtoUDP, SrcPort: 123, DstPort: 443}, Bytes: 1e6, Packets: 1000})
 }
 
 // TestScenarioActivePeersCountsOnlyMembers pins the pre-streaming

@@ -185,31 +185,28 @@ func SamplePolicies(n int, rng *stats.Rand) []AnnouncementPolicy {
 // two-week IPFIX capture is not redistributable, it replays a per-tick
 // rate series whose UDP source-port composition follows sampled
 // blackholing events (SampleEvent) — one sampled composition per
-// segment of SegmentTicks ticks, so the replay exhibits the published
-// event-to-event variance instead of a frozen mix. It implements the
-// engine's Source/OfferAppender contract, which makes a recorded trace
-// a drop-in replacement for a synthetic Attack in any driver.
+// segment of segment ticks, so the replay exhibits the published
+// event-to-event variance instead of a frozen mix. It is an engine
+// Source, which makes a recorded trace a drop-in replacement for a
+// synthetic Attack in any driver.
 //
-// Construct with NewTrace: the sampled segments and the per-(peer,port)
-// flow table are precomputed there, and the Trace's offers point into
-// that table, which it owns (fabric.Offer's pointer-lifetime rule). A
-// Trace assembled by struct literal has no segments and emits nothing.
+// NewTrace fixes it: it samples the segments and builds the pre-hashed
+// per-(peer, port) flow table its offers point into (fabric.Offer's
+// pointer-lifetime rule).
 type Trace struct {
-	// Peers carries the replayed traffic, weighted heavy-tailed like an
-	// Attack's reflector population.
-	Peers []Peer
-	// RatesBps is the per-tick aggregate rate; ticks past the end reuse
-	// the last value, an empty series emits nothing.
-	RatesBps []float64
-	// SegmentTicks is the dwell time of one sampled event composition
-	// (<=1: a single composition covers the whole replay).
-	SegmentTicks int
+	// rates is the per-tick aggregate rate; ticks past the end reuse the
+	// last value, an empty series emits nothing.
+	rates []float64
+	// segTicks is the dwell time of one sampled event composition.
+	segTicks int
 
 	segments []EventSample
 	ports    []uint16 // profiled ports, deterministic order
-	weights  []float64
-	flows    []netpkt.FlowKey // (peer, port) flattened peer-major
-	hashes   []uint64
+	// weights split the rate across the peers heavy-tailed, like an
+	// Attack's reflector population.
+	weights []float64
+	flows   []netpkt.FlowKey // (peer, port) flattened peer-major
+	hashes  []uint64
 }
 
 // otherSrcPort carries the residual ("others") mass of a sampled event
@@ -218,44 +215,29 @@ type Trace struct {
 const otherSrcPort = 40123
 
 // NewTrace builds a replay of len(ratesBps) ticks from the profile,
-// sampling one event composition per segment with rng.
+// sampling one event composition per segment of segmentTicks ticks
+// (<= 1: one composition covers the whole replay) with rng.
 func NewTrace(p PortShareProfile, target netip.Addr, peers []Peer, ratesBps []float64, segmentTicks int, rng *stats.Rand) *Trace {
-	t := &Trace{Peers: peers, RatesBps: ratesBps, SegmentTicks: segmentTicks}
-	if t.SegmentTicks < 1 {
-		t.SegmentTicks = len(ratesBps)
-		if t.SegmentTicks < 1 {
-			t.SegmentTicks = 1
-		}
+	t := &Trace{rates: ratesBps, segTicks: segmentTicks}
+	if t.segTicks < 1 {
+		t.segTicks = max(len(ratesBps), 1)
 	}
-	nSeg := (len(ratesBps) + t.SegmentTicks - 1) / t.SegmentTicks
-	if nSeg < 1 {
-		nSeg = 1
-	}
+	nSeg := max((len(ratesBps)+t.segTicks-1)/t.segTicks, 1)
 	t.segments = SampleEvents(p, nSeg, rng)
 
 	// Profiled ports in deterministic (ascending) order, plus the
 	// residual bucket last.
 	t.ports = append(sortedPorts(p.Shares), otherSrcPort)
-
-	t.weights = make([]float64, len(peers))
-	var sum float64
-	for i := range peers {
-		w := rng.Pareto(1.0, 1.8)
-		t.weights[i] = w
-		sum += w
-	}
-	for i := range t.weights {
-		t.weights[i] /= sum
-	}
+	t.weights = drawWeights(len(peers), func() float64 { return rng.Pareto(1.0, 1.8) })
 
 	t.flows = make([]netpkt.FlowKey, len(peers)*len(t.ports))
 	t.hashes = make([]uint64, len(t.flows))
-	for i := range peers {
+	for i, peer := range peers {
 		for j, port := range t.ports {
 			k := i*len(t.ports) + j
 			t.flows[k] = netpkt.FlowKey{
-				SrcMAC:  peers[i].MAC,
-				Src:     peers[i].SrcIP,
+				SrcMAC:  peer.MAC,
+				Src:     peer.SrcIP,
 				Dst:     target,
 				Proto:   netpkt.ProtoUDP,
 				SrcPort: port,
@@ -269,28 +251,10 @@ func NewTrace(p PortShareProfile, target netip.Addr, peers []Peer, ratesBps []fl
 
 // rateAt returns the replayed aggregate rate at tick.
 func (t *Trace) rateAt(tick int) float64 {
-	if len(t.RatesBps) == 0 || tick < 0 {
+	if len(t.rates) == 0 || tick < 0 {
 		return 0
 	}
-	if tick >= len(t.RatesBps) {
-		tick = len(t.RatesBps) - 1
-	}
-	return t.RatesBps[tick]
-}
-
-// segmentAt returns the sampled composition covering tick.
-func (t *Trace) segmentAt(tick int) EventSample {
-	i := 0
-	if t.SegmentTicks > 0 {
-		i = tick / t.SegmentTicks
-	}
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(t.segments) {
-		i = len(t.segments) - 1
-	}
-	return t.segments[i]
+	return t.rates[min(tick, len(t.rates)-1)]
 }
 
 // portShare returns the byte share of one profiled port (or the
@@ -302,27 +266,21 @@ func (s EventSample) portShare(port uint16) float64 {
 	return s.PortShare[port]
 }
 
-// Offers emits the replay's flow-level offers for one tick.
-func (t *Trace) Offers(tick int, dtSeconds float64) []fabric.Offer {
-	return t.AppendOffers(nil, tick, dtSeconds)
-}
-
-// AppendOffers appends the tick's offers to dst and returns it — the
-// buffer-reusing form the engine's traffic stage drives. dst grows at
-// most once, to room for one offer per (peer, port) flow.
-// Each offer's Flow points at the trace's key for its (peer, port)
-// flow. The table is built once and never rewritten, so the key outlives
-// the tick's egress.
+// AppendOffers appends the tick's offers to dst and returns it (the
+// engine's Source). dst grows at most once, to room for one offer per
+// (peer, port) flow. Each offer's Flow points at the trace's key for its
+// (peer, port) flow, which never changes.
 func (t *Trace) AppendOffers(dst []fabric.Offer, tick int, dtSeconds float64) []fabric.Offer {
 	rate := t.rateAt(tick)
-	if rate <= 0 || len(t.segments) == 0 || len(t.weights) != len(t.Peers) {
-		return dst // zero rate, or a Trace not built by NewTrace
+	if rate <= 0 {
+		return dst
 	}
 	dst = slices.Grow(dst, len(t.flows))
-	seg := t.segmentAt(tick)
+	// The segment covering tick; ticks past the series keep the last.
+	seg := t.segments[min(tick/t.segTicks, len(t.segments)-1)]
 	totalBytes := rate * dtSeconds / 8
-	for i := range t.Peers {
-		peerBytes := totalBytes * t.weights[i]
+	for i, weight := range t.weights {
+		peerBytes := totalBytes * weight
 		if peerBytes <= 0 {
 			continue
 		}

@@ -36,7 +36,7 @@ func TestTraceRateReplay(t *testing.T) {
 		testTracePeers(6), rates, 2, stats.NewRand(7))
 	sum := func(tick int) float64 {
 		var total float64
-		for _, o := range tr.Offers(tick, 1) {
+		for _, o := range tr.AppendOffers(nil, tick, 1) {
 			total += o.Bytes
 		}
 		return total
@@ -53,7 +53,7 @@ func TestTraceRateReplay(t *testing.T) {
 	}
 	// dt scales volume linearly.
 	var dt2 float64
-	for _, o := range tr.Offers(0, 2) {
+	for _, o := range tr.AppendOffers(nil, 0, 2) {
 		dt2 += o.Bytes
 	}
 	if want := 2 * rates[0] / 8; math.Abs(dt2-want) > 1e-6*want {
@@ -62,12 +62,12 @@ func TestTraceRateReplay(t *testing.T) {
 
 	empty := NewTrace(RTBHPortProfile(), netip.MustParseAddr("100.64.0.1"),
 		testTracePeers(2), nil, 1, stats.NewRand(7))
-	if got := empty.Offers(0, 1); len(got) != 0 {
+	if got := empty.AppendOffers(nil, 0, 1); len(got) != 0 {
 		t.Fatalf("empty trace emitted %d offers", len(got))
 	}
 }
 
-// TestTraceSegmentsResample: each SegmentTicks window replays one
+// TestTraceSegmentsResample: each segment replays one
 // sampled event composition — the port mix is constant inside a segment
 // and (with the profile's variance) differs across segments.
 func TestTraceSegmentsResample(t *testing.T) {
@@ -81,7 +81,7 @@ func TestTraceSegmentsResample(t *testing.T) {
 	portMix := func(tick int) string {
 		mix := make(map[uint16]float64)
 		var total float64
-		for _, o := range tr.Offers(tick, 1) {
+		for _, o := range tr.AppendOffers(nil, tick, 1) {
 			mix[o.Flow.SrcPort] += o.Bytes
 			total += o.Bytes
 		}
@@ -99,7 +99,7 @@ func TestTraceSegmentsResample(t *testing.T) {
 	}
 	// NTP is a profiled heavy hitter: its share must be material.
 	var ntp, total float64
-	for _, o := range tr.Offers(0, 1) {
+	for _, o := range tr.AppendOffers(nil, 0, 1) {
 		if o.Flow.SrcPort == 123 {
 			ntp += o.Bytes
 		}
@@ -120,7 +120,7 @@ func TestTraceDeterministicAndReusable(t *testing.T) {
 	}
 	a, b := build(), build()
 	for tick := 0; tick < 2; tick++ {
-		if fmt.Sprint(a.Offers(tick, 1)) != fmt.Sprint(b.Offers(tick, 1)) {
+		if fmt.Sprint(a.AppendOffers(nil, tick, 1)) != fmt.Sprint(b.AppendOffers(nil, tick, 1)) {
 			t.Fatalf("tick %d: same-seed traces diverged", tick)
 		}
 	}

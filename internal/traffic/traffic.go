@@ -3,13 +3,17 @@
 // memcached, chargen and spoofed port-0 floods), booter-style attacks
 // fanned out over many IXP peers, and benign web-service traffic. All
 // generators are flow-level (they emit fabric.Offer aggregates per tick)
-// and deterministic given a seed.
+// and deterministic given a seed. Each is fixed when its constructor
+// returns (bar Attack.RampTicks, set before use), and AppendOffers only
+// reads it, so one source may feed several victims generating
+// concurrently.
 package traffic
 
 import (
 	"fmt"
 	"net/netip"
 	"slices"
+	"sync"
 
 	"stellar/internal/fabric"
 	"stellar/internal/netpkt"
@@ -72,255 +76,170 @@ type Peer struct {
 
 // Attack is a reflection/amplification attack against one target IP,
 // arriving via a set of IXP peers — the shape of the booter-service
-// attacks in Sections 2.4 and 5.3. Its offers point into a flow table
-// the Attack owns (fabric.Offer's pointer-lifetime rule).
+// attacks in Sections 2.4 and 5.3. NewAttack fixes all of it but
+// RampTicks, including the flow table its offers point into
+// (fabric.Offer's pointer-lifetime rule).
 type Attack struct {
-	Vector Vector
-	// Target is the victim service address (the /32 under attack).
-	Target netip.Addr
-	// Peers carries the attack; traffic is split across them with a
-	// heavy-tailed (Pareto) weight so a few peers dominate, as observed
-	// in the paper's booter experiments. The weights are drawn at
-	// construction, so the length of Peers is fixed then: a peer may be
-	// edited in place, but AppendOffers panics once the length differs.
-	Peers []Peer
-	// RateBps is the aggregate attack rate at peak.
-	RateBps float64
-	// StartTick and EndTick bound the attack (inclusive start,
-	// exclusive end) in simulation ticks.
-	StartTick, EndTick int
 	// RampTicks linearly ramps the attack to full rate (booters ramp up
-	// within a few seconds).
+	// within a few seconds). Set it before the first AppendOffers.
 	RampTicks int
 
+	rateBps    float64 // aggregate rate at peak
+	start, end int     // active ticks [start, end)
+	pktSize    float64 // the vector's reflected datagram size
+	// weights split the rate across the peers heavy-tailed (Pareto), so
+	// a few peers dominate, as observed in the paper's booter
+	// experiments. flows and hashes are the per-peer flow keys and their
+	// netpkt.FlowKey.Hash values, so every offer is pre-hashed.
 	weights []float64
-	// flows and hashes cache the per-peer flow keys and their
-	// netpkt.FlowKey.Hash values so each tick's Offers emits pre-hashed
-	// offers with zero per-tick re-hashing (the fabric's egress hot loop
-	// classifies them from its flow memo). Offers revalidates each
-	// cached key against the current Target, Vector and peer fields with
-	// a cheap struct compare, so editing them after construction stays
-	// correct.
-	flows  []netpkt.FlowKey
-	hashes []uint64
+	flows   []netpkt.FlowKey
+	hashes  []uint64
 }
 
-// NewAttack builds an attack with deterministic per-peer weights drawn
-// from rng.
+// NewAttack builds an attack of vector v on target, split across peers
+// with deterministic weights drawn from rng, at rateBps from tick start
+// (inclusive) to end (exclusive), ramping up over 5 ticks.
 func NewAttack(v Vector, target netip.Addr, peers []Peer, rateBps float64, start, end int, rng *stats.Rand) *Attack {
-	a := &Attack{Vector: v, Target: target, Peers: peers, RateBps: rateBps,
-		StartTick: start, EndTick: end, RampTicks: 5}
-	a.weights = make([]float64, len(peers))
-	var sum float64
-	for i := range peers {
-		w := rng.Pareto(1.0, 1.8)
-		a.weights[i] = w
-		sum += w
+	a := &Attack{RampTicks: 5, rateBps: rateBps, start: start, end: end,
+		pktSize: float64(v.ResponseSize),
+		weights: drawWeights(len(peers), func() float64 { return rng.Pareto(1.0, 1.8) }),
+		flows:   make([]netpkt.FlowKey, len(peers)),
+		hashes:  make([]uint64, len(peers)),
 	}
-	for i := range a.weights {
-		a.weights[i] /= sum
-	}
-	a.flows = make([]netpkt.FlowKey, len(peers))
-	a.hashes = make([]uint64, len(peers))
-	for i := range peers {
-		a.flows[i] = a.flowKey(i)
+	for i, p := range peers {
+		// Reflected toward the service port under attack.
+		a.flows[i] = netpkt.FlowKey{SrcMAC: p.MAC, Src: p.SrcIP, Dst: target,
+			Proto: netpkt.ProtoUDP, SrcPort: v.SrcPort, DstPort: 443}
 		a.hashes[i] = a.flows[i].Hash()
 	}
 	return a
 }
 
-// checkPeers panics unless a source still has the number of peers it
-// drew its weights for.
-func checkPeers(source string, peers, built int) {
-	if peers != built {
-		panic(fmt.Sprintf("traffic: %s has %d peers but was built with %d: the length of Peers is fixed at construction", source, peers, built))
+// drawWeights draws n weights and normalizes them to sum to 1.
+func drawWeights(n int, draw func() float64) []float64 {
+	w := make([]float64, n)
+	var sum float64
+	for i := range w {
+		w[i] = draw()
+		sum += w[i]
 	}
-}
-
-// flowKey builds peer i's flow key from the current attack fields.
-func (a *Attack) flowKey(i int) netpkt.FlowKey {
-	return netpkt.FlowKey{
-		SrcMAC:  a.Peers[i].MAC,
-		Src:     a.Peers[i].SrcIP,
-		Dst:     a.Target,
-		Proto:   netpkt.ProtoUDP,
-		SrcPort: a.Vector.SrcPort,
-		DstPort: 443, // reflected toward the service port under attack
+	for i := range w {
+		w[i] /= sum
 	}
+	return w
 }
 
-// ActiveAt reports whether the attack emits traffic at tick.
-func (a *Attack) ActiveAt(tick int) bool {
-	return tick >= a.StartTick && tick < a.EndTick
-}
-
-// rateAt returns the attack rate at tick including ramp-up.
+// rateAt returns the attack rate at tick including ramp-up: 0 outside
+// the attack's window.
 func (a *Attack) rateAt(tick int) float64 {
-	if !a.ActiveAt(tick) {
+	switch {
+	case tick < a.start || tick >= a.end:
 		return 0
+	case tick-a.start < a.RampTicks:
+		return a.rateBps * float64(tick-a.start+1) / float64(a.RampTicks)
 	}
-	if a.RampTicks > 0 && tick-a.StartTick < a.RampTicks {
-		return a.RateBps * float64(tick-a.StartTick+1) / float64(a.RampTicks)
-	}
-	return a.RateBps
+	return a.rateBps
 }
 
-// Offers emits the attack's flow-level offers for one tick of dtSeconds.
-func (a *Attack) Offers(tick int, dtSeconds float64) []fabric.Offer {
-	return a.AppendOffers(nil, tick, dtSeconds)
-}
-
-// AppendOffers appends the tick's offers to dst and returns it —
-// the buffer-reusing form the scenario engine drives (engine.OfferAppender).
-// dst grows at most once, to room for one offer per peer.
-// Each offer's Flow points at the attack's cached key for its peer: it
-// stays valid and unchanged until the egress of this tick returns, and
-// the next AppendOffers rewrites it in place if Target, Vector or the
-// peer was edited meanwhile.
+// AppendOffers appends the tick's offers to dst and returns it (the
+// engine's Source). dst grows at most once, to room for one offer per
+// peer. Each offer's Flow points at the attack's key for its peer,
+// which never changes.
 func (a *Attack) AppendOffers(dst []fabric.Offer, tick int, dtSeconds float64) []fabric.Offer {
-	checkPeers("Attack", len(a.Peers), len(a.weights))
 	rate := a.rateAt(tick)
 	if rate == 0 {
 		return dst
 	}
 	totalBytes := rate * dtSeconds / 8
-	pktSize := float64(a.Vector.ResponseSize)
-	offers := slices.Grow(dst, len(a.Peers))
-	for i := range a.Peers {
+	dst = slices.Grow(dst, len(a.flows))
+	for i := range a.flows {
 		b := totalBytes * a.weights[i]
 		if b <= 0 {
 			continue
 		}
-		// Revalidate the cached key (field compare, no hashing): Target,
-		// Vector or a peer may have been mutated after construction. The
-		// comparison checks the mutable fields in place rather than
-		// building a throwaway key.
-		if f := &a.flows[i]; f.SrcMAC != a.Peers[i].MAC || f.Src != a.Peers[i].SrcIP ||
-			f.Dst != a.Target || f.SrcPort != a.Vector.SrcPort ||
-			f.Proto != netpkt.ProtoUDP || f.DstPort != 443 {
-			*f = a.flowKey(i)
-			a.hashes[i] = f.Hash()
-		}
-		offers = append(offers, fabric.Offer{
+		dst = append(dst, fabric.Offer{
 			Flow:     &a.flows[i],
 			FlowHash: a.hashes[i],
 			Bytes:    b,
-			Packets:  b / pktSize,
+			Packets:  b / a.pktSize,
 		})
 	}
-	return offers
+	return dst
 }
 
-// PortMix is one (destination port, share) element of a service profile.
-type PortMix struct {
-	Port  uint16
-	Share float64
+// webMix is the pre-attack destination-port mix of the service in
+// Figure 2(c): mostly HTTPS with HTTP, alternative HTTP and RTMP
+// components.
+var webMix = [...]struct {
+	port  uint16
+	share float64
+}{
+	{443, 0.55},
+	{80, 0.20},
+	{8080, 0.12},
+	{1935, 0.08},
+	{22, 0.05}, // "others"
 }
 
 // WebService generates the benign traffic of the victim service in
-// Figure 2(c): HTTPS-dominated TCP traffic across a handful of ports.
-// Flow keys and their hashes are cached so the per-tick path emits
-// pre-hashed offers; cached keys are revalidated against the current
-// fields each tick, so Target, Mix and the peers may be edited at any
-// time. Its offers point into that cache, which the WebService owns
-// (fabric.Offer's pointer-lifetime rule).
+// Figure 2(c): HTTPS-dominated TCP traffic across a handful of ports
+// (webMix). NewWebService fixes it; the first AppendOffers builds its
+// pre-hashed (peer, port) key table, once, under a sync.Once. Its offers
+// point into that table (fabric.Offer's pointer-lifetime rule).
 type WebService struct {
-	Target netip.Addr
-	// Peers carry the service's clients. Their weights are drawn at
-	// construction, so the length of Peers is fixed then: a peer may be
-	// edited in place, but AppendOffers panics once the length differs.
-	Peers   []Peer
-	RateBps float64
-	// Mix is the destination-port mix; defaults to Figure 2(c)'s
-	// pre-attack profile.
-	Mix []PortMix
-
+	target  netip.Addr
+	peers   []Peer // the service's clients; kept, not copied
+	rateBps float64
 	weights []float64
-	// flows/hashes are the precomputed (peer, mix) flow keys, flattened
-	// peer-major, mirroring Attack's pre-hashed offers.
+
+	once sync.Once
+	// flows/hashes are the (peer, mix) flow keys, flattened peer-major,
+	// and their hashes.
 	flows  []netpkt.FlowKey
 	hashes []uint64
 }
 
-// DefaultWebMix is the pre-attack port mix of the service in Figure 2(c):
-// mostly HTTPS with HTTP, alternative HTTP and RTMP components.
-func DefaultWebMix() []PortMix {
-	return []PortMix{
-		{Port: 443, Share: 0.55},
-		{Port: 80, Share: 0.20},
-		{Port: 8080, Share: 0.12},
-		{Port: 1935, Share: 0.08},
-		{Port: 22, Share: 0.05}, // "others"
-	}
-}
-
-// NewWebService builds a benign web workload spread across peers.
+// NewWebService builds a benign web workload spread across peers with
+// weights drawn from rng. The caller must not edit peers afterwards.
 func NewWebService(target netip.Addr, peers []Peer, rateBps float64, rng *stats.Rand) *WebService {
-	w := &WebService{Target: target, Peers: peers, RateBps: rateBps, Mix: DefaultWebMix()}
-	w.weights = make([]float64, len(peers))
-	var sum float64
-	for i := range peers {
-		v := 0.5 + rng.Float64()
-		w.weights[i] = v
-		sum += v
-	}
-	for i := range w.weights {
-		w.weights[i] /= sum
-	}
-	return w
+	return &WebService{target: target, peers: peers, rateBps: rateBps,
+		weights: drawWeights(len(peers), func() float64 { return 0.5 + rng.Float64() })}
 }
 
-// flowKey builds the flow of peer i's traffic to mix element j from the
-// current service fields.
-func (w *WebService) flowKey(i, j int) netpkt.FlowKey {
-	return netpkt.FlowKey{
-		SrcMAC:  w.Peers[i].MAC,
-		Src:     w.Peers[i].SrcIP,
-		Dst:     w.Target,
-		Proto:   netpkt.ProtoTCP,
-		SrcPort: 40000 + w.Mix[j].Port, // stable per-port client flow
-		DstPort: w.Mix[j].Port,
+// buildFlows fills the (peer, mix) key table. It runs on the first
+// AppendOffers rather than in NewWebService, keeping the hashing out of
+// a workload's set-up.
+func (w *WebService) buildFlows() {
+	w.flows = make([]netpkt.FlowKey, len(w.peers)*len(webMix))
+	w.hashes = make([]uint64, len(w.flows))
+	for i, p := range w.peers {
+		for j, m := range webMix {
+			k := i*len(webMix) + j
+			// A stable per-port client flow.
+			w.flows[k] = netpkt.FlowKey{SrcMAC: p.MAC, Src: p.SrcIP, Dst: w.target,
+				Proto: netpkt.ProtoTCP, SrcPort: 40000 + m.port, DstPort: m.port}
+			w.hashes[k] = w.flows[k].Hash()
+		}
 	}
 }
 
-// Offers emits the service's offers for one tick.
-func (w *WebService) Offers(tick int, dtSeconds float64) []fabric.Offer {
-	return w.AppendOffers(nil, tick, dtSeconds)
-}
-
-// AppendOffers appends the tick's offers to dst and returns it —
-// the buffer-reusing form the scenario engine drives (engine.OfferAppender).
-// dst grows at most once, to room for one offer per (peer, mix) flow.
-// Each offer's Flow points at the service's cached key for its (peer,
-// mix) flow: it stays valid and unchanged until the egress of this tick
-// returns, and the next AppendOffers rewrites it in place if Target,
-// Mix or the peer was edited meanwhile (a Mix of another length gets a
-// new table).
+// AppendOffers appends the tick's offers to dst and returns it (the
+// engine's Source). dst grows at most once, to room for one offer per
+// (peer, mix) flow. Each offer's Flow points at the service's key for
+// its (peer, mix) flow, which never changes once built.
 func (w *WebService) AppendOffers(dst []fabric.Offer, tick int, dtSeconds float64) []fabric.Offer {
-	checkPeers("WebService", len(w.Peers), len(w.weights))
-	totalBytes := w.RateBps * dtSeconds / 8
-	n := len(w.Peers) * len(w.Mix)
-	if len(w.flows) != n { // first call, or Mix changed length
-		w.flows = make([]netpkt.FlowKey, n)
-		w.hashes = make([]uint64, n)
-	}
-	offers := slices.Grow(dst, n)
-	for i := range w.Peers {
-		peerBytes := totalBytes * w.weights[i]
-		for j, m := range w.Mix {
-			b := peerBytes * m.Share
+	w.once.Do(w.buildFlows)
+	totalBytes := w.rateBps * dtSeconds / 8
+	dst = slices.Grow(dst, len(w.flows))
+	for i, weight := range w.weights {
+		peerBytes := totalBytes * weight
+		for j, m := range webMix {
+			b := peerBytes * m.share
 			if b <= 0 {
 				continue
 			}
-			k := i*len(w.Mix) + j
-			// Revalidate the cached key (field compare, no hashing).
-			if f := &w.flows[k]; f.SrcMAC != w.Peers[i].MAC || f.Src != w.Peers[i].SrcIP ||
-				f.Dst != w.Target || f.DstPort != m.Port ||
-				f.Proto != netpkt.ProtoTCP || f.SrcPort != 40000+m.Port {
-				*f = w.flowKey(i, j)
-				w.hashes[k] = f.Hash()
-			}
-			offers = append(offers, fabric.Offer{
+			k := i*len(webMix) + j
+			dst = append(dst, fabric.Offer{
 				Flow:     &w.flows[k],
 				FlowHash: w.hashes[k],
 				Bytes:    b,
@@ -328,7 +247,7 @@ func (w *WebService) AppendOffers(dst []fabric.Offer, tick int, dtSeconds float6
 			})
 		}
 	}
-	return offers
+	return dst
 }
 
 // MakePeers fabricates n peers with deterministic MACs and source

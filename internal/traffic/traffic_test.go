@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"net/netip"
+	"strings"
+	"sync"
 	"testing"
 
 	"stellar/internal/fabric"
@@ -56,7 +58,7 @@ func TestVectorByNameIndex(t *testing.T) {
 
 // TestAppendOffersReusesBuffer pins the scenario engine's zero-per-tick
 // allocation contract: appending into a warmed buffer emits offers
-// identical to Offers without growing the slice.
+// identical to appending into nil without growing the slice.
 func TestAppendOffersReusesBuffer(t *testing.T) {
 	rng := stats.NewRand(5)
 	peers := MakePeers(16)
@@ -75,7 +77,7 @@ func TestAppendOffersReusesBuffer(t *testing.T) {
 		if cap(buf) != capWarm {
 			t.Fatalf("tick %d: buffer regrew (%d -> %d)", tick, capWarm, cap(buf))
 		}
-		want := append(attack.Offers(tick, 1), web.Offers(tick, 1)...)
+		want := web.AppendOffers(attack.AppendOffers(nil, tick, 1), tick, 1)
 		if len(buf) != len(want) {
 			t.Fatalf("tick %d: %d offers, want %d", tick, len(buf), len(want))
 		}
@@ -109,16 +111,16 @@ func TestAttackRateAndRamp(t *testing.T) {
 	peers := MakePeers(40)
 	a := NewAttack(VectorNTP, victim, peers, 1e9, 100, 700, rng)
 
-	if a.ActiveAt(99) || !a.ActiveAt(100) || !a.ActiveAt(699) || a.ActiveAt(700) {
-		t.Fatal("ActiveAt boundaries")
+	if a.rateAt(99) != 0 || a.rateAt(100) == 0 || a.rateAt(699) == 0 || a.rateAt(700) != 0 {
+		t.Fatal("attack window boundaries")
 	}
-	if len(a.Offers(50, 1)) != 0 {
+	if len(a.AppendOffers(nil, 50, 1)) != 0 {
 		t.Fatal("offers before start")
 	}
-	// During ramp the rate grows; at steady state it matches RateBps.
+	// During ramp the rate grows; at steady state it matches the peak rate.
 	sum := func(tick int) float64 {
 		var s float64
-		for _, o := range a.Offers(tick, 1) {
+		for _, o := range a.AppendOffers(nil, tick, 1) {
 			s += o.Bytes
 		}
 		return s * 8
@@ -137,7 +139,7 @@ func TestAttackOffersShape(t *testing.T) {
 	rng := stats.NewRand(2)
 	peers := MakePeers(40)
 	a := NewAttack(VectorNTP, victim, peers, 1e9, 0, 100, rng)
-	offers := a.Offers(50, 1)
+	offers := a.AppendOffers(nil, 50, 1)
 	if len(offers) == 0 || len(offers) > 40 {
 		t.Fatalf("offer count: %d", len(offers))
 	}
@@ -164,7 +166,7 @@ func TestAttackDeterminism(t *testing.T) {
 	peers := MakePeers(10)
 	a1 := NewAttack(VectorDNS, victim, peers, 1e8, 0, 10, stats.NewRand(7))
 	a2 := NewAttack(VectorDNS, victim, peers, 1e8, 0, 10, stats.NewRand(7))
-	o1, o2 := a1.Offers(5, 1), a2.Offers(5, 1)
+	o1, o2 := a1.AppendOffers(nil, 5, 1), a2.AppendOffers(nil, 5, 1)
 	if len(o1) != len(o2) {
 		t.Fatal("length mismatch")
 	}
@@ -180,7 +182,7 @@ func TestWebServiceOffers(t *testing.T) {
 	rng := stats.NewRand(3)
 	peers := MakePeers(5)
 	w := NewWebService(victim, peers, 8e8, rng)
-	offers := w.Offers(0, 1)
+	offers := w.AppendOffers(nil, 0, 1)
 	var total float64
 	ports := make(map[uint16]float64)
 	for _, o := range offers {
@@ -299,15 +301,17 @@ func BenchmarkAttackOffers(b *testing.B) {
 	a := NewAttack(VectorNTP, victim, MakePeers(60), 1e9, 0, 1<<30, rng)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		a.Offers(100, 1)
+		a.AppendOffers(nil, 100, 1)
 	}
 }
 
-func TestOffersPreHashedAndMutationSafe(t *testing.T) {
+// TestOffersPreHashed: every offer carries its flow's hash, computed
+// once when the source builds its key table.
+func TestOffersPreHashed(t *testing.T) {
 	rng := stats.NewRand(5)
 	peers := MakePeers(4)
 	a := NewAttack(VectorNTP, victim, peers, 1e9, 0, 100, rng)
-	for _, o := range a.Offers(10, 1) {
+	for _, o := range a.AppendOffers(nil, 10, 1) {
 		if o.FlowHash != o.Flow.Hash() {
 			t.Fatalf("attack offer hash mismatch for %v", o.Flow)
 		}
@@ -315,77 +319,58 @@ func TestOffersPreHashedAndMutationSafe(t *testing.T) {
 			t.Fatalf("attack flow: %v", o.Flow)
 		}
 	}
-	// Post-construction mutation must invalidate the cached keys.
-	other := netip.MustParseAddr("203.0.113.99")
-	a.Target = other
-	a.Vector = VectorDNS
-	for _, o := range a.Offers(11, 1) {
-		if o.Flow.Dst != other || o.Flow.SrcPort != VectorDNS.SrcPort {
-			t.Fatalf("mutated attack still emits stale flow: %v", o.Flow)
-		}
-		if o.FlowHash != o.Flow.Hash() {
-			t.Fatalf("mutated attack hash mismatch for %v", o.Flow)
-		}
-	}
-
-	// So must an in-place edit of one peer.
-	moved := MakePeers(5)[4]
-	a.Peers[2] = moved
-	if o := a.Offers(12, 1)[2]; o.Flow.SrcMAC != moved.MAC || o.Flow.Src != moved.SrcIP || o.FlowHash != o.Flow.Hash() {
-		t.Fatalf("edited peer still emits stale flow: %v", o.Flow)
-	}
-
 	w := NewWebService(victim, peers, 4e8, rng)
-	for _, o := range w.Offers(0, 1) {
+	for _, o := range w.AppendOffers(nil, 0, 1) {
 		if o.FlowHash != o.Flow.Hash() {
 			t.Fatalf("web offer hash mismatch for %v", o.Flow)
 		}
 	}
-	w.Target = other
-	w.Mix = []PortMix{{Port: 8443, Share: 1}}
-	w.Peers[0] = moved
-	for i, o := range w.Offers(1, 1) {
-		if o.Flow.Dst != other || o.Flow.DstPort != 8443 {
-			t.Fatalf("mutated web service still emits stale flow: %v", o.Flow)
-		}
-		if i == 0 && o.Flow.SrcMAC != moved.MAC {
-			t.Fatalf("edited web peer still emits stale flow: %v", o.Flow)
-		}
-		if o.FlowHash != o.Flow.Hash() {
-			t.Fatalf("mutated web hash mismatch for %v", o.Flow)
-		}
-	}
 }
 
-// TestPeersLengthFixedAtConstruction: a source's per-peer weights are
-// drawn when it is built, so growing or shrinking Peers afterwards is a
-// programming error. AppendOffers reports it by name, with both lengths,
-// instead of indexing past the weights.
-func TestPeersLengthFixedAtConstruction(t *testing.T) {
-	rng := stats.NewRand(5)
-	peers := MakePeers(4)
-	attack := NewAttack(VectorNTP, victim, peers, 1e9, 0, 100, rng)
-	web := NewWebService(victim, peers, 4e8, rng)
-	attack.Peers = append(attack.Peers, MakePeers(5)[4])
-	web.Peers = web.Peers[:3]
-	for _, tc := range []struct {
-		name string
-		src  interface {
-			AppendOffers([]fabric.Offer, int, float64) []fabric.Offer
+// TestSharedSourceConcurrentAppend: the engine fans victims across its
+// worker pool and one source may feed several victims, so AppendOffers
+// must only read the source. Goroutines appending from one fresh
+// instance each get what a same-seed instance gives a lone caller, and
+// under -race a write on the way (such as a key table built on first
+// use without synchronization) fails the test.
+func TestSharedSourceConcurrentAppend(t *testing.T) {
+	type appender interface {
+		AppendOffers([]fabric.Offer, int, float64) []fabric.Offer
+	}
+	peers := MakePeers(32)
+	build := func() []appender {
+		rng := stats.NewRand(9)
+		return []appender{
+			NewAttack(VectorNTP, victim, peers, 1e9, 0, 100, rng),
+			NewWebService(victim, peers[:8], 2e8, rng),
+			NewTrace(RTBHPortProfile(), victim, peers, []float64{3e8, 5e8}, 1, rng),
 		}
-		want string
-	}{
-		{"Attack", attack, "traffic: Attack has 5 peers but was built with 4: the length of Peers is fixed at construction"},
-		{"WebService", web, "traffic: WebService has 3 peers but was built with 4: the length of Peers is fixed at construction"},
-	} {
-		func() {
-			defer func() {
-				if got := fmt.Sprint(recover()); got != tc.want {
-					t.Errorf("%s: panic %q, want %q", tc.name, got, tc.want)
-				}
+	}
+	render := func(offers []fabric.Offer) string {
+		var b strings.Builder
+		for _, o := range offers {
+			fmt.Fprintf(&b, "%v %x %v %v\n", *o.Flow, o.FlowHash, o.Bytes, o.Packets)
+		}
+		return b.String()
+	}
+	shared, lone := build(), build()
+	for i, src := range shared {
+		want := render(lone[i].AppendOffers(nil, 7, 1))
+		got := make([]string, 8)
+		var wg sync.WaitGroup
+		for g := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got[g] = render(src.AppendOffers(nil, 7, 1))
 			}()
-			tc.src.AppendOffers(nil, 10, 1)
-		}()
+		}
+		wg.Wait()
+		for g := range got {
+			if got[g] != want {
+				t.Fatalf("%T: goroutine %d got\n%s\nwant\n%s", src, g, got[g], want)
+			}
+		}
 	}
 }
 
