@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"net/netip"
 	"os"
 
@@ -45,6 +46,14 @@ func run(args []string, w io.Writer) error {
 	seed := fs.Uint64("seed", 1, "PRNG seed")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	switch {
+	case *peerCount < 1:
+		return fmt.Errorf("-peers %d: need at least one source peer", *peerCount)
+	case !(*rate > 0) || math.IsInf(*rate, 1):
+		return fmt.Errorf("-rate %v: need a finite rate above zero", *rate)
+	case *ticks < 1:
+		return fmt.Errorf("-ticks %d: need at least one tick", *ticks)
 	}
 
 	dst, err := netip.ParseAddr(*target)

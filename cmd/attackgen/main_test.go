@@ -95,3 +95,26 @@ func TestErrors(t *testing.T) {
 		t.Fatal("bad flag accepted")
 	}
 }
+
+// TestBadFlagsAreErrors: a flag value that cannot describe a workload
+// is an error from run, never a panic, a NaN row or a header-only CSV.
+func TestBadFlagsAreErrors(t *testing.T) {
+	for _, args := range [][]string{
+		{"-peers", "-3", "-ticks", "2"},
+		{"-peers", "0", "-ticks", "2"},
+		{"-rate", "NaN", "-peers", "2", "-ticks", "2"},
+		{"-rate", "+Inf", "-peers", "2", "-ticks", "2"},
+		{"-rate", "-1e8", "-peers", "2", "-ticks", "2"},
+		{"-rate", "0", "-peers", "2", "-ticks", "2"},
+		{"-ticks", "0", "-peers", "2"},
+		{"-ticks", "-1", "-peers", "2"},
+		{"-vector", "web", "-peers", "0", "-ticks", "2"},
+	} {
+		t.Run(strings.Join(args, " "), func(t *testing.T) {
+			var buf bytes.Buffer
+			if err := run(args, &buf); err == nil {
+				t.Fatalf("accepted; wrote %q", buf.String())
+			}
+		})
+	}
+}

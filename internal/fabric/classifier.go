@@ -33,9 +33,12 @@ import (
 // soon as its next priority cannot beat the best match found so far.
 //
 // In front of the compiled form sits the port's flow memo (memo.go):
-// flow-level simulations re-offer the same flows tick after tick, so
-// after the first tick a classification is one probe of a flat
-// open-addressed table keyed by netpkt.FlowKey.Hash. The memo belongs to
+// flow-level simulations re-offer the same flows tick after tick, in the
+// same order, so after the first tick an egress finds each offer's memo
+// entry at the offer's position in the memo's positional cache and
+// confirms it with one key compare; an offer whose position holds
+// another flow probes a flat open-addressed table keyed by
+// netpkt.FlowKey.Hash, as ClassifyHashed always does. The memo belongs to
 // the port and outlives its generations; each entry carries the verdict
 // of the generation that last classified the flow, stamped with that
 // generation's sequence number, so a rule change can never serve a
@@ -310,6 +313,15 @@ func (c *classifier) classifyHashed(f *netpkt.FlowKey, hash uint64) *Rule {
 		// population): nothing can match, skip the memo entirely.
 		return nil
 	}
+	r, _ := c.classifyEntry(f, hash)
+	return r
+}
+
+// classifyEntry probes the memo for f and returns f's verdict and the
+// entry that holds it, which is nil when the memo has none for f: a
+// 64-bit collision, a full memo or a flow another goroutine inserted
+// first. hash is as for classifyHashed; c has rules.
+func (c *classifier) classifyEntry(f *netpkt.FlowKey, hash uint64) (*Rule, *memoEntry) {
 	if hash == 0 {
 		hash = f.Hash()
 	}
@@ -317,13 +329,19 @@ func (c *classifier) classifyHashed(f *netpkt.FlowKey, hash uint64) *Rule {
 	if collided {
 		// 64-bit collision between distinct live flows: recompute
 		// without caching.
-		return c.classify(f).rule
+		return c.classify(f).rule, nil
 	}
 	if e == nil {
 		v := c.classify(f)
-		c.memo.insert(f, hash, v)
-		return v.rule
+		return v.rule, c.memo.insert(f, hash, v)
 	}
+	return c.resolve(e, f), e
+}
+
+// resolve returns this generation's verdict for f from e, f's memo
+// entry (e.key equals *f), re-stamping e when it holds an older
+// generation's verdict.
+func (c *classifier) resolve(e *memoEntry, f *netpkt.FlowKey) *Rule {
 	old := e.v.Load()
 	if old.seq == c.seq {
 		return old.rule

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net/netip"
+	"slices"
 	"sync"
 	"testing"
 
@@ -353,6 +354,83 @@ func TestConcurrentFabricTicks(t *testing.T) {
 		}
 	}()
 	wg.Wait()
+}
+
+// TestConcurrentTicksShareThePositionalCache is the -race test of the
+// memo's positional cache: two goroutines tick the same ports under a
+// fixed rule set, one offering each port's flows in order and the other
+// in reverse, so each egress either holds a port's cache while the other
+// re-learns it or loses the cache to the other and probes the memo.
+// Every offer's fate, in every tick, must be the linear scan's.
+func TestConcurrentTicksShareThePositionalCache(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	macs := make([]netpkt.MAC, 6)
+	for i := range macs {
+		macs[i] = netpkt.MustParseMAC(fmt.Sprintf("02:00:00:00:00:%02x", i+1))
+	}
+	f := New()
+	const ports, flows = 4, 512
+	forward, reverse := TickOffers{}, TickOffers{}
+	rules := map[string][]*Rule{}
+	for i := 0; i < ports; i++ {
+		name := fmt.Sprintf("port%d", i)
+		p := NewPort(name, netpkt.MustParseMAC(fmt.Sprintf("02:00:00:00:02:%02x", i)), 1e15)
+		if err := f.AddPort(p); err != nil {
+			t.Fatal(err)
+		}
+		for j := 0; j < 4; j++ {
+			r := &Rule{ID: fmt.Sprintf("r%d", j), Match: randomMatch(rng, macs),
+				Action: []ActionKind{ActionDrop, ActionForward}[rng.Intn(2)]}
+			if err := p.InstallRule(r); err != nil {
+				t.Fatal(err)
+			}
+			rules[name] = append(rules[name], r)
+		}
+		keys := make([]netpkt.FlowKey, flows)
+		for j := range keys {
+			keys[j] = randomFlow(rng, macs)
+			forward[name] = append(forward[name], Offer{Flow: &keys[j], FlowHash: keys[j].Hash(), Bytes: 1000, Packets: 1})
+		}
+		reverse[name] = slices.Clone(forward[name])
+		slices.Reverse(reverse[name])
+	}
+	// tick runs ticks egresses of offers and checks every offer's fate.
+	tick := func(offers TickOffers, ticks int) error {
+		delivered := map[*Offer]bool{}
+		sink := func(_ int, _ string) FlowVisitor {
+			return func(ds []Delivery) {
+				for _, d := range ds {
+					delivered[d.Offer] = true
+				}
+			}
+		}
+		for n := 0; n < ticks; n++ {
+			clear(delivered)
+			if _, err := f.Tick(nil, offers, 1, sink); err != nil {
+				return err
+			}
+			for name, port := range offers {
+				for i := range port {
+					want := linearClassify(rules[name], port[i].Flow)
+					if drop := want != nil && want.Action == ActionDrop; delivered[&port[i]] == drop {
+						return fmt.Errorf("tick %d, %s: flow %v delivered=%v, linear scan says %v", n, name, *port[i].Flow, !drop, want)
+					}
+				}
+			}
+		}
+		return nil
+	}
+	var wg sync.WaitGroup
+	errs := make([]error, 2)
+	wg.Add(2)
+	go func() { defer wg.Done(); errs[0] = tick(forward, 50) }()
+	go func() { defer wg.Done(); errs[1] = tick(reverse, 50) }()
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
 }
 
 // TestOldGenerationRacesNewer is the -race test of one memo shared by
@@ -827,5 +905,145 @@ func TestMemoOwnsItsKeys(t *testing.T) {
 				t.Fatal("the classifier generation changed without a rule change")
 			}
 		})
+	}
+}
+
+// newOffer draws a flow the trial does not offer yet; half the time the
+// producer hashes it, the rest is hashed on demand.
+func (c *churnTrial) newOffer() Offer {
+	for {
+		f := randomFlow(c.rng, c.macs)
+		if slices.ContainsFunc(c.offers, func(o Offer) bool { return *o.Flow == f }) {
+			continue
+		}
+		o := Offer{Flow: &f, Bytes: float64(1 + c.rng.Intn(1e6)), Packets: 1}
+		if c.rng.Intn(2) == 0 {
+			o.FlowHash = f.Hash()
+		}
+		return o
+	}
+}
+
+// reorder changes the offer slice between two egress ticks the ways a
+// producer may: it keeps the order, rotates it, drops an offer, inserts
+// a new flow mid-slice or rewrites a key in place.
+func (c *churnTrial) reorder() {
+	switch k := c.rng.Intn(5); {
+	case k == 0:
+		c.cases["keep the order"]++
+	case k == 1:
+		n := 1 + c.rng.Intn(len(c.offers)-1)
+		c.offers = append(c.offers[n:], c.offers[:n]...)
+		c.cases["rotate the offers"]++
+	case k == 2:
+		i := c.rng.Intn(len(c.offers))
+		c.offers = append(c.offers[:i:i], c.offers[i+1:]...)
+		c.cases["drop one offer"]++
+	case k == 3:
+		i := c.rng.Intn(len(c.offers) + 1)
+		c.offers = slices.Insert(slices.Clip(c.offers), i, c.newOffer())
+		c.cases["insert a new flow"]++
+	default:
+		o := &c.offers[c.rng.Intn(len(c.offers))]
+		*o.Flow = randomFlow(c.rng, c.macs)
+		if o.FlowHash != 0 {
+			o.FlowHash = o.Flow.Hash()
+		}
+		c.cases["rewrite a key in place"]++
+	}
+}
+
+// positionalHits counts the offers whose position in the port's memo
+// already holds their key: the ones the next egress resolves without a
+// probe.
+func (c *churnTrial) positionalHits() int {
+	m := c.p.memo
+	if m == nil {
+		return 0
+	}
+	m.posMu.Lock()
+	defer m.posMu.Unlock()
+	n := 0
+	for i, e := range m.pos[:min(len(m.pos), len(c.offers))] {
+		if e != nil && e.key == *c.offers[i].Flow {
+			n++
+		}
+	}
+	return n
+}
+
+// egressFates runs one egress over the offers and checks each offer's
+// fate with the linear scan: delivered or not through the egress
+// visitor, and the rule it matched through that rule's counters.
+func (c *churnTrial) egressFates() {
+	c.t.Helper()
+	before := make(map[*Rule]int64, len(c.rules))
+	for _, r := range c.rules {
+		before[r] = r.counters.MatchedBytes.Load()
+	}
+	delivered := make(map[*Offer]bool, len(c.offers))
+	c.p.egress(c.offers, 1, func(ds []Delivery) {
+		for _, d := range ds {
+			delivered[d.Offer] = true
+		}
+	})
+	matched := make(map[*Rule]int64, len(c.rules))
+	for i := range c.offers {
+		o := &c.offers[i]
+		want := linearClassify(c.rules, o.Flow)
+		if drop := want != nil && want.Action == ActionDrop; delivered[o] == drop {
+			c.t.Fatalf("offer %d, flow %v: delivered=%v, linear scan says %v (rules %v)", i, *o.Flow, delivered[o], want, c.rules)
+		}
+		if want != nil {
+			matched[want] += int64(o.Bytes)
+		}
+	}
+	for _, r := range c.rules {
+		if got := r.counters.MatchedBytes.Load() - before[r]; got != matched[r] {
+			c.t.Fatalf("rule %s matched %d bytes, linear scan %d (rules %v)", r.ID, got, matched[r], c.rules)
+		}
+	}
+}
+
+// TestEgressMatchesLinearScanUnderReorder is the differential test of
+// the memo's positional cache: between egress ticks the offers keep
+// their order, rotate, lose an offer, gain a new flow mid-slice or have
+// a key rewritten in place, across random rule changes, and every
+// offer's fate is compared with the linear scan.
+func TestEgressMatchesLinearScanUnderReorder(t *testing.T) {
+	macs := make([]netpkt.MAC, 6)
+	for i := range macs {
+		macs[i] = netpkt.MustParseMAC(fmt.Sprintf("02:00:00:00:00:%02x", i+1))
+	}
+	cases := map[string]int{}
+	var hits int
+	for trial := 0; trial < 150; trial++ {
+		rng := rand.New(rand.NewSource(int64(5000 + trial)))
+		c := &churnTrial{t: t, rng: rng, macs: macs, cases: cases,
+			p: NewPort("victim", macs[0], 1e15)}
+		for len(c.offers) < 64 {
+			c.offers = append(c.offers, c.newOffer())
+		}
+		for i := 1 + rng.Intn(4); i > 0; i-- {
+			c.install(c.newRule(randomMatch(rng, macs)))
+		}
+		c.egressFates()
+		for step := 0; step < 32; step++ {
+			c.reorder()
+			for n := []int{0, 0, 1, 1, 2, 3}[rng.Intn(6)]; n > 0; n-- {
+				c.change()
+			}
+			hits += c.positionalHits()
+			c.egressFates()
+		}
+	}
+	for _, name := range []string{"keep the order", "rotate the offers", "drop one offer",
+		"insert a new flow", "rewrite a key in place"} {
+		if cases[name] < 500 {
+			t.Errorf("generator produced %q only %d times", name, cases[name])
+		}
+	}
+	if hits < 100000 {
+		t.Errorf("only %d offers met their own key in the positional cache", hits)
 	}
 }

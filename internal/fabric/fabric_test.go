@@ -444,6 +444,26 @@ func BenchmarkEgressTick(b *testing.B) {
 	}
 }
 
+// BenchmarkEgressTickReordered is the steady-state tick of a producer
+// whose offer order never repeats: ticks alternate between two orders
+// one position apart, so no offer meets its own key in the port's
+// positional cache and each one pays the compare before the memo probe.
+func BenchmarkEgressTickReordered(b *testing.B) {
+	for _, s := range benchShapes {
+		b.Run(s.name, func(b *testing.B) {
+			p, offers := benchPort(b, s.flows, s.rules)
+			orders := [2][]Offer{offers, append(offers[1:len(offers):len(offers)], offers[0])}
+			p.egress(orders[1], 1, nil)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				benchTick = p.egress(orders[i%2], 1, nil)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(s.flows), "ns/flow")
+		})
+	}
+}
+
 // BenchmarkEgressTickAfterRuleChange is the tick a mitigation lands
 // on: the first pass over a warm port after one InstallRule or
 // RemoveRule (alternately; the rule change itself is not timed).

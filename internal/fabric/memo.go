@@ -15,6 +15,16 @@ import (
 // serialize on a small mutex. A reader that raced a doubling holds the
 // old table, which stays valid (no entry is ever removed): it just
 // misses what was inserted since and recomputes.
+//
+// In front of the table sits a positional cache: for each of the first
+// maxMemoEntries offer positions of the port's last egress, the entry
+// that offer resolved to. Producers offer the same flows in the same
+// order tick after tick, so an offer whose key equals its position's
+// entry key skips the probe, and with it a random load from the slot
+// array; the cache itself is read in order. Anything else — a first
+// sighting, a reordered or rewritten offer — probes the table and
+// re-learns the position. One egress at a time uses the cache; a
+// concurrent one probes the table for every offer.
 
 // maxMemoEntries bounds a port's flow memo so adversarial flow
 // cardinality cannot grow memory without bound; the first rule change
@@ -111,26 +121,35 @@ type flowMemo struct {
 
 	mu sync.Mutex
 	n  atomic.Int64 // entries in tab; written under mu
+
+	// pos is the positional cache: pos[i] is the entry offer i of the
+	// last egress resolved to, nil where it resolved to none. It holds
+	// nothing but pointers to the memo's own entries, so a stale
+	// position costs one key compare and a probe, never a wrong
+	// verdict, and a full memo the port drops takes its cache along. An
+	// egress holds posMu while it reads and rewrites pos.
+	posMu sync.Mutex
+	pos   []*memoEntry
 }
 
 func (m *flowMemo) len() int { return int(m.n.Load()) }
 
-// insert memoizes v as the verdict of f. A full memo, a flow another
-// goroutine inserted first and a hash collision all leave the memo
-// unchanged.
-func (m *flowMemo) insert(f *netpkt.FlowKey, hash uint64, v *verdict) {
+// insert memoizes v as the verdict of f and returns the entry it
+// placed. A full memo, a flow another goroutine inserted first and a
+// hash collision all leave the memo unchanged and return nil.
+func (m *flowMemo) insert(f *netpkt.FlowKey, hash uint64, v *verdict) *memoEntry {
 	if m.n.Load() >= maxMemoEntries {
-		return
+		return nil
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	t := m.tab.Load()
 	n := int(m.n.Load())
 	if n >= maxMemoEntries {
-		return
+		return nil
 	}
 	if e, collided := t.lookup(f, hash); e != nil || collided {
-		return
+		return nil
 	}
 	switch {
 	case t == nil:
@@ -150,4 +169,5 @@ func (m *flowMemo) insert(f *netpkt.FlowKey, hash uint64, v *verdict) {
 	e.v.Store(v)
 	t.place(e)
 	m.n.Store(int64(n + 1))
+	return e
 }

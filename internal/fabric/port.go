@@ -24,9 +24,10 @@ type Offer struct {
 	Bytes   float64
 	Packets float64
 	// FlowHash optionally carries Flow.Hash() computed once by the
-	// traffic generator, so the egress hot loop classifies repeated
-	// flows from the per-classifier memo with zero re-hashing. 0 means
-	// "not computed"; the engine hashes on demand.
+	// traffic generator. Only an offer the port's positional cache
+	// misses (a first sighting, a reordered or rewritten offer) probes
+	// the port's flow memo with it. 0 means "not computed"; the
+	// classifier hashes on demand.
 	FlowHash uint64
 }
 
@@ -267,12 +268,35 @@ func (p *Port) egress(offers []Offer, dtSeconds float64, visit FlowVisitor) (res
 	}
 	var shapeGroups map[string]*shapeGroup
 
+	// Offers within the memo's positional cache resolve through it, the
+	// rest through the hash probe. A rule-free classifier has no memo,
+	// and an egress that finds another holding the cache (two concurrent
+	// ticks of one port) probes every offer.
+	var pos []*memoEntry
+	m := cls.memo
+	cached := len(cls.rules) > 0 && m.posMu.TryLock()
+	if cached {
+		if n := min(len(offers), maxMemoEntries); len(m.pos) < n {
+			m.pos = append(m.pos, make([]*memoEntry, n-len(m.pos))...)
+		}
+		pos = m.pos
+	}
+
 	var run matchRun
 	for i := range offers {
 		o := &offers[i]
 		bytes := o.Bytes
 		res.PresentedBytes += bytes
-		r := cls.classifyHashed(o.Flow, o.FlowHash)
+		var r *Rule
+		if i < len(pos) {
+			if e := pos[i]; e != nil && e.key == *o.Flow {
+				r = cls.resolve(e, o.Flow)
+			} else {
+				r, pos[i] = cls.classifyEntry(o.Flow, o.FlowHash)
+			}
+		} else {
+			r = cls.classifyHashed(o.Flow, o.FlowHash)
+		}
 		if r == nil {
 			forward = append(forward, Delivery{o, bytes})
 			forwardBytes += bytes
@@ -306,6 +330,9 @@ func (p *Port) egress(offers []Offer, dtSeconds float64, visit FlowVisitor) (res
 		}
 	}
 	run.flush()
+	if cached {
+		m.posMu.Unlock()
+	}
 
 	// Shaping queues: pass up to the available tokens, proportionally
 	// across the flows sharing the queue; the residue joins the forward
