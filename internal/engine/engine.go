@@ -255,7 +255,9 @@ func wire(cfg Config) (*run, error) {
 			return nil, fmt.Errorf("engine: duplicate victim port %s", specs[i].Port)
 		}
 		r.victimIndex[specs[i].Port] = i
-		r.monitors[i] = flowmon.NewCollector()
+		// A victim is one port, and a port hands its delivered flows
+		// to the sink as one batch per tick: one shard takes them all.
+		r.monitors[i] = flowmon.NewCollectorShards(1)
 		r.visitors[i] = make([]fabric.FlowVisitor, r.monitors[i].Shards())
 	}
 	if r.keep == nil {
@@ -403,8 +405,8 @@ func (r *run) egress(b *batch) error {
 }
 
 // sink supplies the per-(worker, port) visitors of the tick; a (victim,
-// worker) visitor is built once and reused every tick, and observes a
-// port's batch into the worker's shard under one lock.
+// shard) visitor is built once and reused every tick, and observes a
+// port's batch into the shard the worker maps to under one lock.
 func (r *run) sink(worker int, port string) fabric.FlowVisitor {
 	vi, ok := r.victimIndex[port]
 	if !ok {

@@ -165,7 +165,7 @@ type Event struct {
 
 // VictimSpec names one monitored victim port of a run. The engine
 // streams every flow delivered at the port into a fresh monitor
-// (VictimSeries.Monitor), per-worker shards binned by tick.
+// (VictimSeries.Monitor), binned by tick.
 type VictimSpec struct {
 	// Port names the victim's fabric port.
 	Port string

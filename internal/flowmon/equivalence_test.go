@@ -50,11 +50,24 @@ func randRecords(rng *rand.Rand, n, bins int) []record {
 	return recs
 }
 
+// collectorView is the accessor surface Collector and MapCollector
+// share.
+type collectorView interface {
+	Bins() []int
+	TotalBytes(bin int) float64
+	DstPortShares(bin int) map[uint16]float64
+	SrcPortShares(bin int) map[uint16]float64
+	SrcPortBytes(bin int, port uint16) float64
+	PeerCountFunc(bin int, minBytes float64, keep func(netpkt.MAC) bool) int
+	TopSrcPorts(k int) []PortRank
+}
+
 // compareCollectors checks every accessor of the sharded collector
-// against the map baseline. tol is the relative tolerance for float
-// comparisons (0 demands exact equality; shard merges re-associate
-// float additions, so multi-flush paths need a tiny tolerance).
-func compareCollectors(t *testing.T, want *MapCollector, got *Collector, tol float64) {
+// against a reference: the map baseline, or a collector fed serially.
+// tol is the relative tolerance for float comparisons (0 demands exact
+// equality; shard merges re-associate float additions, so multi-flush
+// paths need a tiny tolerance).
+func compareCollectors(t *testing.T, want collectorView, got *Collector, tol float64) {
 	t.Helper()
 	near := func(a, b float64) bool {
 		if a == b {
@@ -154,7 +167,7 @@ func TestCollectorEquivalenceSingleBinExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	recs := randRecords(rng, 2000, 1)
 	oldC := NewMapCollector()
-	newC := NewCollector()
+	newC := NewCollectorShards(1)
 	for _, r := range recs {
 		oldC.Observe(r)
 		observe(newC, r)

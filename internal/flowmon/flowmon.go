@@ -4,27 +4,33 @@
 // (Figure 2c), UDP source-port histograms across blackholing events
 // (Figure 3a) and peer counts (Figures 3c and 10c).
 //
-// Collector is built from per-worker Shard accumulators on compact
-// open-addressed counter tables and a bounded ring of in-flight time
-// bins, merged into the long-term store when a bin rotates out or an
-// accessor reads. The steady-state observe path performs no allocation
-// per record and takes no lock per record (one lock per batch), so the
-// fabric's parallel egress workers stream delivered flows straight into
-// their own shards.
+// Collector is built from Shard accumulators, each a bounded ring of
+// in-flight time bins merged into the long-term store when a bin
+// rotates out or an accessor reads. A bin's port roll-ups are compact
+// open-addressed counter tables; its per-peer bytes are an array
+// indexed by a dense peer id the collector gives each source MAC the
+// first time any shard sees it. A shard resolves a record's MAC first
+// through the peer id the record at the same position of its previous
+// bin resolved to, confirmed by one compare of packed MACs, then
+// through its own table: a port delivers the same flows in the same
+// order tick after tick, so the warm path hashes no peer. The
+// steady-state observe path performs no allocation per record and takes
+// no lock per record (one lock per batch, and the collector's lock only
+// for a MAC the shard has not seen).
 //
 // The long-term store runs in flat memory. Per-peer byte counters — the
 // one per-bin state that grows with the number of senders — are kept
 // for a window of the 16 newest merged bins only, in a ring of reused
-// tables; there PeerCountFunc answers "who is sending now". Every bin
-// keeps a compact roll-up of its total, UDP source-port and
-// destination-port bytes, from which every other accessor answers
-// exactly, at any bin, for as long as the collector runs. The package's
-// tests keep the map-per-record design it replaced as a reference and
-// pin the two to identical accessor results on randomized streams.
+// id-indexed arrays; there PeerCountFunc answers "who is sending now"
+// with a walk over the bin's seen ids. Every bin keeps a compact
+// roll-up of its total, UDP source-port and destination-port bytes,
+// from which every other accessor answers exactly, at any bin, for as
+// long as the collector runs. The package's tests keep the
+// map-per-record design it replaced as a reference and pin the two to
+// identical accessor results on randomized streams.
 package flowmon
 
 import (
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -56,7 +62,7 @@ func rankPorts(agg map[uint16]float64, total float64, k int) []PortRank {
 		}
 		return ranks[i].Port < ranks[j].Port
 	})
-	if k < len(ranks) {
+	if k = max(k, 0); k < len(ranks) {
 		ranks = ranks[:k]
 	}
 	var top float64
@@ -89,13 +95,10 @@ type Collector struct {
 	// in flight (see SetMergeHorizon). Defaults to unbounded.
 	horizon atomic.Int64
 
-	mu sync.Mutex // guards st; always acquired after a shard lock
-	st store
+	mu    sync.Mutex // guards st and peers; always acquired after a shard lock
+	st    store
+	peers peerIndex
 }
-
-// NewCollector returns an empty collector with one shard per
-// GOMAXPROCS worker.
-func NewCollector() *Collector { return NewCollectorShards(runtime.GOMAXPROCS(0)) }
 
 // NewCollectorShards returns an empty collector with n shards (n < 1 is
 // treated as 1).
@@ -103,11 +106,11 @@ func NewCollectorShards(n int) *Collector {
 	if n < 1 {
 		n = 1
 	}
-	c := &Collector{}
+	c := &Collector{peers: peerIndex{ids: make(map[uint64]int32)}}
 	c.horizon.Store(int64(^uint64(0) >> 1)) // unbounded
 	c.shards = make([]*Shard, n)
 	for i := range c.shards {
-		c.shards[i] = &Shard{c: c}
+		c.shards[i] = &Shard{c: c, ids: make(map[uint64]int32)}
 	}
 	return c
 }
@@ -221,13 +224,14 @@ func (c *Collector) PeerCountFunc(bin int, minBytes float64, keep func(netpkt.MA
 	c.merge()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.st.peerCount(bin, minBytes, keep, c.horizon.Load())
+	return c.st.peerCount(bin, minBytes, keep, c.horizon.Load(), c.peers.macs)
 }
 
 // TopSrcPorts returns the k highest-volume UDP source ports across all
 // bins, plus the residual share under the sentinel port 65535 when
 // "others" is non-zero. The ranking is deterministic regardless of map
 // iteration order: equal-volume ports tie-break toward the lower port.
+// A k below 0 counts as 0.
 func (c *Collector) TopSrcPorts(k int) []PortRank {
 	c.merge()
 	c.mu.Lock()

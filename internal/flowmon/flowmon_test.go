@@ -1,6 +1,7 @@
 package flowmon
 
 import (
+	"fmt"
 	"math"
 	"net/netip"
 	"testing"
@@ -45,7 +46,7 @@ func series(c interface {
 }
 
 func TestSharesAndTotals(t *testing.T) {
-	c := NewCollector()
+	c := NewCollectorShards(1)
 	observe(c, rec(0, macA, netpkt.ProtoUDP, 123, 443, 600))
 	observe(c, rec(0, macB, netpkt.ProtoTCP, 50000, 443, 400))
 
@@ -66,7 +67,7 @@ func TestSharesAndTotals(t *testing.T) {
 }
 
 func TestEmptyBin(t *testing.T) {
-	c := NewCollector()
+	c := NewCollectorShards(1)
 	if c.TotalBytes(9) != 0 || len(c.SrcPortShares(9)) != 0 ||
 		len(c.DstPortShares(9)) != 0 || c.PeerCountFunc(9, 0, anyMAC) != 0 {
 		t.Fatal("empty bin not empty")
@@ -74,7 +75,7 @@ func TestEmptyBin(t *testing.T) {
 }
 
 func TestPeerCount(t *testing.T) {
-	c := NewCollector()
+	c := NewCollectorShards(1)
 	observe(c, rec(0, macA, netpkt.ProtoUDP, 123, 443, 1000))
 	observe(c, rec(0, macB, netpkt.ProtoUDP, 123, 443, 5))
 	if got := c.PeerCountFunc(0, 0, anyMAC); got != 2 {
@@ -87,7 +88,7 @@ func TestPeerCount(t *testing.T) {
 }
 
 func TestBinsAndSeries(t *testing.T) {
-	c := NewCollector()
+	c := NewCollectorShards(1)
 	observe(c, rec(3, macA, netpkt.ProtoUDP, 1, 1, 30))
 	observe(c, rec(1, macA, netpkt.ProtoUDP, 1, 1, 10))
 	observe(c, rec(1, macB, netpkt.ProtoUDP, 1, 1, 5))
@@ -102,7 +103,7 @@ func TestBinsAndSeries(t *testing.T) {
 }
 
 func TestTopSrcPorts(t *testing.T) {
-	c := NewCollector()
+	c := NewCollectorShards(1)
 	observe(c, rec(0, macA, netpkt.ProtoUDP, 0, 1, 500))
 	observe(c, rec(0, macA, netpkt.ProtoUDP, 123, 1, 300))
 	observe(c, rec(0, macA, netpkt.ProtoUDP, 53, 1, 100))
@@ -133,7 +134,7 @@ func TestTopSrcPorts(t *testing.T) {
 }
 
 func TestTopSrcPortsTieBreak(t *testing.T) {
-	c := NewCollector()
+	c := NewCollectorShards(1)
 	observe(c, rec(0, macA, netpkt.ProtoUDP, 200, 1, 100))
 	observe(c, rec(0, macA, netpkt.ProtoUDP, 100, 1, 100))
 	top := c.TopSrcPorts(2)
@@ -146,7 +147,7 @@ func TestTopSrcPortsManyWayTieIsDeterministic(t *testing.T) {
 	// A wide tie exercises the stable sort across map iteration orders:
 	// every port carries identical volume, so the ranking must come out
 	// in ascending port order on every call.
-	c := NewCollector()
+	c := NewCollectorShards(1)
 	ports := []uint16{11211, 19, 389, 0, 123, 53, 7, 161}
 	for _, p := range ports {
 		observe(c, rec(0, macA, netpkt.ProtoUDP, p, 1, 100))
@@ -160,6 +161,28 @@ func TestTopSrcPortsManyWayTieIsDeterministic(t *testing.T) {
 		for i, p := range want {
 			if top[i].Port != p {
 				t.Fatalf("trial %d: rank %d = port %d, want %d (%+v)", trial, i, top[i].Port, p, top)
+			}
+		}
+	}
+}
+
+// TestTopSrcPortsNegativeK: a negative k names no port, as k == 0
+// does; the report is only the residual under port 65535, on the
+// collector and on the reference alike.
+func TestTopSrcPortsNegativeK(t *testing.T) {
+	c, ref := NewCollectorShards(1), NewMapCollector()
+	for _, r := range []record{
+		rec(0, macA, netpkt.ProtoUDP, 123, 443, 600),
+		rec(0, macB, netpkt.ProtoUDP, 53, 443, 400),
+	} {
+		observe(c, r)
+		ref.Observe(r)
+	}
+	want := []PortRank{{Port: 65535, Bytes: 1000, Share: 1}}
+	for _, k := range []int{-1, -7, math.MinInt, 0} {
+		for name, top := range map[string][]PortRank{"Collector": c.TopSrcPorts(k), "MapCollector": ref.TopSrcPorts(k)} {
+			if fmt.Sprint(top) != fmt.Sprint(want) {
+				t.Fatalf("%s.TopSrcPorts(%d) = %+v, want %+v", name, k, top, want)
 			}
 		}
 	}
@@ -182,7 +205,7 @@ func TestShardAnyIndex(t *testing.T) {
 }
 
 func TestAccumulationAcrossObserve(t *testing.T) {
-	c := NewCollector()
+	c := NewCollectorShards(1)
 	for i := 0; i < 5; i++ {
 		observe(c, rec(0, macA, netpkt.ProtoUDP, 123, 443, 100))
 	}
@@ -198,7 +221,7 @@ func TestAccumulationAcrossObserve(t *testing.T) {
 // advances once per simulated tick (1000 records), as it does in the
 // scenario pipeline. The sharded collector must report 0 allocs/op.
 func BenchmarkObserve(b *testing.B) {
-	c := NewCollector()
+	c := NewCollectorShards(1)
 	sh := c.Shard(0)
 	r := rec(0, macA, netpkt.ProtoUDP, 123, 443, 100)
 	b.ReportAllocs()
@@ -224,7 +247,7 @@ func BenchmarkObserveMapBaseline(b *testing.B) {
 // BenchmarkObserveManyKeys measures ingestion of a mixed-flow tick: 256
 // distinct keys per bin, streamed one flow at a time.
 func BenchmarkObserveManyKeys(b *testing.B) {
-	c := NewCollector()
+	c := NewCollectorShards(1)
 	recs := make([]record, 256)
 	for i := range recs {
 		mac := macA

@@ -51,7 +51,7 @@ func TestMergeHorizonBoundsAccessorMerges(t *testing.T) {
 // collector behaves exactly as before — every accessor read drains all
 // in-flight bins.
 func TestMergeHorizonDefaultUnbounded(t *testing.T) {
-	c := NewCollector()
+	c := NewCollectorShards(1)
 	c.Shard(0).ObserveFlow(41, horizonKey(1), 10)
 	if got := c.TotalBytes(41); got != 10 {
 		t.Fatalf("unbounded horizon hid bin 41: %v", got)

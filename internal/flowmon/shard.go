@@ -1,6 +1,7 @@
 package flowmon
 
 import (
+	"math/bits"
 	"sync"
 
 	"stellar/internal/fabric"
@@ -13,16 +14,38 @@ import (
 // path inside the shard.
 const ringBins = 4
 
-// Shard is one worker's accumulator: a ring of in-flight bins backed by
-// compact open-addressed counter tables. The steady-state observe path
-// performs no allocation per record (tables and touched-lists grow
-// geometrically and are reused after every flush); a batch takes the
-// shard lock once.
+// Shard is one worker's accumulator: a ring of in-flight bins, the
+// peer ids the shard has resolved, and a positional cache of the peer
+// id each record of the previous bin resolved to. The steady-state
+// observe path performs no allocation per record (tables and arrays
+// grow geometrically and are reused after every flush); a batch takes
+// the shard lock once.
 type Shard struct {
 	c     *Collector
 	mu    sync.Mutex
 	slots [ringBins]shardBin
+
+	// ids maps the packed source MACs this shard has seen to their
+	// collector-wide peer ids; macs is its inverse, indexed by id, with
+	// noMAC at the ids the shard has not resolved. A MAC the shard has
+	// not seen is interned at the collector, under c.mu.
+	ids  map[uint64]int32
+	macs []uint64
+	// pos[i] is the peer id the record at position i of the previous
+	// bin resolved to, -1 while none has. Positions count the records
+	// the shard observes into one bin, from 0, and restart when a
+	// record arrives for another bin than the record before it (posBin);
+	// posNext is the next record's position. A port delivers the same
+	// flows in the same order tick after tick, so a position whose MAC
+	// still matches macs[pos[i]] skips the table lookup.
+	pos     []int32
+	posBin  int
+	posNext int
 }
+
+// noMAC marks an id a shard has not resolved; it is wider than any
+// packed MAC, so no source MAC compares equal to it.
+const noMAC = ^uint64(0)
 
 // shardBin accumulates one time bin inside a shard.
 type shardBin struct {
@@ -32,46 +55,107 @@ type shardBin struct {
 
 	srcPort counterTable // UDP source port -> bytes
 	dstPort counterTable // any-proto destination port -> bytes
-	peers   counterTable // packed source MAC -> bytes
+	peers   peerBytes    // peer id -> bytes
 }
 
 // ObserveFlow adds one flow observation. It reads key only during the
 // call.
 func (s *Shard) ObserveFlow(bin int, key *netpkt.FlowKey, bytes float64) {
 	s.mu.Lock()
-	s.observe(bin, key, bytes)
+	b := &s.slots[uint(bin)%ringBins]
+	if !b.used || b.bin != bin {
+		s.rotate(b, bin)
+	}
+	i := s.cursor(bin, 1)
+	mac := key.SrcMAC.Key()
+	id := s.pos[i]
+	if id < 0 || s.macs[id] != mac {
+		id = s.resolve(i, mac)
+	}
+	// Counted inline, as in ObserveDelivered: a call per record costs
+	// as much as the peer lookup the position saves.
+	b.total += bytes
+	b.dstPort.add(uint64(key.DstPort), bytes)
+	if key.Proto == netpkt.ProtoUDP {
+		b.srcPort.add(uint64(key.SrcPort), bytes)
+	}
+	b.peers.add(id, bytes)
 	s.mu.Unlock()
 }
 
 // ObserveDelivered adds one port's delivered flows of an egress tick —
 // the batch a fabric.FlowVisitor receives — under one lock acquisition,
 // in batch order. It reads each flow key in place and keeps nothing of
-// the batch.
+// the batch but the peer id each position resolved to.
 func (s *Shard) ObserveDelivered(bin int, delivered []fabric.Delivery) {
+	if len(delivered) == 0 {
+		return
+	}
 	s.mu.Lock()
+	b := &s.slots[uint(bin)%ringBins]
+	if !b.used || b.bin != bin {
+		s.rotate(b, bin)
+	}
+	base := s.cursor(bin, len(delivered))
+	pos := s.pos[base : base+len(delivered)]
 	for i := range delivered {
-		s.observe(bin, delivered[i].Offer.Flow, delivered[i].Bytes)
+		key, bytes := delivered[i].Offer.Flow, delivered[i].Bytes
+		mac := key.SrcMAC.Key()
+		id := pos[i]
+		if id < 0 || s.macs[id] != mac {
+			id = s.resolve(base+i, mac)
+		}
+		b.total += bytes
+		b.dstPort.add(uint64(key.DstPort), bytes)
+		if key.Proto == netpkt.ProtoUDP {
+			b.srcPort.add(uint64(key.SrcPort), bytes)
+		}
+		b.peers.add(id, bytes)
 	}
 	s.mu.Unlock()
 }
 
-// observe is the hot path; callers hold s.mu.
-func (s *Shard) observe(bin int, key *netpkt.FlowKey, bytes float64) {
-	b := &s.slots[uint(bin)%ringBins]
-	if !b.used {
-		b.used = true
-		b.bin = bin
-	} else if b.bin != bin {
+// cursor reserves the positions of the next n records of bin and
+// returns the first. Callers hold s.mu.
+func (s *Shard) cursor(bin, n int) int {
+	if bin != s.posBin {
+		s.posBin, s.posNext = bin, 0
+	}
+	i := s.posNext
+	s.posNext += n
+	for len(s.pos) < s.posNext {
+		s.pos = append(s.pos, -1)
+	}
+	return i
+}
+
+// resolve finds the peer id of a packed source MAC the cache did not
+// hold at position i — through the shard's own table or, for a MAC the
+// shard has not seen, at the collector — and caches it there. Callers
+// hold s.mu.
+func (s *Shard) resolve(i int, mac uint64) int32 {
+	id, ok := s.ids[mac]
+	if !ok {
+		s.c.mu.Lock() // lock order shard.mu -> c.mu
+		id = s.c.peers.intern(mac)
+		s.c.mu.Unlock()
+		s.ids[mac] = id
+		for len(s.macs) <= int(id) {
+			s.macs = append(s.macs, noMAC)
+		}
+		s.macs[id] = mac
+	}
+	s.pos[i] = id
+	return id
+}
+
+// rotate hands ring slot b to bin, flushing the older bin it held into
+// the store first. Callers hold s.mu.
+func (s *Shard) rotate(b *shardBin, bin int) {
+	if b.used {
 		s.c.flushSlot(b) // ring rotation: lock order shard.mu -> c.mu
-		b.used = true
-		b.bin = bin
 	}
-	b.total += bytes
-	b.dstPort.add(uint64(key.DstPort), bytes)
-	if key.Proto == netpkt.ProtoUDP {
-		b.srcPort.add(uint64(key.SrcPort), bytes)
-	}
-	b.peers.add(macKey(key.SrcMAC), bytes)
+	b.used, b.bin = true, bin
 }
 
 // reset clears the bin's counters while keeping every table's capacity,
@@ -82,6 +166,73 @@ func (b *shardBin) reset() {
 	b.srcPort.reset()
 	b.dstPort.reset()
 	b.peers.reset()
+}
+
+// peerIndex numbers source MACs densely, in the order any shard of the
+// collector first sees them.
+type peerIndex struct {
+	ids  map[uint64]int32 // packed MAC -> id
+	macs []netpkt.MAC     // id -> MAC
+}
+
+func (p *peerIndex) intern(mac uint64) int32 {
+	if id, ok := p.ids[mac]; ok {
+		return id
+	}
+	id := int32(len(p.macs))
+	p.ids[mac] = id
+	p.macs = append(p.macs, unpackMAC(mac))
+	return id
+}
+
+// peerBytes holds byte counts by peer id: bytes[id] is id's count while
+// seen has id's bit set, and 0 otherwise. Both arrays grow
+// geometrically, and reset clears only the seen ids, so a reused
+// peerBytes costs its peers, not its capacity. Each id's count is the
+// sum of its adds in order, as a counter table's entry would be.
+type peerBytes struct {
+	bytes []float64
+	seen  []uint64
+}
+
+func (p *peerBytes) add(id int32, v float64) {
+	if int(id) >= len(p.bytes) {
+		p.grow(int(id) + 1)
+	}
+	p.bytes[id] += v
+	p.seen[id>>6] |= 1 << (id & 63)
+}
+
+// grow lengthens both arrays to hold n ids; append grows the backing
+// arrays geometrically.
+func (p *peerBytes) grow(n int) {
+	p.bytes = append(p.bytes, make([]float64, n-len(p.bytes))...)
+	if words := (n + 63) >> 6; words > len(p.seen) {
+		p.seen = append(p.seen, make([]uint64, words-len(p.seen))...)
+	}
+}
+
+// addFrom adds q's count of every id q has seen.
+func (p *peerBytes) addFrom(q *peerBytes) {
+	if len(q.bytes) > len(p.bytes) {
+		p.grow(len(q.bytes))
+	}
+	for w, word := range q.seen {
+		p.seen[w] |= word
+		for ; word != 0; word &= word - 1 {
+			id := w<<6 | bits.TrailingZeros64(word)
+			p.bytes[id] += q.bytes[id]
+		}
+	}
+}
+
+func (p *peerBytes) reset() {
+	for w, word := range p.seen {
+		for ; word != 0; word &= word - 1 {
+			p.bytes[w<<6|bits.TrailingZeros64(word)] = 0
+		}
+		p.seen[w] = 0
+	}
 }
 
 // counterTable is a compact open-addressed uint64 -> float64
@@ -167,7 +318,7 @@ func (t *counterTable) reset() {
 }
 
 // mixU64 is the splitmix64 finalizer: a cheap avalanche so sequential
-// port numbers and structured MAC keys spread across the table.
+// port numbers spread across the table.
 func mixU64(x uint64) uint64 {
 	x ^= x >> 33
 	x *= 0xff51afd7ed558ccd
@@ -175,12 +326,6 @@ func mixU64(x uint64) uint64 {
 	x *= 0xc4ceb9fe1a85ec53
 	x ^= x >> 33
 	return x
-}
-
-// macKey packs a MAC into its 48-bit integer form (lossless).
-func macKey(m netpkt.MAC) uint64 {
-	return uint64(m[0])<<40 | uint64(m[1])<<32 | uint64(m[2])<<24 |
-		uint64(m[3])<<16 | uint64(m[4])<<8 | uint64(m[5])
 }
 
 func unpackMAC(k uint64) netpkt.MAC {

@@ -3,6 +3,7 @@ package flowmon
 import (
 	"cmp"
 	"math"
+	"math/bits"
 	"slices"
 
 	"stellar/internal/netpkt"
@@ -15,7 +16,7 @@ import (
 // every bin keeps. Sixteen bins cover that read with room for the
 // shard ring (ringBins) and a pipeline a few ticks deep without the
 // window ever growing, and leave post-run readers the last 16 ticks of
-// a run, while a collector holds at most 16 peer tables however long
+// a run, while a collector holds at most 16 peer arrays however long
 // it runs. It must be a power of two (the hot ring masks by it).
 const peerWindow = 16
 
@@ -30,10 +31,10 @@ const (
 
 // store is the collector's long-term per-bin state, in two tiers behind
 // addFrom. The hot tier is a ring of reusable bins, indexed by bin
-// modulo its length, that keeps the newest bins' roll-ups and per-peer
-// counters in counter tables. A bin leaving the ring is compacted into
-// the cold tier: its total and one sorted run of (roll-up key, bytes)
-// in a shared arena. Peer detail is dropped at that point, and a late
+// modulo its length, that keeps the newest bins' roll-ups in counter
+// tables and their per-peer counters in arrays indexed by peer id. A
+// bin leaving the ring is compacted into the cold tier: its total and
+// one sorted run of (roll-up key, bytes) in a shared arena. Peer detail is dropped at that point, and a late
 // record for a cold bin updates its roll-up only.
 //
 // Every accessor except the peer counts reads the roll-up, whichever
@@ -48,14 +49,14 @@ type store struct {
 	any    bool
 }
 
-// hotBin is one slot of the hot ring; its tables keep their capacity
-// when the slot passes to a newer bin.
+// hotBin is one slot of the hot ring; its tables and arrays keep their
+// capacity when the slot passes to a newer bin.
 type hotBin struct {
 	used  bool
 	bin   int
 	total float64
 	ports counterTable // roll-up key -> bytes
-	peers counterTable // packed source MAC -> bytes
+	peers peerBytes    // peer id -> bytes
 }
 
 // coldBin is a compacted bin: its roll-up is arena[off : off+n], sorted
@@ -160,11 +161,7 @@ func (st *store) fit(floor int) {
 func (h *hotBin) add(b *shardBin) {
 	h.total += b.total
 	b.eachRollup(h.ports.add)
-	for i := range b.peers.entries {
-		if e := &b.peers.entries[i]; e.used() {
-			h.peers.add(e.key(), e.val)
-		}
-	}
+	h.peers.addFrom(&b.peers)
 }
 
 // eachRollup calls fn for each of the shard bin's roll-up counters,
@@ -324,16 +321,20 @@ func (st *store) srcPortBytes(bin int, port uint16) float64 {
 }
 
 // peerCount counts the bin's source MACs keep accepts whose bytes
-// exceed minBytes; a bin below the peer floor counts 0.
-func (st *store) peerCount(bin int, minBytes float64, keep func(netpkt.MAC) bool, horizon int64) int {
+// exceed minBytes, macs giving each peer id's MAC; a bin below the peer
+// floor counts 0.
+func (st *store) peerCount(bin int, minBytes float64, keep func(netpkt.MAC) bool, horizon int64, macs []netpkt.MAC) int {
 	h := st.hotBin(bin)
 	if h == nil || bin < st.peerFloor(horizon) {
 		return 0
 	}
 	n := 0
-	for i := range h.peers.entries {
-		if e := &h.peers.entries[i]; e.used() && e.val > minBytes && keep(unpackMAC(e.key())) {
-			n++
+	for w, word := range h.peers.seen {
+		for ; word != 0; word &= word - 1 {
+			id := w<<6 | bits.TrailingZeros64(word)
+			if h.peers.bytes[id] > minBytes && keep(macs[id]) {
+				n++
+			}
 		}
 	}
 	return n

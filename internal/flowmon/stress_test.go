@@ -22,7 +22,7 @@ func TestConcurrentObserveAndRead(t *testing.T) {
 	if writers < 2 {
 		writers = 2
 	}
-	c := NewCollector()
+	c := NewCollectorShards(writers)
 
 	var wantTotal float64
 	batchesByWriter := make([][][]record, writers)

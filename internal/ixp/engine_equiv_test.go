@@ -45,7 +45,7 @@ func serialRunAll(x *IXP, ticks int, dt float64, victims []engine.VictimSpec, so
 	series := make([]engine.VictimSeries, len(victims))
 	monitors := make([]*flowmon.Collector, len(victims))
 	for i := range victims {
-		monitors[i] = flowmon.NewCollector()
+		monitors[i] = flowmon.NewCollectorShards(1)
 		series[i] = engine.VictimSeries{Port: victims[i].Port, Monitor: monitors[i]}
 	}
 

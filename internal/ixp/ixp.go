@@ -92,17 +92,19 @@ type IXP struct {
 	nulls  map[string][]netip.Prefix
 }
 
-// registry is the member population by name and by fabric MAC.
+// registry is the member population by name and by fabric MAC, the
+// latter keyed by the packed MAC (netpkt.MAC.Key): the flow monitor's
+// member filter looks it up once per counted peer per tick.
 type registry struct {
 	members map[string]*member.Member
-	byMAC   map[netpkt.MAC]*member.Member
+	byMAC   map[uint64]*member.Member
 }
 
 // with returns a copy of the registry extended by m.
 func (r *registry) with(m *member.Member) *registry {
 	next := &registry{members: maps.Clone(r.members), byMAC: maps.Clone(r.byMAC)}
 	next.members[m.Name] = m
-	next.byMAC[m.MAC] = m
+	next.byMAC[m.MAC.Key()] = m
 	return next
 }
 
@@ -116,7 +118,7 @@ func Build(cfg Config) (*IXP, error) {
 	}
 	reg := &registry{
 		members: make(map[string]*member.Member, len(cfg.Members)),
-		byMAC:   make(map[netpkt.MAC]*member.Member, len(cfg.Members)),
+		byMAC:   make(map[uint64]*member.Member, len(cfg.Members)),
 	}
 	x.RS = routeserver.New(routeserver.Config{
 		ASN:              cfg.ASN,
@@ -136,7 +138,7 @@ func Build(cfg Config) (*IXP, error) {
 			return nil, fmt.Errorf("ixp: duplicate member %s", m.Name)
 		}
 		reg.members[m.Name] = m
-		reg.byMAC[m.MAC] = m
+		reg.byMAC[m.MAC.Key()] = m
 		if err := x.Fabric.AddPort(fabric.NewPort(m.Name, m.MAC, m.PortCapacityBps)); err != nil {
 			return nil, err
 		}
@@ -205,7 +207,7 @@ func (x *IXP) Join(m *member.Member) error {
 	if _, dup := reg.members[m.Name]; dup {
 		return fmt.Errorf("ixp: duplicate member %s", m.Name)
 	}
-	if other, dup := reg.byMAC[m.MAC]; dup {
+	if other, dup := reg.byMAC[m.MAC.Key()]; dup {
 		return fmt.Errorf("ixp: member %s: MAC %s belongs to %s", m.Name, m.MAC, other.Name)
 	}
 	if err := x.Fabric.AddPort(fabric.NewPort(m.Name, m.MAC, m.PortCapacityBps)); err != nil {
@@ -281,7 +283,7 @@ func (x *IXP) Member(name string) (*member.Member, error) {
 // stray source MAC.
 func (x *IXP) MemberFilter() func(netpkt.MAC) bool {
 	return func(mac netpkt.MAC) bool {
-		_, ok := x.reg.Load().byMAC[mac]
+		_, ok := x.reg.Load().byMAC[mac.Key()]
 		return ok
 	}
 }
@@ -557,7 +559,7 @@ func (x *IXP) filterNullRoutes(r fabric.Runner, offers fabric.TickOffers) (fabri
 	reps := make([]engine.PortReport, len(names))
 	kept := make([][]fabric.Offer, len(names))
 	nulled := func(o *fabric.Offer) bool {
-		src, ok := byMAC[o.Flow.SrcMAC]
+		src, ok := byMAC[o.Flow.SrcMAC.Key()]
 		return ok && anyContains(nulls[src.Name], o.Flow.Dst)
 	}
 	filterPort := func(i int) {

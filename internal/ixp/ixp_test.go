@@ -91,7 +91,7 @@ func TestBuildWiring(t *testing.T) {
 
 // memberByMAC resolves a fabric source MAC to its member.
 func memberByMAC(x *IXP, mac netpkt.MAC) (*member.Member, bool) {
-	m, ok := x.reg.Load().byMAC[mac]
+	m, ok := x.reg.Load().byMAC[mac.Key()]
 	return m, ok
 }
 

@@ -74,6 +74,15 @@ func hexVal(c byte) (byte, bool) {
 	return 0, false
 }
 
+// Key packs the MAC into the low 48 bits of a uint64, first octet
+// highest. The packing is lossless, so the key stands in for the MAC as
+// a map key or a comparison: a uint64 key takes the runtime's 64-bit
+// map fast path where a [6]byte one is hashed byte-wise.
+func (m MAC) Key() uint64 {
+	return uint64(m[0])<<40 | uint64(m[1])<<32 | uint64(m[2])<<24 |
+		uint64(m[3])<<16 | uint64(m[4])<<8 | uint64(m[5])
+}
+
 func (m MAC) String() string {
 	const hexDigit = "0123456789abcdef"
 	buf := make([]byte, 0, 17)

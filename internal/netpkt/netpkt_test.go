@@ -100,3 +100,46 @@ func TestFlowKeyHashSpread(t *testing.T) {
 		seen[h] = true
 	}
 }
+
+// TestMACKeyLossless pins MAC.Key as a lossless packing: every octet
+// lands in its own byte of the key, so distinct MACs give distinct keys
+// and the MAC can be read back from its key.
+func TestMACKeyLossless(t *testing.T) {
+	if got, want := MustParseMAC("aa:bb:cc:dd:ee:ff").Key(), uint64(0xaabbccddeeff); got != want {
+		t.Fatalf("Key = %#x, want %#x", got, want)
+	}
+	seen := make(map[uint64]MAC)
+	check := func(m MAC) {
+		t.Helper()
+		k := m.Key()
+		if k>>48 != 0 {
+			t.Fatalf("%s: key %#x wider than 48 bits", m, k)
+		}
+		if prev, dup := seen[k]; dup && prev != m {
+			t.Fatalf("%s and %s share key %#x", prev, m, k)
+		}
+		seen[k] = m
+		var back MAC
+		for i := range back {
+			back[i] = byte(k >> (40 - 8*i))
+		}
+		if back != m {
+			t.Fatalf("%s: key %#x unpacks to %s", m, k, back)
+		}
+	}
+	// Every value of every octet, alone and next to its neighbours'
+	// extremes, so a shift that overlaps or drops an octet collides.
+	for i := 0; i < 6; i++ {
+		for v := 0; v < 256; v++ {
+			var m MAC
+			m[i] = byte(v)
+			check(m)
+			for j := range m {
+				if j != i {
+					m[j] = 0xff
+				}
+			}
+			check(m)
+		}
+	}
+}
