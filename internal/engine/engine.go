@@ -145,13 +145,13 @@ type run struct {
 	prof     *StageProfile
 	series   []VictimSeries
 
-	// curTick backs the per-worker monitoring visitors: workers read it
+	// curTick backs the monitoring visitors: workers read it
 	// only while the spine is blocked inside EgressTick, and only the
 	// spine writes it, so it is race-free across the tick barrier even
 	// while the previous tick's fold still runs.
 	curTick     int
 	victimIndex map[string]int
-	visitors    [][]fabric.FlowVisitor
+	visitors    []fabric.FlowVisitor // one per victim, specs order
 
 	mu   sync.Mutex
 	fail *runFail
@@ -248,7 +248,7 @@ func wire(cfg Config) (*run, error) {
 		series:      make([]VictimSeries, len(specs)),
 		victimIndex: make(map[string]int, len(specs)),
 		monitors:    make([]*flowmon.Collector, len(specs)),
-		visitors:    make([][]fabric.FlowVisitor, len(specs)),
+		visitors:    make([]fabric.FlowVisitor, len(specs)),
 	}
 	for i := range specs {
 		if _, dup := r.victimIndex[specs[i].Port]; dup {
@@ -256,9 +256,12 @@ func wire(cfg Config) (*run, error) {
 		}
 		r.victimIndex[specs[i].Port] = i
 		// A victim is one port, and a port hands its delivered flows
-		// to the sink as one batch per tick: one shard takes them all.
+		// to the sink as one batch per tick.
 		r.monitors[i] = flowmon.NewCollectorShards(1)
-		r.visitors[i] = make([]fabric.FlowVisitor, r.monitors[i].Shards())
+		sh := r.monitors[i].Shard(0)
+		r.visitors[i] = func(delivered []fabric.Delivery) {
+			sh.ObserveDelivered(r.curTick, delivered)
+		}
 	}
 	if r.keep == nil {
 		r.keep = func(netpkt.MAC) bool { return true }
@@ -404,23 +407,14 @@ func (r *run) egress(b *batch) error {
 	return err
 }
 
-// sink supplies the per-(worker, port) visitors of the tick; a (victim,
-// shard) visitor is built once and reused every tick, and observes a
-// port's batch into the shard the worker maps to under one lock.
+// sink supplies a port's visitor for the tick: a victim's observes the
+// port's batch into its collector's shard under one lock; other ports
+// are not monitored.
 func (r *run) sink(worker int, port string) fabric.FlowVisitor {
-	vi, ok := r.victimIndex[port]
-	if !ok {
-		return nil
+	if vi, ok := r.victimIndex[port]; ok {
+		return r.visitors[vi]
 	}
-	row := r.visitors[vi]
-	slot := worker % len(row) // Shard wraps the same way
-	if row[slot] == nil {
-		sh := r.monitors[vi].Shard(worker)
-		row[slot] = func(delivered []fabric.Delivery) {
-			sh.ObserveDelivered(r.curTick, delivered)
-		}
-	}
-	return row[slot]
+	return nil
 }
 
 // monitor derives each victim's sample for the tick, including the

@@ -148,7 +148,7 @@ func TestCollectorEquivalenceSerial(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(100 + trial)))
 		recs := randRecords(rng, 3000, 24) // 24 bins >> ring size: rotation exercised
 		oldC := NewMapCollector()
-		newC := NewCollectorShards(4)
+		newC := NewCollectorShards(1)
 		for _, r := range recs {
 			oldC.Observe(r)
 			observe(newC, r)
@@ -175,15 +175,15 @@ func TestCollectorEquivalenceSingleBinExact(t *testing.T) {
 	compareCollectors(t, oldC, newC, 0)
 }
 
-// TestCollectorEquivalenceBatchedShards spreads batches across shards
-// (the concurrent ingestion layout) and checks the merged aggregates
-// still match the baseline.
+// TestCollectorEquivalenceBatchedShards spreads batches across worker
+// indices, which share the collector's one shard, and checks the merged
+// aggregates still match the baseline.
 func TestCollectorEquivalenceBatchedShards(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	recs := randRecords(rng, 4000, 16)
 	oldC := NewMapCollector()
 	oldC.ObserveAll(recs)
-	newC := NewCollectorShards(4)
+	newC := NewCollectorShards(1)
 	for i := 0; i < len(recs); i += 97 {
 		end := i + 97
 		if end > len(recs) {
@@ -216,7 +216,7 @@ func TestCollectorEquivalenceOutOfOrderBeyondWindow(t *testing.T) {
 			t.Fatalf("trial %d: late records reach back only %d bins, want > %d", trial, spread, peerWindow)
 		}
 		want := NewMapCollector()
-		got := NewCollectorShards(1 + trial)
+		got := NewCollectorShards(1)
 		for i := 0; i < len(recs); i += 50 {
 			batch := recs[i:min(i+50, len(recs))]
 			want.ObserveAll(batch)
@@ -244,7 +244,7 @@ func TestShardObserveFlowMatchesObserve(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	recs := randRecords(rng, 500, 2*ringBins)
 	ref := NewMapCollector()
-	c := NewCollectorShards(2)
+	c := NewCollectorShards(1)
 	for i, r := range recs {
 		ref.Observe(r)
 		c.Shard(1).ObserveFlow(r.Bin, &recs[i].Key, r.Bytes)
@@ -260,7 +260,7 @@ func TestShardObserveDeliveredMatchesObserveFlow(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	recs := randRecords(rng, 2000, 2*ringBins)
 	sort.SliceStable(recs, func(i, j int) bool { return recs[i].Bin < recs[j].Bin })
-	perFlow, batched := NewCollectorShards(2), NewCollectorShards(2)
+	perFlow, batched := NewCollectorShards(1), NewCollectorShards(1)
 	var batch []fabric.Delivery
 	offers := make([]fabric.Offer, len(recs))
 	for i, r := range recs {
@@ -288,7 +288,7 @@ func TestShardObserveDeliveredMatchesObserveFlow(t *testing.T) {
 // TestObserveSteadyStateZeroAllocs pins the acceptance bar: after
 // warmup, the observe hot path allocates nothing per record.
 func TestObserveSteadyStateZeroAllocs(t *testing.T) {
-	c := NewCollectorShards(2)
+	c := NewCollectorShards(1)
 	sh := c.Shard(0)
 	rng := rand.New(rand.NewSource(3))
 	warm := randRecords(rng, 4096, 2)

@@ -4,19 +4,17 @@
 // (Figure 2c), UDP source-port histograms across blackholing events
 // (Figure 3a) and peer counts (Figures 3c and 10c).
 //
-// Collector is built from Shard accumulators, each a bounded ring of
-// in-flight time bins merged into the long-term store when a bin
-// rotates out or an accessor reads. A bin's port roll-ups are compact
-// open-addressed counter tables; its per-peer bytes are an array
-// indexed by a dense peer id the collector gives each source MAC the
-// first time any shard sees it. A shard resolves a record's MAC first
-// through the peer id the record at the same position of its previous
-// bin resolved to, confirmed by one compare of packed MACs, then
-// through its own table: a port delivers the same flows in the same
-// order tick after tick, so the warm path hashes no peer. The
-// steady-state observe path performs no allocation per record and takes
-// no lock per record (one lock per batch, and the collector's lock only
-// for a MAC the shard has not seen).
+// A Collector has one Shard accumulator: a bounded ring of in-flight
+// time bins, merged into the long-term store when a bin rotates out or
+// an accessor reads. A bin's port roll-ups are compact open-addressed
+// counter tables; its per-peer bytes are an array indexed by a dense
+// peer id the shard gives each source MAC the first time it sees it.
+// The shard resolves a record's MAC first through the peer id the
+// record at the same position of its previous bin resolved to,
+// confirmed by one MAC compare, then through its MAC -> id table: a
+// port delivers the same flows in the same order tick after tick, so
+// the warm path hashes no peer. The steady-state observe path performs
+// no allocation per record and takes one lock per batch.
 //
 // The long-term store runs in flat memory. Per-peer byte counters — the
 // one per-bin state that grows with the number of senders — are kept
@@ -82,47 +80,34 @@ func rankPorts(agg map[uint16]float64, total float64, k int) []PortRank {
 	return ranks
 }
 
-// Collector aggregates records on per-worker shards and merges them
-// into a long-term per-bin store — peers for the newest bins, a roll-up
-// for every bin — when bins rotate out of the shard rings or when an
-// accessor reads. It is safe for concurrent use:
-// any number of goroutines may observe on its Shards while others read
-// the accessors.
+// Collector aggregates records on its shard and merges them into a
+// long-term per-bin store — peers for the newest bins, a roll-up for
+// every bin — when bins rotate out of the shard's ring or when an
+// accessor reads. It is safe for concurrent use: any number of
+// goroutines may observe on its Shard while others read the accessors.
 type Collector struct {
-	shards []*Shard
+	sh Shard
 
 	// horizon bounds accessor-triggered merges: shard bins above it stay
 	// in flight (see SetMergeHorizon). Defaults to unbounded.
 	horizon atomic.Int64
 
-	mu    sync.Mutex // guards st and peers; always acquired after a shard lock
-	st    store
-	peers peerIndex
+	mu sync.Mutex // guards st; always acquired after the shard lock
+	st store
 }
 
-// NewCollectorShards returns an empty collector with n shards (n < 1 is
-// treated as 1).
+// NewCollectorShards returns an empty collector. A collector has one
+// shard, which every worker index shares (see Shard), so n is ignored.
 func NewCollectorShards(n int) *Collector {
-	if n < 1 {
-		n = 1
-	}
-	c := &Collector{peers: peerIndex{ids: make(map[uint64]int32)}}
+	c := &Collector{}
+	c.sh = Shard{c: c, ids: make(map[uint64]int32)}
 	c.horizon.Store(int64(^uint64(0) >> 1)) // unbounded
-	c.shards = make([]*Shard, n)
-	for i := range c.shards {
-		c.shards[i] = &Shard{c: c, ids: make(map[uint64]int32)}
-	}
 	return c
 }
 
-// Shards returns the number of shards.
-func (c *Collector) Shards() int { return len(c.shards) }
-
-// Shard returns worker i's accumulator; i wraps modulo the shard count
-// (as an unsigned value), so any worker index is valid.
-func (c *Collector) Shard(i int) *Shard {
-	return c.shards[uint(i)%uint(len(c.shards))]
-}
+// Shard returns the collector's accumulator, whatever the worker index
+// i: every worker observes into the one shard, under its lock.
+func (c *Collector) Shard(i int) *Shard { return &c.sh }
 
 // SetMergeHorizon bounds accessor-triggered merges to bins <= bin:
 // shard bins above the horizon stay in flight instead of being drained
@@ -140,30 +125,19 @@ func (c *Collector) Shard(i int) *Shard {
 // other caller has.
 func (c *Collector) SetMergeHorizon(bin int) { c.horizon.Store(int64(bin)) }
 
-// merge drains every shard's in-flight bins at or below the merge
-// horizon into the long-term store. Lock order is always shard.mu
-// before c.mu — the same order the shards' own ring-rotation flush
-// uses.
+// merge drains the shard's in-flight bins at or below the merge horizon
+// into the long-term store. Lock order is always shard.mu before c.mu —
+// the same order the shard's own ring-rotation flush uses.
 func (c *Collector) merge() {
 	horizon := c.horizon.Load()
-	for _, s := range c.shards {
-		s.mu.Lock()
-		for i := range s.slots {
-			if s.slots[i].used && int64(s.slots[i].bin) <= horizon {
-				c.flushSlot(&s.slots[i])
-			}
+	s := &c.sh
+	s.mu.Lock()
+	for i := range s.slots {
+		if s.slots[i].used && int64(s.slots[i].bin) <= horizon {
+			s.flush(&s.slots[i])
 		}
-		s.mu.Unlock()
 	}
-}
-
-// flushSlot folds one shard bin into the long-term store and resets it.
-// Callers hold the owning shard's lock.
-func (c *Collector) flushSlot(b *shardBin) {
-	c.mu.Lock()
-	c.st.addFrom(b, c.horizon.Load())
-	c.mu.Unlock()
-	b.reset()
+	s.mu.Unlock()
 }
 
 // Bins returns the observed bin indices, sorted.
@@ -224,7 +198,7 @@ func (c *Collector) PeerCountFunc(bin int, minBytes float64, keep func(netpkt.MA
 	c.merge()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.st.peerCount(bin, minBytes, keep, c.horizon.Load(), c.peers.macs)
+	return c.st.peerCount(bin, minBytes, keep, c.horizon.Load())
 }
 
 // TopSrcPorts returns the k highest-volume UDP source ports across all

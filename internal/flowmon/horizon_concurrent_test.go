@@ -9,10 +9,11 @@ import (
 )
 
 // TestMergeHorizonUnderConcurrentPoolObservers reproduces the engine's
-// spine/fold overlap on the collector alone: pool workers observe
-// one tick's records concurrently, each on its own shard, while a fold goroutine, lagging a couple of ticks behind the
-// writers, advances the merge horizon and reads the accessors — the
-// merge path and the observe path overlap the whole run. Under -race
+// spine/fold overlap on the collector alone: pool workers observe one
+// tick's records concurrently into the collector's shard, while a fold
+// goroutine, lagging a couple of ticks behind the writers, advances the
+// merge horizon and reads the accessors — the merge path and the
+// observe path overlap the whole run. Under -race
 // this pins the locking; the final comparison against the MapCollector
 // baseline pins the aggregates. Byte sums here are integral, so the
 // nondeterministic batch placement cannot smear the totals past the
@@ -37,7 +38,7 @@ func TestMergeHorizonUnderConcurrentPoolObservers(t *testing.T) {
 			base.ObserveAll(recs)
 		}
 
-		c := NewCollectorShards(4)
+		c := NewCollectorShards(1)
 		pool := fabric.NewPool(4)
 		folded := make(chan int, ticks)
 		var wg sync.WaitGroup

@@ -22,7 +22,7 @@ func horizonKey(i int) *netpkt.FlowKey {
 // flight — accessors neither see them nor split their accumulation —
 // until the horizon advances past them.
 func TestMergeHorizonBoundsAccessorMerges(t *testing.T) {
-	c := NewCollectorShards(2)
+	c := NewCollectorShards(1)
 	for bin := 0; bin < 3; bin++ {
 		c.Shard(bin%2).ObserveFlow(bin, horizonKey(bin), float64(100*(bin+1)))
 	}

@@ -3,7 +3,6 @@ package flowmon
 import (
 	"math/rand"
 	"net/netip"
-	"sync"
 	"testing"
 
 	"stellar/internal/fabric"
@@ -108,7 +107,7 @@ func positionProbe(s *Shard, d []fabric.Delivery) (hits, stale int) {
 		if i >= len(s.pos) || s.pos[i] < 0 {
 			continue
 		}
-		if s.macs[s.pos[i]] == d[i].Offer.Flow.SrcMAC.Key() {
+		if s.macs[s.pos[i]] == d[i].Offer.Flow.SrcMAC {
 			hits++
 		} else {
 			stale++
@@ -153,81 +152,6 @@ func TestObserveDeliveredPositionMatchesMapCollector(t *testing.T) {
 		if hits == 0 || stale == 0 {
 			t.Fatalf("trial %d: %d positional hits, %d stale positions; want both > 0", trial, hits, stale)
 		}
-	}
-}
-
-// TestConcurrentShardsInternOverlappingPeers has several shards of one
-// collector see overlapping MAC sets at once, each a MAC's first
-// sighting as often as not, and pins the result to a serial one-shard
-// collector fed the same records: ids differ with the interleaving,
-// counts must not. Byte counts are integral, so the flush order cannot
-// move a sum. CI runs it ten times under -race.
-func TestConcurrentShardsInternOverlappingPeers(t *testing.T) {
-	const (
-		writers = 4
-		bins    = 6
-	)
-	recsBy := make([][]record, writers)
-	serial := NewCollectorShards(1)
-	for w := range recsBy {
-		rng := rand.New(rand.NewSource(int64(70 + w)))
-		recs := randRecords(rng, 600, 1)
-		for i := range recs {
-			recs[i].Bin = i * bins / len(recs)
-			// 64 MACs, each writer starting from its own corner of them.
-			recs[i].Key.SrcMAC[5] = byte((i + 16*w) % 64)
-		}
-		recsBy[w] = recs
-		observeFlows(serial.Shard(0), recs)
-	}
-
-	c := NewCollectorShards(writers)
-	start := make(chan struct{})
-	var wg sync.WaitGroup
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			<-start
-			recs, sh := recsBy[w], c.Shard(w)
-			if w%2 == 0 {
-				observeFlows(sh, recs)
-				return
-			}
-			offers := make([]fabric.Offer, len(recs))
-			for lo := 0; lo < len(recs); {
-				hi := lo
-				var d []fabric.Delivery
-				for ; hi < len(recs) && recs[hi].Bin == recs[lo].Bin; hi++ {
-					offers[hi] = fabric.Offer{Flow: &recs[hi].Key}
-					d = append(d, fabric.Delivery{Offer: &offers[hi], Bytes: recs[hi].Bytes})
-				}
-				sh.ObserveDelivered(recs[lo].Bin, d)
-				lo = hi
-			}
-		}(w)
-	}
-	wg.Add(1)
-	go func() { // a reader merging while the shards intern
-		defer wg.Done()
-		<-start
-		for i := 0; i < 20; i++ {
-			c.PeerCountFunc(i%bins, 0, anyMAC)
-		}
-	}()
-	close(start)
-	wg.Wait()
-
-	compareCollectors(t, serial, c, 0)
-	if got, want := len(c.peers.macs), len(serial.peers.macs); got != want {
-		t.Fatalf("%d peer ids interned, want %d", got, want)
-	}
-	ids := make(map[netpkt.MAC]bool)
-	for _, m := range c.peers.macs {
-		if ids[m] {
-			t.Fatalf("MAC %s interned twice", m)
-		}
-		ids[m] = true
 	}
 }
 

@@ -37,7 +37,7 @@ func observeBin(sh *Shard, bin, peers int) {
 // exactly.
 func TestCollectorRetention(t *testing.T) {
 	const bins, peers = 10_000, 24
-	c := NewCollectorShards(2)
+	c := NewCollectorShards(1)
 	sh := c.Shard(1)
 	for bin := 0; bin < bins; bin++ {
 		observeBin(sh, bin, peers)

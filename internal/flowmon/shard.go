@@ -14,23 +14,21 @@ import (
 // path inside the shard.
 const ringBins = 4
 
-// Shard is one worker's accumulator: a ring of in-flight bins, the
-// peer ids the shard has resolved, and a positional cache of the peer
-// id each record of the previous bin resolved to. The steady-state
-// observe path performs no allocation per record (tables and arrays
-// grow geometrically and are reused after every flush); a batch takes
-// the shard lock once.
+// Shard is a collector's accumulator: a ring of in-flight bins, the
+// dense peer ids of the source MACs the collector has seen, and a
+// positional cache of the peer id each record of the previous bin
+// resolved to. The steady-state observe path performs no allocation per
+// record (tables and arrays grow geometrically and are reused after
+// every flush); a batch takes the shard lock once.
 type Shard struct {
 	c     *Collector
 	mu    sync.Mutex
 	slots [ringBins]shardBin
 
-	// ids maps the packed source MACs this shard has seen to their
-	// collector-wide peer ids; macs is its inverse, indexed by id, with
-	// noMAC at the ids the shard has not resolved. A MAC the shard has
-	// not seen is interned at the collector, under c.mu.
+	// ids numbers the packed source MACs densely, in the order the
+	// shard first sees them; macs is its inverse, indexed by id.
 	ids  map[uint64]int32
-	macs []uint64
+	macs []netpkt.MAC
 	// pos[i] is the peer id the record at position i of the previous
 	// bin resolved to, -1 while none has. Positions count the records
 	// the shard observes into one bin, from 0, and restart when a
@@ -42,10 +40,6 @@ type Shard struct {
 	posBin  int
 	posNext int
 }
-
-// noMAC marks an id a shard has not resolved; it is wider than any
-// packed MAC, so no source MAC compares equal to it.
-const noMAC = ^uint64(0)
 
 // shardBin accumulates one time bin inside a shard.
 type shardBin struct {
@@ -66,20 +60,7 @@ func (s *Shard) ObserveFlow(bin int, key *netpkt.FlowKey, bytes float64) {
 	if !b.used || b.bin != bin {
 		s.rotate(b, bin)
 	}
-	i := s.cursor(bin, 1)
-	mac := key.SrcMAC.Key()
-	id := s.pos[i]
-	if id < 0 || s.macs[id] != mac {
-		id = s.resolve(i, mac)
-	}
-	// Counted inline, as in ObserveDelivered: a call per record costs
-	// as much as the peer lookup the position saves.
-	b.total += bytes
-	b.dstPort.add(uint64(key.DstPort), bytes)
-	if key.Proto == netpkt.ProtoUDP {
-		b.srcPort.add(uint64(key.SrcPort), bytes)
-	}
-	b.peers.add(id, bytes)
+	s.add(b, s.cursor(bin, 1), key, bytes)
 	s.mu.Unlock()
 }
 
@@ -97,22 +78,35 @@ func (s *Shard) ObserveDelivered(bin int, delivered []fabric.Delivery) {
 		s.rotate(b, bin)
 	}
 	base := s.cursor(bin, len(delivered))
-	pos := s.pos[base : base+len(delivered)]
 	for i := range delivered {
-		key, bytes := delivered[i].Offer.Flow, delivered[i].Bytes
-		mac := key.SrcMAC.Key()
-		id := pos[i]
-		if id < 0 || s.macs[id] != mac {
-			id = s.resolve(base+i, mac)
-		}
-		b.total += bytes
-		b.dstPort.add(uint64(key.DstPort), bytes)
-		if key.Proto == netpkt.ProtoUDP {
-			b.srcPort.add(uint64(key.SrcPort), bytes)
-		}
-		b.peers.add(id, bytes)
+		s.add(b, base+i, delivered[i].Offer.Flow, delivered[i].Bytes)
 	}
 	s.mu.Unlock()
+}
+
+// rotate hands ring slot b to bin, flushing the older bin it held into
+// the store first. Callers hold s.mu.
+func (s *Shard) rotate(b *shardBin, bin int) {
+	if b.used {
+		s.flush(b) // ring rotation: lock order shard.mu -> c.mu
+	}
+	b.used, b.bin = true, bin
+}
+
+// add counts the record at position i of its bin into b; ObserveFlow
+// and ObserveDelivered share it. Callers hold s.mu.
+func (s *Shard) add(b *shardBin, i int, key *netpkt.FlowKey, bytes float64) {
+	id := s.pos[i]
+	if id < 0 || s.macs[id] != key.SrcMAC {
+		id = s.resolve(key.SrcMAC)
+		s.pos[i] = id
+	}
+	b.total += bytes
+	b.dstPort.add(uint64(key.DstPort), bytes)
+	if key.Proto == netpkt.ProtoUDP {
+		b.srcPort.add(uint64(key.SrcPort), bytes)
+	}
+	b.peers.add(id, bytes)
 }
 
 // cursor reserves the positions of the next n records of bin and
@@ -129,33 +123,30 @@ func (s *Shard) cursor(bin, n int) int {
 	return i
 }
 
-// resolve finds the peer id of a packed source MAC the cache did not
-// hold at position i — through the shard's own table or, for a MAC the
-// shard has not seen, at the collector — and caches it there. Callers
-// hold s.mu.
-func (s *Shard) resolve(i int, mac uint64) int32 {
-	id, ok := s.ids[mac]
+// resolve returns mac's peer id, giving a MAC the shard has not seen
+// the next one. Callers hold s.mu.
+func (s *Shard) resolve(mac netpkt.MAC) int32 {
+	k := mac.Key()
+	id, ok := s.ids[k]
 	if !ok {
-		s.c.mu.Lock() // lock order shard.mu -> c.mu
-		id = s.c.peers.intern(mac)
-		s.c.mu.Unlock()
-		s.ids[mac] = id
-		for len(s.macs) <= int(id) {
-			s.macs = append(s.macs, noMAC)
-		}
-		s.macs[id] = mac
+		id = int32(len(s.macs))
+		s.ids[k] = id
+		s.macs = append(s.macs, mac)
 	}
-	s.pos[i] = id
 	return id
 }
 
-// rotate hands ring slot b to bin, flushing the older bin it held into
-// the store first. Callers hold s.mu.
-func (s *Shard) rotate(b *shardBin, bin int) {
-	if b.used {
-		s.c.flushSlot(b) // ring rotation: lock order shard.mu -> c.mu
-	}
-	b.used, b.bin = true, bin
+// flush folds one shard bin into the collector's store and resets it.
+// Callers hold s.mu. The store takes the shard's id -> MAC slice with
+// the bin: ids are only appended, so it covers every id the store
+// holds.
+func (s *Shard) flush(b *shardBin) {
+	c := s.c
+	c.mu.Lock()
+	c.st.macs = s.macs
+	c.st.addFrom(b, c.horizon.Load())
+	c.mu.Unlock()
+	b.reset()
 }
 
 // reset clears the bin's counters while keeping every table's capacity,
@@ -166,23 +157,6 @@ func (b *shardBin) reset() {
 	b.srcPort.reset()
 	b.dstPort.reset()
 	b.peers.reset()
-}
-
-// peerIndex numbers source MACs densely, in the order any shard of the
-// collector first sees them.
-type peerIndex struct {
-	ids  map[uint64]int32 // packed MAC -> id
-	macs []netpkt.MAC     // id -> MAC
-}
-
-func (p *peerIndex) intern(mac uint64) int32 {
-	if id, ok := p.ids[mac]; ok {
-		return id
-	}
-	id := int32(len(p.macs))
-	p.ids[mac] = id
-	p.macs = append(p.macs, unpackMAC(mac))
-	return id
 }
 
 // peerBytes holds byte counts by peer id: bytes[id] is id's count while
@@ -326,9 +300,4 @@ func mixU64(x uint64) uint64 {
 	x *= 0xc4ceb9fe1a85ec53
 	x ^= x >> 33
 	return x
-}
-
-func unpackMAC(k uint64) netpkt.MAC {
-	return netpkt.MAC{byte(k >> 40), byte(k >> 32), byte(k >> 24),
-		byte(k >> 16), byte(k >> 8), byte(k)}
 }

@@ -47,6 +47,7 @@ type store struct {
 	arena  []rollEntry
 	newest int // highest merged bin, once any is merged
 	any    bool
+	macs   []netpkt.MAC // peer id -> MAC, set by each flush
 }
 
 // hotBin is one slot of the hot ring; its tables and arrays keep their
@@ -321,9 +322,8 @@ func (st *store) srcPortBytes(bin int, port uint16) float64 {
 }
 
 // peerCount counts the bin's source MACs keep accepts whose bytes
-// exceed minBytes, macs giving each peer id's MAC; a bin below the peer
-// floor counts 0.
-func (st *store) peerCount(bin int, minBytes float64, keep func(netpkt.MAC) bool, horizon int64, macs []netpkt.MAC) int {
+// exceed minBytes; a bin below the peer floor counts 0.
+func (st *store) peerCount(bin int, minBytes float64, keep func(netpkt.MAC) bool, horizon int64) int {
 	h := st.hotBin(bin)
 	if h == nil || bin < st.peerFloor(horizon) {
 		return 0
@@ -332,7 +332,7 @@ func (st *store) peerCount(bin int, minBytes float64, keep func(netpkt.MAC) bool
 	for w, word := range h.peers.seen {
 		for ; word != 0; word &= word - 1 {
 			id := w<<6 | bits.TrailingZeros64(word)
-			if h.peers.bytes[id] > minBytes && keep(macs[id]) {
+			if h.peers.bytes[id] > minBytes && keep(st.macs[id]) {
 				n++
 			}
 		}

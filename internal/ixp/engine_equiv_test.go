@@ -52,30 +52,24 @@ func serialRunAll(x *IXP, ticks int, dt float64, victims []engine.VictimSpec, so
 	bufs := make([][]fabric.Offer, len(victims))
 	offers := make(fabric.TickOffers, len(victims))
 	curTick := new(int)
-	visitorCache := make([][]fabric.FlowVisitor, len(victims))
+	visitors := make([]fabric.FlowVisitor, len(victims))
 	victimIndex := make(map[string]int, len(victims))
 	for i := range victims {
-		visitorCache[i] = make([]fabric.FlowVisitor, monitors[i].Shards())
+		// One observation per delivery, where the engine observes a
+		// port's batch at once: the two must fold identically.
+		sh := monitors[i].Shard(0)
+		visitors[i] = func(delivered []fabric.Delivery) {
+			for _, d := range delivered {
+				sh.ObserveFlow(*curTick, d.Offer.Flow, d.Bytes)
+			}
+		}
 		victimIndex[victims[i].Port] = i
 	}
 	sink := func(worker int, port string) fabric.FlowVisitor {
-		vi, ok := victimIndex[port]
-		if !ok {
-			return nil
+		if vi, ok := victimIndex[port]; ok {
+			return visitors[vi]
 		}
-		row := visitorCache[vi]
-		slot := worker % len(row)
-		if row[slot] == nil {
-			// One observation per delivery, where the engine observes a
-			// port's batch at once: the two must fold identically.
-			sh := monitors[vi].Shard(worker)
-			row[slot] = func(delivered []fabric.Delivery) {
-				for _, d := range delivered {
-					sh.ObserveFlow(*curTick, d.Offer.Flow, d.Bytes)
-				}
-			}
-		}
-		return row[slot]
+		return nil
 	}
 	isMember := func(mac netpkt.MAC) bool {
 		_, ok := memberByMAC(x, mac)
