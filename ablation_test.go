@@ -1,19 +1,19 @@
 package stellar_test
 
-// Ablations of the paper's design choices: filter placement, change-queue
-// rate, ADD-PATH on the controller feed, and the signaling transport.
-// Each reports its comparison as custom units next to ns/op. Timing of
+// Ablations of the paper's design choices: filter placement, ADD-PATH on
+// the controller feed, and the signaling transport (the change-queue
+// rate sweep is BenchmarkAblationQueueRate in internal/experiments, next
+// to the Figure 10(b) replay it drives). Each reports its comparison as
+// custom units next to ns/op. Timing of
 // the system itself is the job of BENCHMARK.json + benchmark/ (see
 // benchmark/README.md); nothing here is a regression bar.
 
 import (
-	"fmt"
 	"net/netip"
 	"testing"
 
 	"stellar/internal/bgp"
 	"stellar/internal/core"
-	"stellar/internal/experiments"
 	"stellar/internal/fabric"
 	"stellar/internal/ixp"
 	"stellar/internal/member"
@@ -85,22 +85,6 @@ func BenchmarkAblationEgressVsIngress(b *testing.B) {
 	}
 	b.ReportMetric(egress/1e6, "egress-delivered-Mbps")
 	b.ReportMetric(ingress/1e6, "ingress-delivered-Mbps")
-}
-
-// BenchmarkAblationQueueRate sweeps the change queue's dequeue limit and
-// reports the p95 signal-to-config delay — the trade between switch CPU
-// protection and mitigation reaction time.
-func BenchmarkAblationQueueRate(b *testing.B) {
-	cfg := experiments.DefaultFig10bConfig()
-	cfg.DurationSec = 1800
-	cfg.Rates = []float64{1, 2, 4.33, 8, 16}
-	var r experiments.Fig10bResult
-	for i := 0; i < b.N; i++ {
-		r = experiments.Fig10b(cfg)
-	}
-	for _, c := range r.Curves {
-		b.ReportMetric(stats.Percentile(c.Waits, 95), fmt.Sprintf("p95s-at-%gps", c.Rate))
-	}
 }
 
 // BenchmarkAblationAddPath measures the correctness cost of disabling

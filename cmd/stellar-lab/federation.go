@@ -11,6 +11,7 @@ import (
 	"io"
 	"os"
 
+	"stellar/internal/conformance"
 	"stellar/internal/federation"
 )
 
@@ -24,13 +25,16 @@ func runFederationCommand(args []string, w io.Writer) error {
 		fmt.Fprintln(fs.Output(), "usage: stellar-lab federation [-exchanges N] [-gossip-delay N] [-seed N] [-json PATH]")
 		fs.PrintDefaults()
 	}
-	if err := fs.Parse(args); err != nil {
+	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
 
-	p, err := seededProfile("federation-gossip", *seed)
+	p, err := conformance.Load("federation-gossip")
 	if err != nil {
 		return err
+	}
+	if *seed != 0 {
+		p.Topology.Seed = *seed
 	}
 	fed, err := federation.Build(p, *exchanges, *delay)
 	if err != nil {

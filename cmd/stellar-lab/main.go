@@ -1,13 +1,15 @@
 // Command stellar-lab regenerates every table and figure of the paper's
 // evaluation from the simulation substrate. Each subcommand runs one
-// experiment and prints the corresponding rows/series.
+// experiment through experiments.Run and prints its rows/series.
 //
 // Usage:
 //
-//	stellar-lab <experiment> [-seed N] [-scale small|full]
+//	stellar-lab <experiment|all> [-seed N] [-scale small|full]
+//	stellar-lab conformance [-json PATH] [-list] [-faults-only] [profile ...]
+//	stellar-lab federation [-exchanges N] [-gossip-delay N] [-seed N] [-json PATH]
 //
-// Experiments: table1, fig2c, fig3a, fig3b, fig3c, fig9, fig10a,
-// fig10b, fig10c, sec52, all. The conformance subcommand runs the
+// The experiments are the names experiments.Names lists, and all runs
+// every one of them in that order. The conformance subcommand runs the
 // declarative scenario matrix instead of a single experiment; the
 // federation subcommand runs the federation-gossip profile at several
 // exchanges with cross-IXP mitigation gossip. Timing the system is not
@@ -21,8 +23,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
-	"stellar/internal/conformance"
 	"stellar/internal/experiments"
 )
 
@@ -36,9 +38,16 @@ func main() {
 	}
 }
 
+// usage names every subcommand: the experiments in their Names order,
+// then conformance, federation and all.
+func usage() string {
+	subcommands := append(experiments.Names(), "conformance", "federation", "all")
+	return "usage: stellar-lab <" + strings.Join(subcommands, "|") + "> [flags]"
+}
+
 func run(args []string, w io.Writer) error {
 	if len(args) < 1 {
-		return fmt.Errorf("usage: stellar-lab <table1|fig2c|fig3a|fig3b|fig3c|fig9|fig10a|fig10b|fig10c|sec52|compare|combined-tss|conformance|federation|all> [flags]")
+		return errors.New(usage())
 	}
 	name := args[0]
 	if name == "bench" {
@@ -55,168 +64,38 @@ func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet(name, flag.ContinueOnError)
 	seed := fs.Uint64("seed", 0, "override the experiment's default seed (0 keeps it)")
 	scale := fs.String("scale", "full", "experiment scale: small (CI-sized) or full (paper-sized)")
-	if err := fs.Parse(args[1:]); err != nil {
+	if err := parseFlags(fs, args[1:]); err != nil {
 		return err
 	}
 	if *scale != "small" && *scale != "full" {
 		return fmt.Errorf("usage: -scale must be small or full, got %q", *scale)
 	}
-	small := *scale == "small"
+	o := experiments.Options{Seed: *seed, Small: *scale == "small"}
 
 	experimentsToRun := []string{name}
 	if name == "all" {
-		experimentsToRun = []string{"table1", "fig2c", "fig3a", "fig3b", "fig3c",
-			"fig9", "fig10a", "fig10b", "fig10c", "sec52", "compare", "combined-tss"}
+		experimentsToRun = experiments.Names()
 	}
 	for i, exp := range experimentsToRun {
 		if i > 0 {
 			fmt.Fprintln(w, "\n================================================================")
 		}
-		if err := runOne(w, exp, *seed, small); err != nil {
+		if err := experiments.Run(exp, w, o); err != nil {
 			return fmt.Errorf("%s: %w", exp, err)
 		}
 	}
 	return nil
 }
 
-func runOne(w io.Writer, name string, seed uint64, small bool) error {
-	switch name {
-	case "table1":
-		fmt.Fprint(w, experiments.Table1().Format())
-	case "fig2c":
-		cfg := experiments.DefaultFig2cConfig()
-		if seed != 0 {
-			cfg.Seed = seed
-		}
-		fmt.Fprint(w, experiments.Fig2c(cfg).Format())
-	case "fig3a":
-		cfg := experiments.DefaultFig3aConfig()
-		if seed != 0 {
-			cfg.Seed = seed
-		}
-		if small {
-			cfg.Events = 50
-		}
-		r, err := experiments.Fig3a(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(w, r.Format())
-	case "fig3b":
-		cfg := experiments.DefaultFig3bConfig()
-		if seed != 0 {
-			cfg.Seed = seed
-		}
-		if small {
-			cfg.Announcements = 20000
-		}
-		fmt.Fprint(w, experiments.Fig3b(cfg).Format())
-	case "fig3c":
-		p, err := paperProfile(name, seed, small)
-		if err != nil {
-			return err
-		}
-		r, err := experiments.Fig3c(p)
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(w, r.Format())
-	case "fig9":
-		cfg := experiments.DefaultFig9Config()
-		if small {
-			cfg.N = 2
-		}
-		fmt.Fprint(w, experiments.Fig9(cfg).Format())
-	case "fig10a":
-		cfg := experiments.DefaultFig10aConfig()
-		if seed != 0 {
-			cfg.Seed = seed
-		}
-		r, err := experiments.Fig10a(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(w, r.Format())
-	case "fig10b":
-		cfg := experiments.DefaultFig10bConfig()
-		if seed != 0 {
-			cfg.Seed = seed
-		}
-		if small {
-			cfg.DurationSec = 3600
-		}
-		fmt.Fprint(w, experiments.Fig10b(cfg).Format())
-	case "fig10c":
-		p, err := paperProfile(name, seed, small)
-		if err != nil {
-			return err
-		}
-		r, err := experiments.Fig10c(p)
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(w, r.Format())
-	case "sec52":
-		// The lab bench keeps its 12 members at every scale.
-		p, err := seededProfile("sec52-lab", seed)
-		if err != nil {
-			return err
-		}
-		r, err := experiments.Sec52(p)
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(w, r.Format())
-	case "compare":
-		// The comparison keeps its 41 members at every scale.
-		p, err := seededProfile("paper-table1", seed)
-		if err != nil {
-			return err
-		}
-		r, err := experiments.CompareMitigations(p)
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(w, r.Format())
-	case "combined-tss":
-		p, err := seededProfile("paper-table1", seed)
-		if err != nil {
-			return err
-		}
-		r, err := experiments.CombinedTSS(p)
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(w, r.Format())
-	default:
-		return fmt.Errorf("unknown experiment %q", name)
+// parseFlags parses args into fs and rejects anything left over: the
+// flag package stops at the first argument that is not a flag, so a
+// stray word would otherwise drop every flag after it unread.
+func parseFlags(fs *flag.FlagSet, args []string) error {
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if fs.NArg() > 0 {
+		return fmt.Errorf("usage: unexpected argument %q; %s takes only flags", fs.Arg(0), fs.Name())
 	}
 	return nil
-}
-
-// paperProfile loads the conformance profile a paper figure runs from
-// ("paper-fig3c" for fig3c), with the seed override and the small
-// scale's 120-member population applied to its topology.
-func paperProfile(fig string, seed uint64, small bool) (*conformance.Profile, error) {
-	p, err := seededProfile("paper-"+fig, seed)
-	if err != nil {
-		return nil, err
-	}
-	if small {
-		p.Topology.Members = 120
-	}
-	return p, nil
-}
-
-// seededProfile loads the named conformance profile with the seed
-// override (0 keeps the profile's seed) applied to its topology.
-func seededProfile(name string, seed uint64) (*conformance.Profile, error) {
-	p, err := conformance.Load(name)
-	if err != nil {
-		return nil, err
-	}
-	if seed != 0 {
-		p.Topology.Seed = seed
-	}
-	return p, nil
 }

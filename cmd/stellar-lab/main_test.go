@@ -2,18 +2,17 @@ package main
 
 import (
 	"io"
+	"slices"
 	"strings"
 	"testing"
+
+	"stellar/internal/experiments"
 )
 
-// TestRunAllExperimentsSmallScale executes every subcommand end to end
+// TestRunAllExperimentsSmallScale executes every experiment end to end
 // at CI scale, covering the CLI plumbing and every experiment driver.
 func TestRunAllExperimentsSmallScale(t *testing.T) {
-	for _, exp := range []string{
-		"table1", "fig2c", "fig3a", "fig3b", "fig3c", "fig9",
-		"fig10a", "fig10b", "fig10c", "sec52", "compare", "combined-tss",
-	} {
-		exp := exp
+	for _, exp := range experiments.Names() {
 		t.Run(exp, func(t *testing.T) {
 			if err := run([]string{exp, "-scale", "small"}, io.Discard); err != nil {
 				t.Fatalf("%s: %v", exp, err)
@@ -38,6 +37,34 @@ func TestRunErrors(t *testing.T) {
 	}
 	if err := run([]string{"bench"}, io.Discard); err == nil || !strings.Contains(err.Error(), "benchmark/run.sh") {
 		t.Fatalf("bench: %v, want a pointer to benchmark/run.sh", err)
+	}
+	// A stray argument must not end flag parsing silently and drop the
+	// flags after it: the run would be paper-sized, or print no JSON.
+	for _, args := range [][]string{
+		{"fig10b", "extra", "-scale", "small"},
+		{"federation", "-exchanges", "2", "bogus", "-json", "-"},
+	} {
+		if err := run(args, io.Discard); err == nil || !strings.Contains(err.Error(), "usage") {
+			t.Fatalf("%q: %v, want a usage error", args, err)
+		}
+	}
+}
+
+// TestNames pins the experiments' order, which is the order `all` runs
+// and the goldens print them in, and checks that the usage string names
+// every one.
+func TestNames(t *testing.T) {
+	want := []string{"table1", "fig2c", "fig3a", "fig3b", "fig3c", "fig9",
+		"fig10a", "fig10b", "fig10c", "sec52", "compare", "combined-tss"}
+	if got := experiments.Names(); !slices.Equal(got, want) {
+		t.Fatalf("Names() = %q, want %q", got, want)
+	}
+	u := usage()
+	listed := strings.Split(u[strings.Index(u, "<")+1:strings.Index(u, ">")], "|")
+	for _, name := range want {
+		if !slices.Contains(listed, name) {
+			t.Errorf("usage %q does not name %s", u, name)
+		}
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"log"
 	"net/netip"
+	"os"
 
 	"stellar/internal/experiments"
 	"stellar/internal/fabric"
@@ -25,8 +26,9 @@ import (
 func main() {
 	// Part 1: the measurement view — regenerate Figure 2(c)'s port-share
 	// series from the synthetic incident workload.
-	fig := experiments.Fig2c(experiments.DefaultFig2cConfig())
-	fmt.Print(fig.Format())
+	if err := experiments.Run("fig2c", os.Stdout, experiments.Options{}); err != nil {
+		log.Fatal(err)
+	}
 
 	// Part 2: the same incident on the emulated IXP, mitigated with a
 	// customer-portal rule referenced from BGP (SelCustom signaling).

@@ -3,7 +3,9 @@
 // most of the attack survives because ~70% of peers ignore the signal)
 // and Figure 10(c) (Stellar — shape for telemetry, then drop to zero).
 // Both scenarios are the "paper-fig3c" and "paper-fig10c" conformance
-// profiles, resized to a laptop-sized population.
+// profiles, resized to a laptop-sized population; the head-to-head
+// numbers are the measured values of their checks, the same numbers
+// `stellar-lab fig3c` and `fig10c` report.
 //
 // Run with: go run ./examples/rtbh-vs-stellar
 package main
@@ -13,39 +15,41 @@ import (
 	"log"
 
 	"stellar/internal/conformance"
-	"stellar/internal/experiments"
 )
 
-// load returns a paper profile with 200 members, same honoring ratio.
-func load(name string) *conformance.Profile {
+// measured runs the named paper profile with 200 members (same honoring
+// ratio), prints its checks and returns their measured values by name.
+func measured(name string) map[string]float64 {
 	p, err := conformance.Load(name)
 	if err != nil {
 		log.Fatal(err)
 	}
 	p.Topology.Members = 200
-	return p
+	res, err := conformance.Run(p)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("%s (%d members):\n", p.Name, p.Topology.Members)
+	values := make(map[string]float64, len(res.Report.Checks))
+	for _, c := range res.Report.Checks {
+		fmt.Printf("  %s\n", c)
+		values[c.Name] = c.Measured
+	}
+	return values
 }
 
 func main() {
-	rtbh, err := experiments.Fig3c(load("paper-fig3c"))
-	if err != nil {
-		log.Fatal(err)
-	}
-	stl, err := experiments.Fig10c(load("paper-fig10c"))
-	if err != nil {
-		log.Fatal(err)
-	}
+	rtbh := measured("paper-fig3c")
+	stl := measured("paper-fig10c")
 
-	fmt.Print(rtbh.Format())
-	fmt.Println()
-	fmt.Print(stl.Format())
-
+	rtbhPeak, rtbhFinal := rtbh["attack steady state"], rtbh["residual after RTBH"]
+	stlPeak, stlFinal := stl["attack steady state"], stl["attack dropped"]
 	fmt.Println("\n=== Head to head ===")
 	fmt.Printf("%-28s %12s %12s\n", "", "RTBH", "Stellar")
-	fmt.Printf("%-28s %9.0f Mbps %9.0f Mbps\n", "attack at steady state", rtbh.PeakBps/1e6, stl.PeakBps/1e6)
-	fmt.Printf("%-28s %9.0f Mbps %9.0f Mbps\n", "after final mitigation", rtbh.ResidualBps/1e6, stl.FinalBps/1e6)
+	fmt.Printf("%-28s %9.0f Mbps %9.0f Mbps\n", "attack at steady state", rtbhPeak/1e6, stlPeak/1e6)
+	fmt.Printf("%-28s %9.0f Mbps %9.0f Mbps\n", "after final mitigation", rtbhFinal/1e6, stlFinal/1e6)
 	fmt.Printf("%-28s %11.0f%% %11.0f%%\n", "attack removed",
-		100*(1-rtbh.ResidualBps/rtbh.PeakBps), 100*(1-stl.FinalBps/stl.PeakBps))
-	fmt.Printf("%-28s %12.0f %12.0f\n", "peers before", rtbh.PeersBefore, stl.PeersPeak)
-	fmt.Printf("%-28s %12.0f %12.0f\n", "peers after", rtbh.PeersAfter, stl.PeersFinal)
+		100*(1-rtbhFinal/rtbhPeak), 100*(1-stlFinal/stlPeak))
+	fmt.Printf("%-28s %12.0f %12.0f\n", "peers before", rtbh["peers at steady state"], stl["peers at steady state"])
+	fmt.Printf("%-28s %12.0f %12.0f\n", "peers after", rtbh["peers after RTBH"], stl["peers after drop"])
 }

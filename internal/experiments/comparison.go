@@ -13,8 +13,8 @@ import (
 // reflection) from the benign traffic at the victim's flow monitor.
 const ntpPort = 123
 
-// CompareRow is one technique's measured outcome.
-type CompareRow struct {
+// compareRow is one technique's measured outcome.
+type compareRow struct {
 	Technique mitigation.Technique
 	// BenignDeliveredFrac is the fraction of benign traffic surviving.
 	BenignDeliveredFrac float64
@@ -27,15 +27,15 @@ type CompareRow struct {
 	CostPerHour float64
 }
 
-// CompareResult is the full comparison: the shared workload and one row
+// compareResult is the full comparison: the shared workload and one row
 // per technique.
-type CompareResult struct {
+type compareResult struct {
 	AttackBps, WebBps, PortBps float64
 	HonoringFraction           float64
-	Rows                       []CompareRow
+	Rows                       []compareRow
 }
 
-// CompareMitigations quantifies Table 1 on one concrete attack: the
+// compareMitigations quantifies Table 1 on one concrete attack: the
 // profile's workload ("paper-table1") under each technique, every one a
 // signal the exchange already understands, sent at tick 0. Attack
 // (UDP/123) and benign bytes are read off the victim's flow monitor.
@@ -51,38 +51,38 @@ type CompareResult struct {
 // per-peer drop removes exactly those bytes there; only whose filter
 // capacity is spent differs, which the table does not report. The row
 // moves onto the FlowSpec export role (ROADMAP item 3) once it exists.
-func CompareMitigations(p *conformance.Profile) (CompareResult, error) {
+func compareMitigations(p *conformance.Profile) (compareResult, error) {
 	attackOff, webOff := offeredBytes(p)
 	ticks := float64(p.Run.Ticks)
-	res := CompareResult{
+	res := compareResult{
 		AttackBps: attackOff * 8 / ticks, WebBps: webOff * 8 / ticks,
 		PortBps: p.Topology.PortCapacityBps, HonoringFraction: p.Topology.HonoringFraction,
 	}
-	row := func(t mitigation.Technique, channel string, events []conformance.EventSpec) (CompareRow, error) {
+	row := func(t mitigation.Technique, channel string, events []conformance.EventSpec) (compareRow, error) {
 		d, err := deliver(p, channel, events)
 		if err != nil {
-			return CompareRow{}, err
+			return compareRow{}, err
 		}
-		return CompareRow{Technique: t, BenignDeliveredFrac: d.benign / webOff,
+		return compareRow{Technique: t, BenignDeliveredFrac: d.benign / webOff,
 			AttackResidualFrac: d.attack / attackOff, PortCongested: d.congested}, nil
 	}
 
 	rtbh, err := row(mitigation.RTBH, conformance.ChannelRTBH, []conformance.EventSpec{{Action: "rtbh"}})
 	if err != nil {
-		return CompareResult{}, err
+		return compareResult{}, err
 	}
 	acl, err := row(mitigation.ACL, p.Channel, nil)
 	if err != nil {
-		return CompareResult{}, err
+		return compareResult{}, err
 	}
 	acl.AttackResidualFrac = 0 // the border filter removes what the port let through
 	fs, err := row(mitigation.Flowspec, conformance.ChannelAPI, flowspecEvents(p))
 	if err != nil {
-		return CompareResult{}, err
+		return compareResult{}, err
 	}
 	scrubber := newScrubber()
 	scrub := scrubber.Scrub(attackOff, webOff, ticks)
-	tss := CompareRow{
+	tss := compareRow{
 		Technique:           mitigation.TSS,
 		BenignDeliveredFrac: scrub.CleanBenignBytes / webOff,
 		AttackResidualFrac:  scrub.LeakedAttackBytes / attackOff,
@@ -91,9 +91,9 @@ func CompareMitigations(p *conformance.Profile) (CompareResult, error) {
 	advbh, err := row(mitigation.AdvancedBlackholing, conformance.ChannelAPI,
 		[]conformance.EventSpec{ntpSignal("drop", 0)})
 	if err != nil {
-		return CompareResult{}, err
+		return compareResult{}, err
 	}
-	res.Rows = []CompareRow{rtbh, acl, fs, tss, advbh}
+	res.Rows = []compareRow{rtbh, acl, fs, tss, advbh}
 	return res, nil
 }
 
@@ -178,7 +178,7 @@ func newScrubber() *mitigation.Scrubber {
 }
 
 // Format renders the comparison.
-func (r CompareResult) Format() string {
+func (r compareResult) Format() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Quantitative Table-1 check: %.0f Mbps NTP attack + %.0f Mbps web into a %.0f Mbps port (honoring %.0f%%)\n",
 		r.AttackBps/1e6, r.WebBps/1e6, r.PortBps/1e6, r.HonoringFraction*100)
@@ -197,14 +197,14 @@ func (r CompareResult) Format() string {
 			cost,
 		})
 	}
-	b.WriteString(FormatTable(header, rows))
+	b.WriteString(formatTable(header, rows))
 	return b.String()
 }
 
-// CombinedTSSResult quantifies the Section 6 discussion: Advanced
+// combinedTSSResult quantifies the Section 6 discussion: Advanced
 // Blackholing as a pre-filter drastically reduces scrubbing cost
 // without losing efficacy.
-type CombinedTSSResult struct {
+type combinedTSSResult struct {
 	TSSAloneCostPerHour  float64
 	CombinedCostPerHour  float64
 	TSSAloneBenignFrac   float64
@@ -213,12 +213,12 @@ type CombinedTSSResult struct {
 	SampleToScrubberMbps float64 // shaped telemetry feed to the scrubber
 }
 
-// CombinedTSS runs the profile's attack through (a) a scrubbing service
-// alone, the same scrubber arithmetic as CompareMitigations' TSS row,
+// combinedTSS runs the profile's attack through (a) a scrubbing service
+// alone, the same scrubber arithmetic as compareMitigations' TSS row,
 // and (b) Stellar shaping UDP/123 to a 50 Mbps sample on the victim's
 // port: benign traffic flows directly, and only the sample, read off the
 // victim's flow monitor, is scrubbed for signature extraction.
-func CombinedTSS(p *conformance.Profile) (CombinedTSSResult, error) {
+func combinedTSS(p *conformance.Profile) (combinedTSSResult, error) {
 	const sampleRateBps = 50e6
 	attackOff, webOff := offeredBytes(p)
 	ticks := float64(p.Run.Ticks)
@@ -228,13 +228,13 @@ func CombinedTSS(p *conformance.Profile) (CombinedTSSResult, error) {
 
 	d, err := deliver(p, conformance.ChannelAPI, []conformance.EventSpec{ntpSignal("shape", sampleRateBps)})
 	if err != nil {
-		return CombinedTSSResult{}, err
+		return combinedTSSResult{}, err
 	}
 	scrubSample := newScrubber()
 	scrubSample.Scrub(d.attack, 0, ticks)
 
 	hours := ticks / 3600
-	res := CombinedTSSResult{
+	res := combinedTSSResult{
 		TSSAloneCostPerHour:  scrubAll.TotalCost / hours,
 		CombinedCostPerHour:  scrubSample.TotalCost / hours,
 		TSSAloneBenignFrac:   alone.CleanBenignBytes / webOff,
@@ -248,7 +248,7 @@ func CombinedTSS(p *conformance.Profile) (CombinedTSSResult, error) {
 }
 
 // Format renders the combined-deployment economics.
-func (r CombinedTSSResult) Format() string {
+func (r combinedTSSResult) Format() string {
 	var b strings.Builder
 	b.WriteString("Section 6: combining Advanced Blackholing with traffic scrubbing\n")
 	header := []string{"deployment", "benign delivered", "scrubbing cost/h"}
@@ -258,7 +258,7 @@ func (r CombinedTSSResult) Format() string {
 		{"Stellar pre-filter + TSS sample", fmt.Sprintf("%5.1f%%", r.CombinedBenignFrac*100),
 			fmt.Sprintf("$%.2f", r.CombinedCostPerHour)},
 	}
-	b.WriteString(FormatTable(header, rows))
+	b.WriteString(formatTable(header, rows))
 	fmt.Fprintf(&b, "\nscrubbing cost reduced by %.1f%%; scrubber still receives a %.0f Mbps attack sample for signature extraction\n",
 		r.SavingsFrac*100, r.SampleToScrubberMbps)
 	return b.String()

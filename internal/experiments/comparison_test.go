@@ -25,7 +25,7 @@ func table1Profile(t *testing.T, seed uint64) *conformance.Profile {
 
 func TestCompareMitigationsShape(t *testing.T) {
 	for _, seed := range compareSeeds {
-		r, err := CompareMitigations(table1Profile(t, seed))
+		r, err := compareMitigations(table1Profile(t, seed))
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -33,7 +33,7 @@ func TestCompareMitigationsShape(t *testing.T) {
 	}
 }
 
-func checkCompareShape(t *testing.T, seed uint64, r CompareResult) {
+func checkCompareShape(t *testing.T, seed uint64, r compareResult) {
 	t.Helper()
 	if len(r.Rows) != 5 {
 		t.Fatalf("seed %d: rows: %d", seed, len(r.Rows))
@@ -105,7 +105,7 @@ func checkCompareShape(t *testing.T, seed uint64, r CompareResult) {
 
 func TestCombinedTSSEconomics(t *testing.T) {
 	for _, seed := range compareSeeds {
-		r, err := CombinedTSS(table1Profile(t, seed))
+		r, err := combinedTSS(table1Profile(t, seed))
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -134,11 +134,11 @@ func TestCombinedTSSEconomics(t *testing.T) {
 func TestCompareDeterministic(t *testing.T) {
 	render := func() string {
 		p := table1Profile(t, 23)
-		c, err := CompareMitigations(p)
+		c, err := compareMitigations(p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := CombinedTSS(p)
+		s, err := combinedTSS(p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -185,11 +185,11 @@ func TestFlowspecCoversTheRTBHHonoringPeers(t *testing.T) {
 }
 
 // rowOf returns the row for a technique.
-func rowOf(r CompareResult, t mitigation.Technique) CompareRow {
+func rowOf(r compareResult, t mitigation.Technique) compareRow {
 	for _, row := range r.Rows {
 		if row.Technique == t {
 			return row
 		}
 	}
-	return CompareRow{}
+	return compareRow{}
 }

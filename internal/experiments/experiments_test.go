@@ -8,13 +8,14 @@ import (
 
 	"stellar/internal/conformance"
 	"stellar/internal/mitigation"
+	"stellar/internal/stats"
 )
 
 // ---------------------------------------------------------------------
 // Table 1
 
 func TestTable1Shape(t *testing.T) {
-	r := Table1()
+	r := table1()
 	out := r.Format()
 	if !strings.Contains(out, "Advanced Blackholing") || !strings.Contains(out, "Granularity") {
 		t.Fatalf("format:\n%s", out)
@@ -35,8 +36,15 @@ func TestTable1Shape(t *testing.T) {
 // Figure 2(c)
 
 func TestFig2cShape(t *testing.T) {
-	r := Fig2c(DefaultFig2cConfig())
-	if len(r.Shares) != r.Cfg.Bins {
+	p, err := conformance.Load("paper-fig2c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := fig2c(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(r.Shares) != p.Run.Ticks {
 		t.Fatalf("bins: %d", len(r.Shares))
 	}
 	// Pre-attack: web service profile, HTTPS dominant, no 11211.
@@ -67,7 +75,7 @@ func TestFig2cShape(t *testing.T) {
 // Figure 3(a)
 
 func TestFig3aShape(t *testing.T) {
-	r, err := Fig3a(DefaultFig3aConfig())
+	r, err := fig3a(newFig3aConfig(Options{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +116,7 @@ func TestFig3aShape(t *testing.T) {
 // Figure 3(b)
 
 func TestFig3bShape(t *testing.T) {
-	r := Fig3b(DefaultFig3bConfig())
+	r := fig3b(newFig3bConfig(Options{}))
 	// "All" dominates at ~93.97%.
 	if r.Share["All"] < 0.92 || r.Share["All"] > 0.96 {
 		t.Fatalf("All share: %v", r.Share["All"])
@@ -156,7 +164,7 @@ func paperProfile(t *testing.T, name string, members int) *conformance.Profile {
 func TestFig3cShape(t *testing.T) {
 	for _, members := range paperScales {
 		t.Run(fmt.Sprintf("members=%d", members), func(t *testing.T) {
-			r, err := Fig3c(paperProfile(t, "paper-fig3c", members))
+			r, err := fig3c(paperProfile(t, "paper-fig3c", members))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -193,9 +201,9 @@ func TestFig3cShape(t *testing.T) {
 // Figure 9 — feasibility grids.
 
 func TestFig9Shape(t *testing.T) {
-	cfg := DefaultFig9Config()
+	cfg := newFig9Config(Options{})
 	cfg.N = 2 // smaller unit: identical grid labels, faster allocation
-	r := Fig9(cfg)
+	r := fig9(cfg)
 	if len(r.Grids) != 3 {
 		t.Fatalf("grids: %d", len(r.Grids))
 	}
@@ -252,7 +260,7 @@ func TestFig9Shape(t *testing.T) {
 // Figure 10(a) — CPU regression.
 
 func TestFig10aShape(t *testing.T) {
-	r, err := Fig10a(DefaultFig10aConfig())
+	r, err := fig10a(newFig10aConfig(Options{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,9 +287,9 @@ func TestFig10aShape(t *testing.T) {
 // Figure 10(b) — queue waiting time CDF.
 
 func TestFig10bShape(t *testing.T) {
-	cfg := DefaultFig10bConfig()
+	cfg := newFig10bConfig(Options{})
 	cfg.DurationSec = 2 * 3600 // shorter replay for CI speed
-	r := Fig10b(cfg)
+	r := fig10b(cfg)
 	if len(r.Curves) != 2 {
 		t.Fatalf("curves: %d", len(r.Curves))
 	}
@@ -307,13 +315,29 @@ func TestFig10bShape(t *testing.T) {
 	}
 }
 
+// BenchmarkAblationQueueRate sweeps the change queue's dequeue limit and
+// reports the p95 signal-to-config delay — the trade between switch CPU
+// protection and mitigation reaction time.
+func BenchmarkAblationQueueRate(b *testing.B) {
+	cfg := newFig10bConfig(Options{})
+	cfg.DurationSec = 1800
+	cfg.Rates = []float64{1, 2, 4.33, 8, 16}
+	var r fig10bResult
+	for i := 0; i < b.N; i++ {
+		r = fig10b(cfg)
+	}
+	for _, c := range r.Curves {
+		b.ReportMetric(stats.Percentile(c.Waits, 95), fmt.Sprintf("p95s-at-%gps", c.Rate))
+	}
+}
+
 // ---------------------------------------------------------------------
 // Figure 10(c) — Stellar mitigates the same attack RTBH could not.
 
 func TestFig10cShape(t *testing.T) {
 	for _, members := range paperScales {
 		t.Run(fmt.Sprintf("members=%d", members), func(t *testing.T) {
-			r, err := Fig10c(paperProfile(t, "paper-fig10c", members))
+			r, err := fig10c(paperProfile(t, "paper-fig10c", members))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -352,11 +376,11 @@ func TestFig10cShape(t *testing.T) {
 func TestStellarBeatsRTBHHeadToHead(t *testing.T) {
 	for _, members := range paperScales {
 		t.Run(fmt.Sprintf("members=%d", members), func(t *testing.T) {
-			rtbh, err := Fig3c(paperProfile(t, "paper-fig3c", members))
+			rtbh, err := fig3c(paperProfile(t, "paper-fig3c", members))
 			if err != nil {
 				t.Fatal(err)
 			}
-			stellar, err := Fig10c(paperProfile(t, "paper-fig10c", members))
+			stellar, err := fig10c(paperProfile(t, "paper-fig10c", members))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -381,7 +405,7 @@ func TestSec52Shape(t *testing.T) {
 				t.Fatal(err)
 			}
 			p.Topology.Seed = seed
-			r, err := Sec52(p)
+			r, err := sec52(p)
 			if err != nil {
 				t.Fatal(err)
 			}

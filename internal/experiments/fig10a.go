@@ -8,8 +8,8 @@ import (
 	"stellar/internal/stats"
 )
 
-// Fig10aConfig parameterizes the control-plane CPU study.
-type Fig10aConfig struct {
+// fig10aConfig parameterizes the control-plane CPU study.
+type fig10aConfig struct {
 	Seed uint64
 	// Rates are the rule-update rates swept (1..5 per second).
 	Rates []float64
@@ -20,14 +20,14 @@ type Fig10aConfig struct {
 	NoiseStd float64
 }
 
-// DefaultFig10aConfig mirrors the paper's sweep.
-func DefaultFig10aConfig() Fig10aConfig {
-	return Fig10aConfig{Seed: 21, Rates: []float64{1, 2, 3, 4, 5}, SamplesPerRate: 40, NoiseStd: 0.6}
+// newFig10aConfig mirrors the paper's sweep.
+func newFig10aConfig(o Options) fig10aConfig {
+	return fig10aConfig{Seed: o.seed(21), Rates: []float64{1, 2, 3, 4, 5}, SamplesPerRate: 40, NoiseStd: 0.6}
 }
 
-// Fig10aResult is the regression of Figure 10(a).
-type Fig10aResult struct {
-	Cfg Fig10aConfig
+// fig10aResult is the regression of Figure 10(a).
+type fig10aResult struct {
+	Cfg fig10aConfig
 	// Samples are the (rate, cpu%) measurements.
 	RateSamples []float64
 	CPUSamples  []float64
@@ -39,16 +39,16 @@ type Fig10aResult struct {
 	MaxRateAtCap float64
 }
 
-// Fig10a reproduces Figure 10(a): sampled control-plane CPU usage as a
+// fig10a reproduces Figure 10(a): sampled control-plane CPU usage as a
 // function of the blackholing-rule update rate, the linear regression
 // with its 95% confidence interval, and the sustainable median update
 // rate at the router's hard 15% CPU limit.
-func Fig10a(cfg Fig10aConfig) (Fig10aResult, error) {
+func fig10a(cfg fig10aConfig) (fig10aResult, error) {
 	limits := hw.DefaultEdgeRouterLimits(350, hw.RTBHUnitN)
 	model := hw.NewCPUModel(limits, cfg.NoiseStd)
 	rng := stats.NewRand(cfg.Seed)
 
-	res := Fig10aResult{Cfg: cfg}
+	res := fig10aResult{Cfg: cfg}
 	for _, rate := range cfg.Rates {
 		for i := 0; i < cfg.SamplesPerRate; i++ {
 			res.RateSamples = append(res.RateSamples, rate)
@@ -66,7 +66,7 @@ func Fig10a(cfg Fig10aConfig) (Fig10aResult, error) {
 }
 
 // Format renders the regression summary.
-func (r Fig10aResult) Format() string {
+func (r fig10aResult) Format() string {
 	var b strings.Builder
 	b.WriteString("Figure 10(a): control plane CPU usage vs. L3 criteria update rate (linear regression, 95% CI)\n")
 	header := []string{"rate [1/s]", "mean CPU [%]"}
@@ -84,7 +84,7 @@ func (r Fig10aResult) Format() string {
 			fmt.Sprintf("%.0f", rate), fmt.Sprintf("%5.2f", sum/float64(n)),
 		})
 	}
-	b.WriteString(FormatTable(header, rows))
+	b.WriteString(formatTable(header, rows))
 	fmt.Fprintf(&b, "\nfit: cpu%% = %.3f * rate + %.3f (R² %.3f, slope 95%% CI ± %.3f)\n",
 		r.Fit.Slope, r.Fit.Intercept, r.Fit.R2, r.SlopeCI95)
 	fmt.Fprintf(&b, "median feasible update rate at the 15%% CPU cap: %.2f updates/s (paper: 4.33)\n",

@@ -12,8 +12,8 @@ import (
 	"stellar/internal/stats"
 )
 
-// Fig10bConfig parameterizes the queueing study.
-type Fig10bConfig struct {
+// fig10bConfig parameterizes the queueing study.
+type fig10bConfig struct {
 	Seed uint64
 	// Rates are the configuration-change dequeue limits to compare
 	// (4/s and 5/s, bracketing the measured 4.33/s sustainable rate).
@@ -24,22 +24,27 @@ type Fig10bConfig struct {
 	MaxBurstSize int
 }
 
-// DefaultFig10bConfig mirrors the paper's replay.
-func DefaultFig10bConfig() Fig10bConfig {
-	return Fig10bConfig{Seed: 17, Rates: []float64{4, 5}, DurationSec: 6 * 3600, MaxBurstSize: 25}
+// newFig10bConfig mirrors the paper's replay; the small scale replays
+// one hour.
+func newFig10bConfig(o Options) fig10bConfig {
+	cfg := fig10bConfig{Seed: o.seed(17), Rates: []float64{4, 5}, DurationSec: 6 * 3600, MaxBurstSize: 25}
+	if o.Small {
+		cfg.DurationSec = 3600
+	}
+	return cfg
 }
 
-// Fig10bCurve is the waiting-time distribution for one dequeue rate.
-type Fig10bCurve struct {
+// fig10bCurve is the waiting-time distribution for one dequeue rate.
+type fig10bCurve struct {
 	Rate float64
 	// Waits are the per-change queueing delays in seconds.
 	Waits []float64
 	ECDF  *stats.ECDF
 }
 
-// Fig10bResult is Figure 10(b)'s CDF pair.
-type Fig10bResult struct {
-	Curves []Fig10bCurve
+// fig10bResult is Figure 10(b)'s CDF pair.
+type fig10bResult struct {
+	Curves []fig10bCurve
 }
 
 // generateChangeTrace synthesizes a configuration-change arrival trace
@@ -47,7 +52,7 @@ type Fig10bResult struct {
 // a steady trickle of individual blackholing changes punctuated by
 // occasional large bursts (members scripting rule sets, attack onsets
 // triggering many rules at once). Arrival times are returned sorted.
-func generateChangeTrace(cfg Fig10bConfig, rng *stats.Rand) []float64 {
+func generateChangeTrace(cfg fig10bConfig, rng *stats.Rand) []float64 {
 	var arrivals []float64
 	t := 0.0
 	for t < cfg.DurationSec {
@@ -72,7 +77,7 @@ func generateChangeTrace(cfg Fig10bConfig, rng *stats.Rand) []float64 {
 	return arrivals
 }
 
-// Fig10b reproduces Figure 10(b): it replays the synthesized
+// fig10b reproduces Figure 10(b): it replays the synthesized
 // RTBH-service change trace through the blackholing controller itself —
 // a mitctl.Controller paced at dequeue limits of 4/s and 5/s — and
 // reports the CDF of the time from blackholing signal to configuration.
@@ -81,8 +86,8 @@ func generateChangeTrace(cfg Fig10bConfig, rng *stats.Rand) []float64 {
 // controller's EventInstalled stream. The paper's qualitative result:
 // ~70% of changes wait under a second and the 95th percentile stays
 // below 100 seconds.
-func Fig10b(cfg Fig10bConfig) Fig10bResult {
-	var res Fig10bResult
+func fig10b(cfg fig10bConfig) fig10bResult {
+	var res fig10bResult
 	for _, rate := range cfg.Rates {
 		rng := stats.NewRand(cfg.Seed) // same trace for both rates
 		arrivals := generateChangeTrace(cfg, rng)
@@ -114,7 +119,7 @@ func Fig10b(cfg Fig10bConfig) Fig10bResult {
 				break
 			}
 		}
-		res.Curves = append(res.Curves, Fig10bCurve{Rate: rate, Waits: waits, ECDF: stats.NewECDF(waits)})
+		res.Curves = append(res.Curves, fig10bCurve{Rate: rate, Waits: waits, ECDF: stats.NewECDF(waits)})
 	}
 	return res
 }
@@ -130,7 +135,7 @@ func (nopManager) Apply(core.ConfigChange) error { return nil }
 func (nopManager) Name() string                  { return "nop" }
 
 // Format renders the CDFs at the paper's thresholds.
-func (r Fig10bResult) Format() string {
+func (r fig10bResult) Format() string {
 	var b strings.Builder
 	b.WriteString("Figure 10(b): required queueing for different announcement frequencies (waiting-time CDF)\n")
 	header := []string{"rate limit", "P(wait<=0.1s)", "P(wait<=1s)", "P(wait<=10s)", "P(wait<=100s)", "p95 [s]", "changes"}
@@ -146,7 +151,7 @@ func (r Fig10bResult) Format() string {
 			fmt.Sprintf("%d", len(c.Waits)),
 		})
 	}
-	b.WriteString(FormatTable(header, rows))
+	b.WriteString(formatTable(header, rows))
 	b.WriteString("\npaper: ~70% of configuration changes below 1 s; 95th percentile below 100 s\n")
 	return b.String()
 }

@@ -12,8 +12,8 @@ import (
 	"stellar/internal/mitctl"
 )
 
-// Fig10cResult is the Stellar attack time series plus headline metrics.
-type Fig10cResult struct {
+// fig10cResult is the Stellar attack time series plus headline metrics.
+type fig10cResult struct {
 	Samples []engine.Sample
 	// ShapeTick is when the victim signaled IXP:2:123 with a 200 Mbps
 	// shape; DropTick is when it escalated to dropping all UDP.
@@ -34,7 +34,7 @@ type Fig10cResult struct {
 	TopPorts []flowmon.PortRank
 }
 
-// Fig10c reproduces Figure 10(c): the booter attack mitigated with
+// fig10c reproduces Figure 10(c): the booter attack mitigated with
 // Advanced Blackholing. 200 s into the attack the victim signals a
 // 200 Mbps shape on UDP source port 123 (telemetry mode); the traffic
 // drops to the shaping rate while the peer count stays constant. 200 s
@@ -43,21 +43,21 @@ type Fig10cResult struct {
 // The scenario is the "paper-fig10c" conformance profile (callers may
 // resize its topology); the figure's phase means are the measured values
 // of the profile's own expectations.
-func Fig10c(p *conformance.Profile) (Fig10cResult, error) {
+func fig10c(p *conformance.Profile) (fig10cResult, error) {
 	res, err := conformance.Run(p)
 	if err != nil {
-		return Fig10cResult{}, err
+		return fig10cResult{}, err
 	}
 	m, err := measured(res, "attack steady state", "shaped to 200 Mbps", "attack dropped",
 		"peers at steady state", "peers under shaping", "peers after drop")
 	if err != nil {
-		return Fig10cResult{}, err
+		return fig10cResult{}, err
 	}
 	ticks := eventTicks(p, "mitigate")
 	if len(ticks) != 2 {
-		return Fig10cResult{}, fmt.Errorf("experiments: profile %s signals %d mitigations, want shape then drop", p.Name, len(ticks))
+		return fig10cResult{}, fmt.Errorf("experiments: profile %s signals %d mitigations, want shape then drop", p.Name, len(ticks))
 	}
-	r := Fig10cResult{
+	r := fig10cResult{
 		Samples:   res.Series[0].Samples,
 		ShapeTick: ticks[0], DropTick: ticks[1],
 		PeakBps: m[0], ShapedBps: m[1], FinalBps: m[2],
@@ -72,7 +72,7 @@ func Fig10c(p *conformance.Profile) (Fig10cResult, error) {
 }
 
 // Format renders the time series and phase metrics.
-func (r Fig10cResult) Format() string {
+func (r fig10cResult) Format() string {
 	var b strings.Builder
 	b.WriteString("Figure 10(c): active DDoS attack mitigated with Stellar (Advanced Blackholing)\n")
 	b.WriteString(formatAttackSeries(r.Samples, 50))

@@ -2,84 +2,55 @@ package experiments
 
 import (
 	"fmt"
-	"net/netip"
 	"strings"
 
-	"stellar/internal/fabric"
-	"stellar/internal/flowmon"
-	"stellar/internal/stats"
-	"stellar/internal/traffic"
+	"stellar/internal/conformance"
 )
 
-// Fig2cConfig parameterizes the collateral-damage measurement.
-type Fig2cConfig struct {
-	Seed uint64
-	// Bins is the number of time bins (the paper plots ~1 h in 5-min
-	// bins around the 2018-04-29 memcached attack).
-	Bins int
-	// AttackStartBin is when the memcached amplification begins
-	// (20:21 CET in the paper).
-	AttackStartBin int
-	// WebRateBps is the service's benign traffic level.
-	WebRateBps float64
-	// AttackRateBps is the amplification peak (40 Gbps in the paper).
-	AttackRateBps float64
-}
-
-// DefaultFig2cConfig mirrors the paper's episode.
-func DefaultFig2cConfig() Fig2cConfig {
-	return Fig2cConfig{Seed: 42, Bins: 60, AttackStartBin: 21, WebRateBps: 2e9, AttackRateBps: 40e9}
-}
-
-// Fig2cResult is the per-bin port-share decomposition of traffic toward
+// fig2cResult is the per-tick port-share decomposition of traffic toward
 // the IXP member under attack.
-type Fig2cResult struct {
-	Cfg Fig2cConfig
+type fig2cResult struct {
+	// AttackStart is the tick the memcached amplification begins (20:21
+	// CET in the paper).
+	AttackStart int
 	// Labels are the plot series (ports), ordered as in the figure.
 	Labels []string
-	// Shares[bin][label] is the byte share of that series in the bin.
+	// Shares[tick][label] is the byte share of that series in the tick.
 	Shares []map[string]float64
 }
 
-// Fig2c reproduces Figure 2(c): the traffic mix toward one member before
+// fig2c reproduces Figure 2(c): the traffic mix toward one member before
 // and during a memcached amplification attack, showing how the attack
 // port (UDP source 11211) displaces the web service's traffic share —
 // the collateral-damage setting RTBH cannot express.
 //
-// The bin-by-bin mix runs through the flow-monitoring pipeline: every
-// offer streams into a flowmon.Collector as an IPFIX-style record, and
-// the figure's labels derive from the collector's per-bin share
-// accessors. The attack is pure UDP source-port 11211 toward TCP 443's
-// destination port, so the web service's 443 share is the destination-
-// port-443 share minus the attack's UDP share; the remaining mix ports
-// (80, 8080, 1935) carry only TCP and read off directly.
-func Fig2c(cfg Fig2cConfig) Fig2cResult {
-	rng := stats.NewRand(cfg.Seed)
-	target := netip.MustParseAddr("100.10.10.10")
-	peers := traffic.MakePeers(40)
-
-	web := traffic.NewWebService(target, peers[:8], cfg.WebRateBps, rng)
-	attack := traffic.NewAttack(traffic.VectorMemcached, target, peers, cfg.AttackRateBps,
-		cfg.AttackStartBin, cfg.Bins, rng)
-	attack.RampTicks = 2
-
-	mon := flowmon.NewCollectorShards(1)
-	sh := mon.Shard(0)
-	var offers []fabric.Offer
-	for bin := 0; bin < cfg.Bins; bin++ {
-		offers = web.AppendOffers(offers[:0], bin, 300) // 5-minute bins
-		offers = attack.AppendOffers(offers, bin, 300)
-		for _, o := range offers {
-			sh.ObserveFlow(bin, o.Flow, o.Bytes)
+// The scenario is the "paper-fig2c" conformance profile; the per-tick mix
+// is read off the victim's flow monitor. The port carries more than the
+// peak, so what the monitor sees delivered is what was offered. The
+// attack is pure UDP source-port 11211 toward TCP 443's destination
+// port, so the web service's 443 share is the destination-port-443 share
+// minus the attack's UDP share; the remaining mix ports (80, 8080, 1935)
+// carry only TCP and read off directly.
+func fig2c(p *conformance.Profile) (fig2cResult, error) {
+	run, err := conformance.Run(p)
+	if err != nil {
+		return fig2cResult{}, err
+	}
+	res := fig2cResult{AttackStart: -1, Labels: []string{"11211", "others", "8080", "1935", "443", "80"}}
+	for _, s := range p.Victims[0].Sources {
+		if s.Kind == "attack" {
+			res.AttackStart = s.StartTick
 		}
 	}
-
-	res := Fig2cResult{Cfg: cfg, Labels: []string{"11211", "others", "8080", "1935", "443", "80"}}
-	for bin := 0; bin < cfg.Bins; bin++ {
+	if res.AttackStart < 0 {
+		return fig2cResult{}, fmt.Errorf("experiments: profile %s has no attack source", p.Name)
+	}
+	mon := run.Series[0].Monitor
+	for tick := 0; tick < p.Run.Ticks; tick++ {
 		shares := make(map[string]float64)
-		if mon.TotalBytes(bin) > 0 {
-			dst := mon.DstPortShares(bin)
-			attackShare := mon.SrcPortShares(bin)[11211]
+		if mon.TotalBytes(tick) > 0 {
+			dst := mon.DstPortShares(tick)
+			attackShare := mon.SrcPortShares(tick)[11211]
 			shares["11211"] = attackShare
 			named := attackShare
 			for _, port := range []uint16{80, 8080, 1935} {
@@ -98,21 +69,21 @@ func Fig2c(cfg Fig2cConfig) Fig2cResult {
 		}
 		res.Shares = append(res.Shares, shares)
 	}
-	return res
+	return res, nil
 }
 
 // ShareBefore returns the mean share of a label before the attack.
-func (r Fig2cResult) ShareBefore(label string) float64 {
-	return r.meanShare(label, 0, r.Cfg.AttackStartBin)
+func (r fig2cResult) ShareBefore(label string) float64 {
+	return r.meanShare(label, 0, r.AttackStart)
 }
 
 // ShareDuring returns the mean share of a label during the attack
-// (excluding the ramp bins).
-func (r Fig2cResult) ShareDuring(label string) float64 {
-	return r.meanShare(label, r.Cfg.AttackStartBin+3, r.Cfg.Bins)
+// (excluding the ramp ticks).
+func (r fig2cResult) ShareDuring(label string) float64 {
+	return r.meanShare(label, r.AttackStart+3, len(r.Shares))
 }
 
-func (r Fig2cResult) meanShare(label string, from, to int) float64 {
+func (r fig2cResult) meanShare(label string, from, to int) float64 {
 	var sum float64
 	n := 0
 	for bin := from; bin < to && bin < len(r.Shares); bin++ {
@@ -126,7 +97,7 @@ func (r Fig2cResult) meanShare(label string, from, to int) float64 {
 }
 
 // Format renders the series as the paper's stacked-share table.
-func (r Fig2cResult) Format() string {
+func (r fig2cResult) Format() string {
 	var b strings.Builder
 	b.WriteString("Figure 2(c): traffic share toward IXP member under memcached attack [%]\n")
 	header := append([]string{"bin"}, r.Labels...)
@@ -141,7 +112,7 @@ func (r Fig2cResult) Format() string {
 		}
 		rows = append(rows, row)
 	}
-	b.WriteString(FormatTable(header, rows))
+	b.WriteString(formatTable(header, rows))
 	fmt.Fprintf(&b, "\npre-attack:  443 share %.1f%%, 11211 share %.1f%%\n",
 		r.ShareBefore("443")*100, r.ShareBefore("11211")*100)
 	fmt.Fprintf(&b, "during:      443 share %.1f%%, 11211 share %.1f%%\n",

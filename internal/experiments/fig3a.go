@@ -8,8 +8,8 @@ import (
 	"stellar/internal/traffic"
 )
 
-// Fig3aConfig parameterizes the blackholed-traffic port study.
-type Fig3aConfig struct {
+// fig3aConfig parameterizes the blackholed-traffic port study.
+type fig3aConfig struct {
 	Seed uint64
 	// Events is the number of blackholing events sampled (two weeks of
 	// L-IXP events in the paper).
@@ -19,13 +19,18 @@ type Fig3aConfig struct {
 	Alpha float64
 }
 
-// DefaultFig3aConfig mirrors the paper's setup.
-func DefaultFig3aConfig() Fig3aConfig {
-	return Fig3aConfig{Seed: 7, Events: 200, Alpha: 0.02}
+// newFig3aConfig mirrors the paper's setup; the small scale samples 50
+// events.
+func newFig3aConfig(o Options) fig3aConfig {
+	cfg := fig3aConfig{Seed: o.seed(7), Events: 200, Alpha: 0.02}
+	if o.Small {
+		cfg.Events = 50
+	}
+	return cfg
 }
 
-// Fig3aPort is one bar pair of Figure 3(a).
-type Fig3aPort struct {
+// fig3aPort is one bar pair of Figure 3(a).
+type fig3aPort struct {
 	Port        uint16
 	App         string
 	RTBHMean    float64 // mean share in blackholed traffic
@@ -36,10 +41,10 @@ type Fig3aPort struct {
 	Significant bool
 }
 
-// Fig3aResult is the full Figure 3(a) dataset plus the Section 2.3
+// fig3aResult is the full Figure 3(a) dataset plus the Section 2.3
 // protocol aggregates.
-type Fig3aResult struct {
-	Ports []Fig3aPort
+type fig3aResult struct {
+	Ports []fig3aPort
 	// Protocol mix aggregates (Section 2.3).
 	RTBHUDPShare  float64
 	RTBHTCPShare  float64
@@ -50,16 +55,16 @@ var fig3aApps = map[uint16]string{
 	0: "unass.", 123: "ntp", 389: "ldap", 11211: "memc.", 53: "domain", 19: "chargen",
 }
 
-// Fig3a reproduces Figure 3(a): the UDP source-port decomposition of
+// fig3a reproduces Figure 3(a): the UDP source-port decomposition of
 // blackholed vs other traffic across blackholing events, with 95%
 // confidence intervals and the paper's one-tailed Welch's t-test at
 // significance level 0.02.
-func Fig3a(cfg Fig3aConfig) (Fig3aResult, error) {
+func fig3a(cfg fig3aConfig) (fig3aResult, error) {
 	rng := stats.NewRand(cfg.Seed)
 	rtbhEvents := traffic.SampleEvents(traffic.RTBHPortProfile(), cfg.Events, rng)
 	otherEvents := traffic.SampleEvents(traffic.OtherPortProfile(), cfg.Events, rng)
 
-	var res Fig3aResult
+	var res fig3aResult
 	for _, port := range []uint16{0, 123, 389, 11211, 53, 19} {
 		rtbhShares := make([]float64, len(rtbhEvents))
 		for i, ev := range rtbhEvents {
@@ -75,7 +80,7 @@ func Fig3a(cfg Fig3aConfig) (Fig3aResult, error) {
 		if err != nil {
 			return res, err
 		}
-		res.Ports = append(res.Ports, Fig3aPort{
+		res.Ports = append(res.Ports, fig3aPort{
 			Port: port, App: fig3aApps[port],
 			RTBHMean: rtbhMean, RTBHCI: rtbhCI,
 			OtherMean: otherMean, OtherCI: otherCI,
@@ -91,7 +96,7 @@ func Fig3a(cfg Fig3aConfig) (Fig3aResult, error) {
 }
 
 // Format renders the figure's bars as a table.
-func (r Fig3aResult) Format() string {
+func (r fig3aResult) Format() string {
 	var b strings.Builder
 	b.WriteString("Figure 3(a): UDP source ports of blackholed traffic across RTBH events (95% CI)\n")
 	header := []string{"port", "app", "RTBH share [%]", "other share [%]", "Welch p", "significant(α=0.02)"}
@@ -105,7 +110,7 @@ func (r Fig3aResult) Format() string {
 			fmt.Sprintf("%v", p.Significant),
 		})
 	}
-	b.WriteString(FormatTable(header, rows))
+	b.WriteString(formatTable(header, rows))
 	fmt.Fprintf(&b, "\nSection 2.3 aggregates: UDP %.2f%% of blackholed bytes (TCP %.2f%%); TCP %.2f%% of other traffic\n",
 		r.RTBHUDPShare*100, r.RTBHTCPShare*100, r.OtherTCPShare*100)
 	return b.String()

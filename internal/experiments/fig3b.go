@@ -8,19 +8,26 @@ import (
 	"stellar/internal/traffic"
 )
 
-// Fig3bConfig parameterizes the policy-usage study.
-type Fig3bConfig struct {
+// fig3bConfig parameterizes the policy-usage study.
+type fig3bConfig struct {
 	Seed uint64
 	// Announcements is the number of RTBH announcements sampled.
 	Announcements int
 }
 
-// DefaultFig3bConfig returns the default sampling size.
-func DefaultFig3bConfig() Fig3bConfig { return Fig3bConfig{Seed: 13, Announcements: 100000} }
+// newFig3bConfig returns the default sampling size; the small scale
+// samples 20 000 announcements.
+func newFig3bConfig(o Options) fig3bConfig {
+	cfg := fig3bConfig{Seed: o.seed(13), Announcements: 100000}
+	if o.Small {
+		cfg.Announcements = 20000
+	}
+	return cfg
+}
 
-// Fig3bResult is the categorical distribution of export policies on
+// fig3bResult is the categorical distribution of export policies on
 // blackholing announcements at L-IXP.
-type Fig3bResult struct {
+type fig3bResult struct {
 	// Order lists the categories in the figure's x-axis order.
 	Order []string
 	// Share maps category to its observed fraction.
@@ -29,18 +36,18 @@ type Fig3bResult struct {
 	PaperShare map[string]float64
 }
 
-// Fig3b reproduces Figure 3(b): for >93% of blackholing events, the
+// fig3b reproduces Figure 3(b): for >93% of blackholing events, the
 // prefix owner asks all route server peers to blackhole; small
 // minorities carve out exceptions (All-1 ... All-18) or whitelist
 // specific ASes.
-func Fig3b(cfg Fig3bConfig) Fig3bResult {
+func fig3b(cfg fig3bConfig) fig3bResult {
 	rng := stats.NewRand(cfg.Seed)
 	samples := traffic.SamplePolicies(cfg.Announcements, rng)
 	counts := make(map[string]int)
 	for _, s := range samples {
 		counts[s.Label]++
 	}
-	res := Fig3bResult{
+	res := fig3bResult{
 		Share:      make(map[string]float64),
 		PaperShare: make(map[string]float64),
 	}
@@ -53,7 +60,7 @@ func Fig3b(cfg Fig3bConfig) Fig3bResult {
 }
 
 // Format renders the distribution alongside the published values.
-func (r Fig3bResult) Format() string {
+func (r fig3bResult) Format() string {
 	var b strings.Builder
 	b.WriteString("Figure 3(b): usage of policy control for RTBH at L-IXP\n")
 	header := []string{"affected ASNs", "share of announcements [%]", "paper [%]"}
@@ -65,6 +72,6 @@ func (r Fig3bResult) Format() string {
 			fmt.Sprintf("%7.2f", r.PaperShare[label]*100),
 		})
 	}
-	b.WriteString(FormatTable(header, rows))
+	b.WriteString(formatTable(header, rows))
 	return b.String()
 }

@@ -9,8 +9,8 @@ import (
 	"stellar/internal/flowmon"
 )
 
-// Fig3cResult is the RTBH attack time series plus its headline metrics.
-type Fig3cResult struct {
+// fig3cResult is the RTBH attack time series plus its headline metrics.
+type fig3cResult struct {
 	Samples []engine.Sample
 	// RTBHTick is when the /32 blackhole was signaled (280 s after the
 	// attack started, as in the paper).
@@ -28,7 +28,7 @@ type Fig3cResult struct {
 	TopPorts []flowmon.PortRank
 }
 
-// Fig3c reproduces Figure 3(c): a booter attack on a /32 the
+// fig3c reproduces Figure 3(c): a booter attack on a /32 the
 // experimental AS operates, mitigated with classic RTBH. Because ~70% of
 // the peers do not honor the blackhole, the attack traffic only drops to
 // 600-800 Mbps and the peer count falls by only ~25%.
@@ -36,21 +36,21 @@ type Fig3cResult struct {
 // The scenario is the "paper-fig3c" conformance profile (callers may
 // resize its topology); the figure's phase means are the measured values
 // of the profile's own expectations.
-func Fig3c(p *conformance.Profile) (Fig3cResult, error) {
+func fig3c(p *conformance.Profile) (fig3cResult, error) {
 	res, err := conformance.Run(p)
 	if err != nil {
-		return Fig3cResult{}, err
+		return fig3cResult{}, err
 	}
 	m, err := measured(res, "attack steady state", "residual after RTBH",
 		"peers at steady state", "peers after RTBH")
 	if err != nil {
-		return Fig3cResult{}, err
+		return fig3cResult{}, err
 	}
 	ticks := eventTicks(p, "rtbh")
 	if len(ticks) != 1 {
-		return Fig3cResult{}, fmt.Errorf("experiments: profile %s signals RTBH %d times, want 1", p.Name, len(ticks))
+		return fig3cResult{}, fmt.Errorf("experiments: profile %s signals RTBH %d times, want 1", p.Name, len(ticks))
 	}
-	return Fig3cResult{
+	return fig3cResult{
 		Samples:  res.Series[0].Samples,
 		RTBHTick: ticks[0],
 		PeakBps:  m[0], ResidualBps: m[1],
@@ -89,7 +89,7 @@ func eventTicks(p *conformance.Profile, action string) []int {
 }
 
 // Format renders the time series and headline metrics.
-func (r Fig3cResult) Format() string {
+func (r fig3cResult) Format() string {
 	var b strings.Builder
 	b.WriteString("Figure 3(c): active DDoS attack exposing RTBH ineffectiveness\n")
 	b.WriteString(formatAttackSeries(r.Samples, 50))
@@ -140,5 +140,5 @@ func formatAttackSeries(samples []engine.Sample, every int) string {
 			fmt.Sprintf("%d", s.ActivePeers),
 		})
 	}
-	return FormatTable(header, rows)
+	return formatTable(header, rows)
 }

@@ -8,8 +8,8 @@ import (
 	"stellar/internal/hw"
 )
 
-// Fig9Config parameterizes the TCAM feasibility grids.
-type Fig9Config struct {
+// fig9Config parameterizes the TCAM feasibility grids.
+type fig9Config struct {
 	// Ports is the edge router's member port count (>350 in the paper's
 	// densest router).
 	Ports int
@@ -21,50 +21,55 @@ type Fig9Config struct {
 	Adoptions []float64
 }
 
-// DefaultFig9Config mirrors the paper's panels.
-func DefaultFig9Config() Fig9Config {
-	return Fig9Config{Ports: 350, N: hw.RTBHUnitN, Adoptions: []float64{0.2, 0.6, 1.0}}
+// newFig9Config mirrors the paper's panels; the small scale sets the
+// grid unit to 2, which keeps every cell's label and allocates less.
+func newFig9Config(o Options) fig9Config {
+	cfg := fig9Config{Ports: 350, N: hw.RTBHUnitN, Adoptions: []float64{0.2, 0.6, 1.0}}
+	if o.Small {
+		cfg.N = 2
+	}
+	return cfg
 }
 
-// Fig9Cell is one grid cell outcome: "OK", "F1" (L3-L4 criteria
+// fig9Cell is one grid cell outcome: "OK", "F1" (L3-L4 criteria
 // exhausted) or "F2" (MAC filters exhausted).
-type Fig9Cell string
+type fig9Cell string
 
-// Fig9Grid is one adoption panel: rows indexed by MAC filters per port
+// fig9Grid is one adoption panel: rows indexed by MAC filters per port
 // (10N down to 0), columns by L3-L4 criteria per port (0 to 4N).
-type Fig9Grid struct {
+type fig9Grid struct {
 	Adoption float64
 	MACSteps []int // per-port MAC filter counts, in units of N
 	L34Steps []int // per-port L3-L4 criteria, in units of N
-	Cells    map[[2]int]Fig9Cell
+	Cells    map[[2]int]fig9Cell
 }
 
-// Fig9Result is the full figure.
-type Fig9Result struct {
-	Grids []Fig9Grid
+// fig9Result is the full figure.
+type fig9Result struct {
+	Grids []fig9Grid
 }
 
-// Fig9 reproduces Figure 9 by exercising the hardware model for real:
+// fig9 reproduces Figure 9 by exercising the hardware model for real:
 // for each (adoption, MAC-per-port, L3-L4-per-port) combination it
 // allocates the implied rule set on a fresh edge router and records
 // which budget, if any, is exhausted first. L3-L4 criteria are allocated
 // before MAC filters, matching the paper's F1-before-F2 reporting
 // precedence. The grid has no traffic, so it is a plain loop.
-func Fig9(cfg Fig9Config) Fig9Result {
-	var res Fig9Result
+func fig9(cfg fig9Config) fig9Result {
+	var res fig9Result
 	macSteps := []int{10, 8, 6, 4, 2, 0}
 	l34Steps := []int{0, 1, 2, 3, 4}
 	for _, adoption := range cfg.Adoptions {
-		grid := Fig9Grid{
+		grid := fig9Grid{
 			Adoption: adoption,
 			MACSteps: macSteps,
 			L34Steps: l34Steps,
-			Cells:    make(map[[2]int]Fig9Cell),
+			Cells:    make(map[[2]int]fig9Cell),
 		}
 		active := int(adoption * float64(cfg.Ports))
 		for _, macN := range macSteps {
 			for _, l34N := range l34Steps {
-				grid.Cells[[2]int{macN, l34N}] = fig9Cell(cfg, active, macN*cfg.N, l34N*cfg.N)
+				grid.Cells[[2]int{macN, l34N}] = allocateCell(cfg, active, macN*cfg.N, l34N*cfg.N)
 			}
 		}
 		res.Grids = append(res.Grids, grid)
@@ -72,9 +77,9 @@ func Fig9(cfg Fig9Config) Fig9Result {
 	return res
 }
 
-// fig9Cell allocates the full demand on a fresh router and classifies
+// allocateCell allocates the full demand on a fresh router and classifies
 // the first failure.
-func fig9Cell(cfg Fig9Config, activePorts, macPerPort, l34PerPort int) Fig9Cell {
+func allocateCell(cfg fig9Config, activePorts, macPerPort, l34PerPort int) fig9Cell {
 	limits := hw.DefaultEdgeRouterLimits(cfg.Ports, cfg.N)
 	// The stretch test installs individual criteria; lift the per-port
 	// policy-slot cap so only the paper's two budget dimensions bind.
@@ -99,22 +104,22 @@ func fig9Cell(cfg Fig9Config, activePorts, macPerPort, l34PerPort int) Fig9Cell 
 	return "OK"
 }
 
-func classifyHWErr(err error) Fig9Cell {
+func classifyHWErr(err error) fig9Cell {
 	switch {
 	case errors.Is(err, hw.ErrL34Exhausted):
 		return "F1"
 	case errors.Is(err, hw.ErrMACExhausted):
 		return "F2"
 	default:
-		return Fig9Cell(err.Error())
+		return fig9Cell(err.Error())
 	}
 }
 
 // Cell returns the outcome at (macN, l34N) units for the grid.
-func (g Fig9Grid) Cell(macN, l34N int) Fig9Cell { return g.Cells[[2]int{macN, l34N}] }
+func (g fig9Grid) Cell(macN, l34N int) fig9Cell { return g.Cells[[2]int{macN, l34N}] }
 
 // Format renders the panels as in the figure.
-func (r Fig9Result) Format() string {
+func (r fig9Result) Format() string {
 	var b strings.Builder
 	b.WriteString("Figure 9: Stellar scaling limits by IXP member adoption rate (OK / F1=L3-L4 exhausted / F2=MAC exhausted)\n")
 	for _, g := range r.Grids {
@@ -131,7 +136,7 @@ func (r Fig9Result) Format() string {
 			}
 			rows = append(rows, row)
 		}
-		b.WriteString(FormatTable(header, rows))
+		b.WriteString(formatTable(header, rows))
 	}
 	return b.String()
 }

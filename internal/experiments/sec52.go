@@ -7,10 +7,10 @@ import (
 	"stellar/internal/conformance"
 )
 
-// Sec52Result is the lab functionality validation of Section 5.2: a
+// sec52Result is the lab functionality validation of Section 5.2: a
 // 10 Gbps generator drives NTP, DNS and benign flows into a 1 Gbps
 // member port, with NTP dropped and DNS shaped.
-type Sec52Result struct {
+type sec52Result struct {
 	// Rates delivered per class, bps.
 	NTPDeliveredBps    float64
 	DNSDeliveredBps    float64
@@ -18,7 +18,7 @@ type Sec52Result struct {
 	DNSShapeRateBps    float64
 }
 
-// Sec52 reproduces the Section 5.2 lab experiment: flows redirected to
+// sec52 reproduces the Section 5.2 lab experiment: flows redirected to
 // the dropping queue are not forwarded; flows redirected to a shaping
 // queue share the shaping rate; benign traffic passes the port
 // untouched even though the generator exceeds the port capacity 10x.
@@ -26,12 +26,12 @@ type Sec52Result struct {
 // The scenario is the "sec52-lab" conformance profile; the per-class
 // rates are read from its victim's flow monitor, with classes keyed by
 // UDP source port, matching the lab's queue assignment.
-func Sec52(p *conformance.Profile) (Sec52Result, error) {
+func sec52(p *conformance.Profile) (sec52Result, error) {
 	run, err := conformance.Run(p)
 	if err != nil {
-		return Sec52Result{}, err
+		return sec52Result{}, err
 	}
-	var res Sec52Result
+	var res sec52Result
 	for _, ev := range p.Events {
 		if ev.Effect == "shape" {
 			res.DNSShapeRateBps = ev.RateBps
@@ -50,7 +50,7 @@ func Sec52(p *conformance.Profile) (Sec52Result, error) {
 }
 
 // Format renders the validation summary.
-func (r Sec52Result) Format() string {
+func (r sec52Result) Format() string {
 	var b strings.Builder
 	b.WriteString("Section 5.2 functionality: 10 Gbps generator into a 1 Gbps member port\n")
 	header := []string{"class", "offered", "delivered", "expected"}
@@ -60,6 +60,6 @@ func (r Sec52Result) Format() string {
 			fmt.Sprintf("%.0f Mbps", r.DNSShapeRateBps/1e6)},
 		{"benign web", "0.5 Gbps", fmt.Sprintf("%.1f Mbps", r.BenignDeliveredBps/1e6), "500 Mbps (untouched)"},
 	}
-	b.WriteString(FormatTable(header, rows))
+	b.WriteString(formatTable(header, rows))
 	return b.String()
 }

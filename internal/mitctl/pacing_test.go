@@ -47,7 +47,7 @@ func (b *refBucket) drain(now float64) []float64 {
 // arrival trace — singletons plus a burst larger than the bucket —
 // through the controller and through refBucket, stepped on the same
 // 100 ms clock, must yield the identical per-change wait sequence. The
-// controller's waits are read off its event stream, as Fig10b reads
+// controller's waits are read off its event stream, as fig10b reads
 // them. The trace checks the rate, the burst clamp and FIFO order.
 func TestPacingMatchesReferenceBucket(t *testing.T) {
 	const (

@@ -21,8 +21,8 @@
 // The change queue's token bucket is the exchange's only pacer, and a
 // mitigation's own record is the only account of its wait: InstalledAt −
 // RequestedAt, also readable off the EventInstalled event. Figure 10(b)
-// (experiments.Fig10b) replays its change trace through a Controller and
-// reads the waits from that event stream.
+// (`stellar-lab fig10b`) replays its change trace through a Controller
+// and reads the waits from that event stream.
 //
 // The three signaling channels are thin adapters that compile into
 // Spec: BGP extended-community signals (CommunityChannel, the paper's

@@ -4,8 +4,8 @@
 // triggered blackholing (RTBH) and BGP Flowspec. Each baseline has a
 // qualitative property profile (regenerating Table 1). TSS also has a
 // behavioural model, the Scrubber, which the head-to-head experiments
-// bill (experiments.CompareMitigations, CombinedTSS); the other
-// techniques run there as signals on the exchange itself.
+// bill (`stellar-lab compare` and `combined-tss`); the other techniques
+// run there as signals on the exchange itself.
 // FlowSpecToMatches compiles RFC 5575 rules for the controller's
 // FlowSpec channel.
 package mitigation
