@@ -42,7 +42,6 @@ import (
 
 	"stellar/internal/fabric"
 	"stellar/internal/flowmon"
-	"stellar/internal/netpkt"
 )
 
 // peerMinBps is the delivered rate at which a peer counts as active.
@@ -64,9 +63,14 @@ type Config struct {
 	// Dt is the tick length in seconds (0: 1; negative or non-finite is
 	// an error).
 	Dt float64
-	// MemberFilter restricts active-peer counting to accepted source
-	// MACs (nil: count every source).
-	MemberFilter func(netpkt.MAC) bool
+	// MemberFilter returns the member set active-peer counting is
+	// restricted to (nil: count every source). The spine calls it once
+	// per tick, after the tick's events, and that tick's fold counts
+	// under the set it returned, so a member joined by an event at tick
+	// T counts from tick T on at every Depth. A set that has not changed
+	// should be returned as the same value (see flowmon.Members): each
+	// monitor asks a set about a peer once.
+	MemberFilter func() flowmon.Members
 	// Pool, when non-nil, is an externally owned worker pool the run
 	// draws from instead of creating its own GOMAXPROCS-sized one; the
 	// caller keeps ownership (the engine never closes it). This is how a
@@ -132,6 +136,9 @@ type batch struct {
 	// samples is the per-victim scratch the monitor step fills and the
 	// report step appends to the run's series.
 	samples []Sample
+	// members is the member set the tick's peers are counted under,
+	// taken on the spine after the tick's events (nil: every source).
+	members flowmon.Members
 }
 
 // run is one Run's wiring: what the five steps read and write.
@@ -140,7 +147,6 @@ type run struct {
 	pool     *fabric.Pool
 	specs    []VictimSpec
 	monitors []*flowmon.Collector // one per victim, specs order
-	keep     func(netpkt.MAC) bool
 	events   []Event
 	prof     *StageProfile
 	series   []VictimSeries
@@ -244,7 +250,6 @@ func wire(cfg Config) (*run, error) {
 		cfg:         cfg,
 		pool:        cfg.Pool,
 		specs:       specs,
-		keep:        cfg.MemberFilter,
 		series:      make([]VictimSeries, len(specs)),
 		victimIndex: make(map[string]int, len(specs)),
 		monitors:    make([]*flowmon.Collector, len(specs)),
@@ -262,9 +267,6 @@ func wire(cfg Config) (*run, error) {
 		r.visitors[i] = func(delivered []fabric.Delivery) {
 			sh.ObserveDelivered(r.curTick, delivered)
 		}
-	}
-	if r.keep == nil {
-		r.keep = func(netpkt.MAC) bool { return true }
 	}
 	// One deterministically ordered timeline: by tick, same-tick events
 	// in list order.
@@ -289,10 +291,10 @@ func wire(cfg Config) (*run, error) {
 }
 
 // spine runs the ticks strictly in order on the caller's goroutine: the
-// tick's events, then control -> traffic -> fabric, then hands the batch
-// to the fold side. It stops at the first failure, its own or the fold
-// side's; a panic in an event or step is recovered into that tick's
-// error.
+// tick's events, then its member set and control -> traffic -> fabric,
+// then hands the batch to the fold side. It stops at the first failure,
+// its own or the fold side's; a panic in an event or step is recovered
+// into that tick's error.
 func (r *run) spine(free, work chan *batch) {
 	prof := r.prof
 	tick, ei := 0, 0
@@ -331,6 +333,11 @@ func (r *run) spine(free, work chan *batch) {
 
 		slot = profSlotControl
 		t0 = prof.now()
+		// The tick's member set, now that its events have applied.
+		b.members = nil
+		if r.cfg.MemberFilter != nil {
+			b.members = r.cfg.MemberFilter()
+		}
 		if r.cfg.Control != nil {
 			r.cfg.Control.ControlTick(tick, r.cfg.Dt)
 		}
@@ -418,9 +425,10 @@ func (r *run) sink(worker int, port string) fabric.FlowVisitor {
 }
 
 // monitor derives each victim's sample for the tick, including the
-// active-peer count from its flow monitor. It runs on the fold side,
-// overlapping the next tick's traffic and egress: before reading it
-// moves each collector's merge horizon to the tick being folded, so
+// active-peer count from its flow monitor under the member set the
+// spine took for the tick. It runs on the fold side, overlapping the
+// next tick's traffic and egress: before reading it moves each
+// collector's merge horizon to the tick being folded, so
 // accessor merges drain only bins the spine finished writing — an
 // in-flight bin is never split into partial flushes, which keeps every
 // bin's float sums bit-identical to a serial run.
@@ -439,7 +447,7 @@ func (r *run) monitor(b *batch) {
 			RuleDroppedBps:       rep.Result.RuleDroppedBytes * 8 / dt,
 			ShaperDroppedBps:     rep.Result.ShaperDroppedBytes * 8 / dt,
 			CongestionDroppedBps: rep.Result.CongestionDroppedBytes * 8 / dt,
-			ActivePeers:          mon.PeerCountFunc(b.tick, peerMinBps*dt/8, r.keep),
+			ActivePeers:          mon.PeerCount(b.tick, peerMinBps*dt/8, b.members),
 		}
 	}
 }

@@ -279,8 +279,8 @@ func TestEngineValidation(t *testing.T) {
 // TestEnginePipelinesAndBackpressures proves the two scheduling claims:
 // with Depth=2 the spine starts tick N+1 while tick N is still folding
 // (pipelining), and it cannot start tick N+2 until tick N folded
-// (backpressure). The fold side is gated through MemberFilter, which
-// the monitor stage calls while deriving each tick's peer count.
+// (backpressure). The fold side is gated through the member set's Has,
+// which the monitor stage calls while deriving tick 0's peer count.
 func TestEnginePipelinesAndBackpressures(t *testing.T) {
 	const ticks = 5
 	gate := make(chan struct{})
@@ -289,10 +289,10 @@ func TestEnginePipelinesAndBackpressures(t *testing.T) {
 	cfg := testConfig(1, ticks, 2)
 	ctl := &spyControl{hook: func(tick int) { started <- tick }}
 	cfg.Control = ctl
-	cfg.MemberFilter = func(netpkt.MAC) bool {
+	cfg.MemberFilter = hookFilter(func(netpkt.MAC) bool {
 		once.Do(func() { <-gate }) // block the fold of tick 0 only
 		return true
-	}
+	})
 
 	done := make(chan error, 1)
 	var series []VictimSeries
@@ -463,8 +463,7 @@ func TestWarmPortTickThroughBatchVisitorAllocs(t *testing.T) {
 	if got := testing.AllocsPerRun(50, portTick); got != 0 {
 		t.Fatalf("warm port tick: %v allocations, want 0", got)
 	}
-	anyMAC := func(netpkt.MAC) bool { return true }
-	if got := r.monitors[0].PeerCountFunc(0, 0, anyMAC); got != senders {
+	if got := r.monitors[0].PeerCount(0, 0, nil); got != senders {
 		t.Fatalf("monitor saw %d senders, want %d", got, senders)
 	}
 }

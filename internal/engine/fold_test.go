@@ -13,8 +13,9 @@ import (
 )
 
 // tickSource emits one flow per tick from a source MAC that encodes
-// the tick, so a MemberFilter — which the monitor step calls for every
-// peer of the tick it folds — sees which ticks the fold side runs.
+// the tick, so a member set — which the monitor step asks about every
+// peer it has not judged yet, here one fresh peer per tick — sees which
+// ticks the fold side runs.
 type tickSource struct{ seed int }
 
 func (s tickSource) AppendOffers(dst []fabric.Offer, tick int, dt float64) []fabric.Offer {
@@ -25,6 +26,29 @@ func (s tickSource) AppendOffers(dst []fabric.Offer, tick int, dt float64) []fab
 	return dst
 }
 
+// useTickSources gives every victim of cfg one tickSource.
+func useTickSources(cfg *Config) {
+	specs := cfg.Driver.Victims()
+	sources := make([][]Source, len(specs))
+	for v := range specs {
+		sources[v] = []Source{tickSource{seed: v}}
+	}
+	cfg.Driver = NewSourcesDriver(specs, sources)
+}
+
+// hookSet is a member set that answers through has; its pointer is its
+// identity.
+type hookSet struct{ has func(netpkt.MAC) bool }
+
+func (s *hookSet) Has(mac netpkt.MAC) bool { return s.has(mac) }
+
+// hookFilter is a Config.MemberFilter that hands every tick one
+// hookSet, so each monitor calls has once per peer it counts.
+func hookFilter(has func(netpkt.MAC) bool) func() flowmon.Members {
+	s := &hookSet{has}
+	return func() flowmon.Members { return s }
+}
+
 // TestEngineNoFoldPastErrorTick is the regression for the abort
 // contract at every depth: once a run fails at tick E — on the spine or
 // on the fold side — the fold side never monitors a tick past E (nor E
@@ -33,19 +57,14 @@ func (s tickSource) AppendOffers(dst []fabric.Offer, tick int, dt float64) []fab
 func TestEngineNoFoldPastErrorTick(t *testing.T) {
 	for _, depth := range []int{1, 2, 4, 8} {
 		depth := depth
-		// probe arms cfg with tick-encoding sources and a MemberFilter
+		// probe arms cfg with tick-encoding sources and a member set
 		// that records every tick the monitor step reads, failing with
 		// a panic at panicTick (-1: never).
 		probe := func(cfg *Config, panicTick int) func() []int {
-			specs := cfg.Driver.Victims()
-			sources := make([][]Source, len(specs))
-			for v := range specs {
-				sources[v] = []Source{tickSource{seed: v}}
-			}
-			cfg.Driver = NewSourcesDriver(specs, sources)
+			useTickSources(cfg)
 			var mu sync.Mutex
 			var seen []int
-			cfg.MemberFilter = func(mac netpkt.MAC) bool {
+			cfg.MemberFilter = hookFilter(func(mac netpkt.MAC) bool {
 				tick := int(mac[4])
 				mu.Lock()
 				seen = append(seen, tick)
@@ -54,7 +73,7 @@ func TestEngineNoFoldPastErrorTick(t *testing.T) {
 					panic("deliberate fold failure")
 				}
 				return true
-			}
+			})
 			return func() []int {
 				mu.Lock()
 				defer mu.Unlock()
@@ -139,20 +158,23 @@ func TestEngineMultiWorkerFoldErrors(t *testing.T) {
 		}, "boom", 4)
 
 		checkSeries(t, fmt.Sprintf("fold-panic/depth=%d", depth), func(t *testing.T) ([]VictimSeries, error) {
-			// MemberFilter runs inside the monitor stage on the fold
-			// goroutine; a panic there must surface as a monitor-stage tick
-			// error, not kill the process. The panicking call count puts
-			// the error around tick 4 (3 victims x 1 peer per tick); the
-			// exact tick is read back from the error message.
+			// The member set's Has runs inside the monitor stage on the
+			// fold goroutine; a panic there must surface as a
+			// monitor-stage tick error, not kill the process. Each
+			// monitor asks the set about a peer once, so the victims send
+			// from a fresh MAC every tick: the panicking call count puts
+			// the error around tick 4 (3 victims x 1 new peer per tick);
+			// the exact tick is read back from the error message.
 			cfg := testConfig(3, 12, depth)
 			cfg.Pool = testPool(t, 4)
+			useTickSources(&cfg)
 			var calls atomic.Int64
-			cfg.MemberFilter = func(netpkt.MAC) bool {
+			cfg.MemberFilter = hookFilter(func(netpkt.MAC) bool {
 				if calls.Add(1) > 3*4 {
 					panic("deliberate fold panic")
 				}
 				return true
-			}
+			})
 			return New(cfg).Run()
 		}, "monitor stage at tick", -1)
 	}

@@ -58,7 +58,7 @@ type collectorView interface {
 	DstPortShares(bin int) map[uint16]float64
 	SrcPortShares(bin int) map[uint16]float64
 	SrcPortBytes(bin int, port uint16) float64
-	PeerCountFunc(bin int, minBytes float64, keep func(netpkt.MAC) bool) int
+	PeerCount(bin int, minBytes float64, m Members) int
 	TopSrcPorts(k int) []PortRank
 }
 
@@ -66,8 +66,18 @@ type collectorView interface {
 // against a reference: the map baseline, or a collector fed serially.
 // tol is the relative tolerance for float comparisons (0 demands exact
 // equality; shard merges re-associate float additions, so multi-flush
-// paths need a tiny tolerance).
+// paths need a tiny tolerance). Peers are counted under anyMAC and
+// evenMAC in turn, so the collector's verdicts change sets between
+// reads.
 func compareCollectors(t *testing.T, want collectorView, got *Collector, tol float64) {
+	t.Helper()
+	compareAccessors(t, want, got, tol, math.MinInt, anyMAC, evenMAC)
+}
+
+// compareAccessors is compareCollectors with peers counted under each
+// of sets in turn, at every threshold, and the per-bin accessors read
+// only at the bins from on (plus two absent bins).
+func compareAccessors(t *testing.T, want collectorView, got *Collector, tol float64, from int, sets ...Members) {
 	t.Helper()
 	near := func(a, b float64) bool {
 		if a == b {
@@ -88,6 +98,9 @@ func compareCollectors(t *testing.T, want collectorView, got *Collector, tol flo
 		}
 	}
 	for _, bin := range append(wantBins, -1, 1<<20) { // plus absent bins
+		if bin < from && bin != -1 {
+			continue
+		}
 		if !near(want.TotalBytes(bin), got.TotalBytes(bin)) {
 			t.Fatalf("TotalBytes(%d): got %v, want %v", bin, got.TotalBytes(bin), want.TotalBytes(bin))
 		}
@@ -102,13 +115,14 @@ func compareCollectors(t *testing.T, want collectorView, got *Collector, tol flo
 		// count 0, as documented.
 		inWindow := len(wantBins) > 0 && bin > wantBins[len(wantBins)-1]-peerWindow
 		for _, min := range []float64{0, 100, 1e5} {
-			w, g := want.PeerCountFunc(bin, min, anyMAC), got.PeerCountFunc(bin, min, anyMAC)
-			wf, gf := want.PeerCountFunc(bin, min, evenMAC), got.PeerCountFunc(bin, min, evenMAC)
-			if !inWindow {
-				w, wf = 0, 0
-			}
-			if w != g || wf != gf {
-				t.Fatalf("PeerCount(%d, %v): got %d/%d, want %d/%d (in window: %v)", bin, min, g, gf, w, wf, inWindow)
+			for i, set := range sets {
+				w, g := want.PeerCount(bin, min, set), got.PeerCount(bin, min, set)
+				if !inWindow {
+					w = 0
+				}
+				if w != g {
+					t.Fatalf("PeerCount(%d, %v) under set %d: got %d, want %d (in window: %v)", bin, min, i, g, w, inWindow)
+				}
 			}
 		}
 	}
@@ -125,8 +139,6 @@ func compareCollectors(t *testing.T, want collectorView, got *Collector, tol flo
 		}
 	}
 }
-
-func evenMAC(m netpkt.MAC) bool { return m[5]%2 == 0 }
 
 func comparePortMap(t *testing.T, what string, want, got map[uint16]float64, near func(a, b float64) bool) {
 	t.Helper()
@@ -276,7 +288,7 @@ func TestShardObserveDeliveredMatchesObserveFlow(t *testing.T) {
 		bins, totals := series(c)
 		out := fmt.Sprint(bins, totals, c.TopSrcPorts(5))
 		for _, b := range bins {
-			out += fmt.Sprint(c.PeerCountFunc(b, 0, anyMAC), c.DstPortShares(b))
+			out += fmt.Sprint(c.PeerCount(b, 0, anyMAC), c.DstPortShares(b))
 		}
 		return out
 	}

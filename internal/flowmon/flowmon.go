@@ -19,11 +19,13 @@
 // The long-term store runs in flat memory. Per-peer byte counters — the
 // one per-bin state that grows with the number of senders — are kept
 // for a window of the 16 newest merged bins only, in a ring of reused
-// id-indexed arrays; there PeerCountFunc answers "who is sending now"
-// with a walk over the bin's seen ids. Every bin keeps a compact
-// roll-up of its total, UDP source-port and destination-port bytes,
-// from which every other accessor answers exactly, at any bin, for as
-// long as the collector runs. The package's tests keep the
+// id-indexed arrays; there PeerCount answers "who is sending now" with
+// a walk over the bin's seen ids. Whether a peer belongs to the member
+// set counted is asked of the set once per peer id and kept until the
+// collector is handed a different set, so a warm count asks nothing.
+// Every bin keeps a compact roll-up of its total, UDP source-port and
+// destination-port bytes, from which every other accessor answers
+// exactly, at any bin, for as long as the collector runs. The package's tests keep the
 // map-per-record design it replaced as a reference and pin the two to
 // identical accessor results on randomized streams.
 package flowmon
@@ -119,7 +121,7 @@ func (c *Collector) Shard(i int) *Shard { return &c.sh }
 // partial flushes, whose float addition order would differ. Ring
 // rotation on the observe path is unaffected: it only flushes bins the
 // writer has moved past, and a bin it flushes above the horizon keeps
-// its peers until the horizon has passed it (see PeerCountFunc). The
+// its peers until the horizon has passed it (see PeerCount). The
 // horizon may only move forward while observers run; reset it to a
 // large value (or leave it unset) for the read-after-write usage every
 // other caller has.
@@ -184,22 +186,44 @@ func (c *Collector) SrcPortBytes(bin int, port uint16) float64 {
 	return c.st.srcPortBytes(bin, port)
 }
 
-// PeerCountFunc returns the number of distinct source MACs keep accepts
-// whose bytes in the bin exceed minBytes — the "#peers" series of
-// Figures 3(c)/10(c), where the scenario engine keeps only MACs
-// registered to IXP members. Peers are kept for a window of the 16
-// newest merged bins — counted back from the merge horizon instead
-// while it lags the newest bin, so a bin written ahead of a lagging
-// reader keeps its peers until read. For a bin outside the window
-// PeerCountFunc returns 0, the same as for an unobserved bin; the bin's
-// other accessors still answer. keep must not call back into the
-// collector.
-func (c *Collector) PeerCountFunc(bin int, minBytes float64, keep func(netpkt.MAC) bool) int {
+// Members is a set of source MACs that PeerCount restricts its count
+// to. A value must be comparable — in practice a pointer — and must
+// answer the same for the same MAC for as long as it lives: a changed
+// set is a new value. A collector asks Has about a peer once and keeps
+// the answer until it is handed a different value; it holds the value
+// it asked, so the address of a set still in use is never reused for
+// another. Has must not call back into the collector.
+type Members interface {
+	Has(mac netpkt.MAC) bool
+}
+
+// PeerCount returns the number of distinct source MACs in m whose bytes
+// in the bin exceed minBytes — the "#peers" series of Figures
+// 3(c)/10(c), where the scenario engine counts only MACs registered to
+// IXP members. A nil m counts every source. Peers are kept for a window
+// of the 16 newest merged bins — counted back from the merge horizon
+// instead while it lags the newest bin, so a bin written ahead of a
+// lagging reader keeps its peers until read. For a bin outside the
+// window PeerCount returns 0, the same as for an unobserved bin; the
+// bin's other accessors still answer.
+func (c *Collector) PeerCount(bin int, minBytes float64, m Members) int {
 	c.merge()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.st.peerCount(bin, minBytes, keep, c.horizon.Load())
+	return c.st.peerCount(bin, minBytes, m, c.horizon.Load())
 }
+
+// PeerCountFunc is PeerCount with the set given as a predicate. Each
+// call is a new set, so keep is asked about every counted peer.
+func (c *Collector) PeerCountFunc(bin int, minBytes float64, keep func(netpkt.MAC) bool) int {
+	return c.PeerCount(bin, minBytes, &funcSet{keep})
+}
+
+// funcSet is a predicate as a Members value; its pointer is its
+// identity.
+type funcSet struct{ keep func(netpkt.MAC) bool }
+
+func (s *funcSet) Has(mac netpkt.MAC) bool { return s.keep(mac) }
 
 // TopSrcPorts returns the k highest-volume UDP source ports across all
 // bins, plus the residual share under the sentinel port 65535 when

@@ -28,8 +28,12 @@ func rec(bin int, mac netpkt.MAC, proto netpkt.IPProto, srcPort, dstPort uint16,
 // observe adds one record on shard 0.
 func observe(c *Collector, r record) { c.Shard(0).ObserveFlow(r.Bin, &r.Key, r.Bytes) }
 
-// anyMAC keeps every source MAC in a peer count.
-func anyMAC(netpkt.MAC) bool { return true }
+// anyMAC and evenMAC are two member sets: every source MAC, and the
+// MACs whose last byte is even.
+var (
+	anyMAC  Members = &funcSet{func(netpkt.MAC) bool { return true }}
+	evenMAC Members = &funcSet{func(m netpkt.MAC) bool { return m[5]%2 == 0 }}
+)
 
 // series returns the per-bin total bytes as (bins, values) aligned
 // slices.
@@ -69,7 +73,7 @@ func TestSharesAndTotals(t *testing.T) {
 func TestEmptyBin(t *testing.T) {
 	c := NewCollectorShards(1)
 	if c.TotalBytes(9) != 0 || len(c.SrcPortShares(9)) != 0 ||
-		len(c.DstPortShares(9)) != 0 || c.PeerCountFunc(9, 0, anyMAC) != 0 {
+		len(c.DstPortShares(9)) != 0 || c.PeerCount(9, 0, anyMAC) != 0 {
 		t.Fatal("empty bin not empty")
 	}
 }
@@ -78,11 +82,11 @@ func TestPeerCount(t *testing.T) {
 	c := NewCollectorShards(1)
 	observe(c, rec(0, macA, netpkt.ProtoUDP, 123, 443, 1000))
 	observe(c, rec(0, macB, netpkt.ProtoUDP, 123, 443, 5))
-	if got := c.PeerCountFunc(0, 0, anyMAC); got != 2 {
+	if got := c.PeerCount(0, 0, anyMAC); got != 2 {
 		t.Fatalf("PeerCount(0): %d", got)
 	}
 	// Threshold excludes the 5-byte peer.
-	if got := c.PeerCountFunc(0, 10, anyMAC); got != 1 {
+	if got := c.PeerCount(0, 10, anyMAC); got != 1 {
 		t.Fatalf("PeerCount(10): %d", got)
 	}
 }

@@ -48,7 +48,7 @@ func TestMergeHorizonUnderConcurrentPoolObservers(t *testing.T) {
 			for tk := range folded {
 				c.SetMergeHorizon(tk)
 				_ = c.TotalBytes(tk)
-				_ = c.PeerCountFunc(tk, 0, anyMAC)
+				_ = c.PeerCount(tk, 0, anyMAC)
 				_ = c.SrcPortShares(tk)
 				_ = c.Bins()
 			}

@@ -118,17 +118,17 @@ func (c *MapCollector) SrcPortBytes(bin int, port uint16) float64 {
 	return 0
 }
 
-// PeerCountFunc returns the number of distinct source MACs keep accepts
-// whose bytes in the bin exceed minBytes — at every bin, unlike
-// Collector.
-func (c *MapCollector) PeerCountFunc(bin int, minBytes float64, keep func(netpkt.MAC) bool) int {
+// PeerCount returns the number of distinct source MACs in m (every one
+// for a nil m) whose bytes in the bin exceed minBytes — at every bin,
+// unlike Collector. It asks m about every counted MAC on every call.
+func (c *MapCollector) PeerCount(bin int, minBytes float64, m Members) int {
 	b := c.bins[bin]
 	if b == nil {
 		return 0
 	}
 	n := 0
 	for mac, bytes := range b.peers {
-		if bytes > minBytes && keep(mac) {
+		if bytes > minBytes && (m == nil || m.Has(mac)) {
 			n++
 		}
 	}

@@ -11,10 +11,11 @@ import (
 
 // positionFlows is one port's delivered flows across ticks, mutated
 // between batches the ways a port's forward queue changes: the flows
-// keep their order, rotate, lose one, gain a new one mid-slice, or have
-// a flow's SrcMAC rewritten in place (the offer keeps pointing at the
-// same key). Keys live in their own allocations so a rewrite is seen
-// through the pointer the previous batch held.
+// keep their order, rotate, lose one, gain a new one mid-slice, have a
+// position swapped to a new key, or have a flow's SrcMAC rewritten in
+// place (the offer keeps pointing at the same key). Keys live in their
+// own allocations so a rewrite is seen through the pointer the previous
+// batch held.
 type positionFlows struct {
 	rng   *rand.Rand
 	keys  []*netpkt.FlowKey
@@ -27,6 +28,7 @@ const (
 	mutDrop
 	mutInsert
 	mutRewriteMAC
+	mutSwapKey
 	mutKinds
 )
 
@@ -44,7 +46,7 @@ func newPositionFlows(seed int64, n int) *positionFlows {
 func (p *positionFlows) key(m int) *netpkt.FlowKey {
 	protos := []netpkt.IPProto{netpkt.ProtoUDP, netpkt.ProtoTCP}
 	return &netpkt.FlowKey{
-		SrcMAC:  netpkt.MAC{0x02, 0x40, 0, byte(m >> 16), byte(m >> 8), byte(m)},
+		SrcMAC:  positionMAC(m),
 		Src:     netip.AddrFrom4([4]byte{198, 51, byte(m >> 8), byte(m)}),
 		Dst:     netip.AddrFrom4([4]byte{100, 64, 0, 1}),
 		Proto:   protos[p.rng.Intn(len(protos))],
@@ -53,19 +55,41 @@ func (p *positionFlows) key(m int) *netpkt.FlowKey {
 	}
 }
 
+// positionMAC is source MAC number m of the position tests.
+func positionMAC(m int) netpkt.MAC {
+	return netpkt.MAC{0x02, 0x40, 0, byte(m >> 16), byte(m >> 8), byte(m)}
+}
+
+// senderMAC returns the number of a source MAC, as positionMAC numbers
+// them: one a flow sends from now, or one no flow has used yet.
+func (p *positionFlows) senderMAC() int {
+	if p.rng.Intn(2) == 0 {
+		return p.freshMAC()
+	}
+	return int(p.keys[p.rng.Intn(len(p.keys))].SrcMAC.Key() & 0xffffff)
+}
+
 // freshMAC returns a source MAC no flow has used yet.
 func (p *positionFlows) freshMAC() int {
 	p.nextM++
 	return p.nextM - 1
 }
 
+// mutate changes the flows one way; a kind outside [0, mutKinds) keeps
+// them, and so do a rotate or drop of a single flow.
 func (p *positionFlows) mutate(kind int) {
 	n := len(p.keys)
 	switch kind {
 	case mutRotate:
+		if n < 2 {
+			return
+		}
 		k := 1 + p.rng.Intn(n-1)
 		p.keys = append(p.keys[k:], p.keys[:k]...)
 	case mutDrop:
+		if n < 2 {
+			return
+		}
 		i := p.rng.Intn(n)
 		p.keys = append(p.keys[:i:i], p.keys[i+1:]...)
 	case mutInsert:
@@ -74,11 +98,10 @@ func (p *positionFlows) mutate(kind int) {
 		p.keys = append(p.keys[:i:i], append([]*netpkt.FlowKey{k}, p.keys[i:]...)...)
 	case mutRewriteMAC:
 		k := p.keys[p.rng.Intn(n)]
-		m := p.freshMAC()
-		if p.rng.Intn(2) == 0 { // or a MAC another flow already sends from
-			m = int(p.keys[p.rng.Intn(n)].SrcMAC.Key() & 0xffffff)
-		}
-		k.SrcMAC = netpkt.MAC{0x02, 0x40, 0, byte(m >> 16), byte(m >> 8), byte(m)}
+		k.SrcMAC = positionMAC(p.senderMAC())
+	case mutSwapKey:
+		i := p.rng.Intn(n)
+		p.keys[i] = p.key(p.senderMAC())
 	}
 }
 
@@ -178,4 +201,75 @@ func TestObserveDeliveredCachedWarmAllocs(t *testing.T) {
 	if allocs := testing.AllocsPerRun(1000, step); allocs != 0 {
 		t.Fatalf("warm ObserveDelivered: %v allocations per batch, want 0", allocs)
 	}
+}
+
+// modSet is the member set of the source MACs whose last byte is not k
+// modulo 3; each call returns a new value.
+func modSet(k int) Members {
+	return &funcSet{func(m netpkt.MAC) bool { return int(m[5])%3 != k }}
+}
+
+// FuzzObserveDelivered runs one port's deliveries (size mod 128 flows
+// to start with) through up to 3*peerWindow ticks, one per op byte.
+// Bits 0-2 mutate the batch before the tick (keep, rotate, drop,
+// insert, rewrite a key's MAC in place, swap a position to a new key;
+// 6 and 7 keep). Bits 3-4 change the member sets between ticks: a
+// modSet replaced by one with another rule, a registry grown by one MAC
+// as a Join grows it (bit 6: a MAC a flow sends from, or the next one
+// no flow has used yet), or the modSet replaced by a new value with the
+// same rule. Two collectors observe every batch, each counting under
+// its own set; bit 5 has each count once under the other's set first.
+// After every tick each collector's accessors must equal MapCollector's
+// bit for bit: Bins, the series and TopSrcPorts over every bin, and the
+// per-bin accessors, peer counts under nil and its set included, at
+// the bins of the peer window and the one below it. The seed corpus is
+// TestObserveDeliveredPositionMatchesMapCollector's trials.
+func FuzzObserveDelivered(f *testing.F) {
+	for trial := 0; trial < 3; trial++ {
+		seed := int64(900 + trial)
+		rng := rand.New(rand.NewSource(seed))
+		ops := make([]byte, 3*peerWindow)
+		for i := range ops {
+			ops[i] = byte(rng.Intn(256))
+		}
+		f.Add(seed, uint8(40+trial*25), ops)
+	}
+	f.Fuzz(func(t *testing.T, seed int64, size uint8, ops []byte) {
+		if len(ops) > 3*peerWindow {
+			ops = ops[:3*peerWindow]
+		}
+		flows := newPositionFlows(seed, max(1, int(size)%128))
+		want := NewMapCollector()
+		got := [2]*Collector{NewCollectorShards(1), NewCollectorShards(1)}
+		rule, joined := 0, &macList{}
+		sets := [2]Members{modSet(rule), joined}
+		for tick, op := range ops {
+			if tick > 0 {
+				flows.mutate(int(op & 7))
+			}
+			switch op >> 3 & 3 {
+			case 1:
+				rule = (rule + 1) % 3
+				sets[0] = modSet(rule)
+			case 2:
+				m := flows.keys[flows.rng.Intn(len(flows.keys))].SrcMAC
+				if op>>6&1 == 1 {
+					m = positionMAC(flows.nextM)
+				}
+				joined = joined.with(m)
+				sets[1] = joined
+			case 3:
+				sets[0] = modSet(rule)
+			}
+			d, recs := flows.batch(tick)
+			want.ObserveAll(recs)
+			for i, c := range got {
+				c.Shard(0).ObserveDelivered(tick, d)
+				if op>>5&1 == 1 {
+					c.PeerCount(tick, 0, sets[1-i])
+				}
+				compareAccessors(t, want, c, 0, tick-peerWindow, nil, sets[i])
+			}
+		}
+	})
 }

@@ -42,7 +42,7 @@ func TestCollectorRetention(t *testing.T) {
 	for bin := 0; bin < bins; bin++ {
 		observeBin(sh, bin, peers)
 		c.SetMergeHorizon(bin)
-		if got := c.PeerCountFunc(bin, 0, anyMAC); got != peers {
+		if got := c.PeerCount(bin, 0, anyMAC); got != peers {
 			t.Fatalf("bin %d: %d peers at its fold, want %d", bin, got, peers)
 		}
 		if held := PeerDetailBins(c); held > peerWindow {
@@ -55,11 +55,11 @@ func TestCollectorRetention(t *testing.T) {
 		t.Fatalf("Bins: %d, want %d", got, bins)
 	}
 	for _, bin := range []int{0, 5, bins - peerWindow - 1} {
-		if got := c.PeerCountFunc(bin, 0, anyMAC); got != 0 {
+		if got := c.PeerCount(bin, 0, anyMAC); got != 0 {
 			t.Fatalf("cold bin %d: PeerCount %d, want 0 (outside the window)", bin, got)
 		}
 	}
-	if got := c.PeerCountFunc(bins-peerWindow, 0, anyMAC); got != peers {
+	if got := c.PeerCount(bins-peerWindow, 0, anyMAC); got != peers {
 		t.Fatalf("oldest bin of the window: PeerCount %d, want %d", got, peers)
 	}
 
@@ -92,7 +92,7 @@ func TestCollectorRetention(t *testing.T) {
 	if got := c.SrcPortBytes(bin, 19); got != 55 {
 		t.Fatalf("late record: SrcPortBytes(19) %v, want 55", got)
 	}
-	if got := c.PeerCountFunc(bin, 0, anyMAC); got != 0 {
+	if got := c.PeerCount(bin, 0, anyMAC); got != 0 {
 		t.Fatalf("late record: cold bin PeerCount %d, want 0", got)
 	}
 	if held := PeerDetailBins(c); held > peerWindow {
@@ -102,19 +102,20 @@ func TestCollectorRetention(t *testing.T) {
 
 // TestCollectorRetentionWarmMergeAllocs: once the hot ring is warm, a
 // new bin's merge — which compacts the bin leaving the window — plus
-// the fold's PeerCountFunc read reuse the ring's tables. Only the cold
-// tier's amortized growth allocates, which rounds to 0 per bin, so a
-// peer table per bin would show up here as at least one allocation.
+// the fold's PeerCount read under an unchanged member set reuse the
+// ring's tables and the set's verdicts. Only the cold tier's amortized
+// growth allocates, which rounds to 0 per bin, so a peer table per bin
+// would show up here as at least one allocation.
 func TestCollectorRetentionWarmMergeAllocs(t *testing.T) {
 	const peers = 200
 	c := NewCollectorShards(1)
 	sh := c.Shard(0)
-	keep := func(m netpkt.MAC) bool { return m[5]%3 != 0 }
+	keep := &funcSet{func(m netpkt.MAC) bool { return m[5]%3 != 0 }}
 	bin := 0
 	step := func() {
 		observeBin(sh, bin, peers)
 		c.SetMergeHorizon(bin)
-		if c.PeerCountFunc(bin, 0, keep) == 0 {
+		if c.PeerCount(bin, 0, keep) == 0 {
 			t.Fatal("no peers counted")
 		}
 		bin++
@@ -123,6 +124,6 @@ func TestCollectorRetentionWarmMergeAllocs(t *testing.T) {
 		step()
 	}
 	if allocs := testing.AllocsPerRun(2000, step); allocs != 0 {
-		t.Fatalf("warm merge + PeerCountFunc: %v allocations per bin, want 0", allocs)
+		t.Fatalf("warm merge + PeerCount: %v allocations per bin, want 0", allocs)
 	}
 }

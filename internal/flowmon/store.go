@@ -48,7 +48,23 @@ type store struct {
 	newest int // highest merged bin, once any is merged
 	any    bool
 	macs   []netpkt.MAC // peer id -> MAC, set by each flush
+
+	// set is the member set PeerCount last counted under, and
+	// verdicts[id] its answer for peer id (unjudged until PeerCount
+	// first counts id under set). Holding set keeps its address from
+	// being reused by another set while the verdicts stand.
+	set      Members
+	verdicts []verdict
 }
+
+// verdict is a member set's cached answer for one peer id.
+type verdict uint8
+
+const (
+	unjudged verdict = iota
+	member
+	notMember
+)
 
 // hotBin is one slot of the hot ring; its tables and arrays keep their
 // capacity when the slot passes to a newer bin.
@@ -321,23 +337,44 @@ func (st *store) srcPortBytes(bin int, port uint16) float64 {
 	return v.get(kindSrc | uint32(port))
 }
 
-// peerCount counts the bin's source MACs keep accepts whose bytes
-// exceed minBytes; a bin below the peer floor counts 0.
-func (st *store) peerCount(bin int, minBytes float64, keep func(netpkt.MAC) bool, horizon int64) int {
+// peerCount counts the bin's source MACs in m (every one for a nil m)
+// whose bytes exceed minBytes; a bin below the peer floor counts 0.
+func (st *store) peerCount(bin int, minBytes float64, m Members, horizon int64) int {
 	h := st.hotBin(bin)
 	if h == nil || bin < st.peerFloor(horizon) {
 		return 0
+	}
+	if m != nil && m != st.set {
+		st.set = m
+		clear(st.verdicts)
 	}
 	n := 0
 	for w, word := range h.peers.seen {
 		for ; word != 0; word &= word - 1 {
 			id := w<<6 | bits.TrailingZeros64(word)
-			if h.peers.bytes[id] > minBytes && keep(st.macs[id]) {
+			if h.peers.bytes[id] > minBytes && (m == nil || st.isMember(id)) {
 				n++
 			}
 		}
 	}
 	return n
+}
+
+// isMember reports whether st.set holds peer id's MAC, asking the set
+// only for an id it has not judged yet.
+func (st *store) isMember(id int) bool {
+	if id >= len(st.verdicts) {
+		st.verdicts = append(st.verdicts, make([]verdict, len(st.macs)-len(st.verdicts))...)
+	}
+	v := st.verdicts[id]
+	if v == unjudged {
+		v = notMember
+		if st.set.Has(st.macs[id]) {
+			v = member
+		}
+		st.verdicts[id] = v
+	}
+	return v == member
 }
 
 func (st *store) topSrcPorts(k int) []PortRank {

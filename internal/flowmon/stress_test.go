@@ -63,7 +63,7 @@ func TestConcurrentObserveAndRead(t *testing.T) {
 					c.TotalBytes(bin)
 					c.DstPortShares(bin)
 					c.SrcPortShares(bin)
-					c.PeerCountFunc(bin, 100, anyMAC)
+					c.PeerCount(bin, 100, anyMAC)
 				}
 				c.Bins()
 				series(c)
@@ -118,7 +118,7 @@ func TestConcurrentShardWriters(t *testing.T) {
 				return
 			default:
 				c.TopSrcPorts(3)
-				c.PeerCountFunc(0, 0, anyMAC)
+				c.PeerCount(0, 0, anyMAC)
 			}
 		}
 	}()

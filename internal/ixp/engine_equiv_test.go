@@ -71,10 +71,6 @@ func serialRunAll(x *IXP, ticks int, dt float64, victims []engine.VictimSpec, so
 		}
 		return nil
 	}
-	isMember := func(mac netpkt.MAC) bool {
-		_, ok := memberByMAC(x, mac)
-		return ok
-	}
 
 	ei := 0
 	for tick := 0; tick < ticks; tick++ {
@@ -109,7 +105,7 @@ func serialRunAll(x *IXP, ticks int, dt float64, victims []engine.VictimSpec, so
 				RuleDroppedBps:       rep.Result.RuleDroppedBytes * 8 / dt,
 				ShaperDroppedBps:     rep.Result.ShaperDroppedBytes * 8 / dt,
 				CongestionDroppedBps: rep.Result.CongestionDroppedBytes * 8 / dt,
-				ActivePeers:          monitors[i].PeerCountFunc(tick, peerMinBps*dt/8, isMember),
+				ActivePeers:          monitors[i].PeerCount(tick, peerMinBps*dt/8, x.MemberFilter()()),
 			})
 		}
 	}

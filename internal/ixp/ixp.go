@@ -21,6 +21,7 @@ import (
 	"stellar/internal/core"
 	"stellar/internal/engine"
 	"stellar/internal/fabric"
+	"stellar/internal/flowmon"
 	"stellar/internal/hw"
 	"stellar/internal/irr"
 	"stellar/internal/member"
@@ -93,11 +94,20 @@ type IXP struct {
 }
 
 // registry is the member population by name and by fabric MAC, the
-// latter keyed by the packed MAC (netpkt.MAC.Key): the flow monitor's
-// member filter looks it up once per counted peer per tick.
+// latter keyed by the packed MAC (netpkt.MAC.Key). A published registry
+// is never written, so its pointer is the member set's identity: a flow
+// monitor handed the same registry tick after tick asks it about each
+// peer once, and a Join publishes a new one.
 type registry struct {
 	members map[string]*member.Member
 	byMAC   map[uint64]*member.Member
+}
+
+// Has reports whether mac is a registered member's fabric MAC; it makes
+// *registry a flowmon.Members.
+func (r *registry) Has(mac netpkt.MAC) bool {
+	_, ok := r.byMAC[mac.Key()]
+	return ok
 }
 
 // with returns a copy of the registry extended by m.
@@ -280,12 +290,10 @@ func (x *IXP) Member(name string) (*member.Member, error) {
 // MemberFilter returns the engine.Config.MemberFilter that counts only
 // registered member MACs toward ActivePeers — the filter every
 // engine-on-IXP run wants; leaving Config.MemberFilter nil counts every
-// stray source MAC.
-func (x *IXP) MemberFilter() func(netpkt.MAC) bool {
-	return func(mac netpkt.MAC) bool {
-		_, ok := x.reg.Load().byMAC[mac.Key()]
-		return ok
-	}
+// stray source MAC. Each call returns the registry published at the
+// time, which stays the same value until a Join.
+func (x *IXP) MemberFilter() func() flowmon.Members {
+	return func() flowmon.Members { return x.reg.Load() }
 }
 
 // PeersOf converts members into traffic-generator peers, using the first

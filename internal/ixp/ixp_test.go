@@ -644,7 +644,7 @@ func TestScenarioMonitorRecordsFlows(t *testing.T) {
 	if len(top) == 0 || top[0].Port != 123 {
 		t.Fatalf("top ports: %+v", top)
 	}
-	if got := monitor.PeerCountFunc(5, 0, anyMAC); got != samples[5].ActivePeers {
+	if got := monitor.PeerCount(5, 0, nil); got != samples[5].ActivePeers {
 		t.Fatalf("monitor peers %d != sample peers %d", got, samples[5].ActivePeers)
 	}
 	bins, bytes := monitorSeries(monitor)
@@ -667,6 +667,3 @@ func monitorSeries(c *flowmon.Collector) (bins []int, bytes []float64) {
 	}
 	return bins, bytes
 }
-
-// anyMAC keeps every source MAC in a peer count.
-func anyMAC(netpkt.MAC) bool { return true }

@@ -8,10 +8,14 @@ import (
 
 	"stellar/internal/bgp"
 	"stellar/internal/core"
+	"stellar/internal/engine"
 	"stellar/internal/fabric"
+	"stellar/internal/flowmon"
 	"stellar/internal/member"
 	"stellar/internal/netpkt"
 	"stellar/internal/routeserver"
+	"stellar/internal/stats"
+	"stellar/internal/traffic"
 )
 
 // lateMember fabricates a member outside MakePopulation's identity
@@ -50,7 +54,7 @@ func TestJoinAfterBuild(t *testing.T) {
 	if m, err := x.Member(late.Name); err != nil || m != late {
 		t.Fatalf("Member: %v, %v", m, err)
 	}
-	if m, ok := memberByMAC(x, late.MAC); !ok || m != late || !x.MemberFilter()(late.MAC) {
+	if m, ok := memberByMAC(x, late.MAC); !ok || m != late || !x.MemberFilter()().Has(late.MAC) {
 		t.Fatalf("memberByMAC: %v, %v", m, ok)
 	}
 	if got := x.Router.Snapshot().Limits.Ports; got != len(members)+1 {
@@ -218,5 +222,68 @@ func TestJoinConcurrent(t *testing.T) {
 		if ports[idx].QoSPolicies != 1 {
 			t.Fatalf("hardware port %d: %+v", idx, ports[idx])
 		}
+	}
+}
+
+// heldSet is a member set whose answers wait until release is closed.
+type heldSet struct {
+	flowmon.Members
+	release <-chan struct{}
+}
+
+func (s *heldSet) Has(mac netpkt.MAC) bool {
+	<-s.release
+	return s.Members.Has(mac)
+}
+
+// TestJoinMidRunCountsFromItsTick: a member joined by an event at tick
+// k, sending from tick 0, counts toward ActivePeers from tick k on and
+// not below, with the same series at every Depth. At Depth 4 the fold
+// of tick k-1 is held until the spine has applied tick k's Join, so a
+// count that read the live registry instead of the member set the spine
+// took for the tick would count the joiner one tick early.
+func TestJoinMidRunCountsFromItsTick(t *testing.T) {
+	const ticks, joinTick = 8, 4
+	run := func(depth int) (samples []engine.Sample, senders int) {
+		x, members := buildTestIXP(t, 4, 0, false)
+		victim, late := members[0], lateMember(0)
+		peers := PeersOf(append(append([]*member.Member(nil), members[1:]...), late))
+		attack := traffic.NewAttack(traffic.VectorNTP, victimAddr(victim), peers, 4e8, 0, ticks, stats.NewRand(9))
+		attack.RampTicks = 0
+		joined := make(chan struct{})
+		join := engine.Event{Tick: joinTick, Name: "join", Do: func() error {
+			defer close(joined)
+			return x.Join(late)
+		}}
+		cfg := engineConfig(x, ticks, []engine.VictimSpec{{Port: victim.Name}}, [][]engine.Source{{attack}}, join)
+		cfg.Depth = depth
+		if depth > 1 {
+			registered, tick := cfg.MemberFilter, 0
+			cfg.MemberFilter = func() flowmon.Members {
+				m := registered()
+				if tick++; tick == joinTick { // tick joinTick-1's set
+					return &heldSet{m, joined}
+				}
+				return m
+			}
+		}
+		series, err := engine.New(cfg).Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return series[0].Samples, len(members) - 1
+	}
+	serial, senders := run(1)
+	for _, s := range serial {
+		want := senders
+		if s.Tick >= joinTick {
+			want++
+		}
+		if s.ActivePeers != want {
+			t.Fatalf("depth 1 tick %d: %d active peers, want %d", s.Tick, s.ActivePeers, want)
+		}
+	}
+	if got, want := fmt.Sprint(run(4)), fmt.Sprint(serial, senders); got != want {
+		t.Fatalf("depth 4 series:\n%s\nwant (depth 1):\n%s", got, want)
 	}
 }

@@ -187,7 +187,7 @@ func TestScenarioMultiVictimMitigation(t *testing.T) {
 	if b[15].DeliveredBps == 0 {
 		t.Fatal("victim B's traffic must be unaffected by A's blackhole")
 	}
-	if series[0].Monitor.PeerCountFunc(15, 0, anyMAC) != 0 {
+	if series[0].Monitor.PeerCount(15, 0, nil) != 0 {
 		t.Fatal("victim A's monitor saw flows after the blackhole")
 	}
 	if tops := series[1].Monitor.TopSrcPorts(1); len(tops) == 0 || tops[0].Port != 123 {
@@ -229,7 +229,7 @@ func TestScenarioActivePeersCountsOnlyMembers(t *testing.T) {
 		t.Fatalf("ActivePeers = %d, want 1 (ghost MAC must not count)", got)
 	}
 	// The monitor itself still sees both source MACs.
-	if got := series[0].Monitor.PeerCountFunc(1, 0, anyMAC); got != 2 {
+	if got := series[0].Monitor.PeerCount(1, 0, nil); got != 2 {
 		t.Fatalf("monitor PeerCount = %d, want 2", got)
 	}
 }
