@@ -23,8 +23,7 @@ func linearClassify(rules []*Rule, f *netpkt.FlowKey) *Rule {
 }
 
 // randomMatch draws a match pattern touching a small value space so
-// rules overlap and every index of the compiled classifier is
-// exercised.
+// rules overlap and every match field is exercised.
 func randomMatch(rng *rand.Rand, macs []netpkt.MAC) Match {
 	m := MatchAll()
 	if rng.Intn(10) < 3 {
@@ -60,7 +59,7 @@ func randomFlow(rng *rand.Rand, macs []netpkt.MAC) netpkt.FlowKey {
 	}
 }
 
-// TestClassifierMatchesLinearScan cross-validates the compiled
+// TestClassifierMatchesLinearScan cross-validates the memoized
 // classifier against the linear reference over randomized overlapping
 // rule sets, with and without pre-hashed lookups.
 func TestClassifierMatchesLinearScan(t *testing.T) {
@@ -101,7 +100,7 @@ func TestClassifierMatchesLinearScan(t *testing.T) {
 }
 
 // TestClassifierFirstMatchAcrossIndexes pins the priority semantics when
-// the competing rules live in different compiled indexes.
+// the competing rules each pin a different field.
 func TestClassifierFirstMatchAcrossIndexes(t *testing.T) {
 	p := newVictimPort()
 	// Install order: dst-port rule, then src-port rule, then dst-prefix
@@ -165,7 +164,7 @@ func TestClassifierAnyProtoPortRule(t *testing.T) {
 	}
 }
 
-// TestClassifierIPv6Prefixes exercises the v6 side of the prefix tries.
+// TestClassifierIPv6Prefixes exercises v6 prefix matches.
 func TestClassifierIPv6Prefixes(t *testing.T) {
 	p := newVictimPort()
 	m := MatchAll()
@@ -183,17 +182,15 @@ func TestClassifierIPv6Prefixes(t *testing.T) {
 	if r := p.ClassifyHashed(&out, 0); r != nil {
 		t.Fatalf("v6 dst outside prefix matched %v", r)
 	}
-	// A v4 flow must not be swallowed by the v6 trie.
+	// A v4 flow must not match a v6 prefix.
 	if r := p.ClassifyHashed(udpFlow(macPeerA, srcIPA, 123), 0); r != nil {
 		t.Fatalf("v4 flow matched v6 rule: %v", r)
 	}
 }
 
-// TestClassifierV4TrieDiscriminates is the structural regression test
-// for the v4 prefix trie: distinct v4 /32 rules must land on distinct
-// trie nodes (indexed by real v4 address bits), not collapse onto one
-// spine node, which would degrade dst-prefix blackholing back to a
-// linear scan.
+// TestClassifierV4TrieDiscriminates: among 256 v4 /32 rules that
+// differ only in the destination address bits, the lookup finds the one
+// rule covering the flow.
 func TestClassifierV4TrieDiscriminates(t *testing.T) {
 	const n = 256
 	rules := make([]*Rule, n)
@@ -203,23 +200,6 @@ func TestClassifierV4TrieDiscriminates(t *testing.T) {
 		rules[i] = &Rule{ID: fmt.Sprintf("d%03d", i), Match: m, Action: ActionDrop}
 	}
 	c := compile(rules, 1)
-	var maxLoad int
-	var walk func(nd *trieNode)
-	walk = func(nd *trieNode) {
-		if len(nd.cands) > maxLoad {
-			maxLoad = len(nd.cands)
-		}
-		for _, ch := range nd.child {
-			if ch != nil {
-				walk(ch)
-			}
-		}
-	}
-	walk(c.dstTrie.v4)
-	if maxLoad != 1 {
-		t.Fatalf("a v4 trie node holds %d candidates; /32 rules must not share nodes", maxLoad)
-	}
-	// And the walk still finds the right rule.
 	f := netpkt.FlowKey{Src: srcIPA, Dst: netip.AddrFrom4([4]byte{100, 10, 0, 77}),
 		Proto: netpkt.ProtoUDP, SrcPort: 123, DstPort: 443}
 	if got := c.classify(&f).rule; got == nil || got.ID != "d077" {
@@ -462,25 +442,6 @@ func TestOldGenerationRacesNewer(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// egress runs one tick on gen, the way a port whose classifier load
-	// preceded the rule change does, and checks each offer's fate.
-	egress := func(gen *classifier) error {
-		q := &Port{Name: "old", CapacityBps: p.CapacityBps}
-		q.cls.Store(gen)
-		delivered := make(map[*Offer]bool, len(offers))
-		q.egress(offers, 1, func(ds []Delivery) {
-			for _, d := range ds {
-				delivered[d.Offer] = true
-			}
-		})
-		for i := range offers {
-			want := linearClassify(gen.rules, &keys[i])
-			if drop := want != nil && want.Action == ActionDrop; delivered[&offers[i]] == drop {
-				return fmt.Errorf("generation %d: flow %v delivered=%v, linear scan says %v", gen.seq, keys[i], !drop, want)
-			}
-		}
-		return nil
-	}
 	classify := func(gen *classifier) error {
 		for i := range offers {
 			want := linearClassify(gen.rules, &keys[i])
@@ -491,7 +452,7 @@ func TestOldGenerationRacesNewer(t *testing.T) {
 		return nil
 	}
 	for round := 0; round < 60; round++ {
-		if err := egress(p.cls.Load()); err != nil {
+		if err := generationFates(p.cls.Load(), offers); err != nil {
 			t.Fatal(err)
 		}
 		old := p.cls.Load()
@@ -511,7 +472,7 @@ func TestOldGenerationRacesNewer(t *testing.T) {
 		var wg sync.WaitGroup
 		errs := make([]error, 2)
 		wg.Add(2)
-		go func() { defer wg.Done(); errs[0] = egress(old) }()
+		go func() { defer wg.Done(); errs[0] = generationFates(old, offers) }()
 		go func() { defer wg.Done(); errs[1] = classify(cur) }()
 		wg.Wait()
 		for _, err := range errs {
@@ -519,10 +480,31 @@ func TestOldGenerationRacesNewer(t *testing.T) {
 				t.Fatalf("round %d: %v", round, err)
 			}
 		}
-		if err := egress(old); err != nil {
+		if err := generationFates(old, offers); err != nil {
 			t.Fatalf("round %d, after the new generation: %v", round, err)
 		}
 	}
+}
+
+// generationFates runs one egress of offers on generation gen, the way
+// a port whose classifier load preceded later rule changes does, and
+// checks each offer's fate with the linear scan over gen's rules.
+func generationFates(gen *classifier, offers []Offer) error {
+	q := &Port{Name: "old", CapacityBps: 1e15}
+	q.cls.Store(gen)
+	delivered := make(map[*Offer]bool, len(offers))
+	q.egress(offers, 1, func(ds []Delivery) {
+		for _, d := range ds {
+			delivered[d.Offer] = true
+		}
+	})
+	for i := range offers {
+		want := linearClassify(gen.rules, offers[i].Flow)
+		if drop := want != nil && want.Action == ActionDrop; delivered[&offers[i]] == drop {
+			return fmt.Errorf("generation %d: flow %v delivered=%v, linear scan says %v", gen.seq, *offers[i].Flow, !drop, want)
+		}
+	}
+	return nil
 }
 
 // churnTrial is one port under random rule churn with the linear scan's
@@ -537,9 +519,12 @@ type churnTrial struct {
 	removed []*Rule
 	offers  []Offer
 	nextID  int
-	// cases counts the rule changes the issue names, so the test can
-	// assert the generator really produced each of them.
+	// cases counts the rule changes and offer mutations the tests name,
+	// so a test can assert the generator really produced each of them.
 	cases map[string]int
+	// stamps is the generation each memo entry was stamped with at the
+	// last checkStamps.
+	stamps map[*memoEntry]uint64
 }
 
 func (c *churnTrial) install(r *Rule) {
@@ -748,11 +733,11 @@ func TestClassifierMatchesLinearScanUnderChurn(t *testing.T) {
 				c.pass()
 				continue
 			}
-			// Zero, one and several changes between passes, and now and
-			// then more than a generation derives across.
-			n := []int{0, 1, 1, 1, 2, 3, 5, maxInheritedChanges + 3}[rng.Intn(8)]
-			if n > maxInheritedChanges {
-				cases["past the inheritance bound"]++
+			// Zero, one and several changes between passes, so a
+			// verdict meets stamps one and many generations old.
+			n := []int{0, 1, 1, 1, 2, 3, 5, 11}[rng.Intn(8)]
+			if n > 1 {
+				cases["several changes since the last pass"]++
 			}
 			for ; n > 0; n-- {
 				c.change()
@@ -761,7 +746,7 @@ func TestClassifierMatchesLinearScanUnderChurn(t *testing.T) {
 		}
 	}
 	for _, name := range []string{"remove verdict above another matcher", "remove shadowed rule",
-		"re-install removed ID", "past the inheritance bound",
+		"re-install removed ID", "several changes since the last pass",
 		"remove every rule and re-add them", "fill the memo past maxMemoEntries"} {
 		if cases[name] < 50 {
 			t.Errorf("generator produced %q only %d times", name, cases[name])
@@ -924,32 +909,52 @@ func (c *churnTrial) newOffer() Offer {
 	}
 }
 
-// reorder changes the offer slice between two egress ticks the ways a
-// producer may: it keeps the order, rotates it, drops an offer, inserts
-// a new flow mid-slice or rewrites a key in place.
-func (c *churnTrial) reorder() {
-	switch k := c.rng.Intn(5); {
-	case k == 0:
-		c.cases["keep the order"]++
-	case k == 1:
+// Offer mutations, the ways a producer may change its offer slice
+// between two egress ticks.
+const (
+	mutKeep = iota
+	mutRotate
+	mutDrop
+	mutInsert
+	mutNewKey
+	mutRewrite
+	mutKinds
+)
+
+// reorder applies one random offer mutation.
+func (c *churnTrial) reorder() { c.mutate(c.rng.Intn(mutKinds)) }
+
+// mutate changes the offer slice by mutation kind k: it keeps the
+// order, rotates it, drops an offer, inserts a new flow mid-slice,
+// points a position at a new key or rewrites a key in place. Rotating
+// and dropping need two offers; with fewer they keep the order, and a
+// kind past the last keeps it too.
+func (c *churnTrial) mutate(k int) {
+	switch {
+	case k == mutRotate && len(c.offers) > 1:
 		n := 1 + c.rng.Intn(len(c.offers)-1)
 		c.offers = append(c.offers[n:], c.offers[:n]...)
 		c.cases["rotate the offers"]++
-	case k == 2:
+	case k == mutDrop && len(c.offers) > 1:
 		i := c.rng.Intn(len(c.offers))
 		c.offers = append(c.offers[:i:i], c.offers[i+1:]...)
 		c.cases["drop one offer"]++
-	case k == 3:
+	case k == mutInsert:
 		i := c.rng.Intn(len(c.offers) + 1)
 		c.offers = slices.Insert(slices.Clip(c.offers), i, c.newOffer())
 		c.cases["insert a new flow"]++
-	default:
+	case k == mutNewKey:
+		c.offers[c.rng.Intn(len(c.offers))] = c.newOffer()
+		c.cases["point a position at a new key"]++
+	case k == mutRewrite:
 		o := &c.offers[c.rng.Intn(len(c.offers))]
 		*o.Flow = randomFlow(c.rng, c.macs)
 		if o.FlowHash != 0 {
 			o.FlowHash = o.Flow.Hash()
 		}
 		c.cases["rewrite a key in place"]++
+	default:
+		c.cases["keep the order"]++
 	}
 }
 
@@ -1007,9 +1012,10 @@ func (c *churnTrial) egressFates() {
 
 // TestEgressMatchesLinearScanUnderReorder is the differential test of
 // the memo's positional cache: between egress ticks the offers keep
-// their order, rotate, lose an offer, gain a new flow mid-slice or have
-// a key rewritten in place, across random rule changes, and every
-// offer's fate is compared with the linear scan.
+// their order, rotate, lose an offer, gain a new flow mid-slice, have a
+// position pointed at a new key or a key rewritten in place, across
+// random rule changes, and every offer's fate is compared with the
+// linear scan.
 func TestEgressMatchesLinearScanUnderReorder(t *testing.T) {
 	macs := make([]netpkt.MAC, 6)
 	for i := range macs {
@@ -1038,7 +1044,7 @@ func TestEgressMatchesLinearScanUnderReorder(t *testing.T) {
 		}
 	}
 	for _, name := range []string{"keep the order", "rotate the offers", "drop one offer",
-		"insert a new flow", "rewrite a key in place"} {
+		"insert a new flow", "point a position at a new key", "rewrite a key in place"} {
 		if cases[name] < 500 {
 			t.Errorf("generator produced %q only %d times", name, cases[name])
 		}
@@ -1046,4 +1052,102 @@ func TestEgressMatchesLinearScanUnderReorder(t *testing.T) {
 	if hits < 100000 {
 		t.Errorf("only %d offers met their own key in the positional cache", hits)
 	}
+}
+
+// checkStamps walks the port's memo and fails when an entry's stamp is
+// older than when the last check saw it: a generation re-stamps only
+// entries stamped before it, so a stamp never moves back.
+func (c *churnTrial) checkStamps(when string) {
+	c.t.Helper()
+	if c.p.memo == nil || c.p.memo.tab.Load() == nil {
+		return
+	}
+	tab := c.p.memo.tab.Load()
+	for i := range tab.slots {
+		e := tab.slots[i].Load()
+		if e == nil {
+			continue
+		}
+		seq := e.v.Load().seq
+		if last, ok := c.stamps[e]; ok && seq < last {
+			c.t.Fatalf("%s: flow %v's stamp went back from generation %d to %d", when, e.key, last, seq)
+		}
+		c.stamps[e] = seq
+	}
+}
+
+// fuzzChanges maps bits 3-5 of a FuzzPortEgress op to the tick's rule
+// changes; -1 removes every rule and re-adds them.
+var fuzzChanges = [8]int{0, 0, 1, 1, 2, 3, 11, -1}
+
+// FuzzPortEgress runs one port's offers (2 + size mod 96 flows to start
+// with) through up to 64 egress ticks, one per op byte. Bits 0-2 mutate
+// the offers before the tick (keep, rotate, drop, insert, point a
+// position at a new key, rewrite a key in place; 6 and 7 keep). Bits
+// 3-5 apply none, one, several or eleven random rule changes, or remove
+// every rule and re-add them (fuzzChanges). Bit 6 first classifies every
+// offer through ClassifyHashed, with and without its hash. Then the
+// tick's egress runs, and with bit 7 so does one on the generation the
+// port had before the tick's rule changes, over the entries the newer
+// one has just stamped. Every verdict and every offer's fate is compared
+// with the linear scan over that generation's rules, and no memo stamp
+// may move back to an older generation. The seed corpus takes the first
+// three trial seeds and the flow counts of
+// TestEgressMatchesLinearScanUnderReorder (64 flows) and
+// TestClassifierMatchesLinearScanUnderChurn (96), with 32 op bytes each
+// drawn from the seed.
+func FuzzPortEgress(f *testing.F) {
+	for trial := 0; trial < 3; trial++ {
+		for _, tc := range []struct {
+			seed int64
+			size uint8
+		}{{int64(5000 + trial), 64 - 2}, {int64(1000 + trial), 96 - 2}} {
+			rng := rand.New(rand.NewSource(tc.seed))
+			ops := make([]byte, 32)
+			for i := range ops {
+				ops[i] = byte(rng.Intn(256))
+			}
+			f.Add(tc.seed, tc.size, ops)
+		}
+	}
+	macs := make([]netpkt.MAC, 6)
+	for i := range macs {
+		macs[i] = netpkt.MustParseMAC(fmt.Sprintf("02:00:00:00:00:%02x", i+1))
+	}
+	f.Fuzz(func(t *testing.T, seed int64, size uint8, ops []byte) {
+		if len(ops) > 64 {
+			ops = ops[:64]
+		}
+		rng := rand.New(rand.NewSource(seed))
+		c := &churnTrial{t: t, rng: rng, macs: macs, cases: map[string]int{},
+			p: NewPort("victim", macs[0], 1e15), stamps: map[*memoEntry]uint64{}}
+		for n := 2 + int(size)%96; len(c.offers) < n; {
+			c.offers = append(c.offers, c.newOffer())
+		}
+		for tick, op := range ops {
+			if tick > 0 {
+				c.mutate(int(op & 7))
+			}
+			before := c.p.cls.Load()
+			if n := fuzzChanges[op>>3&7]; n < 0 {
+				c.wipe()
+			} else {
+				for ; n > 0; n-- {
+					c.change()
+				}
+			}
+			if op>>6&1 == 1 {
+				c.pass()
+				c.checkStamps("ClassifyHashed")
+			}
+			c.egressFates()
+			c.checkStamps("egress")
+			if op>>7 == 1 {
+				if err := generationFates(before, c.offers); err != nil {
+					t.Fatalf("tick %d, the generation before the rule changes: %v", tick, err)
+				}
+				c.checkStamps("egress on the generation before")
+			}
+		}
+	})
 }

@@ -10,7 +10,7 @@ import (
 
 // ExamplePort_InstallRule installs an Advanced Blackholing drop rule —
 // "discard NTP reflection aimed at the victim /32" — and shows the
-// port compiling it into its classifier.
+// rule the port now holds.
 func ExamplePort_InstallRule() {
 	port := fabric.NewPort("AS64512", netpkt.MustParseMAC("02:00:00:00:00:01"), 1e9)
 

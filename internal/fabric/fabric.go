@@ -72,8 +72,8 @@ type TickStats struct {
 // calls it once per port from the worker that egresses the port, and
 // hands that port's delivered flows to the returned visitor as one batch
 // (nil skips the port). Implementations must be safe to call from
-// concurrent workers; worker is below the runner's Workers(), so
-// per-worker state (e.g. a flowmon shard per worker) is contention-free.
+// concurrent workers; worker is below the runner's Workers(), so state
+// kept per worker is contention-free.
 type TickSink func(worker int, port string) FlowVisitor
 
 // Tick advances the platform by dtSeconds, delivering all offers.

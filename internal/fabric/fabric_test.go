@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 	"unsafe"
 
+	"stellar/internal/hw"
 	"stellar/internal/netpkt"
 )
 
@@ -44,7 +45,8 @@ func TestOfferSize(t *testing.T) {
 
 func TestMatchWildcards(t *testing.T) {
 	f := udpFlow(macPeerA, srcIPA, 123)
-	if !MatchAll().Matches(f) {
+	all := MatchAll()
+	if !all.Matches(f) {
 		t.Fatal("MatchAll must match everything")
 	}
 	m := MatchAll()
@@ -374,21 +376,34 @@ func TestActionStrings(t *testing.T) {
 	}
 }
 
+// BenchmarkClassify times the full lookup a memo miss or a stale stamp
+// runs: a flow no rule matches, so the scan visits every rule. Rules is
+// 1, hw.RTBHUnitN (the paper's 95th-percentile RTBH rule count) and
+// the per-port QoS-policy cap hardware admission allows at that N.
 func BenchmarkClassify(b *testing.B) {
-	p := newVictimPort()
-	for i := 0; i < 16; i++ {
-		m := MatchAll()
-		m.Proto = netpkt.ProtoUDP
-		m.SrcPort = int32(i)
-		_ = p.InstallRule(&Rule{ID: string(rune('a' + i)), Match: m, Action: ActionDrop})
-	}
-	f := udpFlow(macPeerA, srcIPA, 9999) // no match: full scan
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.ClassifyHashed(f, 0)
+	for _, n := range []int{1, hw.RTBHUnitN, hw.DefaultEdgeRouterLimits(1, hw.RTBHUnitN).QoSPoliciesPerPort} {
+		b.Run(fmt.Sprintf("rules=%d", n), func(b *testing.B) {
+			p := newVictimPort()
+			for i := 0; i < n; i++ {
+				m := MatchAll()
+				m.Proto = netpkt.ProtoUDP
+				m.SrcPort = int32(i)
+				if err := p.InstallRule(&Rule{ID: fmt.Sprintf("r%d", i), Match: m, Action: ActionDrop}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			cls := p.cls.Load()
+			f := udpFlow(macPeerA, srcIPA, 9999) // no match: full scan
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				benchVerdict = cls.classify(f)
+			}
+		})
 	}
 }
+
+var benchVerdict *verdict
 
 // benchShapes are one port of the repository benchmark's workloads:
 // a victim port of attack_mitigated (13 500 flows under one drop rule, a

@@ -12,15 +12,16 @@
 // queue — with the port's delivered flows handed to the caller's
 // FlowVisitor as one batch.
 //
-// Classification is line-rate in spirit: rule installs compile the
-// port's rule set into an immutable lookup structure (exact-match port
-// tables, per-field prefix tries, a source-MAC index and a short
-// residual list — see classifier.go) published through an atomic
-// pointer, so the data path runs lock-free with first-match-priority
-// semantics while rule management stays serialized. Fabric.Tick fans
-// the member ports' egress engines across the caller's Runner (a shared
-// Pool; nil runs them inline); results are merged per port and remain
-// deterministic.
+// Classification is line-rate in spirit: each rule change publishes the
+// port's rule set as an immutable classifier generation through an
+// atomic pointer, so the data path runs lock-free with
+// first-match-priority semantics while rule management stays
+// serialized. A port's flow memo answers every flow it has classified
+// before; the rest go through one first-match scan over the rules in
+// install order, which hardware admission bounds at 16N QoS policies
+// per port (see classifier.go). Fabric.Tick fans the member ports'
+// egress engines across the caller's Runner (a shared Pool; nil runs
+// them inline); results are merged per port and remain deterministic.
 package fabric
 
 import (
@@ -57,24 +58,26 @@ type Match struct {
 // MatchAll returns a match with every field wildcarded.
 func MatchAll() Match { return Match{SrcPort: AnyPort, DstPort: AnyPort} }
 
-// Matches reports whether the flow header satisfies the pattern.
-func (m Match) Matches(f *netpkt.FlowKey) bool {
+// Matches reports whether the flow header satisfies the pattern. The
+// integer fields are tested before the prefixes, the cheaper compares
+// first; the result is the same conjunction in any order.
+func (m *Match) Matches(f *netpkt.FlowKey) bool {
 	if m.SrcMAC != nil && f.SrcMAC != *m.SrcMAC {
 		return false
 	}
 	if m.Proto != 0 && f.Proto != m.Proto {
 		return false
 	}
-	if m.SrcIP.IsValid() && !(f.Src.IsValid() && m.SrcIP.Contains(f.Src)) {
-		return false
-	}
-	if m.DstIP.IsValid() && !(f.Dst.IsValid() && m.DstIP.Contains(f.Dst)) {
-		return false
-	}
 	if m.SrcPort != AnyPort && int32(f.SrcPort) != m.SrcPort {
 		return false
 	}
 	if m.DstPort != AnyPort && int32(f.DstPort) != m.DstPort {
+		return false
+	}
+	if m.SrcIP.IsValid() && !(f.Src.IsValid() && m.SrcIP.Contains(f.Src)) {
+		return false
+	}
+	if m.DstIP.IsValid() && !(f.Dst.IsValid() && m.DstIP.Contains(f.Dst)) {
 		return false
 	}
 	return true

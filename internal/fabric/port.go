@@ -2,7 +2,6 @@ package fabric
 
 import (
 	"errors"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -76,8 +75,8 @@ func (t TickResult) OfferedBytes() float64 {
 // Port is one member-facing IXP port with an egress QoS engine.
 //
 // Rule management (InstallRule/RemoveRule) is serialized on an internal
-// mutex and recompiles the rule set into an immutable classifier
-// published through an atomic pointer (see classifier.go). The data
+// mutex and publishes each rule set as an immutable classifier
+// generation through an atomic pointer (see classifier.go). The data
 // path — ClassifyHashed and Egress — reads the current classifier
 // lock-free, so any number of goroutines can classify traffic while
 // rules churn.
@@ -95,12 +94,10 @@ type Port struct {
 	// seq is the last generation published; it only ever grows, so a
 	// verdict stamped by an earlier rule set, with or without rule-free
 	// generations in between, is never taken for the current one. memo
-	// (nil until the port first has rules) and changes are the flow memo
-	// and change log the next generation inherits. All three are guarded
-	// by mu.
-	seq     uint64
-	memo    *flowMemo
-	changes []ruleChange
+	// (nil until the port first has rules) is the flow memo the next
+	// generation inherits. Both are guarded by mu.
+	seq  uint64
+	memo *flowMemo
 }
 
 // Errors from rule management.
@@ -117,7 +114,7 @@ func NewPort(name string, mac netpkt.MAC, capacityBps float64) *Port {
 }
 
 // InstallRule appends a rule to the port's classification order and
-// recompiles the classifier.
+// publishes the next classifier generation.
 func (p *Port) InstallRule(r *Rule) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -136,12 +133,12 @@ func (p *Port) InstallRule(r *Rule) error {
 	rules := make([]*Rule, 0, len(p.rules)+1)
 	rules = append(rules, p.rules...)
 	rules = append(rules, r)
-	p.publish(rules, ruleChange{rule: r, added: true})
+	p.publish(rules)
 	return nil
 }
 
-// RemoveRule uninstalls the rule with the given ID and recompiles the
-// classifier.
+// RemoveRule uninstalls the rule with the given ID and publishes the
+// next classifier generation.
 func (p *Port) RemoveRule(id string) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -150,29 +147,22 @@ func (p *Port) RemoveRule(id string) error {
 			rules := make([]*Rule, 0, len(p.rules)-1)
 			rules = append(rules, p.rules[:i]...)
 			rules = append(rules, p.rules[i+1:]...)
-			p.publish(rules, ruleChange{rule: r})
+			p.publish(rules)
 			return nil
 		}
 	}
 	return ErrNoSuchRule
 }
 
-// publish compiles rules, which differ from the current set by ch, and
-// makes the result the port's classifier. The memo carries over, and ch
-// joins the change log while the memo has verdicts to derive from; a
-// full memo is dropped instead, so the next flows start a fresh one.
-// Callers hold p.mu.
-func (p *Port) publish(rules []*Rule, ch ruleChange) {
+// publish makes rules the port's next classifier generation. The memo
+// carries over, and its entries stamped by older generations are
+// rescanned as they are met; a full memo is dropped instead, so the
+// next flows start a fresh one. Callers hold p.mu.
+func (p *Port) publish(rules []*Rule) {
 	p.seq++
 	p.rules = rules
 	if p.memo != nil && p.memo.len() >= maxMemoEntries {
 		p.memo = nil
-	}
-	if p.memo != nil && p.memo.len() > 0 {
-		keep := p.changes[max(0, len(p.changes)-(maxInheritedChanges-1)):]
-		p.changes = append(slices.Clip(keep), ch)
-	} else {
-		p.changes = nil
 	}
 	if len(rules) == 0 {
 		p.cls.Store(ruleFree)
@@ -182,7 +172,7 @@ func (p *Port) publish(rules []*Rule, ch ruleChange) {
 		p.memo = new(flowMemo)
 	}
 	next := compile(rules, p.seq)
-	next.memo, next.changes = p.memo, p.changes
+	next.memo = p.memo
 	p.cls.Store(next)
 }
 

@@ -47,10 +47,8 @@ const MaxFlowSpecMatches = 64
 // with room for a single pattern per spec also requires len == 1.
 //
 // Each returned Match is exactly what fabric.Port.InstallRule feeds the
-// port's compiled classifier: a pinned port lands the rule in an
-// exact-match table, a prefix component in a prefix trie, so accepted
-// Flowspec rules ride the same lock-free fast path as native Stellar
-// rules.
+// port's classifier, so accepted Flowspec rules ride the same lock-free
+// path as native Stellar rules.
 func FlowSpecToMatches(fs *bgp.FlowSpec) ([]fabric.Match, error) {
 	matches := []fabric.Match{fabric.MatchAll()}
 	expand := func(vals []uint64, set func(*fabric.Match, uint64)) error {
