@@ -144,6 +144,10 @@ type DataPlane interface {
 // Victims generate concurrently and one Source may feed several
 // victims, so AppendOffers must only read the source (a table built on
 // first use goes under a sync.Once, as traffic.WebService's does).
+// Offers point into the source's key table, and a key once offered
+// never changes: a port takes an offer carrying the same pointer as its
+// position's last one for the same flow (fabric.Offer). A source that
+// changes a flow points the offer at a new key.
 type Source interface {
 	AppendOffers(dst []fabric.Offer, tick int, dtSeconds float64) []fabric.Offer
 }

@@ -24,8 +24,9 @@ import (
 // simulations re-offer the same flows tick after tick, in the same
 // order, so after the first tick an egress finds each offer's memo
 // entry at the offer's position in the memo's positional cache and
-// confirms it with one key compare; an offer whose position holds
-// another flow probes a flat open-addressed table keyed by
+// confirms it by the offer's key pointer, without reading the key; an
+// offer whose position holds another pointer probes a flat
+// open-addressed table keyed by
 // netpkt.FlowKey.Hash, as ClassifyHashed always does. The memo belongs to
 // the port and outlives its generations; each entry carries the verdict
 // of the generation that last classified the flow, stamped with that
@@ -37,8 +38,9 @@ import (
 //
 // Flows are passed by pointer from the traffic generator to the flow
 // monitor: a FlowKey is 64 bytes, an Offer points into its producer's
-// flow table, and every lookup reads the key there. Only the memo keeps
-// a key past the call, and it keeps a copy (memo.go).
+// flow table, and a probe or scan reads the key there. The memo keeps a
+// copy of each key it holds, and its positional cache keeps the key
+// pointers of the port's last egress, no longer (memo.go).
 
 // classifier is an immutable generation of a port's rule set.
 type classifier struct {

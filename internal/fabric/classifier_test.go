@@ -4,9 +4,12 @@ import (
 	"fmt"
 	"math/rand"
 	"net/netip"
+	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"stellar/internal/netpkt"
 )
@@ -824,15 +827,14 @@ func TestMemoBound(t *testing.T) {
 }
 
 // TestMemoOwnsItsKeys pins the memo's side of Offer's pointer-lifetime
-// rule. Offers point into a producer's key table, and the producer may
-// rewrite that table in place between ticks (the shipped traffic
-// sources never do, but the contract allows it). The memo keeps its own
-// copy of every key, so on
-// the same classifier generation each verdict follows the key the offer
-// points at now. The rewrite swaps each flow between the drop rule's
-// NTP source port and DNS; the rehashed case then carries each new
-// key's hash, as a producer does, and the stale-hash case keeps the old
-// one, so the old and the new key collide on it.
+// rule. Offers point into a producer's key table, and a producer that
+// changes its flows points its offers at new keys; it never rewrites a
+// key a port may see again. The memo keeps its own copy of every key,
+// so on the same classifier generation each verdict follows the key the
+// offer points at now. The second key table swaps each flow between the
+// drop rule's NTP source port and DNS; the rehashed case then carries
+// each new key's hash, as a producer does, and the stale-hash case keeps
+// the old one, so the old and the new key collide on it.
 func TestMemoOwnsItsKeys(t *testing.T) {
 	for _, rehash := range []bool{true, false} {
 		t.Run(fmt.Sprintf("rehash=%v", rehash), func(t *testing.T) {
@@ -858,12 +860,12 @@ func TestMemoOwnsItsKeys(t *testing.T) {
 				})
 				var wantDropped float64
 				for i := range offers {
-					drop := keys[i].SrcPort == 123
+					drop := offers[i].Flow.SrcPort == 123
 					if drop {
 						wantDropped += offers[i].Bytes
 					}
 					if delivered[&offers[i]] == drop {
-						t.Fatalf("%s: flow %v delivered=%v, want %v", when, keys[i], delivered[&offers[i]], !drop)
+						t.Fatalf("%s: flow %v delivered=%v, want %v", when, *offers[i].Flow, delivered[&offers[i]], !drop)
 					}
 				}
 				if res.RuleDroppedBytes != wantDropped {
@@ -874,23 +876,67 @@ func TestMemoOwnsItsKeys(t *testing.T) {
 			if got := gen.memo.len(); got != n {
 				t.Fatalf("memo holds %d flows after the first egress, want %d", got, n)
 			}
+			swapped := make([]netpkt.FlowKey, n)
 			for i := range keys {
+				swapped[i] = keys[i]
 				if keys[i].SrcPort == 123 {
-					keys[i].SrcPort = 53
+					swapped[i].SrcPort = 53
 				} else {
-					keys[i].SrcPort = 123
+					swapped[i].SrcPort = 123
 				}
+				offers[i].Flow = &swapped[i]
 				if rehash {
-					offers[i].FlowHash = keys[i].Hash()
+					offers[i].FlowHash = swapped[i].Hash()
 				}
 			}
-			egress("after the rewrite")
-			egress("memoized after the rewrite")
+			egress("after the swap")
+			egress("memoized after the swap")
 			if p.cls.Load() != gen {
 				t.Fatal("the classifier generation changed without a rule change")
 			}
 		})
 	}
+}
+
+// TestPositionsReleaseAnOldKeyTable: the positional cache holds the key
+// pointers of a port's last egress, and an egress cuts it to its own
+// offers, so once a producer offers a shorter slice from another key
+// table, the port no longer keeps the first table alive.
+func TestPositionsReleaseAnOldKeyTable(t *testing.T) {
+	p := newVictimPort()
+	if err := p.InstallRule(dropNTPRule()); err != nil {
+		t.Fatal(err)
+	}
+	const n = 64
+	// egressTable egresses flows offers pointing into a fresh key table
+	// of n NTP or DNS flows and returns the table.
+	egressTable := func(flows int, srcPort uint16) *[n]netpkt.FlowKey {
+		tab := new([n]netpkt.FlowKey)
+		offers := make([]Offer, flows)
+		for i := range offers {
+			tab[i] = *udpFlow(macPeerA, netip.AddrFrom4([4]byte{198, 51, 100, byte(i)}), srcPort)
+			offers[i] = Offer{Flow: &tab[i], FlowHash: tab[i].Hash(), Bytes: 1000, Packets: 1}
+		}
+		want := 0.0
+		if srcPort == 123 {
+			want = 1000 * float64(flows)
+		}
+		if res := p.egress(offers, 1, nil); res.RuleDroppedBytes != want {
+			t.Fatalf("dropped %v bytes of %d offers from source port %d, want %v", res.RuleDroppedBytes, flows, srcPort, want)
+		}
+		return tab
+	}
+	var collected atomic.Bool
+	runtime.SetFinalizer(egressTable(n, 123), func(*[n]netpkt.FlowKey) { collected.Store(true) })
+	egressTable(n/8, 53)
+	for deadline := time.Now().Add(10 * time.Second); !collected.Load(); {
+		if time.Now().After(deadline) {
+			t.Fatal("the first key table is still reachable after the port egressed a shorter slice from another")
+		}
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+	runtime.KeepAlive(p) // the port, and with it its memo, stays live
 }
 
 // newOffer draws a flow the trial does not offer yet; half the time the
@@ -917,7 +963,7 @@ const (
 	mutDrop
 	mutInsert
 	mutNewKey
-	mutRewrite
+	mutEdit
 	mutKinds
 )
 
@@ -926,7 +972,8 @@ func (c *churnTrial) reorder() { c.mutate(c.rng.Intn(mutKinds)) }
 
 // mutate changes the offer slice by mutation kind k: it keeps the
 // order, rotates it, drops an offer, inserts a new flow mid-slice,
-// points a position at a new key or rewrites a key in place. Rotating
+// points a position at a new key or at an edited copy of its key (a
+// producer that changes a flow makes a new key; Offer). Rotating
 // and dropping need two offers; with fewer they keep the order, and a
 // kind past the last keeps it too.
 func (c *churnTrial) mutate(k int) {
@@ -946,21 +993,22 @@ func (c *churnTrial) mutate(k int) {
 	case k == mutNewKey:
 		c.offers[c.rng.Intn(len(c.offers))] = c.newOffer()
 		c.cases["point a position at a new key"]++
-	case k == mutRewrite:
+	case k == mutEdit:
 		o := &c.offers[c.rng.Intn(len(c.offers))]
-		*o.Flow = randomFlow(c.rng, c.macs)
+		f := randomFlow(c.rng, c.macs)
+		o.Flow = &f
 		if o.FlowHash != 0 {
-			o.FlowHash = o.Flow.Hash()
+			o.FlowHash = f.Hash()
 		}
-		c.cases["rewrite a key in place"]++
+		c.cases["point a position at an edited copy of its key"]++
 	default:
 		c.cases["keep the order"]++
 	}
 }
 
 // positionalHits counts the offers whose position in the port's memo
-// already holds their key: the ones the next egress resolves without a
-// probe.
+// already holds their key pointer: the ones the next egress resolves
+// without a probe.
 func (c *churnTrial) positionalHits() int {
 	m := c.p.memo
 	if m == nil {
@@ -969,8 +1017,8 @@ func (c *churnTrial) positionalHits() int {
 	m.posMu.Lock()
 	defer m.posMu.Unlock()
 	n := 0
-	for i, e := range m.pos[:min(len(m.pos), len(c.offers))] {
-		if e != nil && e.key == *c.offers[i].Flow {
+	for i, at := range m.pos[:min(len(m.pos), len(c.offers))] {
+		if at.src == c.offers[i].Flow {
 			n++
 		}
 	}
@@ -1013,7 +1061,7 @@ func (c *churnTrial) egressFates() {
 // TestEgressMatchesLinearScanUnderReorder is the differential test of
 // the memo's positional cache: between egress ticks the offers keep
 // their order, rotate, lose an offer, gain a new flow mid-slice, have a
-// position pointed at a new key or a key rewritten in place, across
+// position pointed at a new key or at an edited copy of its key, across
 // random rule changes, and every offer's fate is compared with the
 // linear scan.
 func TestEgressMatchesLinearScanUnderReorder(t *testing.T) {
@@ -1044,13 +1092,13 @@ func TestEgressMatchesLinearScanUnderReorder(t *testing.T) {
 		}
 	}
 	for _, name := range []string{"keep the order", "rotate the offers", "drop one offer",
-		"insert a new flow", "point a position at a new key", "rewrite a key in place"} {
+		"insert a new flow", "point a position at a new key", "point a position at an edited copy of its key"} {
 		if cases[name] < 500 {
 			t.Errorf("generator produced %q only %d times", name, cases[name])
 		}
 	}
 	if hits < 100000 {
-		t.Errorf("only %d offers met their own key in the positional cache", hits)
+		t.Errorf("only %d offers met their own key pointer in the positional cache", hits)
 	}
 }
 
@@ -1083,7 +1131,8 @@ var fuzzChanges = [8]int{0, 0, 1, 1, 2, 3, 11, -1}
 // FuzzPortEgress runs one port's offers (2 + size mod 96 flows to start
 // with) through up to 64 egress ticks, one per op byte. Bits 0-2 mutate
 // the offers before the tick (keep, rotate, drop, insert, point a
-// position at a new key, rewrite a key in place; 6 and 7 keep). Bits
+// position at a new key, point a position at an edited copy of its key;
+// 6 and 7 keep). Bits
 // 3-5 apply none, one, several or eleven random rule changes, or remove
 // every rule and re-add them (fuzzChanges). Bit 6 first classifies every
 // offer through ClassifyHashed, with and without its hash. Then the

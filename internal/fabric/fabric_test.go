@@ -461,8 +461,9 @@ func BenchmarkEgressTick(b *testing.B) {
 
 // BenchmarkEgressTickReordered is the steady-state tick of a producer
 // whose offer order never repeats: ticks alternate between two orders
-// one position apart, so no offer meets its own key in the port's
-// positional cache and each one pays the compare before the memo probe.
+// one position apart, so no offer meets its own key pointer in the
+// port's positional cache and each one pays a pointer compare before
+// the memo probe.
 func BenchmarkEgressTickReordered(b *testing.B) {
 	for _, s := range benchShapes {
 		b.Run(s.name, func(b *testing.B) {

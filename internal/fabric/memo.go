@@ -17,13 +17,15 @@ import (
 // misses what was inserted since and recomputes.
 //
 // In front of the table sits a positional cache: for each of the first
-// maxMemoEntries offer positions of the port's last egress, the entry
-// that offer resolved to. Producers offer the same flows in the same
-// order tick after tick, so an offer whose key equals its position's
-// entry key skips the probe, and with it a random load from the slot
-// array; the cache itself is read in order. Anything else — a first
-// sighting, a reordered or rewritten offer — probes the table and
-// re-learns the position. One egress at a time uses the cache; a
+// maxMemoEntries offer positions of the port's last egress, the key
+// pointer that offer carried and the entry it resolved to. Producers
+// offer the same flows in the same order tick after tick, and never
+// change a key a port may see again (Offer), so an offer that carries
+// its position's pointer is that position's flow: it skips the probe,
+// and with it the key compare and a random load from the slot array;
+// the cache itself is read in order. Anything else — a first sighting,
+// a reordered offer, a position pointed at a new key — probes the table
+// and re-learns the position. One egress at a time uses the cache; a
 // concurrent one probes the table for every offer.
 
 // maxMemoEntries bounds a port's flow memo so adversarial flow
@@ -48,10 +50,9 @@ type verdict struct {
 // immutable; v is the verdict of the generation that last classified
 // the flow, and a newer generation re-stamps it in place. The full key
 // is copied in, not pointed at: an offer's key belongs to its producer,
-// which may rewrite it in place between ticks, so the copy is the
-// authority both when a 64-bit hash collides (a recomputation, never a
-// wrong verdict) and when the key an entry was made from has since
-// changed.
+// which may stop offering it and let it go, so the copy is the
+// authority on the hash path, where a 64-bit hash collision is a
+// recomputation, never a wrong verdict.
 type memoEntry struct {
 	hash uint64
 	key  netpkt.FlowKey
@@ -122,14 +123,22 @@ type flowMemo struct {
 	mu sync.Mutex
 	n  atomic.Int64 // entries in tab; written under mu
 
-	// pos is the positional cache: pos[i] is the entry offer i of the
-	// last egress resolved to, nil where it resolved to none. It holds
-	// nothing but pointers to the memo's own entries, so a stale
-	// position costs one key compare and a probe, never a wrong
-	// verdict, and a full memo the port drops takes its cache along. An
-	// egress holds posMu while it reads and rewrites pos.
+	// pos is the positional cache: pos[i] is the key pointer offer i of
+	// the last egress carried and the entry it resolved to, or zero
+	// where it resolved to none. It holds the producer's pointers and the
+	// memo's own entries, so a stale position costs a probe, never a
+	// wrong verdict, and a full memo the port drops takes its cache
+	// along. An egress holds posMu while it reads and rewrites pos.
 	posMu sync.Mutex
-	pos   []*memoEntry
+	pos   []position
+}
+
+// position is one offer position of the cache: src is the key the offer
+// pointed at, e its entry. A held src keeps its key alive, so a freed
+// key table's address cannot come back under a stale position.
+type position struct {
+	src *netpkt.FlowKey
+	e   *memoEntry
 }
 
 func (m *flowMemo) len() int { return int(m.n.Load()) }

@@ -14,17 +14,19 @@ import (
 //
 // Flow, never nil, points into the producer's flow table instead of
 // carrying the 64-byte key, so an offer is 32 bytes. The producer owns
-// the key: it stays valid and unchanged until the egress of the tick it
-// was offered in returns, and the producer's next AppendOffers may
-// rewrite it in place. Nothing on the data path keeps the pointer past
-// the tick; the flow memo stores its own copy of each key.
+// the key and must not change it while a port may see it again: a port
+// takes an offer that carries the pointer its position carried last
+// tick for the same flow, without reading the key. A producer that
+// changes a flow points the offer at a new key. A port's positional
+// cache keeps the pointers of its last egress until its next one; the
+// flow memo stores its own copy of each key.
 type Offer struct {
 	Flow    *netpkt.FlowKey
 	Bytes   float64
 	Packets float64
 	// FlowHash optionally carries Flow.Hash() computed once by the
 	// traffic generator. Only an offer the port's positional cache
-	// misses (a first sighting, a reordered or rewritten offer) probes
+	// misses (a first sighting, a reordered offer or a new key) probes
 	// the port's flow memo with it. 0 means "not computed"; the
 	// classifier hashes on demand.
 	FlowHash uint64
@@ -261,13 +263,18 @@ func (p *Port) egress(offers []Offer, dtSeconds float64, visit FlowVisitor) (res
 	// Offers within the memo's positional cache resolve through it, the
 	// rest through the hash probe. A rule-free classifier has no memo,
 	// and an egress that finds another holding the cache (two concurrent
-	// ticks of one port) probes every offer.
-	var pos []*memoEntry
+	// ticks of one port) probes every offer. The cache is cut to this
+	// egress's offers, so a port never pins a key table its producer has
+	// stopped offering.
+	var pos []position
 	m := cls.memo
 	cached := len(cls.rules) > 0 && m.posMu.TryLock()
 	if cached {
-		if n := min(len(offers), maxMemoEntries); len(m.pos) < n {
-			m.pos = append(m.pos, make([]*memoEntry, n-len(m.pos))...)
+		if n, k := min(len(offers), maxMemoEntries), len(m.pos); k > n {
+			clear(m.pos[n:])
+			m.pos = m.pos[:n]
+		} else {
+			m.pos = append(m.pos, make([]position, n-k)...)
 		}
 		pos = m.pos
 	}
@@ -279,10 +286,14 @@ func (p *Port) egress(offers []Offer, dtSeconds float64, visit FlowVisitor) (res
 		res.PresentedBytes += bytes
 		var r *Rule
 		if i < len(pos) {
-			if e := pos[i]; e != nil && e.key == *o.Flow {
-				r = cls.resolve(e, o.Flow)
+			if at := &pos[i]; at.src == o.Flow {
+				r = cls.resolve(at.e, o.Flow)
 			} else {
-				r, pos[i] = cls.classifyEntry(o.Flow, o.FlowHash)
+				r, at.e = cls.classifyEntry(o.Flow, o.FlowHash)
+				at.src = nil
+				if at.e != nil {
+					at.src = o.Flow
+				}
 			}
 		} else {
 			r = cls.classifyHashed(o.Flow, o.FlowHash)

@@ -4,10 +4,12 @@ import (
 	"fmt"
 	"math"
 	"net/netip"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
+	"stellar/internal/engine"
 	"stellar/internal/fabric"
 	"stellar/internal/netpkt"
 	"stellar/internal/stats"
@@ -393,5 +395,66 @@ func TestAppendOffersIntoNilAllocatesOnce(t *testing.T) {
 		if got := testing.AllocsPerRun(20, appendTick); got != 1 {
 			t.Errorf("%s.AppendOffers(nil): %v allocations, want 1", name, got)
 		}
+	}
+}
+
+// TestSourcesNeverRewriteAKey pins the producer side of fabric.Offer's
+// pointer-lifetime rule: a port takes an offer that carries the key
+// pointer its position carried last tick without reading the key, so a
+// source must never change a key it has offered. Over 64 ticks of each
+// shipped source (an Attack ramping up, a WebService, a Trace and an
+// engine.Pulsed train around an Attack), every flow is offered at one
+// address, no address ever carries another flow, and the source's key
+// table stays equal to its copy after the first tick.
+func TestSourcesNeverRewriteAKey(t *testing.T) {
+	rng := stats.NewRand(3)
+	peers := MakePeers(24)
+	ramped := NewAttack(VectorNTP, victim, peers, 1e9, 4, 50, rng)
+	ramped.RampTicks = 8
+	pulsed := NewAttack(VectorDNS, victim, peers[8:], 5e8, 0, 1<<30, rng)
+	web := NewWebService(victim, peers[:8], 2e8, rng)
+	rates := make([]float64, 48)
+	for i := range rates {
+		rates[i] = float64(1+i%7) * 1e8
+	}
+	trace := NewTrace(RTBHPortProfile(), victim, peers, rates, 8, rng)
+	for _, tc := range []struct {
+		name string
+		src  engine.Source
+		keys func() []netpkt.FlowKey
+	}{
+		{"Attack", ramped, func() []netpkt.FlowKey { return ramped.flows }},
+		{"WebService", web, func() []netpkt.FlowKey { return web.flows }},
+		{"Trace", trace, func() []netpkt.FlowKey { return trace.flows }},
+		{"Pulsed", &engine.Pulsed{Src: pulsed, OnTicks: 3, OffTicks: 2, StartTick: 1},
+			func() []netpkt.FlowKey { return pulsed.flows }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			addrOf := map[netpkt.FlowKey]*netpkt.FlowKey{}
+			flowAt := map[*netpkt.FlowKey]netpkt.FlowKey{}
+			var first []netpkt.FlowKey
+			var buf []fabric.Offer
+			for tick := 0; tick < 64; tick++ {
+				buf = tc.src.AppendOffers(buf[:0], tick, 1)
+				for _, o := range buf {
+					f := *o.Flow
+					if at, ok := addrOf[f]; ok && at != o.Flow {
+						t.Fatalf("tick %d: flow %v offered at %p, earlier at %p", tick, f, o.Flow, at)
+					}
+					if was, ok := flowAt[o.Flow]; ok && was != f {
+						t.Fatalf("tick %d: the key at %p changed from %v to %v", tick, o.Flow, was, f)
+					}
+					addrOf[f], flowAt[o.Flow] = o.Flow, f
+				}
+				if tick == 0 {
+					first = slices.Clone(tc.keys())
+				} else if !slices.Equal(tc.keys(), first) {
+					t.Fatalf("tick %d: the key table changed since the first tick", tick)
+				}
+			}
+			if len(first) == 0 || len(addrOf) == 0 {
+				t.Fatalf("%d keys in the table, %d flows offered", len(first), len(addrOf))
+			}
+		})
 	}
 }
