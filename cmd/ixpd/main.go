@@ -86,6 +86,9 @@ func parseFlags(args []string) (options, error) {
 		if err != nil {
 			return fmt.Errorf("bad ASN %q", as)
 		}
+		if n == 0 { // reserved (RFC 7607)
+			return fmt.Errorf("ASN 0: want 1..%d", uint32(math.MaxUint32))
+		}
 		p, err := netip.ParsePrefix(pfx)
 		if err != nil {
 			return err
@@ -95,6 +98,9 @@ func parseFlags(args []string) (options, error) {
 	})
 	if err := fs.Parse(args); err != nil {
 		return o, err
+	}
+	if fs.NArg() > 0 {
+		return o, fmt.Errorf("usage: unexpected argument %q; %s takes only flags", fs.Arg(0), fs.Name())
 	}
 	if *asn == 0 || *asn > math.MaxUint32 {
 		return o, fmt.Errorf("-asn %d: want 1..%d", *asn, uint32(math.MaxUint32))

@@ -31,6 +31,8 @@ func TestParseFlags(t *testing.T) {
 		{"-irr 64512:10.0.0.0/8 -irr 64513:2001:db8::/32", ""},
 		{"-irr 64512junk:10.0.0.0/8", `bad ASN "64512junk"`}, // Sscanf("%d") took the 64512
 		{"-irr 4294967296:10.0.0.0/8", "bad ASN"},
+		{"-irr 0:10.0.0.0/8", "want 1..4294967295"},                            // AS 0 is reserved (RFC 7607)
+		{"-asn 64500 stray -open-irr -tick 5s", `unexpected argument "stray"`}, // flags after it were dropped
 		{"-irr 64512", "invalid value"},
 		{"-irr 64512:10.0.0.0", "invalid value"},
 		{"-tick 0s", "positive interval"},

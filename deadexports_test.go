@@ -37,9 +37,6 @@ var deadExportAllow = map[string]string{
 	"internal/routeserver.RouteServer.RejectionCount": "rejection count the ixpd -http endpoint will serve (ROADMAP 2a)",
 	"internal/ixp.IXP.NullRouted":                     "live null routes the ixpd -http endpoint will serve (ROADMAP 2a)",
 	"internal/ixp.IXP.NullRouteCount":                 "null-route count the ixpd -http endpoint will serve (ROADMAP 2a)",
-	"internal/rib.Table.FindByPathID":                 "channel oracle's reference lookup, kept on purpose (ROADMAP 7)",
-	"internal/rib.DiffSnapshots":                      "channel oracle's reference diff, kept on purpose (ROADMAP 7)",
-	"internal/rib.Diff.Empty":                         "channel oracle's reference diff, kept on purpose (ROADMAP 7)",
 	"internal/bgp.UnmarshalFlowSpec":                  "FlowSpec NLRI decoder the SAFI 133 wire path will call (ROADMAP 3)",
 	"internal/bgp.FlowSpec.Marshal":                   "FlowSpec NLRI encoder the SAFI 133 wire path will call (ROADMAP 3)",
 	"internal/fabric.Pool.Workers":                    "worker bound that TickSink's per-worker contract is stated in",

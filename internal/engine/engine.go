@@ -190,9 +190,10 @@ func (e *Engine) Run() ([]VictimSeries, error) {
 	}
 	work := make(chan *batch, depth)
 	// Nothing is folded yet. The fold side advances each monitor's merge
-	// horizon tick by tick from here, and a horizon below the spine
-	// keeps the bins written ahead of it in the monitor's peer window at
-	// any Depth.
+	// horizon tick by tick from here: a horizon below the spine keeps
+	// the bins written ahead of it in the monitor's peer window at any
+	// Depth, and each advance retires the bin leaving the window on the
+	// fold side, off the egress workers' observe path.
 	for _, m := range r.monitors {
 		m.SetMergeHorizon(-1)
 	}
@@ -206,10 +207,10 @@ func (e *Engine) Run() ([]VictimSeries, error) {
 	r.spine(free, work)
 
 	// Stop the fold side. With the pipeline quiesced, lift the monitors'
-	// merge horizons so post-run accessor reads (TopSrcPorts over the
-	// whole series, partial reads after an abort) see every bin's
-	// roll-up; per-peer counts stay readable for the monitor's window of
-	// newest bins only.
+	// merge horizons: per-peer counts stay readable for the monitor's
+	// window of newest bins only, and every bin's roll-up for every
+	// other accessor (TopSrcPorts over the whole series, partial reads
+	// after an abort).
 	close(work)
 	foldWG.Wait()
 	for _, m := range r.monitors {
@@ -406,7 +407,7 @@ func (r *run) traffic(b *batch) {
 }
 
 // egress runs the tick's offers through the data plane, handing each
-// victim port's delivered flows to its monitor shard as one batch.
+// victim port's delivered flows to its monitor as one batch.
 func (r *run) egress(b *batch) error {
 	r.curTick = b.tick
 	reports, err := r.cfg.DataPlane.EgressTick(r.pool, b.offers, r.cfg.Dt, r.sink)
@@ -415,7 +416,7 @@ func (r *run) egress(b *batch) error {
 }
 
 // sink supplies a port's visitor for the tick: a victim's observes the
-// port's batch into its collector's shard under one lock; other ports
+// port's batch into its collector under one lock; other ports
 // are not monitored.
 func (r *run) sink(worker int, port string) fabric.FlowVisitor {
 	if vi, ok := r.victimIndex[port]; ok {
@@ -428,10 +429,12 @@ func (r *run) sink(worker int, port string) fabric.FlowVisitor {
 // active-peer count from its flow monitor under the member set the
 // spine took for the tick. It runs on the fold side, overlapping the
 // next tick's traffic and egress: before reading it moves each
-// collector's merge horizon to the tick being folded, so
-// accessor merges drain only bins the spine finished writing — an
-// in-flight bin is never split into partial flushes, which keeps every
-// bin's float sums bit-identical to a serial run.
+// collector's merge horizon to the tick being folded, which keeps the
+// tick's peers in the collector's window until this read and retires
+// the bin leaving the window here rather than on the egress workers.
+// Every bin's float sums are bit-identical to a serial run whatever
+// the overlap: the collector counts each record into its bin as it
+// arrives.
 func (r *run) monitor(b *batch) {
 	dt := r.cfg.Dt
 	for i, spec := range r.specs {

@@ -14,8 +14,8 @@ import (
 
 // randRecords draws a mixed workload: UDP/TCP/ICMP over v4 and v6,
 // ports from a small pool (so keys collide and accumulate), several
-// source MACs, bins in a window wider than the shard ring (forcing
-// ring rotation), and occasional zero-byte records (which must still
+// source MACs, bins interleaved (so records move between bins of the
+// hot ring), and occasional zero-byte records (which must still
 // materialize their counter entries, as the map baseline does).
 func randRecords(rng *rand.Rand, n, bins int) []record {
 	protos := []netpkt.IPProto{netpkt.ProtoUDP, netpkt.ProtoTCP, netpkt.ProtoICMP}
@@ -62,13 +62,14 @@ type collectorView interface {
 	TopSrcPorts(k int) []PortRank
 }
 
-// compareCollectors checks every accessor of the sharded collector
-// against a reference: the map baseline, or a collector fed serially.
-// tol is the relative tolerance for float comparisons (0 demands exact
-// equality; shard merges re-associate float additions, so multi-flush
-// paths need a tiny tolerance). Peers are counted under anyMAC and
-// evenMAC in turn, so the collector's verdicts change sets between
-// reads.
+// compareCollectors checks every accessor of the collector against a
+// reference: the map baseline, or a collector fed serially. tol is the
+// relative tolerance for float comparisons (0 demands exact equality,
+// which every serial stream meets: each counter sums its records in
+// arrival order; concurrent writers interleave records in no fixed
+// order, so their sums need a tiny tolerance). Peers are counted under
+// anyMAC and evenMAC in turn, so the collector's verdicts change sets
+// between reads.
 func compareCollectors(t *testing.T, want collectorView, got *Collector, tol float64) {
 	t.Helper()
 	compareAccessors(t, want, got, tol, math.MinInt, anyMAC, evenMAC)
@@ -153,28 +154,24 @@ func comparePortMap(t *testing.T, what string, want, got map[uint16]float64, nea
 	}
 }
 
-// TestCollectorEquivalenceSerial pins the sharded collector to the map
-// baseline over a single observation stream.
+// TestCollectorEquivalenceSerial pins the collector to the map baseline
+// over a single observation stream, bit for bit.
 func TestCollectorEquivalenceSerial(t *testing.T) {
 	for trial := 0; trial < 5; trial++ {
 		rng := rand.New(rand.NewSource(int64(100 + trial)))
-		recs := randRecords(rng, 3000, 24) // 24 bins >> ring size: rotation exercised
+		recs := randRecords(rng, 3000, 24) // 24 bins > the hot ring: retirement exercised
 		oldC := NewMapCollector()
 		newC := NewCollectorShards(1)
 		for _, r := range recs {
 			oldC.Observe(r)
 			observe(newC, r)
 		}
-		// Serial streams share association order except across ring
-		// flushes; a tiny relative tolerance absorbs the float
-		// re-association.
-		compareCollectors(t, oldC, newC, 1e-12)
+		compareCollectors(t, oldC, newC, 0)
 	}
 }
 
 // TestCollectorEquivalenceSingleBinExact: with every record in one bin
-// the shard flushes exactly once, so the sharded collector's sums are
-// bit-identical to the baseline's.
+// the collector's sums are bit-identical to the baseline's.
 func TestCollectorEquivalenceSingleBinExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	recs := randRecords(rng, 2000, 1)
@@ -188,8 +185,8 @@ func TestCollectorEquivalenceSingleBinExact(t *testing.T) {
 }
 
 // TestCollectorEquivalenceBatchedShards spreads batches across worker
-// indices, which share the collector's one shard, and checks the merged
-// aggregates still match the baseline.
+// indices, which share the collector's one write handle, and checks the
+// aggregates still match the baseline, bit for bit.
 func TestCollectorEquivalenceBatchedShards(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	recs := randRecords(rng, 4000, 16)
@@ -203,15 +200,15 @@ func TestCollectorEquivalenceBatchedShards(t *testing.T) {
 		}
 		observeFlows(newC.Shard(i/97), recs[i:end])
 	}
-	compareCollectors(t, oldC, newC, 1e-9)
+	compareCollectors(t, oldC, newC, 0)
 }
 
 // TestCollectorEquivalenceOutOfOrderBeyondWindow streams bins mostly in
 // order, as the engine does, but sends a tenth of the records late by up
 // to three peer windows: they land in bins already compacted out of the
-// hot tier, whose roll-ups must still come out equal to the baseline's
-// at every bin (with new keys as well as known ones), while peers are
-// compared only within the window.
+// hot tier, whose roll-ups must still come out equal to the baseline's,
+// bit for bit, at every bin (with new keys as well as known ones),
+// while peers are compared only within the window.
 func TestCollectorEquivalenceOutOfOrderBeyondWindow(t *testing.T) {
 	const bins = 4 * peerWindow
 	for trial := 0; trial < 4; trial++ {
@@ -234,7 +231,7 @@ func TestCollectorEquivalenceOutOfOrderBeyondWindow(t *testing.T) {
 			want.ObserveAll(batch)
 			observeFlows(got.Shard(i/50), batch)
 		}
-		compareCollectors(t, want, got, 1e-9)
+		compareCollectors(t, want, got, 0)
 	}
 }
 
@@ -250,18 +247,18 @@ func lateSpread(recs []record) int {
 }
 
 // TestShardObserveFlowMatchesObserve pins the fabric-facing ObserveFlow
-// entry point to the reference collector's per-record Observe, with
-// bins interleaved so the shard ring rotates.
+// entry point to the reference collector's per-record Observe, bit for
+// bit, with bins interleaved.
 func TestShardObserveFlowMatchesObserve(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	recs := randRecords(rng, 500, 2*ringBins)
+	recs := randRecords(rng, 500, 8)
 	ref := NewMapCollector()
 	c := NewCollectorShards(1)
 	for i, r := range recs {
 		ref.Observe(r)
 		c.Shard(1).ObserveFlow(r.Bin, &recs[i].Key, r.Bytes)
 	}
-	compareCollectors(t, ref, c, 1e-9)
+	compareCollectors(t, ref, c, 0)
 }
 
 // TestShardObserveDeliveredMatchesObserveFlow pins the engine's batch
@@ -270,7 +267,7 @@ func TestShardObserveFlowMatchesObserve(t *testing.T) {
 // counters, bit for bit.
 func TestShardObserveDeliveredMatchesObserveFlow(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	recs := randRecords(rng, 2000, 2*ringBins)
+	recs := randRecords(rng, 2000, 8)
 	sort.SliceStable(recs, func(i, j int) bool { return recs[i].Bin < recs[j].Bin })
 	perFlow, batched := NewCollectorShards(1), NewCollectorShards(1)
 	var batch []fabric.Delivery

@@ -4,36 +4,36 @@
 // (Figure 2c), UDP source-port histograms across blackholing events
 // (Figure 3a) and peer counts (Figures 3c and 10c).
 //
-// A Collector has one Shard accumulator: a bounded ring of in-flight
-// time bins, merged into the long-term store when a bin rotates out or
-// an accessor reads. A bin's port roll-ups are compact open-addressed
-// counter tables; its per-peer bytes are an array indexed by a dense
-// peer id the shard gives each source MAC the first time it sees it.
-// The shard resolves a record's MAC first through the peer id the
-// record at the same position of its previous bin resolved to,
-// confirmed by one MAC compare, then through its MAC -> id table: a
-// port delivers the same flows in the same order tick after tick, so
-// the warm path hashes no peer. The steady-state observe path performs
-// no allocation per record and takes one lock per batch.
+// A Collector counts each record straight into its time bin, under its
+// one lock, taken once per batch. The newest bins live in a hot ring of
+// reusable slots: a bin's port roll-ups are compact open-addressed
+// counter tables, and its per-peer bytes an array indexed by a dense
+// peer id the collector gives each source MAC the first time it sees
+// it. A record's MAC resolves first through the peer id the record at
+// the same position of the previous bin resolved to, confirmed by one
+// MAC compare, then through the MAC -> id table: a port delivers the
+// same flows in the same order tick after tick, so the warm path hashes
+// no peer. The steady-state observe path performs no allocation per
+// record.
 //
-// The long-term store runs in flat memory. Per-peer byte counters — the
-// one per-bin state that grows with the number of senders — are kept
-// for a window of the 16 newest merged bins only, in a ring of reused
-// id-indexed arrays; there PeerCount answers "who is sending now" with
-// a walk over the bin's seen ids. Whether a peer belongs to the member
-// set counted is asked of the set once per peer id and kept until the
-// collector is handed a different set, so a warm count asks nothing.
-// Every bin keeps a compact roll-up of its total, UDP source-port and
+// Per-peer byte counters — the one per-bin state that grows with the
+// number of senders — are kept for a window of the 16 newest bins only;
+// there PeerCount answers "who is sending now" with a walk over the
+// bin's seen ids. A bin leaving the window is retired into a cold tier
+// that keeps a compact roll-up of its total, UDP source-port and
 // destination-port bytes, from which every other accessor answers
-// exactly, at any bin, for as long as the collector runs. The package's tests keep the
-// map-per-record design it replaced as a reference and pin the two to
-// identical accessor results on randomized streams.
+// exactly, at any bin, for as long as the collector runs. Whether a
+// peer belongs to the member set counted is asked of the set once per
+// peer id and kept until the collector is handed a different set, so a
+// warm count asks nothing. The package's tests keep the map-per-record
+// design it replaced as a reference and pin the two to identical
+// accessor results on randomized streams.
 package flowmon
 
 import (
+	"math"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"stellar/internal/netpkt"
 )
@@ -82,69 +82,53 @@ func rankPorts(agg map[uint16]float64, total float64, k int) []PortRank {
 	return ranks
 }
 
-// Collector aggregates records on its shard and merges them into a
-// long-term per-bin store — peers for the newest bins, a roll-up for
-// every bin — when bins rotate out of the shard's ring or when an
-// accessor reads. It is safe for concurrent use: any number of
-// goroutines may observe on its Shard while others read the accessors.
+// Collector aggregates records into per-bin counters — peers for the
+// newest bins, a roll-up for every bin — as they are observed on its
+// Shard. It is safe for concurrent use: any number of goroutines may
+// observe on its Shard while others read the accessors, all under its
+// one lock.
 type Collector struct {
-	sh Shard
-
-	// horizon bounds accessor-triggered merges: shard bins above it stay
-	// in flight (see SetMergeHorizon). Defaults to unbounded.
-	horizon atomic.Int64
-
-	mu sync.Mutex // guards st; always acquired after the shard lock
+	mu sync.Mutex // guards st
 	st store
+	sh Shard
 }
 
 // NewCollectorShards returns an empty collector. A collector has one
-// shard, which every worker index shares (see Shard), so n is ignored.
+// write handle, which every worker index shares (see Shard), so n is
+// ignored.
 func NewCollectorShards(n int) *Collector {
-	c := &Collector{}
-	c.sh = Shard{c: c, ids: make(map[uint64]int32)}
-	c.horizon.Store(int64(^uint64(0) >> 1)) // unbounded
+	c := &Collector{st: store{ids: make(map[uint64]int32), horizon: math.MaxInt}}
+	c.sh.c = c
 	return c
 }
 
-// Shard returns the collector's accumulator, whatever the worker index
-// i: every worker observes into the one shard, under its lock.
+// Shard returns the collector's write handle, whatever the worker index
+// i: every worker observes through the one handle, under the
+// collector's lock.
 func (c *Collector) Shard(i int) *Shard { return &c.sh }
 
-// SetMergeHorizon bounds accessor-triggered merges to bins <= bin:
-// shard bins above the horizon stay in flight instead of being drained
-// mid-accumulation. Readers that overlap writers — the simulation
-// engine's fold side reads tick T's bins while the next tick's egress
-// still streams into bin T+1 — set the horizon to the tick they read,
-// which keeps every bin's counters the sum of one uninterrupted shard
-// accumulation (bit-identical to a serial run) instead of a sum of
-// partial flushes, whose float addition order would differ. Ring
-// rotation on the observe path is unaffected: it only flushes bins the
-// writer has moved past, and a bin it flushes above the horizon keeps
-// its peers until the horizon has passed it (see PeerCount). The
-// horizon may only move forward while observers run; reset it to a
-// large value (or leave it unset) for the read-after-write usage every
-// other caller has.
-func (c *Collector) SetMergeHorizon(bin int) { c.horizon.Store(int64(bin)) }
-
-// merge drains the shard's in-flight bins at or below the merge horizon
-// into the long-term store. Lock order is always shard.mu before c.mu —
-// the same order the shard's own ring-rotation flush uses.
-func (c *Collector) merge() {
-	horizon := c.horizon.Load()
-	s := &c.sh
-	s.mu.Lock()
-	for i := range s.slots {
-		if s.slots[i].used && int64(s.slots[i].bin) <= horizon {
-			s.flush(&s.slots[i])
-		}
-	}
-	s.mu.Unlock()
+// SetMergeHorizon tells the collector that its reader has reached bin:
+// a bin at or above the horizon keeps its peer counters until the
+// horizon reaches it, however far the writer runs ahead (see
+// PeerCount). Readers that overlap writers — the simulation engine's
+// fold side reads tick T's peers while the next tick's egress already
+// streams into bin T+1 — set the horizon to the tick they read. The
+// horizon has no say in float order: records are counted straight into
+// their bin, so a bin's sums are its records' in arrival order whenever
+// it is read. Moving the horizon also retires every bin below the peer
+// window into the roll-up tier, on the reader's goroutine, so the
+// writer finds the next bin's slot already free. Leave the horizon
+// unset (or reset it to a large value) for the read-after-write usage
+// every other caller has.
+func (c *Collector) SetMergeHorizon(bin int) {
+	c.mu.Lock()
+	c.st.horizon = bin
+	c.st.retire()
+	c.mu.Unlock()
 }
 
 // Bins returns the observed bin indices, sorted.
 func (c *Collector) Bins() []int {
-	c.merge()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.st.binsSorted()
@@ -152,7 +136,6 @@ func (c *Collector) Bins() []int {
 
 // TotalBytes returns the bytes observed in bin.
 func (c *Collector) TotalBytes(bin int) float64 {
-	c.merge()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.st.totalBytes(bin)
@@ -161,7 +144,6 @@ func (c *Collector) TotalBytes(bin int) float64 {
 // DstPortShares returns each destination port's share of the bin's
 // bytes — the Figure 2(c) view ("traffic share IXP member [%]").
 func (c *Collector) DstPortShares(bin int) map[uint16]float64 {
-	c.merge()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.st.shares(bin, kindDst)
@@ -170,7 +152,6 @@ func (c *Collector) DstPortShares(bin int) map[uint16]float64 {
 // SrcPortShares returns each UDP source port's share of the bin's bytes
 // — the Figure 3(a) view.
 func (c *Collector) SrcPortShares(bin int) map[uint16]float64 {
-	c.merge()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.st.shares(bin, kindSrc)
@@ -180,7 +161,6 @@ func (c *Collector) SrcPortShares(bin int) map[uint16]float64 {
 // per-class accounting of the Section 5.2 lab validation (drop vs shape
 // queue classes are keyed by UDP source port).
 func (c *Collector) SrcPortBytes(bin int, port uint16) float64 {
-	c.merge()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.st.srcPortBytes(bin, port)
@@ -201,16 +181,15 @@ type Members interface {
 // in the bin exceed minBytes — the "#peers" series of Figures
 // 3(c)/10(c), where the scenario engine counts only MACs registered to
 // IXP members. A nil m counts every source. Peers are kept for a window
-// of the 16 newest merged bins — counted back from the merge horizon
-// instead while it lags the newest bin, so a bin written ahead of a
-// lagging reader keeps its peers until read. For a bin outside the
-// window PeerCount returns 0, the same as for an unobserved bin; the
-// bin's other accessors still answer.
+// of the 16 newest observed bins, stretched back to the merge horizon
+// while it lags further, so a bin written ahead of a lagging reader
+// keeps its peers until read. For a bin outside the window PeerCount
+// returns 0, the same as for an unobserved bin; the bin's other
+// accessors still answer.
 func (c *Collector) PeerCount(bin int, minBytes float64, m Members) int {
-	c.merge()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.st.peerCount(bin, minBytes, m, c.horizon.Load())
+	return c.st.peerCount(bin, minBytes, m)
 }
 
 // PeerCountFunc is PeerCount with the set given as a predicate. Each
@@ -231,7 +210,6 @@ func (s *funcSet) Has(mac netpkt.MAC) bool { return s.keep(mac) }
 // iteration order: equal-volume ports tie-break toward the lower port.
 // A k below 0 counts as 0.
 func (c *Collector) TopSrcPorts(k int) []PortRank {
-	c.merge()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.st.topSrcPorts(k)

@@ -193,12 +193,12 @@ func TestTopSrcPortsNegativeK(t *testing.T) {
 }
 
 // TestShardAnyIndex: every worker index, the extremes whose negation
-// overflows included, maps to the collector's one shard.
+// overflows included, maps to the collector's one write handle.
 func TestShardAnyIndex(t *testing.T) {
 	c := NewCollectorShards(1)
 	for _, i := range []int{math.MinInt, -1, 0, 1, math.MaxInt} {
 		if sh := c.Shard(i); sh == nil || sh != c.Shard(0) {
-			t.Fatalf("Shard(%d) is not the collector's shard", i)
+			t.Fatalf("Shard(%d) is not the collector's write handle", i)
 		}
 	}
 }

@@ -10,10 +10,11 @@ import (
 
 // TestMergeHorizonUnderConcurrentPoolObservers reproduces the engine's
 // spine/fold overlap on the collector alone: pool workers observe one
-// tick's records concurrently into the collector's shard, while a fold
-// goroutine, lagging a couple of ticks behind the writers, advances the
-// merge horizon and reads the accessors — the merge path and the
-// observe path overlap the whole run. Under -race
+// tick's records concurrently through the collector's write handle,
+// while a fold goroutine, lagging a couple of ticks behind the writers,
+// advances the merge horizon (retiring old bins) and reads the
+// accessors — the retire path and the observe path overlap the whole
+// run. Under -race
 // this pins the locking; the final comparison against the MapCollector
 // baseline pins the aggregates. Byte sums here are integral, so the
 // nondeterministic batch placement cannot smear the totals past the
@@ -64,7 +65,7 @@ func TestMergeHorizonUnderConcurrentPoolObservers(t *testing.T) {
 				observeFlows(c.Shard(w), recs[lo:hi])
 			})
 			// The tick's writers are done; hand the lagged tick to the
-			// fold goroutine, which merges it while the next tick's
+			// fold goroutine, which reads it while the next tick's
 			// writers are already observing — the engine overlap.
 			if tk >= lag {
 				folded <- tk - lag

@@ -1,6 +1,7 @@
 package flowmon
 
 import (
+	"math/rand"
 	"net/netip"
 	"testing"
 
@@ -18,38 +19,60 @@ func horizonKey(i int) *netpkt.FlowKey {
 	}
 }
 
-// TestMergeHorizonBoundsAccessorMerges: bins above the horizon stay in
-// flight — accessors neither see them nor split their accumulation —
-// until the horizon advances past them.
+// TestMergeHorizonBoundsAccessorMerges: a bin above the horizon keeps
+// its peers, however far the writer runs ahead, until the horizon
+// reaches it and its read is done; and a bin written while an older bin
+// is read sums bit for bit as in a collector nobody read.
 func TestMergeHorizonBoundsAccessorMerges(t *testing.T) {
 	c := NewCollectorShards(1)
 	for bin := 0; bin < 3; bin++ {
 		c.Shard(bin%2).ObserveFlow(bin, horizonKey(bin), float64(100*(bin+1)))
 	}
-
 	c.SetMergeHorizon(1)
-	if got := c.Bins(); len(got) != 2 || got[0] != 0 || got[1] != 1 {
-		t.Fatalf("bins at horizon 1: %v, want [0 1]", got)
-	}
-	if got := c.TotalBytes(2); got != 0 {
-		t.Fatalf("bin 2 visible above the horizon: %v bytes", got)
-	}
-	// The in-flight bin keeps accumulating while below-horizon reads
-	// proceed; the horizon guarantees its eventual flush is one piece.
 	c.Shard(0).ObserveFlow(2, horizonKey(7), 50)
-
-	c.SetMergeHorizon(2)
+	for bin := 3; bin < 3+3*peerWindow; bin++ { // the writer runs ahead
+		c.Shard(0).ObserveFlow(bin, horizonKey(bin), 1)
+	}
 	if got := c.TotalBytes(2); got != 350 {
-		t.Fatalf("bin 2 after horizon advance: %v bytes, want 350", got)
+		t.Fatalf("bin 2 above the horizon: %v bytes, want 350", got)
 	}
+	c.SetMergeHorizon(2)
 	if got := c.PeerCount(2, 0, anyMAC); got != 2 {
-		t.Fatalf("bin 2 peers: %d, want 2", got)
+		t.Fatalf("bin 2 peers at its read: %d, want 2", got)
 	}
+	c.SetMergeHorizon(3)
+	if got := c.PeerCount(2, 0, anyMAC); got != 0 {
+		t.Fatalf("bin 2 peers once the horizon passed it: %d, want 0", got)
+	}
+	if got := c.TotalBytes(2); got != 350 {
+		t.Fatalf("bin 2 roll-up once the horizon passed it: %v bytes, want 350", got)
+	}
+
+	// Bin T+1 is written in pieces while bin T is read at horizon T;
+	// its sums must equal those of a collector nobody read, bit for bit.
+	const T = 5
+	read, unread := NewCollectorShards(1), NewCollectorShards(1)
+	rng := rand.New(rand.NewSource(3))
+	recs := randRecords(rng, 600, 2)
+	for i := range recs {
+		recs[i].Bin = T + recs[i].Bin
+		recs[i].Bytes = rng.Float64() * 1500
+	}
+	for i := 0; i < len(recs); i += 40 {
+		part := recs[i:min(i+40, len(recs))]
+		observeFlows(read.Shard(0), part)
+		observeFlows(unread.Shard(0), part)
+		read.SetMergeHorizon(T)
+		read.PeerCount(T, 0, anyMAC)
+		read.TotalBytes(T + 1)
+		read.SrcPortShares(T + 1)
+	}
+	unread.SetMergeHorizon(T)
+	compareCollectors(t, unread, read, 0)
 }
 
-// TestMergeHorizonDefaultUnbounded: without SetMergeHorizon the
-// collector behaves exactly as before — every accessor read drains all
-// in-flight bins.
+// TestMergeHorizonDefaultUnbounded: without SetMergeHorizon every
+// accessor sees a bin as soon as it is observed.
 func TestMergeHorizonDefaultUnbounded(t *testing.T) {
 	c := NewCollectorShards(1)
 	c.Shard(0).ObserveFlow(41, horizonKey(1), 10)
@@ -58,22 +81,31 @@ func TestMergeHorizonDefaultUnbounded(t *testing.T) {
 	}
 }
 
-// TestMergeHorizonRingRotationUnaffected: the observe path still
-// flushes a slot whose bin the writer moved past, even above the
-// horizon, so a long-running writer never wedges on a stale slot.
-func TestMergeHorizonRingRotationUnaffected(t *testing.T) {
+// TestHorizonRetiresAheadOfWriter runs the engine's sequence — the
+// spine observes bin T+1, then the fold moves the horizon to T and
+// counts T's peers — and requires bin T+2's slot of the hot ring to be
+// free before the writer reaches it: retiring the bin that left the
+// peer window is the horizon's work, off the observe path.
+func TestHorizonRetiresAheadOfWriter(t *testing.T) {
 	c := NewCollectorShards(1)
-	c.SetMergeHorizon(-1) // nothing mergeable by accessors
 	sh := c.Shard(0)
-	// Bins 0..4 on one shard: bin 4 reuses bin 0's ring slot, forcing a
-	// rotation flush of bin 0 into the store despite the horizon.
-	for bin := 0; bin < 5; bin++ {
-		sh.ObserveFlow(bin, horizonKey(bin), 100)
-	}
-	c.mu.Lock()
-	flushedBin0 := c.st.totalBytes(0) == 100
-	c.mu.Unlock()
-	if !flushedBin0 {
-		t.Fatal("ring rotation no longer flushes past-horizon bins")
+	c.SetMergeHorizon(-1)
+	observeBin(sh, 0, 8)
+	for tick := 0; tick < 4*peerWindow; tick++ {
+		observeBin(sh, tick+1, 8)
+		c.SetMergeHorizon(tick)
+		if got := c.PeerCount(tick, 0, anyMAC); got != 8 {
+			t.Fatalf("tick %d: %d peers, want 8", tick, got)
+		}
+		if held := PeerDetailBins(c); held > peerWindow {
+			t.Fatalf("tick %d: %d bins hold peer detail, want <= %d", tick, held, peerWindow)
+		}
+		c.mu.Lock()
+		next := c.st.at(tick + 2)
+		taken, holder := next.used, next.bin
+		c.mu.Unlock()
+		if taken {
+			t.Fatalf("tick %d: bin %d's slot still holds bin %d", tick, tick+2, holder)
+		}
 	}
 }

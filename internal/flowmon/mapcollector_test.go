@@ -24,8 +24,8 @@ func observeFlows(sh *Shard, recs []record) {
 
 // MapCollector is the reference implementation the equivalence tests
 // pin Collector to: four map operations per record into a map per bin
-// that keeps every bin's peers forever, no sharding, not safe for
-// concurrent use — the design the sharded, two-tier pipeline replaced.
+// that keeps every bin's peers forever, not safe for concurrent use —
+// the design the two-tier collector replaced.
 type MapCollector struct {
 	bins map[int]*binAgg
 }

@@ -121,16 +121,17 @@ func (p *positionFlows) batch(tick int) ([]fabric.Delivery, []record) {
 }
 
 // positionProbe counts, before a batch for a new bin is observed (its
-// positions start at 0), the positions the shard's cache will take as
+// positions start at 0), the positions the store's cache will take as
 // hits and the ones whose cached id the MAC compare will reject.
 func positionProbe(s *Shard, d []fabric.Delivery) (hits, stale int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.c.mu.Lock()
+	defer s.c.mu.Unlock()
+	st := &s.c.st
 	for i := range d {
-		if i >= len(s.pos) || s.pos[i] < 0 {
+		if i >= len(st.pos) || st.pos[i] < 0 {
 			continue
 		}
-		if s.macs[s.pos[i]] == d[i].Offer.Flow.SrcMAC {
+		if st.macs[st.pos[i]] == d[i].Offer.Flow.SrcMAC {
 			hits++
 		} else {
 			stale++
@@ -142,8 +143,9 @@ func positionProbe(s *Shard, d []fabric.Delivery) (hits, stale int) {
 // TestObserveDeliveredPositionMatchesMapCollector drives the positional
 // cache through every way a port's deliveries change between ticks and
 // pins each tick's accessors, peer counts under both filters included,
-// to the reference collector bit for bit: one shard flushes each bin
-// once, so sums keep the reference's order. A cached position taken
+// to the reference collector bit for bit: each record is counted into
+// its bin as it arrives, so sums keep the reference's order. A cached
+// position taken
 // without its MAC compare would count a rewritten flow's bytes on the
 // peer it sent from before.
 func TestObserveDeliveredPositionMatchesMapCollector(t *testing.T) {
@@ -180,8 +182,7 @@ func TestObserveDeliveredPositionMatchesMapCollector(t *testing.T) {
 
 // TestObserveDeliveredCachedWarmAllocs pins the engine's monitor path
 // once warm: a port's batch resolved entirely from the positional
-// cache, with ring rotation flushing into the store's hot bins,
-// allocates nothing.
+// cache, revisiting bins the hot ring holds, allocates nothing.
 func TestObserveDeliveredCachedWarmAllocs(t *testing.T) {
 	flows := newPositionFlows(5, 300)
 	d, _ := flows.batch(0)
@@ -189,10 +190,10 @@ func TestObserveDeliveredCachedWarmAllocs(t *testing.T) {
 	sh := c.Shard(0)
 	bin := 0
 	step := func() {
-		sh.ObserveDelivered(bin%(2*ringBins), d) // revisits bins: flushes land in hot bins
+		sh.ObserveDelivered(bin%8, d) // revisits bins the hot ring holds
 		bin++
 	}
-	for bin < 4*ringBins {
+	for bin < 16 {
 		step()
 	}
 	if hits, _ := positionProbe(sh, d); hits != len(d) {

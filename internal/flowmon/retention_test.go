@@ -81,7 +81,7 @@ func TestCollectorRetention(t *testing.T) {
 	sh.ObserveFlow(bin, &late, 777)
 	late.SrcPort = 19
 	sh.ObserveFlow(bin, &late, 55)
-	total += 777 + 55 // the two late records reach the store as one flush
+	total += 777 + 55
 	from123 += 777
 	if got := c.TotalBytes(bin); got != total {
 		t.Fatalf("late record: TotalBytes %v, want %v", got, total)
@@ -101,9 +101,9 @@ func TestCollectorRetention(t *testing.T) {
 }
 
 // TestCollectorRetentionWarmMergeAllocs: once the hot ring is warm, a
-// new bin's merge — which compacts the bin leaving the window — plus
-// the fold's PeerCount read under an unchanged member set reuse the
-// ring's tables and the set's verdicts. Only the cold tier's amortized
+// new bin's observation, the horizon advance — which compacts the bin
+// leaving the window — and the fold's PeerCount read under an unchanged
+// member set reuse the ring's tables and the set's verdicts. Only the cold tier's amortized
 // growth allocates, which rounds to 0 per bin, so a peer table per bin
 // would show up here as at least one allocation.
 func TestCollectorRetentionWarmMergeAllocs(t *testing.T) {
@@ -124,6 +124,6 @@ func TestCollectorRetentionWarmMergeAllocs(t *testing.T) {
 		step()
 	}
 	if allocs := testing.AllocsPerRun(2000, step); allocs != 0 {
-		t.Fatalf("warm merge + PeerCount: %v allocations per bin, want 0", allocs)
+		t.Fatalf("warm observe + horizon + PeerCount: %v allocations per bin, want 0", allocs)
 	}
 }

@@ -9,45 +9,63 @@ import (
 	"stellar/internal/netpkt"
 )
 
-// peerWindow is W, the number of newest merged bins that keep per-peer
-// byte counters. The one reader of peer detail during a run is the
-// engine's fold, which reads a bin's peers once, right after the merge
-// horizon reaches it; every other accessor reads the roll-up, which
-// every bin keeps. Sixteen bins cover that read with room for the
-// shard ring (ringBins) and a pipeline a few ticks deep without the
-// window ever growing, and leave post-run readers the last 16 ticks of
-// a run, while a collector holds at most 16 peer arrays however long
-// it runs. It must be a power of two (the hot ring masks by it).
+// peerWindow is W, the number of newest observed bins that keep
+// per-peer byte counters. The one reader of peer detail during a run is
+// the engine's fold, which reads a bin's peers once, right after the
+// merge horizon reaches it; every other accessor reads the roll-up,
+// which every bin keeps. Sixteen bins cover that read with room for a
+// pipeline a few ticks deep and leave post-run readers the last 16
+// ticks of a run. The hot ring has one slot more than the window, so
+// the writer's next bin finds a slot the horizon has already retired;
+// it grows only while a horizon lags the writer by more than the
+// window.
 const peerWindow = 16
 
-// Roll-up keys: a roll-up counter's kind sits above its 16-bit port, so
-// sorted by key a bin's UDP source ports come first, then its
-// destination ports.
+// Roll-up keys of the cold tier: a roll-up counter's kind sits above
+// its 16-bit port, so sorted by key a bin's UDP source ports come
+// first, then its destination ports.
 const (
 	kindSrc  = 0 << 16 // UDP source port -> bytes
 	kindDst  = 1 << 16 // any-proto destination port -> bytes
 	kindMask = 1 << 16
 )
 
-// store is the collector's long-term per-bin state, in two tiers behind
-// addFrom. The hot tier is a ring of reusable bins, indexed by bin
-// modulo its length, that keeps the newest bins' roll-ups in counter
-// tables and their per-peer counters in arrays indexed by peer id. A
-// bin leaving the ring is compacted into the cold tier: its total and
-// one sorted run of (roll-up key, bytes) in a shared arena. Peer detail is dropped at that point, and a late
-// record for a cold bin updates its roll-up only.
+// store is the collector's per-bin state, in two tiers. The hot tier is
+// a ring of reusable bins, indexed by bin modulo its length, that
+// counts each record as it arrives: the bin's total, its source- and
+// destination-port roll-ups in two counter tables and its per-peer
+// bytes in an array indexed by a dense peer id. A bin leaving the peer
+// window is retired into the cold tier: its total and one sorted run of
+// (roll-up key, bytes) in a shared arena. Peer detail is dropped at
+// that point, and a late record for a cold bin updates its roll-up
+// only.
 //
 // Every accessor except the peer counts reads the roll-up, whichever
-// tier holds it, and each roll-up counter is the sum of the same flushes
-// in the same order as a map per bin would hold, so those results do
-// not depend on the tier.
+// tier holds it, and each roll-up counter is the sum of its records in
+// arrival order, as a map per bin would hold, so those results do not
+// depend on the tier.
 type store struct {
-	hot    []hotBin  // bin b at hot[b&(len(hot)-1)]; len a power of two >= peerWindow
-	cold   []coldBin // sorted by bin
-	arena  []rollEntry
-	newest int // highest merged bin, once any is merged
-	any    bool
-	macs   []netpkt.MAC // peer id -> MAC, set by each flush
+	hot     []hotBin  // bin b at hot[b mod len(hot)]; len(hot) > peerWindow
+	cold    []coldBin // sorted by bin
+	arena   []rollEntry
+	newest  int // highest observed bin, once any is observed
+	any     bool
+	horizon int // see Collector.SetMergeHorizon
+
+	// ids numbers the packed source MACs densely, in the order the
+	// store first sees them; macs is its inverse, indexed by id.
+	ids  map[uint64]int32
+	macs []netpkt.MAC
+	// pos[i] is the peer id the record at position i of the previous
+	// bin resolved to, -1 while none has. Positions count the records
+	// observed into one bin, from 0, and restart when a record arrives
+	// for another bin than the record before it (posBin); posNext is
+	// the next record's position. A port delivers the same flows in the
+	// same order tick after tick, so a position whose MAC still matches
+	// macs[pos[i]] skips the table lookup.
+	pos     []int32
+	posBin  int
+	posNext int
 
 	// set is the member set PeerCount last counted under, and
 	// verdicts[id] its answer for peer id (unjudged until PeerCount
@@ -69,11 +87,20 @@ const (
 // hotBin is one slot of the hot ring; its tables and arrays keep their
 // capacity when the slot passes to a newer bin.
 type hotBin struct {
-	used  bool
-	bin   int
-	total float64
-	ports counterTable // roll-up key -> bytes
-	peers peerBytes    // peer id -> bytes
+	used    bool
+	bin     int
+	total   float64
+	srcPort counterTable // UDP source port -> bytes
+	dstPort counterTable // any-proto destination port -> bytes
+	peers   peerBytes    // peer id -> bytes
+}
+
+// table returns the hot bin's roll-up table of one kind.
+func (h *hotBin) table(kind uint32) *counterTable {
+	if kind == kindSrc {
+		return &h.srcPort
+	}
+	return &h.dstPort
 }
 
 // coldBin is a compacted bin: its roll-up is arena[off : off+n], sorted
@@ -91,50 +118,24 @@ type rollEntry struct {
 
 func byKey(a, b rollEntry) int { return cmp.Compare(a.key, b.key) }
 
-// peerFloor is the oldest bin whose peer counters are kept: W bins back
-// from the newest merged bin or, while a merge horizon holds reads back
-// below it, from the horizon, so a bin above the horizon — written but
-// not read yet — never loses its peers before it is read.
-func (st *store) peerFloor(horizon int64) int {
-	top := st.newest
-	if horizon < int64(top) {
-		top = int(horizon)
-	}
-	if top < math.MinInt+peerWindow {
+// peerFloor is the oldest bin whose peer counters are kept: the W
+// newest observed bins, but never above the merge horizon, so a bin
+// above the horizon — written but not read yet — never loses its peers
+// before it is read.
+func (st *store) peerFloor() int {
+	if st.newest < math.MinInt+peerWindow {
 		return math.MinInt
 	}
-	return top - peerWindow + 1
+	return min(st.newest-peerWindow+1, st.horizon)
 }
 
-// addFrom folds a shard bin into the store: into its hot slot, into its
-// cold roll-up, or — for a bin not merged before — into a hot slot
-// taken from the oldest bin, which is compacted first. Work here is per
-// distinct key per flush, not per record; the steady state allocates
-// only the amortized growth of the cold tier.
-func (st *store) addFrom(b *shardBin, horizon int64) {
-	if h := st.hotBin(b.bin); h != nil {
-		h.add(b)
-		return
+// at returns bin's slot of the hot ring, whichever bin holds it.
+func (st *store) at(bin int) *hotBin {
+	i := bin % len(st.hot)
+	if i < 0 {
+		i += len(st.hot)
 	}
-	if i, ok := st.findCold(b.bin); ok {
-		st.addCold(i, b)
-		return
-	}
-	if !st.any || b.bin > st.newest {
-		st.newest, st.any = b.bin, true
-	}
-	floor := st.peerFloor(horizon)
-	if b.bin < floor { // too old for peer detail
-		st.addCold(st.insertCold(coldBin{bin: b.bin, off: len(st.arena)}), b)
-		return
-	}
-	st.fit(floor)
-	h := &st.hot[b.bin&(len(st.hot)-1)]
-	if h.used {
-		st.compact(h) // below floor: fit keeps [floor, newest] collision-free
-	}
-	h.used, h.bin = true, b.bin
-	h.add(b)
+	return &st.hot[i]
 }
 
 // hotBin returns bin's hot slot, nil when the hot tier does not hold it.
@@ -142,10 +143,93 @@ func (st *store) hotBin(bin int) *hotBin {
 	if len(st.hot) == 0 {
 		return nil
 	}
-	if h := &st.hot[bin&(len(st.hot)-1)]; h.used && h.bin == bin {
+	if h := st.at(bin); h.used && h.bin == bin {
 		return h
 	}
 	return nil
+}
+
+// slot returns the hot bin that counts bin's records, taking a slot for
+// a bin not observed before, or nil when the cold tier holds bin. A
+// slot still held by a bin below the peer floor is retired here only
+// when no merge horizon retired it first (see retire). A taken slot
+// sizes its peer arrays once, to the ids the previous bin saw.
+func (st *store) slot(bin int) *hotBin {
+	if h := st.hotBin(bin); h != nil {
+		return h
+	}
+	if _, ok := st.findCold(bin); ok {
+		return nil
+	}
+	peers := 0
+	if prev := st.hotBin(st.newest); prev != nil {
+		peers = prev.peers.span()
+	}
+	if !st.any || bin > st.newest {
+		st.newest, st.any = bin, true
+	}
+	floor := st.peerFloor()
+	if bin < floor { // too old for peer detail
+		st.insertCold(coldBin{bin: bin, off: len(st.arena)})
+		return nil
+	}
+	st.fit(floor)
+	h := st.at(bin)
+	if h.used {
+		st.compact(h) // below floor: fit keeps [floor, newest] collision-free
+	}
+	h.used, h.bin = true, bin
+	if peers > len(h.peers.bytes) {
+		h.peers.grow(peers)
+	}
+	return h
+}
+
+// add counts the record at position i of bin into h, or into bin's cold
+// roll-up when h is nil. Callers hold the collector's lock.
+func (st *store) add(h *hotBin, bin, i int, key *netpkt.FlowKey, bytes float64) {
+	if h == nil {
+		st.addCold(bin, key, bytes)
+		return
+	}
+	id := st.pos[i]
+	if id < 0 || st.macs[id] != key.SrcMAC {
+		id = st.resolve(key.SrcMAC)
+		st.pos[i] = id
+	}
+	h.total += bytes
+	h.dstPort.add(uint64(key.DstPort), bytes)
+	if key.Proto == netpkt.ProtoUDP {
+		h.srcPort.add(uint64(key.SrcPort), bytes)
+	}
+	h.peers.add(id, bytes)
+}
+
+// cursor reserves the positions of the next n records of bin and
+// returns the first.
+func (st *store) cursor(bin, n int) int {
+	if bin != st.posBin {
+		st.posBin, st.posNext = bin, 0
+	}
+	i := st.posNext
+	st.posNext += n
+	for len(st.pos) < st.posNext {
+		st.pos = append(st.pos, -1)
+	}
+	return i
+}
+
+// resolve returns mac's peer id, giving a MAC the store has not seen
+// the next one.
+func (st *store) resolve(mac netpkt.MAC) int32 {
+	k := mac.Key()
+	id, ok := st.ids[k]
+	if !ok {
+		id = int32(len(st.macs))
+		st.ids[k] = id
+		st.macs = append(st.macs, mac)
+	}
+	return id
 }
 
 // fit grows the hot ring until every bin in [floor, newest] has a slot
@@ -158,7 +242,7 @@ func (st *store) fit(floor int) {
 	if span <= len(st.hot) {
 		return
 	}
-	n := max(len(st.hot), peerWindow)
+	n := max(len(st.hot), peerWindow+1)
 	for n < span {
 		n *= 2
 	}
@@ -170,28 +254,18 @@ func (st *store) fit(floor int) {
 		case h.bin < floor:
 			st.compact(h)
 		default:
-			st.hot[h.bin&(n-1)] = *h
+			*st.at(h.bin) = *h
 		}
 	}
 }
 
-func (h *hotBin) add(b *shardBin) {
-	h.total += b.total
-	b.eachRollup(h.ports.add)
-	h.peers.addFrom(&b.peers)
-}
-
-// eachRollup calls fn for each of the shard bin's roll-up counters,
-// keyed as in the store.
-func (b *shardBin) eachRollup(fn func(key uint64, bytes float64)) {
-	for i := range b.dstPort.entries {
-		if e := &b.dstPort.entries[i]; e.used() {
-			fn(kindDst|e.key(), e.val)
-		}
-	}
-	for i := range b.srcPort.entries {
-		if e := &b.srcPort.entries[i]; e.used() {
-			fn(kindSrc|e.key(), e.val)
+// retire compacts every hot bin below the peer floor, so the slots the
+// writer takes next are free before it reaches them.
+func (st *store) retire() {
+	floor := st.peerFloor()
+	for i := range st.hot {
+		if h := &st.hot[i]; h.used && h.bin < floor {
+			st.compact(h)
 		}
 	}
 }
@@ -200,16 +274,20 @@ func (b *shardBin) eachRollup(fn func(key uint64, bytes float64)) {
 // slot, keeping the slot's table capacity.
 func (st *store) compact(h *hotBin) {
 	off := len(st.arena)
-	for i := range h.ports.entries {
-		if e := &h.ports.entries[i]; e.used() {
-			st.arena = append(st.arena, rollEntry{uint32(e.key()), e.val})
+	for _, kind := range [...]uint32{kindSrc, kindDst} {
+		t := h.table(kind)
+		for i := range t.entries {
+			if e := &t.entries[i]; e.used() {
+				st.arena = append(st.arena, rollEntry{kind | uint32(e.key()), e.val})
+			}
 		}
 	}
 	slices.SortFunc(st.arena[off:], byKey)
 	st.insertCold(coldBin{bin: h.bin, total: h.total, off: off, n: len(st.arena) - off})
 	h.used = false
 	h.total = 0
-	h.ports.reset()
+	h.srcPort.reset()
+	h.dstPort.reset()
 	h.peers.reset()
 }
 
@@ -230,43 +308,46 @@ func (st *store) insertCold(c coldBin) int {
 	return i
 }
 
-// addCold folds a shard bin into cold bin i's roll-up. A key the run
-// already holds is added in place; new keys move the run, merged and
-// re-sorted, to the end of the arena (the old run is left as a hole —
-// this is the late-record path).
-func (st *store) addCold(i int, b *shardBin) {
+// addCold counts a late record into cold bin's roll-up. A key the run
+// already holds is added in place; a new key is inserted in order,
+// after the run moves to the end of the arena unless it is there
+// already (the old run is left as a hole — this is the late-record
+// path).
+func (st *store) addCold(bin int, key *netpkt.FlowKey, bytes float64) {
+	i, _ := st.findCold(bin)
 	c := &st.cold[i]
-	c.total += b.total
-	var add []rollEntry
-	b.eachRollup(func(key uint64, bytes float64) { add = append(add, rollEntry{uint32(key), bytes}) })
-	run := st.arena[c.off : c.off+c.n]
-	fresh := add[:0] // keys the run lacks, compacted in place
-	for _, e := range add {
-		if j, ok := slices.BinarySearchFunc(run, e, byKey); ok {
-			run[j].bytes += e.bytes
-		} else {
-			fresh = append(fresh, e)
-		}
+	c.total += bytes
+	st.addRun(c, kindDst|uint32(key.DstPort), bytes)
+	if key.Proto == netpkt.ProtoUDP {
+		st.addRun(c, kindSrc|uint32(key.SrcPort), bytes)
 	}
-	if len(fresh) == 0 {
+}
+
+func (st *store) addRun(c *coldBin, key uint32, bytes float64) {
+	run := st.arena[c.off : c.off+c.n]
+	j, ok := slices.BinarySearchFunc(run, rollEntry{key: key}, byKey)
+	if ok {
+		run[j].bytes += bytes
 		return
 	}
-	off := len(st.arena)
-	st.arena = append(append(st.arena, run...), fresh...)
-	slices.SortFunc(st.arena[off:], byKey)
-	c.off, c.n = off, len(st.arena)-off
+	if c.off+c.n != len(st.arena) {
+		c.off = len(st.arena)
+		st.arena = append(st.arena, run...)
+	}
+	st.arena = slices.Insert(st.arena, c.off+j, rollEntry{key, bytes})
+	c.n++
 }
 
 // view is one bin's roll-up, in whichever tier holds it.
 type view struct {
 	total float64
-	hot   *counterTable // a hot bin's roll-up, nil for a cold bin
-	run   []rollEntry   // a cold bin's roll-up
+	hot   *hotBin     // nil for a cold bin
+	run   []rollEntry // a cold bin's roll-up
 }
 
 func (st *store) view(bin int) (view, bool) {
 	if h := st.hotBin(bin); h != nil {
-		return view{total: h.total, hot: &h.ports}, true
+		return view{total: h.total, hot: h}, true
 	}
 	if i, ok := st.findCold(bin); ok {
 		c := &st.cold[i]
@@ -278,8 +359,9 @@ func (st *store) view(bin int) (view, bool) {
 // each calls fn for every roll-up counter of one kind.
 func (v *view) each(kind uint32, fn func(port uint16, bytes float64)) {
 	if v.hot != nil {
-		for i := range v.hot.entries {
-			if e := &v.hot.entries[i]; e.used() && uint32(e.key())&kindMask == kind {
+		t := v.hot.table(kind)
+		for i := range t.entries {
+			if e := &t.entries[i]; e.used() {
 				fn(uint16(e.key()), e.val)
 			}
 		}
@@ -295,7 +377,7 @@ func (v *view) each(kind uint32, fn func(port uint16, bytes float64)) {
 // get returns one roll-up counter, 0 when absent.
 func (v *view) get(key uint32) float64 {
 	if v.hot != nil {
-		return v.hot.get(uint64(key))
+		return v.hot.table(key & kindMask).get(uint64(uint16(key)))
 	}
 	if i, ok := slices.BinarySearchFunc(v.run, rollEntry{key: key}, byKey); ok {
 		return v.run[i].bytes
@@ -339,9 +421,9 @@ func (st *store) srcPortBytes(bin int, port uint16) float64 {
 
 // peerCount counts the bin's source MACs in m (every one for a nil m)
 // whose bytes exceed minBytes; a bin below the peer floor counts 0.
-func (st *store) peerCount(bin int, minBytes float64, m Members, horizon int64) int {
+func (st *store) peerCount(bin int, minBytes float64, m Members) int {
 	h := st.hotBin(bin)
-	if h == nil || bin < st.peerFloor(horizon) {
+	if h == nil || bin < st.peerFloor() {
 		return 0
 	}
 	if m != nil && m != st.set {

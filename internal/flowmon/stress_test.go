@@ -85,9 +85,9 @@ func TestConcurrentObserveAndRead(t *testing.T) {
 	}
 }
 
-// TestConcurrentShardWriters drives the shard directly from several
-// workers at once, each through its own worker index, with
-// concurrent merging reads.
+// TestConcurrentShardWriters drives the write handle directly from
+// several workers at once, each through its own worker index, with
+// concurrent reads.
 func TestConcurrentShardWriters(t *testing.T) {
 	c := NewCollectorShards(1)
 	var wg sync.WaitGroup

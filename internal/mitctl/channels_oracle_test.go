@@ -1,10 +1,12 @@
 package mitctl
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
 	"net/netip"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -30,6 +32,31 @@ type oracleChannel struct {
 	refs    map[string]int
 }
 
+// snapshotDiff returns new minus old: the paths only old holds, the
+// paths only new holds, and the paths both hold with a different Seq
+// (re-announced), each sorted by prefix, peer and path ID.
+func snapshotDiff(old, new rib.Snapshot) (removed, added, changed []*rib.Path) {
+	for key, np := range new {
+		if op, ok := old[key]; !ok {
+			added = append(added, np)
+		} else if op.Seq != np.Seq {
+			changed = append(changed, np)
+		}
+	}
+	for key, op := range old {
+		if _, ok := new[key]; !ok {
+			removed = append(removed, op)
+		}
+	}
+	for _, ps := range [][]*rib.Path{removed, added, changed} {
+		slices.SortFunc(ps, func(a, b *rib.Path) int {
+			return cmp.Or(comparePrefix(a.Key.Prefix, b.Key.Prefix),
+				strings.Compare(a.Key.Peer, b.Key.Peer), cmp.Compare(a.Key.PathID, b.Key.PathID))
+		})
+	}
+	return removed, added, changed
+}
+
 func newOracleChannel(ctl *Controller) *oracleChannel {
 	return &oracleChannel{
 		ctl:     ctl,
@@ -43,8 +70,13 @@ func (ch *oracleChannel) HandleEvent(ev routeserver.ControllerEvent, now float64
 	for _, prefix := range ev.Withdrawn {
 		key := rib.PathKey{Prefix: prefix, Peer: ev.Peer, PathID: ev.PathID}
 		if !ch.rib.Remove(key) && ev.PathID != 0 {
-			if p := ch.rib.FindByPathID(prefix, ev.PathID); p != nil {
-				ch.rib.Remove(p.Key)
+			// An ADD-PATH withdraw may name its path by identifier
+			// alone (RFC 7911 §3).
+			for _, p := range ch.rib.Lookup(prefix) {
+				if p.Key.PathID == ev.PathID {
+					ch.rib.Remove(p.Key)
+					break
+				}
 			}
 		}
 	}
@@ -52,9 +84,9 @@ func (ch *oracleChannel) HandleEvent(ev routeserver.ControllerEvent, now float64
 		ch.rib.Add(rib.PathKey{Prefix: prefix, Peer: ev.Peer, PathID: ev.PathID}, ev.PeerAS, ev.Attrs)
 	}
 	next := ch.rib.Snapshot()
-	diff := rib.DiffSnapshots(ch.prev, next)
+	removed, added, changed := snapshotDiff(ch.prev, next)
 	ch.prev = next
-	if diff.Empty() {
+	if len(removed)+len(added)+len(changed) == 0 {
 		return
 	}
 
@@ -126,13 +158,13 @@ func (ch *oracleChannel) HandleEvent(ev routeserver.ControllerEvent, now float64
 		}
 		return out
 	}
-	for _, p := range diff.Removed {
+	for _, p := range removed {
 		reconcile(p.Key, nil)
 	}
-	for _, p := range diff.Added {
+	for _, p := range added {
 		reconcile(p.Key, specsFor(p))
 	}
-	for _, p := range diff.Changed {
+	for _, p := range changed {
 		reconcile(p.Key, specsFor(p))
 	}
 

@@ -242,26 +242,6 @@ func (t *Table) RemovePeerWithBest(peer string) ([]*Path, []BestChange) {
 	return removed, changes
 }
 
-// FindByPathID returns the path for (prefix, pathID) regardless of the
-// peer label, or nil. BGP withdrawals on ADD-PATH sessions identify the
-// path by its identifier alone (RFC 7911 §3); attribute-less withdraw
-// messages cannot name the peer.
-func (t *Table) FindByPathID(prefix netip.Prefix, pathID uint32) *Path {
-	sh := t.shardFor(prefix)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	e := sh.routes[prefix]
-	if e == nil {
-		return nil
-	}
-	for _, p := range e.paths {
-		if p.Key.PathID == pathID {
-			return p
-		}
-	}
-	return nil
-}
-
 // Lookup returns every path for prefix, ordered best-first.
 func (t *Table) Lookup(prefix netip.Prefix) []*Path {
 	sh := t.shardFor(prefix)
@@ -325,42 +305,6 @@ func (t *Table) Snapshot() Snapshot {
 		sh.mu.RUnlock()
 	}
 	return s
-}
-
-// Diff is the difference between two snapshots.
-type Diff struct {
-	Added   []*Path // present in new only
-	Removed []*Path // present in old only
-	Changed []*Path // present in both with different Seq (re-announced)
-}
-
-// Empty reports whether the diff contains no changes.
-func (d Diff) Empty() bool {
-	return len(d.Added) == 0 && len(d.Removed) == 0 && len(d.Changed) == 0
-}
-
-// DiffSnapshots computes new minus old. Results are sorted for
-// determinism.
-func DiffSnapshots(old, new Snapshot) Diff {
-	var d Diff
-	for key, np := range new {
-		op, ok := old[key]
-		switch {
-		case !ok:
-			d.Added = append(d.Added, np)
-		case op.Seq != np.Seq:
-			d.Changed = append(d.Changed, np)
-		}
-	}
-	for key, op := range old {
-		if _, ok := new[key]; !ok {
-			d.Removed = append(d.Removed, op)
-		}
-	}
-	sortPaths(d.Added)
-	sortPaths(d.Removed)
-	sortPaths(d.Changed)
-	return d
 }
 
 func prefixLess(a, b netip.Prefix) bool {

@@ -131,8 +131,8 @@ func changeID(c BestChange) string {
 // TestTableMatchesMapReference runs seeded churn — 1 to 6 paths per
 // prefix from three peers with two path IDs each, replacements included
 // — through the table and the map-backed reference, and after every step
-// requires the same best-path transition and the same Best, Lookup, Len,
-// Snapshot and (where the reference's answer is unique) FindByPathID.
+// requires the same best-path transition and the same Best, Lookup, Len
+// and Snapshot.
 // No removal may leave a *Path in a prefix slice's spare capacity.
 func TestTableMatchesMapReference(t *testing.T) {
 	const steps = 4000
@@ -223,29 +223,6 @@ func TestTableMatchesMapReference(t *testing.T) {
 			}
 			if g, w := pathIDs(tbl.Lookup(p)), pathIDs(refPaths); !reflect.DeepEqual(g, w) {
 				t.Fatalf("step %d %s: Lookup(%s)\n got  %v\n want %v", step, op, p, g, w)
-			}
-			for id := uint32(1); id <= 2; id++ {
-				var matches []*Path
-				for _, rp := range refPaths {
-					if rp.Key.PathID == id {
-						matches = append(matches, rp)
-					}
-				}
-				got := tbl.FindByPathID(p, id)
-				switch len(matches) {
-				case 0:
-					if got != nil {
-						t.Fatalf("step %d %s: FindByPathID(%s, %d) = %s, reference none", step, op, p, id, pathID(got))
-					}
-				case 1:
-					if pathID(got) != pathID(matches[0]) {
-						t.Fatalf("step %d %s: FindByPathID(%s, %d) = %s, reference %s", step, op, p, id, pathID(got), pathID(matches[0]))
-					}
-				default:
-					if got == nil || got.Key.PathID != id || got.Key.Prefix != p {
-						t.Fatalf("step %d %s: FindByPathID(%s, %d) = %s", step, op, p, id, pathID(got))
-					}
-				}
 			}
 		}
 		if got := tbl.Len(); got != wantLen {

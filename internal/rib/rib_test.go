@@ -4,7 +4,6 @@ import (
 	"net/netip"
 	"sync"
 	"testing"
-	"testing/quick"
 
 	"stellar/internal/bgp"
 )
@@ -184,39 +183,6 @@ func TestPrefixesSorted(t *testing.T) {
 	}
 }
 
-func TestSnapshotDiff(t *testing.T) {
-	tbl := New()
-	kA := PathKey{Prefix: pfx("1.0.0.0/8"), Peer: "a"}
-	kB := PathKey{Prefix: pfx("2.0.0.0/8"), Peer: "b"}
-	kC := PathKey{Prefix: pfx("3.0.0.0/8"), Peer: "c"}
-
-	tbl.Add(kA, 1, attrs(1))
-	tbl.Add(kB, 2, attrs(2))
-	s1 := tbl.Snapshot()
-
-	tbl.Remove(kB)              // removed
-	tbl.Add(kC, 3, attrs(3))    // added
-	tbl.Add(kA, 1, attrs(1, 9)) // changed (re-announce)
-	s2 := tbl.Snapshot()
-
-	d := DiffSnapshots(s1, s2)
-	if len(d.Added) != 1 || d.Added[0].Key != kC {
-		t.Fatalf("Added: %v", d.Added)
-	}
-	if len(d.Removed) != 1 || d.Removed[0].Key != kB {
-		t.Fatalf("Removed: %v", d.Removed)
-	}
-	if len(d.Changed) != 1 || d.Changed[0].Key != kA {
-		t.Fatalf("Changed: %v", d.Changed)
-	}
-	if d.Empty() {
-		t.Fatal("diff should not be empty")
-	}
-	if !DiffSnapshots(s2, s2).Empty() {
-		t.Fatal("self-diff should be empty")
-	}
-}
-
 func TestSnapshotIsolation(t *testing.T) {
 	tbl := New()
 	k := PathKey{Prefix: pfx("1.0.0.0/8"), Peer: "a"}
@@ -239,53 +205,6 @@ func TestAttrsIsolation(t *testing.T) {
 	}
 }
 
-func TestDiffProperty(t *testing.T) {
-	// Property: applying a random series of adds/removes, the diff of
-	// (before, after) has |Added| = |after-only keys| and |Removed| =
-	// |before-only keys|.
-	f := func(ops []uint16) bool {
-		tbl := New()
-		prefixes := []netip.Prefix{pfx("1.0.0.0/8"), pfx("2.0.0.0/8"), pfx("3.0.0.0/8"), pfx("4.0.0.0/8")}
-		peers := []string{"a", "b", "c"}
-		apply := func(op uint16) {
-			key := PathKey{
-				Prefix: prefixes[int(op)%len(prefixes)],
-				Peer:   peers[int(op>>2)%len(peers)],
-			}
-			if op&0x8000 != 0 {
-				tbl.Remove(key)
-			} else {
-				tbl.Add(key, uint32(op), attrs(uint32(op)))
-			}
-		}
-		half := len(ops) / 2
-		for _, op := range ops[:half] {
-			apply(op)
-		}
-		before := tbl.Snapshot()
-		for _, op := range ops[half:] {
-			apply(op)
-		}
-		after := tbl.Snapshot()
-		d := DiffSnapshots(before, after)
-		addedWant, removedWant := 0, 0
-		for k := range after {
-			if _, ok := before[k]; !ok {
-				addedWant++
-			}
-		}
-		for k := range before {
-			if _, ok := after[k]; !ok {
-				removedWant++
-			}
-		}
-		return len(d.Added) == addedWant && len(d.Removed) == removedWant
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func BenchmarkAdd(b *testing.B) {
 	tbl := New()
 	a := attrs(64512)
@@ -293,42 +212,6 @@ func BenchmarkAdd(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		p := netip.PrefixFrom(netip.AddrFrom4([4]byte{byte(i >> 16), byte(i >> 8), byte(i), 0}), 24)
 		tbl.Add(PathKey{Prefix: p, Peer: "a"}, 64512, a)
-	}
-}
-
-func BenchmarkSnapshotDiff(b *testing.B) {
-	tbl := New()
-	a := attrs(64512)
-	for i := 0; i < 1000; i++ {
-		p := netip.PrefixFrom(netip.AddrFrom4([4]byte{10, byte(i >> 8), byte(i), 0}), 24)
-		tbl.Add(PathKey{Prefix: p, Peer: "a"}, 64512, a)
-	}
-	s1 := tbl.Snapshot()
-	tbl.Add(PathKey{Prefix: pfx("200.0.0.0/8"), Peer: "b"}, 1, a)
-	s2 := tbl.Snapshot()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		DiffSnapshots(s1, s2)
-	}
-}
-
-func TestFindByPathID(t *testing.T) {
-	tbl := New()
-	prefix := pfx("100.10.10.10/32")
-	tbl.Add(PathKey{Prefix: prefix, Peer: "a", PathID: 7}, 1, attrs(1))
-	tbl.Add(PathKey{Prefix: prefix, Peer: "b", PathID: 9}, 2, attrs(2))
-	if p := tbl.FindByPathID(prefix, 7); p == nil || p.Key.Peer != "a" {
-		t.Fatalf("FindByPathID(7): %+v", p)
-	}
-	if p := tbl.FindByPathID(prefix, 9); p == nil || p.Key.Peer != "b" {
-		t.Fatalf("FindByPathID(9): %+v", p)
-	}
-	if p := tbl.FindByPathID(prefix, 99); p != nil {
-		t.Fatalf("FindByPathID(99): %+v", p)
-	}
-	if p := tbl.FindByPathID(pfx("9.9.9.9/32"), 7); p != nil {
-		t.Fatalf("unknown prefix: %+v", p)
 	}
 }
 
@@ -459,7 +342,7 @@ func TestConcurrentStress(t *testing.T) {
 						tbl.Snapshot()
 						tbl.Len()
 					}
-					tbl.FindByPathID(p, uint32(w%4+1))
+					tbl.Prefixes()
 				}
 			}
 		}(w)
