@@ -91,10 +91,9 @@ func (s *flowSource) AppendOffers(dst []fabric.Offer, tick int, dt float64) []fa
 		DstPort: 443,
 	}
 	return append(dst, fabric.Offer{
-		Flow:     &flow,
-		FlowHash: flow.Hash(),
-		Bytes:    float64(1e6 + s.seed*1000 + tick),
-		Packets:  10,
+		Flow:    &flow,
+		Bytes:   float64(1e6 + s.seed*1000 + tick),
+		Packets: 10,
 	})
 }
 
@@ -455,7 +454,7 @@ func TestWarmPortTickThroughBatchVisitorAllocs(t *testing.T) {
 			SrcPort: uint16(1000 + i%7),
 			DstPort: 443,
 		}
-		offers[i] = fabric.Offer{Flow: &flow, FlowHash: flow.Hash(), Bytes: 1e4, Packets: 10}
+		offers[i] = fabric.Offer{Flow: &flow, Bytes: 1e4, Packets: 10}
 		delivered[i] = fabric.Delivery{Offer: &offers[i], Bytes: offers[i].Bytes}
 	}
 	portTick := func() { r.sink(0, "port0")(delivered) }
@@ -465,5 +464,97 @@ func TestWarmPortTickThroughBatchVisitorAllocs(t *testing.T) {
 	}
 	if got := r.monitors[0].PeerCount(0, 0, nil); got != senders {
 		t.Fatalf("monitor saw %d senders, want %d", got, senders)
+	}
+}
+
+// fabricPlane egresses through a real fabric and, with churnControl,
+// counts the port-state writers that overlap another: egress ticks and
+// rule changes. A port's positions serve one egress at a time, and a
+// rule change that leaves a port rule-free empties them under their
+// lock, so an egress that overlaps either scans every offer instead.
+type fabricPlane struct {
+	f                  *fabric.Fabric
+	inFlight, overlaps atomic.Int64
+}
+
+// enter marks a writer running; the returned func marks it done.
+func (p *fabricPlane) enter() func() {
+	if p.inFlight.Add(1) > 1 {
+		p.overlaps.Add(1)
+	}
+	return func() { p.inFlight.Add(-1) }
+}
+
+func (p *fabricPlane) EgressTick(r fabric.Runner, offers fabric.TickOffers, dt float64, sink fabric.TickSink) (map[string]PortReport, error) {
+	defer p.enter()()
+	stats, err := p.f.Tick(r, offers, dt, sink)
+	if err != nil {
+		return nil, err
+	}
+	reports := make(map[string]PortReport, len(stats.PerPort))
+	for name, res := range stats.PerPort {
+		reports[name] = PortReport{OfferedBytes: res.PresentedBytes, Result: res}
+	}
+	return reports, nil
+}
+
+// churnControl withdraws every port's one rule on odd ticks and
+// re-announces it on even ones, counting as a writer of plane.
+type churnControl struct {
+	plane *fabricPlane
+	ports []*fabric.Port
+	rule  []*fabric.Rule
+}
+
+func (c *churnControl) ControlTick(tick int, dt float64) float64 {
+	defer c.plane.enter()()
+	for i, p := range c.ports {
+		var err error
+		if tick%2 == 1 {
+			err = p.RemoveRule(c.rule[i].ID)
+		} else if tick > 0 {
+			err = p.InstallRule(c.rule[i])
+		}
+		if err != nil {
+			panic(err)
+		}
+	}
+	return float64(tick+1) * dt
+}
+
+// TestPortEgressesNeverOverlap pins at zero the egress ticks that
+// cannot take their port's positions, at Depth 1 and at Depth 4 on a
+// four-worker pool: an egress finds the positions held only while
+// another egress of the port, or a rule change emptying them, is
+// running, and the spine runs one tick's control and egress steps at a
+// time, however far the fold side trails it.
+func TestPortEgressesNeverOverlap(t *testing.T) {
+	const victims = 4
+	for _, depth := range []int{1, 4} {
+		cfg := testConfig(victims, 60, depth)
+		cfg.Pool = testPool(t, 4)
+		plane := &fabricPlane{f: fabric.New()}
+		control := &churnControl{plane: plane}
+		drop := fabric.MatchAll()
+		drop.Proto, drop.SrcPort = netpkt.ProtoUDP, 123
+		for v := 0; v < victims; v++ {
+			port := fabric.NewPort(fmt.Sprintf("port%d", v), netpkt.MAC{0x02, 0x10, 0, 0, 0, byte(v)}, 1e9)
+			rule := &fabric.Rule{ID: "drop-ntp", Match: drop, Action: fabric.ActionDrop}
+			if err := port.InstallRule(rule); err != nil {
+				t.Fatal(err)
+			}
+			if err := plane.f.AddPort(port); err != nil {
+				t.Fatal(err)
+			}
+			control.ports = append(control.ports, port)
+			control.rule = append(control.rule, rule)
+		}
+		cfg.DataPlane, cfg.Control = plane, control
+		if _, err := New(cfg).Run(); err != nil {
+			t.Fatalf("depth %d: %v", depth, err)
+		}
+		if n := plane.overlaps.Load(); n != 0 {
+			t.Fatalf("depth %d: %d egress ticks or rule changes overlapped another", depth, n)
+		}
 	}
 }

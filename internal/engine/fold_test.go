@@ -22,7 +22,6 @@ func (s tickSource) AppendOffers(dst []fabric.Offer, tick int, dt float64) []fab
 	dst = newFlowSource(s.seed).AppendOffers(dst, tick, dt)
 	o := &dst[len(dst)-1]
 	o.Flow.SrcMAC[4] = byte(tick)
-	o.FlowHash = o.Flow.Hash()
 	return dst
 }
 

@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"net/netip"
@@ -62,9 +63,9 @@ func randomFlow(rng *rand.Rand, macs []netpkt.MAC) netpkt.FlowKey {
 	}
 }
 
-// TestClassifierMatchesLinearScan cross-validates the memoized
-// classifier against the linear reference over randomized overlapping
-// rule sets, with and without pre-hashed lookups.
+// TestClassifierMatchesLinearScan cross-validates the classifier against
+// the linear reference over randomized overlapping rule sets, with and
+// without a hash argument (which the port ignores).
 func TestClassifierMatchesLinearScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	macs := make([]netpkt.MAC, 6)
@@ -94,9 +95,9 @@ func TestClassifierMatchesLinearScan(t *testing.T) {
 			if got := p.ClassifyHashed(&f, f.Hash()); got != want {
 				t.Fatalf("trial %d: ClassifyHashed(%v) = %v, want %v", trial, f, got, want)
 			}
-			// Memoized second lookup must agree.
+			// A repeated lookup must agree.
 			if got := p.ClassifyHashed(&f, 0); got != want {
-				t.Fatalf("trial %d: memoized ClassifyHashed(%v, 0) = %v, want %v", trial, f, got, want)
+				t.Fatalf("trial %d: repeated ClassifyHashed(%v, 0) = %v, want %v", trial, f, got, want)
 			}
 		}
 	}
@@ -261,10 +262,10 @@ func TestConcurrentRuleChurnAndClassify(t *testing.T) {
 			for i := 0; i < iters; i++ {
 				p.egress(offers, 0.01, nil)
 				p.ClassifyHashed(offers[i%len(offers)].Flow, 0)
-				// Fresh flows every iteration, so every reader inserts
-				// into and doubles the memo tables the others are probing;
-				// the churned rules cannot match them, so the verdicts are
-				// known whatever generation serves them.
+				// Fresh flows every iteration, scanned while the writers
+				// publish generations; the churned rules cannot match
+				// them, so the verdicts are known whatever generation
+				// serves them.
 				for j := 0; j < 16; j++ {
 					src := netip.AddrFrom4([4]byte{198, 51, byte(w*64 + i>>4), byte(i<<4 + j)})
 					if r := p.ClassifyHashed(udpFlow(macPeerA, src, 123), 0); r == nil || r.ID != "pinned-shape" {
@@ -339,11 +340,11 @@ func TestConcurrentFabricTicks(t *testing.T) {
 	wg.Wait()
 }
 
-// TestConcurrentTicksShareThePositionalCache is the -race test of the
-// memo's positional cache: two goroutines tick the same ports under a
-// fixed rule set, one offering each port's flows in order and the other
-// in reverse, so each egress either holds a port's cache while the other
-// re-learns it or loses the cache to the other and probes the memo.
+// TestConcurrentTicksShareThePositionalCache is the -race test of a
+// port's positions: two goroutines tick the same ports under a fixed
+// rule set, one offering each port's flows in order and the other in
+// reverse, so each egress either holds a port's positions while the
+// other re-learns them or loses them to the other and scans every offer.
 // Every offer's fate, in every tick, must be the linear scan's.
 func TestConcurrentTicksShareThePositionalCache(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
@@ -372,7 +373,7 @@ func TestConcurrentTicksShareThePositionalCache(t *testing.T) {
 		keys := make([]netpkt.FlowKey, flows)
 		for j := range keys {
 			keys[j] = randomFlow(rng, macs)
-			forward[name] = append(forward[name], Offer{Flow: &keys[j], FlowHash: keys[j].Hash(), Bytes: 1000, Packets: 1})
+			forward[name] = append(forward[name], Offer{Flow: &keys[j], Bytes: 1000, Packets: 1})
 		}
 		reverse[name] = slices.Clone(forward[name])
 		slices.Reverse(reverse[name])
@@ -416,13 +417,14 @@ func TestConcurrentTicksShareThePositionalCache(t *testing.T) {
 	}
 }
 
-// TestOldGenerationRacesNewer is the -race test of one memo shared by
-// generations. An egress that loaded the classifier before a rule change
-// runs on the old generation while ClassifyHashed runs on the new one,
-// over the same flows, so each meets verdicts the other stamped; then
-// the old generation runs once more, over verdicts the new one has all
-// re-stamped. Every verdict must be its own generation's linear-scan
-// answer: a tick never takes a newer generation's verdict for its own.
+// TestOldGenerationRacesNewer is the -race test of the positions
+// generations share. An egress that loaded the classifier before a rule
+// change runs on the old generation while the new one egresses the same
+// offers, so each meets positions the other stamped; then the old
+// generation runs once more, over positions the new one has all
+// rewritten. Every verdict must be its own generation's linear-scan
+// answer: a tick never takes a newer generation's verdict for its own,
+// nor the new one an older's.
 func TestOldGenerationRacesNewer(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	macs := make([]netpkt.MAC, 6)
@@ -434,7 +436,7 @@ func TestOldGenerationRacesNewer(t *testing.T) {
 	offers := make([]Offer, len(keys))
 	for i := range keys {
 		keys[i] = randomFlow(rng, macs)
-		offers[i] = Offer{Flow: &keys[i], FlowHash: keys[i].Hash(), Bytes: 1000, Packets: 1}
+		offers[i] = Offer{Flow: &keys[i], Bytes: 1000, Packets: 1}
 	}
 	newRule := func(i int) *Rule {
 		return &Rule{ID: fmt.Sprintf("r%d", i), Match: randomMatch(rng, macs),
@@ -448,7 +450,7 @@ func TestOldGenerationRacesNewer(t *testing.T) {
 	classify := func(gen *classifier) error {
 		for i := range offers {
 			want := linearClassify(gen.rules, &keys[i])
-			if got := p.ClassifyHashed(&keys[i], offers[i].FlowHash); got != want {
+			if got := p.ClassifyHashed(&keys[i], 0); got != want {
 				return fmt.Errorf("generation %d: flow %v classified %v, want %v", gen.seq, keys[i], got, want)
 			}
 		}
@@ -470,13 +472,13 @@ func TestOldGenerationRacesNewer(t *testing.T) {
 		}
 		cur := p.cls.Load()
 		if len(cur.rules) == 0 {
-			continue // a rule-free generation has no memo to race on
+			continue // a rule-free generation has no positions to race on
 		}
 		var wg sync.WaitGroup
 		errs := make([]error, 2)
 		wg.Add(2)
 		go func() { defer wg.Done(); errs[0] = generationFates(old, offers) }()
-		go func() { defer wg.Done(); errs[1] = classify(cur) }()
+		go func() { defer wg.Done(); errs[1] = errors.Join(classify(cur), generationFates(cur, offers)) }()
 		wg.Wait()
 		for _, err := range errs {
 			if err != nil {
@@ -490,7 +492,8 @@ func TestOldGenerationRacesNewer(t *testing.T) {
 }
 
 // generationFates runs one egress of offers on generation gen, the way
-// a port whose classifier load preceded later rule changes does, and
+// a port whose classifier load preceded later rule changes does, over
+// the positions gen shares with the port's other generations, and
 // checks each offer's fate with the linear scan over gen's rules.
 func generationFates(gen *classifier, offers []Offer) error {
 	q := &Port{Name: "old", CapacityBps: 1e15}
@@ -525,9 +528,6 @@ type churnTrial struct {
 	// cases counts the rule changes and offer mutations the tests name,
 	// so a test can assert the generator really produced each of them.
 	cases map[string]int
-	// stamps is the generation each memo entry was stamped with at the
-	// last checkStamps.
-	stamps map[*memoEntry]uint64
 }
 
 func (c *churnTrial) install(r *Rule) {
@@ -630,38 +630,6 @@ func (c *churnTrial) wipe() {
 	c.cases["remove every rule and re-add them"]++
 }
 
-// fill classifies distinct flows from outside the trial's flow set until
-// the port's memo holds maxMemoEntries entries, so the trial's own flows
-// that come next go uncached, and a later rule change must start a
-// fresh memo.
-func (c *churnTrial) fill() {
-	c.t.Helper()
-	if len(c.rules) == 0 {
-		return
-	}
-	for i := range memoFiller {
-		c.p.ClassifyHashed(&memoFiller[i], 0)
-	}
-	if n := c.p.memo.len(); n != maxMemoEntries {
-		c.t.Fatalf("memo holds %d entries after the fill, want %d", n, maxMemoEntries)
-	}
-	c.cases["fill the memo past maxMemoEntries"]++
-}
-
-// memoFiller is enough flows to fill any memo; no trial flow is among
-// them (their destinations lie outside randomFlow's 100.10.0.0/22).
-var memoFiller = func() []netpkt.FlowKey {
-	fs := make([]netpkt.FlowKey, maxMemoEntries)
-	for i := range fs {
-		fs[i] = netpkt.FlowKey{
-			Src:   netip.AddrFrom4([4]byte{198, 51, 100, byte(i)}),
-			Dst:   netip.AddrFrom4([4]byte{100, 11, byte(i >> 8), 0}),
-			Proto: netpkt.ProtoUDP, SrcPort: 123, DstPort: 80,
-		}
-	}
-	return fs
-}()
-
 // pass classifies the whole flow set every way the port offers and
 // compares each verdict, and the egress byte totals, with the linear
 // scan.
@@ -674,7 +642,7 @@ func (c *churnTrial) pass() {
 		if got := c.p.ClassifyHashed(o.Flow, 0); got != want {
 			c.t.Fatalf("ClassifyHashed(%v, 0) = %v, want %v (rules %v)", *o.Flow, got, want, c.rules)
 		}
-		if got := c.p.ClassifyHashed(o.Flow, o.FlowHash); got != want {
+		if got := c.p.ClassifyHashed(o.Flow, o.Flow.Hash()); got != want {
 			c.t.Fatalf("ClassifyHashed(%v) = %v, want %v (rules %v)", *o.Flow, got, want, c.rules)
 		}
 		if want != nil && want.Action == ActionDrop {
@@ -691,11 +659,11 @@ func (c *churnTrial) pass() {
 }
 
 // TestClassifierMatchesLinearScanUnderChurn is the differential test of
-// the port's memo across rule changes: random InstallRule/RemoveRule
-// sequences interleaved with classification passes over a fixed flow
-// set, so the memo is warm before every change, and every verdict
-// compared with the linear scan. Now and then a step removes every rule
-// and re-adds them, and now and then a trial fills the memo.
+// a port across rule changes: random InstallRule/RemoveRule sequences
+// interleaved with classification passes over a fixed flow set, so the
+// positions are warm before every change, and every verdict compared
+// with the linear scan. Now and then a step removes every rule and
+// re-adds them.
 func TestClassifierMatchesLinearScanUnderChurn(t *testing.T) {
 	macs := make([]netpkt.MAC, 6)
 	for i := range macs {
@@ -713,24 +681,13 @@ func TestClassifierMatchesLinearScanUnderChurn(t *testing.T) {
 				continue
 			}
 			seen[f] = true
-			o := Offer{Flow: &f, Bytes: float64(1 + rng.Intn(1e6)), Packets: 1}
-			if rng.Intn(2) == 0 {
-				o.FlowHash = f.Hash() // the rest are hashed on demand
-			}
-			c.offers = append(c.offers, o)
+			c.offers = append(c.offers, Offer{Flow: &f, Bytes: float64(1 + rng.Intn(1e6)), Packets: 1})
 		}
 		for i := rng.Intn(4); i > 0; i-- {
 			c.install(c.newRule(randomMatch(rng, macs)))
 		}
 		c.pass()
-		fillAt := -1
-		if trial%4 == 0 {
-			fillAt = rng.Intn(24)
-		}
 		for step := 0; step < 24; step++ {
-			if step == fillAt {
-				c.fill()
-			}
 			if rng.Intn(16) == 0 {
 				c.wipe()
 				c.pass()
@@ -750,151 +707,10 @@ func TestClassifierMatchesLinearScanUnderChurn(t *testing.T) {
 	}
 	for _, name := range []string{"remove verdict above another matcher", "remove shadowed rule",
 		"re-install removed ID", "several changes since the last pass",
-		"remove every rule and re-add them", "fill the memo past maxMemoEntries"} {
+		"remove every rule and re-add them"} {
 		if cases[name] < 50 {
 			t.Errorf("generator produced %q only %d times", name, cases[name])
 		}
-	}
-}
-
-// TestClassifyHashCollision: two distinct flows presented under one
-// 64-bit hash each get their own linear-scan verdict, before and after a
-// rule change — the memo compares full keys.
-func TestClassifyHashCollision(t *testing.T) {
-	p := newVictimPort()
-	m := MatchAll()
-	m.Proto = netpkt.ProtoUDP
-	m.SrcPort = 123
-	if err := p.InstallRule(&Rule{ID: "drop-ntp", Match: m, Action: ActionDrop}); err != nil {
-		t.Fatal(err)
-	}
-	f1 := udpFlow(macPeerA, srcIPA, 123) // dropped
-	f2 := udpFlow(macPeerA, srcIPA, 124) // forwarded, until "drop-124" lands
-	h := f1.Hash()
-	check := func(when string) {
-		t.Helper()
-		rules := p.cls.Load().rules
-		for i := 0; i < 3; i++ { // cold, then memoized
-			if got, want := p.ClassifyHashed(f1, h), linearClassify(rules, f1); got != want {
-				t.Fatalf("%s: f1 = %v, want %v", when, got, want)
-			}
-			if got, want := p.ClassifyHashed(f2, h), linearClassify(rules, f2); got != want {
-				t.Fatalf("%s: f2 under f1's hash = %v, want %v", when, got, want)
-			}
-		}
-	}
-	check("before")
-	m.SrcPort = 124
-	if err := p.InstallRule(&Rule{ID: "drop-124", Match: m, Action: ActionDrop}); err != nil {
-		t.Fatal(err)
-	}
-	check("after install")
-	if err := p.RemoveRule("drop-ntp"); err != nil {
-		t.Fatal(err)
-	}
-	check("after remove")
-}
-
-// TestMemoBound: past maxMemoEntries distinct flows the memo stops
-// growing and classification stays correct.
-func TestMemoBound(t *testing.T) {
-	p := newVictimPort()
-	m := MatchAll()
-	m.Proto = netpkt.ProtoUDP
-	m.SrcPort = 123
-	r := &Rule{ID: "drop-ntp", Match: m, Action: ActionDrop}
-	if err := p.InstallRule(r); err != nil {
-		t.Fatal(err)
-	}
-	const flows = maxMemoEntries + 5000
-	for pass := 0; pass < 2; pass++ {
-		for i := 0; i < flows; i++ {
-			f := udpFlow(macPeerA, netip.AddrFrom4([4]byte{198, 51, byte(i >> 8), byte(i)}), uint16(123+i>>16))
-			want := (*Rule)(nil)
-			if f.SrcPort == 123 {
-				want = r
-			}
-			if got := p.ClassifyHashed(f, 0); got != want {
-				t.Fatalf("pass %d flow %d: %v, want %v", pass, i, got, want)
-			}
-		}
-		memo := p.cls.Load().memo
-		if n, slots := memo.len(), len(memo.tab.Load().slots); n != maxMemoEntries || slots != 2*maxMemoEntries {
-			t.Fatalf("pass %d: memo holds %d entries in %d slots, want %d in %d",
-				pass, n, slots, maxMemoEntries, 2*maxMemoEntries)
-		}
-	}
-}
-
-// TestMemoOwnsItsKeys pins the memo's side of Offer's pointer-lifetime
-// rule. Offers point into a producer's key table, and a producer that
-// changes its flows points its offers at new keys; it never rewrites a
-// key a port may see again. The memo keeps its own copy of every key,
-// so on the same classifier generation each verdict follows the key the
-// offer points at now. The second key table swaps each flow between the
-// drop rule's NTP source port and DNS; the rehashed case then carries
-// each new key's hash, as a producer does, and the stale-hash case keeps
-// the old one, so the old and the new key collide on it.
-func TestMemoOwnsItsKeys(t *testing.T) {
-	for _, rehash := range []bool{true, false} {
-		t.Run(fmt.Sprintf("rehash=%v", rehash), func(t *testing.T) {
-			p := newVictimPort()
-			if err := p.InstallRule(dropNTPRule()); err != nil {
-				t.Fatal(err)
-			}
-			gen := p.cls.Load()
-			const n = 64
-			keys := make([]netpkt.FlowKey, n)
-			offers := make([]Offer, n)
-			for i := range keys {
-				keys[i] = *udpFlow(macPeerA, netip.AddrFrom4([4]byte{198, 51, 100, byte(i)}), []uint16{123, 53}[i%2])
-				offers[i] = Offer{Flow: &keys[i], FlowHash: keys[i].Hash(), Bytes: 1000, Packets: 1}
-			}
-			egress := func(when string) {
-				t.Helper()
-				delivered := map[*Offer]bool{}
-				res := p.egress(offers, 1, func(ds []Delivery) {
-					for _, d := range ds {
-						delivered[d.Offer] = true
-					}
-				})
-				var wantDropped float64
-				for i := range offers {
-					drop := offers[i].Flow.SrcPort == 123
-					if drop {
-						wantDropped += offers[i].Bytes
-					}
-					if delivered[&offers[i]] == drop {
-						t.Fatalf("%s: flow %v delivered=%v, want %v", when, *offers[i].Flow, delivered[&offers[i]], !drop)
-					}
-				}
-				if res.RuleDroppedBytes != wantDropped {
-					t.Fatalf("%s: dropped %v bytes, want %v", when, res.RuleDroppedBytes, wantDropped)
-				}
-			}
-			egress("first egress")
-			if got := gen.memo.len(); got != n {
-				t.Fatalf("memo holds %d flows after the first egress, want %d", got, n)
-			}
-			swapped := make([]netpkt.FlowKey, n)
-			for i := range keys {
-				swapped[i] = keys[i]
-				if keys[i].SrcPort == 123 {
-					swapped[i].SrcPort = 53
-				} else {
-					swapped[i].SrcPort = 123
-				}
-				offers[i].Flow = &swapped[i]
-				if rehash {
-					offers[i].FlowHash = swapped[i].Hash()
-				}
-			}
-			egress("after the swap")
-			egress("memoized after the swap")
-			if p.cls.Load() != gen {
-				t.Fatal("the classifier generation changed without a rule change")
-			}
-		})
 	}
 }
 
@@ -915,7 +731,7 @@ func TestPositionsReleaseAnOldKeyTable(t *testing.T) {
 		offers := make([]Offer, flows)
 		for i := range offers {
 			tab[i] = *udpFlow(macPeerA, netip.AddrFrom4([4]byte{198, 51, 100, byte(i)}), srcPort)
-			offers[i] = Offer{Flow: &tab[i], FlowHash: tab[i].Hash(), Bytes: 1000, Packets: 1}
+			offers[i] = Offer{Flow: &tab[i], Bytes: 1000, Packets: 1}
 		}
 		want := 0.0
 		if srcPort == 123 {
@@ -929,29 +745,96 @@ func TestPositionsReleaseAnOldKeyTable(t *testing.T) {
 	var collected atomic.Bool
 	runtime.SetFinalizer(egressTable(n, 123), func(*[n]netpkt.FlowKey) { collected.Store(true) })
 	egressTable(n/8, 53)
+	awaitCollected(t, "the first key table, after the port egressed a shorter slice from another,", &collected)
+	runtime.KeepAlive(p) // the port, and with it its positions, stays live
+}
+
+// awaitCollected runs the garbage collector until collected is set (by
+// a finalizer) and fails, naming what, if it is not within 10 seconds.
+func awaitCollected(t *testing.T, what string, collected *atomic.Bool) {
+	t.Helper()
 	for deadline := time.Now().Add(10 * time.Second); !collected.Load(); {
 		if time.Now().After(deadline) {
-			t.Fatal("the first key table is still reachable after the port egressed a shorter slice from another")
+			t.Fatalf("%s is still reachable", what)
 		}
 		runtime.GC()
 		time.Sleep(time.Millisecond)
 	}
-	runtime.KeepAlive(p) // the port, and with it its memo, stays live
 }
 
-// newOffer draws a flow the trial does not offer yet; half the time the
-// producer hashes it, the rest is hashed on demand.
+// TestRuleFreePortReleasesPositionsAlloc: withdrawing a port's last rule
+// empties its positions, so neither the key table of its last egress
+// nor the withdrawn generation's verdicts stay reachable through the
+// port. The positions keep their backing array, so a re-announce and
+// its first egress allocate only what the rule change itself does: no
+// positions.
+func TestRuleFreePortReleasesPositionsAlloc(t *testing.T) {
+	const n = 4096
+	p := newVictimPort()
+	rule := dropNTPRule()
+	// ntpOffers points n NTP offers into a fresh key table.
+	ntpOffers := func() []Offer {
+		tab := make([]netpkt.FlowKey, n)
+		offers := make([]Offer, n)
+		for i := range offers {
+			tab[i] = *udpFlow(macPeerA, netip.AddrFrom4([4]byte{198, 51, byte(i >> 8), byte(i)}), 123)
+			offers[i] = Offer{Flow: &tab[i], Bytes: 1000, Packets: 1}
+		}
+		return offers
+	}
+	announce := func() {
+		if err := p.InstallRule(rule); err != nil {
+			t.Fatal(err)
+		}
+	}
+	withdraw := func() {
+		if err := p.RemoveRule(rule.ID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var keysGone, verdictsGone atomic.Bool
+	func() {
+		announce()
+		offers := ntpOffers()
+		if res := p.egress(offers, 1, nil); res.RuleDroppedBytes != 1000*n {
+			t.Fatalf("dropped %v bytes of %d NTP offers, want all", res.RuleDroppedBytes, n)
+		}
+		runtime.SetFinalizer(offers[0].Flow, func(*netpkt.FlowKey) { keysGone.Store(true) })
+		runtime.SetFinalizer(&p.cls.Load().verdicts[0], func(*verdict) { verdictsGone.Store(true) })
+		withdraw()
+	}()
+	awaitCollected(t, "the key table of the last egress with rules, after the withdrawal,", &keysGone)
+	awaitCollected(t, "the withdrawn generation's verdicts", &verdictsGone)
+
+	offers := ntpOffers()
+	// The egress scratch comes from a sync.Pool, which the race detector
+	// makes drop entries at random: allow the scratch's regrowth there.
+	slack := 0.0
+	if raceEnabled {
+		slack = 1
+	}
+	changes := testing.AllocsPerRun(20, func() { announce(); withdraw() })
+	cycle := testing.AllocsPerRun(20, func() {
+		announce()
+		if res := p.egress(offers, 1, nil); res.RuleDroppedBytes != 1000*n {
+			t.Fatalf("re-announced rule dropped %v bytes, want all", res.RuleDroppedBytes)
+		}
+		withdraw()
+	})
+	if cycle > changes+slack {
+		t.Errorf("re-announce, egress, withdraw: %v allocations, the rule changes alone %v; the egress allocated positions", cycle, changes)
+	}
+	runtime.KeepAlive(p)
+}
+
+// newOffer draws a flow the trial does not offer yet.
 func (c *churnTrial) newOffer() Offer {
 	for {
 		f := randomFlow(c.rng, c.macs)
 		if slices.ContainsFunc(c.offers, func(o Offer) bool { return *o.Flow == f }) {
 			continue
 		}
-		o := Offer{Flow: &f, Bytes: float64(1 + c.rng.Intn(1e6)), Packets: 1}
-		if c.rng.Intn(2) == 0 {
-			o.FlowHash = f.Hash()
-		}
-		return o
+		return Offer{Flow: &f, Bytes: float64(1 + c.rng.Intn(1e6)), Packets: 1}
 	}
 }
 
@@ -997,27 +880,24 @@ func (c *churnTrial) mutate(k int) {
 		o := &c.offers[c.rng.Intn(len(c.offers))]
 		f := randomFlow(c.rng, c.macs)
 		o.Flow = &f
-		if o.FlowHash != 0 {
-			o.FlowHash = f.Hash()
-		}
 		c.cases["point a position at an edited copy of its key"]++
 	default:
 		c.cases["keep the order"]++
 	}
 }
 
-// positionalHits counts the offers whose position in the port's memo
-// already holds their key pointer: the ones the next egress resolves
-// without a probe.
+// positionalHits counts the offers whose position already holds their
+// key pointer: the ones the next egress serves without a scan, unless a
+// rule change has made the position's stamp old.
 func (c *churnTrial) positionalHits() int {
-	m := c.p.memo
-	if m == nil {
+	ps := c.p.pos
+	if ps == nil {
 		return 0
 	}
-	m.posMu.Lock()
-	defer m.posMu.Unlock()
+	ps.mu.Lock()
+	defer ps.mu.Unlock()
 	n := 0
-	for i, at := range m.pos[:min(len(m.pos), len(c.offers))] {
+	for i, at := range ps.at[:min(len(ps.at), len(c.offers))] {
 		if at.src == c.offers[i].Flow {
 			n++
 		}
@@ -1027,9 +907,11 @@ func (c *churnTrial) positionalHits() int {
 
 // egressFates runs one egress over the offers and checks each offer's
 // fate with the linear scan: delivered or not through the egress
-// visitor, and the rule it matched through that rule's counters.
+// visitor, and the rule it matched through that rule's counters; then
+// it checks the positions the egress left (checkPositions).
 func (c *churnTrial) egressFates() {
 	c.t.Helper()
+	gen := c.p.cls.Load()
 	before := make(map[*Rule]int64, len(c.rules))
 	for _, r := range c.rules {
 		before[r] = r.counters.MatchedBytes.Load()
@@ -1056,10 +938,11 @@ func (c *churnTrial) egressFates() {
 			c.t.Fatalf("rule %s matched %d bytes, linear scan %d (rules %v)", r.ID, got, matched[r], c.rules)
 		}
 	}
+	c.checkPositions("egress", gen)
 }
 
 // TestEgressMatchesLinearScanUnderReorder is the differential test of
-// the memo's positional cache: between egress ticks the offers keep
+// a port's positions: between egress ticks the offers keep
 // their order, rotate, lose an offer, gain a new flow mid-slice, have a
 // position pointed at a new key or at an edited copy of its key, across
 // random rule changes, and every offer's fate is compared with the
@@ -1102,25 +985,33 @@ func TestEgressMatchesLinearScanUnderReorder(t *testing.T) {
 	}
 }
 
-// checkStamps walks the port's memo and fails when an entry's stamp is
-// older than when the last check saw it: a generation re-stamps only
-// entries stamped before it, so a stamp never moves back.
-func (c *churnTrial) checkStamps(when string) {
+// checkPositions fails unless every position holds its offer's key
+// pointer and gen's verdict for that key, stamped with gen's number:
+// what an egress on generation gen leaves, whether it served a position
+// or scanned the offer. So a position is served only when its stamp is
+// gen's own and its pointer the offer's: one served without the pointer
+// compare keeps another key's pointer, and one served under an older
+// stamp keeps that stamp. A rule-free gen has no positions.
+func (c *churnTrial) checkPositions(when string, gen *classifier) {
 	c.t.Helper()
-	if c.p.memo == nil || c.p.memo.tab.Load() == nil {
+	if gen.pos == nil {
 		return
 	}
-	tab := c.p.memo.tab.Load()
-	for i := range tab.slots {
-		e := tab.slots[i].Load()
-		if e == nil {
-			continue
+	gen.pos.mu.Lock()
+	defer gen.pos.mu.Unlock()
+	if len(gen.pos.at) != len(c.offers) {
+		c.t.Fatalf("%s: %d positions for %d offers", when, len(gen.pos.at), len(c.offers))
+	}
+	for i, at := range gen.pos.at {
+		f := c.offers[i].Flow
+		switch want := linearClassify(gen.rules, f); {
+		case at.src != f:
+			c.t.Fatalf("%s: position %d holds key %v, its offer points at %v", when, i, *at.src, *f)
+		case at.v.seq != gen.seq:
+			c.t.Fatalf("%s: position %d (flow %v) stamped by generation %d after an egress on %d", when, i, *f, at.v.seq, gen.seq)
+		case at.v.rule != want:
+			c.t.Fatalf("%s: position %d (flow %v) holds %v, linear scan says %v", when, i, *f, at.v.rule, want)
 		}
-		seq := e.v.Load().seq
-		if last, ok := c.stamps[e]; ok && seq < last {
-			c.t.Fatalf("%s: flow %v's stamp went back from generation %d to %d", when, e.key, last, seq)
-		}
-		c.stamps[e] = seq
 	}
 }
 
@@ -1139,8 +1030,9 @@ var fuzzChanges = [8]int{0, 0, 1, 1, 2, 3, 11, -1}
 // tick's egress runs, and with bit 7 so does one on the generation the
 // port had before the tick's rule changes, over the entries the newer
 // one has just stamped. Every verdict and every offer's fate is compared
-// with the linear scan over that generation's rules, and no memo stamp
-// may move back to an older generation. The seed corpus takes the first
+// with the linear scan over that generation's rules, and after each
+// egress every position must hold its offer's pointer under that
+// generation's verdict (checkPositions). The seed corpus takes the first
 // three trial seeds and the flow counts of
 // TestEgressMatchesLinearScanUnderReorder (64 flows) and
 // TestClassifierMatchesLinearScanUnderChurn (96), with 32 op bytes each
@@ -1169,7 +1061,7 @@ func FuzzPortEgress(f *testing.F) {
 		}
 		rng := rand.New(rand.NewSource(seed))
 		c := &churnTrial{t: t, rng: rng, macs: macs, cases: map[string]int{},
-			p: NewPort("victim", macs[0], 1e15), stamps: map[*memoEntry]uint64{}}
+			p: NewPort("victim", macs[0], 1e15)}
 		for n := 2 + int(size)%96; len(c.offers) < n; {
 			c.offers = append(c.offers, c.newOffer())
 		}
@@ -1187,15 +1079,13 @@ func FuzzPortEgress(f *testing.F) {
 			}
 			if op>>6&1 == 1 {
 				c.pass()
-				c.checkStamps("ClassifyHashed")
 			}
 			c.egressFates()
-			c.checkStamps("egress")
 			if op>>7 == 1 {
 				if err := generationFates(before, c.offers); err != nil {
 					t.Fatalf("tick %d, the generation before the rule changes: %v", tick, err)
 				}
-				c.checkStamps("egress on the generation before")
+				c.checkPositions("egress on the generation before", before)
 			}
 		}
 	})

@@ -96,8 +96,8 @@ func ExampleFabric_Tick() {
 		Dst: victim, Proto: netpkt.ProtoTCP, SrcPort: 50443, DstPort: 443}
 
 	offers := fabric.TickOffers{"AS64512": {
-		{Flow: &attack, FlowHash: attack.Hash(), Bytes: 250e6, Packets: 5e5}, // 2 Gbit in 1 s
-		{Flow: &web, FlowHash: web.Hash(), Bytes: 50e6, Packets: 5e4},        // 400 Mbit in 1 s
+		{Flow: &attack, Bytes: 250e6, Packets: 5e5}, // 2 Gbit in 1 s
+		{Flow: &web, Bytes: 50e6, Packets: 5e4},     // 400 Mbit in 1 s
 	}}
 	stats, err := fab.Tick(nil, offers, 1.0, func(worker int, port string) fabric.FlowVisitor {
 		return func(delivered []fabric.Delivery) {

@@ -164,9 +164,9 @@ func TestRuleManagement(t *testing.T) {
 
 var portSink *Port
 
-// TestNewPortAllocations: a rule-free port compiles no indexes and has
-// no memo (every rule-free port shares one classifier), so a member
-// population of thousands costs one allocation per port.
+// TestNewPortAllocations: a rule-free port has no positions (every
+// rule-free port shares one classifier), so a member population of
+// thousands costs one allocation per port.
 func TestNewPortAllocations(t *testing.T) {
 	if got := testing.AllocsPerRun(100, func() { portSink = NewPort("AS64512", macVictim, 1e9) }); got > 1 {
 		t.Fatalf("NewPort: %v allocations, want 1", got)
@@ -376,12 +376,12 @@ func TestActionStrings(t *testing.T) {
 	}
 }
 
-// BenchmarkClassify times the full lookup a memo miss or a stale stamp
+// BenchmarkClassify times the scan a position miss or an old stamp
 // runs: a flow no rule matches, so the scan visits every rule. Rules is
 // 1, hw.RTBHUnitN (the paper's 95th-percentile RTBH rule count) and
 // the per-port QoS-policy cap hardware admission allows at that N.
 func BenchmarkClassify(b *testing.B) {
-	for _, n := range []int{1, hw.RTBHUnitN, hw.DefaultEdgeRouterLimits(1, hw.RTBHUnitN).QoSPoliciesPerPort} {
+	for _, n := range []int{1, hw.RTBHUnitN, rtbhQoSCap} {
 		b.Run(fmt.Sprintf("rules=%d", n), func(b *testing.B) {
 			p := newVictimPort()
 			for i := 0; i < n; i++ {
@@ -408,23 +408,30 @@ var benchVerdict *verdict
 // benchShapes are one port of the repository benchmark's workloads:
 // a victim port of attack_mitigated (13 500 flows under one drop rule, a
 // tenth of them benign) and a member port of wire_signal (256 flows
-// under 16 standing rules).
+// under 16 standing rules), where the attack hits the first rule; and
+// the worst case, that victim port at the per-port QoS-policy cap
+// hardware admission allows at hw.RTBHUnitN (128 rules) with the attack
+// hitting the last, so a scan of any offer visits every rule.
 var benchShapes = []struct {
-	name         string
-	flows, rules int
+	name              string
+	flows, rules, hit int
 }{
-	{"flows=13500/rules=1", 13500, 1},
-	{"flows=256/rules=16", 256, 16},
+	{"flows=13500/rules=1", 13500, 1, 0},
+	{"flows=256/rules=16", 256, 16, 0},
+	{"flows=13500/rules=128", 13500, rtbhQoSCap, rtbhQoSCap - 1},
 }
 
-// benchPort builds a port with n drop rules on UDP source ports and
-// offers of which nine in ten hit the first rule.
-func benchPort(b *testing.B, flows, rules int) (*Port, []Offer) {
+// rtbhQoSCap is the per-port QoS-policy cap at hw.RTBHUnitN.
+var rtbhQoSCap = hw.DefaultEdgeRouterLimits(1, hw.RTBHUnitN).QoSPoliciesPerPort
+
+// benchPort builds a port with rules drop rules on UDP source ports and
+// offers of which nine in ten hit rule number hit.
+func benchPort(b *testing.B, flows, rules, hit int) (*Port, []Offer) {
 	p := newVictimPort()
 	for i := 0; i < rules; i++ {
 		m := MatchAll()
 		m.Proto = netpkt.ProtoUDP
-		m.SrcPort = int32(123 + i)
+		m.SrcPort = int32(123 + (i-hit+rules)%rules)
 		if err := p.InstallRule(&Rule{ID: fmt.Sprintf("drop-%d", i), Match: m, Action: ActionDrop}); err != nil {
 			b.Fatal(err)
 		}
@@ -435,19 +442,19 @@ func benchPort(b *testing.B, flows, rules int) (*Port, []Offer) {
 		if i%10 == 0 {
 			f = tcpFlow(macPeerB, f.Src, 443)
 		}
-		offers[i] = Offer{Flow: f, FlowHash: f.Hash(), Bytes: 1e4, Packets: 10}
+		offers[i] = Offer{Flow: f, Bytes: 1e4, Packets: 10}
 	}
 	return p, offers
 }
 
 var benchTick TickResult
 
-// BenchmarkEgressTick is the steady-state tick: every flow's verdict is
-// in the port's memo.
+// BenchmarkEgressTick is the steady-state tick: every offer meets its
+// key pointer and a current verdict at its position.
 func BenchmarkEgressTick(b *testing.B) {
 	for _, s := range benchShapes {
 		b.Run(s.name, func(b *testing.B) {
-			p, offers := benchPort(b, s.flows, s.rules)
+			p, offers := benchPort(b, s.flows, s.rules, s.hit)
 			p.egress(offers, 1, nil)
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -461,13 +468,12 @@ func BenchmarkEgressTick(b *testing.B) {
 
 // BenchmarkEgressTickReordered is the steady-state tick of a producer
 // whose offer order never repeats: ticks alternate between two orders
-// one position apart, so no offer meets its own key pointer in the
-// port's positional cache and each one pays a pointer compare before
-// the memo probe.
+// one position apart, so no offer meets its own key pointer at its
+// position and each one is scanned.
 func BenchmarkEgressTickReordered(b *testing.B) {
 	for _, s := range benchShapes {
 		b.Run(s.name, func(b *testing.B) {
-			p, offers := benchPort(b, s.flows, s.rules)
+			p, offers := benchPort(b, s.flows, s.rules, s.hit)
 			orders := [2][]Offer{offers, append(offers[1:len(offers):len(offers)], offers[0])}
 			p.egress(orders[1], 1, nil)
 			b.ReportAllocs()
@@ -486,7 +492,7 @@ func BenchmarkEgressTickReordered(b *testing.B) {
 func BenchmarkEgressTickAfterRuleChange(b *testing.B) {
 	for _, s := range benchShapes {
 		b.Run(s.name, func(b *testing.B) {
-			p, offers := benchPort(b, s.flows, s.rules)
+			p, offers := benchPort(b, s.flows, s.rules, s.hit)
 			p.egress(offers, 1, nil)
 			m := MatchAll()
 			m.Proto = netpkt.ProtoTCP

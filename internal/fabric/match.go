@@ -16,8 +16,9 @@
 // port's rule set as an immutable classifier generation through an
 // atomic pointer, so the data path runs lock-free with
 // first-match-priority semantics while rule management stays
-// serialized. A port's flow memo answers every flow it has classified
-// before; the rest go through one first-match scan over the rules in
+// serialized. An offer that meets, at its position, the key pointer and
+// the current generation's verdict of the port's last egress takes that
+// verdict; the rest go through one first-match scan over the rules in
 // install order, which hardware admission bounds at 16N QoS policies
 // per port (see classifier.go). Fabric.Tick fans the member ports'
 // egress engines across the caller's Runner (a shared Pool; nil runs

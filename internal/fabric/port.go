@@ -17,18 +17,17 @@ import (
 // the key and must not change it while a port may see it again: a port
 // takes an offer that carries the pointer its position carried last
 // tick for the same flow, without reading the key. A producer that
-// changes a flow points the offer at a new key. A port's positional
-// cache keeps the pointers of its last egress until its next one; the
-// flow memo stores its own copy of each key.
+// changes a flow points the offer at a new key. A port keeps the key
+// pointers of its last egress with rules until its next egress, and
+// none once its last rule is withdrawn; it copies no key.
 type Offer struct {
 	Flow    *netpkt.FlowKey
 	Bytes   float64
 	Packets float64
-	// FlowHash optionally carries Flow.Hash() computed once by the
-	// traffic generator. Only an offer the port's positional cache
-	// misses (a first sighting, a reordered offer or a new key) probes
-	// the port's flow memo with it. 0 means "not computed"; the
-	// classifier hashes on demand.
+	// FlowHash is not read by the fabric, and no traffic source sets it:
+	// a port classifies by position and first-match scan, never by hash.
+	// It stays only while the repository benchmark's classify probe
+	// passes it to ClassifyHashed (ROADMAP 9(n)).
 	FlowHash uint64
 }
 
@@ -95,11 +94,57 @@ type Port struct {
 	cls   atomic.Pointer[classifier]
 	// seq is the last generation published; it only ever grows, so a
 	// verdict stamped by an earlier rule set, with or without rule-free
-	// generations in between, is never taken for the current one. memo
-	// (nil until the port first has rules) is the flow memo the next
-	// generation inherits. Both are guarded by mu.
-	seq  uint64
-	memo *flowMemo
+	// generations in between, is never taken for the current one. pos
+	// (nil until the port first has rules) holds the per-position
+	// verdicts every generation with rules shares. Both are guarded by
+	// mu.
+	seq uint64
+	pos *positions
+}
+
+// positions is a port's only flow memo: for each offer position of the
+// port's last egress with rules, the key pointer that offer carried and
+// the verdict it got. Producers offer the same flows in the same order
+// tick after tick, and never change a key a port may see again (Offer),
+// so an offer that carries its position's pointer under a verdict of
+// the current generation takes that verdict without reading the key;
+// any other offer is scanned and rewrites its position. A held src
+// keeps its key alive, so a freed key table's address cannot come back
+// under a stale position.
+//
+// One egress at a time holds mu while it reads and rewrites at; a
+// concurrent egress of the same port scans every offer. The engine
+// serializes a port's egress ticks, so only tests meet that case
+// (engine's TestPortEgressesNeverOverlap pins it at Depth 1 and 4). A
+// rule-free publish empties at under mu but keeps its backing array,
+// so a withdrawn port pins no key table and no old generation's
+// verdicts, and the next announce reuses the array. (An egress that
+// loaded the last generation with rules before the withdrawal and
+// reaches the positions after it writes them once more; the port's
+// next egress with rules cuts them again.)
+type positions struct {
+	mu sync.Mutex
+	at []position
+}
+
+// position is one offer position: src is the key the offer pointed at,
+// v the verdict it got. A zero position holds nothing.
+type position struct {
+	src *netpkt.FlowKey
+	v   *verdict
+}
+
+// fit sizes the positions to n offers and returns them. Positions past
+// n are cleared, so they pin nothing; new ones start empty and reuse the
+// backing array while it is large enough. Callers hold mu.
+func (ps *positions) fit(n int) []position {
+	if k := len(ps.at); k > n {
+		clear(ps.at[n:])
+		ps.at = ps.at[:n]
+	} else {
+		ps.at = append(ps.at, make([]position, n-k)...)
+	}
+	return ps.at
 }
 
 // Errors from rule management.
@@ -156,25 +201,27 @@ func (p *Port) RemoveRule(id string) error {
 	return ErrNoSuchRule
 }
 
-// publish makes rules the port's next classifier generation. The memo
-// carries over, and its entries stamped by older generations are
-// rescanned as they are met; a full memo is dropped instead, so the
-// next flows start a fresh one. Callers hold p.mu.
+// publish makes rules the port's next classifier generation. The
+// positions carry over, and a position stamped by an older generation
+// is rescanned when next met; a rule-free generation empties them
+// instead. Callers hold p.mu.
 func (p *Port) publish(rules []*Rule) {
 	p.seq++
 	p.rules = rules
-	if p.memo != nil && p.memo.len() >= maxMemoEntries {
-		p.memo = nil
-	}
 	if len(rules) == 0 {
 		p.cls.Store(ruleFree)
+		if p.pos != nil {
+			p.pos.mu.Lock()
+			p.pos.fit(0)
+			p.pos.mu.Unlock()
+		}
 		return
 	}
-	if p.memo == nil {
-		p.memo = new(flowMemo)
+	if p.pos == nil {
+		p.pos = new(positions)
 	}
 	next := compile(rules, p.seq)
-	next.memo = p.memo
+	next.pos = p.pos
 	p.cls.Store(next)
 }
 
@@ -189,12 +236,13 @@ func (p *Port) Rule(id string) (*Rule, error) {
 }
 
 // ClassifyHashed returns the first matching rule for the flow, or nil
-// for the default forwarding queue; hash is the flow's precomputed
-// netpkt.FlowKey.Hash (0: computed on demand). It is lock-free and safe
-// to call concurrently with rule management and egress ticks, and reads
-// f only during the call.
-func (p *Port) ClassifyHashed(f *netpkt.FlowKey, hash uint64) *Rule {
-	return p.cls.Load().classifyHashed(f, hash)
+// for the default forwarding queue: the port's first-match scan, with
+// no positions in front. It ignores hash, which stays in the signature
+// only while the repository benchmark passes one (ROADMAP 9(n)). It is
+// lock-free and safe to call concurrently with rule management and
+// egress ticks, and reads f only during the call.
+func (p *Port) ClassifyHashed(f *netpkt.FlowKey, _ uint64) *Rule {
+	return p.cls.Load().classify(f).rule
 }
 
 // fwdPool recycles the per-tick forward-queue scratch across egress
@@ -260,24 +308,20 @@ func (p *Port) egress(offers []Offer, dtSeconds float64, visit FlowVisitor) (res
 	}
 	var shapeGroups map[string]*shapeGroup
 
-	// Offers within the memo's positional cache resolve through it, the
-	// rest through the hash probe. A rule-free classifier has no memo,
-	// and an egress that finds another holding the cache (two concurrent
-	// ticks of one port) probes every offer. The cache is cut to this
-	// egress's offers, so a port never pins a key table its producer has
-	// stopped offering.
-	var pos []position
-	m := cls.memo
-	cached := len(cls.rules) > 0 && m.posMu.TryLock()
+	// An offer whose position holds its key pointer and a verdict of this
+	// generation takes that verdict; every other offer is scanned and
+	// rewrites its position. The positions are cut to this egress's
+	// offers, so a port never pins a key table its producer has stopped
+	// offering. An egress that finds another holding them (two
+	// concurrent ticks of one port) scans every offer; a rule-free
+	// generation has none and sends every offer to the forward queue.
+	var at []position
+	ps := cls.pos
+	cached := ps != nil && ps.mu.TryLock()
 	if cached {
-		if n, k := min(len(offers), maxMemoEntries), len(m.pos); k > n {
-			clear(m.pos[n:])
-			m.pos = m.pos[:n]
-		} else {
-			m.pos = append(m.pos, make([]position, n-k)...)
-		}
-		pos = m.pos
+		at = ps.fit(len(offers))
 	}
+	seq := cls.seq
 
 	var run matchRun
 	for i := range offers {
@@ -285,18 +329,16 @@ func (p *Port) egress(offers []Offer, dtSeconds float64, visit FlowVisitor) (res
 		bytes := o.Bytes
 		res.PresentedBytes += bytes
 		var r *Rule
-		if i < len(pos) {
-			if at := &pos[i]; at.src == o.Flow {
-				r = cls.resolve(at.e, o.Flow)
+		if i < len(at) {
+			if a := &at[i]; a.src == o.Flow && a.v.seq == seq {
+				r = a.v.rule
 			} else {
-				r, at.e = cls.classifyEntry(o.Flow, o.FlowHash)
-				at.src = nil
-				if at.e != nil {
-					at.src = o.Flow
-				}
+				v := cls.classify(o.Flow)
+				*a = position{o.Flow, v}
+				r = v.rule
 			}
-		} else {
-			r = cls.classifyHashed(o.Flow, o.FlowHash)
+		} else if len(cls.rules) > 0 {
+			r = cls.classify(o.Flow).rule
 		}
 		if r == nil {
 			forward = append(forward, Delivery{o, bytes})
@@ -332,7 +374,7 @@ func (p *Port) egress(offers []Offer, dtSeconds float64, visit FlowVisitor) (res
 	}
 	run.flush()
 	if cached {
-		m.posMu.Unlock()
+		ps.mu.Unlock()
 	}
 
 	// Shaping queues: pass up to the available tokens, proportionally

@@ -32,7 +32,7 @@ func streamOffers(n int) []Offer {
 			*f = *udpFlow(macPeerB, srcIPB, 53) // shape rule target
 			f.DstPort = uint16(2000 + i)
 		}
-		offers[i] = Offer{Flow: f, FlowHash: f.Hash(), Bytes: 2e6, Packets: 2000}
+		offers[i] = Offer{Flow: f, Bytes: 2e6, Packets: 2000}
 	}
 	return offers
 }
@@ -81,7 +81,7 @@ func TestTickStreamPerPortVisitors(t *testing.T) {
 		for i := range os {
 			flow := tcpFlow(macPeerA, srcIPA, uint16(8000+i))
 			flow.SrcMAC = netpkt.MAC{0x02, 0x30, 0, 0, byte(p), byte(i)}
-			os[i] = Offer{Flow: flow, FlowHash: flow.Hash(), Bytes: 1e4, Packets: 10}
+			os[i] = Offer{Flow: flow, Bytes: 1e4, Packets: 10}
 		}
 		offers[name] = os
 	}
@@ -125,15 +125,14 @@ func TestTickStreamPerPortVisitors(t *testing.T) {
 // visit is one delivery as a port's visitor saw it.
 type visit struct {
 	flow  netpkt.FlowKey
-	hash  uint64
 	bytes float64
 }
 
 // TestTickNilRunnerMatchesPool: the runner decides only where a port's
 // egress runs. A nil Runner (inline, worker 0) and a 4-worker Pool produce
 // identical TickStats and, port by port, the identical visitor stream —
-// every queue contributing, each delivery pointing at an offer with its
-// FlowHash, and the stream summing to the port's DeliveredBytes.
+// every queue contributing, and the stream summing to the port's
+// DeliveredBytes.
 func TestTickNilRunnerMatchesPool(t *testing.T) {
 	const ports = 12
 	offers := make(TickOffers, ports)
@@ -165,7 +164,7 @@ func TestTickNilRunnerMatchesPool(t *testing.T) {
 			mu.Unlock()
 			return func(ds []Delivery) {
 				for _, d := range ds {
-					*seen = append(*seen, visit{*d.Offer.Flow, d.Offer.FlowHash, d.Bytes})
+					*seen = append(*seen, visit{*d.Offer.Flow, d.Bytes})
 				}
 			}
 		}
@@ -190,9 +189,6 @@ func TestTickNilRunnerMatchesPool(t *testing.T) {
 	for name, res := range inlineStats.PerPort {
 		var sum float64
 		for _, v := range *inlineStreams[name] {
-			if v.hash != v.flow.Hash() {
-				t.Fatalf("port %s: visitor hash %d != FlowKey.Hash %d", name, v.hash, v.flow.Hash())
-			}
 			sum += v.bytes
 		}
 		if sum != res.DeliveredBytes {
@@ -215,13 +211,13 @@ func mallocs(f func()) uint64 {
 	return after.Mallocs - before.Mallocs
 }
 
-// TestEgressStreamAllocations pins, as counts, what the flow memo costs
-// around a rule change: nothing. The memo and its entries outlive the
-// port's classifier generations and a rule change only re-stamps
-// verdicts, so the first pass after any change allocates no table and no
-// entry: after an install that matches no flow, after removing the
-// verdict of some flows, and after withdrawing every rule and installing
-// one again, a signal's withdraw followed by the next announce.
+// TestEgressStreamAllocations pins, as counts, what a port's positions
+// cost around a rule change: nothing. The positions outlive the port's
+// classifier generations and a rule change only makes their stamps old,
+// so the first pass after any change allocates no positions: after an
+// install that matches no flow, after removing the verdict of some
+// flows, and after withdrawing every rule and installing one again, a
+// signal's withdraw followed by the next announce.
 func TestEgressStreamAllocations(t *testing.T) {
 	const flows, ntp = 4096, 100
 	p := newVictimPort()
@@ -244,7 +240,7 @@ func TestEgressStreamAllocations(t *testing.T) {
 			f = udpFlow(macPeerA, srcIPA, 123)
 			f.DstPort = uint16(i)
 		}
-		offers[i] = Offer{Flow: f, FlowHash: f.Hash(), Bytes: 1000, Packets: 1}
+		offers[i] = Offer{Flow: f, Bytes: 1000, Packets: 1}
 	}
 	pass := func() { p.egress(offers, 1, nil) }
 	// The egress scratch comes from a sync.Pool, which the race detector

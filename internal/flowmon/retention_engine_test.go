@@ -53,7 +53,7 @@ func (s peerSource) AppendOffers(dst []fabric.Offer, tick int, _ float64) []fabr
 			SrcPort: 123,
 			DstPort: 443,
 		}
-		dst = append(dst, fabric.Offer{Flow: flow, FlowHash: flow.Hash(), Bytes: 1e5, Packets: 100})
+		dst = append(dst, fabric.Offer{Flow: flow, Bytes: 1e5, Packets: 100})
 	}
 	return dst
 }

@@ -152,7 +152,7 @@ func TestWireDoorMatchesInProcessDoor(t *testing.T) {
 				for _, dst := range []netip.Addr{host(w).Addr(), host(w).Addr().Next()} {
 					flow := netpkt.FlowKey{SrcMAC: src.MAC, Dst: dst, Proto: netpkt.ProtoUDP, SrcPort: 123, DstPort: 443}
 					b := 1e7 * (1 + rng.Float64())
-					os = append(os, fabric.Offer{Flow: &flow, FlowHash: flow.Hash(), Bytes: b, Packets: b / 500})
+					os = append(os, fabric.Offer{Flow: &flow, Bytes: b, Packets: b / 500})
 				}
 			}
 			offers[members[w].Name] = os

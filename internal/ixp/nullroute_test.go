@@ -216,7 +216,7 @@ func TestEgressTickMatchesSnapshotFilterUnderRTBHChurn(t *testing.T) {
 				for _, dst := range []netip.Addr{host(w).Addr(), other} {
 					flow := netpkt.FlowKey{SrcMAC: mac, Dst: dst, Proto: netpkt.ProtoUDP, SrcPort: 123, DstPort: 443}
 					b := 1e7 * (1 + rng.Float64()) // congests the 1 Gbps victim port
-					os = append(os, fabric.Offer{Flow: &flow, FlowHash: flow.Hash(), Bytes: b, Packets: b / 500})
+					os = append(os, fabric.Offer{Flow: &flow, Bytes: b, Packets: b / 500})
 				}
 			}
 			offers[members[w].Name] = os
@@ -283,7 +283,7 @@ func TestEgressTickAllocsIndependentOfMembers(t *testing.T) {
 		var offers []fabric.Offer
 		for _, m := range members[1:40] {
 			flow := netpkt.FlowKey{SrcMAC: m.MAC, Dst: victimAddr(victim), Proto: netpkt.ProtoUDP, SrcPort: 123, DstPort: 443}
-			offers = append(offers, fabric.Offer{Flow: &flow, FlowHash: flow.Hash(), Bytes: 1e5, Packets: 100})
+			offers = append(offers, fabric.Offer{Flow: &flow, Bytes: 1e5, Packets: 100})
 		}
 		tick := fabric.TickOffers{victim.Name: offers}
 		egress := func() {
@@ -296,7 +296,7 @@ func TestEgressTickAllocsIndependentOfMembers(t *testing.T) {
 		// garbage collected, so no collection empties the pool meanwhile.
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 		runtime.GC()
-		egress() // warm the port's flow memo and the egress scratch
+		egress() // warm the port's positions and the egress scratch
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		for i := 0; i < runs; i++ {

@@ -6,7 +6,6 @@
 // of the paper) and the simulation is flow-level throughout — traffic
 // generators emit per-flow byte aggregates, never frames — so there is
 // no packet codec here. FlowKey is the aggregation key shared by the
-// fabric's classifier and its flow memo, the traffic generators and the flow
-// monitor; FlowKey.Hash is the stable 64-bit digest traffic generators
-// precompute so per-tick hot loops never re-hash a flow.
+// fabric's classifier, the traffic generators and the flow monitor,
+// which pass it by pointer; no hot loop hashes it.
 package netpkt

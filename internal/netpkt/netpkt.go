@@ -110,11 +110,11 @@ func (k FlowKey) String() string {
 	return fmt.Sprintf("%s %s:%d -> %s:%d", k.Proto, k.Src, k.SrcPort, k.Dst, k.DstPort)
 }
 
-// Hash returns a 64-bit FNV-1a digest of the flow key. It never returns
-// 0, so callers can use the zero value as a "not yet computed" sentinel
-// (fabric.Offer.FlowHash does). Traffic generators compute it once per
-// flow and carry it alongside the key so per-tick hot loops do no
-// re-hashing.
+// Hash returns a 64-bit FNV-1a digest of the flow key; it never returns
+// 0. Nothing in the data path hashes a flow any more: a fabric port
+// classifies by position and first-match scan, and no traffic source
+// fills fabric.Offer.FlowHash. Hash goes with that field once the
+// repository benchmark stops passing it (ROADMAP 9(n)).
 func (k FlowKey) Hash() uint64 {
 	const (
 		offset = 14695981039346656037

@@ -190,7 +190,7 @@ func SamplePolicies(n int, rng *stats.Rand) []AnnouncementPolicy {
 // Source, which makes a recorded trace a drop-in replacement for a
 // synthetic Attack in any driver.
 //
-// NewTrace fixes it: it samples the segments and builds the pre-hashed
+// NewTrace fixes it: it samples the segments and builds the
 // per-(peer, port) flow table its offers point into (fabric.Offer's
 // pointer-lifetime rule).
 type Trace struct {
@@ -206,7 +206,6 @@ type Trace struct {
 	// Attack's reflector population.
 	weights []float64
 	flows   []netpkt.FlowKey // (peer, port) flattened peer-major
-	hashes  []uint64
 }
 
 // otherSrcPort carries the residual ("others") mass of a sampled event
@@ -231,7 +230,6 @@ func NewTrace(p PortShareProfile, target netip.Addr, peers []Peer, ratesBps []fl
 	t.weights = drawWeights(len(peers), func() float64 { return rng.Pareto(1.0, 1.8) })
 
 	t.flows = make([]netpkt.FlowKey, len(peers)*len(t.ports))
-	t.hashes = make([]uint64, len(t.flows))
 	for i, peer := range peers {
 		for j, port := range t.ports {
 			k := i*len(t.ports) + j
@@ -243,7 +241,6 @@ func NewTrace(p PortShareProfile, target netip.Addr, peers []Peer, ratesBps []fl
 				SrcPort: port,
 				DstPort: 443,
 			}
-			t.hashes[k] = t.flows[k].Hash()
 		}
 	}
 	return t
@@ -291,10 +288,9 @@ func (t *Trace) AppendOffers(dst []fabric.Offer, tick int, dtSeconds float64) []
 			}
 			k := i*len(t.ports) + j
 			dst = append(dst, fabric.Offer{
-				Flow:     &t.flows[k],
-				FlowHash: t.hashes[k],
-				Bytes:    b,
-				Packets:  b / 1200,
+				Flow:    &t.flows[k],
+				Bytes:   b,
+				Packets: b / 1200,
 			})
 		}
 	}

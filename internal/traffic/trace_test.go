@@ -111,8 +111,8 @@ func TestTraceSegmentsResample(t *testing.T) {
 }
 
 // TestTraceDeterministicAndReusable: identical seeds replay identically,
-// AppendOffers reuses the caller's buffer, and every offer carries a
-// pre-computed flow hash.
+// AppendOffers reuses the caller's buffer, and every offer targets the
+// victim.
 func TestTraceDeterministicAndReusable(t *testing.T) {
 	build := func() *Trace {
 		return NewTrace(RTBHPortProfile(), netip.MustParseAddr("100.64.0.1"),
@@ -132,9 +132,6 @@ func TestTraceDeterministicAndReusable(t *testing.T) {
 		t.Fatal("AppendOffers abandoned the caller's buffer")
 	}
 	for _, o := range out2 {
-		if o.FlowHash != o.Flow.Hash() {
-			t.Fatal("offer carries a stale flow hash")
-		}
 		if o.Flow.Dst != netip.MustParseAddr("100.64.0.1") {
 			t.Fatalf("offer targets %v", o.Flow.Dst)
 		}

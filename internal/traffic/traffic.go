@@ -89,11 +89,9 @@ type Attack struct {
 	pktSize    float64 // the vector's reflected datagram size
 	// weights split the rate across the peers heavy-tailed (Pareto), so
 	// a few peers dominate, as observed in the paper's booter
-	// experiments. flows and hashes are the per-peer flow keys and their
-	// netpkt.FlowKey.Hash values, so every offer is pre-hashed.
+	// experiments. flows are the per-peer flow keys.
 	weights []float64
 	flows   []netpkt.FlowKey
-	hashes  []uint64
 }
 
 // NewAttack builds an attack of vector v on target, split across peers
@@ -104,13 +102,11 @@ func NewAttack(v Vector, target netip.Addr, peers []Peer, rateBps float64, start
 		pktSize: float64(v.ResponseSize),
 		weights: drawWeights(len(peers), func() float64 { return rng.Pareto(1.0, 1.8) }),
 		flows:   make([]netpkt.FlowKey, len(peers)),
-		hashes:  make([]uint64, len(peers)),
 	}
 	for i, p := range peers {
 		// Reflected toward the service port under attack.
 		a.flows[i] = netpkt.FlowKey{SrcMAC: p.MAC, Src: p.SrcIP, Dst: target,
 			Proto: netpkt.ProtoUDP, SrcPort: v.SrcPort, DstPort: 443}
-		a.hashes[i] = a.flows[i].Hash()
 	}
 	return a
 }
@@ -158,10 +154,9 @@ func (a *Attack) AppendOffers(dst []fabric.Offer, tick int, dtSeconds float64) [
 			continue
 		}
 		dst = append(dst, fabric.Offer{
-			Flow:     &a.flows[i],
-			FlowHash: a.hashes[i],
-			Bytes:    b,
-			Packets:  b / a.pktSize,
+			Flow:    &a.flows[i],
+			Bytes:   b,
+			Packets: b / a.pktSize,
 		})
 	}
 	return dst
@@ -184,7 +179,7 @@ var webMix = [...]struct {
 // WebService generates the benign traffic of the victim service in
 // Figure 2(c): HTTPS-dominated TCP traffic across a handful of ports
 // (webMix). NewWebService fixes it; the first AppendOffers builds its
-// pre-hashed (peer, port) key table, once, under a sync.Once. Its offers
+// (peer, port) key table, once, under a sync.Once. Its offers
 // point into that table (fabric.Offer's pointer-lifetime rule).
 type WebService struct {
 	target  netip.Addr
@@ -193,10 +188,8 @@ type WebService struct {
 	weights []float64
 
 	once sync.Once
-	// flows/hashes are the (peer, mix) flow keys, flattened peer-major,
-	// and their hashes.
-	flows  []netpkt.FlowKey
-	hashes []uint64
+	// flows are the (peer, mix) flow keys, flattened peer-major.
+	flows []netpkt.FlowKey
 }
 
 // NewWebService builds a benign web workload spread across peers with
@@ -207,18 +200,16 @@ func NewWebService(target netip.Addr, peers []Peer, rateBps float64, rng *stats.
 }
 
 // buildFlows fills the (peer, mix) key table. It runs on the first
-// AppendOffers rather than in NewWebService, keeping the hashing out of
-// a workload's set-up.
+// AppendOffers rather than in NewWebService, keeping the table out of a
+// workload's set-up.
 func (w *WebService) buildFlows() {
 	w.flows = make([]netpkt.FlowKey, len(w.peers)*len(webMix))
-	w.hashes = make([]uint64, len(w.flows))
 	for i, p := range w.peers {
 		for j, m := range webMix {
 			k := i*len(webMix) + j
 			// A stable per-port client flow.
 			w.flows[k] = netpkt.FlowKey{SrcMAC: p.MAC, Src: p.SrcIP, Dst: w.target,
 				Proto: netpkt.ProtoTCP, SrcPort: 40000 + m.port, DstPort: m.port}
-			w.hashes[k] = w.flows[k].Hash()
 		}
 	}
 }
@@ -240,10 +231,9 @@ func (w *WebService) AppendOffers(dst []fabric.Offer, tick int, dtSeconds float6
 			}
 			k := i*len(webMix) + j
 			dst = append(dst, fabric.Offer{
-				Flow:     &w.flows[k],
-				FlowHash: w.hashes[k],
-				Bytes:    b,
-				Packets:  b / 900,
+				Flow:    &w.flows[k],
+				Bytes:   b,
+				Packets: b / 900,
 			})
 		}
 	}

@@ -174,7 +174,7 @@ func TestAttackDeterminism(t *testing.T) {
 	}
 	for i := range o1 {
 		a, b := o1[i], o2[i]
-		if *a.Flow != *b.Flow || a.FlowHash != b.FlowHash || a.Bytes != b.Bytes || a.Packets != b.Packets {
+		if *a.Flow != *b.Flow || a.Bytes != b.Bytes || a.Packets != b.Packets {
 			t.Fatalf("offer %d differs", i)
 		}
 	}
@@ -307,28 +307,6 @@ func BenchmarkAttackOffers(b *testing.B) {
 	}
 }
 
-// TestOffersPreHashed: every offer carries its flow's hash, computed
-// once when the source builds its key table.
-func TestOffersPreHashed(t *testing.T) {
-	rng := stats.NewRand(5)
-	peers := MakePeers(4)
-	a := NewAttack(VectorNTP, victim, peers, 1e9, 0, 100, rng)
-	for _, o := range a.AppendOffers(nil, 10, 1) {
-		if o.FlowHash != o.Flow.Hash() {
-			t.Fatalf("attack offer hash mismatch for %v", o.Flow)
-		}
-		if o.Flow.Dst != victim || o.Flow.SrcPort != VectorNTP.SrcPort {
-			t.Fatalf("attack flow: %v", o.Flow)
-		}
-	}
-	w := NewWebService(victim, peers, 4e8, rng)
-	for _, o := range w.AppendOffers(nil, 0, 1) {
-		if o.FlowHash != o.Flow.Hash() {
-			t.Fatalf("web offer hash mismatch for %v", o.Flow)
-		}
-	}
-}
-
 // TestSharedSourceConcurrentAppend: the engine fans victims across its
 // worker pool and one source may feed several victims, so AppendOffers
 // must only read the source. Goroutines appending from one fresh
@@ -351,7 +329,7 @@ func TestSharedSourceConcurrentAppend(t *testing.T) {
 	render := func(offers []fabric.Offer) string {
 		var b strings.Builder
 		for _, o := range offers {
-			fmt.Fprintf(&b, "%v %x %v %v\n", *o.Flow, o.FlowHash, o.Bytes, o.Packets)
+			fmt.Fprintf(&b, "%v %v %v\n", *o.Flow, o.Bytes, o.Packets)
 		}
 		return b.String()
 	}
