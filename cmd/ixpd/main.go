@@ -11,14 +11,14 @@
 // line back to the owed members. Each established session joins its
 // member to the exchange (ixp.Join). The control plane ticks on two
 // cadences: after every applied UPDATE, so a signal takes effect
-// promptly, and every -tick interval on the wall clock, so TTL expiry,
-// change-queue pacing and pruning final mitigations from the store run
-// on an idle exchange too. Either tick advances the exchange clock by
-// the wall time elapsed since the previous one, so simulated time is
-// the daemon's uptime however many UPDATEs arrive. The daemon proposes
-// RFC 4271's suggested 90 s hold time, so a member that proposes one
-// too and then falls silent without closing TCP loses its session, and
-// with it its routes and mitigations, once the hold timer expires.
+// promptly, and every -tick interval on the wall clock, so TTL expiry
+// and change-queue pacing run on an idle exchange too. Either tick
+// advances the exchange clock by the wall time elapsed since the
+// previous one, so simulated time is the daemon's uptime however many
+// UPDATEs arrive. The daemon proposes RFC 4271's suggested 90 s hold
+// time, so a member that proposes one too and then falls silent without
+// closing TCP loses its session, and with it its routes and
+// mitigations, once the hold timer expires.
 // SIGINT or SIGTERM stops the daemon.
 //
 //	ixpd -bgp-listen 127.0.0.1:1790 -asn 6695 -open-irr
@@ -37,7 +37,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -146,12 +145,6 @@ type daemon struct {
 	// before the first); guarded by tickMu. time.Now carries a
 	// monotonic reading, so wall-clock steps do not move the exchange.
 	lastTick time.Time
-
-	// seen is the highest store version the event stream has delivered;
-	// every transition up to it has happened. pruneUpTo is seen as read
-	// at the previous wall-clock tick (run's goroutine only).
-	seen      atomic.Uint64
-	pruneUpTo uint64
 }
 
 // newDaemon builds the exchange and attaches the wire front on ln.
@@ -167,13 +160,6 @@ func newDaemon(o options, ln net.Listener) (*daemon, error) {
 	x.Mitigations.Subscribe(func(ev mitctl.Event) { // every lifecycle transition
 		m := ev.Mitigation
 		log.Printf("ixpd: mitigation %s %s (owner %s, %v toward %s) %s", m.ID, ev.Type, m.Requester, m.Action, m.Target, m.LastError)
-		// Events from concurrent ticks may arrive out of version order.
-		for {
-			v := d.seen.Load()
-			if v >= m.Version || d.seen.CompareAndSwap(v, m.Version) {
-				break
-			}
-		}
 	})
 	feed := &bgppipe.RSFeed{
 		RS:         x.RS,
@@ -215,18 +201,8 @@ func (d *daemon) run(ctx context.Context) error {
 			return err
 		case <-t.C:
 			d.controlTick()
-			d.prune()
 		}
 	}
-}
-
-// prune drops the final mitigations whose last transition the previous
-// wall-clock tick had already seen. The store then holds the live
-// mitigations plus about one tick's worth of final ones, and every final
-// mitigation stays readable for at least one tick.
-func (d *daemon) prune() {
-	d.x.Mitigations.Prune(d.pruneUpTo + 1)
-	d.pruneUpTo = d.seen.Load()
 }
 
 // controlTick advances the control plane by the wall time elapsed since

@@ -2,10 +2,15 @@ package main
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"io"
+	"log"
 	"net"
 	"net/netip"
+	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -514,60 +519,94 @@ func TestSilentPeerLosesItsMitigations(t *testing.T) {
 	}
 }
 
-// TestDaemonPrunesFinalMitigations pins the daemon's store bound: a
-// withdrawn mitigation stays readable for a wall-clock tick, then the
-// wall-clock loop prunes it, so a long-running daemon does not keep one
-// record per mitigation ever signalled.
-func TestDaemonPrunesFinalMitigations(t *testing.T) {
-	const signalled = 200
-	signal := func(t *testing.T, d *daemon) []string {
+// TestDaemonSoak runs the daemon through member flaps and a churn of
+// mitigation IDs and checks that it stays flat: every flap (connect,
+// Advanced Blackholing signal over the wire, withdrawal over the wire,
+// session close) leaves no goroutine behind, the controller's store
+// stays within its bound however many IDs the members churn, and the
+// live heap after a GC does not creep from the first quarter of the run
+// to the last.
+func TestDaemonSoak(t *testing.T) {
+	const (
+		cycles = 16
+		// maxFinals is mitctl's maxRetainedFinals: with no live
+		// mitigation, the store holds at most twice that many.
+		maxFinals = 4096
+		// perCycle distinct IDs churn through the store each cycle, after
+		// a warm-up that fills it to its bound, so every quarter of the run
+		// sees the store cycle through the same sizes.
+		perCycle = maxFinals / 4
+		// heapSlack is the growth allowed from the first quarter's largest
+		// live heap to the last quarter's; a store that kept every ID
+		// would add perCycle entries a cycle, over ten times the slack.
+		heapSlack = 1 << 20
+	)
+	log.SetOutput(io.Discard) // the daemon logs every lifecycle transition
+	t.Cleanup(func() { log.SetOutput(os.Stderr) })
+	d, addr, stop := startDaemon(t, "-irr 64512:100.10.0.0/16 -tick 1ms")
+	defer stop()
+
+	// The bulk IDs request space AS64512 does not hold: validation refuses
+	// each, so it enters the store as a final mitigation at once, and the
+	// change queue's pacer (4.33 changes/s) holds no backlog for them.
+	// Withdrawing a final mitigation is a no-op.
+	next := 0
+	churn := func(n int) {
 		t.Helper()
-		ids := make([]string, signalled)
-		for i := range ids {
-			m, err := d.x.RequestMitigation(mitctl.Spec{
-				Requester: "AS64512", Target: netip.PrefixFrom(netip.AddrFrom4([4]byte{100, 10, 30, byte(i)}), 32),
+		for end := next + n; next < end; next++ {
+			id := fmt.Sprintf("soak-%d", next)
+			_, err := d.x.RequestMitigation(mitctl.Spec{
+				ID: id, Requester: "AS64512", Target: netip.PrefixFrom(netip.AddrFrom4([4]byte{100, 99, byte(next >> 8), byte(next)}), 32),
 				Match: core.DropUDPSrcPort(123).Match(fabric.MatchAll()), Action: fabric.ActionDrop,
 			})
-			if err != nil {
-				t.Fatal(err)
+			if !errors.Is(err, mitctl.ErrValidation) {
+				t.Fatalf("request %s: %v, want a validation failure", id, err)
 			}
-			if err := d.x.WithdrawMitigation(m.ID, "AS64512"); err != nil {
-				t.Fatal(err)
+			if err := d.x.WithdrawMitigation(id, "AS64512"); err != nil {
+				t.Fatalf("withdraw %s: %v", id, err)
 			}
-			ids[i] = m.ID
 		}
-		return ids
 	}
+	churn(2 * maxFinals)
 
-	t.Run("one tick of grace", func(t *testing.T) {
-		// A -tick this long never fires: the test plays the wall clock.
-		d, addr, stop := startDaemon(t, "-irr 64512:100.10.0.0/16 -tick 1h")
-		defer stop()
+	ec, err := core.DropUDPSrcPort(123).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	host := netip.MustParsePrefix("100.10.10.10/32")
+	baseline := runtime.NumGoroutine()
+	heap := make([]uint64, cycles)
+	for c := range heap {
 		victim := dial(t, d, addr, 64512, "10.0.0.12", nil)
-		defer victim.Close()
-		ids := signal(t, d)
-		d.prune()
-		for _, id := range ids {
-			if m, ok := d.x.Mitigations.Get(id); !ok || m.State != mitctl.StateWithdrawn {
-				t.Fatalf("%s unreadable one tick after its withdrawal: %+v", id, m)
-			}
+		if err := victim.SendUpdate(announce(64512, host, nil, ec)); err != nil {
+			t.Fatal(err)
 		}
-		d.prune()
-		if n := len(d.x.Mitigations.Snapshot().Mitigations); n != 0 {
-			t.Fatalf("%d final mitigations left after two ticks", n)
+		waitFor(t, "the signal's rule", func() bool { return installedRules(d) == 1 })
+		if err := victim.SendUpdate(&bgp.Update{Withdrawn: []bgp.PathPrefix{{Prefix: host}}}); err != nil {
+			t.Fatal(err)
 		}
-	})
-
-	t.Run("wall clock", func(t *testing.T) {
-		d, addr, stop := startDaemon(t, "-irr 64512:100.10.0.0/16 -tick 1ms")
-		defer stop()
-		victim := dial(t, d, addr, 64512, "10.0.0.12", nil)
-		defer victim.Close()
-		signal(t, d)
-		waitFor(t, "final mitigations pruned", func() bool {
-			return len(d.x.Mitigations.Snapshot().Mitigations) < signalled/10
+		waitFor(t, "the withdrawal's removal", func() bool { return installedRules(d) == 0 && len(d.x.Mitigations.Active()) == 0 })
+		churn(perCycle)
+		victim.Close()
+		waitWithin(t, 5*time.Second, fmt.Sprintf("goroutines back to %d after flap %d", baseline, c), func() bool {
+			return runtime.NumGoroutine() <= baseline
 		})
-	})
+		if n := len(d.x.Mitigations.Snapshot()); n > 2*maxFinals {
+			t.Fatalf("cycle %d: the store holds %d mitigations after %d IDs, bound %d", c, n, next, 2*maxFinals)
+		}
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		heap[c] = ms.HeapAlloc
+	}
+	if _, err := d.x.Mitigations.Usage("soak-0"); !errors.Is(err, mitctl.ErrUnknownMitigation) {
+		t.Fatalf("usage of the first, retired ID: %v, want ErrUnknownMitigation", err)
+	}
+	first, last := slices.Max(heap[:cycles/4]), slices.Max(heap[cycles-cycles/4:])
+	t.Logf("live heap after GC, per cycle: %v", heap)
+	if last > first+heapSlack {
+		t.Fatalf("live heap grew from %d B (first quarter's max) to %d B (last quarter's), slack %d B", first, last, heapSlack)
+	}
 }
 
 // TestDaemonStopsCleanly starts and stops the whole daemon with a live

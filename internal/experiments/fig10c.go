@@ -64,7 +64,7 @@ func fig10c(p *conformance.Profile) (fig10cResult, error) {
 		PeersPeak: m[3], PeersShaped: m[4], PeersFinal: m[5],
 		TopPorts: res.Series[0].Monitor.TopSrcPorts(3),
 	}
-	if ms := res.IXP.Mitigations.Snapshot().Mitigations; len(ms) > 0 {
+	if ms := res.IXP.Mitigations.Snapshot(); len(ms) > 0 {
 		first := slices.MinFunc(ms, func(a, b mitctl.Mitigation) int { return cmp.Compare(a.RequestedAt, b.RequestedAt) })
 		r.ShapeLatency = first.InstalledAt - first.RequestedAt
 	}

@@ -50,7 +50,7 @@ func installedState(t *testing.T, h *harness, member string) []string {
 // rule tags, same matches — on three independently wired controllers.
 func TestCrossChannelEquivalence(t *testing.T) {
 	target := netip.MustParsePrefix("100.0.0.10/32")
-	run := func(drive func(h *harness, ctl *Controller)) (ids []string, rules []string, snap Snapshot) {
+	run := func(drive func(h *harness, ctl *Controller)) (ids []string, rules []string, snap []Mitigation) {
 		h := newHarness(t, 2, nil)
 		ctl := New(h.config())
 		drive(h, ctl)

@@ -168,12 +168,6 @@ func (u *Usage) add(c fabric.CounterSnapshot) {
 	u.ShapedResidue += c.ShapedResidue
 }
 
-// Snapshot is a consistent view of the store: every mitigation, sorted
-// by ID.
-type Snapshot struct {
-	Mitigations []Mitigation
-}
-
 // Errors returned by Request and Withdraw.
 var (
 	// ErrValidation wraps IRR/ownership validation failures.
@@ -311,7 +305,10 @@ type Controller struct {
 	// for due TTLs only once the clock reaches it.
 	nextDue float64
 	version uint64
-	subs    []func(Event)
+	// retireAt is twice the store's size after the last retirement of
+	// final mitigations (storeLocked).
+	retireAt int
+	subs     []func(Event)
 
 	applied  int
 	errTotal int
@@ -452,9 +449,7 @@ func (c *Controller) Request(spec Spec, now float64) (Mitigation, error) {
 		m := &mit{Mitigation: Mitigation{
 			Spec: spec, State: StateRejected, RequestedAt: now, LastError: reason.Error(),
 		}, key: key}
-		c.version++
-		m.Version = c.version
-		c.mits[spec.ID] = m
+		c.storeLocked(m)
 		view := m.Mitigation
 		subs, evs := c.subsLocked(), []Event{
 			{Type: EventRequested, Time: now, Mitigation: view},
@@ -504,9 +499,7 @@ func (c *Controller) Request(spec Spec, now float64) (Mitigation, error) {
 		m.fineL34 += cl
 		c.enqueueLocked(queuedOp{change: change, m: m, firstAt: now})
 	}
-	c.version++
-	m.Version = c.version
-	c.mits[spec.ID] = m
+	c.storeLocked(m)
 	view := m.Mitigation
 	subs, evs := c.subsLocked(), []Event{
 		{Type: EventRequested, Time: now, Mitigation: view},
@@ -520,7 +513,8 @@ func (c *Controller) Request(spec Spec, now float64) (Mitigation, error) {
 // Withdraw retracts a mitigation at time now. Only the requesting
 // member may withdraw (requester "" bypasses the check, for operator
 // tooling). Withdrawing a mitigation already in a final state — e.g.
-// one that expired in the same tick — is a no-op, not an error.
+// one that expired in the same tick — is a no-op, not an error; one the
+// store has retired is unknown (ErrUnknownMitigation).
 func (c *Controller) Withdraw(id, requester string, now float64) error {
 	c.mu.Lock()
 	m, ok := c.mits[id]
@@ -542,6 +536,41 @@ func (c *Controller) Withdraw(id, requester string, now float64) error {
 	c.mu.Unlock()
 	c.emit(subs, []Event{{Type: EventWithdrawn, Time: now, Mitigation: view}})
 	return nil
+}
+
+// maxRetainedFinals is how many final mitigations the store keeps
+// readable, the newest by the version of their last transition (the
+// route server's rejection log keeps as many).
+const maxRetainedFinals = 4096
+
+// storeLocked stamps a new lifecycle's version and enters it in the
+// store. A new ID first retires old final mitigations once the store has
+// doubled since the last retirement (and holds at least twice
+// maxRetainedFinals): every final mitigation but the newest
+// maxRetainedFinals leaves, so the store holds the live ones plus a
+// bounded tail of final ones, and the walk and sort cost O(log n) per
+// new ID amortized. A retired ID reads as one never requested.
+func (c *Controller) storeLocked(m *mit) {
+	c.version++
+	m.Version = c.version
+	if _, ok := c.mits[m.ID]; !ok && len(c.mits) >= max(c.retireAt, 2*maxRetainedFinals) {
+		var finals []uint64
+		for _, f := range c.mits {
+			if f.State.Final() {
+				finals = append(finals, f.Version)
+			}
+		}
+		if n := len(finals) - maxRetainedFinals; n > 0 {
+			slices.Sort(finals)
+			for id, f := range c.mits {
+				if f.State.Final() && f.Version < finals[n] {
+					delete(c.mits, id)
+				}
+			}
+		}
+		c.retireAt = 2 * len(c.mits)
+	}
+	c.mits[m.ID] = m
 }
 
 // finalizeLocked moves a live mitigation to a final state and queues
@@ -934,7 +963,9 @@ func (c *Controller) scanUpgradesLocked(now float64) {
 	}
 }
 
-// Get returns a copy of the mitigation with the given ID.
+// Get returns a copy of the mitigation with the given ID: a live one, or
+// one of the newest final ones. A retired ID reports false, as one never
+// requested does.
 func (c *Controller) Get(id string) (Mitigation, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -944,16 +975,17 @@ func (c *Controller) Get(id string) (Mitigation, bool) {
 	return Mitigation{}, false
 }
 
-// Snapshot returns the store view.
-func (c *Controller) Snapshot() Snapshot {
+// Snapshot returns a consistent copy of the store, sorted by ID: every
+// live mitigation plus the final ones not yet retired.
+func (c *Controller) Snapshot() []Mitigation {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	s := Snapshot{Mitigations: make([]Mitigation, 0, len(c.mits))}
+	out := make([]Mitigation, 0, len(c.mits))
 	for _, m := range c.mits {
-		s.Mitigations = append(s.Mitigations, m.Mitigation)
+		out = append(out, m.Mitigation)
 	}
-	sortMitigations(s.Mitigations)
-	return s
+	sortMitigations(out)
+	return out
 }
 
 // Active returns the live (pending or active) mitigations, sorted by ID.
@@ -970,24 +1002,10 @@ func (c *Controller) Active() []Mitigation {
 	return out
 }
 
-// Prune drops final-state mitigations last touched before the given
-// version, bounding store growth in long-running deployments.
-func (c *Controller) Prune(beforeVersion uint64) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := 0
-	for id, m := range c.mits {
-		if m.State.Final() && m.Version < beforeVersion {
-			delete(c.mits, id)
-			n++
-		}
-	}
-	return n
-}
-
 // Usage returns the mitigation's aggregated per-rule telemetry: live
 // counters of installed rules plus the final counters of rules already
 // removed. It requires a manager exposing counters (core.CounterSource).
+// A retired ID is unknown (ErrUnknownMitigation), as in Withdraw.
 func (c *Controller) Usage(id string) (Usage, error) {
 	c.mu.Lock()
 	m, ok := c.mits[id]

@@ -325,10 +325,10 @@ func TestIRRValidationRejection(t *testing.T) {
 	// The rejection is observable in the store; nothing reaches the
 	// data plane.
 	snap := ctl.Snapshot()
-	if len(snap.Mitigations) != 1 || snap.Mitigations[0].State != StateRejected {
-		t.Fatalf("snapshot: %+v", snap.Mitigations)
+	if len(snap) != 1 || snap[0].State != StateRejected {
+		t.Fatalf("snapshot: %+v", snap)
 	}
-	if snap.Mitigations[0].LastError == "" {
+	if snap[0].LastError == "" {
 		t.Fatal("rejection lost its reason")
 	}
 	ctl.Process(1)
@@ -588,19 +588,99 @@ func TestSnapshotVersioning(t *testing.T) {
 	if idle, _ := ctl.Get(m.ID); idle.Version != installed.Version {
 		t.Fatalf("idle version churn: %d -> %d", installed.Version, idle.Version)
 	}
-	snap := ctl.Snapshot()
-	if len(snap.Mitigations) != 1 || snap.Mitigations[0].ID != m.ID {
+	if snap := ctl.Snapshot(); len(snap) != 1 || snap[0].ID != m.ID {
 		t.Fatalf("snapshot: %+v", snap)
 	}
-	// Prune drops finals only.
-	ctl.Withdraw(m.ID, memberName(0), 3)
-	withdrawn, _ := ctl.Get(m.ID)
-	if n := ctl.Prune(withdrawn.Version + 1); n != 1 {
-		t.Fatalf("pruned: %d", n)
+}
+
+// TestStoreRetiresOldFinals pins the store's bound: churning more than
+// three times maxRetainedFinals distinct IDs through request and
+// withdrawal keeps at most twice that many entries, the newest
+// maxRetainedFinals final ones stay readable, a retired ID reads as one
+// never requested, and retirement takes only final mitigations — not a
+// live one among thousands, nor a final ID re-requested into a fresh
+// lifecycle.
+func TestStoreRetiresOldFinals(t *testing.T) {
+	h := newHarness(t, 1, nil)
+	storeLen := func(ctl *Controller) int {
+		ctl.mu.Lock()
+		defer ctl.mu.Unlock()
+		return len(ctl.mits)
 	}
-	if len(ctl.Snapshot().Mitigations) != 0 {
-		t.Fatal("prune left finals behind")
+	request := func(ctl *Controller, id string, now float64) {
+		t.Helper()
+		s := dropSpec(0)
+		s.ID = id
+		if _, err := ctl.Request(s, now); err != nil {
+			t.Fatal(err)
+		}
 	}
+	withdraw := func(ctl *Controller, id string, now float64) {
+		t.Helper()
+		if err := ctl.Withdraw(id, memberName(0), now); err != nil {
+			t.Fatal(err)
+		}
+	}
+	churnID := func(i int) string { return fmt.Sprintf("churn-%d", i) }
+
+	t.Run("churn", func(t *testing.T) {
+		ctl := New(h.config())
+		const churned = 3*maxRetainedFinals + 7
+		for i := 0; i < churned; i++ {
+			request(ctl, churnID(i), float64(i))
+			withdraw(ctl, churnID(i), float64(i))
+			if n := storeLen(ctl); n > 2*maxRetainedFinals {
+				t.Fatalf("after %d churned IDs the store holds %d entries, bound %d", i+1, n, 2*maxRetainedFinals)
+			}
+		}
+		for i := churned - maxRetainedFinals; i < churned; i++ {
+			if m, ok := ctl.Get(churnID(i)); !ok || m.State != StateWithdrawn {
+				t.Fatalf("%s, among the newest %d finals, reads %+v, %v", churnID(i), maxRetainedFinals, m, ok)
+			}
+			if _, err := ctl.Usage(churnID(i)); err != nil {
+				t.Fatalf("usage of %s: %v", churnID(i), err)
+			}
+		}
+		retired := churnID(0)
+		if m, ok := ctl.Get(retired); ok {
+			t.Fatalf("oldest final %s still stored: %+v", retired, m)
+		}
+		if _, err := ctl.Usage(retired); !errors.Is(err, ErrUnknownMitigation) {
+			t.Fatalf("usage of retired %s: %v, want ErrUnknownMitigation", retired, err)
+		}
+		if err := ctl.Withdraw(retired, memberName(0), churned); !errors.Is(err, ErrUnknownMitigation) {
+			t.Fatalf("withdraw of retired %s: %v, want ErrUnknownMitigation", retired, err)
+		}
+	})
+
+	t.Run("live", func(t *testing.T) {
+		ctl := New(h.config())
+		const live = 2*maxRetainedFinals + 100
+		for i := 0; i < live; i++ {
+			request(ctl, fmt.Sprintf("live-%d", i), 0)
+		}
+		for i := 0; i < 3*maxRetainedFinals; i++ {
+			request(ctl, churnID(i), float64(i))
+			withdraw(ctl, churnID(i), float64(i))
+			if i == 100 {
+				// A final ID re-requested into a fresh lifecycle is live
+				// again and outlasts every later retirement.
+				request(ctl, churnID(0), float64(i))
+			}
+		}
+		if m, ok := ctl.Get(churnID(0)); !ok || m.State.Final() {
+			t.Fatalf("re-requested %s after the churn: %+v, %v; want live", churnID(0), m, ok)
+		}
+		if n := len(ctl.Active()); n != live+1 {
+			t.Fatalf("%d live mitigations after the churn, want %d", n, live+1)
+		}
+		if n, bound := storeLen(ctl), 2*(live+1+maxRetainedFinals); n > bound {
+			t.Fatalf("store holds %d entries with %d live, bound %d", n, live+1, bound)
+		}
+		if m, ok := ctl.Get(churnID(1)); ok {
+			t.Fatalf("oldest final %s still stored beside %d live: %+v", churnID(1), live+1, m)
+		}
+	})
 }
 
 func TestQueuePacingLatency(t *testing.T) {
