@@ -26,9 +26,8 @@
 package fabric
 
 import (
-	"fmt"
 	"net/netip"
-	"strings"
+	"strconv"
 
 	"stellar/internal/netpkt"
 )
@@ -109,28 +108,46 @@ func (m Match) CriteriaCount() (mac, l34 int) {
 	return mac, l34
 }
 
-func (m Match) String() string {
-	var parts []string
+func (m Match) String() string { return string(m.AppendTo(nil)) }
+
+// AppendTo appends the pattern's text form to b and returns the extended
+// buffer: its criteria as comma-separated "name=value" pairs, in field
+// order, or "any" when every field is wildcarded.
+func (m Match) AppendTo(b []byte) []byte {
+	start := len(b)
+	sep := func(name string) {
+		if len(b) > start {
+			b = append(b, ',')
+		}
+		b = append(b, name...)
+		b = append(b, '=')
+	}
 	if m.SrcMAC != nil {
-		parts = append(parts, "src-mac="+m.SrcMAC.String())
+		sep("src-mac")
+		b = append(b, m.SrcMAC.String()...)
 	}
 	if m.Proto != 0 {
-		parts = append(parts, "proto="+m.Proto.String())
+		sep("proto")
+		b = append(b, m.Proto.String()...)
 	}
 	if m.SrcIP.IsValid() {
-		parts = append(parts, "src="+m.SrcIP.String())
+		sep("src")
+		b = m.SrcIP.AppendTo(b)
 	}
 	if m.DstIP.IsValid() {
-		parts = append(parts, "dst="+m.DstIP.String())
+		sep("dst")
+		b = m.DstIP.AppendTo(b)
 	}
 	if m.SrcPort != AnyPort {
-		parts = append(parts, fmt.Sprintf("src-port=%d", m.SrcPort))
+		sep("src-port")
+		b = strconv.AppendInt(b, int64(m.SrcPort), 10)
 	}
 	if m.DstPort != AnyPort {
-		parts = append(parts, fmt.Sprintf("dst-port=%d", m.DstPort))
+		sep("dst-port")
+		b = strconv.AppendInt(b, int64(m.DstPort), 10)
 	}
-	if len(parts) == 0 {
-		return "any"
+	if len(b) == start {
+		b = append(b, "any"...)
 	}
-	return strings.Join(parts, ",")
+	return b
 }

@@ -397,12 +397,39 @@ func (x *IXP) HandleWireUpdate(memberName string, u *bgp.Update) error {
 // — the ~70% of Section 2.4. Build subscribes it to the route server, so
 // it sees every export batch whichever door the UPDATE used.
 //
-// It edits the table in place under the write lock, and writes a
-// member's entry back only when one of its routes changed.
+// Only two kinds of UPDATE can change a null route: one announcing to
+// the blackholing next hop, and one withdrawing while some null route is
+// live. A batch with neither returns before touching any member. The
+// check reads UPDATEs, not members: every target of an UPDATE shares its
+// pointer, so one just checked for the previous target is skipped.
+//
+// Otherwise it edits the table in place under the write lock, and writes
+// a member's entry back only when one of its routes changed.
 func (x *IXP) applyExports(exports []routeserver.PeerUpdates) {
+	announces, withdraws := false, false
+	var last *bgp.Update
+	for _, e := range exports {
+		for _, u := range e.Updates {
+			if u == last {
+				continue
+			}
+			last = u
+			announces = announces || x.announcesBlackhole(u)
+			withdraws = withdraws || len(u.Withdrawn) > 0 || u.Attrs.MPUnreach != nil && len(u.Attrs.MPUnreach.NLRI) > 0
+		}
+		if announces {
+			break
+		}
+	}
+	if !announces && !withdraws {
+		return
+	}
 	members := x.reg.Load().members
 	x.nullMu.Lock()
 	defer x.nullMu.Unlock()
+	if !announces && len(x.nulls) == 0 {
+		return
+	}
 	for _, e := range exports {
 		m, ok := members[e.Peer]
 		if !ok {
@@ -458,6 +485,16 @@ func (x *IXP) applyExports(exports []routeserver.PeerUpdates) {
 			x.nulls[m.Name] = routes
 		}
 	}
+}
+
+// announcesBlackhole reports whether u announces a prefix to the
+// exchange's blackholing IP, in either family.
+func (x *IXP) announcesBlackhole(u *bgp.Update) bool {
+	if len(u.NLRI) > 0 && x.blackholes(u.Attrs.NextHop) {
+		return true
+	}
+	mp := u.Attrs.MPReach
+	return mp != nil && len(mp.NLRI) > 0 && x.blackholes(mp.NextHop)
 }
 
 // blackholes reports whether next hop nh is the exchange's blackholing

@@ -1,9 +1,12 @@
 package ixp
 
 import (
+	"fmt"
+	"maps"
 	"math"
 	"net/netip"
 	"runtime"
+	"slices"
 	"testing"
 
 	"stellar/internal/bgp"
@@ -11,6 +14,7 @@ import (
 	"stellar/internal/fabric"
 	"stellar/internal/member"
 	"stellar/internal/netpkt"
+	"stellar/internal/routeserver"
 	"stellar/internal/stats"
 )
 
@@ -362,4 +366,212 @@ func TestNullRouteTableConcurrentChurn(t *testing.T) {
 	}
 	close(stop)
 	<-done
+}
+
+// refApplyExports is the member walk applyExports ran before it checked
+// a batch's UPDATEs first: every target member is looked up and every
+// UPDATE it is owed is applied to nulls, whatever the batch holds.
+func refApplyExports(x *IXP, nulls map[string][]netip.Prefix, exports []routeserver.PeerUpdates) {
+	members := x.reg.Load().members
+	for _, e := range exports {
+		m, ok := members[e.Peer]
+		if !ok {
+			continue
+		}
+		routes := nulls[m.Name]
+		changed := false
+		withdraw := func(p netip.Prefix) {
+			if i := slices.Index(routes, p); i >= 0 {
+				routes, changed = slices.Delete(routes, i, i+1), true
+			}
+		}
+		install := func(p netip.Prefix) {
+			if !slices.Contains(routes, p) {
+				routes, changed = append(routes, p), true
+			}
+		}
+		for _, u := range e.Updates {
+			for _, w := range u.Withdrawn {
+				withdraw(w.Prefix)
+			}
+			if u.Attrs.MPUnreach != nil {
+				for _, w := range u.Attrs.MPUnreach.NLRI {
+					withdraw(w.Prefix)
+				}
+			}
+			if !m.HonorsRTBH() {
+				continue
+			}
+			if x.blackholes(u.Attrs.NextHop) {
+				for _, a := range u.NLRI {
+					install(a.Prefix)
+				}
+			}
+			if mp := u.Attrs.MPReach; mp != nil && x.blackholes(mp.NextHop) {
+				for _, a := range mp.NLRI {
+					install(a.Prefix)
+				}
+			}
+		}
+		if !changed {
+			continue
+		}
+		if len(routes) == 0 {
+			delete(nulls, m.Name)
+		} else {
+			nulls[m.Name] = routes
+		}
+	}
+}
+
+// TestApplyExportsMatchesMemberWalk: over random export batches, the
+// null-route table applyExports keeps stays identical to the one the
+// unconditional member walk keeps. The batches mix RTBH announcements
+// of both families, Advanced Blackholing and plain announcements, and
+// withdrawals of both families with and without a null route live;
+// they target honoring members, members that do not honor RTBH, and a
+// name that is no member. As the route server does, every target of an
+// UPDATE shares its pointer, and each target is owed a subsequence of
+// the batch's UPDATEs in batch order.
+func TestApplyExportsMatchesMemberWalk(t *testing.T) {
+	x, members := buildTestIXP(t, 24, 0.5, false)
+	rng := stats.NewRand(53)
+	var v4, v6 []netip.Prefix
+	for i := 0; i < 6; i++ {
+		v4 = append(v4, netip.PrefixFrom(victimAddr(members[i]), 32))
+		v6 = append(v6, netip.PrefixFrom(netip.AddrFrom16([16]byte{0x20, 0x01, 0x0d, 0xb8, 15: byte(i + 1)}), 128))
+	}
+	pick := func(pool []netip.Prefix) []bgp.PathPrefix {
+		var out []bgp.PathPrefix
+		for n := 1 + rng.Intn(3); n > 0; n-- {
+			out = append(out, bgp.PathPrefix{Prefix: pool[rng.Intn(len(pool))]})
+		}
+		return out
+	}
+	mappedNH := netip.AddrFrom16(blackholeNH.As16())
+	routerNH := netip.MustParseAddr("10.0.0.1")
+	abSignal := bgp.MakeExtCommunity(bgp.ExtTypeExperimental, bgp.ExtSubTypeAdvBlackhole, [6]byte{0, 2, 0, 123})
+	const (
+		rtbh4 = iota
+		rtbh6
+		abOnly
+		plain
+		withdraw4
+		withdraw6
+		kinds
+	)
+	randUpdate := func() (*bgp.Update, int) {
+		kind := rng.Intn(kinds)
+		u := &bgp.Update{}
+		switch kind {
+		case rtbh4:
+			u.Attrs.NextHop, u.NLRI = blackholeNH, pick(v4)
+		case rtbh6:
+			u.Attrs.MPReach = &bgp.MPReach{AFI: bgp.AFIIPv6, SAFI: bgp.SAFIUnicast, NextHop: mappedNH, NLRI: pick(v6)}
+		case abOnly:
+			u.Attrs.NextHop, u.NLRI = routerNH, pick(v4)
+			u.Attrs.ExtCommunities = []bgp.ExtCommunity{abSignal}
+		case plain:
+			u.Attrs.NextHop = routerNH
+			u.NLRI = []bgp.PathPrefix{{Prefix: members[rng.Intn(len(members))].Prefixes[0]}}
+		case withdraw4:
+			u.Withdrawn = pick(v4)
+		case withdraw6:
+			u.Attrs.MPUnreach = &bgp.MPUnreach{AFI: bgp.AFIIPv6, SAFI: bgp.SAFIUnicast, NLRI: pick(v6)}
+		}
+		return u, kind
+	}
+	targets := []string{"AS1"} // no member of that name
+	honoring, other := 0, 0
+	for _, m := range members {
+		targets = append(targets, m.Name)
+		if m.HonorsRTBH() {
+			honoring++
+		} else {
+			other++
+		}
+	}
+	if honoring == 0 || other == 0 {
+		t.Fatalf("population: %d honoring members, %d others", honoring, other)
+	}
+
+	ref := make(map[string][]netip.Prefix)
+	var seen [kinds]int
+	withdrawLive, withdrawEmpty, quiet := 0, 0, 0
+	for step := 0; step < 3000; step++ {
+		var batch []*bgp.Update
+		batchKinds := make(map[int]bool)
+		clearAll := rng.Intn(4) == 0
+		if clearAll {
+			// Withdraw everything from every target: the table goes empty.
+			batch = []*bgp.Update{
+				{Withdrawn: pathPrefixes(v4)},
+				{Attrs: bgp.PathAttrs{MPUnreach: &bgp.MPUnreach{AFI: bgp.AFIIPv6, SAFI: bgp.SAFIUnicast, NLRI: pathPrefixes(v6)}}},
+			}
+			batchKinds[withdraw4], batchKinds[withdraw6] = true, true
+		} else {
+			for n := 1 + rng.Intn(3); n > 0; n-- {
+				u, kind := randUpdate()
+				batch = append(batch, u)
+				batchKinds[kind] = true
+			}
+		}
+		var exports []routeserver.PeerUpdates
+		for _, name := range targets {
+			if !clearAll && rng.Intn(3) == 0 {
+				continue
+			}
+			var owed []*bgp.Update
+			for _, u := range batch {
+				if clearAll || rng.Intn(4) != 0 {
+					owed = append(owed, u)
+				}
+			}
+			if len(owed) > 0 {
+				exports = append(exports, routeserver.PeerUpdates{Peer: name, Updates: owed})
+			}
+		}
+
+		live := len(ref) > 0
+		if batchKinds[withdraw4] || batchKinds[withdraw6] {
+			if live {
+				withdrawLive++
+			} else {
+				withdrawEmpty++
+			}
+		}
+		if !batchKinds[rtbh4] && !batchKinds[rtbh6] && !(live && (batchKinds[withdraw4] || batchKinds[withdraw6])) {
+			quiet++
+		}
+		for k := range batchKinds {
+			seen[k]++
+		}
+
+		x.applyExports(exports)
+		refApplyExports(x, ref, exports)
+		x.nullMu.RLock()
+		same := maps.EqualFunc(x.nulls, ref, slices.Equal[[]netip.Prefix])
+		got := fmt.Sprint(x.nulls)
+		x.nullMu.RUnlock()
+		if !same {
+			t.Fatalf("step %d: null routes\n got  %s\n want %v", step, got, ref)
+		}
+	}
+	for k, n := range seen {
+		if n < 100 {
+			t.Fatalf("update kind %d in only %d batches", k, n)
+		}
+	}
+	if withdrawLive < 100 || withdrawEmpty < 100 || quiet < 100 {
+		t.Fatalf("coverage: %d withdrawals with a null route live, %d with none, %d batches that change nothing",
+			withdrawLive, withdrawEmpty, quiet)
+	}
+}
+
+func pathPrefixes(ps []netip.Prefix) []bgp.PathPrefix {
+	out := make([]bgp.PathPrefix, len(ps))
+	for i, p := range ps {
+		out[i] = bgp.PathPrefix{Prefix: p}
+	}
+	return out
 }

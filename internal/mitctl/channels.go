@@ -264,7 +264,10 @@ func (ch *CommunityChannel) HandleEvent(ev routeserver.ControllerEvent, now floa
 			// route, so a TTL would expire a mitigation whose route is
 			// still in the RIB. The route's withdrawal, or its session's
 			// end, lifts it.
-			id := DeriveID(spec)
+			// The derived ID rides in the spec, so Request does not
+			// derive it again.
+			spec.ID = DeriveID(spec)
+			id := spec.ID
 			if hasID(out, id) {
 				continue // duplicate signal in one announcement
 			}

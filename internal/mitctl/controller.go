@@ -245,7 +245,6 @@ type ruleEntry struct {
 // bookkeeping.
 type mit struct {
 	Mitigation
-	key             string
 	pendingInstalls int
 	okInstalls      int
 	// accrued holds the final counters of rules already removed.
@@ -400,7 +399,6 @@ func (c *Controller) Request(spec Spec, now float64) (Mitigation, error) {
 	if spec.ID == "" {
 		spec.ID = DeriveID(spec)
 	}
-	key := spec.key()
 
 	// Resolve per-peer MACs before taking the lock.
 	var macs []netpkt.MAC
@@ -423,7 +421,7 @@ func (c *Controller) Request(spec Spec, now float64) (Mitigation, error) {
 
 	c.mu.Lock()
 	if existing, ok := c.mits[spec.ID]; ok && !existing.State.Final() {
-		if existing.key != key {
+		if !existing.sameContent(&spec) {
 			c.mu.Unlock()
 			return Mitigation{}, fmt.Errorf("%w: %s", ErrSpecMismatch, spec.ID)
 		}
@@ -448,7 +446,7 @@ func (c *Controller) Request(spec Spec, now float64) (Mitigation, error) {
 	reject := func(reason error) (Mitigation, error) {
 		m := &mit{Mitigation: Mitigation{
 			Spec: spec, State: StateRejected, RequestedAt: now, LastError: reason.Error(),
-		}, key: key}
+		}}
 		c.storeLocked(m)
 		view := m.Mitigation
 		subs, evs := c.subsLocked(), []Event{
@@ -471,7 +469,7 @@ func (c *Controller) Request(spec Spec, now float64) (Mitigation, error) {
 
 	m := &mit{Mitigation: Mitigation{
 		Spec: spec, State: StatePending, RequestedAt: now, RuleIDs: spec.ruleIDs(),
-	}, key: key}
+	}}
 	if spec.TTL > 0 {
 		m.ExpiresAt = now + spec.TTL
 		c.nextDue = math.Min(c.nextDue, m.ExpiresAt)
@@ -574,15 +572,28 @@ func (c *Controller) storeLocked(m *mit) {
 }
 
 // finalizeLocked moves a live mitigation to a final state and queues
-// the removal of its rules.
+// the removal of each rule it has installed. Its installs still waiting
+// in the queue never reach the hardware: Process drops them, spending
+// neither a change nor a token, so their rules need no removal. One
+// being applied right now pairs its own removal if it succeeds.
 func (c *Controller) finalizeLocked(m *mit, s State, now float64) {
 	m.State = s
 	c.version++
 	m.Version = c.version
 	for _, rid := range m.RuleIDs {
-		c.enqueueLocked(queuedOp{change: core.ConfigChange{
-			Op: core.OpRemove, Member: m.Requester, RuleID: rid,
-		}, m: m, firstAt: now})
+		switch e, ok := c.rules[rid]; {
+		case !ok || e.owner != m:
+			// Not this generation's entry: another generation owns the ID
+			// and queued its own removal, or there is none and an install
+			// being applied right now pairs its own removal.
+		case e.status == ruleInstalled:
+			c.enqueueLocked(queuedOp{change: core.ConfigChange{
+				Op: core.OpRemove, Member: m.Requester, RuleID: rid,
+			}, m: m, firstAt: now})
+		default:
+			// Queued or failed: nothing on the hardware.
+			delete(c.rules, rid)
+		}
 	}
 }
 
@@ -660,10 +671,14 @@ func (c *Controller) Process(now float64) int {
 	if !c.stalled {
 		rest := c.queue[:0]
 		for _, op := range c.queue {
-			if c.tokens >= 1 && op.notBefore <= now {
+			switch {
+			case op.change.Op == core.OpInstall && op.m.State.Final():
+				// Its mitigation was withdrawn or expired before the
+				// install's turn: drop it without a token.
+			case c.tokens >= 1 && op.notBefore <= now:
 				released = append(released, op)
 				c.tokens--
-			} else {
+			default:
 				rest = append(rest, op)
 			}
 		}
@@ -802,9 +817,8 @@ func (c *Controller) applyOne(op queuedOp, now float64) ([]Event, bool) {
 	m.pendingInstalls--
 	c.applied++
 	if m.State.Final() {
-		// The mitigation finalized while this install was backing off;
-		// its removal pass already ran (and skipped this then-queued
-		// rule), so pair the late install with a fresh removal.
+		// The mitigation finalized while this install was being applied;
+		// pair the late install with a fresh removal.
 		c.enqueueLocked(queuedOp{change: core.ConfigChange{
 			Op: core.OpRemove, Member: m.Requester, RuleID: op.change.RuleID,
 		}, m: m, firstAt: now})
@@ -861,7 +875,10 @@ func (c *Controller) installFailedLocked(op queuedOp, err error, now float64) []
 	// removal paired with it checks for ruleInstalled before touching
 	// the hardware. Overwriting would make that removal skip and orphan
 	// the physical rule.
-	if e, ok := c.rules[op.change.RuleID]; !ok || (e.owner == m && e.status != ruleInstalled) {
+	//
+	// A mitigation that finalized while the install was applied keeps no
+	// entry: finalizeLocked already dropped it.
+	if e, ok := c.rules[op.change.RuleID]; !m.State.Final() && (!ok || (e.owner == m && e.status != ruleInstalled)) {
 		c.rules[op.change.RuleID] = ruleEntry{status: ruleFailed, owner: m}
 	}
 	m.LastError = err.Error()

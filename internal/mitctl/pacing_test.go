@@ -1,6 +1,7 @@
 package mitctl
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -158,5 +159,104 @@ func TestQueueRetentionAfterBurst(t *testing.T) {
 	}
 	if c := cap(queue()); c > maxIdleQueueCap {
 		t.Fatalf("the drained queue keeps an array of %d ops, want at most %d", c, maxIdleQueueCap)
+	}
+}
+
+// TestWithdrawBeforeInstallAppliesNothing: a mitigation withdrawn while
+// its installs still wait in the queue never reaches the hardware. No
+// removal is queued for rules that were never installed, the next
+// Process drops the installs, so no change is applied and no token is
+// spent, and a re-request of the same spec installs afresh.
+func TestWithdrawBeforeInstallAppliesNothing(t *testing.T) {
+	h := newHarness(t, 4, nil)
+	ctl := New(h.config())
+	specs := []Spec{dropSpec(0), dropSpec(1)}
+	specs[1].Scope, specs[1].Peers = ScopePerPeer, []string{memberName(2), memberName(3)}
+	for _, s := range specs {
+		m, err := ctl.Request(s, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ctl.Withdraw(m.ID, "", 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	state := func() (queued, rules int, tokens float64) {
+		ctl.mu.Lock()
+		defer ctl.mu.Unlock()
+		return len(ctl.queue), len(ctl.rules), ctl.tokens
+	}
+	if queued, rules, _ := state(); queued != 3 || rules != 0 {
+		t.Fatalf("after the withdrawals: %d ops queued, %d rule entries, want the 3 installs and none", queued, rules)
+	}
+	for now := 1.0; now <= 3; now++ {
+		if n := ctl.Process(now); n != 0 {
+			t.Fatalf("Process(%v) applied %d changes, want 0", now, n)
+		}
+		if queued, _, tokens := state(); queued != 0 || tokens != float64(h.config().QueueBurst) {
+			t.Fatalf("Process(%v) left %d ops queued and %v tokens, want none and the full burst", now, queued, tokens)
+		}
+	}
+	for i, s := range specs {
+		if n := ruleCount(t, h, s.Requester); n != 0 {
+			t.Fatalf("spec %d: %d rules installed", i, n)
+		}
+		m, err := ctl.Request(s, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctl.Process(5)
+		if got, _ := ctl.Get(m.ID); got.State != StateActive || ruleCount(t, h, s.Requester) != len(m.RuleIDs) {
+			t.Fatalf("spec %d re-requested: state %v, %d rules installed, want active with %d",
+				i, got.State, ruleCount(t, h, s.Requester), len(m.RuleIDs))
+		}
+	}
+}
+
+// TestWithdrawDuringInstallLeavesNothing: a mitigation withdrawn while
+// its install is being applied (the hook runs where the manager would)
+// leaves no rule and no rule entry behind, whether the install succeeds
+// (it pairs its own removal) or fails, with or without a retry left.
+func TestWithdrawDuringInstallLeavesNothing(t *testing.T) {
+	for _, tc := range []struct {
+		name        string
+		fail        bool
+		maxAttempts int
+	}{{"applied", false, 1}, {"failed", true, 1}, {"failed_with_retry", true, 3}} {
+		t.Run(tc.name, func(t *testing.T) {
+			h := newHarness(t, 1, nil)
+			cfg := h.config()
+			cfg.Retry = RetryPolicy{MaxAttempts: tc.maxAttempts}
+			var ctl *Controller
+			var id string
+			cfg.InstallHook = func(ch core.ConfigChange, attempt int, now float64) error {
+				if ch.Op != core.OpInstall || attempt > 1 {
+					return nil
+				}
+				if err := ctl.Withdraw(id, "", now); err != nil {
+					t.Error(err)
+				}
+				if tc.fail {
+					return errors.New("refused")
+				}
+				return nil
+			}
+			ctl = New(cfg)
+			m, err := ctl.Request(dropSpec(0), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			id = m.ID
+			for now := 1.0; now <= 60; now++ {
+				ctl.Process(now)
+			}
+			ctl.mu.Lock()
+			queued, rules := len(ctl.queue), len(ctl.rules)
+			ctl.mu.Unlock()
+			if got, _ := ctl.Get(id); got.State != StateWithdrawn || queued != 0 || rules != 0 || ruleCount(t, h, memberName(0)) != 0 {
+				t.Fatalf("state %v, %d ops queued, %d rule entries, %d rules installed; want withdrawn and nothing left",
+					got.State, queued, rules, ruleCount(t, h, memberName(0)))
+			}
+		})
 	}
 }

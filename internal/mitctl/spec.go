@@ -35,8 +35,10 @@ package mitctl
 
 import (
 	"fmt"
-	"hash/fnv"
+	"math"
 	"net/netip"
+	"slices"
+	"strconv"
 
 	"stellar/internal/fabric"
 )
@@ -114,11 +116,14 @@ func (s Spec) normalized() (Spec, error) {
 	case fabric.ActionDrop:
 		s.ShapeRateBps = 0
 	case fabric.ActionShape:
-		if s.ShapeRateBps <= 0 {
-			return s, fmt.Errorf("mitctl: shape action needs a positive rate")
+		if !(s.ShapeRateBps > 0) || math.IsInf(s.ShapeRateBps, 1) {
+			return s, fmt.Errorf("mitctl: shape action needs a positive finite rate")
 		}
 	default:
 		return s, fmt.Errorf("mitctl: action %v is not a mitigation", s.Action)
+	}
+	if s.Scope > ScopePerPeer {
+		return s, fmt.Errorf("mitctl: scope %d is not a scope", s.Scope)
 	}
 	if s.Scope == ScopePerPeer && len(s.Peers) == 0 {
 		return s, fmt.Errorf("mitctl: per-peer scope lists no peers")
@@ -129,31 +134,80 @@ func (s Spec) normalized() (Spec, error) {
 	return s, nil
 }
 
-// key is the canonical content string the mitigation identity derives
-// from. It covers everything that shapes installed state — requester,
-// target, match, action, rate, scope — and deliberately excludes TTL
-// (a refresh parameter) and the provenance field Origin, so the same
-// request re-signaled on any channel, or relayed from any exchange,
-// lands on the same mitigation.
-func (s Spec) key() string {
-	k := fmt.Sprintf("%s|%s|%s|%v|%g|%v", s.Requester, s.Target, s.Match, s.Action, s.ShapeRateBps, s.Scope)
+// appendKey appends the canonical content key the mitigation identity
+// derives from, "<requester>|<target>|<match>|<action>|<rate>|<scope>"
+// followed by "|<peer>" per listed peer under per-peer scope, and returns
+// the extended buffer. It covers everything that shapes installed state
+// — requester, target, match, action, rate, scope — and deliberately
+// excludes TTL (a refresh parameter) and the provenance field Origin, so
+// the same request re-signaled on any channel, or relayed from any
+// exchange, lands on the same mitigation. The rate prints in %g's
+// shortest form; normalized admits only finite rates, whose strconv and
+// fmt forms agree.
+func (s *Spec) appendKey(b []byte) []byte {
+	b = append(b, s.Requester...)
+	b = append(b, '|')
+	b = s.Target.AppendTo(b)
+	b = append(b, '|')
+	b = s.Match.AppendTo(b)
+	b = append(b, '|')
+	b = append(b, s.Action.String()...)
+	b = append(b, '|')
+	b = strconv.AppendFloat(b, s.ShapeRateBps, 'g', -1, 64)
+	b = append(b, '|')
+	b = append(b, s.Scope.String()...)
 	if s.Scope == ScopePerPeer {
 		for _, p := range s.Peers {
-			k += "|" + p
+			b = append(b, '|')
+			b = append(b, p...)
 		}
 	}
-	return k
+	return b
+}
+
+// sameContent reports whether two normalized specs have the same
+// content: the fields appendKey covers. It agrees with comparing their
+// keys except where a name containing '|' makes two keys collide.
+func (s *Spec) sameContent(o *Spec) bool {
+	return s.Requester == o.Requester && s.Target == o.Target &&
+		sameMatch(s.Match, o.Match) && s.Action == o.Action &&
+		s.ShapeRateBps == o.ShapeRateBps && s.Scope == o.Scope &&
+		(s.Scope != ScopePerPeer || slices.Equal(s.Peers, o.Peers))
+}
+
+// sameMatch compares two matches by content: the source MAC by value.
+func sameMatch(a, b fabric.Match) bool {
+	if (a.SrcMAC == nil) != (b.SrcMAC == nil) || a.SrcMAC != nil && *a.SrcMAC != *b.SrcMAC {
+		return false
+	}
+	a.SrcMAC, b.SrcMAC = nil, nil
+	return a == b
 }
 
 // DeriveID returns the content-derived mitigation ID for a spec:
-// "mit:<requester>:<target>:<hash>". Channels use it implicitly (a
-// Request with an empty ID gets it); callers use it to address a
-// mitigation they can restate but did not record the ID of.
+// "mit:<requester>:<target>:<hash>", the hash being the 32-bit FNV-1a of
+// the normalized spec's content key (appendKey). Channels use it
+// implicitly (a Request with an empty ID gets it); callers use it to
+// address a mitigation they can restate but did not record the ID of.
+// Its one allocation is the returned string.
 func DeriveID(s Spec) string {
 	s, _ = s.normalized()
-	h := fnv.New32a()
-	h.Write([]byte(s.key()))
-	return fmt.Sprintf("mit:%s:%s:%08x", s.Requester, s.Target, h.Sum32())
+	var buf [256]byte
+	key := s.appendKey(buf[:0])
+	h := uint32(2166136261) // FNV-1a, as hash/fnv's New32a
+	for _, c := range key {
+		h = (h ^ uint32(c)) * 16777619
+	}
+	b := append(key[:0], "mit:"...)
+	b = append(b, s.Requester...)
+	b = append(b, ':')
+	b = s.Target.AppendTo(b)
+	b = append(b, ':')
+	const hexDigit = "0123456789abcdef"
+	for shift := 28; shift >= 0; shift -= 4 {
+		b = append(b, hexDigit[h>>shift&0xF])
+	}
+	return string(b)
 }
 
 // ruleIDs returns the fabric rule tags a spec installs: the mitigation

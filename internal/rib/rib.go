@@ -120,20 +120,25 @@ type BestChange struct {
 func (c BestChange) Changed() bool { return c.Old != c.New }
 
 // Add installs or replaces the path identified by key. It returns the
-// stored (copied) path.
+// stored path, whose attributes are a copy of attrs: the caller keeps
+// its own.
 func (t *Table) Add(key PathKey, peerAS uint32, attrs bgp.PathAttrs) *Path {
-	p, _ := t.AddWithBest(key, peerAS, attrs)
+	p, _ := t.AddWithBest(key, peerAS, attrs.Clone())
 	return p
 }
 
 // AddWithBest installs or replaces the path identified by key and
 // reports, atomically with the mutation, how the prefix's best path
-// changed.
+// changed. It takes ownership of attrs: the stored path holds them
+// as given, sharing their slices and pointers, so the caller must not
+// modify them afterwards. One clone may be handed to several calls (the
+// route server stores every prefix of an UPDATE under one clone), since
+// the table never modifies a path's attributes.
 func (t *Table) AddWithBest(key PathKey, peerAS uint32, attrs bgp.PathAttrs) (*Path, BestChange) {
 	sh := t.shardFor(key.Prefix)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	p := &Path{Key: key, PeerAS: peerAS, Attrs: attrs.Clone(), Seq: t.seq.Add(1)}
+	p := &Path{Key: key, PeerAS: peerAS, Attrs: attrs, Seq: t.seq.Add(1)}
 	e := sh.routes[key.Prefix]
 	if e == nil {
 		e = &prefixEntry{paths: make([]*Path, 0, 1)}

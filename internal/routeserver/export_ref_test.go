@@ -132,7 +132,7 @@ func refHandleUpdateBatch(t *testing.T, rs *RouteServer, peer string, u *bgp.Upd
 			t.Fatalf("reference import of %s from %s: %s", pp.Prefix, peer, reason)
 		}
 		key := rib.PathKey{Prefix: pp.Prefix, Peer: peer, PathID: ps.pathID}
-		added, tr := rs.table.AddWithBest(key, ps.cfg.ASN, u.Attrs)
+		added, tr := rs.table.AddWithBest(key, ps.cfg.ASN, u.Attrs.Clone())
 		rb.bestChanged(tr, added)
 	}
 	return rb.finish()

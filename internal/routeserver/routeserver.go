@@ -75,7 +75,10 @@ type ControllerEvent struct {
 	PathID    uint32
 	Announced []netip.Prefix
 	Withdrawn []netip.Prefix
-	Attrs     bgp.PathAttrs
+	// Attrs are the UPDATE's attributes, shared with the paths the route
+	// server stored for Announced and with every subscriber: read them,
+	// do not modify them.
+	Attrs bgp.PathAttrs
 	// Exports is the export batch the change produced — the slice
 	// HandleUpdateBatch or HandleWithdrawAll returns, shared with every
 	// subscriber and the caller: read it, do not modify it. Members'
@@ -269,13 +272,20 @@ func (rs *RouteServer) HandleUpdateBatch(peer string, u *bgp.Update) ([]PeerUpda
 	if originAS == 0 {
 		originAS = ps.cfg.ASN
 	}
+	// The UPDATE's attributes are cloned once, on first use: the one
+	// clone is every stored path's Attrs and the controller event's.
+	var attrs bgp.PathAttrs
+	cloned := false
 	for _, pp := range u.AllAnnounced() {
 		if reason, ok := rs.importCheck(ps, pp.Prefix, originAS, &u.Attrs); !ok {
 			rejections = append(rejections, Rejection{Peer: peer, Prefix: pp.Prefix, Reason: reason})
 			continue
 		}
 		key := rib.PathKey{Prefix: pp.Prefix, Peer: peer, PathID: ps.pathID}
-		added, tr := rs.table.AddWithBest(key, ps.cfg.ASN, u.Attrs)
+		if !cloned {
+			attrs, cloned = u.Attrs.Clone(), true
+		}
+		added, tr := rs.table.AddWithBest(key, ps.cfg.ASN, attrs)
 		acceptedAnn = append(acceptedAnn, pp.Prefix)
 		eb.bestChanged(tr, added)
 	}
@@ -292,13 +302,16 @@ func (rs *RouteServer) HandleUpdateBatch(peer string, u *bgp.Update) ([]PeerUpda
 
 	exports := eb.finish()
 	if len(reg.subs) > 0 && (len(acceptedAnn) > 0 || len(acceptedWdr) > 0) {
+		if !cloned {
+			attrs = u.Attrs.Clone()
+		}
 		ev := ControllerEvent{
 			Peer:      peer,
 			PeerAS:    ps.cfg.ASN,
 			PathID:    ps.pathID,
 			Announced: acceptedAnn,
 			Withdrawn: acceptedWdr,
-			Attrs:     u.Attrs.Clone(),
+			Attrs:     attrs,
 			Exports:   exports,
 		}
 		for _, s := range reg.subs {
