@@ -54,8 +54,7 @@ var deadExportAllow = map[string]string{
 	"internal/routeserver.ControllerEvent.PeerAS":     "benchmark/layers.go sets it",
 	"internal/netpkt.MustParseMAC":                    "for constants in tests and examples; the fabric godoc example uses it",
 	"internal/hw.Snapshot.Ports":                      "the cross-package tests' hardware-side oracle, which the invariant checker (ROADMAP 5a) will read",
-	"internal/fabric.Offer.FlowHash":                  "benchmark/layers.go passes it to ClassifyHashed, which ignores it; both go with the benchmark's hash-free call (ROADMAP 9n)",
-	"internal/netpkt.FlowKey.Hash":                    "no data path hashes a flow; it goes with fabric.Offer.FlowHash (ROADMAP 9n)",
+	"internal/fabric.offerHash.FlowHash":              "Offer's zero-size FlowHash, kept only so benchmark/layers.go's ClassifyHashed call compiles; it goes with that call (ROADMAP 9n)",
 	"main.timedSource.Offers":                         "benchmark/attack.go's wrapper still has the method engine.Source dropped; benchmark/ changes only with the benchmark, which deletes it then",
 }
 

@@ -64,8 +64,8 @@ func randomFlow(rng *rand.Rand, macs []netpkt.MAC) netpkt.FlowKey {
 }
 
 // TestClassifierMatchesLinearScan cross-validates the classifier against
-// the linear reference over randomized overlapping rule sets, with and
-// without a hash argument (which the port ignores).
+// the linear reference over randomized overlapping rule sets, and a
+// repeated lookup against the first.
 func TestClassifierMatchesLinearScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	macs := make([]netpkt.MAC, 6)
@@ -89,15 +89,12 @@ func TestClassifierMatchesLinearScan(t *testing.T) {
 		for q := 0; q < 200; q++ {
 			f := randomFlow(rng, macs)
 			want := linearClassify(rules, &f)
-			if got := p.ClassifyHashed(&f, 0); got != want {
-				t.Fatalf("trial %d: ClassifyHashed(%v, 0) = %v, want %v (rules: %v)", trial, f, got, want, rules)
-			}
-			if got := p.ClassifyHashed(&f, f.Hash()); got != want {
-				t.Fatalf("trial %d: ClassifyHashed(%v) = %v, want %v", trial, f, got, want)
+			if got := p.ClassifyHashed(&f, struct{}{}); got != want {
+				t.Fatalf("trial %d: ClassifyHashed(%v, struct{}{}) = %v, want %v (rules: %v)", trial, f, got, want, rules)
 			}
 			// A repeated lookup must agree.
-			if got := p.ClassifyHashed(&f, 0); got != want {
-				t.Fatalf("trial %d: repeated ClassifyHashed(%v, 0) = %v, want %v", trial, f, got, want)
+			if got := p.ClassifyHashed(&f, struct{}{}); got != want {
+				t.Fatalf("trial %d: repeated ClassifyHashed(%v, struct{}{}) = %v, want %v", trial, f, got, want)
 			}
 		}
 	}
@@ -136,7 +133,7 @@ func TestClassifierFirstMatchAcrossIndexes(t *testing.T) {
 	}
 	f := udpFlow(macPeerA, srcIPA, 123) // matches every rule above
 	for _, want := range order {
-		got := p.ClassifyHashed(f, 0)
+		got := p.ClassifyHashed(f, struct{}{})
 		if got == nil || got.ID != want.id {
 			t.Fatalf("want %s, got %v", want.id, got)
 		}
@@ -144,7 +141,7 @@ func TestClassifierFirstMatchAcrossIndexes(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := p.ClassifyHashed(f, 0); got != nil {
+	if got := p.ClassifyHashed(f, struct{}{}); got != nil {
 		t.Fatalf("empty port classified %v", got)
 	}
 }
@@ -157,13 +154,13 @@ func TestClassifierAnyProtoPortRule(t *testing.T) {
 	if err := p.InstallRule(&Rule{ID: "dst443", Match: m, Action: ActionDrop}); err != nil {
 		t.Fatal(err)
 	}
-	if r := p.ClassifyHashed(udpFlow(macPeerA, srcIPA, 123), 0); r == nil {
+	if r := p.ClassifyHashed(udpFlow(macPeerA, srcIPA, 123), struct{}{}); r == nil {
 		t.Fatal("udp dst 443 missed")
 	}
-	if r := p.ClassifyHashed(tcpFlow(macPeerB, srcIPB, 443), 0); r == nil {
+	if r := p.ClassifyHashed(tcpFlow(macPeerB, srcIPB, 443), struct{}{}); r == nil {
 		t.Fatal("tcp dst 443 missed")
 	}
-	if r := p.ClassifyHashed(tcpFlow(macPeerB, srcIPB, 80), 0); r != nil {
+	if r := p.ClassifyHashed(tcpFlow(macPeerB, srcIPB, 80), struct{}{}); r != nil {
 		t.Fatalf("dst 80 matched %v", r)
 	}
 }
@@ -180,14 +177,14 @@ func TestClassifierIPv6Prefixes(t *testing.T) {
 		Dst: netip.MustParseAddr("2001:db8::10"), Proto: netpkt.ProtoUDP, SrcPort: 123, DstPort: 443}
 	out := in
 	out.Dst = netip.MustParseAddr("2001:db9::10")
-	if r := p.ClassifyHashed(&in, 0); r == nil {
+	if r := p.ClassifyHashed(&in, struct{}{}); r == nil {
 		t.Fatal("v6 dst inside prefix missed")
 	}
-	if r := p.ClassifyHashed(&out, 0); r != nil {
+	if r := p.ClassifyHashed(&out, struct{}{}); r != nil {
 		t.Fatalf("v6 dst outside prefix matched %v", r)
 	}
 	// A v4 flow must not match a v6 prefix.
-	if r := p.ClassifyHashed(udpFlow(macPeerA, srcIPA, 123), 0); r != nil {
+	if r := p.ClassifyHashed(udpFlow(macPeerA, srcIPA, 123), struct{}{}); r != nil {
 		t.Fatalf("v4 flow matched v6 rule: %v", r)
 	}
 }
@@ -261,18 +258,18 @@ func TestConcurrentRuleChurnAndClassify(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
 				p.egress(offers, 0.01, nil)
-				p.ClassifyHashed(offers[i%len(offers)].Flow, 0)
+				p.ClassifyHashed(offers[i%len(offers)].Flow, struct{}{})
 				// Fresh flows every iteration, scanned while the writers
 				// publish generations; the churned rules cannot match
 				// them, so the verdicts are known whatever generation
 				// serves them.
 				for j := 0; j < 16; j++ {
 					src := netip.AddrFrom4([4]byte{198, 51, byte(w*64 + i>>4), byte(i<<4 + j)})
-					if r := p.ClassifyHashed(udpFlow(macPeerA, src, 123), 0); r == nil || r.ID != "pinned-shape" {
+					if r := p.ClassifyHashed(udpFlow(macPeerA, src, 123), struct{}{}); r == nil || r.ID != "pinned-shape" {
 						t.Errorf("ntp flow from %v classified %v", src, r)
 						return
 					}
-					if r := p.ClassifyHashed(tcpFlow(macPeerB, src, 443), 0); r != nil {
+					if r := p.ClassifyHashed(tcpFlow(macPeerB, src, 443), struct{}{}); r != nil {
 						t.Errorf("tcp flow from %v classified %v", src, r)
 						return
 					}
@@ -450,7 +447,7 @@ func TestOldGenerationRacesNewer(t *testing.T) {
 	classify := func(gen *classifier) error {
 		for i := range offers {
 			want := linearClassify(gen.rules, &keys[i])
-			if got := p.ClassifyHashed(&keys[i], 0); got != want {
+			if got := p.ClassifyHashed(&keys[i], struct{}{}); got != want {
 				return fmt.Errorf("generation %d: flow %v classified %v, want %v", gen.seq, keys[i], got, want)
 			}
 		}
@@ -639,11 +636,11 @@ func (c *churnTrial) pass() {
 	for i := range c.offers {
 		o := &c.offers[i]
 		want := linearClassify(c.rules, o.Flow)
-		if got := c.p.ClassifyHashed(o.Flow, 0); got != want {
-			c.t.Fatalf("ClassifyHashed(%v, 0) = %v, want %v (rules %v)", *o.Flow, got, want, c.rules)
+		if got := c.p.ClassifyHashed(o.Flow, struct{}{}); got != want {
+			c.t.Fatalf("ClassifyHashed(%v, struct{}{}) = %v, want %v (rules %v)", *o.Flow, got, want, c.rules)
 		}
-		if got := c.p.ClassifyHashed(o.Flow, o.Flow.Hash()); got != want {
-			c.t.Fatalf("ClassifyHashed(%v) = %v, want %v (rules %v)", *o.Flow, got, want, c.rules)
+		if got := c.p.ClassifyHashed(o.Flow, o.FlowHash); got != want {
+			c.t.Fatalf("ClassifyHashed(%v, o.FlowHash) = %v, want %v (rules %v)", *o.Flow, got, want, c.rules)
 		}
 		if want != nil && want.Action == ActionDrop {
 			wantDropped += o.Bytes
@@ -1026,7 +1023,8 @@ var fuzzChanges = [8]int{0, 0, 1, 1, 2, 3, 11, -1}
 // 6 and 7 keep). Bits
 // 3-5 apply none, one, several or eleven random rule changes, or remove
 // every rule and re-add them (fuzzChanges). Bit 6 first classifies every
-// offer through ClassifyHashed, with and without its hash. Then the
+// offer through ClassifyHashed, passing the zero value and then the
+// offer's FlowHash as the benchmark's probe does. Then the
 // tick's egress runs, and with bit 7 so does one on the generation the
 // port had before the tick's rule changes, over the entries the newer
 // one has just stamped. Every verdict and every offer's fate is compared

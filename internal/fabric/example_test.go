@@ -36,8 +36,8 @@ func ExamplePort_InstallRule() {
 
 // ExamplePort_ClassifyHashed classifies two flows against an installed
 // rule set: the attack flow hits the drop rule, benign web traffic falls
-// through to the default forwarding queue (nil). A zero hash has the
-// port compute the flow's hash itself.
+// through to the default forwarding queue (nil). The second argument
+// is ignored.
 func ExamplePort_ClassifyHashed() {
 	port := fabric.NewPort("AS64512", netpkt.MustParseMAC("02:00:00:00:00:01"), 1e9)
 	m := fabric.MatchAll()
@@ -58,10 +58,10 @@ func ExamplePort_ClassifyHashed() {
 	web.Proto = netpkt.ProtoTCP
 	web.SrcPort = 50000
 
-	if r := port.ClassifyHashed(&attack, 0); r != nil {
+	if r := port.ClassifyHashed(&attack, struct{}{}); r != nil {
 		fmt.Println("attack flow ->", r.ID)
 	}
-	if r := port.ClassifyHashed(&web, 0); r == nil {
+	if r := port.ClassifyHashed(&web, struct{}{}); r == nil {
 		fmt.Println("web flow -> default forwarding queue")
 	}
 	// Output:

@@ -3,6 +3,7 @@ package fabric
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"net/netip"
 	"testing"
 	"testing/quick"
@@ -31,15 +32,16 @@ func tcpFlow(srcMAC netpkt.MAC, src netip.Addr, dstPort uint16) *netpkt.FlowKey 
 		Proto: netpkt.ProtoTCP, SrcPort: 50000, DstPort: dstPort}
 }
 
-// TestOfferSize pins an Offer at 32 bytes on 64-bit platforms: the key
+// TestOfferSize pins an Offer at 24 bytes on 64-bit platforms: the key
 // stays in its producer's flow table and the offer only points at it,
-// so generating a tick's offers copies no 64-byte netpkt.FlowKey.
+// so generating a tick's offers copies no 64-byte netpkt.FlowKey, and
+// the FlowHash name takes no space.
 func TestOfferSize(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("the pin is for 64-bit platforms")
 	}
-	if got := unsafe.Sizeof(Offer{}); got != 32 {
-		t.Fatalf("unsafe.Sizeof(Offer{}) = %d, want 32", got)
+	if got := unsafe.Sizeof(Offer{}); got != 24 {
+		t.Fatalf("unsafe.Sizeof(Offer{}) = %d, want 24", got)
 	}
 }
 
@@ -268,6 +270,127 @@ func TestEgressDropRestoresBenign(t *testing.T) {
 	}
 	if res.CongestionDroppedBytes != 0 {
 		t.Fatalf("congestion drop with attack filtered: %v", res.CongestionDroppedBytes)
+	}
+}
+
+// TestUncongestedEgressMatchesScalingPass pins the forward-queue
+// shortcut to the scaling pass it skips. The reference egress runs a
+// twin port of unbounded capacity, whose forward queue leaves the
+// capacity stage with the bytes it entered, and then always runs the
+// scaling pass on that queue at the real capacity. Offers hit drop,
+// shape and forward rules or none; byte counts include NaN, ±Inf and
+// −0; each tick's capacity puts the forward total below, exactly at or
+// above it, or is 0, +Inf or NaN. The TickResult and the delivered
+// batch must equal the reference bit for bit.
+func TestUncongestedEgressMatchesScalingPass(t *testing.T) {
+	rules := func() []*Rule {
+		drop, shape, fwd := MatchAll(), MatchAll(), MatchAll()
+		drop.Proto, drop.SrcPort = netpkt.ProtoUDP, 123
+		shape.Proto, shape.SrcPort = netpkt.ProtoUDP, 53
+		fwd.Proto, fwd.DstPort = netpkt.ProtoTCP, 80
+		return []*Rule{
+			{ID: "drop", Match: drop, Action: ActionDrop},
+			{ID: "shape", Match: shape, Action: ActionShape, ShapeRateBps: 8e6},
+			{ID: "fwd", Match: fwd, Action: ActionForward},
+		}
+	}
+	port := func(capacity float64) *Port {
+		p := NewPort("victim", macVictim, capacity)
+		for _, r := range rules() {
+			if err := p.InstallRule(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return p
+	}
+	flows := []*netpkt.FlowKey{
+		udpFlow(macPeerA, srcIPA, 123), udpFlow(macPeerA, srcIPA, 53),
+		tcpFlow(macPeerB, srcIPB, 80), tcpFlow(macPeerB, srcIPB, 443),
+	}
+	finite := []float64{0, math.Copysign(0, -1), 1500, 3.7, 1e6, 2.5e6, 1e-300, -5}
+	special := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1)}
+	capModes := []string{"below", "at", "above", "zero", "inf", "nan"}
+	var batch []Delivery
+	keep := func(d []Delivery) { batch = append(batch[:0], d...) }
+	bits := func(r TickResult) [5]uint64 {
+		return [5]uint64{math.Float64bits(r.PresentedBytes), math.Float64bits(r.DeliveredBytes),
+			math.Float64bits(r.RuleDroppedBytes), math.Float64bits(r.ShaperDroppedBytes),
+			math.Float64bits(r.CongestionDroppedBytes)}
+	}
+	ran := map[string]int{}
+	for seed := int64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		twin, p := port(math.Inf(1)), port(0)
+		for tick := 0; tick < 500; tick++ {
+			offers := make([]Offer, rng.Intn(12))
+			for i := range offers {
+				b := finite[rng.Intn(len(finite))]
+				if rng.Intn(20) == 0 {
+					b = special[rng.Intn(len(special))]
+				}
+				offers[i] = Offer{Flow: flows[rng.Intn(len(flows))], Bytes: b, Packets: 1}
+			}
+			want := twin.egress(offers, 1, keep)
+			queue := append([]Delivery(nil), batch...)
+			var total float64
+			for _, d := range queue {
+				total += d.Bytes
+			}
+			mode := capModes[rng.Intn(len(capModes))]
+			switch mode {
+			case "below":
+				p.CapacityBps = total * 8 / 2
+			case "at":
+				p.CapacityBps = total * 8
+			case "above":
+				p.CapacityBps = total * 8 * 2
+			case "zero":
+				p.CapacityBps = 0
+			case "inf":
+				p.CapacityBps = math.Inf(1)
+			case "nan":
+				p.CapacityBps = math.NaN()
+			}
+			// The scaling pass, run whatever the total.
+			capBytes := p.CapacityBps / 8
+			frac := 1.0
+			if total > capBytes && total > 0 {
+				frac = capBytes / total
+			}
+			want.DeliveredBytes, want.CongestionDroppedBytes = 0, 0
+			for i := range queue {
+				d := &queue[i]
+				delivered := d.Bytes * frac
+				want.DeliveredBytes += delivered
+				want.CongestionDroppedBytes += d.Bytes - delivered
+				d.Bytes = delivered
+			}
+			got := p.egress(offers, 1, keep)
+			if bits(got) != bits(want) {
+				t.Fatalf("seed %d tick %d (capacity %s, total %v): TickResult %+v, want %+v", seed, tick, mode, total, got, want)
+			}
+			if len(batch) != len(queue) {
+				t.Fatalf("seed %d tick %d: %d deliveries, want %d", seed, tick, len(batch), len(queue))
+			}
+			for i := range queue {
+				if batch[i].Offer != queue[i].Offer || math.Float64bits(batch[i].Bytes) != math.Float64bits(queue[i].Bytes) {
+					t.Fatalf("seed %d tick %d: delivery %d = {%p %v}, want {%p %v}", seed, tick, i, batch[i].Offer, batch[i].Bytes, queue[i].Offer, queue[i].Bytes)
+				}
+			}
+			switch {
+			case math.IsNaN(total) || math.IsInf(total, 0):
+				ran["non-finite total"]++
+			case total <= capBytes:
+				ran["fits"]++
+			default:
+				ran["congested"]++
+			}
+		}
+	}
+	for _, k := range []string{"fits", "congested", "non-finite total"} {
+		if ran[k] == 0 {
+			t.Fatalf("no tick with a %s forward queue (%v)", k, ran)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"errors"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -13,7 +14,7 @@ import (
 // engine for one simulation tick.
 //
 // Flow, never nil, points into the producer's flow table instead of
-// carrying the 64-byte key, so an offer is 32 bytes. The producer owns
+// carrying the 64-byte key, so an offer is 24 bytes. The producer owns
 // the key and must not change it while a port may see it again: a port
 // takes an offer that carries the pointer its position carried last
 // tick for the same flow, without reading the key. A producer that
@@ -21,14 +22,20 @@ import (
 // pointers of its last egress with rules until its next egress, and
 // none once its last rule is withdrawn; it copies no key.
 type Offer struct {
+	offerHash
 	Flow    *netpkt.FlowKey
 	Bytes   float64
 	Packets float64
-	// FlowHash is not read by the fabric, and no traffic source sets it:
-	// a port classifies by position and first-match scan, never by hash.
-	// It stays only while the repository benchmark's classify probe
-	// passes it to ClassifyHashed (ROADMAP 9(n)).
-	FlowHash uint64
+}
+
+// offerHash gives Offer its zero-size FlowHash field. It is embedded
+// first because a trailing zero-size field is padded.
+type offerHash struct {
+	// FlowHash holds nothing and nothing sets it: a port classifies by
+	// position and first-match scan, never by hash. The name is kept
+	// only so the repository benchmark's classify probe, which passes it
+	// to ClassifyHashed, compiles; it goes with that call (ROADMAP 9(n)).
+	FlowHash struct{}
 }
 
 // TickResult summarizes one egress tick on a port as byte totals per
@@ -237,11 +244,12 @@ func (p *Port) Rule(id string) (*Rule, error) {
 
 // ClassifyHashed returns the first matching rule for the flow, or nil
 // for the default forwarding queue: the port's first-match scan, with
-// no positions in front. It ignores hash, which stays in the signature
-// only while the repository benchmark passes one (ROADMAP 9(n)). It is
-// lock-free and safe to call concurrently with rule management and
-// egress ticks, and reads f only during the call.
-func (p *Port) ClassifyHashed(f *netpkt.FlowKey, _ uint64) *Rule {
+// no positions in front. Its second parameter, of Offer.FlowHash's
+// zero-size type, stays in the signature only while the repository
+// benchmark passes that field (ROADMAP 9(n)). It is lock-free and safe
+// to call concurrently with rule management and egress ticks, and reads
+// f only during the call.
+func (p *Port) ClassifyHashed(f *netpkt.FlowKey, _ struct{}) *Rule {
 	return p.cls.Load().classify(f).rule
 }
 
@@ -412,18 +420,28 @@ func (p *Port) egress(offers []Offer, dtSeconds float64, visit FlowVisitor) (res
 
 	// Forward queue: bounded by port capacity for the tick; when
 	// oversubscribed every flow loses the same fraction (a fluid
-	// approximation of tail drop on a shared queue).
+	// approximation of tail drop on a shared queue). A finite forward
+	// total that fits the port delivers every byte, and the scaling pass
+	// would change nothing there (x*1 == x and x-x == +0 for finite x,
+	// and DeliveredBytes sums the same values in the same order as
+	// forwardBytes), so it is skipped. A total that is not finite takes
+	// the pass: NaN fails the test, and an infinite byte count leaves
+	// x-x == NaN as its congestion drop.
 	capBytes := p.CapacityBps * dtSeconds / 8
-	deliverFrac := 1.0
-	if forwardBytes > capBytes && forwardBytes > 0 {
-		deliverFrac = capBytes / forwardBytes
-	}
-	for i := range forward {
-		f := &forward[i]
-		delivered := f.Bytes * deliverFrac
-		res.DeliveredBytes += delivered
-		res.CongestionDroppedBytes += f.Bytes - delivered
-		f.Bytes = delivered
+	if forwardBytes <= capBytes && !math.IsInf(forwardBytes, 0) {
+		res.DeliveredBytes = forwardBytes
+	} else {
+		deliverFrac := 1.0
+		if forwardBytes > capBytes && forwardBytes > 0 {
+			deliverFrac = capBytes / forwardBytes
+		}
+		for i := range forward {
+			f := &forward[i]
+			delivered := f.Bytes * deliverFrac
+			res.DeliveredBytes += delivered
+			res.CongestionDroppedBytes += f.Bytes - delivered
+			f.Bytes = delivered
+		}
 	}
 	if visit != nil {
 		visit(forward)

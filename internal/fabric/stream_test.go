@@ -258,7 +258,7 @@ func TestEgressStreamAllocations(t *testing.T) {
 		if got := mallocs(pass); got > slack {
 			t.Errorf("first pass after %s: %d allocations for %d flows, want 0", change, got, flows)
 		}
-		if got := p.ClassifyHashed(offers[0].Flow, 0); (got == nil) != (verdict == "") || got != nil && got.ID != verdict {
+		if got := p.ClassifyHashed(offers[0].Flow, struct{}{}); (got == nil) != (verdict == "") || got != nil && got.ID != verdict {
 			t.Fatalf("after %s: ntp flow classified %v, want %q", change, got, verdict)
 		}
 	}

@@ -6,15 +6,16 @@
 //
 // A Collector counts each record straight into its time bin, under its
 // one lock, taken once per batch. The newest bins live in a hot ring of
-// reusable slots: a bin's port roll-ups are compact open-addressed
-// counter tables, and its per-peer bytes an array indexed by a dense
-// peer id the collector gives each source MAC the first time it sees
-// it. A record's MAC resolves first through the peer id the record at
-// the same position of the previous bin resolved to, confirmed by one
-// MAC compare, then through the MAC -> id table: a port delivers the
-// same flows in the same order tick after tick, so the warm path hashes
-// no peer. The steady-state observe path performs no allocation per
-// record.
+// reusable slots: a bin's port roll-ups are an array indexed by a dense
+// roll-up id the collector gives each (kind, port) the first time it
+// counts it, and its per-peer bytes an array indexed by a dense peer id
+// it gives each source MAC. A record resolves first through what the
+// record at the same position of the previous bin resolved to — its
+// peer id and its port pair (destination port, and UDP source port),
+// confirmed by one MAC compare and one port compare — and only then
+// through the collector's tables: a port delivers the same flows in the
+// same order tick after tick, so the warm path hashes nothing. The
+// steady-state observe path performs no allocation per record.
 //
 // Per-peer byte counters — the one per-bin state that grows with the
 // number of senders — are kept for a window of the 16 newest bins only;
@@ -97,7 +98,12 @@ type Collector struct {
 // write handle, which every worker index shares (see Shard), so n is
 // ignored.
 func NewCollectorShards(n int) *Collector {
-	c := &Collector{st: store{ids: make(map[uint64]int32), horizon: math.MaxInt}}
+	c := &Collector{st: store{
+		ids:     make(map[uint64]int32),
+		rolls:   make(map[uint32]int32),
+		pairIDs: make(map[uint64]uint8),
+		horizon: math.MaxInt,
+	}}
 	c.sh.c = c
 	return c
 }

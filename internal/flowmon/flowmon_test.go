@@ -6,6 +6,7 @@ import (
 	"net/netip"
 	"testing"
 
+	"stellar/internal/fabric"
 	"stellar/internal/netpkt"
 )
 
@@ -260,5 +261,107 @@ func BenchmarkObserveManyKeys(b *testing.B) {
 			recs[j].Bin = i / 4
 		}
 		observeFlows(c.Shard(0), recs)
+	}
+}
+
+// portFold is the engine's monitor work over a set of victim ports, one
+// collector each: every collector observes its port's delivered batch
+// for a bin, then the fold moves each collector's merge horizon to the
+// bin and counts its peers under the tick's member set.
+type portFold struct {
+	cols    []*Collector
+	batches [][]fabric.Delivery
+	members Members
+	records int
+}
+
+// newPortFold builds the batches of collectors ports: each delivers
+// attackers UDP/123 flows, one per peer, and webPeers peers' flows to
+// five web ports.
+func newPortFold(collectors, attackers, webPeers int) *portFold {
+	webPorts := [...]uint16{443, 80, 8080, 1935, 22}
+	f := &portFold{members: &funcSet{func(m netpkt.MAC) bool { return m[5]%4 != 0 }}}
+	for c := 0; c < collectors; c++ {
+		var keys []netpkt.FlowKey
+		for a := 0; a < attackers; a++ {
+			keys = append(keys, netpkt.FlowKey{SrcMAC: netpkt.MAC{0x02, 0x50, byte(c), 0, byte(a >> 8), byte(a)},
+				Src: ip1, Dst: dst, Proto: netpkt.ProtoUDP, SrcPort: 123, DstPort: 443})
+		}
+		for p := 0; p < webPeers; p++ {
+			for _, port := range webPorts {
+				keys = append(keys, netpkt.FlowKey{SrcMAC: netpkt.MAC{0x02, 0x60, byte(c), 0, byte(p >> 8), byte(p)},
+					Src: ip1, Dst: dst, Proto: netpkt.ProtoTCP, SrcPort: 40000 + port, DstPort: port})
+			}
+		}
+		offers := make([]fabric.Offer, len(keys))
+		batch := make([]fabric.Delivery, len(keys))
+		for i := range keys {
+			offers[i] = fabric.Offer{Flow: &keys[i]}
+			batch[i] = fabric.Delivery{Offer: &offers[i], Bytes: float64(1000 + i%97)}
+		}
+		f.cols = append(f.cols, NewCollectorShards(1))
+		f.batches = append(f.batches, batch)
+		f.records += len(batch)
+	}
+	return f
+}
+
+// step runs bin through every collector.
+func (f *portFold) step(bin int) {
+	for i, c := range f.cols {
+		c.Shard(0).ObserveDelivered(bin, f.batches[i])
+	}
+	for _, c := range f.cols {
+		c.SetMergeHorizon(bin)
+		c.PeerCount(bin, 0, f.members)
+	}
+}
+
+// TestObserveDeliveredFoldAllocs pins BenchmarkObserveDelivered's path
+// once warm: port batches resolved from the positional cache, the
+// horizon advance that retires a bin and the fold's PeerCount allocate
+// nothing but the cold tier's amortized growth, which rounds to 0 per
+// bin.
+func TestObserveDeliveredFoldAllocs(t *testing.T) {
+	f := newPortFold(8, 20, 10)
+	bin := 0
+	step := func() {
+		f.step(bin)
+		bin++
+	}
+	for bin < 4*peerWindow {
+		step()
+	}
+	if allocs := testing.AllocsPerRun(1000, step); allocs != 0 {
+		t.Fatalf("warm port batches + horizon + PeerCount: %v allocations per bin, want 0", allocs)
+	}
+}
+
+// BenchmarkObserveDelivered measures the engine's monitor path: port
+// batches through ObserveDelivered, then SetMergeHorizon and PeerCount
+// per bin, as the engine's fold makes them. Two shapes: 64 victim ports
+// of 200 UDP/123 flows plus 50 peers on 5 web ports (the attack
+// workloads' victims), and 8 ports of 1 500 peers on 5 web ports. It
+// reports ns/record and must report 0 allocs/op.
+func BenchmarkObserveDelivered(b *testing.B) {
+	for _, shape := range []struct {
+		name                            string
+		collectors, attackers, webPeers int
+	}{
+		{"64x(200udp+50x5web)", 64, 200, 50},
+		{"8x(1500x5web)", 8, 0, 1500},
+	} {
+		b.Run(shape.name, func(b *testing.B) {
+			f := newPortFold(shape.collectors, shape.attackers, shape.webPeers)
+			for bin := 0; bin < 2*peerWindow; bin++ {
+				f.step(bin)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				f.step(2*peerWindow + i)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(f.records), "ns/record")
+		})
 	}
 }

@@ -12,10 +12,10 @@ import (
 // positionFlows is one port's delivered flows across ticks, mutated
 // between batches the ways a port's forward queue changes: the flows
 // keep their order, rotate, lose one, gain a new one mid-slice, have a
-// position swapped to a new key, or have a flow's SrcMAC rewritten in
-// place (the offer keeps pointing at the same key). Keys live in their
-// own allocations so a rewrite is seen through the pointer the previous
-// batch held.
+// position swapped to a new key, or have a flow's SrcMAC, or its ports
+// or protocol, rewritten in place (the offer keeps pointing at the same
+// key). Keys live in their own allocations so a rewrite is seen through
+// the pointer the previous batch held.
 type positionFlows struct {
 	rng   *rand.Rand
 	keys  []*netpkt.FlowKey
@@ -29,6 +29,7 @@ const (
 	mutInsert
 	mutRewriteMAC
 	mutSwapKey
+	mutRewritePorts
 	mutKinds
 )
 
@@ -44,15 +45,21 @@ func newPositionFlows(seed int64, n int) *positionFlows {
 // key is a flow from source MAC m; the last MAC byte alternates parity
 // with m, so evenMAC keeps about half the peers.
 func (p *positionFlows) key(m int) *netpkt.FlowKey {
-	protos := []netpkt.IPProto{netpkt.ProtoUDP, netpkt.ProtoTCP}
-	return &netpkt.FlowKey{
-		SrcMAC:  positionMAC(m),
-		Src:     netip.AddrFrom4([4]byte{198, 51, byte(m >> 8), byte(m)}),
-		Dst:     netip.AddrFrom4([4]byte{100, 64, 0, 1}),
-		Proto:   protos[p.rng.Intn(len(protos))],
-		SrcPort: []uint16{53, 123, 443, 11211}[p.rng.Intn(4)],
-		DstPort: []uint16{80, 443}[p.rng.Intn(2)],
+	k := &netpkt.FlowKey{
+		SrcMAC: positionMAC(m),
+		Src:    netip.AddrFrom4([4]byte{198, 51, byte(m >> 8), byte(m)}),
+		Dst:    netip.AddrFrom4([4]byte{100, 64, 0, 1}),
 	}
+	p.drawPorts(k)
+	return k
+}
+
+// drawPorts gives k a protocol and ports drawn from a small set, so
+// flows share port pairs.
+func (p *positionFlows) drawPorts(k *netpkt.FlowKey) {
+	k.Proto = []netpkt.IPProto{netpkt.ProtoUDP, netpkt.ProtoTCP}[p.rng.Intn(2)]
+	k.SrcPort = []uint16{53, 123, 443, 11211}[p.rng.Intn(4)]
+	k.DstPort = []uint16{80, 443}[p.rng.Intn(2)]
 }
 
 // positionMAC is source MAC number m of the position tests.
@@ -102,6 +109,8 @@ func (p *positionFlows) mutate(kind int) {
 	case mutSwapKey:
 		i := p.rng.Intn(n)
 		p.keys[i] = p.key(p.senderMAC())
+	case mutRewritePorts:
+		p.drawPorts(p.keys[p.rng.Intn(n)])
 	}
 }
 
@@ -122,22 +131,28 @@ func (p *positionFlows) batch(tick int) ([]fabric.Delivery, []record) {
 
 // positionProbe counts, before a batch for a new bin is observed (its
 // positions start at 0), the positions the store's cache will take as
-// hits and the ones whose cached id the MAC compare will reject.
-func positionProbe(s *Shard, d []fabric.Delivery) (hits, stale int) {
+// hits, the ones whose cached peer the MAC compare will reject, and the
+// ones whose MAC matches but whose cached port pair the key compare
+// will reject.
+func positionProbe(s *Shard, d []fabric.Delivery) (hits, staleMAC, stalePorts int) {
 	s.c.mu.Lock()
 	defer s.c.mu.Unlock()
 	st := &s.c.st
 	for i := range d {
-		if i >= len(st.pos) || st.pos[i] < 0 {
+		if i >= len(st.pos) || st.pos[i] == noPos {
 			continue
 		}
-		if st.macs[st.pos[i]] == d[i].Offer.Flow.SrcMAC {
+		key := d[i].Offer.Flow
+		switch p := st.pos[i]; {
+		case st.macs[p>>pairBits] != key.SrcMAC:
+			staleMAC++
+		case st.pairs[p&noPair].key != pairKey(key):
+			stalePorts++
+		default:
 			hits++
-		} else {
-			stale++
 		}
 	}
-	return hits, stale
+	return hits, staleMAC, stalePorts
 }
 
 // TestObserveDeliveredPositionMatchesMapCollector drives the positional
@@ -145,9 +160,9 @@ func positionProbe(s *Shard, d []fabric.Delivery) (hits, stale int) {
 // pins each tick's accessors, peer counts under both filters included,
 // to the reference collector bit for bit: each record is counted into
 // its bin as it arrives, so sums keep the reference's order. A cached
-// position taken
-// without its MAC compare would count a rewritten flow's bytes on the
-// peer it sent from before.
+// position taken without its MAC compare would count a rewritten flow's
+// bytes on the peer it sent from before, and one taken without its key
+// compare on the ports it used before.
 func TestObserveDeliveredPositionMatchesMapCollector(t *testing.T) {
 	const ticks = 3 * peerWindow
 	for trial := 0; trial < 3; trial++ {
@@ -155,7 +170,7 @@ func TestObserveDeliveredPositionMatchesMapCollector(t *testing.T) {
 		want, got := NewMapCollector(), NewCollectorShards(1)
 		sh := got.Shard(0)
 		var ran [mutKinds]int
-		var hits, stale int
+		var hits, staleMAC, stalePorts int
 		for tick := 0; tick < ticks; tick++ {
 			if tick > 0 {
 				kind := flows.rng.Intn(mutKinds)
@@ -163,8 +178,8 @@ func TestObserveDeliveredPositionMatchesMapCollector(t *testing.T) {
 				ran[kind]++
 			}
 			d, recs := flows.batch(tick)
-			h, s := positionProbe(sh, d)
-			hits, stale = hits+h, stale+s
+			h, sm, sp := positionProbe(sh, d)
+			hits, staleMAC, stalePorts = hits+h, staleMAC+sm, stalePorts+sp
 			want.ObserveAll(recs)
 			sh.ObserveDelivered(tick, d)
 			compareCollectors(t, want, got, 0)
@@ -174,8 +189,8 @@ func TestObserveDeliveredPositionMatchesMapCollector(t *testing.T) {
 				t.Fatalf("trial %d: mutation kind %d never ran", trial, kind)
 			}
 		}
-		if hits == 0 || stale == 0 {
-			t.Fatalf("trial %d: %d positional hits, %d stale positions; want both > 0", trial, hits, stale)
+		if hits == 0 || staleMAC == 0 || stalePorts == 0 {
+			t.Fatalf("trial %d: %d positional hits, %d stale peers, %d stale port pairs; want all > 0", trial, hits, staleMAC, stalePorts)
 		}
 	}
 }
@@ -196,7 +211,7 @@ func TestObserveDeliveredCachedWarmAllocs(t *testing.T) {
 	for bin < 16 {
 		step()
 	}
-	if hits, _ := positionProbe(sh, d); hits != len(d) {
+	if hits, _, _ := positionProbe(sh, d); hits != len(d) {
 		t.Fatalf("warm batch: %d of %d positions hit", hits, len(d))
 	}
 	if allocs := testing.AllocsPerRun(1000, step); allocs != 0 {
@@ -213,8 +228,8 @@ func modSet(k int) Members {
 // FuzzObserveDelivered runs one port's deliveries (size mod 128 flows
 // to start with) through up to 3*peerWindow ticks, one per op byte.
 // Bits 0-2 mutate the batch before the tick (keep, rotate, drop,
-// insert, rewrite a key's MAC in place, swap a position to a new key;
-// 6 and 7 keep). Bits 3-4 change the member sets between ticks: a
+// insert, rewrite a key's MAC in place, swap a position to a new key,
+// rewrite a key's ports or protocol in place; 7 keeps). Bits 3-4 change the member sets between ticks: a
 // modSet replaced by one with another rule, a registry grown by one MAC
 // as a Join grows it (bit 6: a MAC a flow sends from, or the next one
 // no flow has used yet), or the modSet replaced by a new value with the
@@ -273,4 +288,42 @@ func FuzzObserveDelivered(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestObserveDeliveredPastPairLimit drives a collector through half as
+// many port pairs again as a position can number, then mutates the
+// flows as TestObserveDeliveredPositionMatchesMapCollector does. The
+// pairs numbered first stay cached, a record whose pair came later
+// resolves through the maps on every tick, and every tick's accessors
+// equal the reference's bit for bit.
+func TestObserveDeliveredPastPairLimit(t *testing.T) {
+	flows := newPositionFlows(77, 3*maxPairs/2)
+	for i, k := range flows.keys {
+		if i%3 == 0 {
+			k.Proto = netpkt.ProtoTCP
+		} else {
+			k.Proto = netpkt.ProtoUDP
+		}
+		k.SrcPort, k.DstPort = uint16(1024+i), uint16(20000+i)
+	}
+	want, got := NewMapCollector(), NewCollectorShards(1)
+	sh := got.Shard(0)
+	for tick := 0; tick < 2*peerWindow; tick++ {
+		if tick > 1 {
+			flows.mutate(flows.rng.Intn(mutKinds))
+		}
+		d, recs := flows.batch(tick)
+		want.ObserveAll(recs)
+		sh.ObserveDelivered(tick, d)
+		compareCollectors(t, want, got, 0)
+		if tick == 0 {
+			hits, _, _ := positionProbe(sh, d)
+			if pairs := len(got.st.pairs); pairs != maxPairs {
+				t.Fatalf("%d port pairs numbered, want %d", pairs, maxPairs)
+			}
+			if hits == 0 || hits == len(d) {
+				t.Fatalf("%d of %d positions cached; want some, not all", hits, len(d))
+			}
+		}
+	}
 }

@@ -33,12 +33,12 @@ const (
 // store is the collector's per-bin state, in two tiers. The hot tier is
 // a ring of reusable bins, indexed by bin modulo its length, that
 // counts each record as it arrives: the bin's total, its source- and
-// destination-port roll-ups in two counter tables and its per-peer
-// bytes in an array indexed by a dense peer id. A bin leaving the peer
-// window is retired into the cold tier: its total and one sorted run of
-// (roll-up key, bytes) in a shared arena. Peer detail is dropped at
-// that point, and a late record for a cold bin updates its roll-up
-// only.
+// destination-port roll-ups in an array indexed by a dense roll-up id,
+// and its per-peer bytes in an array indexed by a dense peer id. A bin
+// leaving the peer window is retired into the cold tier: its total and
+// one sorted run of (roll-up key, bytes) in a shared arena. Peer detail
+// is dropped at that point, and a late record for a cold bin updates
+// its roll-up only.
 //
 // Every accessor except the peer counts reads the roll-up, whichever
 // tier holds it, and each roll-up counter is the sum of its records in
@@ -56,14 +56,23 @@ type store struct {
 	// store first sees them; macs is its inverse, indexed by id.
 	ids  map[uint64]int32
 	macs []netpkt.MAC
-	// pos[i] is the peer id the record at position i of the previous
-	// bin resolved to, -1 while none has. Positions count the records
-	// observed into one bin, from 0, and restart when a record arrives
-	// for another bin than the record before it (posBin); posNext is
-	// the next record's position. A port delivers the same flows in the
-	// same order tick after tick, so a position whose MAC still matches
-	// macs[pos[i]] skips the table lookup.
-	pos     []int32
+	// rolls numbers the roll-up keys (kind | port) densely, in the order
+	// the store first counts them; keys is its inverse, indexed by id.
+	rolls map[uint32]int32
+	keys  []uint32
+	// pairIDs numbers the first maxPairs port pairs the store sees;
+	// pairs is its inverse, indexed by number.
+	pairIDs map[uint64]uint8
+	pairs   []portPair
+	// pos[i] caches what the record at position i of the previous bin
+	// resolved to: its peer id and its port pair's number, packed as
+	// pairBits describes, or noPos. Positions count the records observed
+	// into one bin, from 0, and restart when a record arrives for
+	// another bin than the record before it (posBin); posNext is the
+	// next record's position. A port delivers the same flows in the same order tick
+	// after tick, so a position whose MAC still equals its peer's and
+	// whose ports still equal its pair's skips every map lookup.
+	pos     []uint32
 	posBin  int
 	posNext int
 
@@ -75,6 +84,38 @@ type store struct {
 	verdicts []verdict
 }
 
+// A position packs a peer id into its high 24 bits and a port pair's
+// number into its low 8, so the cache costs 4 bytes a record however
+// many records a bin has. Pair number 255 marks an empty position, so a
+// store numbers at most maxPairs pairs; a record whose peer id or pair
+// lies past what a position holds resolves through the maps every time.
+const (
+	pairBits = 8
+	noPair   = 1<<pairBits - 1
+	maxPairs = noPair
+	maxPeers = 1 << (32 - pairBits)
+	noPos    = ^uint32(0)
+)
+
+// portPair is the roll-up a record's ports count into: a destination
+// port, and a source port when the record is UDP. key identifies the
+// pair (pairKey); dst and src are its roll-up ids, src -1 for a pair
+// that is not UDP.
+type portPair struct {
+	key      uint64
+	dst, src int32
+}
+
+// pairKey identifies a record's port pair: its destination port, and
+// its source port with a UDP mark when it is UDP (the source port of
+// any other protocol is not counted).
+func pairKey(k *netpkt.FlowKey) uint64 {
+	if k.Proto == netpkt.ProtoUDP {
+		return 1<<32 | uint64(k.SrcPort)<<16 | uint64(k.DstPort)
+	}
+	return uint64(k.DstPort)
+}
+
 // verdict is a member set's cached answer for one peer id.
 type verdict uint8
 
@@ -84,23 +125,14 @@ const (
 	notMember
 )
 
-// hotBin is one slot of the hot ring; its tables and arrays keep their
-// capacity when the slot passes to a newer bin.
+// hotBin is one slot of the hot ring; its arrays keep their capacity
+// when the slot passes to a newer bin.
 type hotBin struct {
-	used    bool
-	bin     int
-	total   float64
-	srcPort counterTable // UDP source port -> bytes
-	dstPort counterTable // any-proto destination port -> bytes
-	peers   peerBytes    // peer id -> bytes
-}
-
-// table returns the hot bin's roll-up table of one kind.
-func (h *hotBin) table(kind uint32) *counterTable {
-	if kind == kindSrc {
-		return &h.srcPort
-	}
-	return &h.dstPort
+	used  bool
+	bin   int
+	total float64
+	roll  denseBytes // roll-up id -> bytes
+	peers denseBytes // peer id -> bytes
 }
 
 // coldBin is a compacted bin: its roll-up is arena[off : off+n], sorted
@@ -153,7 +185,7 @@ func (st *store) hotBin(bin int) *hotBin {
 // a bin not observed before, or nil when the cold tier holds bin. A
 // slot still held by a bin below the peer floor is retired here only
 // when no merge horizon retired it first (see retire). A taken slot
-// sizes its peer arrays once, to the ids the previous bin saw.
+// sizes its arrays once, to the ids the previous bin saw.
 func (st *store) slot(bin int) *hotBin {
 	if h := st.hotBin(bin); h != nil {
 		return h
@@ -161,9 +193,9 @@ func (st *store) slot(bin int) *hotBin {
 	if _, ok := st.findCold(bin); ok {
 		return nil
 	}
-	peers := 0
+	rolls, peers := 0, 0
 	if prev := st.hotBin(st.newest); prev != nil {
-		peers = prev.peers.span()
+		rolls, peers = prev.roll.span(), prev.peers.span()
 	}
 	if !st.any || bin > st.newest {
 		st.newest, st.any = bin, true
@@ -179,6 +211,9 @@ func (st *store) slot(bin int) *hotBin {
 		st.compact(h) // below floor: fit keeps [floor, newest] collision-free
 	}
 	h.used, h.bin = true, bin
+	if rolls > len(h.roll.bytes) {
+		h.roll.grow(rolls)
+	}
 	if peers > len(h.peers.bytes) {
 		h.peers.grow(peers)
 	}
@@ -192,17 +227,19 @@ func (st *store) add(h *hotBin, bin, i int, key *netpkt.FlowKey, bytes float64) 
 		st.addCold(bin, key, bytes)
 		return
 	}
-	id := st.pos[i]
-	if id < 0 || st.macs[id] != key.SrcMAC {
-		id = st.resolve(key.SrcMAC)
-		st.pos[i] = id
+	var peer int32
+	var pair portPair
+	if p := st.pos[i]; p&noPair != noPair && st.macs[p>>pairBits] == key.SrcMAC && st.pairs[p&noPair].key == pairKey(key) {
+		peer, pair = int32(p>>pairBits), st.pairs[p&noPair]
+	} else {
+		peer, pair, st.pos[i] = st.locate(key)
 	}
 	h.total += bytes
-	h.dstPort.add(uint64(key.DstPort), bytes)
-	if key.Proto == netpkt.ProtoUDP {
-		h.srcPort.add(uint64(key.SrcPort), bytes)
+	h.roll.add(pair.dst, bytes)
+	if pair.src >= 0 {
+		h.roll.add(pair.src, bytes)
 	}
-	h.peers.add(id, bytes)
+	h.peers.add(peer, bytes)
 }
 
 // cursor reserves the positions of the next n records of bin and
@@ -214,9 +251,34 @@ func (st *store) cursor(bin, n int) int {
 	i := st.posNext
 	st.posNext += n
 	for len(st.pos) < st.posNext {
-		st.pos = append(st.pos, -1)
+		st.pos = append(st.pos, noPos)
 	}
 	return i
+}
+
+// locate resolves key's peer id and port pair through the maps and
+// returns them with the position that caches both: noPos when the peer
+// id or the pair lies past what a position holds.
+func (st *store) locate(key *netpkt.FlowKey) (int32, portPair, uint32) {
+	peer := st.resolve(key.SrcMAC)
+	k := pairKey(key)
+	n, ok := st.pairIDs[k]
+	if !ok {
+		pair := portPair{key: k, dst: st.rollID(kindDst | uint32(key.DstPort)), src: -1}
+		if key.Proto == netpkt.ProtoUDP {
+			pair.src = st.rollID(kindSrc | uint32(key.SrcPort))
+		}
+		if len(st.pairs) == maxPairs {
+			return peer, pair, noPos
+		}
+		n = uint8(len(st.pairs))
+		st.pairIDs[k] = n
+		st.pairs = append(st.pairs, pair)
+	}
+	if peer >= maxPeers {
+		return peer, st.pairs[n], noPos
+	}
+	return peer, st.pairs[n], uint32(peer)<<pairBits | uint32(n)
 }
 
 // resolve returns mac's peer id, giving a MAC the store has not seen
@@ -228,6 +290,18 @@ func (st *store) resolve(mac netpkt.MAC) int32 {
 		id = int32(len(st.macs))
 		st.ids[k] = id
 		st.macs = append(st.macs, mac)
+	}
+	return id
+}
+
+// rollID returns a roll-up key's id, giving a key the store has not
+// counted the next one.
+func (st *store) rollID(key uint32) int32 {
+	id, ok := st.rolls[key]
+	if !ok {
+		id = int32(len(st.keys))
+		st.rolls[key] = id
+		st.keys = append(st.keys, key)
 	}
 	return id
 }
@@ -271,23 +345,17 @@ func (st *store) retire() {
 }
 
 // compact moves a hot bin's roll-up into the cold tier and frees its
-// slot, keeping the slot's table capacity.
+// slot, keeping the slot's array capacity.
 func (st *store) compact(h *hotBin) {
 	off := len(st.arena)
-	for _, kind := range [...]uint32{kindSrc, kindDst} {
-		t := h.table(kind)
-		for i := range t.entries {
-			if e := &t.entries[i]; e.used() {
-				st.arena = append(st.arena, rollEntry{kind | uint32(e.key()), e.val})
-			}
-		}
-	}
+	h.roll.each(func(id int, bytes float64) {
+		st.arena = append(st.arena, rollEntry{st.keys[id], bytes})
+	})
 	slices.SortFunc(st.arena[off:], byKey)
 	st.insertCold(coldBin{bin: h.bin, total: h.total, off: off, n: len(st.arena) - off})
 	h.used = false
 	h.total = 0
-	h.srcPort.reset()
-	h.dstPort.reset()
+	h.roll.reset()
 	h.peers.reset()
 }
 
@@ -342,12 +410,13 @@ func (st *store) addRun(c *coldBin, key uint32, bytes float64) {
 type view struct {
 	total float64
 	hot   *hotBin     // nil for a cold bin
+	st    *store      // a hot bin's store, whose ids its roll-up uses
 	run   []rollEntry // a cold bin's roll-up
 }
 
 func (st *store) view(bin int) (view, bool) {
 	if h := st.hotBin(bin); h != nil {
-		return view{total: h.total, hot: h}, true
+		return view{total: h.total, hot: h, st: st}, true
 	}
 	if i, ok := st.findCold(bin); ok {
 		c := &st.cold[i]
@@ -359,12 +428,11 @@ func (st *store) view(bin int) (view, bool) {
 // each calls fn for every roll-up counter of one kind.
 func (v *view) each(kind uint32, fn func(port uint16, bytes float64)) {
 	if v.hot != nil {
-		t := v.hot.table(kind)
-		for i := range t.entries {
-			if e := &t.entries[i]; e.used() {
-				fn(uint16(e.key()), e.val)
+		v.hot.roll.each(func(id int, bytes float64) {
+			if key := v.st.keys[id]; key&kindMask == kind {
+				fn(uint16(key), bytes)
 			}
-		}
+		})
 		return
 	}
 	for _, e := range v.run {
@@ -377,7 +445,10 @@ func (v *view) each(kind uint32, fn func(port uint16, bytes float64)) {
 // get returns one roll-up counter, 0 when absent.
 func (v *view) get(key uint32) float64 {
 	if v.hot != nil {
-		return v.hot.table(key & kindMask).get(uint64(uint16(key)))
+		if id, ok := v.st.rolls[key]; ok && int(id) < len(v.hot.roll.bytes) {
+			return v.hot.roll.bytes[id]
+		}
+		return 0
 	}
 	if i, ok := slices.BinarySearchFunc(v.run, rollEntry{key: key}, byKey); ok {
 		return v.run[i].bytes

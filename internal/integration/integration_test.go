@@ -94,7 +94,7 @@ func TestFlowspecBilateralSession(t *testing.T) {
 			Src: netip.MustParseAddr("198.51.100.1"), Dst: victimIP,
 			Proto: netpkt.ProtoUDP, SrcPort: 11211, DstPort: 443,
 		}
-		if r := port.ClassifyHashed(&memcached, 0); r == nil || r.Action != fabric.ActionDrop {
+		if r := port.ClassifyHashed(&memcached, struct{}{}); r == nil || r.Action != fabric.ActionDrop {
 			t.Fatalf("classify: %+v", r)
 		}
 	case <-time.After(3 * time.Second):

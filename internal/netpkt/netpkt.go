@@ -1,7 +1,6 @@
 package netpkt
 
 import (
-	"encoding/binary"
 	"fmt"
 	"net/netip"
 )
@@ -95,7 +94,7 @@ func (m MAC) String() string {
 	return string(buf)
 }
 
-// FlowKey is a hashable 5-tuple plus the source MAC; the fabric and the
+// FlowKey is a comparable 5-tuple plus the source MAC; the fabric and the
 // flow monitor aggregate on it.
 type FlowKey struct {
 	SrcMAC  MAC
@@ -108,43 +107,4 @@ type FlowKey struct {
 
 func (k FlowKey) String() string {
 	return fmt.Sprintf("%s %s:%d -> %s:%d", k.Proto, k.Src, k.SrcPort, k.Dst, k.DstPort)
-}
-
-// Hash returns a 64-bit FNV-1a digest of the flow key; it never returns
-// 0. Nothing in the data path hashes a flow any more: a fabric port
-// classifies by position and first-match scan, and no traffic source
-// fills fabric.Offer.FlowHash. Hash goes with that field once the
-// repository benchmark stops passing it (ROADMAP 9(n)).
-func (k FlowKey) Hash() uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	for _, b := range k.SrcMAC {
-		h = (h ^ uint64(b)) * prime
-	}
-	h = hashAddr(h, k.Src)
-	h = hashAddr(h, k.Dst)
-	h = (h ^ uint64(k.Proto)) * prime
-	h = (h ^ (uint64(k.SrcPort) | uint64(k.DstPort)<<16)) * prime
-	if h == 0 {
-		return 1
-	}
-	return h
-}
-
-func hashAddr(h uint64, a netip.Addr) uint64 {
-	const prime = 1099511628211
-	if !a.IsValid() {
-		return (h ^ 0xff) * prime
-	}
-	b := a.As16()
-	for i := 0; i < 16; i += 8 {
-		h = (h ^ binary.LittleEndian.Uint64(b[i:])) * prime
-	}
-	if a.Is4() {
-		h = (h ^ 4) * prime
-	}
-	return h
 }
