@@ -52,6 +52,7 @@ var deadExportAllow = map[string]string{
 	"internal/bgpsession.Config.ExpectAS":             "checks input from outside; the hostile-member work (ROADMAP 10) may enable it",
 	"internal/bgppipe.Options.Buffer":                 "benchmark/wire.go builds Options{}, so the field stays settable",
 	"internal/routeserver.ControllerEvent.PeerAS":     "benchmark/layers.go sets it",
+	"internal/routeserver.PeerUpdates.Peer":           "HandleUpdateBatch's per-member layout, kept only for benchmark/layers.go, which reads Updates; goes with that probe (ROADMAP 21)",
 	"internal/netpkt.MustParseMAC":                    "for constants in tests and examples; the fabric godoc example uses it",
 	"internal/hw.Snapshot.Ports":                      "the cross-package tests' hardware-side oracle, which the invariant checker (ROADMAP 5a) will read",
 	"internal/fabric.offerHash.FlowHash":              "Offer's zero-size FlowHash, kept only so benchmark/layers.go's ClassifyHashed call compiles; it goes with that call (ROADMAP 9n)",

@@ -258,7 +258,7 @@ func (r *recordStage) Run() error {
 // fed through the pipe (MRTScanner -> RX line -> RSFeed) produces a
 // byte-identical RIB — same paths, same best-path selection, same
 // marshaled attributes — as handing the route server the same updates
-// directly through HandleUpdateBatch.
+// directly through HandleUpdate.
 func TestMRTReplayEquivalence(t *testing.T) {
 	newRS := func() *routeserver.RouteServer {
 		return routeserver.New(routeserver.Config{
@@ -277,7 +277,7 @@ func TestMRTReplayEquivalence(t *testing.T) {
 		t.Fatalf("record pipe: %v", err)
 	}
 
-	// Direct path: same updates straight into HandleUpdateBatch.
+	// Direct path: same updates straight into HandleUpdate.
 	rsDirect := newRS()
 	for _, r := range mrtFixture() {
 		peer := fmt.Sprintf("AS%d", r.peerAS)
@@ -289,7 +289,7 @@ func TestMRTReplayEquivalence(t *testing.T) {
 		if err != nil && err != routeserver.ErrDuplicatePeer {
 			t.Fatal(err)
 		}
-		if _, _, err := rsDirect.HandleUpdateBatch(peer, u); err != nil {
+		if _, _, err := rsDirect.HandleUpdate(peer, u); err != nil {
 			t.Fatal(err)
 		}
 	}

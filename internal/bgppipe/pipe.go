@@ -10,8 +10,8 @@
 //
 // Listen terminates the members' TCP sessions and injects what they
 // send as RX messages; RSFeed applies them to the route server and
-// emits the coalesced export batches owed to peers up on the pipe back
-// as TX messages, which Listen routes to the addressed session. Each
+// emits the coalesced exports owed to peers up on the pipe back as TX
+// messages, which Listen routes to the addressed session. Each
 // direction is an ordered callback line driven by one goroutine, so
 // stage processing within a direction is serialized and deterministic.
 //

@@ -3,23 +3,25 @@ package bgppipe
 import (
 	"errors"
 	"net/netip"
+	"slices"
+	"strings"
 
 	"stellar/internal/bgp"
 	"stellar/internal/routeserver"
 )
 
 // RSFeed bridges the pipe to a routeserver.RouteServer: every RX UPDATE
-// is applied with HandleUpdateBatch, and the batched exports the route
-// server owes other members come back out as TX messages addressed per
-// peer — to peers up on this pipe only. Peer lifecycle events
-// auto-register members (AddPeer) and flush their routes on PeerDown
+// is applied with HandleUpdate, and the exports the route server owes
+// other members come back out as TX messages addressed per peer — to
+// peers up on this pipe only. Peer lifecycle events auto-register
+// members (AddPeer) and flush their routes on PeerDown
 // (HandleWithdrawAll).
 //
 // The route server owes exports to every registered member, sessions or
 // not (ixp.Join and in-process doors register members too); a member
 // with no session on this pipe has nowhere to receive them, so RSFeed
-// does not build TX messages for it. A peer is up from its EventPeerUp
-// to its EventPeerDown.
+// asks the export set only what the peers up on the pipe are owed. A
+// peer is up from its EventPeerUp to its EventPeerDown.
 //
 // RSFeed calls the route server directly, like every other door into
 // it, so whatever subscribes to the route server — an ixp.Build
@@ -51,11 +53,21 @@ type RSFeed struct {
 	// trouble). Optional.
 	OnError func(peer string, err error)
 
-	// up counts each peer's sessions that are up on the pipe: normally
+	// up holds the peers up on the pipe, sorted by name (the order emit
+	// addresses them in), each with its count of sessions up: normally
 	// one, but a reconnecting session's EventPeerUp may overtake its
-	// predecessor's EventPeerDown. Touched only on the RX line.
-	up map[string]int
+	// predecessor's EventPeerDown. owed is emit's scratch. Both are
+	// touched only on the RX line.
+	up   []livePeer
+	owed []*bgp.Update
 }
+
+type livePeer struct {
+	name     string
+	sessions int
+}
+
+func comparePeer(p livePeer, name string) int { return strings.Compare(p.name, name) }
 
 // Name implements Stage.
 func (f *RSFeed) Name() string { return "rsfeed" }
@@ -65,7 +77,7 @@ func (f *RSFeed) Attach(p *Pipe) error {
 	if f.RS == nil {
 		return errors.New("RSFeed.RS is nil")
 	}
-	f.up = make(map[string]int)
+	f.up = nil
 	p.OnMsg(DirRX, func(m *Msg) bool {
 		switch m.Event {
 		case EventPeerUp:
@@ -82,7 +94,7 @@ func (f *RSFeed) Attach(p *Pipe) error {
 		if f.PreUpdate != nil {
 			f.PreUpdate(m.Peer, u)
 		}
-		exports, rejections, err := f.RS.HandleUpdateBatch(m.Peer, u)
+		exports, rejections, err := f.RS.HandleUpdate(m.Peer, u)
 		if err != nil {
 			if f.OnError != nil {
 				f.OnError(m.Peer, err)
@@ -118,17 +130,21 @@ func (f *RSFeed) peerUp(m *Msg) {
 		}
 		return
 	}
-	f.up[cfg.Name]++
+	if i, ok := slices.BinarySearchFunc(f.up, cfg.Name, comparePeer); ok {
+		f.up[i].sessions++
+	} else {
+		f.up = slices.Insert(f.up, i, livePeer{cfg.Name, 1})
+	}
 	if f.OnPeerUp != nil {
 		f.OnPeerUp(cfg.Name, cfg.ASN, cfg.BGPID)
 	}
 }
 
 func (f *RSFeed) peerDown(p *Pipe, m *Msg) {
-	if f.up[m.Peer] > 1 {
-		f.up[m.Peer]--
-	} else {
-		delete(f.up, m.Peer)
+	if i, ok := slices.BinarySearchFunc(f.up, m.Peer, comparePeer); ok {
+		if f.up[i].sessions--; f.up[i].sessions == 0 {
+			f.up = slices.Delete(f.up, i, i+1)
+		}
 	}
 	exports, err := f.RS.HandleWithdrawAll(m.Peer)
 	if err == nil {
@@ -142,21 +158,23 @@ func (f *RSFeed) peerDown(p *Pipe, m *Msg) {
 	}
 }
 
-// emit turns the route server's coalesced export batches into TX
-// messages, one per (peer up on this pipe, UPDATE), preserving each
-// peer's withdrawals-first batch order. Batches owed to peers without a
-// session here are skipped: there is no one to send them to.
-func (f *RSFeed) emit(p *Pipe, exports []routeserver.PeerUpdates) {
-	for _, e := range exports {
-		if f.up[e.Peer] == 0 {
-			continue
-		}
-		for _, u := range e.Updates {
-			if p.Send(DirTX, &Msg{Peer: e.Peer, BGP: u}) != nil {
+// emit turns the route server's export set into TX messages, one per
+// (peer up on this pipe, UPDATE it is owed), peers by name, each peer's
+// UPDATEs withdrawals first. Members without a session here are never
+// asked about: there is no one to send their exports to.
+func (f *RSFeed) emit(p *Pipe, exports routeserver.Exports) {
+	if exports.Len() == 0 {
+		return
+	}
+	for _, peer := range f.up {
+		f.owed = exports.To(peer.name, f.owed[:0])
+		for _, u := range f.owed {
+			if p.Send(DirTX, &Msg{Peer: peer.name, BGP: u}) != nil {
 				return // pipe shutting down; remaining exports are moot
 			}
 		}
 	}
+	clear(f.owed[:cap(f.owed)]) // keep no UPDATE reachable until the next message
 }
 
 // Run implements Stage: RSFeed is a pure consumer, so Run returns

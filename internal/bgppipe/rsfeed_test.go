@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"net"
 	"net/netip"
+	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -137,5 +139,161 @@ func TestRSFeedExportsOnlyToLivePeers(t *testing.T) {
 	}
 	if got := addressees[after]; len(got) != 0 {
 		t.Fatalf("TX messages for %s addressed to %v after the only other session went down, want none", after, got)
+	}
+}
+
+// scriptStage pushes a fixed list of RX messages, in order, and returns.
+type scriptStage struct {
+	msgs []*Msg
+	pipe *Pipe
+}
+
+func (s *scriptStage) Name() string         { return "script" }
+func (s *scriptStage) Attach(p *Pipe) error { s.pipe = p; return nil }
+func (s *scriptStage) Stop() error          { return nil }
+func (s *scriptStage) Run() error {
+	for _, m := range s.msgs {
+		if err := s.pipe.Send(DirRX, m); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// TestRSFeedTXMatchesMemberWalk pins RSFeed's TX sequence to the one the
+// per-member walk produced: for every RX message, the route server's
+// exports laid out per registered member in name order, each member's
+// UPDATEs in batch order, filtered to the peers up on the pipe at the
+// time. A twin route server fed the same messages gives the reference.
+// The script covers a member registered with no session, a reconnect
+// whose EventPeerUp overtakes its predecessor's EventPeerDown (two
+// sessions up at once, so the first down leaves the peer up), a peer
+// going down mid-stream, and session loss flushing a peer's routes.
+func TestRSFeedTXMatchesMemberWalk(t *testing.T) {
+	cfg := routeserver.Config{ASN: 6695, BlackholeNextHop: netip.MustParseAddr("80.81.193.66")}
+	live, twin := routeserver.New(cfg), routeserver.New(cfg)
+	// Registered by an in-process door, never up on the pipe.
+	offline := routeserver.PeerConfig{Name: "AS64599", ASN: 64599}
+	for _, rs := range []*routeserver.RouteServer{live, twin} {
+		if err := rs.AddPeer(offline); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	up := func(asn uint32) *Msg {
+		return &Msg{Peer: fmt.Sprintf("AS%d", asn), PeerAS: asn, Event: EventPeerUp}
+	}
+	down := func(asn uint32) *Msg {
+		return &Msg{Peer: fmt.Sprintf("AS%d", asn), PeerAS: asn, Event: EventPeerDown}
+	}
+	update := func(asn uint32, pathLen int, communities []bgp.Community, announce []string, withdraw []string) *Msg {
+		path := []uint32{asn}
+		for len(path) < pathLen {
+			path = append(path, 64999)
+		}
+		u := &bgp.Update{Attrs: bgp.PathAttrs{
+			Origin:      bgp.OriginIGP,
+			ASPath:      []bgp.ASPathSegment{{Type: bgp.ASSequence, ASNs: path}},
+			NextHop:     netip.AddrFrom4([4]byte{80, 81, 192, byte(asn)}),
+			Communities: communities,
+		}}
+		for _, p := range announce {
+			u.NLRI = append(u.NLRI, bgp.PathPrefix{Prefix: netip.MustParsePrefix(p)})
+		}
+		for _, p := range withdraw {
+			u.Withdrawn = append(u.Withdrawn, bgp.PathPrefix{Prefix: netip.MustParsePrefix(p)})
+		}
+		return &Msg{Peer: fmt.Sprintf("AS%d", asn), PeerAS: asn, BGP: u}
+	}
+	blackhole := []bgp.Community{bgp.CommunityBlackhole}
+	script := []*Msg{
+		up(64512), up(64513), up(64514), up(64520),
+		update(64512, 1, nil, []string{"203.0.113.0/24", "198.51.100.0/24"}, nil),
+		update(64513, 2, nil, []string{"203.0.113.0/24"}, nil), // a worse path: no export
+		update(64512, 1, blackhole, []string{"203.0.113.7/32"}, nil),
+		// AS64520 whitelists AS64513 only; AS64514 blocks AS64512.
+		update(64520, 1, []bgp.Community{bgp.MakeCommunity(6695, 64513)}, []string{"192.0.2.0/24"}, nil),
+		update(64514, 1, []bgp.Community{bgp.MakeCommunity(0, 64512)}, []string{"100.64.0.0/24"}, nil),
+		up(64513), // reconnect overtakes the old session's down
+		down(64513),
+		update(64512, 1, nil, nil, []string{"203.0.113.0/24"}), // promotes AS64513's path
+		down(64514), // mid-stream: AS64514's routes are withdrawn from the others
+		update(64513, 1, blackhole, []string{"203.0.113.9/32"}, []string{"203.0.113.0/24"}),
+		update(64520, 1, nil, []string{"192.0.2.0/24", "192.0.2.128/25"}, nil),
+		down(64512), // session loss flushes AS64512's routes
+		update(64513, 1, nil, []string{"203.0.113.0/24"}, nil),
+		down(64513), down(64520),
+	}
+
+	// The reference: the twin's exports, walked per registered member.
+	type send struct {
+		peer string
+		u    *bgp.Update
+	}
+	var want []send
+	ups := make(map[string]int)
+	for _, m := range script {
+		var batches []routeserver.PeerUpdates
+		switch m.Event {
+		case EventPeerUp:
+			if err := twin.AddPeer(routeserver.PeerConfig{Name: m.Peer, ASN: m.PeerAS}); err != nil && err != routeserver.ErrDuplicatePeer {
+				t.Fatal(err)
+			}
+			ups[m.Peer]++
+			continue
+		case EventPeerDown:
+			ups[m.Peer]--
+			x, err := twin.HandleWithdrawAll(m.Peer)
+			if err != nil {
+				t.Fatal(err)
+			}
+			names := twin.Peers()
+			slices.Sort(names)
+			for _, name := range names {
+				if owed := x.To(name, nil); owed != nil {
+					batches = append(batches, routeserver.PeerUpdates{Peer: name, Updates: owed})
+				}
+			}
+		default:
+			var err error
+			if batches, _, err = twin.HandleUpdateBatch(m.Peer, m.Update()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, b := range batches {
+			if ups[b.Peer] > 0 {
+				for _, u := range b.Updates {
+					want = append(want, send{b.Peer, u})
+				}
+			}
+		}
+	}
+
+	p := New(Options{})
+	p.Attach(&scriptStage{msgs: script})
+	p.Attach(&RSFeed{RS: live, OnError: func(peer string, err error) { t.Errorf("%s: %v", peer, err) }})
+	var got []send
+	p.OnMsg(DirTX, func(m *Msg) bool {
+		got = append(got, send{m.Peer, m.Update()})
+		return true
+	})
+	p.Start()
+	if err := p.Wait(); err != nil {
+		t.Fatal(err)
+	}
+
+	if len(want) < 10 {
+		t.Fatalf("the reference sends only %d messages", len(want))
+	}
+	if len(got) != len(want) {
+		t.Fatalf("RSFeed sent %d messages, the member walk %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i].peer != want[i].peer || !reflect.DeepEqual(got[i].u, want[i].u) {
+			t.Fatalf("TX %d: %s %+v, member walk %s %+v", i, got[i].peer, got[i].u, want[i].peer, want[i].u)
+		}
+		if got[i].peer == offline.Name {
+			t.Fatalf("TX %d addressed to %s, which has no session", i, offline.Name)
+		}
 	}
 }

@@ -135,10 +135,12 @@ func Build(cfg Config) (*IXP, error) {
 		BlackholeNextHop: cfg.BlackholeNextHop,
 		Policy:           x.Policy,
 	})
-	// Members react to every export batch the route server produces,
+	// Members react to every export set the route server produces,
 	// whichever door the UPDATE used: this exchange's methods, or a wire
 	// feed (bgppipe.RSFeed) calling the route server directly.
-	x.RS.Subscribe(func(ev routeserver.ControllerEvent) { x.applyExports(ev.Exports) })
+	x.RS.Subscribe(func(ev routeserver.ControllerEvent) {
+		x.applyExports(ev.Exports.Len(), ev.Exports.Update, ev.Exports.To)
+	})
 	x.Router = hw.NewEdgeRouter(hw.DefaultEdgeRouterLimits(len(cfg.Members), hw.RTBHUnitN))
 
 	portIndex := make(map[string]int, len(cfg.Members))
@@ -352,7 +354,7 @@ func (x *IXP) Announce(memberName string, prefix netip.Prefix, communities []bgp
 			NLRI:    []bgp.PathPrefix{{Prefix: prefix}},
 		}
 	}
-	_, rejections, err := x.RS.HandleUpdateBatch(memberName, u)
+	_, rejections, err := x.RS.HandleUpdate(memberName, u)
 	if err != nil {
 		return err
 	}
@@ -373,7 +375,7 @@ func (x *IXP) Withdraw(memberName string, prefix netip.Prefix) error {
 			NLRI: []bgp.PathPrefix{{Prefix: prefix}},
 		}
 	}
-	_, _, err := x.RS.HandleUpdateBatch(memberName, u)
+	_, _, err := x.RS.HandleUpdate(memberName, u)
 	return err
 }
 
@@ -387,7 +389,7 @@ func (x *IXP) HandleWireUpdate(memberName string, u *bgp.Update) error {
 	if _, err := x.Member(memberName); err != nil {
 		return err
 	}
-	_, _, err := x.RS.HandleUpdateBatch(memberName, u)
+	_, _, err := x.RS.HandleUpdate(memberName, u)
 	return err
 }
 
@@ -395,31 +397,25 @@ func (x *IXP) HandleWireUpdate(memberName string, u *bgp.Update) error {
 // members that honor RTBH install (or remove) null routes for
 // blackholed prefixes. Members that do not honor them ignore the signal
 // — the ~70% of Section 2.4. Build subscribes it to the route server, so
-// it sees every export batch whichever door the UPDATE used.
+// it sees every export set whichever door the UPDATE used: update(i) is
+// the set's i-th of n UPDATEs, and owed appends what a member is owed
+// (routeserver.Exports' Update and To).
 //
 // Only two kinds of UPDATE can change a null route: one announcing to
 // the blackholing next hop, and one withdrawing while some null route is
-// live. A batch with neither returns before touching any member. The
-// check reads UPDATEs, not members: every target of an UPDATE shares its
-// pointer, so one just checked for the previous target is skipped.
+// live. A set with neither returns after reading each UPDATE once,
+// without asking about any member. Otherwise only members whose routes
+// can change are asked what they are owed: those holding a null route,
+// and, with an RTBH announcement, those that honor RTBH.
 //
-// Otherwise it edits the table in place under the write lock, and writes
-// a member's entry back only when one of its routes changed.
-func (x *IXP) applyExports(exports []routeserver.PeerUpdates) {
+// The table is edited in place under the write lock, and a member's
+// entry is written back only when one of its routes changed.
+func (x *IXP) applyExports(n int, update func(i int) *bgp.Update, owed func(member string, dst []*bgp.Update) []*bgp.Update) {
 	announces, withdraws := false, false
-	var last *bgp.Update
-	for _, e := range exports {
-		for _, u := range e.Updates {
-			if u == last {
-				continue
-			}
-			last = u
-			announces = announces || x.announcesBlackhole(u)
-			withdraws = withdraws || len(u.Withdrawn) > 0 || u.Attrs.MPUnreach != nil && len(u.Attrs.MPUnreach.NLRI) > 0
-		}
-		if announces {
-			break
-		}
+	for i := 0; i < n && !announces; i++ {
+		u := update(i)
+		announces = x.announcesBlackhole(u)
+		withdraws = withdraws || len(u.Withdrawn) > 0 || u.Attrs.MPUnreach != nil && len(u.Attrs.MPUnreach.NLRI) > 0
 	}
 	if !announces && !withdraws {
 		return
@@ -430,12 +426,15 @@ func (x *IXP) applyExports(exports []routeserver.PeerUpdates) {
 	if !announces && len(x.nulls) == 0 {
 		return
 	}
-	for _, e := range exports {
-		m, ok := members[e.Peer]
-		if !ok {
+	var updates []*bgp.Update
+	for _, m := range members {
+		routes := x.nulls[m.Name]
+		// Without a null route only an install can change something, and
+		// only a member honoring RTBH installs one.
+		if len(routes) == 0 && !(announces && m.HonorsRTBH()) {
 			continue
 		}
-		routes := x.nulls[m.Name]
+		updates = owed(m.Name, updates[:0])
 		changed := false
 		withdraw := func(p netip.Prefix) {
 			if i := slices.Index(routes, p); i >= 0 {
@@ -447,7 +446,7 @@ func (x *IXP) applyExports(exports []routeserver.PeerUpdates) {
 				routes, changed = append(routes, p), true
 			}
 		}
-		for _, u := range e.Updates {
+		for _, u := range updates {
 			// The UPDATE is shared by all its targets: read it in place.
 			for _, w := range u.Withdrawn {
 				withdraw(w.Prefix)

@@ -129,8 +129,8 @@ func TestRTBHHonoringOnlyHonoringMembersNullRoute(t *testing.T) {
 			host := netip.PrefixFrom(target, target.BitLen())
 			var exported []*bgp.Update
 			x.RS.Subscribe(func(ev routeserver.ControllerEvent) {
-				for _, e := range ev.Exports {
-					exported = append(exported, e.Updates...)
+				for _, name := range x.RS.Peers() {
+					exported = ev.Exports.To(name, exported)
 				}
 			})
 

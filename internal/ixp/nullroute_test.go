@@ -547,7 +547,15 @@ func TestApplyExportsMatchesMemberWalk(t *testing.T) {
 			seen[k]++
 		}
 
-		x.applyExports(exports)
+		x.applyExports(len(batch), func(i int) *bgp.Update { return batch[i] },
+			func(member string, dst []*bgp.Update) []*bgp.Update {
+				for _, e := range exports {
+					if e.Peer == member {
+						return append(dst, e.Updates...)
+					}
+				}
+				return dst
+			})
 		refApplyExports(x, ref, exports)
 		x.nullMu.RLock()
 		same := maps.EqualFunc(x.nulls, ref, slices.Equal[[]netip.Prefix])

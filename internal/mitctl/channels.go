@@ -101,37 +101,25 @@ func SpecFromPortalRule(r core.CustomRule, target netip.Prefix, ttl float64) Spe
 // CommunityChannel is the BGP signaling adapter: it consumes the route
 // server's southbound feed and compiles the Advanced Blackholing signals
 // of every path an event names into mitigation requests and
-// withdrawals. It keeps no RIB — only, per signaling path, the specs
-// that path currently desires — so an event costs time proportional to
-// its own prefixes, and a path with no signal before and after costs
-// one map miss. A re-announcement with the same signals refreshes
-// (idempotent); changed signals withdraw the old specs and request the
-// new ones; a withdrawn path (or session loss) withdraws everything it
-// requested.
+// withdrawals. It keeps no RIB — only, per signaling path, the sorted
+// IDs of the mitigations that path currently desires — so an event
+// costs time proportional to its own prefixes, and a path with no
+// signal before and after costs one map miss. A re-announcement with
+// the same signals refreshes (idempotent); changed signals withdraw the
+// old mitigations and request the new ones; a withdrawn path (or session
+// loss) withdraws everything it requested. A withdrawal needs only the
+// ID and the requester, and the requester is the path's peer, so no
+// spec is kept past the event that requested it.
 type CommunityChannel struct {
 	ctl *Controller
 
 	mu      sync.Mutex
-	desired map[rib.PathKey][]desiredSpec
+	desired map[rib.PathKey][]string
 	// refs counts, per mitigation ID, the paths currently desiring it.
 	// Content-derived IDs mean distinct paths (ADD-PATH duplicates of
 	// the same announcement) can request the same mitigation; it must
 	// only be withdrawn when the LAST such path goes away.
 	refs map[string]int
-}
-
-type desiredSpec struct {
-	id   string
-	spec Spec
-}
-
-func hasID(ds []desiredSpec, id string) bool {
-	for _, d := range ds {
-		if d.id == id {
-			return true
-		}
-	}
-	return false
 }
 
 // comparePrefix orders prefixes the way package rib sorts paths.
@@ -151,7 +139,7 @@ func sortedUnique(ps []netip.Prefix) []netip.Prefix {
 func NewCommunityChannel(ctl *Controller) *CommunityChannel {
 	return &CommunityChannel{
 		ctl:     ctl,
-		desired: make(map[rib.PathKey][]desiredSpec),
+		desired: make(map[rib.PathKey][]string),
 		refs:    make(map[string]int),
 	}
 }
@@ -204,29 +192,31 @@ func (ch *CommunityChannel) HandleEvent(ev routeserver.ControllerEvent, now floa
 		return
 	}
 
-	// Reconcile each touched path's desired specs, collecting the
+	// Reconcile each touched path's desired mitigations, collecting the
 	// controller calls to run outside the channel lock (controller
-	// events fire subscribers synchronously).
+	// events fire subscribers synchronously). A withdrawal carries only
+	// the ID and requester in its spec.
 	type action struct {
 		withdraw bool
-		desiredSpec
+		spec     Spec
 	}
 	var actions []action
-	reconcile := func(prefix netip.Prefix, want []desiredSpec) {
+	reconcile := func(prefix netip.Prefix, want []Spec) {
 		key.Prefix = prefix
 		have := ch.desired[key]
-		// Deterministic order: withdrawals of stale specs first, then
-		// requests, each sorted by ID (desired lists are stored sorted) —
-		// replacements free hardware budget before consuming it. A stale
-		// spec only withdraws when this was the last path desiring its
-		// mitigation.
-		for _, d := range have {
-			if hasID(want, d.id) {
+		// Deterministic order: withdrawals of stale mitigations first,
+		// then requests, each sorted by ID (desired lists are stored
+		// sorted) — replacements free hardware budget before consuming
+		// it. A stale mitigation only withdraws when this was the last
+		// path desiring it.
+		slices.SortFunc(want, func(a, b Spec) int { return strings.Compare(a.ID, b.ID) })
+		for _, id := range have {
+			if slices.ContainsFunc(want, func(s Spec) bool { return s.ID == id }) {
 				continue
 			}
-			if ch.refs[d.id]--; ch.refs[d.id] <= 0 {
-				delete(ch.refs, d.id)
-				actions = append(actions, action{true, d})
+			if ch.refs[id]--; ch.refs[id] <= 0 {
+				delete(ch.refs, id)
+				actions = append(actions, action{true, Spec{ID: id, Requester: ev.Peer}})
 			}
 		}
 		// Every wanted spec is requested, including ones this path already
@@ -234,17 +224,23 @@ func (ch *CommunityChannel) HandleEvent(ev routeserver.ControllerEvent, now floa
 		// and Request is idempotent — a live identical spec only re-arms
 		// its TTL (no churn), while one that expired meanwhile starts a
 		// fresh lifecycle.
-		slices.SortFunc(want, func(a, b desiredSpec) int { return strings.Compare(a.id, b.id) })
-		for _, d := range want {
-			if !hasID(have, d.id) {
-				ch.refs[d.id]++
+		for _, spec := range want {
+			if !slices.Contains(have, spec.ID) {
+				ch.refs[spec.ID]++
 			}
-			actions = append(actions, action{false, d})
+			actions = append(actions, action{false, spec})
 		}
-		if len(want) == 0 {
+		switch {
+		case len(want) == 0:
 			delete(ch.desired, key)
-		} else {
-			ch.desired[key] = want
+		case !slices.EqualFunc(have, want, func(id string, s Spec) bool { return id == s.ID }):
+			// A re-announcement with unchanged signals keeps the stored
+			// list; anything else stores a fresh one.
+			ids := make([]string, len(want))
+			for i, spec := range want {
+				ids[i] = spec.ID
+			}
+			ch.desired[key] = ids
 		}
 	}
 	type compileErr struct {
@@ -252,8 +248,8 @@ func (ch *CommunityChannel) HandleEvent(ev routeserver.ControllerEvent, now floa
 		err    error
 	}
 	var compileErrs []compileErr
-	specsFor := func(prefix netip.Prefix) []desiredSpec {
-		var out []desiredSpec
+	specsFor := func(prefix netip.Prefix) []Spec {
+		var out []Spec
 		for _, rs := range signals {
 			spec, err := SpecFromSignal(ev.Peer, prefix, rs, ch.ctl.Portal())
 			if err != nil {
@@ -267,11 +263,10 @@ func (ch *CommunityChannel) HandleEvent(ev routeserver.ControllerEvent, now floa
 			// The derived ID rides in the spec, so Request does not
 			// derive it again.
 			spec.ID = DeriveID(spec)
-			id := spec.ID
-			if hasID(out, id) {
+			if slices.ContainsFunc(out, func(s Spec) bool { return s.ID == spec.ID }) {
 				continue // duplicate signal in one announcement
 			}
-			out = append(out, desiredSpec{id: id, spec: spec})
+			out = append(out, spec)
 		}
 		return out
 	}
@@ -290,7 +285,7 @@ func (ch *CommunityChannel) HandleEvent(ev routeserver.ControllerEvent, now floa
 		if a.withdraw {
 			// Ignore not-owner/unknown errors: the mitigation may have
 			// been withdrawn directly through the API already.
-			_ = ch.ctl.Withdraw(a.id, a.spec.Requester, now)
+			_ = ch.ctl.Withdraw(a.spec.ID, a.spec.Requester, now)
 			continue
 		}
 		// Validation rejections are recorded in the store and

@@ -32,6 +32,13 @@ type oracleChannel struct {
 	refs    map[string]int
 }
 
+// desiredSpec is one mitigation a path desires, in the oracle: its ID
+// and the whole spec that requested it.
+type desiredSpec struct {
+	id   string
+	spec Spec
+}
+
 // snapshotDiff returns new minus old: the paths only old holds, the
 // paths only new holds, and the paths both hold with a different Seq
 // (re-announced), each sorted by prefix, peer and path ID.
@@ -199,8 +206,8 @@ func checkRefs(t *testing.T, ch *CommunityChannel) {
 		if len(ds) == 0 {
 			t.Fatalf("desired[%v] is empty", key)
 		}
-		for _, d := range ds {
-			count[d.id]++
+		for _, id := range ds {
+			count[id]++
 		}
 	}
 	for id, n := range ch.refs {

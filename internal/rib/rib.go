@@ -16,9 +16,13 @@
 // transition to the route server's export pipeline.
 //
 // A prefix keeps its paths in an unordered slice, found by linear scan:
-// almost every prefix holds one or two paths, and a slice of one costs a
-// pointer where a per-prefix map cost a hash table. The best path is
-// cached, and Lookup sorts what it returns.
+// almost every prefix holds one or two paths, and a slice costs a pointer
+// per path where a per-prefix map cost a hash table. A prefix with a
+// single path keeps it in the entry alone, with no slice at all. The
+// best path is cached, and Lookup sorts what it returns. The shard maps are keyed by
+// an 18-byte pointer-free prefixKey rather than the 32-byte netip.Prefix,
+// whose address holds a zone pointer: a standing table is smaller and
+// the collector does not scan its keys.
 package rib
 
 import (
@@ -61,14 +65,23 @@ const shardCount = 32
 
 // prefixEntry holds every path for one prefix plus the cached best path,
 // maintained incrementally so Best is O(1) and a mutation recomputes at
-// most one prefix's ordering.
+// most one prefix's ordering. Most prefixes hold one path, which best
+// alone keeps: paths is nil until a second path arrives, then holds every
+// path in arrival order, and goes back to nil when one is left.
 type prefixEntry struct {
-	paths []*Path // unordered; a removal clears the vacated slot
+	paths []*Path // nil, or two or more paths; a removal clears the vacated slot
 	best  *Path
 }
 
-// find returns the index of key's path in e.paths, or -1.
+// find returns the index of key's path in e.paths (0 for a single-path
+// entry's path), or -1.
 func (e *prefixEntry) find(key PathKey) int {
+	if e.paths == nil {
+		if e.best.Key == key {
+			return 0
+		}
+		return -1
+	}
 	for i, p := range e.paths {
 		if p.Key == key {
 			return i
@@ -77,9 +90,41 @@ func (e *prefixEntry) find(key PathKey) int {
 	return -1
 }
 
+// shrink drops the slice of an entry left with one path, which is then
+// its best path.
+func (e *prefixEntry) shrink() {
+	if len(e.paths) == 1 {
+		e.paths = nil
+	}
+}
+
+// prefixKey is a prefix as a shard map key: the address's 16 bytes (an
+// IPv4 address in its IPv4-mapped form), the prefix length, and the
+// family, which keeps an IPv4 prefix and its IPv4-mapped IPv6 twin apart.
+// A route's prefix carries no zone, so nothing is lost.
+type prefixKey struct {
+	addr [16]byte
+	bits uint8
+	is6  bool
+}
+
+func keyOf(p netip.Prefix) prefixKey {
+	a := p.Addr()
+	return prefixKey{addr: a.As16(), bits: uint8(p.Bits()), is6: a.Is6()}
+}
+
+// prefix rebuilds the prefix k was made from.
+func (k prefixKey) prefix() netip.Prefix {
+	a := netip.AddrFrom16(k.addr)
+	if !k.is6 {
+		a = a.Unmap()
+	}
+	return netip.PrefixFrom(a, int(k.bits))
+}
+
 type shard struct {
 	mu     sync.RWMutex
-	routes map[netip.Prefix]*prefixEntry
+	routes map[prefixKey]*prefixEntry
 }
 
 // Table is a concurrency-safe, prefix-sharded RIB.
@@ -92,18 +137,17 @@ type Table struct {
 func New() *Table {
 	t := new(Table)
 	for i := range t.shards {
-		t.shards[i].routes = make(map[netip.Prefix]*prefixEntry)
+		t.shards[i].routes = make(map[prefixKey]*prefixEntry)
 	}
 	return t
 }
 
-func (t *Table) shardFor(p netip.Prefix) *shard {
-	a := p.Addr().As16()
+func (t *Table) shardFor(k prefixKey) *shard {
 	h := uint32(2166136261) // FNV-1a
-	for _, b := range a {
+	for _, b := range k.addr {
 		h = (h ^ uint32(b)) * 16777619
 	}
-	h = (h ^ uint32(p.Bits())) * 16777619
+	h = (h ^ uint32(k.bits)) * 16777619
 	return &t.shards[h&(shardCount-1)]
 }
 
@@ -135,24 +179,29 @@ func (t *Table) Add(key PathKey, peerAS uint32, attrs bgp.PathAttrs) *Path {
 // route server stores every prefix of an UPDATE under one clone), since
 // the table never modifies a path's attributes.
 func (t *Table) AddWithBest(key PathKey, peerAS uint32, attrs bgp.PathAttrs) (*Path, BestChange) {
-	sh := t.shardFor(key.Prefix)
+	pk := keyOf(key.Prefix)
+	sh := t.shardFor(pk)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	p := &Path{Key: key, PeerAS: peerAS, Attrs: attrs, Seq: t.seq.Add(1)}
-	e := sh.routes[key.Prefix]
+	e := sh.routes[pk]
 	if e == nil {
-		e = &prefixEntry{paths: make([]*Path, 0, 1)}
-		sh.routes[key.Prefix] = e
+		sh.routes[pk] = &prefixEntry{best: p}
+		return p, BestChange{Prefix: key.Prefix, New: p}
 	}
 	old := e.best
-	if i := e.find(key); i >= 0 {
+	switch i := e.find(key); {
+	case e.paths == nil && i == 0:
+		e.best = p // replaced the only path
+		return p, BestChange{Prefix: key.Prefix, Old: old, New: p}
+	case e.paths == nil:
+		e.paths = []*Path{old, p}
+	case i >= 0:
 		e.paths[i] = p
-	} else {
+	default:
 		e.paths = append(e.paths, p)
 	}
 	switch {
-	case old == nil:
-		e.best = p
 	case old.Key == key:
 		// Replaced the best path: its attributes may have worsened.
 		e.recomputeBest()
@@ -172,10 +221,11 @@ func (t *Table) Remove(key PathKey) bool {
 // RemoveWithBest deletes the path identified by key and reports, when a
 // path was present, how the prefix's best path changed.
 func (t *Table) RemoveWithBest(key PathKey) (bool, BestChange) {
-	sh := t.shardFor(key.Prefix)
+	pk := keyOf(key.Prefix)
+	sh := t.shardFor(pk)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	e := sh.routes[key.Prefix]
+	e := sh.routes[pk]
 	if e == nil {
 		return false, BestChange{Prefix: key.Prefix}
 	}
@@ -184,14 +234,15 @@ func (t *Table) RemoveWithBest(key PathKey) (bool, BestChange) {
 		return false, BestChange{Prefix: key.Prefix, Old: e.best, New: e.best}
 	}
 	old := e.best
-	e.paths = slices.Delete(e.paths, i, i+1) // clears the vacated slot
-	if len(e.paths) == 0 {
-		delete(sh.routes, key.Prefix)
+	if e.paths == nil {
+		delete(sh.routes, pk)
 		return true, BestChange{Prefix: key.Prefix, Old: old}
 	}
-	if old != nil && old.Key == key {
+	e.paths = slices.Delete(e.paths, i, i+1) // clears the vacated slot
+	if old.Key == key {
 		e.recomputeBest()
 	}
+	e.shrink()
 	return true, BestChange{Prefix: key.Prefix, Old: old, New: e.best}
 }
 
@@ -215,8 +266,16 @@ func (t *Table) RemovePeerWithBest(peer string) ([]*Path, []BestChange) {
 	for i := range t.shards {
 		sh := &t.shards[i]
 		sh.mu.Lock()
-		for prefix, e := range sh.routes {
+		for pk, e := range sh.routes {
 			old := e.best
+			if e.paths == nil {
+				if old.Key.Peer == peer {
+					removed = append(removed, old)
+					delete(sh.routes, pk)
+					changes = append(changes, BestChange{Prefix: pk.prefix(), Old: old})
+				}
+				continue
+			}
 			kept := e.paths[:0]
 			for _, p := range e.paths {
 				if p.Key.Peer == peer {
@@ -231,14 +290,15 @@ func (t *Table) RemovePeerWithBest(peer string) ([]*Path, []BestChange) {
 			clear(e.paths[len(kept):]) // no removed path stays reachable
 			e.paths = kept
 			if len(e.paths) == 0 {
-				delete(sh.routes, prefix)
-				changes = append(changes, BestChange{Prefix: prefix, Old: old})
+				delete(sh.routes, pk)
+				changes = append(changes, BestChange{Prefix: pk.prefix(), Old: old})
 				continue
 			}
-			if old != nil && old.Key.Peer == peer {
+			if old.Key.Peer == peer {
 				e.recomputeBest()
 			}
-			changes = append(changes, BestChange{Prefix: prefix, Old: old, New: e.best})
+			e.shrink()
+			changes = append(changes, BestChange{Prefix: pk.prefix(), Old: old, New: e.best})
 		}
 		sh.mu.Unlock()
 	}
@@ -249,11 +309,16 @@ func (t *Table) RemovePeerWithBest(peer string) ([]*Path, []BestChange) {
 
 // Lookup returns every path for prefix, ordered best-first.
 func (t *Table) Lookup(prefix netip.Prefix) []*Path {
-	sh := t.shardFor(prefix)
+	pk := keyOf(prefix)
+	sh := t.shardFor(pk)
 	sh.mu.RLock()
-	e := sh.routes[prefix]
+	e := sh.routes[pk]
 	var out []*Path
-	if e != nil {
+	switch {
+	case e == nil:
+	case e.paths == nil:
+		out = []*Path{e.best}
+	default:
 		out = slices.Clone(e.paths)
 	}
 	sh.mu.RUnlock()
@@ -267,8 +332,8 @@ func (t *Table) Prefixes() []netip.Prefix {
 	for i := range t.shards {
 		sh := &t.shards[i]
 		sh.mu.RLock()
-		for p := range sh.routes {
-			out = append(out, p)
+		for pk := range sh.routes {
+			out = append(out, pk.prefix())
 		}
 		sh.mu.RUnlock()
 	}
@@ -283,7 +348,7 @@ func (t *Table) Len() int {
 		sh := &t.shards[i]
 		sh.mu.RLock()
 		for _, e := range sh.routes {
-			n += len(e.paths)
+			n += max(1, len(e.paths))
 		}
 		sh.mu.RUnlock()
 	}
@@ -303,6 +368,7 @@ func (t *Table) Snapshot() Snapshot {
 		sh := &t.shards[i]
 		sh.mu.RLock()
 		for _, e := range sh.routes {
+			s[e.best.Key] = e.best
 			for _, p := range e.paths {
 				s[p.Key] = p
 			}

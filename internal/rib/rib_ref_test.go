@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"sort"
 	"testing"
+	"unsafe"
 
 	"stellar/internal/bgp"
 )
@@ -131,15 +132,19 @@ func changeID(c BestChange) string {
 // TestTableMatchesMapReference runs seeded churn — 1 to 6 paths per
 // prefix from three peers with two path IDs each, replacements included
 // — through the table and the map-backed reference, and after every step
-// requires the same best-path transition and the same Best, Lookup, Len
-// and Snapshot.
+// requires the same best-path transition and the same Best, Lookup, Len,
+// Prefixes and Snapshot.
 // No removal may leave a *Path in a prefix slice's spare capacity.
+// The prefixes include IPv4-mapped IPv6 twins of IPv4 ones, one with the
+// same address bytes and length: the table must keep every one a key of
+// its own and hand each back in its own family.
 func TestTableMatchesMapReference(t *testing.T) {
-	const steps = 4000
+	const steps = 6000
 	rng := rand.New(rand.NewPCG(7, 11))
 	prefixes := []netip.Prefix{
 		pfx("100.10.0.0/24"), pfx("100.10.1.0/24"), pfx("100.10.0.7/32"),
 		pfx("2001:db8:10::/48"), pfx("2001:db8:11::/48"),
+		pfx("::ffff:100.10.0.0/24"), pfx("::ffff:100.10.0.0/120"), pfx("::ffff:100.10.0.7/128"),
 	}
 	peers := []string{"AS1", "AS2", "AS3"}
 	randAttrs := func(peerAS uint32) bgp.PathAttrs {
@@ -228,6 +233,14 @@ func TestTableMatchesMapReference(t *testing.T) {
 		if got := tbl.Len(); got != wantLen {
 			t.Fatalf("step %d %s: Len = %d, reference %d", step, op, got, wantLen)
 		}
+		var wantPrefixes []netip.Prefix
+		for p := range ref.routes {
+			wantPrefixes = append(wantPrefixes, p)
+		}
+		sort.Slice(wantPrefixes, func(i, j int) bool { return prefixLess(wantPrefixes[i], wantPrefixes[j]) })
+		if got := tbl.Prefixes(); !reflect.DeepEqual(got, wantPrefixes) {
+			t.Fatalf("step %d %s: Prefixes\n got  %v\n want %v", step, op, got, wantPrefixes)
+		}
 		snap := tbl.Snapshot()
 		if len(snap) != wantLen {
 			t.Fatalf("step %d %s: Snapshot holds %d paths, reference %d", step, op, len(snap), wantLen)
@@ -243,7 +256,7 @@ func TestTableMatchesMapReference(t *testing.T) {
 			for p, e := range tbl.shards[i].routes {
 				for _, sp := range e.paths[len(e.paths):cap(e.paths)] {
 					if sp != nil {
-						t.Fatalf("step %d %s: %s keeps %s in its slice's spare capacity", step, op, p, pathID(sp))
+						t.Fatalf("step %d %s: %s keeps %s in its slice's spare capacity", step, op, p.prefix(), pathID(sp))
 					}
 				}
 			}
@@ -256,11 +269,13 @@ func TestTableMatchesMapReference(t *testing.T) {
 
 // TestTableRetentionPerPath pins what the table retains per path: 10 000
 // single-path /24s, measured as the live heap after a forced GC. A prefix
-// holding its one path in a per-prefix map cost ~970 B; in a slice it
-// costs ~370 B (Go 1.24, amd64).
+// holding its one path in a per-prefix map cost ~970 B; in a one-element
+// slice with netip.Prefix map keys and a 216-byte Path it cost ~370 B;
+// with no slice, pointer-free prefixKey map keys and a 208-byte Path it
+// costs ~336 B (~344 B under the race detector; Go 1.24, amd64).
 func TestTableRetentionPerPath(t *testing.T) {
 	const n = 10000
-	const maxBytesPerPath = 500
+	const maxBytesPerPath = 350
 	a := attrs(64512)
 	var before, after runtime.MemStats
 	runtime.GC()
@@ -277,5 +292,21 @@ func TestTableRetentionPerPath(t *testing.T) {
 	t.Logf("%.0f B retained per single-path prefix", perPath)
 	if perPath > maxBytesPerPath {
 		t.Fatalf("%.0f B retained per single-path prefix, want <= %d", perPath, maxBytesPerPath)
+	}
+}
+
+// TestPathSize pins a stored path at 208 bytes on 64-bit platforms, the
+// 208-byte size class, and its attributes at 136: bgp.PathAttrs keeps its
+// two one-byte fields together, so every standing route is one size
+// class smaller than the 224 bytes a 144-byte PathAttrs put it in.
+func TestPathSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("the pin is for 64-bit platforms")
+	}
+	if got := unsafe.Sizeof(bgp.PathAttrs{}); got != 136 {
+		t.Fatalf("unsafe.Sizeof(bgp.PathAttrs{}) = %d, want 136", got)
+	}
+	if got := unsafe.Sizeof(Path{}); got != 208 {
+		t.Fatalf("unsafe.Sizeof(Path{}) = %d, want 208", got)
 	}
 }

@@ -20,10 +20,11 @@ func attrs(asns ...uint32) bgp.PathAttrs {
 
 // bestOf reads prefix's cached best path, nil when it has none.
 func bestOf(t *Table, prefix netip.Prefix) *Path {
-	sh := t.shardFor(prefix)
+	pk := keyOf(prefix)
+	sh := t.shardFor(pk)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	if e := sh.routes[prefix]; e != nil {
+	if e := sh.routes[pk]; e != nil {
 		return e.best
 	}
 	return nil

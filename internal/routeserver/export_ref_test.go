@@ -3,8 +3,10 @@ package routeserver
 import (
 	"fmt"
 	"math"
+	"math/rand/v2"
 	"net/netip"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -293,7 +295,7 @@ func TestExportsMatchReference(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				check("session loss of "+name, got, refHandleWithdrawAll(ref, name))
+				check("session loss of "+name, got.perPeer(), refHandleWithdrawAll(ref, name))
 			}
 			if got, want := live.Table().Len(), ref.Table().Len(); got != want {
 				t.Fatalf("table sizes diverge: %d vs %d", got, want)
@@ -348,5 +350,227 @@ func TestAddPeersEquivalentToSequential(t *testing.T) {
 		if got := batch.reg.Load(); got != b {
 			t.Fatal("a refused AddPeers published a registry")
 		}
+	}
+}
+
+// refPerMember is the export builder's finish as it was when every
+// message laid its exports out per member: a first pass counts what each
+// registered peer, in name order, is owed, and one backing array is
+// carved into the peers' batches. TestExportsMatchPerMemberFinish runs
+// Exports' per-peer view and HandleUpdateBatch against it.
+func refPerMember(x Exports) []PeerUpdates {
+	owes := func(ps *peerState, e export) bool {
+		if e.best == nil {
+			return ps.cfg.Name != x.from
+		}
+		return x.rs.exportsTo(e.best, ps)
+	}
+	if len(x.exports) == 0 {
+		return nil
+	}
+	peers, owed := 0, 0
+	for _, ps := range x.reg.sorted {
+		n := 0
+		for _, e := range x.exports {
+			if owes(ps, e) {
+				n++
+			}
+		}
+		if n > 0 {
+			peers++
+			owed += n
+		}
+	}
+	if peers == 0 {
+		return nil
+	}
+	out := make([]PeerUpdates, 0, peers)
+	flat := make([]*bgp.Update, 0, owed)
+	for _, ps := range x.reg.sorted {
+		start := len(flat)
+		for _, e := range x.exports {
+			if owes(ps, e) {
+				flat = append(flat, e.u)
+			}
+		}
+		if end := len(flat); end > start {
+			out = append(out, PeerUpdates{Peer: ps.cfg.Name, Updates: flat[start:end:end]})
+		}
+	}
+	return out
+}
+
+// TestExportsMatchPerMemberFinish drives random UPDATE streams into two
+// identically registered route servers, one through HandleUpdate and
+// HandleWithdrawAll, the other through HandleUpdateBatch and
+// HandleWithdrawAll laid out per member. For every registered peer,
+// Exports.To must return exactly the reference's entry — nil for a peer
+// owed nothing, otherwise the same *bgp.Update pointers in the same
+// order — and HandleUpdateBatch must equal the reference laid out from
+// the twin's export set. Each UPDATE appears once in the set's Len/Update
+// view, and every UPDATE a peer is owed is one of them.
+//
+// Registries mix 2-byte ASNs with 4-byte ones, some sharing a 2-byte
+// peer's low 16 bits; announcements carry the IXP policy communities
+// (0:IXP, 0:peer, IXP:peer whitelists, IXP:666) in both families, peers
+// announce the same prefixes with different path lengths so withdrawals
+// promote pre-existing paths, and sessions are lost mid-stream.
+func TestExportsMatchPerMemberFinish(t *testing.T) {
+	var promoted, withdrawAlls, partial, fourByteOwed int
+	for seed := uint64(1); seed <= 12; seed++ {
+		rng := rand.New(rand.NewPCG(seed, 57))
+		n := 2 + rng.IntN(30)
+		cfgs := make([]PeerConfig, n)
+		for i, j := range rng.Perm(n) {
+			asn := uint32(1000 + j)
+			if rng.IntN(3) == 0 {
+				asn = 65536 + uint32(1000+rng.IntN(n)) // low 16 bits may name a 2-byte peer
+			}
+			cfgs[i] = PeerConfig{Name: fmt.Sprintf("m%d", j), ASN: asn}
+		}
+		live := New(Config{ASN: ixpASN, BlackholeNextHop: blackholeNH})
+		twin := New(Config{ASN: ixpASN, BlackholeNextHop: blackholeNH})
+		for _, rs := range []*RouteServer{live, twin} {
+			if err := rs.AddPeers(cfgs...); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var v4, v6 []netip.Prefix
+		for i := 0; i < 6; i++ {
+			v4 = append(v4, netip.PrefixFrom(netip.AddrFrom4([4]byte{100, 10, byte(i), 0}), 24))
+			v6 = append(v6, netip.PrefixFrom(netip.AddrFrom16([16]byte{0x20, 0x01, 0x0d, 0xb8, 5: byte(i)}), 48))
+		}
+		host := netip.PrefixFrom(netip.AddrFrom4([4]byte{100, 10, 0, 7}), 32)
+		pick := func(pool []netip.Prefix) []bgp.PathPrefix {
+			var out []bgp.PathPrefix
+			for _, i := range rng.Perm(len(pool))[:rng.IntN(3)] {
+				out = append(out, bgp.PathPrefix{Prefix: pool[i]})
+			}
+			return out
+		}
+		communities := func() []bgp.Community {
+			var out []bgp.Community
+			for k := rng.IntN(3); k > 0; k-- {
+				other := uint16(cfgs[rng.IntN(n)].ASN)
+				switch rng.IntN(4) {
+				case 0:
+					out = append(out, bgp.MakeCommunity(0, ixpASN))
+				case 1:
+					out = append(out, bgp.MakeCommunity(0, other))
+				case 2:
+					out = append(out, bgp.MakeCommunity(ixpASN, other))
+				default:
+					out = append(out, bgp.MakeCommunity(ixpASN, 666))
+				}
+			}
+			return out
+		}
+		randUpdate := func(sender PeerConfig) *bgp.Update {
+			path := []uint32{sender.ASN}
+			for k := rng.IntN(3); k > 0; k-- {
+				path = append(path, 64999)
+			}
+			u := &bgp.Update{Withdrawn: pick(v4), Attrs: bgp.PathAttrs{
+				Origin:      bgp.OriginIGP,
+				ASPath:      []bgp.ASPathSegment{{Type: bgp.ASSequence, ASNs: path}},
+				NextHop:     netip.AddrFrom4([4]byte{80, 81, 192, 1}),
+				Communities: communities(),
+			}}
+			if w := pick(v6); len(w) > 0 {
+				u.Attrs.MPUnreach = &bgp.MPUnreach{AFI: bgp.AFIIPv6, SAFI: bgp.SAFIUnicast, NLRI: w}
+			}
+			u.NLRI = pick(v4)
+			if rng.IntN(4) == 0 {
+				// A host route passes import only as a blackholing signal.
+				u.NLRI = append(u.NLRI, bgp.PathPrefix{Prefix: host})
+				u.Attrs.Communities = append(u.Attrs.Communities, bgp.CommunityBlackhole)
+			}
+			if a := pick(v6); len(a) > 0 {
+				u.Attrs.MPReach = &bgp.MPReach{AFI: bgp.AFIIPv6, SAFI: bgp.SAFIUnicast,
+					NextHop: netip.MustParseAddr("2001:db8:ff::1"), NLRI: a}
+			}
+			return u
+		}
+
+		check := func(step string, x Exports, batch []PeerUpdates) {
+			t.Helper()
+			want := refPerMember(x)
+			byPeer := make(map[string][]*bgp.Update, len(want))
+			for _, b := range want {
+				byPeer[b.Peer] = b.Updates
+			}
+			set := make(map[*bgp.Update]bool, x.Len())
+			for i := 0; i < x.Len(); i++ {
+				if set[x.Update(i)] {
+					t.Fatalf("%s: UPDATE %d appears twice in the set", step, i)
+				}
+				set[x.Update(i)] = true
+			}
+			owedTo := 0
+			for _, cfg := range cfgs {
+				got := x.To(cfg.Name, nil)
+				if w := byPeer[cfg.Name]; !slices.Equal(got, w) || (got == nil) != (w == nil) {
+					t.Fatalf("%s: To(%s) = %v, reference %v", step, cfg.Name, got, w)
+				}
+				for _, u := range got {
+					if !set[u] {
+						t.Fatalf("%s: %s is owed an UPDATE outside the set", step, cfg.Name)
+					}
+				}
+				if len(got) > 0 {
+					owedTo++
+					if cfg.ASN > math.MaxUint16 {
+						fourByteOwed++
+					}
+				}
+			}
+			if owedTo > 0 && owedTo < n-1 {
+				partial++
+			}
+			for _, e := range x.exports {
+				if e.best != nil && e.best.Key.Peer != x.from {
+					promoted++
+				}
+			}
+			if !reflect.DeepEqual(batch, want) {
+				t.Fatalf("%s: HandleUpdateBatch diverges from the reference:\n got  %+v\n want %+v", step, batch, want)
+			}
+			if g, w := sharing(batch), sharing(want); !reflect.DeepEqual(g, w) {
+				t.Fatalf("%s: update sharing diverges:\n got  %v\n want %v", step, g, w)
+			}
+		}
+		for step := 0; step < 300; step++ {
+			sender := cfgs[rng.IntN(n)]
+			name := fmt.Sprintf("seed %d step %d from %s", seed, step, sender.Name)
+			if rng.IntN(25) == 0 {
+				x, err := live.HandleWithdrawAll(sender.Name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tx, err := twin.HandleWithdrawAll(sender.Name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				check(name+" (session loss)", x, tx.perPeer())
+				withdrawAlls += x.Len()
+				continue
+			}
+			u := randUpdate(sender)
+			x, rejs, err := live.HandleUpdate(sender.Name, u)
+			if err != nil || len(rejs) > 0 {
+				t.Fatalf("%s: err %v, rejections %+v", name, err, rejs)
+			}
+			batch, _, err := twin.HandleUpdateBatch(sender.Name, u)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(name, x, batch)
+		}
+	}
+	t.Logf("coverage: %d promoted-path exports, %d session-loss exports, %d sets owed to some peers only, %d owed to 4-byte peers",
+		promoted, withdrawAlls, partial, fourByteOwed)
+	if promoted < 50 || withdrawAlls < 20 || partial < 50 || fourByteOwed < 50 {
+		t.Fatalf("coverage: %d promoted-path exports, %d session-loss exports, %d sets owed to some peers only, %d owed to 4-byte peers",
+			promoted, withdrawAlls, partial, fourByteOwed)
 	}
 }

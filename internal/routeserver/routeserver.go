@@ -6,21 +6,23 @@
 // southbound feed to Stellar's blackholing controller, which sees every
 // accepted path (the ADD-PATH bypass of best-path selection).
 //
-// The package exposes an in-process message-level API (HandleUpdateBatch
-// / HandleWithdrawAll); cmd/ixpd wires it to real TCP BGP sessions via
+// The package exposes an in-process message-level API (HandleUpdate /
+// HandleWithdrawAll); cmd/ixpd wires it to real TCP BGP sessions via
 // bgppipe's Listen and RSFeed stages. Whoever calls it, subscribers see
 // every accepted change with its exports.
 //
-// The update path is a parallel pipeline: HandleUpdateBatch may be called
+// The update path is a parallel pipeline: HandleUpdate may be called
 // concurrently from any number of peer sessions. Import-policy checks run
 // lock-free against the immutable peer registry, RIB maintenance and
 // best-path recomputation take only the prefix's shard lock inside
-// rib.Table, and exports are batched per target peer — one UPDATE carries
-// every coalescible prefix instead of one message per (peer, prefix)
-// pair.
+// rib.Table, and exports are coalesced: one UPDATE carries every
+// coalescible prefix instead of one message per (peer, prefix) pair. A
+// message's export set holds each UPDATE once, with whom it is owed to;
+// only a consumer with somewhere to send (bgppipe.RSFeed) or a member
+// reaction to run (ixp's null routes) works out what a member is owed.
 //
 // Ordering contract: mutations on one prefix serialize at its RIB shard,
-// so every export batch reflects a consistent best-path transition. The
+// so every export set reflects a consistent best-path transition. The
 // pipeline does not sequence delivery across concurrent inbound updates,
 // though — if two sessions race on the same prefix, a receiver may see
 // the two exports in either order and transiently hold the older best
@@ -57,9 +59,8 @@ type Rejection struct {
 	Reason string
 }
 
-// PeerUpdates is the batched export set for one member: every UPDATE the
-// route server owes the peer as a result of one inbound message,
-// withdrawals first. Prefixes sharing attributes ride a single UPDATE.
+// PeerUpdates is what one member is owed as a result of one inbound
+// message, withdrawals first: HandleUpdateBatch's per-member layout.
 type PeerUpdates struct {
 	Peer    string
 	Updates []*bgp.Update
@@ -79,12 +80,12 @@ type ControllerEvent struct {
 	// server stored for Announced and with every subscriber: read them,
 	// do not modify them.
 	Attrs bgp.PathAttrs
-	// Exports is the export batch the change produced — the slice
-	// HandleUpdateBatch or HandleWithdrawAll returns, shared with every
-	// subscriber and the caller: read it, do not modify it. Members'
-	// reactions to exports (RTBH null routes) hang off it, so they follow
-	// the route server whichever way the UPDATE arrived.
-	Exports []PeerUpdates
+	// Exports is the export set the change produced — the value
+	// HandleUpdate or HandleWithdrawAll returns, shared with every
+	// subscriber and the caller: read it, do not modify its UPDATEs.
+	// Members' reactions to exports (RTBH null routes) hang off it, so
+	// they follow the route server whichever way the UPDATE arrived.
+	Exports Exports
 }
 
 // Subscriber consumes controller events.
@@ -114,8 +115,8 @@ const (
 type registry struct {
 	peers map[string]*peerState
 	order []string // peer names in join order (stable path IDs)
-	// sorted holds the peers by name — the order export batches are
-	// returned in, so the update pipeline never sorts.
+	// sorted holds the peers by name — the order HandleUpdateBatch lays
+	// its per-member batches out in, so it never sorts.
 	sorted []*peerState
 	subs   []Subscriber
 }
@@ -205,8 +206,7 @@ func (rs *RouteServer) Table() *rib.Table { return rs.table }
 // Subscribe attaches a controller feed subscriber; every accepted path
 // change is delivered, bypassing best-path selection, together with the
 // exports it produced. Subscribers run on the caller's goroutine, in
-// subscription order, before HandleUpdateBatch or HandleWithdrawAll
-// returns.
+// subscription order, before HandleUpdate or HandleWithdrawAll returns.
 func (rs *RouteServer) Subscribe(s Subscriber) {
 	rs.writeMu.Lock()
 	defer rs.writeMu.Unlock()
@@ -240,20 +240,20 @@ func (rs *RouteServer) IsBlackhole(attrs *bgp.PathAttrs) bool {
 		attrs.HasCommunity(bgp.MakeCommunity(uint16(rs.cfg.ASN), 666))
 }
 
-// HandleUpdateBatch processes one UPDATE from a member: import policy,
-// RIB maintenance, best-path recomputation, export generation and the
-// controller feed. The returned batches — sorted by peer name, one entry
-// per target member — are what the route server sends to the other
-// members. It is safe for concurrent use from any number of peer
+// HandleUpdate processes one UPDATE from a member: import policy, RIB
+// maintenance, best-path recomputation, export generation and the
+// controller feed. The returned export set holds what the route server
+// sends to the other members, each UPDATE once (Exports.To lays out one
+// member's share). It is safe for concurrent use from any number of peer
 // sessions.
-func (rs *RouteServer) HandleUpdateBatch(peer string, u *bgp.Update) ([]PeerUpdates, []Rejection, error) {
+func (rs *RouteServer) HandleUpdate(peer string, u *bgp.Update) (Exports, []Rejection, error) {
 	reg := rs.reg.Load()
 	ps, ok := reg.peers[peer]
 	if !ok {
-		return nil, nil, ErrUnknownPeer
+		return Exports{}, nil, ErrUnknownPeer
 	}
 
-	eb := newExportBuilder(rs, reg, peer)
+	eb := exportBuilder{out: Exports{rs: rs, reg: reg, from: peer}}
 	var rejections []Rejection
 	var acceptedAnn, acceptedWdr []netip.Prefix
 
@@ -300,7 +300,7 @@ func (rs *RouteServer) HandleUpdateBatch(peer string, u *bgp.Update) ([]PeerUpda
 		rs.rejMu.Unlock()
 	}
 
-	exports := eb.finish()
+	exports := eb.out
 	if len(reg.subs) > 0 && (len(acceptedAnn) > 0 || len(acceptedWdr) > 0) {
 		if !cloned {
 			attrs = u.Attrs.Clone()
@@ -321,21 +321,32 @@ func (rs *RouteServer) HandleUpdateBatch(peer string, u *bgp.Update) ([]PeerUpda
 	return exports, rejections, nil
 }
 
+// HandleUpdateBatch is HandleUpdate with the export set laid out per
+// member: one entry per member owed anything, sorted by name, each
+// holding Exports.To's share. It stays only for the benchmark's
+// routeserver probe, which counts the entries' UPDATEs, and goes with
+// that probe (ROADMAP 21); nothing else lays an export set out per
+// member.
+func (rs *RouteServer) HandleUpdateBatch(peer string, u *bgp.Update) ([]PeerUpdates, []Rejection, error) {
+	exports, rejections, err := rs.HandleUpdate(peer, u)
+	return exports.perPeer(), rejections, err
+}
+
 // HandleWithdrawAll processes a session teardown: every path from the
 // peer is withdrawn (BGP implicit withdraw on session loss).
-func (rs *RouteServer) HandleWithdrawAll(peer string) ([]PeerUpdates, error) {
+func (rs *RouteServer) HandleWithdrawAll(peer string) (Exports, error) {
 	reg := rs.reg.Load()
 	ps, ok := reg.peers[peer]
 	if !ok {
-		return nil, ErrUnknownPeer
+		return Exports{}, ErrUnknownPeer
 	}
 	removed, changes := rs.table.RemovePeerWithBest(peer)
-	eb := newExportBuilder(rs, reg, peer)
+	eb := exportBuilder{out: Exports{rs: rs, reg: reg, from: peer}}
 	for _, tr := range changes {
 		eb.bestChanged(tr, nil)
 	}
 
-	exports := eb.finish()
+	exports := eb.out
 	if len(reg.subs) > 0 && len(removed) > 0 {
 		withdrawn := make([]netip.Prefix, len(removed))
 		for i, p := range removed {
@@ -385,33 +396,20 @@ func (rs *RouteServer) importCheck(ps *peerState, prefix netip.Prefix, originAS 
 	return "", true
 }
 
-// exportBuilder accumulates the per-peer export batches produced while
-// processing one inbound message. Three coalescing streams keep the fan-
-// out compact: withdrawals merge into one UPDATE per excluded peer, and
-// announcements whose new best path is the path just added merge into one
-// shared UPDATE per address family (they all carry the inbound message's
-// attributes, so their targets are identical too). Best-path changes that
-// promote a different pre-existing path get individual UPDATEs.
-//
-// The builder records each UPDATE once, with the path whose policy picks
-// its targets, and lays every peer's batch out in finish: a message costs
-// a fixed number of allocations however many members the exchange has.
-type exportBuilder struct {
-	rs  *RouteServer
-	reg *registry
+// Exports is the export set one inbound message produced: every UPDATE
+// the route server owes, each once, with the path whose policy
+// communities pick its targets, judged against the peer registry the
+// message arrived under. Len and Update read each UPDATE once; To lays
+// out what one member is owed. An UPDATE is shared by all its targets and
+// every reader: read it, do not modify it. The zero value owes nothing.
+type Exports struct {
+	rs   *RouteServer
+	reg  *registry
+	from string // the peer whose message produced the set
 
-	from string // the peer whose message is being processed
-
-	// exports holds every UPDATE owed so far, in the order each peer
-	// receives the ones it is owed.
+	// exports holds every UPDATE owed, in the order each peer receives
+	// the ones it is owed: withdrawals first.
 	exports []export
-
-	// Coalesced withdrawals, owed to every peer but from: a prefix only
-	// vanishes with its last path, which was the sender's own.
-	wdr *bgp.Update
-
-	// Coalesced announcements of the just-added path, per family.
-	ann4, ann6 *bgp.Update
 }
 
 // export is one UPDATE and whom it is owed to: the peers best's policy
@@ -422,8 +420,99 @@ type export struct {
 	best *rib.Path
 }
 
-func newExportBuilder(rs *RouteServer, reg *registry, from string) *exportBuilder {
-	return &exportBuilder{rs: rs, reg: reg, from: from}
+// Len returns the number of UPDATEs in the set.
+func (x Exports) Len() int { return len(x.exports) }
+
+// Update returns the set's i-th UPDATE, 0 <= i < Len().
+func (x Exports) Update(i int) *bgp.Update { return x.exports[i].u }
+
+// To appends to dst the UPDATEs owed to peer, in the order the peer
+// receives them, and returns the extended slice: dst itself for a peer
+// owed nothing or not registered when the message arrived.
+func (x Exports) To(peer string, dst []*bgp.Update) []*bgp.Update {
+	if len(x.exports) == 0 {
+		return dst
+	}
+	ps, ok := x.reg.peers[peer]
+	if !ok {
+		return dst
+	}
+	for _, e := range x.exports {
+		if x.owes(ps, e) {
+			dst = append(dst, e.u)
+		}
+	}
+	return dst
+}
+
+// owes reports whether e is owed to ps.
+func (x Exports) owes(ps *peerState, e export) bool {
+	if e.best == nil {
+		return ps.cfg.Name != x.from
+	}
+	return x.rs.exportsTo(e.best, ps)
+}
+
+// perPeer lays the set out per member, sorted by name, for
+// HandleUpdateBatch. A first pass counts what each peer is owed, so the
+// result and the one backing array every peer's Updates are carved from
+// are allocated once, at their final size.
+func (x Exports) perPeer() []PeerUpdates {
+	if len(x.exports) == 0 {
+		return nil
+	}
+	peers, owed := 0, 0
+	for _, ps := range x.reg.sorted {
+		n := 0
+		for _, e := range x.exports {
+			if x.owes(ps, e) {
+				n++
+			}
+		}
+		if n > 0 {
+			peers++
+			owed += n
+		}
+	}
+	if peers == 0 {
+		return nil
+	}
+	out := make([]PeerUpdates, 0, peers)
+	flat := make([]*bgp.Update, 0, owed)
+	for _, ps := range x.reg.sorted {
+		start := len(flat)
+		for _, e := range x.exports {
+			if x.owes(ps, e) {
+				flat = append(flat, e.u)
+			}
+		}
+		if end := len(flat); end > start {
+			out = append(out, PeerUpdates{Peer: ps.cfg.Name, Updates: flat[start:end:end]})
+		}
+	}
+	return out
+}
+
+// exportBuilder accumulates the export set produced while processing one
+// inbound message. Three coalescing streams keep it compact: withdrawals
+// merge into one UPDATE owed to every peer but the sender, and
+// announcements whose new best path is the path just added merge into one
+// shared UPDATE per address family (they all carry the inbound message's
+// attributes, so their targets are identical too). Best-path changes that
+// promote a different pre-existing path get individual UPDATEs.
+//
+// The builder records each UPDATE once, with the path whose policy picks
+// its targets, and never walks the members: a message costs the same
+// allocations and bytes however many members the exchange has.
+type exportBuilder struct {
+	out Exports
+
+	// Coalesced withdrawals, owed to every peer but the sender: a prefix
+	// only vanishes with its last path, which was the sender's own.
+	wdr *bgp.Update
+
+	// Coalesced announcements of the just-added path, per family.
+	ann4, ann6 *bgp.Update
 }
 
 // bestChanged folds one best-path transition into the export set. added
@@ -440,8 +529,12 @@ func (eb *exportBuilder) bestChanged(tr rib.BestChange, added *rib.Path) {
 	default:
 		// A pre-existing path was promoted (the old best worsened or went
 		// away): export it on its own.
-		eb.exports = append(eb.exports, export{u: eb.rs.buildExportUpdate(tr.Prefix, tr.New), best: tr.New})
+		eb.add(eb.out.rs.buildExportUpdate(tr.Prefix, tr.New), tr.New)
 	}
+}
+
+func (eb *exportBuilder) add(u *bgp.Update, best *rib.Path) {
+	eb.out.exports = append(eb.out.exports, export{u: u, best: best})
 }
 
 // coalesceWithdraw merges the prefix into the withdraw UPDATE shared by
@@ -449,7 +542,7 @@ func (eb *exportBuilder) bestChanged(tr rib.BestChange, added *rib.Path) {
 func (eb *exportBuilder) coalesceWithdraw(prefix netip.Prefix) {
 	if eb.wdr == nil {
 		eb.wdr = &bgp.Update{}
-		eb.exports = append(eb.exports, export{u: eb.wdr})
+		eb.add(eb.wdr, nil)
 	}
 	u := eb.wdr
 	if prefix.Addr().Is4() {
@@ -471,61 +564,13 @@ func (eb *exportBuilder) coalesceAnnounce(prefix netip.Prefix, best *rib.Path) {
 	}
 	switch u := *shared; {
 	case u == nil:
-		*shared = eb.rs.buildExportUpdate(prefix, best)
-		eb.exports = append(eb.exports, export{u: *shared, best: best})
+		*shared = eb.out.rs.buildExportUpdate(prefix, best)
+		eb.add(*shared, best)
 	case prefix.Addr().Is4():
 		u.NLRI = append(u.NLRI, bgp.PathPrefix{Prefix: prefix})
 	default:
 		u.Attrs.MPReach.NLRI = append(u.Attrs.MPReach.NLRI, bgp.PathPrefix{Prefix: prefix})
 	}
-}
-
-// owes reports whether e is owed to ps.
-func (eb *exportBuilder) owes(ps *peerState, e export) bool {
-	if e.best == nil {
-		return ps.cfg.Name != eb.from
-	}
-	return eb.rs.exportsTo(e.best, ps)
-}
-
-// finish returns the accumulated batches sorted by peer name. A first
-// pass counts what each peer is owed, so the result and the one backing
-// array every peer's Updates are carved from are allocated once, at
-// their final size.
-func (eb *exportBuilder) finish() []PeerUpdates {
-	if len(eb.exports) == 0 {
-		return nil
-	}
-	peers, owed := 0, 0
-	for _, ps := range eb.reg.sorted {
-		n := 0
-		for _, e := range eb.exports {
-			if eb.owes(ps, e) {
-				n++
-			}
-		}
-		if n > 0 {
-			peers++
-			owed += n
-		}
-	}
-	if peers == 0 {
-		return nil
-	}
-	out := make([]PeerUpdates, 0, peers)
-	flat := make([]*bgp.Update, 0, owed)
-	for _, ps := range eb.reg.sorted {
-		start := len(flat)
-		for _, e := range eb.exports {
-			if eb.owes(ps, e) {
-				flat = append(flat, e.u)
-			}
-		}
-		if end := len(flat); end > start {
-			out = append(out, PeerUpdates{Peer: ps.cfg.Name, Updates: flat[start:end:end]})
-		}
-	}
-	return out
 }
 
 // buildExportUpdate renders the UPDATE announcing best for prefix.

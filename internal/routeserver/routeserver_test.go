@@ -3,6 +3,7 @@ package routeserver
 import (
 	"fmt"
 	"net/netip"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -384,13 +385,18 @@ func TestExportPolicyNamesOnly2ByteASNs(t *testing.T) {
 
 // TestHandleUpdateAllocsIndependentOfPeers pins the export builder's cost
 // per inbound message: announcing one prefix and withdrawing it take the
-// same number of allocations with 1 024 registered peers as with 16,
-// although each export is owed to every one of them.
+// same number of allocations, and the same bytes within a fixed slack,
+// with 1 024 registered peers as with 16, although each export is owed
+// to every one of them. The bytes pin is what catches a per-member
+// layout coming back: one laid out per message costs the same number of
+// allocations at any size, but ~48 bytes more per registered peer.
 func TestHandleUpdateAllocsIndependentOfPeers(t *testing.T) {
+	const runs = 200
+	const bytesSlack = 64
 	prefix := pfx("100.10.0.0/24")
 	ann := announce(64512, prefix)
 	wdr := &bgp.Update{Withdrawn: []bgp.PathPrefix{{Prefix: prefix}}}
-	allocs := func(n int) float64 {
+	cost := func(n int) (allocs, bytes float64) {
 		rs := New(Config{ASN: ixpASN, BlackholeNextHop: blackholeNH})
 		cfgs := make([]PeerConfig, n)
 		for i := range cfgs {
@@ -400,18 +406,46 @@ func TestHandleUpdateAllocsIndependentOfPeers(t *testing.T) {
 		if err := rs.AddPeers(cfgs...); err != nil {
 			t.Fatal(err)
 		}
-		return testing.AllocsPerRun(100, func() {
+		handle := func() {
 			for _, u := range []*bgp.Update{ann, wdr} {
-				batches, _, err := rs.HandleUpdateBatch("m0", u)
-				if err != nil || len(batches) != n-1 {
-					t.Fatalf("%d peers: %d batches, err %v", n, len(batches), err)
+				if x, _, err := rs.HandleUpdate("m0", u); err != nil || x.Len() != 1 {
+					t.Fatalf("%d peers: %d UPDATEs, err %v", n, x.Len(), err)
 				}
 			}
-		})
+		}
+		for _, u := range []*bgp.Update{ann, wdr} {
+			x, _, err := rs.HandleUpdate("m0", u)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, cfg := range cfgs {
+				want := 1
+				if cfg.Name == "m0" {
+					want = 0
+				}
+				if got := len(x.To(cfg.Name, nil)); got != want {
+					t.Fatalf("%d peers: %s is owed %d UPDATEs, want %d", n, cfg.Name, got, want)
+				}
+			}
+		}
+		allocs = testing.AllocsPerRun(runs, handle)
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			handle()
+		}
+		runtime.ReadMemStats(&after)
+		return allocs, float64(after.TotalAlloc-before.TotalAlloc) / runs
 	}
-	small, large := allocs(16), allocs(1024)
-	if large != small {
-		t.Fatalf("announce+withdraw: %.0f allocs at 1024 peers, %.0f at 16", large, small)
+	smallAllocs, smallBytes := cost(16)
+	largeAllocs, largeBytes := cost(1024)
+	t.Logf("announce+withdraw: %.0f allocs, %.0f B at 16 peers; %.0f allocs, %.0f B at 1024", smallAllocs, smallBytes, largeAllocs, largeBytes)
+	if largeAllocs != smallAllocs {
+		t.Fatalf("announce+withdraw: %.0f allocs at 1024 peers, %.0f at 16", largeAllocs, smallAllocs)
+	}
+	if largeBytes > smallBytes+bytesSlack {
+		t.Fatalf("announce+withdraw: %.0f B at 1024 peers, %.0f B at 16 (slack %d B)", largeBytes, smallBytes, bytesSlack)
 	}
 }
 
@@ -448,10 +482,11 @@ func TestHandleWithdrawAll(t *testing.T) {
 	if _, _, err := handleUpdate(rs, "A", announce(64512, prefix)); err != nil {
 		t.Fatal(err)
 	}
-	exports, err := rs.HandleWithdrawAll("A")
+	set, err := rs.HandleWithdrawAll("A")
 	if err != nil {
 		t.Fatal(err)
 	}
+	exports := set.perPeer()
 	if len(exports) != 1 || len(exports[0].Updates) != 1 || len(exports[0].Updates[0].Withdrawn) != 1 {
 		t.Fatalf("session-loss exports: %+v", exports)
 	}
