@@ -71,11 +71,12 @@ func BenchmarkAblationEgressVsIngress(b *testing.B) {
 				offers[i].Packets *= scale
 			}
 		}
-		st, err := fab.Tick(nil, fabric.TickOffers{"victim": offers}, 1, nil)
-		if err != nil {
+		var batch fabric.TickBatch
+		batch.Load(fabric.TickOffers{"victim": offers})
+		if err := fab.Tick(nil, &batch, 1, nil); err != nil {
 			b.Fatal(err)
 		}
-		return st.PerPort["victim"].DeliveredBytes * 8
+		return batch.Results[0].DeliveredBytes * 8
 	}
 
 	var egress, ingress float64

@@ -278,16 +278,10 @@ func (s *Session) receiveLoop(hold time.Duration, opts *bgp.Options) error {
 	}
 }
 
-// SendUpdate sends an UPDATE; the session must be Established.
+// SendUpdate sends an UPDATE; the session must be Established. Writes
+// are serialized on the session's writer lock, so concurrent senders
+// never interleave bytes of two messages.
 func (s *Session) SendUpdate(u *bgp.Update) error {
-	return s.SendUpdates([]*bgp.Update{u})
-}
-
-// SendUpdates sends a batch of UPDATEs back to back under one writer-lock
-// acquisition, preserving order against concurrent senders. The route
-// server's batched export path uses it to flush a peer's whole update set
-// without interleaving messages from other pipelines.
-func (s *Session) SendUpdates(us []*bgp.Update) error {
 	s.mu.Lock()
 	st, opts := s.state, s.opts
 	s.mu.Unlock()
@@ -297,21 +291,16 @@ func (s *Session) SendUpdates(us []*bgp.Update) error {
 	if st != StateEstablished {
 		return ErrNotEstablished
 	}
-	s.writeMu.Lock()
-	defer s.writeMu.Unlock()
-	for _, u := range us {
-		if err := bgp.WriteMessage(s.conn, u, &opts); err != nil {
-			// The session may have closed between the state check above
-			// and the write: close() marks the state before closing the
-			// transport, and Close sets closing before the peer can see
-			// its NOTIFICATION and hang up, so a sender racing Close
-			// always maps the transport's error back to the
-			// deterministic ErrClosed.
-			if s.closing.Load() || s.State() == StateClosed {
-				return ErrClosed
-			}
-			return err
+	if err := s.writeOpts(u, &opts); err != nil {
+		// The session may have closed between the state check above and
+		// the write: close() marks the state before closing the
+		// transport, and Close sets closing before the peer can see its
+		// NOTIFICATION and hang up, so a sender racing Close always maps
+		// the transport's error back to the deterministic ErrClosed.
+		if s.closing.Load() || s.State() == StateClosed {
+			return ErrClosed
 		}
+		return err
 	}
 	return nil
 }

@@ -328,7 +328,7 @@ func TestHoldTimerExpiryNotifies(t *testing.T) {
 // TestSendUpdatesAfterClose pins the deterministic error contract: a
 // sender racing Close sees ErrClosed — never the transport's raw
 // "use of closed connection" — because close() marks the state before
-// closing the conn and SendUpdates maps write failures back through it.
+// closing the conn and SendUpdate maps write failures back through it.
 func TestSendUpdatesAfterClose(t *testing.T) {
 	sa, sb, err := pair(
 		Config{LocalAS: 64512, BGPID: idA},

@@ -487,12 +487,14 @@ func (p *fabricPlane) enter() func() {
 
 func (p *fabricPlane) EgressTick(r fabric.Runner, offers fabric.TickOffers, dt float64, sink fabric.TickSink) (map[string]PortReport, error) {
 	defer p.enter()()
-	stats, err := p.f.Tick(r, offers, dt, sink)
-	if err != nil {
+	var batch fabric.TickBatch
+	batch.Load(offers)
+	if err := p.f.Tick(r, &batch, dt, sink); err != nil {
 		return nil, err
 	}
-	reports := make(map[string]PortReport, len(stats.PerPort))
-	for name, res := range stats.PerPort {
+	reports := make(map[string]PortReport, len(batch.Names))
+	for i, name := range batch.Names {
+		res := batch.Results[i]
 		reports[name] = PortReport{OfferedBytes: res.PresentedBytes, Result: res}
 	}
 	return reports, nil

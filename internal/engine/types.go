@@ -129,7 +129,9 @@ type Control interface {
 // DataPlane egresses one tick of offers: null-route filtering plus the
 // fabric's per-port egress pass, fanning ports across the supplied
 // runner and streaming delivered flows into the sink. ixp.IXP
-// implements it.
+// implements it. The returned map belongs to the tick: the spine hands
+// it to the fold side, which reads it while the next tick egresses, so
+// each call returns a new one.
 type DataPlane interface {
 	EgressTick(r fabric.Runner, offers fabric.TickOffers, dt float64, sink fabric.TickSink) (map[string]PortReport, error)
 }

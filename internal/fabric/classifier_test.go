@@ -312,7 +312,7 @@ func TestConcurrentFabricTicks(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 100; i++ {
-			if _, err := f.Tick(pool, offers, 0.01, nil); err != nil {
+			if _, err := tickByName(f, pool, offers, 0.01, nil); err != nil {
 				t.Error(err)
 				return
 			}
@@ -387,7 +387,7 @@ func TestConcurrentTicksShareThePositionalCache(t *testing.T) {
 		}
 		for n := 0; n < ticks; n++ {
 			clear(delivered)
-			if _, err := f.Tick(nil, offers, 1, sink); err != nil {
+			if _, err := tickByName(f, nil, offers, 1, sink); err != nil {
 				return err
 			}
 			for name, port := range offers {

@@ -99,7 +99,9 @@ func ExampleFabric_Tick() {
 		{Flow: &attack, Bytes: 250e6, Packets: 5e5}, // 2 Gbit in 1 s
 		{Flow: &web, Bytes: 50e6, Packets: 5e4},     // 400 Mbit in 1 s
 	}}
-	stats, err := fab.Tick(nil, offers, 1.0, func(worker int, port string) fabric.FlowVisitor {
+	var batch fabric.TickBatch
+	batch.Load(offers)
+	err := fab.Tick(nil, &batch, 1.0, func(worker int, port string) fabric.FlowVisitor {
 		return func(delivered []fabric.Delivery) {
 			for _, d := range delivered {
 				fmt.Printf("%s: %.0f Mbit\n", d.Offer.Flow, d.Bytes*8/1e6)
@@ -110,7 +112,7 @@ func ExampleFabric_Tick() {
 		fmt.Println("tick failed:", err)
 		return
 	}
-	res := stats.PerPort["AS64512"]
+	res := batch.Results[0] // the batch's only port, AS64512
 	fmt.Printf("delivered:    %.0f Mbit\n", res.DeliveredBytes*8/1e6)
 	fmt.Printf("rule-dropped: %.0f Mbit\n", res.RuleDroppedBytes*8/1e6)
 	fmt.Printf("congestion:   %.0f Mbit\n", res.CongestionDroppedBytes*8/1e6)

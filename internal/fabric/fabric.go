@@ -2,7 +2,7 @@ package fabric
 
 import (
 	"errors"
-	"sort"
+	"slices"
 	"sync"
 
 	"stellar/internal/netpkt"
@@ -63,9 +63,52 @@ func (f *Fabric) PortByName(name string) (*Port, error) {
 // grouped by destination port name.
 type TickOffers map[string][]Offer
 
-// TickStats aggregates one tick across the platform.
-type TickStats struct {
-	PerPort map[string]TickResult
+// TickBatch is one tick of the platform laid out by index: the offered
+// ports in name order, each port's offers and, once Tick returns, each
+// port's result. It is reusable scratch: Load refills it from a tick's
+// offers and every slice keeps its capacity, so a batch kept from tick
+// to tick costs no allocation once it has seen the port count.
+type TickBatch struct {
+	// Names are the offered ports, in name order.
+	Names []string
+	// Offers[i] is what port Names[i] is offered. A caller may replace
+	// it between Load and Tick (the exchange's null-route filter does);
+	// Tick clears it, so a batch kept between ticks pins no offers.
+	Offers [][]Offer
+	// Results[i] is port Names[i]'s account of the tick, set by Tick.
+	Results []TickResult
+
+	// ports[i] is port Names[i], resolved by Tick; dt and sink are the
+	// running tick's; egressFn is bound's egress, bound once so a tick's
+	// fan-out allocates no closure (a copied batch binds its own).
+	ports    []*Port
+	dt       float64
+	sink     TickSink
+	bound    *TickBatch
+	egressFn func(worker, i int)
+}
+
+// Load sets the batch to offers' ports, in name order, with their
+// offers.
+func (b *TickBatch) Load(offers TickOffers) {
+	b.Names = b.Names[:0]
+	for name := range offers {
+		b.Names = append(b.Names, name)
+	}
+	slices.Sort(b.Names)
+	b.Offers = b.Offers[:0]
+	for _, name := range b.Names {
+		b.Offers = append(b.Offers, offers[name])
+	}
+}
+
+// egress runs port i's egress on worker.
+func (b *TickBatch) egress(worker, i int) {
+	var visit FlowVisitor
+	if b.sink != nil {
+		visit = b.sink(worker, b.Names[i])
+	}
+	b.Results[i] = b.ports[i].egress(b.Offers[i], b.dt, visit)
 }
 
 // TickSink supplies the per-(worker, port) FlowVisitor of a tick: Tick
@@ -76,43 +119,38 @@ type TickStats struct {
 // kept per worker is contention-free.
 type TickSink func(worker int, port string) FlowVisitor
 
-// Tick advances the platform by dtSeconds, delivering all offers.
+// Tick advances the platform by dtSeconds, delivering the batch's
+// offers, and sets b.Results[i] to port b.Names[i]'s result. It fails
+// with ErrNoSuchPort, egressing nothing, when a name is not a port.
 //
 // Member ports are independent egress engines, so their ticks fan across
 // the runner's workers (the engine passes its shared Pool; nil runs them
-// inline, see run) and the per-port results are merged afterwards. All
-// records of one port flow through exactly one worker in forward-queue
-// order into the sink's visitor for that port (a nil sink skips
-// monitoring), and the merge is keyed by port name, so results and
-// downstream accumulation are deterministic. Each port's result carries
-// its PresentedBytes, so no caller sums the offers again.
-func (f *Fabric) Tick(r Runner, offers TickOffers, dtSeconds float64, sink TickSink) (TickStats, error) {
-	stats := TickStats{PerPort: make(map[string]TickResult, len(offers))}
-
-	names := make([]string, 0, len(offers))
-	for name := range offers {
-		names = append(names, name)
+// inline, see run). All records of one port flow through exactly one
+// worker in forward-queue order into the sink's visitor for that port
+// (a nil sink skips monitoring), and each result lands at its port's
+// index, so results and downstream accumulation are deterministic. Each
+// result carries its PresentedBytes, so no caller sums the offers again.
+//
+// The batch is the tick's only scratch: ports resolve into it and
+// results come back in it, so a warm tick allocates nothing here.
+func (f *Fabric) Tick(r Runner, b *TickBatch, dtSeconds float64, sink TickSink) error {
+	defer clear(b.Offers)
+	n := len(b.Names)
+	b.ports = slices.Grow(b.ports[:0], n)[:n]
+	f.mu.RLock()
+	for i, name := range b.Names {
+		b.ports[i] = f.byNam[name]
 	}
-	sort.Strings(names)
-	ports := make([]*Port, len(names))
-	for i, name := range names {
-		port, err := f.PortByName(name)
-		if err != nil {
-			return stats, err
-		}
-		ports[i] = port
+	f.mu.RUnlock()
+	if slices.Contains(b.ports, nil) {
+		return ErrNoSuchPort
 	}
-
-	results := make([]TickResult, len(names))
-	run(r, len(names), func(worker, i int) {
-		var visit FlowVisitor
-		if sink != nil {
-			visit = sink(worker, names[i])
-		}
-		results[i] = ports[i].egress(offers[names[i]], dtSeconds, visit)
-	})
-	for i, name := range names {
-		stats.PerPort[name] = results[i]
+	b.Results = slices.Grow(b.Results[:0], n)[:n]
+	if b.bound != b {
+		b.bound, b.egressFn = b, b.egress
 	}
-	return stats, nil
+	b.dt, b.sink = dtSeconds, sink
+	run(r, n, b.egressFn)
+	b.sink = nil
+	return nil
 }

@@ -36,6 +36,21 @@ func tcpFlow(srcMAC netpkt.MAC, src netip.Addr, dstPort uint16) *netpkt.FlowKey 
 // stays in its producer's flow table and the offer only points at it,
 // so generating a tick's offers copies no 64-byte netpkt.FlowKey, and
 // the FlowHash name takes no space.
+// tickByName ticks f over offers through a fresh batch and returns each
+// port's result by name.
+func tickByName(f *Fabric, r Runner, offers TickOffers, dt float64, sink TickSink) (map[string]TickResult, error) {
+	var b TickBatch
+	b.Load(offers)
+	if err := f.Tick(r, &b, dt, sink); err != nil {
+		return nil, err
+	}
+	out := make(map[string]TickResult, len(b.Names))
+	for i, name := range b.Names {
+		out[name] = b.Results[i]
+	}
+	return out, nil
+}
+
 func TestOfferSize(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("the pin is for 64-bit platforms")
@@ -445,14 +460,14 @@ func TestFabricTick(t *testing.T) {
 			{Flow: udpFlow(macPeerA, srcIPA, 123), Bytes: 1000, Packets: 2},
 		},
 	}
-	stats, err := f.Tick(nil, offers, 1.0, nil)
+	stats, err := tickByName(f, nil, offers, 1.0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.PerPort["victim"].DeliveredBytes != 1000 || stats.PerPort["victim"].PresentedBytes != 1000 {
+	if stats["victim"].DeliveredBytes != 1000 || stats["victim"].PresentedBytes != 1000 {
 		t.Fatalf("stats: %+v", stats)
 	}
-	if _, err := f.Tick(nil, TickOffers{"ghost": {{Bytes: 1}}}, 1.0, nil); err == nil {
+	if _, err := tickByName(f, nil, TickOffers{"ghost": {{Bytes: 1}}}, 1.0, nil); err == nil {
 		t.Fatal("tick to unknown port accepted")
 	}
 }

@@ -105,14 +105,14 @@ func TestTickStreamPerPortVisitors(t *testing.T) {
 			mu.Unlock()
 		}
 	}
-	stats, err := f.Tick(pool, offers, 1, sink)
+	stats, err := tickByName(f, pool, offers, 1, sink)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(perPort) != ports {
 		t.Fatalf("visitors saw %d ports, want %d", len(perPort), ports)
 	}
-	for name, res := range stats.PerPort {
+	for name, res := range stats {
 		if math.Abs(perPort[name]-res.DeliveredBytes) > 1e-9 {
 			t.Fatalf("port %s: streamed %v, delivered %v", name, perPort[name], res.DeliveredBytes)
 		}
@@ -130,7 +130,7 @@ type visit struct {
 
 // TestTickNilRunnerMatchesPool: the runner decides only where a port's
 // egress runs. A nil Runner (inline, worker 0) and a 4-worker Pool produce
-// identical TickStats and, port by port, the identical visitor stream —
+// identical results and, port by port, the identical visitor stream —
 // every queue contributing, and the stream summing to the port's
 // DeliveredBytes.
 func TestTickNilRunnerMatchesPool(t *testing.T) {
@@ -151,7 +151,7 @@ func TestTickNilRunnerMatchesPool(t *testing.T) {
 		}
 		return f
 	}
-	tick := func(r Runner, workers int) (TickStats, map[string]*[]visit) {
+	tick := func(r Runner, workers int) (map[string]TickResult, map[string]*[]visit) {
 		var mu sync.Mutex
 		streams := make(map[string]*[]visit)
 		sink := func(worker int, port string) FlowVisitor {
@@ -168,7 +168,7 @@ func TestTickNilRunnerMatchesPool(t *testing.T) {
 				}
 			}
 		}
-		stats, err := build().Tick(r, offers, 1, sink)
+		stats, err := tickByName(build(), r, offers, 1, sink)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -181,12 +181,12 @@ func TestTickNilRunnerMatchesPool(t *testing.T) {
 	poolStats, poolStreams := tick(pool, pool.Workers())
 
 	if !reflect.DeepEqual(inlineStats, poolStats) {
-		t.Fatalf("TickStats diverge:\n nil runner %+v\n pool       %+v", inlineStats, poolStats)
+		t.Fatalf("results diverge:\n nil runner %+v\n pool       %+v", inlineStats, poolStats)
 	}
 	if !reflect.DeepEqual(inlineStreams, poolStreams) {
 		t.Fatal("per-port visitor streams diverge between a nil runner and a pool")
 	}
-	for name, res := range inlineStats.PerPort {
+	for name, res := range inlineStats {
 		var sum float64
 		for _, v := range *inlineStreams[name] {
 			sum += v.bytes

@@ -205,15 +205,17 @@ func TestCollectorEquivalenceBatchedShards(t *testing.T) {
 
 // TestCollectorEquivalenceOutOfOrderBeyondWindow streams bins mostly in
 // order, as the engine does, but sends a tenth of the records late by up
-// to three peer windows: they land in bins already compacted out of the
-// hot tier, whose roll-ups must still come out equal to the baseline's,
-// bit for bit, at every bin (with new keys as well as known ones),
-// while peers are compared only within the window.
+// to three quarters of the stream: they land in bins already compacted
+// out of the hot tier, whose roll-ups must still come out equal to the
+// baseline's, bit for bit, at every bin (with new keys as well as known
+// ones), while peers are compared only within the window. The cold tier
+// spans at least three chunks, and late records reach back into a
+// chunk older than the newest, so a run grows across chunk boundaries.
 func TestCollectorEquivalenceOutOfOrderBeyondWindow(t *testing.T) {
-	const bins = 4 * peerWindow
+	const bins = 8 * peerWindow
 	for trial := 0; trial < 4; trial++ {
 		rng := rand.New(rand.NewSource(int64(500 + trial)))
-		recs := randRecords(rng, 6000, bins)
+		recs := randRecords(rng, 12000, bins)
 		sort.SliceStable(recs, func(i, j int) bool { return recs[i].Bin < recs[j].Bin })
 		for i := range recs {
 			if rng.Intn(10) == 0 {
@@ -226,10 +228,19 @@ func TestCollectorEquivalenceOutOfOrderBeyondWindow(t *testing.T) {
 		}
 		want := NewMapCollector()
 		got := NewCollectorShards(1)
+		crossChunk := 0 // late records into a run older than the newest chunk
 		for i := 0; i < len(recs); i += 50 {
 			batch := recs[i:min(i+50, len(recs))]
+			for _, r := range batch {
+				if j, ok := got.st.cold.find(r.Bin); ok && int(got.st.cold.at(j).chunk) < len(got.st.chunks)-1 {
+					crossChunk++
+				}
+			}
 			want.ObserveAll(batch)
 			observeFlows(got.Shard(i/50), batch)
+		}
+		if n := len(got.st.chunks); n < 3 || crossChunk == 0 {
+			t.Fatalf("trial %d: cold tier spans %d chunks, %d late records reach an older chunk; want >= 3 and > 0", trial, n, crossChunk)
 		}
 		compareCollectors(t, want, got, 0)
 	}

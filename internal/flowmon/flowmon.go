@@ -23,7 +23,9 @@
 // bin's seen ids. A bin leaving the window is retired into a cold tier
 // that keeps a compact roll-up of its total, UDP source-port and
 // destination-port bytes, from which every other accessor answers
-// exactly, at any bin, for as long as the collector runs. Whether a
+// exactly, at any bin, for as long as the collector runs. The cold tier
+// grows in chunks that are never copied, so retiring a bin costs its
+// roll-up and not a re-copy of the run's history. Whether a
 // peer belongs to the member set counted is asked of the set once per
 // peer id and kept until the collector is handed a different set, so a
 // warm count asks nothing. The package's tests keep the map-per-record

@@ -1,0 +1,5 @@
+//go:build race
+
+package flowmon
+
+const raceEnabled = true

@@ -2,7 +2,9 @@ package flowmon
 
 import (
 	"net/netip"
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"stellar/internal/netpkt"
 )
@@ -126,4 +128,46 @@ func TestCollectorRetentionWarmMergeAllocs(t *testing.T) {
 	if allocs := testing.AllocsPerRun(2000, step); allocs != 0 {
 		t.Fatalf("warm observe + horizon + PeerCount: %v allocations per bin, want 0", allocs)
 	}
+}
+
+// TestColdTierCompactAllocsRetention pins the cold tier's growth to what
+// it keeps: compacting 10 000 bins past a warm window allocates no more
+// than the bytes the tier still holds afterwards plus one chunk, so no
+// run is copied when the tier grows — a doubling arena re-copies its
+// whole history at every growth.
+func TestColdTierCompactAllocsRetention(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates shadow memory of its own as the tier grows")
+	}
+	const bins, peers = 10_000, 24
+	c := NewCollectorShards(1)
+	sh := c.Shard(0)
+	bin := 0
+	for ; bin < 2*peerWindow; bin++ {
+		observeBin(sh, bin, peers)
+		c.SetMergeHorizon(bin)
+	}
+	var before, mid, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for end := bin + bins; bin < end; bin++ {
+		observeBin(sh, bin, peers)
+		c.SetMergeHorizon(bin)
+	}
+	runtime.ReadMemStats(&mid)
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	allocated := int64(mid.TotalAlloc - before.TotalAlloc)
+	retained := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	chunk := 0
+	for _, ch := range c.st.chunks {
+		chunk = max(chunk, cap(ch))
+	}
+	slack := int64(chunk) * int64(unsafe.Sizeof(rollEntry{}))
+	t.Logf("%d bins: %d B allocated, %d B retained, largest chunk %d B", bins, allocated, retained, slack)
+	if allocated > retained+slack {
+		t.Fatalf("compacting %d bins allocated %d B; the cold tier retains %d B, and one chunk is %d B",
+			bins, allocated, retained, slack)
+	}
+	runtime.KeepAlive(c)
 }

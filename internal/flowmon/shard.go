@@ -71,6 +71,15 @@ func (p *denseBytes) grow(n int) {
 	}
 }
 
+// count is how many ids p has seen.
+func (p *denseBytes) count() int {
+	n := 0
+	for _, word := range p.seen {
+		n += bits.OnesCount64(word)
+	}
+	return n
+}
+
 // span is one past the highest id p has seen, 0 when it has seen none.
 func (p *denseBytes) span() int {
 	for w := len(p.seen) - 1; w >= 0; w-- {

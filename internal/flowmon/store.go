@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+	"sort"
 
 	"stellar/internal/netpkt"
 )
@@ -35,22 +36,31 @@ const (
 // counts each record as it arrives: the bin's total, its source- and
 // destination-port roll-ups in an array indexed by a dense roll-up id,
 // and its per-peer bytes in an array indexed by a dense peer id. A bin
-// leaving the peer window is retired into the cold tier: its total and
-// one sorted run of (roll-up key, bytes) in a shared arena. Peer detail
-// is dropped at that point, and a late record for a cold bin updates
-// its roll-up only.
+// leaving the peer window is retired into the cold tier: its total in
+// the cold directory and one sorted run of (roll-up key, bytes) in a
+// chunk. Peer detail is dropped at that point, and a late record for a
+// cold bin updates its roll-up only.
+//
+// The cold tier grows without copying: the directory a fixed-size
+// block at a time, the runs a chunk at a time, each chunk sized when it
+// is made to a quarter of what the tier already holds (see reserve), so
+// a long run neither re-copies its history nor holds more than a
+// quarter of it, plus one small chunk, as slack.
 //
 // Every accessor except the peer counts reads the roll-up, whichever
 // tier holds it, and each roll-up counter is the sum of its records in
 // arrival order, as a map per bin would hold, so those results do not
 // depend on the tier.
 type store struct {
-	hot     []hotBin  // bin b at hot[b mod len(hot)]; len(hot) > peerWindow
-	cold    []coldBin // sorted by bin
-	arena   []rollEntry
-	newest  int // highest observed bin, once any is observed
-	any     bool
-	horizon int // see Collector.SetMergeHorizon
+	hot []hotBin // bin b at hot[b mod len(hot)]; len(hot) > peerWindow
+	// cold is the cold tier's directory; chunks hold its runs, and
+	// chunkCap is the chunks' total capacity, in entries.
+	cold     coldDir
+	chunks   [][]rollEntry
+	chunkCap int
+	newest   int // highest observed bin, once any is observed
+	any      bool
+	horizon  int // see Collector.SetMergeHorizon
 
 	// ids numbers the packed source MACs densely, in the order the
 	// store first sees them; macs is its inverse, indexed by id.
@@ -135,13 +145,52 @@ type hotBin struct {
 	peers denseBytes // peer id -> bytes
 }
 
-// coldBin is a compacted bin: its roll-up is arena[off : off+n], sorted
-// by key.
+// coldBin is a compacted bin: its roll-up is the n entries at off in
+// chunk, sorted by key (see store.run).
 type coldBin struct {
-	bin    int
-	total  float64
-	off, n int
+	bin           int
+	total         float64
+	chunk, off, n int32
 }
+
+// dirBlock is how many cold bins one block of the cold directory holds.
+const dirBlock = 64
+
+// coldDir is the cold tier's directory: its bins in bin order, in
+// fixed-size blocks, so it grows a block at a time and copies no bin
+// when it does. Bins arrive mostly in order, so an insert shifts the
+// few bins above it.
+type coldDir struct {
+	blocks []*[dirBlock]coldBin
+	n      int
+}
+
+func (d *coldDir) at(i int) *coldBin { return &d.blocks[i/dirBlock][i%dirBlock] }
+
+// find returns bin's index, or the index it would be inserted at. A bin
+// past the last one skips the search.
+func (d *coldDir) find(bin int) (int, bool) {
+	if d.n == 0 || bin > d.at(d.n-1).bin {
+		return d.n, false
+	}
+	i := sort.Search(d.n, func(i int) bool { return d.at(i).bin >= bin })
+	return i, d.at(i).bin == bin
+}
+
+// insert puts c at index i, shifting the bins from i up by one.
+func (d *coldDir) insert(i int, c coldBin) {
+	if d.n == len(d.blocks)*dirBlock {
+		d.blocks = append(d.blocks, new([dirBlock]coldBin))
+	}
+	for j := d.n; j > i; j-- {
+		*d.at(j) = *d.at(j - 1)
+	}
+	*d.at(i) = c
+	d.n++
+}
+
+// minChunk is the smallest chunk of cold runs, in entries.
+const minChunk = 64
 
 type rollEntry struct {
 	key   uint32
@@ -190,7 +239,7 @@ func (st *store) slot(bin int) *hotBin {
 	if h := st.hotBin(bin); h != nil {
 		return h
 	}
-	if _, ok := st.findCold(bin); ok {
+	if _, ok := st.cold.find(bin); ok {
 		return nil
 	}
 	rolls, peers := 0, 0
@@ -202,7 +251,7 @@ func (st *store) slot(bin int) *hotBin {
 	}
 	floor := st.peerFloor()
 	if bin < floor { // too old for peer detail
-		st.insertCold(coldBin{bin: bin, off: len(st.arena)})
+		st.insertCold(coldBin{bin: bin, chunk: -1})
 		return nil
 	}
 	st.fit(floor)
@@ -347,43 +396,59 @@ func (st *store) retire() {
 // compact moves a hot bin's roll-up into the cold tier and frees its
 // slot, keeping the slot's array capacity.
 func (st *store) compact(h *hotBin) {
-	off := len(st.arena)
+	c := coldBin{bin: h.bin, total: h.total, n: int32(h.roll.count())}
+	c.chunk, c.off = st.reserve(int(c.n))
+	run, k := st.run(&c), 0
 	h.roll.each(func(id int, bytes float64) {
-		st.arena = append(st.arena, rollEntry{st.keys[id], bytes})
+		run[k] = rollEntry{st.keys[id], bytes}
+		k++
 	})
-	slices.SortFunc(st.arena[off:], byKey)
-	st.insertCold(coldBin{bin: h.bin, total: h.total, off: off, n: len(st.arena) - off})
+	slices.SortFunc(run, byKey)
+	st.insertCold(c)
 	h.used = false
 	h.total = 0
 	h.roll.reset()
 	h.peers.reset()
 }
 
-// findCold returns bin's index in the cold tier. Bins arrive mostly in
-// order, so a bin past the last cold one skips the search.
-func (st *store) findCold(bin int) (int, bool) {
-	if n := len(st.cold); n == 0 || bin > st.cold[n-1].bin {
-		return n, false
+// reserve takes room for n entries at the end of the newest chunk and
+// returns the chunk and the room's offset. When the newest chunk lacks
+// the room, the rest of it stays empty and a new chunk is made: a
+// quarter of the entries the chunks hold, at least minChunk and at
+// least n. No chunk is ever copied.
+func (st *store) reserve(n int) (chunk, off int32) {
+	k := len(st.chunks) - 1
+	if k < 0 || cap(st.chunks[k])-len(st.chunks[k]) < n {
+		c := slices.Grow([]rollEntry(nil), max(minChunk, n, st.chunkCap/4))
+		st.chunks = append(st.chunks, c)
+		st.chunkCap += cap(c)
+		k++
 	}
-	return slices.BinarySearchFunc(st.cold, bin, func(c coldBin, bin int) int { return cmp.Compare(c.bin, bin) })
+	used := len(st.chunks[k])
+	st.chunks[k] = st.chunks[k][:used+n]
+	return int32(k), int32(used)
 }
 
-// insertCold adds a bin the cold tier does not hold and returns its
-// index.
-func (st *store) insertCold(c coldBin) int {
-	i, _ := st.findCold(c.bin)
-	st.cold = slices.Insert(st.cold, i, c)
-	return i
+// run returns cold bin c's roll-up.
+func (st *store) run(c *coldBin) []rollEntry {
+	if c.n == 0 {
+		return nil
+	}
+	return st.chunks[c.chunk][c.off : c.off+c.n]
+}
+
+// insertCold adds a bin the cold tier does not hold.
+func (st *store) insertCold(c coldBin) {
+	i, _ := st.cold.find(c.bin)
+	st.cold.insert(i, c)
 }
 
 // addCold counts a late record into cold bin's roll-up. A key the run
-// already holds is added in place; a new key is inserted in order,
-// after the run moves to the end of the arena unless it is there
-// already (the old run is left as a hole — this is the late-record
-// path).
+// already holds is added in place; a new key is inserted in order (see
+// growRun).
 func (st *store) addCold(bin int, key *netpkt.FlowKey, bytes float64) {
-	i, _ := st.findCold(bin)
-	c := &st.cold[i]
+	i, _ := st.cold.find(bin)
+	c := st.cold.at(i)
 	c.total += bytes
 	st.addRun(c, kindDst|uint32(key.DstPort), bytes)
 	if key.Proto == netpkt.ProtoUDP {
@@ -392,18 +457,31 @@ func (st *store) addCold(bin int, key *netpkt.FlowKey, bytes float64) {
 }
 
 func (st *store) addRun(c *coldBin, key uint32, bytes float64) {
-	run := st.arena[c.off : c.off+c.n]
-	j, ok := slices.BinarySearchFunc(run, rollEntry{key: key}, byKey)
+	j, ok := slices.BinarySearchFunc(st.run(c), rollEntry{key: key}, byKey)
 	if ok {
-		run[j].bytes += bytes
+		st.run(c)[j].bytes += bytes
 		return
 	}
-	if c.off+c.n != len(st.arena) {
-		c.off = len(st.arena)
-		st.arena = append(st.arena, run...)
+	run := st.growRun(c)
+	copy(run[j+1:], run[j:])
+	run[j] = rollEntry{key, bytes}
+}
+
+// growRun lengthens c's run by one entry at its end and returns it: in
+// place when the run ends the newest chunk's entries and the chunk has
+// room, otherwise moved to room reserved at the end of the tier (the
+// old run is left as a hole — this is the late-record path).
+func (st *store) growRun(c *coldBin) []rollEntry {
+	k := len(st.chunks) - 1
+	if k >= 0 && c.n > 0 && int(c.chunk) == k && int(c.off+c.n) == len(st.chunks[k]) && len(st.chunks[k]) < cap(st.chunks[k]) {
+		st.chunks[k] = st.chunks[k][:len(st.chunks[k])+1]
+	} else {
+		old := st.run(c)
+		c.chunk, c.off = st.reserve(int(c.n) + 1)
+		copy(st.chunks[c.chunk][c.off:], old)
 	}
-	st.arena = slices.Insert(st.arena, c.off+j, rollEntry{key, bytes})
 	c.n++
+	return st.run(c)
 }
 
 // view is one bin's roll-up, in whichever tier holds it.
@@ -418,9 +496,9 @@ func (st *store) view(bin int) (view, bool) {
 	if h := st.hotBin(bin); h != nil {
 		return view{total: h.total, hot: h, st: st}, true
 	}
-	if i, ok := st.findCold(bin); ok {
-		c := &st.cold[i]
-		return view{total: c.total, run: st.arena[c.off : c.off+c.n]}, true
+	if i, ok := st.cold.find(bin); ok {
+		c := st.cold.at(i)
+		return view{total: c.total, run: st.run(c)}, true
 	}
 	return view{}, false
 }
@@ -457,9 +535,9 @@ func (v *view) get(key uint32) float64 {
 }
 
 func (st *store) binsSorted() []int {
-	out := make([]int, 0, len(st.cold)+len(st.hot))
-	for i := range st.cold {
-		out = append(out, st.cold[i].bin)
+	out := make([]int, 0, st.cold.n+len(st.hot))
+	for i := 0; i < st.cold.n; i++ {
+		out = append(out, st.cold.at(i).bin)
 	}
 	for i := range st.hot {
 		if st.hot[i].used {

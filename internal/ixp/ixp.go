@@ -13,7 +13,6 @@ import (
 	"maps"
 	"net/netip"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -556,98 +555,132 @@ func (x *IXP) ControlTick(_ int, dt float64) float64 {
 // in offer order. Otherwise the filter runs first (see
 // filterNullRoutes). Each port's egress inside fabric.Tick fans across
 // the supplied runner (the engine passes its shared worker pool; nil
-// runs everything on the caller's goroutine), and per-port results are
-// merged by name, so the outcome is deterministic.
+// runs everything on the caller's goroutine), and results come back by
+// port index, so the outcome is deterministic.
+//
+// The returned map is the only allocation of a warm tick: ports
+// resolve, results land and filtered offers are kept in a reusable
+// egress scratch taken from a pool, whose size follows the port count
+// and not the tick count; concurrent calls each take their own.
 func (x *IXP) EgressTick(r fabric.Runner, offers fabric.TickOffers, dt float64, sink fabric.TickSink) (map[string]engine.PortReport, error) {
+	e := egressPool.Get().(*egressScratch)
+	defer egressPool.Put(e)
+	e.batch.Load(offers)
 	x.nullMu.RLock()
-	if len(x.nulls) == 0 {
-		x.nullMu.RUnlock()
-		stats, err := x.Fabric.Tick(r, offers, dt, sink)
-		if err != nil {
-			return nil, err
-		}
-		reports := make(map[string]engine.PortReport, len(stats.PerPort))
-		for name, res := range stats.PerPort {
-			reports[name] = engine.PortReport{OfferedBytes: res.PresentedBytes, Result: res}
-		}
-		return reports, nil
+	filtered := len(x.nulls) > 0
+	if filtered {
+		x.filterNullRoutes(r, e)
 	}
-	filtered, reports := x.filterNullRoutes(r, offers)
 	x.nullMu.RUnlock()
-	stats, err := x.Fabric.Tick(r, filtered, dt, sink)
-	if err != nil {
+	if filtered {
+		defer e.release()
+	}
+	if err := x.Fabric.Tick(r, &e.batch, dt, sink); err != nil {
 		return nil, err
 	}
-	for portName, res := range stats.PerPort {
-		rep := reports[portName]
-		rep.Result = res
-		reports[portName] = rep
+	reports := make(map[string]engine.PortReport, len(e.batch.Names))
+	for i, name := range e.batch.Names {
+		res := e.batch.Results[i]
+		rep := engine.PortReport{OfferedBytes: res.PresentedBytes, Result: res}
+		if filtered {
+			rep.OfferedBytes, rep.NulledBytes = e.offered[i], e.nulled[i]
+		}
+		reports[name] = rep
 	}
 	return reports, nil
 }
 
+// egressPool holds EgressTick's scratch between ticks.
+var egressPool = sync.Pool{New: func() any { return new(egressScratch) }}
+
+// egressScratch is one EgressTick's reusable state: the fabric batch
+// and, for a tick the null-route filter runs on, each port's offered
+// and nulled bytes and the offers it keeps, by port index. kept[i] is
+// reused tick after tick and cleared after each, so scratch back in the
+// pool pins no producer's flow keys.
+type egressScratch struct {
+	batch           fabric.TickBatch
+	offered, nulled []float64
+	kept            [][]fabric.Offer
+
+	// The running filter's inputs, set under the null-route table's read
+	// lock and dropped after; filterFn is filterPort, bound once so the
+	// filter's fan-out allocates no closure.
+	byMAC    map[uint64]*member.Member
+	nulls    map[string][]netip.Prefix
+	filterFn func(worker, i int)
+}
+
 // filterNullRoutes drops the offers whose source member null-routes
-// their destination, port by port across the runner, and reports each
-// port's offered and nulled bytes. The caller holds the null-route
-// table's read lock. The member registry is loaded once, so the
-// per-offer check takes no lock (a member that joins mid-tick counts
-// from the next one), and a port's offer slice is copied only when
-// something dies there.
-func (x *IXP) filterNullRoutes(r fabric.Runner, offers fabric.TickOffers) (fabric.TickOffers, map[string]engine.PortReport) {
-	byMAC, nulls := x.reg.Load().byMAC, x.nulls
-	names := make([]string, 0, len(offers))
-	for name := range offers {
-		names = append(names, name)
+// their destination, port by port across the runner, records each
+// port's offered and nulled bytes in e and points the batch at the
+// offers each port keeps. The caller holds the null-route table's read
+// lock. The member registry is loaded once, so the per-offer check
+// takes no lock (a member that joins mid-tick counts from the next
+// one), and a port's offers are copied, into its reused kept slice,
+// only when something dies there.
+func (x *IXP) filterNullRoutes(r fabric.Runner, e *egressScratch) {
+	n := len(e.batch.Names)
+	e.offered = slices.Grow(e.offered[:0], n)[:n]
+	e.nulled = slices.Grow(e.nulled[:0], n)[:n]
+	if len(e.kept) < n {
+		e.kept = append(e.kept, make([][]fabric.Offer, n-len(e.kept))...)
 	}
-	sort.Strings(names)
-	reps := make([]engine.PortReport, len(names))
-	kept := make([][]fabric.Offer, len(names))
-	nulled := func(o *fabric.Offer) bool {
-		src, ok := byMAC[o.Flow.SrcMAC.Key()]
-		return ok && anyContains(nulls[src.Name], o.Flow.Dst)
+	if e.filterFn == nil {
+		e.filterFn = e.filterPort
 	}
-	filterPort := func(i int) {
-		rep := engine.PortReport{}
-		os := offers[names[i]]
-		// First pass: account the offered load and detect null-routed
-		// offers; the second, copying pass runs only when one was found.
-		hit := false
-		for j := range os {
-			o := &os[j]
-			rep.OfferedBytes += o.Bytes
-			if nulled(o) {
-				rep.NulledBytes += o.Bytes
-				hit = true
-			}
-		}
-		reps[i] = rep
-		kept[i] = os
-		if !hit {
-			return
-		}
-		keep := make([]fabric.Offer, 0, len(os))
-		for j := range os {
-			if o := &os[j]; !nulled(o) {
-				keep = append(keep, *o)
-			}
-		}
-		kept[i] = keep
-	}
+	e.byMAC, e.nulls = x.reg.Load().byMAC, x.nulls
 	if r == nil {
-		for i := range names {
-			filterPort(i)
+		for i := 0; i < n; i++ {
+			e.filterPort(0, i)
 		}
 	} else {
-		r.Run(len(names), func(_, i int) { filterPort(i) })
+		r.Run(n, e.filterFn)
 	}
+	e.byMAC, e.nulls = nil, nil
+}
 
-	reports := make(map[string]engine.PortReport, len(names))
-	filtered := make(fabric.TickOffers, len(names))
-	for i, name := range names {
-		filtered[name] = kept[i]
-		reports[name] = reps[i]
+// nullRouted reports whether o's source member null-routes its
+// destination.
+func (e *egressScratch) nullRouted(o *fabric.Offer) bool {
+	src, ok := e.byMAC[o.Flow.SrcMAC.Key()]
+	return ok && anyContains(e.nulls[src.Name], o.Flow.Dst)
+}
+
+// filterPort filters port i's offers. A first pass accounts the offered
+// load and detects null-routed offers; the second, copying pass runs
+// only when one was found.
+func (e *egressScratch) filterPort(_, i int) {
+	os := e.batch.Offers[i]
+	offered, nulled, hit := 0.0, 0.0, false
+	for j := range os {
+		o := &os[j]
+		offered += o.Bytes
+		if e.nullRouted(o) {
+			nulled += o.Bytes
+			hit = true
+		}
 	}
-	return filtered, reports
+	e.offered[i], e.nulled[i] = offered, nulled
+	if !hit {
+		return
+	}
+	keep := e.kept[i][:0]
+	for j := range os {
+		if o := &os[j]; !e.nullRouted(o) {
+			keep = append(keep, *o)
+		}
+	}
+	e.kept[i] = keep
+	e.batch.Offers[i] = keep
+}
+
+// release clears the offers the filter kept, keeping their capacity.
+func (e *egressScratch) release() {
+	for i := range e.kept {
+		clear(e.kept[i])
+		e.kept[i] = e.kept[i][:0]
+	}
 }
 
 // anyContains reports whether any prefix covers dst.

@@ -80,13 +80,14 @@ func snapshotFilterTick(x *IXP, model nullModel, offers fabric.TickOffers, dt fl
 		reports[name] = rep
 		filtered[name] = kept
 	}
-	st, err := x.Fabric.Tick(nil, filtered, dt, nil)
-	if err != nil {
+	var batch fabric.TickBatch
+	batch.Load(filtered)
+	if err := x.Fabric.Tick(nil, &batch, dt, nil); err != nil {
 		return nil, err
 	}
-	for name, res := range st.PerPort {
+	for i, name := range batch.Names {
 		rep := reports[name]
-		rep.Result = res
+		rep.Result = batch.Results[i]
 		reports[name] = rep
 	}
 	return reports, nil
@@ -314,6 +315,79 @@ func TestEgressTickAllocsIndependentOfMembers(t *testing.T) {
 	if largeObjects != smallObjects || largeBytes != smallBytes {
 		t.Fatalf("%d warm ticks: %d objects, %d bytes at 6000 members; %d objects, %d bytes at 60",
 			runs, largeObjects, largeBytes, smallObjects, smallBytes)
+	}
+}
+
+// TestEgressTickAllocsOnlyReportMap pins what a warm EgressTick
+// allocates to the report map it returns: at 8 and at 64 ports offered,
+// with no null route live and with one that drops part of a port's
+// offers, a tick costs the objects and bytes of building that map and
+// nothing more — the ports, results and kept offers live in the
+// exchange's reusable egress scratch.
+func TestEgressTickAllocsOnlyReportMap(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops sync.Pool entries at random, so the egress scratch reallocates")
+	}
+	const runs = 50
+	// measure returns the objects and bytes fn allocates per call, warm.
+	measure := func(fn func()) (objects, bytes uint64) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		runtime.GC()
+		fn()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			fn()
+		}
+		runtime.ReadMemStats(&after)
+		return (after.Mallocs - before.Mallocs) / runs, (after.TotalAlloc - before.TotalAlloc) / runs
+	}
+	for _, ports := range []int{8, 64} {
+		for _, nulled := range []bool{false, true} {
+			t.Run(fmt.Sprintf("ports=%d/nulled=%v", ports, nulled), func(t *testing.T) {
+				x, members := buildTestIXP(t, ports+8, 1, false)
+				victims, senders := members[:ports], members[ports:]
+				offers := make(fabric.TickOffers, ports)
+				for _, v := range victims {
+					for _, m := range senders {
+						flow := netpkt.FlowKey{SrcMAC: m.MAC, Dst: victimAddr(v), Proto: netpkt.ProtoUDP, SrcPort: 123, DstPort: 443}
+						offers[v.Name] = append(offers[v.Name], fabric.Offer{Flow: &flow, Bytes: 1e5, Packets: 100})
+					}
+				}
+				if nulled {
+					v := victims[0]
+					if err := x.Announce(v.Name, v.Prefixes[0], nil, nil); err != nil {
+						t.Fatal(err)
+					}
+					if err := x.Announce(v.Name, netip.PrefixFrom(victimAddr(v), 32), []bgp.Community{bgp.CommunityBlackhole}, nil); err != nil {
+						t.Fatal(err)
+					}
+				}
+				reports, err := x.EgressTick(nil, offers, 1, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := reports[victims[0].Name].NulledBytes > 0; got != nulled {
+					t.Fatalf("victim's NulledBytes > 0 is %v, want %v", got, nulled)
+				}
+				tickObjects, tickBytes := measure(func() {
+					if _, err := x.EgressTick(nil, offers, 1, nil); err != nil {
+						t.Fatal(err)
+					}
+				})
+				var sink map[string]engine.PortReport
+				mapObjects, mapBytes := measure(func() {
+					sink = make(map[string]engine.PortReport, ports)
+					for _, v := range victims {
+						sink[v.Name] = engine.PortReport{}
+					}
+				})
+				if tickObjects != mapObjects || tickBytes != mapBytes {
+					t.Fatalf("warm tick: %d objects, %d bytes; its report map alone: %d objects, %d bytes",
+						tickObjects, tickBytes, mapObjects, mapBytes)
+				}
+			})
+		}
 	}
 }
 

@@ -290,8 +290,12 @@ type Controller struct {
 
 	// processMu serializes Process end to end (drain + apply), so
 	// concurrent Process calls cannot reorder an install after its
-	// remove.
+	// remove. It also guards pending and released, Process's scratch: a
+	// tick's events and the changes it releases, cleared after the
+	// tick's emit so they pin nothing between ticks.
 	processMu sync.Mutex
+	pending   []Event
+	released  []queuedOp
 
 	mu      sync.Mutex
 	mits    map[string]*mit
@@ -307,7 +311,10 @@ type Controller struct {
 	// retireAt is twice the store's size after the last retirement of
 	// final mitigations (storeLocked).
 	retireAt int
-	subs     []func(Event)
+	// subs is copy-on-write: Subscribe installs a new array and no one
+	// writes a published one, so an event's senders read the slice under
+	// mu and deliver from it after unlocking, without a copy.
+	subs []func(Event)
 
 	applied  int
 	errTotal int
@@ -369,7 +376,7 @@ func (c *Controller) Portal() *core.Portal { return c.portal }
 func (c *Controller) Subscribe(fn func(Event)) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.subs = append(c.subs, fn)
+	c.subs = append(c.subs[:len(c.subs):len(c.subs)], fn)
 }
 
 // emit delivers events to the subscribers captured at transition time.
@@ -437,7 +444,7 @@ func (c *Controller) Request(spec Spec, now float64) (Mitigation, error) {
 		c.version++
 		existing.Version = c.version
 		view := existing.Mitigation
-		subs, evs := c.subsLocked(), []Event{{Type: EventRefreshed, Time: now, Mitigation: view}}
+		subs, evs := c.subs, []Event{{Type: EventRefreshed, Time: now, Mitigation: view}}
 		c.mu.Unlock()
 		c.emit(subs, evs)
 		return view, nil
@@ -449,7 +456,7 @@ func (c *Controller) Request(spec Spec, now float64) (Mitigation, error) {
 		}}
 		c.storeLocked(m)
 		view := m.Mitigation
-		subs, evs := c.subsLocked(), []Event{
+		subs, evs := c.subs, []Event{
 			{Type: EventRequested, Time: now, Mitigation: view},
 			{Type: EventRejected, Time: now, Mitigation: view},
 		}
@@ -499,7 +506,7 @@ func (c *Controller) Request(spec Spec, now float64) (Mitigation, error) {
 	}
 	c.storeLocked(m)
 	view := m.Mitigation
-	subs, evs := c.subsLocked(), []Event{
+	subs, evs := c.subs, []Event{
 		{Type: EventRequested, Time: now, Mitigation: view},
 		{Type: EventValidated, Time: now, Mitigation: view},
 	}
@@ -530,7 +537,7 @@ func (c *Controller) Withdraw(id, requester string, now float64) error {
 	}
 	c.finalizeLocked(m, StateWithdrawn, now)
 	view := m.Mitigation
-	subs := c.subsLocked()
+	subs := c.subs
 	c.mu.Unlock()
 	c.emit(subs, []Event{{Type: EventWithdrawn, Time: now, Mitigation: view}})
 	return nil
@@ -605,15 +612,6 @@ func (c *Controller) enqueueLocked(op queuedOp) {
 	c.queue = append(c.queue, op)
 }
 
-func (c *Controller) subsLocked() []func(Event) {
-	if len(c.subs) == 0 {
-		return nil
-	}
-	out := make([]func(Event), len(c.subs))
-	copy(out, c.subs)
-	return out
-}
-
 // Process advances the controller to time now: mitigations whose TTL
 // ran out expire, then the token-bucket queue releases every change a
 // token is available for (FIFO) and applies it through the manager.
@@ -623,7 +621,7 @@ func (c *Controller) Process(now float64) int {
 	c.processMu.Lock()
 	defer c.processMu.Unlock()
 
-	var pending []Event
+	pending := c.pending[:0]
 	c.mu.Lock()
 	// TTL clock: expire before draining so the removals of a mitigation
 	// expiring this tick can ride this tick's tokens. Due mitigations
@@ -667,7 +665,7 @@ func (c *Controller) Process(now float64) int {
 		}
 		c.lastRef = now
 	}
-	var released []queuedOp
+	released := c.released[:0]
 	if !c.stalled {
 		rest := c.queue[:0]
 		for _, op := range c.queue {
@@ -690,7 +688,7 @@ func (c *Controller) Process(now float64) int {
 		}
 		c.queue = rest
 	}
-	subs := c.subsLocked()
+	subs := c.subs
 	c.mu.Unlock()
 
 	applied := 0
@@ -704,7 +702,19 @@ func (c *Controller) Process(now float64) int {
 		pending = append(pending, evs...)
 	}
 	c.emit(subs, pending)
+	c.pending, c.released = resetScratch(pending), resetScratch(released)
 	return applied
+}
+
+// resetScratch empties one of Process's scratch slices for the next
+// tick: it drops what the slice points at and, like the queue, keeps its
+// array only up to maxIdleQueueCap.
+func resetScratch[T any](s []T) []T {
+	clear(s)
+	if cap(s) > maxIdleQueueCap {
+		return nil
+	}
+	return s[:0]
 }
 
 // ErrInstallDeadline is the terminal error recorded when a change's

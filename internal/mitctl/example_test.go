@@ -62,7 +62,8 @@ func ExampleController() {
 
 	// Attack traffic hits the installed rule; the mitigation's tagged
 	// counters aggregate its effect.
-	fab.Tick(nil, fabric.TickOffers{"AS64512": {{
+	var batch fabric.TickBatch
+	batch.Load(fabric.TickOffers{"AS64512": {{
 		Flow: &netpkt.FlowKey{
 			SrcMAC: netpkt.MAC{0x02, 0xff, 0, 0, 0, 9},
 			Src:    netip.MustParseAddr("198.51.100.9"),
@@ -70,7 +71,8 @@ func ExampleController() {
 			Proto:  netpkt.ProtoUDP, SrcPort: 123, DstPort: 443,
 		},
 		Bytes: 5e6, Packets: 5000,
-	}}}, 1, nil)
+	}}})
+	fab.Tick(nil, &batch, 1, nil)
 	usage, _ := ctl.Usage(m.ID)
 	fmt.Printf("dropped %.0f MB\n", float64(usage.DroppedBytes)/1e6)
 

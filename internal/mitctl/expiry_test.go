@@ -68,6 +68,51 @@ func TestProcessCostIndependentOfTableSize(t *testing.T) {
 	}
 }
 
+// TestIdleProcessWithSubscriberAllocs pins the controller tick's
+// scratch: with a subscriber attached, an idle Process after a busy one
+// allocates nothing — the subscriber list is read, not copied, and the
+// tick's event and release slices are reused — and the busy tick's
+// scratch points at no event or change once it returns.
+func TestIdleProcessWithSubscriberAllocs(t *testing.T) {
+	ctl := New(Config{Manager: nopManager{}, QueueRate: 1e6, QueueBurst: 1 << 20})
+	events := 0
+	ctl.Subscribe(func(Event) { events++ })
+	for i := 0; i < 8; i++ {
+		if _, err := ctl.Request(expirySpec(fmt.Sprintf("standing-%d", i), 0), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if applied := ctl.Process(0); applied != 8 {
+		t.Fatalf("busy tick applied %d changes, want 8", applied)
+	}
+	if events != 8*3 { // requested, validated, installed
+		t.Fatalf("subscriber saw %d events, want %d", events, 8*3)
+	}
+	if cap(ctl.pending) == 0 || cap(ctl.released) == 0 {
+		t.Fatalf("busy tick kept no scratch: pending cap %d, released cap %d", cap(ctl.pending), cap(ctl.released))
+	}
+	for i, ev := range ctl.pending[:cap(ctl.pending)] {
+		if ev.Mitigation.ID != "" {
+			t.Fatalf("pending scratch slot %d still holds %s", i, ev.Mitigation.ID)
+		}
+	}
+	for i, op := range ctl.released[:cap(ctl.released)] {
+		if op.m != nil {
+			t.Fatalf("released scratch slot %d still holds %s", i, op.m.ID)
+		}
+	}
+	now := 1.0
+	if allocs := testing.AllocsPerRun(100, func() {
+		ctl.Process(now)
+		now += 0.1
+	}); allocs != 0 {
+		t.Fatalf("idle Process with a subscriber allocates %v objects a tick", allocs)
+	}
+	if events != 8*3 {
+		t.Fatalf("idle ticks emitted %d events", events-8*3)
+	}
+}
+
 // TestExpiryMatchesFullScan is the differential oracle for the TTL
 // watermark. A seeded mix of requests (TTL 0, short or long), refreshes
 // to a shorter, longer or zero TTL, withdrawals, re-requests after a

@@ -34,7 +34,9 @@ func offerFrom(t *testing.T, h *harness, i int, p uint16, bytes float64) {
 		},
 		Bytes: bytes, Packets: 1,
 	}}}
-	if _, err := h.fab.Tick(nil, offers, 1, nil); err != nil {
+	var batch fabric.TickBatch
+	batch.Load(offers)
+	if err := h.fab.Tick(nil, &batch, 1, nil); err != nil {
 		t.Fatal(err)
 	}
 }

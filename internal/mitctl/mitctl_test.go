@@ -515,7 +515,9 @@ func TestUsageSurvivesRemoval(t *testing.T) {
 		},
 		Bytes: 1e6, Packets: 1000,
 	}
-	if _, err := h.fab.Tick(nil, fabric.TickOffers{memberName(0): {attack}}, 1, nil); err != nil {
+	var batch fabric.TickBatch
+	batch.Load(fabric.TickOffers{memberName(0): {attack}})
+	if err := h.fab.Tick(nil, &batch, 1, nil); err != nil {
 		t.Fatal(err)
 	}
 
